@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"disttrain/internal/data"
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
@@ -27,8 +29,9 @@ type replica struct {
 	ybuf  []int
 	grads []float32
 	// arena recycles the model's layer scratch buffers; flat is a reusable
-	// parameter staging vector for round-trip updates (localStep, merges),
-	// so steady-state steps allocate ~nothing.
+	// parameter staging vector for the merges that read every parameter
+	// (setRanges, average, weightedMerge), so steady-state steps allocate
+	// ~nothing.
 	arena *tensor.Arena
 	flat  []float32
 
@@ -174,9 +177,23 @@ func (r *replica) localStep(g []float32, lr float32) {
 		return
 	}
 	r.settle()
-	flat := r.model.FlatParams(r.flat)
-	r.localO.Step(flat, g, lr)
-	r.model.SetFlatParams(flat)
+	StepModelSGD(r.model, r.localO, g, lr)
+}
+
+// StepModelSGD applies one SGD step with the flat gradient g to every
+// parameter tensor of m where it lives, o's state windowed per tensor. SGD
+// is element-wise, so the bits are those of stepping a flat copy of the
+// parameters and writing it back, without the two model-sized copies.
+func StepModelSGD(m *nn.Model, o *opt.SGD, g []float32, lr float32) {
+	if len(g) != m.NumParams() {
+		panic(fmt.Sprintf("core: gradient length %d, want %d", len(g), m.NumParams()))
+	}
+	off := 0
+	for _, p := range m.Params() {
+		w := p.W.Data
+		o.StepAt(w, g[off:off+len(w)], lr, off)
+		off += len(w)
+	}
 }
 
 // params returns a fresh copy of the flat parameters (nil in cost-only).

@@ -19,13 +19,12 @@ func (q Quantized8) WireBytes() int64 { return int64(len(q.Q)) + 4 }
 // Quantize8 quantizes v to 8 bits with a symmetric per-vector scale chosen
 // from the maximum magnitude. The zero vector quantizes to scale 0.
 func Quantize8(v []float32) Quantized8 {
+	const signBit = 1 << 31
 	var maxAbs float32
 	for _, x := range v {
-		a := x
-		if a < 0 {
-			a = -a
-		}
-		if a > maxAbs {
+		// |x| through the sign bit: gradient signs are a coin flip, and a
+		// branch on them mispredicts half the time.
+		if a := math.Float32frombits(math.Float32bits(x) &^ signBit); a > maxAbs {
 			maxAbs = a
 		}
 	}
@@ -35,22 +34,13 @@ func Quantize8(v []float32) Quantized8 {
 	}
 	q.Scale = maxAbs / 127
 	inv := 127 / maxAbs
+	half := math.Float32bits(0.5)
 	for i, x := range v {
 		r := x * inv
-		// round half away from zero, clamp to int8
-		var iv int32
-		if r >= 0 {
-			iv = int32(r + 0.5)
-		} else {
-			iv = int32(r - 0.5)
-		}
-		if iv > 127 {
-			iv = 127
-		}
-		if iv < -127 {
-			iv = -127
-		}
-		q.Q[i] = int8(iv)
+		// Round half away from zero without a branch: add copysign(0.5, r)
+		// and truncate, then clamp to the symmetric int8 range.
+		iv := int32(r + math.Float32frombits(math.Float32bits(r)&signBit|half))
+		q.Q[i] = int8(max(min(iv, 127), -127))
 	}
 	return q
 }

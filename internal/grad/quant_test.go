@@ -177,3 +177,87 @@ func BenchmarkQuantize8(b *testing.B) {
 		Quantize8(v)
 	}
 }
+
+// quantize8Branchy is the formulation Quantize8 had before it went
+// branch-free: a sign test for |x| and another for the rounding direction.
+// It is kept only as the reference the property test compares against.
+func quantize8Branchy(v []float32) Quantized8 {
+	var maxAbs float32
+	for _, x := range v {
+		a := x
+		if a < 0 {
+			a = -a
+		}
+		if a > maxAbs {
+			maxAbs = a
+		}
+	}
+	q := Quantized8{Q: make([]int8, len(v))}
+	if maxAbs == 0 {
+		return q
+	}
+	q.Scale = maxAbs / 127
+	inv := 127 / maxAbs
+	for i, x := range v {
+		r := x * inv
+		var iv int32
+		if r >= 0 {
+			iv = int32(r + 0.5)
+		} else {
+			iv = int32(r - 0.5)
+		}
+		if iv > 127 {
+			iv = 127
+		}
+		if iv < -127 {
+			iv = -127
+		}
+		q.Q[i] = int8(iv)
+	}
+	return q
+}
+
+// TestQuantize8MatchesBranchyReference pins the branch-free Quantize8 to
+// the old formulation, bit for bit in scale and byte for byte in payload:
+// random vectors, both zeros, exact half-way points of either sign, values
+// at and beyond the clamp, and the non-finite inputs of the fuzz corpus.
+func TestQuantize8MatchesBranchyReference(t *testing.T) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := math.Float32frombits(0xff800001) // FuzzQuantizeRoundTrip's "extremes" seed
+	inf := float32(math.Inf(1))
+	cases := [][]float32{
+		{0, negZero},
+		{negZero, 127, -127},
+		// maxAbs 127 makes inv exactly 1, so k+0.5 is an exact half-way point.
+		{127, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 125.5, -125.5, 126.5, -126.5},
+		{127, 0.49999997, -0.49999997, 126.49999, -126.49999},
+		{-127, 127, 126.99999, -126.99999},
+		{math.MaxFloat32, -math.MaxFloat32, 1, negZero},
+		{math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 0},
+		{math.MaxFloat32, nan},
+		{nan, 1, -2, nan, negZero},
+		{nan},
+		{inf, 1, -1, 0},
+		{-inf, inf, nan, 3},
+	}
+	r := rng.New(20260926)
+	for n := 1; n <= 1<<12; n *= 2 {
+		v := make([]float32, n+r.Intn(n))
+		scale := math.Exp(r.NormFloat64() * 8)
+		for i := range v {
+			v[i] = float32(r.NormFloat64() * scale)
+		}
+		cases = append(cases, v)
+	}
+	for ci, v := range cases {
+		got, want := Quantize8(v), quantize8Branchy(v)
+		if math.Float32bits(got.Scale) != math.Float32bits(want.Scale) {
+			t.Fatalf("case %d: scale %x, reference %x", ci, math.Float32bits(got.Scale), math.Float32bits(want.Scale))
+		}
+		for i := range want.Q {
+			if got.Q[i] != want.Q[i] {
+				t.Fatalf("case %d: element %d (%v) quantized to %d, reference %d", ci, i, v[i], got.Q[i], want.Q[i])
+			}
+		}
+	}
+}

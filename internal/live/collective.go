@@ -15,6 +15,11 @@ import (
 // chunk tags, but TCP ordering is per-connection and redials can reorder,
 // so the live ring tags all-gather chunks with Seg = n + c to keep the two
 // phases unambiguous in the mailbox.
+//
+// Buffer ownership (docs/LIVE.md): Send never retains a frame after it
+// returns, so the collectives send slices of the caller's vector in place;
+// a received Vec is this rank's alone, and each one is released to xport's
+// recycler right after the Axpy or copy that consumes it.
 
 // arChunk builds one AllReduce frame for elements [lo, hi) of vec. A leaf
 // contribution (quant = true, q non-nil) ships the sliced codec payload —
@@ -28,7 +33,7 @@ func arChunk(q *arQuant, vec []float32, lo, hi int, quant bool, f *xport.Frame) 
 		q.saved.Add(int64(4*(hi-lo)) - int64(len(f.Data)))
 		return
 	}
-	f.Vec = append([]float32(nil), vec[lo:hi]...)
+	f.Vec = vec[lo:hi]
 }
 
 // arRecvVec extracts the chunk payload from a received AllReduce frame,
@@ -86,6 +91,7 @@ func ringAllReduce(mb *mailbox, nodes []int, self int, clock int32, vec []float3
 			return err
 		}
 		tensor.AxpyF32(1, chunk, vec[chunkLo(c):chunkHi(c)])
+		f.Release()
 	}
 	// All-gather: circulate the reduced chunks (tags offset by n).
 	for s := 0; s < n-1; s++ {
@@ -99,15 +105,19 @@ func ringAllReduce(mb *mailbox, nodes []int, self int, clock int32, vec []float3
 			return err
 		}
 		copy(vec[chunkLo(c):chunkHi(c)], f.Vec)
+		f.Release()
 	}
 	return nil
 }
 
 // treeAllReduce sums vec across the group with a binomial reduce-to-root
-// plus broadcast, comm.OpTreeAllReduce's exact shape. Reduce frames carry
-// Seg 0, broadcast frames Seg 1. q non-nil ships leaf contributions — a
-// rank's own round-tripped gradient, sent before it has folded anything
-// in — in codec form; partial sums and the broadcast stay dense.
+// plus broadcast, comm.OpTreeAllReduce's exact shape. A reduce frame carries
+// its round's distance d in Seg, so a parent folds its children in round
+// order — the simulator's float sum order — whichever arrives first; a rank
+// receives exactly one broadcast frame, tagged Seg 0. q non-nil ships leaf
+// contributions — a rank's own round-tripped gradient, sent before it has
+// folded anything in — in codec form; partial sums and the broadcast stay
+// dense.
 func treeAllReduce(mb *mailbox, nodes []int, self int, clock int32, vec []float32, q *arQuant) error {
 	n := len(nodes)
 	if n == 1 {
@@ -133,6 +143,7 @@ func treeAllReduce(mb *mailbox, nodes []int, self int, clock int32, vec []float3
 		} else {
 			copy(vec, payload)
 		}
+		f.Release()
 		return nil
 	}
 
@@ -143,13 +154,13 @@ func treeAllReduce(mb *mailbox, nodes []int, self int, clock int32, vec []float3
 	leaf := true
 	for d := 1; d < n; d *= 2 {
 		if self%(2*d) == d {
-			if err := send(self-d, 0, leaf); err != nil {
+			if err := send(self-d, int32(d), leaf); err != nil {
 				return err
 			}
 			break
 		}
 		if self%(2*d) == 0 && self+d < n {
-			if err := recv(0, true); err != nil {
+			if err := recv(int32(d), true); err != nil {
 				return err
 			}
 			leaf = false
@@ -163,11 +174,11 @@ func treeAllReduce(mb *mailbox, nodes []int, self int, clock int32, vec []float3
 	for d := top / 2; d >= 1; d /= 2 {
 		switch {
 		case self%(2*d) == 0 && self+d < n:
-			if err := send(self+d, 1, false); err != nil {
+			if err := send(self+d, 0, false); err != nil {
 				return err
 			}
 		case self%(2*d) == d:
-			if err := recv(1, false); err != nil {
+			if err := recv(0, false); err != nil {
 				return err
 			}
 		}
@@ -182,9 +193,8 @@ func gather(mb *mailbox, nodes []int, self int, clock int32, vec []float32) erro
 		return nil
 	}
 	if self != 0 {
-		payload := append([]float32(nil), vec...)
 		return mb.ep.Send(nodes[0], &xport.Frame{Kind: kindGather, From: int32(nodes[self]),
-			Clock: clock, Vec: payload})
+			Clock: clock, Vec: vec})
 	}
 	for i := 0; i < len(nodes)-1; i++ {
 		f, err := mb.recvMatch(kindGather, clock, 0, false, recvTimeout)
@@ -192,6 +202,7 @@ func gather(mb *mailbox, nodes []int, self int, clock int32, vec []float32) erro
 			return err
 		}
 		tensor.AxpyF32(1, f.Vec, vec)
+		f.Release()
 	}
 	return nil
 }
@@ -204,9 +215,8 @@ func broadcast(mb *mailbox, nodes []int, self int, clock int32, vec []float32) e
 	}
 	if self == 0 {
 		for i := 1; i < len(nodes); i++ {
-			payload := append([]float32(nil), vec...)
 			if err := mb.ep.Send(nodes[i], &xport.Frame{Kind: kindBcast, From: int32(nodes[0]),
-				Clock: clock, Vec: payload}); err != nil {
+				Clock: clock, Vec: vec}); err != nil {
 				return err
 			}
 		}
@@ -217,5 +227,6 @@ func broadcast(mb *mailbox, nodes []int, self int, clock int32, vec []float32) e
 		return err
 	}
 	copy(vec, f.Vec)
+	f.Release()
 	return nil
 }

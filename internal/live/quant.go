@@ -52,9 +52,10 @@ func quantizeVec(codec xport.QuantCodec, v []float32) xport.QuantVec {
 }
 
 // dequantizeVec reconstructs the dense vector a QuantVec carries, with the
-// same per-element arithmetic grad.Dequantize8/DequantizeF16 perform.
+// same per-element arithmetic grad.Dequantize8/DequantizeF16 perform. The
+// vector comes from xport's recycler, like the Vec of a dense frame.
 func dequantizeVec(qv xport.QuantVec) []float32 {
-	out := make([]float32, qv.Len())
+	out := xport.NewVec(qv.Len())
 	switch qv.Codec {
 	case xport.QuantInt8:
 		for i, x := range qv.I8 {

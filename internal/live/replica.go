@@ -123,9 +123,7 @@ func (r *liveReplica) loss() (float64, bool) {
 func (r *liveReplica) localStep(g []float32, lr float32) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	flat := r.model.FlatParams(r.flat)
-	r.localO.Step(flat, g, lr)
-	r.model.SetFlatParams(flat)
+	core.StepModelSGD(r.model, r.localO, g, lr)
 }
 
 // params returns a fresh copy of the flat parameters.

@@ -36,6 +36,10 @@ type server struct {
 	// tr records dequantize spans on the coordinator track.
 	codec xport.QuantCodec
 	tr    *trace.Tracer
+
+	// snap is the one parameter-reply buffer: Send never retains a frame,
+	// so every reply re-snapshots into it instead of allocating a model.
+	snap []float32
 }
 
 func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
@@ -55,6 +59,7 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 		model:  model,
 		ch:     newChaos(cfg),
 		codec:  quantCodec(cfg),
+		snap:   make([]float32, len(init)),
 	}
 	if o != nil {
 		sv.ckpt = o.ckpt
@@ -84,11 +89,11 @@ func (sv *server) maybeCheckpoint(step int) error {
 	return nn.SaveState(sv.ckpt.Path(-1), sv.model, &nn.TrainState{Step: uint64(step)})
 }
 
-// snapshot returns a fresh copy of the global parameters.
+// snapshot copies the global parameters into the reply buffer and returns
+// it; the result is valid until the next snapshot.
 func (sv *server) snapshot() []float32 {
-	out := make([]float32, sv.vecLen)
-	sv.global.Snapshot(sv.assign[0], out)
-	return out
+	sv.global.Snapshot(sv.assign[0], sv.snap)
+	return sv.snap
 }
 
 // run serves the PS protocol until every worker has sent its mesh-level
@@ -138,6 +143,7 @@ func (sv *server) awaitByes(byes int) error {
 // with core's runBSP — and the updated parameters go back to all workers.
 func (sv *server) runBSP() error {
 	cfg := sv.cfg
+	agg := make([]float32, sv.vecLen)
 	for it := 0; it < cfg.Iters; it++ {
 		// The round's barrier width is the alive membership — the
 		// simulator's elastic aliveCount — and connections to workers
@@ -168,11 +174,12 @@ func (sv *server) runBSP() error {
 			msgs = append(msgs, f)
 		}
 		sort.Slice(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-		agg := make([]float32, sv.vecLen)
-		for _, m := range msgs {
-			for i, v := range m.Vec {
-				agg[i] += v
+		clear(agg)
+		for i := range msgs {
+			for j, v := range msgs[i].Vec {
+				agg[j] += v
 			}
+			msgs[i].Release()
 		}
 		sv.global.ApplyGrad(sv.assign[0], agg, 1/float32(expect), cfg.LR.At(it))
 		snap := sv.snapshot()
@@ -205,6 +212,7 @@ func (sv *server) runASP() error {
 				return err
 			}
 			sv.global.ApplyGrad(sv.assign[0], f.Vec, 1, cfg.LR.At(int(f.Clock)-1))
+			f.Release()
 			if err := sv.ep.Send(int(f.From), &xport.Frame{Kind: kindParams, From: int32(sv.W),
 				Clock: f.Clock, Vec: sv.snapshot()}); err != nil {
 				return err
@@ -268,6 +276,7 @@ func (sv *server) runSSP() error {
 				return err
 			}
 			sv.global.AddDelta(sv.assign[0], f.Vec)
+			f.Release()
 			clocks[f.From] = int(f.Clock)
 			if err := sv.ep.Send(int(f.From), &xport.Frame{Kind: kindAck, From: int32(sv.W),
 				Clock: int32(minClock())}); err != nil {
@@ -311,6 +320,7 @@ func (sv *server) runEASGD() error {
 				Clock: f.Clock, Vec: f.Vec}); err != nil {
 				return err
 			}
+			f.Release()
 		case kindBye:
 			byes++
 		default:

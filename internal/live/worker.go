@@ -252,6 +252,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 				}
 				if f.Kind == kindGossip {
 					w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
+					f.Release()
 				}
 			}
 		default:
@@ -262,6 +263,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 		}
 		if ok && f.Kind == kindGossip {
 			w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
+			f.Release()
 		}
 	}
 }
@@ -286,6 +288,7 @@ func (w *worker) runBSP() error {
 		}
 		sp.End()
 		w.rep.setParams(f.Vec)
+		f.Release()
 		w.note(it)
 		if err := w.maybeCheckpoint(it); err != nil {
 			return err
@@ -310,6 +313,7 @@ func (w *worker) runASP() error {
 		}
 		sp.End()
 		w.rep.setParams(f.Vec)
+		f.Release()
 		w.note(it)
 	}
 	return nil
@@ -377,6 +381,7 @@ func (w *worker) runSSP() error {
 					return fmt.Errorf("ssp worker: unexpected kind %d", f.Kind)
 				}
 				w.rep.setParams(f.Vec)
+				f.Release()
 				break
 			}
 			sp.End()
@@ -408,6 +413,7 @@ func (w *worker) runEASGD() error {
 			}
 			sp.End()
 			w.rep.setParams(f.Vec)
+			f.Release()
 		}
 		w.note(it)
 	}
@@ -432,9 +438,10 @@ func (w *worker) runARSGD() error {
 			nodes, self = w.ch.aliveNodes(it, w.rank)
 		}
 		inv := 1 / float32(len(nodes))
-		g := w.gradSpan()
+		// The gradient buffer is the replica's until the next pass, and Send
+		// never retains a frame, so the collective reduces it in place.
+		agg := w.gradSpan()
 		w.draws++
-		agg := append([]float32(nil), g...)
 		qc := w.arQuantize(agg)
 		sp := w.span("allreduce", "comm")
 		var err error
@@ -478,6 +485,7 @@ func (w *worker) runGoSGD() error {
 				return fmt.Errorf("gosgd worker: unexpected kind %d", f.Kind)
 			}
 			w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
+			f.Release()
 		}
 		if r.Bernoulli(cfg.GossipP) && W > 1 {
 			t := r.Intn(W - 1)
@@ -564,6 +572,7 @@ func (w *worker) adpsgdActive(tokens <-chan int, passive []int) error {
 		}
 		sp.End()
 		w.rep.average(f.Vec)
+		f.Release()
 	}
 	return nil
 }
@@ -585,5 +594,6 @@ func (w *worker) adpsgdServe() {
 			return
 		}
 		w.rep.average(f.Vec)
+		f.Release()
 	}
 }

@@ -36,23 +36,19 @@ func (s *SGD) Step(params, grads []float32, lr float32) {
 	if len(params) != len(s.vel) || len(grads) != len(s.vel) {
 		panic(fmt.Sprintf("opt: Step lengths %d/%d, want %d", len(params), len(grads), len(s.vel)))
 	}
-	mu, wd := s.Momentum, s.WeightDecay
-	v := s.vel
-	for i, g := range grads {
-		vi := mu*v[i] + g + wd*params[i]
-		v[i] = vi
-		params[i] -= lr * vi
-	}
+	s.StepAt(params, grads, lr, 0)
 }
 
-// StepSegment applies the update only to [off, off+n) of the vectors — the
-// form used by parameter-server shards, which own disjoint segments of the
-// global parameters but share one optimizer state.
-func (s *SGD) StepSegment(params, grads []float32, lr float32, off, n int) {
+// StepAt applies the update to p, the window of the parameters that starts
+// at flat offset off, given that window's gradient g. Only the optimizer
+// state is indexed by off: p need not be part of a flat vector, so a
+// model's parameter tensors can be stepped where they live.
+func (s *SGD) StepAt(p, g []float32, lr float32, off int) {
+	if len(g) != len(p) {
+		panic(fmt.Sprintf("opt: StepAt gradient length %d, want %d", len(g), len(p)))
+	}
 	mu, wd := s.Momentum, s.WeightDecay
-	v := s.vel[off : off+n]
-	p := params[off : off+n]
-	g := grads[off : off+n]
+	v := s.vel[off : off+len(p)]
 	for i, gi := range g {
 		vi := mu*v[i] + gi + wd*p[i]
 		v[i] = vi
@@ -60,22 +56,19 @@ func (s *SGD) StepSegment(params, grads []float32, lr float32, off, n int) {
 	}
 }
 
+// StepSegment applies the update only to [off, off+n) of the vectors — the
+// form used by parameter-server shards, which own disjoint segments of the
+// global parameters but share one optimizer state.
+func (s *SGD) StepSegment(params, grads []float32, lr float32, off, n int) {
+	s.StepAt(params[off:off+n], grads[off:off+n], lr, off)
+}
+
 // StepSegmentGrad is StepSegment with a windowed gradient: params and the
 // optimizer state are indexed at [off, off+n), while gseg is a local slice
 // of length n holding just that window's gradient. Parameter-server shards
 // use this to apply a gradient that arrived as a shard-sized message.
 func (s *SGD) StepSegmentGrad(params, gseg []float32, lr float32, off, n int) {
-	if len(gseg) != n {
-		panic(fmt.Sprintf("opt: StepSegmentGrad gradient length %d, want %d", len(gseg), n))
-	}
-	mu, wd := s.Momentum, s.WeightDecay
-	v := s.vel[off : off+n]
-	p := params[off : off+n]
-	for i, gi := range gseg {
-		vi := mu*v[i] + gi + wd*p[i]
-		v[i] = vi
-		p[i] -= lr * vi
-	}
+	s.StepAt(params[off:off+n], gseg, lr, off)
 }
 
 // Velocity exposes the momentum buffer (used by DGC's momentum correction

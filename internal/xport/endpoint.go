@@ -22,12 +22,15 @@ type Endpoint interface {
 	Rank() int
 	// Size is the number of ranks in the mesh.
 	Size() int
-	// Send delivers f to peer rank `to`. It blocks until the frame is
-	// handed to the transport (socket write or channel hand-off) and
-	// returns an error if the peer is unreachable after bounded retry.
+	// Send delivers f to peer rank `to`. It blocks until the frame's bytes
+	// are handed to the transport (socket write or channel hand-off) and
+	// returns an error if the peer is unreachable after bounded retry. Send
+	// reads f's slices where they lie and never retains them: once it
+	// returns, the caller may overwrite or reuse Idx, Vec and Data.
 	Send(to int, f *Frame) error
 	// Recv returns the next inbound frame. timeout <= 0 means block
-	// forever; on expiry it returns ErrTimeout.
+	// forever; on expiry it returns ErrTimeout. The frame's slices belong
+	// to the receiver alone; Frame.Release hands a consumed Vec back.
 	Recv(timeout time.Duration) (Frame, error)
 	// Close releases the endpoint; blocked Recvs return ErrClosed.
 	Close() error

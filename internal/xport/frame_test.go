@@ -156,7 +156,10 @@ func patchLen(b []byte, n int) []byte {
 
 // FuzzDecodeFrame feeds arbitrary bytes to the decoder. The contract under
 // fuzz: every input returns normally — an error or a frame — with no
-// panic, no hang, and no allocation driven by an unvalidated length field.
+// panic, no hang, and no allocation beyond the length its prelude declares
+// (and none at all when that length is out of bounds); an accepted frame
+// re-encodes to bytes that decode to the same frame and that, cut short or
+// with one bit flipped, are rejected as checkDamage spells out.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		f.Add(fr.AppendEncode(nil))
@@ -180,17 +183,31 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add(patchLen(good, fixedPayLen+4<<20)) // length far past end
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr, err := DecodeFrame(data, 1<<20)
+		const limit = 1 << 20
+		var fr Frame
+		var err error
+		allocated := allocatedBy(func() { fr, err = DecodeFrame(data, limit) })
+		bound := uint64(allocSlack)
+		if len(data) >= preludeLen && binary.LittleEndian.Uint16(data) == frameMagic {
+			if declared := binary.LittleEndian.Uint32(data[2:]); declared <= limit {
+				bound += uint64(declared) + uint64(declared)/4 // recycler rounding
+			}
+		}
+		if allocated > bound {
+			t.Fatalf("decoder allocated %d bytes for %d input bytes, bound %d", allocated, len(data), bound)
+		}
 		if err != nil {
 			return
 		}
 		// Anything accepted must re-encode and decode to the same frame.
-		again, err := DecodeFrame(fr.AppendEncode(nil), 0)
+		enc := fr.AppendEncode(nil)
+		again, err := DecodeFrame(enc, 0)
 		if err != nil {
 			t.Fatalf("accepted frame failed re-decode: %v", err)
 		}
 		if !framesEqual(fr, again) {
 			t.Fatalf("re-encode changed frame: %+v vs %+v", fr, again)
 		}
+		checkDamage(t, enc)
 	})
 }

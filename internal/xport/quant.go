@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // QuantCodec identifies a compressed-vector encoding carried in a frame's
@@ -59,6 +60,7 @@ func (q *QuantVec) EncodedLen() int {
 
 // AppendEncode appends the wire encoding to dst and returns the result.
 func (q *QuantVec) AppendEncode(dst []byte) []byte {
+	dst = slices.Grow(dst, q.EncodedLen())
 	dst = append(dst, byte(q.Codec))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(q.Len()))
 	dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(q.Scale))
@@ -68,9 +70,7 @@ func (q *QuantVec) AppendEncode(dst []byte) []byte {
 			dst = binary.LittleEndian.AppendUint16(dst, h)
 		}
 	default:
-		for _, v := range q.I8 {
-			dst = append(dst, byte(v))
-		}
+		dst = append(dst, rawBytes(q.I8)...)
 	}
 	return dst
 }
@@ -95,9 +95,7 @@ func DecodeQuantVec(data []byte) (QuantVec, error) {
 			return QuantVec{}, fmt.Errorf("xport: int8 quant count %d inconsistent with %d payload bytes", n, len(rest))
 		}
 		q.I8 = make([]int8, n)
-		for i, b := range rest {
-			q.I8[i] = int8(b)
-		}
+		copy(rawBytes(q.I8), rest)
 	case QuantF16:
 		if 2*n != len(rest) {
 			return QuantVec{}, fmt.Errorf("xport: f16 quant count %d inconsistent with %d payload bytes", n, len(rest))

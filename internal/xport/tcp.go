@@ -1,6 +1,7 @@
 package xport
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -212,7 +213,6 @@ func (t *TCPNet) Send(to int, f *Frame) error {
 	default:
 	}
 	t.applyFaults(to)
-	buf := f.AppendEncode(make([]byte, 0, f.EncodedLen()))
 	var lastErr error
 	for attempt := 0; attempt < writeAttempts; attempt++ {
 		conn, err := t.peerConn(to)
@@ -220,12 +220,12 @@ func (t *TCPNet) Send(to int, f *Frame) error {
 			return err
 		}
 		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if _, err := conn.Write(buf); err == nil {
+		// One vectored write per frame; the socket's write lock covers all of
+		// it, so concurrent senders to one peer cannot interleave.
+		if lastErr = WriteFrame(conn, f); lastErr == nil {
 			t.stats.framesSent.Add(1)
-			t.stats.bytesSent.Add(int64(len(buf)))
+			t.stats.bytesSent.Add(int64(f.EncodedLen()))
 			return nil
-		} else {
-			lastErr = err
 		}
 		t.dropConn(to, conn)
 		t.stats.redials.Add(1)
@@ -383,8 +383,11 @@ func (t *TCPNet) acceptLoop() {
 // sender redials, producing a fresh inbound connection.
 func (t *TCPNet) readLoop(conn net.Conn) {
 	defer conn.Close()
+	// The buffer turns a small frame's header and sections into one read
+	// syscall; a large section bypasses it and lands in its slice directly.
+	r := bufio.NewReaderSize(conn, 16<<10)
 	for {
-		f, err := ReadFrame(conn, MaxFrameBytes)
+		f, err := ReadFrame(r, MaxFrameBytes)
 		if err != nil {
 			return
 		}
