@@ -59,7 +59,6 @@ func main() {
 		metricsListen = flag.String("metricslisten", "", "serve Prometheus-text GET /metrics on this address for the duration of a live run (e.g. 127.0.0.1:9102)")
 		server        = flag.String("server", "", "submit to a control-plane service at this URL (cmd/expd) instead of running locally")
 	)
-	flag.StringVar(tracePath, "traceout", "", "deprecated alias for -trace")
 	flag.Parse()
 
 	ctx, stop := cli.Context()

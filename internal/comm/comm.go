@@ -9,10 +9,17 @@
 // experiments) and with nil payloads where only message sizes drive the
 // simulation (cost-only scalability experiments).
 //
-// The single entry point is Collective with a CollectiveOpts. Malformed
+// The simulator's entry point is Collective with a CollectiveOpts. Malformed
 // opts and protocol violations (an unexpected message in a strict,
 // stash-less collective) surface as errors from Collective, not as panics
 // deep inside the ring.
+//
+// The four flat collectives (ring, tree, gather, broadcast) are written once
+// in flat.go against the two-call Link seam; Collective drives them over the
+// simulated network and the live runtime drives the same code over its xport
+// mailbox through Flat. The topology-aware collectives (topo.go) move
+// per-rank contribution sets rather than vector chunks and exist only on the
+// simulator.
 package comm
 
 import (
@@ -20,7 +27,6 @@ import (
 
 	"disttrain/internal/des"
 	"disttrain/internal/simnet"
-	"disttrain/internal/tensor"
 )
 
 // Op selects the collective operation.
@@ -114,17 +120,22 @@ func Collective(p *des.Proc, o CollectiveOpts) ([]float32, des.Time, error) {
 		return o.Vec, 0, err
 	}
 	switch o.Op {
-	case OpRingAllReduce:
-		wire, err := ringAllReduce(p, &o)
-		return o.Vec, wire, err
-	case OpTreeAllReduce:
-		wire, err := treeAllReduce(p, &o)
-		return o.Vec, wire, err
-	case OpGather:
-		wire, err := localGather(p, &o)
-		return o.Vec, wire, err
-	case OpBroadcast:
-		return localBroadcast(p, &o)
+	case OpRingAllReduce, OpTreeAllReduce, OpGather, OpBroadcast:
+		// A tree parent and a gather leader receive from several senders by
+		// tag, so a later tag can arrive first: park it in a call-local
+		// stash when the caller keeps none.
+		if o.Stash == nil && (o.Op == OpTreeAllReduce || o.Op == OpGather) {
+			o.Stash = &[]simnet.Msg{}
+		}
+		l := simLink{p: p, o: &o, vlen: o.VirtualLen}
+		if o.Vec != nil {
+			l.vlen = len(o.Vec)
+		}
+		err := Flat(o.Op, &l, len(o.Nodes), o.Self, l.vlen)
+		if o.Op == OpBroadcast && l.got != nil {
+			return l.got, l.wire, err
+		}
+		return o.Vec, l.wire, err
 	case OpHierarchicalAllReduce:
 		wire, err := hierarchicalAllReduce(p, &o)
 		return o.Vec, wire, err
@@ -234,13 +245,13 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", int(op))
 }
 
-// recvMatch returns the next message matching (Kind, Clock, and Seg when
-// useSeg). With a stash attached, non-matching messages are buffered for
-// later calls; without one, a mismatch is a protocol violation and errors.
-func recvMatch(p *des.Proc, o *CollectiveOpts, wantSeg int, useSeg bool) (simnet.Msg, error) {
+// recvMatch returns the next message tagged (Kind, Clock, wantSeg). With a
+// stash attached, non-matching messages are buffered for later calls;
+// without one, a mismatch is a protocol violation and errors.
+func recvMatch(p *des.Proc, o *CollectiveOpts, wantSeg int) (simnet.Msg, error) {
 	inbox := o.Net.Node(o.Nodes[o.Self]).Inbox
 	match := func(m simnet.Msg) bool {
-		return m.Kind == o.Kind && m.Clock == o.Clock && (!useSeg || m.Seg == wantSeg)
+		return m.Kind == o.Kind && m.Clock == o.Clock && m.Seg == wantSeg
 	}
 	if o.Stash != nil {
 		for i, m := range *o.Stash {
@@ -263,182 +274,45 @@ func recvMatch(p *des.Proc, o *CollectiveOpts, wantSeg int, useSeg bool) (simnet
 	}
 }
 
-func ringAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
-	n := len(o.Nodes)
-	if n == 1 {
-		return 0, nil
-	}
-	virtualLen := o.VirtualLen
-	vec := o.Vec
-	if vec != nil {
-		virtualLen = len(vec)
-	}
-	chunkLo := func(c int) int { return virtualLen * c / n }
-	chunkHi := func(c int) int { return virtualLen * (c + 1) / n }
-	chunkBytes := func(c int) int64 {
-		return o.Bytes * int64(chunkHi(c)-chunkLo(c)) / int64(virtualLen)
-	}
-	right := o.Nodes[(o.Self+1)%n]
-	var wire des.Time
-
-	sendChunk := func(c int, add bool) {
-		var payload []float32
-		if vec != nil {
-			payload = append([]float32(nil), vec[chunkLo(c):chunkHi(c)]...)
-		}
-		o.Net.Send(simnet.Msg{From: o.Nodes[o.Self], To: right, Kind: o.Kind, Clock: o.Clock,
-			Seg: c, Bytes: chunkBytes(c), Vec: payload, Aux: b2f(add)})
-	}
-
-	// Reduce-scatter: after n-1 steps, participant i holds the full sum of
-	// chunk (i+1) mod n.
-	for s := 0; s < n-1; s++ {
-		sendChunk(((o.Self-s)%n+n)%n, true)
-		c := ((o.Self-s-1)%n + n) % n
-		m, err := recvMatch(p, o, c, true)
-		if err != nil {
-			return wire, err
-		}
-		wire += m.WireSec
-		if vec != nil {
-			tensor.AxpyF32(1, m.Vec, vec[chunkLo(c):chunkHi(c)])
-		}
-	}
-	// All-gather: circulate the reduced chunks.
-	for s := 0; s < n-1; s++ {
-		sendChunk(((o.Self+1-s)%n+n)%n, false)
-		c := ((o.Self-s)%n + n) % n
-		m, err := recvMatch(p, o, c, true)
-		if err != nil {
-			return wire, err
-		}
-		wire += m.WireSec
-		if vec != nil {
-			copy(vec[chunkLo(c):chunkHi(c)], m.Vec)
-		}
-	}
-	return wire, nil
+// simLink is the simulator's side of the Link seam: one Collective call's
+// view of the simulated network. It owns everything only the simulator
+// models — the paper-scale wire size of each chunk, the wire seconds the
+// receives accumulate, the defensive copy that isolates a payload in flight
+// from the sender's next fold, and cost-only mode, where o.Vec is nil and
+// messages carry sizes but no payload.
+type simLink struct {
+	p    *des.Proc
+	o    *CollectiveOpts
+	vlen int
+	wire des.Time
+	// got is the payload of the last receive (what an OpBroadcast member
+	// returns).
+	got []float32
 }
 
-func b2f(b bool) float64 {
-	if b {
-		return 1
+func (l *simLink) Send(to, seg, lo, hi int, own bool) error {
+	o := l.o
+	m := simnet.Msg{From: o.Nodes[o.Self], To: o.Nodes[to], Kind: o.Kind, Clock: o.Clock,
+		Seg: seg, Bytes: o.Bytes}
+	if hi-lo != l.vlen {
+		m.Bytes = o.Bytes * int64(hi-lo) / int64(l.vlen)
 	}
-	return 0
+	if o.Vec != nil {
+		m.Vec = append([]float32(nil), o.Vec[lo:hi]...)
+	}
+	o.Net.Send(m)
+	return nil
 }
 
-func treeAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
-	n := len(o.Nodes)
-	if n == 1 {
-		return 0, nil
-	}
-	vec := o.Vec
-	self := o.Self
-	var wire des.Time
-
-	send := func(to int) {
-		var payload []float32
-		if vec != nil {
-			payload = append([]float32(nil), vec...)
-		}
-		o.Net.Send(simnet.Msg{From: o.Nodes[self], To: o.Nodes[to], Kind: o.Kind, Clock: o.Clock,
-			Bytes: o.Bytes, Vec: payload})
-	}
-	recv := func(add bool) error {
-		m, err := recvMatch(p, o, 0, false)
-		if err != nil {
-			return err
-		}
-		wire += m.WireSec
-		if vec != nil && m.Vec != nil {
-			if add {
-				tensor.AxpyF32(1, m.Vec, vec)
-			} else {
-				copy(vec, m.Vec)
-			}
-		}
-		return nil
-	}
-
-	// Reduce: in round k (distance d = 2^k), ranks with self%2d == d send to
-	// self-d and drop out; ranks with self%2d == 0 receive (if a partner
-	// exists).
-	for d := 1; d < n; d *= 2 {
-		if self%(2*d) == d {
-			send(self - d)
-			break
-		}
-		if self%(2*d) == 0 && self+d < n {
-			if err := recv(true); err != nil {
-				return wire, err
-			}
-		}
-	}
-	// Broadcast back down the same tree, mirrored: largest distance first.
-	top := 1
-	for top < n {
-		top *= 2
-	}
-	for d := top / 2; d >= 1; d /= 2 {
-		switch {
-		case self%(2*d) == 0 && self+d < n:
-			send(self + d)
-		case self%(2*d) == d:
-			if err := recv(false); err != nil {
-				return wire, err
-			}
-		}
-	}
-	return wire, nil
-}
-
-func localGather(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
-	if len(o.Nodes) == 1 {
-		return 0, nil
-	}
-	const leader = 0
-	if o.Self != leader {
-		var payload []float32
-		if o.Vec != nil {
-			payload = append([]float32(nil), o.Vec...)
-		}
-		o.Net.Send(simnet.Msg{From: o.Nodes[o.Self], To: o.Nodes[leader], Kind: o.Kind, Clock: o.Clock,
-			Bytes: o.Bytes, Vec: payload})
-		return 0, nil
-	}
-	var wire des.Time
-	for i := 0; i < len(o.Nodes)-1; i++ {
-		m, err := recvMatch(p, o, 0, false)
-		if err != nil {
-			return wire, err
-		}
-		wire += m.WireSec
-		if o.Vec != nil && m.Vec != nil {
-			tensor.AxpyF32(1, m.Vec, o.Vec)
-		}
-	}
-	return wire, nil
-}
-
-func localBroadcast(p *des.Proc, o *CollectiveOpts) ([]float32, des.Time, error) {
-	if len(o.Nodes) == 1 {
-		return o.Vec, 0, nil
-	}
-	const leader = 0
-	if o.Self == leader {
-		for i := 1; i < len(o.Nodes); i++ {
-			var payload []float32
-			if o.Vec != nil {
-				payload = append([]float32(nil), o.Vec...)
-			}
-			o.Net.Send(simnet.Msg{From: o.Nodes[leader], To: o.Nodes[i], Kind: o.Kind, Clock: o.Clock,
-				Bytes: o.Bytes, Vec: payload})
-		}
-		return o.Vec, 0, nil
-	}
-	m, err := recvMatch(p, o, 0, false)
+func (l *simLink) Recv(seg, lo, hi int, fold Fold) error {
+	m, err := recvMatch(l.p, l.o, seg)
 	if err != nil {
-		return nil, 0, err
+		return err
 	}
-	return m.Vec, m.WireSec, nil
+	l.wire += m.WireSec
+	l.got = m.Vec
+	if l.o.Vec != nil && m.Vec != nil {
+		fold(l.o.Vec[lo:hi], m.Vec)
+	}
+	return nil
 }

@@ -309,6 +309,34 @@ func TestTreeAllReduceSum(t *testing.T) {
 	}
 }
 
+// TestTreeAllReduceFoldsInRoundOrder pins the tree's float sum order against
+// a straggler. Rank 0 folds rank 1 in round d=1 and rank 2 (already carrying
+// rank 3) in round d=2; with rank 1 late, rank 2's message arrives first and
+// must wait its turn. (v0+v1)+(v2+v3) is 0 in float32; folding in arrival
+// order, (v0+(v2+v3))+v1, would be 1.
+func TestTreeAllReduceFoldsInRoundOrder(t *testing.T) {
+	eng, net, ids := buildNet(4, 1)
+	vecs := [][]float32{{1e8}, {1}, {-1e8}, {1}}
+	for i := range vecs {
+		i := i
+		eng.Spawn("w", func(p *des.Proc) {
+			if i == 1 {
+				p.Sleep(1)
+			}
+			tree(t, p, net, ids, i, vecs[i], 0, 4)
+		})
+	}
+	eng.Run(0)
+	if stuck := eng.Stuck(); len(stuck) > 0 {
+		t.Fatalf("stuck: %v", stuck)
+	}
+	for i := range vecs {
+		if vecs[i][0] != 0 {
+			t.Fatalf("rank %d holds %v, want (v0+v1)+(v2+v3) = 0", i, vecs[i][0])
+		}
+	}
+}
+
 func TestTreeAllReduceRepeatedRounds(t *testing.T) {
 	// Two back-to-back tree allreduces must not cross-contaminate.
 	n := 4

@@ -160,7 +160,7 @@ func subRing(p *des.Proc, o *CollectiveOpts, ranks []int, phase int, set *contri
 	for s := 0; s < L-1; s++ {
 		send(((pos-s)%L+L)%L, true)
 		c := ((pos-s-1)%L + L) % L
-		m, err := recvMatch(p, o, segID(phase, c), true)
+		m, err := recvMatch(p, o, segID(phase, c))
 		if err != nil {
 			return wire, err
 		}
@@ -174,7 +174,7 @@ func subRing(p *des.Proc, o *CollectiveOpts, ranks []int, phase int, set *contri
 	for s := 0; s < L-1; s++ {
 		send(((pos+1-s)%L+L)%L, false)
 		c := ((pos-s)%L + L) % L
-		m, err := recvMatch(p, o, segID(phase, c), true)
+		m, err := recvMatch(p, o, segID(phase, c))
 		if err != nil {
 			return wire, err
 		}
@@ -216,7 +216,7 @@ func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 		}
 		o.Net.Send(simnet.Msg{From: o.Nodes[o.Self], To: o.Nodes[leader], Kind: o.Kind, Clock: o.Clock,
 			Seg: segID(phGather, 0), Bytes: o.Bytes, Parts: parts})
-		m, err := recvMatch(p, o, segID(phBcast, 0), true)
+		m, err := recvMatch(p, o, segID(phBcast, 0))
 		if err != nil {
 			return wire, err
 		}
@@ -228,7 +228,7 @@ func hierarchicalAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 	}
 
 	for i := 0; i < len(my)-1; i++ {
-		m, err := recvMatch(p, o, segID(phGather, 0), true)
+		m, err := recvMatch(p, o, segID(phGather, 0))
 		if err != nil {
 			return wire, err
 		}
@@ -294,7 +294,7 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 			parts = set.snapshot()
 		}
 		send(self-1, segID(phPre, 0), o.Bytes, parts, nil)
-		m, err := recvMatch(p, o, segID(phPost, 0), true)
+		m, err := recvMatch(p, o, segID(phPost, 0))
 		if err != nil {
 			return wire, err
 		}
@@ -305,7 +305,7 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 		return wire, nil
 	}
 	if self < 2*r {
-		m, err := recvMatch(p, o, segID(phPre, 0), true)
+		m, err := recvMatch(p, o, segID(phPre, 0))
 		if err != nil {
 			return wire, err
 		}
@@ -335,7 +335,7 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 			parts = set.snapshot()
 		}
 		send(partner, segID(phHalf, t), o.Bytes/int64(uint(2)<<uint(t)), parts, nil)
-		m, err := recvMatch(p, o, segID(phHalf, t), true)
+		m, err := recvMatch(p, o, segID(phHalf, t))
 		if err != nil {
 			return wire, err
 		}
@@ -353,7 +353,7 @@ func butterflyAllReduce(p *des.Proc, o *CollectiveOpts) (des.Time, error) {
 	for mask := 1; mask < p2; mask *= 2 {
 		partner := unai(ai ^ mask)
 		send(partner, segID(phDouble, t), o.Bytes*int64(mask)/int64(p2), nil, nil)
-		m, err := recvMatch(p, o, segID(phDouble, t), true)
+		m, err := recvMatch(p, o, segID(phDouble, t))
 		if err != nil {
 			return wire, err
 		}

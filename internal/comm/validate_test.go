@@ -77,10 +77,10 @@ func TestCollectiveStrictMismatchErrors(t *testing.T) {
 	eng, net, ids := buildNet(2, 1)
 	var err error
 	eng.Spawn("stray", func(p *des.Proc) {
-		net.Send(simnet.Msg{From: ids[1], To: ids[0], Kind: testKind + 1, Bytes: 4})
+		net.Send(simnet.Msg{From: ids[0], To: ids[1], Kind: testKind + 1, Bytes: 4})
 	})
-	eng.Spawn("leader", func(p *des.Proc) {
-		_, _, err = Collective(p, CollectiveOpts{Op: OpGather, Net: net, Nodes: ids, Self: 0,
+	eng.Spawn("member", func(p *des.Proc) {
+		_, _, err = Collective(p, CollectiveOpts{Op: OpBroadcast, Net: net, Nodes: ids, Self: 1,
 			Vec: []float32{0}, Bytes: 4, Kind: testKind})
 	})
 	eng.Run(0)

@@ -63,7 +63,7 @@ func runAdaComm(x *exp) {
 				}
 				it = nit
 				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].localStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
 				sinceSync++
 
 				tau := cfg.Tau
@@ -87,7 +87,7 @@ func runAdaComm(x *exp) {
 
 				if sinceSync >= tau {
 					sinceSync = 0
-					params := x.reps[w].params()
+					params := x.reps[w].Params()
 					for s := range x.assign {
 						var payload []float32
 						if params != nil {

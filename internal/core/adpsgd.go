@@ -75,7 +75,7 @@ func runADPSGD(x *exp) {
 				// a background exchange averaging into the model during the
 				// compute window no longer bleeds into this gradient — the
 				// lock-free semantics of Lian et al., made deterministic.
-				x.reps[w].localStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
 				tokens.Push(it)
 				x.iterDone(w, it)
 			}
@@ -90,7 +90,7 @@ func runADPSGD(x *exp) {
 			x.eng.Spawn(fmt.Sprintf("adpsgd-comm%d", w), func(p *des.Proc) {
 				inbox := x.inbox(w)
 				bd := &x.col.Workers[w].Breakdown
-				r := x.algoRNG[w]
+				r := x.streams[w].Algo
 				for {
 					it := tokens.Recv(p)
 					if it < 0 {
@@ -126,7 +126,7 @@ func runADPSGD(x *exp) {
 					peer := cands[r.Intn(len(cands))]
 					var payload []float32
 					if x.reps[w].mathOn() {
-						payload = x.reps[w].params()
+						payload = x.reps[w].Params()
 					}
 					x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.workerNode[peer],
 						Kind: kindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: payload})
@@ -148,7 +148,7 @@ func runADPSGD(x *exp) {
 					}
 					bd.Add(metrics.Network, m.WireSec)
 					bd.Add(metrics.GlobalAgg, p.Now()-t0-m.WireSec)
-					x.reps[w].average(m.Vec)
+					x.reps[w].Average(m.Vec)
 				}
 			})
 		} else if !active && w%2 == 1 {
@@ -171,12 +171,12 @@ func runADPSGD(x *exp) {
 					}
 					var payload []float32
 					if x.reps[w].mathOn() {
-						payload = x.reps[w].params()
+						payload = x.reps[w].Params()
 					}
 					x.net.Send(simnet.Msg{From: x.workerNode[w], To: m.From,
 						Kind: kindExchangeReply, Clock: m.Clock, Bytes: x.fullBytes(), Vec: payload})
 					bd.Add(metrics.Network, m.WireSec)
-					x.reps[w].average(m.Vec)
+					x.reps[w].Average(m.Vec)
 				}
 			})
 		}
@@ -210,7 +210,7 @@ func runADPSGDUnconstrained(x *exp) {
 				}
 				it = nit
 				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].localStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
 				tokens.Push(it)
 				x.iterDone(w, it)
 			}
@@ -219,15 +219,15 @@ func runADPSGDUnconstrained(x *exp) {
 
 		x.eng.Spawn(fmt.Sprintf("adpsgd-comm%d", w), func(p *des.Proc) {
 			inbox := x.inbox(w)
-			r := x.algoRNG[w]
+			r := x.streams[w].Algo
 			serve := func(m simnet.Msg) {
 				var payload []float32
 				if x.reps[w].mathOn() {
-					payload = x.reps[w].params()
+					payload = x.reps[w].Params()
 				}
 				x.net.Send(simnet.Msg{From: x.workerNode[w], To: m.From,
 					Kind: kindExchangeReply, Clock: m.Clock, Bytes: x.fullBytes(), Vec: payload})
-				x.reps[w].average(m.Vec)
+				x.reps[w].Average(m.Vec)
 			}
 			var stash []simnet.Msg
 			for it := 1; it <= cfg.Iters; it++ {
@@ -258,14 +258,14 @@ func runADPSGDUnconstrained(x *exp) {
 				}
 				var payload []float32
 				if x.reps[w].mathOn() {
-					payload = x.reps[w].params()
+					payload = x.reps[w].Params()
 				}
 				x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.workerNode[peer],
 					Kind: kindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: payload})
 				for {
 					m := inbox.Recv(p)
 					if m.Kind == kindExchangeReply {
-						x.reps[w].average(m.Vec)
+						x.reps[w].Average(m.Vec)
 						break
 					}
 					stash = append(stash, m)

@@ -167,7 +167,7 @@ func runARSGD(x *exp) {
 						agg[i] *= inv
 					}
 				}
-				x.reps[w].localStep(agg, cfg.LR.At(it-1))
+				x.reps[w].LocalStep(agg, cfg.LR.At(it-1))
 				x.iterDone(w, it)
 			}
 			x.finish(w)

@@ -73,7 +73,7 @@ func runASP(x *exp) {
 				var wire des.Time
 				var fresh []float32
 				if x.reps[w].mathOn() {
-					fresh = x.reps[w].params()
+					fresh = x.reps[w].Params()
 				}
 				for recv := 0; recv < len(x.assign); recv++ {
 					var m simnet.Msg
@@ -101,7 +101,7 @@ func runASP(x *exp) {
 				}
 				bd.Add(metrics.Network, wire)
 				bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
-				x.reps[w].setParams(fresh)
+				x.reps[w].SetParams(fresh)
 				x.iterDone(w, it)
 			}
 			x.finish(w)

@@ -176,7 +176,7 @@ func runBSP(x *exp) {
 					var wire des.Time
 					fresh := make([]float32, 0)
 					if x.reps[w].mathOn() {
-						fresh = x.reps[w].params()
+						fresh = x.reps[w].Params()
 					}
 					for recv := 0; recv < len(x.assign); recv++ {
 						var m simnet.Msg
@@ -202,7 +202,7 @@ func runBSP(x *exp) {
 					bd.Add(metrics.Network, wire)
 					bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
 					if x.reps[w].mathOn() {
-						x.reps[w].setParams(fresh)
+						x.reps[w].SetParams(fresh)
 					}
 					if cfg.LocalAgg && len(group) > 1 {
 						// Relay the fresh parameters to machine members.
@@ -235,7 +235,7 @@ func runBSP(x *exp) {
 						bd.Add(metrics.LocalAgg, localWait)
 						bd.Add(metrics.GlobalAgg, rest-localWait)
 					}
-					x.reps[w].setParams(m.Vec)
+					x.reps[w].SetParams(m.Vec)
 				}
 				x.iterDone(w, it)
 			}

@@ -49,7 +49,7 @@ func runDPSGD(x *exp) {
 				if W > 1 {
 					var payload []float32
 					if x.reps[w].mathOn() {
-						payload = x.reps[w].params()
+						payload = x.reps[w].Params()
 					}
 					for _, nb := range []int{left, right} {
 						var vec []float32
@@ -100,7 +100,7 @@ func runDPSGD(x *exp) {
 
 					// x ← mean(self, neighbors)
 					if x.reps[w].mathOn() {
-						flat := x.reps[w].params()
+						flat := x.reps[w].Params()
 						inv := 1 / float32(len(mix)+1)
 						for i := range flat {
 							s := flat[i]
@@ -111,11 +111,11 @@ func runDPSGD(x *exp) {
 							}
 							flat[i] = s * inv
 						}
-						x.reps[w].setParams(flat)
+						x.reps[w].SetParams(flat)
 					}
 				}
 
-				x.reps[w].localStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
 				x.iterDone(w, it)
 			}
 			x.finish(w)

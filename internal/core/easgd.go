@@ -50,12 +50,12 @@ func runEASGD(x *exp) {
 				}
 				it = nit
 				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].localStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
 
 				if it%cfg.Tau == 0 {
 					// Push local parameters to every shard; each shard
 					// elastically updates its ranges and returns them.
-					params := x.reps[w].params() // nil in cost-only mode
+					params := x.reps[w].Params() // nil in cost-only mode
 					for s := range x.assign {
 						var payload []float32
 						if params != nil {

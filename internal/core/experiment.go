@@ -72,7 +72,7 @@ type exp struct {
 	loc    *ps.Locator // index → shard, for one-pass sparse splitting
 	global *ps.Global
 
-	reps []*replica
+	reps []*Replica
 	col  *metrics.Collector
 
 	// segments is the layer layout used for sharding and wait-free BP: the
@@ -85,10 +85,9 @@ type exp struct {
 	// bytes; 1 in cost-only mode, profileParams/actualParams in real mode.
 	byteScale float64
 
-	// jitterRNG streams per worker for compute-time sampling; algoRNG for
-	// algorithmic randomness (gossip choices, partner selection).
-	jitterRNG []*rng.RNG
-	algoRNG   []*rng.RNG
+	// streams are the per-worker RNG streams: Jitter samples compute time,
+	// Algo drives algorithmic randomness (gossip choices, partner selection).
+	streams []Streams
 
 	// overlay, when non-nil, restricts gossip partner selection
 	// (AD-PSGD/GoSGD) to a sparse seed-deterministic peer graph.
@@ -140,24 +139,18 @@ func setup(cfg *Config) (*exp, error) {
 		x.restarted = make([]bool, cfg.Workers)
 		x.syncFrom = make([]int, cfg.Workers)
 	}
-	root := rng.New(cfg.Seed)
-	_ = root.Split(1) // label 1 is reserved for model initialization streams
-	shardRoot := root.Split(2)
-	jitterRoot := root.Split(3)
-	algoRoot := root.Split(4)
+	streams, overlayStream := DeriveStreams(cfg.Seed, cfg.Workers)
+	x.streams = streams
 
 	// Workers first so worker w has node ID w.
 	for w := 0; w < cfg.Workers; w++ {
 		x.workerNode = append(x.workerNode, x.net.AddNode(cfg.Cluster.MachineOfWorker(w)).ID)
-		x.jitterRNG = append(x.jitterRNG, jitterRoot.Split(uint64(w)))
-		x.algoRNG = append(x.algoRNG, algoRoot.Split(uint64(w)))
 	}
 
-	// Gossip overlay. Label 5 comes after the four established streams so
-	// configs without an overlay keep bit-identical results; the generator
-	// is seeded once and shared read-only by every worker.
+	// Gossip overlay: the generator is seeded once and shared read-only by
+	// every worker.
 	if cfg.Overlay != "" {
-		seed := root.Split(5).Uint64()
+		seed := overlayStream.Uint64()
 		var (
 			ov  *topo.Overlay
 			err error
@@ -175,16 +168,14 @@ func setup(cfg *Config) (*exp, error) {
 		x.overlay = ov
 	}
 
-	// Replicas. Every replica re-derives the SAME initialization stream
-	// (seed → Split(1)) so all workers start with identical weights, as the
-	// algorithms assume.
-	x.reps = make([]*replica, cfg.Workers)
+	// Replicas. Every worker's init stream is the same derivation, so all
+	// workers start with identical weights, as the algorithms assume.
+	x.reps = make([]*Replica, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		if cfg.Real != nil {
-			ws := rng.New(cfg.Seed).Split(1)
-			x.reps[w] = newRealReplica(w, cfg, ws, shardRoot.Split(uint64(w)))
+			x.reps[w] = NewReplica(w, cfg, x.streams[w])
 		} else {
-			x.reps[w] = newCostReplica(w)
+			x.reps[w] = newCostReplica()
 		}
 	}
 
@@ -216,7 +207,7 @@ func setup(cfg *Config) (*exp, error) {
 			x.psNode = append(x.psNode, x.net.AddNode(machine).ID)
 		}
 		if cfg.Real != nil {
-			x.global = ps.NewGlobal(x.reps[0].params(), cfg.Momentum, cfg.WeightDecay)
+			x.global = ps.NewGlobal(x.reps[0].Params(), cfg.Momentum, cfg.WeightDecay)
 		} else {
 			x.global = ps.NewCostOnlyGlobal()
 		}
@@ -301,7 +292,7 @@ func (x *exp) machineGroup(w int) []int {
 // old synchronous path did it, so metrics are pool-size-independent.
 func (x *exp) computePhase(p *des.Proc, w int, overlap bool) (*gradFuture, float64) {
 	wl := x.cfg.Workload
-	j := wl.SampleMult(x.jitterRNG[w])
+	j := wl.SampleMult(x.streams[w].Jitter)
 	if x.inj != nil {
 		j *= x.inj.ComputeMult(w, p.Now())
 	}
@@ -327,7 +318,7 @@ func (x *exp) computePhase(p *des.Proc, w int, overlap bool) (*gradFuture, float
 // gradFuture hands an algorithm driver its iteration's gradient. get joins
 // the in-flight pass (nil in cost-only mode); the call site is the fixed
 // event-trace point where the overlap window ends.
-type gradFuture struct{ rep *replica }
+type gradFuture struct{ rep *Replica }
 
 func (g *gradFuture) get() []float32 { return g.rep.takeGrads() }
 
@@ -681,7 +672,7 @@ func (x *exp) globalParams() []float32 {
 		if !r.mathOn() {
 			continue
 		}
-		p := r.params()
+		p := r.Params()
 		for i, v := range p {
 			out[i] += v
 		}
@@ -931,7 +922,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if cfg.CaptureParams {
 			res.WorkerParams = make([][]float32, len(x.reps))
 			for w, r := range x.reps {
-				res.WorkerParams[w] = append([]float32(nil), r.params()...)
+				res.WorkerParams[w] = append([]float32(nil), r.Params()...)
 			}
 		}
 	}
@@ -987,7 +978,7 @@ func (x *exp) replicaSpread() float64 {
 		if !r.mathOn() {
 			return 0
 		}
-		for i, v := range r.params() {
+		for i, v := range r.Params() {
 			mean[i] += float64(v)
 		}
 		cnt++
@@ -1007,7 +998,7 @@ func (x *exp) replicaSpread() float64 {
 	var worst float64
 	for _, r := range x.reps {
 		var d float64
-		for i, v := range r.params() {
+		for i, v := range r.Params() {
 			diff := float64(v) - mean[i]
 			d += diff * diff
 		}

@@ -31,7 +31,7 @@ func runGoSGD(x *exp) {
 		w := w
 		x.eng.Spawn(fmt.Sprintf("gosgd-worker%d", w), func(p *des.Proc) {
 			inbox := x.inbox(w)
-			r := x.algoRNG[w]
+			r := x.streams[w].Algo
 			drain := func() {
 				for {
 					m, ok := inbox.TryRecv()
@@ -41,7 +41,7 @@ func runGoSGD(x *exp) {
 					if m.Kind != kindGossip {
 						panic(fmt.Sprintf("gosgd worker: unexpected kind %d", m.Kind))
 					}
-					weights[w] = x.reps[w].weightedMerge(weights[w], m.Vec, m.Aux)
+					weights[w] = x.reps[w].WeightedMerge(weights[w], m.Vec, m.Aux)
 				}
 			}
 			for it := 1; it <= cfg.Iters; it++ {
@@ -51,7 +51,7 @@ func runGoSGD(x *exp) {
 				}
 				it = nit
 				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].localStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
 				drain()
 
 				if r.Bernoulli(cfg.GossipP) {
@@ -108,7 +108,7 @@ func runGoSGD(x *exp) {
 						weights[w] = half
 						var payload []float32
 						if x.reps[w].mathOn() {
-							payload = x.reps[w].params()
+							payload = x.reps[w].Params()
 						}
 						// Asymmetric: fire and forget; the sender
 						// immediately proceeds to its next iteration.

@@ -45,18 +45,18 @@ func runHogwild(x *exp) {
 				}
 				it = nit
 				// Gradient from the shared parameters as they are NOW...
-				grads := x.reps[w].computeGrad()
+				grads := x.reps[w].ComputeGrad()
 				var gcopy []float32
 				if grads != nil {
 					gcopy = append([]float32(nil), grads...)
 				}
 				// ...then the compute time elapses while others update...
 				start := p.Now()
-				p.Sleep(wl.MeanIterSec() * wl.SampleMult(x.jitterRNG[w]))
+				p.Sleep(wl.MeanIterSec() * wl.SampleMult(x.streams[w].Jitter))
 				x.col.Workers[w].Breakdown.Add(metrics.Compute, p.Now()-start)
 				x.noteIterSpread()
 				// ...and the stale gradient lands on the shared vector.
-				x.reps[w].localStep(gcopy, cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gcopy, cfg.LR.At(it-1))
 				x.iterDone(w, it)
 			}
 			x.finish(w)

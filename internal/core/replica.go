@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"disttrain/internal/data"
 	"disttrain/internal/nn"
@@ -11,11 +12,16 @@ import (
 	"disttrain/internal/tensor"
 )
 
-// replica is one worker's local training state. In real mode it wraps an
-// actual model, data shard and optimizer; in cost-only mode every method is
-// a cheap no-op so the algorithms can run unchanged.
-type replica struct {
-	id int
+// Replica is one worker's local training state, the one type both runtimes
+// train on: the simulator builds W of them inside one process, a live worker
+// builds its own. In real mode it wraps an actual model, data shard and
+// optimizer; in cost-only mode every method is a cheap no-op so the
+// algorithms can run unchanged.
+type Replica struct {
+	// mu is nil until Guard arms it. The simulator never does: its engine
+	// thread must not wait on a pass in flight on the compute pool (settle
+	// orders the two where the order matters).
+	mu *sync.Mutex
 
 	// real-mode state (nil in cost-only mode)
 	model   *nn.Model
@@ -30,7 +36,7 @@ type replica struct {
 	grads []float32
 	// arena recycles the model's layer scratch buffers; flat is a reusable
 	// parameter staging vector for the merges that read every parameter
-	// (setRanges, average, weightedMerge), so steady-state steps allocate
+	// (setRanges, Average, WeightedMerge), so steady-state steps allocate
 	// ~nothing.
 	arena *tensor.Arena
 	flat  []float32
@@ -57,15 +63,15 @@ type computeOut struct {
 	loss  float64
 }
 
-// newRealReplica builds worker w's replica: model initialized from the
-// shared init stream (all replicas start identical), its own data shard and
-// batch sampler.
-func newRealReplica(w int, cfg *Config, initStream *rng.RNG, shardStream *rng.RNG) *replica {
-	r := &replica{id: w}
-	r.model = cfg.Real.Factory(initStream)
+// NewReplica builds worker w's real-mode replica from its streams: model
+// initialized from the init stream (identical for every worker, so all
+// replicas start identical), its own data shard and batch sampler.
+func NewReplica(w int, cfg *Config, s Streams) *Replica {
+	r := &Replica{}
+	r.model = cfg.Real.Factory(s.Init)
 	r.train = cfg.Real.Train
 	shard := data.ShardIndices(cfg.Real.Train.N(), cfg.Workers, w)
-	r.sampler = data.NewSampler(shard, cfg.Real.Batch, shardStream)
+	r.sampler = data.NewSampler(shard, cfg.Real.Batch, s.Shard)
 	r.localO = opt.NewSGD(r.model.NumParams(), cfg.Momentum, cfg.WeightDecay)
 	r.grads = make([]float32, r.model.NumParams())
 	r.arena = tensor.NewArena()
@@ -73,32 +79,52 @@ func newRealReplica(w int, cfg *Config, initStream *rng.RNG, shardStream *rng.RN
 	r.flat = make([]float32, r.model.NumParams())
 	if cfg.Real.Augment != nil {
 		r.augment = cfg.Real.Augment
-		r.augRNG = shardStream.Split(0xa06)
+		r.augRNG = s.Shard.Split(0xa06)
 	}
 	return r
 }
 
 // newCostReplica builds a math-free replica.
-func newCostReplica(w int) *replica { return &replica{id: w} }
+func newCostReplica() *Replica { return &Replica{} }
+
+// Guard arms the replica's mutex: from here on every exported method runs
+// under it, so a second goroutine — live AD-PSGD's communication thread —
+// may read and merge parameters while the owner trains.
+func (r *Replica) Guard() { r.mu = new(sync.Mutex) }
+
+func (r *Replica) lock() {
+	if r.mu != nil {
+		r.mu.Lock()
+	}
+}
+
+func (r *Replica) unlock() {
+	if r.mu != nil {
+		r.mu.Unlock()
+	}
+}
 
 // mathOn reports whether this replica does real parameter math.
-func (r *replica) mathOn() bool { return r.model != nil }
+func (r *Replica) mathOn() bool { return r.model != nil }
 
 // size returns the flat parameter count (0 in cost-only mode).
-func (r *replica) size() int {
+func (r *Replica) size() int {
 	if r.model == nil {
 		return 0
 	}
 	return r.model.NumParams()
 }
 
-// computeGrad runs one forward/backward pass on the next mini-batch and
-// returns the replica's gradient buffer (valid until the next call), or nil
-// in cost-only mode. The replica's iteration counter advances either way.
-// This is the synchronous path (Hogwild's shared-model workers, which must
-// not run concurrently with each other's updates); the simulated-cluster
-// algorithms use beginCompute/takeGrads instead.
-func (r *replica) computeGrad() []float32 {
+// ComputeGrad runs one forward/backward pass on the next mini-batch, folds
+// its loss into the EWMA and returns the replica's gradient buffer (valid
+// until the next call), or nil in cost-only mode. The replica's iteration
+// counter advances either way. This is the synchronous path (live workers,
+// and Hogwild's shared-model workers, which must not run concurrently with
+// each other's updates); the simulated-cluster algorithms use
+// beginCompute/takeGrads instead.
+func (r *Replica) ComputeGrad() []float32 {
+	r.lock()
+	defer r.unlock()
 	r.iter++
 	if r.model == nil {
 		return nil
@@ -112,7 +138,7 @@ func (r *replica) computeGrad() []float32 {
 // mini-batch, forward, backward, flatten into r.grads. It touches only
 // replica-owned state, which is what makes it safe to run on a pool
 // goroutine while the engine thread keeps simulating.
-func (r *replica) gradPass() computeOut {
+func (r *Replica) gradPass() computeOut {
 	idx := r.sampler.Next()
 	r.xbuf, r.ybuf = r.train.Gather(idx, r.xbuf, r.ybuf)
 	if r.augment != nil {
@@ -123,8 +149,15 @@ func (r *replica) gradPass() computeOut {
 	return computeOut{grads: r.model.FlatGrads(r.grads), loss: loss}
 }
 
+// Loss returns the training-loss EWMA and whether any pass has fed it.
+func (r *Replica) Loss() (float64, bool) {
+	r.lock()
+	defer r.unlock()
+	return r.lossEWMA, r.lossInit
+}
+
 // foldLoss folds one batch loss into the trace EWMA.
-func (r *replica) foldLoss(loss float64) {
+func (r *Replica) foldLoss(loss float64) {
 	if !r.lossInit {
 		r.lossEWMA, r.lossInit = loss, true
 	} else {
@@ -135,7 +168,7 @@ func (r *replica) foldLoss(loss float64) {
 // beginCompute submits the iteration's forward/backward pass to the pool
 // (inline on a nil pool). No-op in cost-only mode. The caller must consume
 // the result with takeGrads before submitting the next pass.
-func (r *replica) beginCompute(pool *sched.Pool) {
+func (r *Replica) beginCompute(pool *sched.Pool) {
 	if r.model == nil {
 		return
 	}
@@ -149,7 +182,7 @@ func (r *replica) beginCompute(pool *sched.Pool) {
 // returns the gradient buffer (nil in cost-only mode). Its call site fixes
 // the join point in the event trace, so results cannot depend on when the
 // pool actually ran the work.
-func (r *replica) takeGrads() []float32 {
+func (r *Replica) takeGrads() []float32 {
 	if r.pending == nil {
 		return nil
 	}
@@ -165,26 +198,28 @@ func (r *replica) takeGrads() []float32 {
 // the compute process's pass is still in flight, and the pass must read the
 // parameters as of its fixed submission point — not a racing mixture.
 // Wait is idempotent, so the owning process's later takeGrads still works.
-func (r *replica) settle() {
+func (r *Replica) settle() {
 	if r.pending != nil {
 		r.pending.Wait()
 	}
 }
 
-// localStep applies one local SGD step with gradient g (no-op on nil).
-func (r *replica) localStep(g []float32, lr float32) {
+// LocalStep applies one local SGD step with gradient g (no-op on nil).
+func (r *Replica) LocalStep(g []float32, lr float32) {
 	if r.model == nil || g == nil {
 		return
 	}
+	r.lock()
+	defer r.unlock()
 	r.settle()
-	StepModelSGD(r.model, r.localO, g, lr)
+	stepModelSGD(r.model, r.localO, g, lr)
 }
 
-// StepModelSGD applies one SGD step with the flat gradient g to every
+// stepModelSGD applies one SGD step with the flat gradient g to every
 // parameter tensor of m where it lives, o's state windowed per tensor. SGD
 // is element-wise, so the bits are those of stepping a flat copy of the
 // parameters and writing it back, without the two model-sized copies.
-func StepModelSGD(m *nn.Model, o *opt.SGD, g []float32, lr float32) {
+func stepModelSGD(m *nn.Model, o *opt.SGD, g []float32, lr float32) {
 	if len(g) != m.NumParams() {
 		panic(fmt.Sprintf("core: gradient length %d, want %d", len(g), m.NumParams()))
 	}
@@ -196,25 +231,29 @@ func StepModelSGD(m *nn.Model, o *opt.SGD, g []float32, lr float32) {
 	}
 }
 
-// params returns a fresh copy of the flat parameters (nil in cost-only).
-func (r *replica) params() []float32 {
+// Params returns a fresh copy of the flat parameters (nil in cost-only).
+func (r *Replica) Params() []float32 {
 	if r.model == nil {
 		return nil
 	}
+	r.lock()
+	defer r.unlock()
 	return r.model.FlatParams(nil)
 }
 
-// setParams overwrites the full parameter vector (no-op on nil).
-func (r *replica) setParams(src []float32) {
+// SetParams overwrites the full parameter vector (no-op on nil).
+func (r *Replica) SetParams(src []float32) {
 	if r.model == nil || src == nil {
 		return
 	}
+	r.lock()
+	defer r.unlock()
 	r.settle()
 	r.model.SetFlatParams(src)
 }
 
 // setRanges overwrites only the given flat ranges from src (full-length).
-func (r *replica) setRanges(ranges []rangeT, src []float32) {
+func (r *Replica) setRanges(ranges []rangeT, src []float32) {
 	if r.model == nil || src == nil {
 		return
 	}
@@ -226,11 +265,13 @@ func (r *replica) setRanges(ranges []rangeT, src []float32) {
 	r.model.SetFlatParams(flat)
 }
 
-// average sets params ← (params + other)/2, the AD-PSGD/gossip merge.
-func (r *replica) average(other []float32) {
+// Average sets params ← (params + other)/2, the AD-PSGD/gossip merge.
+func (r *Replica) Average(other []float32) {
 	if r.model == nil || other == nil {
 		return
 	}
+	r.lock()
+	defer r.unlock()
 	r.settle()
 	flat := r.model.FlatParams(r.flat)
 	for i := range flat {
@@ -239,12 +280,14 @@ func (r *replica) average(other []float32) {
 	r.model.SetFlatParams(flat)
 }
 
-// weightedMerge performs GoSGD's merge: x ← (w·x + ws·xs)/(w+ws), returning
+// WeightedMerge performs GoSGD's merge: x ← (w·x + ws·xs)/(w+ws), returning
 // the new local weight w+ws.
-func (r *replica) weightedMerge(own float64, xs []float32, ws float64) float64 {
+func (r *Replica) WeightedMerge(own float64, xs []float32, ws float64) float64 {
 	if r.model == nil || xs == nil {
 		return own + ws
 	}
+	r.lock()
+	defer r.unlock()
 	r.settle()
 	flat := r.model.FlatParams(r.flat)
 	a := float32(own / (own + ws))
@@ -254,4 +297,54 @@ func (r *replica) weightedMerge(own float64, xs []float32, ws float64) float64 {
 	}
 	r.model.SetFlatParams(flat)
 	return own + ws
+}
+
+// SaveState checkpoints the replica's full training state — parameters,
+// momentum, loss EWMA, and the data-stream counters — atomically to path.
+func (r *Replica) SaveState(path string, step, draws int) error {
+	r.lock()
+	defer r.unlock()
+	st := &nn.TrainState{
+		Step:     uint64(step),
+		Draws:    uint64(draws),
+		Loss:     r.lossEWMA,
+		LossInit: r.lossInit,
+		Velocity: r.localO.Velocity(),
+	}
+	if r.augRNG != nil {
+		st.AugRNG = r.augRNG.State()
+		st.AugRNGSet = true
+	}
+	return nn.SaveState(path, r.model, st)
+}
+
+// RestoreState loads a checkpoint written by SaveState into the replica:
+// parameters and momentum in place, loss EWMA, the sampler fast-forwarded
+// by the checkpointed draw count, and the augmentation RNG restored to its
+// exact checkpointed state. NewSampler shuffles deterministically from the
+// shard stream and Next reshuffles on epoch boundaries only as a function
+// of the draw count, so replaying Draws calls on a freshly built replica
+// reproduces the dead worker's exact stream position; the augmentation
+// stream advances a data-dependent number of times per batch, so it is
+// restored from raw state rather than replayed (v1 checkpoints predate that
+// section and leave the fresh stream in place). Returns the checkpointed
+// step so the caller knows where to resume.
+func (r *Replica) RestoreState(path string) (step, draws int, err error) {
+	r.lock()
+	defer r.unlock()
+	st, err := nn.LoadState(path, r.model)
+	if err != nil {
+		return 0, 0, err
+	}
+	if len(st.Velocity) > 0 {
+		copy(r.localO.Velocity(), st.Velocity)
+	}
+	r.lossEWMA, r.lossInit = st.Loss, st.LossInit
+	for i := uint64(0); i < st.Draws; i++ {
+		r.sampler.Next()
+	}
+	if st.AugRNGSet && r.augRNG != nil {
+		r.augRNG.SetState(st.AugRNG)
+	}
+	return int(st.Step), int(st.Draws), nil
 }

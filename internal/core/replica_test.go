@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"path/filepath"
 	"testing"
 
 	"disttrain/internal/cluster"
@@ -12,7 +13,7 @@ import (
 	"disttrain/internal/rng"
 )
 
-func testReplica(t *testing.T, w int) *replica {
+func testReplica(t *testing.T, w int) *Replica {
 	t.Helper()
 	r := rng.New(100)
 	ds := data.GenGauss(r, 100, 3, 0.3)
@@ -31,7 +32,7 @@ func testReplica(t *testing.T, w int) *replica {
 			Batch:   8,
 		},
 	}
-	return newRealReplica(w, cfg, rng.New(1).Split(1), rng.New(2))
+	return NewReplica(w, cfg, Streams{Init: rng.New(1).Split(1), Shard: rng.New(2)})
 }
 
 func TestReplicaComputeGradAdvancesIter(t *testing.T) {
@@ -39,7 +40,7 @@ func TestReplicaComputeGradAdvancesIter(t *testing.T) {
 	if r.iter != 0 {
 		t.Fatalf("fresh iter %d", r.iter)
 	}
-	g := r.computeGrad()
+	g := r.ComputeGrad()
 	if g == nil || r.iter != 1 {
 		t.Fatalf("grad nil=%v iter=%d", g == nil, r.iter)
 	}
@@ -50,7 +51,7 @@ func TestReplicaComputeGradAdvancesIter(t *testing.T) {
 
 func TestReplicaIdenticalInit(t *testing.T) {
 	a, b := testReplica(t, 0), testReplica(t, 1)
-	pa, pb := a.params(), b.params()
+	pa, pb := a.Params(), b.Params()
 	for i := range pa {
 		if pa[i] != pb[i] {
 			t.Fatal("replicas start different despite shared init stream")
@@ -60,13 +61,13 @@ func TestReplicaIdenticalInit(t *testing.T) {
 
 func TestReplicaAverage(t *testing.T) {
 	r := testReplica(t, 0)
-	orig := r.params()
+	orig := r.Params()
 	other := make([]float32, len(orig))
 	for i := range other {
 		other[i] = orig[i] + 2
 	}
-	r.average(other)
-	got := r.params()
+	r.Average(other)
+	got := r.Params()
 	for i := range got {
 		if math.Abs(float64(got[i]-(orig[i]+1))) > 1e-6 {
 			t.Fatalf("average wrong at %d", i)
@@ -76,17 +77,17 @@ func TestReplicaAverage(t *testing.T) {
 
 func TestReplicaWeightedMerge(t *testing.T) {
 	r := testReplica(t, 0)
-	orig := r.params()
+	orig := r.Params()
 	other := make([]float32, len(orig))
 	for i := range other {
 		other[i] = orig[i] + 3
 	}
 	// own weight 1, incoming weight 0.5 -> x = (1*x + 0.5*(x+3))/1.5 = x+1
-	newW := r.weightedMerge(1, other, 0.5)
+	newW := r.WeightedMerge(1, other, 0.5)
 	if math.Abs(newW-1.5) > 1e-12 {
 		t.Fatalf("merged weight %v", newW)
 	}
-	got := r.params()
+	got := r.Params()
 	for i := range got {
 		if math.Abs(float64(got[i]-(orig[i]+1))) > 1e-5 {
 			t.Fatalf("weighted merge wrong at %d: %v vs %v", i, got[i], orig[i]+1)
@@ -102,7 +103,7 @@ func TestReplicaSetRanges(t *testing.T) {
 		src[i] = 42
 	}
 	r.setRanges([]rangeT{{Off: 0, Len: 3}, {Off: n - 2, Len: 2}}, src)
-	got := r.params()
+	got := r.Params()
 	if got[0] != 42 || got[2] != 42 || got[n-1] != 42 {
 		t.Fatal("ranges not written")
 	}
@@ -113,10 +114,10 @@ func TestReplicaSetRanges(t *testing.T) {
 
 func TestReplicaLocalStepMovesParams(t *testing.T) {
 	r := testReplica(t, 0)
-	before := r.params()
-	g := r.computeGrad()
-	r.localStep(g, 0.1)
-	after := r.params()
+	before := r.Params()
+	g := r.ComputeGrad()
+	r.LocalStep(g, 0.1)
+	after := r.Params()
 	moved := false
 	for i := range after {
 		if after[i] != before[i] {
@@ -130,40 +131,167 @@ func TestReplicaLocalStepMovesParams(t *testing.T) {
 }
 
 func TestCostReplicaNoOps(t *testing.T) {
-	r := newCostReplica(3)
+	r := newCostReplica()
 	if r.mathOn() || r.size() != 0 {
 		t.Fatal("cost replica claims math")
 	}
-	if g := r.computeGrad(); g != nil {
+	if g := r.ComputeGrad(); g != nil {
 		t.Fatal("cost replica produced a gradient")
 	}
 	if r.iter != 1 {
 		t.Fatalf("iter = %d", r.iter)
 	}
 	// All of these must be safe no-ops on nil state.
-	r.localStep(nil, 0.1)
-	r.setParams(nil)
+	r.LocalStep(nil, 0.1)
+	r.SetParams(nil)
 	r.setRanges([]rangeT{{Off: 0, Len: 4}}, nil)
-	r.average(nil)
-	if w := r.weightedMerge(1, nil, 0.5); w != 1.5 {
+	r.Average(nil)
+	if w := r.WeightedMerge(1, nil, 0.5); w != 1.5 {
 		t.Fatalf("cost merge weight %v", w)
 	}
-	if p := r.params(); p != nil {
+	if p := r.Params(); p != nil {
 		t.Fatal("cost replica returned params")
 	}
 }
 
 func TestReplicaLossEWMA(t *testing.T) {
 	r := testReplica(t, 0)
-	r.computeGrad()
+	r.ComputeGrad()
 	if !r.lossInit || r.lossEWMA <= 0 {
 		t.Fatal("loss EWMA not initialized")
 	}
 	first := r.lossEWMA
 	for i := 0; i < 5; i++ {
-		r.computeGrad()
+		r.ComputeGrad()
 	}
 	if r.lossEWMA == first {
 		t.Fatal("loss EWMA frozen")
+	}
+}
+
+// TestRestoreResumesAugmentationStream is the restored-augmentation
+// identity check: a replica that checkpoints mid-run and a fresh replica
+// that restores the checkpoint must produce bit-identical parameters after
+// the same subsequent steps, including the data-augmentation draws. Before
+// the v2 checkpoint format the restored replica restarted its augmentation
+// stream from the fresh split, silently diverging from the trajectory the
+// dead worker would have taken.
+func TestRestoreResumesAugmentationStream(t *testing.T) {
+	r := rng.New(11)
+	train := data.GenShapes16(r, 128)
+	cfg := &Config{
+		Workers:     2,
+		Seed:        5,
+		Momentum:    0.9,
+		WeightDecay: 1e-4,
+		Real: &RealConfig{
+			Factory: func(r *rng.RNG) *nn.Model { return nn.NewMiniCNN(r, train.Classes) },
+			Train:   train,
+			Batch:   4,
+			Augment: &data.Augment{MaxShift: 2, FlipProb: 0.5},
+		},
+	}
+	const lr, pre, post = 0.05, 3, 4
+
+	newRep := func() *Replica {
+		ws, _ := DeriveStreams(cfg.Seed, cfg.Workers)
+		return NewReplica(0, cfg, ws[0])
+	}
+	a := newRep()
+	path := filepath.Join(t.TempDir(), "w0.ckpt")
+	for i := 0; i < pre; i++ {
+		a.LocalStep(a.ComputeGrad(), lr)
+	}
+	if err := a.SaveState(path, pre, pre); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < post; i++ {
+		a.LocalStep(a.ComputeGrad(), lr)
+	}
+	want := a.Params()
+
+	b := newRep()
+	step, draws, err := b.RestoreState(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if step != pre || draws != pre {
+		t.Fatalf("restore counters: step=%d draws=%d want %d/%d", step, draws, pre, pre)
+	}
+	for i := 0; i < post; i++ {
+		b.LocalStep(b.ComputeGrad(), lr)
+	}
+	got := b.Params()
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("restored trajectory diverged at param %d: got %v want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestDeriveStreamsIndependentOfWorldSize pins the property that lets W
+// independent live processes agree with one simulator loop: worker w's
+// streams depend only on (seed, w), not on how many workers the world has,
+// and they are what setup hands replica w.
+func TestDeriveStreamsIndependentOfWorldSize(t *testing.T) {
+	const seed = 9
+	draw := func(s Streams) [4]uint64 {
+		return [4]uint64{s.Init.Uint64(), s.Shard.Uint64(), s.Jitter.Uint64(), s.Algo.Uint64()}
+	}
+	big, _ := DeriveStreams(seed, 8)
+	var want [8][4]uint64
+	for w := range want {
+		want[w] = draw(big[w])
+	}
+	for W := 1; W < 8; W++ {
+		ws, _ := DeriveStreams(seed, W)
+		for w := range ws {
+			if got := draw(ws[w]); got != want[w] {
+				t.Fatalf("worker %d of %d: streams %x, of 8: %x", w, W, got, want[w])
+			}
+		}
+	}
+	if want[0][0] != want[1][0] {
+		t.Fatal("init streams must be identical across workers")
+	}
+	if want[0][1] == want[1][1] || want[0][2] == want[1][2] || want[0][3] == want[1][3] {
+		t.Fatal("shard, jitter and algo streams must differ across workers")
+	}
+
+	// setup builds replica w from DeriveStreams(seed, W)[w]: a replica built
+	// here from a different world size's derivation starts with the same
+	// parameters and draws the same first batch.
+	r := rng.New(100)
+	ds := data.GenGauss(r, 100, 3, 0.3)
+	cfg := &Config{
+		Algo:     ARSGD,
+		Cluster:  cluster.Paper56G(4),
+		Workers:  4,
+		Workload: costmodel.NewWorkload(costmodel.ResNet50(), costmodel.TitanV(), 128),
+		Iters:    1,
+		Seed:     seed,
+		LR:       opt.Schedule{Base: 0.1},
+		Real: &RealConfig{
+			Factory: func(rr *rng.RNG) *nn.Model { return nn.NewMLP(rr, 2, 4, 3) },
+			Train:   ds,
+			Test:    ds,
+			Batch:   8,
+		},
+	}
+	x, err := setup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, _ := DeriveStreams(seed, 8)
+	for w := 0; w < cfg.Workers; w++ {
+		got, want := x.reps[w].ComputeGrad(), NewReplica(w, cfg, wide[w]).ComputeGrad()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("worker %d grad %d: setup's replica %v, fresh %v", w, i, got[i], want[i])
+			}
+		}
+		if x.streams[w].Jitter.Uint64() != wide[w].Jitter.Uint64() || x.streams[w].Algo.Uint64() != wide[w].Algo.Uint64() {
+			t.Fatalf("worker %d: setup's jitter/algo streams differ from the derivation", w)
+		}
 	}
 }

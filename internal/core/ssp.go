@@ -162,9 +162,9 @@ func runSSP(x *exp) {
 				// locally applied *update* (same wire size as the gradient).
 				var delta []float32
 				if x.reps[w].mathOn() {
-					before := x.reps[w].params()
-					x.reps[w].localStep(gf.get(), cfg.LR.At(it-1))
-					delta = x.reps[w].params()
+					before := x.reps[w].Params()
+					x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
+					delta = x.reps[w].Params()
 					for i := range delta {
 						delta[i] -= before[i]
 					}
@@ -190,7 +190,7 @@ func runSSP(x *exp) {
 					var wire des.Time
 					var fresh []float32
 					if x.reps[w].mathOn() {
-						fresh = x.reps[w].params()
+						fresh = x.reps[w].Params()
 					}
 					for recv := 0; recv < len(x.assign); {
 						var m simnet.Msg
@@ -225,7 +225,7 @@ func runSSP(x *exp) {
 					}
 					bd.Add(metrics.Network, wire)
 					bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
-					x.reps[w].setParams(fresh)
+					x.reps[w].SetParams(fresh)
 					sinceRefresh = 0
 					if lastMin < it-s {
 						// Shard 0 only releases when the bound holds.

@@ -1,13 +1,133 @@
 package live
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
+	"sync/atomic"
 	"testing"
 
+	"disttrain/internal/cluster"
+	"disttrain/internal/comm"
 	"disttrain/internal/core"
+	"disttrain/internal/des"
+	"disttrain/internal/grad"
+	"disttrain/internal/rng"
+	"disttrain/internal/simnet"
+	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
+
+// simCollective runs op over the simulated network and returns every rank's
+// resulting vector. A non-zero codec feeds round-tripped inputs, the
+// simulator's model of a quantized contribution.
+func simCollective(t *testing.T, op comm.Op, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
+	t.Helper()
+	n := len(inputs)
+	eng := des.NewEngine()
+	cl := cluster.Paper56G(n)
+	net := simnet.New(eng, cl)
+	ids := make([]int, n)
+	vecs := make([][]float32, n)
+	for i := range ids {
+		ids[i] = net.AddNode(cl.MachineOfWorker(i)).ID
+		vecs[i] = append([]float32(nil), inputs[i]...)
+		switch codec {
+		case xport.QuantInt8:
+			grad.QuantizeRoundTrip(vecs[i])
+		case xport.QuantF16:
+			grad.QuantizeF16RoundTrip(vecs[i])
+		}
+	}
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		i := i
+		eng.Spawn("rank", func(p *des.Proc) {
+			_, _, errs[i] = comm.Collective(p, comm.CollectiveOpts{Op: op, Net: net, Nodes: ids, Self: i,
+				Vec: vecs[i], Bytes: int64(4 * len(vecs[i])), Kind: int(kindAllReduce), Clock: 1})
+		})
+	}
+	eng.Run(0)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("sim %v rank %d: %v", op, i, err)
+		}
+	}
+	if stuck := eng.Stuck(); len(stuck) > 0 {
+		t.Fatalf("sim %v stuck: %v", op, stuck)
+	}
+	return vecs
+}
+
+// liveCollective runs op through the live adapter over a channel mesh. A
+// non-zero codec ships own-contribution chunks in codec form.
+func liveCollective(t *testing.T, op comm.Op, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
+	t.Helper()
+	n := len(inputs)
+	mbs, nodes := chanGroup(n)
+	vecs := make([][]float32, n)
+	errs := make(chan error, n)
+	var saved atomic.Int64
+	for i := range vecs {
+		vecs[i] = append([]float32(nil), inputs[i]...)
+		l := &arLink{mb: mbs[i], nodes: nodes, self: i, clock: 1, vec: vecs[i]}
+		if codec != 0 {
+			l.q = &arQuant{qv: quantizeVec(codec, vecs[i]), codec: codec, saved: &saved,
+				span: func(name, cat string) *trace.WallSpan {
+					return (*trace.Tracer)(nil).StartSpan(name, cat, workerPid, i)
+				}}
+		}
+		go func(i int) { errs <- comm.Flat(op, l, n, i, len(vecs[i])) }(i)
+	}
+	for range vecs {
+		if err := <-errs; err != nil {
+			t.Fatalf("live %v: %v", op, err)
+		}
+	}
+	return vecs
+}
+
+// TestFlatCollectivesBitIdenticalAcrossTransports drives comm's ring, tree,
+// gather and broadcast through both implementations of the Link seam — the
+// simulated network and the live adapter on a ChanNet — and requires the
+// same bits in every rank's vector. Inputs are normal-distributed, so any
+// difference in chunk boundaries or fold order shows; lengths below n put
+// empty chunks on the ring. The int8 and f16 rows ship leaf chunks in codec
+// form on the live side against round-tripped inputs on the simulator's.
+func TestFlatCollectivesBitIdenticalAcrossTransports(t *testing.T) {
+	ops := []comm.Op{comm.OpRingAllReduce, comm.OpTreeAllReduce, comm.OpGather, comm.OpBroadcast}
+	for _, codec := range []xport.QuantCodec{0, xport.QuantInt8, xport.QuantF16} {
+		for _, n := range []int{1, 2, 3, 4, 5, 8} {
+			for _, length := range []int{1, n - 1, 7, 1000} {
+				if length == 0 {
+					continue
+				}
+				r := rng.New(uint64(1000*n + length))
+				inputs := make([][]float32, n)
+				for i := range inputs {
+					inputs[i] = make([]float32, length)
+					for j := range inputs[i] {
+						inputs[i][j] = float32(r.NormFloat64())
+					}
+				}
+				for _, op := range ops {
+					name := fmt.Sprintf("%v codec=%d n=%d len=%d", op, codec, n, length)
+					sim := simCollective(t, op, inputs, codec)
+					live := liveCollective(t, op, inputs, codec)
+					for i := range sim {
+						for j := range sim[i] {
+							if math.Float32bits(sim[i][j]) != math.Float32bits(live[i][j]) {
+								t.Fatalf("%s rank %d elem %d: sim %x vs live %x", name, i, j,
+									math.Float32bits(sim[i][j]), math.Float32bits(live[i][j]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
 
 // TestLiveTreeFoldOrderMatchesSim is the regression test for the tree
 // AllReduce's fold order. With 4 ranks, rank 0 folds rank 1 (round d=1) and
@@ -64,7 +184,10 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 	round := func(clock int32) {
 		errs := make(chan error, ranks)
 		for i := 0; i < ranks; i++ {
-			go func(i int) { errs <- ringAllReduce(mbs[i], nodes, i, clock, vecs[i], nil) }(i)
+			go func(i int) {
+				l := &arLink{mb: mbs[i], nodes: nodes, self: i, clock: clock, vec: vecs[i]}
+				errs <- comm.Flat(comm.OpRingAllReduce, l, ranks, i, floats)
+			}(i)
 		}
 		for i := 0; i < ranks; i++ {
 			if err := <-errs; err != nil {

@@ -9,10 +9,10 @@
 //
 //   - Synchronous algorithms (BSP, AR-SGD) produce final parameters
 //     bit-identical to a core.Run of the same Config and seed. This works
-//     because both sides derive the same per-worker RNG streams, build the
-//     same replicas, and pin the same floating-point reduction order (BSP
-//     sums gradients in ascending sender rank; the ring/tree AllReduce
-//     order is fixed by the topology).
+//     because both sides share the code under the algorithms — streams from
+//     core.DeriveStreams, replicas from core.NewReplica, ring/tree AllReduce
+//     from comm.Flat — and BSP's server sums gradients in ascending sender
+//     rank.
 //   - Asynchronous algorithms (ASP, SSP, EASGD, GoSGD, AD-PSGD) run with
 //     real nondeterminism — arrival order at the PS, gossip interleaving —
 //     and report the same metrics Summary shape as the simulator.

@@ -22,8 +22,6 @@ const (
 	kindGossip      uint16 = 9
 	kindExchangeReq uint16 = 10
 	kindExchangeRep uint16 = 11
-	kindGather      uint16 = 12
-	kindBcast       uint16 = 13
 )
 
 // Control-plane frame kinds, used on the rendezvous connection and for the

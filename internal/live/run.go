@@ -174,7 +174,7 @@ func (l *life) restart(next int) error {
 	l.w = newWorker(l.cfg, l.rank, mesh, l.o)
 	if l.o != nil && l.o.ckpt.Enabled() {
 		sp := l.w.span("restore", "ckpt")
-		if _, draws, err := l.w.rep.restoreState(l.o.ckpt.Path(l.rank)); err == nil {
+		if _, draws, err := l.w.rep.RestoreState(l.o.ckpt.Path(l.rank)); err == nil {
 			l.w.draws = draws
 			l.prev.Restores++
 			l.o.metrics.addRestore()
@@ -233,7 +233,7 @@ func (l *life) run() error {
 		break
 	}
 
-	loss, lossInit := l.w.rep.loss()
+	loss, lossInit := l.w.rep.Loss()
 	seg := int32(0)
 	if lossInit {
 		seg = 1
@@ -242,7 +242,7 @@ func (l *life) run() error {
 	ds.add(l.mesh.Stats())
 	payload, _ := json.Marshal(ds)
 	if err := l.link.write(&xport.Frame{Kind: kindDone, From: int32(rank),
-		Clock: int32(l.w.iters), Seg: seg, Aux: loss, Vec: l.w.rep.params(), Data: payload}); err != nil {
+		Clock: int32(l.w.iters), Seg: seg, Aux: loss, Vec: l.w.rep.Params(), Data: payload}); err != nil {
 		return fmt.Errorf("live: worker %d done: %w", rank, err)
 	}
 
@@ -391,7 +391,7 @@ func RunWorkerRejoin(cfg core.Config, coordAddr string, rank int, opts ...Option
 	// after the checkpointed step is the death this relaunch recovers from.
 	step := 0
 	spRestore := l.w.span("restore", "ckpt")
-	if s, draws, rerr := l.w.rep.restoreState(o.ckpt.Path(rank)); rerr == nil {
+	if s, draws, rerr := l.w.rep.RestoreState(o.ckpt.Path(rank)); rerr == nil {
 		step, l.w.draws = s, draws
 		l.prev.Restores++
 		o.metrics.addRestore()
@@ -502,8 +502,8 @@ func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
 		go func() {
 			w := workers[i]
 			err := w.run()
-			loss, lossInit := w.rep.loss()
-			reports[i] = doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: w.rep.params()}
+			loss, lossInit := w.rep.Loss()
+			reports[i] = doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: w.rep.Params()}
 			errs[i] = err
 			running.Done()
 			if err == nil {

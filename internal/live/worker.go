@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"disttrain/internal/comm"
 	"disttrain/internal/core"
 	"disttrain/internal/nn"
 	"disttrain/internal/rng"
@@ -50,7 +51,7 @@ type worker struct {
 	srv  int // mesh rank of the PS; -1 when decentralized
 	ep   xport.Endpoint
 	mb   *mailbox
-	rep  *liveReplica
+	rep  *core.Replica
 	algo *rng.RNG
 
 	iters  int     // completed iterations
@@ -83,15 +84,21 @@ type worker struct {
 }
 
 func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worker {
-	s := deriveStreams(cfg.Seed, rank)
+	// The simulator's own derivation and constructor: identical streams and
+	// an identically built replica are what make the numerics agree. Only
+	// the mutex is live-specific — AD-PSGD's communication goroutine shares
+	// the replica with the compute loop.
+	ws, _ := core.DeriveStreams(cfg.Seed, cfg.Workers)
+	rep := core.NewReplica(rank, cfg, ws[rank])
+	rep.Guard()
 	w := &worker{
 		cfg:       cfg,
 		rank:      rank,
 		srv:       serverRank(cfg),
 		ep:        ep,
 		mb:        newMailbox(ep),
-		rep:       newLiveReplica(rank, cfg, s),
-		algo:      s.algo,
+		rep:       rep,
+		algo:      ws[rank].Algo,
 		weight:    1,
 		codec:     quantCodec(cfg),
 		ch:        newChaos(cfg),
@@ -128,7 +135,7 @@ func (w *worker) note(it int) {
 	w.iters = it
 	w.prog.Store(int64(it))
 	if w.onProgress != nil {
-		loss, _ := w.rep.loss()
+		loss, _ := w.rep.Loss()
 		w.onProgress(w.rank, it, loss)
 	}
 }
@@ -185,13 +192,13 @@ func (w *worker) maybeCheckpoint(it int) error {
 	}
 	sp := w.span("checkpoint", "ckpt")
 	defer sp.End()
-	return w.rep.saveState(w.ckpt.Path(w.rank), it, w.draws)
+	return w.rep.SaveState(w.ckpt.Path(w.rank), it, w.draws)
 }
 
 // gradSpan wraps one forward/backward pass in a compute span.
 func (w *worker) gradSpan() []float32 {
 	sp := w.span("compute", "compute")
-	g := w.rep.gradPass()
+	g := w.rep.ComputeGrad()
 	sp.End()
 	return g
 }
@@ -251,7 +258,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 					return err
 				}
 				if f.Kind == kindGossip {
-					w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
+					w.weight = w.rep.WeightedMerge(w.weight, f.Vec, f.Aux)
 					f.Release()
 				}
 			}
@@ -262,7 +269,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 			return err
 		}
 		if ok && f.Kind == kindGossip {
-			w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
+			w.weight = w.rep.WeightedMerge(w.weight, f.Vec, f.Aux)
 			f.Release()
 		}
 	}
@@ -287,7 +294,7 @@ func (w *worker) runBSP() error {
 			return err
 		}
 		sp.End()
-		w.rep.setParams(f.Vec)
+		w.rep.SetParams(f.Vec)
 		f.Release()
 		w.note(it)
 		if err := w.maybeCheckpoint(it); err != nil {
@@ -312,7 +319,7 @@ func (w *worker) runASP() error {
 			return err
 		}
 		sp.End()
-		w.rep.setParams(f.Vec)
+		w.rep.SetParams(f.Vec)
 		f.Release()
 		w.note(it)
 	}
@@ -327,9 +334,9 @@ func (w *worker) runSSP() error {
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
 		// Petuum-style SSP: apply locally, ship the resulting *update*.
-		before := w.rep.params()
-		w.rep.localStep(g, cfg.LR.At(it-1))
-		delta := w.rep.params()
+		before := w.rep.Params()
+		w.rep.LocalStep(g, cfg.LR.At(it-1))
+		delta := w.rep.Params()
 		for i := range delta {
 			delta[i] -= before[i]
 		}
@@ -380,7 +387,7 @@ func (w *worker) runSSP() error {
 				if f.Kind != kindParams {
 					return fmt.Errorf("ssp worker: unexpected kind %d", f.Kind)
 				}
-				w.rep.setParams(f.Vec)
+				w.rep.SetParams(f.Vec)
 				f.Release()
 				break
 			}
@@ -400,11 +407,11 @@ func (w *worker) runEASGD() error {
 	cfg := w.cfg
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
-		w.rep.localStep(g, cfg.LR.At(it-1))
+		w.rep.LocalStep(g, cfg.LR.At(it-1))
 		if it%cfg.Tau == 0 {
 			sp := w.span("easgd-sync", "comm")
 			if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindEASGDPush, From: int32(w.rank),
-				Clock: int32(it), Vec: w.rep.params()}); err != nil {
+				Clock: int32(it), Vec: w.rep.Params()}); err != nil {
 				return err
 			}
 			f, err := w.mb.recvMatch(kindEASGDReply, int32(it), 0, false, recvTimeout)
@@ -412,7 +419,7 @@ func (w *worker) runEASGD() error {
 				return err
 			}
 			sp.End()
-			w.rep.setParams(f.Vec)
+			w.rep.SetParams(f.Vec)
 			f.Release()
 		}
 		w.note(it)
@@ -422,6 +429,10 @@ func (w *worker) runEASGD() error {
 
 func (w *worker) runARSGD() error {
 	cfg := w.cfg
+	op := comm.OpRingAllReduce
+	if cfg.TreeAllReduce {
+		op = comm.OpTreeAllReduce
+	}
 	full := make([]int, cfg.Workers)
 	for i := range full {
 		full[i] = i
@@ -444,20 +455,15 @@ func (w *worker) runARSGD() error {
 		w.draws++
 		qc := w.arQuantize(agg)
 		sp := w.span("allreduce", "comm")
-		var err error
-		if cfg.TreeAllReduce {
-			err = treeAllReduce(w.mb, nodes, self, int32(it), agg, qc)
-		} else {
-			err = ringAllReduce(w.mb, nodes, self, int32(it), agg, qc)
-		}
-		if err != nil {
+		l := &arLink{mb: w.mb, nodes: nodes, self: self, clock: int32(it), vec: agg, q: qc}
+		if err := comm.Flat(op, l, len(nodes), self, len(agg)); err != nil {
 			return err
 		}
 		sp.End()
 		for i := range agg {
 			agg[i] *= inv
 		}
-		w.rep.localStep(agg, cfg.LR.At(it-1))
+		w.rep.LocalStep(agg, cfg.LR.At(it-1))
 		w.note(it)
 		if err := w.maybeCheckpoint(it); err != nil {
 			return err
@@ -472,7 +478,7 @@ func (w *worker) runGoSGD() error {
 	r := w.algo
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
-		w.rep.localStep(g, cfg.LR.At(it-1))
+		w.rep.LocalStep(g, cfg.LR.At(it-1))
 		for {
 			f, ok, err := w.mb.poll()
 			if err != nil {
@@ -484,7 +490,7 @@ func (w *worker) runGoSGD() error {
 			if f.Kind != kindGossip {
 				return fmt.Errorf("gosgd worker: unexpected kind %d", f.Kind)
 			}
-			w.weight = w.rep.weightedMerge(w.weight, f.Vec, f.Aux)
+			w.weight = w.rep.WeightedMerge(w.weight, f.Vec, f.Aux)
 			f.Release()
 		}
 		if r.Bernoulli(cfg.GossipP) && W > 1 {
@@ -497,7 +503,7 @@ func (w *worker) runGoSGD() error {
 			// Asymmetric push: fire and forget.
 			sp := w.span("gossip-push", "comm")
 			if err := w.ep.Send(t, &xport.Frame{Kind: kindGossip, From: int32(w.rank),
-				Clock: int32(it), Aux: half, Vec: w.rep.params()}); err != nil {
+				Clock: int32(it), Aux: half, Vec: w.rep.Params()}); err != nil {
 				return err
 			}
 			sp.End()
@@ -529,7 +535,7 @@ func (w *worker) runADPSGD() error {
 		go w.adpsgdServe()
 		for it := 1; it <= cfg.Iters; it++ {
 			g := w.gradSpan()
-			w.rep.localStep(g, cfg.LR.At(it-1))
+			w.rep.LocalStep(g, cfg.LR.At(it-1))
 			w.note(it)
 		}
 		return nil
@@ -542,7 +548,7 @@ func (w *worker) runADPSGD() error {
 	}()
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
-		w.rep.localStep(g, cfg.LR.At(it-1))
+		w.rep.LocalStep(g, cfg.LR.At(it-1))
 		tokens <- it
 		w.note(it)
 	}
@@ -563,7 +569,7 @@ func (w *worker) adpsgdActive(tokens <-chan int, passive []int) error {
 		// exchanges record on a separate tid.
 		sp := w.tr.StartSpan("adpsgd-exchange", "comm", workerPid, adpsgdCommTid+w.rank)
 		if err := w.ep.Send(peer, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
-			Clock: int32(it), Vec: w.rep.params()}); err != nil {
+			Clock: int32(it), Vec: w.rep.Params()}); err != nil {
 			return err
 		}
 		f, err := w.mb.recvMatch(kindExchangeRep, int32(it), 0, false, recvTimeout)
@@ -571,7 +577,7 @@ func (w *worker) adpsgdActive(tokens <-chan int, passive []int) error {
 			return err
 		}
 		sp.End()
-		w.rep.average(f.Vec)
+		w.rep.Average(f.Vec)
 		f.Release()
 	}
 	return nil
@@ -590,10 +596,10 @@ func (w *worker) adpsgdServe() {
 			continue
 		}
 		if err := w.ep.Send(int(f.From), &xport.Frame{Kind: kindExchangeRep, From: int32(w.rank),
-			Clock: f.Clock, Vec: w.rep.params()}); err != nil {
+			Clock: f.Clock, Vec: w.rep.Params()}); err != nil {
 			return
 		}
-		w.rep.average(f.Vec)
+		w.rep.Average(f.Vec)
 		f.Release()
 	}
 }
