@@ -12,6 +12,7 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 0, 128, 63, 0, 0, 0, 64})         // [1, 2]
 	f.Add([]byte{0, 0, 0, 0})                         // [0]
 	f.Add([]byte{255, 255, 127, 127, 1, 0, 128, 255}) // extremes
+	f.Add([]byte{255, 255, 127, 127})                 // [MaxFloat32]: scale·127 once overflowed to +Inf
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		n := len(raw) / 4
 		if n == 0 {
@@ -36,8 +37,8 @@ func FuzzQuantizeRoundTrip(f *testing.F) {
 		Dequantize8(q, out)
 		step := maxAbs / 127
 		for i := range out {
-			if math.IsNaN(float64(out[i])) {
-				t.Fatalf("NaN output for finite input %v", orig[i])
+			if math.IsNaN(float64(out[i])) || math.IsInf(float64(out[i]), 0) {
+				t.Fatalf("non-finite output %v for finite input %v", out[i], orig[i])
 			}
 			if math.Abs(float64(orig[i]-out[i])) > step/2+1e-6*maxAbs+1e-30 {
 				t.Fatalf("error beyond half step at %d: %v -> %v (step %v)", i, orig[i], out[i], step)

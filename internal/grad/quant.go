@@ -33,6 +33,12 @@ func Quantize8(v []float32) Quantized8 {
 		return q
 	}
 	q.Scale = maxAbs / 127
+	if maxAbs <= math.MaxFloat32 && q.Scale*127 > math.MaxFloat32 {
+		// At the very top of the float32 range the division rounds up and
+		// the receiver's Scale·127 overflows: a finite gradient would
+		// dequantize to ±Inf. One ulp down, Scale·127 is finite again.
+		q.Scale = math.Float32frombits(math.Float32bits(q.Scale) - 1)
+	}
 	inv := 127 / maxAbs
 	half := math.Float32bits(0.5)
 	for i, x := range v {

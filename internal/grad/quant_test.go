@@ -220,7 +220,10 @@ func quantize8Branchy(v []float32) Quantized8 {
 // TestQuantize8MatchesBranchyReference pins the branch-free Quantize8 to
 // the old formulation, bit for bit in scale and byte for byte in payload:
 // random vectors, both zeros, exact half-way points of either sign, values
-// at and beyond the clamp, and the non-finite inputs of the fuzz corpus.
+// at and beyond the clamp, and the non-finite inputs of the fuzz corpus. The
+// one input class where Quantize8 departs from the old scale on purpose —
+// a maximum so close to MaxFloat32 that scale·127 overflowed — is
+// TestQuantize8MaxFloat32StaysFinite's.
 func TestQuantize8MatchesBranchyReference(t *testing.T) {
 	negZero := float32(math.Copysign(0, -1))
 	nan := math.Float32frombits(0xff800001) // FuzzQuantizeRoundTrip's "extremes" seed
@@ -232,9 +235,8 @@ func TestQuantize8MatchesBranchyReference(t *testing.T) {
 		{127, 0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 125.5, -125.5, 126.5, -126.5},
 		{127, 0.49999997, -0.49999997, 126.49999, -126.49999},
 		{-127, 127, 126.99999, -126.99999},
-		{math.MaxFloat32, -math.MaxFloat32, 1, negZero},
 		{math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 0},
-		{math.MaxFloat32, nan},
+		{math.MaxFloat32 / 2, -math.MaxFloat32 / 2, 1, nan, negZero},
 		{nan, 1, -2, nan, negZero},
 		{nan},
 		{inf, 1, -1, 0},
@@ -259,5 +261,48 @@ func TestQuantize8MatchesBranchyReference(t *testing.T) {
 				t.Fatalf("case %d: element %d (%v) quantized to %d, reference %d", ci, i, v[i], got.Q[i], want.Q[i])
 			}
 		}
+	}
+}
+
+// TestQuantize8MaxFloat32StaysFinite: a finite gradient must dequantize to
+// finite values. With a maximum of ±MaxFloat32 the scale maxAbs/127 rounds
+// up and scale·127 is +Inf; Quantize8 steps the scale down one ulp there,
+// and nowhere else.
+func TestQuantize8MaxFloat32StaysFinite(t *testing.T) {
+	const big = math.MaxFloat32
+	naive := float32(big) / 127
+	if s := naive * 127; !math.IsInf(float64(s), 1) {
+		t.Fatalf("premise gone: (MaxFloat32/127)·127 = %v is finite", s)
+	}
+	for _, v := range [][]float32{
+		{big}, {-big}, {big, -big},
+		{1e-3, -big, 0.5, 3, float32(math.Copysign(0, -1))},
+		{big, big / 2, -big / 4, 1e30},
+	} {
+		q := Quantize8(v)
+		if got, want := math.Float32bits(q.Scale), math.Float32bits(naive)-1; got != want {
+			t.Fatalf("%v: scale bits %x, want one ulp under MaxFloat32/127 (%x)", v, got, want)
+		}
+		out := make([]float32, len(v))
+		if err := Dequantize8(q, out); err != nil {
+			t.Fatal(err)
+		}
+		rt := append([]float32(nil), v...)
+		QuantizeRoundTrip(rt)
+		for i, x := range v {
+			if math.IsInf(float64(out[i]), 0) || math.IsNaN(float64(out[i])) {
+				t.Fatalf("%v: element %d dequantized to %v", v, i, out[i])
+			}
+			if math.Float32bits(rt[i]) != math.Float32bits(out[i]) {
+				t.Fatalf("%v: element %d round trip %v, dequantize %v", v, i, rt[i], out[i])
+			}
+			if err := math.Abs(float64(x) - float64(out[i])); err > big/254*(1+1e-6) {
+				t.Fatalf("%v: element %d came back as %v, off by more than half a step", v, i, out[i])
+			}
+		}
+	}
+	// One binade down nothing overflows and the scale is the plain quotient.
+	if q := Quantize8([]float32{big / 2}); q.Scale != float32(big/2)/127 {
+		t.Fatalf("scale for MaxFloat32/2 = %v, want the unadjusted quotient", q.Scale)
 	}
 }

@@ -18,6 +18,7 @@ type Dense struct {
 	name     string
 	In, Out  int
 	fuseReLU bool
+	noDx     bool // Backward returns nil instead of dL/dx (see inputGradSkipper)
 	w, b     *Param
 	x        *tensor.Tensor // cached input
 	y        *tensor.Tensor
@@ -51,6 +52,7 @@ func NewDenseReLU(name string, in, out int, r *rng.RNG) *Dense {
 func (d *Dense) Name() string             { return d.name }
 func (d *Dense) Params() []*Param         { return []*Param{d.w, d.b} }
 func (d *Dense) setArena(a *tensor.Arena) { d.arena = a }
+func (d *Dense) skipInputGrad()           { d.noDx = true }
 
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if len(x.Shape) != 2 || x.Shape[1] != d.In {
@@ -64,7 +66,10 @@ func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		d.arena.PutTensor(d.dx)
 		d.arena.PutTensor(d.dy)
 		d.y = d.arena.GetTensor(b, d.Out)
-		d.dx = d.arena.GetTensor(b, d.In)
+		d.dx = nil
+		if !d.noDx {
+			d.dx = d.arena.GetTensor(b, d.In)
+		}
 		d.dy = nil
 		if d.fuseReLU {
 			d.dy = d.arena.GetTensor(b, d.Out)
@@ -105,6 +110,9 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		for j, v := range row {
 			gd[j] += v
 		}
+	}
+	if d.noDx {
+		return nil
 	}
 	// dx = dout·W
 	tensor.MatMul(dout, d.w.W, d.dx)
@@ -174,6 +182,7 @@ type Conv2D struct {
 	InC, OutC             int
 	K, Stride, Pad        int
 	fuseReLU              bool
+	noDx                  bool // Backward returns nil instead of dL/dx (see inputGradSkipper)
 	w, b                  *Param
 	cols                  *tensor.Tensor // batched patch rows [B·outH·outW, InC·K·K]
 	yt, dyt               *tensor.Tensor // channel-minor activations/grads [B·outH·outW, OutC]
@@ -213,6 +222,7 @@ func NewConv2DReLU(name string, inC, outC, k, stride, pad int, r *rng.RNG) *Conv
 func (c *Conv2D) Name() string             { return c.name }
 func (c *Conv2D) Params() []*Param         { return []*Param{c.w, c.b} }
 func (c *Conv2D) setArena(a *tensor.Arena) { c.arena = a }
+func (c *Conv2D) skipInputGrad()           { c.noDx = true }
 
 func (c *Conv2D) setup(x *tensor.Tensor) {
 	b := x.Shape[0]
@@ -235,8 +245,11 @@ func (c *Conv2D) setup(x *tensor.Tensor) {
 		c.yt = c.arena.GetTensor(rows, c.OutC)
 		c.dyt = c.arena.GetTensor(rows, c.OutC)
 		c.y = c.arena.GetTensor(b, c.OutC, c.outH, c.outW)
-		c.dx = c.arena.GetTensor(x.Shape...)
-		c.dcols = c.arena.GetTensor(rows, f)
+		c.dx, c.dcols = nil, nil
+		if !c.noDx {
+			c.dx = c.arena.GetTensor(x.Shape...)
+			c.dcols = c.arena.GetTensor(rows, f)
+		}
 		c.lastBatch, c.lastInSize = b, x.Size()
 	}
 }
@@ -287,40 +300,31 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Gather dout into the channel-minor patch-row order of c.cols. For the
 	// fused layer the ReLU mask rides along: c.yt holds the post-ReLU
 	// activations, and masking before vs after the gather is the same
-	// because the scatter is a bijection.
-	dd, td, yt := dout.Data, c.dyt.Data, c.yt.Data
+	// because the scatter is a bijection. The same pass adds each gathered
+	// row into db — its column sums, every channel in ascending row order.
+	dd, td, yt, gb := dout.Data, c.dyt.Data, c.yt.Data, c.b.G.Data
 	for i := 0; i < b; i++ {
 		src := dd[i*sampleOut : (i+1)*sampleOut]
 		rows := td[i*nCols*c.OutC:]
 		actRows := yt[i*nCols*c.OutC:]
 		for pos := 0; pos < nCols; pos++ {
 			dst := rows[pos*c.OutC : pos*c.OutC+c.OutC]
-			if c.fuseReLU {
-				act := actRows[pos*c.OutC : pos*c.OutC+c.OutC]
-				for ch := range dst {
-					if act[ch] > 0 {
-						dst[ch] = src[ch*nCols+pos]
-					} else {
-						dst[ch] = 0
-					}
+			act := actRows[pos*c.OutC : pos*c.OutC+c.OutC]
+			for ch := range dst {
+				v := src[ch*nCols+pos]
+				if c.fuseReLU && !(act[ch] > 0) {
+					v = 0
 				}
-			} else {
-				for ch := range dst {
-					dst[ch] = src[ch*nCols+pos]
-				}
+				dst[ch] = v
+				gb[ch] += v
 			}
 		}
 	}
 	// dW += dytᵀ·cols — one GEMM over every sample's patches.
 	tensor.MatMulTransA(c.dyt, c.cols, c.dwTmp)
 	c.w.G.AddScaled(1, c.dwTmp)
-	// db += column sums of dyt.
-	gb := c.b.G.Data
-	for r := 0; r < b*nCols; r++ {
-		row := td[r*c.OutC : r*c.OutC+c.OutC]
-		for ch, v := range row {
-			gb[ch] += v
-		}
+	if c.noDx {
+		return nil
 	}
 	// dcols = dyt·W in one GEMM, then scatter each sample back to image
 	// space.

@@ -59,12 +59,25 @@ type Model struct {
 	segs   []Segment
 	size   int
 
+	// first indexes the lowest layer that holds parameters: the backward
+	// walk stops there, since no gradient below it is ever read.
+	first int
+
 	// arena recycles layer scratch buffers across batch-shape changes
 	// (nil = plain allocation).
 	arena *tensor.Arena
 
 	// caches reused across Loss calls
 	probs *tensor.Tensor
+}
+
+// inputGradSkipper is implemented by layers that can leave out dL/d(input)
+// — its GEMM, its scatter and the buffers behind them — when nothing below
+// consumes it. Only NewModel arms it, and only on the layer where the
+// backward walk ends; a layer driven directly, or inside a Residual, always
+// returns its input gradient.
+type inputGradSkipper interface {
+	skipInputGrad()
 }
 
 // arenaUser is implemented by layers whose scratch buffers (activations,
@@ -87,12 +100,21 @@ func (m *Model) SetArena(a *tensor.Arena) {
 }
 
 // NewModel assembles layers into a model and computes flat-vector segment
-// offsets.
+// offsets. The lowest layer holding parameters (a conv stem, or the first
+// Dense behind a Flatten) is told to skip its input gradient: the model
+// input needs none, and Loss ends its backward walk at that layer.
 func NewModel(name string, layers ...Layer) *Model {
 	m := &Model{Name: name, Layers: layers}
 	off := 0
-	for _, l := range layers {
-		for _, p := range l.Params() {
+	for i, l := range layers {
+		ps := l.Params()
+		if len(ps) > 0 && len(m.params) == 0 {
+			m.first = i
+			if s, ok := l.(inputGradSkipper); ok {
+				s.skipInputGrad()
+			}
+		}
+		for _, p := range ps {
 			m.params = append(m.params, p)
 			n := p.W.Size()
 			m.segs = append(m.segs, Segment{Name: p.Name, Off: off, Len: n})
@@ -187,7 +209,7 @@ func (m *Model) Loss(x *tensor.Tensor, labels []int) (loss float64, correct int)
 	var dlogits *tensor.Tensor
 	loss, correct, dlogits, m.probs = SoftmaxCrossEntropy(logits, labels, m.probs)
 	d := dlogits
-	for i := len(m.Layers) - 1; i >= 0; i-- {
+	for i := len(m.Layers) - 1; i >= m.first; i-- {
 		d = m.Layers[i].Backward(d)
 	}
 	return loss, correct

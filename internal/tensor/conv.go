@@ -2,142 +2,91 @@ package tensor
 
 import "fmt"
 
-// Im2col lowers a (C×H×W) input into a matrix of shape
-// (C·kh·kw) × (outH·outW) so convolution becomes a single GEMM.
-// stride and pad apply symmetrically; out must be pre-allocated with that
-// shape. Padding positions contribute zeros.
-func Im2col(in *Tensor, kh, kw, stride, pad int, out *Tensor) {
-	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
-	rows := c * kh * kw
-	cols := outH * outW
-	if out.Shape[0] != rows || out.Shape[1] != cols {
-		panic(fmt.Sprintf("tensor: im2col out shape %v, want [%d %d]", out.Shape, rows, cols))
+// convOut returns the output extent of a convolution along one axis.
+func convOut(in, k, stride, pad int) int { return (in+2*pad-k)/stride + 1 }
+
+// convInterior returns the range [lo, hi) of output columns whose whole
+// kw-wide receptive field lies inside an input row of width w; only the
+// columns left and right of it need a per-element bounds test. The range is
+// empty when the kernel is wider than the padded row allows.
+func convInterior(w, kw, stride, pad, outW int) (lo, hi int) {
+	lo = min((pad+stride-1)/stride, outW)
+	hi = lo
+	if last := w - kw + pad; last >= 0 {
+		hi = max(lo, min(last/stride+1, outW))
 	}
-	od := out.Data
-	id := in.Data
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				dst := od[row*cols : row*cols+cols]
-				col := 0
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						for ox := 0; ox < outW; ox++ {
-							dst[col] = 0
-							col++
-						}
-						continue
-					}
-					rowBase := base + iy*w
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							dst[col] = 0
-						} else {
-							dst[col] = id[rowBase+ix]
-						}
-						col++
-					}
-				}
-				row++
-			}
-		}
-	}
+	return lo, hi
 }
 
-// Col2im scatters the column matrix produced by Im2col back into an input
-// gradient of shape (C×H×W), accumulating where receptive fields overlap.
-// grad is zeroed first.
-func Col2im(cols *Tensor, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
-	nCols := outH * outW
-	if cols.Shape[0] != c*kh*kw || cols.Shape[1] != nCols {
-		panic(fmt.Sprintf("tensor: col2im cols shape %v, want [%d %d]", cols.Shape, c*kh*kw, nCols))
-	}
-	if grad.Shape[0] != c || grad.Shape[1] != h || grad.Shape[2] != w {
-		panic(fmt.Sprintf("tensor: col2im grad shape %v, want [%d %d %d]", grad.Shape, c, h, w))
-	}
-	grad.Zero()
-	gd := grad.Data
-	cd := cols.Data
-	row := 0
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for ky := 0; ky < kh; ky++ {
-			for kx := 0; kx < kw; kx++ {
-				src := cd[row*nCols : row*nCols+nCols]
-				col := 0
-				for oy := 0; oy < outH; oy++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						col += outW
-						continue
-					}
-					rowBase := base + iy*w
-					for ox := 0; ox < outW; ox++ {
-						ix := ox*stride - pad + kx
-						if ix >= 0 && ix < w {
-							gd[rowBase+ix] += src[col]
-						}
-						col++
-					}
-				}
-				row++
-			}
-		}
-	}
-}
-
-// Im2colRows is Im2col's transposed, slice-based variant for batched
+// Im2colRows lowers a (C×H×W) input into patch rows for batched
 // convolution: row (oy·outW+ox) of dst holds output position (oy,ox)'s
 // receptive field, laid out [c·kh·kw]. Stacking every sample's block into
 // one (B·outH·outW) × (c·kh·kw) matrix lets a whole mini-batch's
 // convolution run as a single GEMM. dst must have outH·outW·c·kh·kw
 // elements; padding positions contribute zeros.
+//
+// The loops run (oy, ch, ky, ox, kx): the input-row test and both base
+// offsets are fixed before ox starts, and ox is split once per call into
+// left border, interior and right border, so the interior moves a kw-run
+// from one input row to one patch row with no per-element test.
 func Im2colRows(in *Tensor, kh, kw, stride, pad int, dst []float32) {
 	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
+	outH, outW := convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
 	f := c * kh * kw
 	if len(dst) != outH*outW*f {
 		panic(fmt.Sprintf("tensor: im2colrows dst len %d, want %d", len(dst), outH*outW*f))
 	}
-	id := in.Data
-	r := 0
+	lo, hi := convInterior(w, kw, stride, pad, outW)
 	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			row := dst[r*f : r*f+f]
-			p := 0
-			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						for kx := 0; kx < kw; kx++ {
-							row[p] = 0
-							p++
-						}
-						continue
-					}
-					rowBase := base + iy*w
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if ix < 0 || ix >= w {
-							row[p] = 0
-						} else {
-							row[p] = id[rowBase+ix]
-						}
-						p++
-					}
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				// The (ch,ky) kw-run of patch row (oy,ox) starts at off+ox·f.
+				off := oy*outW*f + (ch*kh+ky)*kw
+				iy := oy*stride - pad + ky
+				if iy < 0 || iy >= h {
+					im2colEdge(dst, nil, off, f, kw, 0, outW, stride, pad)
+					continue
 				}
+				src := in.Data[(ch*h+iy)*w : (ch*h+iy+1)*w]
+				im2colEdge(dst, src, off, f, kw, 0, lo, stride, pad)
+				if lo < hi {
+					im2colRuns(dst[off+lo*f:], src[lo*stride-pad:], f, stride, kw, hi-lo)
+				}
+				im2colEdge(dst, src, off, f, kw, hi, outW, stride, pad)
 			}
-			r++
+		}
+	}
+}
+
+// im2colRuns copies n kw-runs, src[i·stride:] to dst[i·f:], all of them
+// inside both slices. The 3-wide case (every conv in the models) is a
+// fixed-size move rather than a call to memmove. Kept out of line: inlined
+// into Im2colRows' loop nest its counters spill to the stack and the copy
+// runs a third slower.
+//
+//go:noinline
+func im2colRuns(dst, src []float32, f, stride, kw, n int) {
+	for di, si := 0, 0; n > 0; n, di, si = n-1, di+f, si+stride {
+		if kw == 3 {
+			copy(dst[di:di+3], src[si:si+3])
+		} else {
+			copy(dst[di:di+kw], src[si:si+kw])
+		}
+	}
+}
+
+// im2colEdge fills one kw-run in each of patch rows [ox0, ox1) from the
+// input row src, testing every column; columns outside src (all of them
+// for a nil src, a padding row) become zero.
+func im2colEdge(dst, src []float32, off, f, kw, ox0, ox1, stride, pad int) {
+	for ox := ox0; ox < ox1; ox++ {
+		run := dst[off+ox*f : off+ox*f+kw]
+		for kx := range run {
+			if ix := ox*stride - pad + kx; ix >= 0 && ix < len(src) {
+				run[kx] = src[ix]
+			} else {
+				run[kx] = 0
+			}
 		}
 	}
 }
@@ -146,9 +95,14 @@ func Im2colRows(in *Tensor, kh, kw, stride, pad int, dst []float32) {
 // by Im2colRows back into an input gradient of shape (C×H×W), accumulating
 // where receptive fields overlap. grad is zeroed first. src must have
 // outH·outW·c·kh·kw elements.
+//
+// Same loop order and border/interior split as Im2colRows. A destination
+// element (ch,iy,ix) still receives its terms in ascending (oy,ox) order —
+// the rounding sequence of a walk over patch rows — because for a fixed
+// destination and oy exactly one ky matches, and within it ox ascends with
+// one kx each.
 func Col2imRows(src []float32, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
-	outH := (h+2*pad-kh)/stride + 1
-	outW := (w+2*pad-kw)/stride + 1
+	outH, outW := convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
 	f := c * kh * kw
 	if len(src) != outH*outW*f {
 		panic(fmt.Sprintf("tensor: col2imrows src len %d, want %d", len(src), outH*outW*f))
@@ -157,31 +111,52 @@ func Col2imRows(src []float32, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
 		panic(fmt.Sprintf("tensor: col2imrows grad shape %v, want [%d %d %d]", grad.Shape, c, h, w))
 	}
 	grad.Zero()
-	gd := grad.Data
-	r := 0
+	lo, hi := convInterior(w, kw, stride, pad, outW)
 	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			row := src[r*f : r*f+f]
-			p := 0
-			for ch := 0; ch < c; ch++ {
-				base := ch * h * w
-				for ky := 0; ky < kh; ky++ {
-					iy := oy*stride - pad + ky
-					if iy < 0 || iy >= h {
-						p += kw
-						continue
-					}
-					rowBase := base + iy*w
-					for kx := 0; kx < kw; kx++ {
-						ix := ox*stride - pad + kx
-						if ix >= 0 && ix < w {
-							gd[rowBase+ix] += row[p]
-						}
-						p++
-					}
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				iy := oy*stride - pad + ky
+				if iy < 0 || iy >= h {
+					continue
 				}
+				off := oy*outW*f + (ch*kh+ky)*kw
+				dst := grad.Data[(ch*h+iy)*w : (ch*h+iy+1)*w]
+				col2imEdge(dst, src, off, f, kw, 0, lo, stride, pad)
+				if lo < hi {
+					col2imRuns(dst[lo*stride-pad:], src[off+lo*f:], f, stride, kw, hi-lo)
+				}
+				col2imEdge(dst, src, off, f, kw, hi, outW, stride, pad)
 			}
-			r++
+		}
+	}
+}
+
+// col2imRuns adds n kw-runs, src[i·f:] into dst[i·stride:], all of them
+// inside both slices; im2colRuns' counterpart, unrolled for 3-wide runs.
+func col2imRuns(dst, src []float32, f, stride, kw, n int) {
+	for di, si := 0, 0; n > 0; n, di, si = n-1, di+stride, si+f {
+		if kw == 3 {
+			d, s := dst[di:di+3], src[si:si+3]
+			d[0] += s[0]
+			d[1] += s[1]
+			d[2] += s[2]
+			continue
+		}
+		d := dst[di : di+kw]
+		for kx, v := range src[si : si+kw] {
+			d[kx] += v
+		}
+	}
+}
+
+// col2imEdge adds one kw-run from each of patch rows [ox0, ox1) into the
+// gradient row dst, dropping the columns that fall outside it.
+func col2imEdge(dst, src []float32, off, f, kw, ox0, ox1, stride, pad int) {
+	for ox := ox0; ox < ox1; ox++ {
+		for kx, v := range src[off+ox*f : off+ox*f+kw] {
+			if ix := ox*stride - pad + kx; ix >= 0 && ix < len(dst) {
+				dst[ix] += v
+			}
 		}
 	}
 }

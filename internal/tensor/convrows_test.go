@@ -1,14 +1,139 @@
 package tensor
 
 import (
+	"math"
 	"testing"
 
 	"disttrain/internal/rng"
 )
 
-// TestIm2colRowsMatchesIm2col: the patch-row layout is the exact transpose
+// naiveIm2col is the textbook definition the patch-row kernels are checked
+// against: a (C×H×W) input becomes a (C·kh·kw) × (outH·outW) matrix whose
+// entry [(ch,ky,kx), (oy,ox)] is the input at (ch, oy·stride−pad+ky,
+// ox·stride−pad+kx), or zero outside the image.
+func naiveIm2col(in *Tensor, kh, kw, stride, pad int, out *Tensor) {
+	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
+	outH, outW := convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+						var v float32
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							v = in.At(ch, iy, ix)
+						}
+						out.Set(v, (ch*kh+ky)*kw+kx, oy*outW+ox)
+					}
+				}
+			}
+		}
+	}
+}
+
+// naiveCol2im is naiveIm2col's adjoint: every matrix entry is added to the
+// input position it was read from. grad is zeroed first.
+func naiveCol2im(cols *Tensor, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
+	outH, outW := convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
+	grad.Zero()
+	for ch := 0; ch < c; ch++ {
+		for ky := 0; ky < kh; ky++ {
+			for kx := 0; kx < kw; kx++ {
+				for oy := 0; oy < outH; oy++ {
+					for ox := 0; ox < outW; ox++ {
+						iy, ix := oy*stride-pad+ky, ox*stride-pad+kx
+						if iy >= 0 && iy < h && ix >= 0 && ix < w {
+							grad.Set(grad.At(ch, iy, ix)+cols.At((ch*kh+ky)*kw+kx, oy*outW+ox), ch, iy, ix)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// parentIm2colRows is Im2colRows as it stood before the border/interior
+// split (PR 14): a walk over patch rows with a bounds test per element. Kept
+// verbatim as the bit-exact reference.
+func parentIm2colRows(in *Tensor, kh, kw, stride, pad int, dst []float32) {
+	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
+	outH := (h+2*pad-kh)/stride + 1
+	outW := (w+2*pad-kw)/stride + 1
+	f := c * kh * kw
+	id := in.Data
+	r := 0
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			row := dst[r*f : r*f+f]
+			p := 0
+			for ch := 0; ch < c; ch++ {
+				base := ch * h * w
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*stride - pad + ky
+					if iy < 0 || iy >= h {
+						for kx := 0; kx < kw; kx++ {
+							row[p] = 0
+							p++
+						}
+						continue
+					}
+					rowBase := base + iy*w
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*stride - pad + kx
+						if ix < 0 || ix >= w {
+							row[p] = 0
+						} else {
+							row[p] = id[rowBase+ix]
+						}
+						p++
+					}
+				}
+			}
+			r++
+		}
+	}
+}
+
+// parentCol2imRows is Col2imRows as it stood at PR 14, the reference for
+// the accumulation order of every gradient element.
+func parentCol2imRows(src []float32, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
+	outH := (h+2*pad-kh)/stride + 1
+	outW := (w+2*pad-kw)/stride + 1
+	f := c * kh * kw
+	grad.Zero()
+	gd := grad.Data
+	r := 0
+	for oy := 0; oy < outH; oy++ {
+		for ox := 0; ox < outW; ox++ {
+			row := src[r*f : r*f+f]
+			p := 0
+			for ch := 0; ch < c; ch++ {
+				base := ch * h * w
+				for ky := 0; ky < kh; ky++ {
+					iy := oy*stride - pad + ky
+					if iy < 0 || iy >= h {
+						p += kw
+						continue
+					}
+					rowBase := base + iy*w
+					for kx := 0; kx < kw; kx++ {
+						ix := ox*stride - pad + kx
+						if ix >= 0 && ix < w {
+							gd[rowBase+ix] += row[p]
+						}
+						p++
+					}
+				}
+			}
+			r++
+		}
+	}
+}
+
+// TestIm2colRowsMatchesNaive: the patch-row layout is the exact transpose
 // of the classic column layout, for strided, padded and multi-channel cases.
-func TestIm2colRowsMatchesIm2col(t *testing.T) {
+func TestIm2colRowsMatchesNaive(t *testing.T) {
 	cases := []struct{ c, h, w, k, stride, pad int }{
 		{1, 4, 4, 1, 1, 0},
 		{3, 5, 5, 3, 1, 1},
@@ -25,7 +150,7 @@ func TestIm2colRowsMatchesIm2col(t *testing.T) {
 		nCols := outH * outW
 
 		cols := New(f, nCols)
-		Im2col(in, tc.k, tc.k, tc.stride, tc.pad, cols)
+		naiveIm2col(in, tc.k, tc.k, tc.stride, tc.pad, cols)
 		rows := make([]float32, nCols*f)
 		Im2colRows(in, tc.k, tc.k, tc.stride, tc.pad, rows)
 
@@ -39,9 +164,9 @@ func TestIm2colRowsMatchesIm2col(t *testing.T) {
 	}
 }
 
-// TestCol2imRowsMatchesCol2im: scattering the transposed layout accumulates
+// TestCol2imRowsMatchesNaive: scattering the transposed layout accumulates
 // the same input gradient as the classic path.
-func TestCol2imRowsMatchesCol2im(t *testing.T) {
+func TestCol2imRowsMatchesNaive(t *testing.T) {
 	const c, h, w, k, stride, pad = 2, 6, 6, 3, 1, 1
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
@@ -59,7 +184,7 @@ func TestCol2imRowsMatchesCol2im(t *testing.T) {
 	}
 
 	want := New(c, h, w)
-	Col2im(cols, c, h, w, k, k, stride, pad, want)
+	naiveCol2im(cols, c, h, w, k, k, stride, pad, want)
 	got := New(c, h, w)
 	Col2imRows(rows, c, h, w, k, k, stride, pad, got)
 
@@ -69,4 +194,110 @@ func TestCol2imRowsMatchesCol2im(t *testing.T) {
 			t.Fatalf("grad[%d]: rows %v vs cols %v", i, got.Data[i], want.Data[i])
 		}
 	}
+}
+
+// convPool hands out test vectors cut from one salted pool (sweepData:
+// normals, −0, denormals, NaN, ±Inf) at a moving offset, so a sweep over
+// tens of thousands of geometries does not spend its time drawing normals.
+type convPool struct {
+	data []float32
+	off  int
+}
+
+func newConvPool(seed uint64) *convPool {
+	// A prime length, so no image or patch width divides the period.
+	const n = 4099
+	return &convPool{data: sweepData(rng.New(seed), n, true), off: int(seed % n)}
+}
+
+func (p *convPool) take(n int) []float32 {
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = p.data[(p.off+i)%len(p.data)]
+	}
+	p.off = (p.off + n + 1) % len(p.data)
+	return out
+}
+
+// checkConvRows runs both patch-row kernels and their PR 14 loops on one
+// geometry and reports the first element whose bits differ. Geometries with
+// no output position are skipped (false).
+func checkConvRows(t *testing.T, p *convPool, c, h, w, kh, kw, stride, pad int) bool {
+	t.Helper()
+	outH, outW := convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
+	if outH < 1 || outW < 1 {
+		return false
+	}
+	in := FromSlice(p.take(c*h*w), c, h, w)
+	n := outH * outW * c * kh * kw
+	// Dirty destinations: every element must be written, not assumed zero.
+	got, want := p.take(n), p.take(n)
+	Im2colRows(in, kh, kw, stride, pad, got)
+	parentIm2colRows(in, kh, kw, stride, pad, want)
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Errorf("im2colrows c=%d %dx%d k=%dx%d stride=%d pad=%d: element %d = %x, parent loop %x",
+				c, h, w, kh, kw, stride, pad, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+			return true
+		}
+	}
+	src := p.take(n)
+	gGot, gWant := FromSlice(p.take(c*h*w), c, h, w), New(c, h, w)
+	Col2imRows(src, c, h, w, kh, kw, stride, pad, gGot)
+	parentCol2imRows(src, c, h, w, kh, kw, stride, pad, gWant)
+	for i := range gWant.Data {
+		if math.Float32bits(gGot.Data[i]) != math.Float32bits(gWant.Data[i]) {
+			t.Errorf("col2imrows c=%d %dx%d k=%dx%d stride=%d pad=%d: element %d = %x, parent loop %x",
+				c, h, w, kh, kw, stride, pad, i, math.Float32bits(gGot.Data[i]), math.Float32bits(gWant.Data[i]))
+			return true
+		}
+	}
+	return true
+}
+
+// TestConvRowsBitIdenticalToParentLoops sweeps the border/interior split
+// over every way it can degenerate — no left border (pad 0), no interior
+// (kernel wider than the input, or than the padded input where integer
+// division still yields an output column), strides that skip the right
+// border — on non-square images from 1×1 to 16×16.
+func TestConvRowsBitIdenticalToParentLoops(t *testing.T) {
+	p := newConvPool(35)
+	ran := 0
+	for _, c := range []int{1, 3, 8} {
+		for h := 1; h <= 16; h++ {
+			for w := 1; w <= 16; w++ {
+				if testing.Short() && (h+w)%3 != 0 {
+					continue
+				}
+				for _, k := range []int{1, 2, 3, 5} {
+					for stride := 1; stride <= 3; stride++ {
+						for pad := 0; pad <= 2; pad++ {
+							if checkConvRows(t, p, c, h, w, k, k, stride, pad) {
+								ran++
+							}
+							if t.Failed() {
+								return
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if ran == 0 {
+		t.Fatal("sweep ran no geometry")
+	}
+}
+
+// FuzzConvRows drives the same comparison from a fuzzed geometry, with
+// independent kernel height and width.
+func FuzzConvRows(f *testing.F) {
+	f.Add(uint8(8), uint8(16), uint8(16), uint8(3), uint8(3), uint8(1), uint8(1), uint64(1))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(2), uint8(2), uint8(2), uint8(0), uint64(2))  // kernel wider than the padded input
+	f.Add(uint8(3), uint8(5), uint8(2), uint8(1), uint8(5), uint8(3), uint8(2), uint64(3))  // no interior
+	f.Add(uint8(2), uint8(7), uint8(13), uint8(5), uint8(2), uint8(2), uint8(0), uint64(4)) // no left border
+	f.Fuzz(func(t *testing.T, c, h, w, kh, kw, stride, pad uint8, seed uint64) {
+		checkConvRows(t, newConvPool(seed), 1+int(c%8), 1+int(h%16), 1+int(w%16),
+			1+int(kh%5), 1+int(kw%5), 1+int(stride%3), int(pad%3))
+	})
 }

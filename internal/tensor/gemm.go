@@ -1,6 +1,7 @@
 // GEMM kernels: cache-blocked, register-tiled matrix multiplication with a
 // deterministic goroutine fan-out over row panels of C and, on amd64 with
-// AVX2, packed-tile vector micro-kernels for the 16-column bands.
+// AVX2, packed-tile vector micro-kernels for 16-column bands plus one
+// 8-column band for what they leave.
 //
 // All three variants (MatMul, MatMulTransA, MatMulTransB) share the same
 // structure: a serial panel kernel computes a contiguous range of C rows,
@@ -15,9 +16,11 @@
 // add each lane with separate VMULPS/VADDPS instructions (never FMA, which
 // the Go compiler also never emits for float32 expressions), accumulate each
 // k block in registers starting from zero, and fold into C once per block —
-// the exact rounding sequence of the scalar tiles. Column/row remainders
-// that don't fill a 16-wide band run the scalar code, which performs the
-// same per-element sequence, so AVX2 on/off is bit-identical too
+// the exact rounding sequence of the scalar tiles. Columns are covered by
+// 16-wide bands, then one 8-wide band when at least 8 remain (an output
+// narrower than 16 columns, such as a conv layer with 8 channels, is that
+// band alone); only the last < 8 columns run the scalar code, which performs
+// the same per-element sequence, so AVX2 on/off is bit-identical too
 // (test-enforced via gemmForceScalar).
 //
 // MatMulBias/MatMulBiasReLU fuse the A·Bᵀ layout's bias-add and ReLU
@@ -146,8 +149,8 @@ func MatMul(a, b, c *Tensor) {
 // gemmBlockK×n slab of B is reused while cache-resident. Within a block,
 // full 16-wide column bands are packed into a contiguous tile (so the
 // micro-kernel streams B at stride 16 regardless of n) and handed to the
-// AVX2 4×16 / 1×16 kernels; the scalar 2×4 register tile covers remainders
-// and non-AVX2 hosts.
+// AVX2 4×16 / 1×16 kernels, 8 further columns to the 8×8 / 1×8 kernels; the
+// scalar 2×4 register tile covers the last < 8 columns and non-AVX2 hosts.
 //
 // Determinism: every C element, on every path (vector band or scalar tile,
 // any unroll), experiences the identical rounding sequence — a block-local
@@ -189,11 +192,31 @@ func matMulPanel(ad, bd, cd []float32, i0, i1, k, n int) {
 						gemmMicro1x16(&ad[i*k+p0], &pack[0], &cd[i*n+j], kc)
 					}
 				}
+				if j+8 <= jMax {
+					for p := 0; p < kc; p++ {
+						base := (p0+p)*n + j
+						copy(pack[p*8:p*8+8], bd[base:base+8])
+					}
+					gemmBand8(ad, pack[:], cd, i0, i1, k, n, p0, j, kc)
+					j += 8
+				}
 			}
 			if j < jMax {
 				matMulScalarTile(ad, bd, cd, i0, i1, k, n, p0, pMax, j, jMax)
 			}
 		}
+	}
+}
+
+// gemmBand8 folds one k block of one packed 8-column band into rows
+// [i0, i1) of C: C[i][j:j+8] += A[i][p0:p0+kc]·pack, eight rows at a time.
+func gemmBand8(ad, pack, cd []float32, i0, i1, k, n, p0, j, kc int) {
+	i := i0
+	for ; i+8 <= i1; i += 8 {
+		gemmMicro8x8(&ad[i*k+p0], k, &pack[0], &cd[i*n+j], n, kc)
+	}
+	for ; i < i1; i++ {
+		gemmMicro1x8(&ad[i*k+p0], &pack[0], &cd[i*n+j], kc)
 	}
 }
 
@@ -387,9 +410,10 @@ func matMulTransBEp(a, b, c *Tensor, bias []float32, ep int) {
 
 // matMulTransBPanel computes C rows [i0, i1) of C = A·Bᵀ, then applies the
 // requested epilogue. The k loop is blocked like matMulPanel's; within a
-// block, 16 B rows at a time are packed transposed (pack[p][t] = B[j+t][p])
-// so the same 4×16/1×16 micro-kernels used by MatMul consume them, and the
-// scalar quad-dot tile covers the remainder columns and non-AVX2 hosts.
+// block, 16 B rows at a time — then 8, when at least 8 remain — are packed
+// transposed (pack[p][t] = B[j+t][p]) so the same micro-kernels used by
+// MatMul consume them, and the scalar quad-dot tile covers the last < 8
+// columns and non-AVX2 hosts.
 //
 // Determinism: each C element accumulates its k terms ascending-p with a
 // block-local accumulator folded once per block (vector and scalar paths
@@ -427,6 +451,16 @@ func matMulTransBPanel(ad, bd, cd []float32, i0, i1, k, n int, bias []float32, e
 				for ; i < i1; i++ {
 					gemmMicro1x16(&ad[i*k+p0], &pack[0], &cd[i*n+j], kc)
 				}
+			}
+			if j+8 <= n {
+				for t := 0; t < 8; t++ {
+					row := bd[(j+t)*k+p0 : (j+t)*k+pMax]
+					for p, v := range row {
+						pack[p*8+t] = v
+					}
+				}
+				gemmBand8(ad, pack[:], cd, i0, i1, k, n, p0, j, kc)
+				j += 8
 			}
 		}
 		if j < n {

@@ -171,6 +171,149 @@ loop1x16:
 	VZEROUPPER
 	RET
 
+// func gemmMicro8x8(a *float32, lda int, b *float32, c *float32, ldc int, kc int)
+//
+// C[0:8][0:8] += A[0:8][0:kc] · B[0:kc][0:8], with A row-major (stride lda
+// floats), B packed contiguously (stride 8 floats) and C row-major (stride
+// ldc floats): the band kernel for outputs narrower than 16 columns (conv
+// layers with 8 output channels). Eight rows give eight independent add
+// chains, enough to cover the VADDPS latency with one B vector per step.
+// kc must be >= 1.
+TEXT ·gemmMicro8x8(SB), NOSPLIT, $0-48
+	MOVQ a+0(FP), R8
+	MOVQ lda+8(FP), R12
+	SHLQ $2, R12                      // lda in bytes
+	LEAQ (R12)(R12*2), R13            // 3*lda
+	LEAQ (R8)(R12*4), R9              // a row 4
+	MOVQ b+16(FP), DI
+	MOVQ kc+40(FP), CX
+
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+
+loop8x8:
+	VMOVUPS (DI), Y8                  // b[p][0:8]
+
+	VBROADCASTSS (R8), Y9
+	VMULPS Y8, Y9, Y10                // a0*b (src1 = a, as the scalar kernel)
+	VADDPS Y10, Y0, Y0                // acc += prod (src1 = acc)
+
+	VBROADCASTSS (R8)(R12*1), Y11
+	VMULPS Y8, Y11, Y12
+	VADDPS Y12, Y1, Y1
+
+	VBROADCASTSS (R8)(R12*2), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y2, Y2
+
+	VBROADCASTSS (R8)(R13*1), Y11
+	VMULPS Y8, Y11, Y12
+	VADDPS Y12, Y3, Y3
+
+	VBROADCASTSS (R9), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y4, Y4
+
+	VBROADCASTSS (R9)(R12*1), Y11
+	VMULPS Y8, Y11, Y12
+	VADDPS Y12, Y5, Y5
+
+	VBROADCASTSS (R9)(R12*2), Y9
+	VMULPS Y8, Y9, Y10
+	VADDPS Y10, Y6, Y6
+
+	VBROADCASTSS (R9)(R13*1), Y11
+	VMULPS Y8, Y11, Y12
+	VADDPS Y12, Y7, Y7
+
+	ADDQ $4, R8
+	ADDQ $4, R9
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loop8x8
+
+	// Fold into C: c = c + acc (src1 = c, matching the scalar `ci[j] += s`).
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R12
+	SHLQ $2, R12
+
+	VMOVUPS (DX), Y8
+	VADDPS Y0, Y8, Y8
+	VMOVUPS Y8, (DX)
+	ADDQ R12, DX
+
+	VMOVUPS (DX), Y8
+	VADDPS Y1, Y8, Y8
+	VMOVUPS Y8, (DX)
+	ADDQ R12, DX
+
+	VMOVUPS (DX), Y8
+	VADDPS Y2, Y8, Y8
+	VMOVUPS Y8, (DX)
+	ADDQ R12, DX
+
+	VMOVUPS (DX), Y8
+	VADDPS Y3, Y8, Y8
+	VMOVUPS Y8, (DX)
+	ADDQ R12, DX
+
+	VMOVUPS (DX), Y8
+	VADDPS Y4, Y8, Y8
+	VMOVUPS Y8, (DX)
+	ADDQ R12, DX
+
+	VMOVUPS (DX), Y8
+	VADDPS Y5, Y8, Y8
+	VMOVUPS Y8, (DX)
+	ADDQ R12, DX
+
+	VMOVUPS (DX), Y8
+	VADDPS Y6, Y8, Y8
+	VMOVUPS Y8, (DX)
+	ADDQ R12, DX
+
+	VMOVUPS (DX), Y8
+	VADDPS Y7, Y8, Y8
+	VMOVUPS Y8, (DX)
+
+	VZEROUPPER
+	RET
+
+// func gemmMicro1x8(a *float32, b *float32, c *float32, kc int)
+//
+// C[0:8] += A[0:kc] · B[0:kc][0:8], B packed (stride 8 floats). The
+// row-remainder companion of gemmMicro8x8. kc must be >= 1.
+TEXT ·gemmMicro1x8(SB), NOSPLIT, $0-32
+	MOVQ a+0(FP), R8
+	MOVQ b+8(FP), DI
+	MOVQ kc+24(FP), CX
+
+	VXORPS Y0, Y0, Y0
+
+loop1x8:
+	VMOVUPS (DI), Y8
+	VBROADCASTSS (R8), Y10
+	VMULPS Y8, Y10, Y11
+	VADDPS Y11, Y0, Y0
+	ADDQ $4, R8
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loop1x8
+
+	MOVQ c+16(FP), DX
+	VMOVUPS (DX), Y8
+	VADDPS Y0, Y8, Y8
+	VMOVUPS Y8, (DX)
+
+	VZEROUPPER
+	RET
+
 // func gemmSaxpy4(a *float32, b *float32, c *float32, ldc int, nv int)
 //
 // The TransA kernel: C[r][j] += a[r] * b[j] for r in 0..3 and j in

