@@ -1,13 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"math"
-
-	"disttrain/internal/des"
-	"disttrain/internal/metrics"
-	"disttrain/internal/simnet"
-)
+import "math"
 
 // AdaComm is adaptive-communication elastic averaging, after Ho et al.
 // (CCGRID'18) — the paper's reference [15], the last of its ten reviewed
@@ -24,97 +17,36 @@ import (
 // experiments.
 const AdaComm Algo = "adacomm"
 
-// runAdaComm is EASGD's elastic protocol with a per-worker adaptive period.
-func runAdaComm(x *exp) {
+// adaCommPeriod returns worker w's "sync now?" rule for runEASGD, asked once
+// per iteration after the local step.
+func (x *exp) adaCommPeriod(w int) func(it int) bool {
 	cfg := x.cfg
-	alpha := float32(cfg.MovingRate)
-
-	// Shards are identical to EASGD's: stateless elastic responders.
-	for s := range x.assign {
-		s := s
-		x.eng.Spawn(fmt.Sprintf("adacomm-ps%d", s), func(p *des.Proc) {
-			inbox := x.psInbox(s)
-			for {
-				m := inbox.Recv(p)
-				if m.Kind != kindEASGDPush {
-					panic(fmt.Sprintf("adacomm shard: unexpected kind %d", m.Kind))
-				}
-				psAggSleep(p, m.Bytes)
-				x.global.ElasticUpdate(x.assign[s], m.Vec, alpha)
-				x.net.Send(simnet.Msg{From: x.psNode[s], To: m.From,
-					Kind: kindEASGDReply, Seg: s, Bytes: x.shardBytes(s), Vec: m.Vec})
+	var firstLoss float64
+	sinceSync := 0
+	return func(it int) bool {
+		sinceSync++
+		tau := cfg.Tau
+		if x.reps[w].mathOn() && x.reps[w].lossInit {
+			if firstLoss == 0 {
+				firstLoss = x.reps[w].lossEWMA
 			}
-		})
-	}
-
-	for w := 0; w < cfg.Workers; w++ {
-		w := w
-		x.eng.Spawn(fmt.Sprintf("adacomm-worker%d", w), func(p *des.Proc) {
-			inbox := x.inbox(w)
-			bd := &x.col.Workers[w].Breakdown
-			var firstLoss float64
-			sinceSync := 0
-			for it := 1; it <= cfg.Iters; it++ {
-				// Fault schedules are rejected for AdaComm in Validate; the
-				// gate only serves context cancellation here.
-				nit, ok := x.gate(p, w, it)
-				if !ok {
-					break
-				}
-				it = nit
-				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
-				sinceSync++
-
-				tau := cfg.Tau
-				if x.reps[w].mathOn() && x.reps[w].lossInit {
-					if firstLoss == 0 {
-						firstLoss = x.reps[w].lossEWMA
-					}
-					ratio := x.reps[w].lossEWMA / firstLoss
-					if ratio > 1 {
-						ratio = 1
-					}
-					tau = int(math.Ceil(float64(cfg.Tau) * math.Sqrt(ratio)))
-				} else {
-					// Cost-only: linear decay τ₀ → 1 over the run.
-					frac := 1 - float64(it)/float64(cfg.Iters)
-					tau = int(math.Ceil(float64(cfg.Tau) * frac))
-				}
-				if tau < 1 {
-					tau = 1
-				}
-
-				if sinceSync >= tau {
-					sinceSync = 0
-					params := x.reps[w].Params()
-					for s := range x.assign {
-						var payload []float32
-						if params != nil {
-							payload = append([]float32(nil), params...)
-						}
-						x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.psNode[s],
-							Kind: kindEASGDPush, Clock: it, Seg: s,
-							Bytes: x.shardBytes(s), Vec: payload})
-					}
-					t0 := p.Now()
-					var wire des.Time
-					for recv := 0; recv < len(x.assign); recv++ {
-						m := inbox.Recv(p)
-						if m.Kind != kindEASGDReply {
-							panic(fmt.Sprintf("adacomm worker: unexpected kind %d", m.Kind))
-						}
-						wire += m.WireSec
-						if m.Vec != nil {
-							x.reps[w].setRanges(x.assign[m.Seg], m.Vec)
-						}
-					}
-					bd.Add(metrics.Network, wire)
-					bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
-				}
-				x.iterDone(w, it)
+			ratio := x.reps[w].lossEWMA / firstLoss
+			if ratio > 1 {
+				ratio = 1
 			}
-			x.finish(w)
-		})
+			tau = int(math.Ceil(float64(cfg.Tau) * math.Sqrt(ratio)))
+		} else {
+			// Cost-only: linear decay τ₀ → 1 over the run.
+			frac := 1 - float64(it)/float64(cfg.Iters)
+			tau = int(math.Ceil(float64(cfg.Tau) * frac))
+		}
+		if tau < 1 {
+			tau = 1
+		}
+		if sinceSync < tau {
+			return false
+		}
+		sinceSync = 0
+		return true
 	}
 }

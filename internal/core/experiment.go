@@ -21,18 +21,20 @@ import (
 	"disttrain/internal/topo"
 )
 
-type rangeT = ps.Range
-
-// Message kinds on the simulated network.
+// Message kinds on the simulated network. The parameter-server kinds are
+// ps's own, so the shard driver converts with a cast.
 const (
-	kindGrad = iota + 1
-	kindSparseGrad
-	kindParams
-	kindPull
-	kindAck
-	kindEASGDPush
-	kindEASGDReply
-	kindAllReduce
+	kindGrad       = int(ps.Grad)
+	kindSparseGrad = int(ps.SparseGrad)
+	kindParams     = int(ps.Params)
+	kindPull       = int(ps.Pull)
+	kindAck        = int(ps.Ack)
+	kindEASGDPush  = int(ps.Push)
+	kindEASGDReply = int(ps.PushReply)
+)
+
+const (
+	kindAllReduce = iota + 8
 	kindGossip
 	kindExchangeReq
 	kindExchangeReply
@@ -550,18 +552,6 @@ func costOnlyDGCRatio(cfg *grad.DGCConfig, iter int) float64 {
 	return math.Pow(cfg.Ratio, float64(iter)/float64(cfg.WarmupIters))
 }
 
-// addRanges accumulates src into dst over the given flat ranges (both
-// full-length vectors).
-func addRanges(dst, src []float32, ranges []rangeT) {
-	for _, r := range ranges {
-		d := dst[r.Off : r.Off+r.Len]
-		s := src[r.Off : r.Off+r.Len]
-		for i, v := range s {
-			d[i] += v
-		}
-	}
-}
-
 // psAggSleep models the shard-side processing cost of applying one message.
 func psAggSleep(p *des.Proc, bytes int64) {
 	p.Sleep(float64(bytes) / costmodel.AggRateBytesPerSec)
@@ -846,13 +836,11 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		defer x.pool.Close()
 	}
 	switch cfg.Algo {
-	case BSP:
-		runBSP(x)
-	case ASP:
-		runASP(x)
+	case BSP, ASP:
+		runGradPS(x)
 	case SSP:
 		runSSP(x)
-	case EASGD:
+	case EASGD, AdaComm:
 		runEASGD(x)
 	case ARSGD:
 		runARSGD(x)
@@ -862,8 +850,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		runADPSGD(x)
 	case DPSGD:
 		runDPSGD(x)
-	case AdaComm:
-		runAdaComm(x)
 	case Hogwild:
 		runHogwild(x)
 	default:

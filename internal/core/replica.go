@@ -36,7 +36,7 @@ type Replica struct {
 	grads []float32
 	// arena recycles the model's layer scratch buffers; flat is a reusable
 	// parameter staging vector for the merges that read every parameter
-	// (setRanges, Average, WeightedMerge), so steady-state steps allocate
+	// (Average, WeightedMerge), so steady-state steps allocate
 	// ~nothing.
 	arena *tensor.Arena
 	flat  []float32
@@ -106,14 +106,6 @@ func (r *Replica) unlock() {
 
 // mathOn reports whether this replica does real parameter math.
 func (r *Replica) mathOn() bool { return r.model != nil }
-
-// size returns the flat parameter count (0 in cost-only mode).
-func (r *Replica) size() int {
-	if r.model == nil {
-		return 0
-	}
-	return r.model.NumParams()
-}
 
 // ComputeGrad runs one forward/backward pass on the next mini-batch, folds
 // its loss into the EWMA and returns the replica's gradient buffer (valid
@@ -250,19 +242,6 @@ func (r *Replica) SetParams(src []float32) {
 	defer r.unlock()
 	r.settle()
 	r.model.SetFlatParams(src)
-}
-
-// setRanges overwrites only the given flat ranges from src (full-length).
-func (r *Replica) setRanges(ranges []rangeT, src []float32) {
-	if r.model == nil || src == nil {
-		return
-	}
-	r.settle()
-	flat := r.model.FlatParams(r.flat)
-	for _, rg := range ranges {
-		copy(flat[rg.Off:rg.Off+rg.Len], src[rg.Off:rg.Off+rg.Len])
-	}
-	r.model.SetFlatParams(flat)
 }
 
 // Average sets params ← (params + other)/2, the AD-PSGD/gossip merge.

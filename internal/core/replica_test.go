@@ -95,23 +95,6 @@ func TestReplicaWeightedMerge(t *testing.T) {
 	}
 }
 
-func TestReplicaSetRanges(t *testing.T) {
-	r := testReplica(t, 0)
-	n := r.size()
-	src := make([]float32, n)
-	for i := range src {
-		src[i] = 42
-	}
-	r.setRanges([]rangeT{{Off: 0, Len: 3}, {Off: n - 2, Len: 2}}, src)
-	got := r.Params()
-	if got[0] != 42 || got[2] != 42 || got[n-1] != 42 {
-		t.Fatal("ranges not written")
-	}
-	if got[4] == 42 {
-		t.Fatal("out-of-range index written")
-	}
-}
-
 func TestReplicaLocalStepMovesParams(t *testing.T) {
 	r := testReplica(t, 0)
 	before := r.Params()
@@ -132,7 +115,7 @@ func TestReplicaLocalStepMovesParams(t *testing.T) {
 
 func TestCostReplicaNoOps(t *testing.T) {
 	r := newCostReplica()
-	if r.mathOn() || r.size() != 0 {
+	if r.mathOn() {
 		t.Fatal("cost replica claims math")
 	}
 	if g := r.ComputeGrad(); g != nil {
@@ -144,7 +127,6 @@ func TestCostReplicaNoOps(t *testing.T) {
 	// All of these must be safe no-ops on nil state.
 	r.LocalStep(nil, 0.1)
 	r.SetParams(nil)
-	r.setRanges([]rangeT{{Off: 0, Len: 4}}, nil)
 	r.Average(nil)
 	if w := r.WeightedMerge(1, nil, 0.5); w != 1.5 {
 		t.Fatalf("cost merge weight %v", w)

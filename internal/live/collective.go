@@ -69,7 +69,7 @@ func (l *arLink) Send(to, seg, lo, hi int, own bool) error {
 }
 
 func (l *arLink) Recv(seg, lo, hi int, fold comm.Fold) error {
-	f, err := l.mb.recvMatch(kindAllReduce, l.clock, int32(seg), true, recvTimeout)
+	f, err := l.mb.recvMatch(kindAllReduce, l.clock, int32(seg), recvTimeout)
 	if err != nil {
 		return err
 	}

@@ -11,11 +11,13 @@
 //     bit-identical to a core.Run of the same Config and seed. This works
 //     because both sides share the code under the algorithms — streams from
 //     core.DeriveStreams, replicas from core.NewReplica, ring/tree AllReduce
-//     from comm.Flat — and BSP's server sums gradients in ascending sender
-//     rank.
+//     from comm.Flat, and the parameter server itself: ps.Shard, which folds
+//     a BSP round in ascending sender rank whatever the arrival order.
 //   - Asynchronous algorithms (ASP, SSP, EASGD, GoSGD, AD-PSGD) run with
 //     real nondeterminism — arrival order at the PS, gossip interleaving —
-//     and report the same metrics Summary shape as the simulator.
+//     and report the same metrics Summary shape as the simulator. The PS
+//     ones feed that order into the simulator's own ps.Shard, so with one
+//     worker (one possible order) they are bit-identical too.
 //
 // Entry points: RunLoopback (coordinator + N goroutine workers over
 // loopback TCP, no orchestration needed), RunChan (in-process channel
@@ -51,9 +53,10 @@ var ErrScheduledDeath = errors.New("live: worker stopped at scheduled death (rel
 // config through core's Validate first, then rejects everything the live
 // runtime does not support: cost-only mode (a wall-clock run of no real
 // math measures nothing), PS sharding (live hosts a single PS rank),
-// simulator-only optimizations, elastic membership outside BSP/AR-SGD, and
-// crash faults without elastic membership (faithful stall-and-rerun crash
-// semantics are simulator-only).
+// the simulator-only optimizations (wait-free BP, DGC, local aggregation),
+// elastic membership outside BSP/AR-SGD, and crash faults without elastic
+// membership (faithful stall-and-rerun crash semantics are simulator-only).
+// ASP's staleness damping is the shared ps.Shard's and runs live.
 func Validate(cfg *core.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -76,8 +79,6 @@ func Validate(cfg *core.Config) error {
 		return fmt.Errorf("live: DGC is not supported on the live path")
 	case cfg.LocalAgg:
 		return fmt.Errorf("live: local aggregation is not supported on the live path")
-	case cfg.StalenessDamping:
-		return fmt.Errorf("live: staleness damping is not supported on the live path")
 	case cfg.ADPSGDNoBipartite:
 		return fmt.Errorf("live: the AD-PSGD no-bipartite ablation is simulator-only")
 	}

@@ -269,6 +269,65 @@ func TestLiveAsyncAlgosComplete(t *testing.T) {
 	}
 }
 
+// TestLiveAsyncPSBitIdenticalToSimOneWorker is the sim↔live equality gate
+// for the asynchronous PS algorithms. What the PS does with a message is
+// the one ps.Shard in both runtimes, so the only thing a wall-clock run may
+// change is the arrival order — and a single worker admits only one. ASP
+// (with and without staleness damping), SSP and EASGD, dense and with int8
+// gradient frames, over sockets and over channels, must therefore end on
+// the simulator's parameters bit for bit.
+func TestLiveAsyncPSBitIdenticalToSimOneWorker(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		algo core.Algo
+		mut  func(*core.Config)
+	}{
+		{"asp", core.ASP, nil},
+		{"asp damping", core.ASP, func(c *core.Config) { c.StalenessDamping = true }},
+		{"ssp", core.SSP, nil},
+		{"easgd", core.EASGD, nil},
+	} {
+		for _, int8 := range []bool{false, true} {
+			if int8 && tc.algo == core.EASGD {
+				continue // ships parameters: core rejects a gradient codec
+			}
+			cfg := liveConfig(tc.algo, 1, 12, 42)
+			cfg.Quantize8 = int8
+			if tc.mut != nil {
+				tc.mut(&cfg)
+			}
+			sim := simParams(t, cfg)
+			for _, run := range []func(core.Config, ...Option) (*Result, error){RunLoopback, RunChan} {
+				res, err := run(cfg)
+				if err != nil {
+					t.Fatalf("%s int8=%v: %v", tc.name, int8, err)
+				}
+				requireBitIdentical(t, sim, res.WorkerParams)
+			}
+		}
+	}
+}
+
+// TestLiveASPStalenessDamping: damping rides along in the shared shard, so
+// a four-worker live ASP run with real arrival-order nondeterminism accepts
+// it, completes and learns.
+func TestLiveASPStalenessDamping(t *testing.T) {
+	cfg := liveConfig(core.ASP, 4, 8, 11)
+	cfg.StalenessDamping = true
+	res, err := RunLoopback(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, n := range res.WorkerIters {
+		if n != cfg.Iters {
+			t.Fatalf("worker %d completed %d/%d iterations", w, n, cfg.Iters)
+		}
+	}
+	if res.FinalTestAcc <= 1.0/3+0.05 {
+		t.Fatalf("damped ASP live run did not learn: acc %.3f", res.FinalTestAcc)
+	}
+}
+
 // TestLiveBSPSurvivesKilledConnections exercises the fault satellite: a
 // drop schedule becomes connection kills on the live transport, and
 // because kills happen before the write and the frame is retried on a
@@ -361,7 +420,6 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 		{"wait-free BP", func(c *core.Config) { c.WaitFreeBP = true }},
 		{"local agg", func(c *core.Config) { c.LocalAgg = true }},
 		{"elastic async", func(c *core.Config) { c.Algo = core.ASP; c.Elastic = true }},
-		{"staleness damping", func(c *core.Config) { c.Algo = core.ASP; c.StalenessDamping = true }},
 		{"crash without elastic", func(c *core.Config) {
 			c.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Crash, AtIter: 1, Worker: 0}}}
 		}},

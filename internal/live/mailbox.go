@@ -5,23 +5,25 @@ import (
 	"fmt"
 	"time"
 
+	"disttrain/internal/ps"
 	"disttrain/internal/xport"
 )
 
 // Data-plane frame kinds. The values mirror internal/core's message kinds
 // one for one so a packet capture of a live run reads against the
-// simulator's message taxonomy.
+// simulator's message taxonomy; the parameter-server kinds are ps's own, so
+// the server converts with a cast.
 const (
-	kindGrad        uint16 = 1
-	kindParams      uint16 = 3
-	kindPull        uint16 = 4
-	kindAck         uint16 = 5
-	kindEASGDPush   uint16 = 6
-	kindEASGDReply  uint16 = 7
-	kindAllReduce   uint16 = 8
-	kindGossip      uint16 = 9
-	kindExchangeReq uint16 = 10
-	kindExchangeRep uint16 = 11
+	kindGrad        = uint16(ps.Grad)
+	kindParams      = uint16(ps.Params)
+	kindPull        = uint16(ps.Pull)
+	kindAck         = uint16(ps.Ack)
+	kindEASGDPush   = uint16(ps.Push)
+	kindEASGDReply  = uint16(ps.PushReply)
+	kindAllReduce   = uint16(8)
+	kindGossip      = uint16(9)
+	kindExchangeReq = uint16(10)
+	kindExchangeRep = uint16(11)
 )
 
 // Control-plane frame kinds, used on the rendezvous connection and for the
@@ -71,41 +73,37 @@ func (mb *mailbox) recv(timeout time.Duration) (xport.Frame, error) {
 }
 
 // match reports whether f is the frame recvMatch is waiting for.
-func match(f xport.Frame, kind uint16, clock int32, seg int32, useSeg bool) bool {
-	return f.Kind == kind && f.Clock == clock && (!useSeg || f.Seg == seg)
+func match(f xport.Frame, kind uint16, clock, seg int32) bool {
+	return f.Kind == kind && f.Clock == clock && f.Seg == seg
 }
 
 // recvMatch returns the first frame (stash first, then the wire) with the
-// given kind and clock — and seg, when useSeg is set, which the collectives
-// use to separate chunks and phases. Non-matching frames are stashed in
-// arrival order. The timeout covers the whole wait.
-func (mb *mailbox) recvMatch(kind uint16, clock, seg int32, useSeg bool, timeout time.Duration) (xport.Frame, error) {
+// given kind, clock and seg — the collectives use seg to separate chunks and
+// phases; every PS and control frame carries 0. Non-matching frames are
+// stashed in arrival order. The timeout covers the whole wait.
+func (mb *mailbox) recvMatch(kind uint16, clock, seg int32, timeout time.Duration) (xport.Frame, error) {
 	for i, f := range mb.stash {
-		if match(f, kind, clock, seg, useSeg) {
+		if match(f, kind, clock, seg) {
 			mb.stash = append(mb.stash[:i], mb.stash[i+1:]...)
 			return f, nil
 		}
 	}
 	deadline := time.Now().Add(timeout)
-	for {
-		remain := time.Until(deadline)
-		if remain <= 0 {
-			return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d (useSeg=%v): %w",
-				kind, clock, seg, useSeg, xport.ErrTimeout)
-		}
+	for remain := timeout; remain > 0; remain = time.Until(deadline) {
 		f, err := mb.ep.Recv(remain)
+		if errors.Is(err, xport.ErrTimeout) {
+			break
+		}
 		if err != nil {
-			if errors.Is(err, xport.ErrTimeout) {
-				return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d (useSeg=%v): %w",
-					kind, clock, seg, useSeg, err)
-			}
 			return xport.Frame{}, err
 		}
-		if match(f, kind, clock, seg, useSeg) {
+		if match(f, kind, clock, seg) {
 			return f, nil
 		}
 		mb.stash = append(mb.stash, f)
 	}
+	return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d: %w",
+		kind, clock, seg, xport.ErrTimeout)
 }
 
 // poll performs a short non-blocking-ish receive: it drains the stash
@@ -113,12 +111,7 @@ func (mb *mailbox) recvMatch(kind uint16, clock, seg int32, useSeg bool, timeout
 // nothing arrived — the asynchronous drains (GoSGD gossip, SSP acks) call
 // this between iterations.
 func (mb *mailbox) poll() (xport.Frame, bool, error) {
-	if len(mb.stash) > 0 {
-		f := mb.stash[0]
-		mb.stash = mb.stash[1:]
-		return f, true, nil
-	}
-	f, err := mb.ep.Recv(200 * time.Microsecond)
+	f, err := mb.recv(200 * time.Microsecond)
 	if errors.Is(err, xport.ErrTimeout) {
 		return xport.Frame{}, false, nil
 	}

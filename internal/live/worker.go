@@ -7,6 +7,7 @@ import (
 	"disttrain/internal/comm"
 	"disttrain/internal/core"
 	"disttrain/internal/nn"
+	"disttrain/internal/ps"
 	"disttrain/internal/rng"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
@@ -154,18 +155,18 @@ func (e deathErr) Error() string {
 // channel transport (which cannot lose bytes) does not and needs nothing.
 type peerDropper interface{ DropPeer(int) }
 
-// dropResumedPeers discards cached connections to every peer that comes
-// back from a dead window exactly at iteration it. The old socket is
+// dropResumedPeers discards self's cached connections to every worker that
+// comes back from a dead window exactly at iteration it. The old socket is
 // half-closed on the peer's side; a write on it could be silently lost, so
 // the first post-restart exchange must start on a fresh dial.
-func (w *worker) dropResumedPeers(it int) {
-	pd, ok := w.ep.(peerDropper)
-	if !ok {
+func dropResumedPeers(ep xport.Endpoint, ch *chaos, self, it int) {
+	pd, ok := ep.(peerDropper)
+	if ch == nil || !ok {
 		return
 	}
-	for ww := 0; ww < w.cfg.Workers; ww++ {
-		if ww != w.rank && w.ch.resumedAt(ww, it) {
-			pd.DropPeer(ww)
+	for w := 0; w < ch.cfg.Workers; w++ {
+		if w != self && ch.resumedAt(w, it) {
+			pd.DropPeer(w)
 		}
 	}
 }
@@ -180,7 +181,7 @@ func (w *worker) gate(it int) error {
 	if !w.ch.aliveAt(w.rank, it) {
 		return deathErr{it: it}
 	}
-	w.dropResumedPeers(it)
+	dropResumedPeers(w.ep, w.ch, w.rank, it)
 	return nil
 }
 
@@ -209,10 +210,8 @@ func (w *worker) gradSpan() []float32 {
 func (w *worker) run() error {
 	var err error
 	switch w.cfg.Algo {
-	case core.BSP:
-		err = w.runBSP()
-	case core.ASP:
-		err = w.runASP()
+	case core.BSP, core.ASP:
+		err = w.runGradPS()
 	case core.SSP:
 		err = w.runSSP()
 	case core.EASGD:
@@ -247,23 +246,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 		<-stop
 		return nil
 	}
-	for {
-		select {
-		case <-stop:
-			// One final sweep so a gossip that raced the BYE and is already
-			// buffered (or in flight) still lands.
-			for {
-				f, ok, err := w.mb.poll()
-				if err != nil || !ok {
-					return err
-				}
-				if f.Kind == kindGossip {
-					w.weight = w.rep.WeightedMerge(w.weight, f.Vec, f.Aux)
-					f.Release()
-				}
-			}
-		default:
-		}
+	for stopped := false; ; {
 		f, ok, err := w.mb.poll()
 		if err != nil {
 			return err
@@ -272,10 +255,26 @@ func (w *worker) tail(stop <-chan struct{}) error {
 			w.weight = w.rep.WeightedMerge(w.weight, f.Vec, f.Aux)
 			f.Release()
 		}
+		// After the BYE keep sweeping until a poll comes back empty, so a
+		// gossip that raced it and is already buffered (or in flight) still
+		// lands.
+		if stopped && !ok {
+			return nil
+		}
+		select {
+		case <-stop:
+			stopped = true
+		default:
+		}
 	}
 }
 
-func (w *worker) runBSP() error {
+// runGradPS is BSP's and ASP's worker loop, which are the same exchange —
+// push the gradient, wait for the parameters the PS answers with — against
+// different shard protocols. Chaos membership and checkpoints are BSP's:
+// live.Validate admits crash schedules for BSP only (startIter stays 1 and
+// the gate is a no-op without one), and an ASP worker writes no checkpoint.
+func (w *worker) runGradPS() error {
 	cfg := w.cfg
 	for it := w.startIter; it <= cfg.Iters; it++ {
 		if err := w.gate(it); err != nil {
@@ -285,52 +284,41 @@ func (w *worker) runBSP() error {
 		w.draws++
 		gf := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
 		w.encodeGrad(g, gf)
-		sp := w.span("ps-exchange", "comm")
-		if err := w.ep.Send(w.srv, gf); err != nil {
+		if err := w.exchange("ps-exchange", gf, kindParams); err != nil {
 			return err
 		}
-		f, err := w.mb.recvMatch(kindParams, int32(it), 0, false, recvTimeout)
-		if err != nil {
-			return err
-		}
-		sp.End()
-		w.rep.SetParams(f.Vec)
-		f.Release()
 		w.note(it)
-		if err := w.maybeCheckpoint(it); err != nil {
-			return err
+		if cfg.Algo == core.BSP {
+			if err := w.maybeCheckpoint(it); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func (w *worker) runASP() error {
-	cfg := w.cfg
-	for it := 1; it <= cfg.Iters; it++ {
-		g := w.gradSpan()
-		gf := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
-		w.encodeGrad(g, gf)
-		sp := w.span("ps-exchange", "comm")
-		if err := w.ep.Send(w.srv, gf); err != nil {
-			return err
-		}
-		f, err := w.mb.recvMatch(kindParams, int32(it), 0, false, recvTimeout)
-		if err != nil {
-			return err
-		}
-		sp.End()
-		w.rep.SetParams(f.Vec)
-		f.Release()
-		w.note(it)
+// exchange is the worker's half of a PS round trip: send f, block for the
+// reply of the given kind that echoes f's clock, and install the parameters
+// it carries. Whatever else arrives meanwhile (SSP acks) is stashed for the
+// next poll.
+func (w *worker) exchange(span string, f *xport.Frame, reply uint16) error {
+	sp := w.span(span, "comm")
+	if err := w.ep.Send(w.srv, f); err != nil {
+		return err
 	}
+	r, err := w.mb.recvMatch(reply, f.Clock, 0, recvTimeout)
+	if err != nil {
+		return err
+	}
+	sp.End()
+	w.rep.SetParams(r.Vec)
+	r.Release()
 	return nil
 }
 
 func (w *worker) runSSP() error {
 	cfg := w.cfg
-	s := cfg.Staleness
-	lastMin := 0
-	sinceRefresh := 0
+	bound := ps.Bound{S: cfg.Staleness}
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
 		// Petuum-style SSP: apply locally, ship the resulting *update*.
@@ -360,43 +348,16 @@ func (w *worker) runSSP() error {
 			if f.Kind != kindAck {
 				return fmt.Errorf("ssp drain: unexpected kind %d", f.Kind)
 			}
-			if int(f.Clock) > lastMin {
-				lastMin = int(f.Clock)
-			}
+			bound.Ack(int(f.Clock))
 		}
-		sinceRefresh++
-		if sinceRefresh > s || it-lastMin > s {
+		if bound.Stale(it) {
 			// Staleness bound exceeded: pull the global parameters and block
 			// until the PS's clock service releases us.
-			sp := w.span("ssp-sync", "comm")
-			if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindPull, From: int32(w.rank),
-				Clock: int32(it)}); err != nil {
+			pull := &xport.Frame{Kind: kindPull, From: int32(w.rank), Clock: int32(it)}
+			if err := w.exchange("ssp-sync", pull, kindParams); err != nil {
 				return err
 			}
-			for {
-				f, err := w.mb.recv(recvTimeout)
-				if err != nil {
-					return err
-				}
-				if f.Kind == kindAck {
-					if int(f.Clock) > lastMin {
-						lastMin = int(f.Clock)
-					}
-					continue
-				}
-				if f.Kind != kindParams {
-					return fmt.Errorf("ssp worker: unexpected kind %d", f.Kind)
-				}
-				w.rep.SetParams(f.Vec)
-				f.Release()
-				break
-			}
-			sp.End()
-			sinceRefresh = 0
-			if lastMin < it-s {
-				// The PS only releases when the bound holds.
-				lastMin = it - s
-			}
+			bound.Refreshed(it)
 		}
 		w.note(it)
 	}
@@ -409,18 +370,10 @@ func (w *worker) runEASGD() error {
 		g := w.gradSpan()
 		w.rep.LocalStep(g, cfg.LR.At(it-1))
 		if it%cfg.Tau == 0 {
-			sp := w.span("easgd-sync", "comm")
-			if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindEASGDPush, From: int32(w.rank),
-				Clock: int32(it), Vec: w.rep.Params()}); err != nil {
+			push := &xport.Frame{Kind: kindEASGDPush, From: int32(w.rank), Clock: int32(it), Vec: w.rep.Params()}
+			if err := w.exchange("easgd-sync", push, kindEASGDReply); err != nil {
 				return err
 			}
-			f, err := w.mb.recvMatch(kindEASGDReply, int32(it), 0, false, recvTimeout)
-			if err != nil {
-				return err
-			}
-			sp.End()
-			w.rep.SetParams(f.Vec)
-			f.Release()
 		}
 		w.note(it)
 	}
@@ -572,7 +525,7 @@ func (w *worker) adpsgdActive(tokens <-chan int, passive []int) error {
 			Clock: int32(it), Vec: w.rep.Params()}); err != nil {
 			return err
 		}
-		f, err := w.mb.recvMatch(kindExchangeRep, int32(it), 0, false, recvTimeout)
+		f, err := w.mb.recvMatch(kindExchangeRep, int32(it), 0, recvTimeout)
 		if err != nil {
 			return err
 		}

@@ -1,11 +1,12 @@
-// Package ps is the parameter-server substrate for the centralized
-// algorithms (BSP, ASP, SSP, EASGD): sharding partitioners that assign
-// segments of the flat parameter vector to PS shards, and the shared global
-// parameter state a set of shard processes updates.
+// Package ps is the parameter server of the centralized algorithms (BSP,
+// ASP, SSP, EASGD): sharding partitioners that assign segments of the flat
+// parameter vector to PS shards, the global parameter state the shards
+// update, and Shard — what a shard does with an arriving message, written
+// once as a state machine with no clock and no transport.
 //
-// The policy loops — when a shard aggregates, replies, or waits — differ
-// per algorithm and live with the algorithms in internal/core; this package
-// provides the mechanism.
+// The simulator (internal/core) and the live server (internal/live) are
+// drivers: they receive, charge or spend time, hand the message to the same
+// Shard and send the replies it names.
 package ps
 
 import (
@@ -192,31 +193,18 @@ func (g *Global) ApplyGrad(ranges []Range, gradVec []float32, scale, lr float32)
 	if !g.MathOn() || gradVec == nil {
 		return
 	}
-	if scale != 1 {
-		// Scale only within the ranges; copy to avoid mutating the caller's
-		// aggregate, which BSP reuses for metrics.
-		for _, r := range ranges {
-			seg := gradVec[r.Off : r.Off+r.Len]
+	for _, r := range ranges {
+		seg := gradVec[r.Off : r.Off+r.Len]
+		if scale != 1 {
+			// Scale a copy: the caller's vector is not ours to change.
 			tmp := make([]float32, len(seg))
 			for i, v := range seg {
 				tmp[i] = v * scale
 			}
-			g.stepRange(r, tmp, lr)
+			seg = tmp
 		}
-		return
+		g.Opt.StepSegmentGrad(g.Params, seg, lr, r.Off, r.Len)
 	}
-	for _, r := range ranges {
-		g.stepRange(r, gradVec[r.Off:r.Off+r.Len], lr)
-	}
-}
-
-func (g *Global) stepRange(r Range, gseg []float32, lr float32) {
-	// StepSegment expects full-length vectors; emulate with a window by
-	// using the optimizer's segment API directly on the global vector.
-	// Build a shim: copy gseg into a scratch full-vector is wasteful, so
-	// Opt.StepSegment is given the global params and a full-length gradient
-	// view. To keep the optimizer API simple we inline the update here.
-	g.Opt.StepSegmentGrad(g.Params, gseg, lr, r.Off, r.Len)
 }
 
 // AddDelta adds a worker-computed update (delta) into the shard's ranges —
