@@ -21,6 +21,7 @@ package api
 
 import (
 	"fmt"
+	"strings"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/core"
@@ -52,8 +53,9 @@ type RealSpec struct {
 	// Dataset is the synthetic dataset name: shapes16|gauss|spiral
 	// (default shapes16).
 	Dataset string `json:"dataset,omitempty"`
-	// Net is the model architecture: mlp|minicnn|miniresnet|minivgg
-	// (default minicnn).
+	// Net is the model architecture: mlp|minicnn|miniresnet|miniresnetbn|
+	// minivgg (default minicnn). The conv nets train on shapes16 only; mlp
+	// takes any dataset (it flattens images).
 	Net string `json:"net,omitempty"`
 	// Batch is the per-worker mini-batch size (default 8).
 	Batch int `json:"batch,omitempty"`
@@ -284,8 +286,9 @@ func Cluster(gbps float64, workers int) cluster.Config {
 // materializing the cost-model workload, fault schedule, and (in real mode)
 // datasets and model factory. The receiver is normalized in place first; the
 // returned config is not yet validated — core.Run (or live.Validate)
-// validates it — but spec-level syntax errors (unknown model/dataset names,
-// malformed fault specs) surface here, before any run starts.
+// validates it — but spec-level errors (unknown model/dataset names, a net
+// whose input shape the dataset cannot feed, malformed fault specs) surface
+// here, before any run starts.
 func (s *ExperimentSpec) Config() (core.Config, error) {
 	if err := s.Normalize(); err != nil {
 		return core.Config{}, err
@@ -340,8 +343,12 @@ func (s *ExperimentSpec) Config() (core.Config, error) {
 			return core.Config{}, err
 		}
 		trainDS, testDS := ds.Split(r.Split(1), 600)
-		factory, err := nn.FactoryByName(s.Real.Net, ds.Classes)
+		factory, err := nn.FactoryByName(s.Real.Net, ds.Classes, ds.SampleShape())
 		if err != nil {
+			if fit := fittingDatasets(s.Real.Net); fit != "" {
+				err = fmt.Errorf("api: net %q cannot train on dataset %q: %w (datasets that fit: %s)",
+					s.Real.Net, s.Real.Dataset, err, fit)
+			}
 			return core.Config{}, err
 		}
 		cfg.WeightDecay = 1e-4
@@ -362,6 +369,22 @@ func (s *ExperimentSpec) Config() (core.Config, error) {
 		}
 	}
 	return cfg, nil
+}
+
+// fittingDatasets names the datasets whose samples net can take, for the
+// error that rejects one it cannot; empty for a net nn does not know.
+func fittingDatasets(net string) string {
+	var fit []string
+	for _, name := range data.Names {
+		ds, err := data.ByName(name, rng.New(1), 1)
+		if err != nil {
+			continue
+		}
+		if _, err := nn.FactoryByName(net, ds.Classes, ds.SampleShape()); err == nil {
+			fit = append(fit, name)
+		}
+	}
+	return strings.Join(fit, ", ")
 }
 
 // faultSchedule combines the compact FaultSpec string and the explicit

@@ -3,7 +3,11 @@ package api
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
+
+	"disttrain/internal/data"
+	"disttrain/internal/rng"
 )
 
 // TestNormalizeDefaults verifies the defaulting contract: a minimal spec and
@@ -112,5 +116,53 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
 		t.Fatalf("repeated runs diverged:\n%s\n%s", bufs[0].Bytes(), bufs[1].Bytes())
+	}
+}
+
+// TestConfigNetDatasetPairs walks every net × dataset pair through the one
+// spec → config path. A pair either derives a config whose model takes a
+// training batch through a full forward/backward pass, or is refused with an
+// error that names the net, the dataset and a dataset that would fit — never
+// a shape panic in a worker goroutine, which is how `-net mlp` on the
+// default dataset and `-net minicnn -dataset gauss` used to end.
+func TestConfigNetDatasetPairs(t *testing.T) {
+	fits := map[string]map[string]bool{
+		"mlp":          {"shapes16": true, "gauss": true, "spiral": true},
+		"minicnn":      {"shapes16": true},
+		"miniresnet":   {"shapes16": true},
+		"miniresnetbn": {"shapes16": true},
+		"minivgg":      {"shapes16": true},
+	}
+	for net, ok := range fits {
+		for _, ds := range data.Names {
+			s := ExperimentSpec{Algo: "bsp", Workers: 2, Iters: 2,
+				Real: &RealSpec{Net: net, Dataset: ds, Batch: 3}}
+			cfg, err := s.Config()
+			if !ok[ds] {
+				if err == nil {
+					t.Errorf("%s on %s: accepted", net, ds)
+					continue
+				}
+				for _, want := range []string{net, ds, "shapes16"} {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("%s on %s: error %q does not name %q", net, ds, err, want)
+					}
+				}
+				continue
+			}
+			if err != nil {
+				t.Errorf("%s on %s: %v", net, ds, err)
+				continue
+			}
+			m := cfg.Real.Factory(rng.New(1))
+			x, y := cfg.Real.Train.Gather([]int{0, 1, 2}, nil, nil)
+			if loss, _ := m.Loss(x, y); loss != loss {
+				t.Errorf("%s on %s: NaN loss on the first batch", net, ds)
+			}
+		}
+	}
+	s := ExperimentSpec{Algo: "bsp", Real: &RealSpec{Net: "nope"}}
+	if _, err := s.Config(); err == nil || strings.Contains(err.Error(), "datasets that fit") {
+		t.Errorf("unknown net: %v", err)
 	}
 }

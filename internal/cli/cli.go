@@ -106,7 +106,7 @@ func Register(fs *flag.FlagSet) *Flags {
 
 	fs.BoolVar(&f.Real, "real", false, "real gradient math (accuracy mode)")
 	fs.StringVar(&f.Dataset, "dataset", "shapes16", "real mode dataset: shapes16|gauss|spiral")
-	fs.StringVar(&f.Net, "net", "minicnn", "real mode model: mlp|minicnn|miniresnet|minivgg")
+	fs.StringVar(&f.Net, "net", "minicnn", "real mode model: mlp|minicnn|miniresnet|miniresnetbn|minivgg (the conv nets train on shapes16 only)")
 	fs.IntVar(&f.Batch, "batch", 8, "real mode per-worker batch size")
 	fs.IntVar(&f.Pool, "pool", 0, "compute pool goroutines for real gradient math (0 = one per CPU, <0 = serial inline); results are identical for every value")
 	fs.IntVar(&f.AugShift, "augshift", 0, "real mode augmentation: max per-axis pixel shift (0 = off)")

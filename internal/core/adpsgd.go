@@ -75,7 +75,7 @@ func runADPSGD(x *exp) {
 				// a background exchange averaging into the model during the
 				// compute window no longer bleeds into this gradient — the
 				// lock-free semantics of Lian et al., made deterministic.
-				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), 1, cfg.LR.At(it-1))
 				tokens.Push(it)
 				x.iterDone(w, it)
 			}
@@ -210,7 +210,7 @@ func runADPSGDUnconstrained(x *exp) {
 				}
 				it = nit
 				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), 1, cfg.LR.At(it-1))
 				tokens.Push(it)
 				x.iterDone(w, it)
 			}

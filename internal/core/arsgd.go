@@ -162,12 +162,7 @@ func runARSGD(x *exp) {
 					bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
 				}
 
-				if agg != nil {
-					for i := range agg {
-						agg[i] *= inv
-					}
-				}
-				x.reps[w].LocalStep(agg, cfg.LR.At(it-1))
+				x.reps[w].LocalStep(agg, inv, cfg.LR.At(it-1))
 				x.iterDone(w, it)
 			}
 			x.finish(w)

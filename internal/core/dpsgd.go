@@ -115,7 +115,7 @@ func runDPSGD(x *exp) {
 					}
 				}
 
-				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), 1, cfg.LR.At(it-1))
 				x.iterDone(w, it)
 			}
 			x.finish(w)

@@ -36,7 +36,7 @@ func runEASGD(x *exp) {
 				}
 				it = nit
 				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), 1, cfg.LR.At(it-1))
 
 				if due(it) {
 					// Push the local parameters to every shard, which moves

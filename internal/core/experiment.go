@@ -908,7 +908,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		if cfg.CaptureParams {
 			res.WorkerParams = make([][]float32, len(x.reps))
 			for w, r := range x.reps {
-				res.WorkerParams[w] = append([]float32(nil), r.Params()...)
+				res.WorkerParams[w] = r.Params()
 			}
 		}
 	}

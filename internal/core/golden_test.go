@@ -27,15 +27,18 @@ var goldenParamHashes = map[string]uint64{
 	"miniresnetbn": 0xb7ef2e2f8a344514,
 }
 
-func goldenParams(t *testing.T, net string) []float32 {
+// checkGolden compares the hash of params with want, after making sure the
+// run produced numbers: a NaN would pin nothing.
+func checkGolden(t *testing.T, name string, params []float32, want uint64) {
 	t.Helper()
-	res := goldenRun(t, BSP, 4, net, nil)
-	for i, v := range res.WorkerParams[0] {
+	for i, v := range params {
 		if v != v {
-			t.Fatalf("%s: parameter %d is NaN; the golden would pin nothing", net, i)
+			t.Fatalf("%s: parameter %d is NaN; the golden would pin nothing", name, i)
 		}
 	}
-	return res.WorkerParams[0]
+	if got := hashParams(params); got != want {
+		t.Errorf("%s: final-parameter hash %#016x, golden %#016x", name, got, want)
+	}
 }
 
 // goldenRun is the pinned run: shapes16 at seed 1, 12 iterations, batch 16,
@@ -45,7 +48,7 @@ func goldenRun(t *testing.T, algo Algo, workers int, net string, mutate func(*Co
 	r := rng.New(31) // seed 1's dataset stream, derived as api's spec → config does
 	ds := data.GenShapes16(r, 4000)
 	train, test := ds.Split(r.Split(1), 600)
-	factory, err := nn.FactoryByName(net, ds.Classes)
+	factory, err := nn.FactoryByName(net, ds.Classes, ds.SampleShape())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +65,7 @@ func goldenRun(t *testing.T, algo Algo, workers int, net string, mutate func(*Co
 	if err != nil {
 		t.Fatalf("%s %s: %v", algo, net, err)
 	}
-	if algo == BSP {
+	if algo == BSP || algo == ARSGD {
 		for w := 1; w < len(res.WorkerParams); w++ {
 			if !paramsBitEqual(res.WorkerParams[0], res.WorkerParams[w]) {
 				t.Fatalf("%s: BSP replicas diverged at worker %d", net, w)
@@ -101,13 +104,48 @@ var goldenPSHashes = []struct {
 	{"asp-damping", ASP, 4, func(c *Config) { c.StalenessDamping = true }, 0x4569d6b187898d81},
 }
 
+// goldenDenseHashes pins what no conv net reaches: GEMMs with at most 8 rows
+// (batch 8, and batch 5 for a ragged row count) whose k = 256 and 512 span
+// several k blocks, and AR-SGD's average-then-step. The net is dense only —
+// Flatten → DenseReLU 256×512 → DenseReLU 512×64 → Dense 64×classes — on the
+// pinned shapes16 run at 4 workers; each hash covers worker 0's final vector
+// (the run checks every other worker holds the same bits). Recorded at PR
+// 16's commit, before the flat gradient store, the skinny GEMM paths and the
+// fused average+SGD step existed.
+var goldenDenseHashes = []struct {
+	name  string
+	algo  Algo
+	batch int
+	want  uint64
+}{
+	{"bsp-batch8", BSP, 8, 0xd7e277d2d63c0fd4},
+	{"bsp-batch5", BSP, 5, 0x590b78cf82711613},
+	{"arsgd-batch8", ARSGD, 8, 0x9e1e950657ad2b37},
+	{"arsgd-batch5", ARSGD, 5, 0x821f16fa7b36e5fe},
+}
+
+func goldenDenseNet(classes int) nn.ModelFactory {
+	return func(r *rng.RNG) *nn.Model {
+		return nn.NewModel("densegolden",
+			nn.NewFlatten("flat"),
+			nn.NewDenseReLU("fc0", 256, 512, r),
+			nn.NewDenseReLU("fc1", 512, 64, r),
+			nn.NewDense("fc2", 64, classes, r),
+		)
+	}
+}
+
 // TestGoldenFinalParams: the end-to-end bit-identity gate across PRs.
 func TestGoldenFinalParams(t *testing.T) {
-	for _, net := range []string{"miniresnet", "minivgg", "minicnn", "miniresnetbn"} {
-		got := hashParams(goldenParams(t, net))
-		if want := goldenParamHashes[net]; got != want {
-			t.Errorf("%s: final-parameter hash %#016x, golden %#016x", net, got, want)
-		}
+	for net, want := range goldenParamHashes {
+		checkGolden(t, net, goldenRun(t, BSP, 4, net, nil).WorkerParams[0], want)
+	}
+	for _, r := range goldenDenseHashes {
+		res := goldenRun(t, r.algo, 4, "minicnn", func(c *Config) {
+			c.Real.Factory = goldenDenseNet(c.Real.Train.Classes)
+			c.Real.Batch = r.batch
+		})
+		checkGolden(t, r.name, res.WorkerParams[0], r.want)
 	}
 	for _, r := range goldenPSHashes {
 		res := goldenRun(t, r.algo, r.workers, "minicnn", r.mutate)
@@ -115,13 +153,6 @@ func TestGoldenFinalParams(t *testing.T) {
 		for _, p := range res.WorkerParams {
 			all = append(all, p...)
 		}
-		for i, v := range all {
-			if v != v {
-				t.Fatalf("%s: parameter %d is NaN; the golden would pin nothing", r.name, i)
-			}
-		}
-		if got := hashParams(all); got != r.want {
-			t.Errorf("%s: final-parameter hash %#016x, golden %#016x", r.name, got, r.want)
-		}
+		checkGolden(t, r.name, all, r.want)
 	}
 }

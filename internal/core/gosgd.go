@@ -51,7 +51,7 @@ func runGoSGD(x *exp) {
 				}
 				it = nit
 				gf, _ := x.computePhase(p, w, false)
-				x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gf.get(), 1, cfg.LR.At(it-1))
 				drain()
 
 				if r.Bernoulli(cfg.GossipP) {

@@ -44,7 +44,11 @@ func runHogwild(x *exp) {
 					break
 				}
 				it = nit
-				// Gradient from the shared parameters as they are NOW...
+				// Gradient from the shared parameters as they are NOW. The
+				// aliased replicas share the model's one gradient store too,
+				// so the copy is what keeps this worker's gradient its own
+				// while the others' passes overwrite the store during the
+				// sleep below.
 				grads := x.reps[w].ComputeGrad()
 				var gcopy []float32
 				if grads != nil {
@@ -56,7 +60,7 @@ func runHogwild(x *exp) {
 				x.col.Workers[w].Breakdown.Add(metrics.Compute, p.Now()-start)
 				x.noteIterSpread()
 				// ...and the stale gradient lands on the shared vector.
-				x.reps[w].LocalStep(gcopy, cfg.LR.At(it-1))
+				x.reps[w].LocalStep(gcopy, 1, cfg.LR.At(it-1))
 				x.iterDone(w, it)
 			}
 			x.finish(w)

@@ -31,15 +31,14 @@ type Replica struct {
 	augment *data.Augment
 	augRNG  *rng.RNG
 
-	xbuf  *tensor.Tensor
-	ybuf  []int
-	grads []float32
-	// arena recycles the model's layer scratch buffers; flat is a reusable
-	// parameter staging vector for the merges that read every parameter
-	// (Average, WeightedMerge), so steady-state steps allocate
-	// ~nothing.
+	xbuf *tensor.Tensor
+	ybuf []int
+	// arena recycles the model's layer scratch buffers, so steady-state
+	// steps allocate ~nothing. The replica holds no model-sized vector of
+	// its own: the gradient it hands out is the model's flat store, and the
+	// merges (Average, WeightedMerge) run in place tensor by tensor — three
+	// vectors per replica in all: parameters, gradient, velocity.
 	arena *tensor.Arena
-	flat  []float32
 
 	// lossEWMA tracks recent training loss for traces.
 	lossEWMA float64
@@ -52,8 +51,8 @@ type Replica struct {
 	// goroutine while the owning simulated process sleeps out its virtual
 	// compute time; takeGrads joins it at the fixed event-trace point where
 	// the gradient is first consumed. Every buffer the closure touches
-	// (model, sampler, arena, RNG streams, grads) is owned by this replica,
-	// so futures of different replicas share nothing.
+	// (model and its gradient store, sampler, arena, RNG streams) is owned
+	// by this replica, so futures of different replicas share nothing.
 	pending *sched.Future[computeOut]
 }
 
@@ -73,10 +72,8 @@ func NewReplica(w int, cfg *Config, s Streams) *Replica {
 	shard := data.ShardIndices(cfg.Real.Train.N(), cfg.Workers, w)
 	r.sampler = data.NewSampler(shard, cfg.Real.Batch, s.Shard)
 	r.localO = opt.NewSGD(r.model.NumParams(), cfg.Momentum, cfg.WeightDecay)
-	r.grads = make([]float32, r.model.NumParams())
 	r.arena = tensor.NewArena()
 	r.model.SetArena(r.arena)
-	r.flat = make([]float32, r.model.NumParams())
 	if cfg.Real.Augment != nil {
 		r.augment = cfg.Real.Augment
 		r.augRNG = s.Shard.Split(0xa06)
@@ -108,8 +105,9 @@ func (r *Replica) unlock() {
 func (r *Replica) mathOn() bool { return r.model != nil }
 
 // ComputeGrad runs one forward/backward pass on the next mini-batch, folds
-// its loss into the EWMA and returns the replica's gradient buffer (valid
-// until the next call), or nil in cost-only mode. The replica's iteration
+// its loss into the EWMA and returns the gradient — the model's own flat
+// store, the caller's to reduce into or scale in place until the next pass
+// overwrites it — or nil in cost-only mode. The replica's iteration
 // counter advances either way. This is the synchronous path (live workers,
 // and Hogwild's shared-model workers, which must not run concurrently with
 // each other's updates); the simulated-cluster algorithms use
@@ -127,18 +125,18 @@ func (r *Replica) ComputeGrad() []float32 {
 }
 
 // gradPass is the pure numeric work of one iteration: draw the next
-// mini-batch, forward, backward, flatten into r.grads. It touches only
-// replica-owned state, which is what makes it safe to run on a pool
-// goroutine while the engine thread keeps simulating.
+// mini-batch, forward, backward — which writes the gradient where it is
+// handed out from. It touches only replica-owned state, which is what makes
+// it safe to run on a pool goroutine while the engine thread keeps
+// simulating.
 func (r *Replica) gradPass() computeOut {
 	idx := r.sampler.Next()
 	r.xbuf, r.ybuf = r.train.Gather(idx, r.xbuf, r.ybuf)
 	if r.augment != nil {
 		r.augment.Apply(r.xbuf, r.augRNG)
 	}
-	r.model.ZeroGrads()
 	loss, _ := r.model.Loss(r.xbuf, r.ybuf)
-	return computeOut{grads: r.model.FlatGrads(r.grads), loss: loss}
+	return computeOut{grads: r.model.Grads(), loss: loss}
 }
 
 // Loss returns the training-loss EWMA and whether any pass has fed it.
@@ -196,29 +194,26 @@ func (r *Replica) settle() {
 	}
 }
 
-// LocalStep applies one local SGD step with gradient g (no-op on nil).
-func (r *Replica) LocalStep(g []float32, lr float32) {
+// LocalStep applies one local SGD step with gradient scale·g (no-op on nil):
+// scale is 1 for a worker's own gradient and 1/members for an all-reduced
+// sum, averaged in the same pass over g that steps — g itself is only read.
+func (r *Replica) LocalStep(g []float32, scale, lr float32) {
 	if r.model == nil || g == nil {
 		return
 	}
 	r.lock()
 	defer r.unlock()
 	r.settle()
-	stepModelSGD(r.model, r.localO, g, lr)
-}
-
-// stepModelSGD applies one SGD step with the flat gradient g to every
-// parameter tensor of m where it lives, o's state windowed per tensor. SGD
-// is element-wise, so the bits are those of stepping a flat copy of the
-// parameters and writing it back, without the two model-sized copies.
-func stepModelSGD(m *nn.Model, o *opt.SGD, g []float32, lr float32) {
-	if len(g) != m.NumParams() {
-		panic(fmt.Sprintf("core: gradient length %d, want %d", len(g), m.NumParams()))
+	if len(g) != r.model.NumParams() {
+		panic(fmt.Sprintf("core: gradient length %d, want %d", len(g), r.model.NumParams()))
 	}
+	// SGD is element-wise, so stepping every parameter tensor where it
+	// lives, the optimizer's state windowed per tensor, gives the bits of
+	// stepping a flat copy and writing it back, without the two copies.
 	off := 0
-	for _, p := range m.Params() {
+	for _, p := range r.model.Params() {
 		w := p.W.Data
-		o.StepAt(w, g[off:off+len(w)], lr, off)
+		r.localO.StepAt(w, g[off:off+len(w)], scale, lr, off)
 		off += len(w)
 	}
 }
@@ -252,11 +247,14 @@ func (r *Replica) Average(other []float32) {
 	r.lock()
 	defer r.unlock()
 	r.settle()
-	flat := r.model.FlatParams(r.flat)
-	for i := range flat {
-		flat[i] = 0.5 * (flat[i] + other[i])
+	off := 0
+	for _, p := range r.model.Params() {
+		w := p.W.Data
+		for i, o := range other[off : off+len(w)] {
+			w[i] = 0.5 * (w[i] + o)
+		}
+		off += len(w)
 	}
-	r.model.SetFlatParams(flat)
 }
 
 // WeightedMerge performs GoSGD's merge: x ← (w·x + ws·xs)/(w+ws), returning
@@ -268,13 +266,16 @@ func (r *Replica) WeightedMerge(own float64, xs []float32, ws float64) float64 {
 	r.lock()
 	defer r.unlock()
 	r.settle()
-	flat := r.model.FlatParams(r.flat)
 	a := float32(own / (own + ws))
 	b := float32(ws / (own + ws))
-	for i := range flat {
-		flat[i] = a*flat[i] + b*xs[i]
+	off := 0
+	for _, p := range r.model.Params() {
+		w := p.W.Data
+		for i, x := range xs[off : off+len(w)] {
+			w[i] = a*w[i] + b*x
+		}
+		off += len(w)
 	}
-	r.model.SetFlatParams(flat)
 	return own + ws
 }
 

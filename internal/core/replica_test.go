@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"disttrain/internal/cluster"
@@ -33,6 +34,49 @@ func testReplica(t *testing.T, w int) *Replica {
 		},
 	}
 	return NewReplica(w, cfg, Streams{Init: rng.New(1).Split(1), Shard: rng.New(2)})
+}
+
+// TestReplicaFootprint pins how many model-sized vectors a training replica
+// holds: parameters, the gradient store backward writes and everything
+// downstream reads, and the optimizer's velocity — three, where there were
+// six (a per-layer dW scratch, a flattened gradient copy and a parameter
+// staging vector on top). Measured as live heap after collection around a
+// replica that has trained, merged and stepped, so anything allocated lazily
+// is counted; the slack covers activations and batch buffers.
+func TestReplicaFootprint(t *testing.T) {
+	rd := rng.New(100)
+	ds := data.GenGauss(rd, 100, 3, 0.3)
+	cfg := &Config{
+		Algo: BSP, Cluster: cluster.Paper56G(2), Workers: 2, Iters: 10, Momentum: 0.9,
+		Workload: costmodel.NewWorkload(costmodel.ResNet50(), costmodel.TitanV(), 128),
+		LR:       opt.Schedule{Base: 0.1},
+		Real: &RealConfig{
+			Factory: func(rr *rng.RNG) *nn.Model { return nn.NewMLP(rr, 2, 1024, 1024, 3) },
+			Train:   ds, Test: ds, Batch: 8,
+		},
+	}
+	live := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := live()
+	r := NewReplica(0, cfg, Streams{Init: rng.New(1).Split(1), Shard: rng.New(2)})
+	other := r.Params()
+	for i := 0; i < 2; i++ {
+		r.LocalStep(r.ComputeGrad(), 0.5, 0.1)
+		r.Average(other)
+		r.WeightedMerge(1, other, 1)
+	}
+	n := len(other)
+	other = nil
+	held := float64(live()-before) / 4 / float64(n)
+	runtime.KeepAlive(r)
+	t.Logf("replica of %d parameters holds %.2f model-sized float vectors", n, held)
+	if held > 3.1 {
+		t.Fatalf("replica holds %.2f model-sized vectors, want 3 (parameters, gradient, velocity)", held)
+	}
 }
 
 func TestReplicaComputeGradAdvancesIter(t *testing.T) {
@@ -99,7 +143,7 @@ func TestReplicaLocalStepMovesParams(t *testing.T) {
 	r := testReplica(t, 0)
 	before := r.Params()
 	g := r.ComputeGrad()
-	r.LocalStep(g, 0.1)
+	r.LocalStep(g, 1, 0.1)
 	after := r.Params()
 	moved := false
 	for i := range after {
@@ -125,7 +169,7 @@ func TestCostReplicaNoOps(t *testing.T) {
 		t.Fatalf("iter = %d", r.iter)
 	}
 	// All of these must be safe no-ops on nil state.
-	r.LocalStep(nil, 0.1)
+	r.LocalStep(nil, 1, 0.1)
 	r.SetParams(nil)
 	r.Average(nil)
 	if w := r.WeightedMerge(1, nil, 0.5); w != 1.5 {
@@ -182,13 +226,13 @@ func TestRestoreResumesAugmentationStream(t *testing.T) {
 	a := newRep()
 	path := filepath.Join(t.TempDir(), "w0.ckpt")
 	for i := 0; i < pre; i++ {
-		a.LocalStep(a.ComputeGrad(), lr)
+		a.LocalStep(a.ComputeGrad(), 1, lr)
 	}
 	if err := a.SaveState(path, pre, pre); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < post; i++ {
-		a.LocalStep(a.ComputeGrad(), lr)
+		a.LocalStep(a.ComputeGrad(), 1, lr)
 	}
 	want := a.Params()
 
@@ -201,7 +245,7 @@ func TestRestoreResumesAugmentationStream(t *testing.T) {
 		t.Fatalf("restore counters: step=%d draws=%d want %d/%d", step, draws, pre, pre)
 	}
 	for i := 0; i < post; i++ {
-		b.LocalStep(b.ComputeGrad(), lr)
+		b.LocalStep(b.ComputeGrad(), 1, lr)
 	}
 	got := b.Params()
 	for i := range want {

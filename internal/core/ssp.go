@@ -61,7 +61,7 @@ func runSSP(x *exp) {
 				var delta []float32
 				if x.reps[w].mathOn() {
 					before := x.reps[w].Params()
-					x.reps[w].LocalStep(gf.get(), cfg.LR.At(it-1))
+					x.reps[w].LocalStep(gf.get(), 1, cfg.LR.At(it-1))
 					delta = x.reps[w].Params()
 					for i := range delta {
 						delta[i] -= before[i]

@@ -144,6 +144,33 @@ func TestInvalidSpec400(t *testing.T) {
 	}
 }
 
+// TestMisfitNetDataset400: a net whose input shape the dataset cannot feed
+// used to pass submission and panic inside the first forward pass, taking
+// the server process with it. It must be refused at the door, and the
+// service must still take work afterwards.
+func TestMisfitNetDataset400(t *testing.T) {
+	c, _ := startService(t, ServiceOptions{})
+	resp, err := http.Post(c.Base+"/v1/experiments", "application/json",
+		strings.NewReader(`{"algo":"bsp","workers":2,"iters":2,"real":{"net":"minicnn","dataset":"gauss"}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("minicnn on gauss: got %d, want 400", resp.StatusCode)
+	}
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	for _, want := range []string{"minicnn", "gauss", "shapes16"} {
+		if !strings.Contains(body.String(), want) {
+			t.Errorf("rejection %q does not name %q", body.String(), want)
+		}
+	}
+	if _, err := c.Submit(context.Background(), simSpec(1)); err != nil {
+		t.Fatalf("service refused a good spec after the bad one: %v", err)
+	}
+}
+
 // TestUnknownExperiment404 covers the three per-experiment endpoints.
 func TestUnknownExperiment404(t *testing.T) {
 	c, _ := startService(t, ServiceOptions{})

@@ -151,8 +151,10 @@ func GenSpiral(r *rng.RNG, n, arms int, noise float64) *Dataset {
 	return &Dataset{Name: "spiral", X: x, Y: y, Classes: arms}
 }
 
-// ByName builds a dataset generator by CLI name: "shapes16", "gauss",
-// "spiral".
+// Names lists the datasets ByName knows, in CLI order.
+var Names = []string{"shapes16", "gauss", "spiral"}
+
+// ByName builds a dataset generator by CLI name (one of Names).
 func ByName(name string, r *rng.RNG, n int) (*Dataset, error) {
 	switch name {
 	case "shapes16":

@@ -18,7 +18,13 @@ func (q Quantized8) WireBytes() int64 { return int64(len(q.Q)) + 4 }
 
 // Quantize8 quantizes v to 8 bits with a symmetric per-vector scale chosen
 // from the maximum magnitude. The zero vector quantizes to scale 0.
-func Quantize8(v []float32) Quantized8 {
+func Quantize8(v []float32) Quantized8 { return Quantize8Into(v, nil) }
+
+// Quantize8Into is Quantize8 with the codes written into buf's storage when
+// that holds len(v) of them (a fresh slice otherwise): a sender that
+// quantizes a model-sized gradient every step keeps the returned Q and hands
+// it back, instead of allocating megabytes per call.
+func Quantize8Into(v []float32, buf []int8) Quantized8 {
 	const signBit = 1 << 31
 	var maxAbs float32
 	for _, x := range v {
@@ -28,8 +34,12 @@ func Quantize8(v []float32) Quantized8 {
 			maxAbs = a
 		}
 	}
-	q := Quantized8{Q: make([]int8, len(v))}
+	if cap(buf) < len(v) {
+		buf = make([]int8, len(v))
+	}
+	q := Quantized8{Q: buf[:len(v)]}
 	if maxAbs == 0 {
+		clear(q.Q)
 		return q
 	}
 	q.Scale = maxAbs / 127

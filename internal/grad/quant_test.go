@@ -66,6 +66,31 @@ func TestQuantizePreservesExtremes(t *testing.T) {
 	}
 }
 
+// TestQuantize8IntoReusesBuffer: a buffer that holds the codes is written in
+// place — every element, the all-zero vector included, whose codes nothing
+// but the clear sets — a short one is replaced, and the codes are Quantize8's.
+func TestQuantize8IntoReusesBuffer(t *testing.T) {
+	buf := make([]int8, 8)
+	for _, v := range [][]float32{{1, -2, 3, 0.5}, {0, 0, 0}, {-7, 7, 1, 1, 1, 1, 1, 1}, make([]float32, 9)} {
+		for i := range buf {
+			buf[i] = 99
+		}
+		want := Quantize8(v)
+		got := Quantize8Into(v, buf[:0])
+		if got.Scale != want.Scale || len(got.Q) != len(v) {
+			t.Fatalf("%v: scale %v len %d, want %v len %d", v, got.Scale, len(got.Q), want.Scale, len(v))
+		}
+		for i := range want.Q {
+			if got.Q[i] != want.Q[i] {
+				t.Fatalf("%v: code %d = %d, want %d", v, i, got.Q[i], want.Q[i])
+			}
+		}
+		if reused := &got.Q[0] == &buf[0]; reused != (len(v) <= cap(buf)) {
+			t.Fatalf("%v: reused=%v with a buffer of %d", v, reused, cap(buf))
+		}
+	}
+}
+
 func TestQuantizeWireBytes(t *testing.T) {
 	q := Quantize8(make([]float32, 100))
 	if q.WireBytes() != 104 {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -191,6 +193,53 @@ func TestLiveQuantizedAsyncComplete(t *testing.T) {
 				t.Fatalf("quantized %s live run did not learn: acc %.3f", algo, res.FinalTestAcc)
 			}
 		})
+	}
+}
+
+// TestASPInt8PushPullAllocationBudget pins what one int8 push/pull may
+// allocate, per worker-step and relative to the n-byte payload: the
+// receiver's Data section of the gradient frame (ReadFrame still allocates
+// it per frame) and small change. The worker's int8 codes and encoded
+// payload live in buffers it keeps, the server's decoded codes view the
+// frame's Data, and every float32 vector (the dequantized gradient, the
+// parameters coming back) comes from xport's recycler. Before the codes and
+// the payload had buffers to live in, a step allocated 4.0 n; it now reads
+// 1.00 n. Measured as the difference between a long and a short run of one
+// config, so set-up, rendezvous and the final evaluation cancel.
+func TestASPInt8PushPullAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds buffers at random under the race detector")
+	}
+	// One worker: its push and the pull that answers it alternate, so the
+	// recycler's hit pattern — and with it the count — is the same every run.
+	const (
+		workers = 1
+		short   = 4
+		long    = 16
+	)
+	var n int
+	allocated := func(iters int) uint64 {
+		cfg := liveConfig(core.ASP, workers, iters, 7)
+		cfg.Quantize8 = true
+		cfg.Real.Factory = func(r *rng.RNG) *nn.Model { return nn.NewMLP(r, 2, 1024, 1024, 3) }
+		cfg.Real.Batch = 4
+		n = cfg.Real.Factory(rng.New(1)).NumParams()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunLoopback(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// Steady state means the recycler keeps what it was given: hold the
+	// collector off, as TestRingAllReduceAllocationBudget does.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated(short) // warm the recycler's size classes
+	perStep := float64(allocated(long)-allocated(short)) / float64(workers*(long-short))
+	t.Logf("%.0f bytes allocated per worker-step, %.2f of the %d-byte int8 payload", perStep, perStep/float64(n), n)
+	if budget := 1.25 * float64(n); perStep > budget {
+		t.Fatalf("an int8 push/pull allocates %.0f bytes per worker-step, budget %.0f (1.25 payloads)", perStep, budget)
 	}
 }
 

@@ -36,11 +36,14 @@ func quantCodec(cfg *core.Config) xport.QuantCodec {
 
 // quantizeVec compresses v and applies the codec's round-trip loss to v in
 // place, returning the wire payload. After the call, v holds exactly the
-// values dequantizeVec reconstructs on the receiving side.
-func quantizeVec(codec xport.QuantCodec, v []float32) xport.QuantVec {
+// values dequantizeVec reconstructs on the receiving side. The int8 codes go
+// into *buf, the caller's storage from one call to the next (grown here when
+// too small): the payload is valid until the caller quantizes again.
+func quantizeVec(codec xport.QuantCodec, v []float32, buf *[]int8) xport.QuantVec {
 	switch codec {
 	case xport.QuantInt8:
-		q := grad.Quantize8(v)
+		q := grad.Quantize8Into(v, *buf)
+		*buf = q.Q
 		_ = grad.Dequantize8(q, v) // lengths match by construction
 		return xport.QuantVec{Codec: codec, Scale: q.Scale, I8: q.Q}
 	case xport.QuantF16:
@@ -86,6 +89,7 @@ func sliceQuantVec(qv xport.QuantVec, lo, hi int) xport.QuantVec {
 // decodeGradPayload replaces a frame's codec payload with the reconstructed
 // dense vector in Vec. The payload must match the configured codec and the
 // expected element count — a mismatch is a protocol violation, not a crash.
+// The decoded int8 codes are a view of f.Data, read here and dropped with it.
 func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) error {
 	qv, err := xport.DecodeQuantVec(f.Data)
 	if err != nil {
@@ -123,8 +127,10 @@ func (w *worker) encodeGrad(g []float32, f *xport.Frame) {
 		return
 	}
 	sp := w.span("quantize", "quant")
-	qv := quantizeVec(w.codec, g)
-	f.Data = qv.AppendEncode(nil)
+	qv := quantizeVec(w.codec, g, &w.qbuf)
+	// Send never retains a frame, so one payload buffer serves every step.
+	w.enc = qv.AppendEncode(w.enc[:0])
+	f.Data = w.enc
 	w.saved.Add(int64(4*len(g)) - int64(len(f.Data)))
 	sp.End()
 }
@@ -138,7 +144,7 @@ func (w *worker) arQuantize(agg []float32) *arQuant {
 		return nil
 	}
 	sp := w.span("quantize", "quant")
-	qv := quantizeVec(w.codec, agg)
+	qv := quantizeVec(w.codec, agg, &w.qbuf)
 	sp.End()
 	return &arQuant{qv: qv, codec: w.codec, saved: &w.saved, span: w.span}
 }

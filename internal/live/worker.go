@@ -63,6 +63,10 @@ type worker struct {
 	// per rank as compressed_bytes_saved through Metrics.
 	codec xport.QuantCodec
 	saved atomic.Int64
+	// qbuf and enc are the codec's reusable buffers: the int8 codes of this
+	// step's gradient and the encoded payload a PS push ships them in.
+	qbuf []int8
+	enc  []byte
 
 	// Chaos state: ch is the shared crash-membership function (nil in a
 	// crash-free run), startIter is where this incarnation's loop begins
@@ -323,7 +327,7 @@ func (w *worker) runSSP() error {
 		g := w.gradSpan()
 		// Petuum-style SSP: apply locally, ship the resulting *update*.
 		before := w.rep.Params()
-		w.rep.LocalStep(g, cfg.LR.At(it-1))
+		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
 		delta := w.rep.Params()
 		for i := range delta {
 			delta[i] -= before[i]
@@ -368,7 +372,7 @@ func (w *worker) runEASGD() error {
 	cfg := w.cfg
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
-		w.rep.LocalStep(g, cfg.LR.At(it-1))
+		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
 		if it%cfg.Tau == 0 {
 			push := &xport.Frame{Kind: kindEASGDPush, From: int32(w.rank), Clock: int32(it), Vec: w.rep.Params()}
 			if err := w.exchange("easgd-sync", push, kindEASGDReply); err != nil {
@@ -402,8 +406,10 @@ func (w *worker) runARSGD() error {
 			nodes, self = w.ch.aliveNodes(it, w.rank)
 		}
 		inv := 1 / float32(len(nodes))
-		// The gradient buffer is the replica's until the next pass, and Send
-		// never retains a frame, so the collective reduces it in place.
+		// The gradient is the model's own store until the next pass
+		// overwrites it, and Send never retains a frame, so the collective
+		// reduces it where backward wrote it and the step reads the sum from
+		// there, averaging as it goes.
 		agg := w.gradSpan()
 		w.draws++
 		qc := w.arQuantize(agg)
@@ -413,10 +419,7 @@ func (w *worker) runARSGD() error {
 			return err
 		}
 		sp.End()
-		for i := range agg {
-			agg[i] *= inv
-		}
-		w.rep.LocalStep(agg, cfg.LR.At(it-1))
+		w.rep.LocalStep(agg, inv, cfg.LR.At(it-1))
 		w.note(it)
 		if err := w.maybeCheckpoint(it); err != nil {
 			return err
@@ -431,7 +434,7 @@ func (w *worker) runGoSGD() error {
 	r := w.algo
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
-		w.rep.LocalStep(g, cfg.LR.At(it-1))
+		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
 		for {
 			f, ok, err := w.mb.poll()
 			if err != nil {
@@ -488,7 +491,7 @@ func (w *worker) runADPSGD() error {
 		go w.adpsgdServe()
 		for it := 1; it <= cfg.Iters; it++ {
 			g := w.gradSpan()
-			w.rep.LocalStep(g, cfg.LR.At(it-1))
+			w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
 			w.note(it)
 		}
 		return nil
@@ -501,7 +504,7 @@ func (w *worker) runADPSGD() error {
 	}()
 	for it := 1; it <= cfg.Iters; it++ {
 		g := w.gradSpan()
-		w.rep.LocalStep(g, cfg.LR.At(it-1))
+		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
 		tokens <- it
 		w.note(it)
 	}

@@ -95,9 +95,7 @@ func TestDeadDxBitIdentical(t *testing.T) {
 				if math.Float64bits(got) != math.Float64bits(want) {
 					t.Fatalf("%s arena=%v step %d: loss %v, hand-driven %v", name, arena, step, got, want)
 				}
-				// Gradients accumulate over the steps: no ZeroGrads, so the
-				// add-into-G semantics are compared too.
-				g, w := m.FlatGrads(nil), hand.flatGrads()
+				g, w := m.Grads(), hand.flatGrads()
 				if len(g) != len(w) {
 					t.Fatalf("%s: %d gradients, hand-driven %d", name, len(g), len(w))
 				}

@@ -55,16 +55,14 @@ func TestFusedReLUBitIdentical(t *testing.T) {
 	for step := 0; step < 4; step++ {
 		x.RandNormal(r, 1)
 
-		fused.ZeroGrads()
 		lossF, _ := fused.Loss(x, labels)
-		unfused.ZeroGrads()
 		lossU, _ := unfused.Loss(x, labels)
 		if math.Float64bits(lossF) != math.Float64bits(lossU) {
 			t.Fatalf("step %d: loss differs fused=%v unfused=%v", step, lossF, lossU)
 		}
 
-		gf := fused.FlatGrads(nil)
-		gu := unfused.FlatGrads(nil)
+		gf := fused.Grads()
+		gu := unfused.Grads()
 		for i := range gf {
 			if math.Float32bits(gf[i]) != math.Float32bits(gu[i]) {
 				t.Fatalf("step %d: grad %d differs fused=%x unfused=%x",

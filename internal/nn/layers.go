@@ -24,7 +24,6 @@ type Dense struct {
 	y        *tensor.Tensor
 	dx       *tensor.Tensor
 	dy       *tensor.Tensor // ReLU-masked dout (fused only)
-	dwTmp    *tensor.Tensor
 	lastSize int
 	arena    *tensor.Arena
 }
@@ -36,7 +35,6 @@ func NewDense(name string, in, out int, r *rng.RNG) *Dense {
 	w.RandNormal(r, math.Sqrt(2/float64(in)))
 	d.w = &Param{Name: name + ".w", W: w, G: tensor.New(out, in)}
 	d.b = &Param{Name: name + ".b", W: tensor.New(out), G: tensor.New(out)}
-	d.dwTmp = tensor.New(out, in)
 	return d
 }
 
@@ -100,11 +98,11 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 		dout = d.dy
 	}
 	b := dout.Shape[0]
-	// dW += doutᵀ·x
-	tensor.MatMulTransA(dout, d.x, d.dwTmp)
-	d.w.G.AddScaled(1, d.dwTmp)
-	// db += column sums of dout
+	// dW = doutᵀ·x, straight into the gradient store.
+	tensor.MatMulTransA(dout, d.x, d.w.G)
+	// db = column sums of dout, from zero in ascending row order.
 	gd, dd := d.b.G.Data, dout.Data
+	clear(gd)
 	for i := 0; i < b; i++ {
 		row := dd[i*d.Out : i*d.Out+d.Out]
 		for j, v := range row {
@@ -188,7 +186,7 @@ type Conv2D struct {
 	yt, dyt               *tensor.Tensor // channel-minor activations/grads [B·outH·outW, OutC]
 	x                     *tensor.Tensor
 	y, dx                 *tensor.Tensor
-	dwTmp, dcols          *tensor.Tensor // dcols matches cols' shape
+	dcols                 *tensor.Tensor // matches cols' shape
 	h, wIn, outH, outW    int
 	lastBatch, lastInSize int
 	arena                 *tensor.Arena
@@ -204,7 +202,6 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, r *rng.RNG) *Conv2D {
 	w.RandNormal(r, math.Sqrt(2/float64(fanIn)))
 	c.w = &Param{Name: name + ".w", W: w, G: tensor.New(outC, fanIn)}
 	c.b = &Param{Name: name + ".b", W: tensor.New(outC), G: tensor.New(outC)}
-	c.dwTmp = tensor.New(outC, fanIn)
 	return c
 }
 
@@ -300,9 +297,11 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// Gather dout into the channel-minor patch-row order of c.cols. For the
 	// fused layer the ReLU mask rides along: c.yt holds the post-ReLU
 	// activations, and masking before vs after the gather is the same
-	// because the scatter is a bijection. The same pass adds each gathered
-	// row into db — its column sums, every channel in ascending row order.
+	// because the scatter is a bijection. The same pass sums each gathered
+	// row into db — its column sums from zero, every channel in ascending row
+	// order.
 	dd, td, yt, gb := dout.Data, c.dyt.Data, c.yt.Data, c.b.G.Data
+	clear(gb)
 	for i := 0; i < b; i++ {
 		src := dd[i*sampleOut : (i+1)*sampleOut]
 		rows := td[i*nCols*c.OutC:]
@@ -320,9 +319,9 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 			}
 		}
 	}
-	// dW += dytᵀ·cols — one GEMM over every sample's patches.
-	tensor.MatMulTransA(c.dyt, c.cols, c.dwTmp)
-	c.w.G.AddScaled(1, c.dwTmp)
+	// dW = dytᵀ·cols — one GEMM over every sample's patches, straight into
+	// the gradient store.
+	tensor.MatMulTransA(c.dyt, c.cols, c.w.G)
 	if c.noDx {
 		return nil
 	}

@@ -147,7 +147,9 @@ func (bn *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	g := bn.gamma.W.Data
 	dg, db := bn.gamma.G.Data, bn.beta.G.Data
 	for c := 0; c < bn.C; c++ {
-		// Accumulate dγ, dβ and the two reduction terms of the BN gradient.
+		// dγ, dβ and the two reduction terms of the BN gradient. dγ and dβ are
+		// written as 0 + sum, not the bare sum: a sum that rounds to −0 in
+		// float32 must leave +0, as adding it into a cleared accumulator did.
 		var sumDy, sumDyXhat float64
 		for b := 0; b < batch; b++ {
 			for s := 0; s < spatial; s++ {
@@ -157,8 +159,8 @@ func (bn *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 				sumDyXhat += dy * float64(bn.xhat[i])
 			}
 		}
-		dg[c] += float32(sumDyXhat)
-		db[c] += float32(sumDy)
+		dg[c] = 0 + float32(sumDyXhat)
+		db[c] = 0 + float32(sumDy)
 		// dx = γ·invStd/N · (N·dy − Σdy − x̂·Σ(dy·x̂))
 		k := g[c] * bn.invStd[c] / perC
 		for b := 0; b < batch; b++ {

@@ -190,12 +190,9 @@ func TestBatchNormTrainingImprovesDeepNet(t *testing.T) {
 		x.Data[i*2] = float32(r.NormFloat64())*0.4 + float32(cls*2-1)
 		x.Data[i*2+1] = float32(r.NormFloat64()) * 0.4
 	}
-	grads := make([]float32, m.NumParams())
 	for step := 0; step < 80; step++ {
-		m.ZeroGrads()
 		m.Loss(x, labels)
-		m.FlatGrads(grads)
-		m.AxpyParams(-0.1, grads)
+		m.AxpyParams(-0.1, m.Grads())
 	}
 	_, acc := m.Evaluate(x, labels)
 	if acc < 0.95 {

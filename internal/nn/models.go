@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"slices"
 
 	"disttrain/internal/rng"
 )
@@ -10,6 +11,10 @@ import (
 // given layer widths, e.g. NewMLP(r, 2, 32, 32, 3) for a 2-feature,
 // 3-class classifier. Used by fast tests and the Gaussian-cluster tasks.
 func NewMLP(r *rng.RNG, dims ...int) *Model {
+	return NewModel("mlp", mlpLayers(r, dims...)...)
+}
+
+func mlpLayers(r *rng.RNG, dims ...int) []Layer {
 	if len(dims) < 2 {
 		panic("nn: MLP needs at least input and output dims")
 	}
@@ -21,7 +26,7 @@ func NewMLP(r *rng.RNG, dims ...int) *Model {
 			layers = append(layers, NewDense(fmt.Sprintf("fc%d", i), dims[i], dims[i+1], r))
 		}
 	}
-	return NewModel("mlp", layers...)
+	return layers
 }
 
 // NewMiniCNN builds a small convolutional classifier for 1×16×16 inputs —
@@ -114,21 +119,45 @@ func NewMiniVGG(r *rng.RNG, classes int) *Model {
 // same factory with the same RNG stream so all replicas start identical.
 type ModelFactory func(r *rng.RNG) *Model
 
-// FactoryByName returns the ModelFactory registered for name
-// ("mlp", "minicnn", "miniresnet", "minivgg"), for CLI use.
-func FactoryByName(name string, classes int) (ModelFactory, error) {
+// imageSample is the per-sample shape every conv net here is built for.
+var imageSample = []int{1, 16, 16}
+
+// FactoryByName returns the ModelFactory registered for name ("mlp",
+// "minicnn", "miniresnet", "miniresnetbn", "minivgg") on samples of the
+// given shape, for CLI use — or an error when the net cannot take them, so
+// a mismatch is reported where the experiment is described and not as a
+// shape panic inside its first forward pass. The conv nets take 1×16×16
+// images only; the MLP sizes its first layer to the sample and flattens
+// anything that is not already a feature vector.
+func FactoryByName(name string, classes int, sample []int) (ModelFactory, error) {
+	var build func(r *rng.RNG) *Model
 	switch name {
 	case "mlp":
-		return func(r *rng.RNG) *Model { return NewMLP(r, 2, 32, 32, classes) }, nil
+		in := 1
+		for _, d := range sample {
+			in *= d
+		}
+		flat := len(sample) == 1
+		return func(r *rng.RNG) *Model {
+			layers := mlpLayers(r, in, 32, 32, classes)
+			if !flat {
+				layers = append([]Layer{NewFlatten("flat")}, layers...)
+			}
+			return NewModel("mlp", layers...)
+		}, nil
 	case "minicnn":
-		return func(r *rng.RNG) *Model { return NewMiniCNN(r, classes) }, nil
+		build = func(r *rng.RNG) *Model { return NewMiniCNN(r, classes) }
 	case "miniresnet":
-		return func(r *rng.RNG) *Model { return NewMiniResNet(r, classes) }, nil
+		build = func(r *rng.RNG) *Model { return NewMiniResNet(r, classes) }
 	case "miniresnetbn":
-		return func(r *rng.RNG) *Model { return NewMiniResNetBN(r, classes) }, nil
+		build = func(r *rng.RNG) *Model { return NewMiniResNetBN(r, classes) }
 	case "minivgg":
-		return func(r *rng.RNG) *Model { return NewMiniVGG(r, classes) }, nil
+		build = func(r *rng.RNG) *Model { return NewMiniVGG(r, classes) }
 	default:
 		return nil, fmt.Errorf("nn: unknown model %q", name)
 	}
+	if !slices.Equal(sample, imageSample) {
+		return nil, fmt.Errorf("nn: %s takes %v samples, not %v", name, imageSample, sample)
+	}
+	return build, nil
 }

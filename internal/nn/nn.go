@@ -8,9 +8,16 @@
 // multi-worker configurations on a laptop.
 //
 // Parameters are exposed in two forms: per-layer tensors (used by the math)
-// and a flat []float32 view (used by every communication/aggregation code
+// and a flat []float32 vector (used by every communication/aggregation code
 // path, and by layer-wise parameter sharding, which needs the segment
-// boundaries).
+// boundaries). For gradients the two forms are one piece of memory: a Model
+// owns a single flat gradient store and every Param.G is a view into it at
+// the parameter's Segment offset, so the buffer a backward pass writes is
+// the buffer a collective reduces and the optimizer reads — no flatten copy
+// sits between them. Backward OVERWRITES parameter gradients (each pass
+// leaves exactly its own batch's gradient), so nothing has to clear the
+// store between steps either; a caller that wants a sum over micro-batches
+// adds Grads() into a buffer of its own.
 package nn
 
 import (
@@ -19,7 +26,9 @@ import (
 	"disttrain/internal/tensor"
 )
 
-// Param is one learnable tensor together with its gradient accumulator.
+// Param is one learnable tensor together with its gradient. A layer's
+// constructor gives G storage of its own, so a layer driven directly works;
+// NewModel re-homes G into the model's flat gradient store.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
@@ -27,9 +36,11 @@ type Param struct {
 }
 
 // Layer is a differentiable module. Forward must cache whatever Backward
-// needs; Backward receives dL/d(output) and returns dL/d(input), adding
-// dL/d(params) into the layer's gradient tensors (accumulate semantics so a
-// model can sum gradients over micro-batches).
+// needs; Backward receives dL/d(output) and returns dL/d(input), and ASSIGNS
+// dL/d(params) for this batch to the layer's gradient tensors: whatever they
+// held is overwritten, every element, so they never need clearing. (A GEMM
+// writes its output anyway; adding it into a cleared accumulator cost three
+// more passes over a dense layer's weights' worth of memory per step.)
 type Layer interface {
 	// Name identifies the layer for sharding and reporting.
 	Name() string
@@ -58,6 +69,9 @@ type Model struct {
 	params []*Param
 	segs   []Segment
 	size   int
+	// grads is the flat gradient store: params[i].G views
+	// grads[segs[i].Off:][:segs[i].Len].
+	grads []float32
 
 	// first indexes the lowest layer that holds parameters: the backward
 	// walk stops there, since no gradient below it is ever read.
@@ -122,6 +136,10 @@ func NewModel(name string, layers ...Layer) *Model {
 		}
 	}
 	m.size = off
+	m.grads = make([]float32, off)
+	for i, p := range m.params {
+		p.G.Data = m.grads[m.segs[i].Off:][:m.segs[i].Len]
+	}
 	return m
 }
 
@@ -153,21 +171,24 @@ func (m *Model) SetFlatParams(src []float32) {
 	}
 }
 
-// FlatGrads copies the accumulated gradients into dst (allocated if nil).
+// Grads returns the flat gradient store itself, not a copy: the last Loss
+// call's gradient in flat-vector order, valid until the next one overwrites
+// it. Callers may reduce into it in place (the live ring does).
+func (m *Model) Grads() []float32 { return m.grads }
+
+// FlatGrads copies the gradients into dst (allocated if nil). Nothing in
+// the program needs the copy — Grads is the vector — but bench/, which a PR
+// that claims a gain may not edit, times its single-worker baseline through
+// this and ZeroGrads.
 func (m *Model) FlatGrads(dst []float32) []float32 {
 	dst = m.ensure(dst)
-	for i, p := range m.params {
-		copy(dst[m.segs[i].Off:], p.G.Data)
-	}
+	copy(dst, m.grads)
 	return dst
 }
 
-// ZeroGrads clears all gradient accumulators.
-func (m *Model) ZeroGrads() {
-	for _, p := range m.params {
-		p.G.Zero()
-	}
-}
+// ZeroGrads clears the gradient store. Loss overwrites it, so no training
+// loop calls this; see FlatGrads.
+func (m *Model) ZeroGrads() { clear(m.grads) }
 
 // AxpyParams adds alpha*src into the parameters (src is a flat vector).
 func (m *Model) AxpyParams(alpha float32, src []float32) {
@@ -199,10 +220,9 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 }
 
 // Loss runs a full forward/backward pass for a batch: it computes the mean
-// softmax cross-entropy over (x, labels), accumulates parameter gradients,
-// and returns the loss value and the number of correct argmax predictions.
-// Gradients are ADDED to the accumulators; call ZeroGrads first for a fresh
-// mini-batch gradient.
+// softmax cross-entropy over (x, labels), leaves the batch's parameter
+// gradients in Grads() (overwriting the previous call's), and returns the
+// loss value and the number of correct argmax predictions.
 func (m *Model) Loss(x *tensor.Tensor, labels []int) (loss float64, correct int) {
 	logits := m.Forward(x, true)
 	m.ensureProbs(logits)

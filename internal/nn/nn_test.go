@@ -12,9 +12,8 @@ import (
 // for every parameter of the model on one batch.
 func gradCheck(t *testing.T, m *Model, x *tensor.Tensor, labels []int, samples int, tol float64) {
 	t.Helper()
-	m.ZeroGrads()
 	m.Loss(x, labels)
-	analytic := m.FlatGrads(nil)
+	analytic := m.Grads() // lossOnly below runs no backward pass
 	flat := m.FlatParams(nil)
 
 	n := m.NumParams()
@@ -196,21 +195,60 @@ func TestMiniVGGHasSkewedLayer(t *testing.T) {
 	}
 }
 
-func TestGradAccumulation(t *testing.T) {
-	r := rng.New(8)
-	m := NewMLP(r, 3, 4, 2)
-	x := tensor.New(4, 3)
-	x.RandNormal(r, 1)
-	labels := []int{0, 1, 0, 1}
-
-	m.ZeroGrads()
-	m.Loss(x, labels)
-	g1 := m.FlatGrads(nil)
-	m.Loss(x, labels) // accumulate a second time without zeroing
-	g2 := m.FlatGrads(nil)
-	for i := range g1 {
-		if math.Abs(float64(g2[i]-2*g1[i])) > 1e-4 {
-			t.Fatalf("gradient did not accumulate at %d: %v vs 2*%v", i, g2[i], g1[i])
+// TestBackwardOverwritesGrads pins the gradient contract: every Param.G is
+// a view into the model's flat store at its Segment offset, and Backward
+// assigns — a second Loss call on the same batch leaves the bits of one
+// call, not their sum, with nothing clearing the store in between. Every
+// net the CLI can name, plus a Residual over dense layers with a BatchNorm
+// (parameters nested one level down), from a store poisoned with NaN so an
+// element Backward only added to, or skipped, cannot hide.
+func TestBackwardOverwritesGrads(t *testing.T) {
+	image := []int{1, 16, 16}
+	nets := map[string]ModelFactory{
+		"residual": func(r *rng.RNG) *Model {
+			return NewModel("residual", NewFlatten("flat"), NewDenseReLU("in", 256, 12, r),
+				NewResidual("res", NewDense("res.fc", 12, 12, r), NewBatchNorm("res.bn", 12)),
+				NewDense("out", 12, 5, r))
+		},
+	}
+	for _, name := range []string{"mlp", "minicnn", "miniresnet", "miniresnetbn", "minivgg"} {
+		f, err := FactoryByName(name, 5, image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets[name] = f
+	}
+	for name, build := range nets {
+		m := build(rng.New(8))
+		g := m.Grads()
+		if len(g) != m.NumParams() {
+			t.Fatalf("%s: gradient store holds %d, model %d parameters", name, len(g), m.NumParams())
+		}
+		for i, seg := range m.Segments() {
+			p := m.Params()[i]
+			if len(p.G.Data) != seg.Len || p.G.Size() != seg.Len || &p.G.Data[0] != &g[seg.Off] {
+				t.Fatalf("%s: %s.G is not the store's [%d:%d)", name, p.Name, seg.Off, seg.Off+seg.Len)
+			}
+		}
+		r := rng.New(9)
+		x := tensor.New(6, 1, 16, 16)
+		x.RandNormal(r, 1)
+		labels := []int{0, 1, 2, 3, 4, 0}
+		for i := range g {
+			g[i] = float32(math.NaN())
+		}
+		m.Loss(x, labels)
+		once := append([]float32(nil), g...)
+		for i, v := range once {
+			if v != v {
+				t.Fatalf("%s: gradient %d kept the poison: Backward did not assign it", name, i)
+			}
+		}
+		m.Loss(x, labels)
+		for i := range g {
+			if math.Float32bits(g[i]) != math.Float32bits(once[i]) {
+				t.Fatalf("%s: gradient %d is %v after a second pass on the same batch, %v after one", name, i, g[i], once[i])
+			}
 		}
 	}
 }
@@ -258,12 +296,9 @@ func TestTrainingReducesLossMLP(t *testing.T) {
 		x.Data[i*2+1] = float32(r.NormFloat64()) * 0.3
 	}
 	first, _ := lossOnly(m, x, labels)
-	grads := make([]float32, m.NumParams())
 	for step := 0; step < 60; step++ {
-		m.ZeroGrads()
 		m.Loss(x, labels)
-		m.FlatGrads(grads)
-		m.AxpyParams(-0.5, grads)
+		m.AxpyParams(-0.5, m.Grads())
 	}
 	last, acc := m.Evaluate(x, labels)
 	if last >= first {
@@ -305,8 +340,9 @@ func TestResidualIdentityGradient(t *testing.T) {
 }
 
 func TestFactoryByName(t *testing.T) {
-	for _, name := range []string{"mlp", "minicnn", "miniresnet", "minivgg"} {
-		f, err := FactoryByName(name, 4)
+	image, features := []int{1, 16, 16}, []int{2}
+	for _, name := range []string{"mlp", "minicnn", "miniresnet", "miniresnetbn", "minivgg"} {
+		f, err := FactoryByName(name, 4, image)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -314,8 +350,19 @@ func TestFactoryByName(t *testing.T) {
 		if m.NumParams() == 0 {
 			t.Fatalf("%s: no params", name)
 		}
+		// Only the MLP takes feature vectors; a conv net must say so here,
+		// not panic on its first batch.
+		if _, err := FactoryByName(name, 4, features); (err == nil) != (name == "mlp") {
+			t.Fatalf("%s on %v samples: err = %v", name, features, err)
+		}
 	}
-	if _, err := FactoryByName("nope", 4); err == nil {
+	// The feature-vector MLP is the model it always was: no Flatten in
+	// front, the historical 2-32-32-classes stack.
+	f, _ := FactoryByName("mlp", 4, features)
+	if m := f(rng.New(1)); len(m.Layers) != 3 || m.NumParams() != NewMLP(rng.New(1), 2, 32, 32, 4).NumParams() {
+		t.Fatalf("mlp on %v samples: %d layers, %d params", features, len(m.Layers), m.NumParams())
+	}
+	if _, err := FactoryByName("nope", 4, image); err == nil {
 		t.Fatal("expected error for unknown model")
 	}
 }
@@ -345,7 +392,6 @@ func BenchmarkMiniCNNStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ZeroGrads()
 		m.Loss(x, labels)
 	}
 }
@@ -362,7 +408,29 @@ func BenchmarkMLPStep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ZeroGrads()
+		m.Loss(x, labels)
+	}
+}
+
+// BenchmarkDenseStepBatch8 is one forward/backward pass of the benchmark's
+// wide MLP (Flatten → 256 → 4096 → 512 → classes, 3.15 M parameters) at
+// batch 8: the nn.fwdbwd_ms.widemlp rung. Every GEMM in it has 8 rows or
+// k = 8, so the step is a handful of passes over 12.6 MB of weights and
+// gradients; it must allocate nothing (at -cpu 1; above that the weight
+// gradients fan out over row panels, a closure and goroutines per GEMM).
+func BenchmarkDenseStepBatch8(b *testing.B) {
+	r := rng.New(1)
+	m := NewModel("widemlp", NewFlatten("flat"), NewDenseReLU("fc0", 256, 4096, r),
+		NewDenseReLU("fc1", 4096, 512, r), NewDense("fc2", 512, 8, r))
+	m.SetArena(tensor.NewArena())
+	x := tensor.New(8, 1, 16, 16)
+	x.RandNormal(r, 1)
+	labels := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	m.Loss(x, labels) // size the layer buffers
+	b.ReportAllocs()
+	b.SetBytes(int64(4 * m.NumParams()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		m.Loss(x, labels)
 	}
 }
@@ -385,12 +453,9 @@ func TestMiniResNetBNTrains(t *testing.T) {
 		}
 	}
 	first, _ := lossOnly(m, x, labels)
-	grads := make([]float32, m.NumParams())
 	for step := 0; step < 80; step++ {
-		m.ZeroGrads()
 		m.Loss(x, labels)
-		m.FlatGrads(grads)
-		m.AxpyParams(-0.05, grads)
+		m.AxpyParams(-0.05, m.Grads())
 	}
 	last, acc := m.Evaluate(x, labels)
 	if last >= first {

@@ -36,20 +36,28 @@ func (s *SGD) Step(params, grads []float32, lr float32) {
 	if len(params) != len(s.vel) || len(grads) != len(s.vel) {
 		panic(fmt.Sprintf("opt: Step lengths %d/%d, want %d", len(params), len(grads), len(s.vel)))
 	}
-	s.StepAt(params, grads, lr, 0)
+	s.StepAt(params, grads, 1, lr, 0)
 }
 
 // StepAt applies the update to p, the window of the parameters that starts
-// at flat offset off, given that window's gradient g. Only the optimizer
-// state is indexed by off: p need not be part of a flat vector, so a
-// model's parameter tensors can be stepped where they live.
-func (s *SGD) StepAt(p, g []float32, lr float32, off int) {
+// at flat offset off, given scale·g for that window's gradient: a summed
+// gradient is averaged (scale = 1/workers) in the pass that consumes it,
+// not in one of its own, and g is left as it was. Only the optimizer state
+// is indexed by off: p need not be part of a flat vector, so a model's
+// parameter tensors can be stepped where they live.
+//
+// The bits are those of scaling g first and stepping with scale 1: the
+// product is rounded to float32 before anything is added to it (the
+// explicit conversion forbids fusing it into the sum on targets with FMA),
+// and g·1 is g.
+func (s *SGD) StepAt(p, g []float32, scale, lr float32, off int) {
 	if len(g) != len(p) {
 		panic(fmt.Sprintf("opt: StepAt gradient length %d, want %d", len(g), len(p)))
 	}
 	mu, wd := s.Momentum, s.WeightDecay
 	v := s.vel[off : off+len(p)]
-	for i, gi := range g {
+	for i := range g {
+		gi := float32(g[i] * scale)
 		vi := mu*v[i] + gi + wd*p[i]
 		v[i] = vi
 		p[i] -= lr * vi
@@ -60,7 +68,7 @@ func (s *SGD) StepAt(p, g []float32, lr float32, off int) {
 // form used by parameter-server shards, which own disjoint segments of the
 // global parameters but share one optimizer state.
 func (s *SGD) StepSegment(params, grads []float32, lr float32, off, n int) {
-	s.StepAt(params[off:off+n], grads[off:off+n], lr, off)
+	s.StepAt(params[off:off+n], grads[off:off+n], 1, lr, off)
 }
 
 // StepSegmentGrad is StepSegment with a windowed gradient: params and the
@@ -68,7 +76,7 @@ func (s *SGD) StepSegment(params, grads []float32, lr float32, off, n int) {
 // of length n holding just that window's gradient. Parameter-server shards
 // use this to apply a gradient that arrived as a shard-sized message.
 func (s *SGD) StepSegmentGrad(params, gseg []float32, lr float32, off, n int) {
-	s.StepAt(params[off:off+n], gseg, lr, off)
+	s.StepAt(params[off:off+n], gseg, 1, lr, off)
 }
 
 // Velocity exposes the momentum buffer (used by DGC's momentum correction

@@ -69,6 +69,56 @@ func TestStepSegmentMatchesFullStep(t *testing.T) {
 	}
 }
 
+// TestStepAtScaleMatchesSeparatePass: folding the averaging scale into the
+// step must give, bit for bit, what scaling the gradient in a pass of its own
+// and then stepping gave — parameters and velocity, over several steps so the
+// momentum carries any slip forward, for the scales a ring produces (1/3 and
+// 1/7 are inexact), for 1 (every caller that averages nothing), and on
+// gradients salted with −0, denormals, ±Inf and NaN. The gradient itself must
+// come back untouched.
+func TestStepAtScaleMatchesSeparatePass(t *testing.T) {
+	r := rng.New(2)
+	const n, off = 257, 19
+	for _, scale := range []float32{1, 0.5, 1.0 / 3, 1.0 / 7, 0.25} {
+		p1, p2 := make([]float32, n), make([]float32, n)
+		for i := range p1 {
+			p1[i] = float32(r.NormFloat64())
+			p2[i] = p1[i]
+		}
+		fused, separate := NewSGD(n+off, 0.9, 1e-4), NewSGD(n+off, 0.9, 1e-4)
+		for step := 0; step < 4; step++ {
+			g := make([]float32, n)
+			for i := range g {
+				g[i] = float32(r.NormFloat64() * 3)
+			}
+			g[3] = float32(math.Copysign(0, -1))
+			g[5] = math.Float32frombits(1 + uint32(r.Intn(1<<20))) // denormal
+			if step == 3 {
+				g[7], g[11], g[13] = float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN())
+			}
+			before := append([]float32(nil), g...)
+			fused.StepAt(p1, g, scale, 0.05, off)
+			for i := range g {
+				if math.Float32bits(g[i]) != math.Float32bits(before[i]) {
+					t.Fatalf("scale %v: StepAt wrote gradient %d", scale, i)
+				}
+			}
+			for i := range g {
+				g[i] *= scale
+			}
+			separate.StepAt(p2, g, 1, 0.05, off)
+		}
+		v1, v2 := fused.Velocity(), separate.Velocity()
+		for i := range p1 {
+			if math.Float32bits(p1[i]) != math.Float32bits(p2[i]) ||
+				math.Float32bits(v1[off+i]) != math.Float32bits(v2[off+i]) {
+				t.Fatalf("scale %v element %d: fused p=%x v=%x, scale-then-step p=%x v=%x", scale, i,
+					math.Float32bits(p1[i]), math.Float32bits(v1[off+i]), math.Float32bits(p2[i]), math.Float32bits(v2[off+i]))
+			}
+		}
+	}
+}
+
 func TestSGDStepPanicsOnLengthMismatch(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -1,16 +1,17 @@
 // GEMM kernels: cache-blocked, register-tiled matrix multiplication with a
 // deterministic goroutine fan-out over row panels of C and, on amd64 with
-// AVX2, packed-tile vector micro-kernels for 16-column bands plus one
-// 8-column band for what they leave.
+// AVX2, vector micro-kernels for 16-column bands plus one 8-column band for
+// what they leave.
 //
 // All three variants (MatMul, MatMulTransA, MatMulTransB) share the same
 // structure: a serial panel kernel computes a contiguous range of C rows,
 // and a dispatcher either runs it once over [0, m) or splits the rows across
-// min(GOMAXPROCS, rows) goroutines. Because every goroutine writes a
-// disjoint row panel and each C element accumulates its k terms in the same
-// (ascending-p) order on every path, the result is byte-identical to the
-// serial kernel for any parallelism level — simulation outputs do not depend
-// on GOMAXPROCS.
+// goroutines. Because every goroutine writes a disjoint row panel and each C
+// element accumulates its k terms in the same (ascending-p) order on every
+// path, the result is byte-identical to the serial kernel for any
+// parallelism level — simulation outputs do not depend on GOMAXPROCS. A
+// panel is never cut shorter than gemmMinPanelRows: each panel packs all of
+// B for itself, so thin panels multiply the packing, not the speed.
 //
 // The vector kernels (gemm_amd64.s) keep that contract: they multiply and
 // add each lane with separate VMULPS/VADDPS instructions (never FMA, which
@@ -22,6 +23,30 @@
 // band alone); only the last < 8 columns run the scalar code, which performs
 // the same per-element sequence, so AVX2 on/off is bit-identical too
 // (test-enforced via gemmForceScalar).
+//
+// Skinny shapes — a dense layer at a small batch: a few activation rows
+// against a weight matrix of megabytes — are bound by passes over the
+// weights, not by FLOPs, and the blocked panels spend more time packing the
+// weights than multiplying them. Three paths, chosen by operand shape alone,
+// touch them once instead; each keeps the per-element rounding sequence (k
+// blocks of gemmBlockK, ascending p, block accumulator from +0, one fold per
+// block), so no bit depends on which path ran:
+//
+//   - A·Bᵀ with at most gemmSkinnyRows (8) rows of A swaps the operand
+//     roles: the weight rows stream unpacked through the 8×8 / 1×8 kernels'
+//     row operand, and the activation rows are the packed, zero-padded
+//     8-lane operand (8 rows fill one YMM register exactly, which is where
+//     the bound comes from). That computes Cᵀ; the epilogue transposes it
+//     back while it adds bias and clamps.
+//   - A·B over at most 8 rows hands the 16-wide kernels B's rows where they
+//     lie (stride n) instead of copying each band into a pack: with two row
+//     quads at most, a pack is read twice and not worth its write.
+//   - Aᵀ·B with k ≤ gemmTransASmallK (16) — a weight gradient at batch ≤ 16 —
+//     runs row-quad-outermost: each quad of C rows is zeroed just before its
+//     k folds and stays in cache through them, so C goes to memory once
+//     instead of k times. The bound keeps B (k rows) cache-resident while
+//     every quad re-reads it; with thousands of rows (a conv's patch matrix)
+//     the p-outermost order streams both operands once and wins.
 //
 // MatMulBias/MatMulBiasReLU fuse the A·Bᵀ layout's bias-add and ReLU
 // epilogue into the panel: the epilogue runs once per C row after all k
@@ -56,6 +81,20 @@ const (
 	// dominate tiny multiplies, and the training hot path at mini-model scale
 	// must stay allocation-free.
 	gemmParallelMinFLOPs = 1 << 19
+	// gemmMinPanelRows is the shortest row panel the fan-out cuts. Every
+	// panel packs all of B for its own rows, so at 4 rows per panel the
+	// packing is the whole cost; 16 rows are four row quads per packed band.
+	gemmMinPanelRows = 16
+	// gemmSkinnyRows is the row count up to which A·Bᵀ and A·B take the
+	// pack-free skinny paths: the rows of one 8-lane vector.
+	gemmSkinnyRows = 8
+	// gemmSkinnyCols is how many C columns the skinny A·Bᵀ path finishes
+	// before it transposes them back: its Cᵀ scratch (×8 lanes, 16 KB) lives
+	// on the stack and in L1.
+	gemmSkinnyCols = 512
+	// gemmTransASmallK is the k up to which Aᵀ·B runs row-quad-outermost:
+	// B's k rows (k·n floats) must stay cache-resident across the quads.
+	gemmTransASmallK = 16
 )
 
 // Epilogue selector for the A·Bᵀ panel: nothing, +bias, or relu(·+bias).
@@ -85,32 +124,27 @@ func gemmProcs() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// gemmSerial reports whether an m-row multiply of the given FLOP count
-// should run on the calling goroutine. The wrappers check this BEFORE
-// constructing the dispatch closure: the closure is captured by spawned
-// goroutines and therefore heap-allocates, which the serial hot path
-// (steady-state training steps) must not pay.
-func gemmSerial(m, flops int) bool {
+// gemmWidth is how many goroutines an m-row multiply of the given FLOP count
+// fans out over: 1 (the calling goroutine) below the FLOP cutoff, and never
+// so many that a panel would be shorter than gemmMinPanelRows. The wrappers
+// check this BEFORE constructing the dispatch closure: the closure is
+// captured by spawned goroutines and therefore heap-allocates, which the
+// serial hot path (steady-state training steps) must not pay.
+func gemmWidth(m, flops int) int {
 	procs := gemmProcs()
-	if procs > m {
-		procs = m
-	}
-	return procs <= 1 || flops < gemmParallelMinFLOPs
-}
-
-// gemmDispatch runs panel(i0, i1) over disjoint row ranges covering [0, m),
-// in parallel when the problem is large enough. panel must be safe to run
-// concurrently on disjoint ranges and must produce row results that do not
-// depend on the range boundaries.
-func gemmDispatch(m int, flops int, panel func(i0, i1 int)) {
-	procs := gemmProcs()
-	if procs > m {
-		procs = m
+	if w := m / gemmMinPanelRows; procs > w {
+		procs = w
 	}
 	if procs <= 1 || flops < gemmParallelMinFLOPs {
-		panel(0, m)
-		return
+		return 1
 	}
+	return procs
+}
+
+// gemmDispatch runs panel(i0, i1) concurrently over procs disjoint row ranges
+// covering [0, m). panel must be safe to run concurrently on disjoint ranges
+// and must produce row results that do not depend on the range boundaries.
+func gemmDispatch(m, procs int, panel func(i0, i1 int)) {
 	chunk := (m + procs - 1) / procs
 	var wg sync.WaitGroup
 	for i0 := 0; i0 < m; i0 += chunk {
@@ -136,11 +170,12 @@ func MatMul(a, b, c *Tensor) {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %v x %v -> %v", a.Shape, b.Shape, c.Shape))
 	}
 	ad, bd, cd := a.Data, b.Data, c.Data
-	if gemmSerial(m, 2*m*k*n) {
+	procs := gemmWidth(m, 2*m*k*n)
+	if procs == 1 {
 		matMulPanel(ad, bd, cd, 0, m, k, n)
 		return
 	}
-	gemmDispatch(m, 2*m*k*n, func(i0, i1 int) {
+	gemmDispatch(m, procs, func(i0, i1 int) {
 		matMulPanel(ad, bd, cd, i0, i1, k, n)
 	})
 }
@@ -151,6 +186,8 @@ func MatMul(a, b, c *Tensor) {
 // micro-kernel streams B at stride 16 regardless of n) and handed to the
 // AVX2 4×16 / 1×16 kernels, 8 further columns to the 8×8 / 1×8 kernels; the
 // scalar 2×4 register tile covers the last < 8 columns and non-AVX2 hosts.
+// A skinny panel (at most gemmSkinnyRows rows) skips the 16-wide pack and
+// points the kernels at B itself, stride n.
 //
 // Determinism: every C element, on every path (vector band or scalar tile,
 // any unroll), experiences the identical rounding sequence — a block-local
@@ -165,6 +202,7 @@ func matMulPanel(ad, bd, cd []float32, i0, i1, k, n int) {
 		}
 	}
 	vec := gemmVector()
+	skinny := i1-i0 <= gemmSkinnyRows
 	var pack [gemmBlockK * 16]float32
 	for p0 := 0; p0 < k; p0 += gemmBlockK {
 		pMax := p0 + gemmBlockK
@@ -180,16 +218,21 @@ func matMulPanel(ad, bd, cd []float32, i0, i1, k, n int) {
 			j := j0
 			if vec {
 				for ; j+16 <= jMax; j += 16 {
-					for p := 0; p < kc; p++ {
-						base := (p0+p)*n + j
-						copy(pack[p*16:p*16+16], bd[base:base+16])
+					band, ldb := &pack[0], 16
+					if skinny {
+						band, ldb = &bd[p0*n+j], n
+					} else {
+						for p := 0; p < kc; p++ {
+							base := (p0+p)*n + j
+							copy(pack[p*16:p*16+16], bd[base:base+16])
+						}
 					}
 					i := i0
 					for ; i+4 <= i1; i += 4 {
-						gemmMicro4x16(&ad[i*k+p0], k, &pack[0], &cd[i*n+j], n, kc)
+						gemmMicro4x16(&ad[i*k+p0], k, band, ldb, &cd[i*n+j], n, kc)
 					}
 					for ; i < i1; i++ {
-						gemmMicro1x16(&ad[i*k+p0], &pack[0], &cd[i*n+j], kc)
+						gemmMicro1x16(&ad[i*k+p0], band, ldb, &cd[i*n+j], kc)
 					}
 				}
 				if j+8 <= jMax {
@@ -308,61 +351,72 @@ func MatMulTransA(a, b, c *Tensor) {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch %v x %v -> %v", a.Shape, b.Shape, c.Shape))
 	}
 	ad, bd, cd := a.Data, b.Data, c.Data
-	if gemmSerial(m, 2*m*k*n) {
+	procs := gemmWidth(m, 2*m*k*n)
+	if procs == 1 {
 		matMulTransAPanel(ad, bd, cd, 0, m, k, m, n)
 		return
 	}
-	gemmDispatch(m, 2*m*k*n, func(i0, i1 int) {
+	gemmDispatch(m, procs, func(i0, i1 int) {
 		matMulTransAPanel(ad, bd, cd, i0, i1, k, m, n)
 	})
 }
 
-// matMulTransAPanel computes C rows [i0, i1) of C = Aᵀ·B. The p loop stays
-// outermost so both A and B rows stream contiguously; the panel itself is
-// the cache block (its C rows are revisited every p step). Four C rows share
+// matMulTransAPanel computes C rows [i0, i1) of C = Aᵀ·B. Four C rows share
 // each loaded B row — via the AVX2 saxpy kernel for the 8-aligned column
 // prefix, scalar for the tail. Both paths fold a[p][i]·b[p][j] into C once
 // per p step, in ascending-p order, so vector on/off and the quad grouping
-// don't change a single bit.
+// don't change a single bit — and neither does the size of the row block the
+// p loop runs over. With many k rows that block is the whole panel: p is
+// outermost, both A and B rows stream contiguously, and the panel is the
+// cache block (its C rows are revisited every p step). With k ≤
+// gemmTransASmallK it is one row quad: the quad is zeroed, takes its k folds
+// while it sits in cache, and is not touched again, so a C of megabytes (a
+// dense layer's dW at a small batch) is written once instead of read and
+// written k times.
 func matMulTransAPanel(ad, bd, cd []float32, i0, i1, k, m, n int) {
-	for i := i0; i < i1; i++ {
-		ci := cd[i*n : i*n+n]
-		for x := range ci {
-			ci[x] = 0
-		}
-	}
 	nv := 0
 	if gemmVector() {
 		nv = n &^ 7
 	}
-	for p := 0; p < k; p++ {
-		ap := ad[p*m : p*m+m]
-		bp := bd[p*n : p*n+n]
-		i := i0
-		for ; i+3 < i1; i += 4 {
-			if nv > 0 {
-				gemmSaxpy4(&ap[i], &bp[0], &cd[i*n], n, nv)
-			}
-			if nv < n {
-				av0, av1, av2, av3 := ap[i], ap[i+1], ap[i+2], ap[i+3]
-				c0 := cd[i*n : i*n+n]
-				c1 := cd[(i+1)*n : (i+2)*n]
-				c2 := cd[(i+2)*n : (i+3)*n]
-				c3 := cd[(i+3)*n : (i+4)*n]
-				for j := nv; j < n; j++ {
-					bv := bp[j]
-					c0[j] += av0 * bv
-					c1[j] += av1 * bv
-					c2[j] += av2 * bv
-					c3[j] += av3 * bv
+	block := i1 - i0
+	if k <= gemmTransASmallK {
+		block = 4
+	}
+	for r0 := i0; r0 < i1; r0 += block {
+		r1 := r0 + block
+		if r1 > i1 {
+			r1 = i1
+		}
+		clear(cd[r0*n : r1*n])
+		for p := 0; p < k; p++ {
+			ap := ad[p*m : p*m+m]
+			bp := bd[p*n : p*n+n]
+			i := r0
+			for ; i+3 < r1; i += 4 {
+				if nv > 0 {
+					gemmSaxpy4(&ap[i], &bp[0], &cd[i*n], n, nv)
+				}
+				if nv < n {
+					av0, av1, av2, av3 := ap[i], ap[i+1], ap[i+2], ap[i+3]
+					c0 := cd[i*n : i*n+n]
+					c1 := cd[(i+1)*n : (i+2)*n]
+					c2 := cd[(i+2)*n : (i+3)*n]
+					c3 := cd[(i+3)*n : (i+4)*n]
+					for j := nv; j < n; j++ {
+						bv := bp[j]
+						c0[j] += av0 * bv
+						c1[j] += av1 * bv
+						c2[j] += av2 * bv
+						c3[j] += av3 * bv
+					}
 				}
 			}
-		}
-		for ; i < i1; i++ {
-			av := ap[i]
-			ci := cd[i*n : i*n+n]
-			for j, bv := range bp {
-				ci[j] += av * bv
+			for ; i < r1; i++ {
+				av := ap[i]
+				ci := cd[i*n : i*n+n]
+				for j, bv := range bp {
+					ci[j] += av * bv
+				}
 			}
 		}
 	}
@@ -399,11 +453,16 @@ func matMulTransBEp(a, b, c *Tensor, bias []float32, ep int) {
 		panic(fmt.Sprintf("tensor: matmul bias length %d != %d columns", len(bias), n))
 	}
 	ad, bd, cd := a.Data, b.Data, c.Data
-	if gemmSerial(m, 2*m*k*n) {
+	if m <= gemmSkinnyRows && gemmVector() {
+		matMulTransBSkinny(ad, bd, cd, m, k, n, bias, ep)
+		return
+	}
+	procs := gemmWidth(m, 2*m*k*n)
+	if procs == 1 {
 		matMulTransBPanel(ad, bd, cd, 0, m, k, n, bias, ep)
 		return
 	}
-	gemmDispatch(m, 2*m*k*n, func(i0, i1 int) {
+	gemmDispatch(m, procs, func(i0, i1 int) {
 		matMulTransBPanel(ad, bd, cd, i0, i1, k, n, bias, ep)
 	})
 }
@@ -446,10 +505,10 @@ func matMulTransBPanel(ad, bd, cd []float32, i0, i1, k, n int, bias []float32, e
 				}
 				i := i0
 				for ; i+4 <= i1; i += 4 {
-					gemmMicro4x16(&ad[i*k+p0], k, &pack[0], &cd[i*n+j], n, kc)
+					gemmMicro4x16(&ad[i*k+p0], k, &pack[0], 16, &cd[i*n+j], n, kc)
 				}
 				for ; i < i1; i++ {
-					gemmMicro1x16(&ad[i*k+p0], &pack[0], &cd[i*n+j], kc)
+					gemmMicro1x16(&ad[i*k+p0], &pack[0], 16, &cd[i*n+j], kc)
 				}
 			}
 			if j+8 <= n {
@@ -479,6 +538,65 @@ func matMulTransBPanel(ad, bd, cd []float32, i0, i1, k, n int, bias []float32, e
 				v = 0
 			}
 			ci[j] = v
+		}
+	}
+}
+
+// matMulTransBSkinny computes C = A·Bᵀ with the epilogue for m ≤
+// gemmSkinnyRows rows of A, operand roles swapped: it forms Cᵀ = B·Aᵀ, so
+// the n rows of B — the weights, the operand that is megabytes — stream
+// through the 8×8 / 1×8 kernels' unpacked row operand exactly once, and the
+// m rows of A are what gets packed: kc×8 floats per k block, lane t holding
+// A's row t and lanes m…7 zero (their products land in Cᵀ columns nobody
+// reads). Cᵀ for gemmSkinnyCols columns of C at a time accumulates in ct
+// across the k blocks; the epilogue reads it back transposed.
+//
+// Determinism: C[t][j] still sums its k terms ascending-p into a block
+// accumulator from +0 that folds into a +0-initialised cell once per block.
+// Only the product's operand order differs from matMulTransBPanel's
+// (b·a for a·b), which IEEE multiplication cannot tell apart — short of
+// which NaN payload survives when both are NaN, and no path defines that.
+func matMulTransBSkinny(ad, bd, cd []float32, m, k, n int, bias []float32, ep int) {
+	var apack [gemmBlockK * 8]float32
+	var ct [gemmSkinnyCols * 8]float32
+	relu := ep == epBiasReLU
+	for j0 := 0; j0 < n; j0 += gemmSkinnyCols {
+		j1 := j0 + gemmSkinnyCols
+		if j1 > n {
+			j1 = n
+		}
+		clear(ct[:(j1-j0)*8])
+		for p0 := 0; p0 < k; p0 += gemmBlockK {
+			pMax := p0 + gemmBlockK
+			if pMax > k {
+				pMax = k
+			}
+			kc := pMax - p0
+			for t := 0; t < m; t++ {
+				for p, v := range ad[t*k+p0 : t*k+pMax] {
+					apack[p*8+t] = v
+				}
+			}
+			j := j0
+			for ; j+8 <= j1; j += 8 {
+				gemmMicro8x8(&bd[j*k+p0], k, &apack[0], &ct[(j-j0)*8], 8, kc)
+			}
+			for ; j < j1; j++ {
+				gemmMicro1x8(&bd[j*k+p0], &apack[0], &ct[(j-j0)*8], kc)
+			}
+		}
+		for t := 0; t < m; t++ {
+			ci := cd[t*n+j0 : t*n+j1]
+			for j := range ci {
+				v := ct[j*8+t]
+				if ep != epNone {
+					v += bias[j0+j]
+					if relu && !(v > 0) {
+						v = 0
+					}
+				}
+				ci[j] = v
+			}
 		}
 	}
 }

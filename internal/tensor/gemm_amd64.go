@@ -11,17 +11,17 @@ var hasAVX2 = cpuSupportsAVX2()
 func cpuSupportsAVX2() bool
 
 // gemmMicro4x16 computes C[0:4][0:16] += A[0:4][0:kc] · B, where A is
-// row-major with stride lda, B is packed with stride 16 floats, and C is
-// row-major with stride ldc. kc must be >= 1.
+// row-major with stride lda, B's rows are ldb floats apart (16 for a packed
+// tile), and C is row-major with stride ldc. kc must be >= 1.
 //
 //go:noescape
-func gemmMicro4x16(a *float32, lda int, b *float32, c *float32, ldc int, kc int)
+func gemmMicro4x16(a *float32, lda int, b *float32, ldb int, c *float32, ldc int, kc int)
 
-// gemmMicro1x16 computes C[0:16] += A[0:kc] · B with B packed (stride 16
-// floats). kc must be >= 1.
+// gemmMicro1x16 computes C[0:16] += A[0:kc] · B with B's rows ldb floats
+// apart. kc must be >= 1.
 //
 //go:noescape
-func gemmMicro1x16(a *float32, b *float32, c *float32, kc int)
+func gemmMicro1x16(a *float32, b *float32, ldb int, c *float32, kc int)
 
 // gemmMicro8x8 computes C[0:8][0:8] += A[0:8][0:kc] · B, where A is
 // row-major with stride lda, B is packed with stride 8 floats, and C is

@@ -35,12 +35,13 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func gemmMicro4x16(a *float32, lda int, b *float32, c *float32, ldc int, kc int)
+// func gemmMicro4x16(a *float32, lda int, b *float32, ldb int, c *float32, ldc int, kc int)
 //
 // C[0:4][0:16] += A[0:4][0:kc] · B[0:kc][0:16], with A row-major (stride
-// lda floats), B packed contiguously (stride 16 floats) and C row-major
+// lda floats), B rows ldb floats apart (16 for a packed tile, the matrix
+// width when a skinny multiply reads B where it lives) and C row-major
 // (stride ldc floats). kc must be >= 1.
-TEXT ·gemmMicro4x16(SB), NOSPLIT, $0-48
+TEXT ·gemmMicro4x16(SB), NOSPLIT, $0-56
 	MOVQ a+0(FP), R8
 	MOVQ lda+8(FP), R12
 	SHLQ $2, R12                      // lda in bytes
@@ -48,7 +49,9 @@ TEXT ·gemmMicro4x16(SB), NOSPLIT, $0-48
 	LEAQ (R9)(R12*1), R10             // a row 2
 	LEAQ (R10)(R12*1), R11            // a row 3
 	MOVQ b+16(FP), DI
-	MOVQ kc+40(FP), CX
+	MOVQ ldb+24(FP), R13
+	SHLQ $2, R13                      // ldb in bytes
+	MOVQ kc+48(FP), CX
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -91,14 +94,14 @@ loop4x16:
 	ADDQ $4, R9
 	ADDQ $4, R10
 	ADDQ $4, R11
-	ADDQ $64, DI
+	ADDQ R13, DI
 	DECQ CX
 	JNZ  loop4x16
 
 	// Fold the block-local accumulators into C: c = c + acc (src1 = c,
 	// matching the scalar `ci[j] += s`).
-	MOVQ c+24(FP), DX
-	MOVQ ldc+32(FP), R12
+	MOVQ c+32(FP), DX
+	MOVQ ldc+40(FP), R12
 	SHLQ $2, R12
 
 	VMOVUPS (DX), Y8
@@ -135,14 +138,16 @@ loop4x16:
 	VZEROUPPER
 	RET
 
-// func gemmMicro1x16(a *float32, b *float32, c *float32, kc int)
+// func gemmMicro1x16(a *float32, b *float32, ldb int, c *float32, kc int)
 //
-// C[0:16] += A[0:kc] · B[0:kc][0:16], B packed (stride 16 floats). The
+// C[0:16] += A[0:kc] · B[0:kc][0:16], B rows ldb floats apart. The
 // row-remainder companion of gemmMicro4x16. kc must be >= 1.
-TEXT ·gemmMicro1x16(SB), NOSPLIT, $0-32
+TEXT ·gemmMicro1x16(SB), NOSPLIT, $0-40
 	MOVQ a+0(FP), R8
 	MOVQ b+8(FP), DI
-	MOVQ kc+24(FP), CX
+	MOVQ ldb+16(FP), R13
+	SHLQ $2, R13                      // ldb in bytes
+	MOVQ kc+32(FP), CX
 
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
@@ -156,11 +161,11 @@ loop1x16:
 	VMULPS Y9, Y10, Y12
 	VADDPS Y12, Y1, Y1
 	ADDQ $4, R8
-	ADDQ $64, DI
+	ADDQ R13, DI
 	DECQ CX
 	JNZ  loop1x16
 
-	MOVQ c+16(FP), DX
+	MOVQ c+24(FP), DX
 	VMOVUPS (DX), Y8
 	VADDPS Y0, Y8, Y8
 	VMOVUPS Y8, (DX)

@@ -148,6 +148,43 @@ func BenchmarkGemmNarrow(b *testing.B) {
 	run("TransA_8x4096x72", 8, 4096, 72, func() { MatMulTransA(a, bb, c) })
 }
 
+// BenchmarkGemmSkinny times the GEMMs of a wide dense layer at batch 8 — the
+// shapes behind tensor.gemm_gflops.widemlp and the wide-MLP step (256 → 4096
+// → 512): forward A·Bᵀ with the fused epilogue, the input gradient A·B and
+// the weight gradient Aᵀ·B with k = 8. Each streams the weight matrix once
+// per call against a few KFLOPs per byte, so GB/s of weight bytes is the
+// number to read; m/k/n are MatMul's.
+func BenchmarkGemmSkinny(b *testing.B) {
+	r := rng.New(1)
+	mat := func(rows, cols int) *Tensor {
+		t := New(rows, cols)
+		t.RandNormal(r, 1)
+		return t
+	}
+	run := func(name string, m, k, n, weights int, f func()) {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				f()
+			}
+			reportGFLOPS(b, 2*m*k*n)
+			b.ReportMetric(4*float64(weights)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
+		})
+	}
+	for _, s := range [][2]int{{256, 4096}, {4096, 512}} {
+		k, n := s[0], s[1]
+		a, w, c, bias := mat(8, k), mat(n, k), New(8, n), make([]float32, n)
+		run(fmt.Sprintf("TransBFused_8x%dx%d", k, n), 8, k, n, n*k, func() { MatMulBiasReLU(a, w, c, bias) })
+	}
+	a, w, c := mat(8, 512), mat(512, 4096), New(8, 4096)
+	run("MatMul_8x512x4096", 8, 512, 4096, 512*4096, func() { MatMul(a, w, c) })
+	for _, s := range [][2]int{{4096, 256}, {512, 4096}} {
+		m, n := s[0], s[1]
+		dy, x, dw := mat(8, m), mat(8, n), New(m, n)
+		run(fmt.Sprintf("TransA_%dx8x%d", m, n), m, 8, n, m*n, func() { MatMulTransA(dy, x, dw) })
+	}
+}
+
 // convBench is the conv geometry of MiniResNet's residual blocks: 8 channels
 // of 16×16, 3×3 kernel, stride 1, pad 1 — the tensor.im2col_gbps rung.
 func convBench() (in *Tensor, rows []float32) {

@@ -186,6 +186,44 @@ func sameF32(a, b float32) bool {
 	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
 }
 
+// sweepShape runs all three variants and both fused epilogues at one m×k×n
+// over the front of the given data: the vector path, serial and split over 8
+// goroutines, into an output poisoned beforehand (every path must overwrite
+// C), against the scalar path's bits. The caller restores the force hooks.
+func sweepShape(t *testing.T, ad, bd, bias []float32, m, k, n int, poison bool) {
+	t.Helper()
+	a, aT := FromSlice(ad[:m*k], m, k), FromSlice(ad[:m*k], k, m)
+	b, bT := FromSlice(bd[:k*n], k, n), FromSlice(bd[:k*n], n, k)
+	variants := []struct {
+		name    string
+		compute func(c *Tensor)
+	}{
+		{"MatMul", func(c *Tensor) { MatMul(a, b, c) }},
+		{"MatMulTransA", func(c *Tensor) { MatMulTransA(aT, b, c) }},
+		{"MatMulTransB", func(c *Tensor) { MatMulTransB(a, bT, c) }},
+		{"MatMulBias", func(c *Tensor) { MatMulBias(a, bT, c, bias[:n]) }},
+		{"MatMulBiasReLU", func(c *Tensor) { MatMulBiasReLU(a, bT, c, bias[:n]) }},
+	}
+	for _, v := range variants {
+		want, got := New(m, n), New(m, n)
+		gemmForceScalar.Store(true)
+		gemmForceProcs.Store(1)
+		v.compute(want)
+		gemmForceScalar.Store(false)
+		for _, procs := range []int32{1, 8} {
+			gemmForceProcs.Store(procs)
+			got.Fill(float32(math.NaN()))
+			v.compute(got)
+			for i := range want.Data {
+				if !sameF32(got.Data[i], want.Data[i]) {
+					t.Fatalf("%s %dx%dx%d poison=%v procs=%d: element %d vector=%x scalar=%x", v.name, m, k, n,
+						poison, procs, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+				}
+			}
+		}
+	}
+}
+
 // TestGemmBandSweepBitIdentical walks every column count through the
 // 16-wide bands, the 8-wide band and the scalar tail (n = 1…40 and the
 // dcols width 72) at row counts around the 8-row and 4-row kernel edges and
@@ -220,35 +258,45 @@ func TestGemmBandSweepBitIdentical(t *testing.T) {
 					if m == 4096 && (poison || !bandLayouts[n]) {
 						continue
 					}
-					a, aT := FromSlice(ad[:m*k], m, k), FromSlice(ad[:m*k], k, m)
-					b, bT := FromSlice(bd[:k*n], k, n), FromSlice(bd[:k*n], n, k)
-					variants := []struct {
-						name    string
-						compute func(c *Tensor)
-					}{
-						{"MatMul", func(c *Tensor) { MatMul(a, b, c) }},
-						{"MatMulTransA", func(c *Tensor) { MatMulTransA(aT, b, c) }},
-						{"MatMulTransB", func(c *Tensor) { MatMulTransB(a, bT, c) }},
-						{"MatMulBias", func(c *Tensor) { MatMulBias(a, bT, c, bias[:n]) }},
-						{"MatMulBiasReLU", func(c *Tensor) { MatMulBiasReLU(a, bT, c, bias[:n]) }},
+					sweepShape(t, ad, bd, bias, m, k, n, poison)
+				}
+			}
+		}
+	}
+}
+
+// TestGemmSkinnySweepBitIdentical is the band sweep for the shapes a dense
+// layer issues at a small batch, where the skinny paths take over: row
+// counts across the 8-row edge of the pack-free A·Bᵀ and A·B paths and the
+// 16-row minimum panel, k across the small-k edge of Aᵀ·B (16|17) and the k
+// block edge (239, 240, 241, and 4096 = 18 blocks), n across the 8-lane and
+// 16-lane edges and one full Cᵀ scratch (512). Every variant and fused
+// epilogue must give the scalar blocked path's bits, serial and at 8 procs,
+// on data salted with ±0 and denormals and then with NaN and ±Inf.
+func TestGemmSkinnySweepBitIdentical(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2: vector path never taken")
+	}
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17}
+	ks := []int{1, 8, 16, 17, gemmBlockK - 1, gemmBlockK, gemmBlockK + 1, 4096}
+	ns := []int{1, 7, 8, 9, 16, 17, gemmSkinnyCols}
+	defer gemmForceProcs.Store(0)
+	defer gemmForceScalar.Store(false)
+	for _, poison := range []bool{false, true} {
+		r := rng.New(53)
+		ad := sweepData(r, 17*4096, poison)
+		bd := sweepData(r, 4096*gemmSkinnyCols, poison)
+		bias := sweepData(r, gemmSkinnyCols, false)
+		for _, m := range ms {
+			for _, k := range ks {
+				for _, n := range ns {
+					// The deep k is there for many folds per element and the
+					// repacking of A per block; a few row counts on either
+					// side of each edge keep the scalar reference affordable.
+					if k == 4096 && m != 1 && m != 5 && m != 8 && m != 9 && m != 17 {
+						continue
 					}
-					for _, v := range variants {
-						want, got := New(m, n), New(m, n)
-						gemmForceScalar.Store(true)
-						gemmForceProcs.Store(1)
-						v.compute(want)
-						gemmForceScalar.Store(false)
-						for _, procs := range []int32{1, 8} {
-							gemmForceProcs.Store(procs)
-							v.compute(got)
-							for i := range want.Data {
-								if !sameF32(got.Data[i], want.Data[i]) {
-									t.Fatalf("%s %dx%dx%d poison=%v procs=%d: element %d vector=%x scalar=%x", v.name, m, k, n,
-										poison, procs, i, math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
-								}
-							}
-						}
-					}
+					sweepShape(t, ad, bd, bias, m, k, n, poison)
 				}
 			}
 		}
@@ -395,19 +443,38 @@ func TestGemmDispatchCoversAllRows(t *testing.T) {
 	// combinations (m < procs, m % procs != 0, m == 1).
 	for _, m := range []int{1, 2, 7, 8, 9, 100} {
 		for _, procs := range []int{1, 3, 8, 16} {
-			gemmForceProcs.Store(int32(procs))
 			counts := make([]int32, m)
-			gemmDispatch(m, 1<<30, func(i0, i1 int) {
+			gemmDispatch(m, procs, func(i0, i1 int) {
 				for i := i0; i < i1; i++ {
 					counts[i]++ // disjoint ranges: no race by construction
 				}
 			})
-			gemmForceProcs.Store(0)
 			for i, cnt := range counts {
 				if cnt != 1 {
 					t.Fatalf("m=%d procs=%d: row %d visited %d times", m, procs, i, cnt)
 				}
 			}
+		}
+	}
+}
+
+// TestGemmWidthKeepsPanelsTall: the fan-out never cuts a panel shorter than
+// gemmMinPanelRows (each panel packs all of B for itself), stays serial
+// under the FLOP cutoff, and otherwise uses every goroutine it is given.
+func TestGemmWidthKeepsPanelsTall(t *testing.T) {
+	defer gemmForceProcs.Store(0)
+	big := gemmParallelMinFLOPs
+	for _, c := range []struct{ m, procs, flops, want int }{
+		{8, 8, big, 1}, {31, 8, big, 1}, {32, 8, big, 2}, {33, 2, big, 2},
+		{100, 8, big, 6}, {4096, 8, big, 8}, {4096, 8, big - 1, 1}, {4096, 1, big, 1},
+	} {
+		gemmForceProcs.Store(int32(c.procs))
+		got := gemmWidth(c.m, c.flops)
+		if got != c.want {
+			t.Errorf("gemmWidth(m=%d, flops=%d) at %d procs = %d, want %d", c.m, c.flops, c.procs, got, c.want)
+		}
+		if got > 1 && (c.m+got-1)/got < gemmMinPanelRows {
+			t.Errorf("m=%d over %d goroutines cuts panels of %d rows", c.m, got, (c.m+got-1)/got)
 		}
 	}
 }

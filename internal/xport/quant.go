@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // QuantCodec identifies a compressed-vector encoding carried in a frame's
@@ -78,7 +79,10 @@ func (q *QuantVec) AppendEncode(dst []byte) []byte {
 // DecodeQuantVec decodes a quantized payload produced by AppendEncode.
 // Malformed input — unknown codec, element count inconsistent with the blob
 // length — yields an error, never a panic, and never an allocation beyond
-// the blob's own size.
+// the blob's own size. An int8 payload is not copied: I8 views data's bytes
+// (a byte has no byte order, so the view is the decoding on every host) and
+// is valid only as long as the caller keeps data — a received frame's Data
+// is the receiver's alone, so that is the receiver's to decide.
 func DecodeQuantVec(data []byte) (QuantVec, error) {
 	if len(data) < quantHeaderLen {
 		return QuantVec{}, fmt.Errorf("xport: quant payload %d bytes, need at least %d", len(data), quantHeaderLen)
@@ -94,8 +98,7 @@ func DecodeQuantVec(data []byte) (QuantVec, error) {
 		if n != len(rest) {
 			return QuantVec{}, fmt.Errorf("xport: int8 quant count %d inconsistent with %d payload bytes", n, len(rest))
 		}
-		q.I8 = make([]int8, n)
-		copy(rawBytes(q.I8), rest)
+		q.I8 = unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(rest))), n)
 	case QuantF16:
 		if 2*n != len(rest) {
 			return QuantVec{}, fmt.Errorf("xport: f16 quant count %d inconsistent with %d payload bytes", n, len(rest))

@@ -42,6 +42,24 @@ func TestQuantVecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeQuantVecInt8ViewsData: the int8 decode is a view of the blob,
+// not a copy — a write to the blob shows through, and decoding a payload of
+// any size allocates nothing.
+func TestDecodeQuantVecInt8ViewsData(t *testing.T) {
+	buf := (&QuantVec{Codec: QuantInt8, Scale: 0.5, I8: make([]int8, 1<<16)}).AppendEncode(nil)
+	q, err := DecodeQuantVec(buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[quantHeaderLen+5] = 0xfd
+	if q.I8[5] != -3 {
+		t.Fatalf("I8[5] = %d after writing 0xfd (-3) into the blob: the decode copied", q.I8[5])
+	}
+	if allocs := testing.AllocsPerRun(10, func() { q, err = DecodeQuantVec(buf) }); allocs != 0 {
+		t.Fatalf("int8 decode allocates %v times", allocs)
+	}
+}
+
 func TestQuantVecRejectsMalformed(t *testing.T) {
 	good := (&QuantVec{Codec: QuantInt8, Scale: 1, I8: []int8{1, 2, 3}}).AppendEncode(nil)
 	cases := map[string][]byte{
