@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"disttrain/internal/cluster"
+	"disttrain/internal/costmodel"
 	"disttrain/internal/des"
 	"disttrain/internal/rng"
 	"disttrain/internal/simnet"
@@ -399,5 +400,36 @@ func TestTreeVsRingLatencyCrossover(t *testing.T) {
 	large := int64(128 << 20)
 	if tt, rt := run(true, large), run(false, large); tt <= rt {
 		t.Fatalf("large message: ring (%v) not faster than tree (%v)", rt, tt)
+	}
+}
+
+// BenchmarkRingCostOnly128 is the benchmark ladder's comm.ring_host_ms.n128
+// rung: one cost-only ring AllReduce of a VGG-16-sized gradient (528 MiB)
+// over 128 ranks on the 10 Gbps cluster, network and processes built fresh
+// per op — 2·127 rounds of 128 messages, nothing but des, simnet and the
+// ring's chunk arithmetic.
+func BenchmarkRingCostOnly128(b *testing.B) {
+	const n = 128
+	c, vggBytes := cluster.Paper10G(n), costmodel.VGG16().TotalBytes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng := des.NewEngine()
+		net := simnet.New(eng, c)
+		ids := make([]int, n)
+		for w := range ids {
+			ids[w] = net.AddNode(c.MachineOfWorker(w)).ID
+		}
+		for w := 0; w < n; w++ {
+			eng.Spawn("rank", func(p *des.Proc) {
+				if _, _, err := Collective(p, CollectiveOpts{Op: OpRingAllReduce, Net: net, Nodes: ids, Self: w,
+					VirtualLen: 1000, Bytes: vggBytes, Kind: testKind}); err != nil {
+					b.Error(err)
+				}
+			})
+		}
+		eng.Run(0)
+		if stuck := eng.Stuck(); len(stuck) > 0 {
+			b.Fatalf("%d stuck ranks", len(stuck))
+		}
 	}
 }

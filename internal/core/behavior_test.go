@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"disttrain/internal/costmodel"
 	"disttrain/internal/data"
 	"disttrain/internal/grad"
+	"disttrain/internal/metrics"
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
 	"disttrain/internal/rng"
@@ -405,5 +408,41 @@ func TestASPNoBarrier(t *testing.T) {
 	}
 	if asp.VirtualSec >= bsp.VirtualSec {
 		t.Fatalf("ASP (%.2f) should outrun BSP (%.2f) under stragglers", asp.VirtualSec, bsp.VirtualSec)
+	}
+}
+
+// TestProcessPanicFailsTheRunOnly: a panic inside a simulated process — here
+// from the caller's own Progress callback, three evaluations into a real-math
+// run on the compute pool — comes back as Run's error with the process's
+// stack, and the run leaves no goroutine behind (the other workers and the PS
+// shard are parked mid-protocol, the pool is up). One bad job must not take
+// down a service that runs many.
+func TestProcessPanicFailsTheRunOnly(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, algo := range []Algo{BSP, ADPSGD} {
+		cfg := realConfig(algo, 4, 10, 3)
+		cfg.PoolSize = 2
+		cfg.Real.EvalEvery = 1
+		calls := 0
+		cfg.Progress = func(metrics.TracePoint) {
+			if calls++; calls == 3 {
+				panic("progress sink broke")
+			}
+		}
+		res, err := Run(context.Background(), cfg)
+		if err == nil || res != nil {
+			t.Fatalf("%s: Run returned %v, %v; want the panic as an error", algo, res, err)
+		}
+		for _, want := range []string{"core: simulated process panicked: progress sink broke", `(in process "`, "core.(*exp).evalGlobal"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s: error lacks %q:\n%v", algo, want, err)
+			}
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the failed runs, %d before", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -194,8 +194,10 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Progress, when non-nil, is called with every convergence sample the
 	// run records (real mode only; the samples also accumulate in
-	// Result.Metrics.Trace). Calls happen on the simulation goroutine in
-	// deterministic order — the callback must not block on the run itself.
+	// Result.Metrics.Trace). Calls happen one at a time, in deterministic
+	// order, while Run's caller waits — the callback must not block on the
+	// run itself. A panic in a call made from inside the simulation (every
+	// one but the final evaluation's) comes back as Run's error.
 	// With RealConfig.EvalEvery = 1 this streams per-iteration metrics.
 	Progress func(metrics.TracePoint)
 	// Faults, when non-nil and non-empty, injects the scheduled faults

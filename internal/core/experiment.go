@@ -855,11 +855,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown algorithm %q", cfg.Algo)
 	}
-	report := x.eng.Run(0)
-	// Settle any pass a stalled process left in flight before touching
-	// replica state (evalGlobal, replicaSpread read concurrently otherwise).
-	for _, r := range x.reps {
-		r.settle()
+	report, err := x.drain()
+	if err != nil {
+		return nil, err
 	}
 	if x.canceled {
 		x.eng.Kill()
@@ -914,6 +912,27 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	x.eng.Kill()
 	return res, nil
+}
+
+// drain runs the simulation until no event is left, then settles any pass a
+// stalled process left in flight before replica state is touched
+// (evalGlobal and replicaSpread would read it concurrently otherwise). A
+// panic in simulated code — an algorithm loop, or the Config.Progress it
+// calls — surfaces from the engine on this goroutine and becomes the run's
+// error instead of the program's end; the engine is killed so that nothing
+// of the failed run stays behind.
+func (x *exp) drain() (report []des.ProcState, err error) {
+	defer func() {
+		r := recover()
+		for _, rep := range x.reps {
+			rep.settle()
+		}
+		if r != nil {
+			x.eng.Kill()
+			err = fmt.Errorf("core: simulated process panicked: %v", r)
+		}
+	}()
+	return x.eng.Run(0), nil
 }
 
 // faultSpans emits the fault timeline onto the tracer: realized crashes

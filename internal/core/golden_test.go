@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"testing"
 
 	"disttrain/internal/data"
+	"disttrain/internal/fault"
 	"disttrain/internal/grad"
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
@@ -154,5 +157,117 @@ func TestGoldenFinalParams(t *testing.T) {
 			all = append(all, p...)
 		}
 		checkGolden(t, r.name, all, r.want)
+	}
+}
+
+// goldenVirtualRows are cost-only runs whose whole virtual-time outcome is
+// pinned to the bit: the event engine may change how it runs, never what the
+// simulated cluster does. Together they cross every algorithm loop, the five
+// collectives, sharded and layer-wise parameter servers with WFBP and DGC,
+// local aggregation, and the fault paths that depend on stale wake-ups being
+// skipped (timeout backstops that lose, and win, their race). Recorded at
+// PR 17's commit (c7d21b3), on the goroutine-per-process engine over container/heap.
+var goldenVirtualRows = []struct {
+	name    string
+	algo    Algo
+	workers int
+	mutate  func(*Config)
+	want    uint64
+}{
+	{"bsp-24", BSP, 24, nil, 0xb45723f74fccad25},
+	{"asp-24", ASP, 24, nil, 0xcf62ac27f1b7472f},
+	{"ssp-24", SSP, 24, nil, 0x90d37fda2a861e69},
+	{"easgd-24", EASGD, 24, nil, 0xb6913de3831a45ee},
+	{"arsgd-24", ARSGD, 24, nil, 0x954191e9d37b57bd},
+	{"gosgd-24", GoSGD, 24, nil, 0x8996067ba984b039},
+	{"adpsgd-24", ADPSGD, 24, nil, 0x7d0d4bb6d7754e6f},
+	{"arsgd-ring-64", ARSGD, 64, func(c *Config) { c.Collective = "ring" }, 0x719a7726d996d6d9},
+	{"arsgd-tree-64", ARSGD, 64, func(c *Config) { c.Collective = "tree" }, 0x794ad31c9ea0eef1},
+	{"arsgd-hierarchical-64", ARSGD, 64, func(c *Config) { c.Collective = "hierarchical" }, 0x76926795415b2443},
+	{"arsgd-butterfly-64", ARSGD, 64, func(c *Config) { c.Collective = "butterfly" }, 0x0a4c5a38700639ce},
+	{"arsgd-torus-64", ARSGD, 64, func(c *Config) { c.Collective = "torus" }, 0x037e84be629a3433},
+	{"ssp-balanced-32", SSP, 32, func(c *Config) { c.Sharding = ShardBalanced }, 0x51283b600fe31114},
+	{"asp-layerwise-wfbp-dgc-16", ASP, 16, func(c *Config) {
+		d := grad.DefaultDGC(0.999, 4)
+		c.Sharding, c.WaitFreeBP, c.DGC = ShardLayerWise, true, &d
+	}, 0xf5c9453a699e440a},
+	{"bsp-localagg-16", BSP, 16, func(c *Config) { c.LocalAgg = true }, 0xbb641c35ed192840},
+	{"bsp-elastic-crash-restart-16", BSP, 16, func(c *Config) {
+		c.Elastic = true
+		c.Faults = goldenFaults(c, "crash@iter6:w3:restart=%g", 3)
+	}, 0xbc363f85eda24bd3},
+	{"asp-partition-timeout-16", ASP, 16, func(c *Config) {
+		c.BarrierTimeoutSec = 2 * c.Workload.MeanIterSec()
+		c.Faults = goldenFaults(c, "partition@%g:m1:for=%g", 4, 5)
+	}, 0xce9d263d5c134931},
+	{"ssp-slow-straggler-16", SSP, 16, func(c *Config) {
+		c.Faults = goldenFaults(c, "slow@%g:w2:x4:for=%g", 2, 8)
+	}, 0x7855340ec9ef4718},
+	{"adpsgd-partition-16", ADPSGD, 16, func(c *Config) {
+		c.Faults = goldenFaults(c, "partition@%g:m1:for=%g", 4, 5)
+	}, 0xae45548e0b543ef5},
+}
+
+// goldenFaults parses a fault spec whose times are given in mean iterations.
+func goldenFaults(c *Config, format string, iters ...float64) *fault.Schedule {
+	args := make([]any, len(iters))
+	for i, n := range iters {
+		args[i] = n * c.Workload.MeanIterSec()
+	}
+	s, err := fault.ParseSpec(fmt.Sprintf(format, args...))
+	if err != nil {
+		panic(err)
+	}
+	return s
+}
+
+// hashVirtual folds everything virtual a cost-only run reports into one
+// FNV-1a hash over IEEE bit patterns and counters.
+func hashVirtual(res *Result) uint64 {
+	h := fnv.New64a()
+	put := func(u uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], u)
+		h.Write(b[:])
+	}
+	putF := func(f float64) { put(math.Float64bits(f)) }
+	putF(res.VirtualSec)
+	for _, w := range res.Metrics.Workers {
+		putF(w.FinishedAt)
+		put(uint64(w.Iters))
+		for _, sec := range w.Breakdown {
+			putF(sec)
+		}
+	}
+	put(uint64(res.Net.TotalBytes))
+	put(uint64(res.Net.TotalMsgs))
+	put(uint64(res.Net.CrossMachineBytes))
+	for m := range res.Net.IngressBusySec {
+		putF(res.Net.IngressBusySec[m])
+		putF(res.Net.EgressBusySec[m])
+	}
+	return h.Sum64()
+}
+
+// TestGoldenVirtualTime: the same-event-trace gate for the simulator. Only
+// paperbench_quick.txt pinned virtual time before, at print precision.
+func TestGoldenVirtualTime(t *testing.T) {
+	for _, r := range goldenVirtualRows {
+		cfg := costConfig(r.algo, r.workers, 20)
+		if r.mutate != nil {
+			r.mutate(&cfg)
+		}
+		res, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
+		}
+		if res.VirtualSec <= 0 || res.Net.TotalMsgs == 0 {
+			t.Fatalf("%s: virtual time %g after %d messages; the golden would pin nothing",
+				r.name, res.VirtualSec, res.Net.TotalMsgs)
+		}
+		if got := hashVirtual(res); got != r.want {
+			t.Errorf("%s: virtual-time hash %#016x, golden %#016x (timeouts %d, crashes %d, dropped %d)", r.name, got, r.want,
+				res.Metrics.Faults.Timeouts, res.Metrics.Faults.Crashes, res.Net.DroppedMsgs)
+		}
 	}
 }

@@ -1,12 +1,14 @@
+//go:build go1.23
+
 // Package des is a deterministic discrete-event simulation engine.
 //
 // It exists because the paper's performance results (scalability, time
 // breakdowns, optimization effects) were measured on a 24-GPU cluster we do
 // not have; the substitution is to run the same algorithms against a
-// virtual clock. Simulated processes are goroutines, but exactly one runs
-// at a time and control is handed off explicitly, so a given seed and
-// configuration always produces the identical event trace — tests depend on
-// this bit-for-bit reproducibility.
+// virtual clock. Simulated processes are coroutines (iter.Pull): exactly one
+// piece of simulation code runs at a time and control is handed off
+// explicitly, so a given seed and configuration always produces the
+// identical event trace — tests depend on this bit-for-bit reproducibility.
 //
 // Processes are written in ordinary blocking style:
 //
@@ -18,65 +20,160 @@
 //	})
 //	eng.Run(0)
 //
-// The engine loop pops the earliest event — ties broken by schedule order —
-// advances the virtual clock, and either runs a callback inline or resumes
-// the owning process goroutine, blocking until that process yields again.
+// The engine loop runs on the goroutine that called Run. It takes the
+// earliest event — ties broken by schedule order, a strict total order on
+// (time, sequence number) — advances the virtual clock, and either runs a
+// callback, delivers a PushAt item, or switches into the owning process's
+// coroutine until that process yields again. Nothing is handed between
+// goroutines through the scheduler: a resume costs two coroutine switches,
+// an event costs no allocation, and a message sent with PushAt costs none
+// either.
+//
+// A panic in a process body surfaces from Run on Run's caller as a
+// *ProcPanic carrying the process's stack; the engine stays usable (Kill,
+// or Run again). Kill discards every unfinished process: one that is parked
+// unwinds through its deferred calls, one whose start event was never
+// reached is dropped without running at all.
+//
+// The build constraint is the package's only toolchain requirement: iter
+// arrived in go 1.23 while go.mod still says 1.22 (bench/go.mod is frozen
+// with the benchmark and must move together with it). There is no fallback
+// engine for older toolchains.
 package des
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
+	"runtime/debug"
 	"sort"
 )
 
 // Time is virtual time in seconds.
 type Time = float64
 
+// target is what an event acts on: a callback, a process to resume, or a
+// queue with an item to deliver. arg is the target's own word of state,
+// fixed when the event is scheduled.
+type target interface {
+	fire(arg uint64)
+}
+
+// action is an event without its place in the order.
+type action struct {
+	target target
+	arg    uint64
+}
+
+// event is an action due at t; seq, the order of scheduling, breaks ties.
 type event struct {
-	t    Time
-	seq  uint64
-	fn   func() // inline callback, or nil for a process wakeup
-	proc *Proc
-	// gen snapshots proc.gen at schedule time; a wakeup whose gen no longer
-	// matches the process's current gen is stale (the process was resumed by
-	// a different event in the meantime) and is skipped.
-	gen uint64
+	t   Time
+	seq uint64
+	action
 }
 
-type eventPQ []*event
+func (a *event) before(b *event) bool {
+	return a.t < b.t || (a.t == b.t && a.seq < b.seq)
+}
 
-func (q eventPQ) Len() int { return len(q) }
-func (q eventPQ) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+// eventPQ is a binary min-heap of events by value: (t, seq) is a strict
+// total order, so any correct heap pops the same sequence.
+type eventPQ []event
+
+func (q *eventPQ) push(ev event) {
+	h := append(*q, ev)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return q[i].seq < q[j].seq
+	h[i] = ev
 }
-func (q eventPQ) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventPQ) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventPQ) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+
+func (q *eventPQ) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the target reference
+	h = h[:n]
+	*q = h
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	return top
+}
+
+// fifo is a first-in first-out buffer that allocates only to grow: a ring
+// over a power-of-two slice. Popped slots are zeroed, so the buffer keeps
+// nothing reachable that has left it.
+type fifo[T any] struct {
+	buf  []T
+	head int // index of the oldest item
+	n    int
+}
+
+// at returns the i-th oldest item's place in the buffer.
+func (f *fifo[T]) at(i int) *T { return &f.buf[(f.head+i)&(len(f.buf)-1)] }
+
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		grown := make([]T, max(4, 2*len(f.buf)))
+		for i := 0; i < f.n; i++ {
+			grown[i] = *f.at(i)
+		}
+		f.buf, f.head = grown, 0
+	}
+	f.n++
+	*f.at(f.n - 1) = v
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return v
 }
 
 // Engine is a single-threaded discrete-event simulator.
 type Engine struct {
-	now     Time
-	pq      eventPQ
-	seq     uint64
-	ack     chan struct{}
+	now Time
+	pq  eventPQ
+	seq uint64
+	// instant holds the events scheduled for the current instant (every
+	// wake-up, every Sleep(0)) in schedule order. Run drains it after the
+	// heap's entries for that instant and before the clock moves, which is
+	// exactly (t, seq) order: whatever the heap holds for now was scheduled
+	// while the clock stood earlier, so before anything in here.
+	instant fifo[action]
 	procs   []*Proc
-	killing bool
 	events  uint64 // processed events, for stats/tests
 }
 
 // NewEngine creates an engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{ack: make(chan struct{})}
+	return &Engine{}
 }
 
 // Now returns the current virtual time.
@@ -85,30 +182,42 @@ func (e *Engine) Now() Time { return e.now }
 // Events returns the number of events processed so far.
 func (e *Engine) Events() uint64 { return e.events }
 
-// Schedule runs fn at absolute virtual time t (>= Now).
+type callback func()
+
+func (fn callback) fire(uint64) { fn() }
+
+// Schedule runs fn at absolute virtual time t (>= Now), on the goroutine
+// that calls Run.
 func (e *Engine) Schedule(t Time, fn func()) {
+	e.push(t, callback(fn), 0)
+}
+
+func (e *Engine) push(t Time, tg target, arg uint64) {
+	if t == e.now {
+		e.instant.push(action{tg, arg})
+		return
+	}
 	if t < e.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", t, e.now))
 	}
-	e.push(&event{t: t, fn: fn})
-}
-
-// After runs fn d seconds from now.
-func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
-
-func (e *Engine) push(ev *event) {
-	ev.seq = e.seq
+	e.pq.push(event{t, e.seq, action{tg, arg}})
 	e.seq++
-	heap.Push(&e.pq, ev)
 }
 
 // Proc is a simulated process. All Proc methods must be called only from
-// the process's own goroutine (inside the body passed to Spawn).
+// the process's own body (the function passed to Spawn).
 type Proc struct {
-	Name   string
-	eng    *Engine
-	resume chan struct{}
-	done   bool
+	Name string
+	eng  *Engine
+	// next switches into the process until it yields or returns. stop ends
+	// it: the yield a parked process waits in returns false, and a process
+	// that never started never will. Both are called by the engine only.
+	next func() (struct{}, bool)
+	stop func()
+	// pause is the process's side of the switch: it returns control to
+	// whoever called next, and reports false once the process was stopped.
+	pause func(struct{}) bool
+	done  bool
 	// blocked marks a proc that yielded without a scheduled wakeup; used to
 	// report stuck processes (e.g. the AD-PSGD deadlock demonstration).
 	blocked bool
@@ -121,26 +230,50 @@ type Proc struct {
 
 type procKilled struct{}
 
+// ProcPanic is the value Run panics with when a process body panics. Stack
+// is the process's own stack at the panic, which is otherwise lost when the
+// panic crosses from the coroutine to Run's caller.
+type ProcPanic struct {
+	Proc  string
+	Value any
+	Stack []byte
+}
+
+func (pp *ProcPanic) Error() string {
+	return fmt.Sprintf("%v (in process %q)\n%s", pp.Value, pp.Proc, pp.Stack)
+}
+
 // Spawn starts a new process at the current virtual time. The body runs the
 // first time the engine reaches the start event.
 func (e *Engine) Spawn(name string, body func(*Proc)) *Proc {
-	p := &Proc{Name: name, eng: e, resume: make(chan struct{})}
-	e.procs = append(e.procs, p)
-	go func() {
-		<-p.resume
+	p := &Proc{Name: name, eng: e}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.pause = yield
 		defer func() {
+			p.done = true
 			if r := recover(); r != nil {
-				if _, ok := r.(procKilled); !ok {
-					panic(r)
+				if _, killed := r.(procKilled); !killed {
+					panic(&ProcPanic{Proc: name, Value: r, Stack: debug.Stack()})
 				}
 			}
-			p.done = true
-			e.ack <- struct{}{}
 		}()
 		body(p)
-	}()
-	e.push(&event{t: e.now, proc: p, gen: p.gen})
+	})
+	e.procs = append(e.procs, p)
+	e.push(e.now, p, p.gen)
 	return p
+}
+
+// fire resumes the process if the wake-up is still current: gen is p.gen
+// as it stood when the wake-up was scheduled, and a process that has been
+// resumed since by a different event has moved on.
+func (p *Proc) fire(gen uint64) {
+	if p.done || gen != p.gen {
+		return
+	}
+	p.gen++
+	p.blocked = false
+	p.next()
 }
 
 // ProcState describes one process still alive when Run returned: either
@@ -156,34 +289,36 @@ type ProcState struct {
 
 func (s ProcState) String() string { return s.Name + " (" + s.State + ")" }
 
-// Run processes events until the queue is empty, or until virtual time
+// Run processes events until none is left, or until virtual time
 // exceeds `until` if until > 0 (events beyond the horizon stay queued).
 // It returns the processes still alive at drain — blocked ones are
 // deadlocked (or waiting on input that will never arrive); with a horizon,
 // processes whose next wakeup lies beyond it are reported as waiting.
 // Server loops that block forever by design show up here too; callers
 // decide which names are anomalous.
+//
+// Callbacks run on the calling goroutine and process bodies on coroutines
+// it switches into, so a panic in either propagates to the caller (a
+// process's as a *ProcPanic).
 func (e *Engine) Run(until Time) []ProcState {
-	for e.pq.Len() > 0 {
-		ev := e.pq[0]
-		if until > 0 && ev.t > until {
+	for until <= 0 || e.now <= until {
+		var a action
+		switch {
+		case len(e.pq) > 0 && e.pq[0].t == e.now:
+			a = e.pq.pop().action
+		case e.instant.n > 0:
+			a = e.instant.pop()
+		case len(e.pq) == 0:
+			return e.drainReport()
+		case until > 0 && e.pq[0].t > until:
 			e.now = until
 			return e.drainReport()
+		default:
+			ev := e.pq.pop()
+			e.now, a = ev.t, ev.action
 		}
-		heap.Pop(&e.pq)
-		e.now = ev.t
 		e.events++
-		if ev.proc != nil {
-			if ev.proc.done || ev.gen != ev.proc.gen {
-				continue
-			}
-			ev.proc.gen++
-			ev.proc.blocked = false
-			ev.proc.resume <- struct{}{}
-			<-e.ack
-		} else if ev.fn != nil {
-			ev.fn()
-		}
+		a.target.fire(a.arg)
 	}
 	return e.drainReport()
 }
@@ -192,13 +327,20 @@ func (e *Engine) Run(until Time) []ProcState {
 // events remain queued past a horizon — the ones with pending wakeups.
 func (e *Engine) drainReport() []ProcState {
 	wakeAt := make(map[*Proc]Time)
-	for _, ev := range e.pq {
-		if ev.proc == nil || ev.proc.done || ev.gen != ev.proc.gen {
-			continue
+	note := func(t Time, a action) {
+		p, ok := a.target.(*Proc)
+		if !ok || p.done || a.arg != p.gen {
+			return
 		}
-		if t, ok := wakeAt[ev.proc]; !ok || ev.t < t {
-			wakeAt[ev.proc] = ev.t
+		if at, ok := wakeAt[p]; !ok || t < at {
+			wakeAt[p] = t
 		}
+	}
+	for i := range e.pq {
+		note(e.pq[i].t, e.pq[i].action)
+	}
+	for i := 0; i < e.instant.n; i++ {
+		note(e.now, *e.instant.at(i))
 	}
 	var out []ProcState
 	for _, p := range e.procs {
@@ -229,25 +371,22 @@ func (e *Engine) Stuck() []string {
 	return s
 }
 
-// Kill unwinds every non-finished process goroutine. Call when done with an
-// engine whose processes run forever (server loops), so goroutines do not
-// leak across many experiments in one Go process.
+// Kill ends every unfinished process, so an engine whose processes run
+// forever (server loops) leaves no goroutine behind when many experiments
+// share one Go process. A parked process unwinds through its deferred
+// calls; one that never started is dropped without running its body.
 func (e *Engine) Kill() {
-	e.killing = true
 	for _, p := range e.procs {
 		if !p.done {
-			p.resume <- struct{}{}
-			<-e.ack
+			p.done = true
+			p.stop()
 		}
 	}
-	e.killing = false
 }
 
-// yield hands control back to the engine and blocks until resumed.
+// yield hands control back to the engine until the process is resumed.
 func (p *Proc) yield() {
-	p.eng.ack <- struct{}{}
-	<-p.resume
-	if p.eng.killing {
+	if !p.pause(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -257,8 +396,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("des: negative sleep")
 	}
-	e := p.eng
-	e.push(&event{t: e.now + d, proc: p, gen: p.gen})
+	p.eng.push(p.eng.now+d, p, p.gen)
 	p.yield()
 }
 
@@ -270,7 +408,7 @@ func (p *Proc) block() {
 
 // wake schedules the process to resume at the current time.
 func (p *Proc) wake() {
-	p.eng.push(&event{t: p.eng.now, proc: p, gen: p.gen})
+	p.eng.push(p.eng.now, p, p.gen)
 }
 
 // Now returns the engine's current virtual time.
@@ -280,8 +418,14 @@ func (p *Proc) Now() Time { return p.eng.Now() }
 // inside one engine. Push never blocks; Recv blocks the calling process
 // until an item is available.
 type Queue[T any] struct {
-	eng     *Engine
-	items   []T
+	eng *Engine
+	// slots holds every item the queue knows of, queued or still in flight
+	// (a PushAt whose time has not come), from the call that sent it until
+	// a receiver takes it; free lists the vacant slots. ready is the queue
+	// proper: the slots of the delivered items, oldest first.
+	slots   []T
+	free    []uint32
+	ready   fifo[uint32]
 	waiting []*Proc
 }
 
@@ -290,32 +434,78 @@ func NewQueue[T any](e *Engine) *Queue[T] {
 	return &Queue[T]{eng: e}
 }
 
+// store puts v in a vacant slot.
+func (q *Queue[T]) store(v T) uint32 {
+	if n := len(q.free); n > 0 {
+		slot := q.free[n-1]
+		q.free = q.free[:n-1]
+		q.slots[slot] = v
+		return slot
+	}
+	q.slots = append(q.slots, v)
+	return uint32(len(q.slots) - 1)
+}
+
 // Push appends an item and wakes one waiting receiver, if any. Safe to call
 // from event callbacks or from any process.
 func (q *Queue[T]) Push(v T) {
-	q.items = append(q.items, v)
-	if len(q.waiting) > 0 {
-		p := q.waiting[0]
-		q.waiting = q.waiting[1:]
-		p.wake()
+	q.fire(uint64(q.store(v)))
+}
+
+// PushAt pushes v at absolute virtual time t (>= Now). It is
+// Schedule(t, func() { q.Push(v) }) — the same place in the event order,
+// the same one event counted — without the closure: v waits in its slot,
+// the event carries the slot's index, and once the queue has seen its peak
+// of items a PushAt allocates nothing.
+func (q *Queue[T]) PushAt(t Time, v T) {
+	q.eng.push(t, q, uint64(q.store(v)))
+}
+
+// fire delivers the item waiting in slot.
+func (q *Queue[T]) fire(slot uint64) {
+	q.ready.push(uint32(slot))
+	q.wakeOne()
+}
+
+// pop removes the oldest item, leaving its slot zeroed: the mailbox must
+// not keep a payload alive after its receiver took it.
+func (q *Queue[T]) pop() T {
+	var zero T
+	slot := q.ready.pop()
+	v := q.slots[slot]
+	q.slots[slot] = zero
+	q.free = append(q.free, slot)
+	return v
+}
+
+// wakeOne wakes the longest-waiting receiver, if any. The rest slide down
+// (they are few) so that the list keeps its buffer.
+func (q *Queue[T]) wakeOne() {
+	if len(q.waiting) == 0 {
+		return
 	}
+	p := q.waiting[0]
+	q.removeWaiter(p)
+	p.wake()
+}
+
+// take removes the oldest item. If items remain and receivers still wait
+// (multi-consumer), the next one is woken in turn.
+func (q *Queue[T]) take() T {
+	v := q.pop()
+	if q.ready.n > 0 {
+		q.wakeOne()
+	}
+	return v
 }
 
 // Recv removes and returns the oldest item, blocking p until one exists.
 func (q *Queue[T]) Recv(p *Proc) T {
-	for len(q.items) == 0 {
+	for q.ready.n == 0 {
 		q.waiting = append(q.waiting, p)
 		p.block()
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	// If items remain and receivers still wait (multi-consumer), cascade.
-	if len(q.items) > 0 && len(q.waiting) > 0 {
-		nxt := q.waiting[0]
-		q.waiting = q.waiting[1:]
-		nxt.wake()
-	}
-	return v
+	return q.take()
 }
 
 // RecvTimeout removes and returns the oldest item, blocking p until one
@@ -327,7 +517,7 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 		return q.TryRecv()
 	}
 	deadline := p.eng.now + d
-	for len(q.items) == 0 {
+	for q.ready.n == 0 {
 		if p.eng.now >= deadline {
 			q.removeWaiter(p)
 			return zero, false
@@ -335,7 +525,7 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 		// Timeout backstop. If a Push wins the race, the resume bumps p.gen
 		// and this event goes stale; if the queue is sniped and we re-block,
 		// a fresh backstop is scheduled (the old one is already stale).
-		p.eng.push(&event{t: deadline, proc: p, gen: p.gen})
+		p.eng.push(deadline, p, p.gen)
 		q.waiting = append(q.waiting, p)
 		p.block()
 	}
@@ -343,14 +533,7 @@ func (q *Queue[T]) RecvTimeout(p *Proc, d Time) (T, bool) {
 	// timeout event in the same timestamp as a Push aimed at another
 	// waiter) — drop the entry so no future Push targets a gone receiver.
 	q.removeWaiter(p)
-	v := q.items[0]
-	q.items = q.items[1:]
-	if len(q.items) > 0 && len(q.waiting) > 0 {
-		nxt := q.waiting[0]
-		q.waiting = q.waiting[1:]
-		nxt.wake()
-	}
-	return v, true
+	return q.take(), true
 }
 
 // removeWaiter deletes p from the waiting list if present.
@@ -365,14 +548,12 @@ func (q *Queue[T]) removeWaiter(p *Proc) {
 
 // TryRecv removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryRecv() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
+	if q.ready.n == 0 {
+		var zero T
 		return zero, false
 	}
-	v := q.items[0]
-	q.items = q.items[1:]
-	return v, true
+	return q.pop(), true
 }
 
 // Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.ready.n }

@@ -276,28 +276,110 @@ func TestEventsCounter(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineEventThroughput(b *testing.B) {
-	e := NewEngine()
-	var next func(t Time)
-	count := 0
-	next = func(t Time) {
-		count++
-		if count < b.N {
-			e.Schedule(t+1, func() { next(t + 1) })
+// TestPushAtEqualsScheduledPush: PushAt is Schedule + Push without the
+// closure — the same deliveries in the same order at the same times, and the
+// same number of events (the benchmark's des.events_per_s divides by it).
+func TestPushAtEqualsScheduledPush(t *testing.T) {
+	type got struct {
+		at Time
+		v  int
+	}
+	run := func(pushAt func(q *Queue[int], t Time, v int)) (log []got, events uint64) {
+		e := NewEngine()
+		q := NewQueue[int](e)
+		for w := 0; w < 4; w++ {
+			e.Spawn("sender", func(p *Proc) {
+				for k := 0; k < 25; k++ {
+					// Ties across senders, deliveries at the current instant
+					// (k%3 == 0) and out-of-order arrival times.
+					pushAt(q, p.Now()+Time(k%3), 100*w+k)
+					if k%5 == 4 {
+						p.Sleep(0.5)
+					}
+				}
+			})
+		}
+		e.Spawn("receiver", func(p *Proc) {
+			for i := 0; i < 100; i++ {
+				v := q.Recv(p)
+				log = append(log, got{p.Now(), v})
+			}
+		})
+		e.Run(0)
+		if stuck := e.Stuck(); len(stuck) != 0 {
+			t.Fatalf("stuck: %v", stuck)
+		}
+		return log, e.Events()
+	}
+	closureLog, closureEvents := run(func(q *Queue[int], at Time, v int) {
+		q.eng.Schedule(at, func() { q.Push(v) })
+	})
+	slotLog, slotEvents := run((*Queue[int]).PushAt)
+	if len(slotLog) != 100 || len(closureLog) != 100 {
+		t.Fatalf("received %d and %d of 100", len(slotLog), len(closureLog))
+	}
+	for i := range slotLog {
+		if slotLog[i] != closureLog[i] {
+			t.Fatalf("delivery %d: PushAt %+v, Schedule+Push %+v", i, slotLog[i], closureLog[i])
 		}
 	}
-	b.ResetTimer()
-	e.Schedule(0, func() { next(0) })
-	e.Run(0)
+	if slotEvents != closureEvents {
+		t.Fatalf("PushAt run counted %d events, Schedule+Push run %d", slotEvents, closureEvents)
+	}
 }
 
-func BenchmarkProcContextSwitch(b *testing.B) {
+// TestQueueZeroesPoppedSlots: a mailbox reuses its buffers, so a slot an item
+// has left must not keep the item's payload reachable.
+func TestQueueZeroesPoppedSlots(t *testing.T) {
 	e := NewEngine()
-	e.Spawn("p", func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			p.Sleep(1)
+	q := NewQueue[*int](e)
+	e.Spawn("recv", func(p *Proc) {
+		for i := 0; i < 40; i++ {
+			q.Recv(p)
 		}
 	})
-	b.ResetTimer()
+	for i := 0; i < 10; i++ {
+		q.Push(new(int))
+		q.PushAt(Time(i%4), new(int))
+	}
+	e.Spawn("late", func(p *Proc) {
+		p.Sleep(5)
+		for i := 0; i < 10; i++ {
+			q.Push(new(int))
+			q.PushAt(p.Now()+1, new(int))
+		}
+	})
 	e.Run(0)
+	if q.Len() != 0 || len(q.free) != len(q.slots) {
+		t.Fatalf("%d items queued, %d of %d slots free; want a drained queue", q.Len(), len(q.free), len(q.slots))
+	}
+	for i, v := range q.slots {
+		if v != nil {
+			t.Errorf("slot %d of %d still holds an item its receiver took", i, len(q.slots))
+		}
+	}
+	if len(q.slots) > 20 {
+		t.Errorf("%d slots for at most 20 items queued or in flight: slots are not reused", len(q.slots))
+	}
+}
+
+// TestRunBehindClockLeavesInstantQueued: a horizon the clock has already
+// passed runs nothing and does not move the clock back; wake-ups due at the
+// current instant are reported as waiting, then run.
+func TestRunBehindClockLeavesInstantQueued(t *testing.T) {
+	e := NewEngine()
+	e.Schedule(10, func() {})
+	e.Run(0)
+	ran := false
+	e.Spawn("starter", func(p *Proc) { ran = true })
+	report := e.Run(5)
+	if ran || e.Now() != 10 {
+		t.Fatalf("Run(5) at t=10: ran %v, clock %v; want nothing run and the clock at 10", ran, e.Now())
+	}
+	if len(report) != 1 || report[0].String() != "starter (waiting until t=10)" {
+		t.Fatalf("report %v, want the starter waiting until t=10", report)
+	}
+	if report := e.Run(0); !ran || len(report) != 0 {
+		t.Fatalf("Run(0): ran %v, report %v", ran, report)
+	}
 }

@@ -275,7 +275,7 @@ func (n *Net) Send(msg Msg) des.Time {
 		n.tracer.Span(fmt.Sprintf("msg k%d %s", msg.Kind, byteLabel(msg.Bytes)),
 			"net", now, arrive, dst.Machine, 1000+msg.To)
 	}
-	n.eng.Schedule(arrive, func() { dst.Inbox.Push(msg) })
+	dst.Inbox.PushAt(arrive, msg)
 	return msg.WireSec
 }
 
