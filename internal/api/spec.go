@@ -127,12 +127,11 @@ type ExperimentSpec struct {
 	QuantizeF16 bool `json:"quantize_f16,omitempty"`
 	// LocalAgg enables BSP intra-machine aggregation.
 	LocalAgg bool `json:"local_agg,omitempty"`
-	// TreeAllReduce switches AR-SGD to the binomial-tree collective.
-	// Equivalent to Collective "tree"; kept for spec compatibility.
+	// TreeAllReduce is spec v1's spelling of Collective "tree", still
+	// accepted: Config folds it into the name.
 	TreeAllReduce bool `json:"tree_allreduce,omitempty"`
 	// Collective selects AR-SGD's AllReduce algorithm by name:
 	// ring (default) | tree | hierarchical | butterfly | torus.
-	// Simulator-only beyond ring/tree.
 	Collective string `json:"collective,omitempty"`
 	// Overlay restricts AD-PSGD/GoSGD partner selection to a sparse peer
 	// graph: kregular | smallworld. Simulator-only.
@@ -317,7 +316,6 @@ func (s *ExperimentSpec) Config() (core.Config, error) {
 		Quantize8:   s.Quantize8,
 		QuantizeF16: s.QuantizeF16,
 
-		TreeAllReduce:    s.TreeAllReduce,
 		Collective:       s.Collective,
 		Overlay:          s.Overlay,
 		OverlayDegree:    s.OverlayDegree,
@@ -327,6 +325,12 @@ func (s *ExperimentSpec) Config() (core.Config, error) {
 		BarrierTimeoutSec: s.TimeoutSec,
 
 		PoolSize: PoolSize(s.Pool),
+	}
+	if s.TreeAllReduce {
+		if s.Collective != "" && s.Collective != "tree" {
+			return core.Config{}, fmt.Errorf("api: tree_allreduce conflicts with collective %q", s.Collective)
+		}
+		cfg.Collective = "tree"
 	}
 	cfg.Faults, err = s.faultSchedule()
 	if err != nil {

@@ -87,11 +87,23 @@ func TestSpecCollectiveAndOverlay(t *testing.T) {
 		t.Fatalf("overlay not carried: %q/%d", cfg.Overlay, cfg.OverlayDegree)
 	}
 
-	// Live transports reject the simulator-only topology features.
+	// Spec v1's tree_allreduce is Collective "tree"; with another name it is
+	// a contradiction.
+	s = ExperimentSpec{Algo: "arsgd", Workers: 8, TreeAllReduce: true}
+	if cfg, err = s.Config(); err != nil || cfg.Collective != "tree" {
+		t.Fatalf("tree_allreduce gave collective %q, err %v", cfg.Collective, err)
+	}
+	s = ExperimentSpec{Algo: "arsgd", Workers: 8, TreeAllReduce: true, Collective: "butterfly"}
+	if _, err = s.Config(); err == nil || !strings.Contains(err.Error(), "conflicts with collective") {
+		t.Fatalf("tree_allreduce with collective butterfly: %v", err)
+	}
+
+	// Live transports run every collective; gossip overlays stay
+	// simulator-only.
 	s = ExperimentSpec{Algo: "arsgd", Workers: 8, Collective: "butterfly",
 		Transport: TransportChan, Real: &RealSpec{}}
-	if _, err := s.Validated(); err == nil {
-		t.Fatal("live transport accepted a simulator-only collective")
+	if _, err := s.Validated(); err != nil {
+		t.Fatalf("live transport rejected the butterfly collective: %v", err)
 	}
 	s = ExperimentSpec{Algo: "gosgd", Workers: 8, Overlay: "smallworld",
 		Transport: TransportChan, Real: &RealSpec{}}

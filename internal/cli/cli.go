@@ -100,7 +100,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.IntVar(&f.Tau, "tau", 8, "EASGD communication period")
 	fs.Float64Var(&f.GossipP, "p", 0.01, "GoSGD gossip probability")
 	fs.Float64Var(&f.LR, "lr", 0.1, "learning-rate base")
-	fs.StringVar(&f.Collective, "collective", "", "AR-SGD AllReduce: ring|tree|hierarchical|butterfly|torus (empty = ring; sim-only beyond ring/tree)")
+	fs.StringVar(&f.Collective, "collective", "", "AR-SGD AllReduce: ring|tree|hierarchical|butterfly|torus (empty = ring)")
 	fs.StringVar(&f.Overlay, "overlay", "", "AD-PSGD/GoSGD gossip overlay: kregular|smallworld (empty = uniform partner selection; sim-only)")
 	fs.IntVar(&f.OverlayDeg, "overlaydeg", 0, "overlay neighbor degree per rank (0 = default 4)")
 

@@ -2,7 +2,8 @@
 // algorithms and local aggregation are built on, as blocking calls made
 // from simulated processes: ring AllReduce (reduce-scatter + all-gather,
 // the MPI/MPICH algorithm the paper uses for AR-SGD), a binomial-tree
-// AllReduce, and intra-machine gather/broadcast for BSP's local
+// AllReduce, the machine-aware hierarchical, butterfly and torus
+// AllReduces, and intra-machine gather/broadcast for BSP's local
 // aggregation.
 //
 // Every collective works in two modes: with real payload vectors (accuracy
@@ -14,12 +15,11 @@
 // stash-less collective) surface as errors from Collective, not as panics
 // deep inside the ring.
 //
-// The four flat collectives (ring, tree, gather, broadcast) are written once
-// in flat.go against the two-call Link seam; Collective drives them over the
-// simulated network and the live runtime drives the same code over its xport
-// mailbox through Flat. The topology-aware collectives (topo.go) move
-// per-rank contribution sets rather than vector chunks and exist only on the
-// simulator.
+// All seven collectives are written once against the two-call Link seam —
+// the flat four (ring, tree, gather, broadcast) in flat.go, the
+// topology-aware three (hierarchical, butterfly, torus) in topo.go — and
+// entered through Plan.Run: Collective drives them over the simulated
+// network, the live runtime drives the same code over its xport mailbox.
 package comm
 
 import (
@@ -119,35 +119,22 @@ func Collective(p *des.Proc, o CollectiveOpts) ([]float32, des.Time, error) {
 	if err := o.validate(); err != nil {
 		return o.Vec, 0, err
 	}
-	switch o.Op {
-	case OpRingAllReduce, OpTreeAllReduce, OpGather, OpBroadcast:
-		// A tree parent and a gather leader receive from several senders by
-		// tag, so a later tag can arrive first: park it in a call-local
-		// stash when the caller keeps none.
-		if o.Stash == nil && (o.Op == OpTreeAllReduce || o.Op == OpGather) {
-			o.Stash = &[]simnet.Msg{}
-		}
-		l := simLink{p: p, o: &o, vlen: o.VirtualLen}
-		if o.Vec != nil {
-			l.vlen = len(o.Vec)
-		}
-		err := Flat(o.Op, &l, len(o.Nodes), o.Self, l.vlen)
-		if o.Op == OpBroadcast && l.got != nil {
-			return l.got, l.wire, err
-		}
-		return o.Vec, l.wire, err
-	case OpHierarchicalAllReduce:
-		wire, err := hierarchicalAllReduce(p, &o)
-		return o.Vec, wire, err
-	case OpButterflyAllReduce:
-		wire, err := butterflyAllReduce(p, &o)
-		return o.Vec, wire, err
-	case OpTorusAllReduce:
-		wire, err := torusAllReduce(p, &o)
-		return o.Vec, wire, err
-	default:
-		return o.Vec, 0, fmt.Errorf("comm: unknown op %d", o.Op)
+	// Only the ring and the broadcast take every message from one sender in
+	// the order it sent them. Everywhere else a later tag can arrive first —
+	// several senders, or a peer already a phase ahead: park it in a
+	// call-local stash when the caller keeps none.
+	if o.Stash == nil && o.Op != OpRingAllReduce && o.Op != OpBroadcast {
+		o.Stash = &[]simnet.Msg{}
 	}
+	l := simLink{p: p, o: &o, vlen: o.VirtualLen}
+	if o.Vec != nil {
+		l.vlen = len(o.Vec)
+	}
+	err := Plan{o.Op, o.Groups, o.TorusRows, o.TorusCols}.Run(&l, len(o.Nodes), o.Self, l.vlen)
+	if o.Op == OpBroadcast && l.got != nil {
+		return l.got, l.wire, err
+	}
+	return o.Vec, l.wire, err
 }
 
 // validate rejects opts that would corrupt or deadlock the collective:

@@ -3,16 +3,18 @@ package comm
 import (
 	"fmt"
 
+	"disttrain/internal/cluster"
 	"disttrain/internal/tensor"
+	"disttrain/internal/topo"
 )
 
-// Link is the transport seam under the flat collectives: one group member's
-// view of the wire for one collective call. The member's vector lives behind
-// the Link; the algorithms in this file decide only which element range
-// moves to whom under which tag, and how an arriving chunk folds in. Members
-// are addressed by their index in the group. Two implementations exist: the
-// simulated network (simLink, behind Collective) and the live runtime's
-// xport mailbox (internal/live).
+// Link is the transport seam under the collectives: one group member's view
+// of the wire for one collective call. The member's vector lives behind the
+// Link; the algorithms in this file and topo.go decide only which element
+// range moves to whom under which tag, and how an arriving chunk folds in.
+// Members are addressed by their index in the group. Two implementations
+// exist: the simulated network (simLink, behind Collective) and the live
+// runtime's xport mailbox (internal/live).
 type Link interface {
 	// Send ships elements [lo, hi) of the caller's vector to member to under
 	// tag seg. own hints that the range still holds only the caller's own
@@ -34,16 +36,52 @@ func Sum(dst, chunk []float32) { tensor.AxpyF32(1, chunk, dst) }
 // Overwrite replaces dst with the chunk: the gather/broadcast step.
 func Overwrite(dst, chunk []float32) { copy(dst, chunk) }
 
-// Flat runs one of the four flat collectives — ring or tree AllReduce,
-// gather, broadcast — for member self of an n-member group whose vectors
-// hold vlen elements. Every member calls it with the same op, n and vlen.
-// Chunk boundaries, tags and fold order are fixed here, so two transports
-// that deliver the same chunks leave the same bits in every vector.
-func Flat(op Op, l Link, n, self, vlen int) error {
-	if n == 1 {
-		return nil
+// Plan is a collective together with the static layout it runs over — what
+// Resolve derives from a collective's name, the cluster and the world size.
+type Plan struct {
+	Op Op
+	// Groups and TorusRows × TorusCols are CollectiveOpts' fields of the same
+	// names: the machine groups of OpHierarchicalAllReduce and the grid of
+	// OpTorusAllReduce.
+	Groups               [][]int
+	TorusRows, TorusCols int
+}
+
+// Resolve maps a collective's name (core.Config.Collective; "" is the ring)
+// to its Plan for ranks 0..n-1 placed on c: the hierarchical groups are c's
+// rank→machine layout, the torus grid is topo.TorusShape's.
+func Resolve(name string, c cluster.Config, n int) (Plan, error) {
+	switch name {
+	case "", "ring":
+		return Plan{Op: OpRingAllReduce}, nil
+	case "tree":
+		return Plan{Op: OpTreeAllReduce}, nil
+	case "hierarchical":
+		tp, err := topo.New(c, n)
+		if err != nil {
+			return Plan{}, err
+		}
+		return Plan{Op: OpHierarchicalAllReduce, Groups: tp.Groups}, nil
+	case "butterfly":
+		return Plan{Op: OpButterflyAllReduce}, nil
+	case "torus":
+		rows, cols, err := topo.TorusShape(n)
+		if err != nil {
+			return Plan{}, err
+		}
+		return Plan{Op: OpTorusAllReduce, TorusRows: rows, TorusCols: cols}, nil
 	}
-	switch op {
+	return Plan{}, fmt.Errorf("comm: unknown collective %q (ring, tree, hierarchical, butterfly, torus)", name)
+}
+
+// Run runs the plan's collective for member self of an n-member group whose
+// vectors hold vlen elements: the one entry to all seven, for the simulator
+// (through Collective) and the live runtime alike. Every member calls it
+// with the same plan, n and vlen. Chunk boundaries, tags and fold order are
+// fixed below it, so two transports that deliver the same chunks leave the
+// same bits in every vector.
+func (pl Plan) Run(l Link, n, self, vlen int) error {
+	switch pl.Op {
 	case OpRingAllReduce:
 		return ringAllReduce(l, n, self, vlen)
 	case OpTreeAllReduce:
@@ -52,8 +90,14 @@ func Flat(op Op, l Link, n, self, vlen int) error {
 		return gatherSum(l, n, self, vlen)
 	case OpBroadcast:
 		return broadcast(l, n, self, vlen)
+	case OpHierarchicalAllReduce:
+		return hierarchicalAllReduce(l, pl.Groups, self, vlen)
+	case OpButterflyAllReduce:
+		return butterflyAllReduce(l, n, self, vlen)
+	case OpTorusAllReduce:
+		return torusAllReduce(l, pl.TorusRows, pl.TorusCols, self, vlen)
 	}
-	return fmt.Errorf("comm: %v is not a flat collective", op)
+	return fmt.Errorf("comm: unknown op %d", pl.Op)
 }
 
 // ringAllReduce is reduce-scatter followed by all-gather around the ring.

@@ -10,10 +10,11 @@ import (
 	"disttrain/internal/des"
 	"disttrain/internal/rng"
 	"disttrain/internal/simnet"
+	"disttrain/internal/tensor"
 	"disttrain/internal/topo"
 )
 
-// topoWorlds are the worker counts the bit-identity property must hold at;
+// topoWorlds are the worker counts the reference-fold property must hold at;
 // the primes (3, 257) force non-power-of-two butterfly folding and are
 // rejected by the torus.
 var topoWorlds = []int{3, 8, 24, 100, 257, 1024}
@@ -92,30 +93,116 @@ func bitEqual(a, b []float32) bool {
 	return true
 }
 
-// TestTopoCollectivesBitIdenticalToRing is the tentpole property: at every
-// world size, each topology-aware collective must leave exactly the ring
-// AllReduce's bits in every rank's vector. The oracle is ringReference;
-// the flat ring itself is checked against the same oracle (at the sizes
-// where simulating its O(n²) messages stays cheap), closing the loop.
-func TestTopoCollectivesBitIdenticalToRing(t *testing.T) {
+// ringReference folds the full contribution set in the flat ring's exact
+// order: chunk c of the result is the left fold of ranks c, c+1, …,
+// c+n−1 (cyclic), with the ring's chunk boundaries. Identical bits to what
+// OpRingAllReduce leaves in every participant's vector.
+func ringReference(vecs [][]float32, out []float32) {
+	n := len(vecs)
+	vlen := len(out)
+	for c := 0; c < n; c++ {
+		lo, hi := vlen*c/n, vlen*(c+1)/n
+		if lo == hi {
+			continue
+		}
+		copy(out[lo:hi], vecs[c][lo:hi])
+		for k := 1; k < n; k++ {
+			tensor.AxpyF32(1, vecs[(c+k)%n][lo:hi], out[lo:hi])
+		}
+	}
+}
+
+// hierarchicalReference is OpHierarchicalAllReduce's fold order: each group
+// a left fold in member order into its leader, then the ring's order over
+// the leader sums.
+func hierarchicalReference(vecs [][]float32, groups [][]int, out []float32) {
+	sums := make([][]float32, len(groups))
+	for g, members := range groups {
+		sums[g] = append([]float32(nil), vecs[members[0]]...)
+		for _, r := range members[1:] {
+			tensor.AxpyF32(1, vecs[r], sums[g])
+		}
+	}
+	ringReference(sums, out)
+}
+
+// torusReference is OpTorusAllReduce's fold order: the ring's order along
+// each row, then the ring's order over the row sums (every column holds the
+// same ones).
+func torusReference(vecs [][]float32, rows, cols int, out []float32) {
+	sums := make([][]float32, rows)
+	for r := range sums {
+		sums[r] = make([]float32, len(out))
+		ringReference(vecs[r*cols:(r+1)*cols], sums[r])
+	}
+	ringReference(sums, out)
+}
+
+// butterflyReference is OpButterflyAllReduce's fold order, the hypercube
+// pair tree: each leftover odd rank folds into its even neighbour, then the
+// upper half of the active list folds onto the lower half until one vector
+// is left. (Which partner of a pair holds the sum does not show: a+b and
+// b+a are the same bits.)
+func butterflyReference(vecs [][]float32, out []float32) {
+	n := len(vecs)
+	p2 := 1
+	for p2*2 <= n {
+		p2 *= 2
+	}
+	r := n - p2
+	act := make([][]float32, p2)
+	for a := range act {
+		if a < r {
+			act[a] = append([]float32(nil), vecs[2*a]...)
+			tensor.AxpyF32(1, vecs[2*a+1], act[a])
+		} else {
+			act[a] = append([]float32(nil), vecs[a+r]...)
+		}
+	}
+	for m := p2 / 2; m >= 1; m /= 2 {
+		for a := 0; a < m; a++ {
+			tensor.AxpyF32(1, act[a+m], act[a])
+		}
+	}
+	copy(out, act[0])
+}
+
+// TestTopoCollectivesMatchReferenceFolds pins each collective's summation
+// tree: at every world size, every rank's vector must hold exactly the bits
+// of the op's reference fold above — so all members agree with each other —
+// and sit within rounding of the ring's. The flat ring itself is checked
+// against ringReference (at the sizes where simulating its O(n²) messages
+// stays cheap), closing the loop.
+func TestTopoCollectivesMatchReferenceFolds(t *testing.T) {
 	const vlen = 130 // not divisible by most world sizes: uneven chunks, empty chunks at n > vlen
 	for _, n := range topoWorlds {
 		vecs := randVecs(n, vlen, uint64(n))
-		want := make([]float32, vlen)
-		ringReference(vecs, want)
+		ring := make([]float32, vlen)
+		ringReference(vecs, ring)
 
-		ops := []Op{OpHierarchicalAllReduce, OpButterflyAllReduce}
+		want := map[Op][]float32{}
+		ref := func(op Op) []float32 {
+			want[op] = make([]float32, vlen)
+			return want[op]
+		}
+		hierarchicalReference(vecs, groupsFor(n), ref(OpHierarchicalAllReduce))
+		butterflyReference(vecs, ref(OpButterflyAllReduce))
 		if n <= 257 {
-			ops = append(ops, OpRingAllReduce)
+			copy(ref(OpRingAllReduce), ring)
 		}
-		if _, _, err := topo.TorusShape(n); err == nil {
-			ops = append(ops, OpTorusAllReduce)
+		if rows, cols, err := topo.TorusShape(n); err == nil {
+			torusReference(vecs, rows, cols, ref(OpTorusAllReduce))
 		}
-		for _, op := range ops {
+		for op, w := range want {
 			got, _ := runWorld(t, op, n, vecs, int64(vlen*4))
 			for i := range got {
-				if !bitEqual(got[i], want) {
-					t.Fatalf("%v n=%d rank %d differs from ring reference", op, n, i)
+				if !bitEqual(got[i], w) {
+					t.Fatalf("%v n=%d rank %d differs from its reference fold", op, n, i)
+				}
+			}
+			for j := range w {
+				if d := math.Abs(float64(w[j] - ring[j])); d > 1e-3 {
+					t.Fatalf("%v n=%d elem %d: %v is %g from the ring's %v", op, n, j, w[j], d, ring[j])
 				}
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"disttrain/internal/grad"
 	"disttrain/internal/metrics"
 	"disttrain/internal/simnet"
-	"disttrain/internal/topo"
 )
 
 // runARSGD implements decentralized synchronous AllReduce SGD (Section
@@ -22,35 +21,15 @@ import (
 // output-side half of the vector is all-reduced while the backward pass of
 // the input-side half is still running — the bucketing strategy real DDP
 // stacks use.
-func runARSGD(x *exp) {
+func runARSGD(x *exp) error {
 	cfg := x.cfg
 	W := cfg.Workers
-	op := comm.OpRingAllReduce
-	if cfg.TreeAllReduce {
-		op = comm.OpTreeAllReduce
-	}
-	// The topology-aware variants need the machine layout (or grid shape)
-	// up front; Validate has already vetted cluster and worker count, and
-	// rejects them combined with faults/elastic, so membership is fixed.
-	var groups [][]int
-	var torusRows, torusCols int
-	switch cfg.Collective {
-	case "hierarchical":
-		op = comm.OpHierarchicalAllReduce
-		tp, err := topo.New(cfg.Cluster, W)
-		if err != nil {
-			panic(fmt.Sprintf("arsgd: %v", err))
-		}
-		groups = tp.Groups
-	case "butterfly":
-		op = comm.OpButterflyAllReduce
-	case "torus":
-		op = comm.OpTorusAllReduce
-		var err error
-		torusRows, torusCols, err = topo.TorusShape(W)
-		if err != nil {
-			panic(fmt.Sprintf("arsgd: %v", err))
-		}
+	// Validate rejects the topology-aware variants combined with
+	// faults/elastic, so their membership — and with it the plan's machine
+	// groups or grid — is fixed for the run.
+	plan, err := comm.Resolve(cfg.Collective, cfg.Cluster, W)
+	if err != nil {
+		return err
 	}
 	half := x.vecLen / 2
 	if half == 0 {
@@ -95,10 +74,10 @@ func runARSGD(x *exp) {
 						agg = append([]float32(nil), g...)
 						// Quantized AllReduce: each worker's own contribution
 						// is quantized once before entering the collective —
-						// the live ring/tree ships first-hop chunks in codec
-						// form and reconstructs with the same formula, so sim
-						// and live observe identical inputs. Partial sums
-						// stay dense on both paths.
+						// the live runtime ships own-contribution chunks in
+						// codec form and reconstructs with the same formula,
+						// so sim and live observe identical inputs. Partial
+						// sums stay dense on both paths.
 						if cfg.Quantize8 {
 							grad.QuantizeRoundTrip(agg)
 						} else if cfg.QuantizeF16 {
@@ -107,17 +86,17 @@ func runARSGD(x *exp) {
 					}
 				}
 				// The sim cost model keeps dense per-hop Bytes even when the
-				// input is quantized: only the first reduce-scatter hop (and
-				// tree leaf pushes) carries codec payloads on the live path —
-				// partial sums travel dense — so halving every hop would
-				// overstate the savings. Real wire savings are measured on
-				// the live PS path.
+				// input is quantized: only own-contribution chunks (the
+				// ring's first reduce-scatter hop, tree leaf pushes, …) carry
+				// codec payloads on the live path — partial sums travel
+				// dense — so halving every hop would overstate the savings.
+				// Real wire savings are measured on the live PS path.
 				reduce := func(vec []float32, vlen int) des.Time {
 					_, wire := collective(p, comm.CollectiveOpts{
-						Op: op, Net: x.net, Nodes: nodes, Self: self,
+						Op: plan.Op, Net: x.net, Nodes: nodes, Self: self,
 						Vec: vec, VirtualLen: vlen, Bytes: x.bytesFor(vlen),
 						Kind: kindAllReduce, Clock: it, Stash: stashP,
-						Groups: groups, TorusRows: torusRows, TorusCols: torusCols})
+						Groups: plan.Groups, TorusRows: plan.TorusRows, TorusCols: plan.TorusCols})
 					return wire
 				}
 
@@ -168,4 +147,5 @@ func runARSGD(x *exp) {
 			x.finish(w)
 		})
 	}
+	return nil
 }

@@ -254,7 +254,7 @@ func TestTreeAllReduceOption(t *testing.T) {
 		t.Fatal(err)
 	}
 	treeCfg := realConfig(ARSGD, 4, 60, 81)
-	treeCfg.TreeAllReduce = true
+	treeCfg.Collective = "tree"
 	tree, err := Run(context.Background(), treeCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestTreeAllReduceOption(t *testing.T) {
 
 func TestTreeAllReduceValidation(t *testing.T) {
 	cfg := costConfig(BSP, 4, 5)
-	cfg.TreeAllReduce = true
+	cfg.Collective = "tree"
 	if _, err := Run(context.Background(), cfg); err == nil {
 		t.Fatal("tree allreduce accepted on BSP")
 	}

@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"disttrain/internal/cluster"
+	"disttrain/internal/comm"
 	"disttrain/internal/costmodel"
 	"disttrain/internal/data"
 	"disttrain/internal/fault"
@@ -163,16 +164,17 @@ type Config struct {
 	QuantizeF16 bool
 	// LocalAgg enables BSP's intra-machine gradient aggregation.
 	LocalAgg bool
-	// TreeAllReduce makes AR-SGD use a binomial-tree reduce+broadcast
-	// instead of the ring algorithm (extension) — faster for small models
-	// on high-latency fabrics, slower for large ones.
-	TreeAllReduce bool
 	// Collective selects AR-SGD's AllReduce algorithm by name: "" or
-	// "ring" (the default flat ring), "tree" (alias for TreeAllReduce),
-	// "hierarchical" (machine-aware two-level), "butterfly" (recursive
+	// "ring" (the default flat ring), "tree" (binomial reduce+broadcast —
+	// faster for small models on high-latency fabrics, slower for large
+	// ones), "hierarchical" (machine-aware two-level; the groups are
+	// Cluster's rank→machine layout), "butterfly" (recursive
 	// halving/doubling), "torus" (2D ring-of-rings; needs a non-prime
-	// worker count). All variants produce bit-identical parameters to the
-	// ring; they differ only in simulated communication time.
+	// worker count). Each variant is its own summation tree: within a run
+	// all replicas stay bit-identical to each other, and the simulator and
+	// the live runtime agree bit for bit, but parameters differ from
+	// another variant's in the last bits, as do simulated communication
+	// times.
 	Collective string
 	// Overlay restricts AD-PSGD/GoSGD partner selection to a sparse
 	// seed-deterministic peer graph instead of uniform-over-all-ranks:
@@ -231,7 +233,7 @@ type Config struct {
 }
 
 // topoCollective reports whether name is one of the topology-aware
-// AllReduce variants (fixed-membership, simulator-only).
+// AllReduce variants (fixed membership: no faults, no elastic mode).
 func topoCollective(name string) bool {
 	switch name {
 	case "hierarchical", "butterfly", "torus":
@@ -342,32 +344,14 @@ func (c *Config) Validate() error {
 	if c.ADPSGDNoBipartite && c.Algo != ADPSGD {
 		return fmt.Errorf("core: ADPSGDNoBipartite applies only to AD-PSGD")
 	}
-	switch c.Collective {
-	case "":
-		if c.TreeAllReduce {
-			c.Collective = "tree"
-		} else {
-			c.Collective = "ring"
-		}
-	case "ring", "hierarchical", "butterfly", "torus":
-		if c.TreeAllReduce {
-			return fmt.Errorf("core: TreeAllReduce conflicts with Collective %q", c.Collective)
-		}
-	case "tree":
-		c.TreeAllReduce = true
-	default:
-		return fmt.Errorf("core: unknown collective %q (ring, tree, hierarchical, butterfly, torus)", c.Collective)
+	if c.Collective == "" {
+		c.Collective = "ring"
+	}
+	if _, err := comm.Resolve(c.Collective, c.Cluster, c.Workers); err != nil {
+		return err
 	}
 	if c.Collective != "ring" && c.Algo != ARSGD {
 		return fmt.Errorf("core: collective selection applies only to AR-SGD")
-	}
-	if c.Collective == "torus" {
-		if _, _, err := topo.TorusShape(c.Workers); err != nil {
-			return err
-		}
-	}
-	if c.TreeAllReduce && c.Algo != ARSGD {
-		return fmt.Errorf("core: TreeAllReduce applies only to AR-SGD")
 	}
 	if topoCollective(c.Collective) && c.Elastic {
 		return fmt.Errorf("core: elastic membership is not supported with the %s collective (fixed topology)", c.Collective)

@@ -648,9 +648,13 @@ func (x *exp) evalGlobal(iter int) {
 	}
 }
 
+// psGlobal reports whether the evaluated global model is the parameter
+// server's; otherwise it is the average of the replicas.
+func (x *exp) psGlobal() bool { return x.global != nil && x.global.MathOn() }
+
 // globalParams returns the parameters of the evaluated global model.
 func (x *exp) globalParams() []float32 {
-	if x.global != nil && x.global.MathOn() {
+	if x.psGlobal() {
 		out := make([]float32, x.vecLen)
 		copy(out, x.global.Params)
 		return out
@@ -800,6 +804,12 @@ func (x *exp) maybeEval(w, iter int) {
 	if w != 0 || x.cfg.Real == nil {
 		return
 	}
+	// A replica average at worker 0's last iterDone would miss the final
+	// steps its peers have yet to apply: the last iteration is left to Run's
+	// evaluation, taken once the engine has drained.
+	if iter == x.cfg.Iters && !x.psGlobal() {
+		return
+	}
 	ev := x.cfg.Real.EvalEvery
 	if ev > 0 && iter%ev == 0 {
 		x.evalGlobal(iter)
@@ -843,7 +853,9 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	case EASGD, AdaComm:
 		runEASGD(x)
 	case ARSGD:
-		runARSGD(x)
+		if err := runARSGD(x); err != nil {
+			return nil, err
+		}
 	case GoSGD:
 		runGoSGD(x)
 	case ADPSGD:

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"disttrain/internal/cluster"
+	"disttrain/internal/topo"
 )
 
 // First-order analytic predictions of AllReduce completion time on the
@@ -134,8 +135,7 @@ func TreeAllReduceSec(c cluster.Config, n int, bytes int64) float64 {
 }
 
 // PredictAllReduceSec dispatches on the collective name used by
-// core.Config.Collective. Torus shape is derived as the most-square
-// factorization, matching topo.TorusShape.
+// core.Config.Collective; the torus grid is topo.TorusShape's.
 func PredictAllReduceSec(collective string, c cluster.Config, n int, bytes int64) (float64, error) {
 	switch collective {
 	case "", "ring":
@@ -147,7 +147,7 @@ func PredictAllReduceSec(collective string, c cluster.Config, n int, bytes int64
 	case "butterfly":
 		return ButterflyAllReduceSec(c, n, bytes), nil
 	case "torus":
-		rows, cols, err := torusShape(n)
+		rows, cols, err := topo.TorusShape(n)
 		if err != nil {
 			return 0, err
 		}
@@ -155,19 +155,4 @@ func PredictAllReduceSec(collective string, c cluster.Config, n int, bytes int64
 	default:
 		return 0, fmt.Errorf("costmodel: unknown collective %q", collective)
 	}
-}
-
-// torusShape mirrors topo.TorusShape (kept local to avoid a dependency on
-// the topology package): the most-square factorization rows×cols = n with
-// rows ≤ cols and rows ≥ 2.
-func torusShape(n int) (rows, cols int, err error) {
-	if n < 4 {
-		return 0, 0, fmt.Errorf("costmodel: torus needs at least 4 ranks, got %d", n)
-	}
-	for r := int(math.Sqrt(float64(n))); r >= 2; r-- {
-		if n%r == 0 {
-			return r, n / r, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("costmodel: %d ranks have no rectangular torus factorization", n)
 }

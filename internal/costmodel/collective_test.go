@@ -74,17 +74,3 @@ func TestPredictAllReduceSecDispatch(t *testing.T) {
 		t.Fatal("prime torus accepted")
 	}
 }
-
-func TestTorusShapeMirrorsTopo(t *testing.T) {
-	for _, tc := range []struct{ n, rows, cols int }{
-		{4, 2, 2}, {6, 2, 3}, {24, 4, 6}, {1024, 32, 32},
-	} {
-		rows, cols, err := torusShape(tc.n)
-		if err != nil {
-			t.Fatalf("n=%d: %v", tc.n, err)
-		}
-		if rows != tc.rows || cols != tc.cols {
-			t.Fatalf("n=%d: %dx%d, want %dx%d", tc.n, rows, cols, tc.rows, tc.cols)
-		}
-	}
-}

@@ -7,7 +7,7 @@ import (
 	"disttrain/internal/xport"
 )
 
-// The live runtime runs internal/comm's flat collectives — the code the
+// The live runtime runs internal/comm's collectives — the code the
 // simulator runs — over an xport mailbox: arLink is the live side of the
 // comm.Link seam, and everything below is what only a real wire needs.
 //

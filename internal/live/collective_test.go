@@ -19,14 +19,13 @@ import (
 	"disttrain/internal/xport"
 )
 
-// simCollective runs op over the simulated network and returns every rank's
-// resulting vector. A non-zero codec feeds round-tripped inputs, the
-// simulator's model of a quantized contribution.
-func simCollective(t *testing.T, op comm.Op, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
+// simCollective runs the plan over the simulated network on cl and returns
+// every rank's resulting vector. A non-zero codec feeds round-tripped inputs,
+// the simulator's model of a quantized contribution.
+func simCollective(t *testing.T, pl comm.Plan, cl cluster.Config, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
 	t.Helper()
 	n := len(inputs)
 	eng := des.NewEngine()
-	cl := cluster.Paper56G(n)
 	net := simnet.New(eng, cl)
 	ids := make([]int, n)
 	vecs := make([][]float32, n)
@@ -44,25 +43,26 @@ func simCollective(t *testing.T, op comm.Op, inputs [][]float32, codec xport.Qua
 	for i := 0; i < n; i++ {
 		i := i
 		eng.Spawn("rank", func(p *des.Proc) {
-			_, _, errs[i] = comm.Collective(p, comm.CollectiveOpts{Op: op, Net: net, Nodes: ids, Self: i,
-				Vec: vecs[i], Bytes: int64(4 * len(vecs[i])), Kind: int(kindAllReduce), Clock: 1})
+			_, _, errs[i] = comm.Collective(p, comm.CollectiveOpts{Op: pl.Op, Net: net, Nodes: ids, Self: i,
+				Vec: vecs[i], Bytes: int64(4 * len(vecs[i])), Kind: int(kindAllReduce), Clock: 1,
+				Groups: pl.Groups, TorusRows: pl.TorusRows, TorusCols: pl.TorusCols})
 		})
 	}
 	eng.Run(0)
 	for i, err := range errs {
 		if err != nil {
-			t.Fatalf("sim %v rank %d: %v", op, i, err)
+			t.Fatalf("sim %v rank %d: %v", pl.Op, i, err)
 		}
 	}
 	if stuck := eng.Stuck(); len(stuck) > 0 {
-		t.Fatalf("sim %v stuck: %v", op, stuck)
+		t.Fatalf("sim %v stuck: %v", pl.Op, stuck)
 	}
 	return vecs
 }
 
-// liveCollective runs op through the live adapter over a channel mesh. A
-// non-zero codec ships own-contribution chunks in codec form.
-func liveCollective(t *testing.T, op comm.Op, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
+// liveCollective runs the plan through the live adapter over a channel mesh.
+// A non-zero codec ships own-contribution chunks in codec form.
+func liveCollective(t *testing.T, pl comm.Plan, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
 	t.Helper()
 	n := len(inputs)
 	mbs, nodes := chanGroup(n)
@@ -78,27 +78,42 @@ func liveCollective(t *testing.T, op comm.Op, inputs [][]float32, codec xport.Qu
 					return (*trace.Tracer)(nil).StartSpan(name, cat, workerPid, i)
 				}}
 		}
-		go func(i int) { errs <- comm.Flat(op, l, n, i, len(vecs[i])) }(i)
+		go func(i int) { errs <- pl.Run(l, n, i, len(vecs[i])) }(i)
 	}
 	for range vecs {
 		if err := <-errs; err != nil {
-			t.Fatalf("live %v: %v", op, err)
+			t.Fatalf("live %v: %v", pl.Op, err)
 		}
 	}
 	return vecs
 }
 
-// TestFlatCollectivesBitIdenticalAcrossTransports drives comm's ring, tree,
-// gather and broadcast through both implementations of the Link seam — the
-// simulated network and the live adapter on a ChanNet — and requires the
-// same bits in every rank's vector. Inputs are normal-distributed, so any
-// difference in chunk boundaries or fold order shows; lengths below n put
-// empty chunks on the ring. The int8 and f16 rows ship leaf chunks in codec
-// form on the live side against round-tripped inputs on the simulator's.
+// TestFlatCollectivesBitIdenticalAcrossTransports drives all seven of comm's
+// collectives through both implementations of the Link seam — the simulated
+// network and the live adapter on a ChanNet — and requires the same bits in
+// every rank's vector. Inputs are normal-distributed, so any difference in
+// chunk boundaries or fold order shows; lengths below n put empty chunks on
+// the rings and empty halves in the butterfly. The int8 and f16 rows ship
+// own-contribution chunks in codec form on the live side against
+// round-tripped inputs on the simulator's. The worlds give the hierarchical
+// AllReduce one machine, a partial last machine (6) and a single-member one
+// (5, 9), the butterfly its pre/post fold (3, 5, 6, 9, 12), and the torus
+// every grid from 2×2 to 3×4.
 func TestFlatCollectivesBitIdenticalAcrossTransports(t *testing.T) {
-	ops := []comm.Op{comm.OpRingAllReduce, comm.OpTreeAllReduce, comm.OpGather, comm.OpBroadcast}
 	for _, codec := range []xport.QuantCodec{0, xport.QuantInt8, xport.QuantF16} {
-		for _, n := range []int{1, 2, 3, 4, 5, 8} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 9, 12} {
+			cl := cluster.Paper56G(n) // machines of 4
+			plans := []comm.Plan{{Op: comm.OpGather}, {Op: comm.OpBroadcast}}
+			for _, name := range []string{"ring", "tree", "hierarchical", "butterfly", "torus"} {
+				pl, err := comm.Resolve(name, cl, n)
+				if err != nil {
+					if name == "torus" {
+						continue // no rectangular grid at this n
+					}
+					t.Fatal(err)
+				}
+				plans = append(plans, pl)
+			}
 			for _, length := range []int{1, n - 1, 7, 1000} {
 				if length == 0 {
 					continue
@@ -111,10 +126,10 @@ func TestFlatCollectivesBitIdenticalAcrossTransports(t *testing.T) {
 						inputs[i][j] = float32(r.NormFloat64())
 					}
 				}
-				for _, op := range ops {
-					name := fmt.Sprintf("%v codec=%d n=%d len=%d", op, codec, n, length)
-					sim := simCollective(t, op, inputs, codec)
-					live := liveCollective(t, op, inputs, codec)
+				for _, pl := range plans {
+					name := fmt.Sprintf("%v codec=%d n=%d len=%d", pl.Op, codec, n, length)
+					sim := simCollective(t, pl, cl, inputs, codec)
+					live := liveCollective(t, pl, inputs, codec)
 					for i := range sim {
 						for j := range sim[i] {
 							if math.Float32bits(sim[i][j]) != math.Float32bits(live[i][j]) {
@@ -129,16 +144,15 @@ func TestFlatCollectivesBitIdenticalAcrossTransports(t *testing.T) {
 	}
 }
 
-// TestLiveTreeFoldOrderMatchesSim is the regression test for the tree
-// AllReduce's fold order. With 4 ranks, rank 0 folds rank 1 (round d=1) and
-// then rank 2 (round d=2, already carrying rank 3); when every reduce frame
-// was tagged Seg 0 it folded whichever arrived first, and about one run in
-// four differed from the simulator in the last bit. One simulator result,
-// many live runs: every one must match.
-func TestLiveTreeFoldOrderMatchesSim(t *testing.T) {
+// requireFoldOrderMatchesSim runs one simulator result against many loopback
+// runs of the same AR-SGD config: a receiver that folds what several senders
+// race to deliver must fold it in the simulator's order every time, not in
+// arrival order.
+func requireFoldOrderMatchesSim(t *testing.T, collective string, workers int) {
+	t.Helper()
 	const runs = 50
-	cfg := liveConfig(core.ARSGD, 4, 6, 42)
-	cfg.TreeAllReduce = true
+	cfg := liveConfig(core.ARSGD, workers, 6, 42)
+	cfg.Collective = collective
 	sim := simParams(t, cfg)
 	for i := 0; i < runs; i++ {
 		res, err := RunLoopback(cfg)
@@ -147,6 +161,23 @@ func TestLiveTreeFoldOrderMatchesSim(t *testing.T) {
 		}
 		requireBitIdentical(t, sim, res.WorkerParams)
 	}
+}
+
+// TestLiveTreeFoldOrderMatchesSim is the regression test for the tree
+// AllReduce's fold order. With 4 ranks, rank 0 folds rank 1 (round d=1) and
+// then rank 2 (round d=2, already carrying rank 3); when every reduce frame
+// was tagged Seg 0 it folded whichever arrived first, and about one run in
+// four differed from the simulator in the last bit.
+func TestLiveTreeFoldOrderMatchesSim(t *testing.T) {
+	requireFoldOrderMatchesSim(t, "tree", 4)
+}
+
+// TestLiveHierarchicalFoldOrderMatchesSim is the same gate for the gather
+// inside the hierarchical AllReduce: with 8 ranks on two machines each
+// leader folds three members that send at once, and the two leaders then
+// trade partial sums on their ring.
+func TestLiveHierarchicalFoldOrderMatchesSim(t *testing.T) {
+	requireFoldOrderMatchesSim(t, "hierarchical", 8)
 }
 
 // TestRingAllReduceAllocationBudget holds the live data plane to its
@@ -186,7 +217,7 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 		for i := 0; i < ranks; i++ {
 			go func(i int) {
 				l := &arLink{mb: mbs[i], nodes: nodes, self: i, clock: clock, vec: vecs[i]}
-				errs <- comm.Flat(comm.OpRingAllReduce, l, ranks, i, floats)
+				errs <- comm.Plan{Op: comm.OpRingAllReduce}.Run(l, ranks, i, floats)
 			}(i)
 		}
 		for i := 0; i < ranks; i++ {

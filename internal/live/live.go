@@ -10,9 +10,9 @@
 //   - Synchronous algorithms (BSP, AR-SGD) produce final parameters
 //     bit-identical to a core.Run of the same Config and seed. This works
 //     because both sides share the code under the algorithms — streams from
-//     core.DeriveStreams, replicas from core.NewReplica, ring/tree AllReduce
-//     from comm.Flat, and the parameter server itself: ps.Shard, which folds
-//     a BSP round in ascending sender rank whatever the arrival order.
+//     core.DeriveStreams, replicas from core.NewReplica, every AllReduce
+//     from comm.Plan.Run, and the parameter server itself: ps.Shard, which
+//     folds a BSP round in ascending sender rank whatever the arrival order.
 //   - Asynchronous algorithms (ASP, SSP, EASGD, GoSGD, AD-PSGD) run with
 //     real nondeterminism — arrival order at the PS, gossip interleaving —
 //     and report the same metrics Summary shape as the simulator. The PS
@@ -81,11 +81,6 @@ func Validate(cfg *core.Config) error {
 		return fmt.Errorf("live: local aggregation is not supported on the live path")
 	case cfg.ADPSGDNoBipartite:
 		return fmt.Errorf("live: the AD-PSGD no-bipartite ablation is simulator-only")
-	}
-	switch cfg.Collective {
-	case "", "ring", "tree": // tree maps onto the live binomial-tree path
-	default:
-		return fmt.Errorf("live: the %s collective is simulator-only (live supports ring and tree)", cfg.Collective)
 	}
 	if cfg.Overlay != "" {
 		return fmt.Errorf("live: gossip overlays are simulator-only")

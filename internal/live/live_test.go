@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"net"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"disttrain/internal/costmodel"
 	"disttrain/internal/data"
 	"disttrain/internal/fault"
+	"disttrain/internal/grad"
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
 	"disttrain/internal/rng"
@@ -54,9 +56,22 @@ func liveConfig(algo core.Algo, workers, iters int, seed uint64) core.Config {
 	return cfg
 }
 
-// simParams runs the simulator with parameter capture and returns its
-// per-worker final parameters.
-func simParams(t *testing.T, cfg core.Config) [][]float32 {
+// liveConvConfig is liveConfig on a task that does not saturate: MiniCNN on
+// the 16×16 shapes, where after a few iterations the test accuracy still
+// depends on which parameters were evaluated — liveConfig's MLP reads 1.0
+// whatever happens.
+func liveConvConfig(algo core.Algo, workers, iters int, seed uint64) core.Config {
+	cfg := liveConfig(algo, workers, iters, seed)
+	r := rng.New(seed + 2000)
+	ds := data.GenShapes16(r, 700)
+	cfg.Real.Train, cfg.Real.Test = ds.Split(r.Split(1), 250)
+	cfg.Real.Factory = func(rr *rng.RNG) *nn.Model { return nn.NewMiniCNN(rr, ds.Classes) }
+	cfg.Real.Batch = 8
+	return cfg
+}
+
+// simRun runs the simulator with parameter capture.
+func simRun(t *testing.T, cfg core.Config) *core.Result {
 	t.Helper()
 	cfg.CaptureParams = true
 	res, err := core.Run(context.Background(), cfg)
@@ -66,7 +81,27 @@ func simParams(t *testing.T, cfg core.Config) [][]float32 {
 	if len(res.WorkerParams) != cfg.Workers {
 		t.Fatalf("sim captured %d param vectors, want %d", len(res.WorkerParams), cfg.Workers)
 	}
-	return res.WorkerParams
+	return res
+}
+
+// simParams returns the simulator's per-worker final parameters.
+func simParams(t *testing.T, cfg core.Config) [][]float32 {
+	t.Helper()
+	return simRun(t, cfg).WorkerParams
+}
+
+// requireSameReport fails unless the live run's final parameters, test
+// accuracy and training loss are the simulator's bit for bit: a live summary
+// reports the numbers the simulator reports.
+func requireSameReport(t *testing.T, sim *core.Result, live *Result) {
+	t.Helper()
+	requireBitIdentical(t, sim.WorkerParams, live.WorkerParams)
+	if math.Float64bits(sim.FinalTestAcc) != math.Float64bits(live.FinalTestAcc) {
+		t.Fatalf("final test accuracy: sim %v vs live %v", sim.FinalTestAcc, live.FinalTestAcc)
+	}
+	if math.Float64bits(sim.FinalTrainLoss) != math.Float64bits(live.FinalTrainLoss) {
+		t.Fatalf("final train loss: sim %v vs live %v", sim.FinalTrainLoss, live.FinalTrainLoss)
+	}
 }
 
 // requireBitIdentical fails unless every worker's live parameters match
@@ -107,6 +142,13 @@ func TestLiveBSPBitIdenticalToSim(t *testing.T) {
 	if res.Net.FramesSent == 0 || res.Net.BytesSent == 0 {
 		t.Fatalf("no transport traffic recorded: %+v", res.Net)
 	}
+
+	conv := liveConvConfig(core.BSP, 4, 6, 42)
+	res, err = RunLoopback(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameReport(t, simRun(t, conv), res)
 }
 
 // TestLiveQuantizedBSPBitIdenticalToSim is the quantized-wire contract: a
@@ -148,13 +190,18 @@ func TestLiveQuantizedBSPBitIdenticalToSim(t *testing.T) {
 
 // TestLiveQuantizedARSGDBitIdenticalToSim runs the quantized AllReduce
 // paths: each worker's contribution is round-tripped before the collective
-// and leaf chunks travel as codec payloads, reconstructing to exactly the
-// simulator's values on ring and tree alike.
+// and own-contribution chunks travel as codec payloads, reconstructing to
+// exactly the simulator's values under all five collectives (six workers put
+// two machines under the hierarchical one, a pre-fold in the butterfly and a
+// 2×3 grid under the torus).
 func TestLiveQuantizedARSGDBitIdenticalToSim(t *testing.T) {
-	for _, tree := range []bool{false, true} {
+	for _, tc := range []struct {
+		collective string
+		workers    int
+	}{{"ring", 4}, {"tree", 4}, {"hierarchical", 6}, {"butterfly", 6}, {"torus", 6}} {
 		for _, f16 := range []bool{false, true} {
-			cfg := liveConfig(core.ARSGD, 4, 6, 42)
-			cfg.TreeAllReduce = tree
+			cfg := liveConfig(core.ARSGD, tc.workers, 6, 42)
+			cfg.Collective = tc.collective
 			if f16 {
 				cfg.QuantizeF16 = true
 			} else {
@@ -163,7 +210,7 @@ func TestLiveQuantizedARSGDBitIdenticalToSim(t *testing.T) {
 			sim := simParams(t, cfg)
 			res, err := RunLoopback(cfg)
 			if err != nil {
-				t.Fatalf("tree=%v f16=%v: %v", tree, f16, err)
+				t.Fatalf("%s f16=%v: %v", tc.collective, f16, err)
 			}
 			requireBitIdentical(t, sim, res.WorkerParams)
 		}
@@ -243,32 +290,51 @@ func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 	}
 }
 
-// TestLiveARSGDBitIdenticalToSim: the ring AllReduce path, and with
-// TreeAllReduce the binomial-tree path, both bit-identical — also over the
-// channel transport with worker 1 a 3× straggler, which in the simulator
-// makes rank 2's tree message reach rank 0 before rank 1's.
+// TestLiveARSGDBitIdenticalToSim: AR-SGD under each of the five collectives
+// ends on the simulator's parameters bit for bit, over sockets and over
+// channels. Ring and tree also run with worker 1 a 3× straggler, which in
+// the simulator makes rank 2's tree message reach rank 0 before rank 1's
+// (core.Validate admits the topology collectives only without a fault
+// schedule); six and nine workers give those a partial and a single-member
+// machine, butterfly pre-folds, and 2×3 and 3×3 grids. The conv-net row also
+// holds the reported accuracy and loss to the simulator's.
 func TestLiveARSGDBitIdenticalToSim(t *testing.T) {
 	slow := &fault.Schedule{Events: []fault.Event{{Kind: fault.Slow, Worker: 1, Factor: 3}}}
 	for _, tc := range []struct {
-		name   string
-		faults *fault.Schedule
-		run    func(core.Config, ...Option) (*Result, error)
+		name       string
+		collective string
+		workers    int
+		faults     *fault.Schedule
+		run        func(core.Config, ...Option) (*Result, error)
 	}{
-		{"loopback", nil, RunLoopback},
-		{"chan slow worker 1", slow, RunChan},
+		{"loopback", "ring", 4, nil, RunLoopback},
+		{"loopback", "tree", 4, nil, RunLoopback},
+		{"chan slow worker 1", "ring", 4, slow, RunChan},
+		{"chan slow worker 1", "tree", 4, slow, RunChan},
+		{"loopback", "hierarchical", 6, nil, RunLoopback},
+		{"loopback", "butterfly", 6, nil, RunLoopback},
+		{"loopback", "torus", 6, nil, RunLoopback},
+		{"chan", "hierarchical", 9, nil, RunChan},
+		{"chan", "butterfly", 9, nil, RunChan},
+		{"chan", "torus", 9, nil, RunChan},
 	} {
-		for _, tree := range []bool{false, true} {
-			cfg := liveConfig(core.ARSGD, 4, 6, 42)
-			cfg.TreeAllReduce = tree
-			cfg.Faults = tc.faults
-			sim := simParams(t, cfg)
-			res, err := tc.run(cfg)
-			if err != nil {
-				t.Fatalf("%s tree=%v: %v", tc.name, tree, err)
-			}
-			requireBitIdentical(t, sim, res.WorkerParams)
+		cfg := liveConfig(core.ARSGD, tc.workers, 6, 42)
+		cfg.Collective = tc.collective
+		cfg.Faults = tc.faults
+		sim := simParams(t, cfg)
+		res, err := tc.run(cfg)
+		if err != nil {
+			t.Fatalf("%s %s: %v", tc.name, tc.collective, err)
 		}
+		requireBitIdentical(t, sim, res.WorkerParams)
 	}
+
+	conv := liveConvConfig(core.ARSGD, 4, 6, 42)
+	res, err := RunLoopback(conv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameReport(t, simRun(t, conv), res)
 }
 
 // TestLiveBSPChanBitIdenticalToSim runs the same contract over the
@@ -458,26 +524,47 @@ func TestTranslateFaults(t *testing.T) {
 	}
 }
 
-// TestValidateRejectsUnsupported table-drives the live config gate.
+// TestValidateRejectsUnsupported table-drives the live config gate: every
+// rejection must be the one the row is about, named by a piece of its
+// message.
 func TestValidateRejectsUnsupported(t *testing.T) {
+	crash := &fault.Schedule{Events: []fault.Event{{Kind: fault.Crash, AtIter: 1, Worker: 0}}}
 	cases := []struct {
 		name string
+		algo core.Algo
 		mut  func(*core.Config)
+		want string
 	}{
-		{"cost-only", func(c *core.Config) { c.Real = nil }},
-		{"sharded PS", func(c *core.Config) { c.Sharding = core.ShardBalanced; c.Shards = 2 }},
-		{"wait-free BP", func(c *core.Config) { c.WaitFreeBP = true }},
-		{"local agg", func(c *core.Config) { c.LocalAgg = true }},
-		{"elastic async", func(c *core.Config) { c.Algo = core.ASP; c.Elastic = true }},
-		{"crash without elastic", func(c *core.Config) {
-			c.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Crash, AtIter: 1, Worker: 0}}}
-		}},
+		{"cost-only", core.BSP, func(c *core.Config) { c.Real = nil }, "real-math mode required"},
+		{"simulator-only algorithm", core.DPSGD, nil, "algorithm dpsgd is simulator-only"},
+		{"sharded PS", core.BSP, func(c *core.Config) { c.Sharding = core.ShardBalanced; c.Shards = 2 },
+			"PS sharding is not supported"},
+		{"wait-free BP", core.BSP, func(c *core.Config) { c.WaitFreeBP = true }, "wait-free BP"},
+		{"DGC", core.BSP, func(c *core.Config) { d := grad.DefaultDGC(0.9, 2); c.DGC = &d }, "DGC is not supported"},
+		{"local agg", core.BSP, func(c *core.Config) { c.LocalAgg = true }, "local aggregation is not supported"},
+		{"no-bipartite ablation", core.ADPSGD, func(c *core.Config) { c.ADPSGDNoBipartite = true },
+			"no-bipartite ablation is simulator-only"},
+		{"gossip overlay", core.GoSGD, func(c *core.Config) { c.Overlay = "smallworld"; c.OverlayDegree = 2 },
+			"gossip overlays are simulator-only"},
+		{"elastic async", core.ASP, func(c *core.Config) { c.Elastic = true }, "elastic membership supports BSP and AR-SGD only"},
+		{"crash without elastic", core.BSP, func(c *core.Config) { c.Faults = crash }, "crash faults require Elastic"},
+		// Still core.Validate's: a topology collective has a fixed membership.
+		{"topology collective with elastic", core.ARSGD, func(c *core.Config) { c.Collective = "butterfly"; c.Elastic = true },
+			"core: elastic membership is not supported with the butterfly collective"},
+		{"topology collective with faults", core.ARSGD, func(c *core.Config) { c.Collective = "hierarchical"; c.Faults = crash },
+			"core: fault injection is not supported with the hierarchical collective"},
 	}
 	for _, tc := range cases {
-		cfg := liveConfig(core.BSP, 4, 4, 1)
-		tc.mut(&cfg)
-		if err := Validate(&cfg); err == nil {
+		cfg := liveConfig(tc.algo, 4, 4, 1)
+		if tc.mut != nil {
+			tc.mut(&cfg)
+		}
+		err := Validate(&cfg)
+		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: rejected with %q, want the rejection containing %q", tc.name, err, tc.want)
 		}
 	}
 	ok := liveConfig(core.BSP, 4, 4, 1)
@@ -497,6 +584,75 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 		if err := Validate(&ecfg); err != nil {
 			t.Fatalf("elastic %s with crash schedule rejected: %v", algo, err)
 		}
+	}
+	// All five collectives run live.
+	for _, name := range []string{"ring", "tree", "hierarchical", "butterfly", "torus"} {
+		ccfg := liveConfig(core.ARSGD, 4, 4, 1)
+		ccfg.Collective = name
+		if err := Validate(&ccfg); err != nil {
+			t.Fatalf("%s collective rejected: %v", name, err)
+		}
+	}
+}
+
+// TestFingerprintCoversProtocolFields: flipping any field that changes which
+// frames travel or how they fold must change the fingerprint, or a worker
+// launched with the stale value is admitted and skews or wedges the run.
+func TestFingerprintCoversProtocolFields(t *testing.T) {
+	base := liveConfig(core.ARSGD, 4, 6, 42)
+	want := fingerprint(&base)
+	for name, mut := range map[string]func(*core.Config){
+		"algo":         func(c *core.Config) { c.Algo = core.BSP },
+		"workers":      func(c *core.Config) { c.Workers = 5 },
+		"iters":        func(c *core.Config) { c.Iters = 7 },
+		"seed":         func(c *core.Config) { c.Seed = 43 },
+		"momentum":     func(c *core.Config) { c.Momentum = 0.8 },
+		"weight decay": func(c *core.Config) { c.WeightDecay = 1e-4 },
+		"lr base":      func(c *core.Config) { c.LR.Base = 0.1 },
+		"lr warm-up":   func(c *core.Config) { c.LR.WarmupIters = 3 },
+		"lr decay":     func(c *core.Config) { c.LR.DecayAt, c.LR.DecayFactor = []int{3}, 0.1 },
+		"staleness":    func(c *core.Config) { c.Staleness = 2 },
+		"tau":          func(c *core.Config) { c.Tau = 2 },
+		"moving rate":  func(c *core.Config) { c.MovingRate = 0.5 },
+		"gossip p":     func(c *core.Config) { c.GossipP = 0.25 },
+		"collective":   func(c *core.Config) { c.Collective = "butterfly" },
+		"int8":         func(c *core.Config) { c.Quantize8 = true },
+		"f16":          func(c *core.Config) { c.QuantizeF16 = true },
+		"elastic":      func(c *core.Config) { c.Elastic = true },
+		"batch":        func(c *core.Config) { r := *c.Real; r.Batch = 8; c.Real = &r },
+	} {
+		cfg := base
+		mut(&cfg)
+		if fingerprint(&cfg) == want {
+			t.Errorf("%s: fingerprint %q does not see the change", name, want)
+		}
+	}
+}
+
+// TestRendezvousRefusesMismatchedCollective sends the coordinator a HELLO
+// from a worker configured with another collective: admitted, every rank
+// would sit in a different message pattern until recvTimeout.
+func TestRendezvousRefusesMismatchedCollective(t *testing.T) {
+	cfg := liveConfig(core.ARSGD, 4, 4, 1)
+	if err := Validate(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	other := cfg
+	other.Collective = "butterfly"
+	workerErr := make(chan error, 1)
+	go func() { workerErr <- RunWorker(other, ln.Addr().String(), "") }()
+	_, err = coordinate(&cfg, ln, buildOptions(nil))
+	if err == nil || !strings.Contains(err.Error(), "config fingerprint") ||
+		!strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("coordinator: %v, want the config fingerprint mismatch", err)
+	}
+	if err := <-workerErr; err == nil {
+		t.Fatal("the worker with another collective ran to completion")
 	}
 }
 

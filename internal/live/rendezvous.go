@@ -72,14 +72,17 @@ func readAnyCtl(c net.Conn, d time.Duration) (xport.Frame, error) {
 }
 
 // fingerprint digests the parts of the config every participant must agree
-// on. The coordinator rejects a HELLO whose fingerprint differs from its
-// own — catching a worker launched with a stale flag before it can skew
-// the run.
+// on: whatever changes which frames travel or how they fold — the algorithm
+// and its knobs, the optimizer and its learning-rate schedule, the
+// collective (each is its own message pattern), the gradient codec, elastic
+// membership. The coordinator rejects a HELLO whose fingerprint differs from
+// its own — catching a worker launched with a stale flag before it can skew
+// or wedge the run.
 func fingerprint(cfg *core.Config) string {
-	return fmt.Sprintf("%s|w%d|i%d|s%d|m%v|wd%v|st%d|tau%d|mr%v|gp%v|tree%v|b%d|n%d",
-		cfg.Algo, cfg.Workers, cfg.Iters, cfg.Seed, cfg.Momentum, cfg.WeightDecay,
-		cfg.Staleness, cfg.Tau, cfg.MovingRate, cfg.GossipP, cfg.TreeAllReduce,
-		cfg.Real.Batch, cfg.Real.Train.N())
+	return fmt.Sprintf("%s|w%d|i%d|s%d|m%v|wd%v|lr%v|st%d|tau%d|mr%v|gp%v|c%s|q8%v|f16%v|el%v|b%d|n%d",
+		cfg.Algo, cfg.Workers, cfg.Iters, cfg.Seed, cfg.Momentum, cfg.WeightDecay, cfg.LR,
+		cfg.Staleness, cfg.Tau, cfg.MovingRate, cfg.GossipP, cfg.Collective,
+		cfg.Quantize8, cfg.QuantizeF16, cfg.Elastic, cfg.Real.Batch, cfg.Real.Train.N())
 }
 
 // doneStats is the stats payload of a DONE frame: the transport counters

@@ -386,9 +386,12 @@ func (w *worker) runEASGD() error {
 
 func (w *worker) runARSGD() error {
 	cfg := w.cfg
-	op := comm.OpRingAllReduce
-	if cfg.TreeAllReduce {
-		op = comm.OpTreeAllReduce
+	// The simulator's plan for the same config: core.Validate admits the
+	// topology-aware collectives only with fixed membership, so their groups
+	// and grid always index the full world below.
+	plan, err := comm.Resolve(cfg.Collective, cfg.Cluster, cfg.Workers)
+	if err != nil {
+		return err
 	}
 	full := make([]int, cfg.Workers)
 	for i := range full {
@@ -415,7 +418,7 @@ func (w *worker) runARSGD() error {
 		qc := w.arQuantize(agg)
 		sp := w.span("allreduce", "comm")
 		l := &arLink{mb: w.mb, nodes: nodes, self: self, clock: int32(it), vec: agg, q: qc}
-		if err := comm.Flat(op, l, len(nodes), self, len(agg)); err != nil {
+		if err := plan.Run(l, len(nodes), self, len(agg)); err != nil {
 			return err
 		}
 		sp.End()

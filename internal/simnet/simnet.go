@@ -40,23 +40,9 @@ type Msg struct {
 	SparseIdx []int32
 	// Aux carries algorithm-specific scalar state (e.g. GoSGD weights).
 	Aux float64
-	// Parts carries per-rank contributions for topology-aware collectives.
-	// Like Vec, it is payload, decoupled from Bytes: the wire size models
-	// the collective's real reduced-value traffic while Parts lets every
-	// receiver replay the canonical reduction order bit-identically.
-	// Senders share slices across messages; receivers must not mutate.
-	Parts []Part
 	// SentAt and WireSec record timing for metrics attribution.
 	SentAt  des.Time
 	WireSec des.Time
-}
-
-// Part is one rank's original (pre-reduction) contribution to a
-// collective, carried so any rank holding the full set can fold it in the
-// reference order regardless of the message pattern that delivered it.
-type Part struct {
-	Rank int
-	Vec  []float32
 }
 
 // link is a FIFO resource: a transmission books [start, start+dur) where

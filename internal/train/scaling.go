@@ -10,7 +10,6 @@ import (
 	"disttrain/internal/des"
 	"disttrain/internal/report"
 	"disttrain/internal/simnet"
-	"disttrain/internal/topo"
 )
 
 // The scaling study (experiment ID "scale") sweeps the AllReduce collectives
@@ -49,40 +48,18 @@ func measureCollective(name string, c cluster.Config, n int, bytes int64) (float
 	for w := 0; w < n; w++ {
 		ids[w] = net.AddNode(c.MachineOfWorker(w)).ID
 	}
-	op := comm.OpRingAllReduce
-	var groups [][]int
-	var rows, cols int
-	switch name {
-	case "ring":
-	case "tree":
-		op = comm.OpTreeAllReduce
-	case "hierarchical":
-		op = comm.OpHierarchicalAllReduce
-		tp, err := topo.New(c, n)
-		if err != nil {
-			return 0, err
-		}
-		groups = tp.Groups
-	case "butterfly":
-		op = comm.OpButterflyAllReduce
-	case "torus":
-		op = comm.OpTorusAllReduce
-		var err error
-		rows, cols, err = topo.TorusShape(n)
-		if err != nil {
-			return 0, err
-		}
-	default:
-		return 0, fmt.Errorf("scale: unknown collective %q", name)
+	plan, err := comm.Resolve(name, c, n)
+	if err != nil {
+		return 0, err
 	}
 	errs := make([]error, n)
 	for w := 0; w < n; w++ {
 		w := w
 		eng.Spawn(fmt.Sprintf("rank%d", w), func(p *des.Proc) {
 			_, _, err := comm.Collective(p, comm.CollectiveOpts{
-				Op: op, Net: net, Nodes: ids, Self: w,
-				VirtualLen: 1000, Bytes: bytes, Kind: scaleKind,
-				Groups: groups, TorusRows: rows, TorusCols: cols,
+				Op: plan.Op, Net: net, Nodes: ids, Self: w,
+				VirtualLen: int(bytes / 4), Bytes: bytes, Kind: scaleKind,
+				Groups: plan.Groups, TorusRows: plan.TorusRows, TorusCols: plan.TorusCols,
 			})
 			errs[w] = err
 		})
