@@ -98,8 +98,8 @@ func TestSpecCollectiveAndOverlay(t *testing.T) {
 		t.Fatalf("tree_allreduce with collective butterfly: %v", err)
 	}
 
-	// Live transports run every collective; gossip overlays stay
-	// simulator-only.
+	// Live transports run every collective and GoSGD's overlays; AD-PSGD's
+	// overlays stay simulator-only.
 	s = ExperimentSpec{Algo: "arsgd", Workers: 8, Collective: "butterfly",
 		Transport: TransportChan, Real: &RealSpec{}}
 	if _, err := s.Validated(); err != nil {
@@ -107,8 +107,12 @@ func TestSpecCollectiveAndOverlay(t *testing.T) {
 	}
 	s = ExperimentSpec{Algo: "gosgd", Workers: 8, Overlay: "smallworld",
 		Transport: TransportChan, Real: &RealSpec{}}
+	if _, err := s.Validated(); err != nil {
+		t.Fatalf("live transport rejected a GoSGD overlay: %v", err)
+	}
+	s.Algo = "adpsgd"
 	if _, err := s.Validated(); err == nil {
-		t.Fatal("live transport accepted a gossip overlay")
+		t.Fatal("live transport accepted an AD-PSGD overlay")
 	}
 }
 

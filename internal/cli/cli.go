@@ -101,7 +101,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.GossipP, "p", 0.01, "GoSGD gossip probability")
 	fs.Float64Var(&f.LR, "lr", 0.1, "learning-rate base")
 	fs.StringVar(&f.Collective, "collective", "", "AR-SGD AllReduce: ring|tree|hierarchical|butterfly|torus (empty = ring)")
-	fs.StringVar(&f.Overlay, "overlay", "", "AD-PSGD/GoSGD gossip overlay: kregular|smallworld (empty = uniform partner selection; sim-only)")
+	fs.StringVar(&f.Overlay, "overlay", "", "AD-PSGD/GoSGD gossip overlay: kregular|smallworld (empty = uniform partner selection; on a live transport GoSGD only — AD-PSGD overlays are simulator-only)")
 	fs.IntVar(&f.OverlayDeg, "overlaydeg", 0, "overlay neighbor degree per rank (0 = default 4)")
 
 	fs.BoolVar(&f.Real, "real", false, "real gradient math (accuracy mode)")

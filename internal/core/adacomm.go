@@ -17,20 +17,19 @@ import "math"
 // experiments.
 const AdaComm Algo = "adacomm"
 
-// adaCommPeriod returns worker w's "sync now?" rule for runEASGD, asked once
-// per iteration after the local step.
-func (x *exp) adaCommPeriod(w int) func(it int) bool {
-	cfg := x.cfg
+// adaCommPeriod returns a worker's "sync now?" rule for loopEASGD, asked once
+// per iteration after the local step on rep.
+func adaCommPeriod(cfg *Config, rep *Replica) func(it int) bool {
 	var firstLoss float64
 	sinceSync := 0
 	return func(it int) bool {
 		sinceSync++
 		tau := cfg.Tau
-		if x.reps[w].mathOn() && x.reps[w].lossInit {
+		if loss, ok := rep.Loss(); ok {
 			if firstLoss == 0 {
-				firstLoss = x.reps[w].lossEWMA
+				firstLoss = loss
 			}
-			ratio := x.reps[w].lossEWMA / firstLoss
+			ratio := loss / firstLoss
 			if ratio > 1 {
 				ratio = 1
 			}

@@ -129,7 +129,7 @@ func runADPSGD(x *exp) {
 						payload = x.reps[w].Params()
 					}
 					x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.workerNode[peer],
-						Kind: kindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: payload})
+						Kind: KindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: payload})
 					t0 := p.Now()
 					var m simnet.Msg
 					if x.inj != nil {
@@ -143,7 +143,7 @@ func runADPSGD(x *exp) {
 					} else {
 						m = inbox.Recv(p)
 					}
-					if m.Kind != kindExchangeReply {
+					if m.Kind != KindExchangeReply {
 						panic(fmt.Sprintf("adpsgd active: unexpected kind %d", m.Kind))
 					}
 					bd.Add(metrics.Network, m.WireSec)
@@ -160,7 +160,7 @@ func runADPSGD(x *exp) {
 				bd := &x.col.Workers[w].Breakdown
 				for {
 					m := inbox.Recv(p)
-					if m.Kind != kindExchangeReq {
+					if m.Kind != KindExchangeReq {
 						panic(fmt.Sprintf("adpsgd passive: unexpected kind %d", m.Kind))
 					}
 					if x.inj != nil && x.inj.DeadAt(w, p.Now()) {
@@ -174,7 +174,7 @@ func runADPSGD(x *exp) {
 						payload = x.reps[w].Params()
 					}
 					x.net.Send(simnet.Msg{From: x.workerNode[w], To: m.From,
-						Kind: kindExchangeReply, Clock: m.Clock, Bytes: x.fullBytes(), Vec: payload})
+						Kind: KindExchangeReply, Clock: m.Clock, Bytes: x.fullBytes(), Vec: payload})
 					bd.Add(metrics.Network, m.WireSec)
 					x.reps[w].Average(m.Vec)
 				}
@@ -226,7 +226,7 @@ func runADPSGDUnconstrained(x *exp) {
 					payload = x.reps[w].Params()
 				}
 				x.net.Send(simnet.Msg{From: x.workerNode[w], To: m.From,
-					Kind: kindExchangeReply, Clock: m.Clock, Bytes: x.fullBytes(), Vec: payload})
+					Kind: KindExchangeReply, Clock: m.Clock, Bytes: x.fullBytes(), Vec: payload})
 				x.reps[w].Average(m.Vec)
 			}
 			var stash []simnet.Msg
@@ -261,10 +261,10 @@ func runADPSGDUnconstrained(x *exp) {
 					payload = x.reps[w].Params()
 				}
 				x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.workerNode[peer],
-					Kind: kindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: payload})
+					Kind: KindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: payload})
 				for {
 					m := inbox.Recv(p)
-					if m.Kind == kindExchangeReply {
+					if m.Kind == KindExchangeReply {
 						x.reps[w].Average(m.Vec)
 						break
 					}

@@ -57,7 +57,7 @@ func runDPSGD(x *exp) {
 							vec = append([]float32(nil), payload...)
 						}
 						x.net.Send(simnet.Msg{From: x.workerNode[w], To: x.workerNode[nb],
-							Kind: kindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: vec})
+							Kind: KindExchangeReq, Clock: it, Bytes: x.fullBytes(), Vec: vec})
 					}
 
 					// Collect both neighbors' round-it parameters; a faster
@@ -71,7 +71,7 @@ func runDPSGD(x *exp) {
 					t0 := p.Now()
 					var wire des.Time
 					take := func(m simnet.Msg) bool {
-						if m.Kind != kindExchangeReq {
+						if m.Kind != KindExchangeReq {
 							panic(fmt.Sprintf("dpsgd worker: unexpected kind %d", m.Kind))
 						}
 						if m.Clock != it {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"disttrain/internal/comm"
 	"disttrain/internal/costmodel"
@@ -33,13 +32,15 @@ const (
 	kindEASGDReply = int(ps.PushReply)
 )
 
+// The worker-to-worker kinds, the same on both runtimes: a packet capture of
+// a live run reads against the simulator's message taxonomy.
 const (
-	kindAllReduce = iota + 8
-	kindGossip
-	kindExchangeReq
-	kindExchangeReply
-	kindLocalGather
-	kindLocalBcast
+	KindAllReduce = iota + 8
+	KindGossip
+	KindExchangeReq
+	KindExchangeReply
+	KindLocalGather
+	KindLocalBcast
 )
 
 // exp is the shared state of one running experiment.
@@ -61,8 +62,8 @@ type exp struct {
 	inj *fault.Injector
 	// restarted marks workers that died and came back at least once.
 	restarted []bool
-	// syncFrom[w] is the first iteration whose crash window gateSync has not
-	// yet served for worker w (faithful synchronous restart bookkeeping).
+	// syncFrom[w] is the first iteration whose crash window gate has not yet
+	// served for worker w (faithful synchronous restart bookkeeping).
 	syncFrom []int
 	// crashLog records realized deaths for the fault trace spans.
 	crashLog []crashRec
@@ -94,6 +95,11 @@ type exp struct {
 	// overlay, when non-nil, restricts gossip partner selection
 	// (AD-PSGD/GoSGD) to a sparse seed-deterministic peer graph.
 	overlay *topo.Overlay
+	// plan is AR-SGD's collective, resolved once for the run: Validate
+	// rejects the topology-aware variants combined with faults/elastic, so
+	// their membership — and with it the plan's machine groups or grid — is
+	// fixed.
+	plan comm.Plan
 
 	// compressors per worker when DGC is on (real mode only).
 	dgc []*grad.Compressor
@@ -151,23 +157,10 @@ func setup(cfg *Config) (*exp, error) {
 
 	// Gossip overlay: the generator is seeded once and shared read-only by
 	// every worker.
-	if cfg.Overlay != "" {
-		seed := overlayStream.Uint64()
-		var (
-			ov  *topo.Overlay
-			err error
-		)
-		switch cfg.Overlay {
-		case "kregular":
-			ov, err = topo.RandomRegular(cfg.Workers, cfg.OverlayDegree, seed)
-		case "smallworld":
-			chords := cfg.Workers * (cfg.OverlayDegree - 2) / 2
-			ov, err = topo.SmallWorld(cfg.Workers, chords, seed)
-		}
-		if err != nil {
-			panic(fmt.Sprintf("overlay: %v", err)) // Validate vetted feasibility
-		}
-		x.overlay = ov
+	x.overlay = BuildOverlay(cfg, overlayStream)
+	var err error
+	if x.plan, err = comm.Resolve(cfg.Collective, cfg.Cluster, cfg.Workers); err != nil {
+		return nil, err
 	}
 
 	// Replicas. Every worker's init stream is the same derivation, so all
@@ -268,340 +261,6 @@ func (x *exp) psInbox(s int) *des.Queue[simnet.Msg] {
 	return x.net.Node(x.psNode[s]).Inbox
 }
 
-// machineGroup returns the node IDs of workers sharing worker w's machine
-// (only those that exist given cfg.Workers), in worker order.
-func (x *exp) machineGroup(w int) []int {
-	m := x.cfg.Cluster.MachineOfWorker(w)
-	var g []int
-	for _, ww := range x.cfg.Cluster.WorkersOnMachine(m) {
-		if ww < x.cfg.Workers {
-			g = append(g, x.workerNode[ww])
-		}
-	}
-	return g
-}
-
-// computePhase advances virtual time by one jittered iteration and issues
-// the real gradient computation. The numeric work is submitted to the
-// compute pool *before* the virtual-time sleep, so while this process
-// sleeps, other simulated workers' passes run concurrently on real cores;
-// the returned gradFuture joins the result where the algorithm first
-// consumes the gradient. When overlap is true (wait-free BP and the caller
-// will invoke sendGrads next) only the forward time is slept here —
-// sendGrads interleaves the backward time with the per-shard sends.
-// Iteration bookkeeping (iter counter, spread, breakdown, trace spans)
-// stays on the engine thread at the post-sleep point, exactly where the
-// old synchronous path did it, so metrics are pool-size-independent.
-func (x *exp) computePhase(p *des.Proc, w int, overlap bool) (*gradFuture, float64) {
-	wl := x.cfg.Workload
-	j := wl.SampleMult(x.streams[w].Jitter)
-	if x.inj != nil {
-		j *= x.inj.ComputeMult(w, p.Now())
-	}
-	mean := wl.MeanIterSec()
-	start := p.Now()
-	x.reps[w].beginCompute(x.pool)
-	if overlap {
-		fwd := mean / (1 + wl.BwdMult) * j
-		p.Sleep(fwd)
-	} else {
-		p.Sleep(mean * j)
-	}
-	x.reps[w].iter++
-	x.col.Workers[w].Breakdown.Add(metrics.Compute, p.Now()-start)
-	if x.cfg.Tracer != nil {
-		x.cfg.Tracer.Span("compute", "worker", start, p.Now(),
-			x.cfg.Cluster.MachineOfWorker(w), w)
-	}
-	x.noteIterSpread()
-	return &gradFuture{rep: x.reps[w]}, j
-}
-
-// gradFuture hands an algorithm driver its iteration's gradient. get joins
-// the in-flight pass (nil in cost-only mode); the call site is the fixed
-// event-trace point where the overlap window ends.
-type gradFuture struct{ rep *Replica }
-
-func (g *gradFuture) get() []float32 { return g.rep.takeGrads() }
-
-// noteIterSpread records the instantaneous gap between the fastest and
-// slowest worker's iteration counters — the staleness the asynchronous
-// algorithms admit and SSP bounds.
-func (x *exp) noteIterSpread() {
-	min, max := x.reps[0].iter, x.reps[0].iter
-	for _, r := range x.reps[1:] {
-		if r.iter < min {
-			min = r.iter
-		}
-		if r.iter > max {
-			max = r.iter
-		}
-	}
-	if s := max - min; s > x.col.MaxSpread {
-		x.col.MaxSpread = s
-	}
-}
-
-// bwdTotal returns the jittered backward duration of one iteration.
-func (x *exp) bwdTotal(jitter float64) des.Time {
-	wl := x.cfg.Workload
-	return wl.MeanIterSec() * wl.BwdMult / (1 + wl.BwdMult) * jitter
-}
-
-// bwdAvailability returns, per shard, the backward-pass completion offset
-// (seconds from backward start, scaled by jitter) after which that shard's
-// entire gradient is available. Backward runs from the last segment to the
-// first, so a shard is available once backward has passed its lowest
-// segment.
-func (x *exp) bwdAvailability(jitter float64) []des.Time {
-	wl := x.cfg.Workload
-	totalBwd := wl.MeanIterSec() * wl.BwdMult / (1 + wl.BwdMult) * jitter
-	// Cumulative backward time by flat offset: segment i completes after
-	// all segments j > i have been processed plus its own time. Segment
-	// times are proportional to costs: in cost-only mode use per-layer
-	// FLOPs; in real mode approximate by parameter share.
-	segDone := make([]des.Time, len(x.segments)) // completion offset of segment i
-	weights := make([]float64, len(x.segments))
-	var totalW float64
-	for i, s := range x.segments {
-		var w float64
-		if x.cfg.Real == nil {
-			w = x.cfg.Workload.Profile.Layers[i].FwdFLOPs
-		} else {
-			w = float64(s.Len)
-		}
-		weights[i] = w
-		totalW += w
-	}
-	acc := 0.0
-	for i := len(x.segments) - 1; i >= 0; i-- {
-		acc += weights[i] / totalW * totalBwd
-		segDone[i] = acc
-	}
-	avail := make([]des.Time, len(x.assign))
-	for s, ranges := range x.assign {
-		var t des.Time
-		for _, r := range ranges {
-			// find segments overlapping this range; completion is the max.
-			for i, seg := range x.segments {
-				if seg.Off < r.Off+r.Len && seg.Off+seg.Len > r.Off {
-					if segDone[i] > t {
-						t = segDone[i]
-					}
-				}
-			}
-		}
-		avail[s] = t
-	}
-	return avail
-}
-
-// sendGrads transmits worker w's gradient to every PS shard, honoring
-// wait-free BP (which interleaves the backward sleep with per-shard sends,
-// ordered by when each shard's layers finish in the backward pass) and DGC
-// (which compresses the payload and shrinks wire bytes). useDGC is false
-// for intra-machine relays that are already aggregated. jitter is the
-// compute-time multiplier from computePhase, used to pace the backward
-// sleeps under wait-free BP.
-// wfbp controls whether this send path applies the wait-free-BP
-// choreography; callers disable it when the backward pass already completed
-// (e.g. BSP leaders that gathered machine-local gradients first).
-func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, useDGC bool, jitter float64, wfbp bool) {
-	cfg := x.cfg
-
-	// DGC: compress once over the full vector; per-shard messages carry the
-	// slice of sparse entries that falls in the shard's ranges.
-	var sparse grad.Sparse
-	kind := kindGrad
-	ratio := 1.0
-	if cfg.DGC != nil && useDGC {
-		if x.dgc != nil {
-			sparse = x.dgc[w].Compress(grads)
-			ratio = float64(len(sparse.Idx)) / float64(x.vecLen)
-		} else {
-			ratio = costOnlyDGCRatio(cfg.DGC, x.dgcIter[w])
-		}
-		x.dgcIter[w]++
-		kind = kindSparseGrad
-	}
-
-	// Gradient quantization (extension): apply the codec's round-trip loss
-	// once and shrink every shard message to its wire footprint. Layered on
-	// DGC the codec compresses the surviving sparse values (the quantization
-	// error is not fed back into DGC residuals — it models what the receiver
-	// reconstructs); alone it compresses the dense vector.
-	quant := (cfg.Quantize8 || cfg.QuantizeF16) && useDGC
-	roundTrip := grad.QuantizeRoundTrip
-	if cfg.QuantizeF16 {
-		roundTrip = grad.QuantizeF16RoundTrip
-	}
-	if quant {
-		if kind == kindSparseGrad {
-			if x.dgc != nil && len(sparse.Val) > 0 {
-				qv := append([]float32(nil), sparse.Val...)
-				roundTrip(qv)
-				sparse.Val = qv
-			}
-		} else if grads != nil {
-			qg := append([]float32(nil), grads...)
-			roundTrip(qg)
-			grads = qg
-		}
-	}
-
-	// Split the sparse vector across shards in ONE pass via the locator —
-	// probing every shard's range list per entry is O(shards·nnz) and
-	// dominated setup at 256+ shards.
-	var spIdx [][]int32
-	var spVal [][]float32
-	if kind == kindSparseGrad && x.dgc != nil {
-		spIdx = make([][]int32, len(x.assign))
-		spVal = make([][]float32, len(x.assign))
-		for j, i := range sparse.Idx {
-			if s := x.loc.Shard(int(i)); s >= 0 {
-				spIdx[s] = append(spIdx[s], i)
-				spVal[s] = append(spVal[s], sparse.Val[j])
-			}
-		}
-	}
-
-	// Dense payloads alias ONE shared copy: every shard reads only its own
-	// (disjoint) ranges and never mutates, so per-shard full-vector copies
-	// would cost O(shards·vecLen) for nothing. The copy isolates receivers
-	// from the caller's reuse of grads.
-	var dense []float32
-	if kind == kindGrad && grads != nil {
-		dense = append([]float32(nil), grads...)
-	}
-
-	var avail []des.Time
-	if wfbp {
-		avail = x.bwdAvailability(jitter)
-	}
-	bwdStart := p.Now()
-	slept := des.Time(0)
-	order := shardOrder(avail, len(x.assign))
-	for _, s := range order {
-		if wfbp {
-			if d := avail[s] - slept; d > 0 {
-				p.Sleep(d)
-				slept = avail[s]
-			}
-		}
-		msg := simnet.Msg{From: x.workerNode[w], To: x.psNode[s], Kind: kind, Clock: clock, Seg: s}
-		if kind == kindSparseGrad {
-			entry := 8.0 // 4 B index + 4 B float32 value, vs 4 B/element dense
-			if quant {
-				if cfg.Quantize8 {
-					entry = 5 // 4 B index + 1 B int8 value (scale amortized)
-				} else {
-					entry = 6 // 4 B index + 2 B half value
-				}
-			}
-			msg.Bytes = int64(float64(x.shardBytes(s)) * ratio * entry / 4)
-			if msg.Bytes < 8 {
-				msg.Bytes = 8
-			}
-			if x.dgc != nil {
-				msg.SparseIdx = spIdx[s]
-				msg.Vec = spVal[s]
-			}
-		} else {
-			msg.Bytes = x.shardBytes(s)
-			if quant {
-				if cfg.Quantize8 {
-					msg.Bytes = msg.Bytes/4 + 4
-				} else {
-					msg.Bytes = msg.Bytes / 2
-				}
-			}
-			msg.Vec = dense // full vector; shard reads its ranges
-		}
-		x.net.Send(msg)
-	}
-	if wfbp {
-		if d := x.bwdTotal(jitter) - slept; d > 0 {
-			p.Sleep(d)
-		}
-		x.col.Workers[w].Breakdown.Add(metrics.Compute, p.Now()-bwdStart)
-	}
-}
-
-// shardOrder returns shard indices ordered by availability (ascending); if
-// avail is nil, natural order.
-func shardOrder(avail []des.Time, n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if avail == nil {
-		return order
-	}
-	// Stable so ties keep natural shard order — determinism matters, and the
-	// previous insertion sort was O(shards²) per send at 256+ shards.
-	sort.SliceStable(order, func(i, j int) bool { return avail[order[i]] < avail[order[j]] })
-	return order
-}
-
-// costOnlyDGCRatio mirrors grad.Compressor.CurrentRatio for cost-only runs
-// that track only the warm-up iteration count.
-func costOnlyDGCRatio(cfg *grad.DGCConfig, iter int) float64 {
-	if cfg.WarmupIters <= 0 || iter >= cfg.WarmupIters {
-		return cfg.Ratio
-	}
-	return math.Pow(cfg.Ratio, float64(iter)/float64(cfg.WarmupIters))
-}
-
-// psAggSleep models the shard-side processing cost of applying one message.
-func psAggSleep(p *des.Proc, bytes int64) {
-	p.Sleep(float64(bytes) / costmodel.AggRateBytesPerSec)
-}
-
-// snapshotMsg builds a shard→worker parameter reply for shard s. When DGC
-// is active the reply wire size models a sparse refresh: the PS only ships
-// the parameters touched since the worker's last sync — roughly the union
-// of all workers' top-k updates over the pull period — because shipping the
-// full dense model back would cancel most of what gradient compression
-// saves. (The payload still carries the full vector in real mode; payload
-// contents and wire size are decoupled throughout the simulator.)
-func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
-	bytes := x.shardBytes(s)
-	if x.cfg.DGC != nil {
-		ratio := costOnlyDGCRatio(x.cfg.DGC, x.meanDGCIter())
-		period := 1
-		if x.cfg.Algo == SSP {
-			period = x.cfg.Staleness + 1
-		}
-		factor := 2 * ratio * float64(x.cfg.Workers) * float64(period)
-		if factor < 1 {
-			bytes = int64(float64(bytes) * factor)
-			if bytes < 8 {
-				bytes = 8
-			}
-		}
-	}
-	m := simnet.Msg{From: x.psNode[s], To: toNode, Kind: kindParams, Seg: s, Bytes: bytes}
-	if x.global.MathOn() {
-		vec := make([]float32, x.vecLen)
-		x.global.Snapshot(x.assign[s], vec)
-		m.Vec = vec
-	}
-	return m
-}
-
-// meanDGCIter returns the average per-worker compression iteration, used to
-// evaluate the warm-up ratio from the PS side.
-func (x *exp) meanDGCIter() int {
-	if len(x.dgcIter) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, v := range x.dgcIter {
-		sum += v
-	}
-	return sum / len(x.dgcIter)
-}
-
 // evalGlobal evaluates the "global model" — PS params for centralized
 // algorithms, the average of all replicas for decentralized ones — on the
 // test set and appends a trace point. No-op in cost-only mode.
@@ -681,124 +340,6 @@ func (x *exp) globalParams() []float32 {
 	return out
 }
 
-// gate is called at the top of every worker iteration loop with the next
-// iteration number. It polls ctx, then consults the fault schedule: a
-// worker entering a dead window either sleeps out its restart delay and
-// resumes at the first alive iteration (returned so the caller can skip
-// ahead), or — with no restart, or none before the run ends — is done for
-// good (ok = false; the caller should fall through to its finish path).
-func (x *exp) gate(p *des.Proc, w, it int) (int, bool) {
-	if x.ctx != nil {
-		select {
-		case <-x.ctx.Done():
-			x.canceled = true
-			return it, false
-		default:
-		}
-	}
-	if x.inj == nil || x.inj.AliveAtIter(w, it) {
-		return it, true
-	}
-	x.col.Faults.Crashes++
-	delay := x.inj.RestartDelay(w, it)
-	x.crashLog = append(x.crashLog, crashRec{worker: w, at: p.Now(), restart: delay})
-	next := x.inj.NextAliveIter(w, it)
-	if next == 0 || next > x.cfg.Iters {
-		x.col.Faults.LostIters += x.cfg.Iters - it + 1
-		return it, false
-	}
-	x.col.Faults.LostIters += next - it
-	p.Sleep(delay)
-	x.col.Faults.Restarts++
-	x.restarted[w] = true
-	return next, true
-}
-
-// gateSync is gate's variant for faithful (non-elastic) synchronous
-// algorithms, where a crash stalls the whole system: nobody advances past
-// the barrier, so a restarted worker reruns the iteration it died at
-// instead of skipping the dead window, and no iterations are lost. A crash
-// without restart still terminates the worker for good.
-func (x *exp) gateSync(p *des.Proc, w, it int) (int, bool) {
-	if x.ctx != nil {
-		select {
-		case <-x.ctx.Done():
-			x.canceled = true
-			return it, false
-		default:
-		}
-	}
-	if x.inj == nil || it < x.syncFrom[w] || x.inj.AliveAtIter(w, it) {
-		return it, true
-	}
-	x.col.Faults.Crashes++
-	delay := x.inj.RestartDelay(w, it)
-	x.crashLog = append(x.crashLog, crashRec{worker: w, at: p.Now(), restart: delay})
-	next := x.inj.NextAliveIter(w, it)
-	if next == 0 {
-		x.col.Faults.LostIters += x.cfg.Iters - it + 1
-		return it, false
-	}
-	p.Sleep(delay)
-	x.col.Faults.Restarts++
-	x.restarted[w] = true
-	x.syncFrom[w] = next // the window [it, next) is served; rerun it late
-	return it, true
-}
-
-// barrierGate picks the crash semantic for barrier-synchronized algorithms:
-// elastic runs exclude dead ranks and skip their lost iterations; faithful
-// runs stall at the barrier and rerun the round when the worker returns.
-func (x *exp) barrierGate(p *des.Proc, w, it int) (int, bool) {
-	if x.cfg.Elastic {
-		return x.gate(p, w, it)
-	}
-	return x.gateSync(p, w, it)
-}
-
-// iterDone is the end-of-iteration bookkeeping shared by every algorithm.
-func (x *exp) iterDone(w, iter int) {
-	if x.restarted != nil && x.restarted[w] {
-		x.col.Faults.RecoveredIters++
-	}
-	x.maybeEval(w, iter)
-}
-
-// aliveNodes returns the node IDs of workers alive at iteration it and the
-// position of worker w among them (-1 if w itself is dead). Without
-// elastic-mode fault injection every worker is a member.
-func (x *exp) aliveNodes(it, w int) ([]int, int) {
-	if x.inj == nil || !x.cfg.Elastic {
-		return x.workerNode, w
-	}
-	self := -1
-	var nodes []int
-	for ww := 0; ww < x.cfg.Workers; ww++ {
-		if x.inj.AliveAtIter(ww, it) {
-			if ww == w {
-				self = len(nodes)
-			}
-			nodes = append(nodes, x.workerNode[ww])
-		}
-	}
-	return nodes, self
-}
-
-// aliveCount returns how many workers run iteration it (all of them
-// without elastic-mode fault injection).
-func (x *exp) aliveCount(it int) int {
-	if x.inj == nil || !x.cfg.Elastic {
-		return x.cfg.Workers
-	}
-	n := 0
-	for ww := 0; ww < x.cfg.Workers; ww++ {
-		if x.inj.AliveAtIter(ww, it) {
-			n++
-		}
-	}
-	return n
-}
-
 // maybeEval runs the periodic evaluation from worker 0's loop.
 func (x *exp) maybeEval(w, iter int) {
 	if w != 0 || x.cfg.Real == nil {
@@ -814,12 +355,6 @@ func (x *exp) maybeEval(w, iter int) {
 	if ev > 0 && iter%ev == 0 {
 		x.evalGlobal(iter)
 	}
-}
-
-// finish records completion for worker w.
-func (x *exp) finish(w int) {
-	x.col.Workers[w].Iters = x.reps[w].iter
-	x.col.Workers[w].FinishedAt = x.eng.Now()
 }
 
 // Run executes the configured experiment to completion and returns its
@@ -846,18 +381,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		defer x.pool.Close()
 	}
 	switch cfg.Algo {
-	case BSP, ASP:
-		runGradPS(x)
-	case SSP:
-		runSSP(x)
-	case EASGD, AdaComm:
-		runEASGD(x)
-	case ARSGD:
-		if err := runARSGD(x); err != nil {
-			return nil, err
-		}
-	case GoSGD:
-		runGoSGD(x)
 	case ADPSGD:
 		runADPSGD(x)
 	case DPSGD:
@@ -865,7 +388,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	case Hogwild:
 		runHogwild(x)
 	default:
-		return nil, fmt.Errorf("core: unknown algorithm %q", cfg.Algo)
+		x.spawnWorkers()
 	}
 	report, err := x.drain()
 	if err != nil {

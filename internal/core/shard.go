@@ -3,8 +3,8 @@ package core
 import (
 	"fmt"
 
+	"disttrain/internal/costmodel"
 	"disttrain/internal/des"
-	"disttrain/internal/metrics"
 	"disttrain/internal/ps"
 	"disttrain/internal/simnet"
 )
@@ -58,7 +58,7 @@ func (x *exp) spawnShards() {
 		x.eng.Spawn(fmt.Sprintf("%s-ps%d", cfg.Algo, s), func(p *des.Proc) {
 			rule := ShardRule(cfg, s)
 			if elastic {
-				rule.Members = x.aliveCount
+				rule.Members = x.inj.AliveCount
 				// Currently dead workers are left out of SSP's staleness bound
 				// so a crash does not park every fast worker for the rest of
 				// the run.
@@ -120,48 +120,52 @@ func (x *exp) sendReplies(s int, out []ps.Reply) {
 	}
 }
 
-// awaitShards is the worker's half of a PS exchange: block until every shard
-// has answered with a message of kind want, scatter each answer's ranges into
-// the replica's parameters and book the wait as network and global-
-// aggregation time. When timed, a wait longer than BarrierTimeoutSec gives up
-// and keeps the stale ranges of the shards that did not answer, so a dropped
-// request or reply cannot wedge the worker. Acks arriving in between go to
-// ack (SSP; nil means none are expected). Returns the parameters it set (nil
-// in cost-only mode).
-func (x *exp) awaitShards(p *des.Proc, w, want int, timed bool, ack func(minClock int)) []float32 {
-	inbox := x.inbox(w)
-	t0 := p.Now()
-	var wire des.Time
-	fresh := x.reps[w].Params()
-	for recv := 0; recv < len(x.assign); {
-		var m simnet.Msg
-		if timed {
-			var ok bool
-			if m, ok = inbox.RecvTimeout(p, x.cfg.BarrierTimeoutSec); !ok {
-				x.col.Faults.Timeouts++
-				break
-			}
-		} else {
-			m = inbox.Recv(p)
+// psAggSleep models the shard-side processing cost of applying one message.
+func psAggSleep(p *des.Proc, bytes int64) {
+	p.Sleep(float64(bytes) / costmodel.AggRateBytesPerSec)
+}
+
+// snapshotMsg builds a shard→worker parameter reply for shard s. When DGC
+// is active the reply wire size models a sparse refresh: the PS only ships
+// the parameters touched since the worker's last sync — roughly the union
+// of all workers' top-k updates over the pull period — because shipping the
+// full dense model back would cancel most of what gradient compression
+// saves. (The payload still carries the full vector in real mode; payload
+// contents and wire size are decoupled throughout the simulator.)
+func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
+	bytes := x.shardBytes(s)
+	if x.cfg.DGC != nil {
+		ratio := costOnlyDGCRatio(x.cfg.DGC, x.meanDGCIter())
+		period := 1
+		if x.cfg.Algo == SSP {
+			period = x.cfg.Staleness + 1
 		}
-		switch {
-		case m.Kind == want:
-			wire += m.WireSec
-			if m.Vec != nil {
-				for _, r := range x.assign[m.Seg] {
-					copy(fresh[r.Off:r.Off+r.Len], m.Vec[r.Off:r.Off+r.Len])
-				}
+		factor := 2 * ratio * float64(x.cfg.Workers) * float64(period)
+		if factor < 1 {
+			bytes = int64(float64(bytes) * factor)
+			if bytes < 8 {
+				bytes = 8
 			}
-			recv++
-		case m.Kind == kindAck && ack != nil:
-			ack(m.Clock)
-		default:
-			panic(fmt.Sprintf("%s worker: unexpected kind %d", x.cfg.Algo, m.Kind))
 		}
 	}
-	bd := &x.col.Workers[w].Breakdown
-	bd.Add(metrics.Network, wire)
-	bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
-	x.reps[w].SetParams(fresh)
-	return fresh
+	m := simnet.Msg{From: x.psNode[s], To: toNode, Kind: kindParams, Seg: s, Bytes: bytes}
+	if x.global.MathOn() {
+		vec := make([]float32, x.vecLen)
+		x.global.Snapshot(x.assign[s], vec)
+		m.Vec = vec
+	}
+	return m
+}
+
+// meanDGCIter returns the average per-worker compression iteration, used to
+// evaluate the warm-up ratio from the PS side.
+func (x *exp) meanDGCIter() int {
+	if len(x.dgcIter) == 0 {
+		return 0
+	}
+	sum := 0
+	for _, v := range x.dgcIter {
+		sum += v
+	}
+	return sum / len(x.dgcIter)
 }

@@ -427,6 +427,37 @@ func (in *Injector) NextAliveIter(w, it int) int {
 	}
 }
 
+// AliveNodes returns the workers that run iteration it, ascending, and w's
+// position among them (-1 if w itself is dead): the elastic barrier
+// membership. Worker w's node ID is w on the simulated network and its mesh
+// rank is w on the live one, so both runtimes build a round's ring from this
+// one list.
+func (in *Injector) AliveNodes(it, w int) (nodes []int, self int) {
+	self = -1
+	nodes = make([]int, 0, in.workers)
+	for ww := 0; ww < in.workers; ww++ {
+		if in.AliveAtIter(ww, it) {
+			if ww == w {
+				self = len(nodes)
+			}
+			nodes = append(nodes, ww)
+		}
+	}
+	return nodes, self
+}
+
+// AliveCount returns how many workers run iteration it — the elastic BSP
+// barrier width.
+func (in *Injector) AliveCount(it int) int {
+	n := 0
+	for w := 0; w < in.workers; w++ {
+		if in.AliveAtIter(w, it) {
+			n++
+		}
+	}
+	return n
+}
+
 // RestartDelay returns the restart sleep for a worker dying at iteration it
 // (the delay of the latest crash span covering it).
 func (in *Injector) RestartDelay(w, it int) float64 {

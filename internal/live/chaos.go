@@ -44,35 +44,6 @@ func (c *chaos) nextAlive(w, it int) int { return c.inj.NextAliveIter(w, it) }
 // iteration it.
 func (c *chaos) restartDelay(w, it int) float64 { return c.inj.RestartDelay(w, it) }
 
-// aliveCount returns how many workers run iteration it — the simulator's
-// aliveCount, the elastic BSP barrier width.
-func (c *chaos) aliveCount(it int) int {
-	n := 0
-	for w := 0; w < c.cfg.Workers; w++ {
-		if c.aliveAt(w, it) {
-			n++
-		}
-	}
-	return n
-}
-
-// aliveNodes returns the mesh ranks alive at iteration it and w's position
-// among them (-1 if w itself is dead) — the simulator's aliveNodes, the
-// elastic AR-SGD ring membership.
-func (c *chaos) aliveNodes(it, w int) ([]int, int) {
-	self := -1
-	nodes := make([]int, 0, c.cfg.Workers)
-	for ww := 0; ww < c.cfg.Workers; ww++ {
-		if c.aliveAt(ww, it) {
-			if ww == w {
-				self = len(nodes)
-			}
-			nodes = append(nodes, ww)
-		}
-	}
-	return nodes, self
-}
-
 // resumedAt reports whether worker w comes back from a dead window exactly
 // at iteration it. Peers use this to discard their cached connection to w
 // before the first post-restart send — the old socket is half-closed and a

@@ -48,12 +48,14 @@ func arRecvVec(q *arQuant, f *xport.Frame, wantLen int) ([]float32, error) {
 	return f.Vec, nil
 }
 
-// arLink is one rank's comm.Link for one AllReduce round: nodes are the
-// group's mesh ranks, self indexes the caller, clock tags the round. q
-// non-nil ships own-contribution chunks — the caller's round-tripped
-// gradient — in codec form.
+// arLink is one rank's comm.Link for one collective call: kind is the frame
+// kind the call travels under (an AllReduce, or local aggregation's gather or
+// broadcast), nodes are the group's mesh ranks, self indexes the caller,
+// clock tags the round. q non-nil ships own-contribution chunks — the
+// caller's round-tripped gradient — in codec form.
 type arLink struct {
 	mb    *mailbox
+	kind  uint16
 	nodes []int
 	self  int
 	clock int32
@@ -62,14 +64,14 @@ type arLink struct {
 }
 
 func (l *arLink) Send(to, seg, lo, hi int, own bool) error {
-	f := &xport.Frame{Kind: kindAllReduce, From: int32(l.nodes[l.self]),
+	f := &xport.Frame{Kind: l.kind, From: int32(l.nodes[l.self]),
 		Clock: l.clock, Seg: int32(seg)}
 	arChunk(l.q, l.vec, lo, hi, own, f)
 	return l.mb.ep.Send(l.nodes[to], f)
 }
 
 func (l *arLink) Recv(seg, lo, hi int, fold comm.Fold) error {
-	f, err := l.mb.recvMatch(kindAllReduce, l.clock, int32(seg), recvTimeout)
+	f, err := l.mb.recvMatch(l.kind, l.clock, int32(seg), recvTimeout)
 	if err != nil {
 		return err
 	}

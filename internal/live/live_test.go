@@ -384,13 +384,64 @@ func TestLiveAsyncAlgosComplete(t *testing.T) {
 	}
 }
 
+// TestLiveBSPLocalAggBitIdenticalToSim: BSP with local aggregation — the
+// machine leader folds its members' gradients in member order whatever order
+// they arrive in, pushes one sum per machine and relays the parameters — ends
+// on the simulator's parameters and report bit for bit. Eight workers fill two
+// machines, six leave one half full, five leave a worker alone on its machine
+// that pushes for itself; int8 quantizes the leader's sum, as the simulator's
+// sendGrads does.
+func TestLiveBSPLocalAggBitIdenticalToSim(t *testing.T) {
+	for _, workers := range []int{8, 6, 5} {
+		for _, int8 := range []bool{false, true} {
+			cfg := liveConfig(core.BSP, workers, 6, 42)
+			cfg.LocalAgg = true
+			cfg.Quantize8 = int8
+			sim := simRun(t, cfg)
+			for _, run := range []func(core.Config, ...Option) (*Result, error){RunLoopback, RunChan} {
+				res, err := run(cfg)
+				if err != nil {
+					t.Fatalf("%d workers int8=%v: %v", workers, int8, err)
+				}
+				requireSameReport(t, sim, res)
+			}
+		}
+	}
+}
+
+// TestLiveGoSGDOverlay: GoSGD restricted to a 2-regular overlay — the graph
+// the simulator draws from the same stream — completes every iteration on
+// both transports, and because a worker's push decisions come from the shared
+// loop and its own stream alone, the sockets carry exactly as many pushes as
+// the simulated network does.
+func TestLiveGoSGDOverlay(t *testing.T) {
+	cfg := liveConfig(core.GoSGD, 6, 8, 42)
+	cfg.Overlay, cfg.OverlayDegree = "kregular", 2
+	sim := simRun(t, cfg)
+	for name, run := range map[string]func(core.Config, ...Option) (*Result, error){"loopback": RunLoopback, "chan": RunChan} {
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for w, n := range res.WorkerIters {
+			if n != cfg.Iters {
+				t.Fatalf("%s: worker %d completed %d/%d iterations", name, w, n, cfg.Iters)
+			}
+		}
+		if name == "loopback" && res.Net.FramesSent != sim.Net.TotalMsgs {
+			t.Fatalf("live sent %d gossip pushes, the simulator %d", res.Net.FramesSent, sim.Net.TotalMsgs)
+		}
+	}
+}
+
 // TestLiveAsyncPSBitIdenticalToSimOneWorker is the sim↔live equality gate
 // for the asynchronous PS algorithms. What the PS does with a message is
 // the one ps.Shard in both runtimes, so the only thing a wall-clock run may
 // change is the arrival order — and a single worker admits only one. ASP
-// (with and without staleness damping), SSP and EASGD, dense and with int8
-// gradient frames, over sockets and over channels, must therefore end on
-// the simulator's parameters bit for bit.
+// (with and without staleness damping), SSP, EASGD and AdaComm (whose period
+// follows the worker's own loss), dense and with int8 gradient frames, over
+// sockets and over channels, must therefore end on the simulator's parameters
+// bit for bit.
 func TestLiveAsyncPSBitIdenticalToSimOneWorker(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -401,9 +452,10 @@ func TestLiveAsyncPSBitIdenticalToSimOneWorker(t *testing.T) {
 		{"asp damping", core.ASP, func(c *core.Config) { c.StalenessDamping = true }},
 		{"ssp", core.SSP, nil},
 		{"easgd", core.EASGD, nil},
+		{"adacomm", core.AdaComm, func(c *core.Config) { c.Tau = 4 }},
 	} {
 		for _, int8 := range []bool{false, true} {
-			if int8 && tc.algo == core.EASGD {
+			if int8 && !tc.algo.SendsGradients() {
 				continue // ships parameters: core rejects a gradient codec
 			}
 			cfg := liveConfig(tc.algo, 1, 12, 42)
@@ -541,11 +593,10 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 			"PS sharding is not supported"},
 		{"wait-free BP", core.BSP, func(c *core.Config) { c.WaitFreeBP = true }, "wait-free BP"},
 		{"DGC", core.BSP, func(c *core.Config) { d := grad.DefaultDGC(0.9, 2); c.DGC = &d }, "DGC is not supported"},
-		{"local agg", core.BSP, func(c *core.Config) { c.LocalAgg = true }, "local aggregation is not supported"},
 		{"no-bipartite ablation", core.ADPSGD, func(c *core.Config) { c.ADPSGDNoBipartite = true },
 			"no-bipartite ablation is simulator-only"},
-		{"gossip overlay", core.GoSGD, func(c *core.Config) { c.Overlay = "smallworld"; c.OverlayDegree = 2 },
-			"gossip overlays are simulator-only"},
+		{"AD-PSGD overlay", core.ADPSGD, func(c *core.Config) { c.Overlay = "smallworld"; c.OverlayDegree = 2 },
+			"AD-PSGD gossip overlays are simulator-only"},
 		{"elastic async", core.ASP, func(c *core.Config) { c.Elastic = true }, "elastic membership supports BSP and AR-SGD only"},
 		{"crash without elastic", core.BSP, func(c *core.Config) { c.Faults = crash }, "crash faults require Elastic"},
 		// Still core.Validate's: a topology collective has a fixed membership.
@@ -585,6 +636,22 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 			t.Fatalf("elastic %s with crash schedule rejected: %v", algo, err)
 		}
 	}
+	// What came with the shared worker loops: local aggregation, GoSGD's
+	// overlays, AdaComm.
+	for name, c := range map[string]core.Config{
+		"local agg":     liveConfig(core.BSP, 4, 4, 1),
+		"gosgd overlay": liveConfig(core.GoSGD, 4, 4, 1),
+		"adacomm":       liveConfig(core.AdaComm, 4, 4, 1),
+	} {
+		c.LocalAgg = c.Algo == core.BSP
+		c.Tau = 2
+		if c.Algo == core.GoSGD {
+			c.Overlay, c.OverlayDegree = "smallworld", 2
+		}
+		if err := Validate(&c); err != nil {
+			t.Fatalf("%s rejected: %v", name, err)
+		}
+	}
 	// All five collectives run live.
 	for _, name := range []string{"ring", "tree", "hierarchical", "butterfly", "torus"} {
 		ccfg := liveConfig(core.ARSGD, 4, 4, 1)
@@ -620,6 +687,15 @@ func TestFingerprintCoversProtocolFields(t *testing.T) {
 		"f16":          func(c *core.Config) { c.QuantizeF16 = true },
 		"elastic":      func(c *core.Config) { c.Elastic = true },
 		"batch":        func(c *core.Config) { r := *c.Real; r.Batch = 8; c.Real = &r },
+		"machines":     func(c *core.Config) { c.Cluster.Machines = 2 },
+		"per machine":  func(c *core.Config) { c.Cluster.WorkersPerMachine = 2 },
+		"faults": func(c *core.Config) {
+			c.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Crash, AtIter: 3, Worker: 1, Restart: 0.5}}}
+		},
+		"iteration clock": func(c *core.Config) { c.Workload.Batch = 64 },
+		"local agg":       func(c *core.Config) { c.LocalAgg = true },
+		"overlay":         func(c *core.Config) { c.Overlay = "kregular" },
+		"overlay degree":  func(c *core.Config) { c.OverlayDegree = 2 },
 	} {
 		cfg := base
 		mut(&cfg)

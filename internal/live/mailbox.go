@@ -5,14 +5,14 @@ import (
 	"fmt"
 	"time"
 
+	"disttrain/internal/core"
 	"disttrain/internal/ps"
 	"disttrain/internal/xport"
 )
 
-// Data-plane frame kinds. The values mirror internal/core's message kinds
-// one for one so a packet capture of a live run reads against the
-// simulator's message taxonomy; the parameter-server kinds are ps's own, so
-// the server converts with a cast.
+// Data-plane frame kinds: ps's and core's message kinds, so a packet capture
+// of a live run reads against the simulator's message taxonomy and the
+// server converts with a cast.
 const (
 	kindGrad        = uint16(ps.Grad)
 	kindParams      = uint16(ps.Params)
@@ -20,10 +20,12 @@ const (
 	kindAck         = uint16(ps.Ack)
 	kindEASGDPush   = uint16(ps.Push)
 	kindEASGDReply  = uint16(ps.PushReply)
-	kindAllReduce   = uint16(8)
-	kindGossip      = uint16(9)
-	kindExchangeReq = uint16(10)
-	kindExchangeRep = uint16(11)
+	kindAllReduce   = uint16(core.KindAllReduce)
+	kindGossip      = uint16(core.KindGossip)
+	kindExchangeReq = uint16(core.KindExchangeReq)
+	kindExchangeRep = uint16(core.KindExchangeReply)
+	kindLocalGather = uint16(core.KindLocalGather)
+	kindLocalBcast  = uint16(core.KindLocalBcast)
 )
 
 // Control-plane frame kinds, used on the rendezvous connection and for the

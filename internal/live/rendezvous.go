@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"disttrain/internal/core"
+	"disttrain/internal/fault"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -75,14 +76,24 @@ func readAnyCtl(c net.Conn, d time.Duration) (xport.Frame, error) {
 // on: whatever changes which frames travel or how they fold — the algorithm
 // and its knobs, the optimizer and its learning-rate schedule, the
 // collective (each is its own message pattern), the gradient codec, elastic
-// membership. The coordinator rejects a HELLO whose fingerprint differs from
-// its own — catching a worker launched with a stale flag before it can skew
-// or wedge the run.
+// membership, and what decides who talks to whom: the cluster's rank→machine
+// layout (hierarchical and local-aggregation groups), the fault schedule (its
+// crashes *are* the elastic membership function, quantized on the workload's
+// nominal iteration time), local aggregation and the gossip overlay. The
+// coordinator rejects a HELLO whose fingerprint differs from its own —
+// catching a worker launched with a stale flag before it can skew or wedge
+// the run.
 func fingerprint(cfg *core.Config) string {
-	return fmt.Sprintf("%s|w%d|i%d|s%d|m%v|wd%v|lr%v|st%d|tau%d|mr%v|gp%v|c%s|q8%v|f16%v|el%v|b%d|n%d",
+	var faults []fault.Event // each prints as its spec string
+	if cfg.Faults != nil {
+		faults = cfg.Faults.Events
+	}
+	return fmt.Sprintf("%s|w%d|i%d|s%d|m%v|wd%v|lr%v|st%d|tau%d|mr%v|gp%v|c%s|q8%v|f16%v|el%v|b%d|n%d|cl%dx%d|f%v@%v|la%v|ov%s/%d",
 		cfg.Algo, cfg.Workers, cfg.Iters, cfg.Seed, cfg.Momentum, cfg.WeightDecay, cfg.LR,
 		cfg.Staleness, cfg.Tau, cfg.MovingRate, cfg.GossipP, cfg.Collective,
-		cfg.Quantize8, cfg.QuantizeF16, cfg.Elastic, cfg.Real.Batch, cfg.Real.Train.N())
+		cfg.Quantize8, cfg.QuantizeF16, cfg.Elastic, cfg.Real.Batch, cfg.Real.Train.N(),
+		cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine, faults, cfg.Workload.MeanIterSec(), cfg.LocalAgg,
+		cfg.Overlay, cfg.OverlayDegree)
 }
 
 // doneStats is the stats payload of a DONE frame: the transport counters

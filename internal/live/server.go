@@ -63,7 +63,7 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 	if sv.ch != nil {
 		// The round's barrier width is the alive membership — the
 		// simulator's elastic aliveCount.
-		rule.Members = sv.ch.aliveCount
+		rule.Members = sv.ch.inj.AliveCount
 	}
 	sv.shard = ps.NewShard(sv.global, sv.ranges, rule)
 	if o != nil {

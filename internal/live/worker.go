@@ -8,7 +8,7 @@ import (
 	"disttrain/internal/core"
 	"disttrain/internal/nn"
 	"disttrain/internal/ps"
-	"disttrain/internal/rng"
+	"disttrain/internal/topo"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -53,10 +53,22 @@ type worker struct {
 	ep   xport.Endpoint
 	mb   *mailbox
 	rep  *core.Replica
-	algo *rng.RNG
+	// streams and overlay are the simulator's derivations for this rank: the
+	// algorithm draws (gossip targets, AD-PSGD partners) and GoSGD's partner
+	// graph.
+	streams core.Streams
+	overlay *topo.Overlay
 
-	iters  int     // completed iterations
-	weight float64 // GoSGD mixing weight
+	iters int // completed iterations
+
+	// What the core.Env methods carry from one call of an iteration to the
+	// next: full is the fixed cohort 0..W-1 and plan AR-SGD's collective
+	// (the simulator's for the same config), g the gradient of the pass in
+	// progress, merge GoSGD's fold of an arriving push.
+	full  []int
+	plan  comm.Plan
+	g     []float32
+	merge func(vec []float32, aux float64)
 
 	// codec is the gradient wire codec (0 = dense); saved accumulates the
 	// wire bytes quantization saved versus dense float32 frames, exported
@@ -93,7 +105,7 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 	// an identically built replica are what make the numerics agree. Only
 	// the mutex is live-specific — AD-PSGD's communication goroutine shares
 	// the replica with the compute loop.
-	ws, _ := core.DeriveStreams(cfg.Seed, cfg.Workers)
+	ws, overlayStream := core.DeriveStreams(cfg.Seed, cfg.Workers)
 	rep := core.NewReplica(rank, cfg, ws[rank])
 	rep.Guard()
 	w := &worker{
@@ -103,12 +115,18 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 		ep:        ep,
 		mb:        newMailbox(ep),
 		rep:       rep,
-		algo:      ws[rank].Algo,
-		weight:    1,
+		streams:   ws[rank],
+		overlay:   core.BuildOverlay(cfg, overlayStream),
+		full:      make([]int, cfg.Workers),
 		codec:     quantCodec(cfg),
 		ch:        newChaos(cfg),
 		startIter: 1,
 	}
+	for i := range w.full {
+		w.full[i] = i
+	}
+	// core.Validate resolved the same name, so this cannot fail.
+	w.plan, _ = comm.Resolve(cfg.Collective, cfg.Cluster, cfg.Workers)
 	if o != nil {
 		w.ckpt = o.ckpt
 		w.onProgress = o.progress
@@ -132,10 +150,8 @@ func (w *worker) span(name, cat string) *trace.WallSpan {
 	return w.tr.StartSpan(name, cat, workerPid, w.rank)
 }
 
-// note records the completion of iteration it: the worker's own counter,
-// the progress cell the heartbeat goroutine publishes to the coordinator,
-// and the optional Options.progress observer. Every algorithm loop calls it
-// exactly once per completed iteration.
+// note records the completion of iteration it (see Done); AD-PSGD's compute
+// loops call it directly.
 func (w *worker) note(it int) {
 	w.iters = it
 	w.prog.Store(int64(it))
@@ -175,31 +191,6 @@ func dropResumedPeers(ep xport.Endpoint, ch *chaos, self, it int) {
 	}
 }
 
-// gate is the per-round chaos check for the synchronous loops: it returns a
-// deathErr when this worker's schedule says iteration it is not run, and
-// otherwise refreshes connections to peers resuming this round.
-func (w *worker) gate(it int) error {
-	if w.ch == nil {
-		return nil
-	}
-	if !w.ch.aliveAt(w.rank, it) {
-		return deathErr{it: it}
-	}
-	dropResumedPeers(w.ep, w.ch, w.rank, it)
-	return nil
-}
-
-// maybeCheckpoint writes this worker's training state if the cadence says
-// iteration it is a checkpoint boundary.
-func (w *worker) maybeCheckpoint(it int) error {
-	if !w.ckpt.Due(it) {
-		return nil
-	}
-	sp := w.span("checkpoint", "ckpt")
-	defer sp.End()
-	return w.rep.SaveState(w.ckpt.Path(w.rank), it, w.draws)
-}
-
 // gradSpan wraps one forward/backward pass in a compute span.
 func (w *worker) gradSpan() []float32 {
 	sp := w.span("compute", "compute")
@@ -213,21 +204,10 @@ func (w *worker) gradSpan() []float32 {
 // algorithms it then tells the PS so the server loop can retire.
 func (w *worker) run() error {
 	var err error
-	switch w.cfg.Algo {
-	case core.BSP, core.ASP:
-		err = w.runGradPS()
-	case core.SSP:
-		err = w.runSSP()
-	case core.EASGD:
-		err = w.runEASGD()
-	case core.ARSGD:
-		err = w.runARSGD()
-	case core.GoSGD:
-		err = w.runGoSGD()
-	case core.ADPSGD:
+	if w.cfg.Algo == core.ADPSGD {
 		err = w.runADPSGD()
-	default:
-		err = fmt.Errorf("live: no driver for %s", w.cfg.Algo)
+	} else {
+		err = core.WorkerLoop(w, w.cfg, w.rank, w.rep, w.streams, w.overlay)
 	}
 	if err != nil {
 		return fmt.Errorf("live: worker %d (%s): %w", w.rank, w.cfg.Algo, err)
@@ -256,7 +236,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 			return err
 		}
 		if ok && f.Kind == kindGossip {
-			w.weight = w.rep.WeightedMerge(w.weight, f.Vec, f.Aux)
+			w.merge(f.Vec, f.Aux)
 			f.Release()
 		}
 		// After the BYE keep sweeping until a poll comes back empty, so a
@@ -273,39 +253,104 @@ func (w *worker) tail(stop <-chan struct{}) error {
 	}
 }
 
-// runGradPS is BSP's and ASP's worker loop, which are the same exchange —
-// push the gradient, wait for the parameters the PS answers with — against
-// different shard protocols. Chaos membership and checkpoints are BSP's:
-// live.Validate admits crash schedules for BSP only (startIter stays 1 and
-// the gate is a no-op without one), and an ASP worker writes no checkpoint.
-func (w *worker) runGradPS() error {
-	cfg := w.cfg
-	for it := w.startIter; it <= cfg.Iters; it++ {
-		if err := w.gate(it); err != nil {
-			return err
-		}
-		g := w.gradSpan()
-		w.draws++
-		gf := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
-		w.encodeGrad(g, gf)
-		if err := w.exchange("ps-exchange", gf, kindParams); err != nil {
-			return err
-		}
-		w.note(it)
-		if cfg.Algo == core.BSP {
-			if err := w.maybeCheckpoint(it); err != nil {
-				return err
-			}
-		}
+// The methods below make worker the live runtime's core.Env: everything that
+// is a *wire* — frames and their codec, spans, the mailbox's matching and
+// recycling, checkpoints — under the loops of core/loops.go, which own the
+// protocol order. Received vectors are released to xport's recycler as soon as
+// the replica has taken them in.
+
+// Gate is the per-round chaos check: a deathErr when this worker's schedule
+// says iteration it is not run (the life driver restarts it), and otherwise a
+// refresh of the connections to peers resuming this round. An incarnation
+// restored from a checkpoint skips ahead to where its schedule resumes.
+func (w *worker) Gate(it int) (int, bool, error) {
+	if it < w.startIter {
+		it = w.startIter
 	}
+	if w.ch != nil {
+		if !w.ch.aliveAt(w.rank, it) {
+			return it, false, deathErr{it: it}
+		}
+		dropResumedPeers(w.ep, w.ch, w.rank, it)
+	}
+	return it, true, nil
+}
+
+// Members is the round's alive membership — the function the simulator's
+// elastic mode evaluates — so a ring is rebuilt every round from the shared
+// schedule, no view exchange needed.
+func (w *worker) Members(it int) ([]int, int) {
+	if w.ch == nil {
+		return w.full, w.rank
+	}
+	return w.ch.inj.AliveNodes(it, w.rank)
+}
+
+// Compute runs the pass under a compute span; a wall-clock worker has no
+// backward time to overlap with.
+func (w *worker) Compute(bool) {
+	w.g = w.gradSpan()
+	w.draws++
+}
+
+// Grad is the model's own gradient store until the next pass overwrites it,
+// and Send never retains a frame, so collectives reduce it where backward
+// wrote it and the step reads the sum from there.
+func (w *worker) Grad() []float32 { return w.g }
+
+// link is this rank's comm.Link for one collective call of the given kind
+// over vec.
+func (w *worker) link(kind uint16, it int, nodes []int, self int, vec []float32) *arLink {
+	return &arLink{mb: w.mb, kind: kind, nodes: nodes, self: self, clock: int32(it), vec: vec}
+}
+
+func (w *worker) AllReduce(it int, nodes []int, self int) ([]float32, error) {
+	l := w.link(kindAllReduce, it, nodes, self, w.g)
+	l.q = w.arQuantize(w.g)
+	sp := w.span("allreduce", "comm")
+	defer sp.End()
+	return w.g, w.plan.Run(l, len(nodes), self, len(w.g))
+}
+
+// GatherSum ships a member's gradient to its machine leader dense — the
+// codec applies once, to the sum the leader pushes, as in the simulator.
+func (w *worker) GatherSum(it int, group []int, self int, vec []float32) error {
+	sp := w.span("local-gather", "comm")
+	defer sp.End()
+	l := w.link(kindLocalGather, it, group, self, vec)
+	return comm.Plan{Op: comm.OpGather}.Run(l, len(group), self, len(vec))
+}
+
+func (w *worker) Bcast(it int, group []int, self int, params []float32) error {
+	sp := w.span("local-bcast", "comm")
+	defer sp.End()
+	if self != 0 {
+		// The gradient store is dead once the gather has shipped it: the
+		// leader's parameters land there on their way into the replica.
+		params = w.g
+	}
+	l := w.link(kindLocalBcast, it, group, self, params)
+	if err := (comm.Plan{Op: comm.OpBroadcast}).Run(l, len(group), self, len(params)); err != nil || self == 0 {
+		return err
+	}
+	w.rep.SetParams(params)
 	return nil
 }
 
-// exchange is the worker's half of a PS round trip: send f, block for the
-// reply of the given kind that echoes f's clock, and install the parameters
-// it carries. Whatever else arrives meanwhile (SSP acks) is stashed for the
-// next poll.
-func (w *worker) exchange(span string, f *xport.Frame, reply uint16) error {
+// Exchange sends the request, blocks for the reply that echoes its clock and
+// installs the parameters it carries. SSP acks that overtake the reply are
+// stashed for the next Acks.
+func (w *worker) Exchange(kind ps.Kind, it int, vec []float32, _ func(int)) error {
+	f := &xport.Frame{Kind: uint16(kind), From: int32(w.rank), Clock: int32(it)}
+	span, reply := "ps-exchange", kindParams
+	switch kind {
+	case ps.Grad:
+		w.encodeGrad(vec, f)
+	case ps.Pull:
+		span = "ssp-sync"
+	case ps.Push:
+		span, reply, f.Vec = "easgd-sync", kindEASGDReply, vec
+	}
 	sp := w.span(span, "comm")
 	if err := w.ep.Send(w.srv, f); err != nil {
 		return err
@@ -320,156 +365,62 @@ func (w *worker) exchange(span string, f *xport.Frame, reply uint16) error {
 	return nil
 }
 
-func (w *worker) runSSP() error {
-	cfg := w.cfg
-	bound := ps.Bound{S: cfg.Staleness}
-	for it := 1; it <= cfg.Iters; it++ {
-		g := w.gradSpan()
-		// Petuum-style SSP: apply locally, ship the resulting *update*.
-		before := w.rep.Params()
-		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
-		delta := w.rep.Params()
-		for i := range delta {
-			delta[i] -= before[i]
-		}
-		// The shipped delta goes through the codec (the simulator's
-		// sendGrads quantizes SSP updates too); the local replica keeps
-		// the unquantized step, exactly like the simulator's worker.
-		df := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
-		w.encodeGrad(delta, df)
-		if err := w.ep.Send(w.srv, df); err != nil {
-			return err
-		}
-		// Fold any acks that have piled up.
-		for {
-			f, ok, err := w.mb.poll()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if f.Kind != kindAck {
-				return fmt.Errorf("ssp drain: unexpected kind %d", f.Kind)
-			}
-			bound.Ack(int(f.Clock))
-		}
-		if bound.Stale(it) {
-			// Staleness bound exceeded: pull the global parameters and block
-			// until the PS's clock service releases us.
-			pull := &xport.Frame{Kind: kindPull, From: int32(w.rank), Clock: int32(it)}
-			if err := w.exchange("ssp-sync", pull, kindParams); err != nil {
-				return err
-			}
-			bound.Refreshed(it)
-		}
-		w.note(it)
-	}
-	return nil
+func (w *worker) Update(it int, vec []float32) error {
+	f := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
+	w.encodeGrad(vec, f)
+	return w.ep.Send(w.srv, f)
 }
 
-func (w *worker) runEASGD() error {
-	cfg := w.cfg
-	for it := 1; it <= cfg.Iters; it++ {
-		g := w.gradSpan()
-		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
-		if it%cfg.Tau == 0 {
-			push := &xport.Frame{Kind: kindEASGDPush, From: int32(w.rank), Clock: int32(it), Vec: w.rep.Params()}
-			if err := w.exchange("easgd-sync", push, kindEASGDReply); err != nil {
-				return err
-			}
+// arrived hands fold every frame that has already come in, which must all be
+// of the given kind.
+func (w *worker) arrived(kind uint16, fold func(*xport.Frame)) error {
+	for {
+		f, ok, err := w.mb.poll()
+		if err != nil || !ok {
+			return err
 		}
-		w.note(it)
+		if f.Kind != kind {
+			return fmt.Errorf("unexpected kind %d among the arrived frames, want %d", f.Kind, kind)
+		}
+		fold(&f)
+		f.Release()
 	}
-	return nil
 }
 
-func (w *worker) runARSGD() error {
-	cfg := w.cfg
-	// The simulator's plan for the same config: core.Validate admits the
-	// topology-aware collectives only with fixed membership, so their groups
-	// and grid always index the full world below.
-	plan, err := comm.Resolve(cfg.Collective, cfg.Cluster, cfg.Workers)
-	if err != nil {
-		return err
-	}
-	full := make([]int, cfg.Workers)
-	for i := range full {
-		full[i] = i
-	}
-	for it := w.startIter; it <= cfg.Iters; it++ {
-		if err := w.gate(it); err != nil {
-			return err
-		}
-		// The round's group is the alive membership — the simulator's
-		// elastic aliveNodes — so the ring is rebuilt every round from the
-		// shared membership function, no view exchange needed.
-		nodes, self := full, w.rank
-		if w.ch != nil {
-			nodes, self = w.ch.aliveNodes(it, w.rank)
-		}
-		inv := 1 / float32(len(nodes))
-		// The gradient is the model's own store until the next pass
-		// overwrites it, and Send never retains a frame, so the collective
-		// reduces it where backward wrote it and the step reads the sum from
-		// there, averaging as it goes.
-		agg := w.gradSpan()
-		w.draws++
-		qc := w.arQuantize(agg)
-		sp := w.span("allreduce", "comm")
-		l := &arLink{mb: w.mb, nodes: nodes, self: self, clock: int32(it), vec: agg, q: qc}
-		if err := plan.Run(l, len(nodes), self, len(agg)); err != nil {
-			return err
-		}
-		sp.End()
-		w.rep.LocalStep(agg, inv, cfg.LR.At(it-1))
-		w.note(it)
-		if err := w.maybeCheckpoint(it); err != nil {
-			return err
-		}
-	}
-	return nil
+func (w *worker) Acks(ack func(int)) error {
+	return w.arrived(kindAck, func(f *xport.Frame) { ack(int(f.Clock)) })
 }
 
-func (w *worker) runGoSGD() error {
-	cfg := w.cfg
-	W := cfg.Workers
-	r := w.algo
-	for it := 1; it <= cfg.Iters; it++ {
-		g := w.gradSpan()
-		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
-		for {
-			f, ok, err := w.mb.poll()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				break
-			}
-			if f.Kind != kindGossip {
-				return fmt.Errorf("gosgd worker: unexpected kind %d", f.Kind)
-			}
-			w.weight = w.rep.WeightedMerge(w.weight, f.Vec, f.Aux)
-			f.Release()
-		}
-		if r.Bernoulli(cfg.GossipP) && W > 1 {
-			t := r.Intn(W - 1)
-			if t >= w.rank {
-				t++
-			}
-			half := w.weight / 2
-			w.weight = half
-			// Asymmetric push: fire and forget.
-			sp := w.span("gossip-push", "comm")
-			if err := w.ep.Send(t, &xport.Frame{Kind: kindGossip, From: int32(w.rank),
-				Clock: int32(it), Aux: half, Vec: w.rep.Params()}); err != nil {
-				return err
-			}
-			sp.End()
-		}
-		w.note(it)
+// FromPeers keeps merge: the tail between DONE and BYE folds late pushes
+// into the same mixing weight.
+func (w *worker) FromPeers(merge func([]float32, float64)) error {
+	w.merge = merge
+	return w.arrived(kindGossip, func(f *xport.Frame) { merge(f.Vec, f.Aux) })
+}
+
+// Reachable: live admits no crash schedule for gossip, and a partition
+// stalls a push rather than losing it.
+func (w *worker) Reachable(base []int) []int { return base }
+
+func (w *worker) ToPeer(to, it int, aux float64, vec []float32) error {
+	sp := w.span("gossip-push", "comm")
+	defer sp.End()
+	return w.ep.Send(to, &xport.Frame{Kind: kindGossip, From: int32(w.rank),
+		Clock: int32(it), Aux: aux, Vec: vec})
+}
+
+// Done records the completion of iteration it: the worker's own counter, the
+// progress cell the heartbeat goroutine publishes to the coordinator, the
+// optional Options.progress observer, and — for the algorithms that admit a
+// crash schedule — the checkpoint a restarted incarnation resumes from.
+func (w *worker) Done(it int) error {
+	w.note(it)
+	if !w.cfg.Algo.Synchronous() || !w.ckpt.Due(it) {
+		return nil
 	}
-	return nil
+	sp := w.span("checkpoint", "ckpt")
+	defer sp.End()
+	return w.rep.SaveState(w.ckpt.Path(w.rank), it, w.draws)
 }
 
 // runADPSGD mirrors the simulator's two-thread structure: the compute loop
@@ -518,7 +469,7 @@ func (w *worker) runADPSGD() error {
 // adpsgdActive is an active worker's communication thread: one symmetric
 // exchange with a random passive peer per completed compute iteration.
 func (w *worker) adpsgdActive(tokens <-chan int, passive []int) error {
-	r := w.algo
+	r := w.streams.Algo
 	for it := range tokens {
 		if it < 0 {
 			return nil
