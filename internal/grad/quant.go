@@ -3,6 +3,8 @@ package grad
 import (
 	"fmt"
 	"math"
+
+	"disttrain/internal/tensor"
 )
 
 // Quantized8 is an 8-bit uniformly quantized vector: each value is
@@ -24,41 +26,48 @@ func Quantize8(v []float32) Quantized8 { return Quantize8Into(v, nil) }
 // that holds len(v) of them (a fresh slice otherwise): a sender that
 // quantizes a model-sized gradient every step keeps the returned Q and hands
 // it back, instead of allocating megabytes per call.
-func Quantize8Into(v []float32, buf []int8) Quantized8 {
-	const signBit = 1 << 31
-	var maxAbs float32
-	for _, x := range v {
-		// |x| through the sign bit: gradient signs are a coin flip, and a
-		// branch on them mispredicts half the time.
-		if a := math.Float32frombits(math.Float32bits(x) &^ signBit); a > maxAbs {
-			maxAbs = a
-		}
-	}
+func Quantize8Into(v []float32, buf []int8) Quantized8 { return quantize8(v, buf, false) }
+
+// Quantize8RoundTripInto is Quantize8Into that also leaves in v what
+// Dequantize8 reconstructs from the codes — the sender of a quantized
+// gradient continues with the values its receivers see — in the pass that
+// writes the codes.
+func Quantize8RoundTripInto(v []float32, buf []int8) Quantized8 { return quantize8(v, buf, true) }
+
+func quantize8(v []float32, buf []int8, roundTrip bool) Quantized8 {
 	if cap(buf) < len(v) {
 		buf = make([]int8, len(v))
 	}
 	q := Quantized8{Q: buf[:len(v)]}
-	if maxAbs == 0 {
+	scale, inv, zero := scale8(v)
+	if zero {
 		clear(q.Q)
+		if roundTrip {
+			clear(v) // 0·0, also where v held −0 or NaN
+		}
 		return q
 	}
-	q.Scale = maxAbs / 127
-	if maxAbs <= math.MaxFloat32 && q.Scale*127 > math.MaxFloat32 {
+	q.Scale = scale
+	tensor.Quant8F32(q.Q, v, inv, scale, roundTrip)
+	return q
+}
+
+// scale8 derives the codec's scale and the factor that maps a value to its
+// code from v's largest magnitude. zero reports a vector of nothing but
+// zeros (and NaNs, which the maximum skips): every code is 0, the scale 0.
+func scale8(v []float32) (scale, inv float32, zero bool) {
+	maxAbs := tensor.MaxAbsF32(v)
+	if maxAbs == 0 {
+		return 0, 0, true
+	}
+	scale = maxAbs / 127
+	if maxAbs <= math.MaxFloat32 && scale*127 > math.MaxFloat32 {
 		// At the very top of the float32 range the division rounds up and
 		// the receiver's Scale·127 overflows: a finite gradient would
 		// dequantize to ±Inf. One ulp down, Scale·127 is finite again.
-		q.Scale = math.Float32frombits(math.Float32bits(q.Scale) - 1)
+		scale = math.Float32frombits(math.Float32bits(scale) - 1)
 	}
-	inv := 127 / maxAbs
-	half := math.Float32bits(0.5)
-	for i, x := range v {
-		r := x * inv
-		// Round half away from zero without a branch: add copysign(0.5, r)
-		// and truncate, then clamp to the symmetric int8 range.
-		iv := int32(r + math.Float32frombits(math.Float32bits(r)&signBit|half))
-		q.Q[i] = int8(max(min(iv, 127), -127))
-	}
-	return q
+	return scale, 127 / maxAbs, false
 }
 
 // Dequantize8 reconstructs the vector into dst. A length mismatch returns a
@@ -68,21 +77,28 @@ func Dequantize8(q Quantized8, dst []float32) error {
 	if len(dst) != len(q.Q) {
 		return fmt.Errorf("grad: dequantize into %d, want %d", len(dst), len(q.Q))
 	}
-	for i, x := range q.Q {
-		dst[i] = q.Scale * float32(x)
-	}
+	tensor.Dequant8F32(dst, q.Q, q.Scale)
 	return nil
 }
 
 // QuantizeRoundTrip applies the quantize→dequantize loss to v in place —
 // what a receiver of the quantized gradient observes. Returns the wire size
-// the transfer would need.
+// the transfer would need. Nobody reads the codes, so they pass through a
+// block of scratch that never leaves the stack.
 func QuantizeRoundTrip(v []float32) int64 {
-	q := Quantize8(v)
-	for i, x := range q.Q {
-		v[i] = q.Scale * float32(x)
+	wire := int64(len(v)) + 4 // Quantized8.WireBytes
+	scale, inv, zero := scale8(v)
+	if zero {
+		clear(v)
+		return wire
 	}
-	return q.WireBytes()
+	var codes [1024]int8
+	for len(v) > 0 {
+		n := min(len(v), len(codes))
+		tensor.Quant8F32(codes[:n], v[:n], inv, scale, true)
+		v = v[n:]
+	}
+	return wire
 }
 
 // QuantizedF16 is a half-precision (IEEE 754 binary16) encoded vector: each

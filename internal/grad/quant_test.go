@@ -109,6 +109,51 @@ func TestQuantizeRoundTripInPlace(t *testing.T) {
 	}
 }
 
+// TestQuantizeRoundTripMatchesCodec: the simulator's in-place model and the
+// live sender's quantize-into-a-buffer are the codec itself — Quantize8's
+// codes and scale, Dequantize8's values, bit for bit — over lengths with and
+// without a kernel prefix, the zero vector and one of NaNs and −0 included,
+// and the in-place model allocates nothing.
+func TestQuantizeRoundTripMatchesCodec(t *testing.T) {
+	r := rng.New(9)
+	nan := float32(math.NaN())
+	vecs := [][]float32{nil, {0, nan, float32(math.Copysign(0, -1))}, make([]float32, 40)}
+	for _, n := range []int{1, 31, 64, 1500, 5000} {
+		v := make([]float32, n)
+		for i := range v {
+			v[i] = float32(r.NormFloat64())
+		}
+		v[n/2] = nan
+		vecs = append(vecs, v)
+	}
+	for _, v := range vecs {
+		q := Quantize8(v)
+		want := make([]float32, len(v))
+		if err := Dequantize8(q, want); err != nil {
+			t.Fatal(err)
+		}
+		inPlace := append([]float32(nil), v...)
+		if wire := QuantizeRoundTrip(inPlace); wire != q.WireBytes() {
+			t.Fatalf("n=%d: wire size %d, want %d", len(v), wire, q.WireBytes())
+		}
+		sender := append([]float32(nil), v...)
+		got := Quantize8RoundTripInto(sender, nil)
+		if math.Float32bits(got.Scale) != math.Float32bits(q.Scale) {
+			t.Fatalf("n=%d: scale %v, want %v", len(v), got.Scale, q.Scale)
+		}
+		for i := range want {
+			w := math.Float32bits(want[i])
+			if math.Float32bits(inPlace[i]) != w || math.Float32bits(sender[i]) != w || got.Q[i] != q.Q[i] {
+				t.Fatalf("n=%d element %d: in place %v, sender %v (code %d), codec %v (code %d)",
+					len(v), i, inPlace[i], sender[i], got.Q[i], want[i], q.Q[i])
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { QuantizeRoundTrip(inPlace) }); a != 0 {
+			t.Fatalf("n=%d: QuantizeRoundTrip allocates %v times per call", len(v), a)
+		}
+	}
+}
+
 func TestDequantizeLengthError(t *testing.T) {
 	// Quantized payloads arrive off the wire: a length mismatch must be a
 	// rejectable validation error, not a panic (the Decompress contract).

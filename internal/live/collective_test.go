@@ -73,7 +73,7 @@ func liveCollective(t *testing.T, pl comm.Plan, inputs [][]float32, codec xport.
 		vecs[i] = append([]float32(nil), inputs[i]...)
 		l := &arLink{mb: mbs[i], nodes: nodes, self: i, clock: 1, vec: vecs[i]}
 		if codec != 0 {
-			l.q = &arQuant{qv: quantizeVec(codec, vecs[i], new([]int8)), codec: codec, saved: &saved,
+			l.q = &arQuant{qv: quantizeVec(codec, vecs[i], new([]byte)), codec: codec, saved: &saved,
 				span: func(name, cat string) *trace.WallSpan {
 					return (*trace.Tracer)(nil).StartSpan(name, cat, workerPid, i)
 				}}

@@ -36,38 +36,37 @@ func quantCodec(cfg *core.Config) xport.QuantCodec {
 
 // quantizeVec compresses v and applies the codec's round-trip loss to v in
 // place, returning the wire payload. After the call, v holds exactly the
-// values dequantizeVec reconstructs on the receiving side. The int8 codes go
-// into *buf, the caller's storage from one call to the next (grown here when
-// too small): the payload is valid until the caller quantizes again.
-func quantizeVec(codec xport.QuantCodec, v []float32, buf *[]int8) xport.QuantVec {
+// values dequantizeVec reconstructs on the receiving side. int8 codes are
+// written where a PS push ships them: in the payload bytes of *enc, the
+// caller's storage from one call to the next (grown here when too small),
+// which the call leaves holding the vector's complete wire form. The payload
+// is valid until the caller quantizes again.
+func quantizeVec(codec xport.QuantCodec, v []float32, enc *[]byte) xport.QuantVec {
 	switch codec {
 	case xport.QuantInt8:
-		q := grad.Quantize8Into(v, *buf)
-		*buf = q.Q
-		_ = grad.Dequantize8(q, v) // lengths match by construction
+		data, codes := xport.Int8Payload(*enc, len(v))
+		q := grad.Quantize8RoundTripInto(v, codes)
+		xport.PutInt8Scale(data, q.Scale)
+		*enc = data
 		return xport.QuantVec{Codec: codec, Scale: q.Scale, I8: q.Q}
 	case xport.QuantF16:
 		q := grad.QuantizeF16(v)
-		_ = grad.DequantizeF16(q, v)
+		_ = grad.DequantizeF16(q, v) // lengths match by construction
 		return xport.QuantVec{Codec: codec, H16: q.H}
 	}
 	panic(fmt.Sprintf("live: quantizeVec with codec %d", codec))
 }
 
-// dequantizeVec reconstructs the dense vector a QuantVec carries, with the
-// same per-element arithmetic grad.Dequantize8/DequantizeF16 perform. The
-// vector comes from xport's recycler, like the Vec of a dense frame.
+// dequantizeVec reconstructs the dense vector a QuantVec carries with
+// grad's own codecs. The vector comes from xport's recycler, like the Vec
+// of a dense frame.
 func dequantizeVec(qv xport.QuantVec) []float32 {
 	out := xport.NewVec(qv.Len())
 	switch qv.Codec {
 	case xport.QuantInt8:
-		for i, x := range qv.I8 {
-			out[i] = qv.Scale * float32(x)
-		}
+		_ = grad.Dequantize8(grad.Quantized8{Scale: qv.Scale, Q: qv.I8}, out) // lengths match by construction
 	case xport.QuantF16:
-		for i, h := range qv.H16 {
-			out[i] = grad.F16ToF32(h)
-		}
+		_ = grad.DequantizeF16(grad.QuantizedF16{H: qv.H16}, out)
 	}
 	return out
 }
@@ -127,9 +126,11 @@ func (w *worker) encodeGrad(g []float32, f *xport.Frame) {
 		return
 	}
 	sp := w.span("quantize", "quant")
-	qv := quantizeVec(w.codec, g, &w.qbuf)
 	// Send never retains a frame, so one payload buffer serves every step.
-	w.enc = qv.AppendEncode(w.enc[:0])
+	qv := quantizeVec(w.codec, g, &w.enc)
+	if w.codec != xport.QuantInt8 { // int8 is already in wire form
+		w.enc = qv.AppendEncode(w.enc[:0])
+	}
 	f.Data = w.enc
 	w.saved.Add(int64(4*len(g)) - int64(len(f.Data)))
 	sp.End()
@@ -144,7 +145,7 @@ func (w *worker) arQuantize(agg []float32) *arQuant {
 		return nil
 	}
 	sp := w.span("quantize", "quant")
-	qv := quantizeVec(w.codec, agg, &w.qbuf)
+	qv := quantizeVec(w.codec, agg, &w.enc)
 	sp.End()
 	return &arQuant{qv: qv, codec: w.codec, saved: &w.saved, span: w.span}
 }

@@ -34,11 +34,7 @@ type server struct {
 	codec xport.QuantCodec
 	tr    *trace.Tracer
 
-	// snap is the one parameter-reply buffer: Send never retains a frame,
-	// so every batch of replies re-snapshots into it instead of allocating
-	// a model.
 	// held are the received frames whose vectors the shard may still read.
-	snap []float32
 	held []xport.Frame
 }
 
@@ -57,7 +53,6 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 		model:  model,
 		ch:     newChaos(cfg),
 		codec:  quantCodec(cfg),
-		snap:   make([]float32, len(init)),
 	}
 	rule := core.ShardRule(cfg, 0)
 	if sv.ch != nil {
@@ -81,7 +76,7 @@ func (sv *server) dequantGrad(f *xport.Frame) error {
 	}
 	sp := sv.tr.StartSpan("dequantize", "quant", coordPid, 0)
 	defer sp.End()
-	return decodeGradPayload(sv.codec, f, len(sv.snap))
+	return decodeGradPayload(sv.codec, f, len(sv.global.Params))
 }
 
 // maybeCheckpoint writes the global parameters as a PS checkpoint if step
@@ -90,7 +85,7 @@ func (sv *server) maybeCheckpoint(step int) error {
 	if !sv.ckpt.Due(step) {
 		return nil
 	}
-	sv.model.SetFlatParams(sv.snapshot())
+	sv.model.SetFlatParams(sv.global.Params)
 	return nn.SaveState(sv.ckpt.Path(-1), sv.model, &nn.TrainState{Step: uint64(step)})
 }
 
@@ -102,28 +97,21 @@ func (sv *server) release() {
 	sv.held = sv.held[:0]
 }
 
-// snapshot copies the global parameters into the reply buffer and returns
-// it; the result is valid until the next snapshot.
-func (sv *server) snapshot() []float32 {
-	sv.global.Snapshot(sv.ranges, sv.snap)
-	return sv.snap
-}
-
 // run serves the PS protocol until every worker has sent its mesh-level
 // bye, then returns the final global parameters.
 func (sv *server) run() ([]float32, error) {
 	if err := sv.serve(); err != nil {
 		return nil, fmt.Errorf("live: server (%s): %w", sv.cfg.Algo, err)
 	}
-	return sv.snapshot(), nil
+	return sv.global.Params, nil
 }
 
 // serve is the one frame loop under every centralized algorithm: receive,
 // dequantize, hand the message to the shard state machine — the simulator's,
 // fed through the same float paths — and send the replies it names. What the
 // PS does with a message is ps.Shard's; this loop owns the wire: matching BSP
-// gradients to the open round, the reply buffer, frame recycling, byes,
-// checkpoints and the chaos membership.
+// gradients to the open round, frame recycling, byes, checkpoints and the
+// chaos membership.
 func (sv *server) serve() error {
 	// Under a crash schedule only the workers that finish the run say
 	// goodbye (a worker dead at the final iteration never returns).
@@ -180,14 +168,13 @@ func (sv *server) serve() error {
 		if out[0].Kind != ps.PushReply {
 			sv.release()
 		}
-		var snap []float32 // one snapshot serves the batch: nothing updates in between
 		for _, r := range out {
 			rf := xport.Frame{Kind: uint16(r.Kind), From: int32(sv.cfg.Workers), Clock: int32(r.Clock), Vec: r.Vec}
 			if r.Kind == ps.Params {
-				if snap == nil {
-					snap = sv.snapshot()
-				}
-				rf.Vec = snap
+				// The parameters are sent where they live: this loop is the
+				// only writer, it does not handle the next message until Send
+				// returns, and Send does not retain a frame.
+				rf.Vec = sv.global.Params
 			}
 			if err := sv.ep.Send(r.To, &rf); err != nil {
 				return err

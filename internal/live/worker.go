@@ -75,10 +75,9 @@ type worker struct {
 	// per rank as compressed_bytes_saved through Metrics.
 	codec xport.QuantCodec
 	saved atomic.Int64
-	// qbuf and enc are the codec's reusable buffers: the int8 codes of this
-	// step's gradient and the encoded payload a PS push ships them in.
-	qbuf []int8
-	enc  []byte
+	// enc is the codec's reusable buffer: the encoded payload of this
+	// step's gradient, whose int8 codes are quantized straight into it.
+	enc []byte
 
 	// Chaos state: ch is the shared crash-membership function (nil in a
 	// crash-free run), startIter is where this incarnation's loop begins

@@ -54,14 +54,7 @@ func (s *SGD) StepAt(p, g []float32, scale, lr float32, off int) {
 	if len(g) != len(p) {
 		panic(fmt.Sprintf("opt: StepAt gradient length %d, want %d", len(g), len(p)))
 	}
-	mu, wd := s.Momentum, s.WeightDecay
-	v := s.vel[off : off+len(p)]
-	for i := range g {
-		gi := float32(g[i] * scale)
-		vi := mu*v[i] + gi + wd*p[i]
-		v[i] = vi
-		p[i] -= lr * vi
-	}
+	tensor.SGDStepF32(p, g, s.vel[off:off+len(p)], scale, lr, s.Momentum, s.WeightDecay)
 }
 
 // StepSegment applies the update only to [off, off+n) of the vectors — the
@@ -69,14 +62,6 @@ func (s *SGD) StepAt(p, g []float32, scale, lr float32, off int) {
 // global parameters but share one optimizer state.
 func (s *SGD) StepSegment(params, grads []float32, lr float32, off, n int) {
 	s.StepAt(params[off:off+n], grads[off:off+n], 1, lr, off)
-}
-
-// StepSegmentGrad is StepSegment with a windowed gradient: params and the
-// optimizer state are indexed at [off, off+n), while gseg is a local slice
-// of length n holding just that window's gradient. Parameter-server shards
-// use this to apply a gradient that arrived as a shard-sized message.
-func (s *SGD) StepSegmentGrad(params, gseg []float32, lr float32, off, n int) {
-	s.StepAt(params[off:off+n], gseg, 1, lr, off)
 }
 
 // Velocity exposes the momentum buffer (used by DGC's momentum correction

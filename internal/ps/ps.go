@@ -188,22 +188,14 @@ func (g *Global) MathOn() bool { return g.Params != nil }
 
 // ApplyGrad applies an SGD step with the given gradient restricted to the
 // shard's ranges. grad may be nil in cost-only mode. scale pre-multiplies
-// the gradient (e.g. 1/N for an averaged BSP aggregate).
+// the gradient (e.g. 1/N for an averaged BSP aggregate) inside the step:
+// the caller's vector is read, never changed or copied.
 func (g *Global) ApplyGrad(ranges []Range, gradVec []float32, scale, lr float32) {
 	if !g.MathOn() || gradVec == nil {
 		return
 	}
 	for _, r := range ranges {
-		seg := gradVec[r.Off : r.Off+r.Len]
-		if scale != 1 {
-			// Scale a copy: the caller's vector is not ours to change.
-			tmp := make([]float32, len(seg))
-			for i, v := range seg {
-				tmp[i] = v * scale
-			}
-			seg = tmp
-		}
-		g.Opt.StepSegmentGrad(g.Params, seg, lr, r.Off, r.Len)
+		g.Opt.StepAt(g.Params[r.Off:r.Off+r.Len], gradVec[r.Off:r.Off+r.Len], scale, lr, r.Off)
 	}
 }
 

@@ -235,6 +235,41 @@ func TestGlobalApplyGradScale(t *testing.T) {
 	}
 }
 
+// TestGlobalApplyGradScaleInStep: handing scale to the optimizer is, bit for
+// bit, scaling a copy of the gradient and applying that with scale 1 — for
+// BSP's 1/N and for the odd factors staleness damping produces — and it
+// allocates nothing.
+func TestGlobalApplyGradScaleInStep(t *testing.T) {
+	r := rng.New(3)
+	const n = 1000 // a kernel prefix and a tail in each of the three ranges
+	init, grads := make([]float32, n), make([]float32, n)
+	for i := range init {
+		init[i], grads[i] = float32(r.NormFloat64()), float32(r.NormFloat64())
+	}
+	ranges := Balanced(n, 3)
+	for _, scale := range []float32{0.25, 1.0 / 3, 1 / (1 + 0.7*5), 1} {
+		got, want := NewGlobal(init, 0.9, 1e-4), NewGlobal(init, 0.9, 1e-4)
+		scaled := make([]float32, n)
+		for step := 0; step < 3; step++ {
+			for i, v := range grads {
+				scaled[i] = v * scale
+			}
+			for s := range ranges {
+				got.ApplyGrad(ranges[s], grads, scale, 0.1)
+				want.ApplyGrad(ranges[s], scaled, 1, 0.1)
+			}
+		}
+		for i := range want.Params {
+			if math.Float32bits(got.Params[i]) != math.Float32bits(want.Params[i]) {
+				t.Fatalf("scale %v: param %d = %v, scale-then-step gives %v", scale, i, got.Params[i], want.Params[i])
+			}
+		}
+		if a := testing.AllocsPerRun(10, func() { got.ApplyGrad(ranges[0], grads, scale, 0.1) }); a != 0 {
+			t.Fatalf("scale %v: ApplyGrad allocates %v times per call", scale, a)
+		}
+	}
+}
+
 func TestCostOnlyGlobalNoOps(t *testing.T) {
 	g := NewCostOnlyGlobal()
 	if g.MathOn() {

@@ -158,17 +158,6 @@ func (t *Tensor) L2Norm() float64 {
 	return L2NormF32(t.Data)
 }
 
-// AxpyF32 computes y += alpha*x for raw slices (the flat-parameter hot path
-// used by every aggregation algorithm).
-func AxpyF32(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("tensor: axpy length mismatch")
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // ScaleF32 computes x *= alpha in place.
 func ScaleF32(alpha float32, x []float32) {
 	for i := range x {
@@ -187,4 +176,5 @@ func L2NormF32(x []float32) float64 {
 
 // The GEMM kernels (MatMul, MatMulTransA, MatMulTransB) live in gemm.go:
 // cache-blocked, register-tiled, and parallelized over row panels with
-// byte-identical results at any GOMAXPROCS.
+// byte-identical results at any GOMAXPROCS. AxpyF32 and the other vector
+// kernels live in vec.go.

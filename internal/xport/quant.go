@@ -76,6 +76,30 @@ func (q *QuantVec) AppendEncode(dst []byte) []byte {
 	return dst
 }
 
+// Int8Payload lays out the wire form of an n-element QuantInt8 vector in
+// buf's storage (grown when too small) and returns it with codes viewing its
+// payload bytes, so a sender quantizes straight into the blob it ships
+// instead of copying the codes there. The scale is known only once the
+// vector has been scanned: PutInt8Scale records it, and data is complete —
+// what AppendEncode would have produced — after both.
+func Int8Payload(buf []byte, n int) (data []byte, codes []int8) {
+	data = slices.Grow(buf[:0], quantHeaderLen+n)[:quantHeaderLen+n]
+	data[0] = byte(QuantInt8)
+	binary.LittleEndian.PutUint32(data[1:5], uint32(n))
+	return data, int8View(data[quantHeaderLen:])
+}
+
+// int8View views b's bytes as int8 codes: a byte has no byte order, so the
+// view is the decoding (and the encoding) on every host.
+func int8View(b []byte) []int8 {
+	return unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(b))), len(b))
+}
+
+// PutInt8Scale sets the scale field of a payload laid out by Int8Payload.
+func PutInt8Scale(data []byte, scale float32) {
+	binary.LittleEndian.PutUint32(data[5:quantHeaderLen], math.Float32bits(scale))
+}
+
 // DecodeQuantVec decodes a quantized payload produced by AppendEncode.
 // Malformed input — unknown codec, element count inconsistent with the blob
 // length — yields an error, never a panic, and never an allocation beyond
@@ -98,7 +122,7 @@ func DecodeQuantVec(data []byte) (QuantVec, error) {
 		if n != len(rest) {
 			return QuantVec{}, fmt.Errorf("xport: int8 quant count %d inconsistent with %d payload bytes", n, len(rest))
 		}
-		q.I8 = unsafe.Slice((*int8)(unsafe.Pointer(unsafe.SliceData(rest))), n)
+		q.I8 = int8View(rest)
 	case QuantF16:
 		if 2*n != len(rest) {
 			return QuantVec{}, fmt.Errorf("xport: f16 quant count %d inconsistent with %d payload bytes", n, len(rest))

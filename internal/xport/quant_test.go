@@ -1,6 +1,7 @@
 package xport
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 )
@@ -57,6 +58,28 @@ func TestDecodeQuantVecInt8ViewsData(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(10, func() { q, err = DecodeQuantVec(buf) }); allocs != 0 {
 		t.Fatalf("int8 decode allocates %v times", allocs)
+	}
+}
+
+// TestInt8PayloadIsTheEncoding: codes written through Int8Payload's view,
+// plus the scale, are byte for byte what AppendEncode produces from the same
+// vector, and a buffer that holds the payload is reused, stale bytes and all.
+func TestInt8PayloadIsTheEncoding(t *testing.T) {
+	buf := make([]byte, 0, 64)
+	for _, codes := range [][]int8{{}, {-127, 0, 64, 127}, make([]int8, 55), make([]int8, 200)} {
+		for i := range buf[:cap(buf)] {
+			buf[:cap(buf)][i] = 0xee
+		}
+		data, view := Int8Payload(buf, len(codes))
+		copy(view, codes)
+		PutInt8Scale(data, 0.25)
+		want := (&QuantVec{Codec: QuantInt8, Scale: 0.25, I8: codes}).AppendEncode(nil)
+		if !bytes.Equal(data, want) {
+			t.Fatalf("%d codes: payload %x, want %x", len(codes), data, want)
+		}
+		if reused := &data[0] == &buf[:1][0]; reused != (len(want) <= cap(buf)) {
+			t.Fatalf("%d codes: reused=%v with a buffer of %d", len(codes), reused, cap(buf))
+		}
 	}
 }
 
