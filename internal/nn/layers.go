@@ -87,14 +87,7 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	if d.fuseReLU {
 		// Recover the ReLU mask from the fused output: out > 0 iff the
 		// pre-activation was kept.
-		yd, dd, md := d.y.Data, dout.Data, d.dy.Data
-		for i, v := range yd {
-			if v > 0 {
-				md[i] = dd[i]
-			} else {
-				md[i] = 0
-			}
-		}
+		tensor.ReLUMaskF32(d.dy.Data, dout.Data, d.y.Data)
 		dout = d.dy
 	}
 	b := dout.Shape[0]
@@ -169,29 +162,24 @@ func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return l.dx
 }
 
-// Conv2D is a 2-D convolution over [B, C, H, W] inputs, implemented by
-// im2col lowering to GEMM. Weights are stored [OutC, InC·kh·kw]. The whole
-// mini-batch is lowered into one patch-row matrix of shape
-// [B·outH·outW, InC·K·K], so forward, dW and dcols each run as a single
-// large GEMM instead of B small ones — large GEMMs amortize the kernel's
-// blocking overhead and cross its parallel-dispatch threshold.
+// Conv2D is a 2-D convolution over [B, C, H, W] inputs. Weights are stored
+// [OutC, InC·kh·kw]. The arithmetic is tensor.Conv's: forward, weight
+// gradient and input gradient computed in image space over a zero-bordered
+// copy of the input, bit for bit what lowering the batch to one patch-row
+// matrix and three GEMMs gave, without the matrix or the transposes around
+// the GEMMs. With fuseReLU the activation is the forward pass's epilogue, and
+// the backward mask is recovered from the output as in Dense.
 type Conv2D struct {
-	name                  string
-	InC, OutC             int
-	K, Stride, Pad        int
-	fuseReLU              bool
-	noDx                  bool // Backward returns nil instead of dL/dx (see inputGradSkipper)
-	w, b                  *Param
-	cols                  *tensor.Tensor // batched patch rows [B·outH·outW, InC·K·K]
-	yt, dyt               *tensor.Tensor // channel-minor activations/grads [B·outH·outW, OutC]
-	x                     *tensor.Tensor
-	y, dx                 *tensor.Tensor
-	dcols                 *tensor.Tensor // matches cols' shape
-	h, wIn, outH, outW    int
-	lastBatch, lastInSize int
-	arena                 *tensor.Arena
-	// reusable header tensor viewing per-sample slices (no per-call allocs)
-	hdrIn tensor.Tensor
+	name           string
+	InC, OutC      int
+	K, Stride, Pad int
+	fuseReLU       bool
+	noDx           bool // Backward returns nil instead of dL/dx (see inputGradSkipper)
+	w, b           *Param
+	conv           *tensor.Conv // sized for the last input shape, with its scratch
+	y, dx          *tensor.Tensor
+	dy             *tensor.Tensor // ReLU-masked dout (fused only)
+	arena          *tensor.Arena
 }
 
 // NewConv2D creates a convolution layer with He-initialized weights.
@@ -206,10 +194,9 @@ func NewConv2D(name string, inC, outC, k, stride, pad int, r *rng.RNG) *Conv2D {
 }
 
 // NewConv2DReLU creates a convolution layer with the ReLU activation fused
-// into the GEMM epilogue. Bit-identical to NewConv2D followed by NewReLU:
-// bias-add and clamp happen on the channel-minor GEMM output before the
-// scatter, which permutes but never re-rounds the values. The backward mask
-// is recovered from the (post-ReLU) channel-minor activations.
+// into the forward epilogue. Bit-identical to NewConv2D followed by NewReLU:
+// bias-add and clamp are the last two operations on each output element
+// either way.
 func NewConv2DReLU(name string, inC, outC, k, stride, pad int, r *rng.RNG) *Conv2D {
 	c := NewConv2D(name, inC, outC, k, stride, pad, r)
 	c.fuseReLU = true
@@ -221,33 +208,29 @@ func (c *Conv2D) Params() []*Param         { return []*Param{c.w, c.b} }
 func (c *Conv2D) setArena(a *tensor.Arena) { c.arena = a }
 func (c *Conv2D) skipInputGrad()           { c.noDx = true }
 
+// setup sizes the layer for x's batch and image extents; every other input
+// of the geometry is fixed at construction.
 func (c *Conv2D) setup(x *tensor.Tensor) {
-	b := x.Shape[0]
-	c.h, c.wIn = x.Shape[2], x.Shape[3]
-	c.outH = (c.h+2*c.Pad-c.K)/c.Stride + 1
-	c.outW = (c.wIn+2*c.Pad-c.K)/c.Stride + 1
-	f := c.InC * c.K * c.K
-	rows := b * c.outH * c.outW
-	if c.lastBatch != b || c.lastInSize != x.Size() {
-		// All of these are fully overwritten each pass (Im2colRows, the
-		// gather/scatter loops and the GEMMs write every element; Col2imRows
-		// zeroes first), so dirty arena buffers are safe.
-		c.arena.PutTensor(c.cols)
-		c.arena.PutTensor(c.yt)
-		c.arena.PutTensor(c.dyt)
-		c.arena.PutTensor(c.y)
-		c.arena.PutTensor(c.dx)
-		c.arena.PutTensor(c.dcols)
-		c.cols = c.arena.GetTensor(rows, f)
-		c.yt = c.arena.GetTensor(rows, c.OutC)
-		c.dyt = c.arena.GetTensor(rows, c.OutC)
-		c.y = c.arena.GetTensor(b, c.OutC, c.outH, c.outW)
-		c.dx, c.dcols = nil, nil
-		if !c.noDx {
-			c.dx = c.arena.GetTensor(x.Shape...)
-			c.dcols = c.arena.GetTensor(rows, f)
+	b, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
+	if cv := c.conv; cv != nil {
+		if cv.B == b && cv.H == h && cv.W == w {
+			return
 		}
-		c.lastBatch, c.lastInSize = b, x.Size()
+		cv.Release()
+	}
+	// y, dy and dx are fully overwritten each pass, so dirty arena buffers
+	// are safe; tensor.Conv zeroes what it needs zero.
+	c.arena.PutTensor(c.y)
+	c.arena.PutTensor(c.dx)
+	c.arena.PutTensor(c.dy)
+	c.conv = tensor.NewConv(c.arena, b, c.InC, h, w, c.OutC, c.K, c.Stride, c.Pad, !c.noDx)
+	c.y = c.arena.GetTensor(b, c.OutC, c.conv.OutH, c.conv.OutW)
+	c.dx, c.dy = nil, nil
+	if !c.noDx {
+		c.dx = c.arena.GetTensor(x.Shape...)
+	}
+	if c.fuseReLU {
+		c.dy = c.arena.GetTensor(c.y.Shape...)
 	}
 }
 
@@ -256,84 +239,57 @@ func (c *Conv2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: conv %s got input %v, want [B %d H W]", c.name, x.Shape, c.InC))
 	}
 	c.setup(x)
-	c.x = x
-	b := x.Shape[0]
-	sampleIn := c.InC * c.h * c.wIn
-	sampleOut := c.OutC * c.outH * c.outW
-	nCols := c.outH * c.outW
-	f := c.InC * c.K * c.K
-	for i := 0; i < b; i++ {
-		in3 := c.hdrIn.Rebind(x.Data[i*sampleIn:(i+1)*sampleIn], c.InC, c.h, c.wIn)
-		tensor.Im2colRows(in3, c.K, c.K, c.Stride, c.Pad, c.cols.Data[i*nCols*f:(i+1)*nCols*f])
-	}
-	// One GEMM for the whole mini-batch, bias (and, fused, ReLU) applied in
-	// the epilogue: yt = cols·Wᵀ + b.
-	if c.fuseReLU {
-		tensor.MatMulBiasReLU(c.cols, c.w.W, c.yt, c.b.W.Data)
-	} else {
-		tensor.MatMulBias(c.cols, c.w.W, c.yt, c.b.W.Data)
-	}
-	// Scatter the channel-minor rows into [B, OutC, outH·outW].
-	yd, td := c.y.Data, c.yt.Data
-	for i := 0; i < b; i++ {
-		out := yd[i*sampleOut : (i+1)*sampleOut]
-		rows := td[i*nCols*c.OutC:]
-		for pos := 0; pos < nCols; pos++ {
-			src := rows[pos*c.OutC : pos*c.OutC+c.OutC]
-			for ch, v := range src {
-				out[ch*nCols+pos] = v
-			}
-		}
-	}
+	c.conv.Forward(x.Data, c.w.W.Data, c.b.W.Data, c.fuseReLU, c.y.Data)
 	return c.y
 }
 
 func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	b := dout.Shape[0]
-	sampleOut := c.OutC * c.outH * c.outW
-	sampleIn := c.InC * c.h * c.wIn
-	nCols := c.outH * c.outW
-	f := c.InC * c.K * c.K
-	// Gather dout into the channel-minor patch-row order of c.cols. For the
-	// fused layer the ReLU mask rides along: c.yt holds the post-ReLU
-	// activations, and masking before vs after the gather is the same
-	// because the scatter is a bijection. The same pass sums each gathered
-	// row into db — its column sums from zero, every channel in ascending row
-	// order.
-	dd, td, yt, gb := dout.Data, c.dyt.Data, c.yt.Data, c.b.G.Data
-	clear(gb)
-	for i := 0; i < b; i++ {
-		src := dd[i*sampleOut : (i+1)*sampleOut]
-		rows := td[i*nCols*c.OutC:]
-		actRows := yt[i*nCols*c.OutC:]
-		for pos := 0; pos < nCols; pos++ {
-			dst := rows[pos*c.OutC : pos*c.OutC+c.OutC]
-			act := actRows[pos*c.OutC : pos*c.OutC+c.OutC]
-			for ch := range dst {
-				v := src[ch*nCols+pos]
-				if c.fuseReLU && !(act[ch] > 0) {
-					v = 0
-				}
-				dst[ch] = v
-				gb[ch] += v
-			}
-		}
+	dd := dout.Data
+	if c.fuseReLU {
+		// c.y holds the post-ReLU activations: > 0 iff the pre-activation
+		// was kept.
+		tensor.ReLUMaskF32(c.dy.Data, dd, c.y.Data)
+		dd = c.dy.Data
 	}
-	// dW = dytᵀ·cols — one GEMM over every sample's patches, straight into
-	// the gradient store.
-	tensor.MatMulTransA(c.dyt, c.cols, c.w.G)
+	// db = per-channel sums of the (masked) gradient from zero, every
+	// channel in ascending (sample, position) order.
+	nCols := c.conv.OutH * c.conv.OutW
+	gb := c.b.G.Data
+	clear(gb)
+	for i := 0; i < len(dd); i += c.OutC * nCols {
+		addRowSums(gb, dd[i:i+c.OutC*nCols], nCols)
+	}
+	c.conv.GradW(dd, c.w.G.Data)
 	if c.noDx {
 		return nil
 	}
-	// dcols = dyt·W in one GEMM, then scatter each sample back to image
-	// space.
-	tensor.MatMul(c.dyt, c.w.W, c.dcols)
-	cd := c.dcols.Data
-	for i := 0; i < b; i++ {
-		dx3 := c.hdrIn.Rebind(c.dx.Data[i*sampleIn:(i+1)*sampleIn], c.InC, c.h, c.wIn)
-		tensor.Col2imRows(cd[i*nCols*f:(i+1)*nCols*f], c.InC, c.h, c.wIn, c.K, c.K, c.Stride, c.Pad, dx3)
-	}
+	c.conv.GradX(dd, c.w.W.Data, c.dx.Data)
 	return c.dx
+}
+
+// addRowSums adds every row of the len(sums)×n matrix x into its element of
+// sums, left to right. Four rows at a time: one row's sum is a chain of
+// dependent additions, four chains overlap.
+func addRowSums(sums, x []float32, n int) {
+	r := 0
+	for ; r+3 < len(sums); r += 4 {
+		x0, x1, x2, x3 := x[r*n:][:n], x[(r+1)*n:][:n], x[(r+2)*n:][:n], x[(r+3)*n:][:n]
+		s0, s1, s2, s3 := sums[r], sums[r+1], sums[r+2], sums[r+3]
+		for j, v := range x0 {
+			s0 += v
+			s1 += x1[j]
+			s2 += x2[j]
+			s3 += x3[j]
+		}
+		sums[r], sums[r+1], sums[r+2], sums[r+3] = s0, s1, s2, s3
+	}
+	for ; r < len(sums); r++ {
+		s := sums[r]
+		for _, v := range x[r*n:][:n] {
+			s += v
+		}
+		sums[r] = s
+	}
 }
 
 // MaxPool halves spatial dimensions with 2×2/stride-2 max pooling.

@@ -95,7 +95,7 @@ type inputGradSkipper interface {
 }
 
 // arenaUser is implemented by layers whose scratch buffers (activations,
-// gradients, im2col matrices) can be drawn from a shared arena.
+// gradients, bordered images) can be drawn from a shared arena.
 type arenaUser interface {
 	setArena(a *tensor.Arena)
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -192,6 +193,77 @@ func TestCol2imRowsMatchesNaive(t *testing.T) {
 		d := got.Data[i] - want.Data[i]
 		if d < -1e-5 || d > 1e-5 {
 			t.Fatalf("grad[%d]: rows %v vs cols %v", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// Col2imRows scatters one sample's block of the patch-row matrix produced
+// by Im2colRows back into an input gradient of shape (C×H×W), accumulating
+// where receptive fields overlap. grad is zeroed first. src must have
+// outH·outW·c·kh·kw elements.
+//
+// It left conv.go with the lowering (PR 23) and stays here as the lowered
+// path's input-gradient walk, which Conv.GradX is held to. Same loop order
+// and border/interior split as Im2colRows. A destination element (ch,iy,ix)
+// still receives its terms in ascending (oy,ox) order — the rounding
+// sequence of a walk over patch rows — because for a fixed destination and
+// oy exactly one ky matches, and within it ox ascends with one kx each.
+func Col2imRows(src []float32, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
+	outH, outW := convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
+	f := c * kh * kw
+	if len(src) != outH*outW*f {
+		panic(fmt.Sprintf("tensor: col2imrows src len %d, want %d", len(src), outH*outW*f))
+	}
+	if grad.Shape[0] != c || grad.Shape[1] != h || grad.Shape[2] != w {
+		panic(fmt.Sprintf("tensor: col2imrows grad shape %v, want [%d %d %d]", grad.Shape, c, h, w))
+	}
+	grad.Zero()
+	lo, hi := convInterior(w, kw, stride, pad, outW)
+	for oy := 0; oy < outH; oy++ {
+		for ch := 0; ch < c; ch++ {
+			for ky := 0; ky < kh; ky++ {
+				iy := oy*stride - pad + ky
+				if iy < 0 || iy >= h {
+					continue
+				}
+				off := oy*outW*f + (ch*kh+ky)*kw
+				dst := grad.Data[(ch*h+iy)*w : (ch*h+iy+1)*w]
+				col2imEdge(dst, src, off, f, kw, 0, lo, stride, pad)
+				if lo < hi {
+					col2imRuns(dst[lo*stride-pad:], src[off+lo*f:], f, stride, kw, hi-lo)
+				}
+				col2imEdge(dst, src, off, f, kw, hi, outW, stride, pad)
+			}
+		}
+	}
+}
+
+// col2imRuns adds n kw-runs, src[i·f:] into dst[i·stride:], all of them
+// inside both slices; im2colRuns' counterpart, unrolled for 3-wide runs.
+func col2imRuns(dst, src []float32, f, stride, kw, n int) {
+	for di, si := 0, 0; n > 0; n, di, si = n-1, di+stride, si+f {
+		if kw == 3 {
+			d, s := dst[di:di+3], src[si:si+3]
+			d[0] += s[0]
+			d[1] += s[1]
+			d[2] += s[2]
+			continue
+		}
+		d := dst[di : di+kw]
+		for kx, v := range src[si : si+kw] {
+			d[kx] += v
+		}
+	}
+}
+
+// col2imEdge adds one kw-run from each of patch rows [ox0, ox1) into the
+// gradient row dst, dropping the columns that fall outside it.
+func col2imEdge(dst, src []float32, off, f, kw, ox0, ox1, stride, pad int) {
+	for ox := ox0; ox < ox1; ox++ {
+		for kx, v := range src[off+ox*f : off+ox*f+kw] {
+			if ix := ox*stride - pad + kx; ix >= 0 && ix < len(dst) {
+				dst[ix] += v
+			}
 		}
 	}
 }

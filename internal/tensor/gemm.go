@@ -37,7 +37,10 @@
 //     row operand, and the activation rows are the packed, zero-padded
 //     8-lane operand (8 rows fill one YMM register exactly, which is where
 //     the bound comes from). That computes Cᵀ; the epilogue transposes it
-//     back while it adds bias and clamps.
+//     back while it adds bias and clamps. Up to 16 rows run as two such
+//     groups: a second pass over the weights still costs less than the
+//     blocked panel's scalar transposing pack of all of them (a 256×256
+//     dense layer at batch 16).
 //   - A·B over at most 8 rows hands the 16-wide kernels B's rows where they
 //     lie (stride n) instead of copying each band into a pack: with two row
 //     quads at most, a pack is read twice and not worth its write.
@@ -453,8 +456,11 @@ func matMulTransBEp(a, b, c *Tensor, bias []float32, ep int) {
 		panic(fmt.Sprintf("tensor: matmul bias length %d != %d columns", len(bias), n))
 	}
 	ad, bd, cd := a.Data, b.Data, c.Data
-	if m <= gemmSkinnyRows && gemmVector() {
-		matMulTransBSkinny(ad, bd, cd, m, k, n, bias, ep)
+	if m <= 2*gemmSkinnyRows && gemmVector() {
+		for r0 := 0; r0 < m; r0 += gemmSkinnyRows {
+			r1 := min(r0+gemmSkinnyRows, m)
+			matMulTransBSkinny(ad[r0*k:r1*k], bd, cd[r0*n:r1*n], r1-r0, k, n, bias, ep)
+		}
 		return
 	}
 	procs := gemmWidth(m, 2*m*k*n)

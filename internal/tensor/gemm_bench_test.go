@@ -171,10 +171,11 @@ func BenchmarkGemmSkinny(b *testing.B) {
 			b.ReportMetric(4*float64(weights)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GB/s")
 		})
 	}
-	for _, s := range [][2]int{{256, 4096}, {4096, 512}} {
-		k, n := s[0], s[1]
-		a, w, c, bias := mat(8, k), mat(n, k), New(8, n), make([]float32, n)
-		run(fmt.Sprintf("TransBFused_8x%dx%d", k, n), 8, k, n, n*k, func() { MatMulBiasReLU(a, w, c, bias) })
+	// The third is MiniVGG's fc1 at batch 16: two 8-row groups.
+	for _, s := range [][3]int{{8, 256, 4096}, {8, 4096, 512}, {16, 256, 256}} {
+		m, k, n := s[0], s[1], s[2]
+		a, w, c, bias := mat(m, k), mat(n, k), New(m, n), make([]float32, n)
+		run(fmt.Sprintf("TransBFused_%dx%dx%d", m, k, n), m, k, n, n*k, func() { MatMulBiasReLU(a, w, c, bias) })
 	}
 	a, w, c := mat(8, 512), mat(512, 4096), New(8, 4096)
 	run("MatMul_8x512x4096", 8, 512, 4096, 512*4096, func() { MatMul(a, w, c) })

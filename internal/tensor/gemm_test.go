@@ -226,15 +226,16 @@ func sweepShape(t *testing.T, ad, bd, bias []float32, m, k, n int, poison bool) 
 
 // TestGemmBandSweepBitIdentical walks every column count through the
 // 16-wide bands, the 8-wide band and the scalar tail (n = 1…40 and the
-// dcols width 72) at row counts around the 8-row and 4-row kernel edges and
-// the conv-sized 4096, for k below, at and across one block: all three
+// dcols width 72) at row counts around the 8-row and 4-row kernel edges, the
+// two-group skinny A·Bᵀ path (9, 15, 16 rows) and its edge (17), and the
+// conv-sized 4096, for k below, at and across one block: all three
 // variants and both fused epilogues must give the scalar path's bits from
 // the vector path, serial and split over 8 goroutines.
 func TestGemmBandSweepBitIdentical(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("no AVX2: vector path never taken")
 	}
-	ms := []int{1, 3, 7, 8, 9, 17, 4096}
+	ms := []int{1, 3, 7, 8, 9, 15, 16, 17, 4096}
 	ks := []int{1, 8, 9, 72, gemmBlockK + 1}
 	ns := []int{72}
 	for n := 1; n <= 40; n++ {

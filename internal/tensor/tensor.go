@@ -1,6 +1,6 @@
 // Package tensor implements dense float32 tensors and the numeric kernels
-// the neural-network stack is built on: GEMM, im2col convolution lowering,
-// pooling, and elementwise/reduction helpers.
+// the neural-network stack is built on: GEMM, direct convolution, pooling,
+// and elementwise/reduction helpers.
 //
 // The package is deliberately minimal — row-major contiguous storage only,
 // no views, no broadcasting beyond what the nn package needs — because its

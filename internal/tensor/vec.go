@@ -7,9 +7,10 @@ import (
 )
 
 // The element-wise passes of the data planes: the collectives' fold
-// (AxpyF32), the momentum-SGD step (SGDStepF32) and the int8 gradient codec
-// (MaxAbsF32, Quant8F32, Dequant8F32). Each pass is defined once, by the
-// scalar loop in its *Ref function. The exported function checks lengths,
+// (AxpyF32), the momentum-SGD step (SGDStepF32), the int8 gradient codec
+// (MaxAbsF32, Quant8F32, Dequant8F32) and the backward pass of a fused ReLU
+// (ReLUMaskF32). Each pass is defined once, by the scalar loop in its *Ref
+// function. The exported function checks lengths,
 // hands the multiple-of-vecBlock prefix to an AVX2 kernel that performs each
 // lane's operations in the scalar loop's order (separate multiply and add,
 // never FMA, the same first source operand — the one whose payload survives
@@ -180,5 +181,33 @@ func dequant8Ref(dst []float32, q []int8, scale float32) {
 	dst = dst[:len(q)]
 	for i, c := range q {
 		dst[i] = scale * float32(c)
+	}
+}
+
+// ReLUMaskF32 is the backward pass of a ReLU fused into the layer that
+// produced y: dst[i] = g[i] where y[i] > 0, +0 elsewhere (a NaN y is
+// elsewhere). dst may be g; it must not overlap y or g otherwise.
+func ReLUMaskF32(dst, g, y []float32) {
+	if len(g) != len(dst) || len(y) != len(dst) {
+		panic(fmt.Sprintf("tensor: ReLU mask lengths dst %d, g %d, y %d", len(dst), len(g), len(y)))
+	}
+	n := kernelLen(len(dst))
+	if n > 0 {
+		reluMaskAVX2(&dst[0], &g[0], &y[0], n)
+	}
+	reluMaskRef(dst[n:], g[n:], y[n:])
+}
+
+//go:noinline
+func reluMaskRef(dst, g, y []float32) {
+	g, y = g[:len(dst)], y[:len(dst)]
+	for i := range dst {
+		// Through the bits: half the activations of a trained net are
+		// clamped, and a branch on them mispredicts half the time.
+		var keep uint32
+		if y[i] > 0 {
+			keep = ^uint32(0)
+		}
+		dst[i] = math.Float32frombits(math.Float32bits(g[i]) & keep)
 	}
 }

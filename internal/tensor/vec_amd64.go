@@ -22,3 +22,6 @@ func quant8AVX2(q *int8, x *float32, n int, inv, scale float32, roundTrip bool)
 
 //go:noescape
 func dequant8AVX2(dst *float32, q *int8, n int, scale float32)
+
+//go:noescape
+func reluMaskAVX2(dst, grad, y *float32, n int)

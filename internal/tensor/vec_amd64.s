@@ -241,3 +241,32 @@ dequantLoop:
 	JNZ  dequantLoop
 	VZEROUPPER
 	RET
+
+// func reluMaskAVX2(dst, grad, y *float32, n int)
+//
+// dst[i] = grad[i] where y[i] > 0 (ordered: a NaN y fails), +0 elsewhere.
+#define RELUMASK8(off, r) \
+	VMOVUPS off(DX), r       \
+	VCMPPS  $0x1E, Y15, r, r \ // y > 0
+	VANDPS  off(SI), r, r    \
+	VMOVUPS r, off(DI)
+
+TEXT ·reluMaskAVX2(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ y+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $5, CX
+	VXORPS Y15, Y15, Y15
+reluMaskLoop:
+	RELUMASK8(0, Y0)
+	RELUMASK8(32, Y1)
+	RELUMASK8(64, Y2)
+	RELUMASK8(96, Y3)
+	ADDQ $128, SI
+	ADDQ $128, DI
+	ADDQ $128, DX
+	DECQ CX
+	JNZ  reluMaskLoop
+	VZEROUPPER
+	RET

@@ -20,3 +20,5 @@ func quant8AVX2(q *int8, x *float32, n int, inv, scale float32, roundTrip bool) 
 func dequant8AVX2(dst *float32, q *int8, n int, scale float32) {
 	panic("tensor: dequant8AVX2 requires amd64")
 }
+
+func reluMaskAVX2(dst, grad, y *float32, n int) { panic("tensor: reluMaskAVX2 requires amd64") }

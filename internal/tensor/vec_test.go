@@ -64,7 +64,7 @@ func sameCodes(t testing.TB, what string, got, want []int8) {
 	}
 }
 
-// checkVecKernels runs all five exported passes on (p, g, v) with the
+// checkVecKernels runs all six exported passes on (p, g, v) with the
 // scalars s and compares every output bit with the reference loops. off is
 // the element offset fresh buffers are given.
 func checkVecKernels(t testing.TB, p, g, v []float32, s [4]float32, off int) {
@@ -90,6 +90,15 @@ func checkVecKernels(t testing.TB, p, g, v []float32, s [4]float32, off int) {
 	sameBits(t, "SGDStepF32 params", p1, p2)
 	sameBits(t, "SGDStepF32 velocity", v1, v2)
 	sameBits(t, "SGDStepF32 gradient", g, g0)
+
+	// ReLU mask: into a fresh buffer, then over the gradient itself.
+	m1, m2 := cloneAt(p, off), cloneAt(p, off)
+	ReLUMaskF32(m1, g, v)
+	reluMaskRef(m2, g, v)
+	sameBits(t, "ReLUMaskF32", m1, m2)
+	m1 = cloneAt(g, off)
+	ReLUMaskF32(m1, m1, v)
+	sameBits(t, "ReLUMaskF32 in place", m1, m2)
 
 	// Max-abs.
 	for _, x := range [][]float32{p, g, v} {
@@ -308,6 +317,7 @@ func BenchmarkVecKernels(b *testing.B) {
 		{"quant8", func() { Quant8F32(q, g, inv, 1/inv, false) }},
 		{"quant8-roundtrip", func() { Quant8F32(q, rt, inv, 1/inv, true) }},
 		{"dequant8", func() { Dequant8F32(p, q, 1/inv) }},
+		{"relumask", func() { ReLUMaskF32(v, g, p) }},
 	}
 	bench := func(name string, run func()) {
 		b.Run(name, func(b *testing.B) {
