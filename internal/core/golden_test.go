@@ -107,6 +107,21 @@ var goldenPSHashes = []struct {
 	{"asp-damping", ASP, 4, func(c *Config) { c.StalenessDamping = true }, 0x4569d6b187898d81},
 }
 
+// goldenReplicaHashes pins, on minicnn at 4 workers, the algorithms whose
+// replicas each end somewhere of their own: AD-PSGD (an active and a passive
+// thread per worker, averaging into a pass still in flight) and Hogwild (four
+// workers stepping one shared model on one machine). Each hash covers every
+// worker's final vector in rank order. Recorded at PR 23's commit, before
+// their loops moved onto Env.
+var goldenReplicaHashes = []struct {
+	name string
+	algo Algo
+	want uint64
+}{
+	{"adpsgd", ADPSGD, 0x0f724fd874e98805},
+	{"hogwild", Hogwild, 0x3047f8ff124a3865},
+}
+
 // goldenDenseHashes pins what no conv net reaches: GEMMs with at most 8 rows
 // (batch 8, and batch 5 for a ragged row count) whose k = 256 and 512 span
 // several k blocks, and AR-SGD's average-then-step. The net is dense only —
@@ -151,13 +166,20 @@ func TestGoldenFinalParams(t *testing.T) {
 		checkGolden(t, r.name, res.WorkerParams[0], r.want)
 	}
 	for _, r := range goldenPSHashes {
-		res := goldenRun(t, r.algo, r.workers, "minicnn", r.mutate)
-		var all []float32
-		for _, p := range res.WorkerParams {
-			all = append(all, p...)
-		}
-		checkGolden(t, r.name, all, r.want)
+		checkGolden(t, r.name, allParams(goldenRun(t, r.algo, r.workers, "minicnn", r.mutate)), r.want)
 	}
+	for _, r := range goldenReplicaHashes {
+		checkGolden(t, r.name, allParams(goldenRun(t, r.algo, 4, "minicnn", nil)), r.want)
+	}
+}
+
+// allParams concatenates every worker's final vector in rank order.
+func allParams(res *Result) []float32 {
+	var all []float32
+	for _, p := range res.WorkerParams {
+		all = append(all, p...)
+	}
+	return all
 }
 
 // goldenVirtualRows are cost-only runs whose whole virtual-time outcome is
@@ -214,6 +236,19 @@ var goldenVirtualRows = []struct {
 	{"adpsgd-partition-16", ADPSGD, 16, func(c *Config) {
 		c.Faults = goldenFaults(c, "partition@%g:m1:for=%g", 4, 5)
 	}, 0xae45548e0b543ef5},
+	// Recorded at PR 23's commit, before D-PSGD, Hogwild, the no-bipartite
+	// ablation and AD-PSGD's overlay and crash paths moved onto Env. In the
+	// crash row, machine 0's links run 60× slow: partner draws avoid the dead
+	// passive over a one-iteration horizon (redraws), exchanges time out, and a
+	// request that outlived that horizon in flight reaches the dead passive and
+	// is dropped there (a skipped exchange).
+	{"dpsgd-24", DPSGD, 24, nil, 0x9a0aa9d1b1333e1d},
+	{"hogwild-8", Hogwild, 8, func(c *Config) { c.Cluster.Machines, c.Cluster.WorkersPerMachine = 1, 8 }, 0x040687476ca6ee2d},
+	{"adpsgd-nobipartite-6", ADPSGD, 6, func(c *Config) { c.ADPSGDNoBipartite = true }, 0xec1ee52f4034824e},
+	{"adpsgd-kregular-16", ADPSGD, 16, func(c *Config) { c.Overlay, c.OverlayDegree = "kregular", 4 }, 0xe3082d264237370a},
+	{"adpsgd-crash-restart-16", ADPSGD, 16, func(c *Config) {
+		c.Faults = goldenFaults(c, "crash@iter6:w3:restart=%g;degrade@0:m0:x60", 3)
+	}, 0xf71159d1eac16868},
 }
 
 // goldenFaults parses a fault spec whose times are given in mean iterations.
@@ -269,7 +304,7 @@ func TestGoldenVirtualTime(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
-		if res.VirtualSec <= 0 || res.Net.TotalMsgs == 0 {
+		if res.VirtualSec <= 0 || res.Net.TotalMsgs == 0 && r.algo != Hogwild {
 			t.Fatalf("%s: virtual time %g after %d messages; the golden would pin nothing",
 				r.name, res.VirtualSec, res.Net.TotalMsgs)
 		}

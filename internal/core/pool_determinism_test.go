@@ -25,13 +25,14 @@ func poolSummary(t *testing.T, cfg Config, pool int) []byte {
 }
 
 // TestPoolSizeBitIdentical is the tentpole's acceptance test: for every one
-// of the seven algorithms, a fixed-seed real-math experiment must export a
-// byte-identical summary whether the replicas' forward/backward passes run
-// inline (pool 0) or overlapped on 1, 4 or 8 real workers. The simulation
-// may only observe *that* a pass completed at its fixed join point, never
-// *when* it really ran.
+// of the seven algorithms, and D-PSGD and Hogwild, a fixed-seed real-math
+// experiment must export a byte-identical summary whether the replicas'
+// forward/backward passes run inline (pool 0) or overlapped on 1, 4 or 8 real
+// workers. The simulation may only observe *that* a pass completed at its
+// fixed join point, never *when* it really ran. (Four workers fill one
+// machine, as Hogwild requires.)
 func TestPoolSizeBitIdentical(t *testing.T) {
-	for _, algo := range Algos() {
+	for _, algo := range append(Algos(), DPSGD, Hogwild) {
 		algo := algo
 		t.Run(string(algo), func(t *testing.T) {
 			cfg := realConfig(algo, 4, 40, 5)
