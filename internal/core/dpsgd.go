@@ -62,12 +62,13 @@ func runDPSGD(x *exp) {
 
 					// Collect both neighbors' round-it parameters; a faster
 					// neighbor's it+1 message is stashed for the next round.
-					need := 2
-					if W == 2 {
-						// left == right: the single neighbor sends twice.
-						need = 2
-					}
-					var mix [][]float32
+					// Slotted by sender as (left, right), never by arrival, so
+					// the fold below does not depend on simulated timing. With
+					// two workers left == right: the single neighbor sends
+					// twice, the same vector.
+					const need = 2
+					mix := make([][]float32, need)
+					got := 0
 					t0 := p.Now()
 					var wire des.Time
 					take := func(m simnet.Msg) bool {
@@ -78,18 +79,26 @@ func runDPSGD(x *exp) {
 							return false
 						}
 						wire += m.WireSec
-						mix = append(mix, m.Vec)
+						slot := got
+						if left != right {
+							slot = 0
+							if m.From == right {
+								slot = 1
+							}
+						}
+						mix[slot] = m.Vec
+						got++
 						return true
 					}
 					var keep []simnet.Msg
 					for _, m := range stash {
-						if len(mix) < need && take(m) {
+						if got < need && take(m) {
 							continue
 						}
 						keep = append(keep, m)
 					}
 					stash = keep
-					for len(mix) < need {
+					for got < need {
 						m := inbox.Recv(p)
 						if !take(m) {
 							stash = append(stash, m)

@@ -29,6 +29,34 @@ func TestDPSGDLearns(t *testing.T) {
 	}
 }
 
+// TestDPSGDParamsIndependentOfTiming: stragglers move when a neighbour's
+// parameters arrive, never what a worker folds. Each worker mixes
+// self + left + right in that order, so with and without them every worker
+// ends on the same bits.
+func TestDPSGDParamsIndependentOfTiming(t *testing.T) {
+	for _, w := range []int{2, 3, 4, 8} {
+		cfg := realConfig(DPSGD, w, 40, 17)
+		cfg.CaptureParams = true
+		even, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Workload.GPU.StragglerProb, cfg.Workload.GPU.StragglerMult = 0.3, 6
+		uneven, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if even.VirtualSec == uneven.VirtualSec {
+			t.Fatalf("w=%d: stragglers did not change the timing", w)
+		}
+		for r := range even.WorkerParams {
+			if !paramsBitEqual(even.WorkerParams[r], uneven.WorkerParams[r]) {
+				t.Errorf("w=%d: worker %d's final parameters depend on the timing", w, r)
+			}
+		}
+	}
+}
+
 func TestDPSGDIsSynchronous(t *testing.T) {
 	cfg := costConfig(DPSGD, 8, 25)
 	cfg.Workload.GPU.StragglerProb = 0.2

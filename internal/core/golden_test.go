@@ -109,10 +109,13 @@ var goldenPSHashes = []struct {
 
 // goldenReplicaHashes pins, on minicnn at 4 workers, the algorithms whose
 // replicas each end somewhere of their own: AD-PSGD (an active and a passive
-// thread per worker, averaging into a pass still in flight) and Hogwild (four
-// workers stepping one shared model on one machine). Each hash covers every
-// worker's final vector in rank order. Recorded at PR 23's commit, before
-// their loops moved onto Env.
+// thread per worker, averaging into a pass still in flight), Hogwild (four
+// workers stepping one shared model on one machine) and D-PSGD (a ring mix
+// with both neighbours). Each hash covers every worker's final vector in rank
+// order. Recorded at PR 23's commit, before their loops moved onto Env —
+// except D-PSGD's, recorded once its fold became self + left + right: until
+// then it summed the two neighbours in arrival order, so its bits followed
+// the simulated timing.
 var goldenReplicaHashes = []struct {
 	name string
 	algo Algo
@@ -120,6 +123,7 @@ var goldenReplicaHashes = []struct {
 }{
 	{"adpsgd", ADPSGD, 0x0f724fd874e98805},
 	{"hogwild", Hogwild, 0x3047f8ff124a3865},
+	{"dpsgd", DPSGD, 0x460419b37e87f28f},
 }
 
 // goldenDenseHashes pins what no conv net reaches: GEMMs with at most 8 rows
