@@ -98,8 +98,8 @@ func TestSpecCollectiveAndOverlay(t *testing.T) {
 		t.Fatalf("tree_allreduce with collective butterfly: %v", err)
 	}
 
-	// Live transports run every collective and GoSGD's overlays; AD-PSGD's
-	// overlays stay simulator-only.
+	// Live transports run every collective and both gossip algorithms'
+	// overlays; Hogwild, a shared-memory scheme, stays simulator-only.
 	s = ExperimentSpec{Algo: "arsgd", Workers: 8, Collective: "butterfly",
 		Transport: TransportChan, Real: &RealSpec{}}
 	if _, err := s.Validated(); err != nil {
@@ -111,8 +111,12 @@ func TestSpecCollectiveAndOverlay(t *testing.T) {
 		t.Fatalf("live transport rejected a GoSGD overlay: %v", err)
 	}
 	s.Algo = "adpsgd"
-	if _, err := s.Validated(); err == nil {
-		t.Fatal("live transport accepted an AD-PSGD overlay")
+	if _, err := s.Validated(); err != nil {
+		t.Fatalf("live transport rejected an AD-PSGD overlay: %v", err)
+	}
+	s = ExperimentSpec{Algo: "hogwild", Workers: 4, Transport: TransportChan, Real: &RealSpec{}}
+	if _, err := s.Validated(); err == nil || !strings.Contains(err.Error(), "hogwild is simulator-only") {
+		t.Fatalf("live transport and Hogwild: %v", err)
 	}
 }
 

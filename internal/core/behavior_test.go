@@ -98,13 +98,7 @@ func TestADPSGDUnconstrainedDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stuckComm := 0
-	for _, name := range res.StuckProcs {
-		if strings.HasPrefix(name, "adpsgd-comm") {
-			stuckComm++
-		}
-	}
-	if stuckComm == 0 {
+	if res.StuckCommThreads() == 0 {
 		t.Fatalf("expected deadlocked comm processes, stuck = %v", res.StuckProcs)
 	}
 
@@ -112,10 +106,8 @@ func TestADPSGDUnconstrainedDeadlocks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range bipartite.StuckProcs {
-		if strings.HasPrefix(name, "adpsgd-comm") {
-			t.Fatalf("bipartite AD-PSGD comm proc stuck: %v", bipartite.StuckProcs)
-		}
+	if bipartite.StuckCommThreads() != 0 || len(bipartite.StuckProcs) != 3 {
+		t.Fatalf("bipartite AD-PSGD: want exactly the three passives blocked, stuck = %v", bipartite.StuckProcs)
 	}
 }
 

@@ -53,6 +53,27 @@ const (
 // Algos lists all seven in the paper's order.
 func Algos() []Algo { return []Algo{BSP, ASP, SSP, EASGD, ARSGD, GoSGD, ADPSGD} }
 
+// Three of the paper's reviewed-but-not-selected algorithms, included as
+// extensions (AdaComm is in adacomm.go).
+const (
+	// DPSGD is synchronous Decentralized Parallel SGD (Lian et al.,
+	// NeurIPS'17 — the paper's reference [19]). Workers sit on a ring; every
+	// iteration each worker exchanges parameters with both ring neighbors,
+	// mixes x ← (x_self + x_left + x_right)/3, and applies its local
+	// gradient. Synchronous like AR-SGD, but each round moves only 2M per
+	// worker instead of a full AllReduce, at the cost of slower information
+	// propagation (O(N) rounds around the ring).
+	DPSGD Algo = "dpsgd"
+	// Hogwild is lock-free shared-memory parallel SGD (Recht et al.,
+	// NIPS'11 — the paper's reference [24], not selected because it is a
+	// single-machine scheme). All workers update ONE shared parameter vector
+	// with no synchronization at all: a worker computes a gradient from the
+	// parameters as they are when its pass starts and applies it, stale, at
+	// the pass's end, after the others' interleaved updates. It isolates pure
+	// update staleness from every network effect: no message crosses a link.
+	Hogwild Algo = "hogwild"
+)
+
 // Centralized reports whether the algorithm uses parameter servers.
 func (a Algo) Centralized() bool {
 	switch a {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strings"
 
 	"disttrain/internal/comm"
 	"disttrain/internal/costmodel"
@@ -165,12 +166,16 @@ func setup(cfg *Config) (*exp, error) {
 
 	// Replicas. Every worker's init stream is the same derivation, so all
 	// workers start with identical weights, as the algorithms assume.
+	// Hogwild's workers all train worker 0's model.
 	x.reps = make([]*Replica, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		if cfg.Real != nil {
 			x.reps[w] = NewReplica(w, cfg, x.streams[w])
 		} else {
 			x.reps[w] = newCostReplica()
+		}
+		if cfg.Algo == Hogwild {
+			x.reps[w].shareModel(x.reps[0])
 		}
 	}
 
@@ -380,16 +385,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		x.pool = sched.NewPool(cfg.PoolSize)
 		defer x.pool.Close()
 	}
-	switch cfg.Algo {
-	case ADPSGD:
-		runADPSGD(x)
-	case DPSGD:
-		runDPSGD(x)
-	case Hogwild:
-		runHogwild(x)
-	default:
-		x.spawnWorkers()
-	}
+	x.spawnWorkers()
 	report, err := x.drain()
 	if err != nil {
 		return nil, err
@@ -558,6 +554,20 @@ func (r *Result) GradientBytes() int64 {
 // ParamReplyBytes returns the traffic spent on PS→worker parameter replies.
 func (r *Result) ParamReplyBytes() int64 {
 	return r.Net.BytesByKind[kindParams]
+}
+
+// StuckCommThreads counts the communication threads that initiate exchanges
+// and were still blocked when the run drained: under the AD-PSGD
+// no-bipartite ablation, the wait-for cycles of Section IV-C. A passive
+// thread answers until teardown by design and is not counted.
+func (r *Result) StuckCommThreads() int {
+	n := 0
+	for _, name := range r.StuckProcs {
+		if strings.HasPrefix(name, string(r.Config.Algo)+"-"+commThread) {
+			n++
+		}
+	}
+	return n
 }
 
 // expectedStuck reports whether leftover blocked server procs are normal

@@ -53,23 +53,49 @@ type Env interface {
 	Update(it int, vec []float32) error
 	Acks(ack func(minClock int)) error
 
-	// Reachable filters base down to the gossip partners a push can reach
-	// right now. ToPeer pushes vec and the mixing weight aux to a peer
+	// Reachable filters base down to the partners a push or an exchange can
+	// reach right now. ToPeer pushes vec and the mixing weight aux to a peer
 	// without waiting; FromPeers hands merge every push that has arrived.
 	Reachable(base []int) []int
 	ToPeer(to, it int, aux float64, vec []float32) error
 	FromPeers(merge func(vec []float32, aux float64)) error
 
+	// Go starts the worker's second thread, named name, running body on an
+	// Env view of its own. hand passes the thread an iteration token, which
+	// next returns in order; stop ends the stream — next then reports false —
+	// and returns body's error where the runtime waits for the thread, nil
+	// where the thread outlives the loop. A thread that reads no tokens runs
+	// until the worker's run is torn down and must not be stopped.
+	Go(name string, body func(c Env, next func() (it int, ok bool)) error) (hand func(it int), stop func() error)
+	// Swap is one symmetric exchange with peer: ship vec, block for the
+	// peer's parameters and average them into the replica. Requests from
+	// others that arrive meanwhile wait for Answer, which replies to each
+	// request with the replica's parameters and averages the requester's in:
+	// to the requests already waiting, or with wait to every one until the
+	// run is torn down.
+	Swap(peer, it int, vec []float32) error
+	Answer(wait bool) error
+	// Neighbors ships vec to every node of nbs and returns their round-it
+	// vectors in the order of nbs.
+	Neighbors(it int, nbs []int, vec []float32) ([][]float32, error)
+
 	// Done closes iteration it: progress, evaluation, checkpoints.
 	Done(it int) error
 }
 
+// The names AD-PSGD's loop gives its second thread: one that initiates
+// exchanges, or a passive one that only answers them.
+const (
+	commThread    = "comm"
+	passiveThread = "passive"
+)
+
 // WorkerLoop runs worker rank through cfg.Iters iterations of cfg.Algo over
 // e, on the replica and streams DeriveStreams and NewReplica gave that rank;
-// ov is BuildOverlay's. It is the one place BSP, ASP, SSP, EASGD/AdaComm,
-// AR-SGD and GoSGD are written down: the simulator enters it from one
-// process per worker, the live runtime from one OS process (or goroutine)
-// per worker. An error from e ends the loop and comes back unchanged.
+// ov is BuildOverlay's. It is the one place every algorithm is written down:
+// the simulator enters it from one process per worker, the live runtime from
+// one OS process (or goroutine) per worker. An error from e ends the loop and
+// comes back unchanged.
 func WorkerLoop(e Env, cfg *Config, rank int, rep *Replica, s Streams, ov *topo.Overlay) error {
 	switch cfg.Algo {
 	case BSP, ASP:
@@ -82,6 +108,14 @@ func WorkerLoop(e Env, cfg *Config, rank int, rep *Replica, s Streams, ov *topo.
 		return loopARSGD(e, cfg, rep)
 	case GoSGD:
 		return loopGoSGD(e, cfg, rep, s.Algo, gossipBase(cfg, ov, rank))
+	case ADPSGD:
+		return loopADPSGD(e, cfg, rep, s.Algo, adpsgdPartners(cfg, ov, rank))
+	case DPSGD:
+		return loopDPSGD(e, cfg, rank, rep)
+	case Hogwild:
+		// Plain local SGD: setup made every worker's replica the one shared
+		// model, so the steps land on it lock-free.
+		return loopLocal(e, cfg, rep, nil)
 	}
 	return fmt.Errorf("core: no worker loop for %s", cfg.Algo)
 }
@@ -103,6 +137,20 @@ func iterate(e Env, cfg *Config, body func(it int) error) error {
 		}
 	}
 	return nil
+}
+
+// loopLocal is the frame of the algorithms that step their own replica on
+// their own gradient every iteration, then communicate as comm says (nil:
+// never): EASGD/AdaComm, GoSGD, AD-PSGD's compute thread and Hogwild.
+func loopLocal(e Env, cfg *Config, rep *Replica, comm func(it int) error) error {
+	return iterate(e, cfg, func(it int) error {
+		e.Compute(false)
+		rep.LocalStep(e.Grad(), 1, cfg.LR.At(it-1))
+		if comm == nil {
+			return nil
+		}
+		return comm(it)
+	})
 }
 
 // loopGradPS is the worker side of the two algorithms that push a gradient to
@@ -230,9 +278,7 @@ func loopEASGD(e Env, cfg *Config, rep *Replica) error {
 	if cfg.Algo == AdaComm {
 		due = adaCommPeriod(cfg, rep)
 	}
-	return iterate(e, cfg, func(it int) error {
-		e.Compute(false)
-		rep.LocalStep(e.Grad(), 1, cfg.LR.At(it-1))
+	return loopLocal(e, cfg, rep, func(it int) error {
 		if !due(it) {
 			return nil
 		}
@@ -281,9 +327,7 @@ func loopARSGD(e Env, cfg *Config, rep *Replica) error {
 func loopGoSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error {
 	weight := 1.0
 	merge := func(vec []float32, aux float64) { weight = rep.WeightedMerge(weight, vec, aux) }
-	err := iterate(e, cfg, func(it int) error {
-		e.Compute(false)
-		rep.LocalStep(e.Grad(), 1, cfg.LR.At(it-1))
+	err := loopLocal(e, cfg, rep, func(it int) error {
 		if err := e.FromPeers(merge); err != nil {
 			return err
 		}
@@ -321,6 +365,106 @@ func gossipBase(cfg *Config, ov *topo.Overlay, w int) []int {
 		}
 	}
 	return base
+}
+
+// loopADPSGD implements Asynchronous Decentralized Parallel SGD (Section
+// IV-C, after Lian et al.). As in the paper's implementation, computation and
+// communication run in two threads per worker: the compute thread trains on
+// (possibly mid-averaging) local parameters, exactly the lock-free behavior
+// AD-PSGD allows, and hands one token per completed iteration to the
+// communication thread, which does one *symmetric* exchange per token — both
+// sides average their parameters — with a partner drawn from base.
+//
+// Workers are split into a bipartite graph: actives (even ranks) initiate,
+// passives (odd ranks, base nil) only answer, until the run is torn down.
+// Actives never wait on other actives, so the wait-for graph is acyclic. The
+// no-bipartite ablation (Config.ADPSGDNoBipartite) lets every worker
+// initiate with any partner and — like a naive implementation — answer only
+// between its own exchanges; Section IV-C's scenario (A waits on B, B waits
+// on C, C waits on A) then deadlocks the communication threads, the training
+// threads keep computing, and Result.StuckCommThreads counts the deadlocked.
+func loopADPSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error {
+	if base == nil {
+		e.Go(passiveThread, func(c Env, _ func() (int, bool)) error { return c.Answer(true) })
+		return loopLocal(e, cfg, rep, nil)
+	}
+	hand, stop := e.Go(commThread, func(c Env, next func() (int, bool)) error {
+		for it, ok := next(); ok; it, ok = next() {
+			if cfg.ADPSGDNoBipartite {
+				if err := c.Answer(false); err != nil {
+					return err
+				}
+			}
+			// Under fault injection the draw avoids partners that are dead
+			// or partitioned away — AD-PSGD's natural elasticity.
+			cands := c.Reachable(base)
+			if len(cands) == 0 {
+				continue
+			}
+			if err := c.Swap(cands[r.Intn(len(cands))], it, rep.Params()); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	err := loopLocal(e, cfg, rep, func(it int) error {
+		hand(it)
+		return nil
+	})
+	if serr := stop(); err == nil {
+		err = serr
+	}
+	return err
+}
+
+// adpsgdPartners returns the peers rank draws its exchange partners from, or
+// nil for a passive rank. Bipartite, an active draws from the odd ranks — its
+// odd overlay neighbours under a sparse overlay, or all odd ranks when the
+// overlay gave it none. The no-bipartite ablation draws from every other
+// rank, or the rank's overlay neighbours.
+func adpsgdPartners(cfg *Config, ov *topo.Overlay, rank int) []int {
+	if cfg.ADPSGDNoBipartite {
+		return gossipBase(cfg, ov, rank)
+	}
+	if rank%2 == 1 {
+		return nil
+	}
+	var odd []int
+	if ov != nil {
+		for _, pe := range ov.Neighbors[rank] {
+			if pe%2 == 1 {
+				odd = append(odd, pe)
+			}
+		}
+	}
+	if len(odd) == 0 {
+		for pe := 1; pe < cfg.Workers; pe += 2 {
+			odd = append(odd, pe)
+		}
+	}
+	return odd
+}
+
+// loopDPSGD implements synchronous D-PSGD's ring mix (see DPSGD): every
+// iteration a worker computes the gradient of its pre-mix parameters,
+// exchanges parameters with both ring neighbours, mixes
+// x ← (x + x_left + x_right)/3 — folded in that order, whatever order the
+// vectors arrive in — and steps on its gradient.
+func loopDPSGD(e Env, cfg *Config, rank int, rep *Replica) error {
+	W := cfg.Workers
+	ring := []int{(rank - 1 + W) % W, (rank + 1) % W}
+	return iterate(e, cfg, func(it int) error {
+		e.Compute(false)
+		if W > 1 {
+			nbs, err := e.Neighbors(it, ring, rep.Params())
+			if err != nil {
+				return err
+			}
+			rep.Mix(nbs)
+		}
+		rep.LocalStep(e.Grad(), 1, cfg.LR.At(it-1))
+		return nil
+	})
 }
 
 // BuildOverlay returns the sparse gossip graph cfg names, drawn from the

@@ -141,6 +141,50 @@ func (f *fakeEnv) FromPeers(merge func([]float32, float64)) error {
 	return nil
 }
 
+// Go runs body as a coroutine of the calling thread: body runs until it asks
+// for its first token, each hand runs it on until it asks for the next, and
+// stop ends the stream and returns body's error — so a scripted run stays
+// one sequence of calls.
+func (f *fakeEnv) Go(name string, body func(Env, func() (int, bool)) error) (func(int), func() error) {
+	f.call("Go", name)
+	tokens := make(chan int)
+	parked := make(chan bool) // body asks for a token (true) or has returned (false)
+	var err error
+	go func() {
+		err = body(f, func() (int, bool) {
+			parked <- true
+			it, ok := <-tokens
+			return it, ok
+		})
+		parked <- false
+	}()
+	running := <-parked
+	hand := func(it int) {
+		if running {
+			tokens <- it
+			running = <-parked
+		}
+	}
+	stop := func() error {
+		if running {
+			close(tokens)
+			running = <-parked
+		}
+		return err
+	}
+	return hand, stop
+}
+
+func (f *fakeEnv) Swap(peer, it int, vec []float32) error {
+	return f.call("Swap", fmt.Sprint(peer, "@", it))
+}
+
+func (f *fakeEnv) Answer(wait bool) error { return f.call("Answer", wait) }
+
+func (f *fakeEnv) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
+	return make([][]float32, len(nbs)), f.call("Neighbors", fmt.Sprint(nbs, "@", it))
+}
+
 func (f *fakeEnv) Done(it int) error {
 	if err := f.call("Done", it); err != nil {
 		return err
@@ -265,7 +309,7 @@ func TestLoopEASGDPeriod(t *testing.T) {
 // ones in between — and ends without error when the gate says the worker is
 // done for good.
 func TestLoopGate(t *testing.T) {
-	for _, algo := range []Algo{BSP, ASP, SSP, EASGD, AdaComm, ARSGD, GoSGD} {
+	for _, algo := range allAlgos {
 		cfg := loopConfig(t, algo, 4, 12)
 		f := &fakeEnv{gate: func(it int) (int, bool) {
 			switch {
@@ -297,11 +341,18 @@ func TestLoopErrorStopsTheLoop(t *testing.T) {
 		AdaComm: {"Gate", "Exchange", "Done"},
 		ARSGD:   {"Gate", "AllReduce", "Done"},
 		GoSGD:   {"Gate", "FromPeers", "ToPeer", "Done"},
+		ADPSGD:  {"Gate", "Done"},
+		DPSGD:   {"Gate", "Neighbors", "Done"},
+		Hogwild: {"Gate", "Done"},
 	}
 	for algo, ms := range methods {
 		for _, m := range ms {
 			for _, rank := range []int{0, 1} { // rank 1 is a local-aggregation member
-				cfg := loopConfig(t, algo, 8, 12)
+				workers := 8
+				if algo == Hogwild {
+					workers = 4 // one machine
+				}
+				cfg := loopConfig(t, algo, workers, 12)
 				cfg.LocalAgg = algo == BSP
 				f := &fakeEnv{fail: m, failAt: 2}
 				err := runLoop(f, cfg, rank)
@@ -315,6 +366,116 @@ func TestLoopErrorStopsTheLoop(t *testing.T) {
 					t.Fatalf("%s rank %d: loop went on to %q after %s failed", algo, rank, last, m)
 				}
 			}
+		}
+	}
+}
+
+// allAlgos is every algorithm Config.Validate accepts.
+var allAlgos = append(Algos(), DPSGD, AdaComm, Hogwild)
+
+// TestWorkerLoopCoversEveryAlgo: WorkerLoop has a loop for every algorithm
+// Config.Validate accepts, and every rank's runs each iteration to the end.
+func TestWorkerLoopCoversEveryAlgo(t *testing.T) {
+	if len(allAlgos) != 10 {
+		t.Fatalf("%d algorithms, want ten", len(allAlgos))
+	}
+	for _, algo := range allAlgos {
+		cfg := loopConfig(t, algo, 4, 5)
+		for rank := 0; rank < cfg.Workers; rank++ {
+			f := &fakeEnv{}
+			if err := runLoop(f, cfg, rank); err != nil {
+				t.Fatalf("%s rank %d: %v", algo, rank, err)
+			}
+			if got := f.logged("Done"); len(got) != cfg.Iters {
+				t.Fatalf("%s rank %d completed %v", algo, rank, got)
+			}
+		}
+	}
+}
+
+// TestLoopADPSGDExchanges pins AD-PSGD's two threads: an active hands one
+// token per iteration, after its local step and before the iteration closes,
+// and its thread does one exchange per token with a partner it may reach — an
+// odd rank, or an odd overlay neighbour. A passive's thread answers and never
+// initiates; under the no-bipartite ablation every thread answers what is
+// waiting before each exchange of its own, with any other rank.
+func TestLoopADPSGDExchanges(t *testing.T) {
+	run := func(cfg *Config, rank int, f *fakeEnv) []string {
+		t.Helper()
+		if err := runLoop(f, cfg, rank); err != nil {
+			t.Fatal(err)
+		}
+		return f.log
+	}
+	cfg := loopConfig(t, ADPSGD, 6, 3)
+	f := &fakeEnv{reachable: func([]int) []int { return []int{3} }} // 1 and 5 are out of reach
+	want := "Go comm,Gate 1,Compute false,Grad ,Reachable [1 3 5],Swap 3@1,Done 1," +
+		"Gate 2,Compute false,Grad ,Reachable [1 3 5],Swap 3@2,Done 2," +
+		"Gate 3,Compute false,Grad ,Reachable [1 3 5],Swap 3@3,Done 3"
+	if got := strings.Join(run(cfg, 0, f), ","); got != want {
+		t.Fatalf("active:\n got %s\nwant %s", got, want)
+	}
+	f = &fakeEnv{reachable: func([]int) []int { return nil }}
+	if got := run(cfg, 2, f); len(f.logged("Swap")) != 0 {
+		t.Fatalf("an active with no partner in reach exchanged: %v", got)
+	}
+	// A failed exchange ends the thread; its error comes back from the loop.
+	f = &fakeEnv{fail: "Swap", failAt: 2}
+	if err := runLoop(f, cfg, 0); err != errBoom || len(f.logged("Swap")) != 2 {
+		t.Fatalf("exchange 2 failed: loop returned %v after exchanges %v", err, f.logged("Swap"))
+	}
+	if got := strings.Join(run(cfg, 1, &fakeEnv{}), ","); !strings.HasPrefix(got, "Go passive,Answer true,Gate 1") ||
+		strings.Contains(got, "Swap") {
+		t.Fatalf("passive: %s", got)
+	}
+
+	cfg.Overlay, cfg.OverlayDegree = "kregular", 2
+	_, ovs := DeriveStreams(cfg.Seed, cfg.Workers)
+	ov := BuildOverlay(cfg, ovs)
+	for rank := 0; rank < cfg.Workers; rank += 2 {
+		var odd []int
+		for _, pe := range ov.Neighbors[rank] {
+			if pe%2 == 1 {
+				odd = append(odd, pe)
+			}
+		}
+		if len(odd) == 0 {
+			odd = []int{1, 3, 5} // no odd neighbour: every passive
+		}
+		f := &fakeEnv{}
+		run(cfg, rank, f)
+		for _, s := range f.logged("Swap") {
+			var peer, it int
+			fmt.Sscanf(s, "%d@%d", &peer, &it)
+			if !slices.Contains(odd, peer) {
+				t.Fatalf("active %d exchanged with %d; overlay neighbours %v", rank, peer, ov.Neighbors[rank])
+			}
+		}
+	}
+
+	cfg = loopConfig(t, ADPSGD, 6, 3)
+	cfg.ADPSGDNoBipartite = true
+	log := strings.Join(run(cfg, 1, &fakeEnv{}), ",")
+	if !strings.HasPrefix(log, "Go comm,") || strings.Count(log, "Answer false,Reachable [0 2 3 4 5],Swap") != cfg.Iters {
+		t.Fatalf("no-bipartite: %s", log)
+	}
+}
+
+// TestLoopDPSGDOrder pins D-PSGD's round: the pass, the ring exchange with
+// (left, right), the mix, the step on the pass's gradient. A lone worker has
+// no ring.
+func TestLoopDPSGDOrder(t *testing.T) {
+	for workers, want := range map[int]string{
+		4: "Gate 1,Compute false,Neighbors [3 1]@1,Grad ,Done 1",
+		2: "Gate 1,Compute false,Neighbors [1 1]@1,Grad ,Done 1",
+		1: "Gate 1,Compute false,Grad ,Done 1",
+	} {
+		f := &fakeEnv{}
+		if err := runLoop(f, loopConfig(t, DPSGD, workers, 1), 0); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(f.log, ","); got != want {
+			t.Fatalf("%d workers:\n got %s\nwant %s", workers, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"disttrain/internal/data"
@@ -54,6 +55,15 @@ type Replica struct {
 	// (model and its gradient store, sampler, arena, RNG streams) is owned
 	// by this replica, so futures of different replicas share nothing.
 	pending *sched.Future[computeOut]
+
+	// shared marks a Hogwild replica (shareModel): its model and optimizer
+	// are worker 0's, which every worker reads and steps. Its pass therefore
+	// runs inline where it is submitted, reading the shared parameters as
+	// they are then, and counts as the worker's iteration and folds its loss
+	// there; copied holds its gradient until takeGrads, a copy because the
+	// next worker's pass overwrites the shared gradient store.
+	shared bool
+	copied []float32
 }
 
 // computeOut is what one offloaded forward/backward pass produces.
@@ -84,6 +94,13 @@ func NewReplica(w int, cfg *Config, s Streams) *Replica {
 // newCostReplica builds a math-free replica.
 func newCostReplica() *Replica { return &Replica{} }
 
+// shareModel makes r a Hogwild replica over owner's model and optimizer (see
+// shared); r keeps its own data shard.
+func (r *Replica) shareModel(owner *Replica) {
+	r.shared = true
+	r.model, r.localO = owner.model, owner.localO
+}
+
 // Guard arms the replica's mutex: from here on every exported method runs
 // under it, so a second goroutine — live AD-PSGD's communication thread —
 // may read and merge parameters while the owner trains.
@@ -108,10 +125,9 @@ func (r *Replica) mathOn() bool { return r.model != nil }
 // its loss into the EWMA and returns the gradient — the model's own flat
 // store, the caller's to reduce into or scale in place until the next pass
 // overwrites it — or nil in cost-only mode. The replica's iteration
-// counter advances either way. This is the synchronous path (live workers,
-// and Hogwild's shared-model workers, which must not run concurrently with
-// each other's updates); the simulated-cluster algorithms use
-// beginCompute/takeGrads instead.
+// counter advances either way. This is the synchronous path of live workers
+// and of the simulator's shared (Hogwild) replicas; the simulator's other
+// replicas use beginCompute/takeGrads.
 func (r *Replica) ComputeGrad() []float32 {
 	r.lock()
 	defer r.unlock()
@@ -156,9 +172,15 @@ func (r *Replica) foldLoss(loss float64) {
 }
 
 // beginCompute submits the iteration's forward/backward pass to the pool
-// (inline on a nil pool). No-op in cost-only mode. The caller must consume
-// the result with takeGrads before submitting the next pass.
+// (inline on a nil pool). No-op in cost-only mode, but for a shared replica,
+// which runs its pass here and now whatever the pool and counts it even
+// without math. The caller must consume the result with takeGrads before
+// submitting the next pass.
 func (r *Replica) beginCompute(pool *sched.Pool) {
+	if r.shared {
+		r.copied = slices.Clone(r.ComputeGrad())
+		return
+	}
 	if r.model == nil {
 		return
 	}
@@ -173,6 +195,9 @@ func (r *Replica) beginCompute(pool *sched.Pool) {
 // the join point in the event trace, so results cannot depend on when the
 // pool actually ran the work.
 func (r *Replica) takeGrads() []float32 {
+	if r.shared {
+		return r.copied
+	}
 	if r.pending == nil {
 		return nil
 	}
@@ -252,6 +277,30 @@ func (r *Replica) Average(other []float32) {
 		w := p.W.Data
 		for i, o := range other[off : off+len(w)] {
 			w[i] = 0.5 * (w[i] + o)
+		}
+		off += len(w)
+	}
+}
+
+// Mix sets params ← (params + Σ others)/(1 + len(others)), folding others in
+// their order: D-PSGD's ring mix. No-op in cost-only mode.
+func (r *Replica) Mix(others [][]float32) {
+	if r.model == nil {
+		return
+	}
+	r.lock()
+	defer r.unlock()
+	r.settle()
+	inv := 1 / float32(len(others)+1)
+	off := 0
+	for _, p := range r.model.Params() {
+		w := p.W.Data
+		for i := range w {
+			s := w[i]
+			for _, o := range others {
+				s += o[off+i]
+			}
+			w[i] = s * inv
 		}
 		off += len(w)
 	}

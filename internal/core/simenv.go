@@ -30,8 +30,9 @@ type simEnv struct {
 	jitter  float64
 	overlap bool
 
-	// stash separates AllReduce rounds when a fast peer's next-round chunk
-	// can overtake the current round's traffic (see AllReduce).
+	// stash holds what arrived before its turn: a fast peer's next-round
+	// AllReduce chunk or D-PSGD vector, or an exchange request waiting for
+	// Answer.
 	stash []simnet.Msg
 }
 
@@ -69,7 +70,7 @@ func (e *simEnv) Members(it int) ([]int, int) {
 }
 
 func (e *simEnv) Compute(overlap bool) {
-	_, e.jitter = e.x.computePhase(e.p, e.w, overlap)
+	e.jitter = e.x.computePhase(e.p, e.w, overlap)
 	e.overlap = overlap
 }
 
@@ -333,16 +334,24 @@ func (e *simEnv) ToPeer(to, it int, aux float64, vec []float32) error {
 }
 
 // Reachable drops the partners that are dead or partitioned away right now.
+// An AD-PSGD exchange holds its partner for a round trip, so its draw also
+// drops a partner that is dead one mean iteration from now; a gossip push
+// needs its target only on arrival.
 func (e *simEnv) Reachable(base []int) []int {
 	x := e.x
 	if x.inj == nil {
 		return base
 	}
 	now := e.p.Now()
+	horizon := now
+	if x.cfg.Algo == ADPSGD {
+		horizon += x.inj.MeanIterSec()
+	}
 	myM := x.cfg.Cluster.MachineOfWorker(e.w)
 	var cands []int
 	for _, pe := range base {
-		if !x.inj.DeadAt(pe, now) && !x.inj.Partitioned(now, myM, x.cfg.Cluster.MachineOfWorker(pe)) {
+		if !x.inj.DeadAt(pe, now) && !x.inj.DeadAt(pe, horizon) &&
+			!x.inj.Partitioned(now, myM, x.cfg.Cluster.MachineOfWorker(pe)) {
 			cands = append(cands, pe)
 		}
 	}
@@ -354,18 +363,166 @@ func (e *simEnv) Reachable(base []int) []int {
 	return cands
 }
 
+// Go spawns the second thread as a process of its own. A worker's run ends
+// with its compute thread, where finish books it: stop only closes the token
+// stream, and the thread drains what it was handed on its own time.
+func (e *simEnv) Go(name string, body func(Env, func() (int, bool)) error) (func(int), func() error) {
+	x, w := e.x, e.w
+	tokens := des.NewQueue[int](x.eng)
+	x.eng.Spawn(fmt.Sprintf("%s-%s%d", x.cfg.Algo, name, w), func(p *des.Proc) {
+		next := func() (int, bool) {
+			it := tokens.Recv(p)
+			return it, it >= 0
+		}
+		if err := body(&simEnv{x: x, p: p, w: w}, next); err != nil {
+			panic(err)
+		}
+	})
+	return tokens.Push, func() error {
+		tokens.Push(-1)
+		return nil
+	}
+}
+
+// Swap books the wait for the partner's parameters as network and global
+// aggregation time. Under fault injection the wait is bounded: a request or
+// reply lost in flight, or dropped by a dead partner, times out, and the
+// worker skips the averaging and trains on. The no-bipartite ablation books
+// nothing — it shows whether its threads deadlock, not what they cost.
+func (e *simEnv) Swap(peer, it int, vec []float32) error {
+	x, p := e.x, e.p
+	x.net.Send(simnet.Msg{From: e.w, To: peer, Kind: KindExchangeReq, Clock: it,
+		Bytes: x.fullBytes(), Vec: vec})
+	inbox := x.inbox(e.w)
+	t0 := p.Now()
+	for {
+		var m simnet.Msg
+		if x.inj != nil {
+			var ok bool
+			if m, ok = inbox.RecvTimeout(p, x.cfg.BarrierTimeoutSec); !ok {
+				x.col.Faults.Timeouts++
+				return nil
+			}
+		} else {
+			m = inbox.Recv(p)
+		}
+		switch m.Kind {
+		case KindExchangeReq:
+			e.stash = append(e.stash, m) // held for Answer
+			continue
+		case KindExchangeReply:
+		default:
+			panic(fmt.Sprintf("adpsgd active: unexpected kind %d", m.Kind))
+		}
+		if !x.cfg.ADPSGDNoBipartite {
+			bd := &x.col.Workers[e.w].Breakdown
+			bd.Add(metrics.Network, m.WireSec)
+			bd.Add(metrics.GlobalAgg, p.Now()-t0-m.WireSec)
+		}
+		x.reps[e.w].Average(m.Vec)
+		return nil
+	}
+}
+
+// Answer serves the held requests first, then the inbox. A dead worker
+// answers nothing: the requester's timeout absorbs the loss.
+func (e *simEnv) Answer(wait bool) error {
+	x, p := e.x, e.p
+	inbox := x.inbox(e.w)
+	for {
+		var m simnet.Msg
+		switch {
+		case len(e.stash) > 0:
+			m, e.stash = e.stash[0], e.stash[1:]
+		case wait:
+			m = inbox.Recv(p)
+		default:
+			var ok bool
+			if m, ok = inbox.TryRecv(); !ok {
+				return nil
+			}
+		}
+		if m.Kind != KindExchangeReq {
+			panic(fmt.Sprintf("adpsgd passive: unexpected kind %d", m.Kind))
+		}
+		if x.inj != nil && x.inj.DeadAt(e.w, p.Now()) {
+			x.col.Faults.SkippedExchanges++
+			continue
+		}
+		x.net.Send(simnet.Msg{From: e.w, To: m.From, Kind: KindExchangeReply, Clock: m.Clock,
+			Bytes: x.fullBytes(), Vec: x.reps[e.w].Params()})
+		if !x.cfg.ADPSGDNoBipartite {
+			x.col.Workers[e.w].Breakdown.Add(metrics.Network, m.WireSec)
+		}
+		x.reps[e.w].Average(m.Vec)
+	}
+}
+
+// Neighbors runs in lockstep with the neighbours, so a neighbour is at most
+// one round ahead: its next round's vector waits in the stash. The wait
+// beyond the wire time is global aggregation.
+func (e *simEnv) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
+	x, p := e.x, e.p
+	for _, nb := range nbs {
+		x.net.Send(simnet.Msg{From: e.w, To: nb, Kind: KindExchangeReq, Clock: it,
+			Bytes: x.fullBytes(), Vec: vec})
+	}
+	out := make([][]float32, len(nbs))
+	got := make([]bool, len(nbs))
+	missing := len(nbs)
+	t0 := p.Now()
+	var wire des.Time
+	take := func(m simnet.Msg) bool {
+		if m.Kind != KindExchangeReq {
+			panic(fmt.Sprintf("dpsgd worker: unexpected kind %d", m.Kind))
+		}
+		if m.Clock != it {
+			return false
+		}
+		// The sender's first open slot: with two workers both neighbours are
+		// the one peer, which sends twice.
+		i := 0
+		for i < len(nbs) && (nbs[i] != m.From || got[i]) {
+			i++
+		}
+		if i == len(nbs) {
+			panic(fmt.Sprintf("dpsgd worker: round-%d vector from non-neighbour %d", it, m.From))
+		}
+		out[i], got[i] = m.Vec, true
+		wire += m.WireSec
+		missing--
+		return true
+	}
+	keep := e.stash[:0]
+	for _, m := range e.stash {
+		if !take(m) {
+			keep = append(keep, m)
+		}
+	}
+	e.stash = keep
+	for missing > 0 {
+		if m := x.inbox(e.w).Recv(p); !take(m) {
+			e.stash = append(e.stash, m)
+		}
+	}
+	bd := &x.col.Workers[e.w].Breakdown
+	bd.Add(metrics.Network, wire)
+	bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
+	return out, nil
+}
+
 // computePhase advances virtual time by one jittered iteration and issues
-// the real gradient computation. The numeric work is submitted to the
-// compute pool *before* the virtual-time sleep, so while this process
-// sleeps, other simulated workers' passes run concurrently on real cores;
-// the returned gradFuture joins the result where the algorithm first
-// consumes the gradient. When overlap is true (wait-free BP and the caller
-// will invoke sendGrads next) only the forward time is slept here —
-// sendGrads interleaves the backward time with the per-shard sends.
+// the real gradient computation, returning the compute-time multiplier it
+// drew. The numeric work is submitted to the compute pool *before* the
+// virtual-time sleep, so while this process sleeps, other simulated workers'
+// passes run concurrently on real cores; Grad joins the result where the
+// algorithm first consumes the gradient. When overlap is true (wait-free BP
+// and the caller will invoke sendGrads next) only the forward time is slept
+// here — sendGrads interleaves the backward time with the per-shard sends.
 // Iteration bookkeeping (iter counter, spread, breakdown, trace spans)
 // stays on the engine thread at the post-sleep point, exactly where the
 // old synchronous path did it, so metrics are pool-size-independent.
-func (x *exp) computePhase(p *des.Proc, w int, overlap bool) (*gradFuture, float64) {
+func (x *exp) computePhase(p *des.Proc, w int, overlap bool) float64 {
 	wl := x.cfg.Workload
 	j := wl.SampleMult(x.streams[w].Jitter)
 	if x.inj != nil {
@@ -373,29 +530,25 @@ func (x *exp) computePhase(p *des.Proc, w int, overlap bool) (*gradFuture, float
 	}
 	mean := wl.MeanIterSec()
 	start := p.Now()
-	x.reps[w].beginCompute(x.pool)
+	rep := x.reps[w]
+	rep.beginCompute(x.pool)
 	if overlap {
 		fwd := mean / (1 + wl.BwdMult) * j
 		p.Sleep(fwd)
 	} else {
 		p.Sleep(mean * j)
 	}
-	x.reps[w].iter++
+	if !rep.shared {
+		rep.iter++ // a shared replica counted its pass where it ran it
+	}
 	x.col.Workers[w].Breakdown.Add(metrics.Compute, p.Now()-start)
 	if x.cfg.Tracer != nil {
 		x.cfg.Tracer.Span("compute", "worker", start, p.Now(),
 			x.cfg.Cluster.MachineOfWorker(w), w)
 	}
 	x.noteIterSpread()
-	return &gradFuture{rep: x.reps[w]}, j
+	return j
 }
-
-// gradFuture hands an algorithm driver its iteration's gradient. get joins
-// the in-flight pass (nil in cost-only mode); the call site is the fixed
-// event-trace point where the overlap window ends.
-type gradFuture struct{ rep *Replica }
-
-func (g *gradFuture) get() []float32 { return g.rep.takeGrads() }
 
 // noteIterSpread records the instantaneous gap between the fastest and
 // slowest worker's iteration counters — the staleness the asynchronous

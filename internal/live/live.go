@@ -7,22 +7,25 @@
 //
 // The determinism contract with the simulator (see docs/LIVE.md):
 //
-//   - Synchronous algorithms (BSP — with or without local aggregation — and
-//     AR-SGD) produce final parameters bit-identical to a core.Run of the
-//     same Config and seed. This works because both sides share the code of
-//     the algorithms and under them — the worker loops themselves
+//   - Synchronous algorithms (BSP — with or without local aggregation —,
+//     AR-SGD and D-PSGD) produce final parameters bit-identical to a core.Run
+//     of the same Config and seed. This works because both sides share the
+//     code of the algorithms and under them — the worker loops themselves
 //     (core.WorkerLoop, which a live worker enters as the core.Env of its
 //     sockets), streams from core.DeriveStreams, replicas from
 //     core.NewReplica, every AllReduce, gather and broadcast from
 //     comm.Plan.Run, and the parameter server itself: ps.Shard, which folds a
 //     BSP round in ascending sender rank whatever the arrival order.
 //   - Asynchronous algorithms (ASP, SSP, EASGD/AdaComm, GoSGD, AD-PSGD) run
-//     with real nondeterminism — arrival order at the PS, gossip
-//     interleaving — and report the same metrics Summary shape as the
-//     simulator. The PS ones feed that order into the simulator's own
+//     with real nondeterminism — arrival order at the PS, gossip and
+//     exchange interleaving — and report the same metrics Summary shape as
+//     the simulator. The PS ones feed that order into the simulator's own
 //     ps.Shard, so with one worker (one possible order) they are
-//     bit-identical too. AD-PSGD's two-thread loop is the one algorithm
-//     still written here as well as in core.
+//     bit-identical too; the decentralized ones draw their partners from the
+//     simulator's streams, so they send the simulator's messages.
+//
+// Every algorithm is written once, in core; only Hogwild, a shared-memory
+// scheme, has no live form.
 //
 // Entry points: RunLoopback (coordinator + N goroutine workers over
 // loopback TCP, no orchestration needed), RunChan (in-process channel
@@ -57,14 +60,14 @@ var ErrScheduledDeath = errors.New("live: worker stopped at scheduled death (rel
 // Validate checks that cfg can run on the live path. It normalizes the
 // config through core's Validate first, then rejects everything the live
 // runtime does not support: cost-only mode (a wall-clock run of no real
-// math measures nothing), the algorithms whose loops are not yet written over
-// core.Env (D-PSGD, Hogwild), PS sharding (live hosts a single PS rank), the
-// simulator-only optimizations (wait-free BP, DGC), AD-PSGD's overlays and
-// no-bipartite ablation, elastic membership outside BSP/AR-SGD, and crash
-// faults without elastic membership (faithful stall-and-rerun crash semantics
-// are simulator-only). Local aggregation, GoSGD's overlays and AdaComm come
-// with the shared worker loops; ASP's staleness damping is the shared
-// ps.Shard's.
+// math measures nothing), Hogwild (a shared-memory scheme: there is no wire
+// to run it over), PS sharding (live hosts a single PS rank), the
+// simulator-only optimizations (wait-free BP, DGC), AD-PSGD's no-bipartite
+// ablation (it deadlocks by design), elastic membership outside BSP/AR-SGD,
+// and crash faults without elastic membership (faithful stall-and-rerun crash
+// semantics are simulator-only). Every other algorithm, overlays and local
+// aggregation included, comes with the shared worker loops; ASP's staleness
+// damping is the shared ps.Shard's.
 func Validate(cfg *core.Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
@@ -72,10 +75,8 @@ func Validate(cfg *core.Config) error {
 	if cfg.Real == nil {
 		return fmt.Errorf("live: real-math mode required (cost-only runs are simulator-only)")
 	}
-	switch cfg.Algo {
-	case core.BSP, core.ASP, core.SSP, core.EASGD, core.AdaComm, core.ARSGD, core.GoSGD, core.ADPSGD:
-	default:
-		return fmt.Errorf("live: algorithm %s is simulator-only", cfg.Algo)
+	if cfg.Algo == core.Hogwild {
+		return fmt.Errorf("live: algorithm hogwild is simulator-only (workers share one model in memory; there is no wire to run it over)")
 	}
 	if cfg.Sharding != core.ShardNone || cfg.Shards > 1 {
 		return fmt.Errorf("live: PS sharding is not supported (single live PS rank)")
@@ -86,9 +87,7 @@ func Validate(cfg *core.Config) error {
 	case cfg.DGC != nil:
 		return fmt.Errorf("live: DGC is not supported on the live path")
 	case cfg.ADPSGDNoBipartite:
-		return fmt.Errorf("live: the AD-PSGD no-bipartite ablation is simulator-only")
-	case cfg.Overlay != "" && cfg.Algo == core.ADPSGD:
-		return fmt.Errorf("live: AD-PSGD gossip overlays are simulator-only (GoSGD's run live)")
+		return fmt.Errorf("live: the AD-PSGD no-bipartite ablation is simulator-only (it deadlocks by design)")
 	}
 	if cfg.Elastic {
 		switch cfg.Algo {

@@ -1,13 +1,17 @@
 package live
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"runtime"
 	"runtime/debug"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,6 +24,7 @@ import (
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
 	"disttrain/internal/rng"
+	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
 
@@ -434,6 +439,153 @@ func TestLiveGoSGDOverlay(t *testing.T) {
 	}
 }
 
+// TestLiveDPSGDBitIdenticalToSim: D-PSGD runs in lockstep and folds each
+// round as self + left + right whatever order the neighbours' vectors
+// arrive in, so over sockets and over channels it ends on the simulator's
+// parameters and report bit for bit — with two workers, whose one neighbour
+// sends twice, too.
+func TestLiveDPSGDBitIdenticalToSim(t *testing.T) {
+	for _, workers := range []int{2, 3, 4} {
+		cfg := liveConfig(core.DPSGD, workers, 6, 42)
+		sim := simRun(t, cfg)
+		for _, run := range []func(core.Config, ...Option) (*Result, error){RunLoopback, RunChan} {
+			res, err := run(cfg)
+			if err != nil {
+				t.Fatalf("%d workers: %v", workers, err)
+			}
+			requireSameReport(t, sim, res)
+		}
+	}
+}
+
+// exchangeRecorder counts the AD-PSGD exchange requests a rank sends, per
+// (active, partner) pair.
+type exchangeRecorder struct {
+	xport.Endpoint
+	mu    *sync.Mutex
+	pairs map[[2]int]int
+}
+
+func (r exchangeRecorder) Send(to int, f *xport.Frame) error {
+	if f.Kind == kindExchangeReq {
+		r.mu.Lock()
+		r.pairs[[2]int{int(f.From), to}]++
+		r.mu.Unlock()
+	}
+	return r.Endpoint.Send(to, f)
+}
+
+// TestLiveADPSGDOverlay: AD-PSGD restricted to a 2-regular overlay — the
+// graph the simulator draws from the same stream — completes every iteration
+// over sockets and over channels, and sends the simulator's exchanges: each
+// active draws one partner per token from its own stream, among its odd
+// overlay neighbours (or every passive when it has none). The (active,
+// partner) multiset is read off the channel run's wire and must be the one
+// those streams dictate; the simulator's trace shows the same count of
+// requests reaching each partner, and the loopback run carries as many
+// request and reply frames as the simulated network.
+func TestLiveADPSGDOverlay(t *testing.T) {
+	cfg := liveConfig(core.ADPSGD, 6, 8, 42)
+	cfg.Overlay, cfg.OverlayDegree = "kregular", 2
+	if err := Validate(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New()
+	simCfg := cfg
+	simCfg.Tracer = tr
+	sim := simRun(t, simCfg)
+
+	// The pairs the ranks' streams dictate.
+	ws, ovs := core.DeriveStreams(cfg.Seed, cfg.Workers)
+	ov := core.BuildOverlay(&cfg, ovs)
+	want := map[[2]int]int{}
+	perPartner := map[int]int{}
+	for a := 0; a < cfg.Workers; a += 2 {
+		var base []int
+		for _, p := range ov.Neighbors[a] {
+			if p%2 == 1 {
+				base = append(base, p)
+			}
+		}
+		if base == nil {
+			base = []int{1, 3, 5}
+		}
+		for it := 0; it < cfg.Iters; it++ {
+			p := base[ws[a].Algo.Intn(len(base))]
+			want[[2]int{a, p}]++
+			perPartner[p]++
+		}
+	}
+
+	// The simulator's requests, by partner: their message spans sit on the
+	// receiving node's track.
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	simPerPartner := map[int]int{}
+	for _, e := range evs {
+		if strings.HasPrefix(e.Name, fmt.Sprintf("msg k%d ", core.KindExchangeReq)) {
+			simPerPartner[e.Tid-1000]++
+		}
+	}
+	if !maps.Equal(simPerPartner, perPartner) {
+		t.Fatalf("simulator's requests per partner %v, the streams dictate %v", simPerPartner, perPartner)
+	}
+
+	// The channel run's wire.
+	cn := xport.NewChanNet(cfg.Workers)
+	rec := exchangeRecorder{mu: new(sync.Mutex), pairs: map[[2]int]int{}}
+	var wg sync.WaitGroup
+	errs := make([]error, cfg.Workers)
+	iters := make([]int, cfg.Workers)
+	for i := range errs {
+		r := rec
+		r.Endpoint = cn.Endpoint(i)
+		w := newWorker(&cfg, i, r, nil)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i], iters[i] = w.run(), w.iters
+		}()
+	}
+	wg.Wait()
+	for i := range errs {
+		cn.Endpoint(i).Close()
+		if errs[i] != nil || iters[i] != cfg.Iters {
+			t.Fatalf("chan: worker %d completed %d/%d iterations: %v", i, iters[i], cfg.Iters, errs[i])
+		}
+	}
+	if !maps.Equal(rec.pairs, want) {
+		t.Fatalf("chan: exchanges %v, the streams dictate %v", rec.pairs, want)
+	}
+
+	// A passive's DONE reports its counters before its thread has answered
+	// everything, so the frames are counted at the sockets — as received: a
+	// socket counts a frame before its reader takes it, and every request
+	// and reply is taken before the run ends.
+	m := NewMetrics()
+	res, err := RunLoopback(cfg, WithMetrics(m))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, samples := scrape(t, m)
+	var frames int64
+	for w, n := range res.WorkerIters {
+		if n != cfg.Iters {
+			t.Fatalf("loopback: worker %d completed %d/%d iterations", w, n, cfg.Iters)
+		}
+		frames += int64(samples[fmt.Sprintf("disttrain_xport_frames_recv_total{rank=\"%d\"}", w)])
+	}
+	if frames != sim.Net.TotalMsgs {
+		t.Fatalf("loopback carried %d exchange frames, the simulator %d", frames, sim.Net.TotalMsgs)
+	}
+}
+
 // TestLiveAsyncPSBitIdenticalToSimOneWorker is the sim↔live equality gate
 // for the asynchronous PS algorithms. What the PS does with a message is
 // the one ps.Shard in both runtimes, so the only thing a wall-clock run may
@@ -588,15 +740,13 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 		want string
 	}{
 		{"cost-only", core.BSP, func(c *core.Config) { c.Real = nil }, "real-math mode required"},
-		{"simulator-only algorithm", core.DPSGD, nil, "algorithm dpsgd is simulator-only"},
+		{"shared-memory algorithm", core.Hogwild, nil, "algorithm hogwild is simulator-only"},
 		{"sharded PS", core.BSP, func(c *core.Config) { c.Sharding = core.ShardBalanced; c.Shards = 2 },
 			"PS sharding is not supported"},
 		{"wait-free BP", core.BSP, func(c *core.Config) { c.WaitFreeBP = true }, "wait-free BP"},
 		{"DGC", core.BSP, func(c *core.Config) { d := grad.DefaultDGC(0.9, 2); c.DGC = &d }, "DGC is not supported"},
 		{"no-bipartite ablation", core.ADPSGD, func(c *core.Config) { c.ADPSGDNoBipartite = true },
 			"no-bipartite ablation is simulator-only"},
-		{"AD-PSGD overlay", core.ADPSGD, func(c *core.Config) { c.Overlay = "smallworld"; c.OverlayDegree = 2 },
-			"AD-PSGD gossip overlays are simulator-only"},
 		{"elastic async", core.ASP, func(c *core.Config) { c.Elastic = true }, "elastic membership supports BSP and AR-SGD only"},
 		{"crash without elastic", core.BSP, func(c *core.Config) { c.Faults = crash }, "crash faults require Elastic"},
 		// Still core.Validate's: a topology collective has a fixed membership.
@@ -636,16 +786,18 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 			t.Fatalf("elastic %s with crash schedule rejected: %v", algo, err)
 		}
 	}
-	// What came with the shared worker loops: local aggregation, GoSGD's
-	// overlays, AdaComm.
+	// What came with the shared worker loops: local aggregation, GoSGD's and
+	// AD-PSGD's overlays, AdaComm, D-PSGD.
 	for name, c := range map[string]core.Config{
-		"local agg":     liveConfig(core.BSP, 4, 4, 1),
-		"gosgd overlay": liveConfig(core.GoSGD, 4, 4, 1),
-		"adacomm":       liveConfig(core.AdaComm, 4, 4, 1),
+		"local agg":      liveConfig(core.BSP, 4, 4, 1),
+		"gosgd overlay":  liveConfig(core.GoSGD, 4, 4, 1),
+		"adpsgd overlay": liveConfig(core.ADPSGD, 4, 4, 1),
+		"adacomm":        liveConfig(core.AdaComm, 4, 4, 1),
+		"dpsgd":          liveConfig(core.DPSGD, 4, 4, 1),
 	} {
 		c.LocalAgg = c.Algo == core.BSP
 		c.Tau = 2
-		if c.Algo == core.GoSGD {
+		if c.Algo == core.GoSGD || c.Algo == core.ADPSGD {
 			c.Overlay, c.OverlayDegree = "smallworld", 2
 		}
 		if err := Validate(&c); err != nil {

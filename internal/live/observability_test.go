@@ -130,6 +130,45 @@ func TestChanTraceExport(t *testing.T) {
 	}
 }
 
+// TestADPSGDExchangeSpansOnThreadTrack: live AD-PSGD's communication thread
+// traces on a track of its own, tid threadTid+rank (docs/OBSERVABILITY.md),
+// where its exchanges may overlap the compute track's spans: every active
+// records one adpsgd-exchange span per iteration there, and none lands
+// anywhere else.
+func TestADPSGDExchangeSpansOnThreadTrack(t *testing.T) {
+	const workers = 4
+	tr := trace.New()
+	cfg := liveConfig(core.ADPSGD, workers, 6, 7)
+	if _, err := RunChan(cfg, WithTracer(tr)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	exchanges := make(map[int]int)
+	for _, e := range evs {
+		switch {
+		case e.Name == "adpsgd-exchange":
+			if e.Pid != workerPid || e.Tid < threadTid || (e.Tid-threadTid)%2 != 0 {
+				t.Fatalf("exchange span on pid %d tid %d", e.Pid, e.Tid)
+			}
+			exchanges[e.Tid-threadTid]++
+		case e.Name == "compute" && e.Tid >= threadTid:
+			t.Fatalf("compute span on the thread track %d", e.Tid)
+		}
+	}
+	for r := 0; r < workers; r += 2 {
+		if exchanges[r] != cfg.Iters {
+			t.Errorf("active %d traced %d exchanges, want %d", r, exchanges[r], cfg.Iters)
+		}
+	}
+}
+
 // TestLoopbackMetricsScrape runs loopback BSP with a Metrics collector,
 // scrapes the handler mid-run and after completion, and requires the text
 // format to lint and the counters to be monotonic between the two scrapes.

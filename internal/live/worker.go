@@ -14,14 +14,14 @@ import (
 )
 
 // Trace track conventions for the live runtime: workers record on pid 0
-// with tid = rank, AD-PSGD communication threads on pid 0 with tid =
-// adpsgdCommTid+rank (their exchanges overlap the compute track), and the
-// coordinator on pid 1. The simulator uses pid = machine, so the two time
-// sources stay distinguishable in one viewer.
+// with tid = rank, a worker's second thread (AD-PSGD's communication thread)
+// on pid 0 with tid = threadTid+rank (its exchanges overlap the compute
+// track), and the coordinator on pid 1. The simulator uses pid = machine, so
+// the two time sources stay distinguishable in one viewer.
 const (
-	workerPid     = 0
-	coordPid      = 1
-	adpsgdCommTid = 1000
+	workerPid = 0
+	coordPid  = 1
+	threadTid = 1000
 )
 
 // meshSize is the number of xport ranks a run needs: one per worker, plus
@@ -44,11 +44,12 @@ func serverRank(cfg *core.Config) int {
 
 // worker drives one replica through its algorithm's live protocol. The
 // main loop owns the mailbox; only AD-PSGD adds a second goroutine (the
-// communication thread of Lian et al.), which then becomes the sole
-// endpoint owner while the compute loop stays local.
+// communication thread of Lian et al., started by Go), which then becomes
+// the sole endpoint owner while the compute loop stays local.
 type worker struct {
 	cfg  *core.Config
 	rank int
+	tid  int // trace track: rank, or threadTid+rank for the second thread
 	srv  int // mesh rank of the PS; -1 when decentralized
 	ep   xport.Endpoint
 	mb   *mailbox
@@ -110,6 +111,7 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 	w := &worker{
 		cfg:       cfg,
 		rank:      rank,
+		tid:       rank,
 		srv:       serverRank(cfg),
 		ep:        ep,
 		mb:        newMailbox(ep),
@@ -146,18 +148,7 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 // span opens a wall-clock span on this worker's trace track; with tracing
 // off it returns a no-op span.
 func (w *worker) span(name, cat string) *trace.WallSpan {
-	return w.tr.StartSpan(name, cat, workerPid, w.rank)
-}
-
-// note records the completion of iteration it (see Done); AD-PSGD's compute
-// loops call it directly.
-func (w *worker) note(it int) {
-	w.iters = it
-	w.prog.Store(int64(it))
-	if w.onProgress != nil {
-		loss, _ := w.rep.Loss()
-		w.onProgress(w.rank, it, loss)
-	}
+	return w.tr.StartSpan(name, cat, workerPid, w.tid)
 }
 
 // deathErr signals a scheduled crash: the worker reached an iteration its
@@ -190,25 +181,11 @@ func dropResumedPeers(ep xport.Endpoint, ch *chaos, self, it int) {
 	}
 }
 
-// gradSpan wraps one forward/backward pass in a compute span.
-func (w *worker) gradSpan() []float32 {
-	sp := w.span("compute", "compute")
-	g := w.rep.ComputeGrad()
-	sp.End()
-	return g
-}
-
 // run executes the full training loop for the configured algorithm and
 // returns once this worker's iterations are complete. For centralized
 // algorithms it then tells the PS so the server loop can retire.
 func (w *worker) run() error {
-	var err error
-	if w.cfg.Algo == core.ADPSGD {
-		err = w.runADPSGD()
-	} else {
-		err = core.WorkerLoop(w, w.cfg, w.rank, w.rep, w.streams, w.overlay)
-	}
-	if err != nil {
+	if err := core.WorkerLoop(w, w.cfg, w.rank, w.rep, w.streams, w.overlay); err != nil {
 		return fmt.Errorf("live: worker %d (%s): %w", w.rank, w.cfg.Algo, err)
 	}
 	if w.srv >= 0 {
@@ -221,8 +198,8 @@ func (w *worker) run() error {
 
 // tail keeps absorbing asynchronous traffic between the worker's DONE and
 // the coordinator's BYE: GoSGD merges late gossip pushes (the simulator's
-// final drain), everything else ignores strays. AD-PSGD's passive serve
-// goroutine keeps running on its own until shutdown, so it needs nothing
+// final drain), everything else ignores strays. An AD-PSGD passive's second
+// thread keeps answering on its own until shutdown, so it needs nothing
 // here. stop closes when the BYE arrived.
 func (w *worker) tail(stop <-chan struct{}) error {
 	if w.cfg.Algo != core.GoSGD {
@@ -288,7 +265,9 @@ func (w *worker) Members(it int) ([]int, int) {
 // Compute runs the pass under a compute span; a wall-clock worker has no
 // backward time to overlap with.
 func (w *worker) Compute(bool) {
-	w.g = w.gradSpan()
+	sp := w.span("compute", "compute")
+	w.g = w.rep.ComputeGrad()
+	sp.End()
 	w.draws++
 }
 
@@ -397,8 +376,8 @@ func (w *worker) FromPeers(merge func([]float32, float64)) error {
 	return w.arrived(kindGossip, func(f *xport.Frame) { merge(f.Vec, f.Aux) })
 }
 
-// Reachable: live admits no crash schedule for gossip, and a partition
-// stalls a push rather than losing it.
+// Reachable: live admits no crash schedule for gossip or AD-PSGD, and a
+// partition stalls a send rather than losing it.
 func (w *worker) Reachable(base []int) []int { return base }
 
 func (w *worker) ToPeer(to, it int, aux float64, vec []float32) error {
@@ -408,107 +387,123 @@ func (w *worker) ToPeer(to, it int, aux float64, vec []float32) error {
 		Clock: int32(it), Aux: aux, Vec: vec})
 }
 
+// Go runs body on a goroutine, over a view of this worker that shares its
+// replica (under the mutex newWorker armed), endpoint and mailbox — which
+// the thread owns from here on — and traces on a track of its own. The token
+// channel holds a whole run, so hand never blocks; stop waits for the thread.
+func (w *worker) Go(name string, body func(core.Env, func() (int, bool)) error) (func(int), func() error) {
+	c := &worker{cfg: w.cfg, rank: w.rank, tid: threadTid + w.rank,
+		ep: w.ep, mb: w.mb, rep: w.rep, tr: w.tr}
+	tokens := make(chan int, w.cfg.Iters)
+	done := make(chan error, 1)
+	go func() {
+		done <- body(c, func() (int, bool) {
+			it, ok := <-tokens
+			return it, ok
+		})
+	}()
+	return func(it int) { tokens <- it }, func() error {
+		close(tokens)
+		if err := <-done; err != nil {
+			return fmt.Errorf("%s thread: %w", name, err)
+		}
+		return nil
+	}
+}
+
+func (w *worker) Swap(peer, it int, vec []float32) error {
+	sp := w.span("adpsgd-exchange", "comm")
+	if err := w.ep.Send(peer, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
+		Clock: int32(it), Vec: vec}); err != nil {
+		return err
+	}
+	f, err := w.mb.recvMatch(kindExchangeRep, int32(it), 0, recvTimeout)
+	if err != nil {
+		return err
+	}
+	sp.End()
+	w.rep.Average(f.Vec)
+	f.Release()
+	return nil
+}
+
+// Answer with wait returns only the error that ends it: the endpoint's close
+// at shutdown.
+func (w *worker) Answer(wait bool) error {
+	for {
+		var f xport.Frame
+		var err error
+		if wait {
+			f, err = w.mb.recv(0)
+		} else {
+			var ok bool
+			if f, ok, err = w.mb.poll(); err == nil && !ok {
+				return nil
+			}
+		}
+		if err != nil {
+			return err
+		}
+		if f.Kind != kindExchangeReq {
+			return fmt.Errorf("unexpected kind %d, want an exchange request", f.Kind)
+		}
+		if err := w.ep.Send(int(f.From), &xport.Frame{Kind: kindExchangeRep, From: int32(w.rank),
+			Clock: f.Clock, Vec: w.rep.Params()}); err != nil {
+			return err
+		}
+		w.rep.Average(f.Vec)
+		f.Release()
+	}
+}
+
+// Neighbors slots each vector by its sender, so the caller folds them in
+// the order of nbs whatever order they arrive in; a neighbour one round
+// ahead waits in the mailbox's stash. The vectors are the caller's to keep.
+func (w *worker) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
+	sp := w.span("ring-exchange", "comm")
+	defer sp.End()
+	for _, nb := range nbs {
+		if err := w.ep.Send(nb, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
+			Clock: int32(it), Vec: vec}); err != nil {
+			return nil, err
+		}
+	}
+	out := make([][]float32, len(nbs))
+	got := make([]bool, len(nbs))
+	for range nbs {
+		f, err := w.mb.recvMatch(kindExchangeReq, int32(it), 0, recvTimeout)
+		if err != nil {
+			return nil, err
+		}
+		// The sender's first open slot: with two workers both neighbours are
+		// the one peer, which sends twice.
+		i := 0
+		for i < len(nbs) && (nbs[i] != int(f.From) || got[i]) {
+			i++
+		}
+		if i == len(nbs) {
+			return nil, fmt.Errorf("round-%d vector from non-neighbour %d", it, f.From)
+		}
+		out[i], got[i] = f.Vec, true
+	}
+	return out, nil
+}
+
 // Done records the completion of iteration it: the worker's own counter, the
 // progress cell the heartbeat goroutine publishes to the coordinator, the
 // optional Options.progress observer, and — for the algorithms that admit a
 // crash schedule — the checkpoint a restarted incarnation resumes from.
 func (w *worker) Done(it int) error {
-	w.note(it)
+	w.iters = it
+	w.prog.Store(int64(it))
+	if w.onProgress != nil {
+		loss, _ := w.rep.Loss()
+		w.onProgress(w.rank, it, loss)
+	}
 	if !w.cfg.Algo.Synchronous() || !w.ckpt.Due(it) {
 		return nil
 	}
 	sp := w.span("checkpoint", "ckpt")
 	defer sp.End()
 	return w.rep.SaveState(w.ckpt.Path(w.rank), it, w.draws)
-}
-
-// runADPSGD mirrors the simulator's two-thread structure: the compute loop
-// trains continuously while a communication goroutine — which owns the
-// mailbox for the whole run — either initiates one symmetric exchange per
-// completed iteration (active, even ranks) or serves incoming exchange
-// requests until shutdown (passive, odd ranks).
-func (w *worker) runADPSGD() error {
-	cfg := w.cfg
-	W := cfg.Workers
-	var passive []int
-	for i := 1; i < W; i += 2 {
-		passive = append(passive, i)
-	}
-	active := w.rank%2 == 0 && len(passive) > 0
-
-	if !active {
-		// Passive: the serve goroutine answers exchanges for the rest of the
-		// process's life (it exits when the endpoint closes at shutdown);
-		// the compute loop below trains locally, sharing the replica through
-		// its mutex.
-		go w.adpsgdServe()
-		for it := 1; it <= cfg.Iters; it++ {
-			g := w.gradSpan()
-			w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
-			w.note(it)
-		}
-		return nil
-	}
-
-	tokens := make(chan int, cfg.Iters+1)
-	commErr := make(chan error, 1)
-	go func() {
-		commErr <- w.adpsgdActive(tokens, passive)
-	}()
-	for it := 1; it <= cfg.Iters; it++ {
-		g := w.gradSpan()
-		w.rep.LocalStep(g, 1, cfg.LR.At(it-1))
-		tokens <- it
-		w.note(it)
-	}
-	tokens <- -1
-	return <-commErr
-}
-
-// adpsgdActive is an active worker's communication thread: one symmetric
-// exchange with a random passive peer per completed compute iteration.
-func (w *worker) adpsgdActive(tokens <-chan int, passive []int) error {
-	r := w.streams.Algo
-	for it := range tokens {
-		if it < 0 {
-			return nil
-		}
-		peer := passive[r.Intn(len(passive))]
-		// The communication thread overlaps the compute track, so its
-		// exchanges record on a separate tid.
-		sp := w.tr.StartSpan("adpsgd-exchange", "comm", workerPid, adpsgdCommTid+w.rank)
-		if err := w.ep.Send(peer, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
-			Clock: int32(it), Vec: w.rep.Params()}); err != nil {
-			return err
-		}
-		f, err := w.mb.recvMatch(kindExchangeRep, int32(it), 0, recvTimeout)
-		if err != nil {
-			return err
-		}
-		sp.End()
-		w.rep.Average(f.Vec)
-		f.Release()
-	}
-	return nil
-}
-
-// adpsgdServe is a passive worker's communication thread: reply to every
-// exchange request with the current parameters, then fold the active's in.
-// It exits when the endpoint closes.
-func (w *worker) adpsgdServe() {
-	for {
-		f, err := w.mb.recv(recvTimeout)
-		if err != nil {
-			return // closed at shutdown (or wedged — shutdown will follow)
-		}
-		if f.Kind != kindExchangeReq {
-			continue
-		}
-		if err := w.ep.Send(int(f.From), &xport.Frame{Kind: kindExchangeRep, From: int32(w.rank),
-			Clock: f.Clock, Vec: w.rep.Params()}); err != nil {
-			return
-		}
-		w.rep.Average(f.Vec)
-		f.Release()
-	}
 }

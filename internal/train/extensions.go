@@ -125,13 +125,7 @@ func runExtensions(o Options) ([]string, error) {
 		if err != nil {
 			return nil, err
 		}
-		stuck := 0
-		for _, n := range res.StuckProcs {
-			if len(n) >= 11 && n[:11] == "adpsgd-comm" {
-				stuck++
-			}
-		}
-		t4.AddRow(name, fmt.Sprintf("%d", stuck), fmt.Sprintf("%d", res.Metrics.TotalIters()))
+		t4.AddRow(name, fmt.Sprintf("%d", res.StuckCommThreads()), fmt.Sprintf("%d", res.Metrics.TotalIters()))
 	}
 	out = append(out, t4.String())
 
