@@ -22,6 +22,7 @@ func GenShapes16(r *rng.RNG, n int) *Dataset {
 	x := tensor.New(n, 1, s, s)
 	y := make([]int, n)
 	img := make([]float32, s*s)
+	var noise [s * s]float64
 	for i := 0; i < n; i++ {
 		cls := r.Intn(ShapeClasses)
 		y[i] = cls
@@ -34,9 +35,10 @@ func GenShapes16(r *rng.RNG, n int) *Dataset {
 		amp := float32(0.7 + 0.6*r.Float64())
 		phase := r.Intn(2)
 		drawShape(img, s, cls, cx, cy, rad, amp, phase)
-		// additive noise + contrast jitter
+		// additive noise + contrast jitter, one NormFloat64 per pixel
+		tensor.FillNormal(noise[:], r)
 		for j := range img {
-			img[j] += float32(r.NormFloat64()) * 0.15
+			img[j] += float32(noise[j]) * 0.15
 		}
 		copy(x.Data[i*s*s:(i+1)*s*s], img)
 	}

@@ -146,7 +146,16 @@ func LoadState(path string, m *Model) (*TrainState, error) {
 		return nil, err
 	}
 	defer f.Close()
-	br := bufio.NewReader(f)
+	return ReadState(f, m)
+}
+
+// ReadState decodes a training-state stream (v1 or v2) into m and returns
+// its TrainState. Any input is either decoded or refused with an error, and
+// every length is checked against the model or a fixed cap before anything
+// is allocated for it, so no input makes it allocate more than a few times
+// the model's size.
+func ReadState(r io.Reader, m *Model) (*TrainState, error) {
+	br := bufio.NewReader(r)
 	readU32 := func() (uint32, error) {
 		var v uint32
 		err := binary.Read(br, binary.LittleEndian, &v)

@@ -62,17 +62,26 @@ func (r *RNG) SetState(s [4]uint64) {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// next is one xoshiro256** step over a state held in four words: it
+// returns the output and the advanced state. Taking the words by value
+// lets a bulk draw keep them in registers.
+func next(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
+}
+
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	out, s0, s1, s2, s3 := next(r.s[0], r.s[1], r.s[2], r.s[3])
+	r.s = [4]uint64{s0, s1, s2, s3}
+	return out
 }
 
 // Split returns a new generator whose stream is statistically independent of
@@ -131,17 +140,41 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	}
 }
 
-// NormFloat64 returns a standard normal variate (Box-Muller; one value per
-// call keeps the implementation stateless).
+// NormFloat64 returns a standard normal variate: BoxMuller of one pair of
+// BoxMullerInputs (one value per call keeps the implementation stateless).
 func (r *RNG) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u == 0 {
-			continue
+	var u, v [1]float64
+	r.BoxMullerInputs(u[:], v[:])
+	return BoxMuller(u[0], v[0])
+}
+
+// BoxMuller is the transform behind NormFloat64: a standard normal variate
+// from u in (0, 1) and v in [0, 1). It is the specification a bulk kernel
+// (tensor.FillNormal) reproduces bit for bit.
+func BoxMuller(u, v float64) float64 {
+	return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
+}
+
+// BoxMullerInputs fills u and v (v at least as long as u) with the uniform
+// pairs len(u) calls of NormFloat64 would draw, in the same order: u =
+// Float64() redrawn while it is 0, then v = Float64(). The generator ends
+// where those calls would leave it.
+func (r *RNG) BoxMullerInputs(u, v []float64) {
+	v = v[:len(u)]
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	var x uint64
+	for i := range u {
+		for {
+			x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+			if x>>11 != 0 {
+				break
+			}
 		}
-		v := r.Float64()
-		return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
+		u[i] = float64(x>>11) / (1 << 53)
+		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
+		v[i] = float64(x>>11) / (1 << 53)
 	}
+	r.s = [4]uint64{s0, s1, s2, s3}
 }
 
 // Bernoulli returns true with probability p.

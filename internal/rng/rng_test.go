@@ -157,6 +157,33 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// TestBoxMullerInputsAreNormFloat64Draws holds the bulk draw to the
+// per-call definition it replaced: u = Float64() redrawn while 0, then v =
+// Float64(), one pair per variate, and the same stream position after.
+func TestBoxMullerInputsAreNormFloat64Draws(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 64, 1000} {
+		a, b := New(uint64(n)+5), New(uint64(n)+5)
+		u, v := make([]float64, n), make([]float64, n)
+		a.BoxMullerInputs(u, v)
+		for i := 0; i < n; i++ {
+			wu := b.Float64()
+			for wu == 0 {
+				wu = b.Float64()
+			}
+			wv := b.Float64()
+			if u[i] != wu || v[i] != wv {
+				t.Fatalf("n %d: pair %d is (%v, %v), per-call draws give (%v, %v)", n, i, u[i], v[i], wu, wv)
+			}
+			if got, want := BoxMuller(u[i], v[i]), math.Sqrt(-2*math.Log(wu))*math.Cos(2*math.Pi*wv); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("BoxMuller(%v, %v) = %v, want %v", u[i], v[i], got, want)
+			}
+		}
+		if a.State() != b.State() {
+			t.Fatalf("n %d: stream at %x after the bulk draw, %x after the calls", n, a.State(), b.State())
+		}
+	}
+}
+
 func TestBernoulliRate(t *testing.T) {
 	r := New(44)
 	const n = 100000

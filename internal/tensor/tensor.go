@@ -123,10 +123,17 @@ func (t *Tensor) offset(idx []int) int {
 	return off
 }
 
-// RandNormal fills t with N(0, std²) variates from r.
+// RandNormal fills t with N(0, std²) variates from r: float32(z·std) for
+// each z of FillNormal, which draws what r.NormFloat64 would.
 func (t *Tensor) RandNormal(r *rng.RNG, std float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(r.NormFloat64() * std)
+	var z [4 * normalBlock]float64
+	for d := t.Data; len(d) > 0; {
+		n := min(len(d), len(z))
+		FillNormal(z[:n], r)
+		for i, v := range z[:n] {
+			d[i] = float32(v * std)
+		}
+		d = d[n:]
 	}
 }
 
