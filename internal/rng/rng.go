@@ -101,9 +101,10 @@ func (r *RNG) Split(label uint64) *RNG {
 }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to a float64 in [0, 1): the top 53 bits, scaled.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // Float32 returns a uniform float32 in [0, 1).
 func (r *RNG) Float32() float32 {
@@ -166,13 +167,13 @@ func (r *RNG) BoxMullerInputs(u, v []float64) {
 	for i := range u {
 		for {
 			x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-			if x>>11 != 0 {
+			if x>>11 != 0 { // unit(x) != 0
 				break
 			}
 		}
-		u[i] = float64(x>>11) / (1 << 53)
+		u[i] = unit(x)
 		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
-		v[i] = float64(x>>11) / (1 << 53)
+		v[i] = unit(x)
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
 }
