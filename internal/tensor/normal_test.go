@@ -202,11 +202,7 @@ func TestRandNormalMatchesParent(t *testing.T) {
 		ra, rb := rng.New(uint64(n)), rng.New(uint64(n))
 		a.RandNormal(ra, 0.37)
 		parentRandNormal(b, rb, 0.37)
-		for i := range a.Data {
-			if math.Float32bits(a.Data[i]) != math.Float32bits(b.Data[i]) {
-				t.Fatalf("n %d: element %d is %v, parent %v", n, i, a.Data[i], b.Data[i])
-			}
-		}
+		sameBits(t, "RandNormal", a.Data, b.Data)
 		if ra.State() != rb.State() {
 			t.Fatalf("n %d: stream states differ", n)
 		}
@@ -214,13 +210,19 @@ func TestRandNormalMatchesParent(t *testing.T) {
 }
 
 // BenchmarkFillNormal times FillNormal beside the NormFloat64 loop it
-// replaces (parent). Run with -cpu 1: a model is built on one core.
+// replaces (parent), and the uniform draw alone (draw: BoxMullerInputs into
+// two arrays, the part of FillNormal outside the kernel). Run with -cpu 1:
+// a model is built on one core.
 func BenchmarkFillNormal(b *testing.B) {
-	dst := make([]float64, 4096)
+	dst, v := make([]float64, 4096), make([]float64, 4096)
 	for _, bm := range []struct {
 		name string
 		fill func([]float64, *rng.RNG)
-	}{{"kernel", FillNormal}, {"parent", normLoop}} {
+	}{
+		{"kernel", FillNormal},
+		{"parent", normLoop},
+		{"draw", func(u []float64, r *rng.RNG) { r.BoxMullerInputs(u, v) }},
+	} {
 		b.Run(bm.name, func(b *testing.B) {
 			r := rng.New(1)
 			for i := 0; i < b.N; i++ {
