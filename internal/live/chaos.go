@@ -52,15 +52,20 @@ func (c *chaos) resumedAt(w, it int) bool {
 	return it > 1 && c.aliveAt(w, it) && !c.aliveAt(w, it-1)
 }
 
-// hasCrash reports whether the schedule ever kills worker w within the run.
-func (c *chaos) hasCrash(w int) bool {
-	for it := 1; it <= c.cfg.Iters; it++ {
+// firstDeath is the first iteration >= from that worker w does not run, or
+// 0 if it runs every one to the end of the run.
+func (c *chaos) firstDeath(w, from int) int {
+	for it := from; it <= c.cfg.Iters; it++ {
 		if !c.aliveAt(w, it) {
-			return true
+			return it
 		}
 	}
-	return false
+	return 0
 }
+
+// hasCrash reports whether the schedule ever kills worker w within the run;
+// never without a crash schedule (nil c).
+func (c *chaos) hasCrash(w int) bool { return c != nil && c.firstDeath(w, 1) != 0 }
 
 // finishes reports whether worker w completes the run (executes the final
 // iteration and reports DONE). A worker dead at cfg.Iters never returns.

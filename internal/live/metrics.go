@@ -55,18 +55,6 @@ func NewMetrics() *Metrics {
 	}
 }
 
-// addStats folds b into a field by field.
-func addStats(a *xport.Stats, b xport.Stats) {
-	a.FramesSent += b.FramesSent
-	a.FramesRecv += b.FramesRecv
-	a.BytesSent += b.BytesSent
-	a.BytesRecv += b.BytesRecv
-	a.Redials += b.Redials
-	a.Kills += b.Kills
-	a.DelayNanos += b.DelayNanos
-	a.Partitioned += b.Partitioned
-}
-
 // registerStats installs rank's transport-counter snapshot function. A
 // re-registration (a restarted incarnation's fresh mesh) folds the previous
 // incarnation's final counters into the rank's base first, keeping scraped
@@ -78,7 +66,7 @@ func (m *Metrics) registerStats(rank int, fn func() xport.Stats) {
 	m.mu.Lock()
 	if old := m.stats[rank]; old != nil {
 		b := m.base[rank]
-		addStats(&b, old())
+		b.Add(old())
 		m.base[rank] = b
 	}
 	m.stats[rank] = fn
@@ -162,7 +150,7 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 	for r, fn := range m.stats {
 		ranks = append(ranks, r)
 		s := m.base[r]
-		addStats(&s, fn())
+		s.Add(fn())
 		snaps[r] = s
 	}
 	progRanks := make([]int, 0, len(m.progress))

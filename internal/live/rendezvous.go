@@ -1,16 +1,18 @@
 package live
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
+	"disttrain/internal/nn"
+	"disttrain/internal/rng"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -51,19 +53,11 @@ func writeCtl(c net.Conn, f *xport.Frame) error {
 
 // readCtl reads one control frame, requiring the given kind.
 func readCtl(c net.Conn, want uint16) (xport.Frame, error) {
-	c.SetReadDeadline(time.Now().Add(ctlTimeout))
-	f, err := xport.ReadFrame(c, xport.MaxFrameBytes)
-	if err != nil {
-		return f, err
+	f, err := readAnyCtl(c, ctlTimeout)
+	if err == nil && f.Kind != want {
+		err = fmt.Errorf("control frame kind %d, want %d", f.Kind, want)
 	}
-	if f.Kind != want {
-		if f.Kind == kindDone && f.Seg < 0 {
-			// A worker's failure report: surface its error.
-			return f, fmt.Errorf("worker %d failed: %s", f.From, f.Data)
-		}
-		return f, fmt.Errorf("control frame kind %d, want %d", f.Kind, want)
-	}
-	return f, nil
+	return f, err
 }
 
 // readAnyCtl reads one control frame of any kind with the given deadline.
@@ -96,6 +90,43 @@ func fingerprint(cfg *core.Config) string {
 		cfg.Overlay, cfg.OverlayDegree)
 }
 
+// The control payloads a peer supplies are parsed once, where they enter,
+// and whatever does not fit this run is a pointed error: they name ranks and
+// size the mesh, so none may reach an index or an allocation unchecked.
+
+// parseAssign reads the worker's rank from ASSIGN, which must also carry the
+// mesh size this config implies.
+func parseAssign(cfg *core.Config, f xport.Frame) (int, error) {
+	if f.From < 0 || int(f.From) >= cfg.Workers {
+		return 0, fmt.Errorf("rank %d outside [0, %d)", f.From, cfg.Workers)
+	}
+	if n := meshSize(cfg); int(f.Clock) != n {
+		return 0, fmt.Errorf("mesh size %d, this config needs %d", f.Clock, n)
+	}
+	return int(f.From), nil
+}
+
+// parseAddr reads the mesh address from the ADDR of the worker admitted as
+// rank.
+func parseAddr(f xport.Frame, rank int) (string, error) {
+	if int(f.From) != rank {
+		return "", fmt.Errorf("ADDR names rank %d on the connection of rank %d", f.From, rank)
+	}
+	if len(f.Data) == 0 || bytes.IndexByte(f.Data, ',') >= 0 {
+		return "", fmt.Errorf("mesh address %q", f.Data)
+	}
+	return string(f.Data), nil
+}
+
+// parsePeers splits the peer table of a PEERS or REJOIN-OK: exactly n
+// addresses, indexed by mesh rank.
+func parsePeers(data []byte, n int) ([]string, error) {
+	if got := bytes.Count(data, []byte{','}) + 1; got != n {
+		return nil, fmt.Errorf("peer table of %d addresses, want %d", got, n)
+	}
+	return strings.Split(string(data), ","), nil
+}
+
 // doneStats is the stats payload of a DONE frame: the transport counters
 // accumulated across every incarnation of the worker, plus how many
 // checkpoint restores its restarts performed. The embedded struct keeps the
@@ -103,18 +134,6 @@ func fingerprint(cfg *core.Config) string {
 type doneStats struct {
 	xport.Stats
 	Restores int64 `json:"restores,omitempty"`
-}
-
-// add folds one endpoint's counters into the accumulated stats.
-func (d *doneStats) add(s xport.Stats) {
-	d.FramesSent += s.FramesSent
-	d.FramesRecv += s.FramesRecv
-	d.BytesSent += s.BytesSent
-	d.BytesRecv += s.BytesRecv
-	d.Redials += s.Redials
-	d.Kills += s.Kills
-	d.DelayNanos += s.DelayNanos
-	d.Partitioned += s.Partitioned
 }
 
 // doneInfo is what one worker's DONE frame reports.
@@ -126,34 +145,75 @@ type doneInfo struct {
 	stats    doneStats
 }
 
+// report is the worker's final account, on either transport: completed
+// iterations, the training-loss EWMA and the final parameters.
+func (w *worker) report() doneInfo {
+	loss, lossInit := w.rep.Loss()
+	return doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: w.rep.Params()}
+}
+
+// frame encodes the report as rank's DONE; parseDone is its inverse.
+func (d *doneInfo) frame(rank int) *xport.Frame {
+	f := &xport.Frame{Kind: kindDone, From: int32(rank), Clock: int32(d.iters), Aux: d.loss, Vec: d.params}
+	if d.lossInit {
+		f.Seg = 1
+	}
+	f.Data, _ = json.Marshal(d.stats)
+	return f
+}
+
+// parseDone decodes a DONE frame. A negative tag carries the worker's error
+// text instead of a report.
+func parseDone(f xport.Frame) (doneInfo, error) {
+	if f.Seg < 0 {
+		return doneInfo{}, fmt.Errorf("failed: %s", f.Data)
+	}
+	d := doneInfo{iters: int(f.Clock), loss: f.Aux, lossInit: f.Seg == 1, params: f.Vec}
+	if len(f.Data) > 0 {
+		if err := json.Unmarshal(f.Data, &d.stats); err != nil {
+			return doneInfo{}, fmt.Errorf("stats: %w", err)
+		}
+	}
+	return d, nil
+}
+
+// deadliner is a listener whose Accept takes a deadline (net.TCPListener).
+type deadliner interface{ SetDeadline(time.Time) error }
+
 // coordinate runs the coordinator's side of a live run on an established
 // listener: accept W workers, assign ranks, exchange mesh addresses,
 // barrier everyone, host the PS (centralized algorithms), and collect the
-// workers' final reports into a Result. Under a crash schedule it
-// additionally runs per-rank lease monitors, a rejoin acceptor, and a
-// watchdog, so scheduled deaths are distinguished from wedged runs.
+// workers' final reports into a Result. After START one path watches every
+// run: a monitor per rank collects its DONE and classifies a lost
+// connection; a crash schedule adds only what hangs on heartbeats — the
+// rejoin acceptor and the lease watchdog — so scheduled deaths are
+// distinguished from wedged runs.
 func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) {
 	W := cfg.Workers
 	n := meshSize(cfg)
-	fp := fingerprint(cfg)
-	ch := newChaos(cfg)
-
-	// The rendezvous span covers admission through the START broadcast: the
-	// coordinator's setup cost before any training happens.
-	spRdv := o.tracer.StartSpan("rendezvous", "coord", coordPid, 0)
-
-	conns := make([]net.Conn, 0, W)
+	st := &runState{
+		ch: newChaos(cfg), fp: fingerprint(cfg), tr: o.tracer,
+		conns: make([]net.Conn, W), beat: make([]time.Time, W), iter: make([]int, W),
+		reports: make([]doneInfo, W), done: make([]bool, W),
+		doneCh: make(chan int, W), errCh: make(chan error, 1),
+		quit: make(chan struct{}),
+	}
 	defer func() {
-		for _, c := range conns {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		for _, c := range st.conns {
 			if c != nil {
 				c.Close()
 			}
 		}
 	}()
 
+	// The rendezvous span covers admission through the START broadcast: the
+	// coordinator's setup cost before any training happens.
+	spRdv := o.tracer.StartSpan("rendezvous", "coord", coordPid, 0)
+
 	// Admit W workers in connection order; the accept order is the rank
 	// order.
-	type deadliner interface{ SetDeadline(time.Time) error }
 	if d, ok := ln.(deadliner); ok {
 		d.SetDeadline(time.Now().Add(recvTimeout))
 	}
@@ -162,14 +222,14 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 		if err != nil {
 			return nil, fmt.Errorf("live: accept worker %d: %w", rank, err)
 		}
-		conns = append(conns, c)
+		st.conns[rank] = c
 		hello, err := readCtl(c, kindHello)
 		if err != nil {
 			return nil, fmt.Errorf("live: hello from worker %d: %w", rank, err)
 		}
-		if string(hello.Data) != fp {
+		if string(hello.Data) != st.fp {
 			return nil, fmt.Errorf("live: worker %d config fingerprint %q does not match coordinator's %q",
-				rank, hello.Data, fp)
+				rank, hello.Data, st.fp)
 		}
 		if err := writeCtl(c, &xport.Frame{Kind: kindAssign, From: int32(rank),
 			Clock: int32(n), Seg: int32(serverRank(cfg))}); err != nil {
@@ -180,12 +240,14 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	// Collect every worker's mesh address, then open the PS endpoint on the
 	// coordinator's own host.
 	addrs := make([]string, n)
-	for rank, c := range conns {
+	for rank, c := range st.conns {
 		f, err := readCtl(c, kindAddr)
+		if err == nil {
+			addrs[rank], err = parseAddr(f, rank)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("live: addr from worker %d: %w", rank, err)
 		}
-		addrs[f.From] = string(f.Data)
 	}
 	var srvNet *xport.TCPNet
 	if cfg.Algo.Centralized() {
@@ -203,13 +265,13 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 		o.metrics.registerStats(W, srvNet.Stats)
 	}
 
-	peerList := strings.Join(addrs, ",")
-	for rank, c := range conns {
-		if err := writeCtl(c, &xport.Frame{Kind: kindPeers, Data: []byte(peerList)}); err != nil {
+	st.peerList = strings.Join(addrs, ",")
+	for rank, c := range st.conns {
+		if err := writeCtl(c, &xport.Frame{Kind: kindPeers, Data: []byte(st.peerList)}); err != nil {
 			return nil, fmt.Errorf("live: peers to worker %d: %w", rank, err)
 		}
 	}
-	for rank, c := range conns {
+	for rank, c := range st.conns {
 		if _, err := readCtl(c, kindReady); err != nil {
 			return nil, fmt.Errorf("live: ready from worker %d: %w", rank, err)
 		}
@@ -217,82 +279,71 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 
 	// START is the wall-clock epoch: training time and fault windows are
 	// measured from here.
-	start := time.Now()
-	for rank, c := range conns {
+	st.start = time.Now()
+	for rank, c := range st.conns {
 		if err := writeCtl(c, &xport.Frame{Kind: kindStart}); err != nil {
 			return nil, fmt.Errorf("live: start to worker %d: %w", rank, err)
 		}
 	}
 	spRdv.End()
 
-	var finalGlobal []float32
-	srvDone := make(chan error, 1)
+	waitServer := noServer
 	if srvNet != nil {
-		go func() {
-			sv := newServer(cfg, srvNet, o)
-			params, err := sv.run()
-			finalGlobal = params
-			srvDone <- err
-		}()
-	} else {
-		srvDone <- nil
+		waitServer = startServer(cfg, srvNet, o)
+	}
+	o.metrics.registerCoord(st.snapshot)
+	for rank, c := range st.conns {
+		go st.monitor(rank, c)
+	}
+	if st.ch != nil {
+		go st.rejoinLoop(ln)
+		go st.watchdog()
 	}
 
-	if ch != nil {
-		return coordinateChaos(cfg, ln, ch, conns, fp, peerList, start, srvDone, &finalGlobal, srvNet, o)
-	}
-
-	var doneCount atomic.Int64
-	o.metrics.registerCoord(func() coordSnapshot {
-		return coordSnapshot{done: doneCount.Load()}
-	})
-
-	// Collect DONEs. Reading the connections in rank order still waits for
-	// all of them; arrival order does not matter here.
-	reports := make([]doneInfo, W)
-	for rank, c := range conns {
-		f, err := readCtl(c, kindDone)
-		if err != nil {
-			return nil, fmt.Errorf("live: done from worker %d: %w", rank, err)
-		}
-		doneCount.Add(1)
-		var st doneStats
-		if len(f.Data) > 0 {
-			if err := json.Unmarshal(f.Data, &st); err != nil {
-				return nil, fmt.Errorf("live: worker %d stats: %w", rank, err)
-			}
-		}
-		reports[int(f.From)] = doneInfo{
-			iters:    int(f.Clock),
-			loss:     f.Aux,
-			lossInit: f.Seg == 1,
-			params:   f.Vec,
-			stats:    st,
+	var runErr error
+	for finished := 0; finished < W && runErr == nil; {
+		select {
+		case <-st.doneCh:
+			finished++
+		case runErr = <-st.errCh:
 		}
 	}
-	wall := time.Since(start).Seconds()
-
-	if err := <-srvDone; err != nil {
+	wall := time.Since(st.start).Seconds()
+	close(st.quit)
+	if runErr != nil {
+		return nil, runErr
+	}
+	finalGlobal, err := waitServer()
+	if err != nil {
 		return nil, err
 	}
 
-	// BYE releases the workers' tail loops (gossip drains, passive serves);
-	// only after it may they close their endpoints.
-	for rank, c := range conns {
-		if err := writeCtl(c, &xport.Frame{Kind: kindBye}); err != nil {
-			return nil, fmt.Errorf("live: bye to worker %d: %w", rank, err)
+	st.mu.Lock()
+	// BYE releases the tail loops (gossip drains, passive serves) of the
+	// workers that finished on a live connection; only after it may they
+	// close their endpoints. A written-off rank has no connection to release.
+	for r, c := range st.conns {
+		if c != nil && st.done[r] {
+			_ = writeCtl(c, &xport.Frame{Kind: kindBye})
 		}
 	}
+	deaths, rejoins := st.deaths, st.rejoins
+	st.mu.Unlock()
 
-	return buildResult(cfg, reports, finalGlobal, wall, srvNet)
+	// Every rank is done, so nothing writes the reports any more.
+	res, err := buildResult(cfg, st.reports, finalGlobal, wall, srvNet)
+	if err != nil {
+		return nil, err
+	}
+	res.Deaths, res.Rejoins = deaths, rejoins
+	return res, nil
 }
 
-// runState is the coordinator's shared view of a chaos run: the current
-// control connection, lease, and progress per rank, which ranks have
+// runState is the coordinator's shared view of a run after START: the
+// current control connection, lease, and progress per rank, which ranks have
 // reported (or been written off), and the death/rejoin counters.
 type runState struct {
-	cfg      *core.Config
-	ch       *chaos
+	ch       *chaos // nil without a crash schedule
 	fp       string
 	peerList string
 	start    time.Time
@@ -319,6 +370,19 @@ func (st *runState) fail(err error) {
 	}
 }
 
+// snapshot is the coordinator's contribution to a metrics scrape.
+func (st *runState) snapshot() coordSnapshot {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	cs := coordSnapshot{deaths: st.deaths, rejoins: st.rejoins}
+	for _, d := range st.done {
+		if d {
+			cs.done++
+		}
+	}
+	return cs
+}
+
 // monitor owns one rank's control connection: it folds heartbeats into the
 // lease state, records the DONE report, and routes disconnects to the
 // death/rejoin machinery.
@@ -341,21 +405,13 @@ func (st *runState) monitor(rank int, c net.Conn) {
 			}
 			st.mu.Unlock()
 		case kindDone:
-			if f.Seg < 0 {
-				st.fail(fmt.Errorf("live: worker %d failed: %s", rank, f.Data))
+			rep, err := parseDone(f)
+			if err != nil {
+				st.fail(fmt.Errorf("live: worker %d %w", rank, err))
 				return
 			}
-			var ds doneStats
-			if len(f.Data) > 0 {
-				if err := json.Unmarshal(f.Data, &ds); err != nil {
-					st.fail(fmt.Errorf("live: worker %d stats: %w", rank, err))
-					return
-				}
-			}
 			st.mu.Lock()
-			st.reports[rank] = doneInfo{iters: int(f.Clock), loss: f.Aux,
-				lossInit: f.Seg == 1, params: f.Vec, stats: ds}
-			st.done[rank] = true
+			st.reports[rank], st.done[rank] = rep, true
 			st.mu.Unlock()
 			st.doneCh <- rank
 			return
@@ -401,7 +457,6 @@ func (st *runState) onDisconnect(rank int, c net.Conn) {
 // barrier; every connection must open with a REJOIN. It exits when the
 // listener closes.
 func (st *runState) rejoinLoop(ln net.Listener) {
-	type deadliner interface{ SetDeadline(time.Time) error }
 	if d, ok := ln.(deadliner); ok {
 		d.SetDeadline(time.Time{})
 	}
@@ -444,13 +499,12 @@ func (st *runState) handleRejoin(c net.Conn) {
 	st.rejoins++
 	elapsed := time.Since(st.start).Seconds()
 	st.mu.Unlock()
-	if err := writeCtl(c, &xport.Frame{Kind: kindRejoinOK, Aux: elapsed,
-		Data: []byte(st.peerList)}); err != nil {
-		sp.End()
+	err = writeCtl(c, &xport.Frame{Kind: kindRejoinOK, Aux: elapsed, Data: []byte(st.peerList)})
+	sp.End()
+	if err != nil {
 		st.onDisconnect(rank, c)
 		return
 	}
-	sp.End()
 	go st.monitor(rank, c)
 }
 
@@ -490,84 +544,27 @@ func (st *runState) watchdog() {
 	}
 }
 
-// coordinateChaos is the post-START coordinator path for crash schedules:
-// per-rank monitors collect DONEs and classify disconnects, the rejoin
-// acceptor re-admits restarted workers, and the watchdog bounds silence.
-func coordinateChaos(cfg *core.Config, ln net.Listener, ch *chaos, conns []net.Conn,
-	fp, peerList string, start time.Time, srvDone chan error, finalGlobal *[]float32,
-	srvNet *xport.TCPNet, o *Options) (*Result, error) {
-	W := cfg.Workers
-	st := &runState{
-		cfg: cfg, ch: ch, fp: fp, peerList: peerList, start: start, tr: o.tracer,
-		conns: conns, beat: make([]time.Time, W), iter: make([]int, W),
-		reports: make([]doneInfo, W), done: make([]bool, W),
-		doneCh: make(chan int, W), errCh: make(chan error, 1),
-		quit: make(chan struct{}),
-	}
-	o.metrics.registerCoord(func() coordSnapshot {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		var done int64
-		for _, d := range st.done {
-			if d {
-				done++
-			}
-		}
-		return coordSnapshot{deaths: st.deaths, rejoins: st.rejoins, done: done}
-	})
-	for r := 0; r < W; r++ {
-		go st.monitor(r, conns[r])
-	}
-	go st.rejoinLoop(ln)
-	go st.watchdog()
-
-	finished := 0
-	var runErr error
-	for finished < W && runErr == nil {
-		select {
-		case <-st.doneCh:
-			finished++
-		case runErr = <-st.errCh:
-		}
-	}
-	wall := time.Since(start).Seconds()
-	close(st.quit)
-	if runErr != nil {
-		return nil, runErr
-	}
-	if err := <-srvDone; err != nil {
-		return nil, err
-	}
-
-	st.mu.Lock()
-	// BYE releases the tail loops of the workers that finished on a live
-	// connection; written-off ranks have no connection to release.
-	for r, c := range st.conns {
-		if c != nil && st.done[r] {
-			_ = writeCtl(c, &xport.Frame{Kind: kindBye})
-		}
-	}
-	reports := append([]doneInfo(nil), st.reports...)
-	deaths, rejoins := st.deaths, st.rejoins
-	st.mu.Unlock()
-
-	res, err := buildResult(cfg, reports, *finalGlobal, wall, srvNet)
-	if err != nil {
-		return nil, err
-	}
-	res.Deaths, res.Rejoins = deaths, rejoins
-	return res, nil
+// newEvalModel builds the evaluation model from the shared init stream,
+// the same construction the simulator uses for its eval model.
+func newEvalModel(cfg *core.Config) *nn.Model {
+	return cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
 }
 
 // buildResult assembles the Result from the workers' reports and the final
 // global parameters, and evaluates the final model exactly the way the
-// simulator's evalGlobal does.
+// simulator's evalGlobal does: the eval model with the global parameters, on
+// the test set capped at EvalMax.
 func buildResult(cfg *core.Config, reports []doneInfo, finalGlobal []float32, wall float64, srvNet *xport.TCPNet) (*Result, error) {
 	res := &Result{Config: *cfg, Transport: "tcp", WallSec: wall}
+	model := newEvalModel(cfg)
 	totalIters := 0
 	var loss float64
 	cnt := 0
-	for _, rep := range reports {
+	for r, rep := range reports {
+		if rep.params != nil && len(rep.params) != model.NumParams() {
+			return nil, fmt.Errorf("live: worker %d reported %d parameters, the model has %d",
+				r, len(rep.params), model.NumParams())
+		}
 		res.WorkerIters = append(res.WorkerIters, rep.iters)
 		res.WorkerParams = append(res.WorkerParams, rep.params)
 		totalIters += rep.iters
@@ -575,26 +572,11 @@ func buildResult(cfg *core.Config, reports []doneInfo, finalGlobal []float32, wa
 			loss += rep.loss
 			cnt++
 		}
-		res.Net.FramesSent += rep.stats.FramesSent
-		res.Net.FramesRecv += rep.stats.FramesRecv
-		res.Net.BytesSent += rep.stats.BytesSent
-		res.Net.BytesRecv += rep.stats.BytesRecv
-		res.Net.Redials += rep.stats.Redials
-		res.Net.Kills += rep.stats.Kills
-		res.Net.DelayNanos += rep.stats.DelayNanos
-		res.Net.Partitioned += rep.stats.Partitioned
+		res.Net.Add(rep.stats.Stats)
 		res.Restores += rep.stats.Restores
 	}
 	if srvNet != nil {
-		st := srvNet.Stats()
-		res.Net.FramesSent += st.FramesSent
-		res.Net.FramesRecv += st.FramesRecv
-		res.Net.BytesSent += st.BytesSent
-		res.Net.BytesRecv += st.BytesRecv
-		res.Net.Redials += st.Redials
-		res.Net.Kills += st.Kills
-		res.Net.DelayNanos += st.DelayNanos
-		res.Net.Partitioned += st.Partitioned
+		res.Net.Add(srvNet.Stats())
 	}
 	if cnt > 0 {
 		res.FinalTrainLoss = loss / float64(cnt)
@@ -629,21 +611,11 @@ func buildResult(cfg *core.Config, reports []doneInfo, finalGlobal []float32, wa
 		}
 		global = out
 	}
-	res.FinalTestAcc = evalParams(cfg, global)
-	return res, nil
-}
-
-// evalParams runs the simulator's final-evaluation recipe on a parameter
-// vector: a model from the shared init stream, the test set capped at
-// EvalMax, Evaluate's accuracy.
-func evalParams(cfg *core.Config, params []float32) float64 {
-	if params == nil {
-		return 0
+	if global == nil {
+		return res, nil
 	}
-	model := newEvalModel(cfg)
-	model.SetFlatParams(params)
-	test := cfg.Real.Test
-	n := test.N()
+	model.SetFlatParams(global)
+	n := cfg.Real.Test.N()
 	if cfg.Real.EvalMax > 0 && cfg.Real.EvalMax < n {
 		n = cfg.Real.EvalMax
 	}
@@ -651,10 +623,11 @@ func evalParams(cfg *core.Config, params []float32) float64 {
 	for i := range idx {
 		idx[i] = i
 	}
-	xb, yb := test.Gather(idx, nil, nil)
+	xb, yb := cfg.Real.Test.Gather(idx, nil, nil)
 	_, acc := model.Evaluate(xb, yb)
 	// The simulator reports FinalTestAcc as 1-TestErr with TestErr=1-acc;
 	// 1-(1-acc) is not bitwise acc in float64, and live summaries must
 	// match the simulator's reported numbers exactly, not just its params.
-	return 1 - (1 - acc)
+	res.FinalTestAcc = 1 - (1 - acc)
+	return res, nil
 }

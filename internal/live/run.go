@@ -1,26 +1,16 @@
 package live
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
-	"disttrain/internal/nn"
-	"disttrain/internal/rng"
 	"disttrain/internal/xport"
 )
-
-// newEvalModel builds the evaluation model from the shared init stream,
-// the same construction the simulator uses for its eval model.
-func newEvalModel(cfg *core.Config) *nn.Model {
-	return cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
-}
 
 // RunCoordinator listens on listenAddr, rendezvouses cfg.Workers worker
 // processes, hosts the PS for centralized algorithms, and returns the
@@ -65,42 +55,56 @@ func RunWorker(cfg core.Config, coordAddr, meshListen string, opts ...Option) er
 	if meshListen == "" {
 		meshListen = "127.0.0.1:0"
 	}
+	return runWorker(&cfg, coordAddr, meshListen, buildOptions(opts))
+}
+
+// runWorker dials the coordinator and drives one worker rank from the
+// rendezvous to the coordinator's BYE.
+func runWorker(cfg *core.Config, coordAddr, meshListen string, o *Options) error {
 	conn, err := dialCoordinator(coordAddr)
 	if err != nil {
 		return err
 	}
-	defer conn.Close()
-	return runWorkerConn(&cfg, conn, meshListen, buildOptions(opts))
+	l := &life{cfg: cfg, o: o, fp: fingerprint(cfg), coordAddr: conn.RemoteAddr().String(),
+		link: &ctlLink{c: conn}}
+	defer l.close()
+	if err := l.start(meshListen); err != nil {
+		return err
+	}
+	return l.run()
 }
 
 // life drives one worker rank across every incarnation of its process
 // state: run until DONE, or die on schedule, sleep out the restart delay,
-// rejoin, restore from checkpoint, and run again.
+// rejoin, restore from checkpoint, and run again. Every incarnation comes up
+// through the same two steps, attach and join, and every one after the first
+// through restart.
 type life struct {
-	cfg        *core.Config
-	o          *Options
-	rank       int
-	n          int
-	fp         string
-	coordAddr  string
-	myMeshAddr string
-	plan       *xport.FaultPlan
-	link       *ctlLink
-	mesh       *xport.TCPNet
-	w          *worker
-	prev       doneStats // counters carried across dead incarnations
+	cfg       *core.Config
+	o         *Options
+	rank      int
+	fp        string
+	coordAddr string
+	link      *ctlLink
+	mesh      *xport.TCPNet
+	w         *worker
+	prev      doneStats // counters carried across dead incarnations
 }
 
-// startHeartbeat renews the worker's liveness lease with the coordinator
-// until the returned channel is closed (or the link dies).
-func startHeartbeat(link *ctlLink, w *worker) chan struct{} {
-	stop := make(chan struct{})
+// heartbeat renews the incarnation's liveness lease with the coordinator,
+// under a crash schedule, until the returned stop is called (or the link
+// dies).
+func (l *life) heartbeat() (stop func()) {
+	if l.w.ch == nil {
+		return func() {}
+	}
+	link, w, done := l.link, l.w, make(chan struct{})
 	go func() {
 		t := time.NewTicker(heartbeatPeriod)
 		defer t.Stop()
 		for {
 			select {
-			case <-stop:
+			case <-done:
 				return
 			case <-t.C:
 				if link.write(&xport.Frame{Kind: kindHeartbeat, From: int32(w.rank),
@@ -110,79 +114,140 @@ func startHeartbeat(link *ctlLink, w *worker) chan struct{} {
 			}
 		}
 	}()
-	return stop
+	return func() { close(done) }
 }
 
-// rejoinCoordinator performs the restarted worker's re-admission handshake
-// and returns the new control connection plus the REJOIN-OK frame.
-func rejoinCoordinator(coordAddr, fp string, rank int) (net.Conn, xport.Frame, error) {
-	conn, err := dialCoordinator(coordAddr)
-	if err != nil {
-		return nil, xport.Frame{}, err
+// start is the first incarnation's rendezvous: HELLO, the assigned rank, the
+// mesh attached and its address traded for the peer table, READY, and the
+// join at START.
+func (l *life) start(meshListen string) error {
+	if err := l.link.write(&xport.Frame{Kind: kindHello, Data: []byte(l.fp)}); err != nil {
+		return fmt.Errorf("live: hello: %w", err)
 	}
-	if err := writeCtl(conn, &xport.Frame{Kind: kindRejoin, From: int32(rank),
-		Data: []byte(fp)}); err != nil {
-		conn.Close()
-		return nil, xport.Frame{}, fmt.Errorf("live: worker %d rejoin: %w", rank, err)
+	f, err := readCtl(l.link.c, kindAssign)
+	if err == nil {
+		l.rank, err = parseAssign(l.cfg, f)
+	}
+	if err != nil {
+		return fmt.Errorf("live: assign: %w", err)
+	}
+	// The replica is built here, before READY, so the START barrier measures
+	// training, not model building.
+	if err := l.attach(meshListen); err != nil {
+		return err
+	}
+	if err := l.link.write(&xport.Frame{Kind: kindAddr, From: int32(l.rank),
+		Data: []byte(l.mesh.Addr())}); err != nil {
+		return fmt.Errorf("live: worker %d addr: %w", l.rank, err)
+	}
+	f, err = readCtl(l.link.c, kindPeers)
+	var peers []string
+	if err == nil {
+		peers, err = parsePeers(f.Data, meshSize(l.cfg))
+	}
+	if err != nil {
+		return fmt.Errorf("live: worker %d peers: %w", l.rank, err)
+	}
+	if err := l.link.write(&xport.Frame{Kind: kindReady, From: int32(l.rank)}); err != nil {
+		return fmt.Errorf("live: worker %d ready: %w", l.rank, err)
+	}
+	// The wait between READY and START is the run's admission barrier: its
+	// span length shows how long this rank idled for the slowest peer.
+	spBarrier := l.o.tracer.StartSpan("start-barrier", "barrier", workerPid, l.rank)
+	if _, err := readCtl(l.link.c, kindStart); err != nil {
+		return fmt.Errorf("live: worker %d start: %w", l.rank, err)
+	}
+	spBarrier.End()
+	l.join(peers, 0)
+	return nil
+}
+
+// restart brings a dead rank back: the REJOIN handshake on a new control
+// connection, the mesh attached on the rank's original port (its entry in the
+// coordinator's peer table, so peers' tables stay valid) and joined with the
+// fault plan re-anchored at the run's START, and the latest checkpoint
+// restored. It returns the checkpoint's step, 0 without one — the replica
+// then restarts from initialization: the run still completes, it just loses
+// that worker's progress.
+func (l *life) restart() (int, error) {
+	conn, err := dialCoordinator(l.coordAddr)
+	if err != nil {
+		return 0, err
+	}
+	l.link = &ctlLink{c: conn}
+	if err := l.link.write(&xport.Frame{Kind: kindRejoin, From: int32(l.rank),
+		Data: []byte(l.fp)}); err != nil {
+		return 0, fmt.Errorf("live: worker %d rejoin: %w", l.rank, err)
 	}
 	ok, err := readCtl(conn, kindRejoinOK)
-	if err != nil {
-		conn.Close()
-		return nil, xport.Frame{}, fmt.Errorf("live: worker %d rejoin-ok: %w", rank, err)
+	var peers []string
+	if err == nil {
+		peers, err = parsePeers(ok.Data, meshSize(l.cfg))
 	}
-	return conn, ok, nil
+	if err != nil {
+		return 0, fmt.Errorf("live: worker %d rejoin-ok: %w", l.rank, err)
+	}
+	if err := l.attach(peers[l.rank]); err != nil {
+		return 0, err
+	}
+	l.join(peers, ok.Aux)
+	return l.restore(), nil
 }
 
-// rebindMesh re-listens on the worker's original mesh address. The old
-// socket may linger briefly after an abrupt close, so it retries.
-func rebindMesh(rank, n int, addr string) (*xport.TCPNet, error) {
-	var mesh *xport.TCPNet
+// attach brings up this incarnation's mesh endpoint on addr and a fresh
+// worker over it. Listening retries: a restart rebinds the rank's original
+// port, where the dead incarnation's socket may linger briefly.
+func (l *life) attach(addr string) error {
 	var err error
 	for attempt := 0; attempt < 50; attempt++ {
-		mesh, err = xport.ListenTCP(rank, n, addr)
-		if err == nil {
-			return mesh, nil
+		if l.mesh, err = xport.ListenTCP(l.rank, meshSize(l.cfg), addr); err == nil {
+			l.w = newWorker(l.cfg, l.rank, l.mesh, l.o)
+			return nil
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	return nil, fmt.Errorf("live: worker %d rebind mesh %s: %w", rank, addr, err)
+	return fmt.Errorf("live: worker %d mesh listen %s: %w", l.rank, addr, err)
 }
 
-// restart rebuilds the worker's process state after a scheduled death: new
-// control connection via the rejoin handshake, mesh re-listened on the same
-// port (so peers' address tables stay valid), fault-plan clock re-anchored
-// to the run's START, and a fresh replica restored from the latest
-// checkpoint. Without a checkpoint the replica restarts from initialization
-// — the run still completes, it just loses that worker's progress.
-func (l *life) restart(next int) error {
-	conn, ok, err := rejoinCoordinator(l.coordAddr, l.fp, l.rank)
+// join installs the peer table and anchors the rank's fault plan at the
+// run's START, elapsed seconds ago.
+func (l *life) join(peers []string, elapsed float64) {
+	l.mesh.SetPeers(peers)
+	// Validate translated this schedule already, so it cannot fail here.
+	plan, _ := TranslateFaults(l.cfg.Faults, l.cfg.Seed+uint64(l.rank), l.cfg.Cluster,
+		l.cfg.Workers, l.o.slowUnit)
+	if plan != nil {
+		l.mesh.SetFaults(plan, time.Now().Add(-time.Duration(elapsed*float64(time.Second))))
+	}
+}
+
+// restore loads the rank's latest checkpoint into the fresh worker —
+// parameters, momentum, loss EWMA, sampler position — and returns its step,
+// 0 when there is none.
+func (l *life) restore() int {
+	if !l.o.ckpt.Enabled() {
+		return 0
+	}
+	sp := l.w.span("restore", "ckpt")
+	defer sp.End()
+	step, draws, err := l.w.rep.RestoreState(l.o.ckpt.Path(l.rank))
 	if err != nil {
-		return err
+		return 0
 	}
-	l.link = &ctlLink{c: conn}
-	peerAddrs := strings.Split(string(ok.Data), ",")
-	mesh, err := rebindMesh(l.rank, l.n, l.myMeshAddr)
-	if err != nil {
-		conn.Close()
-		return err
+	l.w.draws = draws
+	l.prev.Restores++
+	l.o.metrics.addRestore()
+	return step
+}
+
+// close releases the current incarnation's mesh and control connection.
+func (l *life) close() {
+	if l.mesh != nil {
+		l.mesh.Close()
 	}
-	mesh.SetPeers(peerAddrs)
-	if l.plan != nil {
-		mesh.SetFaults(l.plan, time.Now().Add(-time.Duration(ok.Aux*float64(time.Second))))
+	if l.link != nil {
+		l.link.c.Close()
 	}
-	l.mesh = mesh
-	l.w = newWorker(l.cfg, l.rank, mesh, l.o)
-	if l.o != nil && l.o.ckpt.Enabled() {
-		sp := l.w.span("restore", "ckpt")
-		if _, draws, err := l.w.rep.RestoreState(l.o.ckpt.Path(l.rank)); err == nil {
-			l.w.draws = draws
-			l.prev.Restores++
-			l.o.metrics.addRestore()
-		}
-		sp.End()
-	}
-	l.w.startIter = next
-	return nil
 }
 
 // run is the incarnation loop: train until DONE or scheduled death,
@@ -192,23 +257,17 @@ func (l *life) restart(next int) error {
 func (l *life) run() error {
 	cfg, rank := l.cfg, l.rank
 	for {
-		var hbStop chan struct{}
-		if l.w.ch != nil {
-			hbStop = startHeartbeat(l.link, l.w)
-		}
+		stopHeartbeat := l.heartbeat()
 		runErr := l.w.run()
-		if hbStop != nil {
-			close(hbStop)
-		}
+		stopHeartbeat()
 		var d deathErr
 		if errors.As(runErr, &d) {
 			// Scheduled death: tear the incarnation down abruptly — close
 			// the mesh and control connection mid-protocol, exactly what a
 			// killed process would leave behind.
-			l.prev.add(l.mesh.Stats())
-			l.mesh.Close()
-			l.link.c.Close()
-			if l.o != nil && l.o.exitOnDeath {
+			l.prev.Add(l.mesh.Stats())
+			l.close()
+			if l.o.exitOnDeath {
 				// External-restart mode: the supervisor owns the relaunch
 				// (RunWorkerRejoin); this process is done.
 				return ErrScheduledDeath
@@ -218,9 +277,10 @@ func (l *life) run() error {
 				return nil
 			}
 			time.Sleep(time.Duration(l.w.ch.restartDelay(rank, d.it) * float64(time.Second)))
-			if err := l.restart(next); err != nil {
+			if _, err := l.restart(); err != nil {
 				return err
 			}
+			l.w.startIter = next
 			continue
 		}
 		if runErr != nil {
@@ -233,16 +293,10 @@ func (l *life) run() error {
 		break
 	}
 
-	loss, lossInit := l.w.rep.Loss()
-	seg := int32(0)
-	if lossInit {
-		seg = 1
-	}
-	ds := l.prev
-	ds.add(l.mesh.Stats())
-	payload, _ := json.Marshal(ds)
-	if err := l.link.write(&xport.Frame{Kind: kindDone, From: int32(rank),
-		Clock: int32(l.w.iters), Seg: seg, Aux: loss, Vec: l.w.rep.Params(), Data: payload}); err != nil {
+	rep := l.w.report()
+	rep.stats = l.prev
+	rep.stats.Add(l.mesh.Stats())
+	if err := l.link.write(rep.frame(rank)); err != nil {
 		return fmt.Errorf("live: worker %d done: %w", rank, err)
 	}
 
@@ -262,74 +316,6 @@ func (l *life) run() error {
 		return fmt.Errorf("live: worker %d bye: %w", rank, err)
 	}
 	return nil
-}
-
-// runWorkerConn executes the worker side of the rendezvous protocol and
-// the training run on an established coordinator connection.
-func runWorkerConn(cfg *core.Config, conn net.Conn, meshListen string, o *Options) error {
-	fp := fingerprint(cfg)
-	link := &ctlLink{c: conn}
-	if err := link.write(&xport.Frame{Kind: kindHello, Data: []byte(fp)}); err != nil {
-		return fmt.Errorf("live: hello: %w", err)
-	}
-	assign, err := readCtl(conn, kindAssign)
-	if err != nil {
-		return fmt.Errorf("live: assign: %w", err)
-	}
-	rank, n := int(assign.From), int(assign.Clock)
-
-	mesh, err := xport.ListenTCP(rank, n, meshListen)
-	if err != nil {
-		return fmt.Errorf("live: worker %d mesh listen: %w", rank, err)
-	}
-	if err := link.write(&xport.Frame{Kind: kindAddr, From: int32(rank),
-		Data: []byte(mesh.Addr())}); err != nil {
-		mesh.Close()
-		return fmt.Errorf("live: worker %d addr: %w", rank, err)
-	}
-	peers, err := readCtl(conn, kindPeers)
-	if err != nil {
-		mesh.Close()
-		return fmt.Errorf("live: worker %d peers: %w", rank, err)
-	}
-	peerAddrs := strings.Split(string(peers.Data), ",")
-	mesh.SetPeers(peerAddrs)
-
-	// Replica construction happens before READY so the START barrier
-	// measures training, not model building.
-	w := newWorker(cfg, rank, mesh, o)
-	if err := link.write(&xport.Frame{Kind: kindReady, From: int32(rank)}); err != nil {
-		mesh.Close()
-		return fmt.Errorf("live: worker %d ready: %w", rank, err)
-	}
-	// The wait between READY and START is the run's admission barrier: its
-	// span length shows how long this rank idled for the slowest peer.
-	spBarrier := o.tracer.StartSpan("start-barrier", "barrier", workerPid, rank)
-	if _, err := readCtl(conn, kindStart); err != nil {
-		mesh.Close()
-		return fmt.Errorf("live: worker %d start: %w", rank, err)
-	}
-	spBarrier.End()
-	var plan *xport.FaultPlan
-	if p, perr := TranslateFaults(cfg.Faults, cfg.Seed+uint64(rank), cfg.Cluster,
-		cfg.Workers, o.slowUnit); perr == nil {
-		plan = p
-	}
-	if plan != nil {
-		mesh.SetFaults(plan, time.Now())
-	}
-
-	l := &life{
-		cfg: cfg, o: o, rank: rank, n: n, fp: fp,
-		coordAddr:  conn.RemoteAddr().String(),
-		myMeshAddr: peerAddrs[rank],
-		plan:       plan, link: link, mesh: mesh, w: w,
-	}
-	// Deferred closures see the *current* incarnation's handles: restarts
-	// replace l.mesh and l.link.
-	defer func() { l.mesh.Close() }()
-	defer func() { l.link.c.Close() }()
-	return l.run()
 }
 
 // RunWorkerRejoin is the external-restart entry point: a worker process
@@ -353,57 +339,18 @@ func RunWorkerRejoin(cfg core.Config, coordAddr string, rank int, opts ...Option
 	if !o.ckpt.Enabled() {
 		return fmt.Errorf("live: rejoin requires a checkpoint directory")
 	}
-	n := meshSize(&cfg)
-	fp := fingerprint(&cfg)
 
-	conn, ok, err := rejoinCoordinator(coordAddr, fp, rank)
+	// A life that starts dead: the relaunched process comes up through
+	// restart, as an in-process restart does.
+	l := &life{cfg: &cfg, o: o, rank: rank, fp: fingerprint(&cfg), coordAddr: coordAddr}
+	defer l.close()
+	step, err := l.restart()
 	if err != nil {
 		return err
 	}
-	peerAddrs := strings.Split(string(ok.Data), ",")
-	mesh, err := rebindMesh(rank, n, peerAddrs[rank])
-	if err != nil {
-		conn.Close()
-		return err
-	}
-	mesh.SetPeers(peerAddrs)
-	var plan *xport.FaultPlan
-	if p, perr := TranslateFaults(cfg.Faults, cfg.Seed+uint64(rank), cfg.Cluster,
-		cfg.Workers, o.slowUnit); perr == nil {
-		plan = p
-	}
-	if plan != nil {
-		mesh.SetFaults(plan, time.Now().Add(-time.Duration(ok.Aux*float64(time.Second))))
-	}
-
-	l := &life{
-		cfg: &cfg, o: o, rank: rank, n: n, fp: fp,
-		coordAddr:  conn.RemoteAddr().String(),
-		myMeshAddr: peerAddrs[rank],
-		plan:       plan, link: &ctlLink{c: conn},
-		mesh: mesh,
-		w:    newWorker(&cfg, rank, mesh, o),
-	}
-	defer func() { l.mesh.Close() }()
-	defer func() { l.link.c.Close() }()
-
-	// Locate the resume point from the checkpoint: the first dead window
-	// after the checkpointed step is the death this relaunch recovers from.
-	step := 0
-	spRestore := l.w.span("restore", "ckpt")
-	if s, draws, rerr := l.w.rep.RestoreState(o.ckpt.Path(rank)); rerr == nil {
-		step, l.w.draws = s, draws
-		l.prev.Restores++
-		o.metrics.addRestore()
-	}
-	spRestore.End()
-	die := 0
-	for it := step + 1; it <= cfg.Iters; it++ {
-		if !ch.aliveAt(rank, it) {
-			die = it
-			break
-		}
-	}
+	// The first dead window after the checkpointed step is the death this
+	// relaunch recovers from.
+	die := ch.firstDeath(rank, step+1)
 	if die == 0 {
 		return fmt.Errorf("live: worker %d has no dead window after checkpoint step %d — nothing to rejoin", rank, step)
 	}
@@ -432,31 +379,17 @@ func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
 	workerErrs := make(chan error, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		wcfg := cfg
-		go func() {
-			conn, err := net.DialTimeout("tcp", ln.Addr().String(), 2*time.Second)
-			if err != nil {
-				workerErrs <- fmt.Errorf("live: dial coordinator: %w", err)
-				return
-			}
-			defer conn.Close()
-			workerErrs <- runWorkerConn(&wcfg, conn, "127.0.0.1:0", o)
-		}()
+		go func() { workerErrs <- runWorker(&wcfg, ln.Addr().String(), "127.0.0.1:0", o) }()
 	}
 
+	// The coordinator's error comes first, then the first worker's.
 	res, err := coordinate(&cfg, ln, o)
-	var firstWorkerErr error
 	for i := 0; i < cfg.Workers; i++ {
-		if werr := <-workerErrs; werr != nil && firstWorkerErr == nil {
-			firstWorkerErr = werr
+		if werr := <-workerErrs; werr != nil && err == nil {
+			res, err = nil, werr
 		}
 	}
-	if err != nil {
-		return nil, err
-	}
-	if firstWorkerErr != nil {
-		return nil, firstWorkerErr
-	}
-	return res, nil
+	return res, err
 }
 
 // RunChan performs a complete live run over the in-process channel
@@ -474,57 +407,40 @@ func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
 	n := meshSize(&cfg)
 	cn := xport.NewChanNet(n)
 
-	var finalGlobal []float32
-	srvDone := make(chan error, 1)
+	waitServer := noServer
 	if cfg.Algo.Centralized() {
-		go func() {
-			sv := newServer(&cfg, cn.Endpoint(cfg.Workers), o)
-			params, err := sv.run()
-			finalGlobal = params
-			srvDone <- err
-		}()
-	} else {
-		srvDone <- nil
+		waitServer = startServer(&cfg, cn.Endpoint(cfg.Workers), o)
 	}
 
 	start := time.Now()
-	workers := make([]*worker, cfg.Workers)
 	reports := make([]doneInfo, cfg.Workers)
 	errs := make([]error, cfg.Workers)
 	stop := make(chan struct{})
-	var running sync.WaitGroup
-	var tails sync.WaitGroup
+	var running, tails sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
-		i := i
-		workers[i] = newWorker(&cfg, i, cn.Endpoint(i), o)
+		w := newWorker(&cfg, i, cn.Endpoint(i), o)
 		running.Add(1)
 		tails.Add(1)
 		go func() {
-			w := workers[i]
+			defer tails.Done()
 			err := w.run()
-			loss, lossInit := w.rep.Loss()
-			reports[i] = doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: w.rep.Params()}
-			errs[i] = err
+			reports[i] = w.report()
 			running.Done()
 			if err == nil {
 				err = w.tail(stop)
-				if err != nil {
-					errs[i] = err
-				}
 			}
-			tails.Done()
+			errs[i] = err
 		}()
 	}
 
 	running.Wait()
 	wall := time.Since(start).Seconds()
-	if err := <-srvDone; err != nil {
-		close(stop)
-		tails.Wait()
-		return nil, err
-	}
+	finalGlobal, srvErr := waitServer()
 	close(stop) // the in-process BYE: release the tail loops
 	tails.Wait()
+	if srvErr != nil {
+		return nil, srvErr
+	}
 	for i := 0; i < n; i++ {
 		cn.Endpoint(i).Close()
 	}

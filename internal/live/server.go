@@ -6,7 +6,6 @@ import (
 	"disttrain/internal/core"
 	"disttrain/internal/nn"
 	"disttrain/internal/ps"
-	"disttrain/internal/rng"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -41,8 +40,8 @@ type server struct {
 func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 	// The simulator seeds the global from replica 0's parameters; every
 	// replica starts from the shared init stream (seed → Split(1)), so
-	// building a model from a fresh stream yields the identical vector.
-	model := cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
+	// building the eval model from a fresh stream yields the identical vector.
+	model := newEvalModel(cfg)
 	init := model.FlatParams(nil)
 	sv := &server{
 		cfg:    cfg,
@@ -52,7 +51,9 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 		ranges: ps.Single(len(init))[0],
 		model:  model,
 		ch:     newChaos(cfg),
+		ckpt:   o.ckpt,
 		codec:  quantCodec(cfg),
+		tr:     o.tracer,
 	}
 	rule := core.ShardRule(cfg, 0)
 	if sv.ch != nil {
@@ -61,12 +62,29 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 		rule.Members = sv.ch.inj.AliveCount
 	}
 	sv.shard = ps.NewShard(sv.global, sv.ranges, rule)
-	if o != nil {
-		sv.ckpt = o.ckpt
-		sv.tr = o.tracer
-	}
 	return sv
 }
+
+// startServer runs the PS on ep, on a goroutine of its own, and returns the
+// wait for its final global parameters. Both transports start it at their
+// START.
+func startServer(cfg *core.Config, ep xport.Endpoint, o *Options) func() ([]float32, error) {
+	var params []float32
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		params, err = newServer(cfg, ep, o).run()
+		done <- err
+	}()
+	return func() ([]float32, error) {
+		err := <-done // before params: the server goroutine writes them
+		return params, err
+	}
+}
+
+// noServer is the wait of a decentralized run: there is no PS, and the global
+// model is the replica average.
+func noServer() ([]float32, error) { return nil, nil }
 
 // dequantGrad reconstructs a quantized gradient frame's dense vector into
 // f.Vec; dense runs pass frames through untouched.

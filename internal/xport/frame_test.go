@@ -166,11 +166,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	}
 	// Control-plane shapes from the live rendezvous protocol: heartbeat
 	// (108, progress in Clock), rejoin (109, config fingerprint in Data),
-	// and rejoin-ok (110, peer list in Data, elapsed seconds in Aux).
+	// and rejoin-ok (110, the comma-separated peer table in Data, elapsed
+	// seconds in Aux).
 	f.Add((&Frame{Kind: 108, From: 2, Clock: 17}).AppendEncode(nil))
 	f.Add((&Frame{Kind: 109, From: 1, Data: []byte("fp:bsp/4/42")}).AppendEncode(nil))
 	f.Add((&Frame{Kind: 110, Aux: 1.75,
-		Data: []byte(`["127.0.0.1:1","127.0.0.1:2"]`)}).AppendEncode(nil))
+		Data: []byte("127.0.0.1:1,127.0.0.1:2")}).AppendEncode(nil))
 	// Quantized gradient frames: int8 and f16 QuantVec blobs in Data.
 	f.Add((&Frame{Kind: 1, From: 1, Clock: 5,
 		Data: (&QuantVec{Codec: QuantInt8, Scale: 0.25, I8: []int8{-127, 0, 64}}).AppendEncode(nil)}).AppendEncode(nil))

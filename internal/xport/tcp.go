@@ -111,6 +111,18 @@ type Stats struct {
 	Partitioned int64
 }
 
+// Add folds o's counters into s.
+func (s *Stats) Add(o Stats) {
+	s.FramesSent += o.FramesSent
+	s.FramesRecv += o.FramesRecv
+	s.BytesSent += o.BytesSent
+	s.BytesRecv += o.BytesRecv
+	s.Redials += o.Redials
+	s.Kills += o.Kills
+	s.DelayNanos += o.DelayNanos
+	s.Partitioned += o.Partitioned
+}
+
 // TCPNet is an Endpoint over real TCP sockets: one listener per rank, a
 // lazily dialed outbound connection per peer, and an accept loop that
 // merges every inbound stream into one Recv queue.
