@@ -75,64 +75,51 @@ func main() {
 		return
 	}
 
-	cfg, err := f.Config()
+	spec, err := f.Spec()
 	if err != nil {
 		cli.Fatal(err)
 	}
-
-	if f.Transport != "sim" {
-		if *sweep != "" {
-			cli.Fatal(fmt.Errorf("-sweep is simulator-only"))
-		}
-		var extra []live.Option
-		var tracer *trace.Tracer
-		if *tracePath != "" {
-			tracer = trace.New()
-			extra = append(extra, live.WithTracer(tracer))
-		}
-		if *metricsListen != "" {
-			m := live.NewMetrics()
-			serveMetrics(*metricsListen, m)
-			extra = append(extra, live.WithMetrics(m))
-		}
-		res, err := f.RunLive(cfg, extra...)
-		if err != nil {
-			cli.Fatal(err)
-		}
-		// Worker roles return a nil Result (the coordinator owns it) but
-		// still traced their own ranks, so the trace is written regardless.
-		if tracer != nil {
-			writeTrace(tracer, *tracePath)
-		}
-		if res == nil {
-			return
-		}
-		printResult(api.FromLive(res), speedupBase(f), *jsonOut)
-		return
-	}
-
-	if *metricsListen != "" {
+	if *metricsListen != "" && !spec.Live() {
 		cli.Fatal(fmt.Errorf("-metricslisten is live-only (sim runs have no transport to scrape; use -transport tcp or chan)"))
 	}
 	if *sweep != "" {
-		if *tracePath != "" {
-			cli.Fatal(fmt.Errorf("-trace captures a single run; it cannot combine with -sweep"))
+		if spec.Live() || *tracePath != "" {
+			cli.Fatal(fmt.Errorf("-sweep is simulator-only and cannot combine with -trace"))
+		}
+		cfg, err := spec.Config()
+		if err != nil {
+			cli.Fatal(err)
 		}
 		runSweep(ctx, cfg, *sweep, f.Gbps)
 		return
 	}
 
-	var tracer *trace.Tracer
+	o := &api.RunOptions{}
 	if *tracePath != "" {
-		tracer = trace.New()
-		cfg.Tracer = tracer
+		o.Tracer = trace.New()
 	}
-
-	res := cli.MustRun(ctx, cfg)
-	if tracer != nil {
-		writeTrace(tracer, *tracePath)
+	if *metricsListen != "" {
+		m := live.NewMetrics()
+		serveMetrics(*metricsListen, m)
+		o.LiveOptions = append(o.LiveOptions, live.WithMetrics(m))
 	}
-	printResult(api.FromCore(res), speedupBase(f), *jsonOut)
+	var res *api.RunResult
+	if f.Role != "" {
+		res, err = f.RunLive(spec, o)
+	} else {
+		res, err = api.Run(ctx, spec, o)
+	}
+	if err != nil {
+		cli.Fatal(err)
+	}
+	// Worker roles return no result (the coordinator owns it) but still
+	// traced their own ranks, so the trace is written regardless.
+	if o.Tracer != nil {
+		writeTrace(o.Tracer, *tracePath)
+	}
+	if res != nil {
+		printResult(res, speedupBase(f), *jsonOut)
+	}
 }
 
 // traceServerError rejects the one -trace combination that cannot work:

@@ -68,17 +68,12 @@ func FromCore(r *core.Result) *RunResult {
 	}
 }
 
-// FromLive converts a live-runtime result into the unified schema. Unlike
-// live.Result.Summary (which mangles the algorithm name into "bsp+tcp" for
-// legacy plotting), the RunResult keeps the algorithm clean and reports the
-// backend in Transport.
+// FromLive converts a live-runtime result into the unified schema.
 func FromLive(r *live.Result) *RunResult {
-	s := r.Summary()
-	s.Algo = string(r.Config.Algo)
 	out := &RunResult{
 		SpecVersion: SpecVersion,
 		Transport:   r.Transport,
-		Summary:     s,
+		Summary:     r.Summary(),
 		WallSec:     r.WallSec,
 		WorkerIters: r.WorkerIters,
 		Deaths:      r.Deaths,
@@ -173,14 +168,20 @@ type RunOptions struct {
 }
 
 // LiveOptions translates the spec's checkpoint and slow-unit fields into
-// live run options.
-func (s *ExperimentSpec) LiveOptions() []live.Option {
+// live run options, followed by o's live options and tracer (o may be nil).
+func (s *ExperimentSpec) LiveOptions(o *RunOptions) []live.Option {
 	var opts []live.Option
 	if s.CkptDir != "" {
 		opts = append(opts, live.WithCheckpoints(s.CkptDir, s.CkptEvery))
 	}
 	if s.SlowUnitMS > 0 {
 		opts = append(opts, live.WithSlowUnit(time.Duration(s.SlowUnitMS*float64(time.Millisecond))))
+	}
+	if o != nil {
+		opts = append(opts, o.LiveOptions...)
+		if o.Tracer != nil {
+			opts = append(opts, live.WithTracer(o.Tracer))
+		}
 	}
 	return opts
 }
@@ -220,13 +221,7 @@ func Run(ctx context.Context, spec ExperimentSpec, o *RunOptions) (*RunResult, e
 	}
 	switch spec.Transport {
 	case TransportTCP, TransportChan:
-		opts := spec.LiveOptions()
-		if o != nil {
-			opts = append(opts, o.LiveOptions...)
-			if o.Tracer != nil {
-				opts = append(opts, live.WithTracer(o.Tracer))
-			}
-		}
+		opts := spec.LiveOptions(o)
 		start := time.Now()
 		if onMetric != nil {
 			opts = append(opts, live.WithProgress(func(rank, iter int, loss float64) {

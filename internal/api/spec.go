@@ -88,7 +88,8 @@ type ExperimentSpec struct {
 	Algo string `json:"algo"`
 	// Workers is the worker (GPU) count (default 8).
 	Workers int `json:"workers,omitempty"`
-	// Model is the cost-model profile: resnet50|vgg16 (default resnet50).
+	// Model is the cost-model profile: resnet50|vgg16|bertbase (default
+	// resnet50).
 	Model string `json:"model,omitempty"`
 	// Gbps selects the paper cluster shape: >= 56 is the InfiniBand
 	// cluster, below is 10 Gbps Ethernet (default 56).
@@ -134,7 +135,7 @@ type ExperimentSpec struct {
 	// ring (default) | tree | hierarchical | butterfly | torus.
 	Collective string `json:"collective,omitempty"`
 	// Overlay restricts AD-PSGD/GoSGD partner selection to a sparse peer
-	// graph: kregular | smallworld. Simulator-only.
+	// graph: kregular | smallworld.
 	Overlay string `json:"overlay,omitempty"`
 	// OverlayDegree is the overlay's target neighbor count per rank
 	// (0 = default 4).

@@ -4,11 +4,11 @@
 // helpers. Keeping it in one place means every entry point exposes the same
 // knobs with the same semantics.
 //
-// Flags no longer assemble a core.Config directly: Spec builds the
-// canonical api.ExperimentSpec first (the same document the HTTP control
-// plane accepts), and Config derives the runtime configuration from it —
-// so a flag-driven local run and a spec submitted to cmd/expd go through
-// one derivation path.
+// Flags do not assemble a core.Config: Spec builds the canonical
+// api.ExperimentSpec (the same document the HTTP control plane accepts),
+// and a local run hands it to api.Run as cmd/expd's workers do — so a
+// flag-driven run and a spec submitted to cmd/expd go through one
+// derivation and one report path.
 package cli
 
 import (
@@ -33,7 +33,7 @@ import (
 
 // Flags is the bundle of experiment flags shared by the CLI tools. Register
 // binds them onto a FlagSet; Spec assembles the canonical ExperimentSpec
-// after parsing, and Config derives a validated-ready core.Config from it.
+// after parsing.
 type Flags struct {
 	Algo      string
 	Workers   int
@@ -86,7 +86,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.Algo, "algo", "bsp", "algorithm: bsp|asp|ssp|easgd|arsgd|gosgd|adpsgd|dpsgd|hogwild|adacomm")
 	fs.IntVar(&f.Workers, "workers", 8, "number of workers (GPUs)")
-	fs.StringVar(&f.Model, "model", "resnet50", "cost model: resnet50|vgg16")
+	fs.StringVar(&f.Model, "model", "resnet50", "cost model: resnet50|vgg16|bertbase")
 	fs.Float64Var(&f.Gbps, "gbps", 56, "inter-machine bandwidth (10 or 56)")
 	fs.IntVar(&f.Iters, "iters", 30, "training iterations per worker")
 	fs.Uint64Var(&f.Seed, "seed", 1, "random seed")
@@ -101,7 +101,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.Float64Var(&f.GossipP, "p", 0.01, "GoSGD gossip probability")
 	fs.Float64Var(&f.LR, "lr", 0.1, "learning-rate base")
 	fs.StringVar(&f.Collective, "collective", "", "AR-SGD AllReduce: ring|tree|hierarchical|butterfly|torus (empty = ring)")
-	fs.StringVar(&f.Overlay, "overlay", "", "AD-PSGD/GoSGD gossip overlay: kregular|smallworld (empty = uniform partner selection; on a live transport GoSGD only — AD-PSGD overlays are simulator-only)")
+	fs.StringVar(&f.Overlay, "overlay", "", "AD-PSGD/GoSGD gossip overlay: kregular|smallworld (empty = uniform partner selection); runs on every transport")
 	fs.IntVar(&f.OverlayDeg, "overlaydeg", 0, "overlay neighbor degree per rank (0 = default 4)")
 
 	fs.BoolVar(&f.Real, "real", false, "real gradient math (accuracy mode)")
@@ -183,17 +183,6 @@ func (f *Flags) Spec() (api.ExperimentSpec, error) {
 	return spec, nil
 }
 
-// Config derives a core.Config from the parsed flags by way of the
-// canonical spec, so local flag-driven runs and HTTP submissions share one
-// derivation path. The config is not yet validated — core.Run validates it.
-func (f *Flags) Config() (core.Config, error) {
-	spec, err := f.Spec()
-	if err != nil {
-		return core.Config{}, err
-	}
-	return spec.Config()
-}
-
 // LoadFaults builds a fault schedule from a compact spec string and/or a
 // JSON schedule file; events from both are combined. Returns nil when both
 // are empty.
@@ -238,42 +227,33 @@ func Context() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// LiveOptions translates the checkpoint and slow-unit flags into live run
-// options.
-func (f *Flags) LiveOptions() []live.Option {
-	spec := api.ExperimentSpec{CkptDir: f.CkptDir, CkptEvery: f.CkptEvery, SlowUnitMS: f.SlowUnitMS}
-	return spec.LiveOptions()
-}
-
-// RunLive dispatches a live (wall-clock) run according to the transport
-// and role flags, with any extra options (tracing, metrics) appended to the
-// flag-derived ones. A nil Result with nil error means this process was a
-// worker: it trained to completion, and the coordinator process owns the
-// run's Result.
-func (f *Flags) RunLive(cfg core.Config, extra ...live.Option) (*live.Result, error) {
-	opts := append(f.LiveOptions(), extra...)
-	switch f.Transport {
-	case "chan":
-		if f.Role != "" {
-			return nil, fmt.Errorf("cli: -role applies only to -transport=tcp")
+// RunLive runs this process's part of a multi-process live run, the one the
+// -role flag names, with the spec's live options and o's. A nil result with
+// nil error means this process was a worker: it trained to completion, and
+// the coordinator process owns the run's result.
+func (f *Flags) RunLive(spec api.ExperimentSpec, o *api.RunOptions) (*api.RunResult, error) {
+	cfg, err := spec.Config()
+	if err != nil {
+		return nil, err
+	}
+	if spec.Transport != api.TransportTCP {
+		return nil, fmt.Errorf("cli: -role applies only to -transport=tcp")
+	}
+	opts := spec.LiveOptions(o)
+	switch f.Role {
+	case "coordinator":
+		res, err := live.RunCoordinator(cfg, f.Coord, opts...)
+		if err != nil {
+			return nil, err
 		}
-		return live.RunChan(cfg, opts...)
-	case "tcp":
-		switch f.Role {
-		case "":
-			return live.RunLoopback(cfg, opts...)
-		case "coordinator":
-			return live.RunCoordinator(cfg, f.Coord, opts...)
-		case "worker":
-			if f.Rejoin >= 0 {
-				return nil, live.RunWorkerRejoin(cfg, f.Coord, f.Rejoin, opts...)
-			}
-			return nil, live.RunWorker(cfg, f.Coord, f.MeshListen, opts...)
-		default:
-			return nil, fmt.Errorf("cli: unknown -role %q (want coordinator or worker)", f.Role)
+		return api.FromLive(res), nil
+	case "worker":
+		if f.Rejoin >= 0 {
+			return nil, live.RunWorkerRejoin(cfg, f.Coord, f.Rejoin, opts...)
 		}
+		return nil, live.RunWorker(cfg, f.Coord, f.MeshListen, opts...)
 	default:
-		return nil, fmt.Errorf("cli: unknown -transport %q (want sim, tcp or chan)", f.Transport)
+		return nil, fmt.Errorf("cli: unknown -role %q (want coordinator or worker)", f.Role)
 	}
 }
 

@@ -21,7 +21,11 @@ func TestFlagsConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := f.Config()
+	spec, err := f.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +48,11 @@ func TestFlagsCollectiveAndOverlay(t *testing.T) {
 	if err := fs.Parse([]string{"-algo", "arsgd", "-workers", "24", "-collective", "hierarchical"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := f.Config()
+	spec, err := f.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +65,10 @@ func TestFlagsCollectiveAndOverlay(t *testing.T) {
 	if err := fs.Parse([]string{"-algo", "gosgd", "-workers", "8", "-overlay", "kregular", "-overlaydeg", "2"}); err != nil {
 		t.Fatal(err)
 	}
-	cfg, err = f.Config()
-	if err != nil {
+	if spec, err = f.Spec(); err != nil {
+		t.Fatal(err)
+	}
+	if cfg, err = spec.Config(); err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Overlay != "kregular" || cfg.OverlayDegree != 2 {
@@ -72,7 +82,11 @@ func TestFlagsConfigRejectsBadSpec(t *testing.T) {
 	if err := fs.Parse([]string{"-faults", "crash@nonsense"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Config(); err == nil {
+	spec, err := f.Spec()
+	if err == nil {
+		_, err = spec.Config()
+	}
+	if err == nil {
 		t.Fatal("malformed -faults accepted")
 	}
 }

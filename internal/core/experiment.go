@@ -234,7 +234,7 @@ func setup(cfg *Config) (*exp, error) {
 	x.gatherDoneAt = make([]des.Time, cfg.Cluster.Machines)
 
 	if cfg.Real != nil {
-		x.evalModel = cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
+		x.evalModel = InitModel(cfg)
 		// The eval model alternates between eval-sized batches; its own
 		// arena recycles the layer scratch across evals.
 		x.evalModel.SetArena(tensor.NewArena())
@@ -266,26 +266,69 @@ func (x *exp) psInbox(s int) *des.Queue[simnet.Msg] {
 	return x.net.Node(x.psNode[s]).Inbox
 }
 
-// evalGlobal evaluates the "global model" — PS params for centralized
-// algorithms, the average of all replicas for decentralized ones — on the
-// test set and appends a trace point. No-op in cost-only mode.
-func (x *exp) evalGlobal(iter int) {
-	if x.cfg.Real == nil {
-		return
+// InitModel builds a model holding the parameters every replica starts from
+// (the shared init stream). Both runtimes evaluate the global model on one,
+// and the live parameter server starts from its parameters.
+func InitModel(cfg *Config) *nn.Model {
+	return cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
+}
+
+// GlobalParams returns the parameters of the model a run reports on: ps, the
+// parameter server's, when it is non-nil; otherwise the mean of the replicas'
+// (nil entries skipped), summed in rank order and then scaled. nil when there
+// is neither.
+func GlobalParams(ps []float32, replicas [][]float32) []float32 {
+	if ps != nil {
+		return ps
 	}
-	params := x.globalParams()
-	x.evalModel.SetFlatParams(params)
-	test := x.cfg.Real.Test
-	n := test.N()
-	if x.cfg.Real.EvalMax > 0 && x.cfg.Real.EvalMax < n {
-		n = x.cfg.Real.EvalMax
+	var out []float32
+	cnt := 0
+	for _, p := range replicas {
+		if p == nil {
+			continue
+		}
+		if out == nil {
+			out = make([]float32, len(p))
+		}
+		for i, v := range p {
+			out[i] += v
+		}
+		cnt++
+	}
+	if cnt > 0 {
+		inv := 1 / float32(cnt)
+		for i := range out {
+			out[i] *= inv
+		}
+	}
+	return out
+}
+
+// TestErr loads params into m and returns their error rate, 1 − accuracy, on
+// the first EvalMax test examples (all of them when EvalMax is 0): the value
+// a trace point records, and the one a run's FinalTestAcc is 1 minus.
+func (rc *RealConfig) TestErr(m *nn.Model, params []float32) float64 {
+	m.SetFlatParams(params)
+	n := rc.Test.N()
+	if rc.EvalMax > 0 && rc.EvalMax < n {
+		n = rc.EvalMax
 	}
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
 	}
-	xb, yb := test.Gather(idx, nil, nil)
-	_, acc := x.evalModel.Evaluate(xb, yb)
+	xb, yb := rc.Test.Gather(idx, nil, nil)
+	_, acc := m.Evaluate(xb, yb)
+	return 1 - acc
+}
+
+// evalGlobal evaluates the global model on the test set and appends a trace
+// point. No-op in cost-only mode.
+func (x *exp) evalGlobal(iter int) {
+	if x.cfg.Real == nil {
+		return
+	}
+	testErr := x.cfg.Real.TestErr(x.evalModel, x.globalParams())
 
 	var loss float64
 	cnt := 0
@@ -304,7 +347,7 @@ func (x *exp) evalGlobal(iter int) {
 		Epoch:      epoch,
 		VirtualSec: x.eng.Now(),
 		TrainLoss:  loss,
-		TestErr:    1 - acc,
+		TestErr:    testErr,
 	}
 	x.col.AddTrace(tp)
 	if x.cfg.Progress != nil {
@@ -319,28 +362,17 @@ func (x *exp) psGlobal() bool { return x.global != nil && x.global.MathOn() }
 // globalParams returns the parameters of the evaluated global model.
 func (x *exp) globalParams() []float32 {
 	if x.psGlobal() {
-		out := make([]float32, x.vecLen)
-		copy(out, x.global.Params)
-		return out
+		return x.global.Params
 	}
-	// Decentralized (or BSP-like without math): average of replicas.
-	out := make([]float32, x.vecLen)
-	cnt := 0
-	for _, r := range x.reps {
-		if !r.mathOn() {
-			continue
-		}
-		p := r.Params()
-		for i, v := range p {
-			out[i] += v
-		}
-		cnt++
-	}
-	if cnt > 0 {
-		inv := 1 / float32(cnt)
-		for i := range out {
-			out[i] *= inv
-		}
+	return GlobalParams(nil, x.replicaParams())
+}
+
+// replicaParams copies every replica's parameters, in rank order (nil for a
+// replica without math).
+func (x *exp) replicaParams() [][]float32 {
+	out := make([][]float32, len(x.reps))
+	for w, r := range x.reps {
+		out[w] = r.Params()
 	}
 	return out
 }
@@ -433,12 +465,10 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		last := x.col.Trace[len(x.col.Trace)-1]
 		res.FinalTestAcc = 1 - last.TestErr
 		res.FinalTrainLoss = last.TrainLoss
-		res.ReplicaSpreadL2 = x.replicaSpread()
+		params := x.replicaParams()
+		res.ReplicaSpreadL2 = ReplicaSpread(params)
 		if cfg.CaptureParams {
-			res.WorkerParams = make([][]float32, len(x.reps))
-			for w, r := range x.reps {
-				res.WorkerParams[w] = r.Params()
-			}
+			res.WorkerParams = params
 		}
 	}
 	x.eng.Kill()
@@ -447,7 +477,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 
 // drain runs the simulation until no event is left, then settles any pass a
 // stalled process left in flight before replica state is touched
-// (evalGlobal and replicaSpread would read it concurrently otherwise). A
+// (evalGlobal and the final report would read it concurrently otherwise). A
 // panic in simulated code — an algorithm loop, or the Config.Progress it
 // calls — surfaces from the engine on this goroutine and becomes the run's
 // error instead of the program's end; the engine is killed so that nothing
@@ -506,25 +536,25 @@ func (x *exp) faultSpans() {
 	}
 }
 
-// replicaSpread computes max_w ‖x_w − x̄‖ / ‖x̄‖ over the live replicas.
-func (x *exp) replicaSpread() float64 {
-	mean := make([]float64, x.vecLen)
-	cnt := 0
-	for _, r := range x.reps {
-		if !r.mathOn() {
+// ReplicaSpread returns the replicas' consensus distance, max_w ‖x_w − x̄‖ /
+// ‖x̄‖ in float64, from their parameter vectors; 0 when there are none, when
+// one is nil (no math) or when x̄ is zero.
+func ReplicaSpread(params [][]float32) float64 {
+	if len(params) == 0 {
+		return 0
+	}
+	mean := make([]float64, len(params[0]))
+	for _, p := range params {
+		if p == nil {
 			return 0
 		}
-		for i, v := range r.Params() {
+		for i, v := range p {
 			mean[i] += float64(v)
 		}
-		cnt++
-	}
-	if cnt == 0 {
-		return 0
 	}
 	var meanNorm float64
 	for i := range mean {
-		mean[i] /= float64(cnt)
+		mean[i] /= float64(len(params))
 		meanNorm += mean[i] * mean[i]
 	}
 	meanNorm = math.Sqrt(meanNorm)
@@ -532,9 +562,9 @@ func (x *exp) replicaSpread() float64 {
 		return 0
 	}
 	var worst float64
-	for _, r := range x.reps {
+	for _, p := range params {
 		var d float64
-		for i, v := range r.Params() {
+		for i, v := range p {
 			diff := float64(v) - mean[i]
 			d += diff * diff
 		}

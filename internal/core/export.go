@@ -50,48 +50,56 @@ type Summary struct {
 	StalledWorkers int                `json:"stalled_workers,omitempty"`
 }
 
+// Echo returns the Summary of a run of c before anything is measured: its
+// configuration fields filled, every other field zero. Both runtimes'
+// summaries start from it, so a live run echoes its configuration exactly as
+// the simulator does.
+func (c *Config) Echo() Summary {
+	return Summary{
+		Algo:        string(c.Algo),
+		Workers:     c.Workers,
+		Machines:    c.Cluster.Machines,
+		Model:       c.Workload.Profile.Name,
+		InterGbps:   c.Cluster.InterBytesPerSec * 8 / 1e9,
+		Iters:       c.Iters,
+		Seed:        c.Seed,
+		Sharding:    string(c.Sharding),
+		Shards:      c.Shards,
+		WaitFreeBP:  c.WaitFreeBP,
+		DGC:         c.DGC != nil,
+		Quantize8:   c.Quantize8,
+		QuantizeF16: c.QuantizeF16,
+		LocalAgg:    c.LocalAgg,
+		Elastic:     c.Elastic,
+	}
+}
+
 // Summary builds the digest.
 func (r *Result) Summary() Summary {
 	b := r.Metrics.MeanBreakdown()
-	return Summary{
-		Algo:        string(r.Config.Algo),
-		Workers:     r.Config.Workers,
-		Machines:    r.Config.Cluster.Machines,
-		Model:       r.Config.Workload.Profile.Name,
-		InterGbps:   r.Config.Cluster.InterBytesPerSec * 8 / 1e9,
-		Iters:       r.Config.Iters,
-		Seed:        r.Config.Seed,
-		Sharding:    string(r.Config.Sharding),
-		Shards:      r.Config.Shards,
-		WaitFreeBP:  r.Config.WaitFreeBP,
-		DGC:         r.Config.DGC != nil,
-		Quantize8:   r.Config.Quantize8,
-		QuantizeF16: r.Config.QuantizeF16,
-		LocalAgg:    r.Config.LocalAgg,
+	s := r.Config.Echo()
+	s.VirtualSec = r.VirtualSec
+	s.Throughput = r.Throughput
+	s.TotalBytes = r.Net.TotalBytes
+	s.CrossMachineBytes = r.Net.CrossMachineBytes
+	s.BytesPerIterPerWorker = r.BytesPerIterPerWorker
+	s.MaxIterSpread = r.Metrics.MaxSpread
+	s.ReplicaSpreadL2 = r.ReplicaSpreadL2
 
-		VirtualSec:            r.VirtualSec,
-		Throughput:            r.Throughput,
-		TotalBytes:            r.Net.TotalBytes,
-		CrossMachineBytes:     r.Net.CrossMachineBytes,
-		BytesPerIterPerWorker: r.BytesPerIterPerWorker,
-		MaxIterSpread:         r.Metrics.MaxSpread,
-		ReplicaSpreadL2:       r.ReplicaSpreadL2,
+	s.ComputeSec = b[metrics.Compute]
+	s.LocalAggSec = b[metrics.LocalAgg]
+	s.GlobalAggSec = b[metrics.GlobalAgg]
+	s.NetworkSec = b[metrics.Network]
 
-		ComputeSec:   b[metrics.Compute],
-		LocalAggSec:  b[metrics.LocalAgg],
-		GlobalAggSec: b[metrics.GlobalAgg],
-		NetworkSec:   b[metrics.Network],
+	s.FinalTestAcc = r.FinalTestAcc
+	s.FinalTrainLoss = r.FinalTrainLoss
+	s.Trace = r.Metrics.Trace
 
-		FinalTestAcc:   r.FinalTestAcc,
-		FinalTrainLoss: r.FinalTrainLoss,
-		Trace:          r.Metrics.Trace,
-
-		Elastic:        r.Config.Elastic,
-		Faults:         r.Metrics.Faults,
-		DroppedMsgs:    r.Net.DroppedMsgs,
-		DroppedBytes:   r.Net.DroppedBytes,
-		StalledWorkers: r.StalledWorkers,
-	}
+	s.Faults = r.Metrics.Faults
+	s.DroppedMsgs = r.Net.DroppedMsgs
+	s.DroppedBytes = r.Net.DroppedBytes
+	s.StalledWorkers = r.StalledWorkers
+	return s
 }
 
 // WriteJSON writes the summary as indented JSON.

@@ -252,11 +252,6 @@ func (w Workload) SampleMult(r *rng.RNG) float64 {
 	return j
 }
 
-// SampleIterSec draws one jittered iteration time from r.
-func (w Workload) SampleIterSec(r *rng.RNG) float64 {
-	return w.MeanIterSec() * w.SampleMult(r)
-}
-
 // BwdLayerSec returns the backward compute time attributable to layer i —
 // used by wait-free backpropagation, which sends layer i's gradient while
 // layers deeper in the backward pass (i-1 ... 0) are still computing.

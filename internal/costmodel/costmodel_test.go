@@ -121,7 +121,7 @@ func TestSampleIterJitter(t *testing.T) {
 	minV = math.Inf(1)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		s := w.SampleIterSec(r)
+		s := mean * w.SampleMult(r)
 		sum += s
 		if s < minV {
 			minV = s

@@ -199,9 +199,14 @@ func (s *Service) Submit(spec api.ExperimentSpec) (*api.ExperimentStatus, error)
 		State:       api.StateQueued,
 		SubmittedAt: s.now().UTC(),
 	}
+	// A worker may take the experiment as soon as it is queued; holding e.mu
+	// until the queued record is saved keeps that save from landing on top
+	// of the worker's running or done record.
+	e.mu.Lock()
 	select {
 	case s.queue <- e:
 	default:
+		e.mu.Unlock()
 		s.nextID--
 		s.mu.Unlock()
 		return nil, errQueueFull
@@ -209,10 +214,13 @@ func (s *Service) Submit(spec api.ExperimentSpec) (*api.ExperimentStatus, error)
 	s.exps[id] = e
 	s.order = append(s.order, id)
 	s.mu.Unlock()
-	if err := s.store.Save(e.snapshot()); err != nil {
+	st := e.status
+	err := s.store.Save(&st)
+	e.mu.Unlock()
+	if err != nil {
 		return nil, err
 	}
-	return e.snapshot(), nil
+	return &st, nil
 }
 
 // Get returns a snapshot of one experiment's status, or nil if unknown.

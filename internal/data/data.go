@@ -132,6 +132,3 @@ func (s *Sampler) Next() []int {
 
 // Epoch returns the number of completed passes over the shard.
 func (s *Sampler) Epoch() int { return s.epoch }
-
-// BatchesPerEpoch returns how many batches one pass over the shard yields.
-func (s *Sampler) BatchesPerEpoch() int { return len(s.idx) / s.batch }

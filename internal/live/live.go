@@ -109,9 +109,9 @@ func Validate(cfg *core.Config) error {
 
 // Options tunes the live runtime beyond the shared core.Config: the
 // checkpoint cadence workers and the PS write their state with, the
-// fault-projection slow unit, progress reporting, and the external-restart
-// policy. Build one with the With* functional options accepted by every
-// entry point.
+// fault-projection slow unit, progress reporting, the external-restart
+// policy, span tracing and the metrics collector. Build one with the With*
+// functional options accepted by every entry point.
 type Options struct {
 	ckpt        nn.Cadence
 	slowUnit    time.Duration
@@ -193,9 +193,10 @@ type Result struct {
 	Transport string
 	// WallSec is real seconds from the START barrier to the last DONE.
 	WallSec float64
-	// Throughput is samples/second of wall time (total completed
-	// iterations x batch / WallSec) — directly comparable with the
-	// simulator's virtual-time images/sec.
+	// Throughput is samples/second of wall time: total completed iterations
+	// x Real.Batch / WallSec. The simulator's virtual-time images/sec counts
+	// Workload.Batch, the paper-scale batch its cost model times, so the two
+	// are not comparable.
 	Throughput float64
 	// WorkerIters is each rank's completed iteration count.
 	WorkerIters []int
@@ -220,28 +221,17 @@ type Result struct {
 }
 
 // Summary projects the live result into the simulator's Summary shape so
-// the same plotting/analysis tooling consumes both. VirtualSec carries the
-// wall-clock makespan (a live run has no virtual time).
+// the same plotting/analysis tooling consumes both. The configuration fields
+// are the simulator's own echo of the config (core.Config.Echo); InterGbps is
+// therefore the configured cluster's bandwidth, not a measurement. VirtualSec
+// carries the wall-clock makespan (a live run has no virtual time).
 func (r *Result) Summary() core.Summary {
-	iters := 0
-	for _, n := range r.WorkerIters {
-		iters += n
-	}
-	s := core.Summary{
-		Algo:       string(r.Config.Algo) + "+" + r.Transport,
-		Workers:    r.Config.Workers,
-		Machines:   r.Config.Cluster.Machines,
-		Model:      r.Config.Workload.Profile.Name,
-		Iters:      r.Config.Iters,
-		Seed:       r.Config.Seed,
-		Elastic:    r.Config.Elastic,
-		VirtualSec: r.WallSec,
-		Throughput: r.Throughput,
-		TotalBytes: r.Net.BytesSent,
-
-		FinalTestAcc:   r.FinalTestAcc,
-		FinalTrainLoss: r.FinalTrainLoss,
-	}
+	s := r.Config.Echo()
+	s.VirtualSec = r.WallSec
+	s.Throughput = r.Throughput
+	s.TotalBytes = r.Net.BytesSent
+	s.FinalTestAcc = r.FinalTestAcc
+	s.FinalTrainLoss = r.FinalTrainLoss
 	s.Faults.Crashes = int(r.Deaths)
 	s.Faults.Restarts = int(r.Rejoins)
 	return s

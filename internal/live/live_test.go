@@ -95,9 +95,15 @@ func simParams(t *testing.T, cfg core.Config) [][]float32 {
 	return simRun(t, cfg).WorkerParams
 }
 
+// echoKeys are the JSON keys of the Summary's configuration echo.
+var echoKeys = []string{"algo", "workers", "machines", "model", "inter_gbps", "iters", "seed",
+	"sharding", "shards", "wait_free_bp", "dgc", "quantize8", "quantize_f16", "local_agg", "elastic"}
+
 // requireSameReport fails unless the live run's final parameters, test
-// accuracy and training loss are the simulator's bit for bit: a live summary
-// reports the numbers the simulator reports.
+// accuracy and training loss are the simulator's bit for bit, and its summary
+// echoes the configuration as the simulator's does: a live summary reports
+// the numbers the simulator reports. (The summaries are the ones api.FromCore
+// and api.FromLive carry.)
 func requireSameReport(t *testing.T, sim *core.Result, live *Result) {
 	t.Helper()
 	requireBitIdentical(t, sim.WorkerParams, live.WorkerParams)
@@ -106,6 +112,26 @@ func requireSameReport(t *testing.T, sim *core.Result, live *Result) {
 	}
 	if math.Float64bits(sim.FinalTrainLoss) != math.Float64bits(live.FinalTrainLoss) {
 		t.Fatalf("final train loss: sim %v vs live %v", sim.FinalTrainLoss, live.FinalTrainLoss)
+	}
+	echo := func(s core.Summary) map[string]any {
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all map[string]any
+		if err := json.Unmarshal(raw, &all); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]any{}
+		for _, k := range echoKeys {
+			if v, ok := all[k]; ok {
+				out[k] = v
+			}
+		}
+		return out
+	}
+	if s, l := echo(sim.Summary()), echo(live.Summary()); !maps.Equal(s, l) {
+		t.Fatalf("summary config echo: sim %v vs live %v", s, l)
 	}
 }
 

@@ -11,8 +11,6 @@ import (
 
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
-	"disttrain/internal/nn"
-	"disttrain/internal/rng"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -331,7 +329,7 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	st.mu.Unlock()
 
 	// Every rank is done, so nothing writes the reports any more.
-	res, err := buildResult(cfg, st.reports, finalGlobal, wall, srvNet)
+	res, err := buildResult(cfg, "tcp", st.reports, finalGlobal, wall, srvNet)
 	if err != nil {
 		return nil, err
 	}
@@ -544,19 +542,12 @@ func (st *runState) watchdog() {
 	}
 }
 
-// newEvalModel builds the evaluation model from the shared init stream,
-// the same construction the simulator uses for its eval model.
-func newEvalModel(cfg *core.Config) *nn.Model {
-	return cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
-}
-
 // buildResult assembles the Result from the workers' reports and the final
-// global parameters, and evaluates the final model exactly the way the
-// simulator's evalGlobal does: the eval model with the global parameters, on
-// the test set capped at EvalMax.
-func buildResult(cfg *core.Config, reports []doneInfo, finalGlobal []float32, wall float64, srvNet *xport.TCPNet) (*Result, error) {
-	res := &Result{Config: *cfg, Transport: "tcp", WallSec: wall}
-	model := newEvalModel(cfg)
+// PS parameters (nil for a decentralized run), and evaluates the global model
+// through the simulator's own core.GlobalParams and RealConfig.TestErr.
+func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srvNet *xport.TCPNet) (*Result, error) {
+	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
+	model := core.InitModel(cfg)
 	totalIters := 0
 	var loss float64
 	cnt := 0
@@ -584,50 +575,8 @@ func buildResult(cfg *core.Config, reports []doneInfo, finalGlobal []float32, wa
 	if wall > 0 {
 		res.Throughput = float64(totalIters*cfg.Real.Batch) / wall
 	}
-
-	global := finalGlobal
-	if global == nil {
-		// Decentralized: the global model is the replica average, summed in
-		// rank order then scaled — the simulator's globalParams.
-		var out []float32
-		cnt := 0
-		for _, rep := range reports {
-			if rep.params == nil {
-				continue
-			}
-			if out == nil {
-				out = make([]float32, len(rep.params))
-			}
-			for i, v := range rep.params {
-				out[i] += v
-			}
-			cnt++
-		}
-		if cnt > 0 {
-			inv := 1 / float32(cnt)
-			for i := range out {
-				out[i] *= inv
-			}
-		}
-		global = out
+	if global := core.GlobalParams(finalGlobal, res.WorkerParams); global != nil {
+		res.FinalTestAcc = 1 - cfg.Real.TestErr(model, global)
 	}
-	if global == nil {
-		return res, nil
-	}
-	model.SetFlatParams(global)
-	n := cfg.Real.Test.N()
-	if cfg.Real.EvalMax > 0 && cfg.Real.EvalMax < n {
-		n = cfg.Real.EvalMax
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	xb, yb := cfg.Real.Test.Gather(idx, nil, nil)
-	_, acc := model.Evaluate(xb, yb)
-	// The simulator reports FinalTestAcc as 1-TestErr with TestErr=1-acc;
-	// 1-(1-acc) is not bitwise acc in float64, and live summaries must
-	// match the simulator's reported numbers exactly, not just its params.
-	res.FinalTestAcc = 1 - (1 - acc)
 	return res, nil
 }

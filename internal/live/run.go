@@ -450,10 +450,5 @@ func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
 		}
 	}
 
-	res, err := buildResult(&cfg, reports, finalGlobal, wall, nil)
-	if err != nil {
-		return nil, err
-	}
-	res.Transport = "chan"
-	return res, nil
+	return buildResult(&cfg, "chan", reports, finalGlobal, wall, nil)
 }

@@ -38,10 +38,9 @@ type server struct {
 }
 
 func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
-	// The simulator seeds the global from replica 0's parameters; every
-	// replica starts from the shared init stream (seed → Split(1)), so
-	// building the eval model from a fresh stream yields the identical vector.
-	model := newEvalModel(cfg)
+	// The simulator seeds the global from replica 0's parameters, which are
+	// every replica's initial parameters.
+	model := core.InitModel(cfg)
 	init := model.FlatParams(nil)
 	sv := &server{
 		cfg:    cfg,

@@ -210,14 +210,6 @@ func (c *Collector) IterSpread() (min, max int) {
 	return min, max
 }
 
-// FinalTestErr returns the last traced test error (1.0 if no trace).
-func (c *Collector) FinalTestErr() float64 {
-	if len(c.Trace) == 0 {
-		return 1.0
-	}
-	return c.Trace[len(c.Trace)-1].TestErr
-}
-
 // BestTestErr returns the minimum traced test error (1.0 if no trace).
 func (c *Collector) BestTestErr() float64 {
 	best := 1.0

@@ -93,9 +93,6 @@ func TestTraceQueries(t *testing.T) {
 	c.AddTrace(TracePoint{VirtualSec: 1, TestErr: 0.5})
 	c.AddTrace(TracePoint{VirtualSec: 2, TestErr: 0.2})
 	c.AddTrace(TracePoint{VirtualSec: 3, TestErr: 0.3})
-	if c.FinalTestErr() != 0.3 {
-		t.Fatalf("final = %v", c.FinalTestErr())
-	}
 	if c.BestTestErr() != 0.2 {
 		t.Fatalf("best = %v", c.BestTestErr())
 	}
@@ -110,7 +107,7 @@ func TestTraceQueries(t *testing.T) {
 
 func TestEmptyTraceDefaults(t *testing.T) {
 	c := NewCollector(0)
-	if c.FinalTestErr() != 1 || c.BestTestErr() != 1 {
+	if c.BestTestErr() != 1 {
 		t.Fatal("empty trace should report error 1.0")
 	}
 	if _, ok := c.TimeToErr(0.5); ok {

@@ -57,23 +57,9 @@ func (s *SGD) StepAt(p, g []float32, scale, lr float32, off int) {
 	tensor.SGDStepF32(p, g, s.vel[off:off+len(p)], scale, lr, s.Momentum, s.WeightDecay)
 }
 
-// StepSegment applies the update only to [off, off+n) of the vectors — the
-// form used by parameter-server shards, which own disjoint segments of the
-// global parameters but share one optimizer state.
-func (s *SGD) StepSegment(params, grads []float32, lr float32, off, n int) {
-	s.StepAt(params[off:off+n], grads[off:off+n], 1, lr, off)
-}
-
 // Velocity exposes the momentum buffer (used by DGC's momentum correction
 // tests and ablations).
 func (s *SGD) Velocity() []float32 { return s.vel }
-
-// Reset zeroes the momentum state.
-func (s *SGD) Reset() {
-	for i := range s.vel {
-		s.vel[i] = 0
-	}
-}
 
 // Adam is the Adam optimizer (Kingma & Ba) on flat vectors — the optimizer
 // transformer-era models train with, provided as an extension next to

@@ -57,10 +57,10 @@ func TestStepSegmentMatchesFullStep(t *testing.T) {
 	sharded := NewSGD(n, 0.9, 0.01)
 	for step := 0; step < 3; step++ {
 		full.Step(p1, g, 0.1)
-		// apply in three segments, any order
-		sharded.StepSegment(p2, g, 0.1, 20, 10)
-		sharded.StepSegment(p2, g, 0.1, 0, 20)
-		sharded.StepSegment(p2, g, 0.1, 30, 10)
+		// apply in three segments, any order, as parameter-server shards do
+		sharded.StepAt(p2[20:30], g[20:30], 1, 0.1, 20)
+		sharded.StepAt(p2[0:20], g[0:20], 1, 0.1, 0)
+		sharded.StepAt(p2[30:40], g[30:40], 1, 0.1, 30)
 	}
 	for i := range p1 {
 		if math.Abs(float64(p1[i]-p2[i])) > 1e-6 {

@@ -106,11 +106,6 @@ func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
 // unit maps 64 random bits to a float64 in [0, 1): the top 53 bits, scaled.
 func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
-// Float32 returns a uniform float32 in [0, 1).
-func (r *RNG) Float32() float32 {
-	return float32(r.Uint64()>>40) / (1 << 24)
-}
-
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -181,9 +181,6 @@ func (n *Net) AddNode(machine int) *Node {
 // Node returns endpoint id.
 func (n *Net) Node(id int) *Node { return n.nodes[id] }
 
-// NumNodes returns the number of registered endpoints.
-func (n *Net) NumNodes() int { return len(n.nodes) }
-
 // Stats returns a copy of the traffic counters, including the per-machine
 // NIC busy times as of now.
 func (n *Net) Stats() Stats {
@@ -199,11 +196,6 @@ func (n *Net) Stats() Stats {
 		s.EgressBusySec[m] = n.egress[m].busySec
 	}
 	return s
-}
-
-// ResetStats zeroes the traffic counters (e.g. after a warm-up phase).
-func (n *Net) ResetStats() {
-	n.stats = Stats{BytesByKind: map[int]int64{}}
 }
 
 // Send transmits msg (msg.From/To must be node IDs) and schedules delivery

@@ -162,10 +162,6 @@ func TestStatsAccounting(t *testing.T) {
 	if s.BytesByKind[1] != 100 || s.BytesByKind[2] != 500 {
 		t.Fatalf("by kind = %v", s.BytesByKind)
 	}
-	n.ResetStats()
-	if n.Stats().TotalBytes != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestStatsCopyIsolated(t *testing.T) {

@@ -159,12 +159,6 @@ func (t *Tensor) Scale(alpha float32) {
 	}
 }
 
-// L2Norm returns the Euclidean norm of the tensor, accumulated in float64
-// for stability.
-func (t *Tensor) L2Norm() float64 {
-	return L2NormF32(t.Data)
-}
-
 // ScaleF32 computes x *= alpha in place.
 func ScaleF32(alpha float32, x []float32) {
 	for i := range x {

@@ -78,9 +78,8 @@ func TestAddScaledAndScale(t *testing.T) {
 }
 
 func TestL2Norm(t *testing.T) {
-	a := FromSlice([]float32{3, 4}, 2)
-	if got := a.L2Norm(); math.Abs(got-5) > 1e-9 {
-		t.Fatalf("L2Norm = %v, want 5", got)
+	if got := L2NormF32([]float32{3, 4}); math.Abs(got-5) > 1e-9 {
+		t.Fatalf("L2NormF32 = %v, want 5", got)
 	}
 }
 

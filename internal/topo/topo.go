@@ -13,23 +13,6 @@ import (
 	"disttrain/internal/cluster"
 )
 
-// Tier classifies an edge between two ranks by the link it crosses.
-type Tier int
-
-const (
-	// TierIntra is a same-machine edge (PCIe/NVLink-class bus).
-	TierIntra Tier = iota
-	// TierInter is a cross-machine edge (NIC fabric).
-	TierInter
-)
-
-func (t Tier) String() string {
-	if t == TierIntra {
-		return "intra"
-	}
-	return "inter"
-}
-
 // Topology is the machine-aware view of a world of ranks 0..Workers-1
 // placed on a cluster. Ranks are packed onto machines exactly as
 // cluster.Config.MachineOfWorker places them; the last machine may hold
@@ -69,23 +52,6 @@ func New(c cluster.Config, workers int) (*Topology, error) {
 
 // Machines returns the number of occupied machines.
 func (t *Topology) Machines() int { return len(t.Groups) }
-
-// Leaders returns the lowest rank on each occupied machine, ascending.
-func (t *Topology) Leaders() []int {
-	ls := make([]int, len(t.Groups))
-	for m, g := range t.Groups {
-		ls[m] = g[0]
-	}
-	return ls
-}
-
-// TierOf classifies the edge between ranks a and b.
-func (t *Topology) TierOf(a, b int) Tier {
-	if t.MachineOf[a] == t.MachineOf[b] {
-		return TierIntra
-	}
-	return TierInter
-}
 
 // TorusShape factors n into the most-square rows×cols grid with
 // 2 ≤ rows ≤ cols. It errors on worlds that only admit a degenerate 1×n

@@ -25,8 +25,8 @@ func TestNewGroupsMatchCluster(t *testing.T) {
 			}
 		}
 	}
-	if got := tp.Leaders(); len(got) != 6 || got[0] != 0 || got[5] != 20 {
-		t.Fatalf("leaders = %v", got)
+	if tp.Groups[0][0] != 0 || tp.Groups[5][0] != 20 {
+		t.Fatalf("lowest ranks per machine: %v", tp.Groups)
 	}
 }
 
@@ -39,8 +39,8 @@ func TestNewPartialLastMachine(t *testing.T) {
 	if tp.Machines() != 3 || len(tp.Groups[2]) != 2 {
 		t.Fatalf("groups = %v", tp.Groups)
 	}
-	if tp.TierOf(0, 1) != TierIntra || tp.TierOf(0, 4) != TierInter {
-		t.Fatal("tier classification wrong")
+	if tp.MachineOf[0] != tp.MachineOf[1] || tp.MachineOf[0] == tp.MachineOf[4] {
+		t.Fatalf("machine of ranks 0, 1, 4: %v", tp.MachineOf)
 	}
 }
 
