@@ -41,7 +41,7 @@ type RunResult struct {
 	Transport string `json:"transport"`
 	// Summary is the shared metrics digest. For live runs VirtualSec
 	// carries the wall-clock makespan (a live run has no virtual time) and
-	// the phase breakdown is zero.
+	// the phase breakdown is in wall seconds.
 	Summary core.Summary `json:"summary"`
 
 	// WallSec is real seconds from start to the last worker's finish

@@ -212,7 +212,7 @@ type Config struct {
 	// SGD mitigation from the literature (extension).
 	StalenessDamping bool
 	// Tracer, when non-nil, records a Chrome-trace timeline of the run
-	// (compute spans per worker, message spans per machine); write it out
+	// (a span per worker step, message spans per machine); write it out
 	// with Tracer.WriteJSON and open in chrome://tracing or Perfetto.
 	Tracer *trace.Tracer
 	// Progress, when non-nil, is called with every convergence sample the

@@ -74,9 +74,16 @@ func (c *Config) Echo() Summary {
 	}
 }
 
+// SetBreakdown fills the four time-breakdown fields from b.
+func (s *Summary) SetBreakdown(b metrics.Breakdown) {
+	s.ComputeSec = b[metrics.Compute]
+	s.LocalAggSec = b[metrics.LocalAgg]
+	s.GlobalAggSec = b[metrics.GlobalAgg]
+	s.NetworkSec = b[metrics.Network]
+}
+
 // Summary builds the digest.
 func (r *Result) Summary() Summary {
-	b := r.Metrics.MeanBreakdown()
 	s := r.Config.Echo()
 	s.VirtualSec = r.VirtualSec
 	s.Throughput = r.Throughput
@@ -85,11 +92,7 @@ func (r *Result) Summary() Summary {
 	s.BytesPerIterPerWorker = r.BytesPerIterPerWorker
 	s.MaxIterSpread = r.Metrics.MaxSpread
 	s.ReplicaSpreadL2 = r.ReplicaSpreadL2
-
-	s.ComputeSec = b[metrics.Compute]
-	s.LocalAggSec = b[metrics.LocalAgg]
-	s.GlobalAggSec = b[metrics.GlobalAgg]
-	s.NetworkSec = b[metrics.Network]
+	s.SetBreakdown(r.Metrics.MeanBreakdown())
 
 	s.FinalTestAcc = r.FinalTestAcc
 	s.FinalTrainLoss = r.FinalTrainLoss

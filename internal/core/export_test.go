@@ -94,8 +94,8 @@ func TestTracerCapturesTimeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// compute spans per worker and message spans per machine.
-	for _, want := range []string{`"compute"`, `"worker"`, `"net"`} {
+	// compute and comm spans per worker, message spans per machine.
+	for _, want := range []string{`"cat":"compute"`, `"name":"exchange","cat":"comm"`, `"net"`} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("trace missing %s", want)
 		}

@@ -118,9 +118,6 @@ func (r *Replica) unlock() {
 	}
 }
 
-// mathOn reports whether this replica does real parameter math.
-func (r *Replica) mathOn() bool { return r.model != nil }
-
 // ComputeGrad runs one forward/backward pass on the next mini-batch, folds
 // its loss into the EWMA and returns the gradient — the model's own flat
 // store, the caller's to reduce into or scale in place until the next pass

@@ -24,6 +24,7 @@ type simEnv struct {
 	x *exp
 	p *des.Proc
 	w int
+	l *Ledger // the worker's, or its second thread's
 
 	// The pass Compute started: the compute-time multiplier it drew and
 	// whether the send that follows paces the backward pass.
@@ -46,7 +47,8 @@ func (x *exp) spawnWorkers() {
 	for w := 0; w < cfg.Workers; w++ {
 		w := w
 		x.eng.Spawn(fmt.Sprintf("%s-worker%d", cfg.Algo, w), func(p *des.Proc) {
-			e := &simEnv{x: x, p: p, w: w}
+			e := &simEnv{x: x, p: p, w: w, l: NewLedger(&x.col.Workers[w].Breakdown, cfg.Tracer,
+				cfg.Cluster.MachineOfWorker(w), w)}
 			if err := WorkerLoop(e, cfg, w, x.reps[w], x.streams[w], x.overlay); err != nil {
 				panic(err)
 			}
@@ -70,7 +72,7 @@ func (e *simEnv) Members(it int) ([]int, int) {
 }
 
 func (e *simEnv) Compute(overlap bool) {
-	e.jitter = e.x.computePhase(e.p, e.w, overlap)
+	e.jitter = e.x.computePhase(e.p, e.w, e.l, overlap)
 	e.overlap = overlap
 }
 
@@ -87,7 +89,6 @@ func (e *simEnv) Done(it int) error {
 // half is still running — the bucketing strategy real DDP stacks use.
 func (e *simEnv) AllReduce(it int, nodes []int, self int) ([]float32, error) {
 	x, p, cfg := e.x, e.p, e.x.cfg
-	bd := &x.col.Workers[e.w].Breakdown
 	// With fault injection the ring membership can change between rounds, so
 	// a fast peer's next-round chunk may overtake the current round's
 	// traffic; the per-round Clock tag plus this stash keeps every round's
@@ -132,8 +133,7 @@ func (e *simEnv) AllReduce(it int, nodes []int, self int) ([]float32, error) {
 			Vec: vec, VirtualLen: vlen, Bytes: x.bytesFor(vlen),
 			Kind: KindAllReduce, Clock: it, Stash: stash,
 			Groups: x.plan.Groups, TorusRows: x.plan.TorusRows, TorusCols: x.plan.TorusCols})
-		bd.Add(metrics.Network, wire)
-		bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
+		e.l.Book(StepAllReduce, t0, p.Now(), wire)
 	}
 
 	if !cfg.WaitFreeBP || x.vecLen == 1 {
@@ -146,7 +146,7 @@ func (e *simEnv) AllReduce(it int, nodes []int, self int) ([]float32, error) {
 	bwd := x.bwdTotal(e.jitter)
 	c0 := p.Now()
 	p.Sleep(bwd / 2)
-	bd.Add(metrics.Compute, p.Now()-c0)
+	e.l.Book(StepCompute, c0, p.Now(), 0)
 	join()
 
 	// ...whose AllReduce overlaps the second half of the backward pass: if
@@ -160,7 +160,8 @@ func (e *simEnv) AllReduce(it int, nodes []int, self int) ([]float32, error) {
 	reduce(hi, x.vecLen-half)
 	if rem := bwd/2 - (p.Now() - t0); rem > 0 {
 		p.Sleep(rem)
-		bd.Add(metrics.Compute, rem)
+		// Booked by hand: now − start would round the slept amount differently.
+		x.col.Workers[e.w].Breakdown.Add(metrics.Compute, rem)
 	}
 	reduce(lo, half)
 	return agg, nil
@@ -175,10 +176,8 @@ func (e *simEnv) GatherSum(it int, group []int, self int, vec []float32) error {
 	_, wire := collective(p, comm.CollectiveOpts{
 		Op: comm.OpGather, Net: x.net, Nodes: group, Self: self,
 		Vec: vec, Bytes: x.fullBytes(), Kind: KindLocalGather})
+	e.l.Book(StepGatherSum, t0, p.Now(), wire)
 	if self == 0 {
-		bd := &x.col.Workers[e.w].Breakdown
-		bd.Add(metrics.Network, wire)
-		bd.Add(metrics.LocalAgg, p.Now()-t0-wire)
 		x.gatherDoneAt[x.cfg.Cluster.MachineOfWorker(e.w)] = p.Now()
 	}
 	return nil
@@ -187,21 +186,22 @@ func (e *simEnv) GatherSum(it int, group []int, self int, vec []float32) error {
 // Bcast relays the fresh parameters from the machine leader to its members.
 func (e *simEnv) Bcast(it int, group []int, self int, params []float32) error {
 	x, p := e.x, e.p
+	t0 := p.Now()
 	if self == 0 {
-		collective(p, comm.CollectiveOpts{
+		_, wire := collective(p, comm.CollectiveOpts{
 			Op: comm.OpBroadcast, Net: x.net, Nodes: group, Self: self,
 			Vec: params, Bytes: x.fullBytes(), Kind: KindLocalBcast})
+		e.l.Book(StepBcast, t0, p.Now(), wire)
 		return nil
 	}
-	t0 := p.Now()
 	m := x.inbox(e.w).Recv(p)
 	if m.Kind != KindLocalBcast {
 		panic(fmt.Sprintf("bsp member: unexpected kind %d", m.Kind))
 	}
+	// Booked by hand: the wait splits at the leader's gather time, which Book
+	// cannot see — local aggregation until then, the global round after.
 	bd := &x.col.Workers[e.w].Breakdown
 	bd.Add(metrics.Network, m.WireSec)
-	// Split the wait: until the leader finished gathering it was local
-	// aggregation; the rest was the global round.
 	localWait := x.gatherDoneAt[x.cfg.Cluster.MachineOfWorker(e.w)] - t0
 	if localWait < 0 {
 		localWait = 0
@@ -213,6 +213,7 @@ func (e *simEnv) Bcast(it int, group []int, self int, params []float32) error {
 		bd.Add(metrics.LocalAgg, localWait)
 		bd.Add(metrics.GlobalAgg, rest-localWait)
 	}
+	e.l.span(StepBcast, t0, p.Now())
 	x.reps[e.w].SetParams(m.Vec)
 	return nil
 }
@@ -228,7 +229,7 @@ func (e *simEnv) Exchange(kind ps.Kind, it int, vec []float32, ack func(int)) er
 	want := kindParams
 	switch kind {
 	case ps.Grad:
-		x.sendGrads(e.p, e.w, it, vec, e.jitter, e.overlap)
+		x.sendGrads(e.p, e.w, e.l, it, vec, e.jitter, e.overlap)
 	case ps.Pull:
 		for s := range x.assign {
 			x.net.Send(simnet.Msg{From: e.w, To: x.psNode[s], Kind: kindPull, Clock: it, Bytes: 16})
@@ -243,23 +244,24 @@ func (e *simEnv) Exchange(kind ps.Kind, it int, vec []float32, ack func(int)) er
 		}
 	}
 	timed := x.inj != nil && (cfg.Elastic || cfg.Algo == ASP || kind == ps.Push)
-	x.awaitShards(e.p, e.w, want, timed, ack)
+	x.awaitShards(e.p, e.w, e.l, want, timed, ack)
 	return nil
 }
 
 func (e *simEnv) Update(it int, vec []float32) error {
-	e.x.sendGrads(e.p, e.w, it, vec, e.jitter, e.overlap)
+	e.x.sendGrads(e.p, e.w, e.l, it, vec, e.jitter, e.overlap)
+	e.l.Book(StepUpdate, e.p.Now(), e.p.Now(), 0) // sends take no virtual time
 	return nil
 }
 
 // awaitShards is the worker's half of a PS exchange: block until every shard
 // has answered with a message of kind want, scatter each answer's ranges into
-// the replica's parameters and book the wait as network and global-
+// the replica's parameters and book the wait on l as network and global-
 // aggregation time. When timed, a wait longer than BarrierTimeoutSec gives up
 // and keeps the stale ranges of the shards that did not answer, so a dropped
 // request or reply cannot wedge the worker. Acks arriving in between go to
 // ack (SSP; nil means none are expected).
-func (x *exp) awaitShards(p *des.Proc, w, want int, timed bool, ack func(minClock int)) {
+func (x *exp) awaitShards(p *des.Proc, w int, l *Ledger, want int, timed bool, ack func(minClock int)) {
 	inbox := x.inbox(w)
 	t0 := p.Now()
 	var wire des.Time
@@ -290,9 +292,7 @@ func (x *exp) awaitShards(p *des.Proc, w, want int, timed bool, ack func(minCloc
 			panic(fmt.Sprintf("%s worker: unexpected kind %d", x.cfg.Algo, m.Kind))
 		}
 	}
-	bd := &x.col.Workers[w].Breakdown
-	bd.Add(metrics.Network, wire)
-	bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
+	l.Book(StepExchange, t0, p.Now(), wire)
 	x.reps[w].SetParams(fresh)
 }
 
@@ -330,6 +330,7 @@ func (e *simEnv) FromPeers(merge func([]float32, float64)) error {
 func (e *simEnv) ToPeer(to, it int, aux float64, vec []float32) error {
 	e.x.net.Send(simnet.Msg{From: e.w, To: to, Kind: KindGossip, Clock: it, Aux: aux,
 		Bytes: e.x.fullBytes(), Vec: vec})
+	e.l.Book(StepToPeer, e.p.Now(), e.p.Now(), 0)
 	return nil
 }
 
@@ -374,7 +375,7 @@ func (e *simEnv) Go(name string, body func(Env, func() (int, bool)) error) (func
 			it := tokens.Recv(p)
 			return it, it >= 0
 		}
-		if err := body(&simEnv{x: x, p: p, w: w}, next); err != nil {
+		if err := body(&simEnv{x: x, p: p, w: w, l: e.l.Thread()}, next); err != nil {
 			panic(err)
 		}
 	})
@@ -415,9 +416,7 @@ func (e *simEnv) Swap(peer, it int, vec []float32) error {
 			panic(fmt.Sprintf("adpsgd active: unexpected kind %d", m.Kind))
 		}
 		if !x.cfg.ADPSGDNoBipartite {
-			bd := &x.col.Workers[e.w].Breakdown
-			bd.Add(metrics.Network, m.WireSec)
-			bd.Add(metrics.GlobalAgg, p.Now()-t0-m.WireSec)
+			e.l.Book(StepSwap, t0, p.Now(), m.WireSec)
 		}
 		x.reps[e.w].Average(m.Vec)
 		return nil
@@ -425,7 +424,8 @@ func (e *simEnv) Swap(peer, it int, vec []float32) error {
 }
 
 // Answer serves the held requests first, then the inbox. A dead worker
-// answers nothing: the requester's timeout absorbs the loss.
+// answers nothing: the requester's timeout absorbs the loss. An answer waits
+// for nothing, so all it books is the request's wire time.
 func (e *simEnv) Answer(wait bool) error {
 	x, p := e.x, e.p
 	inbox := x.inbox(e.w)
@@ -452,7 +452,7 @@ func (e *simEnv) Answer(wait bool) error {
 		x.net.Send(simnet.Msg{From: e.w, To: m.From, Kind: KindExchangeReply, Clock: m.Clock,
 			Bytes: x.fullBytes(), Vec: x.reps[e.w].Params()})
 		if !x.cfg.ADPSGDNoBipartite {
-			x.col.Workers[e.w].Breakdown.Add(metrics.Network, m.WireSec)
+			e.l.Book(StepAnswer, p.Now(), p.Now(), m.WireSec)
 		}
 		x.reps[e.w].Average(m.Vec)
 	}
@@ -505,9 +505,7 @@ func (e *simEnv) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error
 			e.stash = append(e.stash, m)
 		}
 	}
-	bd := &x.col.Workers[e.w].Breakdown
-	bd.Add(metrics.Network, wire)
-	bd.Add(metrics.GlobalAgg, p.Now()-t0-wire)
+	e.l.Book(StepNeighbors, t0, p.Now(), wire)
 	return out, nil
 }
 
@@ -519,10 +517,9 @@ func (e *simEnv) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error
 // algorithm first consumes the gradient. When overlap is true (wait-free BP
 // and the caller will invoke sendGrads next) only the forward time is slept
 // here — sendGrads interleaves the backward time with the per-shard sends.
-// Iteration bookkeeping (iter counter, spread, breakdown, trace spans)
-// stays on the engine thread at the post-sleep point, exactly where the
-// old synchronous path did it, so metrics are pool-size-independent.
-func (x *exp) computePhase(p *des.Proc, w int, overlap bool) float64 {
+// Iteration bookkeeping (iter counter, spread, the ledger) stays on the
+// engine thread at the post-sleep point, so metrics are pool-size-independent.
+func (x *exp) computePhase(p *des.Proc, w int, l *Ledger, overlap bool) float64 {
 	wl := x.cfg.Workload
 	j := wl.SampleMult(x.streams[w].Jitter)
 	if x.inj != nil {
@@ -533,19 +530,14 @@ func (x *exp) computePhase(p *des.Proc, w int, overlap bool) float64 {
 	rep := x.reps[w]
 	rep.beginCompute(x.pool)
 	if overlap {
-		fwd := mean / (1 + wl.BwdMult) * j
-		p.Sleep(fwd)
+		p.Sleep(mean / (1 + wl.BwdMult) * j) // the forward pass
 	} else {
 		p.Sleep(mean * j)
 	}
 	if !rep.shared {
 		rep.iter++ // a shared replica counted its pass where it ran it
 	}
-	x.col.Workers[w].Breakdown.Add(metrics.Compute, p.Now()-start)
-	if x.cfg.Tracer != nil {
-		x.cfg.Tracer.Span("compute", "worker", start, p.Now(),
-			x.cfg.Cluster.MachineOfWorker(w), w)
-	}
+	l.Book(StepCompute, start, p.Now(), 0)
 	x.noteIterSpread()
 	return j
 }
@@ -580,8 +572,7 @@ func (x *exp) bwdTotal(jitter float64) des.Time {
 // first, so a shard is available once backward has passed its lowest
 // segment.
 func (x *exp) bwdAvailability(jitter float64) []des.Time {
-	wl := x.cfg.Workload
-	totalBwd := wl.MeanIterSec() * wl.BwdMult / (1 + wl.BwdMult) * jitter
+	totalBwd := x.bwdTotal(jitter)
 	// Cumulative backward time by flat offset: segment i completes after
 	// all segments j > i have been processed plus its own time. Segment
 	// times are proportional to costs: in cost-only mode use per-layer
@@ -625,13 +616,10 @@ func (x *exp) bwdAvailability(jitter float64) []des.Time {
 // sendGrads transmits worker w's gradient to every PS shard, honoring
 // wait-free BP (which interleaves the backward sleep with per-shard sends,
 // ordered by when each shard's layers finish in the backward pass) and DGC
-// (which compresses the payload and shrinks wire bytes). jitter is the
-// compute-time multiplier from computePhase, used to pace the backward
-// sleeps under wait-free BP.
-// wfbp controls whether this send path applies the wait-free-BP
-// choreography; callers disable it when the backward pass already completed
-// (e.g. BSP leaders that gathered machine-local gradients first).
-func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, jitter float64, wfbp bool) {
+// (which compresses the payload and shrinks wire bytes). wfbp turns the
+// wait-free-BP pacing on; jitter is the compute-time multiplier from
+// computePhase that paces it, and l books the backward time it sleeps.
+func (x *exp) sendGrads(p *des.Proc, w int, l *Ledger, clock int, grads []float32, jitter float64, wfbp bool) {
 	cfg := x.cfg
 
 	// DGC: compress once over the full vector; per-shard messages carry the
@@ -748,7 +736,7 @@ func (x *exp) sendGrads(p *des.Proc, w int, clock int, grads []float32, jitter f
 		if d := x.bwdTotal(jitter) - slept; d > 0 {
 			p.Sleep(d)
 		}
-		x.col.Workers[w].Breakdown.Add(metrics.Compute, p.Now()-bwdStart)
+		l.Book(StepCompute, bwdStart, p.Now(), 0)
 	}
 }
 

@@ -67,7 +67,7 @@ func (l *arLink) Send(to, seg, lo, hi int, own bool) error {
 	f := &xport.Frame{Kind: l.kind, From: int32(l.nodes[l.self]),
 		Clock: l.clock, Seg: int32(seg)}
 	arChunk(l.q, l.vec, lo, hi, own, f)
-	return l.mb.ep.Send(l.nodes[to], f)
+	return l.mb.send(l.nodes[to], f)
 }
 
 func (l *arLink) Recv(seg, lo, hi int, fold comm.Fold) error {

@@ -41,6 +41,7 @@ import (
 	"disttrain/internal/cluster"
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
+	"disttrain/internal/metrics"
 	"disttrain/internal/nn"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
@@ -212,6 +213,9 @@ type Result struct {
 	// Net aggregates transport counters over every TCP endpoint in the run
 	// (zero for the channel transport, which keeps no counters).
 	Net xport.Stats
+	// Breakdown is the ranks' mean time breakdown, in wall seconds; network
+	// is the time spent inside Endpoint.Send.
+	Breakdown metrics.Breakdown
 	// Deaths, Rejoins, and Restores count chaos events: scheduled worker
 	// deaths the coordinator observed, REJOIN handshakes it accepted, and
 	// checkpoint restores rejoining workers performed.
@@ -230,6 +234,8 @@ func (r *Result) Summary() core.Summary {
 	s.VirtualSec = r.WallSec
 	s.Throughput = r.Throughput
 	s.TotalBytes = r.Net.BytesSent
+	s.BytesPerIterPerWorker = float64(r.Net.BytesSent) / float64(r.Config.Iters*r.Config.Workers)
+	s.SetBreakdown(r.Breakdown)
 	s.FinalTestAcc = r.FinalTestAcc
 	s.FinalTrainLoss = r.FinalTrainLoss
 	s.Faults.Crashes = int(r.Deaths)

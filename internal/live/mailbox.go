@@ -60,9 +60,20 @@ const (
 type mailbox struct {
 	ep    xport.Endpoint
 	stash []xport.Frame
+	// sent is the seconds spent inside Endpoint.Send so far — frame encode,
+	// CRC and socket write: the network time a step books.
+	sent float64
 }
 
 func newMailbox(ep xport.Endpoint) *mailbox { return &mailbox{ep: ep} }
+
+// send ships f to rank to, timing the Send.
+func (mb *mailbox) send(to int, f *xport.Frame) error {
+	t0 := time.Now()
+	err := mb.ep.Send(to, f)
+	mb.sent += time.Since(t0).Seconds()
+	return err
+}
 
 // recv returns the oldest stashed frame, or blocks on the endpoint.
 func (mb *mailbox) recv(timeout time.Duration) (xport.Frame, error) {

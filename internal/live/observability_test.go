@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"disttrain/internal/core"
+	"disttrain/internal/metrics"
 	"disttrain/internal/trace"
 )
 
@@ -131,10 +133,10 @@ func TestChanTraceExport(t *testing.T) {
 }
 
 // TestADPSGDExchangeSpansOnThreadTrack: live AD-PSGD's communication thread
-// traces on a track of its own, tid threadTid+rank (docs/OBSERVABILITY.md),
-// where its exchanges may overlap the compute track's spans: every active
-// records one adpsgd-exchange span per iteration there, and none lands
-// anywhere else.
+// traces on a track of its own, tid core.ThreadTid+rank
+// (docs/OBSERVABILITY.md), where its exchanges may overlap the compute track's
+// spans: every active records one swap span per iteration there, and none
+// lands anywhere else.
 func TestADPSGDExchangeSpansOnThreadTrack(t *testing.T) {
 	const workers = 4
 	tr := trace.New()
@@ -153,12 +155,12 @@ func TestADPSGDExchangeSpansOnThreadTrack(t *testing.T) {
 	exchanges := make(map[int]int)
 	for _, e := range evs {
 		switch {
-		case e.Name == "adpsgd-exchange":
-			if e.Pid != workerPid || e.Tid < threadTid || (e.Tid-threadTid)%2 != 0 {
+		case e.Name == "swap":
+			if e.Pid != workerPid || e.Tid < core.ThreadTid || (e.Tid-core.ThreadTid)%2 != 0 {
 				t.Fatalf("exchange span on pid %d tid %d", e.Pid, e.Tid)
 			}
-			exchanges[e.Tid-threadTid]++
-		case e.Name == "compute" && e.Tid >= threadTid:
+			exchanges[e.Tid-core.ThreadTid]++
+		case e.Name == "compute" && e.Tid >= core.ThreadTid:
 			t.Fatalf("compute span on the thread track %d", e.Tid)
 		}
 	}
@@ -166,6 +168,115 @@ func TestADPSGDExchangeSpansOnThreadTrack(t *testing.T) {
 		if exchanges[r] != cfg.Iters {
 			t.Errorf("active %d traced %d exchanges, want %d", r, exchanges[r], cfg.Iters)
 		}
+	}
+}
+
+// ledgerSpecs is one spec per algorithm the live runtime runs, plus BSP with
+// local aggregation for the gather and broadcast steps.
+func ledgerSpecs(t *testing.T) []core.Config {
+	var specs []core.Config
+	for _, algo := range append(core.Algos(), core.DPSGD, core.AdaComm, core.Hogwild) {
+		cfg := liveConfig(algo, 4, 6, 5)
+		if algo == core.AdaComm {
+			cfg.Tau = 2
+		}
+		if Validate(&cfg) == nil {
+			specs = append(specs, cfg)
+		}
+	}
+	if len(specs) != 9 {
+		t.Fatalf("%d live-runnable algorithms, want 9", len(specs))
+	}
+	la := liveConfig(core.BSP, 4, 6, 5)
+	la.LocalAgg = true
+	return append(specs, la)
+}
+
+func specName(cfg core.Config) string {
+	if cfg.LocalAgg {
+		return string(cfg.Algo) + "-localagg"
+	}
+	return string(cfg.Algo)
+}
+
+// workerSpans is the (name, category) multiset of the ledger's spans — the
+// compute and comm categories — per rank, a rank's second-thread track folded
+// into the rank.
+func workerSpans(t *testing.T, tr *trace.Tracer) map[int]map[[2]string]int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	out := map[int]map[[2]string]int{}
+	for _, e := range evs {
+		if e.Cat != "compute" && e.Cat != "comm" {
+			continue
+		}
+		r := e.Tid % core.ThreadTid
+		if out[r] == nil {
+			out[r] = map[[2]string]int{}
+		}
+		out[r][[2]string{e.Name, e.Cat}]++
+	}
+	return out
+}
+
+// TestSpanVocabularySimLive: both runtimes book through core.Ledger, so a
+// simulated and a live run of one spec trace the same steps, the same number
+// of times, on every rank. SSP's pulls and AdaComm's pushes follow timing,
+// so for those two only the steps must match, not their counts.
+func TestSpanVocabularySimLive(t *testing.T) {
+	for _, cfg := range ledgerSpecs(t) {
+		t.Run(specName(cfg), func(t *testing.T) {
+			simCfg := cfg
+			simCfg.Tracer = trace.New()
+			simRun(t, simCfg)
+			tr := trace.New()
+			if _, err := RunChan(cfg, WithTracer(tr)); err != nil {
+				t.Fatal(err)
+			}
+			sim, live := workerSpans(t, simCfg.Tracer), workerSpans(t, tr)
+			if cfg.Algo == core.SSP || cfg.Algo == core.AdaComm {
+				for _, spans := range []map[int]map[[2]string]int{sim, live} {
+					for _, ms := range spans {
+						for k := range ms {
+							ms[k] = 1
+						}
+					}
+				}
+			}
+			if len(sim) != cfg.Workers || !reflect.DeepEqual(sim, live) {
+				t.Fatalf("per-rank spans differ:\nsim  %v\nlive %v", sim, live)
+			}
+		})
+	}
+}
+
+// TestBreakdownSimLive: every phase of the paper's breakdown the simulator
+// books time to for a spec, a TCP run of it books wall time to.
+func TestBreakdownSimLive(t *testing.T) {
+	for _, cfg := range ledgerSpecs(t) {
+		t.Run(specName(cfg), func(t *testing.T) {
+			sim := simRun(t, cfg).Metrics.MeanBreakdown()
+			res, err := RunLoopback(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p, sec := range sim {
+				if sec > 0 && res.Breakdown[p] <= 0 {
+					t.Errorf("%v: sim books %gs, tcp %gs", metrics.Phase(p), sec, res.Breakdown[p])
+				}
+			}
+			s := res.Summary()
+			if s.ComputeSec != res.Breakdown[metrics.Compute] || s.BytesPerIterPerWorker <= 0 {
+				t.Fatalf("summary does not carry the breakdown and traffic: %+v", s)
+			}
+		})
 	}
 }
 

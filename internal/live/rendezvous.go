@@ -11,6 +11,7 @@ import (
 
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
+	"disttrain/internal/metrics"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -126,12 +127,13 @@ func parsePeers(data []byte, n int) ([]string, error) {
 }
 
 // doneStats is the stats payload of a DONE frame: the transport counters
-// accumulated across every incarnation of the worker, plus how many
-// checkpoint restores its restarts performed. The embedded struct keeps the
-// JSON flat, so pre-chaos payloads decode unchanged.
+// and the time breakdown accumulated across every incarnation of the worker,
+// plus how many checkpoint restores its restarts performed. The embedded
+// struct keeps the JSON flat, so pre-chaos payloads decode unchanged.
 type doneStats struct {
 	xport.Stats
-	Restores int64 `json:"restores,omitempty"`
+	Restores  int64             `json:"restores,omitempty"`
+	Breakdown metrics.Breakdown `json:"breakdown"`
 }
 
 // doneInfo is what one worker's DONE frame reports.
@@ -144,10 +146,11 @@ type doneInfo struct {
 }
 
 // report is the worker's final account, on either transport: completed
-// iterations, the training-loss EWMA and the final parameters.
+// iterations, the training-loss EWMA, the final parameters and breakdown.
 func (w *worker) report() doneInfo {
 	loss, lossInit := w.rep.Loss()
-	return doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: w.rep.Params()}
+	return doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: w.rep.Params(),
+		stats: doneStats{Breakdown: w.l.Breakdown()}}
 }
 
 // frame encodes the report as rank's DONE; parseDone is its inverse.
@@ -548,6 +551,7 @@ func (st *runState) watchdog() {
 func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srvNet *xport.TCPNet) (*Result, error) {
 	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
 	model := core.InitModel(cfg)
+	ranks := make([]metrics.Worker, len(reports))
 	totalIters := 0
 	var loss float64
 	cnt := 0
@@ -565,7 +569,9 @@ func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGl
 		}
 		res.Net.Add(rep.stats.Stats)
 		res.Restores += rep.stats.Restores
+		ranks[r].Breakdown = rep.stats.Breakdown
 	}
+	res.Breakdown = (&metrics.Collector{Workers: ranks}).MeanBreakdown()
 	if srvNet != nil {
 		res.Net.Add(srvNet.Stats())
 	}

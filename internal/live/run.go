@@ -240,10 +240,12 @@ func (l *life) restore() int {
 	return step
 }
 
-// close releases the current incarnation's mesh and control connection.
+// close releases the current incarnation's mesh and control connection, and
+// waits for the second thread the mesh's close ends.
 func (l *life) close() {
 	if l.mesh != nil {
 		l.mesh.Close()
+		l.w.threads.Wait()
 	}
 	if l.link != nil {
 		l.link.c.Close()
@@ -266,6 +268,7 @@ func (l *life) run() error {
 			// the mesh and control connection mid-protocol, exactly what a
 			// killed process would leave behind.
 			l.prev.Add(l.mesh.Stats())
+			l.prev.Breakdown.Merge(l.w.l.Breakdown())
 			l.close()
 			if l.o.exitOnDeath {
 				// External-restart mode: the supervisor owns the relaunch
@@ -294,6 +297,7 @@ func (l *life) run() error {
 	}
 
 	rep := l.w.report()
+	l.prev.Breakdown.Merge(rep.stats.Breakdown)
 	rep.stats = l.prev
 	rep.stats.Add(l.mesh.Stats())
 	if err := l.link.write(rep.frame(rank)); err != nil {
@@ -415,10 +419,12 @@ func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
 	start := time.Now()
 	reports := make([]doneInfo, cfg.Workers)
 	errs := make([]error, cfg.Workers)
+	workers := make([]*worker, cfg.Workers)
 	stop := make(chan struct{})
 	var running, tails sync.WaitGroup
 	for i := 0; i < cfg.Workers; i++ {
 		w := newWorker(&cfg, i, cn.Endpoint(i), o)
+		workers[i] = w
 		running.Add(1)
 		tails.Add(1)
 		go func() {
@@ -443,6 +449,9 @@ func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
 	}
 	for i := 0; i < n; i++ {
 		cn.Endpoint(i).Close()
+	}
+	for _, w := range workers {
+		w.threads.Wait()
 	}
 	for _, err := range errs {
 		if err != nil {

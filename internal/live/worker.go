@@ -2,10 +2,12 @@ package live
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"disttrain/internal/comm"
 	"disttrain/internal/core"
+	"disttrain/internal/metrics"
 	"disttrain/internal/nn"
 	"disttrain/internal/ps"
 	"disttrain/internal/topo"
@@ -15,13 +17,12 @@ import (
 
 // Trace track conventions for the live runtime: workers record on pid 0
 // with tid = rank, a worker's second thread (AD-PSGD's communication thread)
-// on pid 0 with tid = threadTid+rank (its exchanges overlap the compute
+// on pid 0 with tid = core.ThreadTid+rank (its exchanges overlap the compute
 // track), and the coordinator on pid 1. The simulator uses pid = machine, so
 // the two time sources stay distinguishable in one viewer.
 const (
 	workerPid = 0
 	coordPid  = 1
-	threadTid = 1000
 )
 
 // meshSize is the number of xport ranks a run needs: one per worker, plus
@@ -49,7 +50,6 @@ func serverRank(cfg *core.Config) int {
 type worker struct {
 	cfg  *core.Config
 	rank int
-	tid  int // trace track: rank, or threadTid+rank for the second thread
 	srv  int // mesh rank of the PS; -1 when decentralized
 	ep   xport.Endpoint
 	mb   *mailbox
@@ -98,6 +98,10 @@ type worker struct {
 	// tr records wall-clock spans (nil when tracing is off; every
 	// trace call is nil-safe).
 	tr *trace.Tracer
+	// l books the core.Env steps in wall seconds, on tr's clock; threads
+	// counts the second threads Go started.
+	l       *core.Ledger
+	threads sync.WaitGroup
 }
 
 func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worker {
@@ -111,7 +115,6 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 	w := &worker{
 		cfg:       cfg,
 		rank:      rank,
-		tid:       rank,
 		srv:       serverRank(cfg),
 		ep:        ep,
 		mb:        newMailbox(ep),
@@ -142,13 +145,20 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 			}
 		}
 	}
+	w.l = core.NewLedger(new(metrics.Breakdown), w.tr, workerPid, rank)
 	return w
 }
 
 // span opens a wall-clock span on this worker's trace track; with tracing
 // off it returns a no-op span.
 func (w *worker) span(name, cat string) *trace.WallSpan {
-	return w.tr.StartSpan(name, cat, workerPid, w.tid)
+	return w.tr.StartSpan(name, cat, workerPid, w.rank)
+}
+
+// book closes step s, begun at start when the mailbox had spent sent seconds
+// inside Send: the Send time since is the step's wire time.
+func (w *worker) book(s core.Step, start, sent float64) {
+	w.l.Book(s, start, w.tr.Now(), w.mb.sent-sent)
 }
 
 // deathErr signals a scheduled crash: the worker reached an iteration its
@@ -189,7 +199,7 @@ func (w *worker) run() error {
 		return fmt.Errorf("live: worker %d (%s): %w", w.rank, w.cfg.Algo, err)
 	}
 	if w.srv >= 0 {
-		if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindBye, From: int32(w.rank)}); err != nil {
+		if err := w.mb.send(w.srv, &xport.Frame{Kind: kindBye, From: int32(w.rank)}); err != nil {
 			return fmt.Errorf("live: worker %d bye: %w", w.rank, err)
 		}
 	}
@@ -230,10 +240,10 @@ func (w *worker) tail(stop <-chan struct{}) error {
 }
 
 // The methods below make worker the live runtime's core.Env: everything that
-// is a *wire* — frames and their codec, spans, the mailbox's matching and
-// recycling, checkpoints — under the loops of core/loops.go, which own the
-// protocol order. Received vectors are released to xport's recycler as soon as
-// the replica has taken them in.
+// is a *wire* — frames and their codec, the mailbox's matching and recycling,
+// checkpoints — under the loops of core/loops.go, which own the protocol
+// order. Every step that takes time books it on the ledger. Received vectors
+// are released to xport's recycler as soon as the replica has taken them in.
 
 // Gate is the per-round chaos check: a deathErr when this worker's schedule
 // says iteration it is not run (the life driver restarts it), and otherwise a
@@ -262,12 +272,12 @@ func (w *worker) Members(it int) ([]int, int) {
 	return w.ch.inj.AliveNodes(it, w.rank)
 }
 
-// Compute runs the pass under a compute span; a wall-clock worker has no
-// backward time to overlap with.
+// Compute runs the pass; a wall-clock worker has no backward time to overlap
+// with. It reads no Send time: AD-PSGD's second thread owns the mailbox.
 func (w *worker) Compute(bool) {
-	sp := w.span("compute", "compute")
+	t0 := w.tr.Now()
 	w.g = w.rep.ComputeGrad()
-	sp.End()
+	w.l.Book(core.StepCompute, t0, w.tr.Now(), 0)
 	w.draws++
 }
 
@@ -283,25 +293,22 @@ func (w *worker) link(kind uint16, it int, nodes []int, self int, vec []float32)
 }
 
 func (w *worker) AllReduce(it int, nodes []int, self int) ([]float32, error) {
+	defer w.book(core.StepAllReduce, w.tr.Now(), w.mb.sent)
 	l := w.link(kindAllReduce, it, nodes, self, w.g)
 	l.q = w.arQuantize(w.g)
-	sp := w.span("allreduce", "comm")
-	defer sp.End()
 	return w.g, w.plan.Run(l, len(nodes), self, len(w.g))
 }
 
 // GatherSum ships a member's gradient to its machine leader dense — the
 // codec applies once, to the sum the leader pushes, as in the simulator.
 func (w *worker) GatherSum(it int, group []int, self int, vec []float32) error {
-	sp := w.span("local-gather", "comm")
-	defer sp.End()
+	defer w.book(core.StepGatherSum, w.tr.Now(), w.mb.sent)
 	l := w.link(kindLocalGather, it, group, self, vec)
 	return comm.Plan{Op: comm.OpGather}.Run(l, len(group), self, len(vec))
 }
 
 func (w *worker) Bcast(it int, group []int, self int, params []float32) error {
-	sp := w.span("local-bcast", "comm")
-	defer sp.End()
+	defer w.book(core.StepBcast, w.tr.Now(), w.mb.sent)
 	if self != 0 {
 		// The gradient store is dead once the gather has shipped it: the
 		// leader's parameters land there on their way into the replica.
@@ -319,34 +326,32 @@ func (w *worker) Bcast(it int, group []int, self int, params []float32) error {
 // installs the parameters it carries. SSP acks that overtake the reply are
 // stashed for the next Acks.
 func (w *worker) Exchange(kind ps.Kind, it int, vec []float32, _ func(int)) error {
+	defer w.book(core.StepExchange, w.tr.Now(), w.mb.sent)
 	f := &xport.Frame{Kind: uint16(kind), From: int32(w.rank), Clock: int32(it)}
-	span, reply := "ps-exchange", kindParams
+	reply := kindParams
 	switch kind {
 	case ps.Grad:
 		w.encodeGrad(vec, f)
-	case ps.Pull:
-		span = "ssp-sync"
 	case ps.Push:
-		span, reply, f.Vec = "easgd-sync", kindEASGDReply, vec
+		reply, f.Vec = kindEASGDReply, vec
 	}
-	sp := w.span(span, "comm")
-	if err := w.ep.Send(w.srv, f); err != nil {
+	if err := w.mb.send(w.srv, f); err != nil {
 		return err
 	}
 	r, err := w.mb.recvMatch(reply, f.Clock, 0, recvTimeout)
 	if err != nil {
 		return err
 	}
-	sp.End()
 	w.rep.SetParams(r.Vec)
 	r.Release()
 	return nil
 }
 
 func (w *worker) Update(it int, vec []float32) error {
+	defer w.book(core.StepUpdate, w.tr.Now(), w.mb.sent)
 	f := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
 	w.encodeGrad(vec, f)
-	return w.ep.Send(w.srv, f)
+	return w.mb.send(w.srv, f)
 }
 
 // arrived hands fold every frame that has already come in, which must all be
@@ -381,22 +386,23 @@ func (w *worker) FromPeers(merge func([]float32, float64)) error {
 func (w *worker) Reachable(base []int) []int { return base }
 
 func (w *worker) ToPeer(to, it int, aux float64, vec []float32) error {
-	sp := w.span("gossip-push", "comm")
-	defer sp.End()
-	return w.ep.Send(to, &xport.Frame{Kind: kindGossip, From: int32(w.rank),
+	defer w.book(core.StepToPeer, w.tr.Now(), w.mb.sent)
+	return w.mb.send(to, &xport.Frame{Kind: kindGossip, From: int32(w.rank),
 		Clock: int32(it), Aux: aux, Vec: vec})
 }
 
 // Go runs body on a goroutine, over a view of this worker that shares its
 // replica (under the mutex newWorker armed), endpoint and mailbox — which
-// the thread owns from here on — and traces on a track of its own. The token
+// the thread owns from here on — and books on a track of its own. The token
 // channel holds a whole run, so hand never blocks; stop waits for the thread.
 func (w *worker) Go(name string, body func(core.Env, func() (int, bool)) error) (func(int), func() error) {
-	c := &worker{cfg: w.cfg, rank: w.rank, tid: threadTid + w.rank,
-		ep: w.ep, mb: w.mb, rep: w.rep, tr: w.tr}
+	c := &worker{cfg: w.cfg, rank: w.rank, ep: w.ep, mb: w.mb, rep: w.rep, tr: w.tr,
+		l: w.l.Thread()}
 	tokens := make(chan int, w.cfg.Iters)
 	done := make(chan error, 1)
+	w.threads.Add(1)
 	go func() {
+		defer w.threads.Done()
 		done <- body(c, func() (int, bool) {
 			it, ok := <-tokens
 			return it, ok
@@ -412,8 +418,8 @@ func (w *worker) Go(name string, body func(core.Env, func() (int, bool)) error) 
 }
 
 func (w *worker) Swap(peer, it int, vec []float32) error {
-	sp := w.span("adpsgd-exchange", "comm")
-	if err := w.ep.Send(peer, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
+	defer w.book(core.StepSwap, w.tr.Now(), w.mb.sent)
+	if err := w.mb.send(peer, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
 		Clock: int32(it), Vec: vec}); err != nil {
 		return err
 	}
@@ -421,7 +427,6 @@ func (w *worker) Swap(peer, it int, vec []float32) error {
 	if err != nil {
 		return err
 	}
-	sp.End()
 	w.rep.Average(f.Vec)
 	f.Release()
 	return nil
@@ -447,12 +452,14 @@ func (w *worker) Answer(wait bool) error {
 		if f.Kind != kindExchangeReq {
 			return fmt.Errorf("unexpected kind %d, want an exchange request", f.Kind)
 		}
-		if err := w.ep.Send(int(f.From), &xport.Frame{Kind: kindExchangeRep, From: int32(w.rank),
+		start, sent := w.tr.Now(), w.mb.sent
+		if err := w.mb.send(int(f.From), &xport.Frame{Kind: kindExchangeRep, From: int32(w.rank),
 			Clock: f.Clock, Vec: w.rep.Params()}); err != nil {
 			return err
 		}
 		w.rep.Average(f.Vec)
 		f.Release()
+		w.book(core.StepAnswer, start, sent)
 	}
 }
 
@@ -460,10 +467,9 @@ func (w *worker) Answer(wait bool) error {
 // the order of nbs whatever order they arrive in; a neighbour one round
 // ahead waits in the mailbox's stash. The vectors are the caller's to keep.
 func (w *worker) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
-	sp := w.span("ring-exchange", "comm")
-	defer sp.End()
+	defer w.book(core.StepNeighbors, w.tr.Now(), w.mb.sent)
 	for _, nb := range nbs {
-		if err := w.ep.Send(nb, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
+		if err := w.mb.send(nb, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
 			Clock: int32(it), Vec: vec}); err != nil {
 			return nil, err
 		}

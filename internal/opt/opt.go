@@ -10,7 +10,6 @@ package opt
 
 import (
 	"fmt"
-	"math"
 
 	"disttrain/internal/tensor"
 )
@@ -61,46 +60,6 @@ func (s *SGD) StepAt(p, g []float32, scale, lr float32, off int) {
 // tests and ablations).
 func (s *SGD) Velocity() []float32 { return s.vel }
 
-// Adam is the Adam optimizer (Kingma & Ba) on flat vectors — the optimizer
-// transformer-era models train with, provided as an extension next to
-// momentum SGD. Bias correction is applied.
-type Adam struct {
-	Beta1, Beta2 float32
-	Eps          float32
-	WeightDecay  float32
-	m, v         []float32
-	// b1t, b2t hold β₁ᵗ and β₂ᵗ for O(1) bias correction per step.
-	b1t, b2t float32
-}
-
-// NewAdam creates an Adam optimizer for vectors of length n with the
-// standard (0.9, 0.999, 1e-8) coefficients.
-func NewAdam(n int, weightDecay float32) *Adam {
-	return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, WeightDecay: weightDecay,
-		m: make([]float32, n), v: make([]float32, n), b1t: 1, b2t: 1}
-}
-
-// Step applies one Adam update to params given grads and learning rate lr.
-func (a *Adam) Step(params, grads []float32, lr float32) {
-	if len(params) != len(a.m) || len(grads) != len(a.m) {
-		panic(fmt.Sprintf("opt: Adam step lengths %d/%d, want %d", len(params), len(grads), len(a.m)))
-	}
-	a.b1t *= a.Beta1
-	a.b2t *= a.Beta2
-	c1 := 1 - a.b1t
-	c2 := 1 - a.b2t
-	for i, g := range grads {
-		g += a.WeightDecay * params[i]
-		a.m[i] = a.Beta1*a.m[i] + (1-a.Beta1)*g
-		a.v[i] = a.Beta2*a.v[i] + (1-a.Beta2)*g*g
-		mhat := a.m[i] / c1
-		vhat := a.v[i] / c2
-		params[i] -= lr * mhat / (sqrt32(vhat) + a.Eps)
-	}
-}
-
-func sqrt32(x float32) float32 { return float32(math.Sqrt(float64(x))) }
-
 // Schedule is the paper's learning-rate policy: linear-scaled base rate,
 // gradual warm-up over the first WarmupIters iterations (from Base/Workers
 // up to Base·Workers... see NewPaperSchedule), then step decay.
@@ -149,37 +108,6 @@ func (s Schedule) At(t int) float32 {
 	return float32(lr)
 }
 
-// CosineSchedule is a warm-up + cosine-annealing learning-rate policy — the
-// modern alternative to step decay, provided as an extension for users who
-// want to train the mini-models with current recipes.
-type CosineSchedule struct {
-	// Base is the post-warm-up peak rate.
-	Base float64
-	// WarmupIters ramps linearly from Base/10 to Base.
-	WarmupIters int
-	// TotalIters is the annealing horizon; beyond it the rate stays at Min.
-	TotalIters int
-	// Min is the floor rate (default 0).
-	Min float64
-}
-
-// At returns the learning rate at iteration t (0-based).
-func (s CosineSchedule) At(t int) float32 {
-	if s.WarmupIters > 0 && t < s.WarmupIters {
-		frac := float64(t) / float64(s.WarmupIters)
-		return float32(s.Base * (0.1 + 0.9*frac))
-	}
-	if s.TotalIters <= s.WarmupIters {
-		return float32(s.Base)
-	}
-	prog := float64(t-s.WarmupIters) / float64(s.TotalIters-s.WarmupIters)
-	if prog > 1 {
-		prog = 1
-	}
-	cos := 0.5 * (1 + math.Cos(math.Pi*prog))
-	return float32(s.Min + (s.Base-s.Min)*cos)
-}
-
 // ClipByL2Norm rescales g in place so its L2 norm does not exceed maxNorm,
 // returning the pre-clip norm. Used by DGC's local gradient clipping.
 func ClipByL2Norm(g []float32, maxNorm float64) float64 {
@@ -189,15 +117,4 @@ func ClipByL2Norm(g []float32, maxNorm float64) float64 {
 		tensor.ScaleF32(scale, g)
 	}
 	return n
-}
-
-// IsFinite reports whether every element of g is finite — a guard used by
-// training drivers to detect divergence early.
-func IsFinite(g []float32) bool {
-	for _, v := range g {
-		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
-			return false
-		}
-	}
-	return true
 }

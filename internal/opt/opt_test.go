@@ -226,18 +226,6 @@ func TestClipProperty(t *testing.T) {
 	}
 }
 
-func TestIsFinite(t *testing.T) {
-	if !IsFinite([]float32{1, -2, 0}) {
-		t.Fatal("finite vector reported non-finite")
-	}
-	if IsFinite([]float32{1, float32(math.NaN())}) {
-		t.Fatal("NaN not detected")
-	}
-	if IsFinite([]float32{float32(math.Inf(1))}) {
-		t.Fatal("Inf not detected")
-	}
-}
-
 func BenchmarkSGDStep(b *testing.B) {
 	n := 1 << 16
 	s := NewSGD(n, 0.9, 1e-4)
@@ -250,90 +238,5 @@ func BenchmarkSGDStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Step(p, g, 0.01)
-	}
-}
-
-func TestCosineScheduleShape(t *testing.T) {
-	s := CosineSchedule{Base: 1, WarmupIters: 10, TotalIters: 110, Min: 0.01}
-	if got := s.At(0); math.Abs(float64(got)-0.1) > 1e-6 {
-		t.Fatalf("At(0) = %v", got)
-	}
-	if got := s.At(10); got != 1 {
-		t.Fatalf("peak = %v", got)
-	}
-	// Midpoint of the cosine: (Base+Min)/2.
-	if got := s.At(60); math.Abs(float64(got)-0.505) > 1e-3 {
-		t.Fatalf("mid = %v", got)
-	}
-	if got := s.At(110); math.Abs(float64(got)-0.01) > 1e-6 {
-		t.Fatalf("end = %v", got)
-	}
-	if got := s.At(500); math.Abs(float64(got)-0.01) > 1e-6 {
-		t.Fatalf("beyond horizon = %v", got)
-	}
-	// Monotone decreasing after warm-up.
-	prev := s.At(10)
-	for i := 11; i <= 110; i++ {
-		v := s.At(i)
-		if v > prev+1e-7 {
-			t.Fatalf("cosine not decreasing at %d", i)
-		}
-		prev = v
-	}
-}
-
-func TestCosineDegenerateHorizon(t *testing.T) {
-	s := CosineSchedule{Base: 0.5, WarmupIters: 5, TotalIters: 5}
-	if got := s.At(7); got != 0.5 {
-		t.Fatalf("degenerate horizon = %v", got)
-	}
-}
-
-func TestAdamConvergesOnQuadratic(t *testing.T) {
-	target := []float32{3, -2, 7}
-	w := []float32{0, 0, 0}
-	a := NewAdam(3, 0)
-	g := make([]float32, 3)
-	for i := 0; i < 3000; i++ {
-		for j := range g {
-			g[j] = w[j] - target[j]
-		}
-		a.Step(w, g, 0.05)
-	}
-	for j := range w {
-		if math.Abs(float64(w[j]-target[j])) > 0.05 {
-			t.Fatalf("adam w = %v, want %v", w, target)
-		}
-	}
-}
-
-func TestAdamFirstStepIsLRSized(t *testing.T) {
-	// With bias correction, the very first step has magnitude ~lr regardless
-	// of gradient scale.
-	for _, scale := range []float32{0.001, 1, 1000} {
-		a := NewAdam(1, 0)
-		p := []float32{0}
-		a.Step(p, []float32{scale}, 0.1)
-		if math.Abs(float64(p[0])+0.1) > 1e-3 {
-			t.Fatalf("scale %v: first step %v, want ~-0.1", scale, p[0])
-		}
-	}
-}
-
-func TestAdamStepPanicsOnLengthMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewAdam(3, 0).Step([]float32{1}, []float32{1}, 0.1)
-}
-
-func TestAdamWeightDecay(t *testing.T) {
-	a := NewAdam(1, 0.5)
-	p := []float32{10}
-	a.Step(p, []float32{0}, 0.1)
-	if p[0] >= 10 {
-		t.Fatalf("weight decay did not shrink param: %v", p[0])
 	}
 }

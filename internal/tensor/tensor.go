@@ -90,14 +90,6 @@ func (t *Tensor) Fill(v float32) {
 	}
 }
 
-// CopyFrom copies src's data into t. Sizes must match.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic("tensor: CopyFrom size mismatch")
-	}
-	copy(t.Data, src.Data)
-}
-
 // At returns the element at the given indices (bounds unchecked beyond the
 // underlying slice; intended for tests and small code paths).
 func (t *Tensor) At(idx ...int) float32 {

@@ -1,14 +1,14 @@
 // Package trace records simulation timelines in the Chrome Trace Event
 // format (the JSON consumed by chrome://tracing and https://ui.perfetto.dev),
-// so a simulated training schedule — compute spans per worker, message
-// spans per NIC — can be inspected visually. One glance at an ASP trace
+// so a simulated training schedule — step spans per worker, message spans
+// per NIC — can be inspected visually. One glance at an ASP trace
 // shows the PS ingress serialization the paper's Figure 3 quantifies.
 //
 // Two time sources feed one exporter: the DES records virtual-time spans
 // via Span (startSec/endSec are simulator seconds), while the live runtime
-// records wall-clock spans via StartSpan/End (real time, anchored to the
-// tracer's epoch). Both end up as the same Event shape, so one WriteJSON
-// serves both runtimes.
+// records wall-clock spans via StartSpan/End, or via Span between two
+// readings of Now (real time, anchored to the tracer's epoch). Both end up
+// as the same Event shape, so one WriteJSON serves both runtimes.
 package trace
 
 import (
@@ -37,7 +37,7 @@ type Event struct {
 type Tracer struct {
 	mu     sync.Mutex
 	events []Event
-	epoch  time.Time // wall-clock zero for StartSpan spans; set on first use
+	epoch  time.Time // wall-clock zero for Now; set on first use
 }
 
 // New creates an empty tracer.
@@ -65,63 +65,50 @@ type WallSpan struct {
 	t         *Tracer
 	name, cat string
 	pid, tid  int
-	start     time.Time
+	start     float64
 }
 
-// StartSpan opens a wall-clock span on the (pid, tid) track. The tracer's
-// epoch — the wall instant that maps to ts 0 — is anchored by the first
-// StartSpan/Mark call, so exported timestamps are relative to the start of
-// the run rather than absolute time.
+// StartSpan opens a wall-clock span on the (pid, tid) track, starting Now.
 func (t *Tracer) StartSpan(name, cat string, pid, tid int) *WallSpan {
 	if t == nil {
 		return nil
 	}
-	now := time.Now()
-	t.mu.Lock()
-	if t.epoch.IsZero() {
-		t.epoch = now
-	}
-	t.mu.Unlock()
-	return &WallSpan{t: t, name: name, cat: cat, pid: pid, tid: tid, start: now}
+	return &WallSpan{t: t, name: name, cat: cat, pid: pid, tid: tid, start: t.Now()}
 }
 
-// End records the span as a complete event from its start to now.
+// End records the span as a complete event from its start to Now.
 func (s *WallSpan) End() {
-	if s == nil || s.t == nil {
-		return
+	if s != nil {
+		s.t.Span(s.name, s.cat, s.start, s.t.Now(), s.pid, s.tid)
 	}
-	end := time.Now()
-	t := s.t
-	t.mu.Lock()
-	if t.epoch.IsZero() {
-		t.epoch = s.start
-	}
-	t.events = append(t.events, Event{
-		Name: s.name, Cat: s.cat, Ph: "X",
-		Ts:  s.start.Sub(t.epoch).Seconds() * 1e6,
-		Dur: end.Sub(s.start).Seconds() * 1e6,
-		Pid: s.pid, Tid: s.tid,
-	})
-	t.mu.Unlock()
 }
 
 // Mark records an instantaneous wall-clock event (a zero-duration span) at
 // the current time — heartbeats, rejoin admissions, and other point events.
 func (t *Tracer) Mark(name, cat string, pid, tid int) {
-	if t == nil {
-		return
+	if t != nil {
+		now := t.Now()
+		t.Span(name, cat, now, now, pid, tid)
 	}
+}
+
+// processStart is where a nil tracer's wall clock counts from.
+var processStart = time.Now()
+
+// Now is the tracer's wall clock: seconds since the epoch, ts 0, which the
+// first call anchors so that timestamps are relative to the start of the run.
+// A nil tracer counts from the start of the process.
+func (t *Tracer) Now() float64 {
 	now := time.Now()
+	if t == nil {
+		return now.Sub(processStart).Seconds()
+	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	if t.epoch.IsZero() {
 		t.epoch = now
 	}
-	t.events = append(t.events, Event{
-		Name: name, Cat: cat, Ph: "X",
-		Ts:  now.Sub(t.epoch).Seconds() * 1e6,
-		Pid: pid, Tid: tid,
-	})
-	t.mu.Unlock()
+	return now.Sub(t.epoch).Seconds()
 }
 
 // Len returns the number of recorded events.
