@@ -61,9 +61,11 @@ func TestConvResizesOnGeometry(t *testing.T) {
 	}
 }
 
-// TestConvStepAllocatesNothing: a steady-state training step of every conv
-// net on one core makes no allocation (the benchmark's nn.step_allocs).
-func TestConvStepAllocatesNothing(t *testing.T) {
+// TestConvModelsStepAllocateNothing: a steady-state training step of every
+// conv net on an arena makes no allocation (the benchmark's
+// nn.step_allocs) — pooling slots, fused residual masks and every other
+// scratch buffer come from the arena once and stay.
+func TestConvModelsStepAllocateNothing(t *testing.T) {
 	for _, name := range []string{"minicnn", "miniresnet", "miniresnetbn", "minivgg"} {
 		f, err := FactoryByName(name, 10, imageSample)
 		if err != nil {

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"disttrain/internal/rng"
 	"disttrain/internal/tensor"
@@ -110,10 +111,13 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	return d.dx
 }
 
-// ReLU applies max(0, x) elementwise.
+// ReLU keeps every element x > 0 and maps the rest to +0: a NaN, −0 or
+// negative input gives +0 (Go's max(0, x) would return the NaN). The fused
+// forms (NewDenseReLU, NewConv2DReLU, NewResidualReLU) apply the same
+// clamp. Backward passes dout where the output is > 0 — exactly where the
+// input was — and +0 elsewhere, so the output is the only mask.
 type ReLU struct {
 	name  string
-	mask  []bool
 	y     *tensor.Tensor
 	dx    *tensor.Tensor
 	arena *tensor.Arena
@@ -127,38 +131,20 @@ func (l *ReLU) Params() []*Param         { return nil }
 func (l *ReLU) setArena(a *tensor.Arena) { l.arena = a }
 
 func (l *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	n := x.Size()
-	if l.y == nil || l.y.Size() != n {
+	if l.y == nil || l.y.Size() != x.Size() {
 		l.arena.PutTensor(l.y)
 		l.arena.PutTensor(l.dx)
 		l.y = l.arena.GetTensor(x.Shape...)
 		l.dx = l.arena.GetTensor(x.Shape...)
-		l.mask = make([]bool, n)
 	}
 	l.y.Shape = append(l.y.Shape[:0], x.Shape...)
 	l.dx.Shape = append(l.dx.Shape[:0], x.Shape...)
-	yd := l.y.Data
-	for i, v := range x.Data {
-		if v > 0 {
-			yd[i] = v
-			l.mask[i] = true
-		} else {
-			yd[i] = 0
-			l.mask[i] = false
-		}
-	}
+	tensor.ReLUMaskF32(l.y.Data, x.Data, x.Data)
 	return l.y
 }
 
 func (l *ReLU) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	dd := l.dx.Data
-	for i, v := range dout.Data {
-		if l.mask[i] {
-			dd[i] = v
-		} else {
-			dd[i] = 0
-		}
-	}
+	tensor.ReLUMaskF32(l.dx.Data, dout.Data, l.y.Data)
 	return l.dx
 }
 
@@ -292,18 +278,14 @@ func addRowSums(sums, x []float32, n int) {
 	}
 }
 
-// MaxPool halves spatial dimensions with 2×2/stride-2 max pooling.
+// MaxPool halves spatial dimensions with 2×2/stride-2 max pooling over
+// [B, C, H, W] inputs, every plane of the batch in one tensor.MaxPool2x2
+// call.
 type MaxPool struct {
-	name      string
-	idx       []int32
-	y, dx     *tensor.Tensor
-	lastIn    int
-	inShape   []int
-	sampleIn  int
-	sampleOut int
-	arena     *tensor.Arena
-	// reusable per-sample view headers
-	hdrIn, hdrOut tensor.Tensor
+	name  string
+	slot  []float32 // each output's window slot, from the arena
+	y, dx *tensor.Tensor
+	arena *tensor.Arena
 }
 
 // NewMaxPool creates a 2×2 stride-2 max-pooling layer.
@@ -314,37 +296,25 @@ func (l *MaxPool) Params() []*Param         { return nil }
 func (l *MaxPool) setArena(a *tensor.Arena) { l.arena = a }
 
 func (l *MaxPool) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	b, ch, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
-	if h%2 != 0 || w%2 != 0 {
-		panic(fmt.Sprintf("nn: maxpool %s needs even spatial dims, got %v", l.name, x.Shape))
+	if len(x.Shape) != 4 || x.Shape[2]%2 != 0 || x.Shape[3]%2 != 0 {
+		panic(fmt.Sprintf("nn: maxpool %s needs [B C H W] with even H and W, got %v", l.name, x.Shape))
 	}
-	if l.y == nil || l.lastIn != x.Size() {
+	// y, dx and slot are fully overwritten by every pass: dirty arena
+	// buffers are safe. dx's shape is the input's, so it is the key.
+	if l.dx == nil || !slices.Equal(l.dx.Shape, x.Shape) {
 		l.arena.PutTensor(l.y)
 		l.arena.PutTensor(l.dx)
-		l.y = l.arena.GetTensor(b, ch, h/2, w/2)
+		l.arena.Put(l.slot)
+		l.y = l.arena.GetTensor(x.Shape[0], x.Shape[1], x.Shape[2]/2, x.Shape[3]/2)
 		l.dx = l.arena.GetTensor(x.Shape...)
-		l.idx = make([]int32, b*ch*(h/2)*(w/2))
-		l.lastIn = x.Size()
-		l.inShape = append([]int(nil), x.Shape...)
-		l.sampleIn = ch * h * w
-		l.sampleOut = ch * (h / 2) * (w / 2)
+		l.slot = l.arena.Get(l.y.Size())
 	}
-	for i := 0; i < b; i++ {
-		in3 := l.hdrIn.Rebind(x.Data[i*l.sampleIn:(i+1)*l.sampleIn], ch, h, w)
-		out3 := l.hdrOut.Rebind(l.y.Data[i*l.sampleOut:(i+1)*l.sampleOut], ch, h/2, w/2)
-		tensor.MaxPool2x2(in3, out3, l.idx[i*l.sampleOut:(i+1)*l.sampleOut])
-	}
+	tensor.MaxPool2x2(x, l.y, l.slot)
 	return l.y
 }
 
 func (l *MaxPool) Backward(dout *tensor.Tensor) *tensor.Tensor {
-	b := dout.Shape[0]
-	ch, h, w := l.inShape[1], l.inShape[2], l.inShape[3]
-	for i := 0; i < b; i++ {
-		do3 := l.hdrOut.Rebind(dout.Data[i*l.sampleOut:(i+1)*l.sampleOut], ch, h/2, w/2)
-		dx3 := l.hdrIn.Rebind(l.dx.Data[i*l.sampleIn:(i+1)*l.sampleIn], ch, h, w)
-		tensor.MaxPool2x2Backward(do3, l.idx[i*l.sampleOut:(i+1)*l.sampleOut], dx3)
-	}
+	tensor.MaxPool2x2Backward(dout, l.slot, l.dx)
 	return l.dx
 }
 
@@ -374,18 +344,33 @@ func (l *Flatten) Backward(dout *tensor.Tensor) *tensor.Tensor {
 }
 
 // Residual wraps an inner layer stack F and computes y = F(x) + x, the
-// skip-connection building block of ResNet-style models. Input and output
-// shapes of the inner stack must match.
+// skip-connection building block of ResNet-style models, in one pass over
+// the activations (tensor.AddF32). Input and output shapes of the inner
+// stack must match. With fuseReLU the block's output activation rides in
+// that pass, y = relu(F(x) + x), and the backward mask is recovered from
+// the output as in Dense.
 type Residual struct {
-	name  string
-	inner []Layer
-	y, dx *tensor.Tensor
-	arena *tensor.Arena
+	name     string
+	inner    []Layer
+	fuseReLU bool
+	y, dx    *tensor.Tensor
+	dy       *tensor.Tensor // ReLU-masked dout (fused only)
+	arena    *tensor.Arena
 }
 
 // NewResidual creates a residual block around the inner layers.
 func NewResidual(name string, inner ...Layer) *Residual {
 	return &Residual{name: name, inner: inner}
+}
+
+// NewResidualReLU creates a residual block whose output passes through a
+// ReLU fused into the skip add. Bit-identical to NewResidual followed by
+// NewReLU: the clamp is the last operation on each output element either
+// way.
+func NewResidualReLU(name string, inner ...Layer) *Residual {
+	l := NewResidual(name, inner...)
+	l.fuseReLU = true
+	return l
 }
 
 func (l *Residual) Name() string { return l.name }
@@ -416,22 +401,31 @@ func (l *Residual) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: residual %s shape mismatch: in %v out %v", l.name, x.Shape, h.Shape))
 	}
 	if l.y == nil || l.y.Size() != h.Size() {
+		// y, dy and dx are fully overwritten each pass: dirty arena
+		// buffers are safe.
 		l.arena.PutTensor(l.y)
 		l.arena.PutTensor(l.dx)
+		l.arena.PutTensor(l.dy)
 		l.y = l.arena.GetTensor(h.Shape...)
 		l.dx = l.arena.GetTensor(x.Shape...)
+		l.dy = nil
+		if l.fuseReLU {
+			l.dy = l.arena.GetTensor(h.Shape...)
+		}
 	}
-	copy(l.y.Data, h.Data)
-	tensor.AxpyF32(1, x.Data, l.y.Data)
+	tensor.AddF32(l.y.Data, x.Data, h.Data, l.fuseReLU)
 	return l.y
 }
 
 func (l *Residual) Backward(dout *tensor.Tensor) *tensor.Tensor {
+	if l.fuseReLU {
+		tensor.ReLUMaskF32(l.dy.Data, dout.Data, l.y.Data)
+		dout = l.dy
+	}
 	d := dout
 	for i := len(l.inner) - 1; i >= 0; i-- {
 		d = l.inner[i].Backward(d)
 	}
-	copy(l.dx.Data, d.Data)
-	tensor.AxpyF32(1, dout.Data, l.dx.Data)
+	tensor.AddF32(l.dx.Data, dout.Data, d.Data, false)
 	return l.dx
 }

@@ -49,9 +49,9 @@ func NewMiniCNN(r *rng.RNG, classes int) *Model {
 // making it "computation-intensive" in the paper's taxonomy.
 func NewMiniResNet(r *rng.RNG, classes int) *Model {
 	// c1+r1 fuse into one layer; c2 cannot (its ReLU sits after the skip
-	// add), and the post-skip ReLUs stay standalone for the same reason.
+	// add), so the post-skip ReLU fuses into the skip add instead.
 	block := func(name string, ch int) Layer {
-		return NewResidual(name,
+		return NewResidualReLU(name,
 			NewConv2DReLU(name+".c1", ch, ch, 3, 1, 1, r),
 			NewConv2D(name+".c2", ch, ch, 3, 1, 1, r),
 		)
@@ -59,10 +59,8 @@ func NewMiniResNet(r *rng.RNG, classes int) *Model {
 	return NewModel("miniresnet",
 		NewConv2DReLU("stem", 1, 8, 3, 1, 1, r),
 		block("res1", 8),
-		NewReLU("res1.out"),
 		NewMaxPool("pool1"),
 		block("res2", 8),
-		NewReLU("res2.out"),
 		NewMaxPool("pool2"),
 		NewFlatten("flat"),
 		NewDense("fc", 8*4*4, classes, r),
@@ -75,8 +73,10 @@ func NewMiniResNet(r *rng.RNG, classes int) *Model {
 // skips, GAP classifier). BN uses per-replica batch statistics, as the
 // paper's data-parallel TensorFlow models do.
 func NewMiniResNetBN(r *rng.RNG, classes int) *Model {
+	// The ReLUs behind a BatchNorm stay standalone; the post-skip ones fuse
+	// into the skip add.
 	block := func(name string, ch int) Layer {
-		return NewResidual(name,
+		return NewResidualReLU(name,
 			NewConv2D(name+".c1", ch, ch, 3, 1, 1, r),
 			NewBatchNorm(name+".bn1", ch),
 			NewReLU(name+".r1"),
@@ -89,10 +89,8 @@ func NewMiniResNetBN(r *rng.RNG, classes int) *Model {
 		NewBatchNorm("stem.bn", 8),
 		NewReLU("stem.relu"),
 		block("res1", 8),
-		NewReLU("res1.out"),
 		NewMaxPool("pool1"),
 		block("res2", 8),
-		NewReLU("res2.out"),
 		NewGlobalAvgPool("gap"),
 		NewDense("fc", 8, classes, r),
 	)

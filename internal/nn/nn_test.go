@@ -319,7 +319,7 @@ func TestResidualIdentityGradient(t *testing.T) {
 		NewConv2D("c2", 2, 2, 3, 1, 1, r),
 	)
 	for _, p := range res.Params() {
-		p.W.Zero()
+		clear(p.W.Data)
 	}
 	x := tensor.New(1, 2, 4, 4)
 	x.RandNormal(r, 1)
@@ -472,4 +472,58 @@ func TestGradCheckMiniResNetBN(t *testing.T) {
 	x := tensor.New(4, 1, 16, 16)
 	x.RandNormal(r, 1)
 	gradCheck(t, m, x, []int{0, 1, 2, 0}, 30, 4e-2)
+}
+
+// fixedLayer stands in for a residual block's inner stack: it returns the
+// same tensors every pass and costs nothing, so a residual block around it
+// times the skip connection alone.
+type fixedLayer struct{ y, dx *tensor.Tensor }
+
+func (f fixedLayer) Name() string                                { return "fixed" }
+func (f fixedLayer) Params() []*Param                            { return nil }
+func (f fixedLayer) Forward(*tensor.Tensor, bool) *tensor.Tensor { return f.y }
+func (f fixedLayer) Backward(*tensor.Tensor) *tensor.Tensor      { return f.dx }
+
+// BenchmarkNonConvLayers times one forward and one backward pass of each
+// layer that sits between MiniResNet's convolutions, at batch 16: the
+// post-skip ReLU fused into the skip add, and both max-pools; the
+// standalone ReLU is MiniResNetBN's. Bytes are what the layer's passes
+// must move: ReLU reads x and writes y, then reads dout and y and writes
+// dx (20 bytes an element); the pool moves 24 bytes an output each way;
+// the residual reads x and F(x) and writes y, then reads dout and y and
+// writes the mask, then reads the mask and F's gradient and writes dx (36
+// bytes an element).
+func BenchmarkNonConvLayers(b *testing.B) {
+	r := rng.New(1)
+	randn := func(shape ...int) *tensor.Tensor {
+		t := tensor.New(shape...)
+		t.RandNormal(r, 1)
+		return t
+	}
+	for _, c := range []struct {
+		name  string
+		layer Layer
+		in    []int
+		bytes int
+	}{
+		{"relu/16x8x16x16", NewReLU("relu"), []int{16, 8, 16, 16}, 20},
+		{"maxpool/16x8x16x16", NewMaxPool("pool1"), []int{16, 8, 16, 16}, 12},
+		{"maxpool/16x8x8x8", NewMaxPool("pool2"), []int{16, 8, 8, 8}, 12},
+		{"residual+relu/16x8x16x16", NewResidualReLU("res1",
+			fixedLayer{randn(16, 8, 16, 16), randn(16, 8, 16, 16)}), []int{16, 8, 16, 16}, 36},
+		{"residual+relu/16x8x8x8", NewResidualReLU("res2",
+			fixedLayer{randn(16, 8, 8, 8), randn(16, 8, 8, 8)}), []int{16, 8, 8, 8}, 36},
+	} {
+		c.layer.(arenaUser).setArena(tensor.NewArena())
+		x := randn(c.in...)
+		dout := randn(c.layer.Forward(x, true).Shape...)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(c.bytes * x.Size()))
+			for i := 0; i < b.N; i++ {
+				c.layer.Forward(x, true)
+				c.layer.Backward(dout)
+			}
+		})
+	}
 }

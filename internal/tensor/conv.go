@@ -91,53 +91,3 @@ func im2colEdge(dst, src []float32, off, f, kw, ox0, ox1, stride, pad int) {
 		}
 	}
 }
-
-// MaxPool2x2 applies 2×2 max pooling with stride 2 to a (C×H×W) tensor and
-// records the argmax index of each output cell into idx (same length as the
-// output) so the backward pass can route gradients. H and W must be even.
-func MaxPool2x2(in *Tensor, out *Tensor, idx []int32) {
-	c, h, w := in.Shape[0], in.Shape[1], in.Shape[2]
-	oh, ow := h/2, w/2
-	if out.Shape[0] != c || out.Shape[1] != oh || out.Shape[2] != ow {
-		panic(fmt.Sprintf("tensor: maxpool out shape %v, want [%d %d %d]", out.Shape, c, oh, ow))
-	}
-	if len(idx) != c*oh*ow {
-		panic("tensor: maxpool idx length mismatch")
-	}
-	id, od := in.Data, out.Data
-	o := 0
-	for ch := 0; ch < c; ch++ {
-		base := ch * h * w
-		for oy := 0; oy < oh; oy++ {
-			r0 := base + (2*oy)*w
-			r1 := r0 + w
-			for ox := 0; ox < ow; ox++ {
-				x := 2 * ox
-				best := id[r0+x]
-				bi := int32(r0 + x)
-				if v := id[r0+x+1]; v > best {
-					best, bi = v, int32(r0+x+1)
-				}
-				if v := id[r1+x]; v > best {
-					best, bi = v, int32(r1+x)
-				}
-				if v := id[r1+x+1]; v > best {
-					best, bi = v, int32(r1+x+1)
-				}
-				od[o] = best
-				idx[o] = bi
-				o++
-			}
-		}
-	}
-}
-
-// MaxPool2x2Backward scatters output gradients back to the argmax positions
-// recorded by MaxPool2x2. inGrad is zeroed first.
-func MaxPool2x2Backward(outGrad *Tensor, idx []int32, inGrad *Tensor) {
-	inGrad.Zero()
-	gd := inGrad.Data
-	for i, g := range outGrad.Data {
-		gd[idx[i]] += g
-	}
-}

@@ -37,7 +37,7 @@ func naiveIm2col(in *Tensor, kh, kw, stride, pad int, out *Tensor) {
 // input position it was read from. grad is zeroed first.
 func naiveCol2im(cols *Tensor, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
 	outH, outW := convOut(h, kh, stride, pad), convOut(w, kw, stride, pad)
-	grad.Zero()
+	clear(grad.Data)
 	for ch := 0; ch < c; ch++ {
 		for ky := 0; ky < kh; ky++ {
 			for kx := 0; kx < kw; kx++ {
@@ -102,7 +102,7 @@ func parentCol2imRows(src []float32, c, h, w, kh, kw, stride, pad int, grad *Ten
 	outH := (h+2*pad-kh)/stride + 1
 	outW := (w+2*pad-kw)/stride + 1
 	f := c * kh * kw
-	grad.Zero()
+	clear(grad.Data)
 	gd := grad.Data
 	r := 0
 	for oy := 0; oy < outH; oy++ {
@@ -217,7 +217,7 @@ func Col2imRows(src []float32, c, h, w, kh, kw, stride, pad int, grad *Tensor) {
 	if grad.Shape[0] != c || grad.Shape[1] != h || grad.Shape[2] != w {
 		panic(fmt.Sprintf("tensor: col2imrows grad shape %v, want [%d %d %d]", grad.Shape, c, h, w))
 	}
-	grad.Zero()
+	clear(grad.Data)
 	lo, hi := convInterior(w, kw, stride, pad, outW)
 	for oy := 0; oy < outH; oy++ {
 		for ch := 0; ch < c; ch++ {

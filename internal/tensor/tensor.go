@@ -76,13 +76,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// Zero sets every element to zero.
-func (t *Tensor) Zero() {
-	for i := range t.Data {
-		t.Data[i] = 0
-	}
-}
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float32) {
 	for i := range t.Data {

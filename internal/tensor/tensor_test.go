@@ -282,36 +282,6 @@ func TestCol2imOverlapCounts(t *testing.T) {
 	}
 }
 
-func TestMaxPool2x2(t *testing.T) {
-	in := FromSlice([]float32{
-		1, 2, 5, 6,
-		3, 4, 7, 8,
-		-1, -2, 0, 0,
-		-3, -4, 0, 9,
-	}, 1, 4, 4)
-	out := New(1, 2, 2)
-	idx := make([]int32, 4)
-	MaxPool2x2(in, out, idx)
-	want := []float32{4, 8, -1, 9}
-	if !almostEqual(out.Data, want, 0) {
-		t.Fatalf("maxpool = %v, want %v", out.Data, want)
-	}
-	// Backward: each output grad lands on its argmax.
-	og := FromSlice([]float32{1, 2, 3, 4}, 1, 2, 2)
-	ig := New(1, 4, 4)
-	MaxPool2x2Backward(og, idx, ig)
-	if ig.At(0, 1, 1) != 1 || ig.At(0, 1, 3) != 2 || ig.At(0, 2, 0) != 3 || ig.At(0, 3, 3) != 4 {
-		t.Fatalf("maxpool backward = %v", ig.Data)
-	}
-	var sum float32
-	for _, v := range ig.Data {
-		sum += v
-	}
-	if sum != 10 {
-		t.Fatalf("gradient mass not conserved: %v", sum)
-	}
-}
-
 func TestRandDeterminism(t *testing.T) {
 	a := New(16)
 	b := New(16)

@@ -8,9 +8,10 @@ import (
 
 // The element-wise passes of the data planes: the collectives' fold
 // (AxpyF32), the momentum-SGD step (SGDStepF32), the int8 gradient codec
-// (MaxAbsF32, Quant8F32, Dequant8F32) and the backward pass of a fused ReLU
-// (ReLUMaskF32). Each pass is defined once, by the scalar loop in its *Ref
-// function. The exported function checks lengths,
+// (MaxAbsF32, Quant8F32, Dequant8F32), the ReLU activation and its backward
+// mask (ReLUMaskF32) and a residual block's skip connection (AddF32). Each
+// pass is defined once, by the scalar loop in its *Ref function. The
+// exported function checks lengths,
 // hands the multiple-of-vecBlock prefix to an AVX2 kernel that performs each
 // lane's operations in the scalar loop's order (separate multiply and add,
 // never FMA, the same first source operand — the one whose payload survives
@@ -184,9 +185,11 @@ func dequant8Ref(dst []float32, q []int8, scale float32) {
 	}
 }
 
-// ReLUMaskF32 is the backward pass of a ReLU fused into the layer that
-// produced y: dst[i] = g[i] where y[i] > 0, +0 elsewhere (a NaN y is
-// elsewhere). dst may be g; it must not overlap y or g otherwise.
+// ReLUMaskF32 sets dst[i] = g[i] where y[i] > 0, +0 elsewhere (a NaN y is
+// elsewhere). With g and y both the input x it is the ReLU activation
+// itself; with y a ReLU's output it is that ReLU's backward pass. g and y
+// are only read and may be the same slice; dst may be g, and must not
+// overlap y or g otherwise.
 func ReLUMaskF32(dst, g, y []float32) {
 	if len(g) != len(dst) || len(y) != len(dst) {
 		panic(fmt.Sprintf("tensor: ReLU mask lengths dst %d, g %d, y %d", len(dst), len(g), len(y)))
@@ -209,5 +212,40 @@ func reluMaskRef(dst, g, y []float32) {
 			keep = ^uint32(0)
 		}
 		dst[i] = math.Float32frombits(math.Float32bits(g[i]) & keep)
+	}
+}
+
+// AddF32 sets dst[i] = a[i] + b[i], a the first operand (when both are
+// NaN, a's payload survives), and with relu set clamps every sum that is
+// not > 0 to +0 — a NaN or −0 sum included — in the same pass: a residual
+// block's skip connection, forward and backward. a + b is what adding a
+// into a copy of b with AxpyF32(1, a, ·) gave, bit for bit: 1·a is a but
+// for quieting a signalling NaN, which the sum quiets anyway. dst may be a
+// or b, and a may be b; no other overlap is allowed.
+func AddF32(dst, a, b []float32, relu bool) {
+	if len(a) != len(dst) || len(b) != len(dst) {
+		panic(fmt.Sprintf("tensor: add lengths dst %d, a %d, b %d", len(dst), len(a), len(b)))
+	}
+	n := kernelLen(len(dst))
+	if n > 0 {
+		addAVX2(&dst[0], &a[0], &b[0], n, relu)
+	}
+	addRef(dst[n:], a[n:], b[n:], relu)
+}
+
+//go:noinline
+func addRef(dst, a, b []float32, relu bool) {
+	a, b = a[:len(dst)], b[:len(dst)]
+	for i := range dst {
+		v := a[i] + b[i]
+		if relu {
+			// Through the bits, as in reluMaskRef.
+			var keep uint32
+			if v > 0 {
+				keep = ^uint32(0)
+			}
+			v = math.Float32frombits(math.Float32bits(v) & keep)
+		}
+		dst[i] = v
 	}
 }

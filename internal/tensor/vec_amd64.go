@@ -25,3 +25,6 @@ func dequant8AVX2(dst *float32, q *int8, n int, scale float32)
 
 //go:noescape
 func reluMaskAVX2(dst, grad, y *float32, n int)
+
+//go:noescape
+func addAVX2(dst, a, b *float32, n int, relu bool)

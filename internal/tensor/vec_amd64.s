@@ -270,3 +270,56 @@ reluMaskLoop:
 	JNZ  reluMaskLoop
 	VZEROUPPER
 	RET
+
+// func addAVX2(dst, a, b *float32, n int, relu bool)
+//
+// dst[i] = a[i] + b[i] with a as first source, as `a[i] + b[i]` compiles;
+// the ReLU loop then keeps the sums that are > 0 (ordered: a NaN sum
+// fails) and clears the rest to +0.
+#define ADD8(off, r) \
+	VMOVUPS off(SI), r    \
+	VADDPS  off(DX), r, r \
+	VMOVUPS r, off(DI)
+
+#define ADDRELU8(off, r, t) \
+	VMOVUPS off(SI), r       \
+	VADDPS  off(DX), r, r    \
+	VCMPPS  $0x1E, Y15, r, t \ // sum > 0
+	VANDPS  t, r, r          \
+	VMOVUPS r, off(DI)
+
+TEXT ·addAVX2(SB), NOSPLIT, $0-33
+	MOVQ dst+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ b+16(FP), DX
+	MOVQ n+24(FP), CX
+	SHRQ $5, CX
+	MOVBLZX relu+32(FP), AX
+	TESTL AX, AX
+	JNZ  addReLULoop
+addLoop:
+	ADD8(0, Y0)
+	ADD8(32, Y1)
+	ADD8(64, Y2)
+	ADD8(96, Y3)
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  addLoop
+	VZEROUPPER
+	RET
+addReLULoop:
+	VXORPS Y15, Y15, Y15
+addReLULoopBody:
+	ADDRELU8(0, Y0, Y4)
+	ADDRELU8(32, Y1, Y5)
+	ADDRELU8(64, Y2, Y6)
+	ADDRELU8(96, Y3, Y7)
+	ADDQ $128, SI
+	ADDQ $128, DX
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  addReLULoopBody
+	VZEROUPPER
+	RET

@@ -64,7 +64,7 @@ func sameCodes(t testing.TB, what string, got, want []int8) {
 	}
 }
 
-// checkVecKernels runs all six exported passes on (p, g, v) with the
+// checkVecKernels runs all seven exported passes on (p, g, v) with the
 // scalars s and compares every output bit with the reference loops. off is
 // the element offset fresh buffers are given.
 func checkVecKernels(t testing.TB, p, g, v []float32, s [4]float32, off int) {
@@ -99,6 +99,37 @@ func checkVecKernels(t testing.TB, p, g, v []float32, s [4]float32, off int) {
 	m1 = cloneAt(g, off)
 	ReLUMaskF32(m1, m1, v)
 	sameBits(t, "ReLUMaskF32 in place", m1, m2)
+	// The activation itself: g and y one slice.
+	m1, m2 = cloneAt(p, off), cloneAt(p, off)
+	ReLUMaskF32(m1, v, v)
+	reluMaskRef(m2, v, v)
+	sameBits(t, "ReLUMaskF32 as ReLU", m1, m2)
+
+	// Skip add, plain and with the ReLU: into a fresh buffer, over either
+	// operand, and with both operands one slice. The plain add is also the
+	// copy + AxpyF32(1, a, ·) it replaced in Residual.
+	for _, relu := range []bool{false, true} {
+		s1, s2 := cloneAt(p, off), cloneAt(p, off)
+		AddF32(s1, g, v, relu)
+		addRef(s2, g, v, relu)
+		sameBits(t, "AddF32", s1, s2)
+		if !relu {
+			s3 := cloneAt(v, off)
+			axpyRef(1, g, s3)
+			sameBits(t, "AddF32 against copy+axpy", s1, s3)
+		}
+		s1 = cloneAt(g, off)
+		AddF32(s1, s1, v, relu)
+		sameBits(t, "AddF32 into a", s1, s2)
+		s1 = cloneAt(v, off)
+		AddF32(s1, g, s1, relu)
+		sameBits(t, "AddF32 into b", s1, s2)
+		s1, s2 = cloneAt(p, off), cloneAt(p, off)
+		AddF32(s1, g, g, relu)
+		addRef(s2, g, g, relu)
+		sameBits(t, "AddF32 a==b", s1, s2)
+	}
+	sameBits(t, "AddF32 operand", g, g0)
 
 	// Max-abs.
 	for _, x := range [][]float32{p, g, v} {
@@ -246,6 +277,7 @@ func TestVecKernelsEmptyAndMismatched(t *testing.T) {
 	SGDStepF32(nil, nil, nil, 1, 1, 1, 1)
 	Quant8F32(nil, nil, 1, 1, true)
 	Dequant8F32(nil, nil, 1)
+	AddF32(nil, nil, nil, true)
 	if m := MaxAbsF32(nil); m != 0 {
 		t.Errorf("MaxAbsF32(nil) = %v", m)
 	}
@@ -256,6 +288,8 @@ func TestVecKernelsEmptyAndMismatched(t *testing.T) {
 		"SGDStepF32 v": func() { SGDStepF32(a, a, b, 1, 1, 1, 1) },
 		"Quant8F32":    func() { Quant8F32(make([]int8, 32), a, 1, 1, false) },
 		"Dequant8F32":  func() { Dequant8F32(a, make([]int8, 32), 1) },
+		"AddF32 a":     func() { AddF32(a, b, a, false) },
+		"AddF32 b":     func() { AddF32(a, a, b, true) },
 	} {
 		func() {
 			defer func() {
@@ -318,6 +352,8 @@ func BenchmarkVecKernels(b *testing.B) {
 		{"quant8-roundtrip", func() { Quant8F32(q, rt, inv, 1/inv, true) }},
 		{"dequant8", func() { Dequant8F32(p, q, 1/inv) }},
 		{"relumask", func() { ReLUMaskF32(v, g, p) }},
+		{"add", func() { AddF32(v, g, p, false) }},
+		{"addrelu", func() { AddF32(v, g, p, true) }},
 	}
 	bench := func(name string, run func()) {
 		b.Run(name, func(b *testing.B) {
