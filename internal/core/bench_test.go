@@ -7,6 +7,7 @@ import (
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/costmodel"
+	"disttrain/internal/grad"
 )
 
 // BenchmarkAblationPSRatio reproduces the paper's PS:worker ratio profiling
@@ -35,6 +36,46 @@ func BenchmarkAblationPSRatio(b *testing.B) {
 			}
 			b.ReportMetric(last.Throughput, "virt-samples/s")
 			b.ReportMetric(last.VirtualSec, "virt-sec")
+		})
+	}
+}
+
+// BenchmarkProtocolCostOnly guards the host cost of the worker protocol on the
+// simulator, where the protocol code and the simEnv wire under it do all the
+// work: three of the cost-only cases the sim-cost-mix benchmark workload runs
+// (AD-PSGD's exchanges, SSP's sharded updates and pulls, ASP's paced sparse
+// pushes), five iterations each. It reports host nanoseconds per simulated
+// message and allocations per run.
+func BenchmarkProtocolCostOnly(b *testing.B) {
+	cost := func(algo Algo, workers int, model *costmodel.Profile, gbps func(int) cluster.Config) Config {
+		cfg := costConfig(algo, workers, 5)
+		cfg.Seed = 1
+		cfg.Cluster = gbps(workers)
+		cfg.Workload = costmodel.NewWorkload(model, costmodel.TitanV(), 128)
+		return cfg
+	}
+	adpsgd := cost(ADPSGD, 64, costmodel.ResNet50(), cluster.Paper10G)
+	ssp := cost(SSP, 128, costmodel.VGG16(), cluster.Paper56G)
+	ssp.Sharding = ShardBalanced
+	asp := cost(ASP, 64, costmodel.VGG16(), cluster.Paper10G)
+	dgc := grad.DefaultDGC(0.9, 1)
+	asp.Sharding, asp.WaitFreeBP, asp.DGC = ShardLayerWise, true, &dgc
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{{"adpsgd-64w", adpsgd}, {"ssp-balanced-128w", ssp}, {"asp-layerwise-wfbp-dgc-64w", asp}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var msgs int64
+			for i := 0; i < b.N; i++ {
+				res, err := Run(context.Background(), tc.cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				msgs += res.Net.TotalMsgs
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
+			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
 		})
 	}
 }

@@ -72,6 +72,10 @@ type exp struct {
 	workerNode []int // worker -> node ID
 	psNode     []int // shard -> node ID
 
+	// parked[w] holds what reached worker w before its turn: a fast peer's
+	// next-round chunk or vector, or a request waiting for an answer.
+	parked [][]simnet.Msg
+
 	assign ps.Assignment
 	loc    *ps.Locator // index → shard, for one-pass sparse splitting
 	global *ps.Global
@@ -152,6 +156,7 @@ func setup(cfg *Config) (*exp, error) {
 	x.streams = streams
 
 	// Workers first so worker w has node ID w.
+	x.parked = make([][]simnet.Msg, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		x.workerNode = append(x.workerNode, x.net.AddNode(cfg.Cluster.MachineOfWorker(w)).ID)
 	}
@@ -255,16 +260,6 @@ func (x *exp) fullBytes() int64 { return x.bytesFor(x.vecLen) }
 
 // shardBytes is the wire size of shard s's segment.
 func (x *exp) shardBytes(s int) int64 { return x.bytesFor(x.assign.Params(s)) }
-
-// inbox returns worker w's mailbox.
-func (x *exp) inbox(w int) *des.Queue[simnet.Msg] {
-	return x.net.Node(x.workerNode[w]).Inbox
-}
-
-// psInbox returns shard s's mailbox.
-func (x *exp) psInbox(s int) *des.Queue[simnet.Msg] {
-	return x.net.Node(x.psNode[s]).Inbox
-}
 
 // InitModel builds a model holding the parameters every replica starts from
 // (the shared init stream). Both runtimes evaluate the global model on one,
@@ -382,7 +377,7 @@ func (x *exp) maybeEval(w, iter int) {
 	if w != 0 || x.cfg.Real == nil {
 		return
 	}
-	// A replica average at worker 0's last iterDone would miss the final
+	// A replica average at worker 0's last Done would miss the final
 	// steps its peers have yet to apply: the last iteration is left to Run's
 	// evaluation, taken once the engine has drained.
 	if iter == x.cfg.Iters && !x.psGlobal() {

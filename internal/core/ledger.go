@@ -40,16 +40,21 @@ type Ledger struct {
 	mu       *sync.Mutex
 	bd       *metrics.Breakdown
 	tr       *trace.Tracer
+	now      func() float64
 	pid, tid int
 }
 
-// NewLedger books into bd and traces on track (pid, tid) of tr (nil: no spans).
-func NewLedger(bd *metrics.Breakdown, tr *trace.Tracer, pid, tid int) *Ledger {
-	return &Ledger{new(sync.Mutex), bd, tr, pid, tid}
+// NewLedger books into bd, reads the time from now and traces on track
+// (pid, tid) of tr (nil: no spans).
+func NewLedger(bd *metrics.Breakdown, tr *trace.Tracer, now func() float64, pid, tid int) *Ledger {
+	return &Ledger{new(sync.Mutex), bd, tr, now, pid, tid}
 }
 
 // Thread is the ledger of the worker's second thread.
-func (l *Ledger) Thread() *Ledger { return &Ledger{l.mu, l.bd, l.tr, l.pid, l.tid + ThreadTid} }
+func (l *Ledger) Thread() *Ledger { return &Ledger{l.mu, l.bd, l.tr, l.now, l.pid, l.tid + ThreadTid} }
+
+// Now is the runtime's clock, in seconds: the time steps are booked in.
+func (l *Ledger) Now() float64 { return l.now() }
 
 // Book closes step s, run from start to end. Its wire seconds — what only the
 // runtime can measure — are network time, the rest is the step's phase's.

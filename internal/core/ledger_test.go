@@ -13,7 +13,7 @@ import (
 func TestLedgerBook(t *testing.T) {
 	var bd metrics.Breakdown
 	tr := trace.New()
-	l := NewLedger(&bd, tr, 2, 5)
+	l := NewLedger(&bd, tr, tr.Now, 2, 5)
 	l.Book(StepCompute, 1, 3, 0)
 	l.Book(StepGatherSum, 3, 4, 0.25)
 	l.Thread().Book(StepSwap, 3, 3.5, 0.5) // all wire: nothing left to global-agg
@@ -25,7 +25,7 @@ func TestLedgerBook(t *testing.T) {
 		t.Fatalf("%d spans, want 3", tr.Len())
 	}
 
-	quiet := NewLedger(&bd, nil, 0, 0)
+	quiet := NewLedger(&bd, nil, nil, 0, 0)
 	if n := testing.AllocsPerRun(100, func() { quiet.Book(StepAllReduce, 0, 1, 0.5) }); n != 0 {
 		t.Fatalf("booking without a tracer allocates %v times", n)
 	}

@@ -10,13 +10,15 @@ import (
 
 // Env is one worker's world: what an algorithm's iteration loop needs beyond
 // its own Replica. The loops in this file own protocol order only — which
-// step follows which, what is sent when — and are each written once. What a
-// step costs, and how its bytes travel, sits behind the Env: the simulator's
-// (simEnv, on a des process) models virtual compute time, paper-scale wire
-// sizes, sharded sends, wait-free BP and the fault-mode timeouts; the live
-// runtime's (internal/live's worker) owns sockets, codec frames, spans and
-// checkpoints. A method that moves parameters installs them in the replica
-// itself, so a loop never touches a transport buffer.
+// step follows which, what is sent when — and the message protocol under them
+// (protocol.go) is written once too, over the Env's wire: Send, SendPS, Recv,
+// Release and the Ledger's clock and booking. What a step costs, and how its
+// bytes travel, sits behind the Env: the simulator's (simEnv, on a des
+// process) models virtual compute time, paper-scale wire sizes, sharded
+// sends, wait-free BP and the fault-mode timeouts; the live runtime's
+// (internal/live's worker) owns sockets, codec frames, spans and checkpoints.
+// A method that moves parameters installs them in the replica itself, so a
+// loop never touches a transport buffer.
 type Env interface {
 	// Gate opens iteration it. It returns the iteration to run — later than
 	// it when a crash schedule (or a checkpoint restore) makes the worker
@@ -43,22 +45,9 @@ type Env interface {
 	GatherSum(it int, group []int, self int, vec []float32) error
 	Bcast(it int, group []int, self int, params []float32) error
 
-	// Exchange is one round trip through the parameter server: ship vec as a
-	// message of the given kind (ps.Grad, ps.Pull, ps.Push), block for the
-	// answer and install the parameters it carries. Update is SSP's
-	// fire-and-forget gradient push. Acks hands ack the minimum clock of
-	// every SSP ack that has arrived; Exchange does the same for acks that
-	// overtake its answer.
-	Exchange(kind ps.Kind, it int, vec []float32, ack func(minClock int)) error
-	Update(it int, vec []float32) error
-	Acks(ack func(minClock int)) error
-
 	// Reachable filters base down to the partners a push or an exchange can
-	// reach right now. ToPeer pushes vec and the mixing weight aux to a peer
-	// without waiting; FromPeers hands merge every push that has arrived.
+	// reach right now.
 	Reachable(base []int) []int
-	ToPeer(to, it int, aux float64, vec []float32) error
-	FromPeers(merge func(vec []float32, aux float64)) error
 
 	// Go starts the worker's second thread, named name, running body on an
 	// Env view of its own. hand passes the thread an iteration token, which
@@ -67,17 +56,25 @@ type Env interface {
 	// where the thread outlives the loop. A thread that reads no tokens runs
 	// until the worker's run is torn down and must not be stopped.
 	Go(name string, body func(c Env, next func() (it int, ok bool)) error) (hand func(it int), stop func() error)
-	// Swap is one symmetric exchange with peer: ship vec, block for the
-	// peer's parameters and average them into the replica. Requests from
-	// others that arrive meanwhile wait for Answer, which replies to each
-	// request with the replica's parameters and averages the requester's in:
-	// to the requests already waiting, or with wait to every one until the
-	// run is torn down.
-	Swap(peer, it int, vec []float32) error
-	Answer(wait bool) error
-	// Neighbors ships vec to every node of nbs and returns their round-it
-	// vectors in the order of nbs.
-	Neighbors(it int, nbs []int, vec []float32) ([][]float32, error)
+
+	// Send ships m to worker to and returns its wire seconds: live, those
+	// spent inside the endpoint; 0 in the simulator, which charges m's
+	// paper-scale bytes and books a message's transfer as the receiver's
+	// Msg.Wire instead.
+	Send(to int, m Msg) (wire float64, err error)
+	// SendPS ships vec to every parameter-server shard as a request of the
+	// given kind (ps.Grad, ps.Pull or ps.Push). It returns the shards' ranges,
+	// indexed by their answers' Seg; begin, where the step's own time starts
+	// (after the backward pass wait-free-BP sends pace against); and the wire.
+	SendPS(kind ps.Kind, it int, vec []float32) (shards ps.Assignment, begin, wire float64, err error)
+	// Recv returns the first message of the given kind and clock (either may
+	// be Any), parked ones first, parking the rest; ok is false when a Poll
+	// finds nothing or a Bounded wait gives up. The Vec is the caller's until
+	// it hands it to Release.
+	Recv(kind, clock int, wait Wait) (m Msg, ok bool, err error)
+	Release(vec []float32)
+	// Ledger books the steps of this view's thread, on the runtime's clock.
+	Ledger() *Ledger
 
 	// Done closes iteration it: progress, evaluation, checkpoints.
 	Done(it int) error
@@ -196,7 +193,7 @@ func loopGradPS(e Env, cfg *Config, rank int, rep *Replica) error {
 				return e.Bcast(it, group, self, nil)
 			}
 		}
-		if err := e.Exchange(ps.Grad, it, g, nil); err != nil || !local {
+		if err := (protocol{e, cfg, rep}).exchange(ps.Grad, it, g, nil); err != nil || !local {
 			return err
 		}
 		return e.Bcast(it, group, self, rep.Params())
@@ -229,6 +226,7 @@ func MachineGroup(cfg *Config, rank int) (group []int, self int) {
 func loopSSP(e Env, cfg *Config, rep *Replica) error {
 	bound := ps.Bound{S: cfg.Staleness}
 	ack := bound.Ack
+	pr := protocol{e, cfg, rep}
 	return iterate(e, cfg, func(it int) error {
 		e.Compute(cfg.WaitFreeBP)
 		// The paper's parallel tasks: (i) ship the computed update to the
@@ -245,16 +243,16 @@ func loopSSP(e Env, cfg *Config, rep *Replica) error {
 				delta[i] -= before[i]
 			}
 		}
-		if err := e.Update(it, delta); err != nil {
+		if err := pr.update(it, delta); err != nil {
 			return err
 		}
-		if err := e.Acks(ack); err != nil {
+		if err := pr.drain(kindAck, func(m Msg) { ack(m.Clock) }); err != nil {
 			return err
 		}
 		if bound.Stale(it) {
 			// Staleness bound exceeded: pull the aggregated global
 			// parameters and block until shard 0 releases us.
-			if err := e.Exchange(ps.Pull, it, nil, ack); err != nil {
+			if err := pr.exchange(ps.Pull, it, nil, ack); err != nil {
 				return err
 			}
 			bound.Refreshed(it)
@@ -284,7 +282,7 @@ func loopEASGD(e Env, cfg *Config, rep *Replica) error {
 		}
 		// Push the local parameters to the PS, which moves both copies
 		// elastically, and take back the updated local parameters.
-		return e.Exchange(ps.Push, it, rep.Params(), nil)
+		return protocol{e, cfg, rep}.exchange(ps.Push, it, rep.Params(), nil)
 	})
 }
 
@@ -326,9 +324,10 @@ func loopARSGD(e Env, cfg *Config, rep *Replica) error {
 // other worker, or its neighbors in a sparse overlay.
 func loopGoSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error {
 	weight := 1.0
-	merge := func(vec []float32, aux float64) { weight = rep.WeightedMerge(weight, vec, aux) }
+	merge := func(m Msg) { weight = rep.WeightedMerge(weight, m.Vec, m.Aux) }
+	pr := protocol{e, cfg, rep}
 	err := loopLocal(e, cfg, rep, func(it int) error {
-		if err := e.FromPeers(merge); err != nil {
+		if err := pr.drain(KindGossip, merge); err != nil {
 			return err
 		}
 		if !r.Bernoulli(cfg.GossipP) {
@@ -344,12 +343,12 @@ func loopGoSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error {
 		weight /= 2
 		// Asymmetric: fire and forget; the sender immediately proceeds to
 		// its next iteration.
-		return e.ToPeer(to, it, weight, rep.Params())
+		return pr.toPeer(to, it, weight, rep.Params())
 	})
 	if err != nil {
 		return err
 	}
-	return e.FromPeers(merge)
+	return pr.drain(KindGossip, merge)
 }
 
 // gossipBase returns worker w's gossip partner set: its overlay neighbors,
@@ -385,13 +384,14 @@ func gossipBase(cfg *Config, ov *topo.Overlay, w int) []int {
 // threads keep computing, and Result.StuckCommThreads counts the deadlocked.
 func loopADPSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error {
 	if base == nil {
-		e.Go(passiveThread, func(c Env, _ func() (int, bool)) error { return c.Answer(true) })
+		e.Go(passiveThread, func(c Env, _ func() (int, bool)) error { return protocol{c, cfg, rep}.answer(true) })
 		return loopLocal(e, cfg, rep, nil)
 	}
 	hand, stop := e.Go(commThread, func(c Env, next func() (int, bool)) error {
+		pr := protocol{c, cfg, rep}
 		for it, ok := next(); ok; it, ok = next() {
 			if cfg.ADPSGDNoBipartite {
-				if err := c.Answer(false); err != nil {
+				if err := pr.answer(false); err != nil {
 					return err
 				}
 			}
@@ -401,7 +401,7 @@ func loopADPSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error 
 			if len(cands) == 0 {
 				continue
 			}
-			if err := c.Swap(cands[r.Intn(len(cands))], it, rep.Params()); err != nil {
+			if err := pr.swap(cands[r.Intn(len(cands))], it, rep.Params()); err != nil {
 				return err
 			}
 		}
@@ -456,11 +456,14 @@ func loopDPSGD(e Env, cfg *Config, rank int, rep *Replica) error {
 	return iterate(e, cfg, func(it int) error {
 		e.Compute(false)
 		if W > 1 {
-			nbs, err := e.Neighbors(it, ring, rep.Params())
+			nbs, err := protocol{e, cfg, rep}.neighbors(it, ring, rep.Params())
 			if err != nil {
 				return err
 			}
 			rep.Mix(nbs)
+			for _, v := range nbs {
+				e.Release(v)
+			}
 		}
 		rep.LocalStep(e.Grad(), 1, cfg.LR.At(it-1))
 		return nil

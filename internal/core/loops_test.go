@@ -9,6 +9,8 @@ import (
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/costmodel"
+	"disttrain/internal/fault"
+	"disttrain/internal/metrics"
 	"disttrain/internal/opt"
 	"disttrain/internal/ps"
 	"disttrain/internal/rng"
@@ -17,6 +19,15 @@ import (
 // fakeEnv is a scripted Env: no engine, no sockets. It logs every call as
 // "method arg", fails the failAt-th call of method fail with errBoom, and
 // otherwise answers from the hooks a test sets (nil hooks do nothing).
+//
+// Its wire is a script too. arrived holds what has reached the worker, in
+// arrival order; Recv takes the first message that matches and leaves the
+// rest where they are, as parked. ps answers each SendPS and peer each Send
+// with the messages that then arrive. A wait that nothing arrived matches is
+// answered by the world the loops assume: a Block or Bounded wait for any
+// kind takes the parameter server's reply to the last request, one for a
+// given kind takes that kind from the peer sent to longest ago and not yet
+// heard from. A Serve wait with nothing left sees the run torn down.
 type fakeEnv struct {
 	log    []string
 	calls  map[string]int
@@ -24,21 +35,25 @@ type fakeEnv struct {
 	failAt int
 
 	gate      func(it int) (int, bool)
-	acks      func() []int           // min clocks the next Acks delivers
 	reachable func(base []int) []int // nil = base
-	inbox     *[]gossip              // pushes waiting for FromPeers
-	onMerge   func(g gossip)         // sees each push FromPeers delivers
-	toPeer    func(to int, g gossip) // where ToPeer delivers
 	onCompute func()
 	onDone    func(it int)
-}
 
-type gossip struct {
-	aux float64
-	vec []float32
+	arrived []Msg
+	ps      func(kind ps.Kind, it int) []Msg
+	peer    func(to int, m Msg) []Msg
+	onRecv  func(m Msg) // sees every message Recv hands out
+
+	lastPS ps.Kind
+	owed   []int // peers sent to and not yet heard from
+	l      *Ledger
 }
 
 var errBoom = errors.New("boom")
+
+// oneShard is the fake parameter server's assignment: one shard, no ranges
+// (the loops run on math-free replicas).
+var oneShard = ps.Assignment{nil}
 
 func (f *fakeEnv) call(method string, arg any) error {
 	f.log = append(f.log, fmt.Sprint(method, " ", arg))
@@ -89,56 +104,12 @@ func (f *fakeEnv) Bcast(it int, group []int, self int, params []float32) error {
 	return f.call("Bcast", it)
 }
 
-func (f *fakeEnv) Exchange(kind ps.Kind, it int, vec []float32, ack func(int)) error {
-	return f.call("Exchange", fmt.Sprint(kind, "@", it))
-}
-
-func (f *fakeEnv) Update(it int, vec []float32) error { return f.call("Update", it) }
-
-func (f *fakeEnv) Acks(ack func(int)) error {
-	if err := f.call("Acks", ""); err != nil {
-		return err
-	}
-	if f.acks != nil {
-		for _, c := range f.acks() {
-			ack(c)
-		}
-	}
-	return nil
-}
-
 func (f *fakeEnv) Reachable(base []int) []int {
 	f.call("Reachable", base)
 	if f.reachable != nil {
 		return f.reachable(base)
 	}
 	return base
-}
-
-func (f *fakeEnv) ToPeer(to, it int, aux float64, vec []float32) error {
-	if err := f.call("ToPeer", to); err != nil {
-		return err
-	}
-	if f.toPeer != nil {
-		f.toPeer(to, gossip{aux, vec})
-	}
-	return nil
-}
-
-func (f *fakeEnv) FromPeers(merge func([]float32, float64)) error {
-	if err := f.call("FromPeers", ""); err != nil {
-		return err
-	}
-	if f.inbox != nil {
-		for _, g := range *f.inbox {
-			if f.onMerge != nil {
-				f.onMerge(g)
-			}
-			merge(g.vec, g.aux)
-		}
-		*f.inbox = nil
-	}
-	return nil
 }
 
 // Go runs body as a coroutine of the calling thread: body runs until it asks
@@ -175,14 +146,87 @@ func (f *fakeEnv) Go(name string, body func(Env, func() (int, bool)) error) (fun
 	return hand, stop
 }
 
-func (f *fakeEnv) Swap(peer, it int, vec []float32) error {
-	return f.call("Swap", fmt.Sprint(peer, "@", it))
+// kc renders a receive's kind and clock, Any as "*".
+func kc(kind, clock int) string {
+	s := func(v int) string {
+		if v == Any {
+			return "*"
+		}
+		return fmt.Sprint(v)
+	}
+	return s(kind) + "@" + s(clock)
 }
 
-func (f *fakeEnv) Answer(wait bool) error { return f.call("Answer", wait) }
+var waitNames = map[Wait]string{Poll: "poll", Block: "block", Bounded: "bounded", Serve: "serve"}
 
-func (f *fakeEnv) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
-	return make([][]float32, len(nbs)), f.call("Neighbors", fmt.Sprint(nbs, "@", it))
+func (f *fakeEnv) Send(to int, m Msg) (float64, error) {
+	if err := f.call("Send", fmt.Sprint(to, " ", kc(m.Kind, m.Clock))); err != nil {
+		return 0, err
+	}
+	f.owed = append(f.owed, to)
+	if f.peer != nil {
+		f.arrived = append(f.arrived, f.peer(to, m)...)
+	}
+	return 0, nil
+}
+
+func (f *fakeEnv) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, float64, float64, error) {
+	if err := f.call("SendPS", fmt.Sprint(kind, "@", it)); err != nil {
+		return nil, 0, 0, err
+	}
+	f.lastPS = kind
+	if f.ps != nil {
+		f.arrived = append(f.arrived, f.ps(kind, it)...)
+	}
+	return oneShard, 0, 0, nil
+}
+
+func (f *fakeEnv) Recv(kind, clock int, wait Wait) (Msg, bool, error) {
+	if err := f.call("Recv", kc(kind, clock)+" "+waitNames[wait]); err != nil {
+		return Msg{}, false, err
+	}
+	for i, m := range f.arrived {
+		if (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock) {
+			f.arrived = append(f.arrived[:i], f.arrived[i+1:]...)
+			return f.took(m), true, nil
+		}
+	}
+	switch {
+	case wait == Poll || wait == Serve:
+		return Msg{}, false, nil
+	case kind == Any:
+		reply := kindParams
+		if f.lastPS == ps.Push {
+			reply = kindEASGDReply
+		}
+		return f.took(Msg{Kind: reply}), true, nil
+	case len(f.owed) > 0:
+		return f.took(Msg{Kind: kind, From: f.owed[0], Clock: max(clock, 0)}), true, nil
+	}
+	return Msg{}, false, fmt.Errorf("fake: %s wait for %s that nothing will send", waitNames[wait], kc(kind, clock))
+}
+
+// took hands m out of Recv: its sender is heard from.
+func (f *fakeEnv) took(m Msg) Msg {
+	for i, to := range f.owed {
+		if to == m.From {
+			f.owed = append(f.owed[:i], f.owed[i+1:]...)
+			break
+		}
+	}
+	if f.onRecv != nil {
+		f.onRecv(m)
+	}
+	return m
+}
+
+func (f *fakeEnv) Release([]float32) {}
+
+func (f *fakeEnv) Ledger() *Ledger {
+	if f.l == nil {
+		f.l = NewLedger(new(metrics.Breakdown), nil, func() float64 { return 0 }, 0, 0)
+	}
+	return f.l
 }
 
 func (f *fakeEnv) Done(it int) error {
@@ -201,6 +245,19 @@ func (f *fakeEnv) logged(method string) []string {
 	for _, l := range f.log {
 		if arg, ok := strings.CutPrefix(l, method+" "); ok {
 			out = append(out, arg)
+		}
+	}
+	return out
+}
+
+// sent returns the logged sends to any peer of messages of the given kind,
+// as "to@clock".
+func (f *fakeEnv) sent(kind int) []string {
+	var out []string
+	for _, s := range f.logged("Send") {
+		var to, k, clock int
+		if n, _ := fmt.Sscanf(s, "%d %d@%d", &to, &k, &clock); n == 3 && k == kind {
+			out = append(out, fmt.Sprint(to, "@", clock))
 		}
 	}
 	return out
@@ -244,14 +301,17 @@ func TestLoopSSPHoldsTheBound(t *testing.T) {
 	// The slowest worker crawls: the acked minimum trails by up to 6 clocks.
 	it, heard, pulled := 0, 0, 0
 	f := &fakeEnv{}
-	f.acks = func() []int {
+	f.ps = func(kind ps.Kind, _ int) []Msg {
+		if kind != ps.Grad {
+			return nil
+		}
 		it++
 		min := max(it-r.Intn(7), 0)
 		heard = max(heard, min)
-		return []int{min}
+		return []Msg{{Kind: kindAck, Clock: min}}
 	}
 	f.onDone = func(it int) {
-		if pulls := f.logged("Exchange"); len(pulls) > 0 && pulls[len(pulls)-1] == fmt.Sprint(ps.Pull, "@", it) {
+		if sends := f.logged("SendPS"); sends[len(sends)-1] == fmt.Sprint(ps.Pull, "@", it) {
 			pulled, heard = it, max(heard, it-s)
 		}
 		if it-pulled > s || it-heard > s {
@@ -261,11 +321,20 @@ func TestLoopSSPHoldsTheBound(t *testing.T) {
 	if err := runLoop(f, cfg, 0); err != nil {
 		t.Fatal(err)
 	}
-	if got := f.logged("Update"); len(got) != cfg.Iters {
-		t.Fatalf("%d updates for %d iterations: %v", len(got), cfg.Iters, got)
+	updates, pulls := 0, 0
+	for _, s := range f.logged("SendPS") {
+		switch {
+		case strings.HasPrefix(s, fmt.Sprint(ps.Grad, "@")):
+			updates++
+		case strings.HasPrefix(s, fmt.Sprint(ps.Pull, "@")):
+			pulls++
+		}
 	}
-	if n := len(f.logged("Exchange")); n == 0 || n == cfg.Iters {
-		t.Fatalf("%d pulls in %d iterations: the script should force some, not all", n, cfg.Iters)
+	if updates != cfg.Iters {
+		t.Fatalf("%d updates for %d iterations", updates, cfg.Iters)
+	}
+	if pulls == 0 || pulls == cfg.Iters {
+		t.Fatalf("%d pulls in %d iterations: the script should force some, not all", pulls, cfg.Iters)
 	}
 }
 
@@ -278,7 +347,7 @@ func TestLoopEASGDPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"6@4", "6@8", "6@12", "6@16"}
-	if got := f.logged("Exchange"); !slices.Equal(got, want) {
+	if got := f.logged("SendPS"); !slices.Equal(got, want) {
 		t.Fatalf("EASGD exchanged at %v, want %v (kind %d = ps.Push)", got, want, ps.Push)
 	}
 
@@ -300,7 +369,7 @@ func TestLoopEASGDPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = []string{"6@8", "6@16", "6@18", "6@20", "6@22"}
-	if got := f.logged("Exchange"); !slices.Equal(got[:5], want) {
+	if got := f.logged("SendPS"); !slices.Equal(got[:5], want) {
 		t.Fatalf("AdaComm exchanged at %v, want it to start %v", got, want)
 	}
 }
@@ -330,19 +399,20 @@ func TestLoopGate(t *testing.T) {
 	}
 }
 
-// TestLoopErrorStopsTheLoop: an error from any Env method a loop calls ends
-// that loop at once and comes back unchanged.
+// TestLoopErrorStopsTheLoop: an error from any Env method a loop calls — the
+// wire's included, under the shared protocol — ends that loop at once and
+// comes back unchanged.
 func TestLoopErrorStopsTheLoop(t *testing.T) {
 	methods := map[Algo][]string{
-		BSP:     {"Gate", "GatherSum", "Exchange", "Bcast", "Done"},
-		ASP:     {"Gate", "Exchange", "Done"},
-		SSP:     {"Gate", "Update", "Acks", "Exchange", "Done"},
-		EASGD:   {"Gate", "Exchange", "Done"},
-		AdaComm: {"Gate", "Exchange", "Done"},
+		BSP:     {"Gate", "GatherSum", "SendPS", "Recv", "Bcast", "Done"},
+		ASP:     {"Gate", "SendPS", "Recv", "Done"},
+		SSP:     {"Gate", "SendPS", "Recv", "Done"},
+		EASGD:   {"Gate", "SendPS", "Recv", "Done"},
+		AdaComm: {"Gate", "SendPS", "Recv", "Done"},
 		ARSGD:   {"Gate", "AllReduce", "Done"},
-		GoSGD:   {"Gate", "FromPeers", "ToPeer", "Done"},
+		GoSGD:   {"Gate", "Recv", "Send", "Done"},
 		ADPSGD:  {"Gate", "Done"},
-		DPSGD:   {"Gate", "Neighbors", "Done"},
+		DPSGD:   {"Gate", "Send", "Recv", "Done"},
 		Hogwild: {"Gate", "Done"},
 	}
 	for algo, ms := range methods {
@@ -357,7 +427,7 @@ func TestLoopErrorStopsTheLoop(t *testing.T) {
 				f := &fakeEnv{fail: m, failAt: 2}
 				err := runLoop(f, cfg, rank)
 				if err != errBoom {
-					if algo == BSP && rank == 1 && m == "Exchange" {
+					if algo == BSP && rank == 1 && (m == "SendPS" || m == "Recv") {
 						continue // members never talk to the PS
 					}
 					t.Fatalf("%s rank %d: %s failed, loop returned %v", algo, rank, m, err)
@@ -409,23 +479,23 @@ func TestLoopADPSGDExchanges(t *testing.T) {
 	}
 	cfg := loopConfig(t, ADPSGD, 6, 3)
 	f := &fakeEnv{reachable: func([]int) []int { return []int{3} }} // 1 and 5 are out of reach
-	want := "Go comm,Gate 1,Compute false,Grad ,Reachable [1 3 5],Swap 3@1,Done 1," +
-		"Gate 2,Compute false,Grad ,Reachable [1 3 5],Swap 3@2,Done 2," +
-		"Gate 3,Compute false,Grad ,Reachable [1 3 5],Swap 3@3,Done 3"
+	want := "Go comm,Gate 1,Compute false,Grad ,Reachable [1 3 5],Send 3 10@1,Recv 11@* block,Done 1," +
+		"Gate 2,Compute false,Grad ,Reachable [1 3 5],Send 3 10@2,Recv 11@* block,Done 2," +
+		"Gate 3,Compute false,Grad ,Reachable [1 3 5],Send 3 10@3,Recv 11@* block,Done 3"
 	if got := strings.Join(run(cfg, 0, f), ","); got != want {
 		t.Fatalf("active:\n got %s\nwant %s", got, want)
 	}
 	f = &fakeEnv{reachable: func([]int) []int { return nil }}
-	if got := run(cfg, 2, f); len(f.logged("Swap")) != 0 {
+	if got := run(cfg, 2, f); len(f.sent(KindExchangeReq)) != 0 {
 		t.Fatalf("an active with no partner in reach exchanged: %v", got)
 	}
 	// A failed exchange ends the thread; its error comes back from the loop.
-	f = &fakeEnv{fail: "Swap", failAt: 2}
-	if err := runLoop(f, cfg, 0); err != errBoom || len(f.logged("Swap")) != 2 {
-		t.Fatalf("exchange 2 failed: loop returned %v after exchanges %v", err, f.logged("Swap"))
+	f = &fakeEnv{fail: "Send", failAt: 2}
+	if err := runLoop(f, cfg, 0); err != errBoom || len(f.sent(KindExchangeReq)) != 2 {
+		t.Fatalf("exchange 2 failed: loop returned %v after exchanges %v", err, f.sent(KindExchangeReq))
 	}
-	if got := strings.Join(run(cfg, 1, &fakeEnv{}), ","); !strings.HasPrefix(got, "Go passive,Answer true,Gate 1") ||
-		strings.Contains(got, "Swap") {
+	if got := strings.Join(run(cfg, 1, &fakeEnv{}), ","); !strings.HasPrefix(got, "Go passive,Recv *@* serve,Gate 1") ||
+		strings.Contains(got, "Send") {
 		t.Fatalf("passive: %s", got)
 	}
 
@@ -444,7 +514,7 @@ func TestLoopADPSGDExchanges(t *testing.T) {
 		}
 		f := &fakeEnv{}
 		run(cfg, rank, f)
-		for _, s := range f.logged("Swap") {
+		for _, s := range f.sent(KindExchangeReq) {
 			var peer, it int
 			fmt.Sscanf(s, "%d@%d", &peer, &it)
 			if !slices.Contains(odd, peer) {
@@ -456,7 +526,7 @@ func TestLoopADPSGDExchanges(t *testing.T) {
 	cfg = loopConfig(t, ADPSGD, 6, 3)
 	cfg.ADPSGDNoBipartite = true
 	log := strings.Join(run(cfg, 1, &fakeEnv{}), ",")
-	if !strings.HasPrefix(log, "Go comm,") || strings.Count(log, "Answer false,Reachable [0 2 3 4 5],Swap") != cfg.Iters {
+	if !strings.HasPrefix(log, "Go comm,") || strings.Count(log, "Recv *@* poll,Reachable [0 2 3 4 5],Send") != cfg.Iters {
 		t.Fatalf("no-bipartite: %s", log)
 	}
 }
@@ -466,8 +536,8 @@ func TestLoopADPSGDExchanges(t *testing.T) {
 // no ring.
 func TestLoopDPSGDOrder(t *testing.T) {
 	for workers, want := range map[int]string{
-		4: "Gate 1,Compute false,Neighbors [3 1]@1,Grad ,Done 1",
-		2: "Gate 1,Compute false,Neighbors [1 1]@1,Grad ,Done 1",
+		4: "Gate 1,Compute false,Send 3 10@1,Send 1 10@1,Recv 10@1 block,Recv 10@1 block,Grad ,Done 1",
+		2: "Gate 1,Compute false,Send 1 10@1,Send 1 10@1,Recv 10@1 block,Recv 10@1 block,Grad ,Done 1",
 		1: "Gate 1,Compute false,Grad ,Done 1",
 	} {
 		f := &fakeEnv{}
@@ -487,9 +557,9 @@ func TestLoopGradPSLocalAggOrder(t *testing.T) {
 	cfg := loopConfig(t, BSP, 5, 1)
 	cfg.LocalAgg = true
 	for rank, want := range map[int]string{
-		0: "Gate 1,Compute false,Grad ,GatherSum 1,Exchange 1@1,Bcast 1,Done 1",
+		0: "Gate 1,Compute false,Grad ,GatherSum 1,SendPS 1@1,Recv *@* block,Bcast 1,Done 1",
 		2: "Gate 1,Compute false,Grad ,GatherSum 1,Bcast 1,Done 1",
-		4: "Gate 1,Compute false,Grad ,Exchange 1@1,Done 1", // alone on its machine
+		4: "Gate 1,Compute false,Grad ,SendPS 1@1,Recv *@* block,Done 1", // alone on its machine
 	} {
 		f := &fakeEnv{}
 		if err := runLoop(f, cfg, rank); err != nil {
@@ -502,20 +572,19 @@ func TestLoopGradPSLocalAggOrder(t *testing.T) {
 }
 
 // TestLoopGoSGDWeights runs two scripted GoSGD workers turn by turn, each
-// delivering into the other's inbox. A worker pushes only to partners its
-// Env calls reachable, every push ships exactly half the weight the worker
-// then held, and weight mass — held plus in flight — is conserved.
+// delivering into the other's wire. A worker pushes only to partners its Env
+// calls reachable, every push ships exactly half the weight the worker then
+// held, and weight mass — held plus in flight — is conserved.
 func TestLoopGoSGDWeights(t *testing.T) {
 	cfg := loopConfig(t, GoSGD, 3, 30)
-	inbox := make([][]gossip, 2)
+	fakes := []*fakeEnv{{}, {}}
 	held := []float64{1, 1} // each worker's weight, mirrored from what it is seen to do
 	pushes := 0
 	// A worker holds the turn from one gate to the next, and through its
 	// final drain.
 	turn := []chan struct{}{make(chan struct{}, 1), make(chan struct{}, 1)}
 	errs := make(chan error, 2)
-	for w := 0; w < 2; w++ {
-		f := &fakeEnv{inbox: &inbox[w]}
+	for w, f := range fakes {
 		f.gate = func(it int) (int, bool) {
 			if it > 1 {
 				turn[1-w] <- struct{}{}
@@ -523,19 +592,20 @@ func TestLoopGoSGDWeights(t *testing.T) {
 			<-turn[w]
 			return it, true
 		}
-		f.onMerge = func(g gossip) { held[w] += g.aux }
+		f.onRecv = func(m Msg) { held[w] += m.Aux }
 		// Worker 2 exists but is never reachable: nobody may push to it.
 		f.reachable = func([]int) []int { return []int{1 - w} }
-		f.toPeer = func(to int, g gossip) {
+		f.peer = func(to int, m Msg) []Msg {
 			if to != 1-w {
 				t.Errorf("worker %d pushed to unreachable worker %d", w, to)
 			}
-			if g.aux != held[w]/2 {
-				t.Errorf("worker %d holding %v pushed weight %v", w, held[w], g.aux)
+			if m.Aux != held[w]/2 {
+				t.Errorf("worker %d holding %v pushed weight %v", w, held[w], m.Aux)
 			}
-			held[w] = g.aux
-			inbox[to] = append(inbox[to], g)
+			held[w] = m.Aux
+			fakes[to].arrived = append(fakes[to].arrived, m)
 			pushes++
+			return nil
 		}
 		go func() {
 			errs <- runLoop(f, cfg, w)
@@ -550,12 +620,127 @@ func TestLoopGoSGDWeights(t *testing.T) {
 	}
 	<-turn[0] // worker 1 is through its final drain
 	mass := held[0] + held[1]
-	for _, in := range inbox {
-		for _, g := range in {
-			mass += g.aux
+	for _, f := range fakes {
+		for _, m := range f.arrived {
+			mass += m.Aux
 		}
 	}
 	if pushes < 10 || mass != 2 {
 		t.Fatalf("after %d pushes the weight mass is %v, want exactly 2", pushes, mass)
 	}
+}
+
+// TestProtocolArrivalOrder runs the shared protocol over scripted arrival
+// orders the runtimes cannot be made to produce on demand.
+func TestProtocolArrivalOrder(t *testing.T) {
+	req := func(from, clock int, v float32) Msg {
+		return Msg{Kind: KindExchangeReq, From: from, Clock: clock, Vec: []float32{v}}
+	}
+	first := func(vs [][]float32) []float32 {
+		var out []float32
+		for _, v := range vs {
+			out = append(out, v[0])
+		}
+		return out
+	}
+
+	t.Run("dpsgd two workers", func(t *testing.T) {
+		// Both slots come from the one peer, in arrival order; its round-2
+		// vector, which came first, waits for round 2.
+		f := &fakeEnv{arrived: []Msg{req(1, 2, 20), req(1, 1, 10), req(1, 1, 11)}}
+		pr := protocol{f, loopConfig(t, DPSGD, 2, 2), newCostReplica()}
+		got, err := pr.neighbors(1, []int{1, 1}, nil)
+		if err != nil || !slices.Equal(first(got), []float32{10, 11}) {
+			t.Fatalf("round 1 took %v, %v", got, err)
+		}
+		f.arrived = append(f.arrived, req(1, 2, 21))
+		got, err = pr.neighbors(2, []int{1, 1}, nil)
+		if err != nil || !slices.Equal(first(got), []float32{20, 21}) || len(f.arrived) != 0 {
+			t.Fatalf("round 2 took %v, %v; left %v", got, err, f.arrived)
+		}
+	})
+
+	t.Run("dpsgd fold order", func(t *testing.T) {
+		// The right neighbour's vector arrives first; the mix still folds
+		// self, left, right — float32 addition is not associative, so the
+		// other order lands on other bits.
+		rep := testReplica(t, 0)
+		x := rep.Params()
+		left, right := make([]float32, len(x)), make([]float32, len(x))
+		for i := range x {
+			left[i], right[i] = 1<<24, float32(i%3)+0.5
+		}
+		f := &fakeEnv{arrived: []Msg{
+			{Kind: KindExchangeReq, From: 1, Clock: 1, Vec: right},
+			{Kind: KindExchangeReq, From: 3, Clock: 1, Vec: left},
+		}}
+		if err := loopDPSGD(f, loopConfig(t, DPSGD, 4, 1), 0, rep); err != nil {
+			t.Fatal(err)
+		}
+		differs := false
+		for i, got := range rep.Params() {
+			want := (x[i] + left[i] + right[i]) * (1 / float32(3))
+			if got != want {
+				t.Fatalf("param %d mixed to %v, want (self + left + right)/3 = %v", i, got, want)
+			}
+			differs = differs || want != (x[i]+right[i]+left[i])*(1/float32(3))
+		}
+		if !differs {
+			t.Fatal("the script cannot tell the fold orders apart")
+		}
+	})
+
+	t.Run("request mid-swap", func(t *testing.T) {
+		// A request from worker 1 overtakes the partner's reply: it must not
+		// satisfy the swap, and the next answer serves it.
+		f := &fakeEnv{peer: func(to int, m Msg) []Msg {
+			if m.Kind != KindExchangeReq {
+				return nil
+			}
+			return []Msg{{Kind: KindExchangeReq, From: 1, Clock: 7, Wire: 0.5},
+				{Kind: KindExchangeReply, From: to, Clock: m.Clock, Wire: 0.25}}
+		}}
+		var took []string
+		f.onRecv = func(m Msg) { took = append(took, kc(m.Kind, m.From)) }
+		pr := protocol{f, loopConfig(t, ADPSGD, 4, 1), newCostReplica()}
+		if err := pr.swap(3, 5, nil); err != nil || !slices.Equal(took, []string{"11@3"}) {
+			t.Fatalf("swap took %v, %v", took, err)
+		}
+		if err := pr.answer(false); err != nil || !slices.Equal(f.sent(KindExchangeReply), []string{"1@7"}) {
+			t.Fatalf("answer sent %v, %v", f.sent(KindExchangeReply), err)
+		}
+		// The swap books its reply's wire and the answer its request's.
+		if bd := f.Ledger().Breakdown(); bd[metrics.Network] != 0.75 {
+			t.Fatalf("booked %v", bd)
+		}
+	})
+
+	t.Run("ssp ack ahead of the reply", func(t *testing.T) {
+		f := &fakeEnv{ps: func(kind ps.Kind, it int) []Msg {
+			return []Msg{{Kind: kindAck, Clock: it - 2}, {Kind: kindParams}}
+		}}
+		var acked []int
+		pr := protocol{f, loopConfig(t, SSP, 4, 8), newCostReplica()}
+		if err := pr.exchange(ps.Pull, 6, nil, func(c int) { acked = append(acked, c) }); err != nil ||
+			!slices.Equal(acked, []int{4}) || len(f.arrived) != 0 {
+			t.Fatalf("acked %v, left %v, %v", acked, f.arrived, err)
+		}
+	})
+
+	t.Run("wrong kind in a drain", func(t *testing.T) {
+		cfg := loopConfig(t, SSP, 4, 8)
+		f := &fakeEnv{arrived: []Msg{{Kind: kindAck, Clock: 1}, {Kind: KindGossip, From: 2}}}
+		acks := 0
+		err := protocol{f, cfg, newCostReplica()}.drain(kindAck, func(Msg) { acks++ })
+		if err == nil || acks != 1 || !strings.Contains(err.Error(), "unexpected kind") {
+			t.Fatalf("drain returned %v after %d acks", err, acks)
+		}
+		// Under a fault schedule a parameter reply whose pull timed out is
+		// dropped, not an error.
+		cfg.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Slow, Worker: 1, Factor: 2}}}
+		f = &fakeEnv{arrived: []Msg{{Kind: kindParams}, {Kind: kindAck, Clock: 1}}}
+		if err := (protocol{f, cfg, newCostReplica()}).drain(kindAck, func(Msg) { acks++ }); err != nil || acks != 2 {
+			t.Fatalf("faulty drain returned %v after %d acks", err, acks)
+		}
+	})
 }

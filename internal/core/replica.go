@@ -8,6 +8,7 @@ import (
 	"disttrain/internal/data"
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
+	"disttrain/internal/ps"
 	"disttrain/internal/rng"
 	"disttrain/internal/sched"
 	"disttrain/internal/tensor"
@@ -259,6 +260,27 @@ func (r *Replica) SetParams(src []float32) {
 	defer r.unlock()
 	r.settle()
 	r.model.SetFlatParams(src)
+}
+
+// SetRanges overwrites the parameters in ranges rs with src's values there
+// (no-op on nil): one parameter-server shard's answer.
+func (r *Replica) SetRanges(src []float32, rs []ps.Range) {
+	if r.model == nil || src == nil {
+		return
+	}
+	r.lock()
+	defer r.unlock()
+	r.settle()
+	off := 0
+	for _, p := range r.model.Params() {
+		w := p.W.Data
+		for _, rg := range rs {
+			if lo, hi := max(rg.Off, off), min(rg.Off+rg.Len, off+len(w)); lo < hi {
+				copy(w[lo-off:hi-off], src[lo:hi])
+			}
+		}
+		off += len(w)
+	}
 }
 
 // Average sets params ← (params + other)/2, the AD-PSGD/gossip merge.

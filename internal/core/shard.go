@@ -65,7 +65,7 @@ func (x *exp) spawnShards() {
 				rule.Alive = func(w int) bool { return !x.inj.DeadAt(w, p.Now()) }
 			}
 			sh := ps.NewShard(x.global, x.assign[s], rule)
-			inbox := x.psInbox(s)
+			inbox := x.net.Node(x.psNode[s]).Inbox
 			// fruitless caps the elastic re-check spin: while something waits
 			// the shard wakes on a timeout to re-evaluate, but after a few
 			// barren wakeups it goes back to blocking so an otherwise-finished

@@ -14,12 +14,13 @@ import (
 )
 
 // simEnv is the simulator's Env: worker w's view of the simulated world from
-// its des process p. Everything that is a *model* lives here and in the exp
-// methods below — virtual compute time and the pool future, paper-scale wire
-// sizes, the sharded send with wait-free BP and DGC, AR-SGD's two-bucket
-// overlap, the time breakdown, and which waits fault mode bounds by a
-// timeout — so the loops in loops.go stay protocol only. No simulated step
-// fails softly: a violated invariant panics and Run reports it.
+// its des process p. It holds the *model* only — virtual compute time and the
+// pool future, paper-scale wire sizes, the sharded send with wait-free BP and
+// DGC, AR-SGD's two-bucket overlap, the time breakdown, and the fault oracle:
+// how long a Bounded wait lasts and who is dead — so the loops in loops.go
+// and the message protocol in protocol.go are written once for both
+// runtimes. No simulated step fails softly: a violated invariant panics and
+// Run reports it.
 type simEnv struct {
 	x *exp
 	p *des.Proc
@@ -30,11 +31,6 @@ type simEnv struct {
 	// whether the send that follows paces the backward pass.
 	jitter  float64
 	overlap bool
-
-	// stash holds what arrived before its turn: a fast peer's next-round
-	// AllReduce chunk or D-PSGD vector, or an exchange request waiting for
-	// Answer.
-	stash []simnet.Msg
 }
 
 // spawnWorkers starts one process per worker running the algorithm's loop
@@ -48,18 +44,14 @@ func (x *exp) spawnWorkers() {
 		w := w
 		x.eng.Spawn(fmt.Sprintf("%s-worker%d", cfg.Algo, w), func(p *des.Proc) {
 			e := &simEnv{x: x, p: p, w: w, l: NewLedger(&x.col.Workers[w].Breakdown, cfg.Tracer,
-				cfg.Cluster.MachineOfWorker(w), w)}
+				x.eng.Now, cfg.Cluster.MachineOfWorker(w), w)}
 			if err := WorkerLoop(e, cfg, w, x.reps[w], x.streams[w], x.overlay); err != nil {
 				panic(err)
 			}
-			x.finish(w)
+			x.col.Workers[w].Iters = x.reps[w].iter
+			x.col.Workers[w].FinishedAt = x.eng.Now()
 		})
 	}
-}
-
-func (e *simEnv) Gate(it int) (int, bool, error) {
-	next, ok := e.x.gate(e.p, e.w, it)
-	return next, ok, nil
 }
 
 // Members is every worker, or under elastic fault injection the round's
@@ -71,15 +63,14 @@ func (e *simEnv) Members(it int) ([]int, int) {
 	return e.x.inj.AliveNodes(it, e.w)
 }
 
-func (e *simEnv) Compute(overlap bool) {
-	e.jitter = e.x.computePhase(e.p, e.w, e.l, overlap)
-	e.overlap = overlap
-}
-
 func (e *simEnv) Grad() []float32 { return e.x.reps[e.w].takeGrads() }
 
+// Done is the end-of-iteration bookkeeping shared by every algorithm.
 func (e *simEnv) Done(it int) error {
-	e.x.iterDone(e.w, it)
+	if e.x.restarted != nil && e.x.restarted[e.w] {
+		e.x.col.Faults.RecoveredIters++
+	}
+	e.x.maybeEval(e.w, it)
 	return nil
 }
 
@@ -91,12 +82,12 @@ func (e *simEnv) AllReduce(it int, nodes []int, self int) ([]float32, error) {
 	x, p, cfg := e.x, e.p, e.x.cfg
 	// With fault injection the ring membership can change between rounds, so
 	// a fast peer's next-round chunk may overtake the current round's
-	// traffic; the per-round Clock tag plus this stash keeps every round's
-	// messages separated. The topology-aware collectives need it even with
-	// fixed membership: their multi-phase patterns let a finished peer's
-	// next-round traffic arrive while this rank still drains the current
-	// round.
-	stash := &e.stash
+	// traffic; the per-round Clock tag plus the worker's parked messages keeps
+	// every round's messages separated. The topology-aware collectives need it
+	// even with fixed membership: their multi-phase patterns let a finished
+	// peer's next-round traffic arrive while this rank still drains the
+	// current round.
+	stash := &x.parked[e.w]
 	if x.inj == nil && !topoCollective(cfg.Collective) {
 		stash = nil // strict fixed-membership discipline
 	}
@@ -194,19 +185,16 @@ func (e *simEnv) Bcast(it int, group []int, self int, params []float32) error {
 		e.l.Book(StepBcast, t0, p.Now(), wire)
 		return nil
 	}
-	m := x.inbox(e.w).Recv(p)
-	if m.Kind != KindLocalBcast {
-		panic(fmt.Sprintf("bsp member: unexpected kind %d", m.Kind))
-	}
+	m, _, _ := e.Recv(KindLocalBcast, Any, Block)
 	// Booked by hand: the wait splits at the leader's gather time, which Book
 	// cannot see — local aggregation until then, the global round after.
 	bd := &x.col.Workers[e.w].Breakdown
-	bd.Add(metrics.Network, m.WireSec)
+	bd.Add(metrics.Network, m.Wire)
 	localWait := x.gatherDoneAt[x.cfg.Cluster.MachineOfWorker(e.w)] - t0
 	if localWait < 0 {
 		localWait = 0
 	}
-	if rest := p.Now() - t0 - m.WireSec; rest > 0 {
+	if rest := p.Now() - t0 - m.Wire; rest > 0 {
 		if localWait > rest {
 			localWait = rest
 		}
@@ -218,121 +206,83 @@ func (e *simEnv) Bcast(it int, group []int, self int, params []float32) error {
 	return nil
 }
 
-// Exchange sends vec's message to every shard and awaits their answers. A
-// barrier-bound worker (BSP, and SSP parked behind the clock service) blocks
-// in faithful mode and gives up on answers lost to drop or partition faults
-// only in elastic mode; a dropped message must never wedge an asynchronous
-// worker (ASP, EASGD), which under any fault schedule gives up after the
-// timeout and trains on with the stale shard parameters.
-func (e *simEnv) Exchange(kind ps.Kind, it int, vec []float32, ack func(int)) error {
-	x, cfg := e.x, e.x.cfg
-	want := kindParams
+// Send puts m on the simulated network at the paper-scale size of a full
+// vector — what every worker-to-worker message carries — in no virtual time.
+func (e *simEnv) Send(to int, m Msg) (float64, error) {
+	e.x.net.Send(simnet.Msg{From: e.w, To: to, Kind: m.Kind, Clock: m.Clock, Aux: m.Aux,
+		Bytes: e.x.fullBytes(), Vec: m.Vec})
+	return 0, nil
+}
+
+// SendPS sends the request to every shard: a gradient through sendGrads,
+// with sharding, DGC, quantization and wait-free-BP pacing; a pull as a
+// 16-byte message; an EASGD push as a copy of vec, which each shard moves in
+// its own ranges and sends back.
+func (e *simEnv) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, float64, float64, error) {
+	x := e.x
 	switch kind {
 	case ps.Grad:
-		x.sendGrads(e.p, e.w, e.l, it, vec, e.jitter, e.overlap)
+		e.sendGrads(it, vec)
 	case ps.Pull:
 		for s := range x.assign {
 			x.net.Send(simnet.Msg{From: e.w, To: x.psNode[s], Kind: kindPull, Clock: it, Bytes: 16})
 		}
 	case ps.Push:
-		want = kindEASGDReply
 		for s := range x.assign {
-			// Each shard moves its ranges of its own copy in place and
-			// sends that copy back.
 			x.net.Send(simnet.Msg{From: e.w, To: x.psNode[s], Kind: kindEASGDPush, Clock: it,
 				Seg: s, Bytes: x.shardBytes(s), Vec: append([]float32(nil), vec...)})
 		}
 	}
-	timed := x.inj != nil && (cfg.Elastic || cfg.Algo == ASP || kind == ps.Push)
-	x.awaitShards(e.p, e.w, e.l, want, timed, ack)
-	return nil
+	return x.assign, e.p.Now(), 0, nil
 }
 
-func (e *simEnv) Update(it int, vec []float32) error {
-	e.x.sendGrads(e.p, e.w, e.l, it, vec, e.jitter, e.overlap)
-	e.l.Book(StepUpdate, e.p.Now(), e.p.Now(), 0) // sends take no virtual time
-	return nil
-}
-
-// awaitShards is the worker's half of a PS exchange: block until every shard
-// has answered with a message of kind want, scatter each answer's ranges into
-// the replica's parameters and book the wait on l as network and global-
-// aggregation time. When timed, a wait longer than BarrierTimeoutSec gives up
-// and keeps the stale ranges of the shards that did not answer, so a dropped
-// request or reply cannot wedge the worker. Acks arriving in between go to
-// ack (SSP; nil means none are expected).
-func (x *exp) awaitShards(p *des.Proc, w int, l *Ledger, want int, timed bool, ack func(minClock int)) {
-	inbox := x.inbox(w)
-	t0 := p.Now()
-	var wire des.Time
-	fresh := x.reps[w].Params()
-	for recv := 0; recv < len(x.assign); {
+// Recv takes from the worker's parked messages, then from its inbox, parking
+// what does not match; a Bounded wait gives up after the barrier timeout,
+// restarted by every arrival. A dead worker drops the exchange requests it
+// takes: the requester's timeout absorbs the loss.
+func (e *simEnv) Recv(kind, clock int, wait Wait) (Msg, bool, error) {
+	x, parked, inbox := e.x, &e.x.parked[e.w], e.x.net.Node(e.w).Inbox
+	match := func(m *simnet.Msg) bool {
+		return (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock)
+	}
+	for i := 0; ; {
 		var m simnet.Msg
-		if timed {
-			var ok bool
-			if m, ok = inbox.RecvTimeout(p, x.cfg.BarrierTimeoutSec); !ok {
-				x.col.Faults.Timeouts++
-				break
+		ok := true
+		switch {
+		case i < len(*parked):
+			if m = (*parked)[i]; !match(&m) {
+				i++
+				continue
 			}
-		} else {
-			m = inbox.Recv(p)
+			*parked = append((*parked)[:i], (*parked)[i+1:]...)
+		case wait == Poll:
+			m, ok = inbox.TryRecv()
+		case wait == Bounded:
+			if m, ok = inbox.RecvTimeout(e.p, x.cfg.BarrierTimeoutSec); !ok {
+				x.col.Faults.Timeouts++
+			}
+		default:
+			m = inbox.Recv(e.p)
 		}
 		switch {
-		case m.Kind == want:
-			wire += m.WireSec
-			if m.Vec != nil {
-				for _, r := range x.assign[m.Seg] {
-					copy(fresh[r.Off:r.Off+r.Len], m.Vec[r.Off:r.Off+r.Len])
-				}
-			}
-			recv++
-		case m.Kind == kindAck && ack != nil:
-			ack(m.Clock)
+		case !ok:
+			return Msg{}, false, nil
+		case !match(&m):
+			*parked = append(*parked, m)
+			i = len(*parked)
+		case m.Kind == KindExchangeReq && x.inj != nil && x.inj.DeadAt(e.w, e.p.Now()):
+			x.col.Faults.SkippedExchanges++
 		default:
-			panic(fmt.Sprintf("%s worker: unexpected kind %d", x.cfg.Algo, m.Kind))
+			return Msg{Kind: m.Kind, From: m.From, Clock: m.Clock, Seg: m.Seg, Aux: m.Aux, Vec: m.Vec,
+				Wire: m.WireSec}, true, nil
 		}
 	}
-	l.Book(StepExchange, t0, p.Now(), wire)
-	x.reps[w].SetParams(fresh)
 }
 
-// arrived pops the next message already in the worker's inbox, which must be
-// of the given kind.
-func (e *simEnv) arrived(kind int) (simnet.Msg, bool) {
-	for {
-		m, ok := e.x.inbox(e.w).TryRecv()
-		if ok && m.Kind == kindParams && e.x.inj != nil {
-			// A reply released after this worker's pull timed out; its
-			// refresh was already given up on.
-			continue
-		}
-		if ok && m.Kind != kind {
-			panic(fmt.Sprintf("%s worker: unexpected kind %d", e.x.cfg.Algo, m.Kind))
-		}
-		return m, ok
-	}
-}
+// Release does nothing: a simulated payload is ordinary garbage.
+func (e *simEnv) Release([]float32) {}
 
-func (e *simEnv) Acks(ack func(int)) error {
-	for m, ok := e.arrived(kindAck); ok; m, ok = e.arrived(kindAck) {
-		ack(m.Clock)
-	}
-	return nil
-}
-
-func (e *simEnv) FromPeers(merge func([]float32, float64)) error {
-	for m, ok := e.arrived(KindGossip); ok; m, ok = e.arrived(KindGossip) {
-		merge(m.Vec, m.Aux)
-	}
-	return nil
-}
-
-func (e *simEnv) ToPeer(to, it int, aux float64, vec []float32) error {
-	e.x.net.Send(simnet.Msg{From: e.w, To: to, Kind: KindGossip, Clock: it, Aux: aux,
-		Bytes: e.x.fullBytes(), Vec: vec})
-	e.l.Book(StepToPeer, e.p.Now(), e.p.Now(), 0)
-	return nil
-}
+func (e *simEnv) Ledger() *Ledger { return e.l }
 
 // Reachable drops the partners that are dead or partitioned away right now.
 // An AD-PSGD exchange holds its partner for a round trip, so its draw also
@@ -385,141 +335,18 @@ func (e *simEnv) Go(name string, body func(Env, func() (int, bool)) error) (func
 	}
 }
 
-// Swap books the wait for the partner's parameters as network and global
-// aggregation time. Under fault injection the wait is bounded: a request or
-// reply lost in flight, or dropped by a dead partner, times out, and the
-// worker skips the averaging and trains on. The no-bipartite ablation books
-// nothing — it shows whether its threads deadlock, not what they cost.
-func (e *simEnv) Swap(peer, it int, vec []float32) error {
-	x, p := e.x, e.p
-	x.net.Send(simnet.Msg{From: e.w, To: peer, Kind: KindExchangeReq, Clock: it,
-		Bytes: x.fullBytes(), Vec: vec})
-	inbox := x.inbox(e.w)
-	t0 := p.Now()
-	for {
-		var m simnet.Msg
-		if x.inj != nil {
-			var ok bool
-			if m, ok = inbox.RecvTimeout(p, x.cfg.BarrierTimeoutSec); !ok {
-				x.col.Faults.Timeouts++
-				return nil
-			}
-		} else {
-			m = inbox.Recv(p)
-		}
-		switch m.Kind {
-		case KindExchangeReq:
-			e.stash = append(e.stash, m) // held for Answer
-			continue
-		case KindExchangeReply:
-		default:
-			panic(fmt.Sprintf("adpsgd active: unexpected kind %d", m.Kind))
-		}
-		if !x.cfg.ADPSGDNoBipartite {
-			e.l.Book(StepSwap, t0, p.Now(), m.WireSec)
-		}
-		x.reps[e.w].Average(m.Vec)
-		return nil
-	}
-}
-
-// Answer serves the held requests first, then the inbox. A dead worker
-// answers nothing: the requester's timeout absorbs the loss. An answer waits
-// for nothing, so all it books is the request's wire time.
-func (e *simEnv) Answer(wait bool) error {
-	x, p := e.x, e.p
-	inbox := x.inbox(e.w)
-	for {
-		var m simnet.Msg
-		switch {
-		case len(e.stash) > 0:
-			m, e.stash = e.stash[0], e.stash[1:]
-		case wait:
-			m = inbox.Recv(p)
-		default:
-			var ok bool
-			if m, ok = inbox.TryRecv(); !ok {
-				return nil
-			}
-		}
-		if m.Kind != KindExchangeReq {
-			panic(fmt.Sprintf("adpsgd passive: unexpected kind %d", m.Kind))
-		}
-		if x.inj != nil && x.inj.DeadAt(e.w, p.Now()) {
-			x.col.Faults.SkippedExchanges++
-			continue
-		}
-		x.net.Send(simnet.Msg{From: e.w, To: m.From, Kind: KindExchangeReply, Clock: m.Clock,
-			Bytes: x.fullBytes(), Vec: x.reps[e.w].Params()})
-		if !x.cfg.ADPSGDNoBipartite {
-			e.l.Book(StepAnswer, p.Now(), p.Now(), m.WireSec)
-		}
-		x.reps[e.w].Average(m.Vec)
-	}
-}
-
-// Neighbors runs in lockstep with the neighbours, so a neighbour is at most
-// one round ahead: its next round's vector waits in the stash. The wait
-// beyond the wire time is global aggregation.
-func (e *simEnv) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
-	x, p := e.x, e.p
-	for _, nb := range nbs {
-		x.net.Send(simnet.Msg{From: e.w, To: nb, Kind: KindExchangeReq, Clock: it,
-			Bytes: x.fullBytes(), Vec: vec})
-	}
-	out := make([][]float32, len(nbs))
-	got := make([]bool, len(nbs))
-	missing := len(nbs)
-	t0 := p.Now()
-	var wire des.Time
-	take := func(m simnet.Msg) bool {
-		if m.Kind != KindExchangeReq {
-			panic(fmt.Sprintf("dpsgd worker: unexpected kind %d", m.Kind))
-		}
-		if m.Clock != it {
-			return false
-		}
-		// The sender's first open slot: with two workers both neighbours are
-		// the one peer, which sends twice.
-		i := 0
-		for i < len(nbs) && (nbs[i] != m.From || got[i]) {
-			i++
-		}
-		if i == len(nbs) {
-			panic(fmt.Sprintf("dpsgd worker: round-%d vector from non-neighbour %d", it, m.From))
-		}
-		out[i], got[i] = m.Vec, true
-		wire += m.WireSec
-		missing--
-		return true
-	}
-	keep := e.stash[:0]
-	for _, m := range e.stash {
-		if !take(m) {
-			keep = append(keep, m)
-		}
-	}
-	e.stash = keep
-	for missing > 0 {
-		if m := x.inbox(e.w).Recv(p); !take(m) {
-			e.stash = append(e.stash, m)
-		}
-	}
-	e.l.Book(StepNeighbors, t0, p.Now(), wire)
-	return out, nil
-}
-
-// computePhase advances virtual time by one jittered iteration and issues
-// the real gradient computation, returning the compute-time multiplier it
-// drew. The numeric work is submitted to the compute pool *before* the
-// virtual-time sleep, so while this process sleeps, other simulated workers'
-// passes run concurrently on real cores; Grad joins the result where the
-// algorithm first consumes the gradient. When overlap is true (wait-free BP
-// and the caller will invoke sendGrads next) only the forward time is slept
-// here — sendGrads interleaves the backward time with the per-shard sends.
-// Iteration bookkeeping (iter counter, spread, the ledger) stays on the
-// engine thread at the post-sleep point, so metrics are pool-size-independent.
-func (x *exp) computePhase(p *des.Proc, w int, l *Ledger, overlap bool) float64 {
+// Compute advances virtual time by one jittered iteration and issues the real
+// gradient computation, keeping the compute-time multiplier it drew for the
+// sends that pace against it. The numeric work is submitted to the compute
+// pool *before* the virtual-time sleep, so while this process sleeps, other
+// simulated workers' passes run concurrently on real cores; Grad joins the
+// result where the algorithm first consumes the gradient. When overlap is
+// true (wait-free BP) only the forward time is slept here — sendGrads
+// interleaves the backward time with the per-shard sends. Iteration
+// bookkeeping (iter counter, spread, the ledger) stays on the engine thread
+// at the post-sleep point, so metrics are pool-size-independent.
+func (e *simEnv) Compute(overlap bool) {
+	x, p, w := e.x, e.p, e.w
 	wl := x.cfg.Workload
 	j := wl.SampleMult(x.streams[w].Jitter)
 	if x.inj != nil {
@@ -537,27 +364,20 @@ func (x *exp) computePhase(p *des.Proc, w int, l *Ledger, overlap bool) float64 
 	if !rep.shared {
 		rep.iter++ // a shared replica counted its pass where it ran it
 	}
-	l.Book(StepCompute, start, p.Now(), 0)
+	e.l.Book(StepCompute, start, p.Now(), 0)
 	x.noteIterSpread()
-	return j
+	e.jitter, e.overlap = j, overlap
 }
 
 // noteIterSpread records the instantaneous gap between the fastest and
 // slowest worker's iteration counters — the staleness the asynchronous
 // algorithms admit and SSP bounds.
 func (x *exp) noteIterSpread() {
-	min, max := x.reps[0].iter, x.reps[0].iter
+	lo, hi := x.reps[0].iter, x.reps[0].iter
 	for _, r := range x.reps[1:] {
-		if r.iter < min {
-			min = r.iter
-		}
-		if r.iter > max {
-			max = r.iter
-		}
+		lo, hi = min(lo, r.iter), max(hi, r.iter)
 	}
-	if s := max - min; s > x.col.MaxSpread {
-		x.col.MaxSpread = s
-	}
+	x.col.MaxSpread = max(x.col.MaxSpread, hi-lo)
 }
 
 // bwdTotal returns the jittered backward duration of one iteration.
@@ -613,14 +433,13 @@ func (x *exp) bwdAvailability(jitter float64) []des.Time {
 	return avail
 }
 
-// sendGrads transmits worker w's gradient to every PS shard, honoring
-// wait-free BP (which interleaves the backward sleep with per-shard sends,
-// ordered by when each shard's layers finish in the backward pass) and DGC
-// (which compresses the payload and shrinks wire bytes). wfbp turns the
-// wait-free-BP pacing on; jitter is the compute-time multiplier from
-// computePhase that paces it, and l books the backward time it sleeps.
-func (x *exp) sendGrads(p *des.Proc, w int, l *Ledger, clock int, grads []float32, jitter float64, wfbp bool) {
-	cfg := x.cfg
+// sendGrads transmits the worker's gradient to every PS shard, honoring
+// wait-free BP (which interleaves the backward sleep of the pass Compute
+// started with per-shard sends, ordered by when each shard's layers finish in
+// the backward pass, and books that sleep) and DGC (which compresses the
+// payload and shrinks wire bytes).
+func (e *simEnv) sendGrads(clock int, grads []float32) {
+	x, cfg, p, w, jitter, wfbp := e.x, e.x.cfg, e.p, e.w, e.jitter, e.overlap
 
 	// DGC: compress once over the full vector; per-shard messages carry the
 	// slice of sparse entries that falls in the shard's ranges.
@@ -648,18 +467,10 @@ func (x *exp) sendGrads(p *des.Proc, w int, l *Ledger, clock int, grads []float3
 	if cfg.QuantizeF16 {
 		roundTrip = grad.QuantizeF16RoundTrip
 	}
-	if quant {
-		if kind == kindSparseGrad {
-			if x.dgc != nil && len(sparse.Val) > 0 {
-				qv := append([]float32(nil), sparse.Val...)
-				roundTrip(qv)
-				sparse.Val = qv
-			}
-		} else if grads != nil {
-			qg := append([]float32(nil), grads...)
-			roundTrip(qg)
-			grads = qg
-		}
+	if quant && kind == kindSparseGrad && x.dgc != nil && len(sparse.Val) > 0 {
+		qv := append([]float32(nil), sparse.Val...)
+		roundTrip(qv)
+		sparse.Val = qv
 	}
 
 	// Split the sparse vector across shards in ONE pass via the locator —
@@ -685,15 +496,24 @@ func (x *exp) sendGrads(p *des.Proc, w int, l *Ledger, clock int, grads []float3
 	var dense []float32
 	if kind == kindGrad && grads != nil {
 		dense = append([]float32(nil), grads...)
+		if quant {
+			roundTrip(dense) // the dense vector's codec loss
+		}
 	}
 
+	// Shards in the order their layers finish in the backward pass; stable so
+	// ties keep natural shard order — determinism matters.
 	var avail []des.Time
+	order := make([]int, len(x.assign))
+	for i := range order {
+		order[i] = i
+	}
 	if wfbp {
 		avail = x.bwdAvailability(jitter)
+		sort.SliceStable(order, func(i, j int) bool { return avail[order[i]] < avail[order[j]] })
 	}
 	bwdStart := p.Now()
 	slept := des.Time(0)
-	order := shardOrder(avail, len(x.assign))
 	for _, s := range order {
 		if wfbp {
 			if d := avail[s] - slept; d > 0 {
@@ -736,24 +556,8 @@ func (x *exp) sendGrads(p *des.Proc, w int, l *Ledger, clock int, grads []float3
 		if d := x.bwdTotal(jitter) - slept; d > 0 {
 			p.Sleep(d)
 		}
-		l.Book(StepCompute, bwdStart, p.Now(), 0)
+		e.l.Book(StepCompute, bwdStart, p.Now(), 0)
 	}
-}
-
-// shardOrder returns shard indices ordered by availability (ascending); if
-// avail is nil, natural order.
-func shardOrder(avail []des.Time, n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	if avail == nil {
-		return order
-	}
-	// Stable so ties keep natural shard order — determinism matters, and the
-	// previous insertion sort was O(shards²) per send at 256+ shards.
-	sort.SliceStable(order, func(i, j int) bool { return avail[order[i]] < avail[order[j]] })
-	return order
 }
 
 // costOnlyDGCRatio mirrors grad.Compressor.CurrentRatio for cost-only runs
@@ -765,29 +569,28 @@ func costOnlyDGCRatio(cfg *grad.DGCConfig, iter int) float64 {
 	return math.Pow(cfg.Ratio, float64(iter)/float64(cfg.WarmupIters))
 }
 
-// gate is called at the top of every worker iteration loop with the next
-// iteration number. It polls ctx, then consults the fault schedule: a
-// worker entering a dead window either sleeps out its restart delay and
-// resumes at the first alive iteration (returned so the caller can skip
-// ahead), or — with no restart, or none before the run ends — is done for
-// good (ok = false; the caller should fall through to its finish path).
+// Gate polls ctx, then consults the fault schedule: a worker entering a dead
+// window either sleeps out its restart delay and resumes at the first alive
+// iteration, or — with no restart, or none before the run ends — is done for
+// good.
 //
 // Under the faithful (non-elastic) synchronous algorithms a crash stalls the
 // whole system instead: nobody advances past the barrier, so a restarted
 // worker reruns the iteration it died at, no iterations are lost, and only a
 // crash without restart terminates the worker. Elastic runs exclude dead
 // ranks and skip their lost iterations like everyone else.
-func (x *exp) gate(p *des.Proc, w, it int) (int, bool) {
+func (e *simEnv) Gate(it int) (int, bool, error) {
+	x, p, w := e.x, e.p, e.w
 	if x.ctx != nil {
 		select {
 		case <-x.ctx.Done():
 			x.canceled = true
-			return it, false
+			return it, false, nil
 		default:
 		}
 	}
 	if x.inj == nil || it < x.syncFrom[w] || x.inj.AliveAtIter(w, it) {
-		return it, true
+		return it, true, nil
 	}
 	stall := x.cfg.Algo.Synchronous() && !x.cfg.Elastic
 	x.col.Faults.Crashes++
@@ -796,7 +599,7 @@ func (x *exp) gate(p *des.Proc, w, it int) (int, bool) {
 	next := x.inj.NextAliveIter(w, it)
 	if next == 0 || !stall && next > x.cfg.Iters {
 		x.col.Faults.LostIters += x.cfg.Iters - it + 1
-		return it, false
+		return it, false, nil
 	}
 	if stall {
 		x.syncFrom[w] = next // the window [it, next) is served; rerun it late
@@ -806,19 +609,5 @@ func (x *exp) gate(p *des.Proc, w, it int) (int, bool) {
 	p.Sleep(delay)
 	x.col.Faults.Restarts++
 	x.restarted[w] = true
-	return next, true
-}
-
-// iterDone is the end-of-iteration bookkeeping shared by every algorithm.
-func (x *exp) iterDone(w, iter int) {
-	if x.restarted != nil && x.restarted[w] {
-		x.col.Faults.RecoveredIters++
-	}
-	x.maybeEval(w, iter)
-}
-
-// finish records completion for worker w.
-func (x *exp) finish(w int) {
-	x.col.Workers[w].Iters = x.reps[w].iter
-	x.col.Workers[w].FinishedAt = x.eng.Now()
+	return next, true, nil
 }

@@ -252,15 +252,6 @@ func (w Workload) SampleMult(r *rng.RNG) float64 {
 	return j
 }
 
-// BwdLayerSec returns the backward compute time attributable to layer i —
-// used by wait-free backpropagation, which sends layer i's gradient while
-// layers deeper in the backward pass (i-1 ... 0) are still computing.
-// Backward runs from the last layer to the first.
-func (w Workload) BwdLayerSec(i int) float64 {
-	fl := w.Profile.Layers[i].FwdFLOPs * float64(w.Batch) * w.BwdMult
-	return fl / (w.GPU.PeakFLOPS * w.GPU.Efficiency)
-}
-
 // AggRateBytesPerSec is the rate at which a parameter-server shard can
 // apply incoming gradients to its segment (memory-bandwidth bound on the
 // host CPU).

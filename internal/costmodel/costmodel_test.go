@@ -141,18 +141,6 @@ func TestSampleIterJitter(t *testing.T) {
 	}
 }
 
-func TestBwdLayerSecSumsToBackward(t *testing.T) {
-	w := NewWorkload(VGG16(), TitanV(), 96)
-	var sum float64
-	for i := range w.Profile.Layers {
-		sum += w.BwdLayerSec(i)
-	}
-	wantBwd := w.MeanIterSec() * w.BwdMult / (1 + w.BwdMult)
-	if math.Abs(sum-wantBwd)/wantBwd > 1e-9 {
-		t.Fatalf("per-layer backward %v != total backward %v", sum, wantBwd)
-	}
-}
-
 func TestProfileByName(t *testing.T) {
 	for _, n := range []string{"resnet50", "vgg16"} {
 		if _, err := ProfileByName(n); err != nil {

@@ -205,7 +205,7 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ep.Close()
-		eps[i], addrs[i], nodes[i], mbs[i] = ep, ep.Addr(), i, newMailbox(ep)
+		eps[i], addrs[i], nodes[i], mbs[i] = ep, ep.Addr(), i, &mailbox{ep: ep}
 	}
 	vecs := make([][]float32, ranks)
 	for i, ep := range eps {

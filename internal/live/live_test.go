@@ -493,7 +493,7 @@ type exchangeRecorder struct {
 }
 
 func (r exchangeRecorder) Send(to int, f *xport.Frame) error {
-	if f.Kind == kindExchangeReq {
+	if f.Kind == uint16(core.KindExchangeReq) {
 		r.mu.Lock()
 		r.pairs[[2]int{int(f.From), to}]++
 		r.mu.Unlock()
@@ -917,7 +917,7 @@ func chanGroup(w int) ([]*mailbox, []int) {
 	mbs := make([]*mailbox, w)
 	nodes := make([]int, w)
 	for i := 0; i < w; i++ {
-		mbs[i] = newMailbox(cn.Endpoint(i))
+		mbs[i] = &mailbox{ep: cn.Endpoint(i)}
 		nodes[i] = i
 	}
 	return mbs, nodes

@@ -15,15 +15,7 @@ import (
 // server converts with a cast.
 const (
 	kindGrad        = uint16(ps.Grad)
-	kindParams      = uint16(ps.Params)
-	kindPull        = uint16(ps.Pull)
-	kindAck         = uint16(ps.Ack)
-	kindEASGDPush   = uint16(ps.Push)
-	kindEASGDReply  = uint16(ps.PushReply)
 	kindAllReduce   = uint16(core.KindAllReduce)
-	kindGossip      = uint16(core.KindGossip)
-	kindExchangeReq = uint16(core.KindExchangeReq)
-	kindExchangeRep = uint16(core.KindExchangeReply)
 	kindLocalGather = uint16(core.KindLocalGather)
 	kindLocalBcast  = uint16(core.KindLocalBcast)
 )
@@ -54,8 +46,8 @@ const (
 
 // mailbox wraps an Endpoint with a stash so protocol loops can wait for a
 // specific (kind, clock, seg) while out-of-order traffic — a fast peer's
-// next-round chunk, a straggler's late gossip — is parked instead of
-// dropped. A mailbox has exactly one owning goroutine; it is not safe for
+// next-round chunk, a request that arrives mid-exchange — is parked instead
+// of dropped. A mailbox has exactly one owning goroutine; it is not safe for
 // concurrent use.
 type mailbox struct {
 	ep    xport.Endpoint
@@ -65,8 +57,6 @@ type mailbox struct {
 	sent float64
 }
 
-func newMailbox(ep xport.Endpoint) *mailbox { return &mailbox{ep: ep} }
-
 // send ships f to rank to, timing the Send.
 func (mb *mailbox) send(to int, f *xport.Frame) error {
 	t0 := time.Now()
@@ -75,61 +65,62 @@ func (mb *mailbox) send(to int, f *xport.Frame) error {
 	return err
 }
 
-// recv returns the oldest stashed frame, or blocks on the endpoint.
-func (mb *mailbox) recv(timeout time.Duration) (xport.Frame, error) {
-	if len(mb.stash) > 0 {
-		f := mb.stash[0]
-		mb.stash = mb.stash[1:]
-		return f, nil
-	}
-	return mb.ep.Recv(timeout)
+// anyField, as a receive's kind, clock or seg, matches every frame.
+const anyField int32 = -1
+
+// pollWindow is how long a Poll gives the endpoint: the asynchronous drains
+// (GoSGD gossip, SSP acks) poll between iterations.
+const pollWindow = 200 * time.Microsecond
+
+// match reports whether f is what a receive waits for.
+func match(f *xport.Frame, kind, clock, seg int32) bool {
+	return (kind == anyField || int32(f.Kind) == kind) &&
+		(clock == anyField || f.Clock == clock) && (seg == anyField || f.Seg == seg)
 }
 
-// match reports whether f is the frame recvMatch is waiting for.
-func match(f xport.Frame, kind uint16, clock, seg int32) bool {
-	return f.Kind == kind && f.Clock == clock && f.Seg == seg
-}
-
-// recvMatch returns the first frame (stash first, then the wire) with the
-// given kind, clock and seg — the collectives use seg to separate chunks and
-// phases; every PS and control frame carries 0. Non-matching frames are
-// stashed in arrival order. The timeout covers the whole wait.
-func (mb *mailbox) recvMatch(kind uint16, clock, seg int32, timeout time.Duration) (xport.Frame, error) {
-	for i, f := range mb.stash {
-		if match(f, kind, clock, seg) {
+// recv returns the first frame — stash first, then the wire — with the given
+// kind, clock and seg (the collectives use seg to separate chunks and
+// phases); non-matching frames are stashed in arrival order. A Poll gives the
+// endpoint one brief window and reports ok = false when nothing came, Serve
+// waits until the endpoint closes, and any other wait gives up after
+// recvTimeout with an error.
+func (mb *mailbox) recv(kind, clock, seg int32, wait core.Wait) (xport.Frame, bool, error) {
+	for i := range mb.stash {
+		if match(&mb.stash[i], kind, clock, seg) {
+			f := mb.stash[i]
 			mb.stash = append(mb.stash[:i], mb.stash[i+1:]...)
-			return f, nil
+			return f, true, nil
 		}
 	}
-	deadline := time.Now().Add(timeout)
-	for remain := timeout; remain > 0; remain = time.Until(deadline) {
+	timeout := recvTimeout
+	switch wait {
+	case core.Poll:
+		timeout = pollWindow
+	case core.Serve:
+		timeout = 0 // block
+	}
+	for deadline := time.Now().Add(timeout); ; {
+		remain := time.Until(deadline)
+		if timeout == 0 {
+			remain = 0
+		} else if remain <= 0 {
+			break
+		}
 		f, err := mb.ep.Recv(remain)
 		if errors.Is(err, xport.ErrTimeout) {
 			break
 		}
 		if err != nil {
-			return xport.Frame{}, err
+			return xport.Frame{}, false, err
 		}
-		if match(f, kind, clock, seg) {
-			return f, nil
+		if match(&f, kind, clock, seg) {
+			return f, true, nil
 		}
 		mb.stash = append(mb.stash, f)
 	}
-	return xport.Frame{}, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d: %w",
-		kind, clock, seg, xport.ErrTimeout)
-}
-
-// poll performs a short non-blocking-ish receive: it drains the stash
-// first, then gives the endpoint one brief window. Returns ok=false when
-// nothing arrived — the asynchronous drains (GoSGD gossip, SSP acks) call
-// this between iterations.
-func (mb *mailbox) poll() (xport.Frame, bool, error) {
-	f, err := mb.recv(200 * time.Microsecond)
-	if errors.Is(err, xport.ErrTimeout) {
+	if wait == core.Poll {
 		return xport.Frame{}, false, nil
 	}
-	if err != nil {
-		return xport.Frame{}, false, err
-	}
-	return f, true, nil
+	return xport.Frame{}, false, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d: %w",
+		kind, clock, seg, xport.ErrTimeout)
 }

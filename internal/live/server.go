@@ -45,7 +45,7 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 	sv := &server{
 		cfg:    cfg,
 		ep:     ep,
-		mb:     newMailbox(ep),
+		mb:     &mailbox{ep: ep},
 		global: ps.NewGlobal(init, cfg.Momentum, cfg.WeightDecay),
 		ranges: ps.Single(len(init))[0],
 		model:  model,
@@ -72,7 +72,11 @@ func startServer(cfg *core.Config, ep xport.Endpoint, o *Options) func() ([]floa
 	done := make(chan error, 1)
 	go func() {
 		var err error
-		params, err = newServer(cfg, ep, o).run()
+		sv := newServer(cfg, ep, o)
+		if err = sv.serve(); err != nil {
+			err = fmt.Errorf("live: server (%s): %w", cfg.Algo, err)
+		}
+		params = sv.global.Params
 		done <- err
 	}()
 	return func() ([]float32, error) {
@@ -114,15 +118,6 @@ func (sv *server) release() {
 	sv.held = sv.held[:0]
 }
 
-// run serves the PS protocol until every worker has sent its mesh-level
-// bye, then returns the final global parameters.
-func (sv *server) run() ([]float32, error) {
-	if err := sv.serve(); err != nil {
-		return nil, fmt.Errorf("live: server (%s): %w", sv.cfg.Algo, err)
-	}
-	return sv.global.Params, nil
-}
-
 // serve is the one frame loop under every centralized algorithm: receive,
 // dequantize, hand the message to the shard state machine — the simulator's,
 // fed through the same float paths — and send the replies it names. What the
@@ -150,11 +145,11 @@ func (sv *server) serve() error {
 				opened = round
 				dropResumedPeers(sv.ep, sv.ch, sv.cfg.Workers, round)
 			}
-			f, err = sv.mb.recvMatch(kindGrad, int32(round), 0, recvTimeout)
+			f, _, err = sv.mb.recv(int32(kindGrad), int32(round), 0, core.Block)
 		case sv.shard.Done():
-			f, err = sv.mb.recvMatch(kindBye, 0, 0, recvTimeout)
+			f, _, err = sv.mb.recv(int32(kindBye), 0, 0, core.Block)
 		default:
-			f, err = sv.mb.recv(recvTimeout)
+			f, _, err = sv.mb.recv(anyField, anyField, anyField, core.Block)
 		}
 		if err != nil {
 			return err

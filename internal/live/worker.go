@@ -65,11 +65,10 @@ type worker struct {
 	// What the core.Env methods carry from one call of an iteration to the
 	// next: full is the fixed cohort 0..W-1 and plan AR-SGD's collective
 	// (the simulator's for the same config), g the gradient of the pass in
-	// progress, merge GoSGD's fold of an arriving push.
-	full  []int
-	plan  comm.Plan
-	g     []float32
-	merge func(vec []float32, aux float64)
+	// progress.
+	full []int
+	plan comm.Plan
+	g    []float32
 
 	// codec is the gradient wire codec (0 = dense); saved accumulates the
 	// wire bytes quantization saved versus dense float32 frames, exported
@@ -117,7 +116,7 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 		rank:      rank,
 		srv:       serverRank(cfg),
 		ep:        ep,
-		mb:        newMailbox(ep),
+		mb:        &mailbox{ep: ep},
 		rep:       rep,
 		streams:   ws[rank],
 		overlay:   core.BuildOverlay(cfg, overlayStream),
@@ -145,7 +144,7 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 			}
 		}
 	}
-	w.l = core.NewLedger(new(metrics.Breakdown), w.tr, workerPid, rank)
+	w.l = core.NewLedger(new(metrics.Breakdown), w.tr, w.tr.Now, workerPid, rank)
 	return w
 }
 
@@ -207,43 +206,38 @@ func (w *worker) run() error {
 }
 
 // tail keeps absorbing asynchronous traffic between the worker's DONE and
-// the coordinator's BYE: GoSGD merges late gossip pushes (the simulator's
-// final drain), everything else ignores strays. An AD-PSGD passive's second
-// thread keeps answering on its own until shutdown, so it needs nothing
-// here. stop closes when the BYE arrived.
+// the coordinator's BYE, so that a slower peer's gossip push never waits on a
+// full inbox: GoSGD drops late pushes — the report is already taken —
+// everything else ignores strays. An AD-PSGD passive's second thread keeps
+// answering on its own until shutdown, so it needs nothing here. stop closes
+// when the BYE arrived.
 func (w *worker) tail(stop <-chan struct{}) error {
 	if w.cfg.Algo != core.GoSGD {
 		<-stop
 		return nil
 	}
 	for stopped := false; ; {
-		f, ok, err := w.mb.poll()
-		if err != nil {
-			return err
-		}
-		if ok && f.Kind == kindGossip {
-			w.merge(f.Vec, f.Aux)
-			f.Release()
-		}
-		// After the BYE keep sweeping until a poll comes back empty, so a
-		// gossip that raced it and is already buffered (or in flight) still
-		// lands.
-		if stopped && !ok {
-			return nil
-		}
 		select {
 		case <-stop:
 			stopped = true
 		default:
 		}
+		// After the BYE keep sweeping until a poll comes back empty, so a
+		// push that raced it and is already buffered is drained too.
+		m, ok, err := w.Recv(core.Any, core.Any, core.Poll)
+		if err != nil || stopped && !ok {
+			return err
+		}
+		w.Release(m.Vec)
 	}
 }
 
 // The methods below make worker the live runtime's core.Env: everything that
 // is a *wire* — frames and their codec, the mailbox's matching and recycling,
-// checkpoints — under the loops of core/loops.go, which own the protocol
-// order. Every step that takes time books it on the ledger. Received vectors
-// are released to xport's recycler as soon as the replica has taken them in.
+// checkpoints — under the loops of core/loops.go and the message protocol of
+// core/protocol.go. Every step that takes time books it on the ledger.
+// Received vectors are released to xport's recycler once their taker is done
+// with them.
 
 // Gate is the per-round chaos check: a deathErr when this worker's schedule
 // says iteration it is not run (the life driver restarts it), and otherwise a
@@ -322,74 +316,45 @@ func (w *worker) Bcast(it int, group []int, self int, params []float32) error {
 	return nil
 }
 
-// Exchange sends the request, blocks for the reply that echoes its clock and
-// installs the parameters it carries. SSP acks that overtake the reply are
-// stashed for the next Acks.
-func (w *worker) Exchange(kind ps.Kind, it int, vec []float32, _ func(int)) error {
-	defer w.book(core.StepExchange, w.tr.Now(), w.mb.sent)
+// Send ships m to rank to as one frame.
+func (w *worker) Send(to int, m core.Msg) (float64, error) {
+	sent := w.mb.sent
+	err := w.mb.send(to, &xport.Frame{Kind: uint16(m.Kind), From: int32(w.rank),
+		Clock: int32(m.Clock), Aux: m.Aux, Vec: m.Vec})
+	return w.mb.sent - sent, err
+}
+
+// SendPS ships one frame to the PS rank: a gradient in the run's codec, a
+// push with the parameters, a pull empty.
+func (w *worker) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, float64, float64, error) {
+	begin, sent := w.l.Now(), w.mb.sent
 	f := &xport.Frame{Kind: uint16(kind), From: int32(w.rank), Clock: int32(it)}
-	reply := kindParams
 	switch kind {
 	case ps.Grad:
 		w.encodeGrad(vec, f)
 	case ps.Push:
-		reply, f.Vec = kindEASGDReply, vec
+		f.Vec = vec
 	}
-	if err := w.mb.send(w.srv, f); err != nil {
-		return err
-	}
-	r, err := w.mb.recvMatch(reply, f.Clock, 0, recvTimeout)
-	if err != nil {
-		return err
-	}
-	w.rep.SetParams(r.Vec)
-	r.Release()
-	return nil
+	err := w.mb.send(w.srv, f)
+	// The one PS rank holds the whole vector, as long as the gradient.
+	return ps.Single(len(w.g)), begin, w.mb.sent - sent, err
 }
 
-func (w *worker) Update(it int, vec []float32) error {
-	defer w.book(core.StepUpdate, w.tr.Now(), w.mb.sent)
-	f := &xport.Frame{Kind: kindGrad, From: int32(w.rank), Clock: int32(it)}
-	w.encodeGrad(vec, f)
-	return w.mb.send(w.srv, f)
+// Recv is the mailbox's.
+func (w *worker) Recv(kind, clock int, wait core.Wait) (core.Msg, bool, error) {
+	f, ok, err := w.mb.recv(int32(kind), int32(clock), anyField, wait)
+	return core.Msg{Kind: int(f.Kind), From: int(f.From), Clock: int(f.Clock), Seg: int(f.Seg),
+		Aux: f.Aux, Vec: f.Vec}, ok, err
 }
 
-// arrived hands fold every frame that has already come in, which must all be
-// of the given kind.
-func (w *worker) arrived(kind uint16, fold func(*xport.Frame)) error {
-	for {
-		f, ok, err := w.mb.poll()
-		if err != nil || !ok {
-			return err
-		}
-		if f.Kind != kind {
-			return fmt.Errorf("unexpected kind %d among the arrived frames, want %d", f.Kind, kind)
-		}
-		fold(&f)
-		f.Release()
-	}
-}
+// Release hands vec to xport's recycler.
+func (w *worker) Release(vec []float32) { (&xport.Frame{Vec: vec}).Release() }
 
-func (w *worker) Acks(ack func(int)) error {
-	return w.arrived(kindAck, func(f *xport.Frame) { ack(int(f.Clock)) })
-}
-
-// FromPeers keeps merge: the tail between DONE and BYE folds late pushes
-// into the same mixing weight.
-func (w *worker) FromPeers(merge func([]float32, float64)) error {
-	w.merge = merge
-	return w.arrived(kindGossip, func(f *xport.Frame) { merge(f.Vec, f.Aux) })
-}
+func (w *worker) Ledger() *core.Ledger { return w.l }
 
 // Reachable: live admits no crash schedule for gossip or AD-PSGD, and a
 // partition stalls a send rather than losing it.
 func (w *worker) Reachable(base []int) []int { return base }
-
-func (w *worker) ToPeer(to, it int, aux float64, vec []float32) error {
-	defer w.book(core.StepToPeer, w.tr.Now(), w.mb.sent)
-	return w.mb.send(to, &xport.Frame{Kind: kindGossip, From: int32(w.rank),
-		Clock: int32(it), Aux: aux, Vec: vec})
-}
 
 // Go runs body on a goroutine, over a view of this worker that shares its
 // replica (under the mutex newWorker armed), endpoint and mailbox — which
@@ -415,84 +380,6 @@ func (w *worker) Go(name string, body func(core.Env, func() (int, bool)) error) 
 		}
 		return nil
 	}
-}
-
-func (w *worker) Swap(peer, it int, vec []float32) error {
-	defer w.book(core.StepSwap, w.tr.Now(), w.mb.sent)
-	if err := w.mb.send(peer, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
-		Clock: int32(it), Vec: vec}); err != nil {
-		return err
-	}
-	f, err := w.mb.recvMatch(kindExchangeRep, int32(it), 0, recvTimeout)
-	if err != nil {
-		return err
-	}
-	w.rep.Average(f.Vec)
-	f.Release()
-	return nil
-}
-
-// Answer with wait returns only the error that ends it: the endpoint's close
-// at shutdown.
-func (w *worker) Answer(wait bool) error {
-	for {
-		var f xport.Frame
-		var err error
-		if wait {
-			f, err = w.mb.recv(0)
-		} else {
-			var ok bool
-			if f, ok, err = w.mb.poll(); err == nil && !ok {
-				return nil
-			}
-		}
-		if err != nil {
-			return err
-		}
-		if f.Kind != kindExchangeReq {
-			return fmt.Errorf("unexpected kind %d, want an exchange request", f.Kind)
-		}
-		start, sent := w.tr.Now(), w.mb.sent
-		if err := w.mb.send(int(f.From), &xport.Frame{Kind: kindExchangeRep, From: int32(w.rank),
-			Clock: f.Clock, Vec: w.rep.Params()}); err != nil {
-			return err
-		}
-		w.rep.Average(f.Vec)
-		f.Release()
-		w.book(core.StepAnswer, start, sent)
-	}
-}
-
-// Neighbors slots each vector by its sender, so the caller folds them in
-// the order of nbs whatever order they arrive in; a neighbour one round
-// ahead waits in the mailbox's stash. The vectors are the caller's to keep.
-func (w *worker) Neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
-	defer w.book(core.StepNeighbors, w.tr.Now(), w.mb.sent)
-	for _, nb := range nbs {
-		if err := w.mb.send(nb, &xport.Frame{Kind: kindExchangeReq, From: int32(w.rank),
-			Clock: int32(it), Vec: vec}); err != nil {
-			return nil, err
-		}
-	}
-	out := make([][]float32, len(nbs))
-	got := make([]bool, len(nbs))
-	for range nbs {
-		f, err := w.mb.recvMatch(kindExchangeReq, int32(it), 0, recvTimeout)
-		if err != nil {
-			return nil, err
-		}
-		// The sender's first open slot: with two workers both neighbours are
-		// the one peer, which sends twice.
-		i := 0
-		for i < len(nbs) && (nbs[i] != int(f.From) || got[i]) {
-			i++
-		}
-		if i == len(nbs) {
-			return nil, fmt.Errorf("round-%d vector from non-neighbour %d", it, f.From)
-		}
-		out[i], got[i] = f.Vec, true
-	}
-	return out, nil
 }
 
 // Done records the completion of iteration it: the worker's own counter, the

@@ -190,16 +190,6 @@ func (m *Model) FlatGrads(dst []float32) []float32 {
 // loop calls this; see FlatGrads.
 func (m *Model) ZeroGrads() { clear(m.grads) }
 
-// AxpyParams adds alpha*src into the parameters (src is a flat vector).
-func (m *Model) AxpyParams(alpha float32, src []float32) {
-	if len(src) != m.size {
-		panic(fmt.Sprintf("nn: AxpyParams length %d, want %d", len(src), m.size))
-	}
-	for i, p := range m.params {
-		tensor.AxpyF32(alpha, src[m.segs[i].Off:m.segs[i].Off+m.segs[i].Len], p.W.Data)
-	}
-}
-
 func (m *Model) ensure(dst []float32) []float32 {
 	if dst == nil {
 		return make([]float32, m.size)

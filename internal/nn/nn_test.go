@@ -253,22 +253,12 @@ func TestBackwardOverwritesGrads(t *testing.T) {
 	}
 }
 
-func TestAxpyParams(t *testing.T) {
-	r := rng.New(9)
-	m := NewMLP(r, 2, 3, 2)
-	before := m.FlatParams(nil)
-	delta := make([]float32, m.NumParams())
-	for i := range delta {
-		delta[i] = float32(i%5) * 0.1
-	}
-	m.AxpyParams(-0.5, delta)
-	after := m.FlatParams(nil)
-	for i := range before {
-		want := before[i] - 0.5*delta[i]
-		if math.Abs(float64(after[i]-want)) > 1e-6 {
-			t.Fatalf("AxpyParams mismatch at %d", i)
-		}
-	}
+// sgdStep takes one plain SGD step, params -= lr*grads, through the flat
+// parameter vector.
+func sgdStep(m *Model, lr float32) {
+	params := m.FlatParams(nil)
+	tensor.AxpyF32(-lr, m.Grads(), params)
+	m.SetFlatParams(params)
 }
 
 func TestDeterministicInitialization(t *testing.T) {
@@ -298,7 +288,7 @@ func TestTrainingReducesLossMLP(t *testing.T) {
 	first, _ := lossOnly(m, x, labels)
 	for step := 0; step < 60; step++ {
 		m.Loss(x, labels)
-		m.AxpyParams(-0.5, m.Grads())
+		sgdStep(m, 0.5)
 	}
 	last, acc := m.Evaluate(x, labels)
 	if last >= first {
@@ -455,7 +445,7 @@ func TestMiniResNetBNTrains(t *testing.T) {
 	first, _ := lossOnly(m, x, labels)
 	for step := 0; step < 80; step++ {
 		m.Loss(x, labels)
-		m.AxpyParams(-0.05, m.Grads())
+		sgdStep(m, 0.05)
 	}
 	last, acc := m.Evaluate(x, labels)
 	if last >= first {

@@ -70,11 +70,11 @@ func TestCheckpointStableAcrossTraining(t *testing.T) {
 		t.Fatal(err)
 	}
 	saved := m.FlatParams(nil)
-	delta := make([]float32, m.NumParams())
-	for i := range delta {
-		delta[i] = 0.5
+	moved := m.FlatParams(nil)
+	for i := range moved {
+		moved[i] += 0.5
 	}
-	m.AxpyParams(1, delta)
+	m.SetFlatParams(moved)
 	if err := m.Load(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}

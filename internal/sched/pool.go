@@ -123,15 +123,6 @@ func Submit[T any](p *Pool, fn func() T) *Future[T] {
 	return f
 }
 
-// Resolved returns an already-completed future holding v — the zero-cost
-// stand-in where a code path has no work to offload (e.g. cost-only
-// simulation replicas).
-func Resolved[T any](v T) *Future[T] {
-	f := &Future[T]{done: make(chan struct{}), val: v}
-	close(f.done)
-	return f
-}
-
 // Wait blocks until the task completes and returns its result. Safe to
 // call any number of times from any goroutine; every call returns the same
 // value.

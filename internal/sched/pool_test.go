@@ -61,17 +61,6 @@ func TestWaitIsIdempotent(t *testing.T) {
 	}
 }
 
-// TestResolvedFuture checks the pre-resolved constructor.
-func TestResolvedFuture(t *testing.T) {
-	f := Resolved("x")
-	if !f.Done() {
-		t.Fatal("Resolved future not Done")
-	}
-	if f.Wait() != "x" {
-		t.Fatal("Resolved future lost its value")
-	}
-}
-
 // TestNilPoolIsInline: a nil pool resolves at submission.
 func TestNilPoolIsInline(t *testing.T) {
 	f := Submit[int](nil, func() int { return 3 })

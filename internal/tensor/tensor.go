@@ -129,21 +129,6 @@ func (t *Tensor) RandUniform(r *rng.RNG, lo, hi float64) {
 	}
 }
 
-// AddScaled computes t += alpha*src elementwise.
-func (t *Tensor) AddScaled(alpha float32, src *Tensor) {
-	if len(t.Data) != len(src.Data) {
-		panic("tensor: AddScaled size mismatch")
-	}
-	AxpyF32(alpha, src.Data, t.Data)
-}
-
-// Scale multiplies every element by alpha.
-func (t *Tensor) Scale(alpha float32) {
-	for i := range t.Data {
-		t.Data[i] *= alpha
-	}
-}
-
 // ScaleF32 computes x *= alpha in place.
 func ScaleF32(alpha float32, x []float32) {
 	for i := range x {

@@ -64,19 +64,6 @@ func TestFromSliceValidates(t *testing.T) {
 	FromSlice([]float32{1, 2, 3}, 2, 2)
 }
 
-func TestAddScaledAndScale(t *testing.T) {
-	a := FromSlice([]float32{1, 2}, 2)
-	b := FromSlice([]float32{10, 20}, 2)
-	a.AddScaled(0.5, b)
-	if a.Data[0] != 6 || a.Data[1] != 12 {
-		t.Fatalf("AddScaled = %v", a.Data)
-	}
-	a.Scale(2)
-	if a.Data[0] != 12 || a.Data[1] != 24 {
-		t.Fatalf("Scale = %v", a.Data)
-	}
-}
-
 func TestL2Norm(t *testing.T) {
 	if got := L2NormF32([]float32{3, 4}); math.Abs(got-5) > 1e-9 {
 		t.Fatalf("L2NormF32 = %v, want 5", got)
