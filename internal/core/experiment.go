@@ -212,6 +212,8 @@ func setup(cfg *Config) (*exp, error) {
 			x.psNode = append(x.psNode, x.net.AddNode(machine).ID)
 		}
 		if cfg.Real != nil {
+			// The global adopts a copy of replica 0's parameters: every
+			// replica's initial ones.
 			x.global = ps.NewGlobal(x.reps[0].Params(), cfg.Momentum, cfg.WeightDecay)
 		} else {
 			x.global = ps.NewCostOnlyGlobal()
@@ -239,7 +241,7 @@ func setup(cfg *Config) (*exp, error) {
 	x.gatherDoneAt = make([]des.Time, cfg.Cluster.Machines)
 
 	if cfg.Real != nil {
-		x.evalModel = InitModel(cfg)
+		x.evalModel = EvalModel(cfg)
 		// The eval model alternates between eval-sized batches; its own
 		// arena recycles the layer scratch across evals.
 		x.evalModel.SetArena(tensor.NewArena())
@@ -262,10 +264,17 @@ func (x *exp) fullBytes() int64 { return x.bytesFor(x.vecLen) }
 func (x *exp) shardBytes(s int) int64 { return x.bytesFor(x.assign.Params(s)) }
 
 // InitModel builds a model holding the parameters every replica starts from
-// (the shared init stream). Both runtimes evaluate the global model on one,
-// and the live parameter server starts from its parameters.
+// (the shared init stream): the live parameter server starts from its
+// parameters.
 func InitModel(cfg *Config) *nn.Model {
 	return cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
+}
+
+// EvalModel builds the model both runtimes evaluate the global parameters
+// on: the run's architecture with no initial draw, since TestErr overwrites
+// every parameter.
+func EvalModel(cfg *Config) *nn.Model {
+	return cfg.Real.Factory(nil)
 }
 
 // GlobalParams returns the parameters of the model a run reports on: ps, the

@@ -37,9 +37,10 @@ type Replica struct {
 	ybuf []int
 	// arena recycles the model's layer scratch buffers, so steady-state
 	// steps allocate ~nothing. The replica holds no model-sized vector of
-	// its own: the gradient it hands out is the model's flat store, and the
-	// merges (Average, WeightedMerge) run in place tensor by tensor — three
-	// vectors per replica in all: parameters, gradient, velocity.
+	// its own: the gradient it hands out is the model's flat gradient store,
+	// and the steps and merges run in one pass over its flat parameter
+	// store — two vectors per replica, plus the velocity once the replica
+	// steps locally (a BSP or ASP replica never does: the PS steps).
 	arena *tensor.Arena
 
 	// lossEWMA tracks recent training loss for traces.
@@ -227,18 +228,7 @@ func (r *Replica) LocalStep(g []float32, scale, lr float32) {
 	r.lock()
 	defer r.unlock()
 	r.settle()
-	if len(g) != r.model.NumParams() {
-		panic(fmt.Sprintf("core: gradient length %d, want %d", len(g), r.model.NumParams()))
-	}
-	// SGD is element-wise, so stepping every parameter tensor where it
-	// lives, the optimizer's state windowed per tensor, gives the bits of
-	// stepping a flat copy and writing it back, without the two copies.
-	off := 0
-	for _, p := range r.model.Params() {
-		w := p.W.Data
-		r.localO.StepAt(w, g[off:off+len(w)], scale, lr, off)
-		off += len(w)
-	}
+	r.localO.StepAt(r.model.Weights(), g, scale, lr, 0) // panics on a length mismatch
 }
 
 // Params returns a fresh copy of the flat parameters (nil in cost-only).
@@ -248,7 +238,17 @@ func (r *Replica) Params() []float32 {
 	}
 	r.lock()
 	defer r.unlock()
-	return r.model.FlatParams(nil)
+	return slices.Clone(r.model.Weights())
+}
+
+// Weights returns the model's flat parameter store itself (nil in
+// cost-only mode), for a caller that reads it once no thread can write the
+// replica any more: a finished worker's report ships it with no copy.
+func (r *Replica) Weights() []float32 {
+	if r.model == nil {
+		return nil
+	}
+	return r.model.Weights()
 }
 
 // SetParams overwrites the full parameter vector (no-op on nil).
@@ -271,15 +271,9 @@ func (r *Replica) SetRanges(src []float32, rs []ps.Range) {
 	r.lock()
 	defer r.unlock()
 	r.settle()
-	off := 0
-	for _, p := range r.model.Params() {
-		w := p.W.Data
-		for _, rg := range rs {
-			if lo, hi := max(rg.Off, off), min(rg.Off+rg.Len, off+len(w)); lo < hi {
-				copy(w[lo-off:hi-off], src[lo:hi])
-			}
-		}
-		off += len(w)
+	w := r.model.Weights()
+	for _, rg := range rs {
+		copy(w[rg.Off:rg.Off+rg.Len], src[rg.Off:rg.Off+rg.Len])
 	}
 }
 
@@ -291,13 +285,9 @@ func (r *Replica) Average(other []float32) {
 	r.lock()
 	defer r.unlock()
 	r.settle()
-	off := 0
-	for _, p := range r.model.Params() {
-		w := p.W.Data
-		for i, o := range other[off : off+len(w)] {
-			w[i] = 0.5 * (w[i] + o)
-		}
-		off += len(w)
+	w := r.model.Weights()
+	for i, o := range other[:len(w)] {
+		w[i] = 0.5 * (w[i] + o)
 	}
 }
 
@@ -311,17 +301,13 @@ func (r *Replica) Mix(others [][]float32) {
 	defer r.unlock()
 	r.settle()
 	inv := 1 / float32(len(others)+1)
-	off := 0
-	for _, p := range r.model.Params() {
-		w := p.W.Data
-		for i := range w {
-			s := w[i]
-			for _, o := range others {
-				s += o[off+i]
-			}
-			w[i] = s * inv
+	w := r.model.Weights()
+	for i := range w {
+		s := w[i]
+		for _, o := range others {
+			s += o[i]
 		}
-		off += len(w)
+		w[i] = s * inv
 	}
 }
 
@@ -336,19 +322,16 @@ func (r *Replica) WeightedMerge(own float64, xs []float32, ws float64) float64 {
 	r.settle()
 	a := float32(own / (own + ws))
 	b := float32(ws / (own + ws))
-	off := 0
-	for _, p := range r.model.Params() {
-		w := p.W.Data
-		for i, x := range xs[off : off+len(w)] {
-			w[i] = a*w[i] + b*x
-		}
-		off += len(w)
+	w := r.model.Weights()
+	for i, x := range xs[:len(w)] {
+		w[i] = a*w[i] + b*x
 	}
 	return own + ws
 }
 
 // SaveState checkpoints the replica's full training state — parameters,
-// momentum, loss EWMA, and the data-stream counters — atomically to path.
+// momentum (none before the replica first steps locally), loss EWMA, and the
+// data-stream counters — atomically to path.
 func (r *Replica) SaveState(path string, step, draws int) error {
 	r.lock()
 	defer r.unlock()
@@ -384,8 +367,11 @@ func (r *Replica) RestoreState(path string) (step, draws int, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(st.Velocity) > 0 {
-		copy(r.localO.Velocity(), st.Velocity)
+	if n := len(st.Velocity); n > 0 {
+		if n != r.model.NumParams() {
+			return 0, 0, fmt.Errorf("core: checkpoint velocity has %d entries, model %d", n, r.model.NumParams())
+		}
+		r.localO.SetVelocity(st.Velocity)
 	}
 	r.lossEWMA, r.lossInit = st.Loss, st.LossInit
 	for i := uint64(0); i < st.Draws; i++ {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"disttrain/internal/cluster"
@@ -11,6 +12,7 @@ import (
 	"disttrain/internal/data"
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
+	"disttrain/internal/ps"
 	"disttrain/internal/rng"
 )
 
@@ -38,11 +40,14 @@ func testReplica(t *testing.T, w int) *Replica {
 
 // TestReplicaFootprint pins how many model-sized vectors a training replica
 // holds: parameters, the gradient store backward writes and everything
-// downstream reads, and the optimizer's velocity — three, where there were
-// six (a per-layer dW scratch, a flattened gradient copy and a parameter
-// staging vector on top). Measured as live heap after collection around a
-// replica that has trained, merged and stepped, so anything allocated lazily
-// is counted; the slack covers activations and batch buffers.
+// downstream reads, and — only once it steps locally — the optimizer's
+// velocity: three for a replica that steps (there were six: a per-layer dW
+// scratch, a flattened gradient copy and a parameter staging vector on top),
+// two for one whose parameters only arrive from elsewhere, as a BSP or ASP
+// worker's do. Measured as live heap after collection around a replica that
+// has trained, merged and stepped (or been overwritten), so anything
+// allocated lazily is counted; the slack covers activations and batch
+// buffers.
 func TestReplicaFootprint(t *testing.T) {
 	rd := rng.New(100)
 	ds := data.GenGauss(rd, 100, 3, 0.3)
@@ -61,21 +66,31 @@ func TestReplicaFootprint(t *testing.T) {
 		runtime.ReadMemStats(&ms)
 		return ms.HeapAlloc
 	}
-	before := live()
-	r := NewReplica(0, cfg, Streams{Init: rng.New(1).Split(1), Shard: rng.New(2)})
-	other := r.Params()
-	for i := 0; i < 2; i++ {
-		r.LocalStep(r.ComputeGrad(), 0.5, 0.1)
-		r.Average(other)
-		r.WeightedMerge(1, other, 1)
-	}
-	n := len(other)
-	other = nil
-	held := float64(live()-before) / 4 / float64(n)
-	runtime.KeepAlive(r)
-	t.Logf("replica of %d parameters holds %.2f model-sized float vectors", n, held)
-	if held > 3.1 {
-		t.Fatalf("replica holds %.2f model-sized vectors, want 3 (parameters, gradient, velocity)", held)
+	for _, tc := range []struct {
+		name  string
+		steps bool
+		want  float64
+	}{{"stepping", true, 3}, {"overwritten", false, 2}} {
+		before := live()
+		r := NewReplica(0, cfg, Streams{Init: rng.New(1).Split(1), Shard: rng.New(2)})
+		other := r.Params()
+		for i := 0; i < 2; i++ {
+			g := r.ComputeGrad()
+			if tc.steps {
+				r.LocalStep(g, 0.5, 0.1)
+			}
+			r.Average(other)
+			r.WeightedMerge(1, other, 1)
+			r.SetRanges(other, ps.Single(len(other))[0])
+		}
+		n := len(other)
+		other = nil
+		held := float64(live()-before) / 4 / float64(n)
+		runtime.KeepAlive(r)
+		t.Logf("%s replica of %d parameters holds %.2f model-sized float vectors", tc.name, n, held)
+		if held > tc.want+0.1 {
+			t.Fatalf("%s replica holds %.2f model-sized vectors, want %v", tc.name, held, tc.want)
+		}
 	}
 }
 
@@ -254,6 +269,79 @@ func TestRestoreResumesAugmentationStream(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("restored trajectory diverged at param %d: got %v want %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestCheckpointVelocityOnlyWhereStepped: a replica's optimizer holds a
+// velocity only once the replica steps locally. A BSP replica, whose
+// parameters the PS overwrites, checkpoints none and restores bit for bit;
+// an AR-SGD replica checkpoints its momentum, and the restored replica's
+// next steps are the original's, bit for bit.
+func TestCheckpointVelocityOnlyWhereStepped(t *testing.T) {
+	r := rng.New(21)
+	ds := data.GenGauss(r, 200, 3, 0.4)
+	cfg := &Config{Workers: 2, Seed: 3, Momentum: 0.9, WeightDecay: 1e-4,
+		Real: &RealConfig{Factory: func(rr *rng.RNG) *nn.Model { return nn.NewMLP(rr, 2, 16, 3) }, Train: ds, Batch: 8}}
+	newRep := func() *Replica {
+		ws, _ := DeriveStreams(cfg.Seed, cfg.Workers)
+		return NewReplica(0, cfg, ws[0])
+	}
+	same := func(a, b []float32) bool {
+		return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
+	}
+	dir := t.TempDir()
+
+	// BSP: gradients go out, parameters come back; nothing steps locally.
+	bsp := newRep()
+	for i := 0; i < 3; i++ {
+		g := bsp.ComputeGrad()
+		p := bsp.Params()
+		for j := range p {
+			p[j] -= 0.05 * g[j]
+		}
+		bsp.SetParams(p)
+	}
+	path := filepath.Join(dir, "bsp.ckpt")
+	if err := bsp.SaveState(path, 3, 3); err != nil {
+		t.Fatal(err)
+	}
+	st, err := nn.LoadState(path, cfg.Real.Factory(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Velocity != nil {
+		t.Fatalf("a replica that never stepped checkpointed a %d-entry velocity", len(st.Velocity))
+	}
+	back := newRep()
+	if _, _, err := back.RestoreState(path); err != nil {
+		t.Fatal(err)
+	}
+	if !same(back.Params(), bsp.Params()) || back.localO.Velocity() != nil {
+		t.Fatal("the restored BSP replica differs from the checkpointed one")
+	}
+
+	// AR-SGD: every step is local, so the momentum is state to restore.
+	ar := newRep()
+	for i := 0; i < 3; i++ {
+		ar.LocalStep(ar.ComputeGrad(), 1, 0.05)
+	}
+	path = filepath.Join(dir, "arsgd.ckpt")
+	if err := ar.SaveState(path, 3, 3); err != nil {
+		t.Fatal(err)
+	}
+	back = newRep()
+	if _, _, err := back.RestoreState(path); err != nil {
+		t.Fatal(err)
+	}
+	if !same(back.localO.Velocity(), ar.localO.Velocity()) {
+		t.Fatal("the AR-SGD replica's momentum did not survive the checkpoint")
+	}
+	for i := 0; i < 3; i++ {
+		ar.LocalStep(ar.ComputeGrad(), 1, 0.05)
+		back.LocalStep(back.ComputeGrad(), 1, 0.05)
+	}
+	if !same(back.Params(), ar.Params()) {
+		t.Fatal("the restored AR-SGD replica's trajectory diverged")
 	}
 }
 

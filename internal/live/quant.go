@@ -88,7 +88,8 @@ func sliceQuantVec(qv xport.QuantVec, lo, hi int) xport.QuantVec {
 // decodeGradPayload replaces a frame's codec payload with the reconstructed
 // dense vector in Vec. The payload must match the configured codec and the
 // expected element count — a mismatch is a protocol violation, not a crash.
-// The decoded int8 codes are a view of f.Data, read here and dropped with it.
+// The decoded int8 codes are a view of f.Data, read here and handed back to
+// the recycler with it, so the next frame's payload lands in the same bytes.
 func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) error {
 	qv, err := xport.DecodeQuantVec(f.Data)
 	if err != nil {
@@ -100,8 +101,9 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 	if qv.Len() != wantLen {
 		return fmt.Errorf("live: gradient frame from %d: %d elements, want %d", f.From, qv.Len(), wantLen)
 	}
-	f.Vec = dequantizeVec(qv)
-	f.Data = nil
+	dense := dequantizeVec(qv)
+	f.Release() // a codec frame's Vec is empty: this recycles the payload
+	f.Vec = dense
 	return nil
 }
 

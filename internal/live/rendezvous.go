@@ -147,9 +147,17 @@ type doneInfo struct {
 
 // report is the worker's final account, on either transport: completed
 // iterations, the training-loss EWMA, the final parameters and breakdown.
+// Once its loop has returned nothing writes the replica any more, so the
+// report carries the parameter store where it lies — but on an AD-PSGD
+// rank, whose passive thread answers (and averages) until teardown: that
+// report takes a snapshot.
 func (w *worker) report() doneInfo {
 	loss, lossInit := w.rep.Loss()
-	return doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: w.rep.Params(),
+	params := w.rep.Weights()
+	if w.cfg.Algo == core.ADPSGD {
+		params = w.rep.Params()
+	}
+	return doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: params,
 		stats: doneStats{Breakdown: w.l.Breakdown()}}
 }
 
@@ -550,7 +558,7 @@ func (st *runState) watchdog() {
 // through the simulator's own core.GlobalParams and RealConfig.TestErr.
 func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srvNet *xport.TCPNet) (*Result, error) {
 	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
-	model := core.InitModel(cfg)
+	model := core.EvalModel(cfg)
 	ranks := make([]metrics.Worker, len(reports))
 	totalIters := 0
 	var loss float64

@@ -14,6 +14,8 @@ import (
 // rank W. It owns a ps.Global initialized from the shared init stream and
 // the ps.Shard that updates it — the same state machine the simulator's
 // shard processes drive, which is the PS half of the bit-identity contract.
+// The global's parameters and velocity are all the model-sized state it
+// holds: no nn.Model, no gradient store.
 type server struct {
 	cfg    *core.Config
 	ep     xport.Endpoint
@@ -22,11 +24,11 @@ type server struct {
 	shard  *ps.Shard
 	ranges []ps.Range // the whole vector: live hosts a single shard
 
-	// model is kept around as the serialization vehicle for PS checkpoints;
-	// ch and ckpt mirror the workers' chaos membership and cadence.
-	model *nn.Model
-	ch    *chaos
-	ckpt  nn.Cadence
+	// segs lays the global vector out for PS checkpoints; ch and ckpt mirror
+	// the workers' chaos membership and cadence.
+	segs []nn.Segment
+	ch   *chaos
+	ckpt nn.Cadence
 
 	// codec is the gradient wire codec workers compress with (0 = dense);
 	// tr records dequantize spans on the coordinator track.
@@ -39,16 +41,17 @@ type server struct {
 
 func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 	// The simulator seeds the global from replica 0's parameters, which are
-	// every replica's initial parameters.
+	// every replica's initial parameters. The global adopts the init model's
+	// store; the rest of the model is dropped.
 	model := core.InitModel(cfg)
-	init := model.FlatParams(nil)
+	init := model.Weights()
 	sv := &server{
 		cfg:    cfg,
 		ep:     ep,
 		mb:     &mailbox{ep: ep},
 		global: ps.NewGlobal(init, cfg.Momentum, cfg.WeightDecay),
 		ranges: ps.Single(len(init))[0],
-		model:  model,
+		segs:   model.Segments(),
 		ch:     newChaos(cfg),
 		ckpt:   o.ckpt,
 		codec:  quantCodec(cfg),
@@ -106,8 +109,7 @@ func (sv *server) maybeCheckpoint(step int) error {
 	if !sv.ckpt.Due(step) {
 		return nil
 	}
-	sv.model.SetFlatParams(sv.global.Params)
-	return nn.SaveState(sv.ckpt.Path(-1), sv.model, &nn.TrainState{Step: uint64(step)})
+	return nn.SaveFlatState(sv.ckpt.Path(-1), sv.segs, sv.global.Params, &nn.TrainState{Step: uint64(step)})
 }
 
 // release recycles the held frames' vectors.

@@ -64,6 +64,13 @@ type TrainState struct {
 // path atomically: the bytes land in a temporary file first and are renamed
 // into place, so a crash mid-write never leaves a truncated checkpoint.
 func SaveState(path string, m *Model, st *TrainState) error {
+	return SaveFlatState(path, m.segs, m.weights, st)
+}
+
+// SaveFlatState is SaveState for a parameter vector held outside a model
+// (the parameter server's), laid out as segs: the bytes are those SaveState
+// writes for a model holding params, and LoadState restores them into one.
+func SaveFlatState(path string, segs []Segment, params []float32, st *TrainState) error {
 	if dir := filepath.Dir(path); dir != "." {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return err
@@ -74,7 +81,7 @@ func SaveState(path string, m *Model, st *TrainState) error {
 	if err != nil {
 		return err
 	}
-	if err := writeState(f, m, st); err != nil {
+	if err := writeState(f, segs, params, st); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err
@@ -86,8 +93,8 @@ func SaveState(path string, m *Model, st *TrainState) error {
 	return os.Rename(tmp, path)
 }
 
-func writeState(w io.Writer, m *Model, st *TrainState) error {
-	bw := bufio.NewWriter(w)
+func writeState(w io.Writer, segs []Segment, params []float32, st *TrainState) error {
+	bw := bufio.NewWriterSize(w, ioChunk)
 	writeU32 := func(v uint32) error { return binary.Write(bw, binary.LittleEndian, v) }
 	if err := writeU32(stateMagic); err != nil {
 		return err
@@ -126,15 +133,13 @@ func writeState(w io.Writer, m *Model, st *TrainState) error {
 	if err := writeU32(uint32(len(st.Velocity))); err != nil {
 		return err
 	}
-	if len(st.Velocity) > 0 {
-		if err := binary.Write(bw, binary.LittleEndian, st.Velocity); err != nil {
-			return err
-		}
+	if err := writeF32s(bw, st.Velocity); err != nil {
+		return err
 	}
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	return m.Save(w)
+	return writeCheckpoint(w, segs, params)
 }
 
 // LoadState restores a checkpoint written by SaveState: the model's
@@ -213,7 +218,7 @@ func ReadState(r io.Reader, m *Model) (*TrainState, error) {
 	}
 	if nVel > 0 {
 		st.Velocity = make([]float32, nVel)
-		if err := binary.Read(br, binary.LittleEndian, st.Velocity); err != nil {
+		if err := readF32s(br, st.Velocity); err != nil {
 			return nil, err
 		}
 	}

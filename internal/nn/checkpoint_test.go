@@ -3,7 +3,9 @@ package nn
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"os"
 	"path/filepath"
@@ -138,15 +140,15 @@ func allocatedBy(fn func()) uint64 {
 }
 
 // FuzzReadState: no input panics the checkpoint decoder or makes it
-// allocate beyond a bound set by the model — the velocity and the
-// parameters, each decoded through a byte buffer of its own size, the
-// readers' buffers and one capped name per segment — and whatever it
-// accepts re-encodes to a state that decodes the same.
+// allocate beyond a bound set by the model — the velocity (the parameters
+// are read into the model's store), the readers' and chunk buffers and one
+// capped name per segment — and whatever it accepts re-encodes to a state
+// that decodes the same.
 func FuzzReadState(f *testing.F) {
 	m := NewMLP(rng.New(3), 2, 8, 2)
 	enc := func(st *TrainState) []byte {
 		var buf bytes.Buffer
-		if err := writeState(&buf, m, st); err != nil {
+		if err := writeState(&buf, m.Segments(), m.Weights(), st); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -162,7 +164,7 @@ func FuzzReadState(f *testing.F) {
 	f.Add(v1Fixture(f, m))
 	f.Add(full[:len(full)/2])
 	f.Add([]byte{})
-	bound := uint64(16*m.NumParams()) + uint64(4096*(len(m.Segments())+4)) + 64<<10
+	bound := uint64(4*m.NumParams()) + uint64(4096*(len(m.Segments())+4)) + 64<<10
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var st *TrainState
 		var err error
@@ -199,5 +201,44 @@ func TestLoadStateRejectsFutureVersion(t *testing.T) {
 	f.Close()
 	if _, err := LoadState(path, NewMLP(rng.New(1), 2, 4, 2)); err == nil {
 		t.Fatal("future-version checkpoint accepted")
+	}
+}
+
+// TestSaveFlatStateBytesPinned: a parameter-server checkpoint written from a
+// bare vector and the model's segment table is, byte for byte, the one
+// SaveState writes for a model holding that vector — whose bytes are pinned
+// to those written when the model checkpoint still went through a flat copy
+// — and LoadState restores the vector from it.
+func TestSaveFlatStateBytesPinned(t *testing.T) {
+	const want = "1baac2a919eb205684a43c2d25f81e5334867843b671759708b5480a7c52e2c4"
+	m := NewMiniResNetBN(rng.New(5), 4)
+	dir := t.TempDir()
+	st := &TrainState{Step: 7}
+	viaModel, viaVector := filepath.Join(dir, "model.ckpt"), filepath.Join(dir, "ps.ckpt")
+	if err := SaveState(viaModel, m, st); err != nil {
+		t.Fatal(err)
+	}
+	vec := m.FlatParams(nil)
+	if err := SaveFlatState(viaVector, m.Segments(), vec, st); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{viaModel, viaVector} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(b); hex.EncodeToString(sum[:]) != want {
+			t.Fatalf("%s: %d bytes hashing to %x, want %s", filepath.Base(path), len(b), sum, want)
+		}
+	}
+	into := NewMiniResNetBN(nil, 4)
+	got, err := LoadState(viaVector, into)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Step != 7 || got.Velocity != nil || !slices.EqualFunc(into.Weights(), vec,
+		func(a, b float32) bool { return math.Float32bits(a) == math.Float32bits(b) }) {
+		t.Fatalf("restored step %d, velocity %d, parameters equal %v", got.Step, len(got.Velocity),
+			slices.Equal(into.Weights(), vec))
 	}
 }

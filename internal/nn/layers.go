@@ -29,13 +29,13 @@ type Dense struct {
 	arena    *tensor.Arena
 }
 
-// NewDense creates a dense layer with He-initialized weights.
+// NewDense creates a dense layer with He-initialized weights drawn from r;
+// a nil r draws nothing and leaves the weights for the caller to set (see
+// ModelFactory).
 func NewDense(name string, in, out int, r *rng.RNG) *Dense {
 	d := &Dense{name: name, In: in, Out: out}
-	w := tensor.New(out, in)
-	w.RandNormal(r, math.Sqrt(2/float64(in)))
-	d.w = &Param{Name: name + ".w", W: w, G: tensor.New(out, in)}
-	d.b = &Param{Name: name + ".b", W: tensor.New(out), G: tensor.New(out)}
+	d.w = newParam(name+".w", initWeights(r, math.Sqrt(2/float64(in)), out, in))
+	d.b = newParam(name+".b", tensor.New(out))
 	return d
 }
 
@@ -93,9 +93,9 @@ func (d *Dense) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	}
 	b := dout.Shape[0]
 	// dW = doutᵀ·x, straight into the gradient store.
-	tensor.MatMulTransA(dout, d.x, d.w.G)
+	tensor.MatMulTransA(dout, d.x, d.w.grad())
 	// db = column sums of dout, from zero in ascending row order.
-	gd, dd := d.b.G.Data, dout.Data
+	gd, dd := d.b.grad().Data, dout.Data
 	clear(gd)
 	for i := 0; i < b; i++ {
 		row := dd[i*d.Out : i*d.Out+d.Out]
@@ -168,14 +168,13 @@ type Conv2D struct {
 	arena          *tensor.Arena
 }
 
-// NewConv2D creates a convolution layer with He-initialized weights.
+// NewConv2D creates a convolution layer with He-initialized weights drawn
+// from r; a nil r draws nothing (see NewDense).
 func NewConv2D(name string, inC, outC, k, stride, pad int, r *rng.RNG) *Conv2D {
 	c := &Conv2D{name: name, InC: inC, OutC: outC, K: k, Stride: stride, Pad: pad}
 	fanIn := inC * k * k
-	w := tensor.New(outC, fanIn)
-	w.RandNormal(r, math.Sqrt(2/float64(fanIn)))
-	c.w = &Param{Name: name + ".w", W: w, G: tensor.New(outC, fanIn)}
-	c.b = &Param{Name: name + ".b", W: tensor.New(outC), G: tensor.New(outC)}
+	c.w = newParam(name+".w", initWeights(r, math.Sqrt(2/float64(fanIn)), outC, fanIn))
+	c.b = newParam(name+".b", tensor.New(outC))
 	return c
 }
 
@@ -240,12 +239,12 @@ func (c *Conv2D) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	// db = per-channel sums of the (masked) gradient from zero, every
 	// channel in ascending (sample, position) order.
 	nCols := c.conv.OutH * c.conv.OutW
-	gb := c.b.G.Data
+	gb := c.b.grad().Data
 	clear(gb)
 	for i := 0; i < len(dd); i += c.OutC * nCols {
 		addRowSums(gb, dd[i:i+c.OutC*nCols], nCols)
 	}
-	c.conv.GradW(dd, c.w.G.Data)
+	c.conv.GradW(dd, c.w.grad().Data)
 	if c.noDx {
 		return nil
 	}

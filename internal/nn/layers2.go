@@ -41,8 +41,8 @@ func NewBatchNorm(name string, c int) *BatchNorm {
 	bn := &BatchNorm{name: name, C: c, eps: 1e-5, momentum: 0.9}
 	g := tensor.New(c)
 	g.Fill(1)
-	bn.gamma = &Param{Name: name + ".gamma", W: g, G: tensor.New(c)}
-	bn.beta = &Param{Name: name + ".beta", W: tensor.New(c), G: tensor.New(c)}
+	bn.gamma = newParam(name+".gamma", g)
+	bn.beta = newParam(name+".beta", tensor.New(c))
 	bn.runMean = make([]float32, c)
 	bn.runVar = make([]float32, c)
 	for i := range bn.runVar {
@@ -144,7 +144,7 @@ func (bn *BatchNorm) Backward(dout *tensor.Tensor) *tensor.Tensor {
 	idx := func(b, c, s int) int { return b*chanStride + c*spatial + s }
 
 	g := bn.gamma.W.Data
-	dg, db := bn.gamma.G.Data, bn.beta.G.Data
+	dg, db := bn.gamma.grad().Data, bn.beta.grad().Data
 	for c := 0; c < bn.C; c++ {
 		// dγ, dβ and the two reduction terms of the BN gradient. dγ and dβ are
 		// written as 0 + sum, not the bare sum: a sum that rounds to −0 in

@@ -114,7 +114,9 @@ func NewMiniVGG(r *rng.RNG, classes int) *Model {
 
 // ModelFactory constructs a fresh model with weights drawn from r. Every
 // worker and every PS replica in an experiment builds its model through the
-// same factory with the same RNG stream so all replicas start identical.
+// same factory with the same RNG stream so all replicas start identical. A
+// nil r draws nothing: the drawn weights are zero in the model's store, for
+// a model whose parameters are set before it is used (an evaluation model).
 type ModelFactory func(r *rng.RNG) *Model
 
 // imageSample is the per-sample shape every conv net here is built for.

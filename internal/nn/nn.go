@@ -10,29 +10,62 @@
 // Parameters are exposed in two forms: per-layer tensors (used by the math)
 // and a flat []float32 vector (used by every communication/aggregation code
 // path, and by layer-wise parameter sharding, which needs the segment
-// boundaries). For gradients the two forms are one piece of memory: a Model
-// owns a single flat gradient store and every Param.G is a view into it at
-// the parameter's Segment offset, so the buffer a backward pass writes is
-// the buffer a collective reduces and the optimizer reads — no flatten copy
-// sits between them. Backward OVERWRITES parameter gradients (each pass
-// leaves exactly its own batch's gradient), so nothing has to clear the
-// store between steps either; a caller that wants a sum over micro-batches
-// adds Grads() into a buffer of its own.
+// boundaries). The two forms are one piece of memory: a Model owns a single
+// flat parameter store and a single flat gradient store, and every Param.W
+// and Param.G is a view into them at the parameter's Segment offset. The
+// vector a collective ships, a checkpoint writes and the optimizer steps is
+// the one the layers compute with, and the buffer a backward pass writes is
+// the buffer a collective reduces — no flatten copy sits between them.
+// Backward OVERWRITES parameter gradients (each pass leaves exactly its own
+// batch's gradient), so nothing has to clear the store between steps
+// either; a caller that wants a sum over micro-batches adds Grads() into a
+// buffer of its own. The gradient store is allocated by the first Loss or
+// Grads call, so a model that is only evaluated, or only carries parameters
+// (a parameter server's initial vector), never holds one.
 package nn
 
 import (
 	"fmt"
+	"slices"
 
+	"disttrain/internal/rng"
 	"disttrain/internal/tensor"
 )
 
 // Param is one learnable tensor together with its gradient. A layer's
-// constructor gives G storage of its own, so a layer driven directly works;
-// NewModel re-homes G into the model's flat gradient store.
+// constructor gives W storage of its own and G a shape only; NewModel
+// re-homes W into the model's flat parameter store and G into its gradient
+// store, and a layer driven directly gives G storage at its first Backward.
 type Param struct {
 	Name string
 	W    *tensor.Tensor
 	G    *tensor.Tensor
+}
+
+// newParam pairs w with a gradient of its shape that has no storage yet.
+func newParam(name string, w *tensor.Tensor) *Param {
+	return &Param{Name: name, W: w, G: &tensor.Tensor{Shape: slices.Clone(w.Shape)}}
+}
+
+// grad returns p's gradient tensor, giving it storage of its own when no
+// model has homed it (a layer driven directly).
+func (p *Param) grad() *tensor.Tensor {
+	if p.G.Data == nil {
+		p.G.Data = make([]float32, p.G.Size())
+	}
+	return p.G
+}
+
+// initWeights returns a weight tensor of the given shape drawn from
+// N(0, std²) with r, or — with a nil r — one with no storage yet: its model's
+// store holds zeros there until the caller sets the parameters.
+func initWeights(r *rng.RNG, std float64, shape ...int) *tensor.Tensor {
+	if r == nil {
+		return &tensor.Tensor{Shape: shape}
+	}
+	w := tensor.New(shape...)
+	w.RandNormal(r, std)
+	return w
 }
 
 // Layer is a differentiable module. Forward must cache whatever Backward
@@ -69,9 +102,11 @@ type Model struct {
 	params []*Param
 	segs   []Segment
 	size   int
-	// grads is the flat gradient store: params[i].G views
-	// grads[segs[i].Off:][:segs[i].Len].
-	grads []float32
+	// weights and grads are the flat parameter and gradient stores:
+	// params[i].W views weights[segs[i].Off:][:segs[i].Len] and params[i].G
+	// the same window of grads, which is nil until a pass needs it.
+	weights []float32
+	grads   []float32
 
 	// first indexes the lowest layer that holds parameters: the backward
 	// walk stops there, since no gradient below it is ever read.
@@ -113,10 +148,12 @@ func (m *Model) SetArena(a *tensor.Arena) {
 	}
 }
 
-// NewModel assembles layers into a model and computes flat-vector segment
-// offsets. The lowest layer holding parameters (a conv stem, or the first
-// Dense behind a Flatten) is told to skip its input gradient: the model
-// input needs none, and Loss ends its backward walk at that layer.
+// NewModel assembles layers into a model, computes flat-vector segment
+// offsets and moves every parameter tensor into the flat store (the layer's
+// own initial storage is garbage from then on). The lowest layer holding
+// parameters (a conv stem, or the first Dense behind a Flatten) is told to
+// skip its input gradient: the model input needs none, and Loss ends its
+// backward walk at that layer.
 func NewModel(name string, layers ...Layer) *Model {
 	m := &Model{Name: name, Layers: layers}
 	off := 0
@@ -136,11 +173,18 @@ func NewModel(name string, layers ...Layer) *Model {
 		}
 	}
 	m.size = off
-	m.grads = make([]float32, off)
+	m.weights = make([]float32, off)
 	for i, p := range m.params {
-		p.G.Data = m.grads[m.segs[i].Off:][:m.segs[i].Len]
+		w := m.window(m.weights, i)
+		copy(w, p.W.Data)
+		p.W.Data = w
 	}
 	return m
+}
+
+// window is parameter i's segment of the flat store v.
+func (m *Model) window(v []float32, i int) []float32 {
+	return v[m.segs[i].Off:][:m.segs[i].Len]
 }
 
 // NumParams returns the total number of learnable scalars.
@@ -152,12 +196,20 @@ func (m *Model) Params() []*Param { return m.params }
 // Segments returns the layer-wise layout of the flat parameter vector.
 func (m *Model) Segments() []Segment { return append([]Segment(nil), m.segs...) }
 
-// FlatParams copies the parameters into dst (allocated if nil) and returns it.
+// Weights returns the flat parameter store itself, not a copy: the
+// parameters in flat-vector order, which the layers compute with. Callers
+// may step, merge or overwrite it in place, and ship or checkpoint it where
+// it lies.
+func (m *Model) Weights() []float32 { return m.weights }
+
+// FlatParams copies the parameters into dst (allocated if nil) and returns
+// it: a snapshot that later steps do not move. Nothing in the program needs
+// the copy — Weights is the vector — but bench/, which a change that claims
+// a gain may not edit, times its single-worker baseline through this and
+// SetFlatParams.
 func (m *Model) FlatParams(dst []float32) []float32 {
 	dst = m.ensure(dst)
-	for i, p := range m.params {
-		copy(dst[m.segs[i].Off:], p.W.Data)
-	}
+	copy(dst, m.weights)
 	return dst
 }
 
@@ -166,15 +218,22 @@ func (m *Model) SetFlatParams(src []float32) {
 	if len(src) != m.size {
 		panic(fmt.Sprintf("nn: SetFlatParams length %d, want %d", len(src), m.size))
 	}
-	for i, p := range m.params {
-		copy(p.W.Data, src[m.segs[i].Off:m.segs[i].Off+m.segs[i].Len])
-	}
+	copy(m.weights, src)
 }
 
 // Grads returns the flat gradient store itself, not a copy: the last Loss
 // call's gradient in flat-vector order, valid until the next one overwrites
-// it. Callers may reduce into it in place (the live ring does).
-func (m *Model) Grads() []float32 { return m.grads }
+// it. Callers may reduce into it in place (the live ring does). Before the
+// first Loss call it holds zeros.
+func (m *Model) Grads() []float32 {
+	if m.grads == nil {
+		m.grads = make([]float32, m.size)
+		for i, p := range m.params {
+			p.G.Data = m.window(m.grads, i)
+		}
+	}
+	return m.grads
+}
 
 // FlatGrads copies the gradients into dst (allocated if nil). Nothing in
 // the program needs the copy — Grads is the vector — but bench/, which a PR
@@ -182,13 +241,13 @@ func (m *Model) Grads() []float32 { return m.grads }
 // this and ZeroGrads.
 func (m *Model) FlatGrads(dst []float32) []float32 {
 	dst = m.ensure(dst)
-	copy(dst, m.grads)
+	copy(dst, m.Grads())
 	return dst
 }
 
 // ZeroGrads clears the gradient store. Loss overwrites it, so no training
 // loop calls this; see FlatGrads.
-func (m *Model) ZeroGrads() { clear(m.grads) }
+func (m *Model) ZeroGrads() { clear(m.Grads()) }
 
 func (m *Model) ensure(dst []float32) []float32 {
 	if dst == nil {
@@ -214,6 +273,7 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // gradients in Grads() (overwriting the previous call's), and returns the
 // loss value and the number of correct argmax predictions.
 func (m *Model) Loss(x *tensor.Tensor, labels []int) (loss float64, correct int) {
+	m.Grads() // homes every Param.G before Backward writes it
 	logits := m.Forward(x, true)
 	m.ensureProbs(logits)
 	var dlogits *tensor.Tensor

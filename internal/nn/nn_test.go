@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"disttrain/internal/rng"
@@ -259,6 +260,49 @@ func sgdStep(m *Model, lr float32) {
 	params := m.FlatParams(nil)
 	tensor.AxpyF32(-lr, m.Grads(), params)
 	m.SetFlatParams(params)
+}
+
+// TestModelOwnsFlatStores: every Param.W is a view of the model's flat
+// parameter store, which Weights returns; the gradient store exists only
+// once a pass needs it; and a model built with a nil RNG draws nothing —
+// it allocates its parameter store and no more of model size — yet,
+// loaded with a drawn model's parameters, evaluates to the same bits.
+func TestModelOwnsFlatStores(t *testing.T) {
+	image := []int{1, 16, 16}
+	for _, name := range []string{"mlp", "minicnn", "miniresnet", "miniresnetbn", "minivgg"} {
+		build, err := FactoryByName(name, 5, image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := build(rng.New(8))
+		w := m.Weights()
+		for i, seg := range m.Segments() {
+			p := m.Params()[i]
+			if len(p.W.Data) != seg.Len || &p.W.Data[0] != &w[seg.Off] {
+				t.Fatalf("%s: %s.W is not the store's [%d:%d)", name, p.Name, seg.Off, seg.Off+seg.Len)
+			}
+		}
+		if m.grads != nil {
+			t.Fatalf("%s: a model no pass has run holds a gradient store", name)
+		}
+
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		bare := build(nil)
+		runtime.ReadMemStats(&after)
+		if got, vec := after.TotalAlloc-before.TotalAlloc, uint64(4*m.NumParams()); got > vec+64<<10 {
+			t.Fatalf("%s: building without a draw allocated %d bytes, the parameter store is %d", name, got, vec)
+		}
+		bare.SetFlatParams(w)
+		x := tensor.New(6, 1, 16, 16)
+		x.RandNormal(rng.New(9), 1)
+		labels := []int{0, 1, 2, 3, 4, 0}
+		l1, a1 := m.Evaluate(x, labels)
+		l2, a2 := bare.Evaluate(x, labels)
+		if math.Float64bits(l1) != math.Float64bits(l2) || a1 != a2 {
+			t.Fatalf("%s: the drawn model evaluates to %v/%v, the loaded bare one to %v/%v", name, l1, a1, l2, a2)
+		}
+	}
 }
 
 func TestDeterministicInitialization(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Checkpoint format: a small header guarding against shape drift, followed
@@ -20,9 +21,18 @@ const (
 	checkpointVersion = 1
 )
 
-// Save writes the model's parameters as a checkpoint.
+// ioChunk is the buffer a checkpoint's float sections stream through.
+const ioChunk = 64 << 10
+
+// Save writes the model's parameters as a checkpoint, from the store where
+// it lies.
 func (m *Model) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	return writeCheckpoint(w, m.segs, m.weights)
+}
+
+// writeCheckpoint writes params, laid out as segs, as a model checkpoint.
+func writeCheckpoint(w io.Writer, segs []Segment, params []float32) error {
+	bw := bufio.NewWriterSize(w, ioChunk)
 	writeU32 := func(v uint32) error { return binary.Write(bw, binary.LittleEndian, v) }
 	if err := writeU32(checkpointMagic); err != nil {
 		return err
@@ -30,7 +40,6 @@ func (m *Model) Save(w io.Writer) error {
 	if err := writeU32(checkpointVersion); err != nil {
 		return err
 	}
-	segs := m.Segments()
 	if err := writeU32(uint32(len(segs))); err != nil {
 		return err
 	}
@@ -45,14 +54,56 @@ func (m *Model) Save(w io.Writer) error {
 			return err
 		}
 	}
-	if err := binary.Write(bw, binary.LittleEndian, m.FlatParams(nil)); err != nil {
+	if err := writeF32s(bw, params); err != nil {
 		return err
 	}
 	return bw.Flush()
 }
 
-// Load restores parameters saved by Save into the model. The model's
-// architecture (segment names and sizes) must match the checkpoint exactly.
+// writeF32s writes v little-endian through bw's own buffer, so no encoded
+// copy of v ever exists whole.
+func writeF32s(bw *bufio.Writer, v []float32) error {
+	for len(v) > 0 {
+		buf := bw.AvailableBuffer()
+		n := min(len(v), cap(buf)/4)
+		if n == 0 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			continue
+		}
+		for _, x := range v[:n] {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(x))
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+		v = v[n:]
+	}
+	return nil
+}
+
+// readF32s fills v with little-endian floats from r, a chunk at a time.
+func readF32s(r io.Reader, v []float32) error {
+	buf := make([]byte, min(4*len(v), ioChunk))
+	for len(v) > 0 {
+		n := min(len(v), len(buf)/4)
+		if _, err := io.ReadFull(r, buf[:4*n]); err != nil {
+			return err
+		}
+		for i := range v[:n] {
+			v[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+		}
+		v = v[n:]
+	}
+	return nil
+}
+
+// Load restores parameters saved by Save into the model, reading them
+// straight into its store. The model's architecture (segment names and
+// sizes) must match the checkpoint exactly; that is checked before any
+// parameter is touched, but a stream that ends inside the parameters leaves
+// them partly overwritten.
 func (m *Model) Load(r io.Reader) error {
 	br := bufio.NewReader(r)
 	readU32 := func() (uint32, error) {
@@ -103,10 +154,8 @@ func (m *Model) Load(r io.Reader) error {
 				i, name, segLen, segs[i].Name, segs[i].Len)
 		}
 	}
-	flat := make([]float32, m.NumParams())
-	if err := binary.Read(br, binary.LittleEndian, flat); err != nil {
+	if err := readF32s(br, m.weights); err != nil {
 		return fmt.Errorf("nn: reading parameters: %w", err)
 	}
-	m.SetFlatParams(flat)
 	return nil
 }

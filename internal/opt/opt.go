@@ -18,22 +18,27 @@ import (
 //
 //	v ← μ·v + g + λ·w
 //	w ← w − η·v
+//
+// The velocity starts at zero and is allocated by the first step: a
+// worker whose parameters are only ever overwritten (a BSP or ASP replica,
+// which the parameter server steps) never holds one.
 type SGD struct {
 	Momentum    float32
 	WeightDecay float32
+	n           int
 	vel         []float32
 }
 
 // NewSGD creates an optimizer for parameter vectors of length n.
 func NewSGD(n int, momentum, weightDecay float32) *SGD {
-	return &SGD{Momentum: momentum, WeightDecay: weightDecay, vel: make([]float32, n)}
+	return &SGD{Momentum: momentum, WeightDecay: weightDecay, n: n}
 }
 
 // Step applies one update to params given grads and learning rate lr.
 // params and grads must have the optimizer's length.
 func (s *SGD) Step(params, grads []float32, lr float32) {
-	if len(params) != len(s.vel) || len(grads) != len(s.vel) {
-		panic(fmt.Sprintf("opt: Step lengths %d/%d, want %d", len(params), len(grads), len(s.vel)))
+	if len(params) != s.n || len(grads) != s.n {
+		panic(fmt.Sprintf("opt: Step lengths %d/%d, want %d", len(params), len(grads), s.n))
 	}
 	s.StepAt(params, grads, 1, lr, 0)
 }
@@ -53,12 +58,24 @@ func (s *SGD) StepAt(p, g []float32, scale, lr float32, off int) {
 	if len(g) != len(p) {
 		panic(fmt.Sprintf("opt: StepAt gradient length %d, want %d", len(g), len(p)))
 	}
+	if s.vel == nil {
+		s.vel = make([]float32, s.n)
+	}
 	tensor.SGDStepF32(p, g, s.vel[off:off+len(p)], scale, lr, s.Momentum, s.WeightDecay)
 }
 
-// Velocity exposes the momentum buffer (used by DGC's momentum correction
-// tests and ablations).
+// Velocity exposes the momentum buffer: nil until the first step, which is
+// the all-zero velocity a fresh optimizer starts from.
 func (s *SGD) Velocity() []float32 { return s.vel }
+
+// SetVelocity adopts v as the momentum buffer (a checkpoint's): the caller
+// hands v over. It must have the optimizer's length.
+func (s *SGD) SetVelocity(v []float32) {
+	if len(v) != s.n {
+		panic(fmt.Sprintf("opt: SetVelocity length %d, want %d", len(v), s.n))
+	}
+	s.vel = v
+}
 
 // Schedule is the paper's learning-rate policy: linear-scaled base rate,
 // gradual warm-up over the first WarmupIters iterations (from Base/Workers

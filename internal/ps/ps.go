@@ -173,11 +173,10 @@ type Global struct {
 	Opt    *opt.SGD
 }
 
-// NewGlobal creates real global state initialized from init (copied).
+// NewGlobal creates real global state whose parameters are init: the
+// caller hands the vector over and keeps no other use of it.
 func NewGlobal(init []float32, momentum, weightDecay float32) *Global {
-	p := make([]float32, len(init))
-	copy(p, init)
-	return &Global{Params: p, Opt: opt.NewSGD(len(init), momentum, weightDecay)}
+	return &Global{Params: init, Opt: opt.NewSGD(len(init), momentum, weightDecay)}
 }
 
 // NewCostOnlyGlobal creates state that tracks no actual parameters.

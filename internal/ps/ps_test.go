@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -199,7 +200,7 @@ func TestGlobalApplyGradMatchesDirectSGD(t *testing.T) {
 		init[i] = float32(r.NormFloat64())
 		grads[i] = float32(r.NormFloat64())
 	}
-	g := NewGlobal(init, 0.9, 0.01)
+	g := NewGlobal(slices.Clone(init), 0.9, 0.01)
 	// Sharded application over Balanced(.,3) must equal one full step.
 	a := Balanced(n, 3)
 	for step := 0; step < 3; step++ {
@@ -248,7 +249,7 @@ func TestGlobalApplyGradScaleInStep(t *testing.T) {
 	}
 	ranges := Balanced(n, 3)
 	for _, scale := range []float32{0.25, 1.0 / 3, 1 / (1 + 0.7*5), 1} {
-		got, want := NewGlobal(init, 0.9, 1e-4), NewGlobal(init, 0.9, 1e-4)
+		got, want := NewGlobal(slices.Clone(init), 0.9, 1e-4), NewGlobal(slices.Clone(init), 0.9, 1e-4)
 		scaled := make([]float32, n)
 		for step := 0; step < 3; step++ {
 			for i, v := range grads {

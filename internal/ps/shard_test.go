@@ -2,6 +2,7 @@ package ps
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"disttrain/internal/opt"
@@ -78,7 +79,7 @@ func TestBSPFoldIgnoresArrivalOrder(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		var want []float32
 		permutations(W, func(order []int) {
-			g := NewGlobal(init, 0.9, 1e-4)
+			g := NewGlobal(slices.Clone(init), 0.9, 1e-4)
 			s := NewShard(g, ranges, Rule{Proto: BSP, Workers: W, Iters: 2,
 				LR: opt.Schedule{Base: 0.05}, Sparse: sparse})
 			for round := 1; round <= 2; round++ {
@@ -368,7 +369,7 @@ func TestSSPDeadWorkerLeavesTheMinimum(t *testing.T) {
 func TestElasticMoveConservesMass(t *testing.T) {
 	global := []float32{4, -2, 0.5, 16}
 	local := []float32{8, 6, -3.5, 1}
-	g := NewGlobal(global, 0, 0)
+	g := NewGlobal(slices.Clone(global), 0, 0)
 	s := NewShard(g, []Range{{0, 1}, {2, 2}}, Rule{Proto: Elastic, Workers: 2, Alpha: 0.25})
 	push := append([]float32(nil), local...)
 	out := handle(t, s, Msg{From: 1, Kind: Push, Clock: 8, Vec: push})

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"disttrain/internal/rng"
 )
@@ -100,7 +101,7 @@ func randomFrame(r *rng.RNG) Frame {
 		case 0:
 			return 0
 		case 1:
-			return minPooledVec + r.Intn(minPooledVec)
+			return minPooledBytes + r.Intn(minPooledBytes)
 		}
 		return 1 + r.Intn(40)
 	}
@@ -221,7 +222,7 @@ func TestDecodeDamage(t *testing.T) {
 	for _, f := range sampleFrames() {
 		checkDamage(t, f.AppendEncode(nil))
 	}
-	big := Frame{Kind: 8, Vec: make([]float32, 2*minPooledVec), Data: []byte{1}}
+	big := Frame{Kind: 8, Vec: make([]float32, 2*vecs.minPooled()), Data: []byte{1}}
 	checkDamage(t, big.AppendEncode(nil))
 }
 
@@ -265,7 +266,7 @@ func TestDecodeAllocationBounded(t *testing.T) {
 		{"counts beyond the length", header(fixedPayLen+64, 0x40000000, 0x40000000, 0), slack},
 		{"counts overflowing 4n", header(fixedPayLen, 0xffffffff, 0, 0), slack},
 		{"vec claims the limit, no body", header(limit, 0, (limit-fixedPayLen)/4, 0), limit + limit/4 + slack},
-		{"data claims the limit, no body", header(limit, 0, 0, limit-fixedPayLen), limit + slack},
+		{"data claims the limit, no body", header(limit, 0, 0, limit-fixedPayLen), limit + limit/4 + slack},
 	} {
 		var err error
 		got := allocatedBy(func() { _, err = DecodeFrame(tc.buf, limit) })
@@ -281,29 +282,31 @@ func TestDecodeAllocationBounded(t *testing.T) {
 // TestRecycledBuffersNeverShared is the ownership rule under the race
 // detector: ranks 1 and 2 stream large frames at rank 0, where two
 // consumers each hold a frame across the next Recv before releasing it.
-// Whatever the recycler hands out in between, a held Vec keeps the
-// contents it arrived with and no two in-flight Vecs share memory.
+// Whatever the recycler hands out in between, a held Vec or Data keeps the
+// contents it arrived with and no two in-flight sections share memory.
 func TestRecycledBuffersNeverShared(t *testing.T) {
-	const (
-		senders = 2
-		frames  = 40
-		n       = minPooledVec + 123
-	)
+	const senders, frames = 2, 40
+	n, nData := vecs.minPooled()+123, datas.minPooled()+77
 	eps := tcpMesh(t, senders+1)
 	fill := func(from, clock int32) float32 { return float32(1000*from + clock) }
+	fillData := func(from, clock int32) byte { return byte(16*from + clock) }
 
 	var wg sync.WaitGroup
 	for s := 1; s <= senders; s++ {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			vec := make([]float32, n)
+			vec, data := make([]float32, n), make([]byte, nData)
 			for k := 0; k < frames; k++ {
-				// Send does not retain vec: refill it for the next frame.
+				// Send does not retain vec or data: refill them for the next
+				// frame.
 				for i := range vec {
 					vec[i] = fill(int32(s), int32(k))
 				}
-				if err := eps[s].Send(0, &Frame{Kind: 1, From: int32(s), Clock: int32(k), Vec: vec}); err != nil {
+				for i := range data {
+					data[i] = fillData(int32(s), int32(k))
+				}
+				if err := eps[s].Send(0, &Frame{Kind: 1, From: int32(s), Clock: int32(k), Vec: vec, Data: data}); err != nil {
 					t.Errorf("send %d/%d: %v", s, k, err)
 					return
 				}
@@ -312,12 +315,18 @@ func TestRecycledBuffersNeverShared(t *testing.T) {
 	}
 
 	var mu sync.Mutex
-	inFlight := map[*float32]bool{}
+	inFlight := map[unsafe.Pointer]bool{}
 	check := func(f *Frame) {
-		want := fill(f.From, f.Clock)
+		want, wantData := fill(f.From, f.Clock), fillData(f.From, f.Clock)
 		for i, v := range f.Vec {
 			if v != want {
 				t.Errorf("frame %d/%d element %d = %v, want %v", f.From, f.Clock, i, v, want)
+				return
+			}
+		}
+		for i, b := range f.Data {
+			if b != wantData {
+				t.Errorf("frame %d/%d data byte %d = %v, want %v", f.From, f.Clock, i, b, wantData)
 				return
 			}
 		}
@@ -325,11 +334,12 @@ func TestRecycledBuffersNeverShared(t *testing.T) {
 	hold := func(f *Frame, on bool) {
 		mu.Lock()
 		defer mu.Unlock()
-		p := &f.Vec[0]
-		if on && inFlight[p] {
-			t.Errorf("frame %d/%d arrived in a buffer another in-flight frame holds", f.From, f.Clock)
+		for _, p := range []unsafe.Pointer{unsafe.Pointer(&f.Vec[0]), unsafe.Pointer(&f.Data[0])} {
+			if on && inFlight[p] {
+				t.Errorf("frame %d/%d arrived in a buffer another in-flight frame holds", f.From, f.Clock)
+			}
+			inFlight[p] = on
 		}
-		inFlight[p] = on
 	}
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
