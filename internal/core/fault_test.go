@@ -257,3 +257,24 @@ func TestNoFaultRunsUnchanged(t *testing.T) {
 		t.Fatal("an empty fault schedule changed the run")
 	}
 }
+
+// TestServeExpiresRoundsWhoseGradientsWereLost: a partition drops machine
+// 1's gradients for a few rounds. The workers that gave up waiting go on and
+// send gradients for later rounds, which the shard holds; they must not keep
+// the open round alive, so each round expires a barrier timeout after the
+// shard last moved and the run stays in lockstep. Were every arrival to
+// restart the wait, the round would never expire and every worker would time
+// out on every iteration for the rest of the run (282 of 320 here).
+func TestServeExpiresRoundsWhoseGradientsWereLost(t *testing.T) {
+	cfg := costConfig(BSP, 16, 20)
+	cfg.Elastic = true
+	cfg.BarrierTimeoutSec = 1.5 * cfg.Workload.MeanIterSec()
+	cfg.Faults = goldenFaults(&cfg, "partition@%g:m1:for=%g", 4, 5)
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, spread := res.Metrics.Faults.Timeouts, res.Summary().MaxIterSpread; n > 2*cfg.Workers || spread > 2 {
+		t.Fatalf("%d barrier timeouts (want at most %d), iteration spread %d (want at most 2)", n, 2*cfg.Workers, spread)
+	}
+}

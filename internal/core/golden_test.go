@@ -226,10 +226,15 @@ var goldenVirtualRows = []struct {
 		c.Sharding, c.WaitFreeBP, c.DGC = ShardLayerWise, true, &d
 	}, 0xf5c9453a699e440a},
 	{"bsp-localagg-16", BSP, 16, func(c *Config) { c.LocalAgg = true }, 0xbb641c35ed192840},
+	// Re-recorded when the shard began filing BSP gradients by round: worker
+	// 3 rejoins rounds ahead, and its gradient used to fill the open round,
+	// leaving every later round one short until the barrier timed out. Now
+	// it waits for its own round: 16 barrier timeouts → 0, and 17.15 s →
+	// 15.56 s of virtual time.
 	{"bsp-elastic-crash-restart-16", BSP, 16, func(c *Config) {
 		c.Elastic = true
 		c.Faults = goldenFaults(c, "crash@iter6:w3:restart=%g", 3)
-	}, 0xbc363f85eda24bd3},
+	}, 0x7857de09e6c0af9a},
 	{"asp-partition-timeout-16", ASP, 16, func(c *Config) {
 		c.BarrierTimeoutSec = 2 * c.Workload.MeanIterSec()
 		c.Faults = goldenFaults(c, "partition@%g:m1:for=%g", 4, 5)
@@ -294,6 +299,29 @@ func hashVirtual(res *Result) uint64 {
 		putF(res.Net.EgressBusySec[m])
 	}
 	return h.Sum64()
+}
+
+// TestServeKeepsRejoinGradientInItsRound: in the elastic crash-restart golden
+// row, worker 3 comes back three iterations after its crash, ahead of the
+// round the others are in. Its gradient waits at the shard for its own round
+// instead of filling the open one, so no round is left one contribution short
+// and no barrier times out.
+func TestServeKeepsRejoinGradientInItsRound(t *testing.T) {
+	cfg := costConfig(BSP, 16, 20)
+	for _, r := range goldenVirtualRows {
+		if r.name == "bsp-elastic-crash-restart-16" {
+			r.mutate(&cfg)
+		}
+	}
+	res, err := Run(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Metrics.Faults
+	if f.Crashes != 1 || f.Restarts != 1 || f.Timeouts != 0 || res.StalledWorkers != 0 {
+		t.Fatalf("crashes %d restarts %d timeouts %d stalled %d, want 1, 1, 0, 0",
+			f.Crashes, f.Restarts, f.Timeouts, res.StalledWorkers)
+	}
 }
 
 // TestGoldenVirtualTime: the same-event-trace gate for the simulator. Only

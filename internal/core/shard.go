@@ -69,15 +69,23 @@ func (x *exp) spawnShards() {
 			// fruitless caps the elastic re-check spin: while something waits
 			// the shard wakes on a timeout to re-evaluate, but after a few
 			// barren wakeups it goes back to blocking so an otherwise-finished
-			// run can drain.
-			fruitless := 0
+			// run can drain. A wait gives up at giveUp (0 = none), the barrier
+			// timeout after the shard last moved — a reply, an expiry or a
+			// blocking receive — not after the last arrival: workers that gave
+			// up on the open round send gradients for later ones, which the
+			// shard holds, and those must not keep the round open.
+			fruitless, giveUp := 0, 0.0
 			for !sh.Done() {
 				var m simnet.Msg
 				if elastic && sh.Waiting() && fruitless < 3 {
+					if giveUp == 0 {
+						giveUp = p.Now() + cfg.BarrierTimeoutSec
+					}
 					var ok bool
-					if m, ok = inbox.RecvTimeout(p, cfg.BarrierTimeoutSec); !ok {
+					if m, ok = inbox.RecvTimeout(p, giveUp-p.Now()); !ok {
 						x.col.Faults.Timeouts++
 						fruitless++
+						giveUp = 0
 						out, moved := sh.Expire()
 						if moved {
 							fruitless = 0
@@ -86,6 +94,7 @@ func (x *exp) spawnShards() {
 						continue
 					}
 				} else {
+					giveUp = 0
 					m = inbox.Recv(p)
 				}
 				fruitless = 0
@@ -97,6 +106,9 @@ func (x *exp) spawnShards() {
 					Clock: m.Clock, Vec: m.Vec, Idx: m.SparseIdx})
 				if err != nil {
 					panic(fmt.Sprintf("%s shard %d: %v", cfg.Algo, s, err))
+				}
+				if len(out) > 0 {
+					giveUp = 0
 				}
 				x.sendReplies(s, out)
 			}

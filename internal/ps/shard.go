@@ -2,6 +2,7 @@ package ps
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"disttrain/internal/opt"
@@ -95,6 +96,12 @@ type Rule struct {
 // this is what lets a wall-clock run reproduce the simulator bit for bit.
 // Replies are named in arrival order, which is what virtual time depends on.
 //
+// Round contract: BSP round r averages exactly iteration r's gradients. A
+// gradient for a later round — a worker back from a restart longer than one
+// iteration is rounds ahead of the others — waits in the shard and joins its
+// round when that round opens; one for a round Expire closed is dropped, and
+// its sender answered with the current parameters to catch up from.
+//
 // A Shard may keep a message's vectors until it has returned the reply to
 // that message's sender (an open BSP round folds at close); messages that get
 // no reply are done with when Handle returns. The returned slice is reused by
@@ -106,11 +113,14 @@ type Shard struct {
 	out    []Reply
 
 	// BSP: the open 1-based round (0 = all closed), its member count, the
-	// contributions so far and the dense aggregate.
+	// contributions so far and the dense aggregate; gradients for later
+	// rounds in arrival order, and the rounds Expire closed.
 	round   int
 	members int
 	msgs    []Msg
 	agg     []float32
+	early   []Msg
+	expired []int
 
 	// ASP staleness damping: global update count, and its value when each
 	// worker last received parameters.
@@ -160,11 +170,15 @@ func (s *Shard) Handle(m Msg) ([]Reply, error) {
 	s.out = s.out[:0]
 	grad := m.Kind == Grad || m.Kind == SparseGrad
 	switch {
-	case s.rule.Proto == BSP && grad && s.round > 0:
+	case s.rule.Proto == BSP && grad && s.round > 0 && m.Clock == s.round:
 		s.msgs = append(s.msgs, m)
-		if want := s.rule.Senders; len(s.msgs) == want || want == 0 && len(s.msgs) == s.members {
-			s.closeRound()
-		}
+		s.closeFull()
+	case s.rule.Proto == BSP && grad && s.round > 0 && m.Clock > s.round && m.Clock <= s.rule.Iters:
+		s.early = append(s.early, m)
+	case s.rule.Proto == BSP && grad && slices.Contains(s.expired, m.Clock):
+		// Its round timed out without it. The gradient is dropped, and the
+		// sender gets the current parameters to catch up from.
+		s.out = append(s.out, Reply{To: m.From, Kind: Params, Clock: m.Clock})
 	case s.rule.Proto == ASP && grad:
 		lr := s.rule.LR.At(m.Clock - 1)
 		if s.rule.Damping {
@@ -215,14 +229,17 @@ func (s *Shard) Handle(m Msg) ([]Reply, error) {
 func (s *Shard) Expire() (out []Reply, moved bool) {
 	s.out = s.out[:0]
 	if s.round > 0 {
+		s.expired = append(s.expired, s.round)
 		s.closeRound()
+		s.closeFull()
 		return s.out, true
 	}
 	s.release()
 	return s.out, len(s.out) > 0
 }
 
-// openRound advances to the next round somebody runs.
+// openRound advances to the next round somebody runs and admits the
+// gradients that arrived early for it.
 func (s *Shard) openRound() {
 	for s.round++; s.round <= s.rule.Iters; s.round++ {
 		s.members = s.rule.Workers
@@ -230,10 +247,40 @@ func (s *Shard) openRound() {
 			s.members = s.rule.Members(s.round)
 		}
 		if s.members > 0 {
-			return
+			break
 		}
 	}
-	s.round = 0
+	if s.round > s.rule.Iters {
+		s.round = 0
+	}
+	if len(s.early) == 0 {
+		return
+	}
+	later := s.early[:0]
+	for _, m := range s.early {
+		if m.Clock == s.round {
+			s.msgs = append(s.msgs, m)
+		} else {
+			later = append(later, m)
+		}
+	}
+	clear(s.early[len(later):])
+	s.early = later
+}
+
+// closeFull closes the open round while it has every contribution: a round
+// that opens on early gradients may already be complete.
+func (s *Shard) closeFull() {
+	for s.round > 0 {
+		want := s.rule.Senders
+		if want == 0 {
+			want = s.members
+		}
+		if len(s.msgs) < want {
+			return
+		}
+		s.closeRound()
+	}
 }
 
 // closeRound folds the round's contributions in ascending sender rank, takes

@@ -128,7 +128,10 @@ func TestBSPFoldIgnoresArrivalOrder(t *testing.T) {
 
 // TestBSPRounds covers what decides a round's width and divisor: Senders
 // (local aggregation) closes early but still divides by the members, rounds
-// nobody runs are skipped, and Expire closes with whoever arrived.
+// nobody runs are skipped, and Expire closes with whoever arrived. A late
+// gradient for the round Expire closed is dropped, its sender answered with
+// the current parameters; one for a round that closed in full, or for no
+// round of the run, is a protocol error.
 func TestBSPRounds(t *testing.T) {
 	step := func(g float32, members int) float32 { return 1 - 0.5*(g/float32(members)) } // from p = 1, lr 0.5
 	rule := Rule{Proto: BSP, Workers: 4, Iters: 3, LR: opt.Schedule{Base: 0.5}}
@@ -139,8 +142,8 @@ func TestBSPRounds(t *testing.T) {
 	r := rule
 	r.Senders = 2
 	s := NewShard(g, []Range{{0, 1}}, r)
-	handle(t, s, Msg{From: 0, Kind: Grad, Vec: vec(3)})
-	if out := handle(t, s, Msg{From: 2, Kind: Grad, Vec: vec(5)}); len(out) != 2 || s.Round() != 2 {
+	handle(t, s, Msg{From: 0, Kind: Grad, Clock: 1, Vec: vec(3)})
+	if out := handle(t, s, Msg{From: 2, Kind: Grad, Clock: 1, Vec: vec(5)}); len(out) != 2 || s.Round() != 2 {
 		t.Fatalf("local aggregation: %d replies, round %d", len(out), s.Round())
 	}
 	if want := step(8, 4); g.Params[0] != want {
@@ -152,14 +155,14 @@ func TestBSPRounds(t *testing.T) {
 	r = rule
 	r.Members = func(round int) int { return []int{0, 2, 0, 3}[round] }
 	s = NewShard(g, []Range{{0, 1}}, r)
-	handle(t, s, Msg{From: 1, Kind: Grad, Vec: vec(2)})
-	handle(t, s, Msg{From: 3, Kind: Grad, Vec: vec(4)})
+	handle(t, s, Msg{From: 1, Kind: Grad, Clock: 1, Vec: vec(2)})
+	handle(t, s, Msg{From: 3, Kind: Grad, Clock: 1, Vec: vec(4)})
 	if want := step(6, 2); g.Params[0] != want || s.Round() != 3 {
 		t.Fatalf("members: %v (want %v), round %d (want 3)", g.Params[0], want, s.Round())
 	}
 	// Round 3 times out with one of three contributions: it still closes,
 	// divides by the membership and answers the one sender.
-	handle(t, s, Msg{From: 0, Kind: Grad, Vec: vec(9)})
+	handle(t, s, Msg{From: 0, Kind: Grad, Clock: 3, Vec: vec(9)})
 	before := g.Params[0]
 	out, moved := s.Expire()
 	if !moved || len(out) != 1 || out[0].To != 0 || !s.Done() {
@@ -168,8 +171,14 @@ func TestBSPRounds(t *testing.T) {
 	if want := before - 0.5*(9/float32(3)); g.Params[0] != want {
 		t.Fatalf("expire: %v, want %v", g.Params[0], want)
 	}
-	if _, err := s.Handle(Msg{From: 0, Kind: Grad, Vec: vec(1)}); err == nil {
-		t.Fatal("gradient after the last round accepted")
+	after := g.Params[0]
+	if out := handle(t, s, Msg{From: 2, Kind: Grad, Clock: 3, Vec: vec(1)}); len(out) != 1 || !is(out[0], 2, Params, 3) || g.Params[0] != after {
+		t.Fatalf("late gradient for the expired round: replies %+v, params %v (was %v)", out, g.Params[0], after)
+	}
+	for _, clock := range []int{0, 1, 4} {
+		if _, err := s.Handle(Msg{From: 0, Kind: Grad, Clock: clock, Vec: vec(1)}); err == nil {
+			t.Fatalf("gradient for round %d accepted after the last round", clock)
+		}
 	}
 	if out, moved := s.Expire(); moved || len(out) != 0 {
 		t.Fatal("expire on a finished shard did something")
