@@ -5,14 +5,16 @@ import (
 
 	"disttrain/internal/costmodel"
 	"disttrain/internal/des"
+	"disttrain/internal/fault"
 	"disttrain/internal/ps"
 	"disttrain/internal/simnet"
 )
 
-// ShardRule maps a validated config onto the protocol PS shard s speaks. The
-// membership callbacks (Rule.Members, Rule.Alive) are the driver's to set:
-// only it knows its fault clock.
-func ShardRule(cfg *Config, s int) ps.Rule {
+// ShardRule maps a validated config onto the protocol PS shard s speaks. An
+// elastic run's BSP barrier is as wide as the membership inj derives from the
+// crash schedule, on both runtimes; Rule.Alive reads the simulator's virtual
+// clock and is the simulator's to set.
+func ShardRule(cfg *Config, s int, inj *fault.Injector) ps.Rule {
 	r := ps.Rule{
 		Workers:   cfg.Workers,
 		LR:        cfg.LR,
@@ -22,6 +24,9 @@ func ShardRule(cfg *Config, s int) ps.Rule {
 		Staleness: cfg.Staleness,
 		Clock:     s == 0,
 		Alpha:     float32(cfg.MovingRate),
+	}
+	if inj != nil && cfg.Elastic {
+		r.Members = inj.AliveCount
 	}
 	switch cfg.Algo {
 	case BSP:
@@ -41,83 +46,71 @@ func ShardRule(cfg *Config, s int) ps.Rule {
 }
 
 // spawnShards starts the PS side of every centralized algorithm: one process
-// per shard that receives, sleeps out the per-message aggregation cost, hands
-// the message to the shard state machine and sends the replies it names. All
-// protocol decisions are ps.Shard's; this loop owns virtual time, wire sizes
-// and the fault-mode timeouts.
+// per shard, running ps.Serve over a shardWire. Elastic fault mode leaves
+// dead workers out of SSP's staleness bound, so that a crash does not park
+// every fast worker for the rest of the run, and gives up on messages lost to
+// drop or partition faults; faithful mode keeps blocking receives,
+// reproducing BSP's throughput collapse when a worker dies.
 func (x *exp) spawnShards() {
-	cfg := x.cfg
-	// Elastic fault mode re-derives membership from the crash schedule (every
-	// process evaluates the same pure function) and lets a shard give up on
-	// messages lost to drop or partition faults after the barrier timeout.
-	// Faithful mode keeps full membership and blocking receives, reproducing
-	// BSP's throughput collapse when a worker dies.
-	elastic := x.inj != nil && cfg.Elastic
+	elastic := x.inj != nil && x.cfg.Elastic
 	for s := range x.assign {
-		s := s
-		x.eng.Spawn(fmt.Sprintf("%s-ps%d", cfg.Algo, s), func(p *des.Proc) {
-			rule := ShardRule(cfg, s)
+		x.eng.Spawn(fmt.Sprintf("%s-ps%d", x.cfg.Algo, s), func(p *des.Proc) {
+			rule := ShardRule(x.cfg, s, x.inj)
 			if elastic {
-				rule.Members = x.inj.AliveCount
-				// Currently dead workers are left out of SSP's staleness bound
-				// so a crash does not park every fast worker for the rest of
-				// the run.
 				rule.Alive = func(w int) bool { return !x.inj.DeadAt(w, p.Now()) }
 			}
 			sh := ps.NewShard(x.global, x.assign[s], rule)
-			inbox := x.net.Node(x.psNode[s]).Inbox
-			// fruitless caps the elastic re-check spin: while something waits
-			// the shard wakes on a timeout to re-evaluate, but after a few
-			// barren wakeups it goes back to blocking so an otherwise-finished
-			// run can drain. A wait gives up at giveUp (0 = none), the barrier
-			// timeout after the shard last moved — a reply, an expiry or a
-			// blocking receive — not after the last arrival: workers that gave
-			// up on the open round send gradients for later ones, which the
-			// shard holds, and those must not keep the round open.
-			fruitless, giveUp := 0, 0.0
-			for !sh.Done() {
-				var m simnet.Msg
-				if elastic && sh.Waiting() && fruitless < 3 {
-					if giveUp == 0 {
-						giveUp = p.Now() + cfg.BarrierTimeoutSec
-					}
-					var ok bool
-					if m, ok = inbox.RecvTimeout(p, giveUp-p.Now()); !ok {
-						x.col.Faults.Timeouts++
-						fruitless++
-						giveUp = 0
-						out, moved := sh.Expire()
-						if moved {
-							fruitless = 0
-						}
-						x.sendReplies(s, out)
-						continue
-					}
-				} else {
-					giveUp = 0
-					m = inbox.Recv(p)
-				}
-				fruitless = 0
-				if m.Kind != kindPull {
-					psAggSleep(p, m.Bytes)
-				}
-				// Worker w's node ID is w, so From is the sender's rank.
-				out, err := sh.Handle(ps.Msg{From: m.From, Kind: ps.Kind(m.Kind),
-					Clock: m.Clock, Vec: m.Vec, Idx: m.SparseIdx})
-				if err != nil {
-					panic(fmt.Sprintf("%s shard %d: %v", cfg.Algo, s, err))
-				}
-				if len(out) > 0 {
-					giveUp = 0
-				}
-				x.sendReplies(s, out)
+			if err := ps.Serve(sh, &shardWire{x: x, p: p, s: s, elastic: elastic}); err != nil {
+				panic(fmt.Sprintf("%s shard %d: %v", x.cfg.Algo, s, err))
 			}
 		})
 	}
 }
 
-// sendReplies puts shard s's replies on the simulated network, in order.
-func (x *exp) sendReplies(s int, out []ps.Reply) {
+// shardWire is shard s's ps.Wire on the simulated network: virtual time, wire
+// sizes and the fault-mode timeouts; its service never ends. An elastic
+// bounded receive gives up BarrierTimeoutSec after the shard last moved (a
+// reply, an expiry, an unbounded wait), so that the gradients held for later
+// rounds do not keep the open round alive.
+type shardWire struct {
+	x       *exp
+	p       *des.Proc
+	s       int
+	elastic bool     // a bounded receive gives up after the barrier timeout
+	giveUp  des.Time // when the bounded wait in progress gives up; 0 = none
+}
+
+// Recv takes the next message and sleeps out its aggregation cost.
+func (w *shardWire) Recv(bounded bool) (ps.Msg, bool, error) {
+	inbox := w.x.net.Node(w.x.psNode[w.s]).Inbox
+	var m simnet.Msg
+	if w.elastic && bounded {
+		if w.giveUp == 0 {
+			w.giveUp = w.p.Now() + w.x.cfg.BarrierTimeoutSec
+		}
+		var ok bool
+		if m, ok = inbox.RecvTimeout(w.p, w.giveUp-w.p.Now()); !ok {
+			w.x.col.Faults.Timeouts++
+			w.giveUp = 0
+			return ps.Msg{}, false, nil
+		}
+	} else {
+		w.giveUp = 0
+		m = inbox.Recv(w.p)
+	}
+	if m.Kind != kindPull {
+		psAggSleep(w.p, m.Bytes)
+	}
+	// Worker w's node ID is w, so From is the sender's rank.
+	return ps.Msg{From: m.From, Kind: ps.Kind(m.Kind), Clock: m.Clock, Vec: m.Vec, Idx: m.SparseIdx}, true, nil
+}
+
+// Send puts the replies on the simulated network, in order.
+func (w *shardWire) Send(out []ps.Reply) error {
+	if len(out) > 0 {
+		w.giveUp = 0
+	}
+	x, s := w.x, w.s
 	for _, r := range out {
 		switch r.Kind {
 		case ps.Params:
@@ -130,7 +123,11 @@ func (x *exp) sendReplies(s int, out []ps.Reply) {
 				Kind: kindEASGDReply, Seg: s, Bytes: x.shardBytes(s), Vec: r.Vec})
 		}
 	}
+	return nil
 }
+
+// Release does nothing: a simulated payload is ordinary garbage.
+func (w *shardWire) Release([]float32) {}
 
 // psAggSleep models the shard-side processing cost of applying one message.
 func psAggSleep(p *des.Proc, bytes int64) {
@@ -147,37 +144,25 @@ func psAggSleep(p *des.Proc, bytes int64) {
 func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
 	bytes := x.shardBytes(s)
 	if x.cfg.DGC != nil {
-		ratio := costOnlyDGCRatio(x.cfg.DGC, x.meanDGCIter())
+		// The warm-up ratio at the workers' mean compression iteration.
+		sum := 0
+		for _, v := range x.dgcIter {
+			sum += v
+		}
+		ratio := costOnlyDGCRatio(x.cfg.DGC, sum/len(x.dgcIter))
 		period := 1
 		if x.cfg.Algo == SSP {
 			period = x.cfg.Staleness + 1
 		}
 		factor := 2 * ratio * float64(x.cfg.Workers) * float64(period)
 		if factor < 1 {
-			bytes = int64(float64(bytes) * factor)
-			if bytes < 8 {
-				bytes = 8
-			}
+			bytes = max(8, int64(float64(bytes)*factor))
 		}
 	}
 	m := simnet.Msg{From: x.psNode[s], To: toNode, Kind: kindParams, Seg: s, Bytes: bytes}
 	if x.global.MathOn() {
-		vec := make([]float32, x.vecLen)
-		x.global.Snapshot(x.assign[s], vec)
-		m.Vec = vec
+		m.Vec = make([]float32, x.vecLen)
+		x.global.Snapshot(x.assign[s], m.Vec)
 	}
 	return m
-}
-
-// meanDGCIter returns the average per-worker compression iteration, used to
-// evaluate the warm-up ratio from the PS side.
-func (x *exp) meanDGCIter() int {
-	if len(x.dgcIter) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, v := range x.dgcIter {
-		sum += v
-	}
-	return sum / len(x.dgcIter)
 }

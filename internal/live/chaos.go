@@ -3,6 +3,7 @@ package live
 import (
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
+	"disttrain/internal/xport"
 )
 
 // chaos projects a crash schedule onto the live run. It wraps the exact
@@ -33,30 +34,27 @@ func newChaos(cfg *core.Config) *chaos {
 	return &chaos{cfg: cfg, inj: inj}
 }
 
-// aliveAt reports whether worker w runs iteration it.
-func (c *chaos) aliveAt(w, it int) bool { return c.inj.AliveAtIter(w, it) }
+// peerDropper is the optional transport capability chaos needs: discard a
+// cached connection so the next send redials. TCPNet implements it; the
+// channel transport (which cannot lose bytes) does not and needs nothing.
+type peerDropper interface{ DropPeer(int) }
 
-// nextAlive returns the first iteration >= it that worker w runs, or 0 if
-// it never runs again.
-func (c *chaos) nextAlive(w, it int) int { return c.inj.NextAliveIter(w, it) }
-
-// restartDelay is the wall-clock restart sleep for worker w dying at
-// iteration it.
-func (c *chaos) restartDelay(w, it int) float64 { return c.inj.RestartDelay(w, it) }
-
-// resumedAt reports whether worker w comes back from a dead window exactly
-// at iteration it. Peers use this to discard their cached connection to w
-// before the first post-restart send — the old socket is half-closed and a
-// write on it would be silently lost.
-func (c *chaos) resumedAt(w, it int) bool {
-	return it > 1 && c.aliveAt(w, it) && !c.aliveAt(w, it-1)
+// dropIfResumed discards ep's cached connection to worker w when w comes back
+// from a dead window exactly at iteration it. The old socket is half-closed
+// on w's side and a write on it could be silently lost, so the first exchange
+// with w after its restart must start on a fresh dial.
+func (c *chaos) dropIfResumed(ep xport.Endpoint, w, it int) {
+	pd, ok := ep.(peerDropper)
+	if ok && c != nil && it > 1 && c.inj.AliveAtIter(w, it) && !c.inj.AliveAtIter(w, it-1) {
+		pd.DropPeer(w)
+	}
 }
 
 // firstDeath is the first iteration >= from that worker w does not run, or
 // 0 if it runs every one to the end of the run.
 func (c *chaos) firstDeath(w, from int) int {
 	for it := from; it <= c.cfg.Iters; it++ {
-		if !c.aliveAt(w, it) {
+		if !c.inj.AliveAtIter(w, it) {
 			return it
 		}
 	}
@@ -69,18 +67,7 @@ func (c *chaos) hasCrash(w int) bool { return c != nil && c.firstDeath(w, 1) != 
 
 // finishes reports whether worker w completes the run (executes the final
 // iteration and reports DONE). A worker dead at cfg.Iters never returns.
-func (c *chaos) finishes(w int) bool { return c.aliveAt(w, c.cfg.Iters) }
-
-// finisherCount returns how many workers complete the run.
-func (c *chaos) finisherCount() int {
-	n := 0
-	for w := 0; w < c.cfg.Workers; w++ {
-		if c.finishes(w) {
-			n++
-		}
-	}
-	return n
-}
+func (c *chaos) finishes(w int) bool { return c.inj.AliveAtIter(w, c.cfg.Iters) }
 
 // maxRestart is the largest scheduled restart delay (seconds) for worker w;
 // the coordinator's lease watchdog budgets this much extra silence for a
@@ -88,11 +75,7 @@ func (c *chaos) finisherCount() int {
 func (c *chaos) maxRestart(w int) float64 {
 	var d float64
 	for it := 1; it <= c.cfg.Iters; it++ {
-		if !c.aliveAt(w, it) {
-			if r := c.restartDelay(w, it); r > d {
-				d = r
-			}
-		}
+		d = max(d, c.inj.RestartDelay(w, it)) // 0 where w is alive
 	}
 	return d
 }

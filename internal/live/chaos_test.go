@@ -87,18 +87,33 @@ func TestLiveBSPChaosConvergence(t *testing.T) {
 // elastic churn: with checkpoints every iteration, a restored worker
 // resumes with exactly the parameters, momentum, loss EWMA, and sampler
 // position the simulator's restarted replica has — so the whole chaotic
-// run stays bit-identical to the simulator's Elastic mode.
+// run stays bit-identical to the simulator's Elastic mode. In the long
+// restart the worker comes back several rounds ahead of where it died, and
+// its gradient waits at the PS for its own round on both runtimes.
 func TestLiveBSPChaosBitIdenticalToSim(t *testing.T) {
-	cfg := liveConfig(core.BSP, 4, 10, 42)
-	cfg.Elastic = true
-	cfg.Faults = chaosSchedule()
-	sim := simParams(t, cfg)
+	for _, tc := range []struct {
+		name   string
+		iters  int
+		faults *fault.Schedule
+	}{
+		{"two-restarts", 10, chaosSchedule()},
+		{"long-restart", 12, &fault.Schedule{Events: []fault.Event{
+			{Kind: fault.Crash, AtIter: 4, Worker: 1, Restart: 1.2},
+		}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := liveConfig(core.BSP, 4, tc.iters, 42)
+			cfg.Elastic = true
+			cfg.Faults = tc.faults
+			sim := simParams(t, cfg)
 
-	res, err := RunLoopback(cfg, WithCheckpoints(t.TempDir(), 1))
-	if err != nil {
-		t.Fatal(err)
+			res, err := RunLoopback(cfg, WithCheckpoints(t.TempDir(), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireBitIdentical(t, sim, res.WorkerParams)
+		})
 	}
-	requireBitIdentical(t, sim, res.WorkerParams)
 }
 
 // TestLiveARSGDElasticBitIdenticalToSim: the decentralized side of the

@@ -275,11 +275,11 @@ func (l *life) run() error {
 				// (RunWorkerRejoin); this process is done.
 				return ErrScheduledDeath
 			}
-			next := l.w.ch.nextAlive(rank, d.it)
+			next := l.w.ch.inj.NextAliveIter(rank, d.it)
 			if next == 0 || next > cfg.Iters {
 				return nil
 			}
-			time.Sleep(time.Duration(l.w.ch.restartDelay(rank, d.it) * float64(time.Second)))
+			time.Sleep(time.Duration(l.w.ch.inj.RestartDelay(rank, d.it) * float64(time.Second)))
 			if _, err := l.restart(); err != nil {
 				return err
 			}
@@ -358,7 +358,7 @@ func RunWorkerRejoin(cfg core.Config, coordAddr string, rank int, opts ...Option
 	if die == 0 {
 		return fmt.Errorf("live: worker %d has no dead window after checkpoint step %d — nothing to rejoin", rank, step)
 	}
-	next := ch.nextAlive(rank, die)
+	next := ch.inj.NextAliveIter(rank, die)
 	if next == 0 || next > cfg.Iters {
 		return nil
 	}

@@ -25,15 +25,6 @@ const (
 	coordPid  = 1
 )
 
-// meshSize is the number of xport ranks a run needs: one per worker, plus
-// one extra rank hosting the parameter server for centralized algorithms.
-func meshSize(cfg *core.Config) int {
-	if cfg.Algo.Centralized() {
-		return cfg.Workers + 1
-	}
-	return cfg.Workers
-}
-
 // serverRank is the PS's mesh rank (the last one), or -1 for
 // decentralized algorithms.
 func serverRank(cfg *core.Config) int {
@@ -42,6 +33,10 @@ func serverRank(cfg *core.Config) int {
 	}
 	return -1
 }
+
+// meshSize is the number of xport ranks a run needs: one per worker, plus
+// one extra rank hosting the parameter server for centralized algorithms.
+func meshSize(cfg *core.Config) int { return max(cfg.Workers, serverRank(cfg)+1) }
 
 // worker drives one replica through its algorithm's live protocol. The
 // main loop owns the mailbox; only AD-PSGD adds a second goroutine (the
@@ -169,27 +164,6 @@ func (e deathErr) Error() string {
 	return fmt.Sprintf("scheduled death at iteration %d", e.it)
 }
 
-// peerDropper is the optional transport capability chaos needs: discard a
-// cached connection so the next send redials. TCPNet implements it; the
-// channel transport (which cannot lose bytes) does not and needs nothing.
-type peerDropper interface{ DropPeer(int) }
-
-// dropResumedPeers discards self's cached connections to every worker that
-// comes back from a dead window exactly at iteration it. The old socket is
-// half-closed on the peer's side; a write on it could be silently lost, so
-// the first post-restart exchange must start on a fresh dial.
-func dropResumedPeers(ep xport.Endpoint, ch *chaos, self, it int) {
-	pd, ok := ep.(peerDropper)
-	if ch == nil || !ok {
-		return
-	}
-	for w := 0; w < ch.cfg.Workers; w++ {
-		if w != self && ch.resumedAt(w, it) {
-			pd.DropPeer(w)
-		}
-	}
-}
-
 // run executes the full training loop for the configured algorithm and
 // returns once this worker's iterations are complete. For centralized
 // algorithms it then tells the PS so the server loop can retire.
@@ -248,10 +222,14 @@ func (w *worker) Gate(it int) (int, bool, error) {
 		it = w.startIter
 	}
 	if w.ch != nil {
-		if !w.ch.aliveAt(w.rank, it) {
+		if !w.ch.inj.AliveAtIter(w.rank, it) {
 			return it, false, deathErr{it: it}
 		}
-		dropResumedPeers(w.ep, w.ch, w.rank, it)
+		for p := range w.cfg.Workers {
+			if p != w.rank {
+				w.ch.dropIfResumed(w.ep, p, it)
+			}
+		}
 	}
 	return it, true, nil
 }

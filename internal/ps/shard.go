@@ -1,6 +1,7 @@
 package ps
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -10,7 +11,7 @@ import (
 
 // Kind names a parameter-server message. The values are the wire kinds of
 // both runtimes (internal/core's simnet kinds and internal/live's frame
-// kinds are defined from them), so a driver converts with a cast.
+// kinds are defined from them), so a Wire converts with a cast.
 type Kind int
 
 const (
@@ -32,9 +33,9 @@ type Msg struct {
 	Idx   []int32   // SparseGrad coordinates
 }
 
-// Reply is one message the shard wants sent. The driver builds the wire
-// form: for Params it snapshots the global parameters at send time, into
-// whatever buffer its transport allows.
+// Reply is one message the shard wants sent. The Wire builds its wire form:
+// for Params it snapshots the global parameters at send time, into whatever
+// buffer its transport allows.
 type Reply struct {
 	To    int
 	Kind  Kind      // Params, Ack or PushReply
@@ -87,9 +88,9 @@ type Rule struct {
 
 // Shard is what one parameter-server shard decides: which update an arriving
 // message becomes and which replies it triggers. It has no clock and no
-// transport — a driver (the simulator's shard process, the live server's
-// frame loop) feeds it messages in arrival order and sends what it names —
-// so both runtimes' parameters come from these lines.
+// transport — Serve feeds it messages in arrival order and sends what it
+// names over either runtime's Wire — so both runtimes' parameters come from
+// these lines.
 //
 // Fold-order contract: a BSP round sums its contributions in ascending sender
 // rank whatever order they arrived in. Float addition is order-sensitive, so
@@ -99,13 +100,8 @@ type Rule struct {
 // Round contract: BSP round r averages exactly iteration r's gradients. A
 // gradient for a later round — a worker back from a restart longer than one
 // iteration is rounds ahead of the others — waits in the shard and joins its
-// round when that round opens; one for a round Expire closed is dropped, and
+// round when that round opens; one for a round expire closed is dropped, and
 // its sender answered with the current parameters to catch up from.
-//
-// A Shard may keep a message's vectors until it has returned the reply to
-// that message's sender (an open BSP round folds at close); messages that get
-// no reply are done with when Handle returns. The returned slice is reused by
-// the next call.
 type Shard struct {
 	g      *Global
 	ranges []Range
@@ -114,7 +110,7 @@ type Shard struct {
 
 	// BSP: the open 1-based round (0 = all closed), its member count, the
 	// contributions so far and the dense aggregate; gradients for later
-	// rounds in arrival order, and the rounds Expire closed.
+	// rounds in arrival order, and the rounds expire closed.
 	round   int
 	members int
 	msgs    []Msg
@@ -148,21 +144,21 @@ func NewShard(g *Global, ranges []Range, rule Rule) *Shard {
 	return s
 }
 
-// Round returns the open BSP round, 1-based; 0 when every round has closed
-// and for the other protocols.
-func (s *Shard) Round() int { return s.round }
-
-// Done reports whether a BSP shard has closed its last round. The other
-// protocols serve until their driver stops.
-func (s *Shard) Done() bool { return s.rule.Proto == BSP && s.round == 0 }
-
-// Waiting reports whether the shard holds something Expire could let go: an
+// waiting reports whether the shard holds something expire could let go: an
 // open BSP round, parked SSP pulls.
-func (s *Shard) Waiting() bool { return s.round > 0 || len(s.parked) > 0 }
+func (s *Shard) waiting() bool { return s.round > 0 || len(s.parked) > 0 }
+
+// keeps reports whether the shard may still read m's vectors: a BSP gradient
+// for the open round or a later one.
+func (s *Shard) keeps(m Msg) bool { return s.rule.Proto == BSP && s.round > 0 && m.Clock >= s.round }
+
+// full reports whether the open BSP round has every contribution.
+func (s *Shard) full() bool { return s.round > 0 && len(s.msgs) == cmp.Or(s.rule.Senders, s.members) }
 
 // Handle takes the next message in arrival order and returns the replies it
-// triggers. An error means the message does not belong to the protocol; the
-// shard's state is then unchanged.
+// triggers, in a slice the next call reuses; Serve is its caller. An error
+// means the message does not belong to the protocol; the shard's state is
+// then unchanged.
 func (s *Shard) Handle(m Msg) ([]Reply, error) {
 	if m.From < 0 || m.From >= s.rule.Workers {
 		return nil, fmt.Errorf("ps: message from rank %d of %d", m.From, s.rule.Workers)
@@ -171,8 +167,9 @@ func (s *Shard) Handle(m Msg) ([]Reply, error) {
 	grad := m.Kind == Grad || m.Kind == SparseGrad
 	switch {
 	case s.rule.Proto == BSP && grad && s.round > 0 && m.Clock == s.round:
-		s.msgs = append(s.msgs, m)
-		s.closeFull()
+		if s.msgs = append(s.msgs, m); s.full() {
+			s.closeRound()
+		}
 	case s.rule.Proto == BSP && grad && s.round > 0 && m.Clock > s.round && m.Clock <= s.rule.Iters:
 		s.early = append(s.early, m)
 	case s.rule.Proto == BSP && grad && slices.Contains(s.expired, m.Clock):
@@ -223,23 +220,21 @@ func (s *Shard) Handle(m Msg) ([]Reply, error) {
 	return s.out, nil
 }
 
-// Expire is the driver's "waited long enough": an open BSP round closes with
+// expire is Serve's "waited long enough": an open BSP round closes with
 // whoever arrived, and parked SSP pulls are checked against the membership
 // again. moved reports whether anything changed.
-func (s *Shard) Expire() (out []Reply, moved bool) {
+func (s *Shard) expire() (out []Reply, moved bool) {
 	s.out = s.out[:0]
 	if s.round > 0 {
 		s.expired = append(s.expired, s.round)
 		s.closeRound()
-		s.closeFull()
 		return s.out, true
 	}
 	s.release()
 	return s.out, len(s.out) > 0
 }
 
-// openRound advances to the next round somebody runs and admits the
-// gradients that arrived early for it.
+// openRound advances to the next round somebody runs.
 func (s *Shard) openRound() {
 	for s.round++; s.round <= s.rule.Iters; s.round++ {
 		s.members = s.rule.Workers
@@ -247,44 +242,15 @@ func (s *Shard) openRound() {
 			s.members = s.rule.Members(s.round)
 		}
 		if s.members > 0 {
-			break
-		}
-	}
-	if s.round > s.rule.Iters {
-		s.round = 0
-	}
-	if len(s.early) == 0 {
-		return
-	}
-	later := s.early[:0]
-	for _, m := range s.early {
-		if m.Clock == s.round {
-			s.msgs = append(s.msgs, m)
-		} else {
-			later = append(later, m)
-		}
-	}
-	clear(s.early[len(later):])
-	s.early = later
-}
-
-// closeFull closes the open round while it has every contribution: a round
-// that opens on early gradients may already be complete.
-func (s *Shard) closeFull() {
-	for s.round > 0 {
-		want := s.rule.Senders
-		if want == 0 {
-			want = s.members
-		}
-		if len(s.msgs) < want {
 			return
 		}
-		s.closeRound()
 	}
+	s.round = 0
 }
 
 // closeRound folds the round's contributions in ascending sender rank, takes
-// one step and names the senders in arrival order.
+// one step and names the senders in arrival order. The gradients that came
+// early for the next round join it, which then closes too if complete.
 func (s *Shard) closeRound() {
 	scale := 1 / float32(s.members)
 	lr := s.rule.LR.At(s.round - 1)
@@ -320,6 +286,15 @@ func (s *Shard) closeRound() {
 	clear(s.msgs) // drop the vector references
 	s.msgs = s.msgs[:0]
 	s.openRound()
+	ours := func(m Msg) bool { return m.Clock == s.round }
+	for _, m := range s.early {
+		if ours(m) {
+			s.msgs = append(s.msgs, m)
+		}
+	}
+	if s.early = slices.DeleteFunc(s.early, ours); s.full() {
+		s.closeRound()
+	}
 }
 
 // minClock is the slowest counted worker's clock.

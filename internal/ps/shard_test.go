@@ -37,6 +37,21 @@ func bitsEqual(a, b []float32) bool {
 	return true
 }
 
+// bspGrad is worker w's round gradient in the fold-order test, dense or
+// sparse: its vector scaled by 1/round, so that a gradient folded into the
+// wrong round moves the result.
+func bspGrad(w, round int, sparse bool, dense [4][]float32, idx [4][]int32, val [4][]float32) Msg {
+	m := Msg{From: w, Kind: Grad, Clock: round, Vec: dense[w]}
+	if sparse {
+		m = Msg{From: w, Kind: SparseGrad, Clock: round, Idx: idx[w], Vec: val[w]}
+	}
+	m.Vec = slices.Clone(m.Vec)
+	for i := range m.Vec {
+		m.Vec[i] /= float32(round)
+	}
+	return m
+}
+
 // permutations calls f with every ordering of 0..n-1.
 func permutations(n int, f func([]int)) {
 	p := make([]int, n)
@@ -61,7 +76,10 @@ func permutations(n int, f func([]int)) {
 // TestBSPFoldIgnoresArrivalOrder is the fold-order contract: two rounds of
 // four contributions whose sum depends on the order of addition give the
 // same bits under all 24 arrival orders, dense and sparse, and the replies
-// name the senders in the order they arrived.
+// name the senders in the order they arrived. The first `early` of round 2's
+// gradients arrive before round 1's last one: they wait for round 2 and are
+// answered when it closes — at once, behind round 1's replies, when all of
+// them came early.
 func TestBSPFoldIgnoresArrivalOrder(t *testing.T) {
 	const W = 4
 	init := []float32{0.5, -1.25, 3, 1e-3, -7, 2}
@@ -79,48 +97,54 @@ func TestBSPFoldIgnoresArrivalOrder(t *testing.T) {
 	for _, sparse := range []bool{false, true} {
 		var want []float32
 		permutations(W, func(order []int) {
-			g := NewGlobal(slices.Clone(init), 0.9, 1e-4)
-			s := NewShard(g, ranges, Rule{Proto: BSP, Workers: W, Iters: 2,
-				LR: opt.Schedule{Base: 0.05}, Sparse: sparse})
-			for round := 1; round <= 2; round++ {
-				if s.Round() != round || !s.Waiting() || s.Done() {
-					t.Fatalf("round %d: Round()=%d Waiting=%v Done=%v", round, s.Round(), s.Waiting(), s.Done())
+			for early := 0; early <= W; early++ {
+				g := NewGlobal(slices.Clone(init), 0.9, 1e-4)
+				s := NewShard(g, ranges, Rule{Proto: BSP, Workers: W, Iters: 2,
+					LR: opt.Schedule{Base: 0.05}, Sparse: sparse})
+				// Round 1 arrives in order, round 2 in reverse, and round 2's
+				// first `early` overtake round 1's last gradient.
+				var r1, r2, seq, wantOut []Msg
+				for k := range order {
+					r1 = append(r1, bspGrad(order[k], 1, sparse, dense, sparseIdx, sparseVal))
+					r2 = append(r2, bspGrad(order[W-1-k], 2, sparse, dense, sparseIdx, sparseVal))
 				}
-				for k, w := range order {
-					m := Msg{From: w, Kind: Grad, Clock: round, Vec: dense[w]}
-					if sparse {
-						m = Msg{From: w, Kind: SparseGrad, Clock: round, Idx: sparseIdx[w], Vec: sparseVal[w]}
+				seq = append(append(append(append(seq, r1[:W-1]...), r2[:early]...), r1[W-1]), r2[early:]...)
+				wantOut = append(wantOut, r1...)
+				wantOut = append(wantOut, r2...)
+				var got []Reply
+				for k, m := range seq {
+					if s.round != min(1+len(got)/W, 2) || !s.waiting() {
+						t.Fatalf("order %v early %d: open round %d, waiting=%v", order, early, s.round, s.waiting())
 					}
 					out := handle(t, s, m)
-					if k < W-1 {
-						if len(out) != 0 {
-							t.Fatalf("order %v: reply before the round closed", order)
-						}
-						continue
+					if closes := k == W-1+early || k == len(seq)-1; closes != (len(out) > 0) {
+						t.Fatalf("order %v early %d: message %d (%+v) brought %d replies", order, early, k, m, len(out))
 					}
-					if len(out) != W {
-						t.Fatalf("order %v: %d replies, want %d", order, len(out), W)
-					}
-					for i, r := range out {
-						if r.To != order[i] || r.Kind != Params || r.Clock != round {
-							t.Fatalf("order %v: reply %d = %+v, want Params to %d", order, i, r, order[i])
-						}
+					got = append(got, out...)
+				}
+				if len(got) != len(wantOut) {
+					t.Fatalf("order %v early %d: %d replies, want %d", order, early, len(got), len(wantOut))
+				}
+				for i, r := range got {
+					if m := wantOut[i]; r.To != m.From || r.Kind != Params || r.Clock != m.Clock {
+						t.Fatalf("order %v early %d: reply %d = %+v, want Params to %d for round %d",
+							order, early, i, r, m.From, m.Clock)
 					}
 				}
-			}
-			if !s.Done() || s.Waiting() || s.Round() != 0 {
-				t.Fatalf("order %v: shard not done after its last round", order)
-			}
-			if want == nil {
-				want = append([]float32(nil), g.Params...)
-				if bitsEqual(want, init) {
-					t.Fatal("rounds did not move the parameters")
+				if s.waiting() || s.round != 0 {
+					t.Fatalf("order %v early %d: shard not done after its last round", order, early)
 				}
-				if !sparse && want[2] != init[2] {
-					t.Fatal("dense step wrote outside the shard's ranges")
+				if want == nil {
+					want = append([]float32(nil), g.Params...)
+					if bitsEqual(want, init) {
+						t.Fatal("rounds did not move the parameters")
+					}
+					if !sparse && want[2] != init[2] {
+						t.Fatal("dense step wrote outside the shard's ranges")
+					}
+				} else if !bitsEqual(g.Params, want) {
+					t.Fatalf("sparse=%v order %v early %d: %v, want %v", sparse, order, early, g.Params, want)
 				}
-			} else if !bitsEqual(g.Params, want) {
-				t.Fatalf("sparse=%v order %v: %v, want %v", sparse, order, g.Params, want)
 			}
 		})
 	}
@@ -128,8 +152,8 @@ func TestBSPFoldIgnoresArrivalOrder(t *testing.T) {
 
 // TestBSPRounds covers what decides a round's width and divisor: Senders
 // (local aggregation) closes early but still divides by the members, rounds
-// nobody runs are skipped, and Expire closes with whoever arrived. A late
-// gradient for the round Expire closed is dropped, its sender answered with
+// nobody runs are skipped, and expire closes with whoever arrived. A late
+// gradient for the round expire closed is dropped, its sender answered with
 // the current parameters; one for a round that closed in full, or for no
 // round of the run, is a protocol error.
 func TestBSPRounds(t *testing.T) {
@@ -143,8 +167,8 @@ func TestBSPRounds(t *testing.T) {
 	r.Senders = 2
 	s := NewShard(g, []Range{{0, 1}}, r)
 	handle(t, s, Msg{From: 0, Kind: Grad, Clock: 1, Vec: vec(3)})
-	if out := handle(t, s, Msg{From: 2, Kind: Grad, Clock: 1, Vec: vec(5)}); len(out) != 2 || s.Round() != 2 {
-		t.Fatalf("local aggregation: %d replies, round %d", len(out), s.Round())
+	if out := handle(t, s, Msg{From: 2, Kind: Grad, Clock: 1, Vec: vec(5)}); len(out) != 2 || s.round != 2 {
+		t.Fatalf("local aggregation: %d replies, round %d", len(out), s.round)
 	}
 	if want := step(8, 4); g.Params[0] != want {
 		t.Fatalf("local aggregation: %v, want %v (sum/members)", g.Params[0], want)
@@ -157,16 +181,16 @@ func TestBSPRounds(t *testing.T) {
 	s = NewShard(g, []Range{{0, 1}}, r)
 	handle(t, s, Msg{From: 1, Kind: Grad, Clock: 1, Vec: vec(2)})
 	handle(t, s, Msg{From: 3, Kind: Grad, Clock: 1, Vec: vec(4)})
-	if want := step(6, 2); g.Params[0] != want || s.Round() != 3 {
-		t.Fatalf("members: %v (want %v), round %d (want 3)", g.Params[0], want, s.Round())
+	if want := step(6, 2); g.Params[0] != want || s.round != 3 {
+		t.Fatalf("members: %v (want %v), round %d (want 3)", g.Params[0], want, s.round)
 	}
 	// Round 3 times out with one of three contributions: it still closes,
 	// divides by the membership and answers the one sender.
 	handle(t, s, Msg{From: 0, Kind: Grad, Clock: 3, Vec: vec(9)})
 	before := g.Params[0]
-	out, moved := s.Expire()
-	if !moved || len(out) != 1 || out[0].To != 0 || !s.Done() {
-		t.Fatalf("expire: moved=%v replies=%v done=%v", moved, out, s.Done())
+	out, moved := s.expire()
+	if !moved || len(out) != 1 || out[0].To != 0 || s.round != 0 {
+		t.Fatalf("expire: moved=%v replies=%v round=%d", moved, out, s.round)
 	}
 	if want := before - 0.5*(9/float32(3)); g.Params[0] != want {
 		t.Fatalf("expire: %v, want %v", g.Params[0], want)
@@ -180,7 +204,7 @@ func TestBSPRounds(t *testing.T) {
 			t.Fatalf("gradient for round %d accepted after the last round", clock)
 		}
 	}
-	if out, moved := s.Expire(); moved || len(out) != 0 {
+	if out, moved := s.expire(); moved || len(out) != 0 {
 		t.Fatal("expire on a finished shard did something")
 	}
 }
@@ -296,9 +320,9 @@ func TestSSPClockService(t *testing.T) {
 				// Worker w dies (or comes back); the shard only learns of it
 				// when the driver's timeout makes it look again.
 				m.alive[w] = !m.alive[w]
-				out, moved := s.Expire()
+				out, moved := s.expire()
 				if moved != (len(out) > 0) {
-					t.Fatalf("seed %d: Expire moved=%v with %d replies", seed, moved, len(out))
+					t.Fatalf("seed %d: expire moved=%v with %d replies", seed, moved, len(out))
 				}
 				m.check(t, out)
 			case !m.alive[w] || blocked[w] || m.clocks[w] >= iters:
@@ -322,8 +346,8 @@ func TestSSPClockService(t *testing.T) {
 			for pk := range m.parked {
 				blocked[pk.worker] = true
 			}
-			if s.Waiting() != (len(m.parked) > 0) {
-				t.Fatalf("seed %d: Waiting()=%v with %d parked", seed, s.Waiting(), len(m.parked))
+			if s.waiting() != (len(m.parked) > 0) {
+				t.Fatalf("seed %d: waiting()=%v with %d parked", seed, s.waiting(), len(m.parked))
 			}
 		}
 		if !parkedEver {
@@ -336,7 +360,7 @@ func TestSSPClockService(t *testing.T) {
 }
 
 // TestSSPDeadWorkerLeavesTheMinimum is the elastic case by hand: a pull
-// parked behind a worker that never moves is released by Expire once the
+// parked behind a worker that never moves is released by expire once the
 // alive predicate drops that worker, and a shard that is not the clock
 // service neither acks nor parks.
 func TestSSPDeadWorkerLeavesTheMinimum(t *testing.T) {
@@ -350,15 +374,15 @@ func TestSSPDeadWorkerLeavesTheMinimum(t *testing.T) {
 			t.Fatalf("update %d: replies %+v, want an ack carrying min clock 0", c, out)
 		}
 	}
-	if out := handle(t, s, Msg{From: 0, Kind: Pull, Clock: 2}); len(out) != 0 || !s.Waiting() {
+	if out := handle(t, s, Msg{From: 0, Kind: Pull, Clock: 2}); len(out) != 0 || !s.waiting() {
 		t.Fatalf("pull two clocks ahead of worker 1 answered: %+v", out)
 	}
-	if out, moved := s.Expire(); moved || len(out) != 0 {
-		t.Fatal("Expire released a pull whose bound is not met")
+	if out, moved := s.expire(); moved || len(out) != 0 {
+		t.Fatal("expire released a pull whose bound is not met")
 	}
 	alive[1] = false
-	out, moved := s.Expire()
-	if !moved || len(out) != 1 || !is(out[0], 0, Params, 2) || s.Waiting() {
+	out, moved := s.expire()
+	if !moved || len(out) != 1 || !is(out[0], 0, Params, 2) || s.waiting() {
 		t.Fatalf("after worker 1 died: moved=%v replies=%+v", moved, out)
 	}
 
