@@ -18,8 +18,10 @@
 // All seven collectives are written once against the two-call Link seam —
 // the flat four (ring, tree, gather, broadcast) in flat.go, the
 // topology-aware three (hierarchical, butterfly, torus) in topo.go — and
-// entered through Plan.Run: Collective drives them over the simulated
-// network, the live runtime drives the same code over its xport mailbox.
+// entered through Plan.Run. The worker protocol (internal/core) drives them
+// over a worker's own wire on both runtimes, the simulator's and the live
+// one; Collective drives them straight over the simulated network for the
+// standalone callers (the scaling study, the benchmark's ladder).
 package comm
 
 import (
@@ -89,10 +91,11 @@ type CollectiveOpts struct {
 	Kind int
 	// Clock tags the round. With a Stash attached, receives are filtered on
 	// (Kind, Clock) and messages from other rounds are buffered — required
-	// when the participant set changes between rounds (fault injection) and
-	// a fast peer's next-round traffic can overtake the current round.
-	// Without a Stash, any mismatched message panics (the strict discipline
-	// of fixed-membership collectives).
+	// when the participant set changes between rounds and a fast peer's
+	// next-round traffic can overtake the current round. Without a Stash, a
+	// mismatched message makes Collective return an error (the strict
+	// discipline of fixed-membership collectives; Collective attaches a
+	// call-local Stash itself to every op but the ring and the broadcast).
 	Clock int
 	Stash *[]simnet.Msg
 	// Groups lists each machine's participant indices (indices into Nodes,
@@ -261,9 +264,9 @@ func recvMatch(p *des.Proc, o *CollectiveOpts, wantSeg int) (simnet.Msg, error) 
 	}
 }
 
-// simLink is the simulator's side of the Link seam: one Collective call's
-// view of the simulated network. It owns everything only the simulator
-// models — the paper-scale wire size of each chunk, the wire seconds the
+// simLink is Collective's side of the Link seam: one call's view of the
+// simulated network. It owns everything only the simulator models — the
+// paper-scale wire size of each chunk, the wire seconds the
 // receives accumulate, the defensive copy that isolates a payload in flight
 // from the sender's next fold, and cost-only mode, where o.Vec is nil and
 // messages carry sizes but no payload.

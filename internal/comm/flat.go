@@ -13,8 +13,9 @@ import (
 // Link; the algorithms in this file and topo.go decide only which element
 // range moves to whom under which tag, and how an arriving chunk folds in.
 // Members are addressed by their index in the group. Two implementations
-// exist: the simulated network (simLink, behind Collective) and the live
-// runtime's xport mailbox (internal/live).
+// exist: the worker protocol's link over a worker's wire (internal/core),
+// which both runtimes run, and the simulated network (simLink, behind
+// Collective) for the standalone callers.
 type Link interface {
 	// Send ships elements [lo, hi) of the caller's vector to member to under
 	// tag seg. own hints that the range still holds only the caller's own
@@ -75,8 +76,8 @@ func Resolve(name string, c cluster.Config, n int) (Plan, error) {
 }
 
 // Run runs the plan's collective for member self of an n-member group whose
-// vectors hold vlen elements: the one entry to all seven, for the simulator
-// (through Collective) and the live runtime alike. Every member calls it
+// vectors hold vlen elements: the one entry to all seven, for the worker
+// protocol on both runtimes and for Collective alike. Every member calls it
 // with the same plan, n and vlen. Chunk boundaries, tags and fold order are
 // fixed below it, so two transports that deliver the same chunks leave the
 // same bits in every vector.

@@ -6,7 +6,6 @@ import (
 	"math"
 	"strings"
 
-	"disttrain/internal/comm"
 	"disttrain/internal/costmodel"
 	"disttrain/internal/des"
 	"disttrain/internal/fault"
@@ -100,22 +99,12 @@ type exp struct {
 	// overlay, when non-nil, restricts gossip partner selection
 	// (AD-PSGD/GoSGD) to a sparse seed-deterministic peer graph.
 	overlay *topo.Overlay
-	// plan is AR-SGD's collective, resolved once for the run: Validate
-	// rejects the topology-aware variants combined with faults/elastic, so
-	// their membership — and with it the plan's machine groups or grid — is
-	// fixed.
-	plan comm.Plan
 
 	// compressors per worker when DGC is on (real mode only).
 	dgc []*grad.Compressor
 	// dgcIter tracks per-worker compression iterations in cost-only mode
 	// (for the warm-up schedule).
 	dgcIter []int
-
-	// gatherDoneAt[machine] is the virtual time the machine leader finished
-	// its local gather in the current BSP iteration; members use it to
-	// split their wait into local vs global aggregation.
-	gatherDoneAt []des.Time
 
 	// evalModel is a scratch model used to evaluate global/average params
 	// (real mode only).
@@ -164,10 +153,6 @@ func setup(cfg *Config) (*exp, error) {
 	// Gossip overlay: the generator is seeded once and shared read-only by
 	// every worker.
 	x.overlay = BuildOverlay(cfg, overlayStream)
-	var err error
-	if x.plan, err = comm.Resolve(cfg.Collective, cfg.Cluster, cfg.Workers); err != nil {
-		return nil, err
-	}
 
 	// Replicas. Every worker's init stream is the same derivation, so all
 	// workers start with identical weights, as the algorithms assume.
@@ -238,7 +223,6 @@ func setup(cfg *Config) (*exp, error) {
 		}
 		x.dgcIter = make([]int, cfg.Workers)
 	}
-	x.gatherDoneAt = make([]des.Time, cfg.Cluster.Machines)
 
 	if cfg.Real != nil {
 		x.evalModel = EvalModel(cfg)
@@ -612,15 +596,4 @@ func expectedStuck(a Algo) bool {
 		return true
 	}
 	return false
-}
-
-// collective runs a comm.Collective and treats any error as a simulation
-// invariant violation: the experiment built the opts itself, so a rejection
-// or protocol mismatch is a bug, not an input problem.
-func collective(p *des.Proc, o comm.CollectiveOpts) ([]float32, des.Time) {
-	out, wire, err := comm.Collective(p, o)
-	if err != nil {
-		panic(fmt.Sprintf("core: collective failed: %v", err))
-	}
-	return out, wire
 }

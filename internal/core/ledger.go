@@ -66,6 +66,23 @@ func (l *Ledger) Book(s Step, start, end, wire float64) {
 	l.span(s, start, end)
 }
 
+// Split closes step s like Book, for a wait that splits at at: local
+// aggregation until then, the global round after — a broadcast member waiting
+// for the parameters its machine leader, done gathering at at, fetches from
+// the parameter server. The split is clamped to the wait beyond the wire, and
+// a wait the wire covers books only network time.
+func (l *Ledger) Split(s Step, start, end, wire, at float64) {
+	l.mu.Lock()
+	l.bd.Add(metrics.Network, wire)
+	if rest := end - start - wire; rest > 0 {
+		local := min(max(at-start, 0), rest)
+		l.bd.Add(metrics.LocalAgg, local)
+		l.bd.Add(metrics.GlobalAgg, rest-local)
+	}
+	l.mu.Unlock()
+	l.span(s, start, end)
+}
+
 // span records s on the ledger's track.
 func (l *Ledger) span(s Step, start, end float64) {
 	if l.tr != nil {

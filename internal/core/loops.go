@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"disttrain/internal/comm"
 	"disttrain/internal/ps"
 	"disttrain/internal/rng"
 	"disttrain/internal/topo"
@@ -11,14 +12,13 @@ import (
 // Env is one worker's world: what an algorithm's iteration loop needs beyond
 // its own Replica. The loops in this file own protocol order only — which
 // step follows which, what is sent when — and the message protocol under them
-// (protocol.go) is written once too, over the Env's wire: Send, SendPS, Recv,
-// Release and the Ledger's clock and booking. What a step costs, and how its
-// bytes travel, sits behind the Env: the simulator's (simEnv, on a des
-// process) models virtual compute time, paper-scale wire sizes, sharded
-// sends, wait-free BP and the fault-mode timeouts; the live runtime's
-// (internal/live's worker) owns sockets, codec frames, spans and checkpoints.
-// A method that moves parameters installs them in the replica itself, so a
-// loop never touches a transport buffer.
+// (protocol.go), the collectives included, is written once too, over the
+// Env's wire: Send, SendPS, Recv, Release and the Ledger's clock and booking.
+// What a step costs, and how its bytes travel, sits behind the Env: the
+// simulator's (simEnv, on a des process) models virtual compute time,
+// paper-scale wire sizes, sharded sends, wait-free BP and the fault-mode
+// timeouts; the live runtime's (internal/live's worker) owns sockets, codec
+// frames, spans and checkpoints.
 type Env interface {
 	// Gate opens iteration it. It returns the iteration to run — later than
 	// it when a crash schedule (or a checkpoint restore) makes the worker
@@ -35,15 +35,10 @@ type Env interface {
 	// next pass, nil without real math.
 	Compute(overlap bool)
 	Grad() []float32
-
-	// AllReduce joins the pass and sums its gradient over the round's
-	// members, returning the sum.
-	AllReduce(it int, nodes []int, self int) ([]float32, error)
-	// GatherSum folds the vectors of a machine's workers into the leader's
-	// (member 0 of group); Bcast installs the leader's params in every other
-	// member's replica. Members pass nil.
-	GatherSum(it int, group []int, self int, vec []float32) error
-	Bcast(it int, group []int, self int, params []float32) error
+	// Ready returns once an overlapped backward pass has produced gradient
+	// elements [lo, hi): wait-free BP's pacing of a collective that starts
+	// before the pass is over.
+	Ready(lo, hi int)
 
 	// Reachable filters base down to the partners a push or an exchange can
 	// reach right now.
@@ -67,11 +62,11 @@ type Env interface {
 	// indexed by their answers' Seg; begin, where the step's own time starts
 	// (after the backward pass wait-free-BP sends pace against); and the wire.
 	SendPS(kind ps.Kind, it int, vec []float32) (shards ps.Assignment, begin, wire float64, err error)
-	// Recv returns the first message of the given kind and clock (either may
-	// be Any), parked ones first, parking the rest; ok is false when a Poll
-	// finds nothing or a Bounded wait gives up. The Vec is the caller's until
-	// it hands it to Release.
-	Recv(kind, clock int, wait Wait) (m Msg, ok bool, err error)
+	// Recv returns the first message of the given kind, clock and seg (any
+	// may be Any), parked ones first, parking the rest; ok is false when a
+	// Poll finds nothing or a Bounded wait gives up. The Vec is the caller's
+	// until it hands it to Release.
+	Recv(kind, clock, seg int, wait Wait) (m Msg, ok bool, err error)
 	Release(vec []float32)
 	// Ledger books the steps of this view's thread, on the runtime's clock.
 	Ledger() *Ledger
@@ -180,23 +175,26 @@ func loopGradPS(e Env, cfg *Config, rank int, rep *Replica) error {
 	// PS sends directly; with local aggregation the gather barrier sits in
 	// between, so the backward must simply complete first.
 	overlap := cfg.WaitFreeBP && !local
+	pr := protocol{e, cfg, rep}
 	return iterate(e, cfg, func(it int) error {
 		e.Compute(overlap)
 		g := e.Grad()
+		var gathered float64
 		if local {
-			if err := e.GatherSum(it, group, self, g); err != nil {
+			var err error
+			if gathered, err = pr.gatherSum(it, group, self, g); err != nil {
 				return err
 			}
 			if self != 0 {
 				// Member: the gradient is with the leader; block for the
 				// parameters it relays after the global round.
-				return e.Bcast(it, group, self, nil)
+				return pr.bcast(it, group, self, 0)
 			}
 		}
-		if err := (protocol{e, cfg, rep}).exchange(ps.Grad, it, g, nil); err != nil || !local {
+		if err := pr.exchange(ps.Grad, it, g, nil); err != nil || !local {
 			return err
 		}
-		return e.Bcast(it, group, self, rep.Params())
+		return pr.bcast(it, group, self, gathered)
 	})
 }
 
@@ -294,13 +292,20 @@ func loopEASGD(e Env, cfg *Config, rep *Replica) error {
 // stay bit-identical because they start identical and apply identical
 // updates.
 func loopARSGD(e Env, cfg *Config, rep *Replica) error {
+	// Validate rejects the topology-aware collectives under elastic
+	// membership, so the plan's machine groups or grid hold for every round.
+	pl, err := comm.Resolve(cfg.Collective, cfg.Cluster, cfg.Workers)
+	if err != nil {
+		return err
+	}
+	pr := protocol{e, cfg, rep}
 	return iterate(e, cfg, func(it int) error {
 		// Elastic mode shrinks the round to its survivors; faithful mode
 		// keeps every rank a member, so a dead peer stalls the collective —
 		// AR-SGD's collapse under a crash.
 		nodes, self := e.Members(it)
 		e.Compute(cfg.WaitFreeBP)
-		sum, err := e.AllReduce(it, nodes, self)
+		sum, err := pr.allReduce(pl, it, nodes, self)
 		if err != nil {
 			return err
 		}

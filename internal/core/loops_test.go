@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"disttrain/internal/cluster"
+	"disttrain/internal/comm"
 	"disttrain/internal/costmodel"
 	"disttrain/internal/fault"
 	"disttrain/internal/metrics"
@@ -27,7 +28,8 @@ import (
 // answered by the world the loops assume: a Block or Bounded wait for any
 // kind takes the parameter server's reply to the last request, one for a
 // given kind takes that kind from the peer sent to longest ago and not yet
-// heard from. A Serve wait with nothing left sees the run torn down.
+// heard from, or a gather's leader from the member the seg names. A Serve
+// wait with nothing left sees the run torn down.
 type fakeEnv struct {
 	log    []string
 	calls  map[string]int
@@ -92,17 +94,7 @@ func (f *fakeEnv) Compute(overlap bool) {
 
 func (f *fakeEnv) Grad() []float32 { f.call("Grad", ""); return nil }
 
-func (f *fakeEnv) AllReduce(it int, nodes []int, self int) ([]float32, error) {
-	return nil, f.call("AllReduce", it)
-}
-
-func (f *fakeEnv) GatherSum(it int, group []int, self int, vec []float32) error {
-	return f.call("GatherSum", it)
-}
-
-func (f *fakeEnv) Bcast(it int, group []int, self int, params []float32) error {
-	return f.call("Bcast", it)
-}
+func (f *fakeEnv) Ready(lo, hi int) { f.call("Ready", fmt.Sprint(lo, "-", hi)) }
 
 func (f *fakeEnv) Reachable(base []int) []int {
 	f.call("Reachable", base)
@@ -157,6 +149,14 @@ func kc(kind, clock int) string {
 	return s(kind) + "@" + s(clock)
 }
 
+// kcs is kc with the seg a collective's receive waits for: "kind@clock/seg".
+func kcs(kind, clock, seg int) string {
+	if seg == Any {
+		return kc(kind, clock)
+	}
+	return fmt.Sprint(kc(kind, clock), "/", seg)
+}
+
 var waitNames = map[Wait]string{Poll: "poll", Block: "block", Bounded: "bounded", Serve: "serve"}
 
 func (f *fakeEnv) Send(to int, m Msg) (float64, error) {
@@ -181,12 +181,12 @@ func (f *fakeEnv) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, fl
 	return oneShard, 0, 0, nil
 }
 
-func (f *fakeEnv) Recv(kind, clock int, wait Wait) (Msg, bool, error) {
-	if err := f.call("Recv", kc(kind, clock)+" "+waitNames[wait]); err != nil {
+func (f *fakeEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
+	if err := f.call("Recv", kcs(kind, clock, seg)+" "+waitNames[wait]); err != nil {
 		return Msg{}, false, err
 	}
 	for i, m := range f.arrived {
-		if (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock) {
+		if (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock) && (seg == Any || m.Seg == seg) {
 			f.arrived = append(f.arrived[:i], f.arrived[i+1:]...)
 			return f.took(m), true, nil
 		}
@@ -201,7 +201,9 @@ func (f *fakeEnv) Recv(kind, clock int, wait Wait) (Msg, bool, error) {
 		}
 		return f.took(Msg{Kind: reply}), true, nil
 	case len(f.owed) > 0:
-		return f.took(Msg{Kind: kind, From: f.owed[0], Clock: max(clock, 0)}), true, nil
+		return f.took(Msg{Kind: kind, From: f.owed[0], Clock: max(clock, 0), Seg: max(seg, 0)}), true, nil
+	case kind == KindLocalGather:
+		return f.took(Msg{Kind: kind, From: seg, Clock: clock, Seg: seg}), true, nil
 	}
 	return Msg{}, false, fmt.Errorf("fake: %s wait for %s that nothing will send", waitNames[wait], kc(kind, clock))
 }
@@ -404,12 +406,12 @@ func TestLoopGate(t *testing.T) {
 // comes back unchanged.
 func TestLoopErrorStopsTheLoop(t *testing.T) {
 	methods := map[Algo][]string{
-		BSP:     {"Gate", "GatherSum", "SendPS", "Recv", "Bcast", "Done"},
+		BSP:     {"Gate", "Send", "SendPS", "Recv", "Done"},
 		ASP:     {"Gate", "SendPS", "Recv", "Done"},
 		SSP:     {"Gate", "SendPS", "Recv", "Done"},
 		EASGD:   {"Gate", "SendPS", "Recv", "Done"},
 		AdaComm: {"Gate", "SendPS", "Recv", "Done"},
-		ARSGD:   {"Gate", "AllReduce", "Done"},
+		ARSGD:   {"Gate", "Send", "Recv", "Done"},
 		GoSGD:   {"Gate", "Recv", "Send", "Done"},
 		ADPSGD:  {"Gate", "Done"},
 		DPSGD:   {"Gate", "Send", "Recv", "Done"},
@@ -427,7 +429,7 @@ func TestLoopErrorStopsTheLoop(t *testing.T) {
 				f := &fakeEnv{fail: m, failAt: 2}
 				err := runLoop(f, cfg, rank)
 				if err != errBoom {
-					if algo == BSP && rank == 1 && (m == "SendPS" || m == "Recv") {
+					if algo == BSP && rank == 1 && m == "SendPS" {
 						continue // members never talk to the PS
 					}
 					t.Fatalf("%s rank %d: %s failed, loop returned %v", algo, rank, m, err)
@@ -557,8 +559,9 @@ func TestLoopGradPSLocalAggOrder(t *testing.T) {
 	cfg := loopConfig(t, BSP, 5, 1)
 	cfg.LocalAgg = true
 	for rank, want := range map[int]string{
-		0: "Gate 1,Compute false,Grad ,GatherSum 1,SendPS 1@1,Recv *@* block,Bcast 1,Done 1",
-		2: "Gate 1,Compute false,Grad ,GatherSum 1,Bcast 1,Done 1",
+		0: "Gate 1,Compute false,Grad ,Recv 12@1/1 block,Recv 12@1/2 block,Recv 12@1/3 block," +
+			"SendPS 1@1,Recv *@* block,Send 1 13@1,Send 2 13@1,Send 3 13@1,Done 1",
+		2: "Gate 1,Compute false,Grad ,Send 0 12@1,Recv 13@1/0 block,Done 1",
 		4: "Gate 1,Compute false,Grad ,SendPS 1@1,Recv *@* block,Done 1", // alone on its machine
 	} {
 		f := &fakeEnv{}
@@ -741,6 +744,97 @@ func TestProtocolArrivalOrder(t *testing.T) {
 		f = &fakeEnv{arrived: []Msg{{Kind: kindParams}, {Kind: kindAck, Clock: 1}}}
 		if err := (protocol{f, cfg, newCostReplica()}).drain(kindAck, func(Msg) { acks++ }); err != nil || acks != 2 {
 			t.Fatalf("faulty drain returned %v after %d acks", err, acks)
+		}
+	})
+}
+
+// TestProtocolCollectives runs the collectives of the shared protocol over
+// scripted arrival orders: a collective takes each chunk by its round and
+// seg, whatever came first, and folds in the plan's order.
+func TestProtocolCollectives(t *testing.T) {
+	chunk := func(kind, clock, seg int, vec ...float32) Msg {
+		return Msg{Kind: kind, Clock: clock, Seg: seg, Vec: vec}
+	}
+
+	t.Run("ring out of order", func(t *testing.T) {
+		// Member 1 of a three-member ring over six elements, two per chunk:
+		// it sums chunks 0 and 2 (segs 0, 2) in its reduce-scatter and takes
+		// chunks 1 and 0 (segs 4, 3) in its all-gather. Every chunk arrives
+		// out of seg order, behind a chunk of the next round.
+		f := &fakeEnv{arrived: []Msg{
+			chunk(KindAllReduce, 2, 0, 7, 7),
+			chunk(KindAllReduce, 1, 3, 30, 31),
+			chunk(KindAllReduce, 1, 2, 20, 21),
+			chunk(KindAllReduce, 1, 4, 40, 41),
+			chunk(KindAllReduce, 1, 0, 1, 1),
+		}}
+		var sent []string
+		f.peer = func(to int, m Msg) []Msg {
+			sent = append(sent, fmt.Sprintf("%d/%d%v", to, m.Seg, m.Vec))
+			return nil
+		}
+		vec := []float32{1, 2, 3, 4, 5, 6}
+		err := Collective(f, loopConfig(t, ARSGD, 3, 1), comm.Plan{Op: comm.OpRingAllReduce}, 1, []int{0, 1, 2}, 1, vec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Sent: its own chunk 1, the sum of chunk 0, then the reduced chunk 2
+		// and the gathered chunk 1.
+		want := []string{"2/1[3 4]", "2/0[2 3]", "2/5[25 27]", "2/4[40 41]"}
+		if !slices.Equal(sent, want) {
+			t.Fatalf("sent %v, want %v", sent, want)
+		}
+		if !slices.Equal(vec, []float32{30, 31, 40, 41, 25, 27}) {
+			t.Fatalf("ended with %v", vec)
+		}
+		if len(f.arrived) != 1 || f.arrived[0].Clock != 2 {
+			t.Fatalf("the next round's chunk is not left parked: %v", f.arrived)
+		}
+	})
+
+	t.Run("gather fold order", func(t *testing.T) {
+		// The leader folds members 1, 2, 3 in that order, whatever order they
+		// arrive in: float32 addition is not associative, and arrival order
+		// (3, 1, 2) would end on 2, not 0.
+		f := &fakeEnv{arrived: []Msg{
+			chunk(KindLocalGather, 4, 3, -1<<24),
+			chunk(KindLocalGather, 4, 1, 1<<24),
+			chunk(KindLocalGather, 4, 2, 1),
+		}}
+		vec := []float32{1}
+		if err := Collective(f, loopConfig(t, BSP, 4, 1), comm.Plan{Op: comm.OpGather}, 4, []int{0, 1, 2, 3}, 0, vec); err != nil {
+			t.Fatal(err)
+		}
+		if vec[0] != 0 {
+			t.Fatalf("gathered %v, want ((1 + 2²⁴) + 1) − 2²⁴ = 0", vec[0])
+		}
+	})
+
+	t.Run("bcast member split", func(t *testing.T) {
+		// A member's wait runs from 0 to 10 on its ledger's clock; the
+		// leader's stamp splits what the wire leaves of it.
+		for _, tc := range []struct {
+			name                   string
+			stamp, wire            float64
+			network, local, global float64
+		}{
+			{"stamp before the wait", -1, 2, 2, 0, 8},
+			{"stamp after the wait", 20, 2, 2, 8, 0},
+			{"stamp inside the wait", 5, 2, 2, 5, 3},
+			{"wire covers the wait", 5, 12, 12, 0, 0},
+		} {
+			now := 0.0
+			f := &fakeEnv{arrived: []Msg{{Kind: KindLocalBcast, Clock: 3, Aux: tc.stamp, Wire: tc.wire}}}
+			f.onRecv = func(Msg) { now = 10 }
+			f.l = NewLedger(new(metrics.Breakdown), nil, func() float64 { return now }, 0, 0)
+			pr := protocol{f, loopConfig(t, BSP, 4, 3), newCostReplica()}
+			if err := pr.bcast(3, []int{0, 1, 2, 3}, 2, 0); err != nil {
+				t.Fatal(err)
+			}
+			bd := f.Ledger().Breakdown()
+			if bd[metrics.Network] != tc.network || bd[metrics.LocalAgg] != tc.local || bd[metrics.GlobalAgg] != tc.global {
+				t.Fatalf("%s: booked %v", tc.name, bd)
+			}
 		}
 	})
 }

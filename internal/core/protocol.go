@@ -3,20 +3,29 @@ package core
 import (
 	"fmt"
 
+	"disttrain/internal/comm"
+	"disttrain/internal/grad"
 	"disttrain/internal/ps"
 )
 
 // Msg is one worker-protocol message; the wire fills From on a send. Seg is
-// the answering shard of a parameter-server reply, Wire the seconds the
-// receiver books for the message (see Env.Send).
+// the answering shard of a parameter-server reply or a collective's tag, Wire
+// the seconds the receiver books for the message (see Env.Send).
+//
+// A collective's chunk says where it sits: it stands for N elements of a
+// vector of Of (0 for a whole-vector message). Own marks the sender's own
+// contribution on the gradient codec's grid, its int8 scale in Aux, which a
+// wire may ship in codec form.
 type Msg struct {
 	Kind, From, Clock, Seg int
 	Aux                    float64
 	Vec                    []float32
 	Wire                   float64
+	N, Of                  int
+	Own                    bool
 }
 
-// Any, as a receive's kind or clock, matches every message.
+// Any, as a receive's kind, clock or seg, matches every message.
 const Any = -1
 
 // Wait says how long a receive waits. Poll takes only what has arrived.
@@ -40,10 +49,13 @@ type protocol struct {
 	rep *Replica
 }
 
-// book closes step s, begun at begin, on the thread's ledger.
-func (pr protocol) book(s Step, begin, wire float64) {
+// book closes step s, begun at begin, on the thread's ledger, and returns
+// when it ended.
+func (pr protocol) book(s Step, begin, wire float64) float64 {
 	l := pr.e.Ledger()
-	l.Book(s, begin, l.Now(), wire)
+	end := l.Now()
+	l.Book(s, begin, end, wire)
+	return end
 }
 
 // unexpected is the protocol error of a message a step did not wait for.
@@ -70,7 +82,7 @@ func (pr protocol) exchange(kind ps.Kind, it int, vec []float32, ack func(minClo
 		wait = Bounded
 	}
 	for got := 0; got < len(shards); {
-		m, ok, err := pr.e.Recv(Any, Any, wait)
+		m, ok, err := pr.e.Recv(Any, Any, Any, wait)
 		if err != nil {
 			return err
 		}
@@ -107,7 +119,7 @@ func (pr protocol) update(it int, vec []float32) error {
 // pull timed out, which is dropped.
 func (pr protocol) drain(kind int, take func(Msg)) error {
 	for {
-		m, ok, err := pr.e.Recv(Any, Any, Poll)
+		m, ok, err := pr.e.Recv(Any, Any, Any, Poll)
 		if err != nil || !ok {
 			return err
 		}
@@ -146,7 +158,7 @@ func (pr protocol) swap(peer, it int, vec []float32) error {
 	if !pr.cfg.Faults.Empty() {
 		wait = Bounded
 	}
-	m, ok, err := pr.e.Recv(KindExchangeReply, Any, wait)
+	m, ok, err := pr.e.Recv(KindExchangeReply, Any, Any, wait)
 	if err != nil || !ok {
 		return err
 	}
@@ -168,7 +180,7 @@ func (pr protocol) answer(serve bool) error {
 		wait = Serve
 	}
 	for {
-		m, ok, err := pr.e.Recv(Any, Any, wait)
+		m, ok, err := pr.e.Recv(Any, Any, Any, wait)
 		if err != nil || !ok {
 			return err
 		}
@@ -205,7 +217,7 @@ func (pr protocol) neighbors(it int, nbs []int, vec []float32) ([][]float32, err
 	out := make([][]float32, len(nbs))
 	got := make([]bool, len(nbs))
 	for range nbs {
-		m, _, err := pr.e.Recv(KindExchangeReq, it, Block)
+		m, _, err := pr.e.Recv(KindExchangeReq, it, Any, Block)
 		if err != nil {
 			return nil, err
 		}
@@ -221,4 +233,164 @@ func (pr protocol) neighbors(it int, nbs []int, vec []float32) ([][]float32, err
 	}
 	pr.book(StepNeighbors, begin, wire)
 	return out, nil
+}
+
+// link is the one comm.Link of both runtimes: a collective call's view of the
+// Env's wire. Members are addressed through nodes; vec is nil without real
+// math, and of is then the length its chunks stand for. own marks vec as the
+// member's own contribution round-tripped through the gradient codec, aux is
+// every message's Aux (that contribution's int8 scale, or a broadcast's
+// stamp), and wire sums the wire seconds of the call's sends and of what it
+// took.
+type link struct {
+	e           Env
+	kind, clock int
+	nodes       []int
+	vec         []float32
+	of          int
+	own         bool
+	aux         float64
+	wire        float64
+}
+
+func (l *link) Send(to, seg, lo, hi int, own bool) error {
+	m := Msg{Kind: l.kind, Clock: l.clock, Seg: seg, Aux: l.aux, N: hi - lo, Of: l.of, Own: own && l.own}
+	if l.vec != nil {
+		m.Vec = l.vec[lo:hi]
+	}
+	w, err := l.e.Send(l.nodes[to], m)
+	l.wire += w
+	return err
+}
+
+// Recv takes the chunk tagged seg of the call's round, parking the rest.
+func (l *link) Recv(seg, lo, hi int, fold comm.Fold) error {
+	m, _, err := l.e.Recv(l.kind, l.clock, seg, Block)
+	if err != nil {
+		return err
+	}
+	l.wire += m.Wire
+	if l.vec != nil {
+		if len(m.Vec) != hi-lo {
+			return fmt.Errorf("collective chunk %d from %d holds %d elements, want %d", seg, m.From, len(m.Vec), hi-lo)
+		}
+		fold(l.vec[lo:hi], m.Vec)
+	}
+	l.e.Release(m.Vec)
+	return nil
+}
+
+// roundTrip applies the run's gradient codec to g, a worker's own
+// contribution to an AllReduce, in place: every member then folds exactly
+// what the contribution's chunks carry in codec form, while partial sums
+// travel dense. It reports whether it did, and the int8 scale a wire
+// re-encodes any slice of g with (grad.Recode8).
+func roundTrip(cfg *Config, g []float32) (own bool, scale float64) {
+	switch {
+	case g == nil:
+	case cfg.Quantize8:
+		scale = float64(grad.Scale8(g))
+		grad.QuantizeRoundTrip(g)
+		return true, scale
+	case cfg.QuantizeF16:
+		grad.QuantizeF16RoundTrip(g)
+		return true, 0
+	}
+	return false, 0
+}
+
+// allReduce is AR-SGD's round: it sums the pass's gradient over the round's
+// members with plan pl, in place in the model's gradient store, and returns
+// the sum (nil without real math). With wait-free BP the gradient is reduced
+// in two buckets, the output-side half while the backward pass still
+// produces the input-side half — the bucketing real DDP stacks use.
+func (pr protocol) allReduce(pl comm.Plan, it int, nodes []int, self int) ([]float32, error) {
+	n := pr.rep.vecLen(pr.cfg)
+	cut := 0
+	if pr.cfg.WaitFreeBP && n > 1 {
+		// Before Grad: the simulator's pass on the compute pool then runs
+		// while the first half of the backward pass is slept out.
+		cut = n / 2
+		pr.e.Ready(cut, n)
+	}
+	g := pr.e.Grad()
+	own, scale := roundTrip(pr.cfg, g)
+	reduce := func(lo, hi int) error {
+		begin := pr.e.Ledger().Now()
+		l := &link{e: pr.e, kind: KindAllReduce, clock: it, nodes: nodes, of: hi - lo, own: own, aux: scale}
+		if g != nil {
+			l.vec = g[lo:hi]
+		}
+		if err := pl.Run(l, len(nodes), self, hi-lo); err != nil {
+			return err
+		}
+		pr.book(StepAllReduce, begin, l.wire)
+		return nil
+	}
+	if err := reduce(cut, n); err != nil || cut == 0 {
+		return g, err
+	}
+	pr.e.Ready(0, cut)
+	return g, reduce(0, cut)
+}
+
+// gatherSum is local aggregation's gather: the machine leader, member 0 of
+// group, folds its members' gradients into its own, g, in rank order; a
+// member ships its gradient dense — the codec applies once, to the sum the
+// leader pushes — and moves on. It returns when the step ended: the stamp the
+// leader's bcast carries.
+func (pr protocol) gatherSum(it int, group []int, self int, g []float32) (float64, error) {
+	begin := pr.e.Ledger().Now()
+	n := pr.rep.vecLen(pr.cfg)
+	l := &link{e: pr.e, kind: KindLocalGather, clock: it, nodes: group, vec: g, of: n}
+	if err := (comm.Plan{Op: comm.OpGather}).Run(l, len(group), self, n); err != nil {
+		return 0, err
+	}
+	return pr.book(StepGatherSum, begin, l.wire), nil
+}
+
+// bcast relays the parameters of the global round from the machine leader to
+// every member of group, which installs them. The leader stamps them with
+// gathered, when its gather ended on its ledger's clock; a member's wait
+// splits there into local aggregation and the global round (Ledger.Split).
+func (pr protocol) bcast(it int, group []int, self int, gathered float64) error {
+	l := pr.e.Ledger()
+	begin := l.Now()
+	if self == 0 {
+		n := pr.rep.vecLen(pr.cfg)
+		lk := &link{e: pr.e, kind: KindLocalBcast, clock: it, nodes: group, vec: pr.rep.Params(), of: n,
+			aux: gathered}
+		if err := (comm.Plan{Op: comm.OpBroadcast}).Run(lk, len(group), 0, n); err != nil {
+			return err
+		}
+		pr.book(StepBcast, begin, lk.wire)
+		return nil
+	}
+	m, _, err := pr.e.Recv(KindLocalBcast, it, 0, Block)
+	if err != nil {
+		return err
+	}
+	l.Split(StepBcast, begin, l.Now(), m.Wire, m.Aux)
+	pr.rep.SetParams(m.Vec)
+	pr.e.Release(m.Vec)
+	return nil
+}
+
+// Collective runs plan pl over e's wire as member self of nodes in round it,
+// on vec in place, with the links and codec handling of the loops'
+// collectives: an AllReduce sums vec, round-tripped through cfg's gradient
+// codec first as allReduce does; a gather folds the members' vectors into
+// member 0's; a broadcast overwrites the members' with member 0's. It is the
+// worker protocol's collective layer for a caller that holds its own vector.
+func Collective(e Env, cfg *Config, pl comm.Plan, it int, nodes []int, self int, vec []float32) error {
+	l := &link{e: e, kind: KindAllReduce, clock: it, nodes: nodes, vec: vec, of: len(vec)}
+	switch pl.Op {
+	case comm.OpGather:
+		l.kind = KindLocalGather
+	case comm.OpBroadcast:
+		l.kind = KindLocalBcast
+	default:
+		l.own, l.aux = roundTrip(cfg, vec)
+	}
+	return pl.Run(l, len(nodes), self, len(vec))
 }

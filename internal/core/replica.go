@@ -231,6 +231,15 @@ func (r *Replica) LocalStep(g []float32, scale, lr float32) {
 	r.localO.StepAt(r.model.Weights(), g, scale, lr, 0) // panics on a length mismatch
 }
 
+// vecLen is the length of the vectors the replica exchanges: its model's
+// parameter count, or the cost profile's without real math.
+func (r *Replica) vecLen(cfg *Config) int {
+	if r.model == nil {
+		return int(cfg.Workload.Profile.TotalParams())
+	}
+	return r.model.NumParams()
+}
+
 // Params returns a fresh copy of the flat parameters (nil in cost-only).
 func (r *Replica) Params() []float32 {
 	if r.model == nil {

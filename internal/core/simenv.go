@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 
-	"disttrain/internal/comm"
 	"disttrain/internal/des"
 	"disttrain/internal/grad"
 	"disttrain/internal/metrics"
@@ -16,11 +15,11 @@ import (
 // simEnv is the simulator's Env: worker w's view of the simulated world from
 // its des process p. It holds the *model* only — virtual compute time and the
 // pool future, paper-scale wire sizes, the sharded send with wait-free BP and
-// DGC, AR-SGD's two-bucket overlap, the time breakdown, and the fault oracle:
-// how long a Bounded wait lasts and who is dead — so the loops in loops.go
-// and the message protocol in protocol.go are written once for both
-// runtimes. No simulated step fails softly: a violated invariant panics and
-// Run reports it.
+// DGC, the pacing of AR-SGD's two buckets, the time breakdown, and the fault
+// oracle: how long a Bounded wait lasts and who is dead — so the loops in
+// loops.go and the message protocol in protocol.go, the collectives included,
+// are written once for both runtimes. No simulated step fails softly: a
+// violated invariant panics and Run reports it.
 type simEnv struct {
 	x *exp
 	p *des.Proc
@@ -28,9 +27,11 @@ type simEnv struct {
 	l *Ledger // the worker's, or its second thread's
 
 	// The pass Compute started: the compute-time multiplier it drew and
-	// whether the send that follows paces the backward pass.
+	// whether the send that follows paces the backward pass; halfAt is when
+	// Ready saw its first half through.
 	jitter  float64
 	overlap bool
+	halfAt  float64
 }
 
 // spawnWorkers starts one process per worker running the algorithm's loop
@@ -74,143 +75,50 @@ func (e *simEnv) Done(it int) error {
 	return nil
 }
 
-// AllReduce runs the run's collective over the round's members. With
-// wait-free BP the gradient is reduced in two buckets: the output-side half
-// of the vector is all-reduced while the backward pass of the input-side
-// half is still running — the bucketing strategy real DDP stacks use.
-func (e *simEnv) AllReduce(it int, nodes []int, self int) ([]float32, error) {
-	x, p, cfg := e.x, e.p, e.x.cfg
-	// With fault injection the ring membership can change between rounds, so
-	// a fast peer's next-round chunk may overtake the current round's
-	// traffic; the per-round Clock tag plus the worker's parked messages keeps
-	// every round's messages separated. The topology-aware collectives need it
-	// even with fixed membership: their multi-phase patterns let a finished
-	// peer's next-round traffic arrive while this rank still drains the
-	// current round.
-	stash := &x.parked[e.w]
-	if x.inj == nil && !topoCollective(cfg.Collective) {
-		stash = nil // strict fixed-membership discipline
+// Ready paces AR-SGD's wait-free BP (see allReduce): the first half of the
+// backward pass produces the output-side bucket and is booked as compute; the
+// input-side bucket then waits out whatever of the second half the first
+// bucket's reduce did not cover. Without overlap Compute slept the whole pass.
+func (e *simEnv) Ready(lo, hi int) {
+	if !e.overlap {
+		return
 	}
-
-	// The join is deferred into the branches below: under wait-free BP the
-	// first half-backward sleep elapses before the gradient is needed,
-	// stretching the overlap window.
-	var agg []float32
-	join := func() {
-		if g := e.Grad(); g != nil {
-			agg = append([]float32(nil), g...)
-			// Quantized AllReduce: each worker's own contribution is
-			// quantized once before entering the collective — the live
-			// runtime ships own-contribution chunks in codec form and
-			// reconstructs with the same formula, so sim and live observe
-			// identical inputs. Partial sums stay dense on both paths.
-			if cfg.Quantize8 {
-				grad.QuantizeRoundTrip(agg)
-			} else if cfg.QuantizeF16 {
-				grad.QuantizeF16RoundTrip(agg)
-			}
-		}
-	}
-	// The sim cost model keeps dense per-hop Bytes even when the input is
-	// quantized: only own-contribution chunks (the ring's first
-	// reduce-scatter hop, tree leaf pushes, …) carry codec payloads on the
-	// live path — partial sums travel dense — so halving every hop would
-	// overstate the savings. Real wire savings are measured on the live PS
-	// path. The wait beyond the wire time is global aggregation.
-	reduce := func(vec []float32, vlen int) {
-		t0 := p.Now()
-		_, wire := collective(p, comm.CollectiveOpts{
-			Op: x.plan.Op, Net: x.net, Nodes: nodes, Self: self,
-			Vec: vec, VirtualLen: vlen, Bytes: x.bytesFor(vlen),
-			Kind: KindAllReduce, Clock: it, Stash: stash,
-			Groups: x.plan.Groups, TorusRows: x.plan.TorusRows, TorusCols: x.plan.TorusCols})
-		e.l.Book(StepAllReduce, t0, p.Now(), wire)
-	}
-
-	if !cfg.WaitFreeBP || x.vecLen == 1 {
-		join()
-		reduce(agg, x.vecLen)
-		return agg, nil
-	}
-	// First half of the backward pass produces the output-side gradients...
-	half := x.vecLen / 2
+	x, p := e.x, e.p
 	bwd := x.bwdTotal(e.jitter)
-	c0 := p.Now()
-	p.Sleep(bwd / 2)
-	e.l.Book(StepCompute, c0, p.Now(), 0)
-	join()
-
-	// ...whose AllReduce overlaps the second half of the backward pass: if
-	// the reduce finishes first, the worker still owes the remaining
-	// backward time.
-	t0 := p.Now()
-	var hi, lo []float32
-	if agg != nil {
-		hi, lo = agg[half:], agg[:half]
+	if lo > 0 {
+		c0 := p.Now()
+		p.Sleep(bwd / 2)
+		e.l.Book(StepCompute, c0, p.Now(), 0)
+		e.halfAt = p.Now()
+		return
 	}
-	reduce(hi, x.vecLen-half)
-	if rem := bwd/2 - (p.Now() - t0); rem > 0 {
+	if rem := bwd/2 - (p.Now() - e.halfAt); rem > 0 {
 		p.Sleep(rem)
 		// Booked by hand: now − start would round the slept amount differently.
 		x.col.Workers[e.w].Breakdown.Add(metrics.Compute, rem)
 	}
-	reduce(lo, half)
-	return agg, nil
 }
 
-// GatherSum is local aggregation's intra-machine gather. The leader books its
-// wire time and the wait for its members, and notes when it finished so that
-// the members can split their own wait (see Bcast).
-func (e *simEnv) GatherSum(it int, group []int, self int, vec []float32) error {
-	x, p := e.x, e.p
-	t0 := p.Now()
-	_, wire := collective(p, comm.CollectiveOpts{
-		Op: comm.OpGather, Net: x.net, Nodes: group, Self: self,
-		Vec: vec, Bytes: x.fullBytes(), Kind: KindLocalGather})
-	e.l.Book(StepGatherSum, t0, p.Now(), wire)
-	if self == 0 {
-		x.gatherDoneAt[x.cfg.Cluster.MachineOfWorker(e.w)] = p.Now()
-	}
-	return nil
-}
-
-// Bcast relays the fresh parameters from the machine leader to its members.
-func (e *simEnv) Bcast(it int, group []int, self int, params []float32) error {
-	x, p := e.x, e.p
-	t0 := p.Now()
-	if self == 0 {
-		_, wire := collective(p, comm.CollectiveOpts{
-			Op: comm.OpBroadcast, Net: x.net, Nodes: group, Self: self,
-			Vec: params, Bytes: x.fullBytes(), Kind: KindLocalBcast})
-		e.l.Book(StepBcast, t0, p.Now(), wire)
-		return nil
-	}
-	m, _, _ := e.Recv(KindLocalBcast, Any, Block)
-	// Booked by hand: the wait splits at the leader's gather time, which Book
-	// cannot see — local aggregation until then, the global round after.
-	bd := &x.col.Workers[e.w].Breakdown
-	bd.Add(metrics.Network, m.Wire)
-	localWait := x.gatherDoneAt[x.cfg.Cluster.MachineOfWorker(e.w)] - t0
-	if localWait < 0 {
-		localWait = 0
-	}
-	if rest := p.Now() - t0 - m.Wire; rest > 0 {
-		if localWait > rest {
-			localWait = rest
-		}
-		bd.Add(metrics.LocalAgg, localWait)
-		bd.Add(metrics.GlobalAgg, rest-localWait)
-	}
-	e.l.span(StepBcast, t0, p.Now())
-	x.reps[e.w].SetParams(m.Vec)
-	return nil
-}
-
-// Send puts m on the simulated network at the paper-scale size of a full
-// vector — what every worker-to-worker message carries — in no virtual time.
+// Send puts m on the simulated network in no virtual time, at the
+// paper-scale size of a full vector — what every worker-to-worker message
+// carries — or a collective's chunk at its share of the vector it was cut
+// from. A chunk's payload is copied, isolating it in flight from the
+// sender's next fold; a whole vector is the sender's to give away. The
+// codec's savings are not modelled here: only own-contribution chunks would
+// carry them, and partial sums travel dense.
 func (e *simEnv) Send(to int, m Msg) (float64, error) {
-	e.x.net.Send(simnet.Msg{From: e.w, To: to, Kind: m.Kind, Clock: m.Clock, Aux: m.Aux,
-		Bytes: e.x.fullBytes(), Vec: m.Vec})
+	x := e.x
+	bytes, vec := x.fullBytes(), m.Vec
+	if m.Of > 0 {
+		if bytes = x.bytesFor(m.Of); m.N != m.Of {
+			bytes = bytes * int64(m.N) / int64(m.Of)
+		}
+		if vec != nil {
+			vec = append([]float32(nil), vec...)
+		}
+	}
+	x.net.Send(simnet.Msg{From: e.w, To: to, Kind: m.Kind, Clock: m.Clock, Seg: m.Seg, Aux: m.Aux,
+		Bytes: bytes, Vec: vec})
 	return 0, nil
 }
 
@@ -240,10 +148,11 @@ func (e *simEnv) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, flo
 // what does not match; a Bounded wait gives up after the barrier timeout,
 // restarted by every arrival. A dead worker drops the exchange requests it
 // takes: the requester's timeout absorbs the loss.
-func (e *simEnv) Recv(kind, clock int, wait Wait) (Msg, bool, error) {
+func (e *simEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
 	x, parked, inbox := e.x, &e.x.parked[e.w], e.x.net.Node(e.w).Inbox
 	match := func(m *simnet.Msg) bool {
-		return (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock)
+		return (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock) &&
+			(seg == Any || m.Seg == seg)
 	}
 	for i := 0; ; {
 		var m simnet.Msg

@@ -376,3 +376,55 @@ func TestQuantize8MaxFloat32StaysFinite(t *testing.T) {
 		t.Fatalf("scale for MaxFloat32/2 = %v, want the unadjusted quotient", q.Scale)
 	}
 }
+
+// TestRecodeReproducesCodes pins what a quantized AllReduce's wire relies on:
+// a sender round-trips its whole vector once and later ships slices of it in
+// codec form, re-encoding each slice from its values and the whole vector's
+// scale. Those codes must be the original codes, for every slice: the zero
+// vector, FuzzQuantizeRoundTrip's "extremes" seed, a maximum whose scale sits
+// one ulp under MaxFloat32/127, a subnormal scale (whose reciprocal
+// overflows) and normal vectors over many magnitudes. f16 needs no scale: a
+// round-tripped value converts back to its own half.
+func TestRecodeReproducesCodes(t *testing.T) {
+	cases := [][]float32{
+		make([]float32, 9),
+		{math.MaxFloat32, math.Float32frombits(0xff800001)}, // extremes
+		{1e-3, -math.MaxFloat32, 0.5, 3, float32(math.Copysign(0, -1))},
+		{1e-40, -3e-41, 0, math.SmallestNonzeroFloat32},
+	}
+	r := rng.New(34)
+	for n := 1; n <= 1<<12; n *= 4 {
+		v := make([]float32, n+r.Intn(n))
+		scale := math.Exp(r.NormFloat64() * 20)
+		for i := range v {
+			v[i] = float32(r.NormFloat64() * scale)
+		}
+		cases = append(cases, v)
+	}
+	for ci, v := range cases {
+		rt := append([]float32(nil), v...)
+		q := Quantize8RoundTripInto(rt, nil)
+		if s := Scale8(v); math.Float32bits(s) != math.Float32bits(q.Scale) {
+			t.Fatalf("case %d: Scale8 %v, Quantize8 %v", ci, s, q.Scale)
+		}
+		for _, cut := range [][2]int{{0, len(v)}, {len(v) / 3, len(v)}, {0, len(v) / 2}, {1, 1}} {
+			lo, hi := min(cut[0], len(v)), min(cut[1], len(v))
+			codes := make([]int8, hi-lo)
+			Recode8(codes, rt[lo:hi], q.Scale)
+			for i, c := range codes {
+				if c != q.Q[lo+i] {
+					t.Fatalf("case %d [%d, %d): element %d (%v) recoded to %d, quantized to %d",
+						ci, lo, hi, lo+i, rt[lo+i], c, q.Q[lo+i])
+				}
+			}
+		}
+
+		h := append([]float32(nil), v...)
+		QuantizeF16RoundTrip(h)
+		for _, x := range h {
+			if back := F16ToF32(F32ToF16(x)); math.Float32bits(back) != math.Float32bits(x) {
+				t.Fatalf("case %d: f16 value %v (%x) re-encodes to %x", ci, x, math.Float32bits(x), math.Float32bits(back))
+			}
+		}
+	}
+}

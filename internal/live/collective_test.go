@@ -5,7 +5,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/debug"
-	"sync/atomic"
+	"strings"
 	"testing"
 
 	"disttrain/internal/cluster"
@@ -13,15 +13,20 @@ import (
 	"disttrain/internal/core"
 	"disttrain/internal/des"
 	"disttrain/internal/grad"
+	"disttrain/internal/metrics"
 	"disttrain/internal/rng"
 	"disttrain/internal/simnet"
-	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
 
+// reduces reports whether pl sums a vector over every member: the
+// collectives whose own contributions a codec compresses. A gather and a
+// broadcast ship dense.
+func reduces(pl comm.Plan) bool { return pl.Op != comm.OpGather && pl.Op != comm.OpBroadcast }
+
 // simCollective runs the plan over the simulated network on cl and returns
-// every rank's resulting vector. A non-zero codec feeds round-tripped inputs,
-// the simulator's model of a quantized contribution.
+// every rank's resulting vector. Under a non-zero codec an AllReduce is fed
+// round-tripped inputs, the simulator's model of a quantized contribution.
 func simCollective(t *testing.T, pl comm.Plan, cl cluster.Config, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
 	t.Helper()
 	n := len(inputs)
@@ -32,10 +37,11 @@ func simCollective(t *testing.T, pl comm.Plan, cl cluster.Config, inputs [][]flo
 	for i := range ids {
 		ids[i] = net.AddNode(cl.MachineOfWorker(i)).ID
 		vecs[i] = append([]float32(nil), inputs[i]...)
-		switch codec {
-		case xport.QuantInt8:
+		switch {
+		case !reduces(pl):
+		case codec == xport.QuantInt8:
 			grad.QuantizeRoundTrip(vecs[i])
-		case xport.QuantF16:
+		case codec == xport.QuantF16:
 			grad.QuantizeF16RoundTrip(vecs[i])
 		}
 	}
@@ -60,45 +66,69 @@ func simCollective(t *testing.T, pl comm.Plan, cl cluster.Config, inputs [][]flo
 	return vecs
 }
 
-// liveCollective runs the plan through the live adapter over a channel mesh.
-// A non-zero codec ships own-contribution chunks in codec form.
-func liveCollective(t *testing.T, pl comm.Plan, inputs [][]float32, codec xport.QuantCodec) [][]float32 {
+// collectiveWorkers builds a bare worker on each endpoint: as much of one as
+// a collective reads through its core.Env — the mailbox, the wire codec and
+// the ledger.
+func collectiveWorkers(eps []xport.Endpoint, codec xport.QuantCodec) []*worker {
+	ws := make([]*worker, len(eps))
+	for i, ep := range eps {
+		ws[i] = &worker{rank: i, ep: ep, mb: &mailbox{ep: ep}, codec: codec,
+			l: core.NewLedger(new(metrics.Breakdown), nil, func() float64 { return 0 }, workerPid, i)}
+	}
+	return ws
+}
+
+// codecConfig is what a collective reads of a run's config: its gradient
+// codec.
+func codecConfig(codec xport.QuantCodec) *core.Config {
+	return &core.Config{Quantize8: codec == xport.QuantInt8, QuantizeF16: codec == xport.QuantF16}
+}
+
+// liveCollective runs the plan through the worker protocol's collectives
+// (core.Collective) on live workers over a channel mesh. Under a non-zero
+// codec an AllReduce's own-contribution chunks travel in codec form; it
+// reports whether any chunk saved bytes that way.
+func liveCollective(t *testing.T, pl comm.Plan, inputs [][]float32, codec xport.QuantCodec) ([][]float32, bool) {
 	t.Helper()
 	n := len(inputs)
-	mbs, nodes := chanGroup(n)
+	cn := xport.NewChanNet(n)
+	eps := make([]xport.Endpoint, n)
+	nodes := make([]int, n)
+	for i := range eps {
+		eps[i], nodes[i] = cn.Endpoint(i), i
+	}
+	ws := collectiveWorkers(eps, codec)
+	cfg := codecConfig(codec)
 	vecs := make([][]float32, n)
 	errs := make(chan error, n)
-	var saved atomic.Int64
 	for i := range vecs {
 		vecs[i] = append([]float32(nil), inputs[i]...)
-		l := &arLink{mb: mbs[i], nodes: nodes, self: i, clock: 1, vec: vecs[i]}
-		if codec != 0 {
-			l.q = &arQuant{qv: quantizeVec(codec, vecs[i], new([]byte)), codec: codec, saved: &saved,
-				span: func(name, cat string) *trace.WallSpan {
-					return (*trace.Tracer)(nil).StartSpan(name, cat, workerPid, i)
-				}}
-		}
-		go func(i int) { errs <- pl.Run(l, n, i, len(vecs[i])) }(i)
+		go func(i int) { errs <- core.Collective(ws[i], cfg, pl, 1, nodes, i, vecs[i]) }(i)
 	}
 	for range vecs {
 		if err := <-errs; err != nil {
 			t.Fatalf("live %v: %v", pl.Op, err)
 		}
 	}
-	return vecs
+	coded := false
+	for _, w := range ws {
+		coded = coded || w.saved.Load() != 0
+	}
+	return vecs, coded
 }
 
 // TestFlatCollectivesBitIdenticalAcrossTransports drives all seven of comm's
-// collectives through both implementations of the Link seam — the simulated
-// network and the live adapter on a ChanNet — and requires the same bits in
-// every rank's vector. Inputs are normal-distributed, so any difference in
-// chunk boundaries or fold order shows; lengths below n put empty chunks on
-// the rings and empty halves in the butterfly. The int8 and f16 rows ship
-// own-contribution chunks in codec form on the live side against
-// round-tripped inputs on the simulator's. The worlds give the hierarchical
-// AllReduce one machine, a partial last machine (6) and a single-member one
-// (5, 9), the butterfly its pre/post fold (3, 5, 6, 9, 12), and the torus
-// every grid from 2×2 to 3×4.
+// collectives through the worker protocol's link on live workers over a
+// ChanNet and through comm.Collective on the simulated network, and requires
+// the same bits in every rank's vector. Inputs are normal-distributed, so any
+// difference in chunk boundaries or fold order shows; lengths below n put
+// empty chunks on the rings and empty halves in the butterfly. In the int8
+// and f16 rows the live AllReduces round-trip their inputs and ship
+// own-contribution chunks in codec form, against round-tripped inputs on the
+// simulator's side; a gather and a broadcast stay dense on both. The worlds
+// give the hierarchical AllReduce one machine, a partial last machine (6) and
+// a single-member one (5, 9), the butterfly its pre/post fold (3, 5, 6, 9,
+// 12), and the torus every grid from 2×2 to 3×4.
 func TestFlatCollectivesBitIdenticalAcrossTransports(t *testing.T) {
 	for _, codec := range []xport.QuantCodec{0, xport.QuantInt8, xport.QuantF16} {
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 8, 9, 12} {
@@ -129,7 +159,11 @@ func TestFlatCollectivesBitIdenticalAcrossTransports(t *testing.T) {
 				for _, pl := range plans {
 					name := fmt.Sprintf("%v codec=%d n=%d len=%d", pl.Op, codec, n, length)
 					sim := simCollective(t, pl, cl, inputs, codec)
-					live := liveCollective(t, pl, inputs, codec)
+					live, coded := liveCollective(t, pl, inputs, codec)
+					// Long enough a vector that every codec chunk saves bytes.
+					if want := codec != 0 && reduces(pl) && n > 1; length == 1000 && coded != want {
+						t.Fatalf("%s: chunks in codec form %v, want %v", name, coded, want)
+					}
 					for i := range sim {
 						for j := range sim[i] {
 							if math.Float32bits(sim[i][j]) != math.Float32bits(live[i][j]) {
@@ -182,8 +216,9 @@ func TestLiveHierarchicalFoldOrderMatchesSim(t *testing.T) {
 
 // TestRingAllReduceAllocationBudget holds the live data plane to its
 // copy-free contract: in steady state a TCP ring AllReduce of a 1 M-float
-// vector allocates under 64 KB per rank per round — frame headers and
-// write vectors, not chunks. One staging copy of one chunk would be 1 MB.
+// vector, run by the worker protocol's collective on live workers, allocates
+// under 64 KB per rank per round — frame headers and write vectors, not
+// chunks. One staging copy of one chunk would be 1 MB.
 func TestRingAllReduceAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds buffers at random under the race detector")
@@ -195,29 +230,30 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 		rounds = 10
 		budget = 64 << 10
 	)
-	mbs := make([]*mailbox, ranks)
 	nodes := make([]int, ranks)
 	addrs := make([]string, ranks)
-	eps := make([]*xport.TCPNet, ranks)
+	tcps := make([]*xport.TCPNet, ranks)
+	eps := make([]xport.Endpoint, ranks)
 	for i := range eps {
 		ep, err := xport.ListenTCP(i, ranks, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer ep.Close()
-		eps[i], addrs[i], nodes[i], mbs[i] = ep, ep.Addr(), i, &mailbox{ep: ep}
+		tcps[i], eps[i], addrs[i], nodes[i] = ep, ep, ep.Addr(), i
 	}
+	ws := collectiveWorkers(eps, 0)
+	cfg := codecConfig(0)
 	vecs := make([][]float32, ranks)
-	for i, ep := range eps {
+	for i, ep := range tcps {
 		ep.SetPeers(addrs)
 		vecs[i] = make([]float32, floats)
 	}
-	round := func(clock int32) {
+	round := func(clock int) {
 		errs := make(chan error, ranks)
 		for i := 0; i < ranks; i++ {
 			go func(i int) {
-				l := &arLink{mb: mbs[i], nodes: nodes, self: i, clock: clock, vec: vecs[i]}
-				errs <- comm.Plan{Op: comm.OpRingAllReduce}.Run(l, ranks, i, floats)
+				errs <- core.Collective(ws[i], cfg, comm.Plan{Op: comm.OpRingAllReduce}, clock, nodes, i, vecs[i])
 			}(i)
 		}
 		for i := 0; i < ranks; i++ {
@@ -227,7 +263,7 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 		}
 	}
 	for c := 1; c <= warm; c++ {
-		round(int32(c))
+		round(c)
 	}
 	// Steady state means the recycler keeps what it was given: hold the
 	// collector off for the measured rounds (they produce next to nothing
@@ -236,12 +272,53 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for c := warm + 1; c <= warm+rounds; c++ {
-		round(int32(c))
+		round(c)
 	}
 	runtime.ReadMemStats(&after)
 	perRankRound := (after.TotalAlloc - before.TotalAlloc) / (ranks * rounds)
 	t.Logf("%d bytes allocated per rank per round", perRankRound)
 	if perRankRound > budget {
 		t.Fatalf("ring AllReduce allocates %d bytes per rank per round, budget %d", perRankRound, budget)
+	}
+}
+
+// TestLiveQuantizedRingWireBytesPinned pins what a quantized ring AllReduce
+// puts on the wire: every rank's frames, bytes and codec savings over a fixed
+// four-rank run. An own-contribution chunk is re-encoded from its
+// round-tripped values and the whole vector's scale (grad.Recode8), so its
+// frame must be byte for byte the slice of the whole vector's codes.
+func TestLiveQuantizedRingWireBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		codec                string
+		frames, bytes, saved [4]int
+	}{
+		{"int8", [4]int{36, 36, 36, 36}, [4]int{4758, 4740, 4764, 4764}, [4]int{378, 396, 396, 396}},
+		{"f16", [4]int{36, 36, 36, 36}, [4]int{4902, 4890, 4914, 4914}, [4]int{234, 246, 246, 246}},
+	} {
+		cfg := liveConfig(core.ARSGD, 4, 6, 42)
+		cfg.Quantize8, cfg.QuantizeF16 = tc.codec == "int8", tc.codec == "f16"
+		m := NewMetrics()
+		if _, err := RunLoopback(cfg, WithMetrics(m)); err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		if err := m.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < cfg.Workers; r++ {
+			for _, c := range []struct {
+				family string
+				want   int
+			}{
+				{"disttrain_xport_frames_sent_total", tc.frames[r]},
+				{"disttrain_xport_bytes_sent_total", tc.bytes[r]},
+				{"disttrain_live_compressed_bytes_saved_total", tc.saved[r]},
+			} {
+				sample := fmt.Sprintf("%s{rank=\"%d\"} %d\n", c.family, r, c.want)
+				if !strings.Contains(buf.String(), sample) {
+					t.Fatalf("%s: want %q in\n%s", tc.codec, sample, buf.String())
+				}
+			}
+		}
 	}
 }

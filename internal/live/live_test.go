@@ -910,16 +910,3 @@ func TestRendezvousRefusesMismatchedCollective(t *testing.T) {
 		t.Fatal("the worker with another collective ran to completion")
 	}
 }
-
-// chanGroup builds a W-rank channel mesh with one mailbox per rank for
-// collective unit tests.
-func chanGroup(w int) ([]*mailbox, []int) {
-	cn := xport.NewChanNet(w)
-	mbs := make([]*mailbox, w)
-	nodes := make([]int, w)
-	for i := 0; i < w; i++ {
-		mbs[i] = &mailbox{ep: cn.Endpoint(i)}
-		nodes[i] = i
-	}
-	return mbs, nodes
-}

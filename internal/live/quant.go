@@ -2,11 +2,9 @@ package live
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"disttrain/internal/core"
 	"disttrain/internal/grad"
-	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
 
@@ -71,25 +69,12 @@ func dequantizeVec(qv xport.QuantVec) []float32 {
 	return out
 }
 
-// slice returns the payload restricted to elements [lo, hi). An int8 slice
-// keeps the full-vector scale, so the chunk reconstructs to exactly the same
-// floats as the corresponding slice of the round-tripped full vector.
-func sliceQuantVec(qv xport.QuantVec, lo, hi int) xport.QuantVec {
-	out := xport.QuantVec{Codec: qv.Codec, Scale: qv.Scale}
-	switch qv.Codec {
-	case xport.QuantInt8:
-		out.I8 = qv.I8[lo:hi]
-	case xport.QuantF16:
-		out.H16 = qv.H16[lo:hi]
-	}
-	return out
-}
-
 // decodeGradPayload replaces a frame's codec payload with the reconstructed
-// dense vector in Vec. The payload must match the configured codec and the
-// expected element count — a mismatch is a protocol violation, not a crash.
-// The decoded int8 codes are a view of f.Data, read here and handed back to
-// the recycler with it, so the next frame's payload lands in the same bytes.
+// dense vector in Vec. The payload must match the configured codec and, where
+// wantLen is not negative, hold that many elements — a mismatch is a protocol
+// violation, not a crash. The decoded int8 codes are a view of f.Data, read
+// here and handed back to the recycler with it, so the next frame's payload
+// lands in the same bytes.
 func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) error {
 	qv, err := xport.DecodeQuantVec(f.Data)
 	if err != nil {
@@ -98,24 +83,13 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 	if qv.Codec != codec {
 		return fmt.Errorf("live: gradient frame from %d: codec %d, want %d", f.From, qv.Codec, codec)
 	}
-	if qv.Len() != wantLen {
+	if wantLen >= 0 && qv.Len() != wantLen {
 		return fmt.Errorf("live: gradient frame from %d: %d elements, want %d", f.From, qv.Len(), wantLen)
 	}
 	dense := dequantizeVec(qv)
 	f.Release() // a codec frame's Vec is empty: this recycles the payload
 	f.Vec = dense
 	return nil
-}
-
-// arQuant carries the codec context into an AllReduce: the caller's
-// full-vector payload (sliced for leaf-contribution sends), the per-rank
-// bytes-saved counter, and the span hook for quantize/dequantize tracing.
-// A nil *arQuant means a dense run.
-type arQuant struct {
-	qv    xport.QuantVec
-	codec xport.QuantCodec
-	saved *atomic.Int64
-	span  func(name, cat string) *trace.WallSpan
 }
 
 // encodeGrad fills f with the gradient payload for one PS exchange: dense
@@ -138,16 +112,35 @@ func (w *worker) encodeGrad(g []float32, f *xport.Frame) {
 	sp.End()
 }
 
-// arQuantize prepares the AllReduce codec context for one round: it
-// round-trips agg in place (the simulator quantizes each worker's own
-// contribution before it enters the collective) and returns the context the
-// collective uses to ship leaf chunks in codec form. Dense runs return nil.
-func (w *worker) arQuantize(agg []float32) *arQuant {
-	if w.codec == 0 {
-		return nil
-	}
+// encodeChunk fills f with the codec form of chunk, a slice of an own
+// AllReduce contribution the collective already round-tripped through the
+// codec (int8 with scale), so its codes come back exactly from its values
+// (grad.Recode8). Partial sums and gathered results stay dense: they are off
+// the codec's grid, and re-encoding them would diverge from the simulator.
+func (w *worker) encodeChunk(chunk []float32, scale float32, f *xport.Frame) {
 	sp := w.span("quantize", "quant")
-	qv := quantizeVec(w.codec, agg, &w.enc)
-	sp.End()
-	return &arQuant{qv: qv, codec: w.codec, saved: &w.saved, span: w.span}
+	defer sp.End()
+	switch w.codec {
+	case xport.QuantInt8:
+		data, codes := xport.Int8Payload(w.enc, len(chunk))
+		grad.Recode8(codes, chunk, scale)
+		xport.PutInt8Scale(data, scale)
+		w.enc = data
+	case xport.QuantF16:
+		qv := xport.QuantVec{Codec: xport.QuantF16, H16: grad.QuantizeF16(chunk).H}
+		w.enc = qv.AppendEncode(w.enc[:0])
+	}
+	f.Vec, f.Data = nil, w.enc
+	w.saved.Add(int64(4*len(chunk)) - int64(len(f.Data)))
+}
+
+// decodeChunk reconstructs the dense Vec of a chunk that came in codec form;
+// the collective checks its length against the range it folds into.
+func (w *worker) decodeChunk(f *xport.Frame) error {
+	if w.codec == 0 {
+		return fmt.Errorf("live: codec-form frame from %d in a dense run", f.From)
+	}
+	sp := w.span("dequantize", "quant")
+	defer sp.End()
+	return decodeGradPayload(w.codec, f, -1)
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"disttrain/internal/comm"
 	"disttrain/internal/core"
 	"disttrain/internal/metrics"
 	"disttrain/internal/nn"
@@ -58,11 +57,9 @@ type worker struct {
 	iters int // completed iterations
 
 	// What the core.Env methods carry from one call of an iteration to the
-	// next: full is the fixed cohort 0..W-1 and plan AR-SGD's collective
-	// (the simulator's for the same config), g the gradient of the pass in
+	// next: full is the fixed cohort 0..W-1, g the gradient of the pass in
 	// progress.
 	full []int
-	plan comm.Plan
 	g    []float32
 
 	// codec is the gradient wire codec (0 = dense); saved accumulates the
@@ -71,7 +68,8 @@ type worker struct {
 	codec xport.QuantCodec
 	saved atomic.Int64
 	// enc is the codec's reusable buffer: the encoded payload of this
-	// step's gradient, whose int8 codes are quantized straight into it.
+	// step's gradient or of an AllReduce chunk, whose int8 codes are written
+	// straight into it.
 	enc []byte
 
 	// Chaos state: ch is the shared crash-membership function (nil in a
@@ -123,8 +121,6 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 	for i := range w.full {
 		w.full[i] = i
 	}
-	// core.Validate resolved the same name, so this cannot fail.
-	w.plan, _ = comm.Resolve(cfg.Collective, cfg.Cluster, cfg.Workers)
 	if o != nil {
 		w.ckpt = o.ckpt
 		w.onProgress = o.progress
@@ -198,7 +194,7 @@ func (w *worker) tail(stop <-chan struct{}) error {
 		}
 		// After the BYE keep sweeping until a poll comes back empty, so a
 		// push that raced it and is already buffered is drained too.
-		m, ok, err := w.Recv(core.Any, core.Any, core.Poll)
+		m, ok, err := w.Recv(core.Any, core.Any, core.Any, core.Poll)
 		if err != nil || stopped && !ok {
 			return err
 		}
@@ -258,47 +254,19 @@ func (w *worker) Compute(bool) {
 // wrote it and the step reads the sum from there.
 func (w *worker) Grad() []float32 { return w.g }
 
-// link is this rank's comm.Link for one collective call of the given kind
-// over vec.
-func (w *worker) link(kind uint16, it int, nodes []int, self int, vec []float32) *arLink {
-	return &arLink{mb: w.mb, kind: kind, nodes: nodes, self: self, clock: int32(it), vec: vec}
-}
+// Ready returns at once: the pass Compute ran is over.
+func (w *worker) Ready(int, int) {}
 
-func (w *worker) AllReduce(it int, nodes []int, self int) ([]float32, error) {
-	defer w.book(core.StepAllReduce, w.tr.Now(), w.mb.sent)
-	l := w.link(kindAllReduce, it, nodes, self, w.g)
-	l.q = w.arQuantize(w.g)
-	return w.g, w.plan.Run(l, len(nodes), self, len(w.g))
-}
-
-// GatherSum ships a member's gradient to its machine leader dense — the
-// codec applies once, to the sum the leader pushes, as in the simulator.
-func (w *worker) GatherSum(it int, group []int, self int, vec []float32) error {
-	defer w.book(core.StepGatherSum, w.tr.Now(), w.mb.sent)
-	l := w.link(kindLocalGather, it, group, self, vec)
-	return comm.Plan{Op: comm.OpGather}.Run(l, len(group), self, len(vec))
-}
-
-func (w *worker) Bcast(it int, group []int, self int, params []float32) error {
-	defer w.book(core.StepBcast, w.tr.Now(), w.mb.sent)
-	if self != 0 {
-		// The gradient store is dead once the gather has shipped it: the
-		// leader's parameters land there on their way into the replica.
-		params = w.g
-	}
-	l := w.link(kindLocalBcast, it, group, self, params)
-	if err := (comm.Plan{Op: comm.OpBroadcast}).Run(l, len(group), self, len(params)); err != nil || self == 0 {
-		return err
-	}
-	w.rep.SetParams(params)
-	return nil
-}
-
-// Send ships m to rank to as one frame.
+// Send ships m to rank to as one frame, its Vec where it lives: an own
+// contribution's chunk in the run's codec, anything else dense.
 func (w *worker) Send(to int, m core.Msg) (float64, error) {
 	sent := w.mb.sent
-	err := w.mb.send(to, &xport.Frame{Kind: uint16(m.Kind), From: int32(w.rank),
-		Clock: int32(m.Clock), Aux: m.Aux, Vec: m.Vec})
+	f := &xport.Frame{Kind: uint16(m.Kind), From: int32(w.rank), Clock: int32(m.Clock), Seg: int32(m.Seg),
+		Aux: m.Aux, Vec: m.Vec}
+	if m.Own && w.codec != 0 {
+		w.encodeChunk(m.Vec, float32(m.Aux), f)
+	}
+	err := w.mb.send(to, f)
 	return w.mb.sent - sent, err
 }
 
@@ -318,9 +286,13 @@ func (w *worker) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, flo
 	return ps.Single(len(w.g)), begin, w.mb.sent - sent, err
 }
 
-// Recv is the mailbox's.
-func (w *worker) Recv(kind, clock int, wait core.Wait) (core.Msg, bool, error) {
-	f, ok, err := w.mb.recv(int32(kind), int32(clock), anyField, wait)
+// Recv is the mailbox's, with a chunk that came in codec form reconstructed
+// dense.
+func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (core.Msg, bool, error) {
+	f, ok, err := w.mb.recv(int32(kind), int32(clock), int32(seg), wait)
+	if err == nil && len(f.Data) > 0 {
+		err = w.decodeChunk(&f)
+	}
 	return core.Msg{Kind: int(f.Kind), From: int(f.From), Clock: int(f.Clock), Seg: int(f.Seg),
 		Aux: f.Aux, Vec: f.Vec}, ok, err
 }

@@ -38,14 +38,21 @@ func New(c cluster.Config, workers int) (*Topology, error) {
 	if workers < 1 || workers > c.Workers() {
 		return nil, fmt.Errorf("topo: %d workers on a %d-slot cluster", workers, c.Workers())
 	}
-	t := &Topology{Workers: workers, Cluster: c, MachineOf: make([]int, workers)}
-	for r := 0; r < workers; r++ {
-		m := c.MachineOfWorker(r)
-		for len(t.Groups) <= m {
-			t.Groups = append(t.Groups, nil)
-		}
-		t.Groups[m] = append(t.Groups[m], r)
-		t.MachineOf[r] = m
+	// Packed placement (cluster.Config.MachineOfWorker) puts ranks
+	// [m·k, (m+1)·k) on machine m, k workers per machine: the groups are
+	// windows onto one slice of 0..workers-1, capped so that an append to
+	// one cannot spill into the next. Every AR-SGD worker derives its own
+	// topology, so a large world builds this once per rank.
+	k := c.WorkersPerMachine
+	t := &Topology{Workers: workers, Cluster: c, MachineOf: make([]int, workers),
+		Groups: make([][]int, (workers-1)/k+1)}
+	ranks := make([]int, workers)
+	for r := range ranks {
+		ranks[r], t.MachineOf[r] = r, r/k
+	}
+	for m := range t.Groups {
+		hi := min((m+1)*k, workers)
+		t.Groups[m] = ranks[m*k : hi : hi]
 	}
 	return t, nil
 }
