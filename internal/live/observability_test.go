@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"disttrain/internal/core"
+	"disttrain/internal/fault"
 	"disttrain/internal/metrics"
 	"disttrain/internal/trace"
 )
@@ -350,5 +351,37 @@ func TestLoopbackMetricsScrape(t *testing.T) {
 	}
 	if res.Net.FramesSent == 0 {
 		t.Error("result lost transport counters")
+	}
+}
+
+// TestLoopbackMetricsScrapeChaos: after a loopback run under a crash
+// schedule, the coordinator's scraped counters agree with the Result — the
+// deaths and rejoins its loop counted, and every rank done (one of them
+// written off).
+func TestLoopbackMetricsScrapeChaos(t *testing.T) {
+	cfg := liveConfig(core.BSP, 3, 8, 42)
+	cfg.Elastic = true
+	cfg.Faults = &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.Crash, AtIter: 3, Worker: 1, Restart: 0.1},
+		{Kind: fault.Crash, AtIter: 5, Worker: 2},
+	}}
+	m := NewMetrics()
+	res, err := RunLoopback(cfg, WithMetrics(m), WithCheckpoints(t.TempDir(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Deaths != 2 || res.Rejoins != 1 {
+		t.Fatalf("run counted %d deaths and %d rejoins, want 2 and 1", res.Deaths, res.Rejoins)
+	}
+	body, final := scrape(t, m)
+	lintProm(t, body)
+	for name, want := range map[string]int64{
+		"disttrain_live_deaths_total":  res.Deaths,
+		"disttrain_live_rejoins_total": res.Rejoins,
+		"disttrain_live_workers_done":  int64(cfg.Workers),
+	} {
+		if v := final[name]; v != float64(want) {
+			t.Errorf("%s = %v, want %d", name, v, want)
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"disttrain/internal/core"
@@ -145,22 +146,6 @@ type doneInfo struct {
 	stats    doneStats
 }
 
-// report is the worker's final account, on either transport: completed
-// iterations, the training-loss EWMA, the final parameters and breakdown.
-// Once its loop has returned nothing writes the replica any more, so the
-// report carries the parameter store where it lies — but on an AD-PSGD
-// rank, whose passive thread answers (and averages) until teardown: that
-// report takes a snapshot.
-func (w *worker) report() doneInfo {
-	loss, lossInit := w.rep.Loss()
-	params := w.rep.Weights()
-	if w.cfg.Algo == core.ADPSGD {
-		params = w.rep.Params()
-	}
-	return doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: params,
-		stats: doneStats{Breakdown: w.l.Breakdown()}}
-}
-
 // frame encodes the report as rank's DONE; parseDone is its inverse.
 func (d *doneInfo) frame(rank int) *xport.Frame {
 	f := &xport.Frame{Kind: kindDone, From: int32(rank), Clock: int32(d.iters), Aux: d.loss, Vec: d.params}
@@ -190,32 +175,17 @@ func parseDone(f xport.Frame) (doneInfo, error) {
 type deadliner interface{ SetDeadline(time.Time) error }
 
 // coordinate runs the coordinator's side of a live run on an established
-// listener: accept W workers, assign ranks, exchange mesh addresses,
-// barrier everyone, host the PS (centralized algorithms), and collect the
-// workers' final reports into a Result. After START one path watches every
-// run: a monitor per rank collects its DONE and classifies a lost
-// connection; a crash schedule adds only what hangs on heartbeats — the
-// rejoin acceptor and the lease watchdog — so scheduled deaths are
-// distinguished from wedged runs.
+// listener, which it owns from here and closes when the run ends: accept W
+// workers, assign ranks, exchange mesh addresses, barrier everyone, host the
+// PS (centralized algorithms), and collect the workers' final reports into a
+// Result. After START one event loop watches every run (see runState.step);
+// a crash schedule adds only what hangs on heartbeats — rejoins and leases —
+// so scheduled deaths are distinguished from wedged runs.
 func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) {
 	W := cfg.Workers
 	n := meshSize(cfg)
-	st := &runState{
-		ch: newChaos(cfg), fp: fingerprint(cfg), tr: o.tracer,
-		conns: make([]net.Conn, W), beat: make([]time.Time, W), iter: make([]int, W),
-		reports: make([]doneInfo, W), done: make([]bool, W),
-		doneCh: make(chan int, W), errCh: make(chan error, 1),
-		quit: make(chan struct{}),
-	}
-	defer func() {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		for _, c := range st.conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
+	st := newRunState(cfg, o.tracer)
+	defer st.stop(ln)
 
 	// The rendezvous span covers admission through the START broadcast: the
 	// coordinator's setup cost before any training happens.
@@ -301,24 +271,8 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 		waitServer = startServer(cfg, srvNet, o)
 	}
 	o.metrics.registerCoord(st.snapshot)
-	for rank, c := range st.conns {
-		go st.monitor(rank, c)
-	}
-	if st.ch != nil {
-		go st.rejoinLoop(ln)
-		go st.watchdog()
-	}
-
-	var runErr error
-	for finished := 0; finished < W && runErr == nil; {
-		select {
-		case <-st.doneCh:
-			finished++
-		case runErr = <-st.errCh:
-		}
-	}
+	runErr := st.loop(ln)
 	wall := time.Since(st.start).Seconds()
-	close(st.quit)
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -327,7 +281,6 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 		return nil, err
 	}
 
-	st.mu.Lock()
 	// BYE releases the tail loops (gossip drains, passive serves) of the
 	// workers that finished on a live connection; only after it may they
 	// close their endpoints. A written-off rank has no connection to release.
@@ -336,21 +289,21 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 			_ = writeCtl(c, &xport.Frame{Kind: kindBye})
 		}
 	}
-	deaths, rejoins := st.deaths, st.rejoins
-	st.mu.Unlock()
 
 	// Every rank is done, so nothing writes the reports any more.
 	res, err := buildResult(cfg, "tcp", st.reports, finalGlobal, wall, srvNet)
 	if err != nil {
 		return nil, err
 	}
-	res.Deaths, res.Rejoins = deaths, rejoins
+	res.Deaths, res.Rejoins = st.deaths.Load(), st.rejoins.Load()
 	return res, nil
 }
 
-// runState is the coordinator's shared view of a run after START: the
-// current control connection, lease, and progress per rank, which ranks have
-// reported (or been written off), and the death/rejoin counters.
+// runState is the coordinator's view of a run after START: the current
+// control connection, lease and progress per rank, which ranks have reported
+// (or been written off), and the death/rejoin counters. One goroutine owns
+// it — the loop's, which applies every event through step; the counters are
+// atomics only so a metrics scrape can read them.
 type runState struct {
 	ch       *chaos // nil without a crash schedule
 	fp       string
@@ -358,199 +311,245 @@ type runState struct {
 	start    time.Time
 	tr       *trace.Tracer // nil when tracing is off; all calls nil-safe
 
-	mu      sync.Mutex
 	conns   []net.Conn // current control conn per rank; nil while dead
 	beat    []time.Time
 	iter    []int
 	reports []doneInfo
 	done    []bool
-	deaths  int64
-	rejoins int64
 
-	doneCh chan int
-	errCh  chan error
-	quit   chan struct{}
+	finished, deaths, rejoins atomic.Int64
+
+	events  chan event
+	posters sync.WaitGroup // the acceptor and the readers, events' senders
 }
 
-func (st *runState) fail(err error) {
-	select {
-	case st.errCh <- err:
-	default:
+func newRunState(cfg *core.Config, tr *trace.Tracer) *runState {
+	W := cfg.Workers
+	return &runState{
+		ch: newChaos(cfg), fp: fingerprint(cfg), tr: tr,
+		conns: make([]net.Conn, W), beat: make([]time.Time, W), iter: make([]int, W),
+		reports: make([]doneInfo, W), done: make([]bool, W),
+		events: make(chan event),
 	}
+}
+
+// event is one thing the loop learns after START: with conn nil, a lease
+// tick; otherwise the frame f read on conn, or the error err that ended its
+// reads. rank is the rank conn speaks for, -1 for the first frame of a
+// connection accepted after START — the REJOIN that says which.
+type event struct {
+	rank int
+	conn net.Conn
+	f    xport.Frame
+	err  error
 }
 
 // snapshot is the coordinator's contribution to a metrics scrape.
 func (st *runState) snapshot() coordSnapshot {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cs := coordSnapshot{deaths: st.deaths, rejoins: st.rejoins}
-	for _, d := range st.done {
-		if d {
-			cs.done++
-		}
-	}
-	return cs
+	return coordSnapshot{deaths: st.deaths.Load(), rejoins: st.rejoins.Load(), done: st.finished.Load()}
 }
 
-// monitor owns one rank's control connection: it folds heartbeats into the
-// lease state, records the DONE report, and routes disconnects to the
-// death/rejoin machinery.
-func (st *runState) monitor(rank int, c net.Conn) {
-	for {
-		f, err := readAnyCtl(c, ctlTimeout)
-		if err != nil {
-			st.onDisconnect(rank, c)
-			return
-		}
-		switch f.Kind {
-		case kindHeartbeat:
-			st.tr.Mark("heartbeat", "coord", coordPid, rank)
-			st.mu.Lock()
-			if st.conns[rank] == c {
-				st.beat[rank] = time.Now()
-				if int(f.Clock) > st.iter[rank] {
-					st.iter[rank] = int(f.Clock)
-				}
-			}
-			st.mu.Unlock()
-		case kindDone:
-			rep, err := parseDone(f)
-			if err != nil {
-				st.fail(fmt.Errorf("live: worker %d %w", rank, err))
-				return
-			}
-			st.mu.Lock()
-			st.reports[rank], st.done[rank] = rep, true
-			st.mu.Unlock()
-			st.doneCh <- rank
-			return
-		default:
-			st.fail(fmt.Errorf("live: worker %d: unexpected control kind %d", rank, f.Kind))
-			return
-		}
+// loop starts a reader per control connection and, under a crash schedule,
+// the acceptor of rejoining workers, then applies their events and a
+// once-a-second lease tick through step until the run ends.
+func (st *runState) loop(ln net.Listener) error {
+	st.posters.Add(len(st.conns))
+	for rank, c := range st.conns {
+		go st.read(rank, c)
 	}
-}
-
-// onDisconnect classifies a dropped control connection: a scheduled death
-// (awaiting rejoin, or written off when the schedule never revives the
-// rank) or a genuine failure.
-func (st *runState) onDisconnect(rank int, c net.Conn) {
-	st.mu.Lock()
-	if st.conns[rank] != c || st.done[rank] {
-		// Superseded by a rejoin, or the post-DONE teardown: not a death.
-		st.mu.Unlock()
-		return
+	if st.ch != nil {
+		st.posters.Add(1)
+		go st.accept(ln)
 	}
-	st.conns[rank] = nil
-	if !st.ch.hasCrash(rank) {
-		st.mu.Unlock()
-		st.fail(fmt.Errorf("live: worker %d control connection lost", rank))
-		return
-	}
-	st.deaths++
-	st.tr.Mark("death", "coord", coordPid, rank)
-	if !st.ch.finishes(rank) {
-		// The schedule never revives this rank before the run ends:
-		// synthesize its report from the last heartbeat so the run can
-		// complete without it.
-		st.reports[rank] = doneInfo{iters: st.iter[rank]}
-		st.done[rank] = true
-		st.mu.Unlock()
-		st.doneCh <- rank
-		return
-	}
-	st.mu.Unlock()
-}
-
-// rejoinLoop keeps accepting on the rendezvous listener after the START
-// barrier; every connection must open with a REJOIN. It exits when the
-// listener closes.
-func (st *runState) rejoinLoop(ln net.Listener) {
-	if d, ok := ln.(deadliner); ok {
-		d.SetDeadline(time.Time{})
-	}
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go st.handleRejoin(c)
-	}
-}
-
-// handleRejoin re-admits a restarted worker: verify its rank and config
-// fingerprint, install the new control connection, and hand back the peer
-// list plus the wall-clock offset so the worker re-anchors its fault plan.
-func (st *runState) handleRejoin(c net.Conn) {
-	f, err := readAnyCtl(c, recvTimeout)
-	if err != nil || f.Kind != kindRejoin {
-		c.Close()
-		return
-	}
-	rank := int(f.From)
-	st.mu.Lock()
-	if rank < 0 || rank >= len(st.conns) || string(f.Data) != st.fp ||
-		st.done[rank] || !st.ch.hasCrash(rank) {
-		st.mu.Unlock()
-		c.Close()
-		return
-	}
-	sp := st.tr.StartSpan("rejoin", "coord", coordPid, rank)
-	if old := st.conns[rank]; old != nil {
-		// The rejoin outran the old monitor's read error: count the death
-		// here and supersede the stale connection (its monitor stands down
-		// when it sees conns[rank] changed).
-		st.deaths++
-		old.Close()
-	}
-	st.conns[rank] = c
-	st.beat[rank] = time.Now()
-	st.rejoins++
-	elapsed := time.Since(st.start).Seconds()
-	st.mu.Unlock()
-	err = writeCtl(c, &xport.Frame{Kind: kindRejoinOK, Aux: elapsed, Data: []byte(st.peerList)})
-	sp.End()
-	if err != nil {
-		st.onDisconnect(rank, c)
-		return
-	}
-	go st.monitor(rank, c)
-}
-
-// watchdog fails the run when a rank goes silent past its lease: the
-// heartbeat period plus slack for a connected worker, plus the largest
-// scheduled restart delay while a crashed worker is disconnected.
-func (st *runState) watchdog() {
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
+		ev, now := event{}, time.Time{}
 		select {
-		case <-st.quit:
-			return
-		case <-t.C:
+		case ev = <-st.events:
+			now = time.Now()
+		case now = <-t.C:
 		}
-		now := time.Now()
-		st.mu.Lock()
-		for r := 0; r < len(st.conns); r++ {
-			if st.done[r] {
-				continue
-			}
-			last := st.beat[r]
-			if last.IsZero() {
-				last = st.start
-			}
-			allow := leaseTimeout
-			if st.conns[r] == nil && st.ch.hasCrash(r) {
-				allow += time.Duration(st.ch.maxRestart(r)*float64(time.Second)) + leaseTimeout
-			}
-			if now.Sub(last) > allow {
-				st.mu.Unlock()
-				st.fail(fmt.Errorf("live: worker %d lease expired after %.1fs of silence", r, now.Sub(last).Seconds()))
+		if end, err := st.step(ev, now); end || err != nil {
+			return err
+		}
+	}
+}
+
+// read posts every frame that arrives on c, then the error that ends its
+// reads. A connection accepted after START (rank -1) speaks for the rank its
+// first frame names, if the loop admits it; nothing after a first frame that
+// names no rank is read.
+func (st *runState) read(rank int, c net.Conn) {
+	defer st.posters.Done()
+	d := ctlTimeout
+	if rank < 0 {
+		d = recvTimeout
+	}
+	for {
+		f, err := readAnyCtl(c, d)
+		st.events <- event{rank: rank, conn: c, f: f, err: err}
+		if err != nil {
+			return
+		}
+		if rank < 0 {
+			if rank, d = int(f.From), ctlTimeout; rank < 0 {
 				return
 			}
 		}
-		st.mu.Unlock()
 	}
+}
+
+// accept gives every connection that arrives on ln after START a reader,
+// until ln closes; then it closes them all, so no read outlives the run.
+func (st *runState) accept(ln net.Listener) {
+	defer st.posters.Done()
+	if d, ok := ln.(deadliner); ok {
+		d.SetDeadline(time.Time{})
+	}
+	var accepted []net.Conn
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			break
+		}
+		accepted = append(accepted, c)
+		st.posters.Add(1)
+		go st.read(-1, c)
+	}
+	for _, c := range accepted {
+		c.Close()
+	}
+}
+
+// stop closes the listener, and with it every connection accepted after
+// START, and every rank's current one, then drains what the readers still
+// post — a late REJOIN goes unanswered — until the last has returned.
+func (st *runState) stop(ln net.Listener) {
+	ln.Close()
+	for _, c := range st.conns {
+		if c != nil {
+			c.Close()
+		}
+	}
+	go func() {
+		st.posters.Wait()
+		close(st.events)
+	}()
+	for range st.events {
+	}
+}
+
+// step applies one event at time now: the coordinator's every rule after
+// START. It reports whether the run has ended — every rank done or written
+// off — or the error that fails it, naming the rank. Order alone settles
+// every race: a frame or error on a connection that is no longer its rank's
+// (superseded by a REJOIN, or the rank already done) changes nothing.
+func (st *runState) step(ev event, now time.Time) (end bool, err error) {
+	switch {
+	case ev.conn == nil:
+		return false, st.checkLeases(now)
+	case ev.rank < 0:
+		return st.rejoin(ev, now), nil
+	case ev.rank >= len(st.conns) || st.conns[ev.rank] != ev.conn || st.done[ev.rank]:
+		return false, nil
+	case ev.err != nil:
+		return st.lost(ev.rank)
+	}
+	rank, f := ev.rank, ev.f
+	switch f.Kind {
+	case kindHeartbeat:
+		st.tr.Mark("heartbeat", "coord", coordPid, rank)
+		st.beat[rank] = now
+		st.iter[rank] = max(st.iter[rank], int(f.Clock))
+		return false, nil
+	case kindDone:
+		rep, err := parseDone(f)
+		if err != nil {
+			return false, fmt.Errorf("live: worker %d %w", rank, err)
+		}
+		return st.finish(rank, rep), nil
+	}
+	return false, fmt.Errorf("live: worker %d: unexpected control kind %d", rank, f.Kind)
+}
+
+// finish records rank's report and reports whether it was the last one.
+func (st *runState) finish(rank int, rep doneInfo) bool {
+	st.reports[rank], st.done[rank] = rep, true
+	return st.finished.Add(1) == int64(len(st.done))
+}
+
+// lost classifies rank's dropped control connection: a genuine failure, or
+// a scheduled death — awaiting a rejoin, or written off, its report taken
+// from its last heartbeat, when the schedule never revives the rank.
+func (st *runState) lost(rank int) (bool, error) {
+	st.conns[rank].Close()
+	st.conns[rank] = nil
+	if !st.ch.hasCrash(rank) {
+		return false, fmt.Errorf("live: worker %d control connection lost", rank)
+	}
+	st.deaths.Add(1)
+	st.tr.Mark("death", "coord", coordPid, rank)
+	if st.ch.finishes(rank) {
+		return false, nil
+	}
+	return st.finish(rank, doneInfo{iters: st.iter[rank]}), nil
+}
+
+// rejoin re-admits a restarted worker from the first frame of its new
+// connection, a REJOIN with this run's fingerprint naming an unfinished rank
+// the schedule crashes; anything else is closed unanswered. A live connection
+// it supersedes is that incarnation's death. REJOIN-OK carries the peer list
+// and the seconds since START, to re-anchor the worker's fault plan.
+func (st *runState) rejoin(ev event, now time.Time) (end bool) {
+	c, f := ev.conn, ev.f
+	rank := int(f.From)
+	if ev.err != nil || f.Kind != kindRejoin || rank < 0 || rank >= len(st.conns) ||
+		string(f.Data) != st.fp || st.done[rank] || !st.ch.hasCrash(rank) {
+		c.Close()
+		return false
+	}
+	sp := st.tr.StartSpan("rejoin", "coord", coordPid, rank)
+	defer sp.End()
+	if old := st.conns[rank]; old != nil {
+		old.Close()
+		st.deaths.Add(1)
+		st.tr.Mark("death", "coord", coordPid, rank)
+	}
+	st.conns[rank], st.beat[rank] = c, now
+	st.rejoins.Add(1)
+	err := writeCtl(c, &xport.Frame{Kind: kindRejoinOK, Aux: now.Sub(st.start).Seconds(),
+		Data: []byte(st.peerList)})
+	if err != nil {
+		end, _ = st.lost(rank) // a crashed rank: never an error
+	}
+	return end
+}
+
+// checkLeases fails the run when a rank has been silent past its lease at
+// now: the heartbeat period plus slack for a connected worker, plus the
+// largest scheduled restart delay while a crashed worker is disconnected.
+// Without a crash schedule nothing renews a lease, and none is kept.
+func (st *runState) checkLeases(now time.Time) error {
+	if st.ch == nil {
+		return nil
+	}
+	for r, last := range st.beat {
+		if st.done[r] {
+			continue
+		}
+		if last.IsZero() {
+			last = st.start
+		}
+		allow := leaseTimeout
+		if st.conns[r] == nil && st.ch.hasCrash(r) {
+			allow += time.Duration(st.ch.maxRestart(r)*float64(time.Second)) + leaseTimeout
+		}
+		if now.Sub(last) > allow {
+			return fmt.Errorf("live: worker %d lease expired after %.1fs of silence", r, now.Sub(last).Seconds())
+		}
+	}
+	return nil
 }
 
 // buildResult assembles the Result from the workers' reports and the final

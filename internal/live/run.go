@@ -24,7 +24,6 @@ func RunCoordinator(cfg core.Config, listenAddr string, opts ...Option) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("live: coordinator listen %s: %w", listenAddr, err)
 	}
-	defer ln.Close()
 	return coordinate(&cfg, ln, buildOptions(opts))
 }
 
@@ -378,7 +377,6 @@ func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("live: loopback listen: %w", err)
 	}
-	defer ln.Close()
 
 	workerErrs := make(chan error, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -386,7 +384,9 @@ func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
 		go func() { workerErrs <- runWorker(&wcfg, ln.Addr().String(), "127.0.0.1:0", o) }()
 	}
 
-	// The coordinator's error comes first, then the first worker's.
+	// The coordinator's error comes first, then the first worker's. The
+	// coordinator closes ln as it returns, so a worker that would rejoin a
+	// run that has ended is refused at the door.
 	res, err := coordinate(&cfg, ln, o)
 	for i := 0; i < cfg.Workers; i++ {
 		if werr := <-workerErrs; werr != nil && err == nil {

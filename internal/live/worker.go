@@ -202,6 +202,22 @@ func (w *worker) tail(stop <-chan struct{}) error {
 	}
 }
 
+// report is the worker's final account, on either transport: completed
+// iterations, the training-loss EWMA, the final parameters and breakdown.
+// Once its loop has returned nothing writes the replica any more, so the
+// report carries the parameter store where it lies — but on an AD-PSGD
+// rank, whose passive thread answers (and averages) until teardown: that
+// report takes a snapshot.
+func (w *worker) report() doneInfo {
+	loss, lossInit := w.rep.Loss()
+	params := w.rep.Weights()
+	if w.cfg.Algo == core.ADPSGD {
+		params = w.rep.Params()
+	}
+	return doneInfo{iters: w.iters, loss: loss, lossInit: lossInit, params: params,
+		stats: doneStats{Breakdown: w.l.Breakdown()}}
+}
+
 // The methods below make worker the live runtime's core.Env: everything that
 // is a *wire* — frames and their codec, the mailbox's matching and recycling,
 // checkpoints — under the loops of core/loops.go and the message protocol of
