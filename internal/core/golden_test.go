@@ -94,7 +94,10 @@ func hashParams(p []float32) uint64 {
 // workers per machine (gather fold + shard fold), BSP with DGC (the sparse
 // shard fold) and ASP with staleness damping (no CLI flag). Each hash covers
 // every worker's final vector in rank order. Recorded at PR 15's commit,
-// before the shard loops moved into internal/ps.
+// before the shard loops moved into internal/ps. The two sharded DGC rows pin
+// the gradient request itself — compression, the codec on the surviving
+// values, the split among three shards, and with WFBP the order they leave
+// in — and were recorded while the simulator's Env still built it.
 var goldenPSHashes = []struct {
 	name    string
 	algo    Algo
@@ -105,6 +108,14 @@ var goldenPSHashes = []struct {
 	{"bsp-localagg", BSP, 8, func(c *Config) { c.LocalAgg = true }, 0xad4aa7a000e85eb5},
 	{"bsp-dgc", BSP, 4, func(c *Config) { d := grad.DefaultDGC(0.9, 2); c.DGC = &d }, 0x5920dae3a0e62e75},
 	{"asp-damping", ASP, 4, func(c *Config) { c.StalenessDamping = true }, 0x4569d6b187898d81},
+	{"asp-layerwise-wfbp-dgc-int8", ASP, 4, func(c *Config) {
+		d := grad.DefaultDGC(0.9, 2)
+		c.Sharding, c.Shards, c.WaitFreeBP, c.DGC, c.Quantize8 = ShardLayerWise, 3, true, &d, true
+	}, 0x04d1ca2f8b2d5a96},
+	{"ssp-balanced-dgc", SSP, 4, func(c *Config) {
+		d := grad.DefaultDGC(0.9, 2)
+		c.Sharding, c.Shards, c.DGC = ShardBalanced, 3, &d
+	}, 0xeae0c3c59d719ade},
 }
 
 // goldenReplicaHashes pins, on minicnn at 4 workers, the algorithms whose
@@ -201,6 +212,9 @@ func allParams(res *Result) []float32 {
 // re-order (hierarchical +1.2e-8 relative in virtual time; butterfly +0.17 %
 // and +1 byte per rank-round that the old Bytes/(2<<t) floor dropped). Same
 // message counts and phase order; torus-64's 8×8 grid divides evenly.
+// The int8, f16 and EASGD rows price every kind of sharded request (a dense
+// gradient in the codec, DGC entries with f16 values, a pushed vector); they
+// were recorded while the simulator's Env still built the request.
 var goldenVirtualRows = []struct {
 	name    string
 	algo    Algo
@@ -226,6 +240,12 @@ var goldenVirtualRows = []struct {
 		c.Sharding, c.WaitFreeBP, c.DGC = ShardLayerWise, true, &d
 	}, 0xf5c9453a699e440a},
 	{"bsp-localagg-16", BSP, 16, func(c *Config) { c.LocalAgg = true }, 0xbb641c35ed192840},
+	{"bsp-balanced-int8-16", BSP, 16, func(c *Config) { c.Sharding, c.Quantize8 = ShardBalanced, true }, 0xde61767a5540545d},
+	{"ssp-layerwise-wfbp-dgc-f16-16", SSP, 16, func(c *Config) {
+		d := grad.DefaultDGC(0.999, 4)
+		c.Sharding, c.WaitFreeBP, c.DGC, c.QuantizeF16 = ShardLayerWise, true, &d, true
+	}, 0x53d31b1f2f060502},
+	{"easgd-balanced-16", EASGD, 16, func(c *Config) { c.Sharding = ShardBalanced }, 0x99b8a7b2bf280e5c},
 	// Re-recorded when the shard began filing BSP gradients by round: worker
 	// 3 rejoins rounds ahead, and its gradient used to fill the open round,
 	// leaving every later round one short until the barrier timed out. Now

@@ -322,3 +322,47 @@ func TestLiveQuantizedRingWireBytesPinned(t *testing.T) {
 		}
 	}
 }
+
+// TestLiveQuantizedPSWireBytesPinned pins what a quantized BSP run puts on the
+// wire: every worker's gradient frames in the codec, and the parameter
+// server's dense replies (rank 4), frames, bytes and codec savings per rank
+// over a fixed four-worker run.
+func TestLiveQuantizedPSWireBytesPinned(t *testing.T) {
+	for _, tc := range []struct {
+		codec         string
+		frames, bytes [5]int
+		saved         [4]int
+	}{
+		{"int8", [5]int{7, 7, 7, 7, 24}, [5]int{956, 956, 956, 956, 10560}, [4]int{1728, 1728, 1728, 1728}},
+		{"f16", [5]int{7, 7, 7, 7, 24}, [5]int{1550, 1550, 1550, 1550, 10560}, [4]int{1134, 1134, 1134, 1134}},
+	} {
+		cfg := liveConfig(core.BSP, 4, 6, 42)
+		cfg.Quantize8, cfg.QuantizeF16 = tc.codec == "int8", tc.codec == "f16"
+		m := NewMetrics()
+		if _, err := RunLoopback(cfg, WithMetrics(m)); err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		if err := m.WriteProm(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r <= cfg.Workers; r++ {
+			want := map[string]int{
+				"disttrain_xport_frames_sent_total": tc.frames[r],
+				"disttrain_xport_bytes_sent_total":  tc.bytes[r],
+			}
+			if r < cfg.Workers {
+				want["disttrain_live_compressed_bytes_saved_total"] = tc.saved[r]
+			}
+			for family, n := range want {
+				sample := fmt.Sprintf("%s{rank=\"%d\"} %d\n", family, r, n)
+				if !strings.Contains(buf.String(), sample) {
+					t.Errorf("%s: want %q", tc.codec, sample)
+				}
+			}
+		}
+		if t.Failed() {
+			t.Fatalf("in\n%s", buf.String())
+		}
+	}
+}
