@@ -76,7 +76,6 @@ type exp struct {
 	parked [][]simnet.Msg
 
 	assign ps.Assignment
-	loc    *ps.Locator // index → shard, for one-pass sparse splitting
 	global *ps.Global
 
 	reps []*Replica
@@ -100,11 +99,9 @@ type exp struct {
 	// (AD-PSGD/GoSGD) to a sparse seed-deterministic peer graph.
 	overlay *topo.Overlay
 
-	// compressors per worker when DGC is on (real mode only).
-	dgc []*grad.Compressor
-	// dgcIter tracks per-worker compression iterations in cost-only mode
-	// (for the warm-up schedule).
-	dgcIter []int
+	// dgcEntry is the wire size of one DGC entry: its index and its value in
+	// the gradient codec.
+	dgcEntry float64
 
 	// evalModel is a scratch model used to evaluate global/average params
 	// (real mode only).
@@ -181,17 +178,14 @@ func setup(cfg *Config) (*exp, error) {
 		x.byteScale = 1
 	}
 
-	// PS shards (centralized algorithms only).
+	// PS shards (centralized algorithms only): one layout, which every
+	// replica shares.
 	if cfg.Algo.Centralized() {
-		switch cfg.Sharding {
-		case ShardLayerWise:
-			x.assign = ps.LayerWise(x.segments, cfg.Shards)
-		case ShardBalanced:
-			x.assign = ps.Balanced(x.vecLen, cfg.Shards)
-		default:
-			x.assign = ps.Single(x.vecLen)
+		x.assign = psShards(cfg, x.segments, x.vecLen)
+		loc := ps.NewLocator(x.assign)
+		for _, r := range x.reps {
+			r.shards, r.loc = x.assign, loc
 		}
-		x.loc = ps.NewLocator(x.assign)
 		for s := range x.assign {
 			machine := s % cfg.Cluster.Machines
 			x.psNode = append(x.psNode, x.net.AddNode(machine).ID)
@@ -205,23 +199,11 @@ func setup(cfg *Config) (*exp, error) {
 		}
 	}
 
-	// DGC compressors. The PS applies sparse updates with a plain
-	// (momentum-free) step — momentum lives in the compressor — via
-	// Global.ApplySparse, which bypasses the optimizer state.
+	// The PS applies DGC's sparse updates with a plain (momentum-free) step —
+	// momentum lives in the replicas' compressors — via Global.ApplySparse,
+	// which bypasses the optimizer state.
 	if cfg.DGC != nil {
-		if cfg.Real != nil {
-			dcfg := *cfg.DGC
-			if cfg.Algo == SSP {
-				// SSP transmits locally applied *updates*, which already
-				// carry the worker optimizer's momentum; DGC's momentum
-				// correction would apply it twice and destabilize training.
-				dcfg.NoMomentumCorrection = true
-			}
-			for w := 0; w < cfg.Workers; w++ {
-				x.dgc = append(x.dgc, grad.NewCompressor(dcfg, x.vecLen))
-			}
-		}
-		x.dgcIter = make([]int, cfg.Workers)
+		x.dgcEntry = dgcEntryBytes(cfg)
 	}
 
 	if cfg.Real != nil {
@@ -239,6 +221,21 @@ func setup(cfg *Config) (*exp, error) {
 // paper-scale wire bytes.
 func (x *exp) bytesFor(nParams int) int64 {
 	return int64(float64(nParams*costmodel.BytesPerParam) * x.byteScale)
+}
+
+// dgcEntryBytes is the wire size of one DGC entry: grad.Sparse's index and
+// float32 value, or the index and the value in the gradient codec — an int8
+// code, the vector's one scale amortized to nothing, or a half.
+func dgcEntryBytes(cfg *Config) float64 {
+	const index = 4
+	value := grad.Sparse{Idx: []int32{0}, Val: []float32{0}}.WireBytes() - index
+	switch {
+	case cfg.Quantize8:
+		value = grad.Quantized8{Q: []int8{0}}.WireBytes() - grad.Quantized8{}.WireBytes()
+	case cfg.QuantizeF16:
+		value = grad.QuantizedF16{H: []uint16{0}}.WireBytes()
+	}
+	return float64(index + value)
 }
 
 // fullBytes is the wire size of one full gradient/parameter message.

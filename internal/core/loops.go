@@ -12,13 +12,13 @@ import (
 // Env is one worker's world: what an algorithm's iteration loop needs beyond
 // its own Replica. The loops in this file own protocol order only — which
 // step follows which, what is sent when — and the message protocol under them
-// (protocol.go), the collectives included, is written once too, over the
-// Env's wire: Send, SendPS, Recv, Release and the Ledger's clock and booking.
-// What a step costs, and how its bytes travel, sits behind the Env: the
-// simulator's (simEnv, on a des process) models virtual compute time,
-// paper-scale wire sizes, sharded sends, wait-free BP and the fault-mode
-// timeouts; the live runtime's (internal/live's worker) owns sockets, codec
-// frames, spans and checkpoints.
+// (protocol.go), the parameter-server requests and the collectives included,
+// is written once too, over the Env's wire: Send, Recv, Release and the
+// Ledger's clock and booking. What a step costs, and how its bytes travel,
+// sits behind the Env: the simulator's (simEnv, on a des process) models
+// virtual compute time, paper-scale wire sizes, wait-free BP's pacing and the
+// fault-mode timeouts; the live runtime's (internal/live's worker) owns
+// sockets, codec frames, spans and checkpoints.
 type Env interface {
 	// Gate opens iteration it. It returns the iteration to run — later than
 	// it when a crash schedule (or a checkpoint restore) makes the worker
@@ -52,16 +52,13 @@ type Env interface {
 	// until the worker's run is torn down and must not be stopped.
 	Go(name string, body func(c Env, next func() (it int, ok bool)) error) (hand func(it int), stop func() error)
 
-	// Send ships m to worker to and returns its wire seconds: live, those
+	// Send ships m to node to — a worker, or from Workers on a
+	// parameter-server shard — and returns its wire seconds: live, those
 	// spent inside the endpoint; 0 in the simulator, which charges m's
 	// paper-scale bytes and books a message's transfer as the receiver's
-	// Msg.Wire instead.
+	// Msg.Wire instead. After an overlapped Compute, a gradient request's
+	// sends may take the rest of the backward pass.
 	Send(to int, m Msg) (wire float64, err error)
-	// SendPS ships vec to every parameter-server shard as a request of the
-	// given kind (ps.Grad, ps.Pull or ps.Push). It returns the shards' ranges,
-	// indexed by their answers' Seg; begin, where the step's own time starts
-	// (after the backward pass wait-free-BP sends pace against); and the wire.
-	SendPS(kind ps.Kind, it int, vec []float32) (shards ps.Assignment, begin, wire float64, err error)
 	// Recv returns the first message of the given kind, clock and seg (any
 	// may be Any), parked ones first, parking the rest; ok is false when a
 	// Poll finds nothing or a Bounded wait gives up. The Vec is the caller's

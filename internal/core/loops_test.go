@@ -11,7 +11,9 @@ import (
 	"disttrain/internal/comm"
 	"disttrain/internal/costmodel"
 	"disttrain/internal/fault"
+	"disttrain/internal/grad"
 	"disttrain/internal/metrics"
+	"disttrain/internal/nn"
 	"disttrain/internal/opt"
 	"disttrain/internal/ps"
 	"disttrain/internal/rng"
@@ -23,8 +25,9 @@ import (
 //
 // Its wire is a script too. arrived holds what has reached the worker, in
 // arrival order; Recv takes the first message that matches and leaves the
-// rest where they are, as parked. ps answers each SendPS and peer each Send
-// with the messages that then arrive. A wait that nothing arrived matches is
+// rest where they are, as parked. ps answers each parameter-server request —
+// a Send of a ps kind, to shard to−Workers — and peer each other Send with
+// the messages that then arrive. A wait that nothing arrived matches is
 // answered by the world the loops assume: a Block or Bounded wait for any
 // kind takes the parameter server's reply to the last request, one for a
 // given kind takes that kind from the peer sent to longest ago and not yet
@@ -42,7 +45,7 @@ type fakeEnv struct {
 	onDone    func(it int)
 
 	arrived []Msg
-	ps      func(kind ps.Kind, it int) []Msg
+	ps      func(to int, m Msg) []Msg
 	peer    func(to int, m Msg) []Msg
 	onRecv  func(m Msg) // sees every message Recv hands out
 
@@ -53,9 +56,13 @@ type fakeEnv struct {
 
 var errBoom = errors.New("boom")
 
-// oneShard is the fake parameter server's assignment: one shard, no ranges
-// (the loops run on math-free replicas).
-var oneShard = ps.Assignment{nil}
+// costRep is a math-free replica whose parameter server is one shard with no
+// ranges: the loops' protocol is under test, not their math.
+func costRep() *Replica {
+	r := newCostReplica()
+	r.shards = ps.Assignment{nil}
+	return r
+}
 
 func (f *fakeEnv) call(method string, arg any) error {
 	f.log = append(f.log, fmt.Sprint(method, " ", arg))
@@ -163,22 +170,18 @@ func (f *fakeEnv) Send(to int, m Msg) (float64, error) {
 	if err := f.call("Send", fmt.Sprint(to, " ", kc(m.Kind, m.Clock))); err != nil {
 		return 0, err
 	}
+	if m.Kind < KindAllReduce {
+		f.lastPS = ps.Kind(m.Kind)
+		if f.ps != nil {
+			f.arrived = append(f.arrived, f.ps(to, m)...)
+		}
+		return 0, nil
+	}
 	f.owed = append(f.owed, to)
 	if f.peer != nil {
 		f.arrived = append(f.arrived, f.peer(to, m)...)
 	}
 	return 0, nil
-}
-
-func (f *fakeEnv) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, float64, float64, error) {
-	if err := f.call("SendPS", fmt.Sprint(kind, "@", it)); err != nil {
-		return nil, 0, 0, err
-	}
-	f.lastPS = kind
-	if f.ps != nil {
-		f.arrived = append(f.arrived, f.ps(kind, it)...)
-	}
-	return oneShard, 0, 0, nil
 }
 
 func (f *fakeEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
@@ -265,6 +268,19 @@ func (f *fakeEnv) sent(kind int) []string {
 	return out
 }
 
+// requests returns the logged parameter-server requests, one per shard, as
+// "kind@clock".
+func (f *fakeEnv) requests() []string {
+	var out []string
+	for _, s := range f.logged("Send") {
+		var to, k, clock int
+		if n, _ := fmt.Sscanf(s, "%d %d@%d", &to, &k, &clock); n == 3 && k < KindAllReduce {
+			out = append(out, fmt.Sprint(k, "@", clock))
+		}
+	}
+	return out
+}
+
 // loopConfig is a validated cost-only config: the loops run on a math-free
 // replica, so only their protocol is under test.
 func loopConfig(t *testing.T, algo Algo, workers, iters int) *Config {
@@ -289,7 +305,7 @@ func loopConfig(t *testing.T, algo Algo, workers, iters int) *Config {
 
 func runLoop(e Env, cfg *Config, rank int) error {
 	ws, ovs := DeriveStreams(cfg.Seed, cfg.Workers)
-	return WorkerLoop(e, cfg, rank, newCostReplica(), ws[rank], BuildOverlay(cfg, ovs))
+	return WorkerLoop(e, cfg, rank, costRep(), ws[rank], BuildOverlay(cfg, ovs))
 }
 
 // TestLoopSSPHoldsTheBound: whatever the clock service acks, an SSP worker
@@ -303,8 +319,8 @@ func TestLoopSSPHoldsTheBound(t *testing.T) {
 	// The slowest worker crawls: the acked minimum trails by up to 6 clocks.
 	it, heard, pulled := 0, 0, 0
 	f := &fakeEnv{}
-	f.ps = func(kind ps.Kind, _ int) []Msg {
-		if kind != ps.Grad {
+	f.ps = func(_ int, m Msg) []Msg {
+		if m.Kind != kindGrad {
 			return nil
 		}
 		it++
@@ -313,7 +329,7 @@ func TestLoopSSPHoldsTheBound(t *testing.T) {
 		return []Msg{{Kind: kindAck, Clock: min}}
 	}
 	f.onDone = func(it int) {
-		if sends := f.logged("SendPS"); sends[len(sends)-1] == fmt.Sprint(ps.Pull, "@", it) {
+		if sends := f.requests(); sends[len(sends)-1] == fmt.Sprint(ps.Pull, "@", it) {
 			pulled, heard = it, max(heard, it-s)
 		}
 		if it-pulled > s || it-heard > s {
@@ -324,7 +340,7 @@ func TestLoopSSPHoldsTheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	updates, pulls := 0, 0
-	for _, s := range f.logged("SendPS") {
+	for _, s := range f.requests() {
 		switch {
 		case strings.HasPrefix(s, fmt.Sprint(ps.Grad, "@")):
 			updates++
@@ -349,13 +365,13 @@ func TestLoopEASGDPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"6@4", "6@8", "6@12", "6@16"}
-	if got := f.logged("SendPS"); !slices.Equal(got, want) {
+	if got := f.requests(); !slices.Equal(got, want) {
 		t.Fatalf("EASGD exchanged at %v, want %v (kind %d = ps.Push)", got, want, ps.Push)
 	}
 
 	cfg = loopConfig(t, AdaComm, 4, 40)
 	cfg.Tau = 8
-	rep := newCostReplica()
+	rep := costRep()
 	f = &fakeEnv{}
 	passes := 0
 	f.onCompute = func() {
@@ -371,7 +387,7 @@ func TestLoopEASGDPeriod(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = []string{"6@8", "6@16", "6@18", "6@20", "6@22"}
-	if got := f.logged("SendPS"); !slices.Equal(got[:5], want) {
+	if got := f.requests(); !slices.Equal(got[:5], want) {
 		t.Fatalf("AdaComm exchanged at %v, want it to start %v", got, want)
 	}
 }
@@ -406,11 +422,11 @@ func TestLoopGate(t *testing.T) {
 // comes back unchanged.
 func TestLoopErrorStopsTheLoop(t *testing.T) {
 	methods := map[Algo][]string{
-		BSP:     {"Gate", "Send", "SendPS", "Recv", "Done"},
-		ASP:     {"Gate", "SendPS", "Recv", "Done"},
-		SSP:     {"Gate", "SendPS", "Recv", "Done"},
-		EASGD:   {"Gate", "SendPS", "Recv", "Done"},
-		AdaComm: {"Gate", "SendPS", "Recv", "Done"},
+		BSP:     {"Gate", "Send", "Recv", "Done"},
+		ASP:     {"Gate", "Send", "Recv", "Done"},
+		SSP:     {"Gate", "Send", "Recv", "Done"},
+		EASGD:   {"Gate", "Send", "Recv", "Done"},
+		AdaComm: {"Gate", "Send", "Recv", "Done"},
 		ARSGD:   {"Gate", "Send", "Recv", "Done"},
 		GoSGD:   {"Gate", "Recv", "Send", "Done"},
 		ADPSGD:  {"Gate", "Done"},
@@ -429,9 +445,6 @@ func TestLoopErrorStopsTheLoop(t *testing.T) {
 				f := &fakeEnv{fail: m, failAt: 2}
 				err := runLoop(f, cfg, rank)
 				if err != errBoom {
-					if algo == BSP && rank == 1 && m == "SendPS" {
-						continue // members never talk to the PS
-					}
 					t.Fatalf("%s rank %d: %s failed, loop returned %v", algo, rank, m, err)
 				}
 				if last := f.log[len(f.log)-1]; !strings.HasPrefix(last, m+" ") {
@@ -560,9 +573,9 @@ func TestLoopGradPSLocalAggOrder(t *testing.T) {
 	cfg.LocalAgg = true
 	for rank, want := range map[int]string{
 		0: "Gate 1,Compute false,Grad ,Recv 12@1/1 block,Recv 12@1/2 block,Recv 12@1/3 block," +
-			"SendPS 1@1,Recv *@* block,Send 1 13@1,Send 2 13@1,Send 3 13@1,Done 1",
+			"Send 5 1@1,Recv *@* block,Send 1 13@1,Send 2 13@1,Send 3 13@1,Done 1",
 		2: "Gate 1,Compute false,Grad ,Send 0 12@1,Recv 13@1/0 block,Done 1",
-		4: "Gate 1,Compute false,Grad ,SendPS 1@1,Recv *@* block,Done 1", // alone on its machine
+		4: "Gate 1,Compute false,Grad ,Send 5 1@1,Recv *@* block,Done 1", // alone on its machine
 	} {
 		f := &fakeEnv{}
 		if err := runLoop(f, cfg, rank); err != nil {
@@ -719,11 +732,11 @@ func TestProtocolArrivalOrder(t *testing.T) {
 	})
 
 	t.Run("ssp ack ahead of the reply", func(t *testing.T) {
-		f := &fakeEnv{ps: func(kind ps.Kind, it int) []Msg {
-			return []Msg{{Kind: kindAck, Clock: it - 2}, {Kind: kindParams}}
+		f := &fakeEnv{ps: func(_ int, m Msg) []Msg {
+			return []Msg{{Kind: kindAck, Clock: m.Clock - 2}, {Kind: kindParams}}
 		}}
 		var acked []int
-		pr := protocol{f, loopConfig(t, SSP, 4, 8), newCostReplica()}
+		pr := protocol{f, loopConfig(t, SSP, 4, 8), costRep()}
 		if err := pr.exchange(ps.Pull, 6, nil, func(c int) { acked = append(acked, c) }); err != nil ||
 			!slices.Equal(acked, []int{4}) || len(f.arrived) != 0 {
 			t.Fatalf("acked %v, left %v, %v", acked, f.arrived, err)
@@ -746,6 +759,95 @@ func TestProtocolArrivalOrder(t *testing.T) {
 			t.Fatalf("faulty drain returned %v after %d acks", err, acks)
 		}
 	})
+}
+
+// TestProtocolShardRequests: a gradient request over three layer-wise shards
+// — shard 0 owns the first and the last layer — sends shard s, at node
+// Workers+s, exactly the DGC entries its ranges own, in index order, their
+// values on the int8 grid and the fraction of the vector kept in Aux; a dense
+// request sends every shard the one vector, round-tripped in place, with its
+// codes and scale.
+func TestProtocolShardRequests(t *testing.T) {
+	cfg := realConfig(BSP, 4, 2, 3)
+	cfg.Real.Factory = func(rr *rng.RNG) *nn.Model { return nn.NewMLP(rr, 2, 16, 16, 16, 3) }
+	d := grad.DefaultDGC(0.9, 0)
+	d.Ratio = 0.1
+	cfg.Sharding, cfg.Shards, cfg.Quantize8, cfg.DGC = ShardLayerWise, 3, true, &d
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	streams, _ := DeriveStreams(cfg.Seed, cfg.Workers)
+	r := rng.New(9)
+	g := make([]float32, cfg.Real.Factory(nil).NumParams())
+	for i := range g {
+		g[i] = float32(r.NormFloat64())
+	}
+	request := func(it int) (*Replica, []float32, map[int]Msg) {
+		t.Helper()
+		rep := NewReplica(0, &cfg, streams[0])
+		got := map[int]Msg{}
+		f := &fakeEnv{ps: func(to int, m Msg) []Msg {
+			got[to] = m
+			return nil
+		}}
+		v := slices.Clone(g)
+		if _, _, err := (protocol{f, &cfg, rep}).request(ps.Grad, it, v); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(rep.shards) || len(rep.shards) != 3 {
+			t.Fatalf("%d shards got %d messages", len(rep.shards), len(got))
+		}
+		return rep, v, got
+	}
+
+	// The same compressor's entries, their values through the int8 codec.
+	want := grad.NewCompressor(d, len(g)).Compress(g)
+	if err := grad.Dequantize8(grad.Quantize8(want.Val), want.Val); err != nil {
+		t.Fatal(err)
+	}
+	rep, _, sparse := request(1)
+	total := 0
+	for s, ranges := range rep.shards {
+		m := sparse[cfg.Workers+s]
+		if m.Kind != kindSparseGrad || m.Seg != s || m.Clock != 1 || m.Aux != float64(len(want.Idx))/float64(len(g)) {
+			t.Fatalf("shard %d: kind %d seg %d clock %d aux %v", s, m.Kind, m.Seg, m.Clock, m.Aux)
+		}
+		var idx []int32
+		var val []float32
+		for j, i := range want.Idx {
+			for _, rg := range ranges {
+				if int(i) >= rg.Off && int(i) < rg.Off+rg.Len {
+					idx, val = append(idx, i), append(val, want.Val[j])
+				}
+			}
+		}
+		if !slices.Equal(m.Idx, idx) || !paramsBitEqual(m.Vec, val) {
+			t.Fatalf("shard %d (ranges %v) took entries %v = %v, want %v = %v", s, ranges, m.Idx, m.Vec, idx, val)
+		}
+		total += len(idx)
+	}
+	if total != len(want.Idx) || total == 0 {
+		t.Fatalf("the shards took %d of %d entries", total, len(want.Idx))
+	}
+
+	cfg.DGC = nil
+	rep, v, got := request(2)
+	q := grad.Quantize8(g)
+	onGrid := make([]float32, len(g))
+	if err := grad.Dequantize8(q, onGrid); err != nil {
+		t.Fatal(err)
+	}
+	if !paramsBitEqual(v, onGrid) {
+		t.Fatal("the dense gradient is not on the int8 grid")
+	}
+	for s := range rep.shards {
+		m := got[cfg.Workers+s]
+		if m.Kind != kindGrad || m.Seg != s || !m.Own || len(m.Vec) != len(g) || &m.Vec[0] != &v[0] ||
+			!slices.Equal(m.Codes, q.Q) || float32(m.Aux) != q.Scale {
+			t.Fatalf("shard %d: kind %d seg %d own %v, %d elements (shared: %v), scale %v want %v",
+				s, m.Kind, m.Seg, m.Own, len(m.Vec), len(m.Vec) > 0 && &m.Vec[0] == &v[0], m.Aux, q.Scale)
+		}
+	}
 }
 
 // TestProtocolCollectives runs the collectives of the shared protocol over

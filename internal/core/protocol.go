@@ -9,13 +9,16 @@ import (
 )
 
 // Msg is one worker-protocol message; the wire fills From on a send. Seg is
-// the answering shard of a parameter-server reply or a collective's tag, Wire
-// the seconds the receiver books for the message (see Env.Send).
+// the shard of a parameter-server request or reply or a collective's tag,
+// Wire the seconds the receiver books for the message (see Env.Send).
 //
 // A collective's chunk says where it sits: it stands for N elements of a
 // vector of Of (0 for a whole-vector message). Own marks the sender's own
-// contribution on the gradient codec's grid, its int8 scale in Aux, which a
-// wire may ship in codec form.
+// contribution on the gradient codec's grid — an AllReduce chunk or a dense
+// gradient request — with its int8 scale in Aux and its int8 codes in Codes,
+// which a wire may ship in codec form. A DGC gradient request carries the
+// shard's entries, indices in Idx and values in Vec, and in Aux the fraction
+// of the vector the whole gradient keeps.
 type Msg struct {
 	Kind, From, Clock, Seg int
 	Aux                    float64
@@ -23,6 +26,8 @@ type Msg struct {
 	Wire                   float64
 	N, Of                  int
 	Own                    bool
+	Codes                  []int8
+	Idx                    []int32
 }
 
 // Any, as a receive's kind, clock or seg, matches every message.
@@ -63,6 +68,68 @@ func unexpected(m Msg, want int) error {
 	return fmt.Errorf("unexpected kind %d from %d, want %d", m.Kind, m.From, want)
 }
 
+// request ships a parameter-server request of the given kind, one message
+// per shard — shard s is node Workers+s on both runtimes, after the workers —
+// and returns when the step began and the wire seconds of its sends. A
+// gradient goes out on the gradient codec's grid: DGC-compressed, each shard
+// taking the entries it owns, or dense, every shard reading its own ranges of
+// the one vector. With wait-free BP the sends ride on the backward pass the
+// Env books as compute (see Env.Compute): the step begins once they are out.
+func (pr protocol) request(kind ps.Kind, it int, vec []float32) (begin, wire float64, err error) {
+	cfg, rep := pr.cfg, pr.rep
+	begin = pr.e.Ledger().Now()
+	m := Msg{Kind: int(kind), Clock: it, Vec: vec}
+	var idx [][]int32
+	var val [][]float32
+	switch {
+	case kind != ps.Grad:
+	case cfg.DGC != nil:
+		m.Kind, m.Vec = kindSparseGrad, nil
+		m.Aux, idx, val = pr.compress(vec)
+	default:
+		m.Own, m.Aux, m.Codes = roundTrip(cfg, vec, &rep.codes)
+	}
+	for s := range rep.shards {
+		m.Seg = s
+		if idx != nil {
+			m.Idx, m.Vec = idx[s], val[s]
+		}
+		w, err := pr.e.Send(cfg.Workers+s, m)
+		wire += w
+		if err != nil {
+			return begin, wire, err
+		}
+	}
+	if cfg.WaitFreeBP {
+		begin = pr.e.Ledger().Now()
+	}
+	return begin, wire, nil
+}
+
+// compress is DGC on the replica's compressor, which keeps what g does not
+// send: the top entries, their values on the gradient codec's grid, split
+// among the shards in one pass. ratio is the fraction of the vector they are,
+// or without real math the warm-up schedule's.
+func (pr protocol) compress(g []float32) (ratio float64, idx [][]int32, val [][]float32) {
+	rep := pr.rep
+	if rep.dgc == nil {
+		ratio = pr.cfg.DGC.RatioAt(rep.dgcIter)
+		rep.dgcIter++
+		return ratio, nil, nil
+	}
+	sp := rep.dgc.Compress(g)
+	rep.dgcIter++
+	roundTrip(pr.cfg, sp.Val, &rep.codes)
+	idx, val = make([][]int32, len(rep.shards)), make([][]float32, len(rep.shards))
+	for j, i := range sp.Idx {
+		if s := rep.loc.Shard(int(i)); s >= 0 {
+			idx[s] = append(idx[s], i)
+			val[s] = append(val[s], sp.Val[j])
+		}
+	}
+	return float64(len(sp.Idx)) / float64(len(g)), idx, val
+}
+
 // exchange is one round trip through the parameter server: ship vec to every
 // shard and install the ranges each answer carries; SSP acks that overtake an
 // answer go to ack. A barrier-bound worker (BSP, and SSP parked behind the
@@ -70,10 +137,11 @@ func unexpected(m Msg, want int) error {
 // elastic mode, an asynchronous one (ASP, EASGD) under any fault schedule; it
 // trains on with the stale shard parameters.
 func (pr protocol) exchange(kind ps.Kind, it int, vec []float32, ack func(minClock int)) error {
-	shards, begin, wire, err := pr.e.SendPS(kind, it, vec)
+	begin, wire, err := pr.request(kind, it, vec)
 	if err != nil {
 		return err
 	}
+	shards := pr.rep.shards
 	want, wait := kindParams, Block
 	if kind == ps.Push {
 		want = kindEASGDReply
@@ -107,7 +175,7 @@ func (pr protocol) exchange(kind ps.Kind, it int, vec []float32, ack func(minClo
 
 // update is SSP's fire-and-forget gradient push.
 func (pr protocol) update(it int, vec []float32) error {
-	_, begin, wire, err := pr.e.SendPS(ps.Grad, it, vec)
+	begin, wire, err := pr.request(ps.Grad, it, vec)
 	if err == nil {
 		pr.book(StepUpdate, begin, wire)
 	}
@@ -238,15 +306,16 @@ func (pr protocol) neighbors(it int, nbs []int, vec []float32) ([][]float32, err
 // link is the one comm.Link of both runtimes: a collective call's view of the
 // Env's wire. Members are addressed through nodes; vec is nil without real
 // math, and of is then the length its chunks stand for. own marks vec as the
-// member's own contribution round-tripped through the gradient codec, aux is
-// every message's Aux (that contribution's int8 scale, or a broadcast's
-// stamp), and wire sums the wire seconds of the call's sends and of what it
-// took.
+// member's own contribution round-tripped through the gradient codec, codes
+// as its int8 codes, aux is every message's Aux (that contribution's int8
+// scale, or a broadcast's stamp), and wire sums the wire seconds of the
+// call's sends and of what it took.
 type link struct {
 	e           Env
 	kind, clock int
 	nodes       []int
 	vec         []float32
+	codes       []int8
 	of          int
 	own         bool
 	aux         float64
@@ -257,6 +326,9 @@ func (l *link) Send(to, seg, lo, hi int, own bool) error {
 	m := Msg{Kind: l.kind, Clock: l.clock, Seg: seg, Aux: l.aux, N: hi - lo, Of: l.of, Own: own && l.own}
 	if l.vec != nil {
 		m.Vec = l.vec[lo:hi]
+	}
+	if m.Own && l.codes != nil {
+		m.Codes = l.codes[lo:hi]
 	}
 	w, err := l.e.Send(l.nodes[to], m)
 	l.wire += w
@@ -281,22 +353,23 @@ func (l *link) Recv(seg, lo, hi int, fold comm.Fold) error {
 }
 
 // roundTrip applies the run's gradient codec to g, a worker's own
-// contribution to an AllReduce, in place: every member then folds exactly
-// what the contribution's chunks carry in codec form, while partial sums
-// travel dense. It reports whether it did, and the int8 scale a wire
-// re-encodes any slice of g with (grad.Recode8).
-func roundTrip(cfg *Config, g []float32) (own bool, scale float64) {
+// contribution, in place: every receiver then gets exactly what g carries in
+// codec form, while an AllReduce's partial sums travel dense. It reports
+// whether it did and, for int8, the scale and the codes, written into *codes
+// by the pass that rounds g: a wire ships any slice of them for that slice of
+// g.
+func roundTrip(cfg *Config, g []float32, codes *[]int8) (own bool, scale float64, q []int8) {
 	switch {
 	case g == nil:
 	case cfg.Quantize8:
-		scale = float64(grad.Scale8(g))
-		grad.QuantizeRoundTrip(g)
-		return true, scale
+		c := grad.Quantize8RoundTripInto(g, *codes)
+		*codes = c.Q
+		return true, float64(c.Scale), c.Q
 	case cfg.QuantizeF16:
 		grad.QuantizeF16RoundTrip(g)
-		return true, 0
+		return true, 0, nil
 	}
-	return false, 0
+	return false, 0, nil
 }
 
 // allReduce is AR-SGD's round: it sums the pass's gradient over the round's
@@ -314,12 +387,15 @@ func (pr protocol) allReduce(pl comm.Plan, it int, nodes []int, self int) ([]flo
 		pr.e.Ready(cut, n)
 	}
 	g := pr.e.Grad()
-	own, scale := roundTrip(pr.cfg, g)
+	own, scale, codes := roundTrip(pr.cfg, g, &pr.rep.codes)
 	reduce := func(lo, hi int) error {
 		begin := pr.e.Ledger().Now()
 		l := &link{e: pr.e, kind: KindAllReduce, clock: it, nodes: nodes, of: hi - lo, own: own, aux: scale}
 		if g != nil {
 			l.vec = g[lo:hi]
+		}
+		if codes != nil {
+			l.codes = codes[lo:hi]
 		}
 		if err := pl.Run(l, len(nodes), self, hi-lo); err != nil {
 			return err
@@ -390,7 +466,7 @@ func Collective(e Env, cfg *Config, pl comm.Plan, it int, nodes []int, self int,
 	case comm.OpBroadcast:
 		l.kind = KindLocalBcast
 	default:
-		l.own, l.aux = roundTrip(cfg, vec)
+		l.own, l.aux, l.codes = roundTrip(cfg, vec, new([]int8))
 	}
 	return pl.Run(l, len(nodes), self, len(vec))
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"disttrain/internal/data"
+	"disttrain/internal/grad"
 	"disttrain/internal/nn"
 	"disttrain/internal/opt"
 	"disttrain/internal/ps"
@@ -66,6 +67,18 @@ type Replica struct {
 	// next worker's pass overwrites the shared gradient store.
 	shared bool
 	copied []float32
+
+	// The worker's side of the parameter server (centralized algorithms):
+	// the shards' ranges, shard s at node Workers+s on both runtimes, and the
+	// locator that splits a DGC gradient among them in one pass; the DGC
+	// compressor (nil without real math) and how many gradients it has
+	// compressed, which the warm-up schedule reads. codes holds the int8
+	// codes of the last contribution roundTrip put on the codec's grid.
+	shards  ps.Assignment
+	loc     *ps.Locator
+	dgc     *grad.Compressor
+	dgcIter int
+	codes   []int8
 }
 
 // computeOut is what one offloaded forward/backward pass produces.
@@ -90,7 +103,33 @@ func NewReplica(w int, cfg *Config, s Streams) *Replica {
 		r.augment = cfg.Real.Augment
 		r.augRNG = s.Shard.Split(0xa06)
 	}
+	if cfg.Algo.Centralized() {
+		r.shards = psShards(cfg, r.model.Segments(), r.model.NumParams())
+		r.loc = ps.NewLocator(r.shards)
+	}
+	if cfg.DGC != nil {
+		dcfg := *cfg.DGC
+		if cfg.Algo == SSP {
+			// SSP transmits locally applied *updates*, which already carry
+			// the worker optimizer's momentum; DGC's momentum correction
+			// would apply it twice and destabilize training.
+			dcfg.NoMomentumCorrection = true
+		}
+		r.dgc = grad.NewCompressor(dcfg, r.model.NumParams())
+	}
 	return r
+}
+
+// psShards lays a vector of n elements, cut into segs, out over the
+// parameter-server shards cfg names.
+func psShards(cfg *Config, segs []nn.Segment, n int) ps.Assignment {
+	switch cfg.Sharding {
+	case ShardLayerWise:
+		return ps.LayerWise(segs, cfg.Shards)
+	case ShardBalanced:
+		return ps.Balanced(n, cfg.Shards)
+	}
+	return ps.Single(n)
 }
 
 // newCostReplica builds a math-free replica.

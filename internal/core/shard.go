@@ -146,10 +146,10 @@ func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
 	if x.cfg.DGC != nil {
 		// The warm-up ratio at the workers' mean compression iteration.
 		sum := 0
-		for _, v := range x.dgcIter {
-			sum += v
+		for _, r := range x.reps {
+			sum += r.dgcIter
 		}
-		ratio := costOnlyDGCRatio(x.cfg.DGC, sum/len(x.dgcIter))
+		ratio := x.cfg.DGC.RatioAt(sum / len(x.reps))
 		period := 1
 		if x.cfg.Algo == SSP {
 			period = x.cfg.Staleness + 1

@@ -2,24 +2,23 @@ package core
 
 import (
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"disttrain/internal/des"
-	"disttrain/internal/grad"
 	"disttrain/internal/metrics"
-	"disttrain/internal/ps"
 	"disttrain/internal/simnet"
 )
 
 // simEnv is the simulator's Env: worker w's view of the simulated world from
 // its des process p. It holds the *model* only — virtual compute time and the
-// pool future, paper-scale wire sizes, the sharded send with wait-free BP and
-// DGC, the pacing of AR-SGD's two buckets, the time breakdown, and the fault
-// oracle: how long a Bounded wait lasts and who is dead — so the loops in
-// loops.go and the message protocol in protocol.go, the collectives included,
-// are written once for both runtimes. No simulated step fails softly: a
-// violated invariant panics and Run reports it.
+// pool future, paper-scale wire sizes, wait-free BP's pacing of the shards'
+// gradient messages and of AR-SGD's two buckets, the time breakdown, and the
+// fault oracle: how long a Bounded wait lasts and who is dead — so the loops
+// in loops.go and the message protocol in protocol.go, the parameter-server
+// requests and the collectives included, are written once for both runtimes.
+// No simulated step fails softly: a violated invariant panics and Run
+// reports it.
 type simEnv struct {
 	x *exp
 	p *des.Proc
@@ -32,6 +31,11 @@ type simEnv struct {
 	jitter  float64
 	overlap bool
 	halfAt  float64
+
+	// The gradient request in flight: the private copy its dense messages
+	// share, and the messages that wait for the backward pass (pace).
+	dense []float32
+	paced []simnet.Msg
 }
 
 // spawnWorkers starts one process per worker running the algorithm's loop
@@ -102,12 +106,17 @@ func (e *simEnv) Ready(lo, hi int) {
 // Send puts m on the simulated network in no virtual time, at the
 // paper-scale size of a full vector — what every worker-to-worker message
 // carries — or a collective's chunk at its share of the vector it was cut
-// from. A chunk's payload is copied, isolating it in flight from the
-// sender's next fold; a whole vector is the sender's to give away. The
-// codec's savings are not modelled here: only own-contribution chunks would
-// carry them, and partial sums travel dense.
+// from; a parameter-server request goes through request. A chunk's payload
+// is copied, isolating it in flight from the sender's next fold; a whole
+// vector is the sender's to give away. The codec's savings are not modelled
+// here: only own-contribution chunks would carry them, and partial sums
+// travel dense.
 func (e *simEnv) Send(to int, m Msg) (float64, error) {
 	x := e.x
+	if s := to - x.cfg.Workers; s >= 0 {
+		e.request(s, m)
+		return 0, nil
+	}
 	bytes, vec := x.fullBytes(), m.Vec
 	if m.Of > 0 {
 		if bytes = x.bytesFor(m.Of); m.N != m.Of {
@@ -122,26 +131,78 @@ func (e *simEnv) Send(to int, m Msg) (float64, error) {
 	return 0, nil
 }
 
-// SendPS sends the request to every shard: a gradient through sendGrads,
-// with sharding, DGC, quantization and wait-free-BP pacing; a pull as a
-// 16-byte message; an EASGD push as a copy of vec, which each shard moves in
-// its own ranges and sends back.
-func (e *simEnv) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, float64, float64, error) {
+// request sends shard s its message of a parameter-server request, priced at
+// paper scale: a pull at 16 bytes; a pushed vector, copied for the shard to
+// move its ranges in and send back, and a dense gradient at the shard's
+// bytes, or the gradient codec's share of them (int8 a byte an element plus
+// the scale, f16 two bytes); a DGC gradient at the gradient's share of the
+// shard's entries, 8 bytes at least. A dense gradient's shards read one
+// private copy, made as shard 0's message goes and dropped with the last
+// shard's: the caller's vector is the model's gradient store, which the next
+// pass overwrites. After an overlapped Compute a gradient's messages wait
+// for the last one and go out as the backward pass produces them (pace).
+func (e *simEnv) request(s int, m Msg) {
 	x := e.x
-	switch kind {
-	case ps.Grad:
-		e.sendGrads(it, vec)
-	case ps.Pull:
-		for s := range x.assign {
-			x.net.Send(simnet.Msg{From: e.w, To: x.psNode[s], Kind: kindPull, Clock: it, Bytes: 16})
+	msg := simnet.Msg{From: e.w, To: x.psNode[s], Kind: m.Kind, Clock: m.Clock, Seg: s, Vec: m.Vec}
+	switch m.Kind {
+	case kindPull:
+		msg.Bytes = 16
+	case kindEASGDPush:
+		msg.Bytes, msg.Vec = x.shardBytes(s), slices.Clone(m.Vec)
+	case kindGrad:
+		msg.Bytes = x.shardBytes(s)
+		switch {
+		case x.cfg.Quantize8:
+			msg.Bytes = msg.Bytes/4 + 4
+		case x.cfg.QuantizeF16:
+			msg.Bytes = msg.Bytes / 2
 		}
-	case ps.Push:
-		for s := range x.assign {
-			x.net.Send(simnet.Msg{From: e.w, To: x.psNode[s], Kind: kindEASGDPush, Clock: it,
-				Seg: s, Bytes: x.shardBytes(s), Vec: append([]float32(nil), vec...)})
+		if s == 0 {
+			e.dense = slices.Clone(m.Vec)
 		}
+		if msg.Vec = e.dense; s == len(x.assign)-1 {
+			e.dense = nil
+		}
+	case kindSparseGrad:
+		msg.Bytes = max(8, int64(float64(x.shardBytes(s))*m.Aux*x.dgcEntry/4))
+		msg.SparseIdx = m.Idx
 	}
-	return x.assign, e.p.Now(), 0, nil
+	if !e.overlap || m.Kind != kindGrad && m.Kind != kindSparseGrad {
+		x.net.Send(msg)
+		return
+	}
+	if e.paced = append(e.paced, msg); len(e.paced) == len(x.assign) {
+		e.pace()
+	}
+}
+
+// pace sends a gradient's shard messages as the backward pass the overlapped
+// Compute began reaches each shard's layers — shards in the order their
+// layers finish, ties in shard order — sleeping out the pass in between and
+// after it, and books the pass as compute.
+func (e *simEnv) pace() {
+	x, p := e.x, e.p
+	avail := x.bwdAvailability(e.jitter)
+	order := make([]int, len(avail))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return avail[order[i]] < avail[order[j]] })
+	bwdStart := p.Now()
+	slept := des.Time(0)
+	for _, s := range order {
+		if d := avail[s] - slept; d > 0 {
+			p.Sleep(d)
+			slept = avail[s]
+		}
+		x.net.Send(e.paced[s])
+	}
+	clear(e.paced)
+	e.paced = e.paced[:0]
+	if d := x.bwdTotal(e.jitter) - slept; d > 0 {
+		p.Sleep(d)
+	}
+	e.l.Book(StepCompute, bwdStart, p.Now(), 0)
 }
 
 // Recv takes from the worker's parked messages, then from its inbox, parking
@@ -250,8 +311,8 @@ func (e *simEnv) Go(name string, body func(Env, func() (int, bool)) error) (func
 // pool *before* the virtual-time sleep, so while this process sleeps, other
 // simulated workers' passes run concurrently on real cores; Grad joins the
 // result where the algorithm first consumes the gradient. When overlap is
-// true (wait-free BP) only the forward time is slept here — sendGrads
-// interleaves the backward time with the per-shard sends. Iteration
+// true (wait-free BP) only the forward time is slept here: the backward time
+// is slept out between the gradient's sends (pace, Ready). Iteration
 // bookkeeping (iter counter, spread, the ledger) stays on the engine thread
 // at the post-sleep point, so metrics are pool-size-independent.
 func (e *simEnv) Compute(overlap bool) {
@@ -340,142 +401,6 @@ func (x *exp) bwdAvailability(jitter float64) []des.Time {
 		avail[s] = t
 	}
 	return avail
-}
-
-// sendGrads transmits the worker's gradient to every PS shard, honoring
-// wait-free BP (which interleaves the backward sleep of the pass Compute
-// started with per-shard sends, ordered by when each shard's layers finish in
-// the backward pass, and books that sleep) and DGC (which compresses the
-// payload and shrinks wire bytes).
-func (e *simEnv) sendGrads(clock int, grads []float32) {
-	x, cfg, p, w, jitter, wfbp := e.x, e.x.cfg, e.p, e.w, e.jitter, e.overlap
-
-	// DGC: compress once over the full vector; per-shard messages carry the
-	// slice of sparse entries that falls in the shard's ranges.
-	var sparse grad.Sparse
-	kind := kindGrad
-	ratio := 1.0
-	if cfg.DGC != nil {
-		if x.dgc != nil {
-			sparse = x.dgc[w].Compress(grads)
-			ratio = float64(len(sparse.Idx)) / float64(x.vecLen)
-		} else {
-			ratio = costOnlyDGCRatio(cfg.DGC, x.dgcIter[w])
-		}
-		x.dgcIter[w]++
-		kind = kindSparseGrad
-	}
-
-	// Gradient quantization (extension): apply the codec's round-trip loss
-	// once and shrink every shard message to its wire footprint. Layered on
-	// DGC the codec compresses the surviving sparse values (the quantization
-	// error is not fed back into DGC residuals — it models what the receiver
-	// reconstructs); alone it compresses the dense vector.
-	quant := cfg.Quantize8 || cfg.QuantizeF16
-	roundTrip := grad.QuantizeRoundTrip
-	if cfg.QuantizeF16 {
-		roundTrip = grad.QuantizeF16RoundTrip
-	}
-	if quant && kind == kindSparseGrad && x.dgc != nil && len(sparse.Val) > 0 {
-		qv := append([]float32(nil), sparse.Val...)
-		roundTrip(qv)
-		sparse.Val = qv
-	}
-
-	// Split the sparse vector across shards in ONE pass via the locator —
-	// probing every shard's range list per entry is O(shards·nnz) and
-	// dominated setup at 256+ shards.
-	var spIdx [][]int32
-	var spVal [][]float32
-	if kind == kindSparseGrad && x.dgc != nil {
-		spIdx = make([][]int32, len(x.assign))
-		spVal = make([][]float32, len(x.assign))
-		for j, i := range sparse.Idx {
-			if s := x.loc.Shard(int(i)); s >= 0 {
-				spIdx[s] = append(spIdx[s], i)
-				spVal[s] = append(spVal[s], sparse.Val[j])
-			}
-		}
-	}
-
-	// Dense payloads alias ONE shared copy: every shard reads only its own
-	// (disjoint) ranges and never mutates, so per-shard full-vector copies
-	// would cost O(shards·vecLen) for nothing. The copy isolates receivers
-	// from the caller's reuse of grads.
-	var dense []float32
-	if kind == kindGrad && grads != nil {
-		dense = append([]float32(nil), grads...)
-		if quant {
-			roundTrip(dense) // the dense vector's codec loss
-		}
-	}
-
-	// Shards in the order their layers finish in the backward pass; stable so
-	// ties keep natural shard order — determinism matters.
-	var avail []des.Time
-	order := make([]int, len(x.assign))
-	for i := range order {
-		order[i] = i
-	}
-	if wfbp {
-		avail = x.bwdAvailability(jitter)
-		sort.SliceStable(order, func(i, j int) bool { return avail[order[i]] < avail[order[j]] })
-	}
-	bwdStart := p.Now()
-	slept := des.Time(0)
-	for _, s := range order {
-		if wfbp {
-			if d := avail[s] - slept; d > 0 {
-				p.Sleep(d)
-				slept = avail[s]
-			}
-		}
-		msg := simnet.Msg{From: x.workerNode[w], To: x.psNode[s], Kind: kind, Clock: clock, Seg: s}
-		if kind == kindSparseGrad {
-			entry := 8.0 // 4 B index + 4 B float32 value, vs 4 B/element dense
-			if quant {
-				if cfg.Quantize8 {
-					entry = 5 // 4 B index + 1 B int8 value (scale amortized)
-				} else {
-					entry = 6 // 4 B index + 2 B half value
-				}
-			}
-			msg.Bytes = int64(float64(x.shardBytes(s)) * ratio * entry / 4)
-			if msg.Bytes < 8 {
-				msg.Bytes = 8
-			}
-			if x.dgc != nil {
-				msg.SparseIdx = spIdx[s]
-				msg.Vec = spVal[s]
-			}
-		} else {
-			msg.Bytes = x.shardBytes(s)
-			if quant {
-				if cfg.Quantize8 {
-					msg.Bytes = msg.Bytes/4 + 4
-				} else {
-					msg.Bytes = msg.Bytes / 2
-				}
-			}
-			msg.Vec = dense // full vector; shard reads its ranges
-		}
-		x.net.Send(msg)
-	}
-	if wfbp {
-		if d := x.bwdTotal(jitter) - slept; d > 0 {
-			p.Sleep(d)
-		}
-		e.l.Book(StepCompute, bwdStart, p.Now(), 0)
-	}
-}
-
-// costOnlyDGCRatio mirrors grad.Compressor.CurrentRatio for cost-only runs
-// that track only the warm-up iteration count.
-func costOnlyDGCRatio(cfg *grad.DGCConfig, iter int) float64 {
-	if cfg.WarmupIters <= 0 || iter >= cfg.WarmupIters {
-		return cfg.Ratio
-	}
-	return math.Pow(cfg.Ratio, float64(iter)/float64(cfg.WarmupIters))
 }
 
 // Gate polls ctx, then consults the fault schedule: a worker entering a dead

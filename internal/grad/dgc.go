@@ -79,16 +79,20 @@ func NewCompressor(cfg DGCConfig, n int) *Compressor {
 	return &Compressor{cfg: cfg, u: make([]float32, n), v: make([]float32, n)}
 }
 
-// CurrentRatio returns the sparsity ratio in effect at the compressor's
-// iteration, following the paper's exponential warm-up (dense → Ratio).
-func (c *Compressor) CurrentRatio() float64 {
-	if c.cfg.WarmupIters <= 0 || c.iter >= c.cfg.WarmupIters {
-		return c.cfg.Ratio
+// RatioAt returns the sparsity ratio in effect at a compressor's iter-th
+// Compress call, following the paper's exponential warm-up (dense → Ratio).
+func (c DGCConfig) RatioAt(iter int) float64 {
+	if c.WarmupIters <= 0 || iter >= c.WarmupIters {
+		return c.Ratio
 	}
 	// Exponential ramp: ratio(t) = Ratio^(t/warmup), from dense to Ratio.
-	frac := float64(c.iter) / float64(c.cfg.WarmupIters)
-	return math.Pow(c.cfg.Ratio, frac)
+	frac := float64(iter) / float64(c.WarmupIters)
+	return math.Pow(c.Ratio, frac)
 }
+
+// CurrentRatio returns the sparsity ratio in effect at the compressor's
+// iteration.
+func (c *Compressor) CurrentRatio() float64 { return c.cfg.RatioAt(c.iter) }
 
 // Compress folds gradient g into the accumulators and emits the sparse
 // top-k update. g is not modified. Advances the warm-up iteration counter.
@@ -139,9 +143,6 @@ func (c *Compressor) Compress(g []float32) Sparse {
 	}
 	return sp
 }
-
-// Iter returns how many Compress calls have occurred.
-func (c *Compressor) Iter() int { return c.iter }
 
 // Residual exposes the accumulation buffer (tests/ablations).
 func (c *Compressor) Residual() []float32 { return c.v }

@@ -70,31 +70,6 @@ func scale8(v []float32) (scale, inv float32, zero bool) {
 	return scale, 127 / maxAbs, false
 }
 
-// Scale8 is the scale Quantize8 picks for v: 0 for a vector of nothing but
-// zeros (and NaNs).
-func Scale8(v []float32) float32 {
-	scale, _, _ := scale8(v)
-	return scale
-}
-
-// Recode8 writes into codes the int8 codes of v, whose values are already on
-// the codec's grid of scale: Dequantize8's output for codes of that scale, or
-// any slice of it. It gives back exactly those codes, so a sender that
-// round-tripped a vector can ship any slice of it in codec form without
-// keeping the codes: a value divided by scale lands within 127·2⁻²² of its
-// code, so rounding finds the code (a product with 1/scale would not: 1/scale
-// overflows for a subnormal scale). Scale 0 means every code is 0.
-func Recode8(codes []int8, v []float32, scale float32) {
-	codes = codes[:len(v)]
-	if scale == 0 {
-		clear(codes)
-		return
-	}
-	for i, x := range v {
-		codes[i] = int8(math.Round(float64(x / scale)))
-	}
-}
-
 // Dequantize8 reconstructs the vector into dst. A length mismatch returns a
 // validation error (quantized payloads arrive off the wire, so corrupt input
 // must be rejectable, not a panic — the Decompress contract).

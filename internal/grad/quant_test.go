@@ -2,6 +2,7 @@ package grad
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -377,14 +378,15 @@ func TestQuantize8MaxFloat32StaysFinite(t *testing.T) {
 	}
 }
 
-// TestRecodeReproducesCodes pins what a quantized AllReduce's wire relies on:
-// a sender round-trips its whole vector once and later ships slices of it in
-// codec form, re-encoding each slice from its values and the whole vector's
-// scale. Those codes must be the original codes, for every slice: the zero
-// vector, FuzzQuantizeRoundTrip's "extremes" seed, a maximum whose scale sits
-// one ulp under MaxFloat32/127, a subnormal scale (whose reciprocal
-// overflows) and normal vectors over many magnitudes. f16 needs no scale: a
-// round-tripped value converts back to its own half.
+// TestRecodeReproducesCodes pins what a quantized wire relies on: a sender
+// round-trips its whole vector once, keeps the codes that pass wrote, and
+// later ships any slice of them with the whole vector's scale. The codes must
+// be Quantize8's, and every slice must dequantize to exactly that slice of
+// the round-tripped values — for the zero vector, FuzzQuantizeRoundTrip's
+// "extremes" seed, a maximum whose scale sits one ulp under MaxFloat32/127, a
+// subnormal scale (whose reciprocal overflows) and normal vectors over many
+// magnitudes. f16 keeps no codes: a round-tripped value converts back to its
+// own half, so a sender re-encodes any slice from its values.
 func TestRecodeReproducesCodes(t *testing.T) {
 	cases := [][]float32{
 		make([]float32, 9),
@@ -404,17 +406,19 @@ func TestRecodeReproducesCodes(t *testing.T) {
 	for ci, v := range cases {
 		rt := append([]float32(nil), v...)
 		q := Quantize8RoundTripInto(rt, nil)
-		if s := Scale8(v); math.Float32bits(s) != math.Float32bits(q.Scale) {
-			t.Fatalf("case %d: Scale8 %v, Quantize8 %v", ci, s, q.Scale)
+		if want := Quantize8(v); math.Float32bits(want.Scale) != math.Float32bits(q.Scale) || !slices.Equal(want.Q, q.Q) {
+			t.Fatalf("case %d: round trip wrote scale %v codes %v, Quantize8 %v %v", ci, q.Scale, q.Q, want.Scale, want.Q)
 		}
 		for _, cut := range [][2]int{{0, len(v)}, {len(v) / 3, len(v)}, {0, len(v) / 2}, {1, 1}} {
 			lo, hi := min(cut[0], len(v)), min(cut[1], len(v))
-			codes := make([]int8, hi-lo)
-			Recode8(codes, rt[lo:hi], q.Scale)
-			for i, c := range codes {
-				if c != q.Q[lo+i] {
-					t.Fatalf("case %d [%d, %d): element %d (%v) recoded to %d, quantized to %d",
-						ci, lo, hi, lo+i, rt[lo+i], c, q.Q[lo+i])
+			got := make([]float32, hi-lo)
+			if err := Dequantize8(Quantized8{Scale: q.Scale, Q: q.Q[lo:hi]}, got); err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range got {
+				if math.Float32bits(x) != math.Float32bits(rt[lo+i]) {
+					t.Fatalf("case %d [%d, %d): element %d's code %d dequantizes to %v, the round trip left %v",
+						ci, lo, hi, lo+i, q.Q[lo+i], x, rt[lo+i])
 				}
 			}
 		}

@@ -284,9 +284,9 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 
 // TestLiveQuantizedRingWireBytesPinned pins what a quantized ring AllReduce
 // puts on the wire: every rank's frames, bytes and codec savings over a fixed
-// four-rank run. An own-contribution chunk is re-encoded from its
-// round-tripped values and the whole vector's scale (grad.Recode8), so its
-// frame must be byte for byte the slice of the whole vector's codes.
+// four-rank run. An own-contribution chunk ships its slice of the codes the
+// whole vector's round trip wrote, with that vector's scale, so its frame
+// must be byte for byte the slice of the whole vector's codes.
 func TestLiveQuantizedRingWireBytesPinned(t *testing.T) {
 	for _, tc := range []struct {
 		codec                string

@@ -421,8 +421,8 @@ func TestLiveAsyncAlgosComplete(t *testing.T) {
 // they arrive in, pushes one sum per machine and relays the parameters — ends
 // on the simulator's parameters and report bit for bit. Eight workers fill two
 // machines, six leave one half full, five leave a worker alone on its machine
-// that pushes for itself; int8 quantizes the leader's sum, as the simulator's
-// sendGrads does.
+// that pushes for itself; int8 quantizes the leader's sum, in the request
+// both runtimes' protocol builds.
 func TestLiveBSPLocalAggBitIdenticalToSim(t *testing.T) {
 	for _, workers := range []int{8, 6, 5} {
 		for _, int8 := range []bool{false, true} {

@@ -8,14 +8,14 @@ import (
 	"disttrain/internal/xport"
 )
 
-// Gradient quantization on the live path. Workers compress gradient-bearing
-// frames (PS exchanges, AllReduce leaf contributions) into xport.QuantVec
-// payloads carried in Frame.Data; receivers reconstruct the dense vector
-// with the exact arithmetic grad's codecs use. The sender always round-trips
-// its own copy through the codec first, so every participant — including the
-// sender — observes the same post-quantization values the simulator's
-// QuantizeRoundTrip model produces. That is what keeps a quantized live BSP
-// or AR-SGD run bit-identical to the quantized simulator run.
+// Gradient quantization on the live path. Workers ship own contributions
+// (gradient requests, AllReduce leaf chunks) as xport.QuantVec payloads
+// carried in Frame.Data; receivers reconstruct the dense vector with the
+// exact arithmetic grad's codecs use. The shared protocol has round-tripped
+// the contribution through the codec first, on both runtimes, so every
+// participant — including the sender — observes the same post-quantization
+// values. That is what keeps a quantized live BSP or AR-SGD run bit-identical
+// to the quantized simulator run.
 //
 // AllReduce partial sums and all parameter frames stay dense: a partial sum
 // is no longer on the codec's grid, so re-encoding it would diverge from the
@@ -30,29 +30,6 @@ func quantCodec(cfg *core.Config) xport.QuantCodec {
 		return xport.QuantF16
 	}
 	return 0
-}
-
-// quantizeVec compresses v and applies the codec's round-trip loss to v in
-// place, returning the wire payload. After the call, v holds exactly the
-// values dequantizeVec reconstructs on the receiving side. int8 codes are
-// written where a PS push ships them: in the payload bytes of *enc, the
-// caller's storage from one call to the next (grown here when too small),
-// which the call leaves holding the vector's complete wire form. The payload
-// is valid until the caller quantizes again.
-func quantizeVec(codec xport.QuantCodec, v []float32, enc *[]byte) xport.QuantVec {
-	switch codec {
-	case xport.QuantInt8:
-		data, codes := xport.Int8Payload(*enc, len(v))
-		q := grad.Quantize8RoundTripInto(v, codes)
-		xport.PutInt8Scale(data, q.Scale)
-		*enc = data
-		return xport.QuantVec{Codec: codec, Scale: q.Scale, I8: q.Q}
-	case xport.QuantF16:
-		q := grad.QuantizeF16(v)
-		_ = grad.DequantizeF16(q, v) // lengths match by construction
-		return xport.QuantVec{Codec: codec, H16: q.H}
-	}
-	panic(fmt.Sprintf("live: quantizeVec with codec %d", codec))
 }
 
 // dequantizeVec reconstructs the dense vector a QuantVec carries with
@@ -92,46 +69,27 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 	return nil
 }
 
-// encodeGrad fills f with the gradient payload for one PS exchange: dense
-// runs carry the raw vector, quantized runs carry the codec payload in Data
-// and round-trip g in place so the sender's local values are exactly what
-// the PS reconstructs.
-func (w *worker) encodeGrad(g []float32, f *xport.Frame) {
-	if w.codec == 0 {
-		f.Vec = g
-		return
-	}
-	sp := w.span("quantize", "quant")
-	// Send never retains a frame, so one payload buffer serves every step.
-	qv := quantizeVec(w.codec, g, &w.enc)
-	if w.codec != xport.QuantInt8 { // int8 is already in wire form
-		w.enc = qv.AppendEncode(w.enc[:0])
-	}
-	f.Data = w.enc
-	w.saved.Add(int64(4*len(g)) - int64(len(f.Data)))
-	sp.End()
-}
-
-// encodeChunk fills f with the codec form of chunk, a slice of an own
-// AllReduce contribution the collective already round-tripped through the
-// codec (int8 with scale), so its codes come back exactly from its values
-// (grad.Recode8). Partial sums and gathered results stay dense: they are off
-// the codec's grid, and re-encoding them would diverge from the simulator.
-func (w *worker) encodeChunk(chunk []float32, scale float32, f *xport.Frame) {
+// encodeChunk fills f with the codec form of m's Vec, an own contribution
+// the protocol already round-tripped through the codec (int8 with m.Codes,
+// the codes that pass wrote, and the scale in m.Aux). f16 keeps no codes: a
+// round-tripped value converts back to its own half. Partial sums and
+// gathered results stay dense: they are off the codec's grid, and
+// re-encoding them would diverge from the simulator.
+func (w *worker) encodeChunk(m core.Msg, f *xport.Frame) {
 	sp := w.span("quantize", "quant")
 	defer sp.End()
 	switch w.codec {
 	case xport.QuantInt8:
-		data, codes := xport.Int8Payload(w.enc, len(chunk))
-		grad.Recode8(codes, chunk, scale)
-		xport.PutInt8Scale(data, scale)
+		data, codes := xport.Int8Payload(w.enc, len(m.Codes))
+		copy(codes, m.Codes)
+		xport.PutInt8Scale(data, float32(m.Aux))
 		w.enc = data
 	case xport.QuantF16:
-		qv := xport.QuantVec{Codec: xport.QuantF16, H16: grad.QuantizeF16(chunk).H}
+		qv := xport.QuantVec{Codec: xport.QuantF16, H16: grad.QuantizeF16(m.Vec).H}
 		w.enc = qv.AppendEncode(w.enc[:0])
 	}
 	f.Vec, f.Data = nil, w.enc
-	w.saved.Add(int64(4*len(chunk)) - int64(len(f.Data)))
+	w.saved.Add(int64(4*len(m.Vec)) - int64(len(f.Data)))
 }
 
 // decodeChunk reconstructs the dense Vec of a chunk that came in codec form;

@@ -8,7 +8,6 @@ import (
 	"disttrain/internal/core"
 	"disttrain/internal/metrics"
 	"disttrain/internal/nn"
-	"disttrain/internal/ps"
 	"disttrain/internal/topo"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
@@ -145,12 +144,6 @@ func (w *worker) span(name, cat string) *trace.WallSpan {
 	return w.tr.StartSpan(name, cat, workerPid, w.rank)
 }
 
-// book closes step s, begun at start when the mailbox had spent sent seconds
-// inside Send: the Send time since is the step's wire time.
-func (w *worker) book(s core.Step, start, sent float64) {
-	w.l.Book(s, start, w.tr.Now(), w.mb.sent-sent)
-}
-
 // deathErr signals a scheduled crash: the worker reached an iteration its
 // crash schedule says it does not run. The life driver catches it, tears
 // the process state down, and restarts after the scheduled delay.
@@ -273,33 +266,18 @@ func (w *worker) Grad() []float32 { return w.g }
 // Ready returns at once: the pass Compute ran is over.
 func (w *worker) Ready(int, int) {}
 
-// Send ships m to rank to as one frame, its Vec where it lives: an own
-// contribution's chunk in the run's codec, anything else dense.
+// Send ships m to rank to — a peer, or the PS rank — as one frame, its Vec
+// where it lives: an own contribution (an AllReduce chunk or a gradient
+// request) in the run's codec, anything else dense.
 func (w *worker) Send(to int, m core.Msg) (float64, error) {
 	sent := w.mb.sent
 	f := &xport.Frame{Kind: uint16(m.Kind), From: int32(w.rank), Clock: int32(m.Clock), Seg: int32(m.Seg),
 		Aux: m.Aux, Vec: m.Vec}
 	if m.Own && w.codec != 0 {
-		w.encodeChunk(m.Vec, float32(m.Aux), f)
+		w.encodeChunk(m, f)
 	}
 	err := w.mb.send(to, f)
 	return w.mb.sent - sent, err
-}
-
-// SendPS ships one frame to the PS rank: a gradient in the run's codec, a
-// push with the parameters, a pull empty.
-func (w *worker) SendPS(kind ps.Kind, it int, vec []float32) (ps.Assignment, float64, float64, error) {
-	begin, sent := w.l.Now(), w.mb.sent
-	f := &xport.Frame{Kind: uint16(kind), From: int32(w.rank), Clock: int32(it)}
-	switch kind {
-	case ps.Grad:
-		w.encodeGrad(vec, f)
-	case ps.Push:
-		f.Vec = vec
-	}
-	err := w.mb.send(w.srv, f)
-	// The one PS rank holds the whole vector, as long as the gradient.
-	return ps.Single(len(w.g)), begin, w.mb.sent - sent, err
 }
 
 // Recv is the mailbox's, with a chunk that came in codec form reconstructed
