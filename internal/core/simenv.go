@@ -106,15 +106,15 @@ func (e *simEnv) Ready(lo, hi int) {
 // Send puts m on the simulated network in no virtual time, at the
 // paper-scale size of a full vector — what every worker-to-worker message
 // carries — or a collective's chunk at its share of the vector it was cut
-// from; a parameter-server request goes through request. A chunk's payload
-// is copied, isolating it in flight from the sender's next fold; a whole
-// vector is the sender's to give away. The codec's savings are not modelled
-// here: only own-contribution chunks would carry them, and partial sums
-// travel dense.
+// from; a parameter-server request's message goes through toShard. A
+// chunk's payload is copied, isolating it in flight from the sender's next
+// fold; a whole vector is the sender's to give away. The codec's savings are
+// not modelled here: only own-contribution chunks would carry them, and
+// partial sums travel dense.
 func (e *simEnv) Send(to int, m Msg) (float64, error) {
 	x := e.x
 	if s := to - x.cfg.Workers; s >= 0 {
-		e.request(s, m)
+		e.toShard(s, m)
 		return 0, nil
 	}
 	bytes, vec := x.fullBytes(), m.Vec
@@ -131,7 +131,7 @@ func (e *simEnv) Send(to int, m Msg) (float64, error) {
 	return 0, nil
 }
 
-// request sends shard s its message of a parameter-server request, priced at
+// toShard sends shard s its message of a parameter-server request, priced at
 // paper scale: a pull at 16 bytes; a pushed vector, copied for the shard to
 // move its ranges in and send back, and a dense gradient at the shard's
 // bytes, or the gradient codec's share of them (int8 a byte an element plus
@@ -141,7 +141,7 @@ func (e *simEnv) Send(to int, m Msg) (float64, error) {
 // shard's: the caller's vector is the model's gradient store, which the next
 // pass overwrites. After an overlapped Compute a gradient's messages wait
 // for the last one and go out as the backward pass produces them (pace).
-func (e *simEnv) request(s int, m Msg) {
+func (e *simEnv) toShard(s int, m Msg) {
 	x := e.x
 	msg := simnet.Msg{From: e.w, To: x.psNode[s], Kind: m.Kind, Clock: m.Clock, Seg: s, Vec: m.Vec}
 	switch m.Kind {
