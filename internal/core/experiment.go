@@ -199,9 +199,10 @@ func setup(cfg *Config) (*exp, error) {
 		}
 	}
 
-	// The PS applies DGC's sparse updates with a plain (momentum-free) step —
-	// momentum lives in the replicas' compressors — via Global.ApplySparse,
-	// which bypasses the optimizer state.
+	// DGC messages are priced per entry. (The PS applies their sparse updates
+	// with a plain, momentum-free step — momentum lives in the replicas'
+	// compressors — via Global.ApplySparse, which bypasses the optimizer
+	// state.)
 	if cfg.DGC != nil {
 		x.dgcEntry = dgcEntryBytes(cfg)
 	}
