@@ -71,9 +71,8 @@ type exp struct {
 	workerNode []int // worker -> node ID
 	psNode     []int // shard -> node ID
 
-	// parked[w] holds what reached worker w before its turn: a fast peer's
-	// next-round chunk or vector, or a request waiting for an answer.
-	parked [][]simnet.Msg
+	// mail[w] is worker w's receive, shared by its threads.
+	mail []Mailbox
 
 	assign ps.Assignment
 	global *ps.Global
@@ -142,7 +141,7 @@ func setup(cfg *Config) (*exp, error) {
 	x.streams = streams
 
 	// Workers first so worker w has node ID w.
-	x.parked = make([][]simnet.Msg, cfg.Workers)
+	x.mail = make([]Mailbox, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
 		x.workerNode = append(x.workerNode, x.net.AddNode(cfg.Cluster.MachineOfWorker(w)).ID)
 	}

@@ -24,15 +24,15 @@ import (
 // otherwise answers from the hooks a test sets (nil hooks do nothing).
 //
 // Its wire is a script too. arrived holds what has reached the worker, in
-// arrival order; Recv takes the first message that matches and leaves the
-// rest where they are, as parked. ps answers each parameter-server request —
-// a Send of a ps kind, to shard to−Workers — and peer each other Send with
-// the messages that then arrive. A wait that nothing arrived matches is
-// answered by the world the loops assume: a Block or Bounded wait for any
-// kind takes the parameter server's reply to the last request, one for a
-// given kind takes that kind from the peer sent to longest ago and not yet
-// heard from, or a gather's leader from the member the seg names. A Serve
-// wait with nothing left sees the run torn down.
+// arrival order, until Recv takes it: each wait runs through a Mailbox whose
+// take pops arrived, and what it parked goes back to the front. ps answers
+// each parameter-server request — a Send of a ps kind, to shard to−Workers —
+// and peer each other Send with the messages that then arrive. A wait that
+// nothing arrived matches is answered by the world the loops assume: a Block
+// or Bounded wait for any kind takes the parameter server's reply to the last
+// request, one for a given kind takes that kind from the peer sent to longest
+// ago and not yet heard from, or a gather's leader from the member the seg
+// names. A Serve wait with nothing left sees the run torn down.
 type fakeEnv struct {
 	log    []string
 	calls  map[string]int
@@ -188,12 +188,24 @@ func (f *fakeEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
 	if err := f.call("Recv", kcs(kind, clock, seg)+" "+waitNames[wait]); err != nil {
 		return Msg{}, false, err
 	}
-	for i, m := range f.arrived {
-		if (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock) && (seg == Any || m.Seg == seg) {
-			f.arrived = append(f.arrived[:i], f.arrived[i+1:]...)
-			return f.took(m), true, nil
+	var mb Mailbox
+	m, ok, err := mb.Recv(kind, clock, seg, func() (Msg, bool, error) {
+		if len(f.arrived) > 0 {
+			m := f.arrived[0]
+			f.arrived = f.arrived[1:]
+			return m, true, nil
 		}
+		return f.world(kind, clock, seg, wait)
+	})
+	f.arrived = append(mb.parked, f.arrived...)
+	if ok {
+		m = f.took(m)
 	}
+	return m, ok, err
+}
+
+// world answers a wait that nothing arrived matches.
+func (f *fakeEnv) world(kind, clock, seg int, wait Wait) (Msg, bool, error) {
 	switch {
 	case wait == Poll || wait == Serve:
 		return Msg{}, false, nil
@@ -202,11 +214,11 @@ func (f *fakeEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
 		if f.lastPS == ps.Push {
 			reply = kindEASGDReply
 		}
-		return f.took(Msg{Kind: reply}), true, nil
+		return Msg{Kind: reply}, true, nil
 	case len(f.owed) > 0:
-		return f.took(Msg{Kind: kind, From: f.owed[0], Clock: max(clock, 0), Seg: max(seg, 0)}), true, nil
+		return Msg{Kind: kind, From: f.owed[0], Clock: max(clock, 0), Seg: max(seg, 0)}, true, nil
 	case kind == KindLocalGather:
-		return f.took(Msg{Kind: kind, From: seg, Clock: clock, Seg: seg}), true, nil
+		return Msg{Kind: kind, From: seg, Clock: clock, Seg: seg}, true, nil
 	}
 	return Msg{}, false, fmt.Errorf("fake: %s wait for %s that nothing will send", waitNames[wait], kc(kind, clock))
 }
@@ -759,6 +771,33 @@ func TestProtocolArrivalOrder(t *testing.T) {
 			t.Fatalf("faulty drain returned %v after %d acks", err, acks)
 		}
 	})
+}
+
+// TestProtocolShortVector: a parameter-server reply or an exchange reply
+// shorter than the model ends the loop with a protocol error naming its kind
+// and sender, not a panic in the replica's fold.
+func TestProtocolShortVector(t *testing.T) {
+	short := []float32{1}
+	for _, tc := range []struct {
+		name string
+		algo Algo
+		f    *fakeEnv
+		want string
+	}{
+		{"ps reply", ASP, &fakeEnv{ps: func(to int, m Msg) []Msg {
+			return []Msg{{Kind: kindParams, From: to, Clock: m.Clock, Vec: short}}
+		}}, fmt.Sprintf("kind %d from 4 holds 1 elements", kindParams)},
+		{"exchange reply", ADPSGD, &fakeEnv{peer: func(to int, m Msg) []Msg {
+			return []Msg{{Kind: KindExchangeReply, From: to, Clock: m.Clock, Vec: short}}
+		}}, fmt.Sprintf("kind %d from ", KindExchangeReply)},
+	} {
+		cfg := loopConfig(t, tc.algo, 4, 2)
+		ws, ovs := DeriveStreams(cfg.Seed, cfg.Workers)
+		err := WorkerLoop(tc.f, cfg, 0, testReplica(t, 0), ws[0], BuildOverlay(cfg, ovs))
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "holds 1 elements") {
+			t.Fatalf("%s: loop ended with %v, want %q", tc.name, err, tc.want)
+		}
+	}
 }
 
 // TestProtocolShardRequests: a gradient request over three layer-wise shards

@@ -68,6 +68,18 @@ func unexpected(m Msg, want int) error {
 	return fmt.Errorf("unexpected kind %d from %d, want %d", m.Kind, m.From, want)
 }
 
+// recv is the Env's receive of a message whose vector, if any, the replica
+// folds whole — parameters, a peer's vector: one of another length is a
+// protocol error.
+func (pr protocol) recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
+	m, ok, err := pr.e.Recv(kind, clock, seg, wait)
+	if mod := pr.rep.model; err == nil && m.Vec != nil && mod != nil && len(m.Vec) != mod.NumParams() {
+		err = fmt.Errorf("kind %d from %d holds %d elements, want %d", m.Kind, m.From, len(m.Vec),
+			mod.NumParams())
+	}
+	return m, ok, err
+}
+
 // request ships a parameter-server request of the given kind, one message
 // per shard — shard s is node Workers+s on both runtimes, after the workers —
 // and returns when the step began and the wire seconds of its sends. A
@@ -150,7 +162,7 @@ func (pr protocol) exchange(kind ps.Kind, it int, vec []float32, ack func(minClo
 		wait = Bounded
 	}
 	for got := 0; got < len(shards); {
-		m, ok, err := pr.e.Recv(Any, Any, Any, wait)
+		m, ok, err := pr.recv(Any, Any, Any, wait)
 		if err != nil {
 			return err
 		}
@@ -187,7 +199,7 @@ func (pr protocol) update(it int, vec []float32) error {
 // pull timed out, which is dropped.
 func (pr protocol) drain(kind int, take func(Msg)) error {
 	for {
-		m, ok, err := pr.e.Recv(Any, Any, Any, Poll)
+		m, ok, err := pr.recv(Any, Any, Any, Poll)
 		if err != nil || !ok {
 			return err
 		}
@@ -226,7 +238,7 @@ func (pr protocol) swap(peer, it int, vec []float32) error {
 	if !pr.cfg.Faults.Empty() {
 		wait = Bounded
 	}
-	m, ok, err := pr.e.Recv(KindExchangeReply, Any, Any, wait)
+	m, ok, err := pr.recv(KindExchangeReply, Any, Any, wait)
 	if err != nil || !ok {
 		return err
 	}
@@ -248,7 +260,7 @@ func (pr protocol) answer(serve bool) error {
 		wait = Serve
 	}
 	for {
-		m, ok, err := pr.e.Recv(Any, Any, Any, wait)
+		m, ok, err := pr.recv(Any, Any, Any, wait)
 		if err != nil || !ok {
 			return err
 		}
@@ -285,7 +297,7 @@ func (pr protocol) neighbors(it int, nbs []int, vec []float32) ([][]float32, err
 	out := make([][]float32, len(nbs))
 	got := make([]bool, len(nbs))
 	for range nbs {
-		m, _, err := pr.e.Recv(KindExchangeReq, it, Any, Block)
+		m, _, err := pr.recv(KindExchangeReq, it, Any, Block)
 		if err != nil {
 			return nil, err
 		}
@@ -442,7 +454,7 @@ func (pr protocol) bcast(it int, group []int, self int, gathered float64) error 
 		pr.book(StepBcast, begin, lk.wire)
 		return nil
 	}
-	m, _, err := pr.e.Recv(KindLocalBcast, it, 0, Block)
+	m, _, err := pr.recv(KindLocalBcast, it, 0, Block)
 	if err != nil {
 		return err
 	}

@@ -205,47 +205,33 @@ func (e *simEnv) pace() {
 	e.l.Book(StepCompute, bwdStart, p.Now(), 0)
 }
 
-// Recv takes from the worker's parked messages, then from its inbox, parking
-// what does not match; a Bounded wait gives up after the barrier timeout,
-// restarted by every arrival. A dead worker drops the exchange requests it
-// takes: the requester's timeout absorbs the loss.
+// Recv is the worker's mailbox over its inbox; a Bounded wait gives up after
+// the barrier timeout, restarted by every arrival. A dead worker drops the
+// exchange requests it takes: the requester's timeout absorbs the loss.
 func (e *simEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
-	x, parked, inbox := e.x, &e.x.parked[e.w], e.x.net.Node(e.w).Inbox
-	match := func(m *simnet.Msg) bool {
-		return (kind == Any || m.Kind == kind) && (clock == Any || m.Clock == clock) &&
-			(seg == Any || m.Seg == seg)
-	}
-	for i := 0; ; {
+	x, inbox := e.x, e.x.net.Node(e.w).Inbox
+	take := func() (Msg, bool, error) {
 		var m simnet.Msg
 		ok := true
-		switch {
-		case i < len(*parked):
-			if m = (*parked)[i]; !match(&m) {
-				i++
-				continue
-			}
-			*parked = append((*parked)[:i], (*parked)[i+1:]...)
-		case wait == Poll:
+		switch wait {
+		case Poll:
 			m, ok = inbox.TryRecv()
-		case wait == Bounded:
+		case Bounded:
 			if m, ok = inbox.RecvTimeout(e.p, x.cfg.BarrierTimeoutSec); !ok {
 				x.col.Faults.Timeouts++
 			}
 		default:
 			m = inbox.Recv(e.p)
 		}
-		switch {
-		case !ok:
-			return Msg{}, false, nil
-		case !match(&m):
-			*parked = append(*parked, m)
-			i = len(*parked)
-		case m.Kind == KindExchangeReq && x.inj != nil && x.inj.DeadAt(e.w, e.p.Now()):
-			x.col.Faults.SkippedExchanges++
-		default:
-			return Msg{Kind: m.Kind, From: m.From, Clock: m.Clock, Seg: m.Seg, Aux: m.Aux, Vec: m.Vec,
-				Wire: m.WireSec}, true, nil
+		return Msg{Kind: m.Kind, From: m.From, Clock: m.Clock, Seg: m.Seg, Aux: m.Aux, Vec: m.Vec,
+			Wire: m.WireSec}, ok, nil
+	}
+	for {
+		m, ok, err := x.mail[e.w].Recv(kind, clock, seg, take)
+		if !ok || m.Kind != KindExchangeReq || x.inj == nil || !x.inj.DeadAt(e.w, e.p.Now()) {
+			return m, ok, err
 		}
+		x.col.Faults.SkippedExchanges++
 	}
 }
 

@@ -81,26 +81,6 @@ func Dequantize8(q Quantized8, dst []float32) error {
 	return nil
 }
 
-// QuantizeRoundTrip applies the quantize→dequantize loss to v in place —
-// what a receiver of the quantized gradient observes. Returns the wire size
-// the transfer would need. Nobody reads the codes, so they pass through a
-// block of scratch that never leaves the stack.
-func QuantizeRoundTrip(v []float32) int64 {
-	wire := int64(len(v)) + 4 // Quantized8.WireBytes
-	scale, inv, zero := scale8(v)
-	if zero {
-		clear(v)
-		return wire
-	}
-	var codes [1024]int8
-	for len(v) > 0 {
-		n := min(len(v), len(codes))
-		tensor.Quant8F32(codes[:n], v[:n], inv, scale, true)
-		v = v[n:]
-	}
-	return wire
-}
-
 // QuantizedF16 is a half-precision (IEEE 754 binary16) encoded vector: each
 // element independently rounded to nearest-even. Wire size is two bytes per
 // element — a fixed 2× compression against float32 with ~3 decimal digits

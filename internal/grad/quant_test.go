@@ -99,22 +99,10 @@ func TestQuantizeWireBytes(t *testing.T) {
 	}
 }
 
-func TestQuantizeRoundTripInPlace(t *testing.T) {
-	v := []float32{1, -2, 3}
-	bytes := QuantizeRoundTrip(v)
-	if bytes != 7 {
-		t.Fatalf("bytes = %d", bytes)
-	}
-	if math.Abs(float64(v[2]-3)) > 3.0/254+1e-6 {
-		t.Fatalf("round trip moved max: %v", v[2])
-	}
-}
-
-// TestQuantizeRoundTripMatchesCodec: the simulator's in-place model and the
-// live sender's quantize-into-a-buffer are the codec itself — Quantize8's
+// TestQuantizeRoundTripMatchesCodec: the sender's round trip, which leaves in
+// its vector what receivers reconstruct, is the codec itself — Quantize8's
 // codes and scale, Dequantize8's values, bit for bit — over lengths with and
-// without a kernel prefix, the zero vector and one of NaNs and −0 included,
-// and the in-place model allocates nothing.
+// without a kernel prefix, the zero vector and one of NaNs and −0 included.
 func TestQuantizeRoundTripMatchesCodec(t *testing.T) {
 	r := rng.New(9)
 	nan := float32(math.NaN())
@@ -133,10 +121,6 @@ func TestQuantizeRoundTripMatchesCodec(t *testing.T) {
 		if err := Dequantize8(q, want); err != nil {
 			t.Fatal(err)
 		}
-		inPlace := append([]float32(nil), v...)
-		if wire := QuantizeRoundTrip(inPlace); wire != q.WireBytes() {
-			t.Fatalf("n=%d: wire size %d, want %d", len(v), wire, q.WireBytes())
-		}
 		sender := append([]float32(nil), v...)
 		got := Quantize8RoundTripInto(sender, nil)
 		if math.Float32bits(got.Scale) != math.Float32bits(q.Scale) {
@@ -144,13 +128,10 @@ func TestQuantizeRoundTripMatchesCodec(t *testing.T) {
 		}
 		for i := range want {
 			w := math.Float32bits(want[i])
-			if math.Float32bits(inPlace[i]) != w || math.Float32bits(sender[i]) != w || got.Q[i] != q.Q[i] {
-				t.Fatalf("n=%d element %d: in place %v, sender %v (code %d), codec %v (code %d)",
-					len(v), i, inPlace[i], sender[i], got.Q[i], want[i], q.Q[i])
+			if math.Float32bits(sender[i]) != w || got.Q[i] != q.Q[i] {
+				t.Fatalf("n=%d element %d: sender %v (code %d), codec %v (code %d)",
+					len(v), i, sender[i], got.Q[i], want[i], q.Q[i])
 			}
-		}
-		if a := testing.AllocsPerRun(10, func() { QuantizeRoundTrip(inPlace) }); a != 0 {
-			t.Fatalf("n=%d: QuantizeRoundTrip allocates %v times per call", len(v), a)
 		}
 	}
 }
@@ -359,7 +340,7 @@ func TestQuantize8MaxFloat32StaysFinite(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt := append([]float32(nil), v...)
-		QuantizeRoundTrip(rt)
+		Quantize8RoundTripInto(rt, nil)
 		for i, x := range v {
 			if math.IsInf(float64(out[i]), 0) || math.IsNaN(float64(out[i])) {
 				t.Fatalf("%v: element %d dequantized to %v", v, i, out[i])

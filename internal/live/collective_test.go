@@ -40,7 +40,7 @@ func simCollective(t *testing.T, pl comm.Plan, cl cluster.Config, inputs [][]flo
 		switch {
 		case !reduces(pl):
 		case codec == xport.QuantInt8:
-			grad.QuantizeRoundTrip(vecs[i])
+			grad.Quantize8RoundTripInto(vecs[i], nil)
 		case codec == xport.QuantF16:
 			grad.QuantizeF16RoundTrip(vecs[i])
 		}
@@ -72,7 +72,7 @@ func simCollective(t *testing.T, pl comm.Plan, cl cluster.Config, inputs [][]flo
 func collectiveWorkers(eps []xport.Endpoint, codec xport.QuantCodec) []*worker {
 	ws := make([]*worker, len(eps))
 	for i, ep := range eps {
-		ws[i] = &worker{rank: i, ep: ep, mb: &mailbox{ep: ep}, codec: codec,
+		ws[i] = &worker{rank: i, ep: ep, mb: new(core.Mailbox), codec: codec,
 			l: core.NewLedger(new(metrics.Breakdown), nil, func() float64 { return 0 }, workerPid, i)}
 	}
 	return ws

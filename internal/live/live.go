@@ -43,6 +43,7 @@ import (
 	"disttrain/internal/fault"
 	"disttrain/internal/metrics"
 	"disttrain/internal/nn"
+	"disttrain/internal/ps"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -51,6 +52,44 @@ import (
 // hung or dead peer surfaces as an error instead of a silent stall. Large
 // enough that CI-grade machines under -race never trip it in healthy runs.
 const recvTimeout = 60 * time.Second
+
+// pollWindow is how long a Poll gives the endpoint: the asynchronous drains
+// (GoSGD gossip, SSP acks) poll between iterations.
+const pollWindow = 200 * time.Microsecond
+
+// Data-plane frame kinds: ps's and core's message kinds, so a packet capture
+// of a live run reads against the simulator's message taxonomy and the
+// server converts with a cast.
+const (
+	kindGrad        = uint16(ps.Grad)
+	kindAllReduce   = uint16(core.KindAllReduce)
+	kindLocalGather = uint16(core.KindLocalGather)
+	kindLocalBcast  = uint16(core.KindLocalBcast)
+)
+
+// Control-plane frame kinds, used on the rendezvous connection and for the
+// mesh-level termination handshake. They start at 100 to stay disjoint
+// from the data plane.
+const (
+	kindHello uint16 = 100 + iota
+	kindAssign
+	kindAddr
+	kindPeers
+	kindReady
+	kindStart
+	kindDone
+	kindBye
+	// kindHeartbeat renews a worker's liveness lease with the coordinator
+	// (Clock carries the worker's latest completed iteration).
+	kindHeartbeat
+	// kindRejoin is a restarted worker's re-admission request (From = its
+	// original rank, Data = the config fingerprint).
+	kindRejoin
+	// kindRejoinOK re-admits a rejoining worker (Data = the peer address
+	// list, Aux = seconds elapsed since the run's START barrier so the
+	// worker can re-anchor its fault-plan clock).
+	kindRejoinOK
+)
 
 // ErrScheduledDeath is returned by RunWorker under WithExitOnDeath when the
 // worker reaches a scheduled crash: the process state is already torn down

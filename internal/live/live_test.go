@@ -184,7 +184,7 @@ func TestLiveBSPBitIdenticalToSim(t *testing.T) {
 
 // TestLiveQuantizedBSPBitIdenticalToSim is the quantized-wire contract: a
 // BSP loopback run whose gradient frames travel as int8 or fp16 codec
-// payloads must reproduce the simulator's QuantizeRoundTrip model bit for
+// payloads must reproduce the simulator's codec round trip bit for
 // bit, and the per-rank compressed_bytes_saved counters must account for
 // the dense-versus-codec frame difference.
 func TestLiveQuantizedBSPBitIdenticalToSim(t *testing.T) {

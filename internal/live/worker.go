@@ -1,9 +1,11 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"disttrain/internal/core"
 	"disttrain/internal/metrics"
@@ -45,7 +47,7 @@ type worker struct {
 	rank int
 	srv  int // mesh rank of the PS; -1 when decentralized
 	ep   xport.Endpoint
-	mb   *mailbox
+	mb   *core.Mailbox
 	rep  *core.Replica
 	// streams and overlay are the simulator's derivations for this rank: the
 	// algorithm draws (gossip targets, AD-PSGD partners) and GoSGD's partner
@@ -108,7 +110,7 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 		rank:      rank,
 		srv:       serverRank(cfg),
 		ep:        ep,
-		mb:        &mailbox{ep: ep},
+		mb:        new(core.Mailbox),
 		rep:       rep,
 		streams:   ws[rank],
 		overlay:   core.BuildOverlay(cfg, overlayStream),
@@ -161,7 +163,7 @@ func (w *worker) run() error {
 		return fmt.Errorf("live: worker %d (%s): %w", w.rank, w.cfg.Algo, err)
 	}
 	if w.srv >= 0 {
-		if err := w.mb.send(w.srv, &xport.Frame{Kind: kindBye, From: int32(w.rank)}); err != nil {
+		if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindBye, From: int32(w.rank)}); err != nil {
 			return fmt.Errorf("live: worker %d bye: %w", w.rank, err)
 		}
 	}
@@ -212,9 +214,10 @@ func (w *worker) report() doneInfo {
 }
 
 // The methods below make worker the live runtime's core.Env: everything that
-// is a *wire* — frames and their codec, the mailbox's matching and recycling,
-// checkpoints — under the loops of core/loops.go and the message protocol of
-// core/protocol.go. Every step that takes time books it on the ledger.
+// is a *wire* — frames and their codec, the endpoint under core.Mailbox,
+// recycling, checkpoints — under the loops of core/loops.go and the message
+// protocol of core/protocol.go. Every step that takes time books it on the
+// ledger.
 // Received vectors are released to xport's recycler once their taker is done
 // with them.
 
@@ -250,7 +253,7 @@ func (w *worker) Members(it int) ([]int, int) {
 }
 
 // Compute runs the pass; a wall-clock worker has no backward time to overlap
-// with. It reads no Send time: AD-PSGD's second thread owns the mailbox.
+// with.
 func (w *worker) Compute(bool) {
 	t0 := w.tr.Now()
 	w.g = w.rep.ComputeGrad()
@@ -268,27 +271,55 @@ func (w *worker) Ready(int, int) {}
 
 // Send ships m to rank to — a peer, or the PS rank — as one frame, its Vec
 // where it lives: an own contribution (an AllReduce chunk or a gradient
-// request) in the run's codec, anything else dense.
+// request) in the run's codec, anything else dense. Its wire seconds are those
+// inside Endpoint.Send: frame encode, CRC and socket write.
 func (w *worker) Send(to int, m core.Msg) (float64, error) {
-	sent := w.mb.sent
 	f := &xport.Frame{Kind: uint16(m.Kind), From: int32(w.rank), Clock: int32(m.Clock), Seg: int32(m.Seg),
 		Aux: m.Aux, Vec: m.Vec}
 	if m.Own && w.codec != 0 {
 		w.encodeChunk(m, f)
 	}
-	err := w.mb.send(to, f)
-	return w.mb.sent - sent, err
+	t0 := time.Now()
+	err := w.ep.Send(to, f)
+	return time.Since(t0).Seconds(), err
 }
 
-// Recv is the mailbox's, with a chunk that came in codec form reconstructed
-// dense.
+// Recv is the worker's mailbox over its endpoint, each frame taken as a
+// core.Msg as it arrives, a chunk that came in codec form reconstructed dense.
+// A Poll gives the endpoint one pollWindow and Serve waits until the endpoint
+// closes; a Block or Bounded wait gives up after recvTimeout in all, with an
+// error.
 func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (core.Msg, bool, error) {
-	f, ok, err := w.mb.recv(int32(kind), int32(clock), int32(seg), wait)
-	if err == nil && len(f.Data) > 0 {
-		err = w.decodeChunk(&f)
+	timeout := recvTimeout
+	switch wait {
+	case core.Poll:
+		timeout = pollWindow
+	case core.Serve:
+		timeout = 0 // block
 	}
-	return core.Msg{Kind: int(f.Kind), From: int(f.From), Clock: int(f.Clock), Seg: int(f.Seg),
-		Aux: f.Aux, Vec: f.Vec}, ok, err
+	deadline := time.Now().Add(timeout)
+	m, ok, err := w.mb.Recv(kind, clock, seg, func() (core.Msg, bool, error) {
+		remain := time.Until(deadline)
+		if timeout == 0 {
+			remain = 0
+		} else if remain <= 0 {
+			return core.Msg{}, false, nil
+		}
+		f, err := w.ep.Recv(remain)
+		if errors.Is(err, xport.ErrTimeout) {
+			return core.Msg{}, false, nil
+		}
+		if err == nil && len(f.Data) > 0 {
+			err = w.decodeChunk(&f)
+		}
+		return core.Msg{Kind: int(f.Kind), From: int(f.From), Clock: int(f.Clock), Seg: int(f.Seg),
+			Aux: f.Aux, Vec: f.Vec}, err == nil, err
+	})
+	if ok || err != nil || wait == core.Poll {
+		return m, ok, err
+	}
+	return m, false, fmt.Errorf("live: timeout waiting for kind=%d clock=%d seg=%d: %w",
+		kind, clock, seg, xport.ErrTimeout)
 }
 
 // Release hands vec to xport's recycler.

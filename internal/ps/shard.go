@@ -163,6 +163,10 @@ func (s *Shard) Handle(m Msg) ([]Reply, error) {
 	if m.From < 0 || m.From >= s.rule.Workers {
 		return nil, fmt.Errorf("ps: message from rank %d of %d", m.From, s.rule.Workers)
 	}
+	if n := len(s.g.Params); s.g.MathOn() && (m.Kind == Grad || m.Kind == Push) &&
+		m.Vec != nil && len(m.Vec) != n {
+		return nil, fmt.Errorf("ps: kind %d from rank %d holds %d elements, want %d", m.Kind, m.From, len(m.Vec), n)
+	}
 	s.out = s.out[:0]
 	grad := m.Kind == Grad || m.Kind == SparseGrad
 	switch {

@@ -452,6 +452,47 @@ func TestShardRejectsForeignMessages(t *testing.T) {
 	}
 }
 
+// TestShardRejectsShortVectors: a dense gradient or push whose vector is not
+// the global's length — a short frame off a socket — is an error before any
+// state changes, not a panic in the slicing over the shard's ranges. The
+// same message at full length is then handled as if the bad one never came.
+func TestShardRejectsShortVectors(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		proto Proto
+		m     Msg
+	}{
+		{"gradient closing a BSP round", BSP, Msg{Kind: Grad, Clock: 1}},
+		{"gradient for a later BSP round", BSP, Msg{Kind: Grad, Clock: 2}},
+		{"ASP gradient", ASP, Msg{Kind: Grad, Clock: 1}},
+		{"SSP update", SSP, Msg{Kind: Grad, Clock: 1}},
+		{"EASGD push", Elastic, Msg{Kind: Push, Clock: 1}},
+	} {
+		for _, n := range []int{2, 5} {
+			shard := func() (*Global, *Shard) {
+				g := NewGlobal([]float32{1, 2, 3, 4}, 0, 0)
+				return g, NewShard(g, []Range{{0, 4}}, Rule{Proto: tc.proto, Workers: 1, Iters: 2,
+					LR: opt.Schedule{Base: 0.1}, Clock: true, Alpha: 0.5})
+			}
+			g, s := shard()
+			bad := tc.m
+			bad.Vec = make([]float32, n)
+			if out, err := s.Handle(bad); err == nil || len(out) != 0 {
+				t.Fatalf("%s of %d elements: accepted (%+v)", tc.name, n, out)
+			}
+			good := tc.m
+			good.Vec = []float32{1, 1, 1, 1}
+			handle(t, s, good)
+			want, fresh := shard()
+			good.Vec = []float32{1, 1, 1, 1}
+			handle(t, fresh, good)
+			if !bitsEqual(g.Params, want.Params) {
+				t.Fatalf("%s of %d elements: then %v, want %v", tc.name, n, g.Params, want.Params)
+			}
+		}
+	}
+}
+
 // TestCostOnlyShardAllocatesNothingPerMessage guards the simulator's scale
 // runs: with no parameter math a message costs no allocation once the
 // shard's reply and round buffers have grown (a BSP close still pays
