@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -171,107 +172,41 @@ func parseDone(f xport.Frame) (doneInfo, error) {
 	return d, nil
 }
 
-// deadliner is a listener whose Accept takes a deadline (net.TCPListener).
-type deadliner interface{ SetDeadline(time.Time) error }
-
 // coordinate runs the coordinator's side of a live run on an established
-// listener, which it owns from here and closes when the run ends: accept W
-// workers, assign ranks, exchange mesh addresses, barrier everyone, host the
-// PS (centralized algorithms), and collect the workers' final reports into a
-// Result. After START one event loop watches every run (see runState.step);
-// a crash schedule adds only what hangs on heartbeats — rejoins and leases —
-// so scheduled deaths are distinguished from wedged runs.
+// listener, which it owns from here and closes when the run ends: open the PS
+// endpoint (centralized algorithms), run one event loop from the first accept
+// to the last DONE (see runState.step), start the PS at START, and collect
+// the workers' final reports into a Result.
 func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) {
-	W := cfg.Workers
-	n := meshSize(cfg)
-	st := newRunState(cfg, o.tracer)
-	defer st.stop(ln)
-
 	// The rendezvous span covers admission through the START broadcast: the
 	// coordinator's setup cost before any training happens.
 	spRdv := o.tracer.StartSpan("rendezvous", "coord", coordPid, 0)
+	st := newRunState(cfg, o.tracer, time.Now())
+	defer st.stop(ln)
 
-	// Admit W workers in connection order; the accept order is the rank
-	// order.
-	if d, ok := ln.(deadliner); ok {
-		d.SetDeadline(time.Now().Add(recvTimeout))
-	}
-	for rank := 0; rank < W; rank++ {
-		c, err := ln.Accept()
-		if err != nil {
-			return nil, fmt.Errorf("live: accept worker %d: %w", rank, err)
-		}
-		st.conns[rank] = c
-		hello, err := readCtl(c, kindHello)
-		if err != nil {
-			return nil, fmt.Errorf("live: hello from worker %d: %w", rank, err)
-		}
-		if string(hello.Data) != st.fp {
-			return nil, fmt.Errorf("live: worker %d config fingerprint %q does not match coordinator's %q",
-				rank, hello.Data, st.fp)
-		}
-		if err := writeCtl(c, &xport.Frame{Kind: kindAssign, From: int32(rank),
-			Clock: int32(n), Seg: int32(serverRank(cfg))}); err != nil {
-			return nil, fmt.Errorf("live: assign worker %d: %w", rank, err)
-		}
-	}
-
-	// Collect every worker's mesh address, then open the PS endpoint on the
-	// coordinator's own host.
-	addrs := make([]string, n)
-	for rank, c := range st.conns {
-		f, err := readCtl(c, kindAddr)
-		if err == nil {
-			addrs[rank], err = parseAddr(f, rank)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("live: addr from worker %d: %w", rank, err)
-		}
-	}
+	// The PS listens on the listener's host, the wildcard included.
 	var srvNet *xport.TCPNet
 	if cfg.Algo.Centralized() {
-		host, _, err := net.SplitHostPort(ln.Addr().String())
-		if err != nil || host == "" || host == "::" || host == "0.0.0.0" {
-			host = "127.0.0.1"
-		}
-		srvNet, err = xport.ListenTCP(W, n, net.JoinHostPort(host, "0"))
+		host, _, _ := net.SplitHostPort(ln.Addr().String())
+		var err error
+		srvNet, err = xport.ListenTCP(cfg.Workers, meshSize(cfg), net.JoinHostPort(host, "0"))
 		if err != nil {
 			return nil, fmt.Errorf("live: PS listen: %w", err)
 		}
 		defer srvNet.Close()
-		addrs[W] = srvNet.Addr()
-		srvNet.SetPeers(addrs)
-		o.metrics.registerStats(W, srvNet.Stats)
-	}
-
-	st.peerList = strings.Join(addrs, ",")
-	for rank, c := range st.conns {
-		if err := writeCtl(c, &xport.Frame{Kind: kindPeers, Data: []byte(st.peerList)}); err != nil {
-			return nil, fmt.Errorf("live: peers to worker %d: %w", rank, err)
-		}
-	}
-	for rank, c := range st.conns {
-		if _, err := readCtl(c, kindReady); err != nil {
-			return nil, fmt.Errorf("live: ready from worker %d: %w", rank, err)
-		}
-	}
-
-	// START is the wall-clock epoch: training time and fault windows are
-	// measured from here.
-	st.start = time.Now()
-	for rank, c := range st.conns {
-		if err := writeCtl(c, &xport.Frame{Kind: kindStart}); err != nil {
-			return nil, fmt.Errorf("live: start to worker %d: %w", rank, err)
-		}
-	}
-	spRdv.End()
-
-	waitServer := noServer
-	if srvNet != nil {
-		waitServer = startServer(cfg, srvNet, o)
+		_, st.psPort, _ = net.SplitHostPort(srvNet.Addr())
+		o.metrics.registerStats(cfg.Workers, srvNet.Stats)
 	}
 	o.metrics.registerCoord(st.snapshot)
-	runErr := st.loop(ln)
+
+	waitServer := noServer
+	runErr := st.loop(ln, func() {
+		spRdv.End()
+		if srvNet != nil {
+			srvNet.SetPeers(st.mesh)
+			waitServer = startServer(cfg, srvNet, o)
+		}
+	})
 	wall := time.Since(st.start).Seconds()
 	if runErr != nil {
 		return nil, runErr
@@ -299,23 +234,25 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	return res, nil
 }
 
-// runState is the coordinator's view of a run after START: the current
-// control connection, lease and progress per rank, which ranks have reported
-// (or been written off), and the death/rejoin counters. One goroutine owns
-// it — the loop's, which applies every event through step; the counters are
-// atomics only so a metrics scrape can read them.
+// runState is the coordinator's view of a run. One goroutine owns it — the
+// loop's, which applies every event through step; the counters are atomics
+// only so a metrics scrape can read them.
 type runState struct {
-	ch       *chaos // nil without a crash schedule
-	fp       string
-	peerList string
-	start    time.Time
-	tr       *trace.Tracer // nil when tracing is off; all calls nil-safe
+	ch     *chaos // nil without a crash schedule
+	fp     string
+	psPort string        // "" for a decentralized run
+	mesh   []string      // the mesh addresses from PEERS on; the PS's stays ""
+	lease  time.Time     // the last admission frame's time
+	start  time.Time     // START, the wall-clock epoch; zero while admitting
+	tr     *trace.Tracer // nil when tracing is off; all calls nil-safe
 
-	conns   []net.Conn // current control conn per rank; nil while dead
+	conns   []net.Conn    // current control conn per rank; nil before HELLO and while dead
+	done    []bool        // reported, or written off
+	owe     []uint16      // the admission frame a rank owes next: HELLO, ADDR, READY or none (0)
+	addrs   []xport.Frame // each rank's ADDR, judged when the last is in
 	beat    []time.Time
 	iter    []int
 	reports []doneInfo
-	done    []bool
 
 	finished, deaths, rejoins atomic.Int64
 
@@ -323,25 +260,28 @@ type runState struct {
 	posters sync.WaitGroup // the acceptor and the readers, events' senders
 }
 
-func newRunState(cfg *core.Config, tr *trace.Tracer) *runState {
+// newRunState is cfg's coordinator at now, before any worker connects.
+func newRunState(cfg *core.Config, tr *trace.Tracer, now time.Time) *runState {
 	W := cfg.Workers
-	return &runState{
-		ch: newChaos(cfg), fp: fingerprint(cfg), tr: tr,
-		conns: make([]net.Conn, W), beat: make([]time.Time, W), iter: make([]int, W),
-		reports: make([]doneInfo, W), done: make([]bool, W),
+	st := &runState{
+		ch: newChaos(cfg), fp: fingerprint(cfg), mesh: make([]string, meshSize(cfg)), lease: now, tr: tr,
+		conns: make([]net.Conn, W), owe: make([]uint16, W), addrs: make([]xport.Frame, W),
+		beat: make([]time.Time, W), iter: make([]int, W), reports: make([]doneInfo, W), done: make([]bool, W),
 		events: make(chan event),
 	}
+	for r := range st.owe {
+		st.owe[r] = kindHello
+	}
+	return st
 }
 
-// event is one thing the loop learns after START: with conn nil, a lease
-// tick; otherwise the frame f read on conn, or the error err that ended its
-// reads. rank is the rank conn speaks for, -1 for the first frame of a
-// connection accepted after START — the REJOIN that says which.
+// event is what the loop learns: a tick (conn nil), a frame f read on conn,
+// first if it is conn's first, or the error err that ended its reads.
 type event struct {
-	rank int
-	conn net.Conn
-	f    xport.Frame
-	err  error
+	conn  net.Conn
+	first bool
+	f     xport.Frame
+	err   error
 }
 
 // snapshot is the coordinator's contribution to a metrics scrape.
@@ -349,18 +289,12 @@ func (st *runState) snapshot() coordSnapshot {
 	return coordSnapshot{deaths: st.deaths.Load(), rejoins: st.rejoins.Load(), done: st.finished.Load()}
 }
 
-// loop starts a reader per control connection and, under a crash schedule,
-// the acceptor of rejoining workers, then applies their events and a
-// once-a-second lease tick through step until the run ends.
-func (st *runState) loop(ln net.Listener) error {
-	st.posters.Add(len(st.conns))
-	for rank, c := range st.conns {
-		go st.read(rank, c)
-	}
-	if st.ch != nil {
-		st.posters.Add(1)
-		go st.accept(ln)
-	}
+// loop starts the acceptor, then applies its readers' events and a
+// once-a-second tick through step until the run ends; started runs after
+// the step that sends START.
+func (st *runState) loop(ln net.Listener, started func()) error {
+	st.posters.Add(1)
+	go st.accept(ln)
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
@@ -370,68 +304,48 @@ func (st *runState) loop(ln net.Listener) error {
 			now = time.Now()
 		case now = <-t.C:
 		}
+		admitting := st.start.IsZero()
 		if end, err := st.step(ev, now); end || err != nil {
 			return err
 		}
+		if admitting && !st.start.IsZero() {
+			started()
+		}
 	}
 }
 
-// read posts every frame that arrives on c, then the error that ends its
-// reads. A connection accepted after START (rank -1) speaks for the rank its
-// first frame names, if the loop admits it; nothing after a first frame that
-// names no rank is read.
-func (st *runState) read(rank int, c net.Conn) {
+// read posts every frame that arrives on c, the first due within
+// recvTimeout, then the error that ends its reads.
+func (st *runState) read(c net.Conn) {
 	defer st.posters.Done()
-	d := ctlTimeout
-	if rank < 0 {
-		d = recvTimeout
-	}
-	for {
+	for first, d := true, recvTimeout; ; first, d = false, ctlTimeout {
 		f, err := readAnyCtl(c, d)
-		st.events <- event{rank: rank, conn: c, f: f, err: err}
+		st.events <- event{conn: c, first: first, f: f, err: err}
 		if err != nil {
 			return
 		}
-		if rank < 0 {
-			if rank, d = int(f.From), ctlTimeout; rank < 0 {
-				return
-			}
-		}
 	}
 }
 
-// accept gives every connection that arrives on ln after START a reader,
-// until ln closes; then it closes them all, so no read outlives the run.
+// accept gives every connection that arrives on ln a reader, until ln
+// closes; then it closes them all, so no read outlives the run.
 func (st *runState) accept(ln net.Listener) {
 	defer st.posters.Done()
-	if d, ok := ln.(deadliner); ok {
-		d.SetDeadline(time.Time{})
-	}
 	var accepted []net.Conn
-	for {
-		c, err := ln.Accept()
-		if err != nil {
-			break
-		}
+	for c, err := ln.Accept(); err == nil; c, err = ln.Accept() {
 		accepted = append(accepted, c)
 		st.posters.Add(1)
-		go st.read(-1, c)
+		go st.read(c)
 	}
 	for _, c := range accepted {
 		c.Close()
 	}
 }
 
-// stop closes the listener, and with it every connection accepted after
-// START, and every rank's current one, then drains what the readers still
-// post — a late REJOIN goes unanswered — until the last has returned.
+// stop closes the listener, and with it every connection, then drains the
+// readers — a late REJOIN goes unanswered — until the last has returned.
 func (st *runState) stop(ln net.Listener) {
 	ln.Close()
-	for _, c := range st.conns {
-		if c != nil {
-			c.Close()
-		}
-	}
 	go func() {
 		st.posters.Wait()
 		close(st.events)
@@ -440,37 +354,118 @@ func (st *runState) stop(ln net.Listener) {
 	}
 }
 
-// step applies one event at time now: the coordinator's every rule after
-// START. It reports whether the run has ended — every rank done or written
-// off — or the error that fails it, naming the rank. Order alone settles
-// every race: a frame or error on a connection that is no longer its rank's
-// (superseded by a REJOIN, or the rank already done) changes nothing.
+// step applies one event at time now: the coordinator's every rule, from
+// the first HELLO to the last DONE. It reports whether the run has ended —
+// every rank done or written off — or the error that fails it, naming the
+// rank. Order alone settles every race: a frame or error on a connection
+// that is not a rank's current one (refused, superseded, or done) changes
+// nothing.
 func (st *runState) step(ev event, now time.Time) (end bool, err error) {
+	admitting := st.start.IsZero()
 	switch {
 	case ev.conn == nil:
 		return false, st.checkLeases(now)
-	case ev.rank < 0:
+	case ev.first && admitting:
+		return false, st.hello(ev, now)
+	case ev.first:
 		return st.rejoin(ev, now), nil
-	case ev.rank >= len(st.conns) || st.conns[ev.rank] != ev.conn || st.done[ev.rank]:
+	}
+	rank := slices.Index(st.conns, ev.conn)
+	switch {
+	case rank < 0 || st.done[rank]:
 		return false, nil
 	case ev.err != nil:
-		return st.lost(ev.rank)
+		return st.lost(rank)
+	case admitting:
+		return false, st.admit(rank, ev.f, now)
 	}
-	rank, f := ev.rank, ev.f
-	switch f.Kind {
+	switch ev.f.Kind {
 	case kindHeartbeat:
 		st.tr.Mark("heartbeat", "coord", coordPid, rank)
 		st.beat[rank] = now
-		st.iter[rank] = max(st.iter[rank], int(f.Clock))
+		st.iter[rank] = max(st.iter[rank], int(ev.f.Clock))
 		return false, nil
 	case kindDone:
-		rep, err := parseDone(f)
+		rep, err := parseDone(ev.f)
 		if err != nil {
 			return false, fmt.Errorf("live: worker %d %w", rank, err)
 		}
 		return st.finish(rank, rep), nil
 	}
-	return false, fmt.Errorf("live: worker %d: unexpected control kind %d", rank, f.Kind)
+	return false, fmt.Errorf("live: worker %d: unexpected control kind %d", rank, ev.f.Kind)
+}
+
+// hello admits a connection before START by its first frame: a HELLO with
+// this run's fingerprint takes the next rank and ASSIGN, one with another
+// fails the run, and anything else (a HELLO past the W-th too) is closed.
+func (st *runState) hello(ev event, now time.Time) error {
+	rank := slices.Index(st.owe, kindHello)
+	if ev.err != nil || ev.f.Kind != kindHello || rank < 0 {
+		ev.conn.Close()
+		return nil
+	}
+	if string(ev.f.Data) != st.fp {
+		return fmt.Errorf("live: worker %d config fingerprint %q does not match coordinator's %q",
+			rank, ev.f.Data, st.fp)
+	}
+	st.conns[rank], st.owe[rank], st.lease = ev.conn, kindAddr, now
+	if err := writeCtl(ev.conn, &xport.Frame{Kind: kindAssign, From: int32(rank), Clock: int32(len(st.mesh))}); err != nil {
+		return fmt.Errorf("live: assign worker %d: %w", rank, err)
+	}
+	return nil
+}
+
+// admit takes the frame rank owes before START. When the last ADDR is in,
+// the ADDRs are judged in rank order and every rank is sent PEERS; when the
+// last READY is, START is stamped now and sent.
+func (st *runState) admit(rank int, f xport.Frame, now time.Time) error {
+	if k := st.owe[rank]; k == 0 || f.Kind != k {
+		return fmt.Errorf("live: worker %d: unexpected control kind %d", rank, f.Kind)
+	}
+	st.owe[rank], st.lease = 0, now
+	if f.Kind == kindAddr {
+		st.addrs[rank] = f
+	}
+	if st.owing() >= 0 {
+		return nil
+	}
+	next := xport.Frame{Kind: kindStart}
+	if f.Kind == kindAddr {
+		next.Kind = kindPeers
+		for r, a := range st.addrs {
+			var err error
+			if st.mesh[r], err = parseAddr(a, r); err != nil {
+				return fmt.Errorf("live: addr from worker %d: %w", r, err)
+			}
+		}
+	} else {
+		st.start = now
+	}
+	for r, c := range st.conns {
+		if next.Kind == kindPeers {
+			st.owe[r], next.Data = kindReady, st.table(c)
+		}
+		if err := writeCtl(c, &next); err != nil {
+			return fmt.Errorf("live: worker %d: control kind %d: %w", r, next.Kind, err)
+		}
+	}
+	return nil
+}
+
+// owing is the lowest rank admission waits on a frame from, -1 for none.
+func (st *runState) owing() int {
+	return slices.IndexFunc(st.owe, func(k uint16) bool { return k != 0 })
+}
+
+// table is the peer table of a PEERS or REJOIN-OK written on c, which names
+// the PS at the host the worker reached.
+func (st *runState) table(c net.Conn) []byte {
+	t := slices.Clone(st.mesh)
+	if st.psPort != "" {
+		host, _, _ := net.SplitHostPort(c.LocalAddr().String())
+		t[len(t)-1] = net.JoinHostPort(host, st.psPort)
+	}
+	return []byte(strings.Join(t, ","))
 }
 
 // finish records rank's report and reports whether it was the last one.
@@ -479,13 +474,13 @@ func (st *runState) finish(rank int, rep doneInfo) bool {
 	return st.finished.Add(1) == int64(len(st.done))
 }
 
-// lost classifies rank's dropped control connection: a genuine failure, or
-// a scheduled death — awaiting a rejoin, or written off, its report taken
-// from its last heartbeat, when the schedule never revives the rank.
+// lost classifies rank's dropped control connection: a failure (always
+// before START), or a scheduled death — awaiting a rejoin, or written off,
+// its report from its last heartbeat, when the schedule never revives it.
 func (st *runState) lost(rank int) (bool, error) {
 	st.conns[rank].Close()
 	st.conns[rank] = nil
-	if !st.ch.hasCrash(rank) {
+	if st.start.IsZero() || !st.ch.hasCrash(rank) {
 		return false, fmt.Errorf("live: worker %d control connection lost", rank)
 	}
 	st.deaths.Add(1)
@@ -496,10 +491,10 @@ func (st *runState) lost(rank int) (bool, error) {
 	return st.finish(rank, doneInfo{iters: st.iter[rank]}), nil
 }
 
-// rejoin re-admits a restarted worker from the first frame of its new
-// connection, a REJOIN with this run's fingerprint naming an unfinished rank
-// the schedule crashes; anything else is closed unanswered. A live connection
-// it supersedes is that incarnation's death. REJOIN-OK carries the peer list
+// rejoin re-admits a restarted worker after START by its first frame, a
+// REJOIN with this run's fingerprint naming an unfinished rank the schedule
+// crashes; anything else is closed unanswered. A live connection it
+// supersedes is that incarnation's death. REJOIN-OK carries the peer table
 // and the seconds since START, to re-anchor the worker's fault plan.
 func (st *runState) rejoin(ev event, now time.Time) (end bool) {
 	c, f := ev.conn, ev.f
@@ -518,20 +513,28 @@ func (st *runState) rejoin(ev event, now time.Time) (end bool) {
 	}
 	st.conns[rank], st.beat[rank] = c, now
 	st.rejoins.Add(1)
-	err := writeCtl(c, &xport.Frame{Kind: kindRejoinOK, Aux: now.Sub(st.start).Seconds(),
-		Data: []byte(st.peerList)})
+	err := writeCtl(c, &xport.Frame{Kind: kindRejoinOK, Aux: now.Sub(st.start).Seconds(), Data: st.table(c)})
 	if err != nil {
 		end, _ = st.lost(rank) // a crashed rank: never an error
 	}
 	return end
 }
 
-// checkLeases fails the run when a rank has been silent past its lease at
-// now: the heartbeat period plus slack for a connected worker, plus the
-// largest scheduled restart delay while a crashed worker is disconnected.
-// Without a crash schedule nothing renews a lease, and none is kept.
+// checkLeases fails the run when a lease has lapsed at now. Until START that
+// is the admission lease: recvTimeout without an admission frame. After it,
+// under a crash schedule, a rank's: the heartbeat period plus slack, plus the
+// largest scheduled restart delay while a crashed rank is disconnected.
 func (st *runState) checkLeases(now time.Time) error {
-	if st.ch == nil {
+	if silent := now.Sub(st.lease); st.start.IsZero() && silent > recvTimeout {
+		r, W := st.owing(), len(st.conns)
+		if st.owe[r] == kindHello {
+			return fmt.Errorf("live: worker %d never connected (%d of %d workers missing) after %.1fs of silence",
+				r, W-r, W, silent.Seconds())
+		}
+		return fmt.Errorf("live: worker %d owes %s after %.1fs of silence",
+			r, map[uint16]string{kindAddr: "ADDR", kindReady: "READY"}[st.owe[r]], silent.Seconds())
+	}
+	if st.ch == nil || st.start.IsZero() {
 		return nil
 	}
 	for r, last := range st.beat {
@@ -559,9 +562,8 @@ func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGl
 	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
 	model := core.EvalModel(cfg)
 	ranks := make([]metrics.Worker, len(reports))
-	totalIters := 0
 	var loss float64
-	cnt := 0
+	totalIters, cnt := 0, 0
 	for r, rep := range reports {
 		if rep.params != nil && len(rep.params) != model.NumParams() {
 			return nil, fmt.Errorf("live: worker %d reported %d parameters, the model has %d",

@@ -2,6 +2,7 @@ package live
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"net"
 	"os"
@@ -306,3 +307,144 @@ func FuzzControlPayloads(f *testing.F) {
 // change (a split, an error message) and whatever the test binary's other
 // goroutines allocate meanwhile.
 const allocSlack = 64 << 10
+
+// TestRendezvousRunCoordinator drives the multi-process entry points in one
+// process: RunCoordinator on a loopback port and four RunWorker goroutines
+// dialing it train BSP to the same bits as RunLoopback. A port already in
+// use comes back as the coordinator's listen error.
+func TestRendezvousRunCoordinator(t *testing.T) {
+	cfg := liveConfig(core.BSP, 4, 6, 3)
+	want, err := RunLoopback(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	if _, err := RunCoordinator(cfg, addr); err == nil || !strings.Contains(err.Error(), "live: coordinator listen "+addr) {
+		t.Fatalf("coordinator on a port in use: %v, want its listen error", err)
+	}
+	ln.Close()
+
+	workerErrs := make(chan error, cfg.Workers)
+	for i := 0; i < cfg.Workers; i++ {
+		go func() { workerErrs <- RunWorker(cfg, addr, "") }()
+	}
+	got, err := RunCoordinator(cfg, addr)
+	for i := 0; i < cfg.Workers; i++ {
+		if werr := <-workerErrs; werr != nil {
+			t.Errorf("worker: %v", werr)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitIdentical(t, want.WorkerParams, got.WorkerParams)
+	if math.Float64bits(want.FinalTestAcc) != math.Float64bits(got.FinalTestAcc) {
+		t.Fatalf("final test accuracy: RunLoopback %v, RunCoordinator %v", want.FinalTestAcc, got.FinalTestAcc)
+	}
+}
+
+// TestRendezvousClosesExtraHellos: a HELLO past the W-th, and one after
+// START, are closed unanswered within seconds, and the run completes.
+func TestRendezvousClosesExtraHellos(t *testing.T) {
+	cfg := liveConfig(core.ARSGD, 4, 4, 1)
+	ln, coordErr := startCoordinator(t, &cfg)
+	conns := make([]net.Conn, cfg.Workers)
+	for r := range conns {
+		conns[r] = admit(t, ln, &cfg)
+	}
+	refused := func(what string) {
+		t.Helper()
+		c, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := writeCtl(c, &xport.Frame{Kind: kindHello, Data: []byte(fingerprint(&cfg))}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := readAnyCtl(c, 5*time.Second)
+		if ne, ok := err.(net.Error); err == nil || ok && ne.Timeout() {
+			t.Fatalf("%s: read %+v, %v; want the connection closed", what, f, err)
+		}
+	}
+	refused("a fifth HELLO")
+
+	started := make(chan error, len(conns))
+	for r, c := range conns {
+		go toStart(c, addrFrame(int32(r), fmt.Sprintf("127.0.0.1:%d", r+1)), started)
+	}
+	for range conns {
+		if err := <-started; err != nil {
+			t.Fatal(err)
+		}
+	}
+	refused("a HELLO after START")
+
+	for r, c := range conns {
+		if err := writeCtl(c, (&doneInfo{iters: cfg.Iters}).frame(r)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range conns {
+		if _, err := readCtl(c, kindBye); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := within(t, 5*time.Second, coordErr); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+}
+
+// TestRendezvousNamesThePSWhereTheWorkerReachedIt: a coordinator on the
+// wildcard address hosts the PS on the wildcard too, and the PEERS a worker
+// gets names the PS at the address that worker dialed — here 127.0.0.2,
+// which Linux routes to loopback — where it accepts a connection.
+func TestRendezvousNamesThePSWhereTheWorkerReachedIt(t *testing.T) {
+	cfg := liveConfig(core.BSP, 1, 4, 1)
+	if err := Validate(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "0.0.0.0:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordErr := make(chan error, 1)
+	go func() {
+		_, err := coordinate(&cfg, ln, buildOptions(nil))
+		coordErr <- err
+	}()
+	_, port, _ := net.SplitHostPort(ln.Addr().String())
+	c, err := net.Dial("tcp", net.JoinHostPort("127.0.0.2", port))
+	if err != nil {
+		t.Skipf("127.0.0.2 is not routed to loopback: %v", err)
+	}
+	defer c.Close()
+	err = play(c, step{f: xport.Frame{Kind: kindHello, Data: []byte(fingerprint(&cfg))}},
+		step{want: kindAssign}, step{f: addrFrame(0, "127.0.0.2:1")})
+	var peers []string
+	if err == nil {
+		var f xport.Frame
+		if f, err = readCtl(c, kindPeers); err == nil {
+			peers, err = parsePeers(f.Data, meshSize(&cfg))
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host, _, _ := net.SplitHostPort(peers[1]); host != "127.0.0.2" {
+		t.Fatalf("PEERS names the PS at %s, want the host the worker dialed, 127.0.0.2", peers[1])
+	}
+	ps, err := net.DialTimeout("tcp", peers[1], 2*time.Second)
+	if err != nil {
+		t.Fatalf("the PS does not accept at %s: %v", peers[1], err)
+	}
+	ps.Close()
+	c.Close()
+	if err := within(t, 5*time.Second, coordErr); err == nil {
+		t.Fatal("the run went on without its only worker")
+	}
+}

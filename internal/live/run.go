@@ -30,12 +30,9 @@ func RunCoordinator(cfg core.Config, listenAddr string, opts ...Option) (*Result
 // dialCoordinator dials coordAddr with patient retries: workers routinely
 // launch before the coordinator's listener is up, and a restarted worker
 // rejoins mid-run.
-func dialCoordinator(coordAddr string) (net.Conn, error) {
-	var conn net.Conn
-	var err error
+func dialCoordinator(coordAddr string) (conn net.Conn, err error) {
 	for attempt := 0; attempt < 40; attempt++ {
-		conn, err = net.DialTimeout("tcp", coordAddr, 2*time.Second)
-		if err == nil {
+		if conn, err = net.DialTimeout("tcp", coordAddr, 2*time.Second); err == nil {
 			return conn, nil
 		}
 		time.Sleep(100 * time.Millisecond)

@@ -40,8 +40,8 @@ type Msg struct {
 	SparseIdx []int32
 	// Aux carries algorithm-specific scalar state (e.g. GoSGD weights).
 	Aux float64
-	// SentAt and WireSec record timing for metrics attribution.
-	SentAt  des.Time
+	// WireSec is the transfer time the message experiences, for metrics
+	// attribution.
 	WireSec des.Time
 }
 
@@ -207,7 +207,6 @@ func (n *Net) Send(msg Msg) des.Time {
 	src := n.nodes[msg.From]
 	dst := n.nodes[msg.To]
 	now := n.eng.Now()
-	msg.SentAt = now
 
 	if n.faults != nil && src.Machine != dst.Machine && n.faults.Cut(now, src.Machine, dst.Machine) {
 		n.stats.DroppedMsgs++
@@ -267,6 +266,3 @@ func byteLabel(b int64) string {
 		return fmt.Sprintf("%dB", b)
 	}
 }
-
-// Config returns the cluster configuration the network was built with.
-func (n *Net) Config() cluster.Config { return n.cfg }
