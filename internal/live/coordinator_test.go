@@ -310,8 +310,9 @@ func TestCoordinatorStep(t *testing.T) {
 		noCrashes       bool // a run without a crash schedule
 		admitting       bool // moves start at the coordinator's entry, not at START
 		moves           []move
-		want            string // how the last move ends the run: "", "end" or the start of an error's text
-		refused         bool   // the last move's connection is closed unanswered, and nothing changes
+		want            string                   // how the last move ends the run: "", "end" or an error's text
+		wantFor         func(r *coordRig) string // the want of a row whose error quotes the rig's state
+		refused         bool                     // the last move's connection is closed unanswered, and nothing changes
 		deaths, rejoins int64
 		setup, check    func(t *testing.T, r *coordRig)
 	}{
@@ -370,7 +371,9 @@ func TestCoordinatorStep(t *testing.T) {
 			}},
 		{name: "a HELLO with another fingerprint fails the run naming the rank it would take", admitting: true,
 			moves: []move{hello(0, 0), {what: "stranger", rank: 1, at: sec}},
-			want:  "live: worker 1 config fingerprint"},
+			wantFor: func(r *coordRig) string {
+				return fmt.Sprintf("live: worker 1 config fingerprint %q does not match coordinator's %q", r.st.fp+"x", r.st.fp)
+			}},
 		{name: "a second HELLO on an admitted connection fails the run", admitting: true,
 			moves: []move{hello(0, 0), hello(1, 0), hello(1, sec)},
 			want:  "live: worker 1: unexpected control kind 100"},
@@ -518,11 +521,14 @@ func TestCoordinatorStep(t *testing.T) {
 				tc.setup(t, r)
 			}
 			moves, before := tc.moves, ""
+			if tc.wantFor != nil {
+				tc.want = tc.wantFor(r)
+			}
 			if tc.refused {
 				r.play(t, moves[:len(moves)-1]...)
 				moves, before = moves[len(moves)-1:], r.view()
 			}
-			if got := r.play(t, moves...); got != tc.want && (tc.want == "" || !strings.HasPrefix(got, tc.want)) {
+			if got := r.play(t, moves...); got != tc.want {
 				t.Fatalf("run ended with %q, want %q", got, tc.want)
 			}
 			if tc.refused {

@@ -332,7 +332,11 @@ func (st *runState) read(c net.Conn) {
 func (st *runState) accept(ln net.Listener) {
 	defer st.posters.Done()
 	var accepted []net.Conn
-	for c, err := ln.Accept(); err == nil; c, err = ln.Accept() {
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			break
+		}
 		accepted = append(accepted, c)
 		st.posters.Add(1)
 		go st.read(c)
@@ -562,8 +566,9 @@ func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGl
 	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
 	model := core.EvalModel(cfg)
 	ranks := make([]metrics.Worker, len(reports))
+	totalIters := 0
 	var loss float64
-	totalIters, cnt := 0, 0
+	cnt := 0
 	for r, rep := range reports {
 		if rep.params != nil && len(rep.params) != model.NumParams() {
 			return nil, fmt.Errorf("live: worker %d reported %d parameters, the model has %d",

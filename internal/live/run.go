@@ -30,9 +30,12 @@ func RunCoordinator(cfg core.Config, listenAddr string, opts ...Option) (*Result
 // dialCoordinator dials coordAddr with patient retries: workers routinely
 // launch before the coordinator's listener is up, and a restarted worker
 // rejoins mid-run.
-func dialCoordinator(coordAddr string) (conn net.Conn, err error) {
+func dialCoordinator(coordAddr string) (net.Conn, error) {
+	var conn net.Conn
+	var err error
 	for attempt := 0; attempt < 40; attempt++ {
-		if conn, err = net.DialTimeout("tcp", coordAddr, 2*time.Second); err == nil {
+		conn, err = net.DialTimeout("tcp", coordAddr, 2*time.Second)
+		if err == nil {
 			return conn, nil
 		}
 		time.Sleep(100 * time.Millisecond)
