@@ -102,9 +102,11 @@ type exp struct {
 	// the gradient codec.
 	dgcEntry float64
 
-	// evalModel is a scratch model used to evaluate global/average params
-	// (real mode only).
+	// evalModel is a scratch model used to evaluate global/average params,
+	// and avg the replicas' average it evaluates in a decentralized run (real
+	// mode only; avg is allocated at the first evaluation).
 	evalModel *nn.Model
+	avg       []float32
 }
 
 // crashRec is one realized worker death, for trace spans.
@@ -252,48 +254,49 @@ func InitModel(cfg *Config) *nn.Model {
 }
 
 // EvalModel builds the model both runtimes evaluate the global parameters
-// on: the run's architecture with no initial draw, since TestErr overwrites
-// every parameter.
+// on: the run's architecture with no initial draw, and so with no parameter
+// store either — TestErr binds the vector it evaluates.
 func EvalModel(cfg *Config) *nn.Model {
 	return cfg.Real.Factory(nil)
 }
 
 // GlobalParams returns the parameters of the model a run reports on: ps, the
 // parameter server's, when it is non-nil; otherwise the mean of the replicas'
-// (nil entries skipped), summed in rank order and then scaled. nil when there
-// is neither.
-func GlobalParams(ps []float32, replicas [][]float32) []float32 {
+// (nil entries skipped), summed in rank order and then scaled, written into
+// dst, which must have their length. nil when there is neither.
+func GlobalParams(dst, ps []float32, replicas [][]float32) []float32 {
 	if ps != nil {
 		return ps
 	}
-	var out []float32
+	clear(dst)
 	cnt := 0
 	for _, p := range replicas {
 		if p == nil {
 			continue
 		}
-		if out == nil {
-			out = make([]float32, len(p))
-		}
-		for i, v := range p {
-			out[i] += v
+		for i, v := range p[:len(dst)] {
+			dst[i] += v
 		}
 		cnt++
 	}
-	if cnt > 0 {
-		inv := 1 / float32(cnt)
-		for i := range out {
-			out[i] *= inv
-		}
+	if cnt == 0 {
+		return nil
 	}
-	return out
+	inv := 1 / float32(cnt)
+	for i := range dst {
+		dst[i] *= inv
+	}
+	return dst
 }
 
-// TestErr loads params into m and returns their error rate, 1 − accuracy, on
-// the first EvalMax test examples (all of them when EvalMax is 0): the value
-// a trace point records, and the one a run's FinalTestAcc is 1 minus.
+// TestErr evaluates params on m, which computes with them where they lie
+// (nn.Model.Bind) and holds no store of them afterwards, and returns their
+// error rate, 1 − accuracy, on the first EvalMax test examples (all of them
+// when EvalMax is 0): the value a trace point records, and the one a run's
+// FinalTestAcc is 1 minus.
 func (rc *RealConfig) TestErr(m *nn.Model, params []float32) float64 {
-	m.SetFlatParams(params)
+	m.Bind(params)
+	defer m.Bind(nil)
 	n := rc.Test.N()
 	if rc.EvalMax > 0 && rc.EvalMax < n {
 		n = rc.EvalMax
@@ -344,12 +347,22 @@ func (x *exp) evalGlobal(iter int) {
 // server's; otherwise it is the average of the replicas.
 func (x *exp) psGlobal() bool { return x.global != nil && x.global.MathOn() }
 
-// globalParams returns the parameters of the evaluated global model.
+// globalParams returns the parameters of the evaluated global model: the
+// PS's, or the replicas' average in x.avg. The replicas are read where they
+// lie: no process runs while the engine thread evaluates, and a pass still
+// on the compute pool only reads them.
 func (x *exp) globalParams() []float32 {
 	if x.psGlobal() {
 		return x.global.Params
 	}
-	return GlobalParams(nil, x.replicaParams())
+	ws := make([][]float32, len(x.reps))
+	for w, r := range x.reps {
+		ws[w] = r.Weights()
+	}
+	if x.avg == nil {
+		x.avg = make([]float32, x.vecLen)
+	}
+	return GlobalParams(x.avg, nil, ws)
 }
 
 // replicaParams copies every replica's parameters, in rank order (nil for a

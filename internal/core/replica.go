@@ -299,6 +299,20 @@ func (r *Replica) Weights() []float32 {
 	return r.model.Weights()
 }
 
+// Retire hands back the replica's gradient store and velocity (nil where
+// it holds none, and in cost-only mode) and forgets both: a later pass or
+// step allocates new ones rather than share memory the caller has passed
+// on. A finished worker retires its replica before its report, so that the
+// two vectors serve the next ones a receiver decodes; the parameters stay.
+func (r *Replica) Retire() (grads, velocity []float32) {
+	if r.model == nil {
+		return nil, nil
+	}
+	r.lock()
+	defer r.unlock()
+	return r.model.ReleaseGrads(), r.localO.ReleaseVelocity()
+}
+
 // SetParams overwrites the full parameter vector (no-op on nil).
 func (r *Replica) SetParams(src []float32) {
 	if r.model == nil || src == nil {

@@ -94,6 +94,32 @@ func TestReplicaFootprint(t *testing.T) {
 	}
 }
 
+// TestEvalModelHoldsNoStore: the model both runtimes evaluate on allocates
+// no parameter store — neither when built nor when TestErr evaluates a
+// vector on it, which it reads where it lies — and scores that vector as a
+// model holding it does.
+func TestEvalModelHoldsNoStore(t *testing.T) {
+	ds := data.GenGauss(rng.New(100), 100, 3, 0.3)
+	cfg := &Config{Real: &RealConfig{
+		Factory: func(rr *rng.RNG) *nn.Model { return nn.NewMLP(rr, 2, 1024, 1024, 3) },
+		Test:    ds, EvalMax: 8,
+	}}
+	drawn := cfg.Real.Factory(rng.New(1))
+	params := drawn.Weights()
+	want := cfg.Real.TestErr(drawn, params)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := cfg.Real.TestErr(EvalModel(cfg), params)
+	runtime.ReadMemStats(&after)
+	vec := uint64(4 * len(params))
+	if allocated := after.TotalAlloc - before.TotalAlloc; allocated > vec/4 {
+		t.Fatalf("evaluating allocated %d bytes; one parameter vector is %d", allocated, vec)
+	}
+	if got != want {
+		t.Fatalf("the evaluation model scores %v, a model holding the vector %v", got, want)
+	}
+}
+
 func TestReplicaComputeGradAdvancesIter(t *testing.T) {
 	r := testReplica(t, 0)
 	if r.iter != 0 {
@@ -171,6 +197,46 @@ func TestReplicaLocalStepMovesParams(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("localStep did not move parameters")
+	}
+}
+
+// TestReplicaRetire: a retired replica hands back exactly its gradient
+// store and its velocity, and holds neither any more — the next pass and
+// step get new memory, so writing over the released vectors (as whoever
+// they go to next does) changes nothing the replica computes: it goes on
+// exactly like a twin whose released vectors were left alone.
+func TestReplicaRetire(t *testing.T) {
+	a, b := testReplica(t, 0), testReplica(t, 0)
+	var released [][]float32
+	for _, r := range []*Replica{a, b} {
+		g := r.ComputeGrad()
+		r.LocalStep(g, 1, 0.1)
+		vel := r.localO.Velocity()
+		grads, velocity := r.Retire()
+		if &grads[0] != &g[0] || len(grads) != len(g) || &velocity[0] != &vel[0] || len(velocity) != len(vel) {
+			t.Fatal("Retire did not hand back the gradient store and the velocity")
+		}
+		released = append(released, grads, velocity)
+	}
+	for _, v := range released[:2] { // a's
+		for i := range v {
+			v[i] = float32(math.NaN())
+		}
+	}
+	for _, r := range []*Replica{a, b} {
+		g := r.ComputeGrad()
+		r.LocalStep(g, 1, 0.1)
+		for _, v := range released {
+			if &g[0] == &v[0] || &r.localO.Velocity()[0] == &v[0] {
+				t.Fatal("a retired replica computes in a vector it released")
+			}
+		}
+	}
+	if !slices.EqualFunc(a.Weights(), b.Weights(), func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) }) {
+		t.Fatal("writing over the released vectors changed the replica's next step")
+	}
+	if g, v := newCostReplica().Retire(); g != nil || v != nil {
+		t.Fatal("a cost-only replica retired vectors")
 	}
 }
 

@@ -220,9 +220,6 @@ func TestLiveHierarchicalFoldOrderMatchesSim(t *testing.T) {
 // under 64 KB per rank per round — frame headers and write vectors, not
 // chunks. One staging copy of one chunk would be 1 MB.
 func TestRingAllReduceAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds buffers at random under the race detector")
-	}
 	const (
 		ranks  = 4
 		floats = 1 << 20

@@ -40,43 +40,57 @@ type owner struct {
 //   - an int8 worker: its one encoded-payload buffer (a quarter vector);
 //   - the PS: its initial draw, the parameters it adopts from it and its
 //     velocity — no model and no gradient store;
-//   - the coordinator: an evaluation model with no initial draw and the
-//     replica average a decentralized run is evaluated on;
-//   - per step: nothing — frame sections, the DONE reports' parameter
-//     vectors among them, come from xport's recycler.
+//   - the coordinator: nothing — the evaluation model holds no store of its
+//     own and reads the PS's parameters or the replica average where they
+//     lie, and the average is written into a recycled vector;
+//   - per step: nothing — frame sections come from xport's recycler;
+//   - at DONE: nothing — a finished worker retires its gradient store and
+//     velocity to the recycler, and the coordinator decodes the reports'
+//     parameter vectors into them.
 //
-// The run measured is a warm process's next one: a warm-up run fills the
-// recycler and hands its reports' vectors back to it, as a caller done with
-// a result may, and the collector stays off so that the pools keep what
-// they hold. The recycler may still allocate a section or two beyond the
-// warm-up's peak in flight, each up to a quarter larger than a vector (its
-// size class). The sum is the budget, with half a vector of slack for
-// everything smaller than a vector: sockets, goroutines, activations.
+// The run measured is a warm process's next one: two warm-up runs fill the
+// recycler, and the collector stays off so that the lists keep what they
+// hold. The warm-ups' reports' vectors go back to the recycler, as a caller
+// done with a result may hand them, or stay with the caller, as one that
+// keeps its previous Result does: then the retired vectors alone must carry
+// the DONE reports and the average. The recycler may still allocate a
+// section or two beyond the warm-ups' peak in flight, each up to a quarter
+// larger than what it carries (its size class): a vector to or from the PS,
+// a quarter vector in a 4-rank ring. The sum is the budget, with half a
+// vector of slack for everything smaller than a vector: sockets,
+// goroutines, activations.
 func TestLiveRunFootprint(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool sheds buffers at random under the race detector")
+		t.Skip("under the race detector an asynchronous run keeps more frames in flight than the recycler's allowance")
 	}
 	const workers, iters = 4, 8
+	aspInt8 := []owner{
+		{"worker initial draws, parameters and gradients", 3 * workers},
+		{"worker int8 payload buffers", 0.25 * workers},
+		{"PS initial draw, parameters and velocity", 3},
+		{"evaluation model", 0},
+		{"DONE reports' parameters", 0},
+		{"recycler: two sections beyond the warm-ups' peak", 2.5},
+	}
+	arsgd := []owner{
+		{"worker initial draws, parameters and gradients", 3 * workers},
+		{"worker velocities", workers},
+		{"evaluation model", 0},
+		{"replica average", 0},
+		{"DONE reports' parameters", 0},
+		{"recycler: two ring chunks beyond the warm-ups' peak", 2 * 1.25 / workers},
+	}
 	for _, tc := range []struct {
 		name   string
 		algo   core.Algo
 		int8   bool
+		keep   bool // the caller keeps the warm-ups' Results
 		owners []owner
 	}{
-		{"asp-int8", core.ASP, true, []owner{
-			{"worker initial draws, parameters and gradients", 3 * workers},
-			{"worker int8 payload buffers", 0.25 * workers},
-			{"PS initial draw, parameters and velocity", 3},
-			{"evaluation model", 1},
-			{"recycler: two sections beyond the warm-up's peak", 2.5},
-		}},
-		{"arsgd", core.ARSGD, false, []owner{
-			{"worker initial draws, parameters and gradients", 3 * workers},
-			{"worker velocities", workers},
-			{"evaluation model", 1},
-			{"replica average", 1},
-			{"recycler: two sections beyond the warm-up's peak", 2.5},
-		}},
+		{"asp-int8", core.ASP, true, false, aspInt8},
+		{"arsgd", core.ARSGD, false, false, arsgd},
+		{"asp-int8 previous result kept", core.ASP, true, true, aspInt8},
+		{"arsgd previous result kept", core.ARSGD, false, true, arsgd},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := liveConfig(tc.algo, workers, iters, 5)
@@ -88,18 +102,26 @@ func TestLiveRunFootprint(t *testing.T) {
 
 			runtime.GC()
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			warm, err := RunLoopback(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range warm.WorkerParams {
-				(&xport.Frame{Vec: p}).Release()
+			var kept []*Result
+			for range 2 {
+				warm, err := RunLoopback(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.keep {
+					kept = append(kept, warm)
+					continue
+				}
+				for _, p := range warm.WorkerParams {
+					(&xport.Frame{Vec: p}).Release()
+				}
 			}
 			before := heapAllocated()
 			if _, err := RunLoopback(cfg); err != nil {
 				t.Fatal(err)
 			}
 			got := float64(heapAllocated()-before) / vec
+			runtime.KeepAlive(kept)
 
 			var budget float64
 			var table strings.Builder

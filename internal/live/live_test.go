@@ -285,9 +285,6 @@ func TestLiveQuantizedAsyncComplete(t *testing.T) {
 // Measured as the difference between a long and a short run of one config,
 // so set-up, rendezvous and the final evaluation cancel.
 func TestASPInt8PushPullAllocationBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds buffers at random under the race detector")
-	}
 	// One worker: its push and the pull that answers it alternate, so the
 	// recycler's hit pattern — and with it the count — is the same every run.
 	const (

@@ -2,6 +2,7 @@
 
 package live
 
-// raceEnabled: under the race detector sync.Pool drops a share of what it is
-// given, so allocation budgets that lean on the recycler do not hold.
+// raceEnabled: under the race detector the asynchronous runs interleave
+// differently and keep more frames in flight, so the whole-run footprint
+// budget does not hold there.
 const raceEnabled = true

@@ -561,7 +561,8 @@ func (st *runState) checkLeases(now time.Time) error {
 
 // buildResult assembles the Result from the workers' reports and the final
 // PS parameters (nil for a decentralized run), and evaluates the global model
-// through the simulator's own core.GlobalParams and RealConfig.TestErr.
+// through the simulator's own core.GlobalParams and RealConfig.TestErr, on a
+// model that reads the vector it evaluates where it lies.
 func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srvNet *xport.TCPNet) (*Result, error) {
 	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
 	model := core.EvalModel(cfg)
@@ -595,8 +596,15 @@ func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGl
 	if wall > 0 {
 		res.Throughput = float64(totalIters*cfg.Real.Batch) / wall
 	}
-	if global := core.GlobalParams(finalGlobal, res.WorkerParams); global != nil {
+	// A decentralized run is evaluated on the replicas' average, written into
+	// a recycled vector that goes back once TestErr is done with it.
+	var avg []float32
+	if finalGlobal == nil {
+		avg = xport.NewVec(model.NumParams())
+	}
+	if global := core.GlobalParams(avg, finalGlobal, res.WorkerParams); global != nil {
 		res.FinalTestAcc = 1 - cfg.Real.TestErr(model, global)
 	}
+	(&xport.Frame{Vec: avg}).Release()
 	return res, nil
 }

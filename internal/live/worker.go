@@ -156,12 +156,18 @@ func (e deathErr) Error() string {
 }
 
 // run executes the full training loop for the configured algorithm and
-// returns once this worker's iterations are complete. For centralized
-// algorithms it then tells the PS so the server loop can retire.
+// returns once this worker's iterations are complete. It then retires the
+// replica's gradient store and velocity to xport's recycler, where the
+// coordinator's decoder finds them for the DONE reports, and, for
+// centralized algorithms, tells the PS so the server loop can retire.
 func (w *worker) run() error {
 	if err := core.WorkerLoop(w, w.cfg, w.rank, w.rep, w.streams, w.overlay); err != nil {
 		return fmt.Errorf("live: worker %d (%s): %w", w.rank, w.cfg.Algo, err)
 	}
+	grads, velocity := w.rep.Retire()
+	w.g = nil
+	w.Release(grads)
+	w.Release(velocity)
 	if w.srv >= 0 {
 		if err := w.ep.Send(w.srv, &xport.Frame{Kind: kindBye, From: int32(w.rank)}); err != nil {
 			return fmt.Errorf("live: worker %d bye: %w", w.rank, err)

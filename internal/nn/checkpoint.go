@@ -64,7 +64,7 @@ type TrainState struct {
 // path atomically: the bytes land in a temporary file first and are renamed
 // into place, so a crash mid-write never leaves a truncated checkpoint.
 func SaveState(path string, m *Model, st *TrainState) error {
-	return SaveFlatState(path, m.segs, m.weights, st)
+	return SaveFlatState(path, m.segs, m.Weights(), st)
 }
 
 // SaveFlatState is SaveState for a parameter vector held outside a model

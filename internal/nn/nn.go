@@ -21,7 +21,9 @@
 // either; a caller that wants a sum over micro-batches adds Grads() into a
 // buffer of its own. The gradient store is allocated by the first Loss or
 // Grads call, so a model that is only evaluated, or only carries parameters
-// (a parameter server's initial vector), never holds one.
+// (a parameter server's initial vector), never holds one. A model built
+// without an initial draw allocates its parameter store at first use too,
+// so that one only ever evaluated on a caller's vector (Bind) holds none.
 package nn
 
 import (
@@ -104,7 +106,8 @@ type Model struct {
 	size   int
 	// weights and grads are the flat parameter and gradient stores:
 	// params[i].W views weights[segs[i].Off:][:segs[i].Len] and params[i].G
-	// the same window of grads, which is nil until a pass needs it.
+	// the same window of grads, which is nil until a pass needs it. weights
+	// is nil while the store is deferred (see NewModel).
 	weights []float32
 	grads   []float32
 
@@ -150,10 +153,14 @@ func (m *Model) SetArena(a *tensor.Arena) {
 
 // NewModel assembles layers into a model, computes flat-vector segment
 // offsets and moves every parameter tensor into the flat store (the layer's
-// own initial storage is garbage from then on). The lowest layer holding
-// parameters (a conv stem, or the first Dense behind a Flatten) is told to
-// skip its input gradient: the model input needs none, and Loss ends its
-// backward walk at that layer.
+// own initial storage is garbage from then on). Layers built without an
+// initial draw leave some weights without storage; such a model defers its
+// store until something reads or writes the parameters, and Bind gives it
+// a caller's vector instead. Nothing else can tell the difference: the
+// deferred store holds exactly what an eager one would. The lowest layer
+// holding parameters (a conv stem, or the first Dense behind a Flatten) is
+// told to skip its input gradient: the model input needs none, and Loss
+// ends its backward walk at that layer.
 func NewModel(name string, layers ...Layer) *Model {
 	m := &Model{Name: name, Layers: layers}
 	off := 0
@@ -173,13 +180,46 @@ func NewModel(name string, layers ...Layer) *Model {
 		}
 	}
 	m.size = off
-	m.weights = make([]float32, off)
-	for i, p := range m.params {
-		w := m.window(m.weights, i)
-		copy(w, p.W.Data)
-		p.W.Data = w
+	for _, p := range m.params {
+		if p.W.Data == nil {
+			return m
+		}
 	}
+	m.store()
 	return m
+}
+
+// store returns the flat parameter store, building a deferred one first:
+// zeros where a layer left its weights without storage, and every
+// parameter moved into it.
+func (m *Model) store() []float32 {
+	if m.weights == nil {
+		v := make([]float32, m.size)
+		for i, p := range m.params {
+			copy(m.window(v, i), p.W.Data)
+		}
+		m.Bind(v)
+	}
+	return m.weights
+}
+
+// Bind makes v the model's parameter store with no copy: the layers compute
+// with v where it lies, and whatever store the model held is dropped. The
+// caller keeps v and must not change it while the model computes with it.
+// Bind(nil) leaves the model with no store, as if built without a draw: its
+// next use starts from zeros. An evaluation model binds each vector it
+// evaluates, so it never allocates a store of its own.
+func (m *Model) Bind(v []float32) {
+	if v != nil && len(v) != m.size {
+		panic(fmt.Sprintf("nn: Bind length %d, want %d", len(v), m.size))
+	}
+	m.weights = v
+	for i, p := range m.params {
+		p.W.Data = nil
+		if v != nil {
+			p.W.Data = m.window(v, i)
+		}
+	}
 }
 
 // window is parameter i's segment of the flat store v.
@@ -191,7 +231,10 @@ func (m *Model) window(v []float32, i int) []float32 {
 func (m *Model) NumParams() int { return m.size }
 
 // Params returns all learnable parameters in flat-vector order.
-func (m *Model) Params() []*Param { return m.params }
+func (m *Model) Params() []*Param {
+	m.store()
+	return m.params
+}
 
 // Segments returns the layer-wise layout of the flat parameter vector.
 func (m *Model) Segments() []Segment { return append([]Segment(nil), m.segs...) }
@@ -200,7 +243,7 @@ func (m *Model) Segments() []Segment { return append([]Segment(nil), m.segs...) 
 // parameters in flat-vector order, which the layers compute with. Callers
 // may step, merge or overwrite it in place, and ship or checkpoint it where
 // it lies.
-func (m *Model) Weights() []float32 { return m.weights }
+func (m *Model) Weights() []float32 { return m.store() }
 
 // FlatParams copies the parameters into dst (allocated if nil) and returns
 // it: a snapshot that later steps do not move. Nothing in the program needs
@@ -209,7 +252,7 @@ func (m *Model) Weights() []float32 { return m.weights }
 // SetFlatParams.
 func (m *Model) FlatParams(dst []float32) []float32 {
 	dst = m.ensure(dst)
-	copy(dst, m.weights)
+	copy(dst, m.store())
 	return dst
 }
 
@@ -218,7 +261,7 @@ func (m *Model) SetFlatParams(src []float32) {
 	if len(src) != m.size {
 		panic(fmt.Sprintf("nn: SetFlatParams length %d, want %d", len(src), m.size))
 	}
-	copy(m.weights, src)
+	copy(m.store(), src)
 }
 
 // Grads returns the flat gradient store itself, not a copy: the last Loss
@@ -233,6 +276,19 @@ func (m *Model) Grads() []float32 {
 		}
 	}
 	return m.grads
+}
+
+// ReleaseGrads hands the gradient store to the caller and forgets it: no
+// Param.G views it any more, and the next Loss or Grads call allocates a new
+// one. A finished worker releases its store so that the memory serves the
+// next vector a receiver decodes.
+func (m *Model) ReleaseGrads() []float32 {
+	g := m.grads
+	m.grads = nil
+	for _, p := range m.params {
+		p.G.Data = nil
+	}
+	return g
 }
 
 // FlatGrads copies the gradients into dst (allocated if nil). Nothing in
@@ -261,6 +317,7 @@ func (m *Model) ensure(dst []float32) []float32 {
 
 // Forward runs the layer stack and returns logits of shape [B, classes].
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	m.store()
 	h := x
 	for _, l := range m.Layers {
 		h = l.Forward(h, train)

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"disttrain/internal/rng"
@@ -265,8 +266,9 @@ func sgdStep(m *Model, lr float32) {
 // TestModelOwnsFlatStores: every Param.W is a view of the model's flat
 // parameter store, which Weights returns; the gradient store exists only
 // once a pass needs it; and a model built with a nil RNG draws nothing —
-// it allocates its parameter store and no more of model size — yet,
-// loaded with a drawn model's parameters, evaluates to the same bits.
+// it allocates its parameter store at first use and no more of model size —
+// yet, loaded with a drawn model's parameters, evaluates to the same bits,
+// as it does bound to them (Bind), holding no store of its own.
 func TestModelOwnsFlatStores(t *testing.T) {
 	image := []int{1, 16, 16}
 	for _, name := range []string{"mlp", "minicnn", "miniresnet", "miniresnetbn", "minivgg"} {
@@ -293,14 +295,28 @@ func TestModelOwnsFlatStores(t *testing.T) {
 		if got, vec := after.TotalAlloc-before.TotalAlloc, uint64(4*m.NumParams()); got > vec+64<<10 {
 			t.Fatalf("%s: building without a draw allocated %d bytes, the parameter store is %d", name, got, vec)
 		}
+		if bare.weights != nil {
+			t.Fatalf("%s: a model built without a draw allocated its store before its first use", name)
+		}
+		bound := build(nil)
+		bound.Bind(w)
+		if &bound.Weights()[0] != &w[0] {
+			t.Fatalf("%s: a bound model computes with a store of its own", name)
+		}
 		bare.SetFlatParams(w)
 		x := tensor.New(6, 1, 16, 16)
 		x.RandNormal(rng.New(9), 1)
 		labels := []int{0, 1, 2, 3, 4, 0}
 		l1, a1 := m.Evaluate(x, labels)
-		l2, a2 := bare.Evaluate(x, labels)
-		if math.Float64bits(l1) != math.Float64bits(l2) || a1 != a2 {
-			t.Fatalf("%s: the drawn model evaluates to %v/%v, the loaded bare one to %v/%v", name, l1, a1, l2, a2)
+		for _, other := range []*Model{bare, bound} {
+			l2, a2 := other.Evaluate(x, labels)
+			if math.Float64bits(l1) != math.Float64bits(l2) || a1 != a2 {
+				t.Fatalf("%s: the drawn model evaluates to %v/%v, a loaded or bound bare one to %v/%v", name, l1, a1, l2, a2)
+			}
+		}
+		bound.Bind(nil)
+		if v := bound.Weights(); &v[0] == &w[0] || slices.ContainsFunc(v, func(x float32) bool { return x != 0 }) {
+			t.Fatalf("%s: an unbound model still reads the vector it was bound to", name)
 		}
 	}
 }

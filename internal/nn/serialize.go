@@ -27,7 +27,7 @@ const ioChunk = 64 << 10
 // Save writes the model's parameters as a checkpoint, from the store where
 // it lies.
 func (m *Model) Save(w io.Writer) error {
-	return writeCheckpoint(w, m.segs, m.weights)
+	return writeCheckpoint(w, m.segs, m.Weights())
 }
 
 // writeCheckpoint writes params, laid out as segs, as a model checkpoint.
@@ -154,7 +154,7 @@ func (m *Model) Load(r io.Reader) error {
 				i, name, segLen, segs[i].Name, segs[i].Len)
 		}
 	}
-	if err := readF32s(br, m.weights); err != nil {
+	if err := readF32s(br, m.Weights()); err != nil {
 		return fmt.Errorf("nn: reading parameters: %w", err)
 	}
 	return nil

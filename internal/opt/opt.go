@@ -68,6 +68,14 @@ func (s *SGD) StepAt(p, g []float32, scale, lr float32, off int) {
 // the all-zero velocity a fresh optimizer starts from.
 func (s *SGD) Velocity() []float32 { return s.vel }
 
+// ReleaseVelocity hands the momentum buffer to the caller and forgets it
+// (nil when there is none): the next step starts from a new, all-zero one.
+func (s *SGD) ReleaseVelocity() []float32 {
+	v := s.vel
+	s.vel = nil
+	return v
+}
+
 // SetVelocity adopts v as the momentum buffer (a checkpoint's): the caller
 // hands v over. It must have the optimizer's length.
 func (s *SGD) SetVelocity(v []float32) {

@@ -3,6 +3,7 @@ package xport
 import (
 	"encoding/binary"
 	"math/bits"
+	"runtime"
 	"sync"
 	"unsafe"
 )
@@ -50,10 +51,14 @@ func swap32(b []byte) {
 // round after round, and a parameter server receives one int8 gradient
 // payload per worker-step; allocating each one fresh made the collector the
 // busiest part of the data plane. ReadFrame draws every large Vec and Data
-// section from a sync.Pool of its element type and size class, and
-// Frame.Release hands them back. The pools hold only what a collection cycle
-// leaves them, so an idle process gives the memory back, and a frame that
-// is never released is simply collected.
+// section from a free list of its element type and size class, and
+// Frame.Release hands them back — as a finished worker does with its
+// gradient store and velocity, which the coordinator then decodes the DONE
+// reports into. The lists are emptied after every collection cycle and the
+// next cycle frees what they held, so an idle process gives the memory
+// back; a frame that is never released is simply collected. One mutex per
+// element type guards its lists, so a section put back on one thread is
+// there for the next get on any other.
 
 // minPooledBytes is the smallest section worth recycling; below it a plain
 // allocation is cheaper than the pool round-trip.
@@ -61,9 +66,13 @@ const minPooledBytes = 64 << 10
 
 // recycler pools slices of one element type by size class. A class is a
 // capacity with only its top three bits set — four steps per octave, so a
-// pooled buffer is at most a quarter larger than the section it carries.
+// section get allocates is at most a quarter larger than asked for. A slice
+// put back is filed under the largest class its capacity covers: a section
+// get allocated under its own class, a vector of exact length (a model's
+// gradient store) under the class below its length.
 type recycler[T float32 | byte] struct {
-	pools [4 * 64]sync.Pool
+	mu    sync.Mutex
+	lists [4 * 64][][]T
 }
 
 var (
@@ -71,7 +80,8 @@ var (
 	datas recycler[byte]
 )
 
-// sizeClass returns the size class that holds n elements and its capacity.
+// sizeClass returns the smallest size class that holds n elements and its
+// capacity.
 func sizeClass(n int) (class, capacity int) {
 	shift := bits.Len(uint(n)) - 3
 	q := (n-1)>>shift + 1 // 4..8 quarter-octave steps
@@ -85,7 +95,9 @@ func (*recycler[T]) minPooled() int {
 }
 
 // get returns a slice of n elements, recycled when n is large. Its contents
-// are arbitrary: the caller overwrites all of it.
+// are arbitrary: the caller overwrites all of it. It looks in n's class,
+// where every slice holds n, then in the class below, whose slices hold n
+// only when their capacity does (an exact-length vector of n files there).
 func (r *recycler[T]) get(n int) []T {
 	switch {
 	case n == 0:
@@ -94,20 +106,68 @@ func (r *recycler[T]) get(n int) []T {
 		return make([]T, n)
 	}
 	class, capacity := sizeClass(n)
-	if p, ok := r.pools[class].Get().(*T); ok {
-		return unsafe.Slice(p, capacity)[:n]
+	r.mu.Lock()
+	s := r.take(class, n)
+	if s == nil && capacity != n {
+		s = r.take(class-1, n)
 	}
-	return make([]T, n, capacity)
+	r.mu.Unlock()
+	if s == nil {
+		return make([]T, n, capacity)
+	}
+	return s[:n]
 }
 
-// put takes s back, or drops it when its capacity is not a size class.
+// take removes and returns the slice last filed under class c whose
+// capacity holds n, or nil when none does. r.mu is held.
+func (r *recycler[T]) take(c, n int) []T {
+	l := r.lists[c]
+	for i := len(l) - 1; i >= 0; i-- {
+		if s := l[i]; cap(s) >= n {
+			last := len(l) - 1
+			l[i], l[last] = l[last], nil
+			r.lists[c] = l[:last]
+			return s
+		}
+	}
+	return nil
+}
+
+// put takes s back, whatever its length, unless it is too small to pool.
 func (r *recycler[T]) put(s []T) {
 	if cap(s) < r.minPooled() {
 		return
 	}
-	if class, capacity := sizeClass(cap(s)); capacity == cap(s) {
-		r.pools[class].Put(unsafe.SliceData(s))
+	class, capacity := sizeClass(cap(s))
+	if capacity != cap(s) {
+		class--
 	}
+	r.mu.Lock()
+	r.lists[class] = append(r.lists[class], s[:cap(s)])
+	r.mu.Unlock()
+}
+
+// drop forgets every pooled slice, keeping the lists' own storage.
+func (r *recycler[T]) drop() {
+	r.mu.Lock()
+	for c, l := range r.lists {
+		clear(l)
+		r.lists[c] = l[:0]
+	}
+	r.mu.Unlock()
+}
+
+// collected is the recyclers' tie to the collector: its finalizer runs
+// after every collection cycle, drops what the recyclers hold — the next
+// cycle frees it — and re-arms itself.
+type collected struct{ _ [64]byte } // big enough to stay out of the tiny allocator
+
+func init() { runtime.SetFinalizer(new(collected), onCollection) }
+
+func onCollection(c *collected) {
+	vecs.drop()
+	datas.drop()
+	runtime.SetFinalizer(c, onCollection)
 }
 
 // NewVec returns a Vec of n elements, recycled when n is large. Its
@@ -117,11 +177,11 @@ func (r *recycler[T]) put(s []T) {
 func NewVec(n int) []float32 { return vecs.get(n) }
 
 // Release returns f.Vec and f.Data to the recycler and clears them. Call it
-// on a received frame once its sections have been consumed; after Release
-// neither the frame nor any slice of its sections may be used. Releasing is
-// optional — an unreleased section is ordinary garbage — and a section the
-// recycler did not hand out is accepted or dropped, whichever its capacity
-// allows.
+// on a received frame once its sections have been consumed, or on any
+// vector its owner is done with; after Release neither the frame nor any
+// slice of its sections may be used. Releasing is optional — an unreleased
+// section is ordinary garbage — and a section the recycler did not hand out
+// is filed by its capacity like one it did.
 func (f *Frame) Release() {
 	vecs.put(f.Vec)
 	datas.put(f.Data)
