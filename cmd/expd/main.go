@@ -17,11 +17,15 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"net"
+	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
+	"time"
 
 	"disttrain/internal/ctlplane"
 )
@@ -42,25 +46,34 @@ func main() {
 		fmt.Fprintln(os.Stderr, "expd:", err)
 		os.Exit(1)
 	}
-	httpSrv := ctlplane.NewHTTPServer(*listen, ctlplane.NewMux(svc))
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	// The service comes up before the listener binds, so the API never
 	// accepts a submission the worker pool isn't ready to take.
-	var group ctlplane.Group
-	group.Add("service", svc).Add("http", httpSrv)
-	if err := group.Start(ctx); err != nil {
+	svc.Start(ctx)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "expd:", err)
 		os.Exit(1)
 	}
+	srv := &http.Server{Handler: ctlplane.NewMux(svc)}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
 	fmt.Printf("expd: serving on %s (state %s, concurrency %d)\n",
-		httpSrv.BoundAddr, orDash(*stateDir), *concurrency)
+		ln.Addr(), orDash(*stateDir), *concurrency)
 
 	<-ctx.Done()
 	fmt.Println("expd: shutting down (in-flight experiments drain; queued ones resume on restart)")
-	group.Wait()
+	// In-flight requests get a drain window; then the service's in-flight
+	// experiments finish.
+	drain, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	srv.Shutdown(drain)
+	if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+		fmt.Fprintln(os.Stderr, "expd: serve:", err)
+	}
+	<-svc.Done()
 }
 
 func orDash(s string) string {

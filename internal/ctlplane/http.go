@@ -1,13 +1,10 @@
 package ctlplane
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
-	"time"
 
 	"disttrain/internal/api"
 	"disttrain/internal/metrics"
@@ -167,49 +164,4 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 
 func httpError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
-}
-
-// HTTPServer wraps an http.Server as a lifecycle Component: Start binds the
-// listener and begins serving, Ready closes once the listener is bound, and
-// context cancellation triggers graceful shutdown (in-flight requests get a
-// drain window).
-type HTTPServer struct {
-	Lifecycle
-	Addr    string
-	Handler http.Handler
-
-	// BoundAddr is the listener's concrete address, available after Ready
-	// (useful with Addr ":0").
-	BoundAddr string
-
-	srv *http.Server
-}
-
-// NewHTTPServer returns a server component listening on addr.
-func NewHTTPServer(addr string, h http.Handler) *HTTPServer {
-	return &HTTPServer{Lifecycle: NewLifecycle(), Addr: addr, Handler: h}
-}
-
-// Start implements Component.
-func (s *HTTPServer) Start(ctx context.Context) error {
-	ln, err := net.Listen("tcp", s.Addr)
-	if err != nil {
-		return err
-	}
-	s.BoundAddr = ln.Addr().String()
-	s.srv = &http.Server{Handler: s.Handler}
-	go func() {
-		<-ctx.Done()
-		shctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s.srv.Shutdown(shctx)
-	}()
-	go func() {
-		defer s.MarkDone()
-		if err := s.srv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Printf("ctlplane: http serve: %v\n", err)
-		}
-	}()
-	s.MarkReady()
-	return nil
 }

@@ -47,9 +47,7 @@ func startService(t *testing.T, o ServiceOptions) (*api.Client, *Service) {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	if err := svc.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
+	svc.Start(ctx)
 	ts := httptest.NewServer(NewMux(svc))
 	t.Cleanup(func() {
 		ts.Close()
@@ -109,6 +107,57 @@ func TestSubmitPollStreamResult(t *testing.T) {
 	}
 	if res.Transport != api.TransportSim || res.Summary.Iters != 6 {
 		t.Fatalf("result: transport=%q iters=%d", res.Transport, res.Summary.Iters)
+	}
+}
+
+// TestListByState lists experiments over HTTP, all of them and by state:
+// two submissions queued before the worker pool starts, then done.
+func TestListByState(t *testing.T) {
+	svc, err := NewService(ServiceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewMux(svc))
+	defer ts.Close()
+	c, ctx := &api.Client{Base: ts.URL}, context.Background()
+	var ids []string
+	for seed := uint64(1); seed <= 2; seed++ {
+		st, err := c.Submit(ctx, simSpec(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, st.ID)
+	}
+	list := func(state string) []string {
+		t.Helper()
+		sts, err := c.List(ctx, state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, st := range sts {
+			got = append(got, st.ID)
+		}
+		return got
+	}
+	same := func(a, b []string) bool { return strings.Join(a, ",") == strings.Join(b, ",") }
+	if all, queued, done := list(""), list(api.StateQueued), list(api.StateDone); !same(all, ids) || !same(queued, ids) || len(done) != 0 {
+		t.Fatalf("before Start: all %v, queued %v, done %v; want %v queued", all, queued, done, ids)
+	}
+
+	runCtx, cancel := context.WithCancel(ctx)
+	svc.Start(runCtx)
+	defer func() {
+		cancel()
+		<-svc.Done()
+	}()
+	for _, id := range ids {
+		if _, err := c.Wait(ctx, id, 10*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if all, queued, done := list(""), list(api.StateQueued), list(api.StateDone); !same(all, ids) || len(queued) != 0 || !same(done, ids) {
+		t.Fatalf("after the runs: all %v, queued %v, done %v; want %v done", all, queued, done, ids)
 	}
 }
 
@@ -322,9 +371,7 @@ func TestRestartPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	runCtx, cancel := context.WithCancel(ctx)
-	if err := svc1.Start(runCtx); err != nil {
-		t.Fatal(err)
-	}
+	svc1.Start(runCtx)
 	ts1 := httptest.NewServer(NewMux(svc1))
 	c1 := &api.Client{Base: ts1.URL}
 	st, err := c1.Submit(ctx, simSpec(9))

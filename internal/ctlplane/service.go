@@ -1,3 +1,8 @@
+// Package ctlplane is the experiment control plane: a long-lived service
+// that accepts api.ExperimentSpec submissions over HTTP/JSON, queues them,
+// runs them with bounded concurrency across the simulator and the live
+// runtime, streams per-iteration metrics to subscribers, and persists every
+// result as a JSON artifact that survives service restarts.
 package ctlplane
 
 import (
@@ -80,11 +85,10 @@ func (e *experiment) snapshot() *api.ExperimentStatus {
 // Service is the experiment control plane core: it accepts validated
 // submissions, queues them, runs them with bounded concurrency across the
 // simulator and live backends, streams metrics, and persists results via a
-// Store. It is a lifecycle Component: Start launches the worker pool,
-// shutdown (context cancellation) lets in-flight experiments finish and
-// leaves queued ones persisted for the next incarnation to resume.
+// Store. Start launches the worker pool; shutdown (context cancellation)
+// lets in-flight experiments finish and leaves queued ones persisted for the
+// next incarnation to resume.
 type Service struct {
-	Lifecycle
 	store *Store
 	conc  int
 
@@ -95,6 +99,7 @@ type Service struct {
 
 	queue chan *experiment
 	wg    sync.WaitGroup
+	done  chan struct{} // closed after the last worker exits
 	now   func() time.Time
 }
 
@@ -131,12 +136,12 @@ func NewService(o ServiceOptions) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		Lifecycle: NewLifecycle(),
-		store:     store,
-		conc:      o.Concurrency,
-		exps:      make(map[string]*experiment),
-		queue:     make(chan *experiment, o.QueueDepth),
-		now:       o.Now,
+		store: store,
+		conc:  o.Concurrency,
+		exps:  make(map[string]*experiment),
+		queue: make(chan *experiment, o.QueueDepth),
+		done:  make(chan struct{}),
+		now:   o.Now,
 	}
 	prior, err := store.Load()
 	if err != nil {
@@ -170,18 +175,20 @@ func NewService(o ServiceOptions) (*Service, error) {
 // Start launches the worker pool. Workers exit once ctx is cancelled AND
 // their current experiment (if any) has finished; Done closes after the
 // last worker exits.
-func (s *Service) Start(ctx context.Context) error {
+func (s *Service) Start(ctx context.Context) {
 	for i := 0; i < s.conc; i++ {
 		s.wg.Add(1)
 		go s.worker(ctx)
 	}
 	go func() {
 		s.wg.Wait()
-		s.MarkDone()
+		close(s.done)
 	}()
-	s.MarkReady()
-	return nil
 }
+
+// Done closes once the service has shut down: Start's context is cancelled
+// and every in-flight experiment has finished.
+func (s *Service) Done() <-chan struct{} { return s.done }
 
 // Submit validates the spec (rejecting bad specs before anything is
 // queued), assigns an ID, persists the queued record, and enqueues it.

@@ -3,7 +3,6 @@ package live
 import (
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
-	"disttrain/internal/xport"
 )
 
 // chaos projects a crash schedule onto the live run. It wraps the exact
@@ -34,20 +33,34 @@ func newChaos(cfg *core.Config) *chaos {
 	return &chaos{cfg: cfg, inj: inj}
 }
 
-// peerDropper is the optional transport capability chaos needs: discard a
-// cached connection so the next send redials. TCPNet implements it; the
-// channel transport (which cannot lose bytes) does not and needs nothing.
+// peerDropper discards a cached connection so the next send redials: a
+// restart needs it, and TCPNet, the only transport with crashes, has it.
 type peerDropper interface{ DropPeer(int) }
 
-// dropIfResumed discards ep's cached connection to worker w when w comes back
-// from a dead window exactly at iteration it. The old socket is half-closed
-// on w's side and a write on it could be silently lost, so the first exchange
-// with w after its restart must start on a fresh dial.
-func (c *chaos) dropIfResumed(ep xport.Endpoint, w, it int) {
-	pd, ok := ep.(peerDropper)
-	if ok && c != nil && it > 1 && c.inj.AliveAtIter(w, it) && !c.inj.AliveAtIter(w, it-1) {
-		pd.DropPeer(w)
+// owesResume reports whether worker p, back from a dead window at iteration
+// it, owes worker q a RESUME: q runs it in the incarnation that ran p's last
+// iteration before the window, so it may hold a connection to the dead one.
+func (c *chaos) owesResume(p, q, it int) bool {
+	if c == nil || !c.inj.AliveAtIter(p, it) {
+		return false
 	}
+	last := it - 1
+	for last > 0 && !c.inj.AliveAtIter(p, last) {
+		last--
+	}
+	d := c.firstDeath(q, last)
+	return last > 0 && last < it-1 && (d == 0 || d > it)
+}
+
+// ran is how many of the iterations 1..upto worker w runs.
+func (c *chaos) ran(w, upto int) int {
+	n := 0
+	for it := 1; it <= upto; it++ {
+		if c.inj.AliveAtIter(w, it) {
+			n++
+		}
+	}
+	return n
 }
 
 // firstDeath is the first iteration >= from that worker w does not run, or

@@ -1,13 +1,17 @@
 package live
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"time"
 
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
+	"disttrain/internal/xport"
 )
 
 // chaosSchedule kills two of four workers mid-run, each with a restart
@@ -49,11 +53,7 @@ func TestLiveBSPChaosConvergence(t *testing.T) {
 	if res.Restores < 2 {
 		t.Fatalf("observed %d checkpoint restores, want >= 2", res.Restores)
 	}
-	for w, n := range res.WorkerIters {
-		if n != cfg.Iters {
-			t.Fatalf("worker %d completed %d/%d iterations after restart", w, n, cfg.Iters)
-		}
-	}
+	requireSimIters(t, simRun(t, cfg), res)
 	if res.FinalTestAcc <= 1.0/3+0.05 {
 		t.Fatalf("chaos run did not learn: acc %.3f", res.FinalTestAcc)
 	}
@@ -120,23 +120,51 @@ func TestLiveBSPChaosBitIdenticalToSim(t *testing.T) {
 // elastic contract. The AR-SGD ring is rebuilt from the alive membership
 // every round — survivors reduce over the shrunken ring exactly like the
 // simulator — and a restored worker rejoins the ring bit-identically
-// (momentum restored from the checkpoint).
+// (momentum restored from the checkpoint). Each rank runs the simulator's
+// rank's iterations: a restarted one sums its incarnations', a written-off
+// one gets its schedule's.
 func TestLiveARSGDElasticBitIdenticalToSim(t *testing.T) {
-	cfg := liveConfig(core.ARSGD, 4, 8, 42)
-	cfg.Elastic = true
-	cfg.Faults = &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.Crash, AtIter: 4, Worker: 1, Restart: 0.1},
-	}}
-	sim := simParams(t, cfg)
+	for _, tc := range []struct {
+		name    string
+		restart float64
+	}{{"restart", 0.1}, {"no-restart", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := liveConfig(core.ARSGD, 4, 8, 42)
+			cfg.Elastic = true
+			cfg.Faults = &fault.Schedule{Events: []fault.Event{
+				{Kind: fault.Crash, AtIter: 4, Worker: 1, Restart: tc.restart},
+			}}
+			sim := simRun(t, cfg)
 
-	res, err := RunLoopback(cfg, WithCheckpoints(t.TempDir(), 1))
-	if err != nil {
-		t.Fatal(err)
+			res, err := RunLoopback(cfg, WithCheckpoints(t.TempDir(), 1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			comebacks := int64(1)
+			if tc.restart == 0 {
+				// The written-off rank reports no parameters.
+				comebacks, sim.WorkerParams[1] = 0, nil
+			}
+			requireBitIdentical(t, sim.WorkerParams, res.WorkerParams)
+			requireSimIters(t, sim, res)
+			if res.Deaths != 1 || res.Rejoins != comebacks || res.Restores != comebacks {
+				t.Fatalf("chaos counters: deaths=%d rejoins=%d restores=%d",
+					res.Deaths, res.Rejoins, res.Restores)
+			}
+		})
 	}
-	requireBitIdentical(t, sim, res.WorkerParams)
-	if res.Deaths < 1 || res.Rejoins < 1 || res.Restores < 1 {
-		t.Fatalf("chaos counters: deaths=%d rejoins=%d restores=%d",
-			res.Deaths, res.Rejoins, res.Restores)
+}
+
+// requireSimIters fails unless every rank of the live run ran the
+// iterations the simulator's ran.
+func requireSimIters(t *testing.T, sim *core.Result, live *Result) {
+	t.Helper()
+	want := make([]int, len(sim.Metrics.Workers))
+	for r, w := range sim.Metrics.Workers {
+		want[r] = w.Iters
+	}
+	if !slices.Equal(live.WorkerIters, want) {
+		t.Fatalf("per-rank iterations: live %v, sim %v", live.WorkerIters, want)
 	}
 }
 
@@ -184,5 +212,136 @@ func TestRunChanRejectsCrash(t *testing.T) {
 	cfg.Faults = chaosSchedule()
 	if _, err := RunChan(cfg); err == nil {
 		t.Fatal("RunChan accepted a crash schedule")
+	}
+}
+
+// resumeConfig is an elastic run whose rank 1 is dead through iterations
+// 3-6 and back at 7, and whose rank 2 is dead at 5 and back at 6.
+func resumeConfig(t *testing.T, algo core.Algo) core.Config {
+	cfg := liveConfig(algo, 4, 12, 42)
+	cfg.Elastic = true
+	cfg.Faults = &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.Crash, AtIter: 3, Worker: 1, Restart: 1.2},
+		{Kind: fault.Crash, AtIter: 5, Worker: 2, Restart: 0.1},
+	}}
+	if err := Validate(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	for w, want := range []string{"xxxxxxxxxxxx", "xx....xxxxxx", "xxxx.xxxxxxx", "xxxxxxxxxxxx"} {
+		got := ""
+		for it := 1; it <= cfg.Iters; it++ {
+			got += map[bool]string{true: "x", false: "."}[newChaos(&cfg).inj.AliveAtIter(w, it)]
+		}
+		if got != want {
+			t.Fatalf("rank %d runs %s, want %s", w, got, want)
+		}
+	}
+	return cfg
+}
+
+// TestChaosOwesResume: a rank back from a dead window owes a RESUME to each
+// rank whose incarnation at the resume round also ran the returning rank's
+// last round before the window — and to no other.
+func TestChaosOwesResume(t *testing.T) {
+	ch := newChaos(ptr(resumeConfig(t, core.ARSGD)))
+	for _, tc := range []struct {
+		p, q, it int
+		want     bool
+	}{
+		{1, 0, 7, true},
+		{1, 3, 7, true},
+		{1, 2, 7, false}, // rank 2 died and came back since rank 1's round 2
+		{2, 0, 6, true},
+		{2, 1, 6, false}, // rank 1 is dead at 6
+		{1, 0, 5, false}, // rank 1 is not back yet
+		{1, 0, 8, false}, // nor newly back
+		{0, 1, 7, false}, // rank 0 never dies
+	} {
+		if got := ch.owesResume(tc.p, tc.q, tc.it); got != tc.want {
+			t.Errorf("owesResume(%d, %d, %d) = %v, want %v", tc.p, tc.q, tc.it, got, tc.want)
+		}
+	}
+}
+
+func ptr[T any](v T) *T { return &v }
+
+// gateEndpoint is an endpoint whose arrivals are scripted; it logs what it
+// is asked to do, in order.
+type gateEndpoint struct {
+	xport.Endpoint
+	in  []xport.Frame
+	log []string
+}
+
+func (e *gateEndpoint) Send(to int, f *xport.Frame) error {
+	e.log = append(e.log, fmt.Sprintf("send %d to %d", f.Kind, to))
+	return nil
+}
+
+func (e *gateEndpoint) Recv(time.Duration) (xport.Frame, error) {
+	if len(e.in) == 0 {
+		return xport.Frame{}, xport.ErrClosed
+	}
+	f := e.in[0]
+	e.in = e.in[1:]
+	e.log = append(e.log, fmt.Sprintf("recv %d from %d", f.Kind, f.From))
+	return f, nil
+}
+
+func (e *gateEndpoint) DropPeer(p int) { e.log = append(e.log, fmt.Sprintf("drop %d", p)) }
+
+// TestWorkerGateWaitsForResume: a worker whose peer comes back at round it
+// drops its connection to that peer only once the new incarnation's RESUME
+// is in, parking what arrives before it; the returning worker sends RESUME
+// at its first round to the ranks that owe the wait — the PS alone when
+// there is one.
+func TestWorkerGateWaitsForResume(t *testing.T) {
+	resume := func(from, it int) xport.Frame {
+		return xport.Frame{Kind: kindResume, From: int32(from), Clock: int32(it), Seg: int32(from)}
+	}
+	chunk := xport.Frame{Kind: kindAllReduce, From: 3, Clock: 7}
+	for _, tc := range []struct {
+		name      string
+		algo      core.Algo
+		rank, it  int
+		startIter int
+		in        []xport.Frame
+		want      []string
+	}{
+		{name: "a survivor parks a chunk, takes the RESUME, then drops the connection", algo: core.ARSGD,
+			rank: 0, it: 7, in: []xport.Frame{chunk, resume(1, 7)},
+			want: []string{"recv 8 from 3", "recv 111 from 1", "drop 1"}},
+		{name: "a survivor waits for each peer back at its round", algo: core.ARSGD,
+			rank: 3, it: 6, in: []xport.Frame{resume(2, 6)},
+			want: []string{"recv 111 from 2", "drop 2"}},
+		{name: "a rank back since the peer's last round waits for nothing", algo: core.ARSGD,
+			rank: 2, it: 7},
+		{name: "the returning rank sends RESUME to the ranks that wait", algo: core.ARSGD,
+			rank: 1, it: 1, startIter: 7,
+			want: []string{"send 111 to 0", "send 111 to 3"}},
+		{name: "under a PS the returning rank sends RESUME to the PS alone", algo: core.BSP,
+			rank: 1, it: 1, startIter: 7,
+			want: []string{"send 111 to 4"}},
+		{name: "under a PS a survivor waits for nothing", algo: core.BSP,
+			rank: 0, it: 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := resumeConfig(t, tc.algo)
+			ep := &gateEndpoint{in: tc.in}
+			w := newWorker(&cfg, tc.rank, ep, nil)
+			w.startIter = max(tc.startIter, 1)
+			it, ok, err := w.Gate(tc.it)
+			if want := max(tc.it, tc.startIter); it != want || !ok || err != nil {
+				t.Fatalf("Gate(%d) = %d, %v, %v; want %d, true", tc.it, it, ok, err, want)
+			}
+			if !slices.Equal(ep.log, tc.want) {
+				t.Fatalf("endpoint log %q, want %q", ep.log, tc.want)
+			}
+			if len(tc.in) > 1 {
+				if m, ok, err := w.Recv(int(kindAllReduce), 7, core.Any, core.Poll); !ok || err != nil || m.From != 3 {
+					t.Fatalf("the chunk that came before the RESUME was not parked: %+v, %v, %v", m, ok, err)
+				}
+			}
+		})
 	}
 }

@@ -56,6 +56,7 @@ func (c *ctlConn) Write(p []byte) (int, error) {
 
 func (c *ctlConn) Close() error                     { c.closed = true; return nil }
 func (c *ctlConn) SetWriteDeadline(time.Time) error { return nil }
+func (c *ctlConn) SetReadDeadline(time.Time) error  { return nil }
 func (c *ctlConn) LocalAddr() net.Addr              { return &net.TCPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 9901} }
 
 // frames lists the frames written to c.
@@ -170,14 +171,13 @@ func (r *coordRig) rerank() {
 type move struct {
 	what      string // "hello", "stranger" (another fingerprint), "addr", "noaddr" (an empty one), "ready" (also out of place), "hb", "done", "fail" (an error DONE), "drop" (the read error), "rejoin" or "tick"
 	rank, inc int
-	clock     int // a heartbeat's progress
 	at        time.Duration
 	fails     bool // in an explored run, the move that must fail it
 }
 
 func hello(conn int, at time.Duration) move { return move{what: "hello", rank: conn, at: at} }
-func hb(rank, inc, clock int, at time.Duration) move {
-	return move{what: "hb", rank: rank, inc: inc, clock: clock, at: at}
+func hb(rank, inc int, at time.Duration) move {
+	return move{what: "hb", rank: rank, inc: inc, at: at}
 }
 func done(rank, inc int, at time.Duration) move {
 	return move{what: "done", rank: rank, inc: inc, at: at}
@@ -212,7 +212,7 @@ func (r *coordRig) event(m move) event {
 	case "ready":
 		ev.f = xport.Frame{Kind: kindReady, From: int32(m.rank)}
 	case "hb":
-		ev.f = xport.Frame{Kind: kindHeartbeat, From: int32(m.rank), Clock: int32(m.clock)}
+		ev.f = xport.Frame{Kind: kindHeartbeat, From: int32(m.rank)}
 	case "done":
 		ev.f = *(&doneInfo{iters: 12}).frame(m.rank)
 	case "fail":
@@ -263,8 +263,8 @@ func (r *coordRig) play(t *testing.T, moves ...move) string {
 // exactly when a step changed something.
 func (r *coordRig) view() string {
 	st := r.st
-	v := fmt.Sprintf("%v %v %v %v %v %v %v %v %v %d %d %d", st.owe, st.addrs, st.mesh, st.lease, st.start,
-		st.iter, st.done, st.beat, st.reports, st.deaths.Load(), st.rejoins.Load(), st.finished.Load())
+	v := fmt.Sprintf("%v %v %v %v %v %v %v %v %d %d %d", st.owe, st.addrs, st.mesh, st.lease, st.start,
+		st.done, st.beat, st.reports, st.deaths.Load(), st.rejoins.Load(), st.finished.Load())
 	for _, c := range st.conns {
 		v += fmt.Sprintf(" %p", c)
 	}
@@ -285,7 +285,7 @@ func TestCoordinatorStep(t *testing.T) {
 	everyoneBeatsAt := func(at time.Duration, ranks ...int) []move {
 		var ms []move
 		for _, r := range ranks {
-			ms = append(ms, hb(r, 0, 1, at))
+			ms = append(ms, hb(r, 0, at))
 		}
 		return ms
 	}
@@ -409,10 +409,10 @@ func TestCoordinatorStep(t *testing.T) {
 			moves: cat(each("hello", 0, all...), []move{hello(4, 30*sec), tick(recvTimeout + 1)}),
 			want:  "live: worker 0 owes ADDR after 60.0s of silence"},
 		{name: "DONE, then its connection drops: no death",
-			moves: []move{done(0, 0, sec), drop(0, 0, 2*sec), hb(0, 0, 99, 3*sec)},
+			moves: []move{done(0, 0, sec), drop(0, 0, 2*sec), hb(0, 0, 3*sec)},
 			check: func(t *testing.T, r *coordRig) {
-				if r.st.iter[0] != 0 || r.st.finished.Load() != 1 {
-					t.Errorf("after DONE: iter %d, finished %d", r.st.iter[0], r.st.finished.Load())
+				if !r.st.beat[0].IsZero() || r.st.finished.Load() != 1 {
+					t.Errorf("after DONE: beat %v, finished %d", r.st.beat[0].Sub(coordStart), r.st.finished.Load())
 				}
 			}},
 		{name: "connection drops, then a DONE on it: one death, no report",
@@ -448,17 +448,17 @@ func TestCoordinatorStep(t *testing.T) {
 				}
 			}},
 		{name: "a heartbeat from a superseded connection is ignored",
-			moves:  []move{hb(1, 0, 3, sec), rejoin(1, 1, 2*sec), hb(1, 0, 7, 3*sec)},
+			moves:  []move{hb(1, 0, sec), rejoin(1, 1, 2*sec), hb(1, 0, 3*sec)},
 			deaths: 1, rejoins: 1,
 			check: func(t *testing.T, r *coordRig) {
-				if r.st.iter[1] != 3 || !r.st.beat[1].Equal(coordStart.Add(2*sec)) {
-					t.Errorf("iter %d, beat %v: the stale heartbeat moved them", r.st.iter[1], r.st.beat[1].Sub(coordStart))
+				if !r.st.beat[1].Equal(coordStart.Add(2 * sec)) {
+					t.Errorf("beat %v: the stale heartbeat moved it", r.st.beat[1].Sub(coordStart))
 				}
 			}},
 		{name: "a heartbeat exactly at the lease boundary keeps the lease",
-			moves: cat(everyoneBeatsAt(10*sec, 0, 1, 3), []move{hb(2, 0, 1, 5*sec), tick(5*sec + leaseTimeout)})},
+			moves: cat(everyoneBeatsAt(10*sec, 0, 1, 3), []move{hb(2, 0, 5*sec), tick(5*sec + leaseTimeout)})},
 		{name: "one nanosecond past the lease boundary fails the run naming the rank",
-			moves: cat(everyoneBeatsAt(10*sec, 0, 1, 3), []move{hb(2, 0, 1, 5*sec), tick(5*sec + leaseTimeout),
+			moves: cat(everyoneBeatsAt(10*sec, 0, 1, 3), []move{hb(2, 0, 5*sec), tick(5*sec + leaseTimeout),
 				tick(5*sec + leaseTimeout + 1)}),
 			want: "live: worker 2 lease expired after 15.0s of silence"},
 		{name: "a tick before an in-flight REJOIN, inside the restart budget",
@@ -474,7 +474,7 @@ func TestCoordinatorStep(t *testing.T) {
 		{name: "without a crash schedule no lease is kept", noCrashes: true,
 			moves: []move{tick(time.Hour)}},
 		{name: "a rank written off by its schedule ends the run last",
-			moves:  []move{hb(3, 0, 9, sec), done(0, 0, 2*sec), done(1, 0, 2*sec), done(2, 0, 2*sec), drop(3, 0, 3*sec)},
+			moves:  []move{hb(3, 0, sec), done(0, 0, 2*sec), done(1, 0, 2*sec), done(2, 0, 2*sec), drop(3, 0, 3*sec)},
 			deaths: 1, want: "end",
 			check: func(t *testing.T, r *coordRig) {
 				if !r.st.done[3] || r.st.reports[3].iters != 9 {
@@ -665,8 +665,6 @@ func exploreCoordinator(cfg core.Config, seed int64) string {
 		}
 		faulty.moves = append(faulty.moves[:at], append([]move{m}, faulty.moves[at:]...)...)
 	}
-	clock := make([]int, len(comebacks))
-	lastBeat := 0 // rank 3's progress at its write-off
 	for rank, n := range comebacks {
 		for inc := 0; inc <= n; inc++ {
 			s := &stream{rank: rank, inc: inc}
@@ -674,13 +672,11 @@ func exploreCoordinator(cfg core.Config, seed int64) string {
 				s.moves = append(s.moves, move{what: "rejoin", rank: rank, inc: inc})
 			}
 			for k := rnd.Intn(4); k > 0; k-- {
-				clock[rank]++
-				s.moves = append(s.moves, move{what: "hb", rank: rank, inc: inc, clock: clock[rank]})
+				s.moves = append(s.moves, move{what: "hb", rank: rank, inc: inc})
 			}
 			last := move{what: "drop", rank: rank, inc: inc}
 			switch {
 			case rank == 3:
-				lastBeat = clock[rank]
 			case inc == n && rank == 0 && (fault == "drop" || fault == "fail" || fault == "ready"):
 				last.what, last.fails = fault, true
 			case inc == n:
@@ -834,8 +830,8 @@ func exploreCoordinator(cfg core.Config, seed int64) string {
 			return fmt.Sprintf("step %d: %+v: end %v with ranks finished %v", stepNo, m, end, finished)
 		}
 		if end {
-			if got := r.st.reports[3].iters; got != lastBeat {
-				return fmt.Sprintf("rank 3 written off at %d iterations, its last heartbeat said %d", got, lastBeat)
+			if got := r.st.reports[3].iters; got != 9 {
+				return fmt.Sprintf("rank 3 written off at %d iterations, its schedule ran 9", got)
 			}
 			return ""
 		}

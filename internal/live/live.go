@@ -79,8 +79,7 @@ const (
 	kindStart
 	kindDone
 	kindBye
-	// kindHeartbeat renews a worker's liveness lease with the coordinator
-	// (Clock carries the worker's latest completed iteration).
+	// kindHeartbeat renews a worker's liveness lease with the coordinator.
 	kindHeartbeat
 	// kindRejoin is a restarted worker's re-admission request (From = its
 	// original rank, Data = the config fingerprint).
@@ -89,6 +88,9 @@ const (
 	// list, Aux = seconds elapsed since the run's START barrier so the
 	// worker can re-anchor its fault-plan clock).
 	kindRejoinOK
+	// kindResume announces a restarted incarnation on the mesh (From and Seg
+	// = its rank, Clock = its resume iteration) before a peer redials it.
+	kindResume
 )
 
 // ErrScheduledDeath is returned by RunWorker under WithExitOnDeath when the

@@ -188,12 +188,5 @@ func TestMultiProcessRejoin(t *testing.T) {
 	if res.Restores < 1 {
 		t.Fatalf("rejoined process restored no checkpoint (restores=%d)", res.Restores)
 	}
-	if len(res.WorkerIters) != cfg.Workers {
-		t.Fatalf("worker iters: %v", res.WorkerIters)
-	}
-	for r, n := range res.WorkerIters {
-		if n != cfg.Iters {
-			t.Fatalf("worker %d finished %d/%d iterations: %v", r, n, cfg.Iters, res.WorkerIters)
-		}
-	}
+	requireSimIters(t, simRun(t, cfg), res)
 }

@@ -33,38 +33,10 @@ const (
 	leaseTimeout    = 15 * time.Second
 )
 
-// ctlLink serializes writes on one control connection: the heartbeat
-// goroutine and the training loop's DONE share the worker side of it.
-type ctlLink struct {
-	mu sync.Mutex
-	c  net.Conn
-}
-
-func (l *ctlLink) write(f *xport.Frame) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return writeCtl(l.c, f)
-}
-
 // writeCtl sends one control frame on the rendezvous connection.
 func writeCtl(c net.Conn, f *xport.Frame) error {
 	c.SetWriteDeadline(time.Now().Add(recvTimeout))
 	return xport.WriteFrame(c, f)
-}
-
-// readCtl reads one control frame, requiring the given kind.
-func readCtl(c net.Conn, want uint16) (xport.Frame, error) {
-	f, err := readAnyCtl(c, ctlTimeout)
-	if err == nil && f.Kind != want {
-		err = fmt.Errorf("control frame kind %d, want %d", f.Kind, want)
-	}
-	return f, err
-}
-
-// readAnyCtl reads one control frame of any kind with the given deadline.
-func readAnyCtl(c net.Conn, d time.Duration) (xport.Frame, error) {
-	c.SetReadDeadline(time.Now().Add(d))
-	return xport.ReadFrame(c, xport.MaxFrameBytes)
 }
 
 // fingerprint digests the parts of the config every participant must agree
@@ -182,7 +154,9 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	// coordinator's setup cost before any training happens.
 	spRdv := o.tracer.StartSpan("rendezvous", "coord", coordPid, 0)
 	st := newRunState(cfg, o.tracer, time.Now())
-	defer st.stop(ln)
+	// Closing the listener closes every connection; the readers drain, and a
+	// late REJOIN goes unanswered.
+	defer func() { ln.Close(); st.drain() }()
 
 	// The PS listens on the listener's host, the wildcard included.
 	var srvNet *xport.TCPNet
@@ -251,13 +225,11 @@ type runState struct {
 	owe     []uint16      // the admission frame a rank owes next: HELLO, ADDR, READY or none (0)
 	addrs   []xport.Frame // each rank's ADDR, judged when the last is in
 	beat    []time.Time
-	iter    []int
 	reports []doneInfo
 
 	finished, deaths, rejoins atomic.Int64
 
-	events  chan event
-	posters sync.WaitGroup // the acceptor and the readers, events' senders
+	inbox
 }
 
 // newRunState is cfg's coordinator at now, before any worker connects.
@@ -266,8 +238,8 @@ func newRunState(cfg *core.Config, tr *trace.Tracer, now time.Time) *runState {
 	st := &runState{
 		ch: newChaos(cfg), fp: fingerprint(cfg), mesh: make([]string, meshSize(cfg)), lease: now, tr: tr,
 		conns: make([]net.Conn, W), owe: make([]uint16, W), addrs: make([]xport.Frame, W),
-		beat: make([]time.Time, W), iter: make([]int, W), reports: make([]doneInfo, W), done: make([]bool, W),
-		events: make(chan event),
+		beat: make([]time.Time, W), reports: make([]doneInfo, W), done: make([]bool, W),
+		inbox: inbox{events: make(chan event)},
 	}
 	for r := range st.owe {
 		st.owe[r] = kindHello
@@ -275,13 +247,55 @@ func newRunState(cfg *core.Config, tr *trace.Tracer, now time.Time) *runState {
 	return st
 }
 
-// event is what the loop learns: a tick (conn nil), a frame f read on conn,
-// first if it is conn's first, or the error err that ended its reads.
+// event is what a loop learns: a tick (conn nil), a frame f read on conn,
+// first if it is conn's first, or the error err that ended its reads — or,
+// on a worker, the end of an incarnation's training (trained), err its error.
 type event struct {
-	conn  net.Conn
-	first bool
-	f     xport.Frame
-	err   error
+	conn    net.Conn
+	first   bool
+	trained bool
+	f       xport.Frame
+	err     error
+}
+
+// inbox is where a loop's inputs post their events: the readers of its
+// control connections, the coordinator's acceptor, a worker's training.
+type inbox struct {
+	events  chan event
+	posters sync.WaitGroup
+}
+
+// spawn runs fn on a goroutine of its own, as one of the inbox's posters.
+func (in *inbox) spawn(fn func()) {
+	in.posters.Add(1)
+	go func() {
+		defer in.posters.Done()
+		fn()
+	}()
+}
+
+// read posts every frame that arrives on c, the first due within
+// recvTimeout, then the error that ends its reads.
+func (in *inbox) read(c net.Conn) {
+	for first, d := true, recvTimeout; ; first, d = false, ctlTimeout {
+		c.SetReadDeadline(time.Now().Add(d))
+		f, err := xport.ReadFrame(c, xport.MaxFrameBytes)
+		in.events <- event{conn: c, first: first, f: f, err: err}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// drain discards events until the last poster has returned; its inputs must
+// be ending.
+func (in *inbox) drain() {
+	go func() {
+		in.posters.Wait()
+		close(in.events)
+	}()
+	for range in.events {
+	}
 }
 
 // snapshot is the coordinator's contribution to a metrics scrape.
@@ -293,8 +307,7 @@ func (st *runState) snapshot() coordSnapshot {
 // once-a-second tick through step until the run ends; started runs after
 // the step that sends START.
 func (st *runState) loop(ln net.Listener, started func()) error {
-	st.posters.Add(1)
-	go st.accept(ln)
+	st.spawn(func() { st.accept(ln) })
 	t := time.NewTicker(time.Second)
 	defer t.Stop()
 	for {
@@ -314,23 +327,9 @@ func (st *runState) loop(ln net.Listener, started func()) error {
 	}
 }
 
-// read posts every frame that arrives on c, the first due within
-// recvTimeout, then the error that ends its reads.
-func (st *runState) read(c net.Conn) {
-	defer st.posters.Done()
-	for first, d := true, recvTimeout; ; first, d = false, ctlTimeout {
-		f, err := readAnyCtl(c, d)
-		st.events <- event{conn: c, first: first, f: f, err: err}
-		if err != nil {
-			return
-		}
-	}
-}
-
 // accept gives every connection that arrives on ln a reader, until ln
 // closes; then it closes them all, so no read outlives the run.
 func (st *runState) accept(ln net.Listener) {
-	defer st.posters.Done()
 	var accepted []net.Conn
 	for {
 		c, err := ln.Accept()
@@ -338,23 +337,10 @@ func (st *runState) accept(ln net.Listener) {
 			break
 		}
 		accepted = append(accepted, c)
-		st.posters.Add(1)
-		go st.read(c)
+		st.spawn(func() { st.read(c) })
 	}
 	for _, c := range accepted {
 		c.Close()
-	}
-}
-
-// stop closes the listener, and with it every connection, then drains the
-// readers — a late REJOIN goes unanswered — until the last has returned.
-func (st *runState) stop(ln net.Listener) {
-	ln.Close()
-	go func() {
-		st.posters.Wait()
-		close(st.events)
-	}()
-	for range st.events {
 	}
 }
 
@@ -387,7 +373,6 @@ func (st *runState) step(ev event, now time.Time) (end bool, err error) {
 	case kindHeartbeat:
 		st.tr.Mark("heartbeat", "coord", coordPid, rank)
 		st.beat[rank] = now
-		st.iter[rank] = max(st.iter[rank], int(ev.f.Clock))
 		return false, nil
 	case kindDone:
 		rep, err := parseDone(ev.f)
@@ -480,7 +465,7 @@ func (st *runState) finish(rank int, rep doneInfo) bool {
 
 // lost classifies rank's dropped control connection: a failure (always
 // before START), or a scheduled death — awaiting a rejoin, or written off,
-// its report from its last heartbeat, when the schedule never revives it.
+// with the iterations its schedule let it run, when it never revives it.
 func (st *runState) lost(rank int) (bool, error) {
 	st.conns[rank].Close()
 	st.conns[rank] = nil
@@ -492,7 +477,7 @@ func (st *runState) lost(rank int) (bool, error) {
 	if st.ch.finishes(rank) {
 		return false, nil
 	}
-	return st.finish(rank, doneInfo{iters: st.iter[rank]}), nil
+	return st.finish(rank, doneInfo{iters: st.ch.ran(rank, st.ch.cfg.Iters)}), nil
 }
 
 // rejoin re-admits a restarted worker after START by its first frame, a

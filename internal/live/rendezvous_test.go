@@ -24,6 +24,21 @@ type step struct {
 	f    xport.Frame
 }
 
+// readCtl reads one control frame, requiring the given kind.
+func readCtl(c net.Conn, want uint16) (xport.Frame, error) {
+	f, err := readAnyCtl(c, ctlTimeout)
+	if err == nil && f.Kind != want {
+		err = fmt.Errorf("control frame kind %d, want %d", f.Kind, want)
+	}
+	return f, err
+}
+
+// readAnyCtl reads one control frame of any kind with the given deadline.
+func readAnyCtl(c net.Conn, d time.Duration) (xport.Frame, error) {
+	c.SetReadDeadline(time.Now().Add(d))
+	return xport.ReadFrame(c, xport.MaxFrameBytes)
+}
+
 // play runs steps on c in order and stops at the first failure — typically
 // the other side refusing what it was sent and hanging up.
 func play(c net.Conn, steps ...step) error {

@@ -9,6 +9,7 @@ import (
 
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
+	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
 
@@ -54,143 +55,259 @@ func RunWorker(cfg core.Config, coordAddr, meshListen string, opts ...Option) er
 	if meshListen == "" {
 		meshListen = "127.0.0.1:0"
 	}
-	return runWorker(&cfg, coordAddr, meshListen, buildOptions(opts))
+	return newLife(&cfg, buildOptions(opts), coordAddr, -1, meshListen).run()
 }
 
-// runWorker dials the coordinator and drives one worker rank from the
-// rendezvous to the coordinator's BYE.
-func runWorker(cfg *core.Config, coordAddr, meshListen string, o *Options) error {
-	conn, err := dialCoordinator(coordAddr)
-	if err != nil {
-		return err
-	}
-	l := &life{cfg: cfg, o: o, fp: fingerprint(cfg), coordAddr: conn.RemoteAddr().String(),
-		link: &ctlLink{c: conn}}
-	defer l.close()
-	if err := l.start(meshListen); err != nil {
-		return err
-	}
-	return l.run()
-}
-
-// life drives one worker rank across every incarnation of its process
-// state: run until DONE, or die on schedule, sleep out the restart delay,
-// rejoin, restore from checkpoint, and run again. Every incarnation comes up
-// through the same two steps, attach and join, and every one after the first
-// through restart.
+// life is one worker rank across every incarnation, as one event loop over
+// step fed by its control connection's reader, the training's end, and a
+// tick for the heartbeat and restart timers. An incarnation trains until
+// DONE, or dies on schedule and rejoins after its restart delay; each comes
+// up through attach and join.
 type life struct {
-	cfg       *core.Config
-	o         *Options
-	rank      int
-	fp        string
-	coordAddr string
-	link      *ctlLink
-	mesh      *xport.TCPNet
-	w         *worker
-	prev      doneStats // counters carried across dead incarnations
+	cfg *core.Config
+	o   *Options
+	inbox
+	// dial opens a control connection and spawn starts a poster; a test
+	// replaces them to drive step without sockets or training.
+	dial  func() (net.Conn, error)
+	spawn func(func())
+
+	rank    int      // -1 until ASSIGN
+	conn    net.Conn // the incarnation's control connection; nil while dead
+	want    uint16   // the control frame the rank waits for; 0 while it trains
+	listen  string   // the first incarnation's mesh address
+	peers   []string // from PEERS to START
+	barrier *trace.WallSpan
+	restart time.Time // while dead, when the rank dials back
+	next    int       // where the next incarnation resumes; 0: after its checkpoint
+	mesh    *xport.TCPNet
+	w       *worker
+	ran     int       // iterations the dead incarnations ran
+	prev    doneStats // counters carried across dead incarnations
+	bye     chan struct{}
+	tailErr error
 }
 
-// heartbeat renews the incarnation's liveness lease with the coordinator,
-// under a crash schedule, until the returned stop is called (or the link
-// dies).
-func (l *life) heartbeat() (stop func()) {
-	if l.w.ch == nil {
-		return func() {}
-	}
-	link, w, done := l.link, l.w, make(chan struct{})
-	go func() {
-		t := time.NewTicker(heartbeatPeriod)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				if link.write(&xport.Frame{Kind: kindHeartbeat, From: int32(w.rank),
-					Clock: int32(w.prog.Load())}) != nil {
-					return
-				}
-			}
+// newLife is a life that starts dead, due back now: as rank, or, with rank
+// -1, as a new worker whose mesh listens on listen.
+func newLife(cfg *core.Config, o *Options, coordAddr string, rank int, listen string) *life {
+	l := &life{cfg: cfg, o: o, inbox: inbox{events: make(chan event)},
+		rank: rank, listen: listen, restart: time.Now(), bye: make(chan struct{})}
+	l.dial = func() (net.Conn, error) { return dialCoordinator(coordAddr) }
+	l.spawn = l.inbox.spawn
+	return l
+}
+
+// run applies the events and a tick — the heartbeat's, or a dead rank's
+// restart time — through step until the life ends, then tears down: on a
+// failure the tail is released and a training in flight ends on its closed
+// endpoint; every poster is drained.
+func (l *life) run() (err error) {
+	beat := time.NewTicker(heartbeatPeriod)
+	defer beat.Stop()
+	for end, now := false, time.Now(); !end && err == nil; {
+		ev, tick := event{}, beat.C
+		if !l.restart.IsZero() {
+			tick = time.After(l.restart.Sub(now))
 		}
-	}()
-	return func() { close(done) }
-}
-
-// start is the first incarnation's rendezvous: HELLO, the assigned rank, the
-// mesh attached and its address traded for the peer table, READY, and the
-// join at START.
-func (l *life) start(meshListen string) error {
-	if err := l.link.write(&xport.Frame{Kind: kindHello, Data: []byte(l.fp)}); err != nil {
-		return fmt.Errorf("live: hello: %w", err)
-	}
-	f, err := readCtl(l.link.c, kindAssign)
-	if err == nil {
-		l.rank, err = parseAssign(l.cfg, f)
+		select {
+		case ev = <-l.events:
+			now = time.Now()
+		case now = <-tick:
+		}
+		end, err = l.step(ev, now)
 	}
 	if err != nil {
+		close(l.bye)
+		if l.mesh != nil {
+			l.mesh.Close()
+		}
+	}
+	if l.conn != nil {
+		l.conn.Close()
+	}
+	l.drain()
+	l.close()
+	if err == nil && l.tailErr != nil {
+		err = fmt.Errorf("live: worker %d tail: %w", l.rank, l.tailErr)
+	}
+	return err
+}
+
+// step applies one event at time now: the worker's every rule, from HELLO
+// to BYE. It reports whether the life has ended, or the error that fails it.
+// A frame or error on a connection not the current incarnation's changes
+// nothing.
+func (l *life) step(ev event, now time.Time) (end bool, err error) {
+	switch {
+	case ev.trained:
+		return l.trained(ev.err, now)
+	case ev.conn == nil:
+		return false, l.tick(now)
+	case ev.conn != l.conn:
+		return false, nil
+	case ev.err != nil:
+		return false, l.fail(fmt.Errorf("control connection lost: %w", ev.err))
+	case l.want == 0 || ev.f.Kind != l.want:
+		return false, l.fail(fmt.Errorf("control kind %d out of turn", ev.f.Kind))
+	}
+	switch f := ev.f; f.Kind {
+	case kindAssign:
+		if l.rank, err = parseAssign(l.cfg, f); err != nil {
+			return false, l.fail(err)
+		}
+		// The replica is built here, before READY, so the START barrier
+		// measures training, not model building.
+		if err := l.attach(l.listen); err != nil {
+			return false, err
+		}
+		l.want = kindPeers
+		return false, l.write(&xport.Frame{Kind: kindAddr, From: int32(l.rank), Data: []byte(l.mesh.Addr())})
+	case kindPeers:
+		if l.peers, err = parsePeers(f.Data, meshSize(l.cfg)); err != nil {
+			return false, l.fail(err)
+		}
+		// The wait between READY and START is the run's admission barrier:
+		// its span shows how long this rank idled for the slowest peer.
+		l.want, l.barrier = kindStart, l.o.tracer.StartSpan("start-barrier", "barrier", workerPid, l.rank)
+		return false, l.write(&xport.Frame{Kind: kindReady, From: int32(l.rank)})
+	case kindStart:
+		l.barrier.End()
+		l.join(l.peers, 0, now)
+		l.train()
+		return false, nil
+	case kindRejoinOK:
+		return l.rejoined(f, now)
+	}
+	close(l.bye) // BYE: the tail's release
+	return true, nil
+}
+
+// fail is err as the worker's error, naming its rank and the frame it waits
+// for.
+func (l *life) fail(err error) error {
+	if l.want == kindAssign {
 		return fmt.Errorf("live: assign: %w", err)
 	}
-	// The replica is built here, before READY, so the START barrier measures
-	// training, not model building.
-	if err := l.attach(meshListen); err != nil {
-		return err
+	what := map[uint16]string{kindPeers: "peers", kindStart: "start", kindRejoinOK: "rejoin-ok", kindBye: "bye", 0: "training"}
+	return fmt.Errorf("live: worker %d %s: %w", l.rank, what[l.want], err)
+}
+
+// write sends f on the incarnation's control connection.
+func (l *life) write(f *xport.Frame) error {
+	if err := writeCtl(l.conn, f); err != nil {
+		return fmt.Errorf("live: worker %d: write control kind %d: %w", l.rank, f.Kind, err)
 	}
-	if err := l.link.write(&xport.Frame{Kind: kindAddr, From: int32(l.rank),
-		Data: []byte(l.mesh.Addr())}); err != nil {
-		return fmt.Errorf("live: worker %d addr: %w", l.rank, err)
-	}
-	f, err = readCtl(l.link.c, kindPeers)
-	var peers []string
-	if err == nil {
-		peers, err = parsePeers(f.Data, meshSize(l.cfg))
-	}
-	if err != nil {
-		return fmt.Errorf("live: worker %d peers: %w", l.rank, err)
-	}
-	if err := l.link.write(&xport.Frame{Kind: kindReady, From: int32(l.rank)}); err != nil {
-		return fmt.Errorf("live: worker %d ready: %w", l.rank, err)
-	}
-	// The wait between READY and START is the run's admission barrier: its
-	// span length shows how long this rank idled for the slowest peer.
-	spBarrier := l.o.tracer.StartSpan("start-barrier", "barrier", workerPid, l.rank)
-	if _, err := readCtl(l.link.c, kindStart); err != nil {
-		return fmt.Errorf("live: worker %d start: %w", l.rank, err)
-	}
-	spBarrier.End()
-	l.join(peers, 0)
 	return nil
 }
 
-// restart brings a dead rank back: the REJOIN handshake on a new control
-// connection, the mesh attached on the rank's original port (its entry in the
-// coordinator's peer table, so peers' tables stay valid) and joined with the
-// fault plan re-anchored at the run's START, and the latest checkpoint
-// restored. It returns the checkpoint's step, 0 without one — the replica
-// then restarts from initialization: the run still completes, it just loses
-// that worker's progress.
-func (l *life) restart() (int, error) {
-	conn, err := dialCoordinator(l.coordAddr)
+// tick renews the incarnation's lease while it trains under a crash
+// schedule, and with it the read of a control connection that hears nothing
+// until BYE. Once a dead rank's restart time has come, it dials the
+// coordinator, gives the connection a reader, and asks for a rank (HELLO)
+// or to rejoin with its own (REJOIN).
+func (l *life) tick(now time.Time) error {
+	switch {
+	case l.conn != nil && l.want == 0 && l.w.ch != nil:
+		l.conn.SetReadDeadline(now.Add(ctlTimeout))
+		return l.write(&xport.Frame{Kind: kindHeartbeat, From: int32(l.rank)})
+	case l.restart.IsZero() || now.Before(l.restart):
+		return nil
+	}
+	l.restart = time.Time{}
+	c, err := l.dial()
 	if err != nil {
-		return 0, err
+		return err
 	}
-	l.link = &ctlLink{c: conn}
-	if err := l.link.write(&xport.Frame{Kind: kindRejoin, From: int32(l.rank),
-		Data: []byte(l.fp)}); err != nil {
-		return 0, fmt.Errorf("live: worker %d rejoin: %w", l.rank, err)
+	f := &xport.Frame{Kind: kindRejoin, From: int32(l.rank), Data: []byte(fingerprint(l.cfg))}
+	if l.conn, l.want = c, kindRejoinOK; l.rank < 0 {
+		f.Kind, l.want = kindHello, kindAssign
 	}
-	ok, err := readCtl(conn, kindRejoinOK)
-	var peers []string
-	if err == nil {
-		peers, err = parsePeers(ok.Data, meshSize(l.cfg))
+	l.spawn(func() { l.read(c) })
+	return l.write(f)
+}
+
+// train starts the incarnation's training, which posts its end and, after a
+// clean one, absorbs the tail until BYE.
+func (l *life) train() {
+	w := l.w
+	l.want = 0
+	l.spawn(func() {
+		err := w.run()
+		l.events <- event{trained: true, err: err}
+		if err == nil {
+			l.tailErr = w.tail(l.bye)
+		}
+	})
+}
+
+// trained ends an incarnation's training: DONE with every incarnation's
+// counters, a failed DONE, or a scheduled death — the incarnation torn down
+// mid-protocol, as a killed process would be, then its restart time set, or
+// the life ended under WithExitOnDeath or when the schedule never revives it.
+func (l *life) trained(err error, now time.Time) (bool, error) {
+	l.prev.Add(l.mesh.Stats())
+	l.prev.Breakdown.Merge(l.w.l.Breakdown())
+	l.ran += l.w.iters
+	var d deathErr
+	switch {
+	case errors.As(err, &d):
+		l.close()
+		if l.o.exitOnDeath {
+			return false, ErrScheduledDeath
+		}
+		l.next = l.w.ch.inj.NextAliveIter(l.rank, d.it)
+		l.restart = now.Add(time.Duration(l.w.ch.inj.RestartDelay(l.rank, d.it) * float64(time.Second)))
+		return l.next == 0 || l.next > l.cfg.Iters, nil
+	case err != nil:
+		_ = l.write(&xport.Frame{Kind: kindDone, From: int32(l.rank), Seg: -1, Data: []byte(err.Error())})
+		return false, err
 	}
+	rep := l.w.report()
+	rep.stats, rep.iters, l.want = l.prev, l.ran, kindBye
+	return false, l.write(rep.frame(l.rank))
+}
+
+// rejoined brings a dead rank back at REJOIN-OK: the mesh attached on its
+// original port (its entry in the peer table, so peers' tables stay valid),
+// the fault plan anchored at the run's START, the latest checkpoint restored
+// — without one the replica restarts from initialization and loses that
+// worker's progress — and training resumed where the schedule says, or, in a
+// relaunched process, after the checkpoint's step.
+func (l *life) rejoined(f xport.Frame, now time.Time) (bool, error) {
+	peers, err := parsePeers(f.Data, meshSize(l.cfg))
 	if err != nil {
-		return 0, fmt.Errorf("live: worker %d rejoin-ok: %w", l.rank, err)
+		return false, l.fail(err)
 	}
 	if err := l.attach(peers[l.rank]); err != nil {
-		return 0, err
+		return false, err
 	}
-	l.join(peers, ok.Aux)
-	return l.restore(), nil
+	l.join(peers, f.Aux, now)
+	// Restore the latest checkpoint: parameters, momentum, loss EWMA, draws.
+	step, ch := 0, l.w.ch
+	if l.o.ckpt.Enabled() {
+		sp := l.w.span("restore", "ckpt")
+		if step, l.w.draws, err = l.w.rep.RestoreState(l.o.ckpt.Path(l.rank)); err == nil {
+			l.prev.Restores++
+			l.o.metrics.addRestore()
+		}
+		sp.End()
+	}
+	if l.next == 0 {
+		// The first dead window after the checkpointed step is the death
+		// this relaunch recovers from.
+		die := ch.firstDeath(l.rank, step+1)
+		if die == 0 {
+			return false, fmt.Errorf("live: worker %d has no dead window after checkpoint step %d — nothing to rejoin", l.rank, step)
+		}
+		l.next, l.ran = ch.inj.NextAliveIter(l.rank, die), ch.ran(l.rank, die-1)
+		if l.next == 0 || l.next > l.cfg.Iters {
+			return true, nil
+		}
+	}
+	l.w.startIter = l.next
+	l.train()
+	return false, nil
 }
 
 // attach brings up this incarnation's mesh endpoint on addr and a fresh
@@ -209,34 +326,15 @@ func (l *life) attach(addr string) error {
 }
 
 // join installs the peer table and anchors the rank's fault plan at the
-// run's START, elapsed seconds ago.
-func (l *life) join(peers []string, elapsed float64) {
+// run's START, elapsed seconds before now.
+func (l *life) join(peers []string, elapsed float64, now time.Time) {
 	l.mesh.SetPeers(peers)
 	// Validate translated this schedule already, so it cannot fail here.
 	plan, _ := TranslateFaults(l.cfg.Faults, l.cfg.Seed+uint64(l.rank), l.cfg.Cluster,
 		l.cfg.Workers, l.o.slowUnit)
 	if plan != nil {
-		l.mesh.SetFaults(plan, time.Now().Add(-time.Duration(elapsed*float64(time.Second))))
+		l.mesh.SetFaults(plan, now.Add(-time.Duration(elapsed*float64(time.Second))))
 	}
-}
-
-// restore loads the rank's latest checkpoint into the fresh worker —
-// parameters, momentum, loss EWMA, sampler position — and returns its step,
-// 0 when there is none.
-func (l *life) restore() int {
-	if !l.o.ckpt.Enabled() {
-		return 0
-	}
-	sp := l.w.span("restore", "ckpt")
-	defer sp.End()
-	step, draws, err := l.w.rep.RestoreState(l.o.ckpt.Path(l.rank))
-	if err != nil {
-		return 0
-	}
-	l.w.draws = draws
-	l.prev.Restores++
-	l.o.metrics.addRestore()
-	return step
 }
 
 // close releases the current incarnation's mesh and control connection, and
@@ -245,80 +343,12 @@ func (l *life) close() {
 	if l.mesh != nil {
 		l.mesh.Close()
 		l.w.threads.Wait()
+		l.mesh = nil
 	}
-	if l.link != nil {
-		l.link.c.Close()
+	if l.conn != nil {
+		l.conn.Close()
+		l.conn = nil
 	}
-}
-
-// run is the incarnation loop: train until DONE or scheduled death,
-// restarting through the rejoin handshake as many times as the schedule
-// demands. Returns nil without a DONE when the schedule never revives the
-// rank — the coordinator writes that rank off from its last heartbeat.
-func (l *life) run() error {
-	cfg, rank := l.cfg, l.rank
-	for {
-		stopHeartbeat := l.heartbeat()
-		runErr := l.w.run()
-		stopHeartbeat()
-		var d deathErr
-		if errors.As(runErr, &d) {
-			// Scheduled death: tear the incarnation down abruptly — close
-			// the mesh and control connection mid-protocol, exactly what a
-			// killed process would leave behind.
-			l.prev.Add(l.mesh.Stats())
-			l.prev.Breakdown.Merge(l.w.l.Breakdown())
-			l.close()
-			if l.o.exitOnDeath {
-				// External-restart mode: the supervisor owns the relaunch
-				// (RunWorkerRejoin); this process is done.
-				return ErrScheduledDeath
-			}
-			next := l.w.ch.inj.NextAliveIter(rank, d.it)
-			if next == 0 || next > cfg.Iters {
-				return nil
-			}
-			time.Sleep(time.Duration(l.w.ch.inj.RestartDelay(rank, d.it) * float64(time.Second)))
-			if _, err := l.restart(); err != nil {
-				return err
-			}
-			l.w.startIter = next
-			continue
-		}
-		if runErr != nil {
-			// Report the failure instead of a DONE so the coordinator
-			// aborts with the cause rather than a timeout.
-			_ = l.link.write(&xport.Frame{Kind: kindDone, From: int32(rank), Seg: -1,
-				Data: []byte(runErr.Error())})
-			return runErr
-		}
-		break
-	}
-
-	rep := l.w.report()
-	l.prev.Breakdown.Merge(rep.stats.Breakdown)
-	rep.stats = l.prev
-	rep.stats.Add(l.mesh.Stats())
-	if err := l.link.write(rep.frame(rank)); err != nil {
-		return fmt.Errorf("live: worker %d done: %w", rank, err)
-	}
-
-	// Stay responsive until the coordinator's BYE: gossip targets and
-	// AD-PSGD passives must outlive the slowest worker.
-	stop := make(chan struct{})
-	byeErr := make(chan error, 1)
-	go func() {
-		_, err := readCtl(l.link.c, kindBye)
-		close(stop)
-		byeErr <- err
-	}()
-	if err := l.w.tail(stop); err != nil {
-		return fmt.Errorf("live: worker %d tail: %w", rank, err)
-	}
-	if err := <-byeErr; err != nil {
-		return fmt.Errorf("live: worker %d bye: %w", rank, err)
-	}
-	return nil
 }
 
 // RunWorkerRejoin is the external-restart entry point: a worker process
@@ -332,8 +362,7 @@ func RunWorkerRejoin(cfg core.Config, coordAddr string, rank int, opts ...Option
 		return err
 	}
 	o := buildOptions(opts)
-	ch := newChaos(&cfg)
-	if ch == nil {
+	if newChaos(&cfg) == nil {
 		return fmt.Errorf("live: rejoin requires a crash fault schedule")
 	}
 	if rank < 0 || rank >= cfg.Workers {
@@ -342,27 +371,7 @@ func RunWorkerRejoin(cfg core.Config, coordAddr string, rank int, opts ...Option
 	if !o.ckpt.Enabled() {
 		return fmt.Errorf("live: rejoin requires a checkpoint directory")
 	}
-
-	// A life that starts dead: the relaunched process comes up through
-	// restart, as an in-process restart does.
-	l := &life{cfg: &cfg, o: o, rank: rank, fp: fingerprint(&cfg), coordAddr: coordAddr}
-	defer l.close()
-	step, err := l.restart()
-	if err != nil {
-		return err
-	}
-	// The first dead window after the checkpointed step is the death this
-	// relaunch recovers from.
-	die := ch.firstDeath(rank, step+1)
-	if die == 0 {
-		return fmt.Errorf("live: worker %d has no dead window after checkpoint step %d — nothing to rejoin", rank, step)
-	}
-	next := ch.inj.NextAliveIter(rank, die)
-	if next == 0 || next > cfg.Iters {
-		return nil
-	}
-	l.w.startIter = next
-	return l.run()
+	return newLife(&cfg, o, coordAddr, rank, "").run()
 }
 
 // RunLoopback performs a complete live run on this machine: a coordinator
@@ -381,7 +390,7 @@ func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
 	workerErrs := make(chan error, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		wcfg := cfg
-		go func() { workerErrs <- runWorker(&wcfg, ln.Addr().String(), "127.0.0.1:0", o) }()
+		go func() { workerErrs <- newLife(&wcfg, o, ln.Addr().String(), -1, "127.0.0.1:0").run() }()
 	}
 
 	// The coordinator's error comes first, then the first worker's. The

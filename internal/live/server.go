@@ -25,10 +25,9 @@ type server struct {
 	global *ps.Global
 	shard  *ps.Shard // the whole vector: live hosts a single shard
 
-	// segs lays the global vector out for PS checkpoints; ch and ckpt mirror
-	// the workers' chaos membership and cadence.
+	// segs lays the global vector out for PS checkpoints; ckpt mirrors the
+	// workers' cadence.
 	segs []nn.Segment
-	ch   *chaos
 	ckpt nn.Cadence
 
 	// codec is the gradient wire codec workers compress with (0 = dense);
@@ -51,18 +50,17 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 		ep:     ep,
 		global: ps.NewGlobal(init, cfg.Momentum, cfg.WeightDecay),
 		segs:   model.Segments(),
-		ch:     newChaos(cfg),
 		ckpt:   o.ckpt,
 		codec:  quantCodec(cfg),
 		tr:     o.tracer,
 		byes:   cfg.Workers,
 	}
 	var inj *fault.Injector
-	if sv.ch != nil {
+	if ch := newChaos(cfg); ch != nil {
 		// Under a crash schedule only the workers that finish the run say
 		// goodbye (a worker dead at the final iteration never returns).
-		sv.byes = sv.ch.inj.AliveCount(cfg.Iters)
-		inj = sv.ch.inj
+		sv.byes = ch.inj.AliveCount(cfg.Iters)
+		inj = ch.inj
 	}
 	sv.shard = ps.NewShard(sv.global, ps.Single(len(init))[0], core.ShardRule(cfg, 0, inj))
 	return sv
@@ -102,8 +100,13 @@ func (sv *server) Recv(bool) (ps.Msg, bool, error) {
 		if err != nil {
 			return ps.Msg{}, false, err
 		}
-		if f.Kind == kindBye {
+		switch f.Kind {
+		case kindBye:
 			sv.byes--
+			continue
+		case kindResume:
+			// A worker back from a restart: the next reply to it redials.
+			sv.ep.(peerDropper).DropPeer(int(f.From))
 			continue
 		}
 		if f.Kind == kindGrad && sv.codec != 0 {
@@ -119,11 +122,10 @@ func (sv *server) Recv(bool) (ps.Msg, bool, error) {
 	return ps.Msg{}, false, io.EOF
 }
 
-// Send writes the replies, to a worker back from a restart over a fresh dial,
-// then the PS checkpoint of a BSP round on the cadence.
+// Send writes the replies, then the PS checkpoint of a BSP round on the
+// cadence.
 func (sv *server) Send(out []ps.Reply) error {
 	for _, r := range out {
-		sv.ch.dropIfResumed(sv.ep, r.To, r.Clock)
 		f := xport.Frame{Kind: uint16(r.Kind), From: int32(sv.cfg.Workers), Clock: int32(r.Clock), Vec: r.Vec}
 		if r.Kind == ps.Params {
 			// The parameters are sent where they live: ps.Serve is the only

@@ -55,7 +55,7 @@ type worker struct {
 	streams core.Streams
 	overlay *topo.Overlay
 
-	iters int // completed iterations
+	iters int // iterations this incarnation ran
 
 	// What the core.Env methods carry from one call of an iteration to the
 	// next: full is the fixed cohort 0..W-1, g the gradient of the pass in
@@ -76,7 +76,7 @@ type worker struct {
 	// Chaos state: ch is the shared crash-membership function (nil in a
 	// crash-free run), startIter is where this incarnation's loop begins
 	// (>1 after a checkpoint restore), draws counts sampler draws for the
-	// checkpoint, prog publishes progress to the heartbeat goroutine, and
+	// checkpoint, prog publishes progress to a metrics scrape, and
 	// ckpt is the checkpoint cadence.
 	ch        *chaos
 	startIter int
@@ -228,21 +228,30 @@ func (w *worker) report() doneInfo {
 // with them.
 
 // Gate is the per-round chaos check: a deathErr when this worker's schedule
-// says iteration it is not run (the life driver restarts it), and otherwise a
-// refresh of the connections to peers resuming this round. An incarnation
-// restored from a checkpoint skips ahead to where its schedule resumes.
+// says iteration it is not run (the life driver restarts it). A restored
+// incarnation skips ahead to where its schedule resumes and sends RESUME to
+// the ranks that send to it; a worker that may hold a connection to the dead
+// incarnation waits for it at that round before it redials.
 func (w *worker) Gate(it int) (int, bool, error) {
-	if it < w.startIter {
-		it = w.startIter
+	resumed := it < w.startIter
+	it = max(it, w.startIter)
+	switch {
+	case w.ch == nil:
+		return it, true, nil
+	case !w.ch.inj.AliveAtIter(w.rank, it):
+		return it, false, deathErr{it: it}
 	}
-	if w.ch != nil {
-		if !w.ch.inj.AliveAtIter(w.rank, it) {
-			return it, false, deathErr{it: it}
+	for p := range meshSize(w.cfg) {
+		var err error
+		switch {
+		case resumed && (p == w.srv || w.srv < 0 && w.ch.owesResume(w.rank, p, it)):
+			_, err = w.Send(p, core.Msg{Kind: int(kindResume), Clock: it, Seg: w.rank})
+		case w.srv < 0 && w.ch.owesResume(p, w.rank, it):
+			_, _, err = w.Recv(int(kindResume), it, p, core.Block)
+			w.ep.(peerDropper).DropPeer(p)
 		}
-		for p := range w.cfg.Workers {
-			if p != w.rank {
-				w.ch.dropIfResumed(w.ep, p, it)
-			}
+		if err != nil {
+			return it, false, err
 		}
 	}
 	return it, true, nil
@@ -363,12 +372,12 @@ func (w *worker) Go(name string, body func(core.Env, func() (int, bool)) error) 
 	}
 }
 
-// Done records the completion of iteration it: the worker's own counter, the
-// progress cell the heartbeat goroutine publishes to the coordinator, the
-// optional Options.progress observer, and — for the algorithms that admit a
-// crash schedule — the checkpoint a restarted incarnation resumes from.
+// Done records the completion of iteration it: the count of iterations this
+// incarnation ran, the progress cell a metrics scrape reads, the optional
+// Options.progress observer, and — for the algorithms that admit a crash
+// schedule — the checkpoint a restarted incarnation resumes from.
 func (w *worker) Done(it int) error {
-	w.iters = it
+	w.iters++
 	w.prog.Store(int64(it))
 	if w.onProgress != nil {
 		loss, _ := w.rep.Loss()
