@@ -235,32 +235,47 @@ func (op Op) String() string {
 	return fmt.Sprintf("op(%d)", int(op))
 }
 
-// recvMatch returns the next message tagged (Kind, Clock, wantSeg). With a
-// stash attached, non-matching messages are buffered for later calls;
-// without one, a mismatch is a protocol violation and errors.
-func recvMatch(p *des.Proc, o *CollectiveOpts, wantSeg int) (simnet.Msg, error) {
+// chunk is what one of Collective's messages carries on the simulated
+// network: the round, the tag and, with real payloads, the elements.
+type chunk struct {
+	clock, seg int
+	vec        []float32
+}
+
+// recvMatch returns the next message tagged (Kind, Clock, wantSeg) and its
+// chunk. With a stash attached, non-matching messages are buffered for later
+// calls; without one, a mismatch — another tag, or a body that is no chunk
+// of Collective's — is a protocol violation and errors.
+func recvMatch(p *des.Proc, o *CollectiveOpts, wantSeg int) (simnet.Msg, *chunk, error) {
 	inbox := o.Net.Node(o.Nodes[o.Self]).Inbox
-	match := func(m simnet.Msg) bool {
-		return m.Kind == o.Kind && m.Clock == o.Clock && m.Seg == wantSeg
+	match := func(m *simnet.Msg) *chunk {
+		if c, ok := m.Body.(*chunk); ok && m.Kind == o.Kind && c.clock == o.Clock && c.seg == wantSeg {
+			return c
+		}
+		return nil
 	}
 	if o.Stash != nil {
 		for i, m := range *o.Stash {
-			if match(m) {
+			if c := match(&m); c != nil {
 				*o.Stash = append((*o.Stash)[:i], (*o.Stash)[i+1:]...)
-				return m, nil
+				return m, c, nil
 			}
 		}
 	}
 	for {
 		m := inbox.Recv(p)
-		if match(m) {
-			return m, nil
+		if c := match(&m); c != nil {
+			return m, c, nil
 		}
-		if o.Stash == nil {
-			return simnet.Msg{}, fmt.Errorf("comm: %v got kind %d clock %d seg %d, want kind %d clock %d seg %d",
-				o.Op, m.Kind, m.Clock, m.Seg, o.Kind, o.Clock, wantSeg)
+		if o.Stash != nil {
+			*o.Stash = append(*o.Stash, m)
+			continue
 		}
-		*o.Stash = append(*o.Stash, m)
+		want := fmt.Sprintf("want kind %d clock %d seg %d", o.Kind, o.Clock, wantSeg)
+		if c, ok := m.Body.(*chunk); ok {
+			return m, nil, fmt.Errorf("comm: %v got kind %d clock %d seg %d, %s", o.Op, m.Kind, c.clock, c.seg, want)
+		}
+		return m, nil, fmt.Errorf("comm: %v got kind %d with a body of type %T, %s", o.Op, m.Kind, m.Body, want)
 	}
 }
 
@@ -269,7 +284,8 @@ func recvMatch(p *des.Proc, o *CollectiveOpts, wantSeg int) (simnet.Msg, error) 
 // paper-scale wire size of each chunk, the wire seconds the
 // receives accumulate, the defensive copy that isolates a payload in flight
 // from the sender's next fold, and cost-only mode, where o.Vec is nil and
-// messages carry sizes but no payload.
+// messages carry sizes but no payload. The chunks it receives make its free
+// list, which its sends draw from.
 type simLink struct {
 	p    *des.Proc
 	o    *CollectiveOpts
@@ -277,32 +293,41 @@ type simLink struct {
 	wire des.Time
 	// got is the payload of the last receive (what an OpBroadcast member
 	// returns).
-	got []float32
+	got  []float32
+	free []*chunk
 }
 
 func (l *simLink) Send(to, seg, lo, hi int, own bool) error {
 	o := l.o
-	m := simnet.Msg{From: o.Nodes[o.Self], To: o.Nodes[to], Kind: o.Kind, Clock: o.Clock,
-		Seg: seg, Bytes: o.Bytes}
+	var c *chunk
+	if n := len(l.free); n > 0 {
+		c, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		c = new(chunk)
+	}
+	c.clock, c.seg, c.vec = o.Clock, seg, nil
+	if o.Vec != nil {
+		c.vec = append([]float32(nil), o.Vec[lo:hi]...)
+	}
+	m := simnet.Msg{From: o.Nodes[o.Self], To: o.Nodes[to], Kind: o.Kind, Bytes: o.Bytes, Body: c}
 	if hi-lo != l.vlen {
 		m.Bytes = o.Bytes * int64(hi-lo) / int64(l.vlen)
-	}
-	if o.Vec != nil {
-		m.Vec = append([]float32(nil), o.Vec[lo:hi]...)
 	}
 	o.Net.Send(m)
 	return nil
 }
 
 func (l *simLink) Recv(seg, lo, hi int, fold Fold) error {
-	m, err := recvMatch(l.p, l.o, seg)
+	m, c, err := recvMatch(l.p, l.o, seg)
 	if err != nil {
 		return err
 	}
 	l.wire += m.WireSec
-	l.got = m.Vec
-	if l.o.Vec != nil && m.Vec != nil {
-		fold(l.o.Vec[lo:hi], m.Vec)
+	l.got = c.vec
+	if l.o.Vec != nil && c.vec != nil {
+		fold(l.o.Vec[lo:hi], c.vec)
 	}
+	c.vec = nil
+	l.free = append(l.free, c)
 	return nil
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -86,5 +87,28 @@ func TestCollectiveStrictMismatchErrors(t *testing.T) {
 	eng.Run(0)
 	if err == nil || !strings.Contains(err.Error(), "got kind") {
 		t.Fatalf("strict mismatch: got %v, want protocol error", err)
+	}
+}
+
+// TestCollectiveForeignBodyErrors: a message of the collective's own kind
+// whose body is none of Collective's chunks — no body, or another package's —
+// aborts the collective with a protocol error that names the body's type,
+// instead of panicking the process in a type assertion.
+func TestCollectiveForeignBodyErrors(t *testing.T) {
+	type foreign struct{ clock, seg int }
+	for _, body := range []any{nil, &foreign{}, []float32{0}} {
+		eng, net, ids := buildNet(2, 1)
+		var err error
+		eng.Spawn("stray", func(p *des.Proc) {
+			net.Send(simnet.Msg{From: ids[0], To: ids[1], Kind: testKind, Bytes: 4, Body: body})
+		})
+		eng.Spawn("member", func(p *des.Proc) {
+			_, _, err = Collective(p, CollectiveOpts{Op: OpBroadcast, Net: net, Nodes: ids, Self: 1,
+				Vec: []float32{0}, Bytes: 4, Kind: testKind})
+		})
+		eng.Run(0)
+		if err == nil || !strings.Contains(err.Error(), "got kind") || !strings.Contains(err.Error(), fmt.Sprintf("%T", body)) {
+			t.Fatalf("body %T: got %v, want a protocol error naming it", body, err)
+		}
 	}
 }

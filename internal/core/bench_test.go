@@ -42,10 +42,11 @@ func BenchmarkAblationPSRatio(b *testing.B) {
 
 // BenchmarkProtocolCostOnly guards the host cost of the worker protocol on the
 // simulator, where the protocol code and the simEnv wire under it do all the
-// work: three of the cost-only cases the sim-cost-mix benchmark workload runs
-// (AD-PSGD's exchanges, SSP's sharded updates and pulls, ASP's paced sparse
-// pushes), five iterations each. It reports host nanoseconds per simulated
-// message and allocations per run.
+// work: the five cost-only cases the sim-cost-mix benchmark workload runs
+// (AR-SGD's ring and hierarchical AllReduce chunks, AD-PSGD's exchanges,
+// SSP's sharded updates and pulls, ASP's paced sparse pushes), five
+// iterations each. It reports host nanoseconds per simulated message and
+// allocations per run.
 func BenchmarkProtocolCostOnly(b *testing.B) {
 	cost := func(algo Algo, workers int, model *costmodel.Profile, gbps func(int) cluster.Config) Config {
 		cfg := costConfig(algo, workers, 5)
@@ -54,6 +55,9 @@ func BenchmarkProtocolCostOnly(b *testing.B) {
 		cfg.Workload = costmodel.NewWorkload(model, costmodel.TitanV(), 128)
 		return cfg
 	}
+	ring := cost(ARSGD, 128, costmodel.VGG16(), cluster.Paper10G)
+	hier := cost(ARSGD, 256, costmodel.ResNet50(), cluster.Paper10G)
+	hier.Collective = "hierarchical"
 	adpsgd := cost(ADPSGD, 64, costmodel.ResNet50(), cluster.Paper10G)
 	ssp := cost(SSP, 128, costmodel.VGG16(), cluster.Paper56G)
 	ssp.Sharding = ShardBalanced
@@ -63,7 +67,8 @@ func BenchmarkProtocolCostOnly(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		cfg  Config
-	}{{"adpsgd-64w", adpsgd}, {"ssp-balanced-128w", ssp}, {"asp-layerwise-wfbp-dgc-64w", asp}} {
+	}{{"arsgd-ring-128w", ring}, {"arsgd-hier-256w", hier}, {"adpsgd-64w", adpsgd},
+		{"ssp-balanced-128w", ssp}, {"asp-layerwise-wfbp-dgc-64w", asp}} {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var msgs int64

@@ -71,8 +71,10 @@ type exp struct {
 	workerNode []int // worker -> node ID
 	psNode     []int // shard -> node ID
 
-	// mail[w] is worker w's receive, shared by its threads.
+	// mail[w] is worker w's receive, shared by its threads; msgs is the free
+	// list every simulated message is drawn from and returned to.
 	mail []Mailbox
+	msgs Msgs
 
 	assign ps.Assignment
 	global *ps.Global

@@ -57,13 +57,16 @@ type Env interface {
 	// spent inside the endpoint; 0 in the simulator, which charges m's
 	// paper-scale bytes and books a message's transfer as the receiver's
 	// Msg.Wire instead. After an overlapped Compute, a gradient request's
-	// sends may take the rest of the backward pass.
-	Send(to int, m Msg) (wire float64, err error)
+	// sends may take the rest of the backward pass. Send keeps nothing of m
+	// itself, only the vectors it points to: the caller may reuse m once
+	// Send returns.
+	Send(to int, m *Msg) (wire float64, err error)
 	// Recv returns the first message of the given kind, clock and seg (any
-	// may be Any), parked ones first, parking the rest; ok is false when a
-	// Poll finds nothing or a Bounded wait gives up. The Vec is the caller's
-	// until it hands it to Release.
-	Recv(kind, clock, seg int, wait Wait) (m Msg, ok bool, err error)
+	// may be Any), parked ones first, parking the rest; ok is false, and m
+	// nil, when a Poll finds nothing or a Bounded wait gives up. m is the
+	// runtime's, for the caller to read until this view's next Recv; its Vec
+	// is the caller's until it hands it to Release.
+	Recv(kind, clock, seg int, wait Wait) (m *Msg, ok bool, err error)
 	Release(vec []float32)
 	// Ledger books the steps of this view's thread, on the runtime's clock.
 	Ledger() *Ledger
@@ -172,7 +175,7 @@ func loopGradPS(e Env, cfg *Config, rank int, rep *Replica) error {
 	// PS sends directly; with local aggregation the gather barrier sits in
 	// between, so the backward must simply complete first.
 	overlap := cfg.WaitFreeBP && !local
-	pr := protocol{e, cfg, rep}
+	pr := newProtocol(e, cfg, rep)
 	return iterate(e, cfg, func(it int) error {
 		e.Compute(overlap)
 		g := e.Grad()
@@ -221,7 +224,7 @@ func MachineGroup(cfg *Config, rank int) (group []int, self int) {
 func loopSSP(e Env, cfg *Config, rep *Replica) error {
 	bound := ps.Bound{S: cfg.Staleness}
 	ack := bound.Ack
-	pr := protocol{e, cfg, rep}
+	pr := newProtocol(e, cfg, rep)
 	return iterate(e, cfg, func(it int) error {
 		e.Compute(cfg.WaitFreeBP)
 		// The paper's parallel tasks: (i) ship the computed update to the
@@ -241,7 +244,7 @@ func loopSSP(e Env, cfg *Config, rep *Replica) error {
 		if err := pr.update(it, delta); err != nil {
 			return err
 		}
-		if err := pr.drain(kindAck, func(m Msg) { ack(m.Clock) }); err != nil {
+		if err := pr.drain(kindAck, func(m *Msg) { ack(m.Clock) }); err != nil {
 			return err
 		}
 		if bound.Stale(it) {
@@ -271,13 +274,14 @@ func loopEASGD(e Env, cfg *Config, rep *Replica) error {
 	if cfg.Algo == AdaComm {
 		due = adaCommPeriod(cfg, rep)
 	}
+	pr := newProtocol(e, cfg, rep)
 	return loopLocal(e, cfg, rep, func(it int) error {
 		if !due(it) {
 			return nil
 		}
 		// Push the local parameters to the PS, which moves both copies
 		// elastically, and take back the updated local parameters.
-		return protocol{e, cfg, rep}.exchange(ps.Push, it, rep.Params(), nil)
+		return pr.exchange(ps.Push, it, rep.Params(), nil)
 	})
 }
 
@@ -295,7 +299,7 @@ func loopARSGD(e Env, cfg *Config, rep *Replica) error {
 	if err != nil {
 		return err
 	}
-	pr := protocol{e, cfg, rep}
+	pr := newProtocol(e, cfg, rep)
 	return iterate(e, cfg, func(it int) error {
 		// Elastic mode shrinks the round to its survivors; faithful mode
 		// keeps every rank a member, so a dead peer stalls the collective —
@@ -326,8 +330,8 @@ func loopARSGD(e Env, cfg *Config, rep *Replica) error {
 // other worker, or its neighbors in a sparse overlay.
 func loopGoSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error {
 	weight := 1.0
-	merge := func(m Msg) { weight = rep.WeightedMerge(weight, m.Vec, m.Aux) }
-	pr := protocol{e, cfg, rep}
+	merge := func(m *Msg) { weight = rep.WeightedMerge(weight, m.Vec, m.Aux) }
+	pr := newProtocol(e, cfg, rep)
 	err := loopLocal(e, cfg, rep, func(it int) error {
 		if err := pr.drain(KindGossip, merge); err != nil {
 			return err
@@ -386,11 +390,11 @@ func gossipBase(cfg *Config, ov *topo.Overlay, w int) []int {
 // threads keep computing, and Result.StuckCommThreads counts the deadlocked.
 func loopADPSGD(e Env, cfg *Config, rep *Replica, r *rng.RNG, base []int) error {
 	if base == nil {
-		e.Go(passiveThread, func(c Env, _ func() (int, bool)) error { return protocol{c, cfg, rep}.answer(true) })
+		e.Go(passiveThread, func(c Env, _ func() (int, bool)) error { return newProtocol(c, cfg, rep).answer(true) })
 		return loopLocal(e, cfg, rep, nil)
 	}
 	hand, stop := e.Go(commThread, func(c Env, next func() (int, bool)) error {
-		pr := protocol{c, cfg, rep}
+		pr := newProtocol(c, cfg, rep)
 		for it, ok := next(); ok; it, ok = next() {
 			if cfg.ADPSGDNoBipartite {
 				if err := pr.answer(false); err != nil {
@@ -455,10 +459,11 @@ func adpsgdPartners(cfg *Config, ov *topo.Overlay, rank int) []int {
 func loopDPSGD(e Env, cfg *Config, rank int, rep *Replica) error {
 	W := cfg.Workers
 	ring := []int{(rank - 1 + W) % W, (rank + 1) % W}
+	pr := newProtocol(e, cfg, rep)
 	return iterate(e, cfg, func(it int) error {
 		e.Compute(false)
 		if W > 1 {
-			nbs, err := protocol{e, cfg, rep}.neighbors(it, ring, rep.Params())
+			nbs, err := pr.neighbors(it, ring, rep.Params())
 			if err != nil {
 				return err
 			}

@@ -166,42 +166,48 @@ func kcs(kind, clock, seg int) string {
 
 var waitNames = map[Wait]string{Poll: "poll", Block: "block", Bounded: "bounded", Serve: "serve"}
 
-func (f *fakeEnv) Send(to int, m Msg) (float64, error) {
+func (f *fakeEnv) Send(to int, m *Msg) (float64, error) {
 	if err := f.call("Send", fmt.Sprint(to, " ", kc(m.Kind, m.Clock))); err != nil {
 		return 0, err
 	}
 	if m.Kind < KindAllReduce {
 		f.lastPS = ps.Kind(m.Kind)
 		if f.ps != nil {
-			f.arrived = append(f.arrived, f.ps(to, m)...)
+			f.arrived = append(f.arrived, f.ps(to, *m)...)
 		}
 		return 0, nil
 	}
 	f.owed = append(f.owed, to)
 	if f.peer != nil {
-		f.arrived = append(f.arrived, f.peer(to, m)...)
+		f.arrived = append(f.arrived, f.peer(to, *m)...)
 	}
 	return 0, nil
 }
 
-func (f *fakeEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
+func (f *fakeEnv) Recv(kind, clock, seg int, wait Wait) (*Msg, bool, error) {
 	if err := f.call("Recv", kcs(kind, clock, seg)+" "+waitNames[wait]); err != nil {
-		return Msg{}, false, err
+		return nil, false, err
 	}
 	var mb Mailbox
-	m, ok, err := mb.Recv(kind, clock, seg, func() (Msg, bool, error) {
+	m, ok, err := mb.Recv(kind, clock, seg, func() (*Msg, bool, error) {
 		if len(f.arrived) > 0 {
 			m := f.arrived[0]
 			f.arrived = f.arrived[1:]
-			return m, true, nil
+			return &m, true, nil
 		}
-		return f.world(kind, clock, seg, wait)
+		m, ok, err := f.world(kind, clock, seg, wait)
+		return &m, ok, err
 	})
-	f.arrived = append(mb.parked, f.arrived...)
-	if ok {
-		m = f.took(m)
+	var parked []Msg
+	for _, p := range mb.parked {
+		parked = append(parked, *p)
 	}
-	return m, ok, err
+	f.arrived = append(parked, f.arrived...)
+	if !ok {
+		return nil, false, err
+	}
+	f.took(m)
+	return m, true, err
 }
 
 // world answers a wait that nothing arrived matches.
@@ -224,7 +230,7 @@ func (f *fakeEnv) world(kind, clock, seg int, wait Wait) (Msg, bool, error) {
 }
 
 // took hands m out of Recv: its sender is heard from.
-func (f *fakeEnv) took(m Msg) Msg {
+func (f *fakeEnv) took(m *Msg) {
 	for i, to := range f.owed {
 		if to == m.From {
 			f.owed = append(f.owed[:i], f.owed[i+1:]...)
@@ -232,9 +238,8 @@ func (f *fakeEnv) took(m Msg) Msg {
 		}
 	}
 	if f.onRecv != nil {
-		f.onRecv(m)
+		f.onRecv(*m)
 	}
-	return m
 }
 
 func (f *fakeEnv) Release([]float32) {}
@@ -676,7 +681,7 @@ func TestProtocolArrivalOrder(t *testing.T) {
 		// Both slots come from the one peer, in arrival order; its round-2
 		// vector, which came first, waits for round 2.
 		f := &fakeEnv{arrived: []Msg{req(1, 2, 20), req(1, 1, 10), req(1, 1, 11)}}
-		pr := protocol{f, loopConfig(t, DPSGD, 2, 2), newCostReplica()}
+		pr := newProtocol(f, loopConfig(t, DPSGD, 2, 2), newCostReplica())
 		got, err := pr.neighbors(1, []int{1, 1}, nil)
 		if err != nil || !slices.Equal(first(got), []float32{10, 11}) {
 			t.Fatalf("round 1 took %v, %v", got, err)
@@ -730,7 +735,7 @@ func TestProtocolArrivalOrder(t *testing.T) {
 		}}
 		var took []string
 		f.onRecv = func(m Msg) { took = append(took, kc(m.Kind, m.From)) }
-		pr := protocol{f, loopConfig(t, ADPSGD, 4, 1), newCostReplica()}
+		pr := newProtocol(f, loopConfig(t, ADPSGD, 4, 1), newCostReplica())
 		if err := pr.swap(3, 5, nil); err != nil || !slices.Equal(took, []string{"11@3"}) {
 			t.Fatalf("swap took %v, %v", took, err)
 		}
@@ -748,7 +753,7 @@ func TestProtocolArrivalOrder(t *testing.T) {
 			return []Msg{{Kind: kindAck, Clock: m.Clock - 2}, {Kind: kindParams}}
 		}}
 		var acked []int
-		pr := protocol{f, loopConfig(t, SSP, 4, 8), costRep()}
+		pr := newProtocol(f, loopConfig(t, SSP, 4, 8), costRep())
 		if err := pr.exchange(ps.Pull, 6, nil, func(c int) { acked = append(acked, c) }); err != nil ||
 			!slices.Equal(acked, []int{4}) || len(f.arrived) != 0 {
 			t.Fatalf("acked %v, left %v, %v", acked, f.arrived, err)
@@ -759,7 +764,7 @@ func TestProtocolArrivalOrder(t *testing.T) {
 		cfg := loopConfig(t, SSP, 4, 8)
 		f := &fakeEnv{arrived: []Msg{{Kind: kindAck, Clock: 1}, {Kind: KindGossip, From: 2}}}
 		acks := 0
-		err := protocol{f, cfg, newCostReplica()}.drain(kindAck, func(Msg) { acks++ })
+		err := newProtocol(f, cfg, newCostReplica()).drain(kindAck, func(*Msg) { acks++ })
 		if err == nil || acks != 1 || !strings.Contains(err.Error(), "unexpected kind") {
 			t.Fatalf("drain returned %v after %d acks", err, acks)
 		}
@@ -767,7 +772,7 @@ func TestProtocolArrivalOrder(t *testing.T) {
 		// dropped, not an error.
 		cfg.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Slow, Worker: 1, Factor: 2}}}
 		f = &fakeEnv{arrived: []Msg{{Kind: kindParams}, {Kind: kindAck, Clock: 1}}}
-		if err := (protocol{f, cfg, newCostReplica()}).drain(kindAck, func(Msg) { acks++ }); err != nil || acks != 2 {
+		if err := newProtocol(f, cfg, newCostReplica()).drain(kindAck, func(*Msg) { acks++ }); err != nil || acks != 2 {
 			t.Fatalf("faulty drain returned %v after %d acks", err, acks)
 		}
 	})
@@ -830,7 +835,7 @@ func TestProtocolShardRequests(t *testing.T) {
 			return nil
 		}}
 		v := slices.Clone(g)
-		if _, _, err := (protocol{f, &cfg, rep}).request(ps.Grad, it, v); err != nil {
+		if _, _, err := newProtocol(f, &cfg, rep).request(ps.Grad, it, v); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != len(rep.shards) || len(rep.shards) != 3 {
@@ -968,7 +973,7 @@ func TestProtocolCollectives(t *testing.T) {
 			f := &fakeEnv{arrived: []Msg{{Kind: KindLocalBcast, Clock: 3, Aux: tc.stamp, Wire: tc.wire}}}
 			f.onRecv = func(Msg) { now = 10 }
 			f.l = NewLedger(new(metrics.Breakdown), nil, func() float64 { return now }, 0, 0)
-			pr := protocol{f, loopConfig(t, BSP, 4, 3), newCostReplica()}
+			pr := newProtocol(f, loopConfig(t, BSP, 4, 3), newCostReplica())
 			if err := pr.bcast(3, []int{0, 1, 2, 3}, 2, 0); err != nil {
 				t.Fatal(err)
 			}

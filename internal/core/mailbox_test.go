@@ -9,13 +9,13 @@ import (
 // TestMailbox drives the match-and-park receive over scripted arrivals:
 // messages are told apart by From, and a take past the script fails.
 func TestMailbox(t *testing.T) {
-	msg := func(from, kind, clock, seg int) Msg { return Msg{Kind: kind, From: from, Clock: clock, Seg: seg} }
+	msg := func(from, kind, clock, seg int) *Msg { return &Msg{Kind: kind, From: from, Clock: clock, Seg: seg} }
 	type step struct {
-		m   Msg
+		m   *Msg
 		ok  bool
 		err error
 	}
-	arrive := func(ms ...Msg) []step {
+	arrive := func(ms ...*Msg) []step {
 		out := make([]step, len(ms))
 		for i, m := range ms {
 			out[i] = step{m, true, nil}
@@ -31,45 +31,45 @@ func TestMailbox(t *testing.T) {
 	errTake := errors.New("endpoint closed")
 	for _, tc := range []struct {
 		name   string
-		parked []Msg
+		parked []*Msg
 		script []step
 		calls  []call
 		left   []int // From of what stays parked
 	}{
 		{
 			name:   "parked first, in arrival order",
-			parked: []Msg{msg(1, 5, 1, 0), msg(2, 5, 1, 0)},
+			parked: []*Msg{msg(1, 5, 1, 0), msg(2, 5, 1, 0)},
 			script: arrive(msg(3, 5, 1, 0)),
 			calls:  []call{{5, 1, 0, 1, true, nil}, {5, 1, 0, 2, true, nil}, {5, 1, 0, 3, true, nil}},
 		},
 		{
 			name:   "a parked message that does not match stays",
-			parked: []Msg{msg(1, 6, 1, 0)},
+			parked: []*Msg{msg(1, 6, 1, 0)},
 			script: arrive(msg(2, 5, 1, 0)),
 			calls:  []call{{5, 1, 0, 2, true, nil}},
 			left:   []int{1},
 		},
 		{
 			name:   "any kind",
-			parked: []Msg{msg(1, 6, 1, 0), msg(2, 5, 2, 0), msg(3, 7, 2, 0)},
+			parked: []*Msg{msg(1, 6, 1, 0), msg(2, 5, 2, 0), msg(3, 7, 2, 0)},
 			calls:  []call{{Any, 2, 0, 2, true, nil}},
 			left:   []int{1, 3},
 		},
 		{
 			name:   "any clock",
-			parked: []Msg{msg(1, 5, 1, 1), msg(2, 5, 9, 0), msg(3, 5, 4, 0)},
+			parked: []*Msg{msg(1, 5, 1, 1), msg(2, 5, 9, 0), msg(3, 5, 4, 0)},
 			calls:  []call{{5, Any, 0, 2, true, nil}},
 			left:   []int{1, 3},
 		},
 		{
 			name:   "any seg",
-			parked: []Msg{msg(1, 6, 1, 3), msg(2, 5, 1, 3), msg(3, 5, 1, 4)},
+			parked: []*Msg{msg(1, 6, 1, 3), msg(2, 5, 1, 3), msg(3, 5, 1, 4)},
 			calls:  []call{{5, 1, Any, 2, true, nil}},
 			left:   []int{1, 3},
 		},
 		{
 			name:   "any on every field",
-			parked: []Msg{msg(1, 6, 1, 3), msg(2, 5, 1, 3)},
+			parked: []*Msg{msg(1, 6, 1, 3), msg(2, 5, 1, 3)},
 			calls:  []call{{Any, Any, Any, 1, true, nil}},
 			left:   []int{2},
 		},
@@ -81,14 +81,14 @@ func TestMailbox(t *testing.T) {
 		},
 		{
 			name:   "not ok comes back unchanged",
-			parked: []Msg{msg(1, 6, 1, 0)},
+			parked: []*Msg{msg(1, 6, 1, 0)},
 			script: append(arrive(msg(2, 7, 1, 0)), step{msg(9, 5, 1, 0), false, nil}),
 			calls:  []call{{5, 1, 0, 9, false, nil}},
 			left:   []int{1, 2},
 		},
 		{
 			name:   "an error comes back unchanged",
-			parked: []Msg{msg(1, 6, 1, 0)},
+			parked: []*Msg{msg(1, 6, 1, 0)},
 			script: append(arrive(msg(2, 7, 1, 0)), step{msg(8, 5, 1, 0), true, errTake}),
 			calls:  []call{{5, 1, 0, 8, true, errTake}},
 			left:   []int{1, 2},
@@ -97,7 +97,7 @@ func TestMailbox(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			mb := Mailbox{parked: tc.parked}
 			script := tc.script
-			take := func() (Msg, bool, error) {
+			take := func() (*Msg, bool, error) {
 				if len(script) == 0 {
 					t.Fatal("take called past the script")
 				}

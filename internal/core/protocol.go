@@ -48,15 +48,22 @@ const (
 
 // protocol is one worker thread's message protocol over its Env's wire. Every
 // step books wire = the wire seconds of its sends + those of what it took.
+// out is the message a send builds, zero between sends: the Env keeps none,
+// so one serves every send of the thread, and it holds on to no vector.
 type protocol struct {
 	e   Env
 	cfg *Config
 	rep *Replica
+	out Msg
+}
+
+func newProtocol(e Env, cfg *Config, rep *Replica) *protocol {
+	return &protocol{e: e, cfg: cfg, rep: rep}
 }
 
 // book closes step s, begun at begin, on the thread's ledger, and returns
 // when it ended.
-func (pr protocol) book(s Step, begin, wire float64) float64 {
+func (pr *protocol) book(s Step, begin, wire float64) float64 {
 	l := pr.e.Ledger()
 	end := l.Now()
 	l.Book(s, begin, end, wire)
@@ -64,16 +71,16 @@ func (pr protocol) book(s Step, begin, wire float64) float64 {
 }
 
 // unexpected is the protocol error of a message a step did not wait for.
-func unexpected(m Msg, want int) error {
+func unexpected(m *Msg, want int) error {
 	return fmt.Errorf("unexpected kind %d from %d, want %d", m.Kind, m.From, want)
 }
 
 // recv is the Env's receive of a message whose vector, if any, the replica
 // folds whole — parameters, a peer's vector: one of another length is a
 // protocol error.
-func (pr protocol) recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
+func (pr *protocol) recv(kind, clock, seg int, wait Wait) (*Msg, bool, error) {
 	m, ok, err := pr.e.Recv(kind, clock, seg, wait)
-	if mod := pr.rep.model; err == nil && m.Vec != nil && mod != nil && len(m.Vec) != mod.NumParams() {
+	if mod := pr.rep.model; ok && err == nil && m.Vec != nil && mod != nil && len(m.Vec) != mod.NumParams() {
 		err = fmt.Errorf("kind %d from %d holds %d elements, want %d", m.Kind, m.From, len(m.Vec),
 			mod.NumParams())
 	}
@@ -87,10 +94,11 @@ func (pr protocol) recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
 // taking the entries it owns, or dense, every shard reading its own ranges of
 // the one vector. With wait-free BP the sends ride on the backward pass the
 // Env books as compute (see Env.Compute): the step begins once they are out.
-func (pr protocol) request(kind ps.Kind, it int, vec []float32) (begin, wire float64, err error) {
+func (pr *protocol) request(kind ps.Kind, it int, vec []float32) (begin, wire float64, err error) {
 	cfg, rep := pr.cfg, pr.rep
 	begin = pr.e.Ledger().Now()
-	m := Msg{Kind: int(kind), Clock: it, Vec: vec}
+	m := &pr.out
+	m.Kind, m.Clock, m.Vec = int(kind), it, vec
 	var idx [][]int32
 	var val [][]float32
 	switch {
@@ -101,16 +109,18 @@ func (pr protocol) request(kind ps.Kind, it int, vec []float32) (begin, wire flo
 	default:
 		m.Own, m.Aux, m.Codes = roundTrip(cfg, vec, &rep.codes)
 	}
-	for s := range rep.shards {
+	for s := 0; s < len(rep.shards) && err == nil; s++ {
 		m.Seg = s
 		if idx != nil {
 			m.Idx, m.Vec = idx[s], val[s]
 		}
-		w, err := pr.e.Send(cfg.Workers+s, m)
+		var w float64
+		w, err = pr.e.Send(cfg.Workers+s, m)
 		wire += w
-		if err != nil {
-			return begin, wire, err
-		}
+	}
+	*m = Msg{}
+	if err != nil {
+		return begin, wire, err
 	}
 	if cfg.WaitFreeBP {
 		begin = pr.e.Ledger().Now()
@@ -122,7 +132,7 @@ func (pr protocol) request(kind ps.Kind, it int, vec []float32) (begin, wire flo
 // send: the top entries, their values on the gradient codec's grid, split
 // among the shards in one pass. ratio is the fraction of the vector they are,
 // or without real math the warm-up schedule's.
-func (pr protocol) compress(g []float32) (ratio float64, idx [][]int32, val [][]float32) {
+func (pr *protocol) compress(g []float32) (ratio float64, idx [][]int32, val [][]float32) {
 	rep := pr.rep
 	if rep.dgc == nil {
 		ratio = pr.cfg.DGC.RatioAt(rep.dgcIter)
@@ -148,7 +158,7 @@ func (pr protocol) compress(g []float32) (ratio float64, idx [][]int32, val [][]
 // clock service) gives up on answers lost to drop or partition faults only in
 // elastic mode, an asynchronous one (ASP, EASGD) under any fault schedule; it
 // trains on with the stale shard parameters.
-func (pr protocol) exchange(kind ps.Kind, it int, vec []float32, ack func(minClock int)) error {
+func (pr *protocol) exchange(kind ps.Kind, it int, vec []float32, ack func(minClock int)) error {
 	begin, wire, err := pr.request(kind, it, vec)
 	if err != nil {
 		return err
@@ -186,7 +196,7 @@ func (pr protocol) exchange(kind ps.Kind, it int, vec []float32, ack func(minClo
 }
 
 // update is SSP's fire-and-forget gradient push.
-func (pr protocol) update(it int, vec []float32) error {
+func (pr *protocol) update(it int, vec []float32) error {
 	begin, wire, err := pr.request(ps.Grad, it, vec)
 	if err == nil {
 		pr.book(StepUpdate, begin, wire)
@@ -197,7 +207,7 @@ func (pr protocol) update(it int, vec []float32) error {
 // drain hands take every message already arrived, each of the given kind
 // (SSP's acks, GoSGD's pushes) — but a parameter reply released after its
 // pull timed out, which is dropped.
-func (pr protocol) drain(kind int, take func(Msg)) error {
+func (pr *protocol) drain(kind int, take func(*Msg)) error {
 	for {
 		m, ok, err := pr.recv(Any, Any, Any, Poll)
 		if err != nil || !ok {
@@ -213,10 +223,19 @@ func (pr protocol) drain(kind int, take func(Msg)) error {
 	}
 }
 
+// send ships a whole-vector message to a peer.
+func (pr *protocol) send(to, kind, clock int, aux float64, vec []float32) (float64, error) {
+	m := &pr.out
+	m.Kind, m.Clock, m.Aux, m.Vec = kind, clock, aux, vec
+	wire, err := pr.e.Send(to, m)
+	*m = Msg{}
+	return wire, err
+}
+
 // toPeer pushes vec and the mixing weight aux to a peer without waiting.
-func (pr protocol) toPeer(to, it int, aux float64, vec []float32) error {
+func (pr *protocol) toPeer(to, it int, aux float64, vec []float32) error {
 	begin := pr.e.Ledger().Now()
-	wire, err := pr.e.Send(to, Msg{Kind: KindGossip, Clock: it, Aux: aux, Vec: vec})
+	wire, err := pr.send(to, KindGossip, it, aux, vec)
 	if err == nil {
 		pr.book(StepToPeer, begin, wire)
 	}
@@ -228,9 +247,9 @@ func (pr protocol) toPeer(to, it int, aux float64, vec []float32) error {
 // answer. Under a fault schedule a lost request or reply times out and the
 // worker trains on. The no-bipartite ablation books nothing: it shows whether
 // its threads deadlock, not what they cost.
-func (pr protocol) swap(peer, it int, vec []float32) error {
+func (pr *protocol) swap(peer, it int, vec []float32) error {
 	begin := pr.e.Ledger().Now()
-	wire, err := pr.e.Send(peer, Msg{Kind: KindExchangeReq, Clock: it, Vec: vec})
+	wire, err := pr.send(peer, KindExchangeReq, it, 0, vec)
 	if err != nil {
 		return err
 	}
@@ -254,7 +273,7 @@ func (pr protocol) swap(peer, it int, vec []float32) error {
 // the requester's in: to those already waiting, or with serve to every one
 // until the run is torn down. It waits for nothing: beyond its reply's send it
 // books the request's wire time.
-func (pr protocol) answer(serve bool) error {
+func (pr *protocol) answer(serve bool) error {
 	wait := Poll
 	if serve {
 		wait = Serve
@@ -268,7 +287,7 @@ func (pr protocol) answer(serve bool) error {
 			return unexpected(m, KindExchangeReq)
 		}
 		begin := pr.e.Ledger().Now()
-		wire, err := pr.e.Send(m.From, Msg{Kind: KindExchangeReply, Clock: m.Clock, Vec: pr.rep.Params()})
+		wire, err := pr.send(m.From, KindExchangeReply, m.Clock, 0, pr.rep.Params())
 		if err != nil {
 			return err
 		}
@@ -284,11 +303,11 @@ func (pr protocol) answer(serve bool) error {
 // vectors in the order of nbs, for the caller to release: each goes to its
 // sender's first open slot (with two workers the one peer sends twice). A
 // neighbour's next round's vector stays parked.
-func (pr protocol) neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
+func (pr *protocol) neighbors(it int, nbs []int, vec []float32) ([][]float32, error) {
 	begin := pr.e.Ledger().Now()
 	var wire float64
 	for _, nb := range nbs {
-		w, err := pr.e.Send(nb, Msg{Kind: KindExchangeReq, Clock: it, Vec: vec})
+		w, err := pr.send(nb, KindExchangeReq, it, 0, vec)
 		if err != nil {
 			return nil, err
 		}
@@ -321,7 +340,7 @@ func (pr protocol) neighbors(it int, nbs []int, vec []float32) ([][]float32, err
 // member's own contribution round-tripped through the gradient codec, codes
 // as its int8 codes, aux is every message's Aux (that contribution's int8
 // scale, or a broadcast's stamp), and wire sums the wire seconds of the
-// call's sends and of what it took.
+// call's sends and of what it took. out is the message every send builds.
 type link struct {
 	e           Env
 	kind, clock int
@@ -332,10 +351,13 @@ type link struct {
 	own         bool
 	aux         float64
 	wire        float64
+	out         Msg
 }
 
 func (l *link) Send(to, seg, lo, hi int, own bool) error {
-	m := Msg{Kind: l.kind, Clock: l.clock, Seg: seg, Aux: l.aux, N: hi - lo, Of: l.of, Own: own && l.own}
+	m := &l.out
+	*m = Msg{}
+	m.Kind, m.Clock, m.Seg, m.Aux, m.N, m.Of, m.Own = l.kind, l.clock, seg, l.aux, hi-lo, l.of, own && l.own
 	if l.vec != nil {
 		m.Vec = l.vec[lo:hi]
 	}
@@ -389,7 +411,7 @@ func roundTrip(cfg *Config, g []float32, codes *[]int8) (own bool, scale float64
 // the sum (nil without real math). With wait-free BP the gradient is reduced
 // in two buckets, the output-side half while the backward pass still
 // produces the input-side half — the bucketing real DDP stacks use.
-func (pr protocol) allReduce(pl comm.Plan, it int, nodes []int, self int) ([]float32, error) {
+func (pr *protocol) allReduce(pl comm.Plan, it int, nodes []int, self int) ([]float32, error) {
 	n := pr.rep.vecLen(pr.cfg)
 	cut := 0
 	if pr.cfg.WaitFreeBP && n > 1 {
@@ -427,7 +449,7 @@ func (pr protocol) allReduce(pl comm.Plan, it int, nodes []int, self int) ([]flo
 // member ships its gradient dense — the codec applies once, to the sum the
 // leader pushes — and moves on. It returns when the step ended: the stamp the
 // leader's bcast carries.
-func (pr protocol) gatherSum(it int, group []int, self int, g []float32) (float64, error) {
+func (pr *protocol) gatherSum(it int, group []int, self int, g []float32) (float64, error) {
 	begin := pr.e.Ledger().Now()
 	n := pr.rep.vecLen(pr.cfg)
 	l := &link{e: pr.e, kind: KindLocalGather, clock: it, nodes: group, vec: g, of: n}
@@ -441,7 +463,7 @@ func (pr protocol) gatherSum(it int, group []int, self int, g []float32) (float6
 // every member of group, which installs them. The leader stamps them with
 // gathered, when its gather ended on its ledger's clock; a member's wait
 // splits there into local aggregation and the global round (Ledger.Split).
-func (pr protocol) bcast(it int, group []int, self int, gathered float64) error {
+func (pr *protocol) bcast(it int, group []int, self int, gathered float64) error {
 	l := pr.e.Ledger()
 	begin := l.Now()
 	if self == 0 {

@@ -101,27 +101,37 @@ func (w *shardWire) Recv(bounded bool) (ps.Msg, bool, error) {
 	if m.Kind != kindPull {
 		psAggSleep(w.p, m.Bytes)
 	}
-	// Worker w's node ID is w, so From is the sender's rank.
-	return ps.Msg{From: m.From, Kind: ps.Kind(m.Kind), Clock: m.Clock, Vec: m.Vec, Idx: m.SparseIdx}, true, nil
+	// The worker's request, in the shard's terms; worker w's node ID is w,
+	// so From is the sender's rank.
+	b := m.Body.(*Msg)
+	req := ps.Msg{From: b.From, Kind: ps.Kind(b.Kind), Clock: b.Clock, Vec: b.Vec, Idx: b.Idx}
+	w.x.msgs.Free(b)
+	return req, true, nil
 }
 
-// Send puts the replies on the simulated network, in order.
+// Send puts the replies on the simulated network, in order, each a message
+// from the run's free list.
 func (w *shardWire) Send(out []ps.Reply) error {
 	if len(out) > 0 {
 		w.giveUp = 0
 	}
 	x, s := w.x, w.s
 	for _, r := range out {
+		m := x.msgs.New()
+		m.From = x.psNode[s]
+		var bytes int64
 		switch r.Kind {
 		case ps.Params:
-			x.net.Send(x.snapshotMsg(s, r.To))
+			m.Kind, m.Seg = kindParams, s
+			bytes, m.Vec = x.snapshot(s)
 		case ps.Ack:
-			x.net.Send(simnet.Msg{From: x.psNode[s], To: r.To,
-				Kind: kindAck, Clock: r.Clock, Bytes: 16})
+			m.Kind, m.Clock, bytes = kindAck, r.Clock, 16
 		case ps.PushReply:
-			x.net.Send(simnet.Msg{From: x.psNode[s], To: r.To,
-				Kind: kindEASGDReply, Seg: s, Bytes: x.shardBytes(s), Vec: r.Vec})
+			m.Kind, m.Seg, m.Vec, bytes = kindEASGDReply, s, r.Vec, x.shardBytes(s)
+		default:
+			panic(fmt.Sprintf("shard %d: a reply of kind %d", s, r.Kind))
 		}
+		x.net.Send(simnet.Msg{From: m.From, To: r.To, Kind: m.Kind, Bytes: bytes, Body: m})
 	}
 	return nil
 }
@@ -134,15 +144,16 @@ func psAggSleep(p *des.Proc, bytes int64) {
 	p.Sleep(float64(bytes) / costmodel.AggRateBytesPerSec)
 }
 
-// snapshotMsg builds a shard→worker parameter reply for shard s. When DGC
-// is active the reply wire size models a sparse refresh: the PS only ships
-// the parameters touched since the worker's last sync — roughly the union
-// of all workers' top-k updates over the pull period — because shipping the
-// full dense model back would cancel most of what gradient compression
-// saves. (The payload still carries the full vector in real mode; payload
-// contents and wire size are decoupled throughout the simulator.)
-func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
-	bytes := x.shardBytes(s)
+// snapshot prices shard s's parameter reply and, with real math, takes the
+// parameters it carries. When DGC is active the wire size models a sparse
+// refresh: the PS only ships the parameters touched since the worker's last
+// sync — roughly the union of all workers' top-k updates over the pull
+// period — because shipping the full dense model back would cancel most of
+// what gradient compression saves. (The payload still carries the full
+// vector in real mode; payload contents and wire size are decoupled
+// throughout the simulator.)
+func (x *exp) snapshot(s int) (bytes int64, vec []float32) {
+	bytes = x.shardBytes(s)
 	if x.cfg.DGC != nil {
 		// The warm-up ratio at the workers' mean compression iteration.
 		sum := 0
@@ -159,10 +170,9 @@ func (x *exp) snapshotMsg(s, toNode int) simnet.Msg {
 			bytes = max(8, int64(float64(bytes)*factor))
 		}
 	}
-	m := simnet.Msg{From: x.psNode[s], To: toNode, Kind: kindParams, Seg: s, Bytes: bytes}
 	if x.global.MathOn() {
-		m.Vec = make([]float32, x.vecLen)
-		x.global.Snapshot(x.assign[s], m.Vec)
+		vec = make([]float32, x.vecLen)
+		x.global.Snapshot(x.assign[s], vec)
 	}
-	return m
+	return bytes, vec
 }

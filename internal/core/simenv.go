@@ -36,6 +36,9 @@ type simEnv struct {
 	// share, and the messages that wait for the backward pass (pace).
 	dense []float32
 	paced []simnet.Msg
+
+	// held is the message the last Recv returned, freed at the next.
+	held *Msg
 }
 
 // spawnWorkers starts one process per worker running the algorithm's loop
@@ -103,31 +106,34 @@ func (e *simEnv) Ready(lo, hi int) {
 	}
 }
 
-// Send puts m on the simulated network in no virtual time, at the
-// paper-scale size of a full vector — what every worker-to-worker message
-// carries — or a collective's chunk at its share of the vector it was cut
-// from; a parameter-server request's message goes through toShard. A
+// Send puts m on the simulated network in no virtual time, as a copy drawn
+// from the run's free list that its receiver takes as it is. It is priced at
+// the paper-scale size of a full vector — what every worker-to-worker
+// message carries — or a collective's chunk at its share of the vector it
+// was cut from; a parameter-server request's message goes through toShard. A
 // chunk's payload is copied, isolating it in flight from the sender's next
 // fold; a whole vector is the sender's to give away. The codec's savings are
 // not modelled here: only own-contribution chunks would carry them, and
 // partial sums travel dense.
-func (e *simEnv) Send(to int, m Msg) (float64, error) {
+func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 	x := e.x
+	b := x.msgs.New()
+	*b = *m
+	b.From = e.w
 	if s := to - x.cfg.Workers; s >= 0 {
-		e.toShard(s, m)
+		e.toShard(s, b)
 		return 0, nil
 	}
-	bytes, vec := x.fullBytes(), m.Vec
+	bytes := x.fullBytes()
 	if m.Of > 0 {
 		if bytes = x.bytesFor(m.Of); m.N != m.Of {
 			bytes = bytes * int64(m.N) / int64(m.Of)
 		}
-		if vec != nil {
-			vec = append([]float32(nil), vec...)
+		if b.Vec != nil {
+			b.Vec = append([]float32(nil), b.Vec...)
 		}
 	}
-	x.net.Send(simnet.Msg{From: e.w, To: to, Kind: m.Kind, Clock: m.Clock, Seg: m.Seg, Aux: m.Aux,
-		Bytes: bytes, Vec: vec})
+	x.net.Send(simnet.Msg{From: e.w, To: to, Kind: b.Kind, Bytes: bytes, Body: b})
 	return 0, nil
 }
 
@@ -141,14 +147,14 @@ func (e *simEnv) Send(to int, m Msg) (float64, error) {
 // shard's: the caller's vector is the model's gradient store, which the next
 // pass overwrites. After an overlapped Compute a gradient's messages wait
 // for the last one and go out as the backward pass produces them (pace).
-func (e *simEnv) toShard(s int, m Msg) {
+func (e *simEnv) toShard(s int, m *Msg) {
 	x := e.x
-	msg := simnet.Msg{From: e.w, To: x.psNode[s], Kind: m.Kind, Clock: m.Clock, Seg: s, Vec: m.Vec}
+	msg := simnet.Msg{From: e.w, To: x.psNode[s], Kind: m.Kind, Body: m}
 	switch m.Kind {
 	case kindPull:
 		msg.Bytes = 16
 	case kindEASGDPush:
-		msg.Bytes, msg.Vec = x.shardBytes(s), slices.Clone(m.Vec)
+		msg.Bytes, m.Vec = x.shardBytes(s), slices.Clone(m.Vec)
 	case kindGrad:
 		msg.Bytes = x.shardBytes(s)
 		switch {
@@ -160,12 +166,11 @@ func (e *simEnv) toShard(s int, m Msg) {
 		if s == 0 {
 			e.dense = slices.Clone(m.Vec)
 		}
-		if msg.Vec = e.dense; s == len(x.assign)-1 {
+		if m.Vec = e.dense; s == len(x.assign)-1 {
 			e.dense = nil
 		}
 	case kindSparseGrad:
 		msg.Bytes = max(8, int64(float64(x.shardBytes(s))*m.Aux*x.dgcEntry/4))
-		msg.SparseIdx = m.Idx
 	}
 	if !e.overlap || m.Kind != kindGrad && m.Kind != kindSparseGrad {
 		x.net.Send(msg)
@@ -205,12 +210,19 @@ func (e *simEnv) pace() {
 	e.l.Book(StepCompute, bwdStart, p.Now(), 0)
 }
 
-// Recv is the worker's mailbox over its inbox; a Bounded wait gives up after
-// the barrier timeout, restarted by every arrival. A dead worker drops the
-// exchange requests it takes: the requester's timeout absorbs the loss.
-func (e *simEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
+// Recv is the worker's mailbox over its inbox: each arrival is the message
+// its sender put on the network, with the transfer's wire time. A Bounded
+// wait gives up after the barrier timeout, restarted by every arrival. A
+// dead worker drops the exchange requests it takes: the requester's timeout
+// absorbs the loss. What the last call returned goes back to the run's free
+// list.
+func (e *simEnv) Recv(kind, clock, seg int, wait Wait) (*Msg, bool, error) {
 	x, inbox := e.x, e.x.net.Node(e.w).Inbox
-	take := func() (Msg, bool, error) {
+	if e.held != nil {
+		x.msgs.Free(e.held)
+		e.held = nil
+	}
+	take := func() (*Msg, bool, error) {
 		var m simnet.Msg
 		ok := true
 		switch wait {
@@ -223,20 +235,32 @@ func (e *simEnv) Recv(kind, clock, seg int, wait Wait) (Msg, bool, error) {
 		default:
 			m = inbox.Recv(e.p)
 		}
-		return Msg{Kind: m.Kind, From: m.From, Clock: m.Clock, Seg: m.Seg, Aux: m.Aux, Vec: m.Vec,
-			Wire: m.WireSec}, ok, nil
+		if !ok {
+			return nil, false, nil
+		}
+		b := m.Body.(*Msg)
+		b.Wire = m.WireSec
+		return b, true, nil
 	}
 	for {
 		m, ok, err := x.mail[e.w].Recv(kind, clock, seg, take)
 		if !ok || m.Kind != KindExchangeReq || x.inj == nil || !x.inj.DeadAt(e.w, e.p.Now()) {
+			e.held = m
 			return m, ok, err
 		}
 		x.col.Faults.SkippedExchanges++
+		x.msgs.Free(m)
 	}
 }
 
-// Release does nothing: a simulated payload is ordinary garbage.
-func (e *simEnv) Release([]float32) {}
+// Release drops the last received message's hold on vec: a simulated
+// payload is ordinary garbage once its taker is done with it, even while the
+// message waits for the next Recv to free it.
+func (e *simEnv) Release(vec []float32) {
+	if m := e.held; m != nil && len(vec) > 0 && len(m.Vec) > 0 && &m.Vec[0] == &vec[0] {
+		m.Vec = nil
+	}
+}
 
 func (e *simEnv) Ledger() *Ledger { return e.l }
 

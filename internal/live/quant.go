@@ -75,7 +75,7 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 // round-tripped value converts back to its own half. Partial sums and
 // gathered results stay dense: they are off the codec's grid, and
 // re-encoding them would diverge from the simulator.
-func (w *worker) encodeChunk(m core.Msg, f *xport.Frame) {
+func (w *worker) encodeChunk(m *core.Msg, f *xport.Frame) {
 	sp := w.span("quantize", "quant")
 	defer sp.End()
 	switch w.codec {

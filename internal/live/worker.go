@@ -48,6 +48,10 @@ type worker struct {
 	srv  int // mesh rank of the PS; -1 when decentralized
 	ep   xport.Endpoint
 	mb   *core.Mailbox
+	// msgs is the free list of the messages Recv hands out; held is the
+	// last one, freed at the next call.
+	msgs core.Msgs
+	held *core.Msg
 	rep  *core.Replica
 	// streams and overlay are the simulator's derivations for this rank: the
 	// algorithm draws (gossip targets, AD-PSGD partners) and GoSGD's partner
@@ -199,7 +203,9 @@ func (w *worker) tail(stop <-chan struct{}) error {
 		if err != nil || stopped && !ok {
 			return err
 		}
-		w.Release(m.Vec)
+		if ok {
+			w.Release(m.Vec)
+		}
 	}
 }
 
@@ -245,7 +251,7 @@ func (w *worker) Gate(it int) (int, bool, error) {
 		var err error
 		switch {
 		case resumed && (p == w.srv || w.srv < 0 && w.ch.owesResume(w.rank, p, it)):
-			_, err = w.Send(p, core.Msg{Kind: int(kindResume), Clock: it, Seg: w.rank})
+			_, err = w.Send(p, &core.Msg{Kind: int(kindResume), Clock: it, Seg: w.rank})
 		case w.srv < 0 && w.ch.owesResume(p, w.rank, it):
 			_, _, err = w.Recv(int(kindResume), it, p, core.Block)
 			w.ep.(peerDropper).DropPeer(p)
@@ -288,7 +294,7 @@ func (w *worker) Ready(int, int) {}
 // where it lives: an own contribution (an AllReduce chunk or a gradient
 // request) in the run's codec, anything else dense. Its wire seconds are those
 // inside Endpoint.Send: frame encode, CRC and socket write.
-func (w *worker) Send(to int, m core.Msg) (float64, error) {
+func (w *worker) Send(to int, m *core.Msg) (float64, error) {
 	f := &xport.Frame{Kind: uint16(m.Kind), From: int32(w.rank), Clock: int32(m.Clock), Seg: int32(m.Seg),
 		Aux: m.Aux, Vec: m.Vec}
 	if m.Own && w.codec != 0 {
@@ -300,11 +306,11 @@ func (w *worker) Send(to int, m core.Msg) (float64, error) {
 }
 
 // Recv is the worker's mailbox over its endpoint, each frame taken as a
-// core.Msg as it arrives, a chunk that came in codec form reconstructed dense.
-// A Poll gives the endpoint one pollWindow and Serve waits until the endpoint
-// closes; a Block or Bounded wait gives up after recvTimeout in all, with an
-// error.
-func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (core.Msg, bool, error) {
+// core.Msg from the worker's free list as it arrives, a chunk that came in
+// codec form reconstructed dense. A Poll gives the endpoint one pollWindow
+// and Serve waits until the endpoint closes; a Block or Bounded wait gives up
+// after recvTimeout in all, with an error.
+func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (*core.Msg, bool, error) {
 	timeout := recvTimeout
 	switch wait {
 	case core.Poll:
@@ -313,23 +319,35 @@ func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (core.Msg, bool, err
 		timeout = 0 // block
 	}
 	deadline := time.Now().Add(timeout)
-	m, ok, err := w.mb.Recv(kind, clock, seg, func() (core.Msg, bool, error) {
+	if w.held != nil {
+		w.msgs.Free(w.held)
+		w.held = nil
+	}
+	m, ok, err := w.mb.Recv(kind, clock, seg, func() (*core.Msg, bool, error) {
 		remain := time.Until(deadline)
 		if timeout == 0 {
 			remain = 0
 		} else if remain <= 0 {
-			return core.Msg{}, false, nil
+			return nil, false, nil
 		}
 		f, err := w.ep.Recv(remain)
 		if errors.Is(err, xport.ErrTimeout) {
-			return core.Msg{}, false, nil
+			return nil, false, nil
 		}
 		if err == nil && len(f.Data) > 0 {
 			err = w.decodeChunk(&f)
 		}
-		return core.Msg{Kind: int(f.Kind), From: int(f.From), Clock: int(f.Clock), Seg: int(f.Seg),
-			Aux: f.Aux, Vec: f.Vec}, err == nil, err
+		if err != nil {
+			return nil, false, err
+		}
+		m := w.msgs.New()
+		m.Kind, m.From, m.Clock, m.Seg, m.Aux, m.Vec = int(f.Kind), int(f.From), int(f.Clock), int(f.Seg),
+			f.Aux, f.Vec
+		return m, true, nil
 	})
+	if ok {
+		w.held = m
+	}
 	if ok || err != nil || wait == core.Poll {
 		return m, ok, err
 	}

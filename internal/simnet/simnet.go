@@ -20,29 +20,20 @@ import (
 	"disttrain/internal/trace"
 )
 
-// Msg is one network message. Vec is the optional real payload (nil in
-// cost-only mode); Bytes is the wire size used for timing, which in
-// cost-only experiments reflects the full-size paper models rather than
-// len(Vec).
+// Msg is one network message: the endpoints, the sender's kind tag, and
+// Bytes, the wire size the links are booked for — in cost-only experiments
+// the full-size paper model's, whatever the payload. Body is the sending
+// protocol's own message (nil when there is none); the network never reads
+// it, and Send hands it to the receiver as it was sent. Send fills in
+// WireSec.
 type Msg struct {
 	From, To int
 	Kind     int
-	// Clock carries the sender's iteration counter (SSP staleness, traces).
-	Clock int
-	// Seg identifies a parameter segment / shard for sharded transfers.
-	Seg int
-	// Bytes is the wire size used for link booking.
-	Bytes int64
-	// Vec is the payload gradient/parameter vector; may be nil.
-	Vec []float32
-	// SparseIdx carries the coordinate indices of a sparse (DGC) payload,
-	// parallel to Vec.
-	SparseIdx []int32
-	// Aux carries algorithm-specific scalar state (e.g. GoSGD weights).
-	Aux float64
+	Bytes    int64
 	// WireSec is the transfer time the message experiences, for metrics
 	// attribution.
 	WireSec des.Time
+	Body    any
 }
 
 // link is a FIFO resource: a transmission books [start, start+dur) where

@@ -2,7 +2,9 @@ package simnet
 
 import (
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/des"
@@ -192,15 +194,92 @@ func TestZeroByteMessage(t *testing.T) {
 
 func TestPayloadCarried(t *testing.T) {
 	eng, n := testNet()
-	var got []float32
+	var got any
 	eng.Spawn("r", func(p *des.Proc) {
 		m := n.Node(1).Inbox.Recv(p)
-		got = m.Vec
+		got = m.Body
 	})
-	n.Send(Msg{From: 0, To: 1, Bytes: 12, Vec: []float32{1, 2, 3}})
+	n.Send(Msg{From: 0, To: 1, Bytes: 12, Body: []float32{1, 2, 3}})
 	eng.Run(0)
-	if len(got) != 3 || got[2] != 3 {
+	if v, ok := got.([]float32); !ok || len(v) != 3 || v[2] != 3 {
 		t.Fatalf("payload = %v", got)
+	}
+}
+
+// TestMsgSize: a message moves through its inbox by value, so it stays under
+// the 64 bytes past which the compiler copies a struct with runtime.duffcopy.
+func TestMsgSize(t *testing.T) {
+	if s := unsafe.Sizeof(Msg{}); s > 64 {
+		t.Fatalf("simnet.Msg is %d bytes, want at most 64", s)
+	}
+}
+
+// cutSecond loses the second cross-machine message it is asked about.
+type cutSecond struct{ asked int }
+
+func (c *cutSecond) Cut(float64, int, int) bool {
+	c.asked++
+	return c.asked == 2
+}
+
+func (c *cutSecond) Slow(float64, int, int) float64 { return 1 }
+
+// TestBodyHandedOver sends a fixed sequence — across machines and within
+// one, three kinds, a transfer queued behind another and one lost to the
+// fault model — once with a body on every message and once with none. The
+// receivers get the very pointers sent, and the wire times and the traffic
+// counters are the ones the sizes alone give.
+func TestBodyHandedOver(t *testing.T) {
+	sends := []Msg{
+		{From: 0, To: 2, Kind: 1, Bytes: 1e6}, // 1 s on egress m0 and ingress m1
+		{From: 1, To: 0, Kind: 2, Bytes: 3e6}, // 30 ms on bus m0
+		{From: 0, To: 3, Kind: 1, Bytes: 2e6}, // cut
+		{From: 3, To: 0, Kind: 2, Bytes: 5e5}, // 0.5 s on egress m1 and ingress m0
+		{From: 1, To: 2, Kind: 3, Bytes: 1e6}, // behind the first: done at 2 s
+	}
+	wantWire := []des.Time{1.001, 0.031, 0, 0.501, 2.001}
+	run := func(bodies bool) (wire, got []des.Time, sent, took []any, s Stats) {
+		eng, n := testNet()
+		n.SetFaults(&cutSecond{})
+		for _, node := range []int{0, 2} {
+			eng.Spawn("r", func(p *des.Proc) {
+				for range 2 {
+					m := n.Node(node).Inbox.Recv(p)
+					got, took = append(got, m.WireSec), append(took, m.Body)
+				}
+			})
+		}
+		for i, m := range sends {
+			if bodies {
+				m.Body = &struct{ i int }{i}
+			}
+			sent = append(sent, m.Body)
+			wire = append(wire, n.Send(m))
+		}
+		eng.Run(0)
+		return wire, got, sent, took, n.Stats()
+	}
+	wire, got, sent, took, s := run(true)
+	for i, w := range wire {
+		if math.Abs(w-wantWire[i]) > 1e-12 {
+			t.Fatalf("send %d: wire %v, want %v", i, w, wantWire[i])
+		}
+	}
+	// Node 0 takes sends 1 and 3 (bus first), node 2 sends 0 and 4.
+	for i, k := range []int{1, 3, 0, 4} {
+		if took[i] != sent[k] || got[i] != wire[k] {
+			t.Fatalf("arrival %d: body %p wire %v, want send %d's %p and %v", i, took[i], got[i], k, sent[k], wire[k])
+		}
+	}
+	if s.TotalMsgs != 4 || s.TotalBytes != 5.5e6 || s.CrossMachineBytes != 2.5e6 ||
+		s.DroppedMsgs != 1 || s.DroppedBytes != 2e6 ||
+		!reflect.DeepEqual(s.BytesByKind, map[int]int64{1: 1e6, 2: 3.5e6, 3: 1e6}) {
+		t.Fatalf("stats %+v", s)
+	}
+	bare, bareGot, _, _, bareStats := run(false)
+	if !reflect.DeepEqual(bare, wire) || !reflect.DeepEqual(bareGot, got) || !reflect.DeepEqual(bareStats, s) {
+		t.Fatalf("without bodies: wire %v, arrivals %v, stats %+v; with: %v, %v, %+v",
+			bare, bareGot, bareStats, wire, got, s)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 )
 
 // Frame is one typed message between ranks. The field set is the union of
-// what the seven algorithms' messages carry (mirroring simnet.Msg): a kind
+// what the seven algorithms' messages carry (mirroring core.Msg): a kind
 // tag, the sender's rank, a round clock, a segment/chunk index, one scalar
 // (gossip weights), a float payload, sparse indices, and an opaque byte
 // blob for control-plane payloads (rendezvous addresses, metric digests).
