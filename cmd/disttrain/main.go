@@ -255,7 +255,7 @@ func runSweep(ctx context.Context, cfg core.Config, list string, gbps float64) {
 	base := cli.SpeedupBase(cfg.Workload)
 	for _, n := range counts {
 		c := cfg
-		c.Cluster = cli.Cluster(gbps, n)
+		c.Cluster = api.Cluster(gbps, n)
 		c.Workers = n
 		c.Real = nil // sweeps are cost-only
 		if n < 2 && (c.Algo == core.ADPSGD || c.Algo == core.GoSGD) {

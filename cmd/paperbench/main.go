@@ -15,7 +15,7 @@ import (
 	"os"
 	"time"
 
-	"disttrain/internal/cli"
+	"disttrain/internal/api"
 	"disttrain/internal/report"
 	"disttrain/internal/train"
 )
@@ -39,7 +39,7 @@ func main() {
 		return
 	}
 
-	opts := train.Options{Quick: *quick, Seed: *seed, Pool: cli.PoolSize(*pool)}
+	opts := train.Options{Quick: *quick, Seed: *seed, Pool: api.PoolSize(*pool)}
 	if *verbose {
 		opts.Log = os.Stderr
 	}

@@ -198,6 +198,11 @@ func (s *ExperimentSpec) Validated() (core.Config, error) {
 		if err := live.Validate(&cfg); err != nil {
 			return core.Config{}, err
 		}
+		if s.Transport == TransportChan {
+			if err := live.ChanFaults(cfg.Faults); err != nil {
+				return core.Config{}, err
+			}
+		}
 	} else if err := cfg.Validate(); err != nil {
 		return core.Config{}, err
 	}

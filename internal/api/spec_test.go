@@ -63,6 +63,21 @@ func TestValidatedRejectsBadAlgo(t *testing.T) {
 	}
 }
 
+// TestValidatedRejectsChanFaults: the chan transport injects no faults, so a
+// chan spec with a fault schedule is refused at validation, while the same
+// spec on tcp, which applies it, passes.
+func TestValidatedRejectsChanFaults(t *testing.T) {
+	s := ExperimentSpec{Algo: "bsp", Workers: 4, Transport: TransportChan, Real: &RealSpec{},
+		FaultSpec: "slow@0:w1:x3"}
+	if _, err := s.Validated(); err == nil || !strings.Contains(err.Error(), "transport chan") {
+		t.Fatalf("chan spec with a fault schedule: %v", err)
+	}
+	s.Transport = TransportTCP
+	if _, err := s.Validated(); err != nil {
+		t.Fatalf("tcp spec with a fault schedule: %v", err)
+	}
+}
+
 // TestSpecCollectiveAndOverlay verifies the additive topology fields pass
 // through Config() and survive a JSON round trip without a version bump.
 func TestSpecCollectiveAndOverlay(t *testing.T) {

@@ -22,7 +22,6 @@ import (
 	"syscall"
 
 	"disttrain/internal/api"
-	"disttrain/internal/cluster"
 	"disttrain/internal/core"
 	"disttrain/internal/costmodel"
 	"disttrain/internal/data"
@@ -117,7 +116,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Elastic, "elastic", false, "elastic membership: barriers exclude crashed workers instead of stalling")
 	fs.Float64Var(&f.Timeout, "timeout", 0, "barrier timeout in virtual seconds (0 = 5 mean iterations)")
 
-	fs.StringVar(&f.Transport, "transport", "sim", "execution backend: sim (virtual-time simulator) | tcp (live TCP) | chan (live in-process channels); live backends require -real")
+	fs.StringVar(&f.Transport, "transport", "sim", "execution backend: sim (virtual-time simulator) | tcp (live TCP) | chan (live, data plane over in-process channels; no -faults); live backends require -real")
 	fs.StringVar(&f.Role, "role", "", "live multi-process role: coordinator|worker (empty = single-process loopback harness)")
 	fs.StringVar(&f.Coord, "coord", "127.0.0.1:9901", "coordinator address: listen address for -role=coordinator, dial address for -role=worker")
 	fs.StringVar(&f.MeshListen, "meshlisten", "127.0.0.1:0", "live worker's mesh listen address (use a peer-reachable host:0 for multi-machine runs)")
@@ -211,14 +210,6 @@ func LoadFaults(spec, file string) (*fault.Schedule, error) {
 	}
 	return s, nil
 }
-
-// PoolSize resolves the -pool flag into core.Config.PoolSize. Kept as an
-// alias of api.PoolSize for the examples that call it directly.
-func PoolSize(flag int) int { return api.PoolSize(flag) }
-
-// Cluster returns the paper's 56 Gbps InfiniBand cluster shape for gbps >=
-// 56 and the 10 Gbps Ethernet shape otherwise.
-func Cluster(gbps float64, workers int) cluster.Config { return api.Cluster(gbps, workers) }
 
 // Context returns a context canceled on SIGINT/SIGTERM, so an interrupted
 // run unwinds through core.Run's cancellation path instead of dying

@@ -220,6 +220,23 @@ func TestMisfitNetDataset400(t *testing.T) {
 	}
 }
 
+// TestChanFaults400: a chan spec with a fault schedule would run without its
+// faults; it is refused at submission, naming the transport, not queued.
+func TestChanFaults400(t *testing.T) {
+	c, _ := startService(t, ServiceOptions{})
+	resp, err := http.Post(c.Base+"/v1/experiments", "application/json",
+		strings.NewReader(`{"algo":"bsp","workers":4,"iters":2,"transport":"chan","real":{},"fault_spec":"slow@0:w1:x3"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.String(), "transport chan") {
+		t.Fatalf("chan spec with faults: got %d %q, want 400 naming the transport", resp.StatusCode, body.String())
+	}
+}
+
 // TestUnknownExperiment404 covers the three per-experiment endpoints.
 func TestUnknownExperiment404(t *testing.T) {
 	c, _ := startService(t, ServiceOptions{})

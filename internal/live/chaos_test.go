@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -205,13 +206,28 @@ func TestLiveElasticWithoutCrashMatchesFixedCohort(t *testing.T) {
 }
 
 // TestRunChanRejectsCrash: the channel transport has no process boundary
-// to kill and no sockets to redial, so crash schedules are TCP-only.
+// to kill and no sockets to redial, slow or cut, so every fault schedule —
+// each one the TCP transport takes — is refused with an error naming it.
 func TestRunChanRejectsCrash(t *testing.T) {
-	cfg := liveConfig(core.BSP, 4, 4, 1)
-	cfg.Elastic = true
-	cfg.Faults = chaosSchedule()
-	if _, err := RunChan(cfg); err == nil {
-		t.Fatal("RunChan accepted a crash schedule")
+	for _, spec := range []string{
+		"crash@iter3:w1:restart=0.1",
+		"slow@0:w1:x3",
+		"drop@0:p=0.5:for=1",
+		"partition@0:m1:for=1",
+	} {
+		cfg := liveConfig(core.BSP, 4, 4, 1)
+		cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = 2, 2
+		cfg.Elastic = true
+		var err error
+		if cfg.Faults, err = fault.ParseSpec(spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := Validate(&cfg); err != nil {
+			t.Fatalf("%s: tcp refuses it too: %v", spec, err)
+		}
+		if _, err := RunChan(cfg); err == nil || !strings.Contains(err.Error(), "transport chan") {
+			t.Errorf("%s: RunChan returned %v, want the chan transport's refusal", spec, err)
+		}
 	}
 }
 

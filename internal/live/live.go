@@ -28,9 +28,9 @@
 // scheme, has no live form.
 //
 // Entry points: RunLoopback (coordinator + N goroutine workers over
-// loopback TCP, no orchestration needed), RunChan (in-process channel
-// transport, no sockets), and RunCoordinator/RunWorker for real
-// multi-process deployments.
+// loopback TCP, no orchestration needed), RunChan (the same run with the
+// data plane over in-process channels; it refuses fault schedules), and
+// RunCoordinator/RunWorker for real multi-process deployments.
 package live
 
 import (
@@ -149,6 +149,17 @@ func Validate(cfg *core.Config) error {
 	return nil
 }
 
+// ChanFaults is the channel transport's fault rule: its mesh has no sockets
+// to kill, slow or cut and no process boundary to crash, so any schedule is
+// an error rather than silently ignored. RunChan and
+// api.ExperimentSpec.Validated apply it.
+func ChanFaults(s *fault.Schedule) error {
+	if s.Empty() {
+		return nil
+	}
+	return fmt.Errorf("live: transport chan injects no faults; run the schedule %v on tcp", s.Events)
+}
+
 // Options tunes the live runtime beyond the shared core.Config: the
 // checkpoint cadence workers and the PS write their state with, the
 // fault-projection slow unit, progress reporting, the external-restart
@@ -161,6 +172,9 @@ type Options struct {
 	exitOnDeath bool
 	tracer      *trace.Tracer
 	metrics     *Metrics
+	// chanNet is the run's channel mesh (RunChan); nil: every rank listens
+	// on TCP.
+	chanNet *xport.ChanNet
 }
 
 // Option mutates Options; pass any number to the Run* entry points.

@@ -14,6 +14,7 @@ import (
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
 	"disttrain/internal/metrics"
+	"disttrain/internal/ps"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -158,36 +159,55 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	// late REJOIN goes unanswered.
 	defer func() { ln.Close(); st.drain() }()
 
-	// The PS listens on the listener's host, the wildcard included.
-	var srvNet *xport.TCPNet
-	if cfg.Algo.Centralized() {
+	// The PS takes the last rank of the channel mesh, or listens on the
+	// listener's host, the wildcard included.
+	var srv xport.Endpoint
+	switch {
+	case !cfg.Algo.Centralized():
+	case o.chanNet != nil:
+		srv = o.chanNet.Endpoint(cfg.Workers)
+	default:
 		host, _, _ := net.SplitHostPort(ln.Addr().String())
-		var err error
-		srvNet, err = xport.ListenTCP(cfg.Workers, meshSize(cfg), net.JoinHostPort(host, "0"))
+		t, err := xport.ListenTCP(cfg.Workers, meshSize(cfg), net.JoinHostPort(host, "0"))
 		if err != nil {
 			return nil, fmt.Errorf("live: PS listen: %w", err)
 		}
-		defer srvNet.Close()
-		_, st.psPort, _ = net.SplitHostPort(srvNet.Addr())
-		o.metrics.registerStats(cfg.Workers, srvNet.Stats)
+		_, st.psPort, _ = net.SplitHostPort(t.Addr())
+		o.metrics.registerStats(cfg.Workers, t.Stats)
+		srv = t
+	}
+	if srv != nil {
+		defer srv.Close()
 	}
 	o.metrics.registerCoord(st.snapshot)
 
-	waitServer := noServer
+	// The PS serves from START on a goroutine of its own, and global is what
+	// it ends on. A decentralized run has none: its global model is the
+	// replica average.
+	var global []float32
+	served := make(chan error, 1)
 	runErr := st.loop(ln, func() {
 		spRdv.End()
-		if srvNet != nil {
-			srvNet.SetPeers(st.mesh)
-			waitServer = startServer(cfg, srvNet, o)
+		if t, ok := srv.(*xport.TCPNet); ok {
+			t.SetPeers(st.mesh)
+		}
+		if srv != nil {
+			go func() {
+				sv := newServer(cfg, srv, o)
+				err := ps.Serve(sv.shard, sv)
+				global = sv.global.Params
+				served <- err
+			}()
 		}
 	})
 	wall := time.Since(st.start).Seconds()
 	if runErr != nil {
 		return nil, runErr
 	}
-	finalGlobal, err := waitServer()
-	if err != nil {
-		return nil, err
+	if srv != nil {
+		if err := <-served; err != nil { // before global: the server goroutine writes it
+			return nil, fmt.Errorf("live: server (%s): %w", cfg.Algo, err)
+		}
 	}
 
 	// BYE releases the tail loops (gossip drains, passive serves) of the
@@ -200,7 +220,11 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	}
 
 	// Every rank is done, so nothing writes the reports any more.
-	res, err := buildResult(cfg, "tcp", st.reports, finalGlobal, wall, srvNet)
+	transport := "tcp"
+	if o.chanNet != nil {
+		transport = "chan"
+	}
+	res, err := buildResult(cfg, transport, st.reports, global, wall, srv)
 	if err != nil {
 		return nil, err
 	}
@@ -545,10 +569,11 @@ func (st *runState) checkLeases(now time.Time) error {
 }
 
 // buildResult assembles the Result from the workers' reports and the final
-// PS parameters (nil for a decentralized run), and evaluates the global model
-// through the simulator's own core.GlobalParams and RealConfig.TestErr, on a
+// PS parameters (nil for a decentralized run) and the counters of the PS
+// endpoint srv (nil without one; none on a channel mesh), and evaluates the
+// global model through the simulator's own core.GlobalParams and RealConfig.TestErr, on a
 // model that reads the vector it evaluates where it lies.
-func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srvNet *xport.TCPNet) (*Result, error) {
+func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srv xport.Endpoint) (*Result, error) {
 	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
 	model := core.EvalModel(cfg)
 	ranks := make([]metrics.Worker, len(reports))
@@ -572,8 +597,8 @@ func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGl
 		ranks[r].Breakdown = rep.stats.Breakdown
 	}
 	res.Breakdown = (&metrics.Collector{Workers: ranks}).MeanBreakdown()
-	if srvNet != nil {
-		res.Net.Add(srvNet.Stats())
+	if st, ok := srv.(statser); ok {
+		res.Net.Add(st.Stats())
 	}
 	if cnt > 0 {
 		res.FinalTrainLoss = loss / float64(cnt)

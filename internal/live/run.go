@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
 	"time"
 
 	"disttrain/internal/core"
-	"disttrain/internal/fault"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
@@ -80,7 +78,7 @@ type life struct {
 	barrier *trace.WallSpan
 	restart time.Time // while dead, when the rank dials back
 	next    int       // where the next incarnation resumes; 0: after its checkpoint
-	mesh    *xport.TCPNet
+	mesh    xport.Endpoint
 	w       *worker
 	ran     int       // iterations the dead incarnations ran
 	prev    doneStats // counters carried across dead incarnations
@@ -157,12 +155,17 @@ func (l *life) step(ev event, now time.Time) (end bool, err error) {
 			return false, l.fail(err)
 		}
 		// The replica is built here, before READY, so the START barrier
-		// measures training, not model building.
+		// measures training, not model building. A channel mesh needs no
+		// address: its ADDR names the transport.
 		if err := l.attach(l.listen); err != nil {
 			return false, err
 		}
+		addr := "chan"
+		if t, ok := l.mesh.(*xport.TCPNet); ok {
+			addr = t.Addr()
+		}
 		l.want = kindPeers
-		return false, l.write(&xport.Frame{Kind: kindAddr, From: int32(l.rank), Data: []byte(l.mesh.Addr())})
+		return false, l.write(&xport.Frame{Kind: kindAddr, From: int32(l.rank), Data: []byte(addr)})
 	case kindPeers:
 		if l.peers, err = parsePeers(f.Data, meshSize(l.cfg)); err != nil {
 			return false, l.fail(err)
@@ -246,7 +249,9 @@ func (l *life) train() {
 // mid-protocol, as a killed process would be, then its restart time set, or
 // the life ended under WithExitOnDeath or when the schedule never revives it.
 func (l *life) trained(err error, now time.Time) (bool, error) {
-	l.prev.Add(l.mesh.Stats())
+	if st, ok := l.mesh.(statser); ok {
+		l.prev.Add(st.Stats())
+	}
 	l.prev.Breakdown.Merge(l.w.l.Breakdown())
 	l.ran += l.w.iters
 	var d deathErr
@@ -310,30 +315,42 @@ func (l *life) rejoined(f xport.Frame, now time.Time) (bool, error) {
 	return false, nil
 }
 
-// attach brings up this incarnation's mesh endpoint on addr and a fresh
-// worker over it. Listening retries: a restart rebinds the rank's original
-// port, where the dead incarnation's socket may linger briefly.
+// attach brings up this incarnation's mesh endpoint — the rank's own of the
+// run's channel mesh, or a TCP listener on addr — and a fresh worker over it.
+// Listening retries: a restart rebinds the rank's original port, where the
+// dead incarnation's socket may linger briefly.
 func (l *life) attach(addr string) error {
-	var err error
-	for attempt := 0; attempt < 50; attempt++ {
-		if l.mesh, err = xport.ListenTCP(l.rank, meshSize(l.cfg), addr); err == nil {
-			l.w = newWorker(l.cfg, l.rank, l.mesh, l.o)
-			return nil
-		}
-		time.Sleep(100 * time.Millisecond)
+	if l.o.chanNet != nil {
+		l.mesh = l.o.chanNet.Endpoint(l.rank)
 	}
-	return fmt.Errorf("live: worker %d mesh listen %s: %w", l.rank, addr, err)
+	for attempt := 0; l.mesh == nil; attempt++ {
+		t, err := xport.ListenTCP(l.rank, meshSize(l.cfg), addr)
+		switch {
+		case err == nil:
+			l.mesh = t
+		case attempt == 49:
+			return fmt.Errorf("live: worker %d mesh listen %s: %w", l.rank, addr, err)
+		default:
+			time.Sleep(100 * time.Millisecond)
+		}
+	}
+	l.w = newWorker(l.cfg, l.rank, l.mesh, l.o)
+	return nil
 }
 
 // join installs the peer table and anchors the rank's fault plan at the
-// run's START, elapsed seconds before now.
+// run's START, elapsed seconds before now. A channel mesh has neither.
 func (l *life) join(peers []string, elapsed float64, now time.Time) {
-	l.mesh.SetPeers(peers)
+	t, ok := l.mesh.(*xport.TCPNet)
+	if !ok {
+		return
+	}
+	t.SetPeers(peers)
 	// Validate translated this schedule already, so it cannot fail here.
 	plan, _ := TranslateFaults(l.cfg.Faults, l.cfg.Seed+uint64(l.rank), l.cfg.Cluster,
 		l.cfg.Workers, l.o.slowUnit)
 	if plan != nil {
-		l.mesh.SetFaults(plan, now.Add(-time.Duration(elapsed*float64(time.Second))))
+		t.SetFaults(plan, now.Add(-time.Duration(elapsed*float64(time.Second))))
 	}
 }
 
@@ -378,10 +395,32 @@ func RunWorkerRejoin(cfg core.Config, coordAddr string, rank int, opts ...Option
 // and cfg.Workers workers, each a goroutine, rendezvousing and training
 // over loopback TCP sockets — the full wire path with no orchestration.
 func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
+	return runLocal(cfg, opts, false)
+}
+
+// RunChan is RunLoopback with the data plane over in-process channels: the
+// coordinator and the workers rendezvous on the same loopback listener, and
+// every rank's mesh endpoint is its own of one xport.ChanNet. The channel
+// mesh injects no faults, so a fault schedule is refused (ChanFaults). Real
+// goroutine scheduling still applies, so asynchronous algorithms remain
+// nondeterministic.
+func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
+	if err := ChanFaults(cfg.Faults); err != nil {
+		return nil, err
+	}
+	return runLocal(cfg, opts, true)
+}
+
+// runLocal runs the coordinator and cfg.Workers lives in this process, the
+// workers' mesh over loopback TCP or, with chanMesh, one xport.ChanNet.
+func runLocal(cfg core.Config, opts []Option, chanMesh bool) (*Result, error) {
 	if err := Validate(&cfg); err != nil {
 		return nil, err
 	}
 	o := buildOptions(opts)
+	if chanMesh {
+		o.chanNet = xport.NewChanNet(meshSize(&cfg))
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, fmt.Errorf("live: loopback listen: %w", err)
@@ -403,70 +442,4 @@ func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
 		}
 	}
 	return res, err
-}
-
-// RunChan performs a complete live run over the in-process channel
-// transport: no sockets, no rendezvous — a direct harness for the worker
-// and server protocol loops. Real goroutine scheduling still applies, so
-// asynchronous algorithms remain nondeterministic.
-func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
-	if err := Validate(&cfg); err != nil {
-		return nil, err
-	}
-	if cfg.Faults.HasKind(fault.Crash) {
-		return nil, fmt.Errorf("live: crash faults need the TCP transport (RunLoopback) for the restart/rejoin machinery")
-	}
-	o := buildOptions(opts)
-	n := meshSize(&cfg)
-	cn := xport.NewChanNet(n)
-
-	waitServer := noServer
-	if cfg.Algo.Centralized() {
-		waitServer = startServer(&cfg, cn.Endpoint(cfg.Workers), o)
-	}
-
-	start := time.Now()
-	reports := make([]doneInfo, cfg.Workers)
-	errs := make([]error, cfg.Workers)
-	workers := make([]*worker, cfg.Workers)
-	stop := make(chan struct{})
-	var running, tails sync.WaitGroup
-	for i := 0; i < cfg.Workers; i++ {
-		w := newWorker(&cfg, i, cn.Endpoint(i), o)
-		workers[i] = w
-		running.Add(1)
-		tails.Add(1)
-		go func() {
-			defer tails.Done()
-			err := w.run()
-			reports[i] = w.report()
-			running.Done()
-			if err == nil {
-				err = w.tail(stop)
-			}
-			errs[i] = err
-		}()
-	}
-
-	running.Wait()
-	wall := time.Since(start).Seconds()
-	finalGlobal, srvErr := waitServer()
-	close(stop) // the in-process BYE: release the tail loops
-	tails.Wait()
-	if srvErr != nil {
-		return nil, srvErr
-	}
-	for i := 0; i < n; i++ {
-		cn.Endpoint(i).Close()
-	}
-	for _, w := range workers {
-		w.threads.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	return buildResult(&cfg, "chan", reports, finalGlobal, wall, nil)
 }

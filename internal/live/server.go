@@ -1,7 +1,6 @@
 package live
 
 import (
-	"fmt"
 	"io"
 
 	"disttrain/internal/core"
@@ -65,30 +64,6 @@ func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
 	sv.shard = ps.NewShard(sv.global, ps.Single(len(init))[0], core.ShardRule(cfg, 0, inj))
 	return sv
 }
-
-// startServer runs the PS on ep, on a goroutine of its own, and returns the
-// wait for its final global parameters. Both transports start it at their
-// START.
-func startServer(cfg *core.Config, ep xport.Endpoint, o *Options) func() ([]float32, error) {
-	var sv *server
-	done := make(chan error, 1)
-	go func() {
-		sv = newServer(cfg, ep, o)
-		err := ps.Serve(sv.shard, sv)
-		if err != nil {
-			err = fmt.Errorf("live: server (%s): %w", cfg.Algo, err)
-		}
-		done <- err
-	}()
-	return func() ([]float32, error) {
-		err := <-done // before sv: the server goroutine writes it
-		return sv.global.Params, err
-	}
-}
-
-// noServer is the wait of a decentralized run: there is no PS, and the global
-// model is the replica average.
-func noServer() ([]float32, error) { return nil, nil }
 
 // Recv is server's side of ps.Wire: the next request in arrival order, a
 // quantized gradient reconstructed dense in Vec. A live wait never gives up,

@@ -19,12 +19,12 @@ func TestServerRejectsShortGradient(t *testing.T) {
 		t.Fatal(err)
 	}
 	cn := xport.NewChanNet(meshSize(&cfg))
-	wait := startServer(&cfg, cn.Endpoint(cfg.Workers), &Options{})
+	sv := newServer(&cfg, cn.Endpoint(cfg.Workers), &Options{})
 	f := &xport.Frame{Kind: kindGrad, Clock: 1, Vec: []float32{1, 2}}
 	if err := cn.Endpoint(0).Send(cfg.Workers, f); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := wait(); err == nil || !strings.Contains(err.Error(), "holds 2 elements") {
+	if err := ps.Serve(sv.shard, sv); err == nil || !strings.Contains(err.Error(), "holds 2 elements") {
 		t.Fatalf("server ended with %v", err)
 	}
 }

@@ -20,8 +20,6 @@ var ErrTimeout = errors.New("xport: recv timeout")
 type Endpoint interface {
 	// Rank is this endpoint's position in the mesh.
 	Rank() int
-	// Size is the number of ranks in the mesh.
-	Size() int
 	// Send delivers f to peer rank `to`. It blocks until the frame's bytes
 	// are handed to the transport (socket write or channel hand-off) and
 	// returns an error if the peer is unreachable after bounded retry. Send
@@ -77,7 +75,6 @@ type chanEndpoint struct {
 }
 
 func (e *chanEndpoint) Rank() int { return e.rank }
-func (e *chanEndpoint) Size() int { return len(e.net.eps) }
 
 func (e *chanEndpoint) Send(to int, f *Frame) error {
 	if to < 0 || to >= len(e.net.eps) {

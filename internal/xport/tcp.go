@@ -213,7 +213,6 @@ func (t *TCPNet) Stats() Stats {
 }
 
 func (t *TCPNet) Rank() int { return t.rank }
-func (t *TCPNet) Size() int { return t.size }
 
 func (t *TCPNet) Send(to int, f *Frame) error {
 	if to < 0 || to >= t.size {
