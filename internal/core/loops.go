@@ -225,22 +225,16 @@ func loopSSP(e Env, cfg *Config, rep *Replica) error {
 	bound := ps.Bound{S: cfg.Staleness}
 	ack := bound.Ack
 	pr := newProtocol(e, cfg, rep)
+	var delta []float32 // the update, rebuilt in place every iteration
 	return iterate(e, cfg, func(it int) error {
 		e.Compute(cfg.WaitFreeBP)
 		// The paper's parallel tasks: (i) ship the computed update to the
 		// PS, (ii) apply it locally; neither waits for the other. Following
 		// Ho et al., what travels is the worker's locally applied *update*
 		// (same wire size as the gradient), and the local replica keeps the
-		// step as taken whatever codec the update ships in.
-		var delta []float32
-		if g := e.Grad(); g != nil {
-			before := rep.Params()
-			rep.LocalStep(g, 1, cfg.LR.At(it-1))
-			delta = rep.Params()
-			for i := range delta {
-				delta[i] -= before[i]
-			}
-		}
+		// step as taken whatever codec the update ships in. Both wires are
+		// done with the vector when the request returns.
+		delta = rep.LocalUpdate(e.Grad(), cfg.LR.At(it-1), delta)
 		if err := pr.update(it, delta); err != nil {
 			return err
 		}

@@ -99,20 +99,25 @@ func (pr *protocol) request(kind ps.Kind, it int, vec []float32) (begin, wire fl
 	begin = pr.e.Ledger().Now()
 	m := &pr.out
 	m.Kind, m.Clock, m.Vec = int(kind), it, vec
-	var idx [][]int32
-	var val [][]float32
+	var idx []int32
+	var val []float32
+	var ends []int
 	switch {
 	case kind != ps.Grad:
 	case cfg.DGC != nil:
 		m.Kind, m.Vec = kindSparseGrad, nil
-		m.Aux, idx, val = pr.compress(vec)
+		m.Aux, idx, val, ends = pr.compress(vec)
 	default:
 		m.Own, m.Aux, m.Codes = roundTrip(cfg, vec, &rep.codes)
 	}
-	for s := 0; s < len(rep.shards) && err == nil; s++ {
+	for s, lo := 0, 0; s < len(rep.shards) && err == nil; s++ {
 		m.Seg = s
-		if idx != nil {
-			m.Idx, m.Vec = idx[s], val[s]
+		if ends != nil {
+			if hi := ends[s]; lo < hi {
+				m.Idx, m.Vec, lo = idx[lo:hi:hi], val[lo:hi:hi], hi
+			} else {
+				m.Idx, m.Vec = nil, nil
+			}
 		}
 		var w float64
 		w, err = pr.e.Send(cfg.Workers+s, m)
@@ -129,27 +134,37 @@ func (pr *protocol) request(kind ps.Kind, it int, vec []float32) (begin, wire fl
 }
 
 // compress is DGC on the replica's compressor, which keeps what g does not
-// send: the top entries, their values on the gradient codec's grid, split
-// among the shards in one pass. ratio is the fraction of the vector they are,
-// or without real math the warm-up schedule's.
-func (pr *protocol) compress(g []float32) (ratio float64, idx [][]int32, val [][]float32) {
+// send: the top entries, their values on the gradient codec's grid, laid out
+// shard by shard in one index and one value buffer — shard s's entries end
+// at ends[s], where shard s+1's begin. The two buffers are the request's to
+// give away: a simulated shard reads its message when it arrives, after this
+// worker may have compressed again. ratio is the fraction of the vector the
+// entries are, or without real math the warm-up schedule's.
+func (pr *protocol) compress(g []float32) (ratio float64, idx []int32, val []float32, ends []int) {
 	rep := pr.rep
 	if rep.dgc == nil {
 		ratio = pr.cfg.DGC.RatioAt(rep.dgcIter)
 		rep.dgcIter++
-		return ratio, nil, nil
+		return ratio, nil, nil, nil
 	}
 	sp := rep.dgc.Compress(g)
 	rep.dgcIter++
 	roundTrip(pr.cfg, sp.Val, &rep.codes)
-	idx, val = make([][]int32, len(rep.shards)), make([][]float32, len(rep.shards))
-	for j, i := range sp.Idx {
-		if s := rep.loc.Shard(int(i)); s >= 0 {
-			idx[s] = append(idx[s], i)
-			val[s] = append(val[s], sp.Val[j])
-		}
+	// Count each shard's entries, turn the counts into starts, and copy the
+	// runs of sp each range holds to their shard's place: the starts move
+	// up to the ends.
+	ends = make([]int, len(rep.shards))
+	rep.loc.Runs(sp.Idx, func(s, lo, hi int) { ends[s] += hi - lo })
+	n := 0
+	for s, c := range ends {
+		ends[s], n = n, n+c
 	}
-	return float64(len(sp.Idx)) / float64(len(g)), idx, val
+	idx, val = make([]int32, n), make([]float32, n)
+	rep.loc.Runs(sp.Idx, func(s, lo, hi int) {
+		copy(val[ends[s]:], sp.Val[lo:hi])
+		ends[s] += copy(idx[ends[s]:], sp.Idx[lo:hi])
+	})
+	return float64(len(sp.Idx)) / float64(len(g)), idx, val, ends
 }
 
 // exchange is one round trip through the parameter server: ship vec to every

@@ -70,10 +70,10 @@ type Replica struct {
 
 	// The worker's side of the parameter server (centralized algorithms):
 	// the shards' ranges, shard s at node Workers+s on both runtimes, and the
-	// locator that splits a DGC gradient among them in one pass; the DGC
-	// compressor (nil without real math) and how many gradients it has
-	// compressed, which the warm-up schedule reads. codes holds the int8
-	// codes of the last contribution roundTrip put on the codec's grid.
+	// locator that splits a DGC gradient among them; the DGC compressor (nil
+	// without real math) and how many gradients it has compressed, which the
+	// warm-up schedule reads. codes holds the int8 codes of the last
+	// contribution roundTrip put on the codec's grid.
 	shards  ps.Assignment
 	loc     *ps.Locator
 	dgc     *grad.Compressor
@@ -268,6 +268,26 @@ func (r *Replica) LocalStep(g []float32, scale, lr float32) {
 	defer r.unlock()
 	r.settle()
 	r.localO.StepAt(r.model.Weights(), g, scale, lr, 0) // panics on a length mismatch
+}
+
+// LocalUpdate takes the step LocalStep takes with scale 1 and returns the
+// update it made, new − old parameters, in d — resized to the parameter
+// count, so a caller that passes back what it got allocates once. It
+// returns nil in cost-only mode or on a nil g.
+func (r *Replica) LocalUpdate(g []float32, lr float32, d []float32) []float32 {
+	if r.model == nil || g == nil {
+		return nil
+	}
+	r.lock()
+	defer r.unlock()
+	r.settle()
+	w := r.model.Weights()
+	d = append(d[:0], w...)
+	r.localO.StepAt(w, g, 1, lr, 0)
+	for i, x := range w {
+		d[i] = x - d[i]
+	}
+	return d
 }
 
 // vecLen is the length of the vectors the replica exchanges: its model's

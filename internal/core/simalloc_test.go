@@ -2,10 +2,15 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/costmodel"
+	"disttrain/internal/data"
+	"disttrain/internal/grad"
+	"disttrain/internal/nn"
+	"disttrain/internal/rng"
 )
 
 // TestSimMessageAllocs is the allocation budget per simulated message of the
@@ -47,5 +52,71 @@ func TestSimMessageAllocs(t *testing.T) {
 					a5, a20, m5, m20, per, tc.budget)
 			}
 		})
+	}
+}
+
+// allocVecs runs cfg for short and for long iterations and returns the
+// bytes the longer run allocates per worker iteration it adds, in
+// model-sized vectors: setup and warm-up are paid alike by both runs.
+func allocVecs(t *testing.T, cfg Config, short, long int) float64 {
+	t.Helper()
+	bytes := func(iters int) uint64 {
+		c := cfg
+		c.Iters = iters
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Run(context.Background(), c)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	added := float64(bytes(long) - bytes(short))
+	vec := float64(4 * cfg.Real.Factory(rng.New(1)).NumParams())
+	return added / float64((long-short)*cfg.Workers) / vec
+}
+
+// allocConfig is a real-math run on a 265k-parameter MLP, so a
+// model-sized vector stands out from the few small ones a simulated
+// iteration allocates.
+func allocConfig(algo Algo, workers int) Config {
+	ds := data.GenGauss(rng.New(100), 100, 3, 0.3)
+	cfg := costConfig(algo, workers, 0)
+	cfg.Real = &RealConfig{
+		Factory: func(r *rng.RNG) *nn.Model { return nn.NewMLP(r, 2, 512, 512, 3) },
+		Train:   ds, Test: ds, Batch: 8, EvalEvery: 1 << 20, EvalMax: 8,
+	}
+	return cfg
+}
+
+// TestSSPDGCIterationAllocs is the allocation budget of an SSP worker
+// iteration with DGC once the warm-up is over: the local update is built in
+// one reused vector, the compressor selects in its own scratch, and the
+// request's sparse buffers are k entries — no model-sized vector per
+// iteration. The staleness bound is never reached, so no pull's parameter
+// reply is counted.
+func TestSSPDGCIterationAllocs(t *testing.T) {
+	cfg := allocConfig(SSP, 2)
+	d := grad.DefaultDGC(0.9, 2)
+	cfg.DGC, cfg.Sharding, cfg.Shards, cfg.Staleness = &d, ShardBalanced, 3, 100
+	per := allocVecs(t, cfg, 4, 8)
+	t.Logf("%.3f model-sized vectors per worker iteration", per)
+	if per > 0.25 {
+		t.Fatalf("an SSP+DGC worker iteration allocates %.2f model-sized vectors, want none", per)
+	}
+}
+
+// TestEASGDPushCopies counts the model-sized vectors an EASGD push costs in
+// the simulator: the worker's private copy of its parameters, which the
+// last shard takes as it is, and one copy for each other shard — S in all
+// over S shards.
+func TestEASGDPushCopies(t *testing.T) {
+	cfg := allocConfig(EASGD, 2)
+	cfg.Tau, cfg.Sharding, cfg.Shards = 1, ShardBalanced, 3
+	per := allocVecs(t, cfg, 2, 6)
+	t.Logf("%.3f model-sized vectors per push over %d shards", per, cfg.Shards)
+	if per < float64(cfg.Shards)-0.25 || per > float64(cfg.Shards)+0.25 {
+		t.Fatalf("a push allocates %.2f model-sized vectors over %d shards, want %d", per, cfg.Shards, cfg.Shards)
 	}
 }

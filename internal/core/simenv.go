@@ -138,8 +138,9 @@ func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 }
 
 // toShard sends shard s its message of a parameter-server request, priced at
-// paper scale: a pull at 16 bytes; a pushed vector, copied for the shard to
-// move its ranges in and send back, and a dense gradient at the shard's
+// paper scale: a pull at 16 bytes; a pushed vector — the worker's copy, which
+// the last shard takes as it is and every other shard as a copy of its own,
+// to move its ranges in and send back — and a dense gradient at the shard's
 // bytes, or the gradient codec's share of them (int8 a byte an element plus
 // the scale, f16 two bytes); a DGC gradient at the gradient's share of the
 // shard's entries, 8 bytes at least. A dense gradient's shards read one
@@ -154,7 +155,9 @@ func (e *simEnv) toShard(s int, m *Msg) {
 	case kindPull:
 		msg.Bytes = 16
 	case kindEASGDPush:
-		msg.Bytes, m.Vec = x.shardBytes(s), slices.Clone(m.Vec)
+		if msg.Bytes = x.shardBytes(s); s < len(x.assign)-1 {
+			m.Vec = slices.Clone(m.Vec)
+		}
 	case kindGrad:
 		msg.Bytes = x.shardBytes(s)
 		switch {

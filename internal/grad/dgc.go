@@ -13,7 +13,6 @@ package grad
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"disttrain/internal/opt"
 )
@@ -69,6 +68,8 @@ type Compressor struct {
 	v    []float32 // local gradient accumulation (residual)
 	clip []float32 // reusable clipping scratch (steady-state: no allocs)
 	iter int
+	sel  selector
+	val  []float32 // the emitted values
 }
 
 // NewCompressor creates DGC state for gradient vectors of length n.
@@ -95,7 +96,17 @@ func (c DGCConfig) RatioAt(iter int) float64 {
 func (c *Compressor) CurrentRatio() float64 { return c.cfg.RatioAt(c.iter) }
 
 // Compress folds gradient g into the accumulators and emits the sparse
-// top-k update. g is not modified. Advances the warm-up iteration counter.
+// top-k update: the k accumulated entries of largest magnitude, ties toward
+// the lower index, in ascending index order. g is not modified. Advances the
+// warm-up iteration counter. The returned Sparse's slices may be the
+// compressor's scratch: they hold until the next call, which may overwrite
+// them. The scratch grows to the largest k short of a dense step and the
+// most crowded boundary bin the selection has met (see selector), so a
+// steady state allocates nothing.
+//
+// A NaN accumulator entry ranks above +Inf, ahead of every number (among
+// NaNs, by payload bits and then index), so a NaN gradient is shipped to the
+// receiver rather than kept in the residual for good; ±0 tie with each other.
 func (c *Compressor) Compress(g []float32) Sparse {
 	if len(g) != len(c.u) {
 		panic(fmt.Sprintf("grad: gradient length %d, want %d", len(g), len(c.u)))
@@ -131,10 +142,15 @@ func (c *Compressor) Compress(g []float32) Sparse {
 	if k > len(c.v) {
 		k = len(c.v)
 	}
-	idx := topKIndices(c.v, k)
-	sp := Sparse{Idx: make([]int32, len(idx)), Val: make([]float32, len(idx)), Dense: len(c.v)}
+	idx := c.sel.pick(c.v, k)
+	val := c.val
+	if cap(val) < len(idx) {
+		if val = make([]float32, len(idx)); len(idx) < len(c.v) {
+			c.val = val // a dense step's values are not kept, as in pick
+		}
+	}
+	sp := Sparse{Idx: idx, Val: val[:len(idx)], Dense: len(c.v)}
 	for j, i := range idx {
-		sp.Idx[j] = int32(i)
 		sp.Val[j] = c.v[i]
 		c.v[i] = 0
 		if !c.cfg.NoMomentumCorrection && !c.cfg.NoFactorMasking {
@@ -186,65 +202,111 @@ func Decompress(sp Sparse, alpha float32, dense []float32) error {
 	return nil
 }
 
-// topKIndices returns the indices of the k largest |v| entries. Selection is
-// deterministic: ties break toward the lower index.
-func topKIndices(v []float32, k int) []int {
+// selector is DGC's top-k selection with its scratch, which a compressor
+// keeps across calls: picking allocates only for a dense selection, or when
+// a call needs more room than every call before it — a larger k, or more
+// candidates in its boundary bin.
+//
+// The order is by key, larger first, ties toward the lower index. key clears
+// the sign bit, and for IEEE 754 floats of one sign the bit patterns order as
+// the values do, so for non-NaN x and y key(x) > key(y) exactly when
+// |x| > |y|, and the keys are equal exactly when the magnitudes are (±0 both
+// key 0): the magnitude order. A NaN keys above +Inf.
+//
+// pick is a radix selection over the key's bits, O(n) in time whatever k:
+// one pass over v counts the keys' top 11 bits (8 of exponent, 3 of
+// mantissa) and finds the boundary bin holding the k-th best; a second pass
+// takes every index of a higher bin — in ascending order, as they come — and
+// collects the boundary bin's candidates. Two counting rounds over the
+// candidates, 10 bits each, fix the exact k-th key, and one pass keeps the
+// candidates above it and, of those equal to it, the lowest indices. The two
+// ascending lists are then merged from the back in place.
+type selector struct {
+	hist [1 << 11]int32
+	idx  []int32 // the selection
+	cand []int32 // the boundary bin's candidates
+}
+
+func key(x float32) uint32 { return math.Float32bits(x) &^ (1 << 31) }
+
+// pick returns the indices of v's k best entries (0 < k) in ascending order,
+// in scratch the next call may overwrite.
+func (s *selector) pick(v []float32, k int) []int32 {
 	n := len(v)
 	if k >= n {
-		idx := make([]int, n)
+		// A dense selection — DGC's first warm-up step — gets a list the
+		// selector does not keep: kept, it would hold a model-sized vector
+		// through a run whose later steps select a small fraction.
+		idx := make([]int32, n)
 		for i := range idx {
-			idx[i] = i
+			idx[i] = int32(i)
 		}
 		return idx
 	}
-	// Heap-free deterministic selection: maintain the k best in a slice.
-	// For the sizes this repo uses (k = 0.1-25 % of ~100k) an O(n log k)
-	// partial sort via a fixed-size worst-tracking array is plenty.
-	type ent struct {
-		i int
-		a float32
+	if cap(s.idx) < k {
+		s.idx = make([]int32, k)
 	}
-	best := make([]ent, 0, k)
-	abs := func(x float32) float32 {
-		if x < 0 {
-			return -x
+	idx := s.idx[:k]
+	h := s.hist[:]
+	clear(h)
+	for _, x := range v {
+		h[key(x)>>20]++
+	}
+	// need counts the entries the bins above b leave to take, at least 1.
+	b, need := len(h)-1, k
+	for int(h[b]) < need {
+		need -= int(h[b])
+		b--
+	}
+	above, cand := idx[:0], s.cand[:0]
+	lo, hi := uint32(b)<<20, uint32(b+1)<<20 // the boundary bin's keys
+	for i, x := range v {
+		if kk := key(x); kk >= lo {
+			if kk >= hi {
+				above = append(above, int32(i))
+			} else {
+				cand = append(cand, int32(i))
+			}
 		}
-		return x
 	}
-	// Total order: larger magnitude first, ties broken toward the lower
-	// index. The index tiebreak makes selection at the k-boundary
-	// deterministic — an unstable magnitude-only sort could admit either of
-	// two tied entries depending on the sort's internal permutation.
-	less := func(x, y ent) bool {
-		if x.a != y.a {
-			return x.a > y.a
+	s.cand = cand
+	// Narrow the bits below the bin, 10 at a time, among the candidates
+	// that share the cut's bits so far: t ends as the k-th best key.
+	t := uint32(b) << 20
+	for _, shift := range [...]uint{10, 0} {
+		h := s.hist[:1<<10]
+		clear(h)
+		for _, i := range cand {
+			if kk := key(v[i]); kk>>(shift+10) == t>>(shift+10) {
+				h[kk>>shift&(1<<10-1)]++
+			}
 		}
-		return x.i < y.i
-	}
-	// Build initial k.
-	for i := 0; i < k; i++ {
-		best = append(best, ent{i, abs(v[i])})
-	}
-	sort.Slice(best, func(a, b int) bool { return less(best[a], best[b]) })
-	for i := k; i < n; i++ {
-		e := ent{i, abs(v[i])}
-		if !less(e, best[k-1]) {
-			continue
+		d := len(h) - 1
+		for int(h[d]) < need {
+			need -= int(h[d])
+			d--
 		}
-		// Insert into sorted position, drop the last. pos < k is guaranteed
-		// here for ordinary values (e sorts before best[k-1]), but a NaN
-		// magnitude compares false everywhere, so guard the copy.
-		pos := sort.Search(k, func(j int) bool { return less(e, best[j]) })
-		if pos >= k {
-			continue
+		t |= uint32(d) << shift
+	}
+	kept := cand[:0]
+	for _, i := range cand {
+		if kk := key(v[i]); kk > t || kk == t && need > 0 {
+			if kk == t {
+				need--
+			}
+			kept = append(kept, i)
 		}
-		copy(best[pos+1:], best[pos:k-1])
-		best[pos] = e
 	}
-	idx := make([]int, k)
-	for j, e := range best {
-		idx[j] = e.i
+	// Merge: above sits at the front of idx, kept fills the rest.
+	a, c := len(above)-1, len(kept)-1
+	for w := k - 1; c >= 0; w-- {
+		if a >= 0 && idx[a] > kept[c] {
+			idx[w] = idx[a]
+			a--
+		} else {
+			idx[w] = kept[c]
+			c--
+		}
 	}
-	sort.Ints(idx)
 	return idx
 }

@@ -2,6 +2,7 @@ package grad
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -101,7 +102,8 @@ func FuzzF16RoundTrip(f *testing.F) {
 }
 
 // FuzzDGCCompress checks that the compressor tolerates arbitrary finite
-// gradients without panicking and always emits sorted, in-range indices.
+// gradients without panicking and always emits sorted, in-range indices —
+// exactly the ones the reference sort selects from the accumulator.
 func FuzzDGCCompress(f *testing.F) {
 	f.Add(uint16(8), int16(100), int16(-3))
 	f.Add(uint16(1), int16(0), int16(0))
@@ -123,6 +125,16 @@ func FuzzDGCCompress(f *testing.F) {
 				t.Fatalf("indices not sorted/in-range: %v", sp.Idx)
 			}
 			prev = i
+		}
+		// The accumulator as selection saw it: the residual, with the sent
+		// entries put back.
+		acc := slices.Clone(c.Residual())
+		got := make([]int, len(sp.Idx))
+		for j, i := range sp.Idx {
+			acc[i], got[j] = sp.Val[j], int(i)
+		}
+		if want := refTopK(acc, len(sp.Idx)); !slices.Equal(got, want) {
+			t.Fatalf("selected %v, reference sort %v", got, want)
 		}
 		dense := make([]float32, n)
 		if err := Decompress(sp, 1, dense); err != nil {

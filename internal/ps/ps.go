@@ -156,12 +156,38 @@ func NewLocator(a Assignment) *Locator {
 
 // Shard returns the shard owning flat index i, or -1 if no range covers it.
 func (l *Locator) Shard(i int) int {
+	if k := l.rangeOf(i); k >= 0 {
+		return l.shards[k]
+	}
+	return -1
+}
+
+// rangeOf returns the position of the range covering flat index i, or -1.
+func (l *Locator) rangeOf(i int) int {
 	// Last range with Off <= i.
 	k := sort.Search(len(l.offs), func(j int) bool { return l.offs[j] > i }) - 1
 	if k < 0 || i >= l.ends[k] {
 		return -1
 	}
-	return l.shards[k]
+	return k
+}
+
+// Runs cuts an ascending index list into the runs idx[lo:hi] that one range
+// holds and hands each to fn with the range's shard, in order, skipping
+// indices no range covers: a sparse vector's split among the shards in
+// O(ranges · log len(idx)) lookups, whatever its length.
+func (l *Locator) Runs(idx []int32, fn func(shard, lo, hi int)) {
+	for lo := 0; lo < len(idx); {
+		k := l.rangeOf(int(idx[lo]))
+		if k < 0 {
+			lo++
+			continue
+		}
+		end, rest := l.ends[k], idx[lo:]
+		hi := lo + sort.Search(len(rest), func(j int) bool { return int(rest[j]) >= end })
+		fn(l.shards[k], lo, hi)
+		lo = hi
+	}
 }
 
 // Global is the PS-side global parameter state. Shard processes own

@@ -165,6 +165,52 @@ func TestLocatorMatchesLinearScan(t *testing.T) {
 	}
 }
 
+// TestLocatorRunsMatchShard holds Runs to Shard entry by entry: every
+// covered index of an ascending list lands in exactly one run, with its
+// owner, the runs in order.
+func TestLocatorRunsMatchShard(t *testing.T) {
+	segs := segsOf(5, 5, 80, 5, 5)
+	r := rng.New(3)
+	for _, tc := range []struct {
+		name string
+		a    Assignment
+	}{
+		{"layerwise", LayerWise(segs, 4)},
+		{"balanced", Balanced(100, 7)},
+		{"single", Single(100)},
+		{"gapped", Assignment{{Range{10, 20}}, {Range{50, 5}, Range{0, 10}}}},
+	} {
+		name, loc := tc.name, NewLocator(tc.a)
+		for trial := 0; trial < 50; trial++ {
+			var idx []int32
+			for i := -2; i < 102; i++ {
+				if r.Intn(3) == 0 {
+					idx = append(idx, int32(i))
+				}
+			}
+			var want, got []int
+			for _, i := range idx {
+				if s := loc.Shard(int(i)); s >= 0 {
+					want = append(want, int(i), s)
+				}
+			}
+			next := 0
+			loc.Runs(idx, func(s, lo, hi int) {
+				if lo < next || lo >= hi {
+					t.Fatalf("%s: run [%d,%d) after %d", name, lo, hi, next)
+				}
+				for _, i := range idx[lo:hi] {
+					got = append(got, int(i), s)
+				}
+				next = hi
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: runs give (index, shard) %v, Shard %v", name, got, want)
+			}
+		}
+	}
+}
+
 func TestLocatorAtScale(t *testing.T) {
 	const total = 1 << 20
 	a := Balanced(total, 1024)

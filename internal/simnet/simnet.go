@@ -20,9 +20,9 @@ import (
 	"disttrain/internal/trace"
 )
 
-// Msg is one network message: the endpoints, the sender's kind tag, and
-// Bytes, the wire size the links are booked for — in cost-only experiments
-// the full-size paper model's, whatever the payload. Body is the sending
+// Msg is one network message: the endpoints, the sender's kind tag (a small
+// non-negative integer), and Bytes, the wire size the links are booked for —
+// in cost-only experiments the full-size paper model's, whatever the payload. Body is the sending
 // protocol's own message (nil when there is none); the network never reads
 // it, and Send hands it to the receiver as it was sent. Send fills in
 // WireSec.
@@ -119,9 +119,19 @@ type Net struct {
 	ingress []link // per machine
 	bus     []link // per machine, intra-machine transfers
 
+	// stats holds every counter but BytesByKind, which Stats builds from
+	// byKind: the bytes sent of each kind, indexed by kind.
 	stats  Stats
+	byKind []kindBytes
 	tracer *trace.Tracer
 	faults FaultModel
+}
+
+// kindBytes is one kind's byte count, and whether any message of the kind
+// was sent (a zero-byte message still puts its kind in BytesByKind).
+type kindBytes struct {
+	bytes int64
+	sent  bool
 }
 
 // FaultModel lets a fault injector intercept inter-machine transfers. Both
@@ -154,7 +164,6 @@ func New(eng *des.Engine, cfg cluster.Config) *Net {
 		egress:  make([]link, cfg.Machines),
 		ingress: make([]link, cfg.Machines),
 		bus:     make([]link, cfg.Machines),
-		stats:   Stats{BytesByKind: map[int]int64{}},
 	}
 }
 
@@ -176,9 +185,11 @@ func (n *Net) Node(id int) *Node { return n.nodes[id] }
 // NIC busy times as of now.
 func (n *Net) Stats() Stats {
 	s := n.stats
-	s.BytesByKind = make(map[int]int64, len(n.stats.BytesByKind))
-	for k, v := range n.stats.BytesByKind {
-		s.BytesByKind[k] = v
+	s.BytesByKind = map[int]int64{}
+	for k, b := range n.byKind {
+		if b.sent {
+			s.BytesByKind[k] = b.bytes
+		}
 	}
 	s.IngressBusySec = make([]float64, n.cfg.Machines)
 	s.EgressBusySec = make([]float64, n.cfg.Machines)
@@ -211,7 +222,11 @@ func (n *Net) Send(msg Msg) des.Time {
 
 	n.stats.TotalBytes += msg.Bytes
 	n.stats.TotalMsgs++
-	n.stats.BytesByKind[msg.Kind] += msg.Bytes
+	if msg.Kind >= len(n.byKind) {
+		n.byKind = append(n.byKind, make([]kindBytes, msg.Kind+1-len(n.byKind))...)
+	}
+	n.byKind[msg.Kind].bytes += msg.Bytes
+	n.byKind[msg.Kind].sent = true
 
 	var arrive des.Time
 	if src.Machine == dst.Machine {

@@ -177,6 +177,27 @@ func TestStatsCopyIsolated(t *testing.T) {
 	}
 }
 
+// TestBytesByKindKeys pins which kinds BytesByKind names: every kind sent,
+// a zero-byte one included, and no other — not the kinds below the largest
+// sent, nor a kind whose only message was lost to a fault.
+func TestBytesByKindKeys(t *testing.T) {
+	eng, n := testNet()
+	n.SetFaults(cutAll{})
+	n.Send(Msg{From: 0, To: 1, Kind: 7, Bytes: 0})  // intra
+	n.Send(Msg{From: 0, To: 1, Kind: 3, Bytes: 40}) // intra
+	n.Send(Msg{From: 0, To: 2, Kind: 5, Bytes: 9})  // cross: cut
+	eng.Run(0)
+	if got := n.Stats().BytesByKind; !reflect.DeepEqual(got, map[int]int64{3: 40, 7: 0}) {
+		t.Fatalf("by kind = %v", got)
+	}
+}
+
+// cutAll loses every inter-machine message.
+type cutAll struct{}
+
+func (cutAll) Cut(float64, int, int) bool     { return true }
+func (cutAll) Slow(float64, int, int) float64 { return 1 }
+
 func TestZeroByteMessage(t *testing.T) {
 	// Control messages (acks, pull requests) should cost only latency.
 	eng, n := testNet()
