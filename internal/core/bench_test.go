@@ -3,11 +3,16 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/costmodel"
+	"disttrain/internal/data"
 	"disttrain/internal/grad"
+	"disttrain/internal/nn"
+	"disttrain/internal/opt"
+	"disttrain/internal/rng"
 )
 
 // BenchmarkAblationPSRatio reproduces the paper's PS:worker ratio profiling
@@ -81,6 +86,41 @@ func BenchmarkProtocolCostOnly(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(msgs), "ns/msg")
 			b.ReportMetric(float64(msgs)/float64(b.N), "msgs/op")
+		})
+	}
+}
+
+// BenchmarkSimReal guards the host cost of the simulator around real math:
+// 8 MiniVGG workers on shapes16 at batch 16, 10 iterations, the passes on a
+// compute pool of GOMAXPROCS goroutines — the BSP and AD-PSGD cases of the
+// sim-real-mix benchmark workload. Besides the passes, a run draws its
+// initial model and moves whole parameter vectors: parameter-server replies
+// and requests, AD-PSGD's swaps. It reports worker steps per host second
+// and, with the allocations, the bytes a run allocates.
+func BenchmarkSimReal(b *testing.B) {
+	r := rng.New(31)
+	ds := data.GenShapes16(r, 4000)
+	train, test := ds.Split(r.Split(1), 600)
+	factory, err := nn.FactoryByName("minivgg", ds.Classes, ds.SampleShape())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, algo := range []Algo{BSP, ADPSGD} {
+		b.Run(string(algo), func(b *testing.B) {
+			cfg := costConfig(algo, 8, 10)
+			cfg.Seed = 1
+			cfg.Cluster = cluster.Paper10G(8)
+			cfg.Workload = costmodel.NewWorkload(costmodel.VGG16(), costmodel.TitanV(), 16)
+			cfg.LR = opt.Schedule{Base: 0.02}
+			cfg.PoolSize = runtime.GOMAXPROCS(0)
+			cfg.Real = &RealConfig{Factory: factory, Train: train, Test: test, Batch: 16, EvalEvery: 1 << 20, EvalMax: 100}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(context.Background(), cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*cfg.Workers*cfg.Iters)/b.Elapsed().Seconds(), "steps/s")
 		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"disttrain/internal/costmodel"
@@ -72,9 +73,11 @@ type exp struct {
 	psNode     []int // shard -> node ID
 
 	// mail[w] is worker w's receive, shared by its threads; msgs is the free
-	// list every simulated message is drawn from and returned to.
+	// list every simulated message is drawn from and returned to, and vecs
+	// the one every model-sized vector a message carries is (see Vecs).
 	mail []Mailbox
 	msgs Msgs
+	vecs Vecs
 
 	assign ps.Assignment
 	global *ps.Global
@@ -155,18 +158,27 @@ func setup(cfg *Config) (*exp, error) {
 	x.overlay = BuildOverlay(cfg, overlayStream)
 
 	// Replicas. Every worker's init stream is the same derivation, so all
-	// workers start with identical weights, as the algorithms assume.
-	// Hogwild's workers all train worker 0's model.
+	// workers start with identical weights, as the algorithms assume: the
+	// initial model is drawn once, by replica 0, and every other replica's
+	// model is built without a draw around a copy of its store. Hogwild's
+	// workers all train worker 0's model and build none of their own.
 	x.reps = make([]*Replica, cfg.Workers)
 	for w := 0; w < cfg.Workers; w++ {
-		if cfg.Real != nil {
-			x.reps[w] = NewReplica(w, cfg, x.streams[w])
-		} else {
+		switch {
+		case cfg.Real == nil:
 			x.reps[w] = newCostReplica()
+			continue
+		case w == 0:
+			x.reps[w] = NewReplica(w, cfg, x.streams[w])
+			x.reps[w].shared = cfg.Algo == Hogwild // the model every worker trains
+		case cfg.Algo == Hogwild:
+			x.reps[w] = sharedReplica(w, cfg, x.streams[w], x.reps[0])
+		default:
+			m := cfg.Real.Factory(nil)
+			m.Bind(slices.Clone(x.reps[0].Weights()))
+			x.reps[w] = newReplica(w, cfg, x.streams[w], m)
 		}
-		if cfg.Algo == Hogwild {
-			x.reps[w].shareModel(x.reps[0])
-		}
+		x.reps[w].vecs = &x.vecs
 	}
 
 	// Exchange-vector geometry.
@@ -196,7 +208,7 @@ func setup(cfg *Config) (*exp, error) {
 		if cfg.Real != nil {
 			// The global adopts a copy of replica 0's parameters: every
 			// replica's initial ones.
-			x.global = ps.NewGlobal(x.reps[0].Params(), cfg.Momentum, cfg.WeightDecay)
+			x.global = ps.NewGlobal(slices.Clone(x.reps[0].Weights()), cfg.Momentum, cfg.WeightDecay)
 		} else {
 			x.global = ps.NewCostOnlyGlobal()
 		}

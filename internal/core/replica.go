@@ -59,7 +59,7 @@ type Replica struct {
 	// by this replica, so futures of different replicas share nothing.
 	pending *sched.Future[computeOut]
 
-	// shared marks a Hogwild replica (shareModel): its model and optimizer
+	// shared marks a Hogwild replica (sharedReplica): its model and optimizer
 	// are worker 0's, which every worker reads and steps. Its pass therefore
 	// runs inline where it is submitted, reading the shared parameters as
 	// they are then, and counts as the worker's iteration and folds its loss
@@ -67,6 +67,10 @@ type Replica struct {
 	// next worker's pass overwrites the shared gradient store.
 	shared bool
 	copied []float32
+
+	// vecs is the free list Params draws its copies from: the simulator's
+	// run's, nil live.
+	vecs *Vecs
 
 	// The worker's side of the parameter server (centralized algorithms):
 	// the shards' ranges, shard s at node Workers+s on both runtimes, and the
@@ -91,18 +95,17 @@ type computeOut struct {
 // initialized from the init stream (identical for every worker, so all
 // replicas start identical), its own data shard and batch sampler.
 func NewReplica(w int, cfg *Config, s Streams) *Replica {
-	r := &Replica{}
-	r.model = cfg.Real.Factory(s.Init)
-	r.train = cfg.Real.Train
-	shard := data.ShardIndices(cfg.Real.Train.N(), cfg.Workers, w)
-	r.sampler = data.NewSampler(shard, cfg.Real.Batch, s.Shard)
+	return newReplica(w, cfg, s, cfg.Real.Factory(s.Init))
+}
+
+// newReplica builds worker w's real-mode replica around m, a model of its
+// own, and its streams' data shard and batch sampler.
+func newReplica(w int, cfg *Config, s Streams, m *nn.Model) *Replica {
+	r := &Replica{model: m}
+	r.feed(w, cfg, s)
 	r.localO = opt.NewSGD(r.model.NumParams(), cfg.Momentum, cfg.WeightDecay)
 	r.arena = tensor.NewArena()
 	r.model.SetArena(r.arena)
-	if cfg.Real.Augment != nil {
-		r.augment = cfg.Real.Augment
-		r.augRNG = s.Shard.Split(0xa06)
-	}
 	if cfg.Algo.Centralized() {
 		r.shards = psShards(cfg, r.model.Segments(), r.model.NumParams())
 		r.loc = ps.NewLocator(r.shards)
@@ -120,6 +123,26 @@ func NewReplica(w int, cfg *Config, s Streams) *Replica {
 	return r
 }
 
+// sharedReplica builds worker w's Hogwild replica over owner's model and
+// optimizer (see shared): its own data shard and sampler, no model of its
+// own.
+func sharedReplica(w int, cfg *Config, s Streams, owner *Replica) *Replica {
+	r := &Replica{shared: true, model: owner.model, localO: owner.localO}
+	r.feed(w, cfg, s)
+	return r
+}
+
+// feed gives r worker w's data shard, batch sampler and augmentation.
+func (r *Replica) feed(w int, cfg *Config, s Streams) {
+	r.train = cfg.Real.Train
+	shard := data.ShardIndices(cfg.Real.Train.N(), cfg.Workers, w)
+	r.sampler = data.NewSampler(shard, cfg.Real.Batch, s.Shard)
+	if cfg.Real.Augment != nil {
+		r.augment = cfg.Real.Augment
+		r.augRNG = s.Shard.Split(0xa06)
+	}
+}
+
 // psShards lays a vector of n elements, cut into segs, out over the
 // parameter-server shards cfg names.
 func psShards(cfg *Config, segs []nn.Segment, n int) ps.Assignment {
@@ -134,13 +157,6 @@ func psShards(cfg *Config, segs []nn.Segment, n int) ps.Assignment {
 
 // newCostReplica builds a math-free replica.
 func newCostReplica() *Replica { return &Replica{} }
-
-// shareModel makes r a Hogwild replica over owner's model and optimizer (see
-// shared); r keeps its own data shard.
-func (r *Replica) shareModel(owner *Replica) {
-	r.shared = true
-	r.model, r.localO = owner.model, owner.localO
-}
 
 // Guard arms the replica's mutex: from here on every exported method runs
 // under it, so a second goroutine — live AD-PSGD's communication thread —
@@ -299,14 +315,16 @@ func (r *Replica) vecLen(cfg *Config) int {
 	return r.model.NumParams()
 }
 
-// Params returns a fresh copy of the flat parameters (nil in cost-only).
+// Params returns a copy of the flat parameters (nil in cost-only), in a
+// vector from the replica's free list: a simulated message that carries it
+// gives it back there (see Vecs).
 func (r *Replica) Params() []float32 {
 	if r.model == nil {
 		return nil
 	}
 	r.lock()
 	defer r.unlock()
-	return slices.Clone(r.model.Weights())
+	return r.vecs.Clone(r.model.Weights())
 }
 
 // Weights returns the model's flat parameter store itself (nil in

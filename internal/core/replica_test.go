@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"path/filepath"
 	"runtime"
@@ -474,6 +475,53 @@ func TestDeriveStreamsIndependentOfWorldSize(t *testing.T) {
 		}
 		if x.streams[w].Jitter.Uint64() != wide[w].Jitter.Uint64() || x.streams[w].Algo.Uint64() != wide[w].Algo.Uint64() {
 			t.Fatalf("worker %d: setup's jitter/algo streams differ from the derivation", w)
+		}
+	}
+}
+
+// TestOneInitialDraw: a simulated run draws its initial model once — one
+// factory call with a stream, replica 0's — and every replica starts from
+// InitModel's parameters bit for bit, in a store of its own, on every net
+// the CLI names. Hogwild's workers all train replica 0's model.
+func TestOneInitialDraw(t *testing.T) {
+	ds := data.GenShapes16(rng.New(31), 64)
+	for _, net := range []string{"mlp", "minicnn", "miniresnet", "miniresnetbn", "minivgg"} {
+		factory, err := nn.FactoryByName(net, ds.Classes, ds.SampleShape())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, algo := range []Algo{BSP, ADPSGD, Hogwild} {
+			draws := 0
+			cfg := costConfig(algo, 4, 1)
+			if algo == Hogwild {
+				cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = 1, 4
+			}
+			cfg.Real = &RealConfig{Train: ds, Test: ds, Batch: 4, EvalMax: 4,
+				Factory: func(s *rng.RNG) *nn.Model {
+					if s != nil {
+						draws++
+					}
+					return factory(s)
+				}}
+			if _, err := Run(context.Background(), cfg); err != nil {
+				t.Fatalf("%s %s: %v", net, algo, err)
+			}
+			if draws != 1 {
+				t.Fatalf("%s %s: the run drew an initial model %d times, want once", net, algo, draws)
+			}
+			x, err := setup(&cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := InitModel(&cfg).Weights()
+			for w, rep := range x.reps {
+				if !paramsBitEqual(rep.Weights(), want) {
+					t.Fatalf("%s %s: replica %d does not start from InitModel's parameters", net, algo, w)
+				}
+				if shared := &rep.Weights()[0] == &x.reps[0].Weights()[0]; w > 0 && shared != (algo == Hogwild) {
+					t.Fatalf("%s %s: replica %d shares replica 0's store: %v", net, algo, w, shared)
+				}
+			}
 		}
 	}
 }

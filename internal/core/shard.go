@@ -110,20 +110,25 @@ func (w *shardWire) Recv(bounded bool) (ps.Msg, bool, error) {
 }
 
 // Send puts the replies on the simulated network, in order, each a message
-// from the run's free list.
+// from the run's free list. The call's parameter replies all carry one
+// snapshot of the shard's ranges, a vector from the run's free list that
+// each holds (see Vecs); an EASGD reply holds the pushed vector it carries.
 func (w *shardWire) Send(out []ps.Reply) error {
 	if len(out) > 0 {
 		w.giveUp = 0
 	}
 	x, s := w.x, w.s
+	var snap []float32
 	for _, r := range out {
 		m := x.msgs.New()
 		m.From = x.psNode[s]
 		var bytes int64
 		switch r.Kind {
 		case ps.Params:
-			m.Kind, m.Seg = kindParams, s
-			bytes, m.Vec = x.snapshot(s)
+			if snap == nil {
+				snap = x.snapshot(s)
+			}
+			m.Kind, m.Seg, m.Vec, bytes = kindParams, s, snap, x.paramBytes(s)
 		case ps.Ack:
 			m.Kind, m.Clock, bytes = kindAck, r.Clock, 16
 		case ps.PushReply:
@@ -131,29 +136,30 @@ func (w *shardWire) Send(out []ps.Reply) error {
 		default:
 			panic(fmt.Sprintf("shard %d: a reply of kind %d", s, r.Kind))
 		}
+		x.vecs.Hold(m.Vec)
 		x.net.Send(simnet.Msg{From: m.From, To: r.To, Kind: m.Kind, Bytes: bytes, Body: m})
 	}
 	return nil
 }
 
-// Release does nothing: a simulated payload is ordinary garbage.
-func (w *shardWire) Release([]float32) {}
+// Release lets go of the hold the message that brought vec had on it: a
+// vector from the run's free list goes back to it with its last hold.
+func (w *shardWire) Release(vec []float32) { w.x.vecs.Release(vec) }
 
 // psAggSleep models the shard-side processing cost of applying one message.
 func psAggSleep(p *des.Proc, bytes int64) {
 	p.Sleep(float64(bytes) / costmodel.AggRateBytesPerSec)
 }
 
-// snapshot prices shard s's parameter reply and, with real math, takes the
-// parameters it carries. When DGC is active the wire size models a sparse
-// refresh: the PS only ships the parameters touched since the worker's last
-// sync — roughly the union of all workers' top-k updates over the pull
-// period — because shipping the full dense model back would cancel most of
-// what gradient compression saves. (The payload still carries the full
-// vector in real mode; payload contents and wire size are decoupled
-// throughout the simulator.)
-func (x *exp) snapshot(s int) (bytes int64, vec []float32) {
-	bytes = x.shardBytes(s)
+// paramBytes prices shard s's parameter reply. When DGC is active the wire
+// size models a sparse refresh: the PS only ships the parameters touched
+// since the worker's last sync — roughly the union of all workers' top-k
+// updates over the pull period — because shipping the full dense model back
+// would cancel most of what gradient compression saves. (The payload still
+// carries the full vector in real mode; payload contents and wire size are
+// decoupled throughout the simulator.)
+func (x *exp) paramBytes(s int) int64 {
+	bytes := x.shardBytes(s)
 	if x.cfg.DGC != nil {
 		// The warm-up ratio at the workers' mean compression iteration.
 		sum := 0
@@ -170,9 +176,17 @@ func (x *exp) snapshot(s int) (bytes int64, vec []float32) {
 			bytes = max(8, int64(float64(bytes)*factor))
 		}
 	}
-	if x.global.MathOn() {
-		vec = make([]float32, x.vecLen)
-		x.global.Snapshot(x.assign[s], vec)
+	return bytes
+}
+
+// snapshot takes the parameters shard s's replies carry, with real math: a
+// full-length vector from the run's free list holding the shard's ranges of
+// the global parameters — a receiver reads no other — or nil without.
+func (x *exp) snapshot(s int) []float32 {
+	if !x.global.MathOn() {
+		return nil
 	}
-	return bytes, vec
+	vec := x.vecs.Get(x.vecLen)
+	x.global.Snapshot(x.assign[s], vec)
+	return vec
 }

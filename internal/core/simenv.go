@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"disttrain/internal/des"
@@ -112,9 +111,10 @@ func (e *simEnv) Ready(lo, hi int) {
 // message carries — or a collective's chunk at its share of the vector it
 // was cut from; a parameter-server request's message goes through toShard. A
 // chunk's payload is copied, isolating it in flight from the sender's next
-// fold; a whole vector is the sender's to give away. The codec's savings are
-// not modelled here: only own-contribution chunks would carry them, and
-// partial sums travel dense.
+// fold; a whole vector is the sender's to give away, a Replica.Params copy
+// the message holds (see Vecs). The codec's savings are not modelled here:
+// only own-contribution chunks would carry them, and partial sums travel
+// dense.
 func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 	x := e.x
 	b := x.msgs.New()
@@ -132,22 +132,26 @@ func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 		if b.Vec != nil {
 			b.Vec = append([]float32(nil), b.Vec...)
 		}
+	} else {
+		x.vecs.Hold(b.Vec)
 	}
 	x.net.Send(simnet.Msg{From: e.w, To: to, Kind: b.Kind, Bytes: bytes, Body: b})
 	return 0, nil
 }
 
 // toShard sends shard s its message of a parameter-server request, priced at
-// paper scale: a pull at 16 bytes; a pushed vector — the worker's copy, which
-// the last shard takes as it is and every other shard as a copy of its own,
-// to move its ranges in and send back — and a dense gradient at the shard's
-// bytes, or the gradient codec's share of them (int8 a byte an element plus
-// the scale, f16 two bytes); a DGC gradient at the gradient's share of the
-// shard's entries, 8 bytes at least. A dense gradient's shards read one
-// private copy, made as shard 0's message goes and dropped with the last
-// shard's: the caller's vector is the model's gradient store, which the next
-// pass overwrites. After an overlapped Compute a gradient's messages wait
-// for the last one and go out as the backward pass produces them (pace).
+// paper scale: a pull at 16 bytes; a pushed vector — the worker's copy,
+// which every shard's message holds: each shard moves only its own ranges in
+// and sends the copy back, and the worker reads only those ranges from each
+// answer — and a dense gradient at the shard's bytes, or the gradient
+// codec's share of them (int8 a byte an element plus the scale, f16 two
+// bytes); a DGC gradient at the gradient's share of the shard's entries, 8
+// bytes at least. A dense gradient's shards read one private copy from the
+// run's free list, made as shard 0's message goes and back there once the
+// last shard lets go: the caller's vector is the model's gradient store,
+// which the next pass overwrites. After an overlapped Compute a gradient's
+// messages wait for the last one and go out as the backward pass produces
+// them (pace).
 func (e *simEnv) toShard(s int, m *Msg) {
 	x := e.x
 	msg := simnet.Msg{From: e.w, To: x.psNode[s], Kind: m.Kind, Body: m}
@@ -155,9 +159,7 @@ func (e *simEnv) toShard(s int, m *Msg) {
 	case kindPull:
 		msg.Bytes = 16
 	case kindEASGDPush:
-		if msg.Bytes = x.shardBytes(s); s < len(x.assign)-1 {
-			m.Vec = slices.Clone(m.Vec)
-		}
+		msg.Bytes = x.shardBytes(s)
 	case kindGrad:
 		msg.Bytes = x.shardBytes(s)
 		switch {
@@ -167,13 +169,16 @@ func (e *simEnv) toShard(s int, m *Msg) {
 			msg.Bytes = msg.Bytes / 2
 		}
 		if s == 0 {
-			e.dense = slices.Clone(m.Vec)
+			e.dense = x.vecs.Clone(m.Vec)
 		}
 		if m.Vec = e.dense; s == len(x.assign)-1 {
 			e.dense = nil
 		}
 	case kindSparseGrad:
 		msg.Bytes = max(8, int64(float64(x.shardBytes(s))*m.Aux*x.dgcEntry/4))
+	}
+	if m.Kind != kindSparseGrad {
+		x.vecs.Hold(m.Vec)
 	}
 	if !e.overlap || m.Kind != kindGrad && m.Kind != kindSparseGrad {
 		x.net.Send(msg)
@@ -252,18 +257,15 @@ func (e *simEnv) Recv(kind, clock, seg int, wait Wait) (*Msg, bool, error) {
 			return m, ok, err
 		}
 		x.col.Faults.SkippedExchanges++
+		x.vecs.Release(m.Vec)
 		x.msgs.Free(m)
 	}
 }
 
-// Release drops the last received message's hold on vec: a simulated
-// payload is ordinary garbage once its taker is done with it, even while the
-// message waits for the next Recv to free it.
-func (e *simEnv) Release(vec []float32) {
-	if m := e.held; m != nil && len(vec) > 0 && len(m.Vec) > 0 && &m.Vec[0] == &vec[0] {
-		m.Vec = nil
-	}
-}
+// Release lets go of the hold the message that brought vec had on it: a
+// vector from the run's free list goes back to it with its last hold (see
+// Vecs), any other is ordinary garbage.
+func (e *simEnv) Release(vec []float32) { e.x.vecs.Release(vec) }
 
 func (e *simEnv) Ledger() *Ledger { return e.l }
 

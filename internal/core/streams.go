@@ -4,7 +4,7 @@ import "disttrain/internal/rng"
 
 // Streams are one worker's RNG streams, derived from the experiment seed.
 type Streams struct {
-	Init   *rng.RNG // model initialization (identical for every worker)
+	Init   *rng.RNG // model initialization (identical for every worker; a simulated run draws from worker 0's)
 	Shard  *rng.RNG // batch sampling over this worker's data shard
 	Jitter *rng.RNG // compute-time sampling (virtual time only)
 	Algo   *rng.RNG // algorithm decisions (gossip draws, peer choice)

@@ -1,0 +1,126 @@
+package core
+
+import (
+	"math"
+	"testing"
+
+	"disttrain/internal/grad"
+)
+
+// TestVecsHolds: a vector goes back to the list with its last hold, not
+// before; one nothing holds passes through Release untouched; a nil list's
+// Clone copies.
+func TestVecsHolds(t *testing.T) {
+	var l Vecs
+	v := l.Clone([]float32{1, 2, 3})
+	l.Hold(v)
+	l.Hold(v)
+	l.Release(v)
+	if len(l.free) != 0 {
+		t.Fatal("a vector went back to the list while a message still held it")
+	}
+	l.Release(v)
+	if len(l.free) != 1 || &l.free[0][0] != &v[0] {
+		t.Fatalf("the last release left %d free vectors, want v", len(l.free))
+	}
+	l.Release(v) // no hold left: untouched
+	foreign := []float32{4, 5, 6}
+	l.Release(foreign)
+	if len(l.free) != 1 {
+		t.Fatalf("%d free vectors after releasing unheld ones, want 1", len(l.free))
+	}
+	if w := l.Clone([]float32{7, 8, 9}); &w[0] != &v[0] || w[2] != 9 {
+		t.Fatalf("Clone did not reuse the released vector: %v", w)
+	}
+	if w := l.Get(3); &w[0] == &v[0] {
+		t.Fatal("Get lent a vector still lent out")
+	}
+	var none *Vecs
+	src := []float32{1, 2}
+	if c := none.Clone(src); &c[0] == &src[0] || c[1] != 2 {
+		t.Fatal("a nil list's Clone must copy")
+	}
+}
+
+// TestVecsUseAfterRelease runs real-math simulations with every vector the
+// free list takes back filled with NaNs, so that a reader who kept a vector
+// past its release — a shard reading a request, a worker reading a reply or
+// a peer's parameters — would change the bits. Each run must equal the same
+// run without the filling, bit for bit in every worker's final parameters,
+// and the golden where one pins it. The cases cross every owner of a lent
+// vector: BSP's dense request and shared parameter replies at one and three
+// shards, SSP's sparse requests, a parameter reply that outlives its
+// timeout under drops, an elastic round after a crash, EASGD's one pushed
+// copy over three shards, AD-PSGD's swap and answer, D-PSGD's copy to both
+// ring neighbours — in a two-worker ring, twice to the one peer — and
+// GoSGD's push.
+func TestVecsUseAfterRelease(t *testing.T) {
+	dgc := func(c *Config) { d := grad.DefaultDGC(0.9, 2); c.DGC = &d }
+	for _, tc := range []struct {
+		name    string
+		algo    Algo
+		workers int
+		mutate  func(*Config)
+		golden  uint64 // over every worker's final parameters (BSP: worker 0's); 0 = none
+	}{
+		{"bsp", BSP, 4, nil, goldenParamHashes["minicnn"]},
+		{"bsp-balanced-3", BSP, 4, func(c *Config) { c.Sharding, c.Shards = ShardBalanced, 3 }, 0},
+		{"ssp-balanced-dgc", SSP, 4, func(c *Config) { dgc(c); c.Sharding, c.Shards = ShardBalanced, 3 },
+			goldenHash("ssp-balanced-dgc")},
+		{"ssp-layerwise-dgc", SSP, 4, func(c *Config) { dgc(c); c.Sharding, c.Shards = ShardLayerWise, 3 }, 0},
+		{"asp-drop", ASP, 8, func(c *Config) {
+			c.BarrierTimeoutSec = 0.02 * c.Workload.MeanIterSec()
+			c.Faults = goldenFaults(c, "drop@%g:p=0.3:for=%g", 2, 6)
+		}, 0},
+		{"bsp-elastic-crash", BSP, 4, func(c *Config) {
+			c.Elastic = true
+			c.Faults = goldenFaults(c, "crash@iter4:w3:restart=%g", 3)
+		}, 0},
+		{"easgd-balanced-3", EASGD, 4, func(c *Config) { c.Tau, c.Sharding, c.Shards = 2, ShardBalanced, 3 }, 0},
+		{"adpsgd", ADPSGD, 4, nil, goldenHash("adpsgd")},
+		{"dpsgd-2", DPSGD, 2, nil, 0},
+		{"dpsgd", DPSGD, 4, nil, goldenHash("dpsgd")},
+		{"gosgd", GoSGD, 4, func(c *Config) { c.GossipP = 0.7 }, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := goldenRun(t, tc.algo, tc.workers, "minicnn", tc.mutate)
+			poisonReleased = true
+			got := goldenRun(t, tc.algo, tc.workers, "minicnn", tc.mutate)
+			poisonReleased = false
+			// A wait a drop did not cause timed out on a reply still in flight.
+			if f := got.Metrics.Faults; tc.name == "asp-drop" && (got.Net.DroppedMsgs == 0 || int64(f.Timeouts) <= got.Net.DroppedMsgs) {
+				t.Fatalf("%d timeouts, %d dropped messages: no reply outlived its wait", f.Timeouts, got.Net.DroppedMsgs)
+			}
+			if !paramsBitEqual(allParams(got), allParams(want)) {
+				t.Fatal("the final parameters moved when released vectors were filled with NaNs")
+			}
+			if math.Float64bits(got.FinalTrainLoss) != math.Float64bits(want.FinalTrainLoss) ||
+				got.FinalTestAcc != want.FinalTestAcc {
+				t.Fatalf("loss %v acc %v, without the filling %v %v", got.FinalTrainLoss, got.FinalTestAcc,
+					want.FinalTrainLoss, want.FinalTestAcc)
+			}
+			switch {
+			case tc.name == "bsp":
+				checkGolden(t, tc.name, got.WorkerParams[0], tc.golden)
+			case tc.golden != 0:
+				checkGolden(t, tc.name, allParams(got), tc.golden)
+			}
+		})
+	}
+}
+
+// goldenHash is the pinned hash of a goldenPSHashes or goldenReplicaHashes
+// row.
+func goldenHash(name string) uint64 {
+	for _, r := range goldenPSHashes {
+		if r.name == name {
+			return r.want
+		}
+	}
+	for _, r := range goldenReplicaHashes {
+		if r.name == name {
+			return r.want
+		}
+	}
+	panic("no golden row " + name)
+}

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"math"
 
-	"disttrain/internal/opt"
+	"disttrain/internal/tensor"
 )
 
 // DGCConfig configures a compressor.
@@ -66,7 +66,6 @@ type Compressor struct {
 	cfg  DGCConfig
 	u    []float32 // momentum-corrected accumulator
 	v    []float32 // local gradient accumulation (residual)
-	clip []float32 // reusable clipping scratch (steady-state: no allocs)
 	iter int
 	sel  selector
 	val  []float32 // the emitted values
@@ -111,23 +110,33 @@ func (c *Compressor) Compress(g []float32) Sparse {
 	if len(g) != len(c.u) {
 		panic(fmt.Sprintf("grad: gradient length %d, want %d", len(g), len(c.u)))
 	}
-	work := g
+	// Gradient clipping (opt.ClipByL2Norm's rule) folds into the
+	// accumulation pass: each element is scaled as it is read, rounded to
+	// float32 as a clipped copy of g would hold it.
+	clip, s := false, float32(1)
 	if c.cfg.ClipNorm > 0 {
-		if c.clip == nil {
-			c.clip = make([]float32, len(g))
+		if n := tensor.L2NormF32(g); n > c.cfg.ClipNorm && n > 0 {
+			clip, s = true, float32(c.cfg.ClipNorm/n)
 		}
-		copy(c.clip, g)
-		opt.ClipByL2Norm(c.clip, c.cfg.ClipNorm)
-		work = c.clip
 	}
 	// Momentum correction: u += m*u + g; accumulation: v += u.
-	if c.cfg.NoMomentumCorrection {
-		for i, gi := range work {
+	m := c.cfg.Momentum
+	switch {
+	case c.cfg.NoMomentumCorrection && clip:
+		for i, gi := range g {
+			c.v[i] += float32(gi * s)
+		}
+	case c.cfg.NoMomentumCorrection:
+		for i, gi := range g {
 			c.v[i] += gi
 		}
-	} else {
-		m := c.cfg.Momentum
-		for i, gi := range work {
+	case clip:
+		for i, gi := range g {
+			c.u[i] = m*c.u[i] + float32(gi*s)
+			c.v[i] += c.u[i]
+		}
+	default:
+		for i, gi := range g {
 			c.u[i] = m*c.u[i] + gi
 			c.v[i] += c.u[i]
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"disttrain/internal/opt"
 	"disttrain/internal/rng"
 )
 
@@ -350,6 +351,59 @@ func TestClippingBoundsContribution(t *testing.T) {
 	c2.Compress(g)
 	if g[0] != 30 || g[1] != 40 {
 		t.Fatal("Compress mutated caller's gradient")
+	}
+}
+
+// TestClipFoldMatchesClippedCopy holds Compress's clipping, folded into the
+// accumulation pass, to the clipped copy it replaced — copy g, then
+// opt.ClipByL2Norm, then accumulate the copy — bit for bit, over steps that
+// clip and steps that do not, with and without momentum correction, on
+// gradients holding ±Inf, NaN, ±0 and subnormals.
+func TestClipFoldMatchesClippedCopy(t *testing.T) {
+	const n = 4099
+	for _, noMom := range []bool{false, true} {
+		cfg := DGCConfig{Ratio: 0.01, Momentum: 0.9, ClipNorm: 40, NoMomentumCorrection: noMom}
+		c := NewCompressor(cfg, n)
+		u, v := make([]float32, n), make([]float32, n)
+		r := rng.New(9)
+		g := make([]float32, n)
+		for step := 0; step < 12; step++ {
+			scale := []float64{0.1, 3}[step%2] // norm ≈ 6 (kept) or ≈ 190 (clipped)
+			for i := range g {
+				g[i] = float32(r.NormFloat64() * scale)
+			}
+			if step >= 8 { // non-finite norms: +Inf, then NaN
+				specials := []float32{float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()), 0, float32(math.Copysign(0, -1)), 1e-44}
+				for i, x := range specials[:step-6] {
+					g[i*97] = x
+				}
+			}
+			clipped := append([]float32(nil), g...)
+			opt.ClipByL2Norm(clipped, cfg.ClipNorm)
+			for i, gi := range clipped {
+				if noMom {
+					v[i] += gi
+				} else {
+					u[i] = cfg.Momentum*u[i] + gi
+					v[i] += u[i]
+				}
+			}
+			sp := c.Compress(g)
+			for j, i := range sp.Idx {
+				if math.Float32bits(sp.Val[j]) != math.Float32bits(v[i]) {
+					t.Fatalf("noMom=%v step %d: value at %d is %v, clipped copy %v", noMom, step, i, sp.Val[j], v[i])
+				}
+				v[i] = 0
+				if !noMom {
+					u[i] = 0
+				}
+			}
+			for i, x := range c.Residual() {
+				if math.Float32bits(x) != math.Float32bits(v[i]) {
+					t.Fatalf("noMom=%v step %d: residual %d is %v, clipped copy %v", noMom, step, i, x, v[i])
+				}
+			}
+		}
 	}
 }
 
