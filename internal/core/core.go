@@ -110,8 +110,10 @@ const (
 
 // RealConfig enables real-math mode.
 type RealConfig struct {
-	// Factory builds each replica's model; all replicas are initialized
-	// from the same RNG stream and therefore start identical.
+	// Factory builds the run's models: called with a stream, it draws the
+	// initial model (InitModel, once per run); with nil, it builds one
+	// without a draw, which binds a copy of that draw (NewReplica) or
+	// the vector it evaluates (EvalModel).
 	Factory nn.ModelFactory
 	// Train and Test are the dataset splits. Train is sharded per worker.
 	Train, Test *data.Dataset

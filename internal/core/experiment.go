@@ -157,26 +157,27 @@ func setup(cfg *Config) (*exp, error) {
 	// every worker.
 	x.overlay = BuildOverlay(cfg, overlayStream)
 
-	// Replicas. Every worker's init stream is the same derivation, so all
-	// workers start with identical weights, as the algorithms assume: the
-	// initial model is drawn once, by replica 0, and every other replica's
-	// model is built without a draw around a copy of its store. Hogwild's
+	// Replicas. All workers start with identical weights, as the algorithms
+	// assume: the initial model is drawn once (InitModel), replica 0 adopts
+	// its store and every other replica binds a copy of it. Hogwild's
 	// workers all train worker 0's model and build none of their own.
 	x.reps = make([]*Replica, cfg.Workers)
+	var init []float32
+	if cfg.Real != nil {
+		init = InitModel(cfg).Weights()
+	}
 	for w := 0; w < cfg.Workers; w++ {
 		switch {
 		case cfg.Real == nil:
 			x.reps[w] = newCostReplica()
 			continue
 		case w == 0:
-			x.reps[w] = NewReplica(w, cfg, x.streams[w])
+			x.reps[w] = NewReplica(w, cfg, x.streams[w], init)
 			x.reps[w].shared = cfg.Algo == Hogwild // the model every worker trains
 		case cfg.Algo == Hogwild:
 			x.reps[w] = sharedReplica(w, cfg, x.streams[w], x.reps[0])
 		default:
-			m := cfg.Real.Factory(nil)
-			m.Bind(slices.Clone(x.reps[0].Weights()))
-			x.reps[w] = newReplica(w, cfg, x.streams[w], m)
+			x.reps[w] = NewReplica(w, cfg, x.streams[w], slices.Clone(init))
 		}
 		x.reps[w].vecs = &x.vecs
 	}
@@ -260,9 +261,10 @@ func (x *exp) fullBytes() int64 { return x.bytesFor(x.vecLen) }
 // shardBytes is the wire size of shard s's segment.
 func (x *exp) shardBytes(s int) int64 { return x.bytesFor(x.assign.Params(s)) }
 
-// InitModel builds a model holding the parameters every replica starts from
-// (the shared init stream): the live parameter server starts from its
-// parameters.
+// InitModel draws the run's initial model from the seed's
+// model-initialization stream: the one draw a run makes — once per
+// simulated run, once per live process — whose parameters every replica
+// and the parameter server start from, each in a copy of its own.
 func InitModel(cfg *Config) *nn.Model {
 	return cfg.Real.Factory(rng.New(cfg.Seed).Split(1))
 }
@@ -379,16 +381,6 @@ func (x *exp) globalParams() []float32 {
 	return GlobalParams(x.avg, nil, ws)
 }
 
-// replicaParams copies every replica's parameters, in rank order (nil for a
-// replica without math).
-func (x *exp) replicaParams() [][]float32 {
-	out := make([][]float32, len(x.reps))
-	for w, r := range x.reps {
-		out[w] = r.Params()
-	}
-	return out
-}
-
 // maybeEval runs the periodic evaluation from worker 0's loop.
 func (x *exp) maybeEval(w, iter int) {
 	if w != 0 || x.cfg.Real == nil {
@@ -477,9 +469,17 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 		last := x.col.Trace[len(x.col.Trace)-1]
 		res.FinalTestAcc = 1 - last.TestErr
 		res.FinalTrainLoss = last.TrainLoss
-		params := x.replicaParams()
+		// The spread reads the replicas where they lie; only a caller that
+		// asks for their parameters gets copies.
+		params := make([][]float32, len(x.reps))
+		for w, r := range x.reps {
+			params[w] = r.Weights()
+		}
 		res.ReplicaSpreadL2 = ReplicaSpread(params)
 		if cfg.CaptureParams {
+			for w, p := range params {
+				params[w] = slices.Clone(p)
+			}
 			res.WorkerParams = params
 		}
 	}

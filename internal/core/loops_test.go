@@ -828,7 +828,7 @@ func TestProtocolShardRequests(t *testing.T) {
 	}
 	request := func(it int) (*Replica, []float32, map[int]Msg) {
 		t.Helper()
-		rep := NewReplica(0, &cfg, streams[0])
+		rep := NewReplica(0, &cfg, streams[0], InitModel(&cfg).Weights())
 		got := map[int]Msg{}
 		f := &fakeEnv{ps: func(to int, m Msg) []Msg {
 			got[to] = m

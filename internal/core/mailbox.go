@@ -69,20 +69,20 @@ func (l *Msgs) Free(m *Msg) {
 	l.free = append(l.free, m)
 }
 
-// Vecs is a run's free list of model-sized vectors, so that the simulator
-// moves whole parameter vectors — parameter-server replies and requests,
-// gossip and exchange payloads — without allocating one per message. A
-// vector it hands out is unheld; every simulated message that carries it by
-// reference holds it once (Hold), and the Release that lets go of its last
-// hold gives it back for the next Get or Clone. A vector no message carries
-// goes to the garbage collector like any other; one whose message the
-// network drops stays held until the run ends. Release leaves a vector
-// nothing holds alone. A nil *Vecs's Clone is a plain copy: a replica
-// outside the simulator has no list. The zero value is empty; Vecs is not
-// safe for concurrent use.
+// Vecs is a run's free list of vectors, so that the simulator moves whole
+// parameter vectors — parameter-server replies and requests, gossip and
+// exchange payloads — and collective chunks without allocating one per
+// message. A vector it hands out is unheld; every simulated message that
+// carries it by reference holds it once (Hold), and the Release that lets go
+// of its last hold gives it back for the next Get or Clone of its length. A
+// vector no message carries goes to the garbage collector like any other;
+// one whose message the network drops stays held until the run ends.
+// Release leaves a vector nothing holds alone. A nil *Vecs's Clone is a
+// plain copy: a replica outside the simulator has no list. The zero value
+// is empty; Vecs is not safe for concurrent use.
 type Vecs struct {
-	free  [][]float32
-	holds map[*float32]int // the holds on each held vector, by its first element
+	free  map[int][][]float32 // the released vectors, by length
+	holds map[*float32]int    // the holds on each held vector, by its first element
 }
 
 // poisonReleased makes Release fill every vector the list takes back with
@@ -93,10 +93,11 @@ var poisonReleased bool
 // Get returns a vector of n elements, a released one if there is any, its
 // contents unspecified.
 func (l *Vecs) Get(n int) []float32 {
-	if k := len(l.free) - 1; k >= 0 && len(l.free[k]) == n {
-		v := l.free[k]
-		l.free[k] = nil
-		l.free = l.free[:k]
+	if fs := l.free[n]; len(fs) > 0 {
+		k := len(fs) - 1
+		v := fs[k]
+		fs[k] = nil
+		l.free[n] = fs[:k]
 		return v
 	}
 	return make([]float32, n)
@@ -105,7 +106,7 @@ func (l *Vecs) Get(n int) []float32 {
 // Clone returns a copy of src in a vector from the list (nil for an empty
 // src).
 func (l *Vecs) Clone(src []float32) []float32 {
-	if l == nil || len(src) == 0 || len(l.free) == 0 {
+	if l == nil || len(src) == 0 || len(l.free[len(src)]) == 0 {
 		return slices.Clone(src)
 	}
 	v := l.Get(len(src))
@@ -146,5 +147,8 @@ func (l *Vecs) Release(v []float32) {
 			v[i] = nan
 		}
 	}
-	l.free = append(l.free, v)
+	if l.free == nil {
+		l.free = make(map[int][][]float32)
+	}
+	l.free[len(v)] = append(l.free[len(v)], v)
 }

@@ -478,12 +478,14 @@ func (pr *protocol) gatherSum(it int, group []int, self int, g []float32) (float
 // every member of group, which installs them. The leader stamps them with
 // gathered, when its gather ended on its ledger's clock; a member's wait
 // splits there into local aggregation and the global round (Ledger.Split).
+// The leader sends its parameters where they lie: every wire copies what it
+// sends before Send returns, and nothing else writes them meanwhile.
 func (pr *protocol) bcast(it int, group []int, self int, gathered float64) error {
 	l := pr.e.Ledger()
 	begin := l.Now()
 	if self == 0 {
 		n := pr.rep.vecLen(pr.cfg)
-		lk := &link{e: pr.e, kind: KindLocalBcast, clock: it, nodes: group, vec: pr.rep.Params(), of: n,
+		lk := &link{e: pr.e, kind: KindLocalBcast, clock: it, nodes: group, vec: pr.rep.Weights(), of: n,
 			aux: gathered}
 		if err := (comm.Plan{Op: comm.OpBroadcast}).Run(lk, len(group), 0, n); err != nil {
 			return err

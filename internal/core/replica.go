@@ -91,16 +91,14 @@ type computeOut struct {
 	loss  float64
 }
 
-// NewReplica builds worker w's real-mode replica from its streams: model
-// initialized from the init stream (identical for every worker, so all
-// replicas start identical), its own data shard and batch sampler.
-func NewReplica(w int, cfg *Config, s Streams) *Replica {
-	return newReplica(w, cfg, s, cfg.Real.Factory(s.Init))
-}
-
-// newReplica builds worker w's real-mode replica around m, a model of its
-// own, and its streams' data shard and batch sampler.
-func newReplica(w int, cfg *Config, s Streams, m *nn.Model) *Replica {
+// NewReplica builds worker w's real-mode replica around params, the
+// parameter store its model binds and from then on owns — a copy of the
+// run's one initial draw (InitModel), so that every replica starts from the
+// same weights — and its streams' data shard and batch sampler. Building
+// the model draws nothing.
+func NewReplica(w int, cfg *Config, s Streams, params []float32) *Replica {
+	m := cfg.Real.Factory(nil)
+	m.Bind(params)
 	r := &Replica{model: m}
 	r.feed(w, cfg, s)
 	r.localO = opt.NewSGD(r.model.NumParams(), cfg.Momentum, cfg.WeightDecay)
@@ -328,8 +326,9 @@ func (r *Replica) Params() []float32 {
 }
 
 // Weights returns the model's flat parameter store itself (nil in
-// cost-only mode), for a caller that reads it once no thread can write the
-// replica any more: a finished worker's report ships it with no copy.
+// cost-only mode), for a caller that reads it where no other thread writes
+// the replica: a finished worker's report ships it with no copy, and a
+// local-aggregation leader broadcasts it.
 func (r *Replica) Weights() []float32 {
 	if r.model == nil {
 		return nil

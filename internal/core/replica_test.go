@@ -36,7 +36,7 @@ func testReplica(t *testing.T, w int) *Replica {
 			Batch:   8,
 		},
 	}
-	return NewReplica(w, cfg, Streams{Init: rng.New(1).Split(1), Shard: rng.New(2)})
+	return NewReplica(w, cfg, Streams{Shard: rng.New(2)}, cfg.Real.Factory(rng.New(1).Split(1)).Weights())
 }
 
 // TestReplicaFootprint pins how many model-sized vectors a training replica
@@ -73,7 +73,7 @@ func TestReplicaFootprint(t *testing.T) {
 		want  float64
 	}{{"stepping", true, 3}, {"overwritten", false, 2}} {
 		before := live()
-		r := NewReplica(0, cfg, Streams{Init: rng.New(1).Split(1), Shard: rng.New(2)})
+		r := NewReplica(0, cfg, Streams{Shard: rng.New(2)}, cfg.Real.Factory(rng.New(1).Split(1)).Weights())
 		other := r.Params()
 		for i := 0; i < 2; i++ {
 			g := r.ComputeGrad()
@@ -305,7 +305,7 @@ func TestRestoreResumesAugmentationStream(t *testing.T) {
 
 	newRep := func() *Replica {
 		ws, _ := DeriveStreams(cfg.Seed, cfg.Workers)
-		return NewReplica(0, cfg, ws[0])
+		return NewReplica(0, cfg, ws[0], InitModel(cfg).Weights())
 	}
 	a := newRep()
 	path := filepath.Join(t.TempDir(), "w0.ckpt")
@@ -351,7 +351,7 @@ func TestCheckpointVelocityOnlyWhereStepped(t *testing.T) {
 		Real: &RealConfig{Factory: func(rr *rng.RNG) *nn.Model { return nn.NewMLP(rr, 2, 16, 3) }, Train: ds, Batch: 8}}
 	newRep := func() *Replica {
 		ws, _ := DeriveStreams(cfg.Seed, cfg.Workers)
-		return NewReplica(0, cfg, ws[0])
+		return NewReplica(0, cfg, ws[0], InitModel(cfg).Weights())
 	}
 	same := func(a, b []float32) bool {
 		return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
@@ -418,11 +418,11 @@ func TestCheckpointVelocityOnlyWhereStepped(t *testing.T) {
 // and they are what setup hands replica w.
 func TestDeriveStreamsIndependentOfWorldSize(t *testing.T) {
 	const seed = 9
-	draw := func(s Streams) [4]uint64 {
-		return [4]uint64{s.Init.Uint64(), s.Shard.Uint64(), s.Jitter.Uint64(), s.Algo.Uint64()}
+	draw := func(s Streams) [3]uint64 {
+		return [3]uint64{s.Shard.Uint64(), s.Jitter.Uint64(), s.Algo.Uint64()}
 	}
 	big, _ := DeriveStreams(seed, 8)
-	var want [8][4]uint64
+	var want [8][3]uint64
 	for w := range want {
 		want[w] = draw(big[w])
 	}
@@ -434,10 +434,7 @@ func TestDeriveStreamsIndependentOfWorldSize(t *testing.T) {
 			}
 		}
 	}
-	if want[0][0] != want[1][0] {
-		t.Fatal("init streams must be identical across workers")
-	}
-	if want[0][1] == want[1][1] || want[0][2] == want[1][2] || want[0][3] == want[1][3] {
+	if want[0][0] == want[1][0] || want[0][1] == want[1][1] || want[0][2] == want[1][2] {
 		t.Fatal("shard, jitter and algo streams must differ across workers")
 	}
 
@@ -467,7 +464,7 @@ func TestDeriveStreamsIndependentOfWorldSize(t *testing.T) {
 	}
 	wide, _ := DeriveStreams(seed, 8)
 	for w := 0; w < cfg.Workers; w++ {
-		got, want := x.reps[w].ComputeGrad(), NewReplica(w, cfg, wide[w]).ComputeGrad()
+		got, want := x.reps[w].ComputeGrad(), NewReplica(w, cfg, wide[w], InitModel(cfg).Weights()).ComputeGrad()
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("worker %d grad %d: setup's replica %v, fresh %v", w, i, got[i], want[i])

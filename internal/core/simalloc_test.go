@@ -164,3 +164,34 @@ func TestGossipIterationAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestARSGDIterationAllocs is the allocation budget of a real-math AR-SGD
+// ring iteration at W = 4, and of a BSP iteration with local aggregation at
+// W = 8 (two machines of four), whose gather and broadcast are collectives
+// too: every chunk a worker sends is a copy from the run's free list that
+// its receiver gives back once folded, so an iteration allocates no
+// model-sized vector (before, 1.53 and 1.75).
+func TestARSGDIterationAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		algo    Algo
+		workers int
+		mutate  func(*Config)
+	}{
+		{"arsgd-ring-4w", ARSGD, 4, func(c *Config) { c.Collective = "ring" }},
+		{"bsp-localagg-8w", BSP, 8, func(c *Config) {
+			c.LocalAgg = true
+			c.Cluster = cluster.Paper56G(8)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := allocConfig(tc.algo, tc.workers)
+			tc.mutate(&cfg)
+			per := allocVecs(t, cfg, 4, 8)
+			t.Logf("%.3f model-sized vectors per worker iteration", per)
+			if per > 0.25 {
+				t.Fatalf("a %s worker iteration allocates %.2f model-sized vectors, want none", tc.name, per)
+			}
+		})
+	}
+}

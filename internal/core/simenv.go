@@ -110,11 +110,12 @@ func (e *simEnv) Ready(lo, hi int) {
 // the paper-scale size of a full vector — what every worker-to-worker
 // message carries — or a collective's chunk at its share of the vector it
 // was cut from; a parameter-server request's message goes through toShard. A
-// chunk's payload is copied, isolating it in flight from the sender's next
-// fold; a whole vector is the sender's to give away, a Replica.Params copy
-// the message holds (see Vecs). The codec's savings are not modelled here:
-// only own-contribution chunks would carry them, and partial sums travel
-// dense.
+// chunk's payload is copied into a vector from the run's free list,
+// isolating it in flight from the sender's next fold, and the receiver's
+// Release gives it back; a whole vector is the sender's to give away, a
+// Replica.Params copy. Either way the message holds what it carries (see
+// Vecs). The codec's savings are not modelled here: only own-contribution
+// chunks would carry them, and partial sums travel dense.
 func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 	x := e.x
 	b := x.msgs.New()
@@ -129,12 +130,9 @@ func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 		if bytes = x.bytesFor(m.Of); m.N != m.Of {
 			bytes = bytes * int64(m.N) / int64(m.Of)
 		}
-		if b.Vec != nil {
-			b.Vec = append([]float32(nil), b.Vec...)
-		}
-	} else {
-		x.vecs.Hold(b.Vec)
+		b.Vec = x.vecs.Clone(b.Vec)
 	}
+	x.vecs.Hold(b.Vec)
 	x.net.Send(simnet.Msg{From: e.w, To: to, Kind: b.Kind, Bytes: bytes, Body: b})
 	return 0, nil
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"math"
+	"runtime"
 	"testing"
 )
 
@@ -50,5 +52,75 @@ func TestCostOnlySpreadIsZero(t *testing.T) {
 	}
 	if res.ReplicaSpreadL2 != 0 {
 		t.Fatalf("cost-only spread = %v", res.ReplicaSpreadL2)
+	}
+}
+
+// TestSpreadReadsReplicasInPlace: Run computes ReplicaSpreadL2 from the
+// replicas' own stores, and that is bit for bit the spread of the copies a
+// CaptureParams run hands out — which are copies, one per worker, even
+// where Hogwild's workers share one store. A run without CaptureParams
+// hands out none.
+func TestSpreadReadsReplicasInPlace(t *testing.T) {
+	for _, algo := range []Algo{GoSGD, ADPSGD, Hogwild} {
+		cfg := realConfig(algo, 4, 20, 41)
+		cfg.GossipP = 0.3
+		if algo == Hogwild {
+			cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = 1, 4
+		}
+		plain, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.CaptureParams = true
+		captured, err := Run(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain.WorkerParams != nil {
+			t.Fatalf("%s: a run without CaptureParams returned parameters", algo)
+		}
+		want := ReplicaSpread(captured.WorkerParams)
+		if math.Float64bits(plain.ReplicaSpreadL2) != math.Float64bits(want) ||
+			math.Float64bits(captured.ReplicaSpreadL2) != math.Float64bits(want) {
+			t.Fatalf("%s: spread in place %v, captured run's %v, of the copies %v",
+				algo, plain.ReplicaSpreadL2, captured.ReplicaSpreadL2, want)
+		}
+		if algo != Hogwild && want == 0 {
+			t.Fatalf("%s: zero spread says nothing", algo)
+		}
+		for w := 1; w < len(captured.WorkerParams); w++ {
+			if &captured.WorkerParams[w][0] == &captured.WorkerParams[0][0] {
+				t.Fatalf("%s: worker %d's captured parameters share worker 0's vector", algo, w)
+			}
+		}
+	}
+}
+
+// TestRunWithoutCaptureCopiesNoParams counts the model-sized vectors the end
+// of a real-math run copies: a run that captures its workers' parameters
+// allocates one copy per worker more than the same run without, so the
+// latter copies none. AR-SGD lends no whole vector to its free list, so a
+// copy there could not have come from it.
+func TestRunWithoutCaptureCopiesNoParams(t *testing.T) {
+	cfg := allocConfig(ARSGD, 4)
+	cfg.Iters = 2
+	vec := float64(4 * cfg.Real.Factory(nil).NumParams())
+	bytes := func(capture bool) float64 {
+		c := cfg
+		c.CaptureParams = capture
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(context.Background(), c); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc - before.TotalAlloc)
+	}
+	bytes(false) // warm-up
+	copies := (bytes(true) - bytes(false)) / vec
+	t.Logf("capturing the parameters costs %.2f model-sized vectors", copies)
+	if copies < float64(cfg.Workers)-0.25 {
+		t.Fatalf("capturing %d workers' parameters cost %.2f vectors more than not: the run without copies them too",
+			cfg.Workers, copies)
 	}
 }

@@ -4,7 +4,6 @@ import "disttrain/internal/rng"
 
 // Streams are one worker's RNG streams, derived from the experiment seed.
 type Streams struct {
-	Init   *rng.RNG // model initialization (identical for every worker; a simulated run draws from worker 0's)
 	Shard  *rng.RNG // batch sampling over this worker's data shard
 	Jitter *rng.RNG // compute-time sampling (virtual time only)
 	Algo   *rng.RNG // algorithm decisions (gossip draws, peer choice)
@@ -20,14 +19,13 @@ type Streams struct {
 // unchanged.
 func DeriveStreams(seed uint64, workers int) (ws []Streams, overlay *rng.RNG) {
 	root := rng.New(seed)
-	_ = root.Split(1) // label 1: model initialization, re-derived per worker below
+	_ = root.Split(1) // label 1: model initialization, InitModel's own derivation
 	shardRoot := root.Split(2)
 	jitterRoot := root.Split(3)
 	algoRoot := root.Split(4)
 	ws = make([]Streams, workers)
 	for w := range ws {
 		ws[w] = Streams{
-			Init:   rng.New(seed).Split(1),
 			Shard:  shardRoot.Split(uint64(w)),
 			Jitter: jitterRoot.Split(uint64(w)),
 			Algo:   algoRoot.Split(uint64(w)),

@@ -16,24 +16,33 @@ func TestVecsHolds(t *testing.T) {
 	l.Hold(v)
 	l.Hold(v)
 	l.Release(v)
-	if len(l.free) != 0 {
+	if len(l.free[3]) != 0 {
 		t.Fatal("a vector went back to the list while a message still held it")
 	}
 	l.Release(v)
-	if len(l.free) != 1 || &l.free[0][0] != &v[0] {
-		t.Fatalf("the last release left %d free vectors, want v", len(l.free))
+	if len(l.free[3]) != 1 || &l.free[3][0][0] != &v[0] {
+		t.Fatalf("the last release left %d free vectors, want v", len(l.free[3]))
 	}
 	l.Release(v) // no hold left: untouched
 	foreign := []float32{4, 5, 6}
 	l.Release(foreign)
-	if len(l.free) != 1 {
-		t.Fatalf("%d free vectors after releasing unheld ones, want 1", len(l.free))
+	if len(l.free[3]) != 1 {
+		t.Fatalf("%d free vectors after releasing unheld ones, want 1", len(l.free[3]))
 	}
 	if w := l.Clone([]float32{7, 8, 9}); &w[0] != &v[0] || w[2] != 9 {
 		t.Fatalf("Clone did not reuse the released vector: %v", w)
 	}
 	if w := l.Get(3); &w[0] == &v[0] {
 		t.Fatal("Get lent a vector still lent out")
+	}
+	short := l.Clone([]float32{1, 2})
+	l.Hold(short)
+	l.Release(short)
+	if w := l.Get(3); len(w) != 3 || &w[0] == &short[0] {
+		t.Fatal("Get lent a released vector of another length")
+	}
+	if w := l.Get(2); &w[0] != &short[0] {
+		t.Fatal("Get did not reuse the released vector of its length")
 	}
 	var none *Vecs
 	src := []float32{1, 2}
@@ -52,8 +61,10 @@ func TestVecsHolds(t *testing.T) {
 // shards, SSP's sparse requests, a parameter reply that outlives its
 // timeout under drops, an elastic round after a crash, EASGD's one pushed
 // copy over three shards, AD-PSGD's swap and answer, D-PSGD's copy to both
-// ring neighbours — in a two-worker ring, twice to the one peer — and
-// GoSGD's push.
+// ring neighbours — in a two-worker ring, twice to the one peer — GoSGD's
+// push, and the collectives' chunks: AR-SGD's ring, with int8 codes and
+// wait-free BP's two buckets too, and local aggregation's gather and
+// broadcast.
 func TestVecsUseAfterRelease(t *testing.T) {
 	dgc := func(c *Config) { d := grad.DefaultDGC(0.9, 2); c.DGC = &d }
 	for _, tc := range []struct {
@@ -81,6 +92,9 @@ func TestVecsUseAfterRelease(t *testing.T) {
 		{"dpsgd-2", DPSGD, 2, nil, 0},
 		{"dpsgd", DPSGD, 4, nil, goldenHash("dpsgd")},
 		{"gosgd", GoSGD, 4, func(c *Config) { c.GossipP = 0.7 }, 0},
+		{"arsgd-ring", ARSGD, 4, nil, 0},
+		{"arsgd-wfbp-int8", ARSGD, 4, func(c *Config) { c.WaitFreeBP, c.Quantize8 = true, true }, 0},
+		{"bsp-localagg", BSP, 8, func(c *Config) { c.LocalAgg = true }, goldenHash("bsp-localagg")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := goldenRun(t, tc.algo, tc.workers, "minicnn", tc.mutate)

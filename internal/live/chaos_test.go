@@ -344,7 +344,7 @@ func TestWorkerGateWaitsForResume(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := resumeConfig(t, tc.algo)
 			ep := &gateEndpoint{in: tc.in}
-			w := newWorker(&cfg, tc.rank, ep, nil)
+			w := newWorker(&cfg, tc.rank, ep, buildOptions(&cfg, nil, 1))
 			w.startIter = max(tc.startIter, 1)
 			it, ok, err := w.Gate(tc.it)
 			if want := max(tc.it, tc.startIter); it != want || !ok || err != nil {

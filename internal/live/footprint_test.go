@@ -32,14 +32,17 @@ type owner struct {
 // TestLiveRunFootprint accounts for the model-sized vectors a 4-rank live
 // run allocates, owner by owner, on a 1 M-parameter MLP over loopback TCP:
 //
-//   - a worker replica: its initial draw (which NewModel moves into the flat
-//     store), the flat parameter store and the flat gradient store — three
-//     vectors, of which two live;
+//   - the run: its one initial draw (core.InitModel), the vector NewModel
+//     moves into a flat store; that store is not counted here, because the
+//     last replica or PS built adopts it as its parameters;
+//   - a worker replica: its parameters, a copy of the draw or the draw's
+//     own store, which its model binds, and the flat gradient store — two
+//     vectors;
 //   - a velocity only where the loop steps locally: every AR-SGD rank, no
 //     ASP rank (the PS steps for it);
 //   - an int8 worker: its one encoded-payload buffer (a quarter vector);
-//   - the PS: its initial draw, the parameters it adopts from it and its
-//     velocity — no model and no gradient store;
+//   - the PS: its parameters (built at START, after every rank, it adopts
+//     the draw itself) and its velocity — no model and no gradient store;
 //   - the coordinator: nothing — the evaluation model holds no store of its
 //     own and reads the PS's parameters or the replica average where they
 //     lie, and the average is written into a recycled vector;
@@ -65,15 +68,17 @@ func TestLiveRunFootprint(t *testing.T) {
 	}
 	const workers, iters = 4, 8
 	aspInt8 := []owner{
-		{"worker initial draws, parameters and gradients", 3 * workers},
+		{"the run's initial draw", 1},
+		{"worker parameters and gradients", 2 * workers},
 		{"worker int8 payload buffers", 0.25 * workers},
-		{"PS initial draw, parameters and velocity", 3},
+		{"PS parameters and velocity", 2},
 		{"evaluation model", 0},
 		{"DONE reports' parameters", 0},
 		{"recycler: two sections beyond the warm-ups' peak", 2.5},
 	}
 	arsgd := []owner{
-		{"worker initial draws, parameters and gradients", 3 * workers},
+		{"the run's initial draw", 1},
+		{"worker parameters and gradients", 2 * workers},
 		{"worker velocities", workers},
 		{"evaluation model", 0},
 		{"replica average", 0},

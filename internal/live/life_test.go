@@ -35,7 +35,7 @@ type lifeRig struct {
 // (rank -1) or as RunWorkerRejoin's does (rank >= 0).
 func newLifeRig(t testing.TB, cfg core.Config, rank int, opts ...Option) *lifeRig {
 	r := &lifeRig{}
-	r.l = newLife(&cfg, buildOptions(opts), "", rank, "127.0.0.1:0")
+	r.l = newLife(&cfg, buildOptions(&cfg, opts, 1), "", rank, "127.0.0.1:0")
 	r.l.restart = lifeStart
 	r.l.dial = func() (net.Conn, error) {
 		c := &ctlConn{}

@@ -13,9 +13,10 @@
 //     code of the algorithms and under them — the worker loops themselves
 //     (core.WorkerLoop, which a live worker enters as the core.Env of its
 //     sockets), streams from core.DeriveStreams, replicas from
-//     core.NewReplica, every AllReduce, gather and broadcast from
-//     comm.Plan.Run, and the parameter server itself: ps.Shard, which folds a
-//     BSP round in ascending sender rank whatever the arrival order.
+//     core.NewReplica around the run's one core.InitModel draw, every
+//     AllReduce, gather and broadcast from comm.Plan.Run, and the parameter
+//     server itself: ps.Shard, which folds a BSP round in ascending sender
+//     rank whatever the arrival order.
 //   - Asynchronous algorithms (ASP, SSP, EASGD/AdaComm, GoSGD, AD-PSGD) run
 //     with real nondeterminism — arrival order at the PS, gossip and
 //     exchange interleaving — and report the same metrics Summary shape as
@@ -36,6 +37,8 @@ package live
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 	"time"
 
 	"disttrain/internal/cluster"
@@ -175,6 +178,9 @@ type Options struct {
 	// chanNet is the run's channel mesh (RunChan); nil: every rank listens
 	// on TCP.
 	chanNet *xport.ChanNet
+	// init is the run's one initial draw, which every replica this process
+	// builds, restarts included, and the PS start from.
+	init *initialDraw
 }
 
 // Option mutates Options; pass any number to the Run* entry points.
@@ -234,12 +240,52 @@ func WithMetrics(m *Metrics) Option {
 	return func(o *Options) { o.metrics = m }
 }
 
-func buildOptions(opts []Option) *Options {
-	o := &Options{}
+// buildOptions is the Options of one run of cfg in a process that builds
+// takers replicas and parameter servers if no rank restarts: opts applied,
+// and the run's one initial draw.
+func buildOptions(cfg *core.Config, opts []Option, takers int) *Options {
+	o := &Options{init: newInitialDraw(cfg, takers)}
 	for _, fn := range opts {
 		fn(o)
 	}
 	return o
+}
+
+// initialDraw is a run's initial model, core.InitModel's parameters, drawn
+// once per process at its first use. Every replica and PS the process builds
+// takes the parameters it starts from here: a copy of the draw, except that
+// the last of the takers the process expects adopts the draw itself, which
+// no one reads after it. Under a crash schedule a rank may be rebuilt at any
+// time, so every taker copies and the draw stays as drawn.
+type initialDraw struct {
+	weights func() []float32
+	mu      sync.Mutex
+	left    int // takers still expected; 0 once the draw is adopted, or under a crash schedule
+}
+
+// newInitialDraw is cfg's initial draw for a process that builds takers
+// replicas and parameter servers if no rank restarts.
+func newInitialDraw(cfg *core.Config, takers int) *initialDraw {
+	d := &initialDraw{weights: sync.OnceValue(func() []float32 { return core.InitModel(cfg).Weights() })}
+	if newChaos(cfg) == nil {
+		d.left = takers
+	}
+	return d
+}
+
+// take returns the parameters a new replica or PS starts from, in a store
+// no other taker holds. The copies are made under the lock, so the last
+// taker adopts the draw only once every other has copied it.
+func (d *initialDraw) take() []float32 {
+	w := d.weights()
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.left == 1 {
+		d.left = 0
+		return w
+	}
+	d.left = max(d.left-1, 0)
+	return slices.Clone(w)
 }
 
 // Result is what one live run produces, the wall-clock counterpart of

@@ -568,10 +568,11 @@ func TestLiveADPSGDOverlay(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, cfg.Workers)
 	iters := make([]int, cfg.Workers)
+	o := buildOptions(&cfg, nil, cfg.Workers)
 	for i := range errs {
 		r := rec
 		r.Endpoint = cn.Endpoint(i)
-		w := newWorker(&cfg, i, r, nil)
+		w := newWorker(&cfg, i, r, o)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -899,7 +900,7 @@ func TestRendezvousRefusesMismatchedCollective(t *testing.T) {
 	other.Collective = "butterfly"
 	workerErr := make(chan error, 1)
 	go func() { workerErr <- RunWorker(other, ln.Addr().String(), "") }()
-	_, err = coordinate(&cfg, ln, buildOptions(nil))
+	_, err = coordinate(&cfg, ln, buildOptions(&cfg, nil, 1))
 	if err == nil || !strings.Contains(err.Error(), "config fingerprint") ||
 		!strings.Contains(err.Error(), "does not match") {
 		t.Fatalf("coordinator: %v, want the config fingerprint mismatch", err)

@@ -111,7 +111,7 @@ func TestMultiProcessRejoin(t *testing.T) {
 	}
 	coordCh := make(chan coordOut, 1)
 	go func() {
-		res, err := coordinate(&cfg, ln, buildOptions([]Option{WithCheckpoints(ckptDir, 1)}))
+		res, err := coordinate(&cfg, ln, buildOptions(&cfg, []Option{WithCheckpoints(ckptDir, 1)}, 1))
 		coordCh <- coordOut{res, err}
 	}()
 

@@ -93,7 +93,7 @@ func startCoordinator(t *testing.T, cfg *core.Config) (net.Listener, <-chan erro
 	t.Cleanup(func() { ln.Close() })
 	done := make(chan error, 1)
 	go func() {
-		_, err := coordinate(cfg, ln, buildOptions(nil))
+		_, err := coordinate(cfg, ln, buildOptions(cfg, nil, 1))
 		done <- err
 	}()
 	return ln, done
@@ -429,7 +429,7 @@ func TestRendezvousNamesThePSWhereTheWorkerReachedIt(t *testing.T) {
 	}
 	coordErr := make(chan error, 1)
 	go func() {
-		_, err := coordinate(&cfg, ln, buildOptions(nil))
+		_, err := coordinate(&cfg, ln, buildOptions(&cfg, nil, 1))
 		coordErr <- err
 	}()
 	_, port, _ := net.SplitHostPort(ln.Addr().String())

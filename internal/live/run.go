@@ -23,7 +23,7 @@ func RunCoordinator(cfg core.Config, listenAddr string, opts ...Option) (*Result
 	if err != nil {
 		return nil, fmt.Errorf("live: coordinator listen %s: %w", listenAddr, err)
 	}
-	return coordinate(&cfg, ln, buildOptions(opts))
+	return coordinate(&cfg, ln, buildOptions(&cfg, opts, 1))
 }
 
 // dialCoordinator dials coordAddr with patient retries: workers routinely
@@ -53,7 +53,7 @@ func RunWorker(cfg core.Config, coordAddr, meshListen string, opts ...Option) er
 	if meshListen == "" {
 		meshListen = "127.0.0.1:0"
 	}
-	return newLife(&cfg, buildOptions(opts), coordAddr, -1, meshListen).run()
+	return newLife(&cfg, buildOptions(&cfg, opts, 1), coordAddr, -1, meshListen).run()
 }
 
 // life is one worker rank across every incarnation, as one event loop over
@@ -378,7 +378,7 @@ func RunWorkerRejoin(cfg core.Config, coordAddr string, rank int, opts ...Option
 	if err := Validate(&cfg); err != nil {
 		return err
 	}
-	o := buildOptions(opts)
+	o := buildOptions(&cfg, opts, 1)
 	if newChaos(&cfg) == nil {
 		return fmt.Errorf("live: rejoin requires a crash fault schedule")
 	}
@@ -417,7 +417,7 @@ func runLocal(cfg core.Config, opts []Option, chanMesh bool) (*Result, error) {
 	if err := Validate(&cfg); err != nil {
 		return nil, err
 	}
-	o := buildOptions(opts)
+	o := buildOptions(&cfg, opts, meshSize(&cfg))
 	if chanMesh {
 		o.chanNet = xport.NewChanNet(meshSize(&cfg))
 	}

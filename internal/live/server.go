@@ -12,7 +12,7 @@ import (
 )
 
 // server hosts the parameter server for the centralized algorithms on mesh
-// rank W. It owns a ps.Global initialized from the shared init stream and
+// rank W. It owns a ps.Global initialized from the run's initial draw and
 // the ps.Shard that updates it, and runs ps.Serve over its frames — the
 // simulator's shard loop and state machine, fed through the same float paths,
 // which is the PS half of the bit-identity contract. The global's parameters
@@ -39,16 +39,14 @@ type server struct {
 }
 
 func newServer(cfg *core.Config, ep xport.Endpoint, o *Options) *server {
-	// The simulator seeds the global from replica 0's parameters, which are
-	// every replica's initial parameters. The global adopts the init model's
-	// store; the rest of the model is dropped.
-	model := core.InitModel(cfg)
-	init := model.Weights()
+	// The simulator seeds the global from a copy of replica 0's parameters,
+	// which are every replica's initial parameters: the run's initial draw.
+	init := o.init.take()
 	sv := &server{
 		cfg:    cfg,
 		ep:     ep,
 		global: ps.NewGlobal(init, cfg.Momentum, cfg.WeightDecay),
-		segs:   model.Segments(),
+		segs:   core.EvalModel(cfg).Segments(),
 		ckpt:   o.ckpt,
 		codec:  quantCodec(cfg),
 		tr:     o.tracer,

@@ -19,7 +19,7 @@ func TestServerRejectsShortGradient(t *testing.T) {
 		t.Fatal(err)
 	}
 	cn := xport.NewChanNet(meshSize(&cfg))
-	sv := newServer(&cfg, cn.Endpoint(cfg.Workers), &Options{})
+	sv := newServer(&cfg, cn.Endpoint(cfg.Workers), buildOptions(&cfg, nil, 1))
 	f := &xport.Frame{Kind: kindGrad, Clock: 1, Vec: []float32{1, 2}}
 	if err := cn.Endpoint(0).Send(cfg.Workers, f); err != nil {
 		t.Fatal(err)
@@ -36,7 +36,7 @@ func TestServerDropsConnectionAtResume(t *testing.T) {
 	cfg := resumeConfig(t, core.BSP)
 	grad := xport.Frame{Kind: kindGrad, From: 1, Clock: 7, Vec: make([]float32, 3)}
 	ep := &gateEndpoint{in: []xport.Frame{{Kind: kindResume, From: 1, Clock: 7, Seg: 1}, grad}}
-	sv := newServer(&cfg, ep, &Options{})
+	sv := newServer(&cfg, ep, buildOptions(&cfg, nil, 1))
 	m, ok, err := sv.Recv(false)
 	if !ok || err != nil || m.From != 1 || m.Kind != ps.Grad || m.Clock != 7 {
 		t.Fatalf("Recv = %+v, %v, %v; want rank 1's gradient of round 7", m, ok, err)

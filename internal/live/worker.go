@@ -101,43 +101,43 @@ type worker struct {
 	threads sync.WaitGroup
 }
 
+// newWorker builds rank's worker over ep, its replica around the parameters
+// the run's initial draw hands it (o.init).
 func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worker {
 	// The simulator's own derivation and constructor: identical streams and
 	// an identically built replica are what make the numerics agree. Only
 	// the mutex is live-specific — AD-PSGD's communication goroutine shares
 	// the replica with the compute loop.
 	ws, overlayStream := core.DeriveStreams(cfg.Seed, cfg.Workers)
-	rep := core.NewReplica(rank, cfg, ws[rank])
+	rep := core.NewReplica(rank, cfg, ws[rank], o.init.take())
 	rep.Guard()
 	w := &worker{
-		cfg:       cfg,
-		rank:      rank,
-		srv:       serverRank(cfg),
-		ep:        ep,
-		mb:        new(core.Mailbox),
-		rep:       rep,
-		streams:   ws[rank],
-		overlay:   core.BuildOverlay(cfg, overlayStream),
-		full:      make([]int, cfg.Workers),
-		codec:     quantCodec(cfg),
-		ch:        newChaos(cfg),
-		startIter: 1,
+		cfg:        cfg,
+		rank:       rank,
+		srv:        serverRank(cfg),
+		ep:         ep,
+		mb:         new(core.Mailbox),
+		rep:        rep,
+		streams:    ws[rank],
+		overlay:    core.BuildOverlay(cfg, overlayStream),
+		full:       make([]int, cfg.Workers),
+		codec:      quantCodec(cfg),
+		ch:         newChaos(cfg),
+		startIter:  1,
+		ckpt:       o.ckpt,
+		onProgress: o.progress,
+		tr:         o.tracer,
 	}
 	for i := range w.full {
 		w.full[i] = i
 	}
-	if o != nil {
-		w.ckpt = o.ckpt
-		w.onProgress = o.progress
-		w.tr = o.tracer
-		if o.metrics != nil {
-			o.metrics.registerProgress(rank, w.prog.Load)
-			if st, ok := ep.(statser); ok {
-				o.metrics.registerStats(rank, st.Stats)
-			}
-			if w.codec != 0 {
-				o.metrics.registerSaved(rank, w.saved.Load)
-			}
+	if o.metrics != nil {
+		o.metrics.registerProgress(rank, w.prog.Load)
+		if st, ok := ep.(statser); ok {
+			o.metrics.registerStats(rank, st.Stats)
+		}
+		if w.codec != 0 {
+			o.metrics.registerSaved(rank, w.saved.Load)
 		}
 	}
 	w.l = core.NewLedger(new(metrics.Breakdown), w.tr, w.tr.Now, workerPid, rank)
