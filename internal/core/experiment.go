@@ -74,10 +74,11 @@ type exp struct {
 
 	// mail[w] is worker w's receive, shared by its threads; msgs is the free
 	// list every simulated message is drawn from and returned to, and vecs
-	// the one every model-sized vector a message carries is (see Vecs).
+	// the lender of every model-sized vector a message carries, which each
+	// message that carries one holds (tensor.Lender).
 	mail []Mailbox
 	msgs Msgs
-	vecs Vecs
+	vecs tensor.Lender[float32]
 
 	assign ps.Assignment
 	global *ps.Global

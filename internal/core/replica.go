@@ -19,7 +19,11 @@ import (
 // train on: the simulator builds W of them inside one process, a live worker
 // builds its own. In real mode it wraps an actual model, data shard and
 // optimizer; in cost-only mode every method is a cheap no-op so the
-// algorithms can run unchanged.
+// algorithms can run unchanged. A replica holds no model-sized vector of its
+// own: the gradient it hands out is the model's flat gradient store, and the
+// steps and merges run in one pass over its flat parameter store — two
+// vectors per replica, plus the velocity once the replica steps locally (a
+// BSP or ASP replica never does: the PS steps).
 type Replica struct {
 	// mu is nil until Guard arms it. The simulator never does: its engine
 	// thread must not wait on a pass in flight on the compute pool (settle
@@ -36,13 +40,6 @@ type Replica struct {
 
 	xbuf *tensor.Tensor
 	ybuf []int
-	// arena recycles the model's layer scratch buffers, so steady-state
-	// steps allocate ~nothing. The replica holds no model-sized vector of
-	// its own: the gradient it hands out is the model's flat gradient store,
-	// and the steps and merges run in one pass over its flat parameter
-	// store — two vectors per replica, plus the velocity once the replica
-	// steps locally (a BSP or ASP replica never does: the PS steps).
-	arena *tensor.Arena
 
 	// lossEWMA tracks recent training loss for traces.
 	lossEWMA float64
@@ -68,9 +65,9 @@ type Replica struct {
 	shared bool
 	copied []float32
 
-	// vecs is the free list Params draws its copies from: the simulator's
-	// run's, nil live.
-	vecs *Vecs
+	// vecs is the lender Params draws its copies from: the simulator's run's,
+	// nil live.
+	vecs *tensor.Lender[float32]
 
 	// The worker's side of the parameter server (centralized algorithms):
 	// the shards' ranges, shard s at node Workers+s on both runtimes, and the
@@ -102,8 +99,7 @@ func NewReplica(w int, cfg *Config, s Streams, params []float32) *Replica {
 	r := &Replica{model: m}
 	r.feed(w, cfg, s)
 	r.localO = opt.NewSGD(r.model.NumParams(), cfg.Momentum, cfg.WeightDecay)
-	r.arena = tensor.NewArena()
-	r.model.SetArena(r.arena)
+	r.model.SetArena(tensor.NewArena()) // steady-state steps allocate ~nothing
 	if cfg.Algo.Centralized() {
 		r.shards = psShards(cfg, r.model.Segments(), r.model.NumParams())
 		r.loc = ps.NewLocator(r.shards)
@@ -314,8 +310,8 @@ func (r *Replica) vecLen(cfg *Config) int {
 }
 
 // Params returns a copy of the flat parameters (nil in cost-only), in a
-// vector from the replica's free list: a simulated message that carries it
-// gives it back there (see Vecs).
+// vector from the replica's lender: a simulated message that carries it
+// gives it back there.
 func (r *Replica) Params() []float32 {
 	if r.model == nil {
 		return nil

@@ -111,8 +111,8 @@ func (w *shardWire) Recv(bounded bool) (ps.Msg, bool, error) {
 
 // Send puts the replies on the simulated network, in order, each a message
 // from the run's free list. The call's parameter replies all carry one
-// snapshot of the shard's ranges, a vector from the run's free list that
-// each holds (see Vecs); an EASGD reply holds the pushed vector it carries.
+// snapshot of the shard's ranges, a vector from the run's lender that
+// each holds (see exp.vecs); an EASGD reply holds the pushed vector it carries.
 func (w *shardWire) Send(out []ps.Reply) error {
 	if len(out) > 0 {
 		w.giveUp = 0
@@ -143,7 +143,7 @@ func (w *shardWire) Send(out []ps.Reply) error {
 }
 
 // Release lets go of the hold the message that brought vec had on it: a
-// vector from the run's free list goes back to it with its last hold.
+// vector from the run's lender goes back to it with its last hold.
 func (w *shardWire) Release(vec []float32) { w.x.vecs.Release(vec) }
 
 // psAggSleep models the shard-side processing cost of applying one message.
@@ -180,7 +180,7 @@ func (x *exp) paramBytes(s int) int64 {
 }
 
 // snapshot takes the parameters shard s's replies carry, with real math: a
-// full-length vector from the run's free list holding the shard's ranges of
+// full-length vector from the run's lender holding the shard's ranges of
 // the global parameters — a receiver reads no other — or nil without.
 func (x *exp) snapshot(s int) []float32 {
 	if !x.global.MathOn() {

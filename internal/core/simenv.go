@@ -110,11 +110,11 @@ func (e *simEnv) Ready(lo, hi int) {
 // the paper-scale size of a full vector — what every worker-to-worker
 // message carries — or a collective's chunk at its share of the vector it
 // was cut from; a parameter-server request's message goes through toShard. A
-// chunk's payload is copied into a vector from the run's free list,
+// chunk's payload is copied into a vector from the run's lender,
 // isolating it in flight from the sender's next fold, and the receiver's
 // Release gives it back; a whole vector is the sender's to give away, a
 // Replica.Params copy. Either way the message holds what it carries (see
-// Vecs). The codec's savings are not modelled here: only own-contribution
+// exp.vecs). The codec's savings are not modelled here: only own-contribution
 // chunks would carry them, and partial sums travel dense.
 func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 	x := e.x
@@ -145,7 +145,7 @@ func (e *simEnv) Send(to int, m *Msg) (float64, error) {
 // codec's share of them (int8 a byte an element plus the scale, f16 two
 // bytes); a DGC gradient at the gradient's share of the shard's entries, 8
 // bytes at least. A dense gradient's shards read one private copy from the
-// run's free list, made as shard 0's message goes and back there once the
+// run's lender, made as shard 0's message goes and back there once the
 // last shard lets go: the caller's vector is the model's gradient store,
 // which the next pass overwrites. After an overlapped Compute a gradient's
 // messages wait for the last one and go out as the backward pass produces
@@ -261,8 +261,8 @@ func (e *simEnv) Recv(kind, clock, seg int, wait Wait) (*Msg, bool, error) {
 }
 
 // Release lets go of the hold the message that brought vec had on it: a
-// vector from the run's free list goes back to it with its last hold (see
-// Vecs), any other is ordinary garbage.
+// vector from the run's lender goes back to it with its last hold, any other
+// is ordinary garbage.
 func (e *simEnv) Release(vec []float32) { e.x.vecs.Release(vec) }
 
 func (e *simEnv) Ledger() *Ledger { return e.l }

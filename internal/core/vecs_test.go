@@ -5,54 +5,11 @@ import (
 	"testing"
 
 	"disttrain/internal/grad"
+	"disttrain/internal/tensor"
 )
 
-// TestVecsHolds: a vector goes back to the list with its last hold, not
-// before; one nothing holds passes through Release untouched; a nil list's
-// Clone copies.
-func TestVecsHolds(t *testing.T) {
-	var l Vecs
-	v := l.Clone([]float32{1, 2, 3})
-	l.Hold(v)
-	l.Hold(v)
-	l.Release(v)
-	if len(l.free[3]) != 0 {
-		t.Fatal("a vector went back to the list while a message still held it")
-	}
-	l.Release(v)
-	if len(l.free[3]) != 1 || &l.free[3][0][0] != &v[0] {
-		t.Fatalf("the last release left %d free vectors, want v", len(l.free[3]))
-	}
-	l.Release(v) // no hold left: untouched
-	foreign := []float32{4, 5, 6}
-	l.Release(foreign)
-	if len(l.free[3]) != 1 {
-		t.Fatalf("%d free vectors after releasing unheld ones, want 1", len(l.free[3]))
-	}
-	if w := l.Clone([]float32{7, 8, 9}); &w[0] != &v[0] || w[2] != 9 {
-		t.Fatalf("Clone did not reuse the released vector: %v", w)
-	}
-	if w := l.Get(3); &w[0] == &v[0] {
-		t.Fatal("Get lent a vector still lent out")
-	}
-	short := l.Clone([]float32{1, 2})
-	l.Hold(short)
-	l.Release(short)
-	if w := l.Get(3); len(w) != 3 || &w[0] == &short[0] {
-		t.Fatal("Get lent a released vector of another length")
-	}
-	if w := l.Get(2); &w[0] != &short[0] {
-		t.Fatal("Get did not reuse the released vector of its length")
-	}
-	var none *Vecs
-	src := []float32{1, 2}
-	if c := none.Clone(src); &c[0] == &src[0] || c[1] != 2 {
-		t.Fatal("a nil list's Clone must copy")
-	}
-}
-
-// TestVecsUseAfterRelease runs real-math simulations with every vector the
-// free list takes back filled with NaNs, so that a reader who kept a vector
+// TestVecsUseAfterRelease runs real-math simulations with every vector a
+// lender takes back filled with NaNs, so that a reader who kept a vector
 // past its release — a shard reading a request, a worker reading a reply or
 // a peer's parameters — would change the bits. Each run must equal the same
 // run without the filling, bit for bit in every worker's final parameters,
@@ -98,9 +55,9 @@ func TestVecsUseAfterRelease(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := goldenRun(t, tc.algo, tc.workers, "minicnn", tc.mutate)
-			poisonReleased = true
+			tensor.PoisonReleased.Store(true)
 			got := goldenRun(t, tc.algo, tc.workers, "minicnn", tc.mutate)
-			poisonReleased = false
+			tensor.PoisonReleased.Store(false)
 			// A wait a drop did not cause timed out on a reply still in flight.
 			if f := got.Metrics.Faults; tc.name == "asp-drop" && (got.Net.DroppedMsgs == 0 || int64(f.Timeouts) <= got.Net.DroppedMsgs) {
 				t.Fatalf("%d timeouts, %d dropped messages: no reply outlived its wait", f.Timeouts, got.Net.DroppedMsgs)

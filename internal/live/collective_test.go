@@ -262,7 +262,7 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 	for c := 1; c <= warm; c++ {
 		round(c)
 	}
-	// Steady state means the recycler keeps what it was given: hold the
+	// Steady state means the lender keeps what it was given: hold the
 	// collector off for the measured rounds (they produce next to nothing
 	// for it to collect — which is the claim).
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))

@@ -45,26 +45,27 @@ type owner struct {
 //     the draw itself) and its velocity — no model and no gradient store;
 //   - the coordinator: nothing — the evaluation model holds no store of its
 //     own and reads the PS's parameters or the replica average where they
-//     lie, and the average is written into a recycled vector;
-//   - per step: nothing — frame sections come from xport's recycler;
+//     lie, and the average is written into a lent vector;
+//   - per step: nothing — frame sections are lent by xport's lender;
 //   - at DONE: nothing — a finished worker retires its gradient store and
-//     velocity to the recycler, and the coordinator decodes the reports'
+//     velocity to the lender, and the coordinator decodes the reports'
 //     parameter vectors into them.
 //
 // The run measured is a warm process's next one: two warm-up runs fill the
-// recycler, and the collector stays off so that the lists keep what they
-// hold. The warm-ups' reports' vectors go back to the recycler, as a caller
-// done with a result may hand them, or stay with the caller, as one that
-// keeps its previous Result does: then the retired vectors alone must carry
-// the DONE reports and the average. The recycler may still allocate a
-// section or two beyond the warm-ups' peak in flight, each up to a quarter
-// larger than what it carries (its size class): a vector to or from the PS,
-// a quarter vector in a 4-rank ring. The sum is the budget, with half a
-// vector of slack for everything smaller than a vector: sockets,
-// goroutines, activations.
+// lender, and the collector stays off so that it keeps what it holds (it
+// drops everything after a collection cycle). The warm-ups' reports'
+// vectors go back to the lender, as a caller done with a result may hand
+// them, or stay with the caller, as one that keeps its previous Result does:
+// then the retired vectors alone must carry the DONE reports and the
+// average. The lender may still allocate a section or two beyond the
+// warm-ups' peak in flight — a vector to or from the PS, a quarter vector in
+// a 4-rank ring, whose chunks come in two lengths the lender keeps apart —
+// and two and a half are allowed. The sum is the budget, with half a vector
+// of slack for everything smaller than a vector: sockets, goroutines,
+// activations.
 func TestLiveRunFootprint(t *testing.T) {
 	if raceEnabled {
-		t.Skip("under the race detector an asynchronous run keeps more frames in flight than the recycler's allowance")
+		t.Skip("under the race detector an asynchronous run keeps more frames in flight than the lender's allowance")
 	}
 	const workers, iters = 4, 8
 	aspInt8 := []owner{
@@ -74,7 +75,7 @@ func TestLiveRunFootprint(t *testing.T) {
 		{"PS parameters and velocity", 2},
 		{"evaluation model", 0},
 		{"DONE reports' parameters", 0},
-		{"recycler: two sections beyond the warm-ups' peak", 2.5},
+		{"lender: two and a half sections beyond the warm-ups' peak", 2.5},
 	}
 	arsgd := []owner{
 		{"the run's initial draw", 1},
@@ -83,7 +84,7 @@ func TestLiveRunFootprint(t *testing.T) {
 		{"evaluation model", 0},
 		{"replica average", 0},
 		{"DONE reports' parameters", 0},
-		{"recycler: two ring chunks beyond the warm-ups' peak", 2 * 1.25 / workers},
+		{"lender: two and a half ring chunks beyond the warm-ups' peak", 2.5 / workers},
 	}
 	for _, tc := range []struct {
 		name   string

@@ -278,15 +278,15 @@ func TestLiveQuantizedAsyncComplete(t *testing.T) {
 // data plane's copy-free contract: in steady state it allocates under 64 KB
 // per worker-step — frame headers and write vectors, not payloads. The
 // worker's int8 codes and encoded payload live in buffers it keeps; the
-// server reads the gradient frame's Data section from xport's recycler,
-// dequantizes it into a recycled Vec and hands the payload back; the
-// parameters coming back arrive in a recycled Vec too. One n-byte payload
+// server reads the gradient frame's Data section from xport's lender,
+// dequantizes it into a lent Vec and hands the payload back; the
+// parameters coming back arrive in a lent Vec too. One n-byte payload
 // per step — what a Data section allocated per frame cost — is 1 MB here.
 // Measured as the difference between a long and a short run of one config,
 // so set-up, rendezvous and the final evaluation cancel.
 func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 	// One worker: its push and the pull that answers it alternate, so the
-	// recycler's hit pattern — and with it the count — is the same every run.
+	// lender's hit pattern — and with it the count — is the same every run.
 	const (
 		workers = 1
 		short   = 4
@@ -308,10 +308,10 @@ func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
 	}
-	// Steady state means the recycler keeps what it was given: hold the
+	// Steady state means the lender keeps what it was given: hold the
 	// collector off, as TestRingAllReduceAllocationBudget does.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocated(short) // warm the recycler's size classes
+	allocated(short) // warm the lender's lists
 	perStep := (int64(allocated(long)) - int64(allocated(short))) / int64(workers*(long-short))
 	t.Logf("%d bytes allocated per worker-step; the int8 payload is %d bytes", perStep, n)
 	if perStep > budget {

@@ -33,7 +33,7 @@ func quantCodec(cfg *core.Config) xport.QuantCodec {
 }
 
 // dequantizeVec reconstructs the dense vector a QuantVec carries with
-// grad's own codecs. The vector comes from xport's recycler, like the Vec
+// grad's own codecs. The vector comes from xport's lender, like the Vec
 // of a dense frame.
 func dequantizeVec(qv xport.QuantVec) []float32 {
 	out := xport.NewVec(qv.Len())
@@ -50,7 +50,7 @@ func dequantizeVec(qv xport.QuantVec) []float32 {
 // dense vector in Vec. The payload must match the configured codec and, where
 // wantLen is not negative, hold that many elements — a mismatch is a protocol
 // violation, not a crash. The decoded int8 codes are a view of f.Data, read
-// here and handed back to the recycler with it, so the next frame's payload
+// here and handed back to the lender with it, so the next frame's payload
 // lands in the same bytes.
 func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) error {
 	qv, err := xport.DecodeQuantVec(f.Data)
@@ -64,7 +64,7 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 		return fmt.Errorf("live: gradient frame from %d: %d elements, want %d", f.From, qv.Len(), wantLen)
 	}
 	dense := dequantizeVec(qv)
-	f.Release() // a codec frame's Vec is empty: this recycles the payload
+	f.Release() // a codec frame's Vec is empty: this hands back the payload
 	f.Vec = dense
 	return nil
 }

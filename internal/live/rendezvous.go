@@ -607,7 +607,7 @@ func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGl
 		res.Throughput = float64(totalIters*cfg.Real.Batch) / wall
 	}
 	// A decentralized run is evaluated on the replicas' average, written into
-	// a recycled vector that goes back once TestErr is done with it.
+	// a lent vector that goes back once TestErr is done with it.
 	var avg []float32
 	if finalGlobal == nil {
 		avg = xport.NewVec(model.NumParams())

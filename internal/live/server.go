@@ -116,5 +116,5 @@ func (sv *server) Send(out []ps.Reply) error {
 	return nil
 }
 
-// Release hands vec to xport's recycler.
+// Release hands vec to xport's lender.
 func (sv *server) Release(vec []float32) { (&xport.Frame{Vec: vec}).Release() }

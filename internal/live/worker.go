@@ -161,7 +161,7 @@ func (e deathErr) Error() string {
 
 // run executes the full training loop for the configured algorithm and
 // returns once this worker's iterations are complete. It then retires the
-// replica's gradient store and velocity to xport's recycler, where the
+// replica's gradient store and velocity to xport's lender, where the
 // coordinator's decoder finds them for the DONE reports, and, for
 // centralized algorithms, tells the PS so the server loop can retire.
 func (w *worker) run() error {
@@ -230,7 +230,7 @@ func (w *worker) report() doneInfo {
 // recycling, checkpoints — under the loops of core/loops.go and the message
 // protocol of core/protocol.go. Every step that takes time books it on the
 // ledger.
-// Received vectors are released to xport's recycler once their taker is done
+// Received vectors are released to xport's lender once their taker is done
 // with them.
 
 // Gate is the per-round chaos check: a deathErr when this worker's schedule
@@ -355,7 +355,7 @@ func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (*core.Msg, bool, er
 		kind, clock, seg, xport.ErrTimeout)
 }
 
-// Release hands vec to xport's recycler.
+// Release hands vec to xport's lender.
 func (w *worker) Release(vec []float32) { (&xport.Frame{Vec: vec}).Release() }
 
 func (w *worker) Ledger() *core.Ledger { return w.l }

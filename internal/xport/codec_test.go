@@ -94,7 +94,7 @@ func TestWireGoldenBytes(t *testing.T) {
 }
 
 // randomFrame draws a frame whose sections are independently empty, small,
-// or (rarely) large enough for the recycler.
+// or (rarely) large enough for the lender.
 func randomFrame(r *rng.RNG) Frame {
 	size := func() int {
 		switch r.Intn(8) {
@@ -282,7 +282,7 @@ func TestDecodeAllocationBounded(t *testing.T) {
 // TestRecycledBuffersNeverShared is the ownership rule under the race
 // detector: ranks 1 and 2 stream large frames at rank 0, where two
 // consumers each hold a frame across the next Recv before releasing it.
-// Whatever the recycler hands out in between, a held Vec or Data keeps the
+// Whatever the lender hands out in between, a held Vec or Data keeps the
 // contents it arrived with and no two in-flight sections share memory.
 func TestRecycledBuffersNeverShared(t *testing.T) {
 	const senders, frames = 2, 40

@@ -123,8 +123,7 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // length, a CRC mismatch — yields an error, never a panic, and nothing is
 // allocated before the counts are proven consistent with the bounded
 // length; a truncated stream yields io.ErrUnexpectedEOF (or io.EOF on a
-// clean boundary). A large Vec or Data comes from the recycler: see
-// Frame.Release.
+// clean boundary). A large Vec or Data is lent: see Frame.Release.
 func ReadFrame(r io.Reader, maxBytes int) (Frame, error) {
 	if maxBytes <= 0 {
 		maxBytes = MaxFrameBytes
@@ -167,7 +166,7 @@ func ReadFrame(r io.Reader, maxBytes int) (Frame, error) {
 		f.Idx = make([]int32, nIdx)
 	}
 	f.Vec = NewVec(nVec)
-	f.Data = datas.get(nData)
+	f.Data = datas.of(nData).Get(nData)
 	crc := crc32.Update(0, crc32.IEEETable, p)
 	err := readSection(r, rawBytes(f.Idx), &crc)
 	if err == nil {

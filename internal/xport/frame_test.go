@@ -191,7 +191,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		bound := uint64(allocSlack)
 		if len(data) >= preludeLen && binary.LittleEndian.Uint16(data) == frameMagic {
 			if declared := binary.LittleEndian.Uint32(data[2:]); declared <= limit {
-				bound += uint64(declared) + uint64(declared)/4 // recycler rounding
+				bound += uint64(declared)
 			}
 		}
 		if allocated > bound {
