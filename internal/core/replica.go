@@ -66,8 +66,9 @@ type Replica struct {
 	copied []float32
 
 	// vecs is the lender Params draws its copies from: the simulator's run's,
-	// nil live.
-	vecs *tensor.Lender[float32]
+	// nil live; inPlace makes Params hand out the store itself (ShareParams).
+	vecs    *tensor.Lender[float32]
+	inPlace bool
 
 	// The worker's side of the parameter server (centralized algorithms):
 	// the shards' ranges, shard s at node Workers+s on both runtimes, and the
@@ -309,12 +310,13 @@ func (r *Replica) vecLen(cfg *Config) int {
 	return r.model.NumParams()
 }
 
-// Params returns a copy of the flat parameters (nil in cost-only), in a
-// vector from the replica's lender: a simulated message that carries it
-// gives it back there.
+// Params returns the flat parameters for a message to carry (nil in
+// cost-only): a copy, in a vector from the replica's lender — a simulated
+// message that carries it gives it back there — or, after ShareParams, the
+// store itself.
 func (r *Replica) Params() []float32 {
-	if r.model == nil {
-		return nil
+	if r.model == nil || r.inPlace {
+		return r.Weights()
 	}
 	r.lock()
 	defer r.unlock()
@@ -331,6 +333,14 @@ func (r *Replica) Weights() []float32 {
 	}
 	return r.model.Weights()
 }
+
+// ShareParams makes Params hand out the store itself, for a runtime whose
+// sends copy it before they return: a live GoSGD or D-PSGD worker.
+func (r *Replica) ShareParams() { r.inPlace = true }
+
+// SetCodes makes codes, as long as the model, where roundTrip writes the
+// int8 codes of the replica's contributions: a live worker's payload.
+func (r *Replica) SetCodes(codes []int8) { r.codes = codes }
 
 // Retire hands back the replica's gradient store and velocity (nil where
 // it holds none, and in cost-only mode) and forgets both: a later pass or
@@ -358,7 +368,7 @@ func (r *Replica) SetParams(src []float32) {
 }
 
 // SetRanges overwrites the parameters in ranges rs with src's values there
-// (no-op on nil): one parameter-server shard's answer.
+// (no-op on nil or on the store itself): one parameter-server shard's answer.
 func (r *Replica) SetRanges(src []float32, rs []ps.Range) {
 	if r.model == nil || src == nil {
 		return
@@ -367,22 +377,19 @@ func (r *Replica) SetRanges(src []float32, rs []ps.Range) {
 	defer r.unlock()
 	r.settle()
 	w := r.model.Weights()
+	if &src[0] == &w[0] {
+		return
+	}
 	for _, rg := range rs {
 		copy(w[rg.Off:rg.Off+rg.Len], src[rg.Off:rg.Off+rg.Len])
 	}
 }
 
-// Average sets params ← (params + other)/2, the AD-PSGD/gossip merge.
+// Average sets params ← (params + other)/2, the AD-PSGD merge: Mix with
+// one other (no-op on nil).
 func (r *Replica) Average(other []float32) {
-	if r.model == nil || other == nil {
-		return
-	}
-	r.lock()
-	defer r.unlock()
-	r.settle()
-	w := r.model.Weights()
-	for i, o := range other[:len(w)] {
-		w[i] = 0.5 * (w[i] + o)
+	if other != nil {
+		r.Mix([][]float32{other})
 	}
 }
 

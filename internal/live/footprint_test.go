@@ -40,13 +40,16 @@ type owner struct {
 //     vectors;
 //   - a velocity only where the loop steps locally: every AR-SGD rank, no
 //     ASP rank (the PS steps for it);
-//   - an int8 worker: its one encoded-payload buffer (a quarter vector);
+//   - an int8 worker: its whole-vector payload (a quarter vector), whose
+//     code region is the replica's int8 codes, written there once;
 //   - the PS: its parameters (built at START, after every rank, it adopts
 //     the draw itself) and its velocity — no model and no gradient store;
 //   - the coordinator: nothing — the evaluation model holds no store of its
 //     own and reads the PS's parameters or the replica average where they
 //     lie, and the average is written into a lent vector;
-//   - per step: nothing — frame sections are lent by xport's lender;
+//   - per step: nothing — a parameter reply lands in the worker's parameter
+//     store, where the worker posted it, and other frame sections are lent
+//     by xport's lender;
 //   - at DONE: nothing — a finished worker retires its gradient store and
 //     velocity to the lender, and the coordinator decodes the reports'
 //     parameter vectors into them.
@@ -58,11 +61,11 @@ type owner struct {
 // them, or stay with the caller, as one that keeps its previous Result does:
 // then the retired vectors alone must carry the DONE reports and the
 // average. The lender may still allocate a section or two beyond the
-// warm-ups' peak in flight — a vector to or from the PS, a quarter vector in
+// warm-ups' peak in flight — an int8 payload at the PS, a quarter vector in
 // a 4-rank ring, whose chunks come in two lengths the lender keeps apart —
-// and two and a half are allowed. The sum is the budget, with half a vector
-// of slack for everything smaller than a vector: sockets, goroutines,
-// activations.
+// and three payloads or two and a half chunks are allowed. The sum is the
+// budget, with half a vector of slack for everything smaller than a vector:
+// sockets, goroutines, activations.
 func TestLiveRunFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector an asynchronous run keeps more frames in flight than the lender's allowance")
@@ -71,11 +74,11 @@ func TestLiveRunFootprint(t *testing.T) {
 	aspInt8 := []owner{
 		{"the run's initial draw", 1},
 		{"worker parameters and gradients", 2 * workers},
-		{"worker int8 payload buffers", 0.25 * workers},
+		{"worker int8 payloads, the replicas' codes", 0.25 * workers},
 		{"PS parameters and velocity", 2},
 		{"evaluation model", 0},
 		{"DONE reports' parameters", 0},
-		{"lender: two and a half sections beyond the warm-ups' peak", 2.5},
+		{"lender: three int8 payloads beyond the warm-ups' peak", 0.75},
 	}
 	arsgd := []owner{
 		{"the run's initial draw", 1},

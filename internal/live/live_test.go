@@ -275,13 +275,14 @@ func TestLiveQuantizedAsyncComplete(t *testing.T) {
 }
 
 // TestASPInt8PushPullAllocationBudget holds one int8 push/pull to the PS
-// data plane's copy-free contract: in steady state it allocates under 64 KB
+// data plane's copy-free contract: in steady state it allocates under 4 KB
 // per worker-step — frame headers and write vectors, not payloads. The
-// worker's int8 codes and encoded payload live in buffers it keeps; the
-// server reads the gradient frame's Data section from xport's lender,
+// worker's int8 codes are written once, into the payload buffer it keeps;
+// the server reads the gradient frame's Data section from xport's lender,
 // dequantizes it into a lent Vec and hands the payload back; the
-// parameters coming back arrive in a lent Vec too. One n-byte payload
-// per step — what a Data section allocated per frame cost — is 1 MB here.
+// parameters coming back land in the worker's parameter store, where it
+// posted them. One n-byte payload per step — what a Data section allocated
+// per frame cost — is 1 MB here.
 // Measured as the difference between a long and a short run of one config,
 // so set-up, rendezvous and the final evaluation cancel.
 func TestASPInt8PushPullAllocationBudget(t *testing.T) {
@@ -291,7 +292,7 @@ func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 		workers = 1
 		short   = 4
 		long    = 16
-		budget  = 64 << 10
+		budget  = 4 << 10
 	)
 	var n int
 	allocated := func(iters int) uint64 {
@@ -316,6 +317,46 @@ func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 	t.Logf("%d bytes allocated per worker-step; the int8 payload is %d bytes", perStep, n)
 	if perStep > budget {
 		t.Fatalf("an int8 push/pull allocates %d bytes per worker-step, budget %d", perStep, budget)
+	}
+}
+
+// TestGoSGDPushAllocationBudget: a live gossip push leaves where the
+// parameters lie — the send copies them onto the wire — and a received push
+// arrives in a lent Vec that goes back once merged, so in steady state a
+// push allocates under 64 KB per worker-step, not the model-sized copy of
+// the parameters it once took (4 MB here). Two workers pushing every
+// iteration, measured as the difference between a long and a short run of
+// one config; how many pushes are in flight at once varies with timing, so
+// the least of three measurements is held to the budget.
+func TestGoSGDPushAllocationBudget(t *testing.T) {
+	const (
+		workers = 2
+		short   = 4
+		long    = 16
+		budget  = 64 << 10
+	)
+	allocated := func(iters int) uint64 {
+		cfg := liveConfig(core.GoSGD, workers, iters, 7)
+		cfg.GossipP = 1
+		cfg.Real.Factory = func(r *rng.RNG) *nn.Model { return nn.NewMLP(r, 2, 1024, 1024, 3) }
+		cfg.Real.Batch = 4
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := RunLoopback(cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocated(long) // warm the lender's lists
+	perStep := int64(math.MaxInt64)
+	for range 3 {
+		perStep = min(perStep, (int64(allocated(long))-int64(allocated(short)))/int64(workers*(long-short)))
+	}
+	t.Logf("%d bytes allocated per worker-step, a push every step", perStep)
+	if perStep > budget {
+		t.Fatalf("a gossip push allocates %d bytes per worker-step, budget %d", perStep, budget)
 	}
 }
 

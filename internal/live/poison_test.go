@@ -11,7 +11,7 @@ import (
 	"disttrain/internal/tensor"
 )
 
-// TestLiveUseAfterRelease runs loopback runs with every vector a lender
+// TestLiveUseAfterRelease runs live runs with every vector a lender
 // takes back filled with NaNs — a received frame's Vec and Data sections, a
 // dequantized gradient, a retired gradient store and velocity, the layers'
 // scratch — so that a reader who kept one past its release reads garbage
@@ -24,7 +24,10 @@ import (
 // and every rank's loss at every iteration. GoSGD's pushes land in whatever
 // iteration they reach, which differs run to run, so its poisoned run must
 // only keep every parameter and every loss finite: a merged push read after
-// its release would carry the NaNs into both.
+// its release would carry the NaNs into both. BSP (W = 4, over sockets and
+// over channels) and the one-worker PS rows receive every parameter reply
+// into the replica's store, which no release may take: a store lent and
+// poisoned would show in the next iteration's loss.
 func TestLiveUseAfterRelease(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -32,10 +35,14 @@ func TestLiveUseAfterRelease(t *testing.T) {
 		workers int
 		int8    bool
 		exact   bool // deterministic: the poisoned run equals the plain one
+		run     func(core.Config, ...Option) (*Result, error)
 	}{
-		{"arsgd", core.ARSGD, 4, false, true},
-		{"asp-int8", core.ASP, 1, true, true},
-		{"gosgd", core.GoSGD, 4, false, false},
+		{"arsgd", core.ARSGD, 4, false, true, RunLoopback},
+		{"asp-int8", core.ASP, 1, true, true, RunLoopback},
+		{"gosgd", core.GoSGD, 4, false, false, RunLoopback},
+		{"bsp", core.BSP, 4, false, true, RunLoopback},
+		{"bsp-chan", core.BSP, 4, false, true, RunChan},
+		{"easgd-chan", core.EASGD, 1, false, true, RunChan},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := liveConfig(tc.algo, tc.workers, 8, 5)
@@ -51,7 +58,7 @@ func TestLiveUseAfterRelease(t *testing.T) {
 				})
 				tensor.PoisonReleased.Store(poison)
 				defer tensor.PoisonReleased.Store(false)
-				res, err := RunLoopback(cfg, progress)
+				res, err := tc.run(cfg, progress)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -32,24 +32,10 @@ func quantCodec(cfg *core.Config) xport.QuantCodec {
 	return 0
 }
 
-// dequantizeVec reconstructs the dense vector a QuantVec carries with
-// grad's own codecs. The vector comes from xport's lender, like the Vec
-// of a dense frame.
-func dequantizeVec(qv xport.QuantVec) []float32 {
-	out := xport.NewVec(qv.Len())
-	switch qv.Codec {
-	case xport.QuantInt8:
-		_ = grad.Dequantize8(grad.Quantized8{Scale: qv.Scale, Q: qv.I8}, out) // lengths match by construction
-	case xport.QuantF16:
-		_ = grad.DequantizeF16(grad.QuantizedF16{H: qv.H16}, out)
-	}
-	return out
-}
-
-// decodeGradPayload replaces a frame's codec payload with the reconstructed
-// dense vector in Vec. The payload must match the configured codec and, where
-// wantLen is not negative, hold that many elements — a mismatch is a protocol
-// violation, not a crash. The decoded int8 codes are a view of f.Data, read
+// decodeGradPayload replaces a frame's codec payload with the dense vector
+// grad's codecs reconstruct, in Vec. The payload must match the codec and,
+// where wantLen is not negative, hold that many elements — a mismatch is a
+// protocol violation, not a crash. The int8 codes are a view of f.Data, read
 // here and handed back to the lender with it, so the next frame's payload
 // lands in the same bytes.
 func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) error {
@@ -63,7 +49,14 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 	if wantLen >= 0 && qv.Len() != wantLen {
 		return fmt.Errorf("live: gradient frame from %d: %d elements, want %d", f.From, qv.Len(), wantLen)
 	}
-	dense := dequantizeVec(qv)
+	// The dense vector comes from xport's lender, like a dense frame's Vec.
+	dense := xport.NewVec(qv.Len())
+	switch qv.Codec {
+	case xport.QuantInt8:
+		_ = grad.Dequantize8(grad.Quantized8{Scale: qv.Scale, Q: qv.I8}, dense) // lengths match by construction
+	case xport.QuantF16:
+		_ = grad.DequantizeF16(grad.QuantizedF16{H: qv.H16}, dense)
+	}
 	f.Release() // a codec frame's Vec is empty: this hands back the payload
 	f.Vec = dense
 	return nil
@@ -71,8 +64,9 @@ func decodeGradPayload(codec xport.QuantCodec, f *xport.Frame, wantLen int) erro
 
 // encodeChunk fills f with the codec form of m's Vec, an own contribution
 // the protocol already round-tripped through the codec (int8 with m.Codes,
-// the codes that pass wrote, and the scale in m.Aux). f16 keeps no codes: a
-// round-tripped value converts back to its own half. Partial sums and
+// the codes that pass wrote, and the scale in m.Aux): a whole vector's int8
+// codes ship where that pass wrote them, a chunk's are copied. f16 keeps no
+// codes: a round-tripped value converts back to its own half. Partial sums and
 // gathered results stay dense: they are off the codec's grid, and
 // re-encoding them would diverge from the simulator.
 func (w *worker) encodeChunk(m *core.Msg, f *xport.Frame) {
@@ -80,15 +74,20 @@ func (w *worker) encodeChunk(m *core.Msg, f *xport.Frame) {
 	defer sp.End()
 	switch w.codec {
 	case xport.QuantInt8:
-		data, codes := xport.Int8Payload(w.enc, len(m.Codes))
-		copy(codes, m.Codes)
-		xport.PutInt8Scale(data, float32(m.Aux))
-		w.enc = data
+		f.Data = w.enc
+		if len(m.Codes) == 0 || len(m.Codes) != len(w.codes) || &m.Codes[0] != &w.codes[0] {
+			var codes []int8
+			f.Data, codes = xport.Int8Payload(w.chunk, len(m.Codes))
+			copy(codes, m.Codes)
+			w.chunk = f.Data
+		}
+		xport.PutInt8Scale(f.Data, float32(m.Aux))
 	case xport.QuantF16:
 		qv := xport.QuantVec{Codec: xport.QuantF16, H16: grad.QuantizeF16(m.Vec).H}
-		w.enc = qv.AppendEncode(w.enc[:0])
+		w.chunk = qv.AppendEncode(w.chunk[:0])
+		f.Data = w.chunk
 	}
-	f.Vec, f.Data = nil, w.enc
+	f.Vec = nil
 	w.saved.Add(int64(4*len(m.Vec)) - int64(len(f.Data)))
 }
 

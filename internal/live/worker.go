@@ -10,6 +10,7 @@ import (
 	"disttrain/internal/core"
 	"disttrain/internal/metrics"
 	"disttrain/internal/nn"
+	"disttrain/internal/ps"
 	"disttrain/internal/topo"
 	"disttrain/internal/trace"
 	"disttrain/internal/xport"
@@ -72,10 +73,16 @@ type worker struct {
 	// per rank as compressed_bytes_saved through Metrics.
 	codec xport.QuantCodec
 	saved atomic.Int64
-	// enc is the codec's reusable buffer: the encoded payload of this
-	// step's gradient or of an AllReduce chunk, whose int8 codes are written
-	// straight into it.
-	enc []byte
+	// enc is the int8 payload of a whole-vector contribution, codes its code
+	// region, where the replica writes its codes; chunk is an AllReduce
+	// chunk's (codes copied, so that those still to be sent stay put) or an
+	// f16 payload.
+	enc, chunk []byte
+	codes      []int8
+	// store is the parameter store a PS request posts for its reply (nil:
+	// replies are lent), awaiting the kind of the reply posted for (0: none).
+	store    []float32
+	awaiting uint16
 
 	// Chaos state: ch is the shared crash-membership function (nil in a
 	// crash-free run), startIter is where this incarnation's loop begins
@@ -131,6 +138,18 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 	for i := range w.full {
 		w.full[i] = i
 	}
+	// Pushes leave where the parameters lie, but where a second thread writes
+	// them (AD-PSGD) or the push is answered into them (EASGD: a socket write
+	// orders the two for the kernel, not for the race detector).
+	if cfg.Algo == core.GoSGD || cfg.Algo == core.DPSGD {
+		rep.ShareParams()
+	}
+	// A restarted incarnation re-runs rounds its dead predecessor may have
+	// requested, so a reply to the dead one could land in its store at a
+	// round it has not reached: under a crash schedule replies are lent.
+	if cfg.Algo.Centralized() && w.ch == nil {
+		w.store = rep.Weights()
+	}
 	if o.metrics != nil {
 		o.metrics.registerProgress(rank, w.prog.Load)
 		if st, ok := ep.(statser); ok {
@@ -163,8 +182,14 @@ func (e deathErr) Error() string {
 // returns once this worker's iterations are complete. It then retires the
 // replica's gradient store and velocity to xport's lender, where the
 // coordinator's decoder finds them for the DONE reports, and, for
-// centralized algorithms, tells the PS so the server loop can retire.
+// centralized algorithms, tells the PS so the server loop can retire. An
+// int8 worker's whole-vector payload is laid out first, as training starts,
+// its code region the store the replica writes its codes into.
 func (w *worker) run() error {
+	if w.codec == xport.QuantInt8 {
+		w.enc, w.codes = xport.Int8Payload(nil, len(w.rep.Weights()))
+		w.rep.SetCodes(w.codes)
+	}
 	if err := core.WorkerLoop(w, w.cfg, w.rank, w.rep, w.streams, w.overlay); err != nil {
 		return fmt.Errorf("live: worker %d (%s): %w", w.rank, w.cfg.Algo, err)
 	}
@@ -300,6 +325,15 @@ func (w *worker) Send(to int, m *core.Msg) (float64, error) {
 	if m.Own && w.codec != 0 {
 		w.encodeChunk(m, f)
 	}
+	if to == w.srv && w.store != nil && (m.Kind != int(ps.Grad) || w.cfg.Algo != core.SSP) {
+		// The PS answers every request but SSP's update with the whole
+		// vector (live hosts one shard): it lands in the store.
+		w.awaiting = uint16(ps.Params)
+		if m.Kind == int(ps.Push) {
+			w.awaiting = uint16(ps.PushReply)
+		}
+		w.ep.Post(&xport.Frame{From: int32(w.srv), Kind: w.awaiting, Clock: f.Clock, Vec: w.store})
+	}
 	t0 := time.Now()
 	err := w.ep.Send(to, f)
 	return time.Since(t0).Seconds(), err
@@ -324,20 +358,11 @@ func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (*core.Msg, bool, er
 		w.held = nil
 	}
 	m, ok, err := w.mb.Recv(kind, clock, seg, func() (*core.Msg, bool, error) {
-		remain := time.Until(deadline)
-		if timeout == 0 {
-			remain = 0
-		} else if remain <= 0 {
-			return nil, false, nil
-		}
-		f, err := w.ep.Recv(remain)
-		if errors.Is(err, xport.ErrTimeout) {
-			return nil, false, nil
-		}
-		if err == nil && len(f.Data) > 0 {
+		f, ok, err := w.next(deadline, timeout == 0)
+		if ok && len(f.Data) > 0 {
 			err = w.decodeChunk(&f)
 		}
-		if err != nil {
+		if !ok || err != nil {
 			return nil, false, err
 		}
 		m := w.msgs.New()
@@ -355,8 +380,49 @@ func (w *worker) Recv(kind, clock, seg int, wait core.Wait) (*core.Msg, bool, er
 		kind, clock, seg, xport.ErrTimeout)
 }
 
-// Release hands vec to xport's lender.
-func (w *worker) Release(vec []float32) { (&xport.Frame{Vec: vec}).Release() }
+// next takes the next frame off the endpoint, by deadline unless forever;
+// ok is false when none came. The deadline takes a posted reply's post back,
+// unless the reply has claimed it: it is landing, and next waits for it (or
+// its error) — or takes whatever comes first, which ends an exchange's
+// receive, and the landing reply comes through the next. The PS answers
+// with the request's clock, so no other reply can claim a post.
+func (w *worker) next(deadline time.Time, forever bool) (xport.Frame, bool, error) {
+	for {
+		remain := time.Until(deadline)
+		switch {
+		case forever:
+			remain = 0
+		case remain > 0:
+		case w.awaiting == 0 || w.ep.Withdraw():
+			w.awaiting = 0
+			return xport.Frame{}, false, nil
+		default:
+			w.awaiting, remain = 0, recvTimeout
+		}
+		f, err := w.ep.Recv(remain)
+		switch {
+		case errors.Is(err, xport.ErrTimeout):
+			continue
+		case err != nil:
+			return f, false, err
+		case w.isStore(f.Vec):
+			w.awaiting = 0
+		}
+		return f, true, nil
+	}
+}
+
+// isStore reports whether vec is the parameter store a reply is posted into.
+func (w *worker) isStore(vec []float32) bool {
+	return len(vec) > 0 && len(w.store) > 0 && &vec[0] == &w.store[0]
+}
+
+// Release hands vec to xport's lender, unless it is the parameter store.
+func (w *worker) Release(vec []float32) {
+	if !w.isStore(vec) {
+		(&xport.Frame{Vec: vec}).Release()
+	}
+}
 
 func (w *worker) Ledger() *core.Ledger { return w.l }
 

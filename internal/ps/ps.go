@@ -27,13 +27,7 @@ type Range struct {
 type Assignment [][]Range
 
 // Bytes returns the wire size of shard s's ranges (4 bytes per parameter).
-func (a Assignment) Bytes(s int) int64 {
-	var n int64
-	for _, r := range a[s] {
-		n += int64(r.Len)
-	}
-	return n * 4
-}
+func (a Assignment) Bytes(s int) int64 { return 4 * int64(a.Params(s)) }
 
 // Params returns the number of parameters owned by shard s.
 func (a Assignment) Params(s int) int {

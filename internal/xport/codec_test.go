@@ -243,8 +243,8 @@ func allocatedBy(fn func()) uint64 {
 
 // TestDecodeAllocationBounded: a header may claim any length, but the
 // decoder allocates only after the claim passed the limit and the section
-// counts add up to it — so never more than the bounded length (plus the
-// recycler's quarter-octave rounding), however little data follows.
+// counts add up to it — so never more than the bounded length (the lender
+// keeps sections by exact length), however little data follows.
 func TestDecodeAllocationBounded(t *testing.T) {
 	const slack = allocSlack
 	header := func(payLen, nIdx, nVec, nData uint32) []byte {
@@ -265,8 +265,8 @@ func TestDecodeAllocationBounded(t *testing.T) {
 		{"huge length", header(0xffffffff, 0, 0x3fffffff, 0), slack},
 		{"counts beyond the length", header(fixedPayLen+64, 0x40000000, 0x40000000, 0), slack},
 		{"counts overflowing 4n", header(fixedPayLen, 0xffffffff, 0, 0), slack},
-		{"vec claims the limit, no body", header(limit, 0, (limit-fixedPayLen)/4, 0), limit + limit/4 + slack},
-		{"data claims the limit, no body", header(limit, 0, 0, limit-fixedPayLen), limit + limit/4 + slack},
+		{"vec claims the limit, no body", header(limit, 0, (limit-fixedPayLen)/4, 0), limit + slack},
+		{"data claims the limit, no body", header(limit, 0, 0, limit-fixedPayLen), limit + slack},
 	} {
 		var err error
 		got := allocatedBy(func() { _, err = DecodeFrame(tc.buf, limit) })

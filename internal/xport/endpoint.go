@@ -1,9 +1,11 @@
 package xport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -30,8 +32,38 @@ type Endpoint interface {
 	// forever; on expiry it returns ErrTimeout. The frame's slices belong
 	// to the receiver alone; Frame.Release hands a consumed Vec back.
 	Recv(timeout time.Duration) (Frame, error)
+	// Post posts p.Vec for the next frame with p's From, Kind, Clock and Vec
+	// length, which is decoded into it (or fails as Recv's error); the Vec
+	// stays the poster's. A new post replaces one no frame claimed.
+	Post(p *Frame)
+	// Withdraw takes the post back, atomically against the frame that would
+	// claim it, and reports whether none had: if one had, it, or its error,
+	// is on its way through Recv and may still be writing the Vec.
+	Withdraw() bool
 	// Close releases the endpoint; blocked Recvs return ErrClosed.
 	Close() error
+}
+
+// postBox is an endpoint's side of Post and Withdraw: the one post, taken
+// by whichever comes first of the frame that claims it and its withdrawal.
+type postBox struct{ p atomic.Pointer[Frame] }
+
+func (b *postBox) Post(p *Frame)  { b.p.Store(p) }
+func (b *postBox) Withdraw() bool { return b.p.Swap(nil) != nil }
+
+// claim takes the post and returns its Vec if the frame whose header f
+// holds, with n Vec elements, is the one it is for; nil otherwise, which one
+// atomic load decides for every other frame.
+func (b *postBox) claim(f *Frame, n int) []float32 {
+	if b == nil {
+		return nil
+	}
+	p := b.p.Load()
+	if p == nil || p.From != f.From || p.Kind != f.Kind || p.Clock != f.Clock || len(p.Vec) != n ||
+		n == 0 || !b.p.CompareAndSwap(p, nil) {
+		return nil
+	}
+	return p.Vec
 }
 
 // inboxCap bounds each endpoint's inbound queue. Deep enough that
@@ -66,6 +98,7 @@ func NewChanNet(n int) *ChanNet {
 func (n *ChanNet) Endpoint(i int) Endpoint { return n.eps[i] }
 
 type chanEndpoint struct {
+	postBox
 	net   *ChanNet
 	rank  int
 	inbox chan Frame
@@ -81,12 +114,14 @@ func (e *chanEndpoint) Send(to int, f *Frame) error {
 		return fmt.Errorf("xport: send to rank %d outside mesh of %d", to, len(e.net.eps))
 	}
 	// Round-trip through the codec so the channel backend catches any
-	// frame that would not survive the wire.
-	g, err := DecodeFrame(f.AppendEncode(nil), 0)
+	// frame that would not survive the wire; one the peer posted for is
+	// decoded into its destination. A fresh encoding can fail only on its
+	// length, before any post is claimed.
+	peer := e.net.eps[to]
+	g, err := readFrame(bytes.NewReader(f.AppendEncode(nil)), 0, &peer.postBox)
 	if err != nil {
 		return fmt.Errorf("xport: frame failed codec round-trip: %w", err)
 	}
-	peer := e.net.eps[to]
 	// A select with a ready channel and a closed channel picks randomly;
 	// check for an already-closed peer first so the error is deterministic.
 	select {
@@ -105,22 +140,24 @@ func (e *chanEndpoint) Send(to int, f *Frame) error {
 }
 
 func (e *chanEndpoint) Recv(timeout time.Duration) (Frame, error) {
-	if timeout <= 0 {
-		select {
-		case f := <-e.inbox:
-			return f, nil
-		case <-e.closed:
-			return Frame{}, ErrClosed
-		}
+	return recv(e.inbox, e.closed, timeout)
+}
+
+// recv is both endpoints' Recv over their inbox: a frame that claimed the
+// post and failed to land comes out as its error.
+func recv(inbox <-chan Frame, closed <-chan struct{}, timeout time.Duration) (Frame, error) {
+	var expiry <-chan time.Time
+	if timeout > 0 {
+		t := time.NewTimer(timeout)
+		defer t.Stop()
+		expiry = t.C
 	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
 	select {
-	case f := <-e.inbox:
-		return f, nil
-	case <-e.closed:
+	case f := <-inbox:
+		return f, f.err
+	case <-closed:
 		return Frame{}, ErrClosed
-	case <-t.C:
+	case <-expiry:
 		return Frame{}, ErrTimeout
 	}
 }

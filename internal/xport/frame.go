@@ -26,15 +26,19 @@ import (
 // tag, the sender's rank, a round clock, a segment/chunk index, one scalar
 // (gossip weights), a float payload, sparse indices, and an opaque byte
 // blob for control-plane payloads (rendezvous addresses, metric digests).
+// A frame received into a posted Vec is marked posted (Endpoint.Post); err
+// is the failure of one that claimed the post but did not land.
 type Frame struct {
-	Kind  uint16
-	From  int32
-	Clock int32
-	Seg   int32
-	Aux   float64
-	Idx   []int32
-	Vec   []float32
-	Data  []byte
+	Kind   uint16
+	From   int32
+	Clock  int32
+	Seg    int32
+	Aux    float64
+	Idx    []int32
+	Vec    []float32
+	Data   []byte
+	posted bool
+	err    error
 }
 
 // Wire format: a fixed prelude followed by the payload.
@@ -124,7 +128,13 @@ func WriteFrame(w io.Writer, f *Frame) error {
 // allocated before the counts are proven consistent with the bounded
 // length; a truncated stream yields io.ErrUnexpectedEOF (or io.EOF on a
 // clean boundary). A large Vec or Data is lent: see Frame.Release.
-func ReadFrame(r io.Reader, maxBytes int) (Frame, error) {
+func ReadFrame(r io.Reader, maxBytes int) (Frame, error) { return readFrame(r, maxBytes, nil) }
+
+// readFrame is ReadFrame that decodes the Vec of the frame box's post is
+// for into the posted Vec (box may be nil), claimed once the counts are
+// proven consistent; it comes back marked posted, also with an error, which
+// it then carries to the poster.
+func readFrame(r io.Reader, maxBytes int, box *postBox) (Frame, error) {
 	if maxBytes <= 0 {
 		maxBytes = MaxFrameBytes
 	}
@@ -165,7 +175,11 @@ func ReadFrame(r io.Reader, maxBytes int) (Frame, error) {
 	if nIdx > 0 {
 		f.Idx = make([]int32, nIdx)
 	}
-	f.Vec = NewVec(nVec)
+	if f.Vec = box.claim(&f, nVec); f.Vec != nil {
+		f.posted = true
+	} else {
+		f.Vec = NewVec(nVec)
+	}
 	f.Data = datas.of(nData).Get(nData)
 	crc := crc32.Update(0, crc32.IEEETable, p)
 	err := readSection(r, rawBytes(f.Idx), &crc)
@@ -180,7 +194,7 @@ func ReadFrame(r io.Reader, maxBytes int) (Frame, error) {
 	}
 	if err != nil {
 		f.Release()
-		return Frame{}, err
+		return Frame{posted: f.posted, err: err}, err
 	}
 	fromWire32(f.Idx)
 	fromWire32(f.Vec)

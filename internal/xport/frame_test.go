@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -159,7 +160,8 @@ func patchLen(b []byte, n int) []byte {
 // panic, no hang, and no allocation beyond the length its prelude declares
 // (and none at all when that length is out of bounds); an accepted frame
 // re-encodes to bytes that decode to the same frame and that, cut short or
-// with one bit flipped, are rejected as checkDamage spells out.
+// with one bit flipped, are rejected as checkDamage spells out. Every input
+// is also decoded into posted destinations, as checkPosted spells out.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, fr := range sampleFrames() {
 		f.Add(fr.AppendEncode(nil))
@@ -197,6 +199,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if allocated > bound {
 			t.Fatalf("decoder allocated %d bytes for %d input bytes, bound %d", allocated, len(data), bound)
 		}
+		checkPosted(t, data, limit, fr, err)
 		if err != nil {
 			return
 		}
@@ -211,4 +214,53 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		checkDamage(t, enc)
 	})
+}
+
+// checkPosted decodes data again with a destination posted for the frame its
+// header names, and holds the outcome to the lent decode's, lent and
+// lentErr: the same error — a CRC mismatch still one, never a frame — or the
+// same bits, with the Vec in the destination; nothing written past the
+// destination, damaged input or not; and a post one element too long left
+// unclaimed and unwritten.
+func checkPosted(t *testing.T, data []byte, limit int, lent Frame, lentErr error) {
+	t.Helper()
+	if len(data) < headerLen || binary.LittleEndian.Uint16(data) != frameMagic {
+		return
+	}
+	le, p := binary.LittleEndian, data[preludeLen:]
+	n := int(le.Uint32(p[26:]))
+	if n == 0 || n > limit/4 {
+		return
+	}
+	const guard, mark = 8, float32(-7.25)
+	for _, post := range []int{n + 1, n} {
+		buf := make([]float32, post+guard)
+		for i := range buf {
+			buf[i] = mark
+		}
+		var box postBox
+		box.Post(&Frame{From: int32(le.Uint32(p[2:])), Kind: le.Uint16(p[0:]), Clock: int32(le.Uint32(p[6:])), Vec: buf[:post]})
+		fr, err := readFrame(bytes.NewReader(data), limit, &box)
+		for i, v := range buf[post:] {
+			if v != mark {
+				t.Fatalf("decode into a %d-element post wrote element %d past it", post, post+i)
+			}
+		}
+		if post != n {
+			if fr.posted || box.p.Load() == nil || slices.ContainsFunc(buf, func(v float32) bool { return v != mark }) {
+				t.Fatalf("a %d-element post was used for a %d-element Vec", post, n)
+			}
+			continue
+		}
+		switch {
+		case (err == nil) != (lentErr == nil):
+			t.Fatalf("posted decode: %v; lent decode: %v", err, lentErr)
+		case err != nil && fr.Vec != nil:
+			t.Fatalf("posted decode failed (%v) and returned a Vec", err)
+		case isCRCError(lentErr) && !isCRCError(err):
+			t.Fatalf("posted decode of a CRC mismatch: %v", err)
+		case err == nil && (!fr.posted || &fr.Vec[0] != &buf[0] || !framesEqual(fr, lent)):
+			t.Fatalf("posted decode differs from the lent one: %+v vs %+v", fr, lent)
+		}
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,16 +54,7 @@ type PartitionWindow struct {
 
 // separates reports whether ranks a and b are on opposite sides of the cut.
 func (w *PartitionWindow) separates(a, b int) bool {
-	var inA, inB bool
-	for _, r := range w.Side {
-		if r == a {
-			inA = true
-		}
-		if r == b {
-			inB = true
-		}
-	}
-	return inA != inB
+	return slices.Contains(w.Side, a) != slices.Contains(w.Side, b)
 }
 
 // DefaultSlowUnit is the injected latency per slowdown unit (Factor-1) when
@@ -127,6 +119,7 @@ func (s *Stats) Add(o Stats) {
 // lazily dialed outbound connection per peer, and an accept loop that
 // merges every inbound stream into one Recv queue.
 type TCPNet struct {
+	postBox
 	rank int
 	size int
 
@@ -286,14 +279,8 @@ func (t *TCPNet) applyFaults(to int) {
 		}
 	}
 	t.faultMu.Unlock()
-	if kill {
-		t.mu.Lock()
-		if c := t.conns[to]; c != nil {
-			c.Close()
-			t.conns[to] = nil
-			t.stats.kills.Add(1)
-		}
-		t.mu.Unlock()
+	if kill && t.dropConn(to, nil) {
+		t.stats.kills.Add(1)
 	}
 }
 
@@ -302,15 +289,9 @@ func (t *TCPNet) applyFaults(to int) {
 // listener on the same address) use this to keep a write from landing on a
 // half-closed socket and being silently lost.
 func (t *TCPNet) DropPeer(to int) {
-	if to < 0 || to >= t.size {
-		return
+	if to >= 0 && to < t.size {
+		t.dropConn(to, nil)
 	}
-	t.mu.Lock()
-	if c := t.conns[to]; c != nil {
-		c.Close()
-		t.conns[to] = nil
-	}
-	t.mu.Unlock()
 }
 
 // peerConn returns the outbound connection to a peer, dialing it if absent.
@@ -346,38 +327,23 @@ func (t *TCPNet) peerConn(to int) (net.Conn, error) {
 	return nil, fmt.Errorf("xport: dial rank %d (%s): %w", to, addr, lastErr)
 }
 
-// dropConn discards a broken outbound connection so the next attempt
-// redials — but only if it is still the registered one (a concurrent
-// sender may already have replaced it).
-func (t *TCPNet) dropConn(to int, c net.Conn) {
+// dropConn closes and forgets the outbound connection to a peer, so that
+// the next send redials, and reports whether there was one. A non-nil c is a
+// broken connection, dropped only if it is still the registered one (a
+// concurrent sender may already have replaced it).
+func (t *TCPNet) dropConn(to int, c net.Conn) bool {
 	t.mu.Lock()
-	if t.conns[to] == c {
-		c.Close()
-		t.conns[to] = nil
+	defer t.mu.Unlock()
+	cur := t.conns[to]
+	if cur == nil || c != nil && cur != c {
+		return false
 	}
-	t.mu.Unlock()
+	cur.Close()
+	t.conns[to] = nil
+	return true
 }
 
-func (t *TCPNet) Recv(timeout time.Duration) (Frame, error) {
-	if timeout <= 0 {
-		select {
-		case f := <-t.inbox:
-			return f, nil
-		case <-t.closed:
-			return Frame{}, ErrClosed
-		}
-	}
-	tm := time.NewTimer(timeout)
-	defer tm.Stop()
-	select {
-	case f := <-t.inbox:
-		return f, nil
-	case <-t.closed:
-		return Frame{}, ErrClosed
-	case <-tm.C:
-		return Frame{}, ErrTimeout
-	}
-}
+func (t *TCPNet) Recv(timeout time.Duration) (Frame, error) { return recv(t.inbox, t.closed, timeout) }
 
 func (t *TCPNet) acceptLoop() {
 	for {
@@ -390,16 +356,18 @@ func (t *TCPNet) acceptLoop() {
 }
 
 // readLoop decodes frames off one inbound connection into the shared
-// inbox. A decode error or peer disconnect ends the stream; the peer's
-// sender redials, producing a fresh inbound connection.
+// inbox, the posted one into its Vec. A decode error or peer disconnect ends
+// the stream; the peer's sender redials, producing a fresh inbound
+// connection. A frame lost that way is gone, unless it had claimed the post:
+// it then goes to the poster with its error.
 func (t *TCPNet) readLoop(conn net.Conn) {
 	defer conn.Close()
 	// The buffer turns a small frame's header and sections into one read
 	// syscall; a large section bypasses it and lands in its slice directly.
 	r := bufio.NewReaderSize(conn, 16<<10)
-	for {
-		f, err := ReadFrame(r, MaxFrameBytes)
-		if err != nil {
+	for err := error(nil); err == nil; {
+		var f Frame
+		if f, err = readFrame(r, MaxFrameBytes, &t.postBox); err != nil && !f.posted {
 			return
 		}
 		t.stats.framesRecv.Add(1)

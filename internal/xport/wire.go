@@ -101,9 +101,11 @@ func NewVec(n int) []float32 { return vecs.of(n).Get(n) }
 // on any vector its owner is done with; after Release neither the frame nor
 // any slice of its sections may be used. Releasing is optional — an
 // unreleased section is ordinary garbage — and a section the lenders did not
-// lend is taken like one they did.
+// lend is taken like one they did. A posted Vec is its poster's and stays.
 func (f *Frame) Release() {
-	vecs.of(len(f.Vec)).Put(f.Vec)
+	if !f.posted {
+		vecs.of(len(f.Vec)).Put(f.Vec)
+	}
 	datas.of(len(f.Data)).Put(f.Data)
 	f.Vec, f.Data = nil, nil
 }
