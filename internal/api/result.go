@@ -24,6 +24,7 @@ type NetStats struct {
 	BytesRecv   int64 `json:"bytes_recv,omitempty"`
 	Redials     int64 `json:"redials,omitempty"`
 	Kills       int64 `json:"kills,omitempty"`
+	DelayNanos  int64 `json:"delay_nanos,omitempty"`
 	Partitioned int64 `json:"partitioned,omitempty"`
 }
 
@@ -50,7 +51,7 @@ type RunResult struct {
 	// WorkerIters is each rank's completed iteration count (live runs
 	// only; the simulator's per-worker counts live in its Metrics).
 	WorkerIters []int `json:"worker_iters,omitempty"`
-	// Net aggregates transport counters over every endpoint (live TCP runs
+	// Net aggregates transport counters over every endpoint (live runs
 	// only).
 	Net *NetStats `json:"net,omitempty"`
 	// Deaths, Rejoins and Restores count live chaos events.
@@ -87,6 +88,7 @@ func FromLive(r *live.Result) *RunResult {
 		BytesRecv:   r.Net.BytesRecv,
 		Redials:     r.Net.Redials,
 		Kills:       r.Net.Kills,
+		DelayNanos:  r.Net.DelayNanos,
 		Partitioned: r.Net.Partitioned,
 	}
 	if net != (NetStats{}) {
@@ -197,11 +199,6 @@ func (s *ExperimentSpec) Validated() (core.Config, error) {
 	if s.Live() {
 		if err := live.Validate(&cfg); err != nil {
 			return core.Config{}, err
-		}
-		if s.Transport == TransportChan {
-			if err := live.ChanFaults(cfg.Faults); err != nil {
-				return core.Config{}, err
-			}
 		}
 	} else if err := cfg.Validate(); err != nil {
 		return core.Config{}, err

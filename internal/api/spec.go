@@ -45,7 +45,7 @@ const SpecVersion = "v1"
 const (
 	TransportSim  = "sim"  // deterministic discrete-event simulator
 	TransportTCP  = "tcp"  // live loopback/multi-process TCP runtime
-	TransportChan = "chan" // live runtime, data plane over in-process channels; no faults
+	TransportChan = "chan" // live runtime, data plane over in-memory pipes
 )
 
 // RealSpec enables real gradient math (accuracy mode) in a spec.
@@ -159,8 +159,8 @@ type ExperimentSpec struct {
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 
 	// Transport selects the execution backend: sim (default), tcp (live
-	// loopback TCP), or chan (live loopback, its data plane over in-process
-	// channels, which inject no faults). The live backends require Real.
+	// loopback TCP), or chan (live loopback, its data plane TCP's transport
+	// over in-memory pipes). The live backends require Real.
 	Transport string `json:"transport,omitempty"`
 	// Pool is the compute-pool size for real gradient math: 0 = one
 	// goroutine per CPU, negative = serial inline. Results are identical

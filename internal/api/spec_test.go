@@ -63,18 +63,20 @@ func TestValidatedRejectsBadAlgo(t *testing.T) {
 	}
 }
 
-// TestValidatedRejectsChanFaults: the chan transport injects no faults, so a
-// chan spec with a fault schedule is refused at validation, while the same
-// spec on tcp, which applies it, passes.
-func TestValidatedRejectsChanFaults(t *testing.T) {
-	s := ExperimentSpec{Algo: "bsp", Workers: 4, Transport: TransportChan, Real: &RealSpec{},
-		FaultSpec: "slow@0:w1:x3"}
-	if _, err := s.Validated(); err == nil || !strings.Contains(err.Error(), "transport chan") {
-		t.Fatalf("chan spec with a fault schedule: %v", err)
-	}
-	s.Transport = TransportTCP
-	if _, err := s.Validated(); err != nil {
-		t.Fatalf("tcp spec with a fault schedule: %v", err)
+// TestValidatedChanFaultsAsTCP: the chan transport is TCP's over pipes, so
+// a fault schedule is judged alike on both: a slowdown passes, a crash
+// without elastic membership is refused.
+func TestValidatedChanFaultsAsTCP(t *testing.T) {
+	for _, tr := range []string{TransportChan, TransportTCP} {
+		s := ExperimentSpec{Algo: "bsp", Workers: 4, Transport: tr, Real: &RealSpec{},
+			FaultSpec: "slow@0:w1:x3"}
+		if _, err := s.Validated(); err != nil {
+			t.Fatalf("%s spec with a slowdown: %v", tr, err)
+		}
+		s.FaultSpec = "crash@iter2:w1"
+		if _, err := s.Validated(); err == nil || !strings.Contains(err.Error(), "Elastic") {
+			t.Fatalf("%s spec with a crash and no elastic membership: %v", tr, err)
+		}
 	}
 }
 

@@ -116,7 +116,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Elastic, "elastic", false, "elastic membership: barriers exclude crashed workers instead of stalling")
 	fs.Float64Var(&f.Timeout, "timeout", 0, "barrier timeout in virtual seconds (0 = 5 mean iterations)")
 
-	fs.StringVar(&f.Transport, "transport", "sim", "execution backend: sim (virtual-time simulator) | tcp (live TCP) | chan (live, data plane over in-process channels; no -faults); live backends require -real")
+	fs.StringVar(&f.Transport, "transport", "sim", "execution backend: sim (virtual-time simulator) | tcp (live TCP) | chan (live, data plane over in-memory pipes); live backends require -real")
 	fs.StringVar(&f.Role, "role", "", "live multi-process role: coordinator|worker (empty = single-process loopback harness)")
 	fs.StringVar(&f.Coord, "coord", "127.0.0.1:9901", "coordinator address: listen address for -role=coordinator, dial address for -role=worker")
 	fs.StringVar(&f.MeshListen, "meshlisten", "127.0.0.1:0", "live worker's mesh listen address (use a peer-reachable host:0 for multi-machine runs)")

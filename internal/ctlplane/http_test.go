@@ -220,9 +220,9 @@ func TestMisfitNetDataset400(t *testing.T) {
 	}
 }
 
-// TestChanFaults400: a chan spec with a fault schedule would run without its
-// faults; it is refused at submission, naming the transport, not queued.
-func TestChanFaults400(t *testing.T) {
+// TestChanFaults202: a chan spec with a fault schedule is accepted, and its
+// run applies the schedule: the slowdown's injected delay is in the result.
+func TestChanFaults202(t *testing.T) {
 	c, _ := startService(t, ServiceOptions{})
 	resp, err := http.Post(c.Base+"/v1/experiments", "application/json",
 		strings.NewReader(`{"algo":"bsp","workers":4,"iters":2,"transport":"chan","real":{},"fault_spec":"slow@0:w1:x3"}`))
@@ -230,10 +230,20 @@ func TestChanFaults400(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body bytes.Buffer
-	body.ReadFrom(resp.Body)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.String(), "transport chan") {
-		t.Fatalf("chan spec with faults: got %d %q, want 400 naming the transport", resp.StatusCode, body.String())
+	var st api.ExperimentStatus
+	if resp.StatusCode != http.StatusAccepted || json.NewDecoder(resp.Body).Decode(&st) != nil {
+		t.Fatalf("chan spec with faults: got %d, want 202", resp.StatusCode)
+	}
+	ctx := context.Background()
+	if fin, err := c.Wait(ctx, st.ID, 10*time.Millisecond); err != nil || fin.State != api.StateDone {
+		t.Fatalf("chan run with faults: %+v, %v", fin, err)
+	}
+	res, err := c.Result(ctx, st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Transport != api.TransportChan || res.Net == nil || res.Net.DelayNanos <= 0 {
+		t.Fatalf("chan run with a slowdown: transport %q, counters %+v", res.Transport, res.Net)
 	}
 }
 

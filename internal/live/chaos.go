@@ -33,10 +33,6 @@ func newChaos(cfg *core.Config) *chaos {
 	return &chaos{cfg: cfg, inj: inj}
 }
 
-// peerDropper discards a cached connection so the next send redials: a
-// restart needs it, and TCPNet, the only transport with crashes, has it.
-type peerDropper interface{ DropPeer(int) }
-
 // owesResume reports whether worker p, back from a dead window at iteration
 // it, owes worker q a RESUME: q runs it in the incarnation that ran p's last
 // iteration before the window, so it may hold a connection to the dead one.

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"testing"
 	"time"
 
@@ -90,17 +89,22 @@ func TestLiveBSPChaosConvergence(t *testing.T) {
 // position the simulator's restarted replica has — so the whole chaotic
 // run stays bit-identical to the simulator's Elastic mode. In the long
 // restart the worker comes back several rounds ahead of where it died, and
-// its gradient waits at the PS for its own round on both runtimes.
+// its gradient waits at the PS for its own round on both runtimes. Both
+// meshes run it.
 func TestLiveBSPChaosBitIdenticalToSim(t *testing.T) {
+	longRestart := &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.Crash, AtIter: 4, Worker: 1, Restart: 1.2},
+	}}
 	for _, tc := range []struct {
 		name   string
 		iters  int
 		faults *fault.Schedule
+		run    func(core.Config, ...Option) (*Result, error)
 	}{
-		{"two-restarts", 10, chaosSchedule()},
-		{"long-restart", 12, &fault.Schedule{Events: []fault.Event{
-			{Kind: fault.Crash, AtIter: 4, Worker: 1, Restart: 1.2},
-		}}},
+		{"two-restarts", 10, chaosSchedule(), RunLoopback},
+		{"long-restart", 12, longRestart, RunLoopback},
+		{"chan-two-restarts", 10, chaosSchedule(), RunChan},
+		{"chan-long-restart", 12, longRestart, RunChan},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := liveConfig(core.BSP, 4, tc.iters, 42)
@@ -108,7 +112,7 @@ func TestLiveBSPChaosBitIdenticalToSim(t *testing.T) {
 			cfg.Faults = tc.faults
 			sim := simParams(t, cfg)
 
-			res, err := RunLoopback(cfg, WithCheckpoints(t.TempDir(), 1))
+			res, err := tc.run(cfg, WithCheckpoints(t.TempDir(), 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,12 +127,18 @@ func TestLiveBSPChaosBitIdenticalToSim(t *testing.T) {
 // simulator — and a restored worker rejoins the ring bit-identically
 // (momentum restored from the checkpoint). Each rank runs the simulator's
 // rank's iterations: a restarted one sums its incarnations', a written-off
-// one gets its schedule's.
+// one gets its schedule's. Both meshes run it.
 func TestLiveARSGDElasticBitIdenticalToSim(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		restart float64
-	}{{"restart", 0.1}, {"no-restart", 0}} {
+		run     func(core.Config, ...Option) (*Result, error)
+	}{
+		{"restart", 0.1, RunLoopback},
+		{"no-restart", 0, RunLoopback},
+		{"chan-restart", 0.1, RunChan},
+		{"chan-no-restart", 0, RunChan},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := liveConfig(core.ARSGD, 4, 8, 42)
 			cfg.Elastic = true
@@ -137,7 +147,7 @@ func TestLiveARSGDElasticBitIdenticalToSim(t *testing.T) {
 			}}
 			sim := simRun(t, cfg)
 
-			res, err := RunLoopback(cfg, WithCheckpoints(t.TempDir(), 1))
+			res, err := tc.run(cfg, WithCheckpoints(t.TempDir(), 1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -172,7 +182,7 @@ func requireSimIters(t *testing.T, sim *core.Result, live *Result) {
 // TestLivePartitionStallsAndRecovers projects a partition window onto the
 // live transport: sends crossing the machine cut stall until the window
 // closes, so the run slows but loses nothing — final parameters stay
-// bit-identical to a clean simulator run.
+// bit-identical to a clean simulator run, on both meshes.
 func TestLivePartitionStallsAndRecovers(t *testing.T) {
 	clean := liveConfig(core.ARSGD, 8, 4, 42)
 	sim := simParams(t, clean)
@@ -181,14 +191,16 @@ func TestLivePartitionStallsAndRecovers(t *testing.T) {
 	cfg.Faults = &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.Partition, At: 0, Duration: 0.15, Machines: []int{1}},
 	}}
-	res, err := RunLoopback(cfg)
-	if err != nil {
-		t.Fatal(err)
+	for name, run := range map[string]func(core.Config, ...Option) (*Result, error){"loopback": RunLoopback, "chan": RunChan} {
+		res, err := run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.Net.Partitioned == 0 {
+			t.Fatalf("%s: partition window stalled no sends: %+v", name, res.Net)
+		}
+		requireBitIdentical(t, sim, res.WorkerParams)
 	}
-	if res.Net.Partitioned == 0 {
-		t.Fatalf("partition window stalled no sends: %+v", res.Net)
-	}
-	requireBitIdentical(t, sim, res.WorkerParams)
 }
 
 // TestLiveElasticWithoutCrashMatchesFixedCohort: Elastic with no crash
@@ -205,28 +217,37 @@ func TestLiveElasticWithoutCrashMatchesFixedCohort(t *testing.T) {
 	requireBitIdentical(t, sim, res.WorkerParams)
 }
 
-// TestRunChanRejectsCrash: the channel transport has no process boundary
-// to kill and no sockets to redial, slow or cut, so every fault schedule —
-// each one the TCP transport takes — is refused with an error naming it.
-func TestRunChanRejectsCrash(t *testing.T) {
-	for _, spec := range []string{
-		"crash@iter3:w1:restart=0.1",
-		"slow@0:w1:x3",
-		"drop@0:p=0.5:for=1",
-		"partition@0:m1:for=1",
+// TestRunChanInjectsFaults: the pipe mesh is TCP's transport, so every
+// kind of fault schedule runs on it and shows in the run's counters: a
+// crash as a death and a rejoin, connection kills, a partition's stalled
+// sends, and a slowdown as its projected delay on every send — (factor-1)
+// slow units each, on a decentralized run, where every frame is a worker's.
+func TestRunChanInjectsFaults(t *testing.T) {
+	const unit = time.Millisecond
+	for _, tc := range []struct {
+		spec string
+		ok   func(*Result) bool
+	}{
+		{"crash@iter3:w1:restart=0.1", func(r *Result) bool { return r.Deaths == 1 && r.Rejoins == 1 }},
+		{"slow@0:w1:x3", func(r *Result) bool {
+			return r.Net.FramesSent > 0 && r.Net.DelayNanos == r.Net.FramesSent*int64(2*unit)
+		}},
+		{"drop@0:p=0.5:for=1", func(r *Result) bool { return r.Net.Kills > 0 }},
+		{"partition@0:m1:for=0.15", func(r *Result) bool { return r.Net.Partitioned > 0 }},
 	} {
-		cfg := liveConfig(core.BSP, 4, 4, 1)
+		cfg := liveConfig(core.ARSGD, 4, 4, 1)
 		cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = 2, 2
 		cfg.Elastic = true
 		var err error
-		if cfg.Faults, err = fault.ParseSpec(spec); err != nil {
+		if cfg.Faults, err = fault.ParseSpec(tc.spec); err != nil {
 			t.Fatal(err)
 		}
-		if err := Validate(&cfg); err != nil {
-			t.Fatalf("%s: tcp refuses it too: %v", spec, err)
+		res, err := RunChan(cfg, WithSlowUnit(unit))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.spec, err)
 		}
-		if _, err := RunChan(cfg); err == nil || !strings.Contains(err.Error(), "transport chan") {
-			t.Errorf("%s: RunChan returned %v, want the chan transport's refusal", spec, err)
+		if !tc.ok(res) {
+			t.Errorf("%s: counters %+v, deaths %d, rejoins %d", tc.spec, res.Net, res.Deaths, res.Rejoins)
 		}
 	}
 }

@@ -85,7 +85,7 @@ func codecConfig(codec xport.QuantCodec) *core.Config {
 }
 
 // liveCollective runs the plan through the worker protocol's collectives
-// (core.Collective) on live workers over a channel mesh. Under a non-zero
+// (core.Collective) on live workers over a pipe mesh. Under a non-zero
 // codec an AllReduce's own-contribution chunks travel in codec form; it
 // reports whether any chunk saved bytes that way.
 func liveCollective(t *testing.T, pl comm.Plan, inputs [][]float32, codec xport.QuantCodec) ([][]float32, bool) {
@@ -96,6 +96,7 @@ func liveCollective(t *testing.T, pl comm.Plan, inputs [][]float32, codec xport.
 	nodes := make([]int, n)
 	for i := range eps {
 		eps[i], nodes[i] = cn.Endpoint(i), i
+		defer eps[i].Close()
 	}
 	ws := collectiveWorkers(eps, codec)
 	cfg := codecConfig(codec)
@@ -246,6 +247,11 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 		ep.SetPeers(addrs)
 		vecs[i] = make([]float32, floats)
 	}
+	// Steady state means the lender keeps what it was given: hold the
+	// collector off from the warm-up on, so that no cycle, not even one
+	// already under way, empties it before the measured rounds (they produce
+	// next to nothing for it to collect — which is the claim).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	round := func(clock int) {
 		errs := make(chan error, ranks)
 		for i := 0; i < ranks; i++ {
@@ -262,10 +268,6 @@ func TestRingAllReduceAllocationBudget(t *testing.T) {
 	for c := 1; c <= warm; c++ {
 		round(c)
 	}
-	// Steady state means the lender keeps what it was given: hold the
-	// collector off for the measured rounds (they produce next to nothing
-	// for it to collect — which is the claim).
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for c := warm + 1; c <= warm+rounds; c++ {

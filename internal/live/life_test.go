@@ -161,7 +161,7 @@ func TestWorkerLifeStep(t *testing.T) {
 			check: func(t *testing.T, r *lifeRig) {
 				fs := r.conns[0].frames()
 				if r.l.rank != 1 || r.l.mesh == nil || len(fs) != 2 || fs[1].Kind != kindAddr || fs[1].From != 1 ||
-					string(fs[1].Data) != r.l.mesh.(*xport.TCPNet).Addr() || r.l.want != kindPeers {
+					string(fs[1].Data) != r.l.mesh.Addr() || r.l.want != kindPeers {
 					t.Errorf("rank %d, wrote %+v, waits for %d; want rank 1, ADDR of its mesh, PEERS", r.l.rank, fs, r.l.want)
 				}
 			}},

@@ -1,7 +1,7 @@
 // Package live is the wall-clock runtime: it runs the same distributed
 // training algorithms the deterministic simulator runs, but as real
 // communicating workers over xport endpoints (loopback or cross-machine
-// TCP, or in-process channels). Where internal/core advances a virtual
+// TCP, or in-memory pipes). Where internal/core advances a virtual
 // clock and delivers messages through simnet, live workers block on real
 // sockets, suffer real scheduler jitter, and finish in real seconds.
 //
@@ -30,8 +30,8 @@
 //
 // Entry points: RunLoopback (coordinator + N goroutine workers over
 // loopback TCP, no orchestration needed), RunChan (the same run with the
-// data plane over in-process channels; it refuses fault schedules), and
-// RunCoordinator/RunWorker for real multi-process deployments.
+// data plane over in-memory pipes), and RunCoordinator/RunWorker for real
+// multi-process deployments.
 package live
 
 import (
@@ -152,17 +152,6 @@ func Validate(cfg *core.Config) error {
 	return nil
 }
 
-// ChanFaults is the channel transport's fault rule: its mesh has no sockets
-// to kill, slow or cut and no process boundary to crash, so any schedule is
-// an error rather than silently ignored. RunChan and
-// api.ExperimentSpec.Validated apply it.
-func ChanFaults(s *fault.Schedule) error {
-	if s.Empty() {
-		return nil
-	}
-	return fmt.Errorf("live: transport chan injects no faults; run the schedule %v on tcp", s.Events)
-}
-
 // Options tunes the live runtime beyond the shared core.Config: the
 // checkpoint cadence workers and the PS write their state with, the
 // fault-projection slow unit, progress reporting, the external-restart
@@ -175,8 +164,8 @@ type Options struct {
 	exitOnDeath bool
 	tracer      *trace.Tracer
 	metrics     *Metrics
-	// chanNet is the run's channel mesh (RunChan); nil: every rank listens
-	// on TCP.
+	// chanNet is the run's pipe mesh (RunChan); nil: every rank listens on
+	// TCP.
 	chanNet *xport.ChanNet
 	// init is the run's one initial draw, which every replica this process
 	// builds, restarts included, and the PS start from.
@@ -251,6 +240,15 @@ func buildOptions(cfg *core.Config, opts []Option, takers int) *Options {
 	return o
 }
 
+// listen opens mesh rank's endpoint of an n-rank mesh: its own of the run's
+// pipe mesh, or a TCP listener on addr.
+func (o *Options) listen(rank, n int, addr string) (*xport.TCPNet, error) {
+	if o.chanNet != nil {
+		return o.chanNet.Endpoint(rank).(*xport.TCPNet), nil
+	}
+	return xport.ListenTCP(rank, n, addr)
+}
+
 // initialDraw is a run's initial model, core.InitModel's parameters, drawn
 // once per process at its first use. Every replica and PS the process builds
 // takes the parameters it starts from here: a copy of the draw, except that
@@ -311,8 +309,8 @@ type Result struct {
 	// decentralized ones.
 	FinalTestAcc   float64
 	FinalTrainLoss float64
-	// Net aggregates transport counters over every TCP endpoint in the run
-	// (zero for the channel transport, which keeps no counters).
+	// Net aggregates transport counters over every mesh endpoint in the
+	// run, on either transport.
 	Net xport.Stats
 	// Breakdown is the ranks' mean time breakdown, in wall seconds; network
 	// is the time spent inside Endpoint.Send.

@@ -282,7 +282,8 @@ func TestLiveQuantizedAsyncComplete(t *testing.T) {
 // dequantizes it into a lent Vec and hands the payload back; the
 // parameters coming back land in the worker's parameter store, where it
 // posted them. One n-byte payload per step — what a Data section allocated
-// per frame cost — is 1 MB here.
+// per frame cost — is 1 MB here. Both meshes hold it: the pipe mesh's frames
+// take the socket's path, not an encoding of their own.
 // Measured as the difference between a long and a short run of one config,
 // so set-up, rendezvous and the final evaluation cancel.
 func TestASPInt8PushPullAllocationBudget(t *testing.T) {
@@ -295,7 +296,7 @@ func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 		budget  = 4 << 10
 	)
 	var n int
-	allocated := func(iters int) uint64 {
+	allocated := func(run func(core.Config, ...Option) (*Result, error), iters int) uint64 {
 		cfg := liveConfig(core.ASP, workers, iters, 7)
 		cfg.Quantize8 = true
 		cfg.Real.Factory = func(r *rng.RNG) *nn.Model { return nn.NewMLP(r, 2, 1024, 1024, 3) }
@@ -303,7 +304,7 @@ func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 		n = cfg.Real.Factory(rng.New(1)).NumParams()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		if _, err := RunLoopback(cfg); err != nil {
+		if _, err := run(cfg); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -312,11 +313,13 @@ func TestASPInt8PushPullAllocationBudget(t *testing.T) {
 	// Steady state means the lender keeps what it was given: hold the
 	// collector off, as TestRingAllReduceAllocationBudget does.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	allocated(short) // warm the lender's lists
-	perStep := (int64(allocated(long)) - int64(allocated(short))) / int64(workers*(long-short))
-	t.Logf("%d bytes allocated per worker-step; the int8 payload is %d bytes", perStep, n)
-	if perStep > budget {
-		t.Fatalf("an int8 push/pull allocates %d bytes per worker-step, budget %d", perStep, budget)
+	for name, run := range map[string]func(core.Config, ...Option) (*Result, error){"loopback": RunLoopback, "chan": RunChan} {
+		allocated(run, short) // warm the lender's lists
+		perStep := (int64(allocated(run, long)) - int64(allocated(run, short))) / int64(workers*(long-short))
+		t.Logf("%s: %d bytes allocated per worker-step; the int8 payload is %d bytes", name, perStep, n)
+		if perStep > budget {
+			t.Fatalf("%s: an int8 push/pull allocates %d bytes per worker-step, budget %d", name, perStep, budget)
+		}
 	}
 }
 
@@ -362,13 +365,12 @@ func TestGoSGDPushAllocationBudget(t *testing.T) {
 
 // TestLiveARSGDBitIdenticalToSim: AR-SGD under each of the five collectives
 // ends on the simulator's parameters bit for bit, over sockets and over
-// channels. Ring and tree also run with worker 1 a 3× straggler on sockets,
-// the mesh that applies the slowdown, which in
-// the simulator makes rank 2's tree message reach rank 0 before rank 1's
-// (core.Validate admits the topology collectives only without a fault
-// schedule); six and nine workers give those a partial and a single-member
-// machine, butterfly pre-folds, and 2×3 and 3×3 grids. The conv-net row also
-// holds the reported accuracy and loss to the simulator's.
+// pipes. Ring and tree also run with worker 1 a 3× straggler on both meshes,
+// which in the simulator makes rank 2's tree message reach rank 0 before
+// rank 1's (core.Validate admits the topology collectives only without a
+// fault schedule); six and nine workers give those a partial and a
+// single-member machine, butterfly pre-folds, and 2×3 and 3×3 grids. The
+// conv-net row also holds the reported accuracy and loss to the simulator's.
 func TestLiveARSGDBitIdenticalToSim(t *testing.T) {
 	slow := &fault.Schedule{Events: []fault.Event{{Kind: fault.Slow, Worker: 1, Factor: 3}}}
 	for _, tc := range []struct {
@@ -382,6 +384,8 @@ func TestLiveARSGDBitIdenticalToSim(t *testing.T) {
 		{"loopback", "tree", 4, nil, RunLoopback},
 		{"loopback slow worker 1", "ring", 4, slow, RunLoopback},
 		{"loopback slow worker 1", "tree", 4, slow, RunLoopback},
+		{"chan slow worker 1", "ring", 4, slow, RunChan},
+		{"chan slow worker 1", "tree", 4, slow, RunChan},
 		{"loopback", "hierarchical", 6, nil, RunLoopback},
 		{"loopback", "butterfly", 6, nil, RunLoopback},
 		{"loopback", "torus", 6, nil, RunLoopback},
@@ -409,7 +413,7 @@ func TestLiveARSGDBitIdenticalToSim(t *testing.T) {
 }
 
 // TestLiveBSPChanBitIdenticalToSim runs the same contract over the
-// in-process channel transport.
+// pipe mesh.
 func TestLiveBSPChanBitIdenticalToSim(t *testing.T) {
 	cfg := liveConfig(core.BSP, 4, 6, 42)
 	sim := simParams(t, cfg)
@@ -507,7 +511,7 @@ func TestLiveGoSGDOverlay(t *testing.T) {
 
 // TestLiveDPSGDBitIdenticalToSim: D-PSGD runs in lockstep and folds each
 // round as self + left + right whatever order the neighbours' vectors
-// arrive in, so over sockets and over channels it ends on the simulator's
+// arrive in, so over sockets and over pipes it ends on the simulator's
 // parameters and report bit for bit — with two workers, whose one neighbour
 // sends twice, too.
 func TestLiveDPSGDBitIdenticalToSim(t *testing.T) {
@@ -543,10 +547,10 @@ func (r exchangeRecorder) Send(to int, f *xport.Frame) error {
 
 // TestLiveADPSGDOverlay: AD-PSGD restricted to a 2-regular overlay — the
 // graph the simulator draws from the same stream — completes every iteration
-// over sockets and over channels, and sends the simulator's exchanges: each
+// over sockets and over pipes, and sends the simulator's exchanges: each
 // active draws one partner per token from its own stream, among its odd
 // overlay neighbours (or every passive when it has none). The (active,
-// partner) multiset is read off the channel run's wire and must be the one
+// partner) multiset is read off the chan run's wire and must be the one
 // those streams dictate; the simulator's trace shows the same count of
 // requests reaching each partner, and the loopback run carries as many
 // request and reply frames as the simulated network.
@@ -603,7 +607,7 @@ func TestLiveADPSGDOverlay(t *testing.T) {
 		t.Fatalf("simulator's requests per partner %v, the streams dictate %v", simPerPartner, perPartner)
 	}
 
-	// The channel run's wire.
+	// The chan run's wire.
 	cn := xport.NewChanNet(cfg.Workers)
 	rec := exchangeRecorder{mu: new(sync.Mutex), pairs: map[[2]int]int{}}
 	var wg sync.WaitGroup
@@ -659,7 +663,7 @@ func TestLiveADPSGDOverlay(t *testing.T) {
 // change is the arrival order — and a single worker admits only one. ASP
 // (with and without staleness damping), SSP, EASGD and AdaComm (whose period
 // follows the worker's own loss), dense and with int8 gradient frames, over
-// sockets and over channels, must therefore end on the simulator's parameters
+// sockets and over pipes, must therefore end on the simulator's parameters
 // bit for bit.
 func TestLiveAsyncPSBitIdenticalToSimOneWorker(t *testing.T) {
 	for _, tc := range []struct {

@@ -12,10 +12,6 @@ import (
 	"disttrain/internal/xport"
 )
 
-// statser is any endpoint that can snapshot transport counters (TCPNet;
-// the channel transport keeps none).
-type statser interface{ Stats() xport.Stats }
-
 // coordSnapshot is the coordinator's contribution to a metrics scrape.
 type coordSnapshot struct {
 	deaths, rejoins int64

@@ -113,7 +113,7 @@ func TestLoopbackTraceExport(t *testing.T) {
 	}
 }
 
-// TestChanTraceExport confirms the channel transport records the same span
+// TestChanTraceExport confirms the pipe mesh records the same span
 // categories (an in-process run with no sockets still traces).
 func TestChanTraceExport(t *testing.T) {
 	tr := trace.New()

@@ -25,7 +25,7 @@ import (
 // iteration they reach, which differs run to run, so its poisoned run must
 // only keep every parameter and every loss finite: a merged push read after
 // its release would carry the NaNs into both. BSP (W = 4, over sockets and
-// over channels) and the one-worker PS rows receive every parameter reply
+// over pipes) and the one-worker PS rows receive every parameter reply
 // into the replica's store, which no release may take: a store lent and
 // poisoned would show in the next iteration's loss.
 func TestLiveUseAfterRelease(t *testing.T) {

@@ -159,25 +159,18 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	// late REJOIN goes unanswered.
 	defer func() { ln.Close(); st.drain() }()
 
-	// The PS takes the last rank of the channel mesh, or listens on the
-	// listener's host, the wildcard included.
-	var srv xport.Endpoint
-	switch {
-	case !cfg.Algo.Centralized():
-	case o.chanNet != nil:
-		srv = o.chanNet.Endpoint(cfg.Workers)
-	default:
+	// The PS takes the mesh's last rank, listening on the listener's host,
+	// the wildcard included.
+	var srv *xport.TCPNet
+	if cfg.Algo.Centralized() {
 		host, _, _ := net.SplitHostPort(ln.Addr().String())
-		t, err := xport.ListenTCP(cfg.Workers, meshSize(cfg), net.JoinHostPort(host, "0"))
-		if err != nil {
+		var err error
+		if srv, err = o.listen(cfg.Workers, meshSize(cfg), net.JoinHostPort(host, "0")); err != nil {
 			return nil, fmt.Errorf("live: PS listen: %w", err)
 		}
-		_, st.psPort, _ = net.SplitHostPort(t.Addr())
-		o.metrics.registerStats(cfg.Workers, t.Stats)
-		srv = t
-	}
-	if srv != nil {
 		defer srv.Close()
+		_, st.psPort, _ = net.SplitHostPort(srv.Addr())
+		o.metrics.registerStats(cfg.Workers, srv.Stats)
 	}
 	o.metrics.registerCoord(st.snapshot)
 
@@ -188,10 +181,8 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 	served := make(chan error, 1)
 	runErr := st.loop(ln, func() {
 		spRdv.End()
-		if t, ok := srv.(*xport.TCPNet); ok {
-			t.SetPeers(st.mesh)
-		}
 		if srv != nil {
+			srv.SetPeers(st.mesh)
 			go func() {
 				sv := newServer(cfg, srv, o)
 				err := ps.Serve(sv.shard, sv)
@@ -238,7 +229,7 @@ func coordinate(cfg *core.Config, ln net.Listener, o *Options) (*Result, error) 
 type runState struct {
 	ch     *chaos // nil without a crash schedule
 	fp     string
-	psPort string        // "" for a decentralized run
+	psPort string        // "" for a decentralized run or a pipe mesh
 	mesh   []string      // the mesh addresses from PEERS on; the PS's stays ""
 	lease  time.Time     // the last admission frame's time
 	start  time.Time     // START, the wall-clock epoch; zero while admitting
@@ -570,10 +561,10 @@ func (st *runState) checkLeases(now time.Time) error {
 
 // buildResult assembles the Result from the workers' reports and the final
 // PS parameters (nil for a decentralized run) and the counters of the PS
-// endpoint srv (nil without one; none on a channel mesh), and evaluates the
+// endpoint srv (nil without one), and evaluates the
 // global model through the simulator's own core.GlobalParams and RealConfig.TestErr, on a
 // model that reads the vector it evaluates where it lies.
-func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srv xport.Endpoint) (*Result, error) {
+func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGlobal []float32, wall float64, srv *xport.TCPNet) (*Result, error) {
 	res := &Result{Config: *cfg, Transport: transport, WallSec: wall}
 	model := core.EvalModel(cfg)
 	ranks := make([]metrics.Worker, len(reports))
@@ -597,8 +588,8 @@ func buildResult(cfg *core.Config, transport string, reports []doneInfo, finalGl
 		ranks[r].Breakdown = rep.stats.Breakdown
 	}
 	res.Breakdown = (&metrics.Collector{Workers: ranks}).MeanBreakdown()
-	if st, ok := srv.(statser); ok {
-		res.Net.Add(st.Stats())
+	if srv != nil {
+		res.Net.Add(srv.Stats())
 	}
 	if cnt > 0 {
 		res.FinalTrainLoss = loss / float64(cnt)

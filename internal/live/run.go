@@ -78,7 +78,7 @@ type life struct {
 	barrier *trace.WallSpan
 	restart time.Time // while dead, when the rank dials back
 	next    int       // where the next incarnation resumes; 0: after its checkpoint
-	mesh    xport.Endpoint
+	mesh    *xport.TCPNet
 	w       *worker
 	ran     int       // iterations the dead incarnations ran
 	prev    doneStats // counters carried across dead incarnations
@@ -155,17 +155,12 @@ func (l *life) step(ev event, now time.Time) (end bool, err error) {
 			return false, l.fail(err)
 		}
 		// The replica is built here, before READY, so the START barrier
-		// measures training, not model building. A channel mesh needs no
-		// address: its ADDR names the transport.
+		// measures training, not model building.
 		if err := l.attach(l.listen); err != nil {
 			return false, err
 		}
-		addr := "chan"
-		if t, ok := l.mesh.(*xport.TCPNet); ok {
-			addr = t.Addr()
-		}
 		l.want = kindPeers
-		return false, l.write(&xport.Frame{Kind: kindAddr, From: int32(l.rank), Data: []byte(addr)})
+		return false, l.write(&xport.Frame{Kind: kindAddr, From: int32(l.rank), Data: []byte(l.mesh.Addr())})
 	case kindPeers:
 		if l.peers, err = parsePeers(f.Data, meshSize(l.cfg)); err != nil {
 			return false, l.fail(err)
@@ -249,9 +244,7 @@ func (l *life) train() {
 // mid-protocol, as a killed process would be, then its restart time set, or
 // the life ended under WithExitOnDeath or when the schedule never revives it.
 func (l *life) trained(err error, now time.Time) (bool, error) {
-	if st, ok := l.mesh.(statser); ok {
-		l.prev.Add(st.Stats())
-	}
+	l.prev.Add(l.mesh.Stats())
 	l.prev.Breakdown.Merge(l.w.l.Breakdown())
 	l.ran += l.w.iters
 	var d deathErr
@@ -315,16 +308,12 @@ func (l *life) rejoined(f xport.Frame, now time.Time) (bool, error) {
 	return false, nil
 }
 
-// attach brings up this incarnation's mesh endpoint — the rank's own of the
-// run's channel mesh, or a TCP listener on addr — and a fresh worker over it.
-// Listening retries: a restart rebinds the rank's original port, where the
-// dead incarnation's socket may linger briefly.
+// attach brings up this incarnation's mesh endpoint (Options.listen on addr)
+// and a fresh worker over it. Listening retries: a restart rebinds the rank's
+// original port, where the dead incarnation's socket may linger briefly.
 func (l *life) attach(addr string) error {
-	if l.o.chanNet != nil {
-		l.mesh = l.o.chanNet.Endpoint(l.rank)
-	}
 	for attempt := 0; l.mesh == nil; attempt++ {
-		t, err := xport.ListenTCP(l.rank, meshSize(l.cfg), addr)
+		t, err := l.o.listen(l.rank, meshSize(l.cfg), addr)
 		switch {
 		case err == nil:
 			l.mesh = t
@@ -339,18 +328,14 @@ func (l *life) attach(addr string) error {
 }
 
 // join installs the peer table and anchors the rank's fault plan at the
-// run's START, elapsed seconds before now. A channel mesh has neither.
+// run's START, elapsed seconds before now.
 func (l *life) join(peers []string, elapsed float64, now time.Time) {
-	t, ok := l.mesh.(*xport.TCPNet)
-	if !ok {
-		return
-	}
-	t.SetPeers(peers)
+	l.mesh.SetPeers(peers)
 	// Validate translated this schedule already, so it cannot fail here.
 	plan, _ := TranslateFaults(l.cfg.Faults, l.cfg.Seed+uint64(l.rank), l.cfg.Cluster,
 		l.cfg.Workers, l.o.slowUnit)
 	if plan != nil {
-		t.SetFaults(plan, now.Add(-time.Duration(elapsed*float64(time.Second))))
+		l.mesh.SetFaults(plan, now.Add(-time.Duration(elapsed*float64(time.Second))))
 	}
 }
 
@@ -398,21 +383,18 @@ func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
 	return runLocal(cfg, opts, false)
 }
 
-// RunChan is RunLoopback with the data plane over in-process channels: the
+// RunChan is RunLoopback with the data plane over in-memory pipes: the
 // coordinator and the workers rendezvous on the same loopback listener, and
-// every rank's mesh endpoint is its own of one xport.ChanNet. The channel
-// mesh injects no faults, so a fault schedule is refused (ChanFaults). Real
+// every rank's mesh endpoint is its own of one xport.ChanNet, whose
+// endpoints are TCP's, fault plan and counters included, over pipes. Real
 // goroutine scheduling still applies, so asynchronous algorithms remain
 // nondeterministic.
 func RunChan(cfg core.Config, opts ...Option) (*Result, error) {
-	if err := ChanFaults(cfg.Faults); err != nil {
-		return nil, err
-	}
 	return runLocal(cfg, opts, true)
 }
 
 // runLocal runs the coordinator and cfg.Workers lives in this process, the
-// workers' mesh over loopback TCP or, with chanMesh, one xport.ChanNet.
+// mesh over loopback TCP or, with chanMesh, one xport.ChanNet.
 func runLocal(cfg core.Config, opts []Option, chanMesh bool) (*Result, error) {
 	if err := Validate(&cfg); err != nil {
 		return nil, err

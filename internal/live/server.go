@@ -79,7 +79,7 @@ func (sv *server) Recv(bool) (ps.Msg, bool, error) {
 			continue
 		case kindResume:
 			// A worker back from a restart: the next reply to it redials.
-			sv.ep.(peerDropper).DropPeer(int(f.From))
+			sv.ep.DropPeer(int(f.From))
 			continue
 		}
 		if f.Kind == kindGrad && sv.codec != 0 {

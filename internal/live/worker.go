@@ -152,9 +152,7 @@ func newWorker(cfg *core.Config, rank int, ep xport.Endpoint, o *Options) *worke
 	}
 	if o.metrics != nil {
 		o.metrics.registerProgress(rank, w.prog.Load)
-		if st, ok := ep.(statser); ok {
-			o.metrics.registerStats(rank, st.Stats)
-		}
+		o.metrics.registerStats(rank, ep.Stats)
 		if w.codec != 0 {
 			o.metrics.registerSaved(rank, w.saved.Load)
 		}
@@ -279,7 +277,7 @@ func (w *worker) Gate(it int) (int, bool, error) {
 			_, err = w.Send(p, &core.Msg{Kind: int(kindResume), Clock: it, Seg: w.rank})
 		case w.srv < 0 && w.ch.owesResume(p, w.rank, it):
 			_, _, err = w.Recv(int(kindResume), it, p, core.Block)
-			w.ep.(peerDropper).DropPeer(p)
+			w.ep.DropPeer(p)
 		}
 		if err != nil {
 			return it, false, err

@@ -1,9 +1,8 @@
 package xport
 
 import (
-	"bytes"
 	"errors"
-	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,16 +16,16 @@ var ErrTimeout = errors.New("xport: recv timeout")
 
 // Endpoint is one rank's connection to the rest of the mesh. Send delivers
 // a frame to a peer rank; Recv takes the next inbound frame from any peer.
-// Both are safe for concurrent use. Implementations: ChanNet (in-process)
-// and TCPNet (real sockets).
+// Both are safe for concurrent use. TCPNet implements it, over sockets or,
+// in a ChanNet, over in-memory pipes.
 type Endpoint interface {
 	// Rank is this endpoint's position in the mesh.
 	Rank() int
 	// Send delivers f to peer rank `to`. It blocks until the frame's bytes
-	// are handed to the transport (socket write or channel hand-off) and
-	// returns an error if the peer is unreachable after bounded retry. Send
-	// reads f's slices where they lie and never retains them: once it
-	// returns, the caller may overwrite or reuse Idx, Vec and Data.
+	// are handed to the transport (a socket write, or the peer's read of a
+	// pipe) and returns an error if the peer is unreachable after bounded
+	// retry. Send reads f's slices where they lie and never retains them:
+	// once it returns, the caller may overwrite or reuse Idx, Vec and Data.
 	Send(to int, f *Frame) error
 	// Recv returns the next inbound frame. timeout <= 0 means block
 	// forever; on expiry it returns ErrTimeout. The frame's slices belong
@@ -40,6 +39,10 @@ type Endpoint interface {
 	// claim it, and reports whether none had: if one had, it, or its error,
 	// is on its way through Recv and may still be writing the Vec.
 	Withdraw() bool
+	// Stats is a snapshot of the endpoint's transport counters.
+	Stats() Stats
+	// DropPeer discards the connection to a peer, so the next send redials.
+	DropPeer(to int)
 	// Close releases the endpoint; blocked Recvs return ErrClosed.
 	Close() error
 }
@@ -72,97 +75,46 @@ func (b *postBox) claim(f *Frame, n int) []float32 {
 // than dropping.
 const inboxCap = 1024
 
-// ChanNet is an in-process mesh of endpoints connected by Go channels.
-// Every frame still round-trips through the binary codec, so the channel
-// backend exercises exactly the encoding the TCP backend puts on the wire —
-// only the socket layer is skipped.
+// ChanNet is an in-process mesh: n TCPNets whose connections are in-memory
+// pipes (net.Pipe) instead of sockets. Every frame takes TCP's Send, stream
+// reader, posted receive, counters and fault plan; only the dial differs,
+// and no rank listens.
 type ChanNet struct {
-	eps []*chanEndpoint
+	mu  sync.Mutex // guards eps
+	eps []*TCPNet
 }
 
 // NewChanNet builds a fully connected in-process mesh of n endpoints.
 func NewChanNet(n int) *ChanNet {
-	net := &ChanNet{eps: make([]*chanEndpoint, n)}
-	for i := range net.eps {
-		net.eps[i] = &chanEndpoint{
-			net:    net,
-			rank:   i,
-			inbox:  make(chan Frame, inboxCap),
-			closed: make(chan struct{}),
-		}
+	c := &ChanNet{eps: make([]*TCPNet, n)}
+	for i := range c.eps {
+		c.eps[i] = newTCPNet(i, n, c.dial)
 	}
-	return net
+	return c
 }
 
-// Endpoint returns rank i's endpoint.
-func (n *ChanNet) Endpoint(i int) Endpoint { return n.eps[i] }
-
-type chanEndpoint struct {
-	postBox
-	net   *ChanNet
-	rank  int
-	inbox chan Frame
-
-	closeOnce sync.Once
-	closed    chan struct{}
+// Endpoint returns rank i's endpoint, and a fresh one once that one is
+// closed: a restarted incarnation, which its peers' sends then reach.
+func (c *ChanNet) Endpoint(i int) Endpoint {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.eps[i].isClosed() {
+		c.eps[i] = newTCPNet(i, len(c.eps), c.dial)
+	}
+	return c.eps[i]
 }
 
-func (e *chanEndpoint) Rank() int { return e.rank }
-
-func (e *chanEndpoint) Send(to int, f *Frame) error {
-	if to < 0 || to >= len(e.net.eps) {
-		return fmt.Errorf("xport: send to rank %d outside mesh of %d", to, len(e.net.eps))
+// dial connects to rank to's current endpoint by a pipe whose far end its
+// stream reader takes. A closed endpoint is one not listening (yet), which
+// the dial retry waits out as it waits for a socket.
+func (c *ChanNet) dial(to int) (net.Conn, error) {
+	c.mu.Lock()
+	peer := c.eps[to]
+	c.mu.Unlock()
+	if peer.isClosed() {
+		return nil, ErrClosed
 	}
-	// Round-trip through the codec so the channel backend catches any
-	// frame that would not survive the wire; one the peer posted for is
-	// decoded into its destination. A fresh encoding can fail only on its
-	// length, before any post is claimed.
-	peer := e.net.eps[to]
-	g, err := readFrame(bytes.NewReader(f.AppendEncode(nil)), 0, &peer.postBox)
-	if err != nil {
-		return fmt.Errorf("xport: frame failed codec round-trip: %w", err)
-	}
-	// A select with a ready channel and a closed channel picks randomly;
-	// check for an already-closed peer first so the error is deterministic.
-	select {
-	case <-peer.closed:
-		return fmt.Errorf("xport: send to rank %d: %w", to, ErrClosed)
-	default:
-	}
-	select {
-	case <-e.closed:
-		return ErrClosed
-	case <-peer.closed:
-		return fmt.Errorf("xport: send to rank %d: %w", to, ErrClosed)
-	case peer.inbox <- g:
-		return nil
-	}
-}
-
-func (e *chanEndpoint) Recv(timeout time.Duration) (Frame, error) {
-	return recv(e.inbox, e.closed, timeout)
-}
-
-// recv is both endpoints' Recv over their inbox: a frame that claimed the
-// post and failed to land comes out as its error.
-func recv(inbox <-chan Frame, closed <-chan struct{}, timeout time.Duration) (Frame, error) {
-	var expiry <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		expiry = t.C
-	}
-	select {
-	case f := <-inbox:
-		return f, f.err
-	case <-closed:
-		return Frame{}, ErrClosed
-	case <-expiry:
-		return Frame{}, ErrTimeout
-	}
-}
-
-func (e *chanEndpoint) Close() error {
-	e.closeOnce.Do(func() { close(e.closed) })
-	return nil
+	near, far := net.Pipe()
+	go peer.readLoop(far)
+	return near, nil
 }

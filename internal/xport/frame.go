@@ -1,7 +1,7 @@
 // Package xport is the live transport layer: typed message frames with a
-// length-prefixed, CRC-checked binary encoding, and endpoint backends that
-// carry them — an in-process channel transport for tests and single-binary
-// harnesses, and a TCP transport for real multi-process runs.
+// length-prefixed, CRC-checked binary encoding, and the endpoint that
+// carries them — TCPNet, over sockets for real multi-process runs, or, in a
+// ChanNet, over in-memory pipes for tests and single-binary harnesses.
 //
 // Where internal/simnet moves messages through the deterministic
 // discrete-event simulator, xport moves the same logical messages over a

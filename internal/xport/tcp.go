@@ -115,20 +115,22 @@ func (s *Stats) Add(o Stats) {
 	s.Partitioned += o.Partitioned
 }
 
-// TCPNet is an Endpoint over real TCP sockets: one listener per rank, a
-// lazily dialed outbound connection per peer, and an accept loop that
-// merges every inbound stream into one Recv queue.
+// TCPNet is an Endpoint over connections: a lazily dialed outbound one per
+// peer, and a stream reader per inbound one, all merging into one Recv
+// queue. Over sockets (ListenTCP) each rank listens and dials its peers'
+// addresses; in a ChanNet a dial is a pipe into the peer's reader.
 type TCPNet struct {
 	postBox
 	rank int
 	size int
 
-	ln    net.Listener
+	ln    net.Listener // nil in a ChanNet
 	inbox chan Frame
 
-	mu    sync.Mutex // guards conns
-	conns []net.Conn // outbound, lazily dialed, indexed by peer rank
-	peers []string   // peer addresses, indexed by rank
+	mu    sync.Mutex                     // guards conns, peers and dials
+	conns []net.Conn                     // outbound, lazily dialed, indexed by peer rank
+	peers []string                       // peer addresses, indexed by rank
+	dial  func(to int) (net.Conn, error) // one attempt at a connection to a peer
 
 	faultMu  sync.Mutex
 	plan     *FaultPlan
@@ -156,23 +158,37 @@ func ListenTCP(rank, n int, addr string) (*TCPNet, error) {
 	if err != nil {
 		return nil, fmt.Errorf("xport: listen %s: %w", addr, err)
 	}
-	t := &TCPNet{
-		rank:   rank,
-		size:   n,
-		ln:     ln,
-		inbox:  make(chan Frame, inboxCap),
-		conns:  make([]net.Conn, n),
-		closed: make(chan struct{}),
-	}
+	t := newTCPNet(rank, n, nil)
+	t.ln, t.dial = ln, t.dialTCP
 	go t.acceptLoop()
 	return t, nil
 }
 
-// Addr is the listener's resolved address (for rendezvous exchange).
-func (t *TCPNet) Addr() string { return t.ln.Addr().String() }
+// newTCPNet is rank's endpoint of an n-rank mesh whose connections dial
+// opens.
+func newTCPNet(rank, n int, dial func(int) (net.Conn, error)) *TCPNet {
+	return &TCPNet{
+		rank:   rank,
+		size:   n,
+		inbox:  make(chan Frame, inboxCap),
+		conns:  make([]net.Conn, n),
+		dial:   dial,
+		closed: make(chan struct{}),
+	}
+}
+
+// Addr is the listener's resolved address (for rendezvous exchange), or
+// "chan" for a ChanNet's endpoint, which has none.
+func (t *TCPNet) Addr() string {
+	if t.ln == nil {
+		return "chan"
+	}
+	return t.ln.Addr().String()
+}
 
 // SetPeers installs the rank → address table. Must be called before the
-// first Send; addrs[t.Rank()] is ignored.
+// first Send over sockets; addrs[t.Rank()] is ignored, and so is the whole
+// table in a ChanNet.
 func (t *TCPNet) SetPeers(addrs []string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -211,10 +227,8 @@ func (t *TCPNet) Send(to int, f *Frame) error {
 	if to < 0 || to >= t.size {
 		return fmt.Errorf("xport: send to rank %d outside mesh of %d", to, t.size)
 	}
-	select {
-	case <-t.closed:
+	if t.isClosed() {
 		return ErrClosed
-	default:
 	}
 	t.applyFaults(to)
 	var lastErr error
@@ -295,36 +309,50 @@ func (t *TCPNet) DropPeer(to int) {
 }
 
 // peerConn returns the outbound connection to a peer, dialing it if absent.
-// Dial retries cover the rendezvous window where peers start concurrently.
+// Dial retries cover the rendezvous window where peers start concurrently,
+// and a restarted peer's absence.
 func (t *TCPNet) peerConn(to int) (net.Conn, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if c := t.conns[to]; c != nil {
 		return c, nil
 	}
-	if t.peers == nil {
-		return nil, fmt.Errorf("xport: rank %d has no peer table (SetPeers not called)", t.rank)
-	}
-	addr := t.peers[to]
 	var lastErr error
 	for attempt := 0; attempt < dialAttempts; attempt++ {
-		select {
-		case <-t.closed:
+		if t.isClosed() {
 			return nil, ErrClosed
-		default:
 		}
-		c, err := net.DialTimeout("tcp", addr, dialTimeout)
+		c, err := t.dial(to)
 		if err == nil {
-			if tc, ok := c.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
-			}
 			t.conns[to] = c
 			return c, nil
 		}
 		lastErr = err
 		time.Sleep(dialBackoff)
 	}
-	return nil, fmt.Errorf("xport: dial rank %d (%s): %w", to, addr, lastErr)
+	return nil, fmt.Errorf("xport: dial rank %d: %w", to, lastErr)
+}
+
+// dialTCP dials a peer's listener at its address in the peer table.
+func (t *TCPNet) dialTCP(to int) (net.Conn, error) {
+	if t.peers == nil {
+		return nil, fmt.Errorf("rank %d has no peer table (SetPeers not called)", t.rank)
+	}
+	c, err := net.DialTimeout("tcp", t.peers[to], dialTimeout)
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetNoDelay(true)
+	}
+	return c, err
+}
+
+// isClosed reports whether Close has been called.
+func (t *TCPNet) isClosed() bool {
+	select {
+	case <-t.closed:
+		return true
+	default:
+		return false
+	}
 }
 
 // dropConn closes and forgets the outbound connection to a peer, so that
@@ -343,7 +371,24 @@ func (t *TCPNet) dropConn(to int, c net.Conn) bool {
 	return true
 }
 
-func (t *TCPNet) Recv(timeout time.Duration) (Frame, error) { return recv(t.inbox, t.closed, timeout) }
+// Recv takes the next frame off the inbox; one that claimed the post and
+// failed to land comes out as its error.
+func (t *TCPNet) Recv(timeout time.Duration) (Frame, error) {
+	var expiry <-chan time.Time
+	if timeout > 0 {
+		tm := time.NewTimer(timeout)
+		defer tm.Stop()
+		expiry = tm.C
+	}
+	select {
+	case f := <-t.inbox:
+		return f, f.err
+	case <-t.closed:
+		return Frame{}, ErrClosed
+	case <-expiry:
+		return Frame{}, ErrTimeout
+	}
+}
 
 func (t *TCPNet) acceptLoop() {
 	for {
@@ -380,12 +425,14 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 	}
 }
 
-// Close shuts the listener and all connections; pending Recvs get
+// Close shuts the listener and all outbound connections; pending Recvs get
 // ErrClosed.
 func (t *TCPNet) Close() error {
 	t.closeOnce.Do(func() {
 		close(t.closed)
-		t.ln.Close()
+		if t.ln != nil {
+			t.ln.Close()
+		}
 		t.mu.Lock()
 		for i, c := range t.conns {
 			if c != nil {

@@ -265,6 +265,8 @@ func TestTCPCloseUnblocksRecv(t *testing.T) {
 	}
 }
 
+// TestChanNetExchange: the pipe mesh delivers, refuses a rank outside it, and
+// hands a closed rank's peers over to its next endpoint.
 func TestChanNetExchange(t *testing.T) {
 	net := NewChanNet(3)
 	want := Frame{Kind: 4, From: 2, Vec: []float32{9}}
@@ -281,8 +283,22 @@ func TestChanNetExchange(t *testing.T) {
 	if err := net.Endpoint(0).Send(5, &want); err == nil {
 		t.Fatal("send to out-of-range rank succeeded")
 	}
+	// A closed endpoint is a peer not listening: a send waits in the dial
+	// retry for the rank's next endpoint, as for a restarted socket peer,
+	// and reaches it.
 	net.Endpoint(1).Close()
-	if err := net.Endpoint(0).Send(1, &want); err == nil {
+	sent := make(chan error, 1)
+	go func() { sent <- net.Endpoint(0).Send(1, &want) }()
+	time.Sleep(3 * dialBackoff)
+	if got, err := net.Endpoint(1).Recv(5 * time.Second); err != nil || !framesEqual(got, want) {
+		t.Fatalf("the restarted endpoint got %+v, %v", got, err)
+	}
+	if err := <-sent; err != nil {
+		t.Fatalf("send to a restarted endpoint: %v", err)
+	}
+	// Without a next endpoint, the send fails once the retry runs out.
+	net.Endpoint(1).Close()
+	if err := net.Endpoint(2).Send(1, &want); err == nil {
 		t.Fatal("send to closed endpoint succeeded")
 	}
 }
