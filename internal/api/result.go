@@ -169,15 +169,12 @@ type RunOptions struct {
 	Tracer *trace.Tracer
 }
 
-// LiveOptions translates the spec's checkpoint and slow-unit fields into
-// live run options, followed by o's live options and tracer (o may be nil).
+// LiveOptions translates the spec's checkpoint fields into live run
+// options, followed by o's live options and tracer (o may be nil).
 func (s *ExperimentSpec) LiveOptions(o *RunOptions) []live.Option {
 	var opts []live.Option
 	if s.CkptDir != "" {
 		opts = append(opts, live.WithCheckpoints(s.CkptDir, s.CkptEvery))
-	}
-	if s.SlowUnitMS > 0 {
-		opts = append(opts, live.WithSlowUnit(time.Duration(s.SlowUnitMS*float64(time.Millisecond))))
 	}
 	if o != nil {
 		opts = append(opts, o.LiveOptions...)

@@ -171,9 +171,6 @@ type ExperimentSpec struct {
 	// (empty dir = none; every defaults to 1 when dir is set).
 	CkptDir   string `json:"ckpt_dir,omitempty"`
 	CkptEvery int    `json:"ckpt_every,omitempty"`
-	// SlowUnitMS is the live latency per slowdown unit in milliseconds
-	// (0 = runtime default).
-	SlowUnitMS float64 `json:"slow_unit_ms,omitempty"`
 }
 
 // Normalize validates the version and fills every defaulted field in place,

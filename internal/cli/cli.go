@@ -74,7 +74,6 @@ type Flags struct {
 	MeshListen string
 	CkptDir    string
 	CkptEvery  int
-	SlowUnitMS float64
 	Rejoin     int
 }
 
@@ -122,7 +121,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MeshListen, "meshlisten", "127.0.0.1:0", "live worker's mesh listen address (use a peer-reachable host:0 for multi-machine runs)")
 	fs.StringVar(&f.CkptDir, "ckptdir", "", "live checkpoint directory (empty = no checkpoints; required to survive crash faults)")
 	fs.IntVar(&f.CkptEvery, "ckptevery", 1, "live checkpoint cadence in iterations")
-	fs.Float64Var(&f.SlowUnitMS, "slowunit", 0, "live latency per slowdown unit in ms (0 = default 10ms)")
 	fs.IntVar(&f.Rejoin, "rejoin", -1, "restarted live worker: rejoin an in-flight run as this rank (requires -ckptdir and a crash schedule)")
 	return f
 }
@@ -161,7 +159,6 @@ func (f *Flags) Spec() (api.ExperimentSpec, error) {
 		Pool:          f.Pool,
 		CkptDir:       f.CkptDir,
 		CkptEvery:     f.CkptEvery,
-		SlowUnitMS:    f.SlowUnitMS,
 	}
 	if f.FaultFile != "" {
 		sched, err := LoadFaults("", f.FaultFile)

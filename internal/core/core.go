@@ -265,6 +265,10 @@ func topoCollective(name string) bool {
 	return false
 }
 
+// ShardMachine is the machine PS shard s is placed on: the shards go round
+// the machines. The live runtime's one PS rank sits on shard 0's.
+func (c *Config) ShardMachine(s int) int { return s % c.Cluster.Machines }
+
 // Validate normalizes defaults and rejects inconsistent configurations.
 func (c *Config) Validate() error {
 	if err := c.Cluster.Validate(); err != nil {

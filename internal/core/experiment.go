@@ -204,8 +204,7 @@ func setup(cfg *Config) (*exp, error) {
 			r.shards, r.loc = x.assign, loc
 		}
 		for s := range x.assign {
-			machine := s % cfg.Cluster.Machines
-			x.psNode = append(x.psNode, x.net.AddNode(machine).ID)
+			x.psNode = append(x.psNode, x.net.AddNode(cfg.ShardMachine(s)).ID)
 		}
 		if cfg.Real != nil {
 			// The global adopts a copy of replica 0's parameters: every

@@ -55,9 +55,9 @@ func TestVecsUseAfterRelease(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			want := goldenRun(t, tc.algo, tc.workers, "minicnn", tc.mutate)
-			tensor.PoisonReleased.Store(true)
+			was := tensor.PoisonReleased.Swap(true)
 			got := goldenRun(t, tc.algo, tc.workers, "minicnn", tc.mutate)
-			tensor.PoisonReleased.Store(false)
+			tensor.PoisonReleased.Store(was)
 			// A wait a drop did not cause timed out on a reply still in flight.
 			if f := got.Metrics.Faults; tc.name == "asp-drop" && (got.Net.DroppedMsgs == 0 || int64(f.Timeouts) <= got.Net.DroppedMsgs) {
 				t.Fatalf("%d timeouts, %d dropped messages: no reply outlived its wait", f.Timeouts, got.Net.DroppedMsgs)

@@ -221,11 +221,12 @@ func TestMisfitNetDataset400(t *testing.T) {
 }
 
 // TestChanFaults202: a chan spec with a fault schedule is accepted, and its
-// run applies the schedule: the slowdown's injected delay is in the result.
+// run applies the schedule: the degraded wire's delay between the cluster's
+// two machines is in the result.
 func TestChanFaults202(t *testing.T) {
 	c, _ := startService(t, ServiceOptions{})
 	resp, err := http.Post(c.Base+"/v1/experiments", "application/json",
-		strings.NewReader(`{"algo":"bsp","workers":4,"iters":2,"transport":"chan","real":{},"fault_spec":"slow@0:w1:x3"}`))
+		strings.NewReader(`{"algo":"bsp","workers":8,"iters":2,"transport":"chan","real":{},"fault_spec":"slow@0:w1:x3;degrade@0:x3"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +244,7 @@ func TestChanFaults202(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Transport != api.TransportChan || res.Net == nil || res.Net.DelayNanos <= 0 {
-		t.Fatalf("chan run with a slowdown: transport %q, counters %+v", res.Transport, res.Net)
+		t.Fatalf("chan run with a degraded wire: transport %q, counters %+v", res.Transport, res.Net)
 	}
 }
 

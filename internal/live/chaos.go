@@ -1,9 +1,61 @@
 package live
 
 import (
+	"time"
+
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
 )
+
+// rankFaults is one worker rank's view of the run's fault schedule: the
+// simulator's own fault.Injector, asked in mesh ranks on the wall clock since
+// epoch, the run's START. A worker rank sits on its machine of the cluster's
+// placement and the PS rank on the simulator's PS shard 0's. It is the hook
+// the rank's mesh sends ask (xport.Faults), where, as on the simulated
+// network, only links between two machines fault, and what stretches the
+// rank's passes (Injector.ComputeMult). The injector's drop stream is the
+// rank's own.
+type rankFaults struct {
+	inj   *fault.Injector
+	cfg   *core.Config
+	epoch time.Time
+}
+
+// newRankFaults is rank's view of cfg's fault schedule from epoch on; nil
+// when there is none.
+func newRankFaults(cfg *core.Config, rank int, epoch time.Time) *rankFaults {
+	if cfg.Faults.Empty() {
+		return nil
+	}
+	inj := fault.NewInjector(cfg.Faults, cfg.Workers, cfg.Cluster.Machines,
+		cfg.Workload.MeanIterSec(), cfg.Seed+uint64(rank))
+	return &rankFaults{inj: inj, cfg: cfg, epoch: epoch}
+}
+
+// machine is the machine mesh rank r runs on.
+func (f *rankFaults) machine(r int) int {
+	if r >= f.cfg.Workers {
+		return f.cfg.ShardMachine(0)
+	}
+	return f.cfg.Cluster.MachineOfWorker(r)
+}
+
+// Partitioned, Cut and Slow make rankFaults the mesh's xport.Faults: the
+// injector's answers for the machines ranks from and to run on.
+func (f *rankFaults) Partitioned(t float64, from, to int) bool {
+	return f.inj.Partitioned(t, f.machine(from), f.machine(to))
+}
+
+func (f *rankFaults) Cut(t float64, from, to int) bool {
+	return f.inj.Cut(t, f.machine(from), f.machine(to))
+}
+
+func (f *rankFaults) Slow(t float64, from, to int) float64 {
+	if m, n := f.machine(from), f.machine(to); m != n {
+		return f.inj.Slow(t, m, n)
+	}
+	return 1
+}
 
 // chaos projects a crash schedule onto the live run. It wraps the exact
 // injector the simulator builds — same arguments, same seed — so both

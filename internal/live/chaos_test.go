@@ -1,7 +1,10 @@
 package live
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,6 +14,7 @@ import (
 
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
+	"disttrain/internal/trace"
 	"disttrain/internal/xport"
 )
 
@@ -220,35 +224,174 @@ func TestLiveElasticWithoutCrashMatchesFixedCohort(t *testing.T) {
 // TestRunChanInjectsFaults: the pipe mesh is TCP's transport, so every
 // kind of fault schedule runs on it and shows in the run's counters: a
 // crash as a death and a rejoin, connection kills, a partition's stalled
-// sends, and a slowdown as its projected delay on every send — (factor-1)
-// slow units each, on a decentralized run, where every frame is a worker's.
+// sends, a degraded wire as delay on the frames between the two machines
+// (none on one machine), and a straggler as a stretch of its own passes —
+// one "slow" span a pass on rank 1's track and no other — and no send
+// delay.
 func TestRunChanInjectsFaults(t *testing.T) {
-	const unit = time.Millisecond
 	for _, tc := range []struct {
-		spec string
-		ok   func(*Result) bool
+		spec     string
+		machines int
+		ok       func(*Result, map[int]int) bool
 	}{
-		{"crash@iter3:w1:restart=0.1", func(r *Result) bool { return r.Deaths == 1 && r.Rejoins == 1 }},
-		{"slow@0:w1:x3", func(r *Result) bool {
-			return r.Net.FramesSent > 0 && r.Net.DelayNanos == r.Net.FramesSent*int64(2*unit)
+		{"crash@iter3:w1:restart=0.1", 2, func(r *Result, _ map[int]int) bool { return r.Deaths == 1 && r.Rejoins == 1 }},
+		{"slow@0:w1:x3", 2, func(r *Result, slow map[int]int) bool {
+			return r.Net.FramesSent > 0 && r.Net.DelayNanos == 0 && maps.Equal(slow, map[int]int{1: 4})
 		}},
-		{"drop@0:p=0.5:for=1", func(r *Result) bool { return r.Net.Kills > 0 }},
-		{"partition@0:m1:for=0.15", func(r *Result) bool { return r.Net.Partitioned > 0 }},
+		{"degrade@0:x3", 2, func(r *Result, _ map[int]int) bool { return r.Net.DelayNanos > 0 }},
+		{"degrade@0:x3", 1, func(r *Result, _ map[int]int) bool { return r.Net.FramesSent > 0 && r.Net.DelayNanos == 0 }},
+		{"drop@0:p=0.5:for=1", 2, func(r *Result, _ map[int]int) bool { return r.Net.Kills > 0 }},
+		{"partition@0:m1:for=0.15", 2, func(r *Result, _ map[int]int) bool { return r.Net.Partitioned > 0 }},
 	} {
 		cfg := liveConfig(core.ARSGD, 4, 4, 1)
-		cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = 2, 2
+		cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = tc.machines, 4/tc.machines
 		cfg.Elastic = true
 		var err error
 		if cfg.Faults, err = fault.ParseSpec(tc.spec); err != nil {
 			t.Fatal(err)
 		}
-		res, err := RunChan(cfg, WithSlowUnit(unit))
+		tr := trace.New()
+		res, err := RunChan(cfg, WithTracer(tr))
 		if err != nil {
 			t.Fatalf("%s: %v", tc.spec, err)
 		}
-		if !tc.ok(res) {
-			t.Errorf("%s: counters %+v, deaths %d, rejoins %d", tc.spec, res.Net, res.Deaths, res.Rejoins)
+		if slow := slowSpans(t, tr); !tc.ok(res, slow) {
+			t.Errorf("%s on %d machines: counters %+v, deaths %d, rejoins %d, slow spans by rank %v",
+				tc.spec, tc.machines, res.Net, res.Deaths, res.Rejoins, slow)
 		}
+	}
+}
+
+// slowSpans counts the straggler spans on each rank's track.
+func slowSpans(t *testing.T, tr *trace.Tracer) map[int]int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var evs []trace.Event
+	if err := json.Unmarshal(buf.Bytes(), &evs); err != nil {
+		t.Fatal(err)
+	}
+	out := map[int]int{}
+	for _, e := range evs {
+		if e.Name == "slow" && e.Cat == "fault" {
+			out[e.Tid]++
+		}
+	}
+	return out
+}
+
+// TestMeshFaultsFollowInjector: a rank's mesh sends fault exactly where the
+// simulator's injector faults the machines they run between, on both
+// meshes. The run has three machines of one worker each and the PS rank on
+// machine 0, with rank 0; one frame crosses every (from, to) pair, and the
+// sender's counters show whether the fault touched it — a partition of
+// machine 0, the PS inside the cut, as a stalled send; a certain drop on
+// machine 0's links as a kill; a degrade of them as delay. The pair on one
+// machine (rank 0 and the PS) and the link between machines 1 and 2 stay
+// clean; a slowdown touches no send.
+func TestMeshFaultsFollowInjector(t *testing.T) {
+	cfg := liveConfig(core.BSP, 3, 1, 3)
+	cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = 3, 1
+	machine := []int{0, 1, 2, 0} // ranks 0-2 are the workers, 3 the PS
+	n := meshSize(&cfg)
+	meshes := map[string]func() []*xport.TCPNet{
+		"tcp": func() []*xport.TCPNet {
+			eps, addrs := make([]*xport.TCPNet, n), make([]string, n)
+			for i := range eps {
+				ep, err := xport.ListenTCP(i, n, "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				eps[i], addrs[i] = ep, ep.Addr()
+				t.Cleanup(func() { ep.Close() })
+			}
+			for _, ep := range eps {
+				ep.SetPeers(addrs)
+			}
+			return eps
+		},
+		"chan": func() []*xport.TCPNet {
+			cn, eps := xport.NewChanNet(n), make([]*xport.TCPNet, n)
+			for i := range eps {
+				eps[i] = cn.Endpoint(i).(*xport.TCPNet)
+				t.Cleanup(func() { eps[i].Close() })
+			}
+			return eps
+		},
+	}
+	for _, tc := range []struct {
+		spec  string
+		want  func(in *fault.Injector, m, k int) bool
+		shows func(before, after xport.Stats) bool
+	}{
+		{"partition@0:m0:for=0.05",
+			func(in *fault.Injector, m, k int) bool { return in.Partitioned(0, m, k) },
+			func(b, a xport.Stats) bool { return a.Partitioned > b.Partitioned }},
+		{"drop@0:m0:p=1",
+			func(in *fault.Injector, m, k int) bool { return in.Cut(0, m, k) },
+			func(b, a xport.Stats) bool { return a.Kills > b.Kills }},
+		{"degrade@0:m0:x3",
+			func(in *fault.Injector, m, k int) bool { return m != k && in.Slow(0, m, k) > 1 },
+			func(b, a xport.Stats) bool { return a.DelayNanos > b.DelayNanos }},
+		{"slow@0:w1:x3",
+			func(*fault.Injector, int, int) bool { return false },
+			func(b, a xport.Stats) bool {
+				return a.Partitioned != b.Partitioned || a.Kills != b.Kills || a.DelayNanos != b.DelayNanos
+			}},
+	} {
+		sched, err := fault.ParseSpec(tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = sched
+		in := fault.NewInjector(sched, cfg.Workers, cfg.Cluster.Machines, 1, 0)
+		for name, mesh := range meshes {
+			eps := mesh()
+			// Every pair first carries a frame without faults, so that a
+			// kill finds a connection to kill.
+			for from := range eps {
+				for to := range eps {
+					if from != to {
+						sendOne(t, eps, from, to)
+					}
+				}
+			}
+			var got, want [][2]int
+			for from := range eps {
+				for to := range eps {
+					if from == to {
+						continue
+					}
+					if tc.want(in, machine[from], machine[to]) {
+						want = append(want, [2]int{from, to})
+					}
+					before := eps[from].Stats()
+					now := time.Now()
+					eps[from].SetFaults(newRankFaults(&cfg, from, now), now)
+					sendOne(t, eps, from, to)
+					eps[from].SetFaults(nil, now)
+					if tc.shows(before, eps[from].Stats()) {
+						got = append(got, [2]int{from, to})
+					}
+				}
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("%s on %s: faulted pairs %v, the injector's %v", tc.spec, name, got, want)
+			}
+		}
+	}
+}
+
+// sendOne sends a frame from rank from to rank to and receives it there.
+func sendOne(t *testing.T, eps []*xport.TCPNet, from, to int) {
+	t.Helper()
+	if err := eps[from].Send(to, &xport.Frame{Kind: 1, From: int32(from)}); err != nil {
+		t.Fatalf("send %d->%d: %v", from, to, err)
+	}
+	if f, err := eps[to].Recv(5 * time.Second); err != nil || f.From != int32(from) {
+		t.Fatalf("recv %d->%d: %+v, %v", from, to, f, err)
 	}
 }
 

@@ -41,7 +41,6 @@ import (
 	"sync"
 	"time"
 
-	"disttrain/internal/cluster"
 	"disttrain/internal/core"
 	"disttrain/internal/fault"
 	"disttrain/internal/metrics"
@@ -89,7 +88,7 @@ const (
 	kindRejoin
 	// kindRejoinOK re-admits a rejoining worker (Data = the peer address
 	// list, Aux = seconds elapsed since the run's START barrier so the
-	// worker can re-anchor its fault-plan clock).
+	// worker can re-anchor its faults' clock).
 	kindRejoinOK
 	// kindResume announces a restarted incarnation on the mesh (From and Seg
 	// = its rank, Clock = its resume iteration) before a peer redials it.
@@ -109,8 +108,9 @@ var ErrScheduledDeath = errors.New("live: worker stopped at scheduled death (rel
 // to run it over), PS sharding (live hosts a single PS rank), the
 // simulator-only optimizations (wait-free BP, DGC), AD-PSGD's no-bipartite
 // ablation (it deadlocks by design), elastic membership outside BSP/AR-SGD,
-// and crash faults without elastic membership (faithful stall-and-rerun crash
-// semantics are simulator-only). Every other algorithm, overlays and local
+// crash faults without elastic membership (faithful stall-and-rerun crash
+// semantics are simulator-only), and a partition that cuts off only machines
+// no worker runs on. Every other algorithm, overlays and local
 // aggregation included, comes with the shared worker loops; ASP's staleness
 // damping is the shared ps.Shard's.
 func Validate(cfg *core.Config) error {
@@ -145,21 +145,23 @@ func Validate(cfg *core.Config) error {
 		if cfg.Faults.HasKind(fault.Crash) && !cfg.Elastic {
 			return fmt.Errorf("live: crash faults require Elastic on the live path (faithful stall-and-rerun crash semantics are simulator-only)")
 		}
-		if _, err := TranslateFaults(cfg.Faults, cfg.Seed, cfg.Cluster, cfg.Workers, 0); err != nil {
-			return err
+		last := cfg.Cluster.MachineOfWorker(cfg.Workers - 1)
+		for i, e := range cfg.Faults.Events {
+			if e.Kind == fault.Partition && slices.Min(e.Machines) > last {
+				return fmt.Errorf("live: fault event %d: partition isolates no workers", i)
+			}
 		}
 	}
 	return nil
 }
 
 // Options tunes the live runtime beyond the shared core.Config: the
-// checkpoint cadence workers and the PS write their state with, the
-// fault-projection slow unit, progress reporting, the external-restart
-// policy, span tracing and the metrics collector. Build one with the With*
-// functional options accepted by every entry point.
+// checkpoint cadence workers and the PS write their state with, progress
+// reporting, the external-restart policy, span tracing and the metrics
+// collector. Build one with the With* functional options accepted by every
+// entry point.
 type Options struct {
 	ckpt        nn.Cadence
-	slowUnit    time.Duration
 	progress    func(rank, iter int, loss float64)
 	exitOnDeath bool
 	tracer      *trace.Tracer
@@ -180,12 +182,6 @@ type Option func(*Options)
 // by a crash schedule restores from its latest checkpoint when it rejoins.
 func WithCheckpoints(dir string, every int) Option {
 	return func(o *Options) { o.ckpt = nn.Cadence{Dir: dir, Every: every} }
-}
-
-// WithSlowUnit overrides the latency one slowdown unit (Factor-1) maps onto
-// when projecting slow/degrade faults; 0 keeps xport.DefaultSlowUnit.
-func WithSlowUnit(unit time.Duration) Option {
-	return func(o *Options) { o.slowUnit = unit }
 }
 
 // WithProgress registers a per-iteration progress callback: fn is called
@@ -340,73 +336,4 @@ func (r *Result) Summary() core.Summary {
 	s.Faults.Crashes = int(r.Deaths)
 	s.Faults.Restarts = int(r.Rejoins)
 	return s
-}
-
-// TranslateFaults maps a simulator fault schedule onto the live transport:
-// drop windows become connection-kill windows (the frame is rewritten on a
-// redialed connection — live TCP loses no acknowledged bytes, so "drop"
-// exercises reconnection rather than message loss), slow/degrade windows
-// become injected send latency (one slowdown unit above factor 1 maps to
-// slowUnit of delay per send; 0 keeps xport.DefaultSlowUnit), and partition
-// windows sever and stall mesh sends that cross the machine cut. Event.At
-// and Event.Duration are read as wall-clock seconds from the run's START
-// barrier. Crash events are not projected here — they are handled by the
-// chaos membership layer (worker death/restart), not the transport — so a
-// crash-only schedule yields a nil plan.
-func TranslateFaults(s *fault.Schedule, seed uint64, cl cluster.Config, workers int, slowUnit time.Duration) (*xport.FaultPlan, error) {
-	if s.Empty() {
-		return nil, nil
-	}
-	// An open-ended window (Duration <= 0) covers the rest of the run.
-	const forever = time.Duration(1) << 62
-	plan := &xport.FaultPlan{Seed: seed, SlowUnit: slowUnit}
-	for i, e := range s.Events {
-		from := time.Duration(e.At * float64(time.Second))
-		to := forever
-		if e.Duration > 0 {
-			to = from + time.Duration(e.Duration*float64(time.Second))
-		}
-		switch e.Kind {
-		case fault.Drop:
-			plan.Kills = append(plan.Kills, xport.KillWindow{From: from, To: to, Prob: e.Prob})
-		case fault.Slow, fault.Degrade:
-			// Each unit of slowdown factor above 1 costs a fixed extra
-			// latency per send; the live path has no virtual wire time to
-			// scale, so the factor maps onto a concrete delay per the
-			// plan's slow unit.
-			f := e.Factor
-			if f < 1 {
-				f = 1
-			}
-			plan.Delays = append(plan.Delays, xport.DelayWindow{From: from, To: to, Factor: f})
-		case fault.Partition:
-			// The isolated side is the set of worker ranks hosted on the
-			// event's machines; the PS rank (== workers) stays outside the
-			// side, so a centralized algorithm sees the partitioned
-			// workers stall rather than silently lose traffic — the
-			// simulator's faithful-stall semantics.
-			var side []int
-			for w := 0; w < workers; w++ {
-				m := cl.MachineOfWorker(w)
-				for _, pm := range e.Machines {
-					if m == pm {
-						side = append(side, w)
-						break
-					}
-				}
-			}
-			if len(side) == 0 {
-				return nil, fmt.Errorf("live: fault event %d: partition isolates no workers", i)
-			}
-			plan.Partitions = append(plan.Partitions, xport.PartitionWindow{From: from, To: to, Side: side})
-		case fault.Crash:
-			// Projected by the chaos membership layer, not the transport.
-		default:
-			return nil, fmt.Errorf("live: fault event %d: %s has no live-transport projection", i, e.Kind)
-		}
-	}
-	if len(plan.Kills) == 0 && len(plan.Delays) == 0 && len(plan.Partitions) == 0 {
-		return nil, nil
-	}
-	return plan, nil
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"disttrain/internal/cluster"
 	"disttrain/internal/core"
@@ -172,6 +171,18 @@ func TestLiveBSPBitIdenticalToSim(t *testing.T) {
 	}
 	if res.Net.FramesSent == 0 || res.Net.BytesSent == 0 {
 		t.Fatalf("no transport traffic recorded: %+v", res.Net)
+	}
+
+	// A straggler's stretched passes change no bits: the run still lands on
+	// the unfaulted simulator's parameters, on either mesh.
+	slow := cfg
+	slow.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Slow, Worker: 1, Factor: 3}}}
+	for name, run := range map[string]func(core.Config, ...Option) (*Result, error){"loopback": RunLoopback, "chan": RunChan} {
+		res, err := run(slow)
+		if err != nil {
+			t.Fatalf("%s slow worker 1: %v", name, err)
+		}
+		requireBitIdentical(t, sim, res.WorkerParams)
 	}
 
 	conv := liveConvConfig(core.BSP, 4, 6, 42)
@@ -366,9 +377,9 @@ func TestGoSGDPushAllocationBudget(t *testing.T) {
 // TestLiveARSGDBitIdenticalToSim: AR-SGD under each of the five collectives
 // ends on the simulator's parameters bit for bit, over sockets and over
 // pipes. Ring and tree also run with worker 1 a 3× straggler on both meshes,
-// which in the simulator makes rank 2's tree message reach rank 0 before
-// rank 1's (core.Validate admits the topology collectives only without a
-// fault schedule); six and nine workers give those a partial and a
+// which makes rank 2's tree message reach rank 0 before rank 1's, and still
+// land on the unfaulted simulator's parameters (core.Validate admits the
+// topology collectives only without a fault schedule); six and nine workers give those a partial and a
 // single-member machine, butterfly pre-folds, and 2×3 and 3×3 grids. The
 // conv-net row also holds the reported accuracy and loss to the simulator's.
 func TestLiveARSGDBitIdenticalToSim(t *testing.T) {
@@ -395,8 +406,8 @@ func TestLiveARSGDBitIdenticalToSim(t *testing.T) {
 	} {
 		cfg := liveConfig(core.ARSGD, tc.workers, 6, 42)
 		cfg.Collective = tc.collective
+		sim := simParams(t, cfg) // unfaulted: a straggler changes no bits
 		cfg.Faults = tc.faults
-		sim := simParams(t, cfg)
 		res, err := tc.run(cfg)
 		if err != nil {
 			t.Fatalf("%s %s: %v", tc.name, tc.collective, err)
@@ -718,16 +729,17 @@ func TestLiveASPStalenessDamping(t *testing.T) {
 	}
 }
 
-// TestLiveBSPSurvivesKilledConnections exercises the fault satellite: a
-// drop schedule becomes connection kills on the live transport, and
-// because kills happen before the write and the frame is retried on a
-// fresh connection, the run must still complete — and, since no frames are
-// lost, stay bit-identical to the simulator without faults.
+// TestLiveBSPSurvivesKilledConnections: a drop schedule becomes connection
+// kills on the live transport's links between machines (two of two workers
+// here), and because kills happen before the write and the frame is retried
+// on a fresh connection, the run must still complete — and, since no frames
+// are lost, stay bit-identical to the simulator without faults.
 func TestLiveBSPSurvivesKilledConnections(t *testing.T) {
 	clean := liveConfig(core.BSP, 4, 6, 42)
 	sim := simParams(t, clean)
 
 	cfg := liveConfig(core.BSP, 4, 6, 42)
+	cfg.Cluster.Machines, cfg.Cluster.WorkersPerMachine = 2, 2
 	cfg.Faults = &fault.Schedule{Events: []fault.Event{
 		{Kind: fault.Drop, At: 0, Duration: 0, Prob: 0.5, Machine: -1},
 	}}
@@ -743,60 +755,6 @@ func TestLiveBSPSurvivesKilledConnections(t *testing.T) {
 		t.Fatalf("fault plan injected no connection kills: %+v", res.Net)
 	}
 	requireBitIdentical(t, sim, res.WorkerParams)
-}
-
-// TestTranslateFaults covers the schedule→plan projection directly.
-func TestTranslateFaults(t *testing.T) {
-	cl := cluster.Paper56G(8) // 2 machines × 4 workers
-	s := &fault.Schedule{Events: []fault.Event{
-		{Kind: fault.Drop, At: 1, Duration: 2, Prob: 0.3, Machine: -1},
-		{Kind: fault.Slow, At: 0, Duration: 0, Factor: 3, Worker: 0},
-		{Kind: fault.Partition, At: 0.5, Duration: 1, Machines: []int{1}},
-	}}
-	plan, err := TranslateFaults(s, 7, cl, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plan.Kills) != 1 || len(plan.Delays) != 1 || len(plan.Partitions) != 1 {
-		t.Fatalf("plan %+v", plan)
-	}
-	k := plan.Kills[0]
-	if k.From != time.Second || k.To != 3*time.Second || k.Prob != 0.3 {
-		t.Fatalf("kill window %+v", k)
-	}
-	d := plan.Delays[0]
-	if d.Factor != 3 {
-		t.Fatalf("delay factor %v, want 3", d.Factor)
-	}
-	if d.To <= d.From || d.To < time.Duration(1)<<61 {
-		t.Fatalf("open-ended window not extended: %+v", d)
-	}
-	p := plan.Partitions[0]
-	if p.From != 500*time.Millisecond || p.To != 1500*time.Millisecond {
-		t.Fatalf("partition window %+v", p)
-	}
-	// Machine 1 hosts worker ranks 4..7; the PS rank (8) must stay out.
-	want := []int{4, 5, 6, 7}
-	if len(p.Side) != len(want) {
-		t.Fatalf("partition side %v, want %v", p.Side, want)
-	}
-	for i, w := range want {
-		if p.Side[i] != w {
-			t.Fatalf("partition side %v, want %v", p.Side, want)
-		}
-	}
-
-	// Crash events project onto the chaos membership layer, not the
-	// transport: a crash-only schedule yields no transport plan at all.
-	plan, err = TranslateFaults(&fault.Schedule{Events: []fault.Event{
-		{Kind: fault.Crash, AtIter: 1, Worker: 0},
-	}}, 7, cl, 8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan != nil {
-		t.Fatalf("crash-only schedule produced a transport plan: %+v", plan)
-	}
 }
 
 // TestValidateRejectsUnsupported table-drives the live config gate: every
@@ -820,6 +778,10 @@ func TestValidateRejectsUnsupported(t *testing.T) {
 			"no-bipartite ablation is simulator-only"},
 		{"elastic async", core.ASP, func(c *core.Config) { c.Elastic = true }, "elastic membership supports BSP and AR-SGD only"},
 		{"crash without elastic", core.BSP, func(c *core.Config) { c.Faults = crash }, "crash faults require Elastic"},
+		{"partition of no worker's machine", core.BSP, func(c *core.Config) {
+			c.Cluster.Machines = 2
+			c.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Partition, Machines: []int{1}}}}
+		}, "partition isolates no workers"},
 		// Still core.Validate's: a topology collective has a fixed membership.
 		{"topology collective with elastic", core.ARSGD, func(c *core.Config) { c.Collective = "butterfly"; c.Elastic = true },
 			"core: elastic membership is not supported with the butterfly collective"},

@@ -56,8 +56,7 @@ func TestLiveUseAfterRelease(t *testing.T) {
 					losses[[2]int{rank, iter}] = loss
 					mu.Unlock()
 				})
-				tensor.PoisonReleased.Store(poison)
-				defer tensor.PoisonReleased.Store(false)
+				defer tensor.PoisonReleased.Store(tensor.PoisonReleased.Swap(poison))
 				res, err := tc.run(cfg, progress)
 				if err != nil {
 					t.Fatal(err)

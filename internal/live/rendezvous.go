@@ -499,7 +499,7 @@ func (st *runState) lost(rank int) (bool, error) {
 // REJOIN with this run's fingerprint naming an unfinished rank the schedule
 // crashes; anything else is closed unanswered. A live connection it
 // supersedes is that incarnation's death. REJOIN-OK carries the peer table
-// and the seconds since START, to re-anchor the worker's fault plan.
+// and the seconds since START, to re-anchor the worker's faults.
 func (st *runState) rejoin(ev event, now time.Time) (end bool) {
 	c, f := ev.conn, ev.f
 	rank := int(f.From)

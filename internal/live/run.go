@@ -268,7 +268,7 @@ func (l *life) trained(err error, now time.Time) (bool, error) {
 
 // rejoined brings a dead rank back at REJOIN-OK: the mesh attached on its
 // original port (its entry in the peer table, so peers' tables stay valid),
-// the fault plan anchored at the run's START, the latest checkpoint restored
+// its faults anchored at the run's START, the latest checkpoint restored
 // — without one the replica restarts from initialization and loses that
 // worker's progress — and training resumed where the schedule says, or, in a
 // relaunched process, after the checkpoint's step.
@@ -327,15 +327,13 @@ func (l *life) attach(addr string) error {
 	return nil
 }
 
-// join installs the peer table and anchors the rank's fault plan at the
-// run's START, elapsed seconds before now.
+// join installs the peer table and the rank's faults, their clock anchored
+// at the run's START, elapsed seconds before now.
 func (l *life) join(peers []string, elapsed float64, now time.Time) {
 	l.mesh.SetPeers(peers)
-	// Validate translated this schedule already, so it cannot fail here.
-	plan, _ := TranslateFaults(l.cfg.Faults, l.cfg.Seed+uint64(l.rank), l.cfg.Cluster,
-		l.cfg.Workers, l.o.slowUnit)
-	if plan != nil {
-		l.mesh.SetFaults(plan, now.Add(-time.Duration(elapsed*float64(time.Second))))
+	if f := newRankFaults(l.cfg, l.rank, now.Add(-time.Duration(elapsed*float64(time.Second)))); f != nil {
+		l.w.faults = f
+		l.mesh.SetFaults(f, f.epoch)
 	}
 }
 
@@ -386,7 +384,7 @@ func RunLoopback(cfg core.Config, opts ...Option) (*Result, error) {
 // RunChan is RunLoopback with the data plane over in-memory pipes: the
 // coordinator and the workers rendezvous on the same loopback listener, and
 // every rank's mesh endpoint is its own of one xport.ChanNet, whose
-// endpoints are TCP's, fault plan and counters included, over pipes. Real
+// endpoints are TCP's, faults and counters included, over pipes. Real
 // goroutine scheduling still applies, so asynchronous algorithms remain
 // nondeterministic.
 func RunChan(cfg core.Config, opts ...Option) (*Result, error) {

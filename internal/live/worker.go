@@ -85,11 +85,13 @@ type worker struct {
 	awaiting uint16
 
 	// Chaos state: ch is the shared crash-membership function (nil in a
-	// crash-free run), startIter is where this incarnation's loop begins
-	// (>1 after a checkpoint restore), draws counts sampler draws for the
-	// checkpoint, prog publishes progress to a metrics scrape, and
-	// ckpt is the checkpoint cadence.
+	// crash-free run), faults the rank's view of the fault schedule,
+	// startIter is where this incarnation's loop begins (>1 after a
+	// checkpoint restore), draws counts sampler draws for the checkpoint,
+	// prog publishes progress to a metrics scrape, and ckpt is the
+	// checkpoint cadence.
 	ch        *chaos
+	faults    *rankFaults // nil without a fault schedule
 	startIter int
 	draws     int
 	prog      atomic.Int64
@@ -297,10 +299,20 @@ func (w *worker) Members(it int) ([]int, int) {
 }
 
 // Compute runs the pass; a wall-clock worker has no backward time to overlap
-// with.
+// with. A straggler — a rank the schedule slows by a factor m at the pass's
+// start — then sleeps m-1 times the pass it measured, which the simulator's
+// compute multiplier stretches the same way, and books the whole as compute.
 func (w *worker) Compute(bool) {
-	t0 := w.tr.Now()
+	t0, m := w.tr.Now(), 1.0
+	if w.faults != nil {
+		m = w.faults.inj.ComputeMult(w.rank, time.Since(w.faults.epoch).Seconds())
+	}
 	w.g = w.rep.ComputeGrad()
+	if m > 1 {
+		sp := w.span("slow", "fault")
+		time.Sleep(time.Duration((m - 1) * (w.tr.Now() - t0) * float64(time.Second)))
+		sp.End()
+	}
 	w.l.Book(core.StepCompute, t0, w.tr.Now(), 0)
 	w.draws++
 }

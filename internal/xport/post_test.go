@@ -16,8 +16,7 @@ import (
 // destination keeps the frame's values — and the post is then used up. A
 // withdrawn post is used by nothing: the frame it was for is lent.
 func TestPostedFrameLandsInPlace(t *testing.T) {
-	tensor.PoisonReleased.Store(true)
-	defer tensor.PoisonReleased.Store(false)
+	defer tensor.PoisonReleased.Store(tensor.PoisonReleased.Swap(true))
 	n := vecs.minPooled() + 5
 	vec := func(v float32, n int) []float32 {
 		s := make([]float32, n)

@@ -4,12 +4,9 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"disttrain/internal/rng"
 )
 
 // Tunables for connection management. Dial retry is generous because peers
@@ -23,74 +20,24 @@ const (
 	writeTimeout  = 30 * time.Second
 )
 
-// KillWindow kills the sender's connection to a peer (before a write, with
-// probability Prob per send) while the wall clock is inside [From, To) of
-// the fault epoch. The frame itself is then written on a fresh connection,
-// so kills exercise the redial path without losing messages.
-type KillWindow struct {
-	From, To time.Duration
-	Prob     float64
-}
+// partitionPoll is how often a send stalled on a partition asks whether the
+// cut has closed.
+const partitionPoll = time.Millisecond
 
-// DelayWindow injects latency before every send while inside [From, To):
-// the fixed Delay plus, when Factor > 1, (Factor-1) times the plan's slow
-// unit — the projection of a simulator slowdown factor onto concrete wall
-// time.
-type DelayWindow struct {
-	From, To time.Duration
-	Delay    time.Duration
-	Factor   float64
-}
-
-// PartitionWindow isolates the ranks in Side from the rest of the mesh
-// while inside [From, To): a send crossing the cut first severs the cached
-// connection, then blocks until the window closes — TCP loses no
-// acknowledged bytes, so a live partition delays traffic rather than
-// dropping it.
-type PartitionWindow struct {
-	From, To time.Duration
-	Side     []int
-}
-
-// separates reports whether ranks a and b are on opposite sides of the cut.
-func (w *PartitionWindow) separates(a, b int) bool {
-	return slices.Contains(w.Side, a) != slices.Contains(w.Side, b)
-}
-
-// DefaultSlowUnit is the injected latency per slowdown unit (Factor-1) when
-// a FaultPlan does not set its own SlowUnit.
-const DefaultSlowUnit = 10 * time.Millisecond
-
-// FaultPlan is the live-path projection of a fault schedule: connection
-// kills, send latency, and rank partitions, all windowed on wall time since
-// SetEpoch. The kill coin-flips are drawn from a seeded stream so a given
-// plan behaves comparably across runs (wall-clock timing still varies).
-type FaultPlan struct {
-	Seed uint64
-	// SlowUnit is the latency one slowdown unit (Factor-1) maps onto; 0
-	// means DefaultSlowUnit.
-	SlowUnit   time.Duration
-	Kills      []KillWindow
-	Delays     []DelayWindow
-	Partitions []PartitionWindow
-}
-
-// slowUnit resolves the configured slow unit, applying the default.
-func (p *FaultPlan) slowUnit() time.Duration {
-	if p.SlowUnit > 0 {
-		return p.SlowUnit
-	}
-	return DefaultSlowUnit
-}
-
-// delayFor is the total injected latency of one delay window: the fixed
-// delay plus the factor-scaled slow unit.
-func (w *DelayWindow) delayFor(unit time.Duration) time.Duration {
-	d := w.Delay
-	if w.Factor > 1 {
-		d += time.Duration((w.Factor - 1) * float64(unit))
-	}
-	return d
+// Faults is the fault model a TCPNet's sends ask, in mesh ranks, at t wall
+// seconds since the epoch SetFaults anchors. A send across a partition
+// severs its connection and stalls until the cut closes; a cut (dropped)
+// send kills its connection first and is written on a redialed one, so no
+// frame is lost and the reconnect path is what gets exercised; a send slowed
+// by a wire multiplier m sleeps (m-1) times its own measured write.
+type Faults interface {
+	// Partitioned reports whether a cut separates ranks from and to at t.
+	Partitioned(t float64, from, to int) bool
+	// Cut reports whether a send from→to at t is lost. It may draw from a
+	// random stream, so a TCPNet asks it under its fault lock.
+	Cut(t float64, from, to int) bool
+	// Slow is the wire-time multiplier of a send from→to at t.
+	Slow(t float64, from, to int) float64
 }
 
 // Stats counts transport-level events; read a snapshot via TCPNet.Stats.
@@ -98,8 +45,9 @@ type Stats struct {
 	FramesSent, FramesRecv int64
 	BytesSent, BytesRecv   int64
 	Redials, Kills         int64
-	DelayNanos             int64
-	// Partitioned counts sends that blocked on an active partition window.
+	// DelayNanos is the time degraded wires added to sends.
+	DelayNanos int64
+	// Partitioned counts sends that stalled on a partition.
 	Partitioned int64
 }
 
@@ -132,10 +80,9 @@ type TCPNet struct {
 	peers []string                       // peer addresses, indexed by rank
 	dial  func(to int) (net.Conn, error) // one attempt at a connection to a peer
 
-	faultMu  sync.Mutex
-	plan     *FaultPlan
-	epoch    time.Time
-	faultRNG *rng.RNG
+	faultMu sync.Mutex
+	faults  Faults
+	epoch   time.Time
 
 	closeOnce sync.Once
 	closed    chan struct{}
@@ -195,16 +142,12 @@ func (t *TCPNet) SetPeers(addrs []string) {
 	t.peers = append([]string(nil), addrs...)
 }
 
-// SetFaults installs a fault plan whose windows are measured from epoch.
-// Pass a nil plan to clear.
-func (t *TCPNet) SetFaults(plan *FaultPlan, epoch time.Time) {
+// SetFaults installs the fault model the endpoint's sends ask, its clock
+// anchored at epoch. Pass nil to clear.
+func (t *TCPNet) SetFaults(f Faults, epoch time.Time) {
 	t.faultMu.Lock()
 	defer t.faultMu.Unlock()
-	t.plan = plan
-	t.epoch = epoch
-	if plan != nil {
-		t.faultRNG = rng.New(plan.Seed ^ 0x11feed*uint64(t.rank+1))
-	}
+	t.faults, t.epoch = f, epoch
 }
 
 // Stats returns a snapshot of the transport counters.
@@ -230,19 +173,25 @@ func (t *TCPNet) Send(to int, f *Frame) error {
 	if t.isClosed() {
 		return ErrClosed
 	}
-	t.applyFaults(to)
+	slow := t.applyFaults(to)
 	var lastErr error
 	for attempt := 0; attempt < writeAttempts; attempt++ {
 		conn, err := t.peerConn(to)
 		if err != nil {
 			return err
 		}
-		conn.SetWriteDeadline(time.Now().Add(writeTimeout))
+		t0 := time.Now()
+		conn.SetWriteDeadline(t0.Add(writeTimeout))
 		// One vectored write per frame; the socket's write lock covers all of
 		// it, so concurrent senders to one peer cannot interleave.
 		if lastErr = WriteFrame(conn, f); lastErr == nil {
 			t.stats.framesSent.Add(1)
 			t.stats.bytesSent.Add(int64(f.EncodedLen()))
+			if slow > 1 {
+				d := time.Duration((slow - 1) * float64(time.Since(t0)))
+				time.Sleep(d)
+				t.stats.delayNanos.Add(int64(d))
+			}
 			return nil
 		}
 		t.dropConn(to, conn)
@@ -251,51 +200,33 @@ func (t *TCPNet) Send(to int, f *Frame) error {
 	return fmt.Errorf("xport: send to rank %d failed after %d attempts: %w", to, writeAttempts, lastErr)
 }
 
-// applyFaults runs the send through the active fault plan: a partition
-// block first (sever the cached connection, then wait out the window),
-// injected latency next, then a possible connection kill. The kill closes
-// the outbound conn so the frame that follows is written on a redialed one
-// — the message is never lost, the reconnect machinery is what gets
-// exercised.
-func (t *TCPNet) applyFaults(to int) {
+// applyFaults runs the send to rank to through the fault model, if there is
+// one, and returns the send's wire multiplier: a partition first (sever the
+// cached connection, then wait the cut out), then a possible connection
+// kill, so that the frame is written on a redialed connection.
+func (t *TCPNet) applyFaults(to int) float64 {
 	t.faultMu.Lock()
-	plan, epoch := t.plan, t.epoch
-	var kill bool
-	if plan != nil {
-		since := time.Since(epoch)
-		for i := range plan.Partitions {
-			w := &plan.Partitions[i]
-			if since >= w.From && since < w.To && w.separates(t.rank, to) {
-				remain := w.To - since
-				t.faultMu.Unlock()
-				t.DropPeer(to)
-				t.stats.partitioned.Add(1)
-				time.Sleep(remain)
-				t.faultMu.Lock()
-				since = time.Since(epoch)
-			}
-		}
-		unit := plan.slowUnit()
-		for i := range plan.Delays {
-			w := &plan.Delays[i]
-			if d := w.delayFor(unit); since >= w.From && since < w.To && d > 0 {
-				t.faultMu.Unlock()
-				time.Sleep(d)
-				t.stats.delayNanos.Add(int64(d))
-				t.faultMu.Lock()
-				since = time.Since(epoch)
-			}
-		}
-		for _, w := range plan.Kills {
-			if since >= w.From && since < w.To && t.faultRNG.Bernoulli(w.Prob) {
-				kill = true
-			}
+	f, epoch := t.faults, t.epoch
+	t.faultMu.Unlock()
+	if f == nil {
+		return 1
+	}
+	since := func() float64 { return time.Since(epoch).Seconds() }
+	if f.Partitioned(since(), t.rank, to) {
+		t.DropPeer(to)
+		t.stats.partitioned.Add(1)
+		for f.Partitioned(since(), t.rank, to) {
+			time.Sleep(partitionPoll)
 		}
 	}
+	now := since()
+	t.faultMu.Lock()
+	kill := f.Cut(now, t.rank, to)
 	t.faultMu.Unlock()
 	if kill && t.dropConn(to, nil) {
 		t.stats.kills.Add(1)
 	}
+	return f.Slow(now, t.rank, to)
 }
 
 // DropPeer discards the cached outbound connection to a peer so the next

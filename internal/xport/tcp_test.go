@@ -88,14 +88,25 @@ func TestTCPRecvTimeout(t *testing.T) {
 	}
 }
 
+// linkFaults is a fault model that answers alike for every link: cut
+// before partUntil seconds, every send dropped if drop, wires slowed by slow.
+type linkFaults struct {
+	partUntil float64
+	drop      bool
+	slow      float64
+}
+
+func (f linkFaults) Partitioned(t float64, _, _ int) bool { return t < f.partUntil }
+
+func (f linkFaults) Cut(t float64, from, to int) bool { return f.drop || f.Partitioned(t, from, to) }
+
+func (f linkFaults) Slow(float64, int, int) float64 { return max(f.slow, 1) }
+
 func TestTCPKilledConnectionRedials(t *testing.T) {
 	eps := tcpMesh(t, 2)
-	// Always-on kill window: every send first murders the outbound conn,
-	// then must redial and still deliver. No frame may be lost.
-	eps[0].SetFaults(&FaultPlan{
-		Seed:  7,
-		Kills: []KillWindow{{From: 0, To: time.Hour, Prob: 1}},
-	}, time.Now())
+	// Every send is dropped: it first murders the outbound conn, then must
+	// redial and still deliver. No frame may be lost.
+	eps[0].SetFaults(linkFaults{drop: true}, time.Now())
 	const msgs = 10
 	for k := 0; k < msgs; k++ {
 		f := Frame{Kind: 2, Clock: int32(k)}
@@ -127,105 +138,13 @@ func TestTCPKilledConnectionRedials(t *testing.T) {
 	}
 }
 
-func TestTCPDelayWindow(t *testing.T) {
-	eps := tcpMesh(t, 2)
-	const d = 20 * time.Millisecond
-	eps[0].SetFaults(&FaultPlan{
-		Delays: []DelayWindow{{From: 0, To: time.Hour, Delay: d}},
-	}, time.Now())
-	start := time.Now()
-	f := Frame{Kind: 1}
-	if err := eps[0].Send(1, &f); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < d {
-		t.Fatalf("send returned after %v, want >= %v of injected latency", elapsed, d)
-	}
-	if _, err := eps[1].Recv(5 * time.Second); err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-}
-
-// TestSlowUnitDefault pins the slow-unit contract: a factor-F window with
-// no explicit delay injects (F-1) slow units per send, one unit being
-// DefaultSlowUnit (10ms) unless the plan overrides it, and a fixed Delay
-// stacks on top of the factor term.
-func TestSlowUnitDefault(t *testing.T) {
-	if DefaultSlowUnit != 10*time.Millisecond {
-		t.Fatalf("DefaultSlowUnit = %v, want 10ms", DefaultSlowUnit)
-	}
-	cases := []struct {
-		name string
-		plan FaultPlan
-		win  DelayWindow
-		want time.Duration
-	}{
-		{"factor 3 default unit", FaultPlan{}, DelayWindow{Factor: 3}, 20 * time.Millisecond},
-		{"factor 3 custom unit", FaultPlan{SlowUnit: time.Millisecond}, DelayWindow{Factor: 3}, 2 * time.Millisecond},
-		{"factor 1 is free", FaultPlan{}, DelayWindow{Factor: 1}, 0},
-		{"delay stacks on factor", FaultPlan{SlowUnit: 5 * time.Millisecond},
-			DelayWindow{Delay: 7 * time.Millisecond, Factor: 2}, 12 * time.Millisecond},
-		{"plain delay unaffected by unit", FaultPlan{SlowUnit: time.Hour},
-			DelayWindow{Delay: 3 * time.Millisecond}, 3 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		if got := tc.win.delayFor(tc.plan.slowUnit()); got != tc.want {
-			t.Errorf("%s: delayFor = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
-
-// TestTCPSlowFactorDelays drives a factor-only window through a real send:
-// the injected latency is (Factor-1) slow units with the plan's unit.
-func TestTCPSlowFactorDelays(t *testing.T) {
-	eps := tcpMesh(t, 2)
-	const unit = 10 * time.Millisecond
-	eps[0].SetFaults(&FaultPlan{
-		SlowUnit: unit,
-		Delays:   []DelayWindow{{From: 0, To: time.Hour, Factor: 3}},
-	}, time.Now())
-	start := time.Now()
-	f := Frame{Kind: 1}
-	if err := eps[0].Send(1, &f); err != nil {
-		t.Fatalf("send: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed < 2*unit {
-		t.Fatalf("factor-3 send returned after %v, want >= %v", elapsed, 2*unit)
-	}
-	if _, err := eps[1].Recv(5 * time.Second); err != nil {
-		t.Fatalf("recv: %v", err)
-	}
-	if eps[0].Stats().DelayNanos < int64(2*unit) {
-		t.Fatalf("DelayNanos = %d, want >= %d", eps[0].Stats().DelayNanos, int64(2*unit))
-	}
-}
-
-// TestPartitionWindowSeparates pins the cut geometry: only pairs straddling
-// Side are severed.
-func TestPartitionWindowSeparates(t *testing.T) {
-	w := PartitionWindow{Side: []int{2, 3}}
-	cases := []struct {
-		a, b int
-		want bool
-	}{
-		{0, 2, true}, {3, 1, true}, {2, 3, false}, {0, 1, false}, {2, 2, false},
-	}
-	for _, tc := range cases {
-		if got := w.separates(tc.a, tc.b); got != tc.want {
-			t.Errorf("separates(%d,%d) = %v, want %v", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 // TestTCPPartitionStallsCrossCut puts ranks {0} and {1} on opposite sides
-// of a live partition window: the cross-cut send blocks until the window
-// closes (counted in Stats.Partitioned), then delivers — nothing is lost.
+// of a partition: the cross-cut send blocks until the cut closes (counted
+// in Stats.Partitioned), then delivers — nothing is lost.
 func TestTCPPartitionStallsCrossCut(t *testing.T) {
 	eps := tcpMesh(t, 2)
 	const width = 60 * time.Millisecond
-	eps[0].SetFaults(&FaultPlan{
-		Partitions: []PartitionWindow{{From: 0, To: width, Side: []int{1}}},
-	}, time.Now())
+	eps[0].SetFaults(linkFaults{partUntil: width.Seconds()}, time.Now())
 	start := time.Now()
 	f := Frame{Kind: 1, Clock: 7}
 	if err := eps[0].Send(1, &f); err != nil {
