@@ -282,6 +282,78 @@ func slowSpans(t *testing.T, tr *trace.Tracer) map[int]int {
 	return out
 }
 
+// TestTranslateFaults covers the schedule→rank projection directly: on two
+// machines of four workers, ranks 0-3 and the PS rank (8) sit on machine 0
+// and ranks 4-7 on machine 1, and every link between the two answers the
+// schedule's windows — a partition of machine 1 over [0.5, 1.5), certain
+// drops over [1, 3), a ×2 degrade of machine 1 over [3, 4) — while links
+// within a machine never fault. A slowed worker stretches its passes and
+// touches no link; a crash-only schedule touches no link at all.
+func TestTranslateFaults(t *testing.T) {
+	cfg := liveConfig(core.BSP, 8, 1, 7)
+	if cfg.Cluster.Machines != 2 {
+		t.Fatalf("cluster of %d machines, want 2", cfg.Cluster.Machines)
+	}
+	cfg.Faults = &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.Drop, At: 1, Duration: 2, Prob: 1, Machine: -1},
+		{Kind: fault.Slow, At: 0, Duration: 0, Factor: 3, Worker: 0},
+		{Kind: fault.Partition, At: 0.5, Duration: 1, Machines: []int{1}},
+		{Kind: fault.Degrade, At: 3, Duration: 1, Factor: 2, Machine: 1},
+	}}
+	f := newRankFaults(&cfg, 0, time.Time{})
+	machine := func(r int) int {
+		if r >= 4 && r < 8 {
+			return 1
+		}
+		return 0
+	}
+	in := func(t, from, to float64) bool { return t >= from && t < to }
+	for _, at := range []float64{0.2, 1, 2, 3.5, 5} {
+		for r := 0; r <= 8; r++ {
+			for s := 0; s <= 8; s++ {
+				if r == s {
+					continue
+				}
+				cross := machine(r) != machine(s)
+				if got, want := f.Partitioned(at, r, s), cross && in(at, 0.5, 1.5); got != want {
+					t.Errorf("Partitioned(%v, %d, %d) = %v, want %v", at, r, s, got, want)
+				}
+				if got, want := f.Cut(at, r, s), cross && (in(at, 0.5, 1.5) || in(at, 1, 3)); got != want {
+					t.Errorf("Cut(%v, %d, %d) = %v, want %v", at, r, s, got, want)
+				}
+				want := 1.0
+				if cross && in(at, 3, 4) {
+					want = 2
+				}
+				if got := f.Slow(at, r, s); got != want {
+					t.Errorf("Slow(%v, %d, %d) = %v, want %v", at, r, s, got, want)
+				}
+			}
+		}
+	}
+	if got := f.inj.ComputeMult(0, 1); got != 3 {
+		t.Errorf("worker 0's compute multiplier %v, want 3", got)
+	}
+	if got := f.inj.ComputeMult(1, 1); got != 1 {
+		t.Errorf("worker 1's compute multiplier %v, want 1", got)
+	}
+
+	cfg.Faults = &fault.Schedule{Events: []fault.Event{{Kind: fault.Crash, AtIter: 1, Worker: 0}}}
+	f = newRankFaults(&cfg, 0, time.Time{})
+	for r := 0; r <= 8; r++ {
+		for s := 0; s <= 8; s++ {
+			if f.Partitioned(1, r, s) || f.Cut(1, r, s) || f.Slow(1, r, s) != 1 {
+				t.Fatalf("crash-only schedule faults the link %d->%d", r, s)
+			}
+		}
+	}
+
+	cfg.Faults = nil
+	if f := newRankFaults(&cfg, 0, time.Time{}); f != nil {
+		t.Fatalf("no schedule gave rank faults %+v", f)
+	}
+}
+
 // TestMeshFaultsFollowInjector: a rank's mesh sends fault exactly where the
 // simulator's injector faults the machines they run between, on both
 // meshes. The run has three machines of one worker each and the PS rank on

@@ -2,6 +2,7 @@ package xport
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -88,19 +89,127 @@ func TestTCPRecvTimeout(t *testing.T) {
 	}
 }
 
-// linkFaults is a fault model that answers alike for every link: cut
-// before partUntil seconds, every send dropped if drop, wires slowed by slow.
+// linkFaults is a fault model for the test meshes: a cut before partUntil
+// seconds, between the ranks in side and the rest when side is set and on
+// every link otherwise; every send dropped if drop; wires slowed by slow
+// before slowUntil seconds, or throughout when slowUntil is 0.
 type linkFaults struct {
 	partUntil float64
+	side      []int
 	drop      bool
 	slow      float64
+	slowUntil float64
 }
 
-func (f linkFaults) Partitioned(t float64, _, _ int) bool { return t < f.partUntil }
+func (f linkFaults) Partitioned(t float64, from, to int) bool {
+	if t >= f.partUntil {
+		return false
+	}
+	return f.side == nil || slices.Contains(f.side, from) != slices.Contains(f.side, to)
+}
 
 func (f linkFaults) Cut(t float64, from, to int) bool { return f.drop || f.Partitioned(t, from, to) }
 
-func (f linkFaults) Slow(float64, int, int) float64 { return max(f.slow, 1) }
+func (f linkFaults) Slow(t float64, _, _ int) float64 {
+	if f.slowUntil > 0 && t >= f.slowUntil {
+		return 1
+	}
+	return f.slow
+}
+
+// sendTimed sends f from eps[from] to eps[to], receives it there, and
+// returns how long the send took and the delay it added to the sender's
+// Stats.DelayNanos.
+func sendTimed(t *testing.T, eps []*TCPNet, from, to int, f *Frame) (elapsed, delay time.Duration) {
+	t.Helper()
+	before := eps[from].Stats().DelayNanos
+	start := time.Now()
+	if err := eps[from].Send(to, f); err != nil {
+		t.Fatalf("send %d->%d: %v", from, to, err)
+	}
+	elapsed = time.Since(start)
+	if _, err := eps[to].Recv(5 * time.Second); err != nil {
+		t.Fatalf("recv %d->%d: %v", from, to, err)
+	}
+	return elapsed, time.Duration(eps[from].Stats().DelayNanos - before)
+}
+
+// TestTCPDelayWindow: a degraded wire delays the sends made while its
+// window is open, counted in Stats.DelayNanos and spent inside Send, and
+// none made after it closes.
+func TestTCPDelayWindow(t *testing.T) {
+	eps := tcpMesh(t, 2)
+	const width = 50 * time.Millisecond
+	eps[0].SetFaults(linkFaults{slow: 3, slowUntil: width.Seconds()}, time.Now())
+	elapsed, delay := sendTimed(t, eps, 0, 1, &Frame{Kind: 1})
+	if delay <= 0 {
+		t.Fatalf("send in the window added %v of delay, want some", delay)
+	}
+	if elapsed < delay {
+		t.Fatalf("send returned after %v, before its %v of injected delay", elapsed, delay)
+	}
+	time.Sleep(width)
+	if _, delay := sendTimed(t, eps, 0, 1, &Frame{Kind: 1}); delay != 0 {
+		t.Fatalf("send after the window added %v of delay, want none", delay)
+	}
+}
+
+// TestSlowUnitDefault: there is no fixed slow unit. A send sleeps only when
+// its wire multiplier exceeds 1; without a fault model, and at a multiplier
+// of 1 or below, it adds no delay.
+func TestSlowUnitDefault(t *testing.T) {
+	eps := tcpMesh(t, 2)
+	if _, delay := sendTimed(t, eps, 0, 1, &Frame{Kind: 1}); delay != 0 {
+		t.Fatalf("send without faults added %v of delay", delay)
+	}
+	for _, m := range []float64{0, 0.5, 1} {
+		eps[0].SetFaults(linkFaults{slow: m}, time.Now())
+		if _, delay := sendTimed(t, eps, 0, 1, &Frame{Kind: 1}); delay != 0 {
+			t.Errorf("send at wire multiplier %v added %v of delay, want none", m, delay)
+		}
+	}
+}
+
+// TestTCPSlowFactorDelays drives a degraded wire through a real send: the
+// injected delay is (m-1) times the send's own measured write, so a
+// multiplier-3 send spends at least half as long writing as sleeping, and
+// the sleep is at most 2/3 of the whole send.
+func TestTCPSlowFactorDelays(t *testing.T) {
+	eps := tcpMesh(t, 2)
+	const m = 3
+	eps[0].SetFaults(linkFaults{slow: m}, time.Now())
+	elapsed, delay := sendTimed(t, eps, 0, 1, &Frame{Kind: 1, Vec: make([]float32, 1<<16)})
+	if delay <= 0 {
+		t.Fatalf("multiplier-%d send added %v of delay, want some", m, delay)
+	}
+	if limit := elapsed * (m - 1) / m; delay > limit {
+		t.Fatalf("multiplier-%d send took %v and slept %v: more than (m-1)/m of it, %v", m, elapsed, delay, limit)
+	}
+}
+
+// TestPartitionWindowSeparates pins the cut geometry on a four-rank mesh
+// with ranks {2, 3} on one side: exactly the sends between the sides stall
+// (counted in Stats.Partitioned), and every frame is delivered.
+func TestPartitionWindowSeparates(t *testing.T) {
+	const n, width = 4, 20 * time.Millisecond
+	eps := tcpMesh(t, n)
+	side := []int{2, 3}
+	for from := range eps {
+		for to := range eps {
+			if from == to {
+				continue
+			}
+			before := eps[from].Stats().Partitioned
+			eps[from].SetFaults(linkFaults{partUntil: width.Seconds(), side: side}, time.Now())
+			sendTimed(t, eps, from, to, &Frame{Kind: 1, From: int32(from)})
+			eps[from].SetFaults(nil, time.Now())
+			want := slices.Contains(side, from) != slices.Contains(side, to)
+			if got := eps[from].Stats().Partitioned > before; got != want {
+				t.Errorf("send %d->%d stalled on the partition: %v, want %v", from, to, got, want)
+			}
+		}
+	}
+}
 
 func TestTCPKilledConnectionRedials(t *testing.T) {
 	eps := tcpMesh(t, 2)
