@@ -278,30 +278,18 @@ func EvalModel(cfg *Config) *nn.Model {
 
 // GlobalParams returns the parameters of the model a run reports on: ps, the
 // parameter server's, when it is non-nil; otherwise the mean of the replicas'
-// (nil entries skipped), summed in rank order and then scaled, written into
-// dst, which must have their length. nil when there is neither.
+// (nil entries skipped), summed in rank order onto +0 and then scaled by
+// 1/n (tensor.MeanF32), written into dst, which must have their length. nil
+// when there is neither.
 func GlobalParams(dst, ps []float32, replicas [][]float32) []float32 {
 	if ps != nil {
 		return ps
 	}
-	clear(dst)
-	cnt := 0
-	for _, p := range replicas {
-		if p == nil {
-			continue
-		}
-		for i, v := range p[:len(dst)] {
-			dst[i] += v
-		}
-		cnt++
-	}
-	if cnt == 0 {
+	replicas = slices.DeleteFunc(slices.Clone(replicas), func(p []float32) bool { return p == nil })
+	if len(replicas) == 0 {
 		return nil
 	}
-	inv := 1 / float32(cnt)
-	for i := range dst {
-		dst[i] *= inv
-	}
+	tensor.MeanF32(dst, replicas)
 	return dst
 }
 

@@ -366,3 +366,28 @@ func TestGoldenVirtualTime(t *testing.T) {
 		}
 	}
 }
+
+// oneWorkerRows pin the one-worker case: with W = 1 there is nothing to
+// aggregate, wait for or be stale against, so BSP, AR-SGD, ASP and SSP end
+// on the same parameters, bit for bit, and so the same test accuracy
+// (pinned to the four places a report prints).
+var oneWorkerRows = []struct {
+	net  string
+	hash uint64
+	acc  float64
+}{
+	{"minicnn", 0x0df48f935a8c42c4, 0.4333},
+	{"miniresnet", 0xae523875d003e33a, 0.1083},
+}
+
+func TestOneWorkerAlgorithmsAgree(t *testing.T) {
+	for _, row := range oneWorkerRows {
+		for _, algo := range []Algo{BSP, ARSGD, ASP, SSP} {
+			res := goldenRun(t, algo, 1, row.net, nil)
+			checkGolden(t, fmt.Sprintf("%s/%s at one worker", row.net, algo), res.WorkerParams[0], row.hash)
+			if math.Abs(res.FinalTestAcc-row.acc) > 5e-5 {
+				t.Errorf("%s/%s at one worker: test accuracy %.4f, pinned %.4f", row.net, algo, res.FinalTestAcc, row.acc)
+			}
+		}
+	}
+}

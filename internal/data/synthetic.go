@@ -17,33 +17,40 @@ const ShapeClasses = 8
 // additive pixel noise. It is the stand-in for ImageNet in the accuracy
 // experiments: easy enough that a mini-CNN reaches high accuracy with good
 // training, hard enough that degraded aggregation visibly costs accuracy.
+//
+// The draw is split over the cores by blocks of images (tensor.SplitDraw):
+// an image takes shapeWords words of the stream, plus its noise's redraws.
 func GenShapes16(r *rng.RNG, n int) *Dataset {
 	const s = 16
 	x := tensor.New(n, 1, s, s)
 	y := make([]int, n)
-	img := make([]float32, s*s)
-	var noise [s * s]float64
-	for i := 0; i < n; i++ {
-		cls := r.Intn(ShapeClasses)
-		y[i] = cls
-		for j := range img {
-			img[j] = 0
+	tensor.SplitDraw(r, n, shapeWords, func(r *rng.RNG, i0, i1 int) (redraws int) {
+		var noise [s * s]float64
+		for i := i0; i < i1; i++ {
+			img := x.Data[i*s*s : (i+1)*s*s]
+			clear(img) // a segment drawn again after a redraw draws over its first attempt
+			cls := r.Intn(ShapeClasses)
+			y[i] = cls
+			cx := 5 + r.Float64()*6 // center jitter
+			cy := 5 + r.Float64()*6
+			rad := 2.5 + r.Float64()*3
+			amp := float32(0.7 + 0.6*r.Float64())
+			phase := r.Intn(2)
+			drawShape(img, s, cls, cx, cy, rad, amp, phase)
+			// additive noise + contrast jitter, one NormFloat64 per pixel
+			redraws += tensor.FillNormal(noise[:], r)
+			for j := range img {
+				img[j] += float32(noise[j]) * 0.15
+			}
 		}
-		cx := 5 + r.Float64()*6 // center jitter
-		cy := 5 + r.Float64()*6
-		rad := 2.5 + r.Float64()*3
-		amp := float32(0.7 + 0.6*r.Float64())
-		phase := r.Intn(2)
-		drawShape(img, s, cls, cx, cy, rad, amp, phase)
-		// additive noise + contrast jitter, one NormFloat64 per pixel
-		tensor.FillNormal(noise[:], r)
-		for j := range img {
-			img[j] += float32(noise[j]) * 0.15
-		}
-		copy(x.Data[i*s*s:(i+1)*s*s], img)
-	}
+		return redraws
+	})
 	return &Dataset{Name: "shapes16", X: x, Y: y, Classes: ShapeClasses}
 }
+
+// shapeWords is the stream words one shapes16 image takes: the class, four
+// Float64s, the phase and a normal pair per pixel.
+const shapeWords = 1 + 4 + 1 + 2*16*16
 
 func drawShape(img []float32, s, cls int, cx, cy, rad float64, amp float32, phase int) {
 	set := func(xx, yy int, v float32) {

@@ -2,6 +2,9 @@ package data
 
 import (
 	"math"
+	"math/bits"
+	"runtime"
+	"slices"
 	"testing"
 
 	"disttrain/internal/rng"
@@ -51,6 +54,52 @@ func TestGenShapes16MatchesParent(t *testing.T) {
 	if ra.State() != rb.State() {
 		t.Fatal("stream states differ after generation")
 	}
+}
+
+// TestGenShapes16RedrawsZero splits 800 images into 4 segments of 200 and
+// starts from a state whose zero word is the u of the fourth pixel's normal
+// of image 5 (first segment) or image 205 (second): the segments after the
+// zero start one word late and are drawn again. Values, labels and the
+// final state must be the serial draw's.
+func TestGenShapes16RedrawsZero(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	zero := [4]uint64{0x0123456789abcdef, 0, 0xfedcba9876543210, 0x0f1e2d3c4b5a6978}
+	for _, image := range []int{5, 205} {
+		m := image*shapeWords + 6 + 2*3
+		start := stateBefore(zero, m)
+		var ra, rb rng.RNG
+		ra.SetState(start)
+		if ra.Skip(uint64(m)); ra.Uint64() != 0 {
+			t.Fatalf("word %d of the crafted stream is not 0", m)
+		}
+		ra.SetState(start)
+		rb.SetState(start)
+		a, b := GenShapes16(&ra, 800), parentGenShapes16(&rb, 800)
+		for i := range a.X.Data {
+			if math.Float32bits(a.X.Data[i]) != math.Float32bits(b.X.Data[i]) {
+				t.Fatalf("zero in image %d: pixel %d is %v, serial %v", image, i, a.X.Data[i], b.X.Data[i])
+			}
+		}
+		if !slices.Equal(a.Y, b.Y) {
+			t.Fatalf("zero in image %d: labels differ from the serial draw", image)
+		}
+		if ra.State() != rb.State() {
+			t.Fatalf("zero in image %d: stream left at %x, serial %x", image, ra.State(), rb.State())
+		}
+	}
+}
+
+// stateBefore returns the state m Uint64 calls before s, stepping
+// xoshiro256 backwards: a stream that reaches s after m words.
+func stateBefore(s [4]uint64, m int) [4]uint64 {
+	for range m {
+		u := bits.RotateLeft64(s[3], -45) // s3 ^ s1 before the step
+		v := s[1] ^ s[2]                  // s1 ^ s1<<17
+		s1 := v ^ v<<17 ^ v<<34 ^ v<<51
+		s0 := s[0] ^ u
+		s = [4]uint64{s0, s1, s[1] ^ s1 ^ s0, u ^ s1}
+	}
+	return s
 }
 
 // BenchmarkGenShapes16 times one thousand images, the size of a test split,

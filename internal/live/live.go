@@ -254,7 +254,8 @@ func (o *Options) listen(rank, n int, addr string) (*xport.TCPNet, error) {
 type initialDraw struct {
 	weights func() []float32
 	mu      sync.Mutex
-	left    int // takers still expected; 0 once the draw is adopted, or under a crash schedule
+	left    int            // takers still expected; 0 once the draw is adopted, or under a crash schedule
+	copies  sync.WaitGroup // copies under way, which the adopter waits for
 }
 
 // newInitialDraw is cfg's initial draw for a process that builds takers
@@ -268,17 +269,21 @@ func newInitialDraw(cfg *core.Config, takers int) *initialDraw {
 }
 
 // take returns the parameters a new replica or PS starts from, in a store
-// no other taker holds. The copies are made under the lock, so the last
-// taker adopts the draw only once every other has copied it.
+// no other taker holds. Takers copy at the same time; the last adopts the
+// draw only once every other has copied it.
 func (d *initialDraw) take() []float32 {
 	w := d.weights()
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.left == 1 {
 		d.left = 0
+		d.mu.Unlock()
+		d.copies.Wait()
 		return w
 	}
 	d.left = max(d.left-1, 0)
+	d.copies.Add(1)
+	d.mu.Unlock()
+	defer d.copies.Done()
 	return slices.Clone(w)
 }
 

@@ -3,6 +3,7 @@ package nn
 import (
 	"hash/fnv"
 	"math"
+	"runtime"
 	"testing"
 
 	"disttrain/internal/data"
@@ -67,7 +68,17 @@ func pinHash(x []float32, r *rng.RNG) uint64 {
 	return h.Sum64()
 }
 
+// TestInitAndDataBitsPinned checks the pins at 1, 2 and 8 procs: the large
+// draws are split over that many segments, and no bit may depend on it.
 func TestInitAndDataBitsPinned(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		checkInitAndDataPins(t, procs)
+	}
+}
+
+func checkInitAndDataPins(t *testing.T, procs int) {
 	for _, p := range initPins {
 		var build ModelFactory
 		if p.name == "dense3m" {
@@ -86,8 +97,8 @@ func TestInitAndDataBitsPinned(t *testing.T) {
 		r := rng.New(p.seed)
 		m := build(r)
 		if got := pinHash(m.FlatParams(nil), r); got != p.want {
-			t.Errorf("%s at seed %d: initial parameters hash %#016x, pinned %#016x — the normal draw under RandNormal moved",
-				p.name, p.seed, got, p.want)
+			t.Errorf("%s at seed %d, %d procs: initial parameters hash %#016x, pinned %#016x — the normal draw under RandNormal moved",
+				p.name, p.seed, procs, got, p.want)
 		}
 	}
 	for _, p := range dataPins {
@@ -101,8 +112,8 @@ func TestInitAndDataBitsPinned(t *testing.T) {
 			x = append(x, math.Float32frombits(uint32(y)))
 		}
 		if got := pinHash(x, r); got != p.want {
-			t.Errorf("%s at seed %d: dataset hash %#016x, pinned %#016x — the generator's draws moved",
-				p.name, p.seed, got, p.want)
+			t.Errorf("%s at seed %d, %d procs: dataset hash %#016x, pinned %#016x — the generator's draws moved",
+				p.name, p.seed, procs, got, p.want)
 		}
 	}
 }

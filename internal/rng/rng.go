@@ -154,8 +154,9 @@ func BoxMuller(u, v float64) float64 {
 // BoxMullerInputs fills u and v (v at least as long as u) with the uniform
 // pairs len(u) calls of NormFloat64 would draw, in the same order: u =
 // Float64() redrawn while it is 0, then v = Float64(). The generator ends
-// where those calls would leave it.
-func (r *RNG) BoxMullerInputs(u, v []float64) {
+// where those calls would leave it. It returns the number of redrawn u
+// words: the draw took 2·len(u) words plus that many.
+func (r *RNG) BoxMullerInputs(u, v []float64) (redraws int) {
 	v = v[:len(u)]
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	var x uint64
@@ -165,12 +166,14 @@ func (r *RNG) BoxMullerInputs(u, v []float64) {
 			if x>>11 != 0 { // unit(x) != 0
 				break
 			}
+			redraws++
 		}
 		u[i] = unit(x)
 		x, s0, s1, s2, s3 = next(s0, s1, s2, s3)
 		v[i] = unit(x)
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
+	return redraws
 }
 
 // Bernoulli returns true with probability p.

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"testing"
 
 	"disttrain/internal/rng"
@@ -85,6 +86,59 @@ func TestFillNormalRedrawsZero(t *testing.T) {
 	}
 	for _, n := range []int{1, 4, 5, 64, 65} {
 		checkFillNormal(t, state, n)
+	}
+	// Split draws: the zero word is the u of a normal five pairs into the
+	// first or the second segment, so the segments after it start one word
+	// late and are drawn again.
+	defer gemmForceProcs.Store(0)
+	const n = 4 * drawMinWords / 2
+	for _, procs := range []int32{2, 4} {
+		gemmForceProcs.Store(procs)
+		chunk := n / int(procs)
+		for _, at := range []int{5, chunk + 5} {
+			start := stateBefore(state, 2*at)
+			r.SetState(start)
+			if r.Skip(uint64(2 * at)); r.State() != state {
+				t.Fatalf("%d words from the stepped-back state do not reach the crafted one", 2*at)
+			}
+			checkFillNormal(t, start, n)
+		}
+	}
+}
+
+// stateBefore returns the state m Uint64 calls before s, stepping xoshiro256
+// backwards: a stream that reaches s after m words.
+func stateBefore(s [4]uint64, m int) [4]uint64 {
+	for range m {
+		u := bits.RotateLeft64(s[3], -45) // s3 ^ s1 before the step
+		v := s[1] ^ s[2]                  // s1 ^ s1<<17
+		s1 := v ^ v<<17 ^ v<<34 ^ v<<51
+		s0 := s[0] ^ u
+		s = [4]uint64{s0, s1, s[1] ^ s1 ^ s0, u ^ s1}
+	}
+	return s
+}
+
+// TestSplitDrawMatchesSerial holds FillNormal and RandNormal at 2, 3 and 8
+// segments to the serial draw, on lengths that do and do not divide evenly.
+func TestSplitDrawMatchesSerial(t *testing.T) {
+	defer gemmForceProcs.Store(0)
+	state := rng.New(4).State()
+	for _, procs := range []int32{2, 3, 8} {
+		gemmForceProcs.Store(procs)
+		for _, n := range []int{drawMinWords, 3*drawMinWords + 7} {
+			checkFillNormal(t, state, n)
+			a, b := New(n), New(n)
+			var ra, rb rng.RNG
+			ra.SetState(state)
+			rb.SetState(state)
+			a.RandNormal(&ra, 0.37)
+			parentRandNormal(b, &rb, 0.37)
+			sameBits(t, "split RandNormal", a.Data, b.Data)
+			if ra.State() != rb.State() {
+				t.Fatalf("procs %d, n %d: RandNormal left the stream at %x, the serial draw at %x", procs, n, ra.State(), rb.State())
+			}
+		}
 	}
 }
 
@@ -219,7 +273,7 @@ func BenchmarkFillNormal(b *testing.B) {
 		name string
 		fill func([]float64, *rng.RNG)
 	}{
-		{"kernel", FillNormal},
+		{"kernel", func(dst []float64, r *rng.RNG) { FillNormal(dst, r) }},
 		{"parent", normLoop},
 		{"draw", func(u []float64, r *rng.RNG) { r.BoxMullerInputs(u, v) }},
 	} {

@@ -11,8 +11,6 @@ package tensor
 import (
 	"fmt"
 	"math"
-
-	"disttrain/internal/rng"
 )
 
 // Tensor is a dense row-major float32 array with an explicit shape.
@@ -106,34 +104,6 @@ func (t *Tensor) offset(idx []int) int {
 		off = off*t.Shape[i] + x
 	}
 	return off
-}
-
-// RandNormal fills t with N(0, std²) variates from r: float32(z·std) for
-// each z of FillNormal, which draws what r.NormFloat64 would.
-func (t *Tensor) RandNormal(r *rng.RNG, std float64) {
-	var z [4 * normalBlock]float64
-	for d := t.Data; len(d) > 0; {
-		n := min(len(d), len(z))
-		FillNormal(z[:n], r)
-		for i, v := range z[:n] {
-			d[i] = float32(v * std)
-		}
-		d = d[n:]
-	}
-}
-
-// RandUniform fills t with uniform variates in [lo, hi).
-func (t *Tensor) RandUniform(r *rng.RNG, lo, hi float64) {
-	for i := range t.Data {
-		t.Data[i] = float32(lo + (hi-lo)*r.Float64())
-	}
-}
-
-// ScaleF32 computes x *= alpha in place.
-func ScaleF32(alpha float32, x []float32) {
-	for i := range x {
-		x[i] *= alpha
-	}
 }
 
 // L2NormF32 returns the Euclidean norm of x with float64 accumulation.

@@ -9,7 +9,8 @@ import (
 // The element-wise passes of the data planes: the collectives' fold
 // (AxpyF32), the momentum-SGD step (SGDStepF32), the int8 gradient codec
 // (MaxAbsF32, Quant8F32, Dequant8F32), the ReLU activation and its backward
-// mask (ReLUMaskF32) and a residual block's skip connection (AddF32). Each
+// mask (ReLUMaskF32), a residual block's skip connection (AddF32) and
+// scaling (ScaleF32), which MeanF32 composes into the replica average. Each
 // pass is defined once, by the scalar loop in its *Ref function. The
 // exported function checks lengths,
 // hands the multiple-of-vecBlock prefix to an AVX2 kernel that performs each
@@ -247,5 +248,66 @@ func addRef(dst, a, b []float32, relu bool) {
 			v = math.Float32frombits(math.Float32bits(v) & keep)
 		}
 		dst[i] = v
+	}
+}
+
+// ScaleF32 computes x *= alpha in place, x the first operand.
+func ScaleF32(alpha float32, x []float32) {
+	n := kernelLen(len(x))
+	if n > 0 {
+		scaleAVX2(alpha, &x[0], n)
+	}
+	scaleRef(alpha, x[n:])
+}
+
+//go:noinline
+func scaleRef(alpha float32, x []float32) {
+	for i := range x {
+		x[i] *= alpha
+	}
+}
+
+const (
+	// meanBlock is how many elements MeanF32 carries through every source
+	// at a time: 32 KB of accumulator, which stays in L1 from its clear to
+	// its scale, so memory sees each source read once and dst written once.
+	meanBlock = 8192
+	// meanMinPerProc is the fewest elements a core of MeanF32's fan-out
+	// takes: below it the average is a few µs, less than starting goroutines.
+	meanMinPerProc = 1 << 16
+)
+
+// MeanF32 sets dst to the element-wise mean of srcs (at least one, each at
+// least dst's length, none overlapping dst) with the arithmetic of the
+// scalar loop
+//
+//	dst[i] = +0; for each s in order: dst[i] += s[i]; then dst[i] *= 1/float32(len(srcs))
+//
+// the accumulator the first operand of every add and of the scale. It runs
+// block by block through AddF32 and ScaleF32, over gemm's fan-out when dst
+// is large.
+func MeanF32(dst []float32, srcs [][]float32) {
+	if len(srcs) == 0 {
+		panic("tensor: mean of no vectors")
+	}
+	inv := 1 / float32(len(srcs))
+	blocks := (len(dst) + meanBlock - 1) / meanBlock
+	if procs := min(gemmProcs(), len(dst)/meanMinPerProc); procs > 1 {
+		gemmDispatch(blocks, procs, func(b0, b1 int) { meanBlocks(dst, srcs, inv, b0, b1) })
+		return
+	}
+	meanBlocks(dst, srcs, inv, 0, blocks)
+}
+
+// meanBlocks is MeanF32 over blocks [b0, b1).
+func meanBlocks(dst []float32, srcs [][]float32, inv float32, b0, b1 int) {
+	for b := b0; b < b1; b++ {
+		lo, hi := b*meanBlock, min(b*meanBlock+meanBlock, len(dst))
+		d := dst[lo:hi]
+		clear(d)
+		for _, s := range srcs {
+			AddF32(d, d, s[lo:hi], false)
+		}
+		ScaleF32(inv, d)
 	}
 }

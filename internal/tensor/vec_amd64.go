@@ -28,3 +28,6 @@ func reluMaskAVX2(dst, grad, y *float32, n int)
 
 //go:noescape
 func addAVX2(dst, a, b *float32, n int, relu bool)
+
+//go:noescape
+func scaleAVX2(alpha float32, x *float32, n int)

@@ -323,3 +323,27 @@ addReLULoopBody:
 	JNZ  addReLULoopBody
 	VZEROUPPER
 	RET
+
+// func scaleAVX2(alpha float32, x *float32, n int)
+//
+// x[i] = x[i]*alpha, as `x[i] *= alpha` compiles: x is the first source.
+#define SCALE8(off, r) \
+	VMOVUPS off(DI), r \
+	VMULPS  Y15, r, r  \
+	VMOVUPS r, off(DI)
+
+TEXT ·scaleAVX2(SB), NOSPLIT, $0-24
+	VBROADCASTSS alpha+0(FP), Y15
+	MOVQ x+8(FP), DI
+	MOVQ n+16(FP), CX
+	SHRQ $5, CX
+scaleLoop:
+	SCALE8(0, Y0)
+	SCALE8(32, Y1)
+	SCALE8(64, Y2)
+	SCALE8(96, Y3)
+	ADDQ $128, DI
+	DECQ CX
+	JNZ  scaleLoop
+	VZEROUPPER
+	RET

@@ -24,3 +24,5 @@ func dequant8AVX2(dst *float32, q *int8, n int, scale float32) {
 func reluMaskAVX2(dst, grad, y *float32, n int) { panic("tensor: reluMaskAVX2 requires amd64") }
 
 func addAVX2(dst, a, b *float32, n int, relu bool) { panic("tensor: addAVX2 requires amd64") }
+
+func scaleAVX2(alpha float32, x *float32, n int) { panic("tensor: scaleAVX2 requires amd64") }

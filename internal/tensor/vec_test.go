@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -64,7 +65,19 @@ func sameCodes(t testing.TB, what string, got, want []int8) {
 	}
 }
 
-// checkVecKernels runs all seven exported passes on (p, g, v) with the
+// meanLoop is the scalar replica average MeanF32 is held to, written with
+// the reference loops: an inline `dst[i] += s[i]` may be compiled with
+// either operand first (a fuzzing build puts s[i] first), and the first
+// operand's NaN payload is the one that survives.
+func meanLoop(dst []float32, srcs [][]float32) {
+	clear(dst)
+	for _, s := range srcs {
+		addRef(dst, dst, s[:len(dst)], false)
+	}
+	scaleRef(1/float32(len(srcs)), dst)
+}
+
+// checkVecKernels runs all nine exported passes on (p, g, v) with the
 // scalars s and compares every output bit with the reference loops. off is
 // the element offset fresh buffers are given.
 func checkVecKernels(t testing.TB, p, g, v []float32, s [4]float32, off int) {
@@ -131,6 +144,18 @@ func checkVecKernels(t testing.TB, p, g, v []float32, s [4]float32, off int) {
 	}
 	sameBits(t, "AddF32 operand", g, g0)
 
+	// Scale, and the mean of one and of three vectors.
+	c1, c2 := cloneAt(g, off), cloneAt(g, off)
+	ScaleF32(s[0], c1)
+	scaleRef(s[0], c2)
+	sameBits(t, "ScaleF32", c1, c2)
+	for _, srcs := range [][][]float32{{g}, {p, g, v}} {
+		e1, e2 := cloneAt(v, off), cloneAt(v, off)
+		MeanF32(e1, srcs)
+		meanLoop(e2, srcs)
+		sameBits(t, "MeanF32", e1, e2)
+	}
+
 	// Max-abs.
 	for _, x := range [][]float32{p, g, v} {
 		if got, want := MaxAbsF32(x), maxAbsRef(0, x); math.Float32bits(got) != math.Float32bits(want) {
@@ -191,6 +216,24 @@ func TestVecKernelsMatchReference(t *testing.T) {
 		t.Log("no AVX2: the exported passes are the reference loops")
 	}
 	runVecKernelChecks(t, true)
+}
+
+// TestMeanF32Procs holds MeanF32 to the scalar loop at one and eight
+// cores, over four replicas of a vector with a partial last block, and
+// with replicas longer than dst.
+func TestMeanF32Procs(t *testing.T) {
+	defer gemmForceProcs.Store(0)
+	r := rng.New(23)
+	const n = 8*meanMinPerProc + 77
+	srcs := [][]float32{vecInput(r, n, 0), vecInput(r, n, 0), vecInput(r, n+5, 0), vecInput(r, n, 0)}
+	want := make([]float32, n)
+	meanLoop(want, srcs)
+	for _, procs := range []int32{1, 8} {
+		gemmForceProcs.Store(procs)
+		got := make([]float32, n)
+		MeanF32(got, srcs)
+		sameBits(t, fmt.Sprintf("MeanF32 at %d procs", procs), got, want)
+	}
 }
 
 // withoutAVX2 runs f with the kernels switched off, as on a pre-AVX2 or
@@ -354,6 +397,7 @@ func BenchmarkVecKernels(b *testing.B) {
 		{"relumask", func() { ReLUMaskF32(v, g, p) }},
 		{"add", func() { AddF32(v, g, p, false) }},
 		{"addrelu", func() { AddF32(v, g, p, true) }},
+		{"scale", func() { ScaleF32(0.25, v) }},
 	}
 	bench := func(name string, run func()) {
 		b.Run(name, func(b *testing.B) {
